@@ -14,20 +14,10 @@ disguise. Two measurements (``harness.specialization_study``):
    with >0 specialized hits, all bit-reproducible across replays.
 
 A third measurement (``harness.compile_pool_study``) sweeps the compile
-pool over lanes × cache size on a phased long-tailed shape mix: cache
-eviction must keep the specialized hit rate above the no-eviction hard
-cap (which starves every late hot shape), a second compile lane must
+pool over lanes × cache size on a phased long-tailed shape mix: the
+small cache must evict to keep specializing, a second compile lane must
 strictly cut the mean compile-queue wait, and every configuration must
-replay bit-identically.
-
-A fourth (``harness.staged_compile_study``) compares monolithic vs
-staged specialization on the same long-tailed mix at one compile lane:
-with the shape-independent prefix charged once and amortized over the
-trace's variants, the amortized per-variant charge must drop below
-monolithic, every warm-prefix variant's marginal charge must be at most
-half the monolithic per-variant charge, the compile-queue p99 must not
-regress, and both modes must replay bit-identically. CI runs this file
-and fails on any assertion.
+replay bit-identically. CI runs this file and fails on any assertion.
 """
 
 import pytest
@@ -37,7 +27,6 @@ from repro.harness import (
     compile_pool_study,
     format_table,
     specialization_study,
-    staged_compile_study,
 )
 
 TIER_METRICS = (
@@ -109,8 +98,8 @@ POOL_METRICS = (
 
 @pytest.mark.paper
 def test_compile_pool_eviction(benchmark):
-    """Lanes × cache size on the long-tailed mix: eviction beats the hard
-    cap, a second lane strictly cuts queue wait, replays bit-identical."""
+    """Lanes × cache size on the long-tailed mix: the small cache evicts,
+    a second lane strictly cuts queue wait, replays bit-identical."""
     results = benchmark.pedantic(
         lambda: compile_pool_study(
             lane_counts=(1, 2), cache_sizes=(2, 4), num_requests=160
@@ -133,91 +122,17 @@ def test_compile_pool_eviction(benchmark):
     )
     summary = results["summary"]
     print(
-        f"eviction hit-rate gain {summary['eviction_hit_rate_gain']:.3f}, "
         f"queue wait lanes={summary['min_lanes']:.0f} "
         f"{summary['queue_wait_min_lanes_us']:.0f} µs vs "
         f"lanes={summary['max_lanes']:.0f} "
         f"{summary['queue_wait_max_lanes_us']:.0f} µs, "
         f"deterministic={bool(summary['deterministic'])}"
     )
-    # Eviction must keep the specialized hit rate above the no-eviction
-    # cap baseline on the same trace, at every cache size — the hard cap
-    # starves every hot shape that shows up after the cache fills.
-    for cache in (2, 4):
-        evicting = results[f"lanes=1,cache={cache}"]
-        capped = results[f"no_eviction,cache={cache}"]
-        assert evicting["specialized_hit_rate"] > capped["specialized_hit_rate"]
+    # Five hot phases through two slots: the cache has to recycle them.
     assert results["lanes=1,cache=2"]["evictions"] > 0
-    assert summary["eviction_hit_rate_gain"] > 0
     # The pool: a second lane strictly lowers the mean compile-queue wait.
     assert summary["queue_wait_max_lanes_us"] < summary["queue_wait_min_lanes_us"]
     # Everything above reproduces bit-identically across replays.
-    assert summary["deterministic"] == 1.0
-
-
-STAGED_METRICS = (
-    "specialized_hit_rate",
-    "fresh_compiles",
-    "compile_us",
-    "prefix_us",
-    "suffix_us",
-    "amortized_per_variant_us",
-    "p99_queue_wait_us",
-)
-
-
-@pytest.mark.paper
-def test_staged_specialization(benchmark):
-    """Monolithic vs staged charging on the long-tailed mix at one
-    compile lane: the once-per-module prefix amortizes, so per-variant
-    charge and queue wait drop — bit-identically replayed."""
-    results = benchmark.pedantic(
-        lambda: staged_compile_study(num_requests=160),
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [mode] + [results[mode][m] for m in STAGED_METRICS]
-        for mode in ("monolithic", "staged")
-    ]
-    print()
-    print(
-        format_table(
-            "Monolithic vs staged specialization (long-tailed mix, 1 lane)",
-            rows,
-            ["mode", "hit rate", "fresh", "compile µs", "prefix µs",
-             "suffix µs", "amortized µs", "p99 qwait µs"],
-        )
-    )
-    summary = results["summary"]
-    print(
-        f"amortized ratio {summary['amortized_ratio']:.2f}, "
-        f"warm-prefix marginal ratio "
-        f"{summary['warm_prefix_marginal_ratio']:.2f}, "
-        f"p99 queue wait {summary['queue_wait_p99_mono_us']:.0f} µs -> "
-        f"{summary['queue_wait_p99_staged_us']:.0f} µs, "
-        f"deterministic={bool(summary['deterministic'])}"
-    )
-    mono, staged = results["monolithic"], results["staged"]
-    # The study must actually exercise amortization: multiple variants
-    # compiled fresh, prefix paid exactly once (never per variant).
-    assert staged["fresh_compiles"] >= 2
-    assert 0.0 < staged["prefix_us"] < staged["compile_us"]
-    assert mono["prefix_us"] == 0.0
-    # Headline: with the prefix charged once per module, the amortized
-    # per-variant charge drops below monolithic, and every warm-prefix
-    # variant's marginal charge is at most HALF the monolithic one (the
-    # suffix share of the calibration model).
-    assert summary["amortized_ratio"] < 1.0
-    assert summary["warm_prefix_marginal_ratio"] <= 0.5
-    # At one lane, cheaper variants drain the pending queue faster — the
-    # p99 compile-queue wait must not regress.
-    assert summary["queue_wait_p99_staged_us"] <= summary["queue_wait_p99_mono_us"]
-    # Staging must not cost tier coverage on the identical trace.
-    assert staged["specialized_hit_rate"] >= mono["specialized_hit_rate"]
-    # Everything above reproduces bit-identically across replays with
-    # the prefix cache enabled (the second simulate reuses the memoised
-    # prefix and artifacts).
     assert summary["deterministic"] == 1.0
 
 

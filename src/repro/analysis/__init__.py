@@ -19,7 +19,7 @@ it (docs/analysis.md has the catalog):
 the end of every compile (``CompilerOptions(verify=True)``, the default),
 on every store load (`repro.store` rejects-and-counts a blob that fails
 verification exactly like a corrupt one — it is never executed), sampled
-in serving (``ServeConfig.verify_sample``), and in CI
+in serving (``repro.serve.specialization.VERIFY_SAMPLE``), and in CI
 (`benchmarks/verify_artifacts.py`).
 
 Findings, not exceptions, are the checkers' native output: each checker

@@ -10,9 +10,10 @@ and ``repro.store``:
   per-tenant token-bucket admission control (:class:`TenantSpec`), and
   deterministic chaos injection (:class:`ReplicaStall`,
   :class:`CorruptBlob`).
-- :class:`FleetStoreView` models the shared store so a fresh compile on
-  any replica is restorable by every sibling at the deserialize charge,
-  and so :class:`~repro.store.StoreGC` decisions replay bit-identically.
+- One :class:`~repro.store.FleetStoreView` models the shared store so a
+  fresh compile on any replica is restorable by every sibling at the
+  deserialize charge, and so :class:`~repro.store.StoreGC` decisions
+  replay bit-identically.
 - :class:`FleetReport` surfaces the per-tenant / per-replica outcome,
   with :meth:`FleetReport.counters` as the replay-equality surface.
 
@@ -25,7 +26,7 @@ from repro.fleet.chaos import CorruptBlob, ReplicaStall
 from repro.fleet.report import FleetReport, TenantStats
 from repro.fleet.router import ROUTING_POLICIES, FleetConfig, FleetRouter
 from repro.fleet.tenancy import TenantSpec, TokenBucket
-from repro.fleet.view import FleetStoreView
+from repro.store import FleetStoreView
 
 __all__ = [
     "CorruptBlob",

@@ -5,7 +5,7 @@ A :class:`FleetRouter` fronts ``num_replicas`` independent
 own workers, batcher, and specialization manager — the unit of failure
 and of cache locality — but all of them share one virtual timeline, one
 kernel cache, one artifact directory, and one
-:class:`~repro.fleet.FleetStoreView` model of it. The router owns
+:class:`~repro.store.FleetStoreView` model of it. The router owns
 everything between the trace and the replicas:
 
 - **admission** (``repro.fleet.tenancy``): each arrival spends a token
@@ -20,19 +20,20 @@ everything between the trace and the replicas:
 - **store GC** (``repro.store.StoreGC``): periodic collections guarded
   by the union of every replica's referenced and in-flight store keys.
 
-The event loop is the single-server loop generalized: at each step the
-earliest of (next arrival, next chaos event, each replica's next bucket
-deadline, next GC tick) fires, with ties broken in exactly that order
-(and by replica id among deadlines). A one-replica fleet with no
-admission limits therefore replays the *identical* event sequence as
-``InferenceServer.simulate`` — the property the differential tests in
-``tests/test_fleet.py`` pin down — and every decision the router makes
-is a pure function of (trace, chaos, config), which is the fleet
+The event loop is the single server's
+(:func:`repro.serve.server.run_timeline`) with two more event sources:
+at each step the earliest of (next arrival, next chaos event, each
+replica's next bucket deadline, next GC tick) fires, with ties broken in
+exactly that order (and by replica id among deadlines). A one-replica
+fleet with no admission limits therefore replays the *identical* event
+sequence as ``InferenceServer.simulate``, and every decision the router
+makes is a pure function of (trace, chaos, config), which is the fleet
 determinism contract (docs/fleet.md).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -43,12 +44,16 @@ from repro.codegen.kernels import KernelCache
 from repro.fleet.chaos import CorruptBlob, ReplicaStall
 from repro.fleet.report import FleetReport, TenantStats
 from repro.fleet.tenancy import TenantSpec, TokenBucket
-from repro.fleet.view import FleetStoreView
 from repro.hardware.platforms import Platform
 from repro.ir.module import IRModule
 from repro.serve.request import Request
-from repro.serve.server import InferenceServer, ServeConfig
-from repro.store import ArtifactStore, StoreGC
+from repro.serve.server import (
+    EventSource,
+    InferenceServer,
+    ServeConfig,
+    run_timeline,
+)
+from repro.store import ArtifactStore, FleetStoreView, StoreGC
 
 ROUTING_POLICIES = ("affinity", "least_loaded", "random")
 
@@ -105,7 +110,7 @@ class FleetRouter:
         # One kernel cache fleet-wide: replica 0's dynamic build fills
         # it, siblings reuse the compiled kernels (deterministic — the
         # cache changes compile *work*, never modeled charges/outputs).
-        self.kernel_cache = kernel_cache or KernelCache()
+        self.kernel_cache = KernelCache() if kernel_cache is None else kernel_cache
         # The shared store model. The probe ArtifactStore snapshots the
         # directory BEFORE any replica opens it, giving the view its
         # frozen initial inventory; the same instance later mirrors GC
@@ -180,56 +185,36 @@ class FleetRouter:
                 tenants[name] = stats
             return stats
 
-        trace = sorted(requests, key=lambda r: (r.arrival_us, r.rid))
         faults = sorted(chaos, key=lambda e: e.at_us)
-        now = 0.0
-        i, n = 0, len(trace)
-        j, m = 0, len(faults)
-        gc_next = (
-            self.fleet.gc_interval_us
-            if self._gc is not None and self.fleet.gc_interval_us is not None
-            else math.inf
-        )
-        while i < n or j < m or any(r.pending for r in self.replicas):
-            # The next event, as (time, tie-rank, replica-rank): arrivals
-            # beat chaos beat deadlines beat GC at the same instant, and
-            # deadline ties resolve by replica id. This is the
-            # single-server `arrival <= deadline` rule, generalized.
-            best: Optional[Tuple[float, int, int]] = None
-            if i < n:
-                best = (trace[i].arrival_us, 0, 0)
-            if j < m:
-                cand = (faults[j].at_us, 1, 0)
-                if best is None or cand < best:
-                    best = cand
-            for k, replica in enumerate(self.replicas):
-                deadline = replica.next_deadline()
-                if deadline is not None:
-                    cand = (deadline, 2, k)
-                    if best is None or cand < best:
-                        best = cand
-            if gc_next < math.inf:
-                cand = (gc_next, 3, 0)
-                if best is None or cand < best:
-                    best = cand
-            if best is None or best[0] == math.inf:
-                # Arrivals and chaos exhausted, no finite deadline will
-                # ever fire: shutdown drain happens in finish().
-                break
-            now, rank, k = best
-            if rank == 0:
-                self._on_arrival(
-                    trace[i], now, report, tenant_stats, rejected_rids
+        due = iter(faults)
+        sources = [
+            EventSource(
+                times=(fault.at_us for fault in faults),
+                fire=lambda now: self._apply_chaos(next(due), now, report),
+                after_deadlines=False,
+                finite=True,
+            )
+        ]
+        if self._gc is not None and self.fleet.gc_interval_us is not None:
+            sources.append(
+                EventSource(
+                    # Ticks accumulate (t += interval), they are not k × interval.
+                    times=itertools.accumulate(
+                        itertools.repeat(self.fleet.gc_interval_us)
+                    ),
+                    fire=lambda now: self._run_gc(now, report),
+                    after_deadlines=True,
+                    finite=False,
                 )
-                i += 1
-            elif rank == 1:
-                self._apply_chaos(faults[j], now, report)
-                j += 1
-            elif rank == 2:
-                self.replicas[k].flush_due(now)
-            else:
-                self._run_gc(now, report)
-                gc_next += self.fleet.gc_interval_us
+            )
+        now = run_timeline(
+            requests,
+            self.replicas,
+            lambda request, now: self._on_arrival(
+                request, now, report, tenant_stats, rejected_rids
+            ),
+            sources,
+        )
         report.replica_reports = [r.finish(now) for r in self.replicas]
         report.fleet_restores = [
             r.specializer.fleet_restores if r.specializer is not None else 0

@@ -74,28 +74,14 @@ SYMBOLIC_INDEX_OVERHEAD = {
 # time (the tiered-compilation hot path): a fixed pipeline overhead plus a
 # per-kernel code-generation charge. Order-of-magnitude from TVM-class
 # compilers with schedules already chosen (no tuning): tens of
-# milliseconds per kernel, slower on ARM hosts.
-SPECIALIZE_BASE_US = {
-    "intel": 20_000.0,
-    "nvidia": 25_000.0,
-    "arm": 60_000.0,
-}
-SPECIALIZE_PER_KERNEL_US = {
-    "intel": 4_000.0,
-    "nvidia": 5_000.0,
-    "arm": 12_000.0,
-}
-
-# Staged-specialization split of the same charge (docs/serving.md). The
+# milliseconds per kernel, slower on ARM hosts. The charge is split the
+# way the staged pipeline splits the work (docs/serving.md): the
 # shape-independent *prefix* (normalization, CSE/DCE, lambda lifting,
 # dynamic type inference) runs once per (module, platform); only the
 # *suffix* (shape binding, residual inference, fusion, allocation,
 # codegen) repeats per variant. The split is 60/40: normalization walks
 # the whole module and dominates, while the suffix starts from an
-# already-normalized IR. Prefix + suffix equal the monolithic constants
-# above exactly, so a single-variant staged compile costs the same as a
-# monolithic one — staging only wins when the prefix amortizes over
-# multiple variants.
+# already-normalized IR.
 SPECIALIZE_PREFIX_FRACTION = 0.6
 SPECIALIZE_PREFIX_BASE_US = {
     "intel": 12_000.0,

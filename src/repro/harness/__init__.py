@@ -3,7 +3,6 @@
 from repro.harness.experiments import (
     batch_specialization_study,
     compile_pool_study,
-    staged_compile_study,
     figure3_dispatch,
     fleet_study,
     memory_planning_study,
@@ -30,7 +29,6 @@ __all__ = [
     "serving_study",
     "specialization_study",
     "compile_pool_study",
-    "staged_compile_study",
     "restart_study",
     "predictive_study",
     "fleet_study",

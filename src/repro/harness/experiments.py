@@ -577,7 +577,8 @@ def compile_pool_study(
     lane_counts: Sequence[int] = (1, 2, 4),
     cache_sizes: Sequence[int] = (2, 4),
     threshold: int = 3,
-    compile_us: float = 8000.0,
+    # 8000 µs per variant (the suffix share), +12000 µs once for the prefix.
+    compile_us: float = 20_000.0,
     decay_half_life_us: float = 6_000.0,
     input_size: int = 16,
     hidden_size: int = 16,
@@ -592,10 +593,8 @@ def compile_pool_study(
 
     Per configuration: specialized hit rate, compile-queue wait
     mean/p99, eviction count, per-lane utilization, and a
-    replay-determinism flag. The sweep also runs the eviction-off
-    baseline (PR 2's hard cap) at each cache size, so the summary can
-    report how much eviction recovers, and how much a second lane cuts
-    queue wait, on identical traces.
+    replay-determinism flag. The summary reports how much a wider pool
+    cuts queue wait on identical traces.
     """
     from repro.serve import InferenceServer, ServeConfig, long_tailed_traffic
 
@@ -612,7 +611,7 @@ def compile_pool_study(
     # module, and the modeled compile cost is charged per trigger anyway.
     shared_cache = KernelCache()
 
-    def run(lanes: int, cache: int, eviction: bool) -> Dict[str, float]:
+    def run(lanes: int, cache: int) -> Dict[str, float]:
         config = ServeConfig(
             max_batch_size=max_batch_size,
             max_delay_us=max_delay_us,
@@ -622,7 +621,6 @@ def compile_pool_study(
             specialize_max_executables=cache,
             specialize_compile_us=compile_us,
             specialize_compile_lanes=lanes,
-            specialize_eviction=eviction,
             specialize_decay_half_life_us=decay_half_life_us,
         )
         server = InferenceServer(mod, platform, config, kernel_cache=shared_cache)
@@ -653,31 +651,18 @@ def compile_pool_study(
 
     results: Dict[str, Dict[str, float]] = {}
     for cache in cache_sizes:
-        # The no-eviction baseline runs at the narrowest pool in the
-        # sweep, so the summary's eviction gain isolates eviction from
-        # pool width.
-        results[f"no_eviction,cache={cache}"] = run(
-            min(lane_counts), cache, eviction=False
-        )
         for lanes in lane_counts:
-            results[f"lanes={lanes},cache={cache}"] = run(lanes, cache, eviction=True)
+            results[f"lanes={lanes},cache={cache}"] = run(lanes, cache)
 
     # Summarize from the lane counts actually swept: the fewest-lane pool
-    # vs the widest, both at the largest cache, and the eviction gain at
-    # the smallest cache (where the hard cap starves hardest).
+    # vs the widest, both at the largest cache.
     min_lanes, max_lanes = min(lane_counts), max(lane_counts)
-    small, big = min(cache_sizes), max(cache_sizes)
-    evict_small = results[f"lanes={min_lanes},cache={small}"]
-    capped_small = results[f"no_eviction,cache={small}"]
+    big = max(cache_sizes)
     narrow = results[f"lanes={min_lanes},cache={big}"]
     wide = results[f"lanes={max_lanes},cache={big}"]
     results["summary"] = {
         "min_lanes": float(min_lanes),
         "max_lanes": float(max_lanes),
-        "eviction_hit_rate_gain": (
-            evict_small["specialized_hit_rate"]
-            - capped_small["specialized_hit_rate"]
-        ),
         "queue_wait_min_lanes_us": narrow["mean_queue_wait_us"],
         "queue_wait_max_lanes_us": wide["mean_queue_wait_us"],
         "deterministic": float(
@@ -687,119 +672,6 @@ def compile_pool_study(
                 if key != "summary"
             )
         ),
-    }
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Staged-compilation study: monolithic vs prefix+suffix charging
-# ---------------------------------------------------------------------------
-
-
-def staged_compile_study(
-    platform_name: str = "intel",
-    num_requests: int = 192,
-    mean_interarrival_us: float = 300.0,
-    threshold: int = 3,
-    cache_size: int = 4,
-    compile_lanes: int = 1,
-    decay_half_life_us: float = 6_000.0,
-    input_size: int = 16,
-    hidden_size: int = 16,
-    max_batch_size: int = 4,
-    max_delay_us: float = 1500.0,
-    num_workers: int = 2,
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
-    """Monolithic vs staged specialization on the long-tailed shape mix,
-    identical traces and knobs, lanes held at *compile_lanes* (default 1
-    — the narrowest pool, where per-variant charge directly becomes
-    queue wait).
-
-    Per mode: total/amortized compile charge, the prefix/suffix split,
-    queue-wait mean/p99, hit rate, and a replay-determinism flag. The
-    summary reports the amortized per-variant charge ratio
-    (staged / monolithic — below 1 once the prefix amortizes over a
-    second variant) and the marginal charge of the 2nd+ variants as a
-    fraction of the monolithic per-variant charge (the ≤ 0.5 headline:
-    a warm-prefix variant pays only the suffix share of the model).
-    """
-    from repro.serve import InferenceServer, ServeConfig, long_tailed_traffic
-
-    platform = platform_by_name(platform_name)
-    weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-    mod = build_lstm_module(weights)
-    requests = long_tailed_traffic(
-        num_requests,
-        input_size=input_size,
-        mean_interarrival_us=mean_interarrival_us,
-        seed=seed,
-    )
-    shared_cache = KernelCache()
-
-    def run(staged: bool) -> Dict[str, float]:
-        config = ServeConfig(
-            max_batch_size=max_batch_size,
-            max_delay_us=max_delay_us,
-            num_workers=num_workers,
-            specialize=True,
-            specialize_threshold=threshold,
-            specialize_max_executables=cache_size,
-            specialize_compile_lanes=compile_lanes,
-            specialize_decay_half_life_us=decay_half_life_us,
-            specialize_staged=staged,
-        )
-        server = InferenceServer(mod, platform, config, kernel_cache=shared_cache)
-        report = server.simulate(requests)
-        replay = server.simulate(requests)
-        deterministic = (
-            report.latencies_us == replay.latencies_us
-            and report.specialized_hits == replay.specialized_hits
-            and report.specialize_queue_waits_us == replay.specialize_queue_waits_us
-            and report.specialize_compile_us == replay.specialize_compile_us
-        )
-        fresh = max(1.0, float(report.specialize_fresh_compiles))
-        return {
-            "specialized_hit_rate": report.specialized_hit_rate,
-            "fresh_compiles": float(report.specialize_fresh_compiles),
-            "compile_us": report.specialize_compile_us,
-            "prefix_us": report.specialize_prefix_us,
-            "suffix_us": report.specialize_suffix_us,
-            "amortized_per_variant_us": report.specialize_compile_us / fresh,
-            "mean_queue_wait_us": report.mean_compile_queue_wait_us,
-            "p99_queue_wait_us": report.compile_queue_wait_percentile_us(99.0),
-            "p50_us": report.p50_us,
-            "p99_us": report.p99_us,
-            "deterministic": float(deterministic),
-        }
-
-    mono = run(False)
-    staged = run(True)
-    mono_per_variant = mono["amortized_per_variant_us"]
-    # Marginal charge of a variant under a warm prefix: every staged
-    # variant pays the same suffix, so it is the non-prefix lane time
-    # per fresh compile.
-    marginal = (staged["compile_us"] - staged["prefix_us"]) / max(
-        1.0, staged["fresh_compiles"]
-    )
-    results = {
-        "monolithic": mono,
-        "staged": staged,
-        "summary": {
-            "amortized_ratio": (
-                staged["amortized_per_variant_us"] / mono_per_variant
-                if mono_per_variant
-                else 0.0
-            ),
-            "warm_prefix_marginal_ratio": (
-                marginal / mono_per_variant if mono_per_variant else 0.0
-            ),
-            "queue_wait_p99_mono_us": mono["p99_queue_wait_us"],
-            "queue_wait_p99_staged_us": staged["p99_queue_wait_us"],
-            "deterministic": float(
-                mono["deterministic"] == 1.0 and staged["deterministic"] == 1.0
-            ),
-        },
     }
     return results
 
@@ -1006,7 +878,7 @@ def restart_study(
 
     Returns ``{"cold": {...}, "warm": {...}, "summary": {...}}``; the
     summary includes the warm/cold compile-charge ratio (the headline:
-    < 0.10), the time-to-first-specialized-hit speedup, a bit-identity
+    < 0.12), the time-to-first-specialized-hit speedup, a bit-identity
     flag, and per-run replay-determinism flags.
     """
     import tempfile

@@ -49,11 +49,9 @@ class ServeReport:
     # static verification (repro.analysis) — split out because they
     # indicate a writer bug or tampering, not volume corruption.
     verify_rejects: int = 0
-    # Staged-compilation split of specialize_compile_us: the
+    # Split of the fresh-compile part of specialize_compile_us: the
     # once-per-simulation shape-independent prefix charge vs the
-    # per-variant compile lane time. Under the monolithic pipeline
-    # (specialize_staged=False) the prefix is zero and the suffix
-    # equals the full fresh-compile charge.
+    # per-variant compile lane time.
     specialize_prefix_us: float = 0.0
     specialize_suffix_us: float = 0.0
     # Guarded partial shapes: batch members routed to a partial variant

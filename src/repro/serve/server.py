@@ -1,10 +1,10 @@
 """The inference server: an event-driven simulation over virtual time.
 
 ``simulate`` replays a request trace against the batcher and worker pool.
-The loop advances virtual time from event to event — the next arrival or
-the next bucket deadline, whichever comes first — so the trace, the
-batching decisions, and every latency number are a pure function of the
-inputs. Two identical simulations are bit-identical.
+:func:`run_timeline` advances virtual time from event to event — the next
+arrival or the next bucket deadline, whichever comes first — so the
+trace, the batching decisions, and every latency number are a pure
+function of the inputs. Two identical simulations are bit-identical.
 
 Workers never block batch formation: a flushed batch is assigned to the
 earliest-free worker (ties broken by worker id) and starts at
@@ -12,32 +12,29 @@ earliest-free worker (ties broken by worker id) and starts at
 
 With ``specialize=True`` the server runs tiered compilation: request
 arrivals are counted per exact dynamic-dim shape, hot shapes get a
-statically recompiled executable (``nimble.specialize``, sharing the
-dynamic build's kernel cache), and a batch whose members all match a
-specialized shape exactly is routed to the static tier — everything else
-falls back to the dynamic executable, including the hot shape itself
-while its compile sits in the compile-worker pool (the compile cost is
-charged on the virtual clock as lane latency; ``specialize_compile_lanes``
-sizes the pool and pending compiles queue by observed traffic). Once a
-shape is hot it also gets its own exact bucket, so its batches form
-shape-uniform. The specialized-executable cache evicts its coldest entry
-under a decayed-hit-score policy when a new shape goes hot past
-``specialize_max_executables``; evicted (or momentarily blocked) shapes
-stay armed and recompile once a slot frees.
+statically recompiled executable (sharing the dynamic build's kernel
+cache), and a batch whose members all match a specialized shape exactly
+is routed to the static tier — everything else falls back to the dynamic
+executable, including the hot shape itself while its compile sits in the
+compile-worker pool. Once a shape is hot it also gets its own exact
+bucket, so its batches form shape-uniform.
+:mod:`repro.serve.specialization` describes the lifecycle.
 
 With ``artifact_dir`` set the server is additionally backed by a
 persistent artifact store: the kernel cache warm-loads before the
 dynamic build, every specialized compile persists its executable, and
 hot triggers restore stored artifacts at the modeled deserialize cost
 instead of recompiling — so a restarted server reaches its specialized
-steady state for a fraction of the cold compile charge.
+steady state for a fraction of the cold compile charge. What the store
+holds is read from a :class:`~repro.store.FleetStoreView`: the server's
+own, or — as one replica of a fleet — the one it shares with its
+siblings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence
 
 import repro.nimble as nimble
 from repro.codegen.kernels import KernelCache
@@ -45,127 +42,73 @@ from repro.errors import VMError
 from repro.hardware.platforms import Platform, intel_cpu
 from repro.ir.module import IRModule
 from repro.serve.batcher import Batch, Batcher, ShapeBucketer
+from repro.serve.config import ServeConfig
 from repro.serve.report import ServeReport, build_report
 from repro.serve.request import Request, Response
 from repro.serve.specialization import SpecializationManager
 from repro.serve.worker import Worker
+from repro.store import ArtifactStore, FleetStoreView
 
 
-@dataclass(frozen=True)
-class ServeConfig:
-    max_batch_size: int = 8
-    max_delay_us: float = 2000.0
-    num_workers: int = 2
-    bucket_granularity: int = 8
-    numerics: str = "lite"
-    entry: str = "main"
-    # Tiered specialization: compile a static executable for a shape once
-    # `specialize_threshold` requests with exactly that shape have been
-    # observed. Compiles run on a pool of `specialize_compile_lanes`
-    # virtual-clock lanes (pending compiles queue by observed traffic);
-    # at most `specialize_max_executables` static builds stay resident,
-    # with the coldest entry (hit score decayed on the
-    # `specialize_decay_half_life_us` half-life) evicted when a
-    # challenger more than `specialize_eviction_margin` times hotter
-    # needs the slot (the margin prevents comparable-heat shapes from
-    # thrashing the cache) — `specialize_eviction=False` restores the
-    # hard cap. `specialize_compile_us` overrides the modeled compile
-    # cost.
-    specialize: bool = False
-    specialize_threshold: int = 8
-    specialize_max_executables: int = 4
-    specialize_compile_us: Optional[float] = None
-    specialize_compile_lanes: int = 1
-    specialize_eviction: bool = True
-    specialize_decay_half_life_us: float = 100_000.0
-    specialize_eviction_margin: float = 2.0
-    # Batch-granularity specialization: every hot shape additionally gets
-    # an executable compiled at (batch cap × exact shape), and a *full*
-    # exact bucket runs as one VM call on it (one batched GEMM per
-    # member-wise GEMM site). Ragged tails fall back member-wise. The cap
-    # defaults to max_batch_size and hot buckets are capped to it, so a
-    # bucket can never outgrow the kernel compiled for it.
-    specialize_batch: bool = False
-    specialize_batch_cap: Optional[int] = None
-    # Persistent artifact store: a directory where specialized
-    # executables and the kernel cache survive the process. At startup
-    # the kernel cache warm-loads from it and every hot trigger checks
-    # it before compiling — a hit installs the stored artifact at the
-    # modeled deserialize cost (`specialize_restore_us` overrides the
-    # RESTORE_*_US calibration), so a restarted server re-reaches its
-    # specialized steady state for <10% of the cold compile charge
-    # (`harness.restart_study`). None (default) keeps everything
-    # in-memory, exactly the pre-store behaviour.
-    artifact_dir: Optional[str] = None
-    specialize_restore_us: Optional[float] = None
-    # Multi-stream scheduling: compile every executable (dynamic and
-    # specialized) with this many device streams (repro.vm.schedule).
-    # Clamped to the platform at compile time — CPU platforms always run
-    # single-stream, bit-identically to device_streams=1 — and workers
-    # rotate the static schedule across batch members so independent
-    # members overlap on different streams. 1 (default) is the exact
-    # pre-streams behaviour.
-    device_streams: int = 1
-    # Staged specialization: compile hot-shape variants through a shared
-    # shape-independent prefix and split the modeled lane charge — the
-    # prefix is charged once per simulation, each variant pays only the
-    # shape-binding suffix (see docs/serving.md). With an artifact store
-    # the prefix blob persists too, so a restart restores it at the
-    # deserialize charge. Off by default: the monolithic charge model is
-    # unchanged.
-    specialize_staged: bool = False
-    # Profile-guided predictive specialization: persist a shape profile
-    # (.nmblprof — exact-key hit histogram + decayed scores) into the
-    # artifact store at every simulation end, and pre-arm the historical
-    # top-K (default: specialize_max_executables; override with
-    # specialize_predictive_top_k) at virtual time 0 of every
-    # simulation, so a restarted server compiles/store-restores its hot
-    # set before the first request lands (ServeReport.predictive_*;
-    # harness.predictive_study measures the warm-up win). Requires
-    # artifact_dir; a missing/rejected profile serves cold, counted.
-    specialize_predictive: bool = False
-    specialize_predictive_top_k: Optional[int] = None
-    # Guarded partial specialization: when traffic agrees on some dims
-    # but spreads a long tail over the others, synthesize one variant
-    # binding only the stable dims (the rest stay Any) once it would
-    # cover at least specialize_partial_min_shapes distinct exact
-    # shapes. The variant's entry guard checks the bound dims per batch
-    # member; mismatches transparently deopt to the dynamic tier
-    # (ServeReport.guard_deopts — counted, never wrong).
-    specialize_partial: bool = False
-    specialize_partial_min_shapes: int = 3
-    # Sampled static verification of serving compiles: every Nth fresh
-    # specialized compile (starting with the first) runs the
-    # repro.analysis checkers; 0 disables sampling. Store loads and the
-    # startup dynamic build always verify regardless — this knob only
-    # prices the hot compile lane. Failures on the lane raise (compiler
-    # bug); failing store blobs are rejected-and-counted
-    # (ServeReport.verify_rejects) and never executed.
-    verify_sample: int = 4
+class EventSource(NamedTuple):
+    """A stream of timed events :func:`run_timeline` merges with the
+    arrivals and the replicas' bucket deadlines."""
 
-    @property
-    def batch_cap(self) -> int:
-        """The compiled batch size of the batched tier (1 = tier off)."""
-        if not (self.specialize and self.specialize_batch):
-            return 1
-        cap = (
-            self.specialize_batch_cap
-            if self.specialize_batch_cap is not None
-            else self.max_batch_size
-        )
-        if cap < 1:
-            raise ValueError(f"specialize_batch_cap must be >= 1, got {cap}")
-        return min(cap, self.max_batch_size)
+    # Ascending event times; `fire(now)` is called once per time.
+    times: Iterator[float]
+    fire: Callable[[float], None]
+    # Same-instant order: before the bucket deadlines, or after them.
+    after_deadlines: bool
+    # Must every event fire before the run may end? (A periodic source
+    # never runs dry, so it must not keep the run alive.)
+    finite: bool
 
-    @staticmethod
-    def serial(**overrides) -> "ServeConfig":
-        """One-request-at-a-time dispatch: the unbatched baseline. Other
-        knobs (numerics, entry, ...) pass through so a serial baseline runs
-        under the same conditions as the batched server it is compared to.
-        Overrides win — including for the serial defaults themselves."""
-        params = dict(max_batch_size=1, max_delay_us=0.0, num_workers=1)
-        params.update(overrides)
-        return ServeConfig(**params)
+
+def run_timeline(
+    trace: Sequence[Request],
+    replicas: Sequence["InferenceServer"],
+    on_arrival: Callable[[Request, float], None],
+    sources: Sequence[EventSource] = (),
+) -> float:
+    """The one event loop: fire, in virtual-time order, every arrival of
+    *trace* (through *on_arrival*), every bucket deadline of *replicas*
+    (``flush_due``) and every event of *sources*, until arrivals, queued
+    requests and finite sources are exhausted; returns the time of the
+    last event. At one instant arrivals go first, then sources placed
+    before the deadlines, then deadlines by replica position, then the
+    remaining sources."""
+    trace = sorted(trace, key=lambda r: (r.arrival_us, r.rid))
+    upcoming = [next(s.times, math.inf) for s in sources]
+    now = 0.0
+    i, n = 0, len(trace)
+    while (
+        i < n
+        or any(r.pending for r in replicas)
+        or any(s.finite and t < math.inf for s, t in zip(sources, upcoming))
+    ):
+        # (time, tie rank, position); the lowest fires.
+        best = (trace[i].arrival_us, 0, 0) if i < n else (math.inf, 0, 0)
+        for k, source in enumerate(sources):
+            best = min(best, (upcoming[k], 3 if source.after_deadlines else 1, k))
+        for k, replica in enumerate(replicas):
+            deadline = replica.next_deadline()
+            if deadline is not None:
+                best = min(best, (deadline, 2, k))
+        if best[0] == math.inf:
+            # Arrivals exhausted and no finite deadline will ever fire
+            # (max_delay_us=inf means flush-on-size-only): the leftover
+            # partial buckets drain in finish(), at the last event.
+            break
+        now, rank, k = best
+        if rank == 0:
+            on_arrival(trace[i], now)
+            i += 1
+        elif rank == 2:
+            replicas[k].flush_due(now)
+        else:
+            sources[k].fire(now)
+            upcoming[k] = next(sources[k].times, math.inf)
+    return now
 
 
 class InferenceServer:
@@ -178,28 +121,30 @@ class InferenceServer:
         config: Optional[ServeConfig] = None,
         kernel_cache: Optional[KernelCache] = None,
         replica_id: int = 0,
-        store_view=None,
+        store_view: Optional[FleetStoreView] = None,
     ) -> None:
         # Fleet mode (repro.fleet): `replica_id` names this server inside
         # a FleetRouter's replica set and `store_view` is the fleet's
         # shared FleetStoreView over one artifact directory — it lets a
         # sibling's fresh compile restore here mid-simulation and lets
-        # the fleet GC see which blobs this replica still references.
-        # Standalone servers (the defaults) behave exactly as before.
+        # the fleet GC see which blobs this replica still references. A
+        # standalone server over a store models it with a view of its
+        # own, taken before anything below writes to the directory.
         self.replica_id = replica_id
-        self.store_view = store_view
         self.platform = platform or intel_cpu()
         self.config = config or ServeConfig()
-        if self.config.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
         self.kernel_cache = (
             KernelCache() if kernel_cache is None else kernel_cache
         )
         self.store = None
+        self._startup_store_rejects = self._startup_verify_rejects = 0
+        self.store_view = store_view
+        self._owns_view = False
         if self.config.artifact_dir is not None:
-            from repro.store import ArtifactStore
-
             self.store = ArtifactStore(self.config.artifact_dir)
+            if store_view is None:
+                self.store_view = FleetStoreView(self.store)
+                self._owns_view = True
             # Warm the kernel cache before the dynamic build below, so
             # a restarted server reuses the previous process's compiled
             # kernels and tuned schedules, not just its specialized
@@ -207,12 +152,8 @@ class InferenceServer:
             # folded into every report's store_rejects — it must be as
             # visible as a rejected executable blob.
             self.store.load_kernel_cache(self.kernel_cache)
-        self._startup_store_rejects = (
-            self.store.rejects if self.store is not None else 0
-        )
-        self._startup_verify_rejects = (
-            self.store.verify_rejects if self.store is not None else 0
-        )
+            self._startup_store_rejects = self.store.rejects
+            self._startup_verify_rejects = self.store.verify_rejects
         self.mod = mod
         self.exe, self.build_report = nimble.build(
             mod,
@@ -235,26 +176,10 @@ class InferenceServer:
                 self.platform,
                 self.bucketer,
                 self.kernel_cache,
-                threshold=self.config.specialize_threshold,
-                max_executables=self.config.specialize_max_executables,
-                compile_us=self.config.specialize_compile_us,
-                entry=self.config.entry,
-                compile_lanes=self.config.specialize_compile_lanes,
-                eviction=self.config.specialize_eviction,
-                decay_half_life_us=self.config.specialize_decay_half_life_us,
-                eviction_margin=self.config.specialize_eviction_margin,
-                batch_cap=self.config.batch_cap,
+                self.config,
                 store=self.store,
-                restore_us=self.config.specialize_restore_us,
-                staged=self.config.specialize_staged,
-                device_streams=self.config.device_streams,
-                verify_sample=self.config.verify_sample,
-                predictive=self.config.specialize_predictive,
-                predictive_top_k=self.config.specialize_predictive_top_k,
-                partial=self.config.specialize_partial,
-                partial_min_shapes=self.config.specialize_partial_min_shapes,
+                store_view=self.store_view,
                 replica_id=replica_id,
-                store_view=store_view,
             )
         self.workers = [
             Worker(
@@ -266,19 +191,20 @@ class InferenceServer:
 
     # ------------------------------------------------------------- simulation
     #
-    # The server exposes its event loop two ways. `simulate` replays a
-    # whole trace (the standalone path). The incremental API — `begin`,
-    # `ingest`, `flush_due`, `next_deadline`, `finish` — hands the SAME
-    # steps to an external driver (repro.fleet.FleetRouter) one event at
-    # a time, so N replicas can interleave on one merged timeline.
-    # `simulate` is written *on top of* the incremental API: there is one
-    # event loop, not two copies that can drift.
+    # `begin`, `ingest`, `flush_due`, `next_deadline` and `finish` are
+    # the steps `run_timeline` drives one event at a time. `simulate`
+    # runs it over this one server; repro.fleet.FleetRouter runs the
+    # same loop over N replicas interleaved on one merged timeline.
 
     def begin(self) -> None:
         """Start an independent replay: workers to cold start, hit
         counters restarted (compiled static executables are kept —
         compilation is deterministic, so replays stay bit-identical
-        either way), and a fresh batcher."""
+        either way), and a fresh batcher. The store model forgets what
+        the last replay wrote (a fleet's shared one is reset by its
+        router, once for all replicas)."""
+        if self._owns_view:
+            self.store_view.reset()
         for worker in self.workers:
             worker.reset()
         if self.specializer is not None:
@@ -342,13 +268,12 @@ class InferenceServer:
                 # back by this manager (frozen at construction), so
                 # replays stay bit-identical.
                 self.store.put_profile(self.specializer.profile_snapshot())
-                if self.store_view is not None:
-                    self.store_view.record_put(
-                        "profile",
-                        self.specializer._profile_key,
-                        now_us,
-                        self.replica_id,
-                    )
+                self.store_view.record_put(
+                    "profile",
+                    self.specializer._profile_key,
+                    now_us,
+                    self.replica_id,
+                )
         return build_report(
             self._responses,
             self.workers,
@@ -360,32 +285,9 @@ class InferenceServer:
 
     def simulate(self, requests: Sequence[Request]) -> ServeReport:
         """Serve the trace to completion; returns the aggregate report.
-
-        Each call is an independent replay (see :meth:`begin`). The loop
-        advances virtual time to the next arrival or the next bucket
-        deadline, whichever is earlier (arrivals win ties), exactly as
-        a FleetRouter drives the incremental API for one replica."""
+        Each call is an independent replay (see :meth:`begin`)."""
         self.begin()
-        trace = sorted(requests, key=lambda r: (r.arrival_us, r.rid))
-        now = 0.0
-        i, n = 0, len(trace)
-        while i < n or self._batcher.pending:
-            next_arrival = trace[i].arrival_us if i < n else math.inf
-            deadline = self.next_deadline()
-            next_deadline = deadline if deadline is not None else math.inf
-            if next_arrival == math.inf and next_deadline == math.inf:
-                # Arrivals exhausted and no finite deadline will ever fire
-                # (max_delay_us=inf means flush-on-size-only): shutdown
-                # drain of the leftover partial buckets at the last event.
-                break
-            if next_arrival <= next_deadline:
-                now = next_arrival
-                self.ingest(trace[i], now)
-                i += 1
-            else:
-                now = next_deadline
-                self.flush_due(now)
-        return self.finish(now)
+        return self.finish(run_timeline(requests, [self], self.ingest))
 
     # ------------------------------------------------------------ fleet hooks
     def exact_key(self, payload):

@@ -5,12 +5,27 @@ is, in effect, a static workload that keeps paying the dynamic tax —
 shape functions, runtime-sized allocation, symbolic-kernel dispatch. The
 :class:`SpecializationManager` closes that gap: it counts per-shape hits,
 and once a shape crosses the hot threshold it compiles a static-shape
-:class:`Executable` through ``nimble.specialize`` (sharing the dynamic
-build's :class:`KernelCache`). Batches whose members all match the
-specialized shape exactly are routed to the static tier; everything else
-— including the hot shape itself while its compile is in flight — falls
-back to the dynamic executable, so correctness never depends on the
-tier: outputs are bit-identical either way.
+:class:`Executable` for it (sharing the dynamic build's
+:class:`KernelCache`). Batches whose members all match the specialized
+shape exactly are routed to the static tier; everything else — including
+the hot shape itself while its compile is in flight — falls back to the
+dynamic executable, so correctness never depends on the tier: outputs
+are bit-identical either way.
+
+**Compiling.** Every variant is built through the staged pipeline: a
+shape-independent *prefix* (normalization, CSE/DCE, lambda lifting,
+dynamic type inference — ``nimble.compile_prefix``) shared by all of a
+module's variants, and a per-variant *suffix* (shape binding, residual
+inference, fusion, allocation, codegen —
+``nimble.specialize(prefix=...)``). The modeled charge splits the same
+way: each variant pays the suffix (``SPECIALIZE_SUFFIX_*_US``, or
+``specialize_compile_us × (1 − SPECIALIZE_PREFIX_FRACTION)`` under the
+override), and the first fresh compile of a simulation additionally
+carries the prefix (``SpecializationEvent.prefix_us``), once.
+Simulations that never compile fresh never charge a prefix at all.
+The compiler's own verify gate is off on this path; instead every
+``VERIFY_SAMPLE``-th actual compile, starting with the first, runs the
+``repro.analysis`` checkers, and a failure raises — it is a compiler bug.
 
 With ``batch_cap > 1`` each hot trigger compiles **two variants** of the
 shape: the member-wise static build and a batch-specialized build
@@ -24,101 +39,76 @@ control flow, shape-dependent broadcasts) are detected on their first
 batched compile and served member-wise only — per shape, so one exotic
 shape never disables the tier for the rest.
 
-Compile cost is charged on the virtual clock through a **compile-worker
-pool** of ``compile_lanes`` lanes. A shape that crosses the threshold
-enqueues a pending compile; pending compiles wait in a priority queue
-ordered by observed traffic — hit rate since trigger, recomputed at each
-lane-free event on the virtual clock — and are bound to the
-lowest-numbered earliest-free lane, so replays of one trace are
+**The compile pool.** Compile cost is charged on the virtual clock
+through ``specialize_compile_lanes`` lanes. A shape that crosses the
+threshold enqueues a pending compile; pending compiles wait in a
+priority queue ordered by observed traffic — hit rate since trigger,
+recomputed at each lane-free event on the virtual clock — and are bound
+to the lowest-numbered earliest-free lane, so replays of one trace are
 bit-identical under any lane count. Requests are never stalled by
 compilation — they fall back to the dynamic tier until the static one is
 ready (``ready_at``).
 
-The specialized-executable cache holds at most ``max_executables``
-*resident* entries and evicts under an LRU/LFU-with-decay policy:
-per-shape hit scores decay on a virtual-clock half-life
-(``decay_half_life_us``), and when a new shape goes hot past the cap the
-coldest resident entry — colder than the challenger by the
-``eviction_margin`` thrash-protection factor, and never one with an
-in-flight compile — loses its slot. An evicted shape re-arms:
-its hit count already sits past the threshold, so its next observation
-retries the trigger and can recompile into a freed slot (the artifact is
-memoised, but the modeled compile cost is charged again — the model
-dropped the binary). A shape whose trigger is blocked (cache full,
-nothing colder) stays armed the same way and retries on every subsequent
-hit, so no hot shape is ever starved by a momentarily full cache.
+**The cache.** At most ``specialize_max_executables`` shapes are
+*resident*. Per-shape hit scores decay on a virtual-clock half-life
+(``specialize_decay_half_life_us``), and when a new shape goes hot past
+the cap the coldest resident entry — colder than the challenger by the
+``EVICTION_MARGIN`` thrash-protection factor, and never one with an
+in-flight compile — loses its slot. An evicted shape re-arms: its hit
+count already sits past the threshold, so its next observation retries
+the trigger and can recompile into a freed slot (the artifact is
+memoised, but the modeled cost is charged again — the model dropped the
+binary). A shape whose trigger is blocked (cache full, nothing colder)
+stays armed the same way and retries on every subsequent hit, so no hot
+shape is ever starved by a momentarily full cache.
 
-With an :class:`~repro.store.ArtifactStore` attached
-(``ServeConfig(artifact_dir=...)``), compiled artifacts additionally
-persist to disk, and a trigger checks the store **before** queuing a
-compile: a hit installs the persisted executable at a small modeled
-deserialize cost (``RESTORE_*_US``, ~2 orders of magnitude under the
-compile charge) instead of the full compile — so a restarted server
-re-reaches its specialized steady state almost immediately
-(``harness.restart_study`` measures this). Within one simulation the
-store also changes what eviction costs: an evicted-then-re-armed shape
-restores its persisted binary at the deserialize charge instead of
-recompiling from scratch.
+**The store.** With an :class:`~repro.store.ArtifactStore` attached
+(``ServeConfig(artifact_dir=...)``), compiled variants and the prefix
+persist to disk, and a trigger checks the store's *model*
+(:class:`~repro.store.FleetStoreView`) **before** queuing a compile: a
+blob a previous process left, one this manager persisted earlier in the
+simulation and then evicted, or one a sibling replica persisted is
+installed at a small modeled deserialize cost (``RESTORE_*_US``, ~2
+orders of magnitude under the compile charge) instead of compiled. The
+view's initial inventory is frozen at construction and everything
+written since is per-simulation state, so every replay sees the same
+store no matter what earlier replays wrote; a blob that fails
+validation is skipped, counted (``store_rejects``) and compiled fresh.
 
-With ``staged=True`` the manager compiles through the **staged
-pipeline** (``nimble.compile_prefix`` + ``nimble.specialize(prefix=...)``)
-and splits the modeled lane charge accordingly: the shape-independent
-*prefix* (normalization, CSE/DCE, lambda lifting, dynamic type
-inference) is charged **once per simulation**, folded into the first
-fresh compile's lane time (``SpecializationEvent.prefix_us``); every
-variant then pays only the *suffix* charge (shape binding, residual
-inference, fusion, allocation, codegen —
-``SPECIALIZE_SUFFIX_*_US``, or ``compile_us × (1 −
-SPECIALIZE_PREFIX_FRACTION)`` under an override). With a store
-attached the prefix blob persists too (``.nmblp``): a manager whose
-prefix already sat in the store at construction pays only the
-``RESTORE_BASE_US`` deserialize charge for it. Simulations that never
-compile fresh (fully warm restarts) never charge a prefix at all.
-Outputs stay bit-identical to the monolithic path — only the charge
-accounting and the compile-path plumbing change.
+**Predictive pre-arming.** With ``specialize_predictive`` and a store,
+the previous process's **shape profile** — the ``.nmblprof`` blob the
+server snapshots at every simulation end (exact-key hit histogram +
+decayed scores, see :mod:`repro.serve.profile`) — is loaded once at
+construction, and every ``reset()`` *pre-arms* its hottest
+``specialize_max_executables`` shapes at virtual time 0: the hot set
+compiles (or, warmer still, store-restores) before the first request
+lands. The snapshot is frozen at construction — the profile this
+manager writes never feeds back into its own replays.
 
-With ``predictive=True`` and a store attached, specialization is no
-longer purely reactive: the previous process's **shape profile** — the
-``.nmblprof`` blob the server snapshots at every simulation end
-(exact-key hit histogram + decayed scores, see
-:mod:`repro.serve.profile`) — is loaded once at construction, and every
-``reset()`` *pre-arms* the historical top-K at virtual time 0: the hot
-set compiles (or, warmer still, store-restores) before the first
-request lands, so a restarted server reaches its first specialized hit
-a warm-up earlier (``harness.predictive_study`` measures ≥2×). The
-profile snapshot is frozen at construction — the profile this manager
-writes never feeds back into its own replays — the same rule that keeps
-warm-restore decisions replay-stable.
-
-With ``partial=True`` the manager also synthesizes **guarded partial
-variants**: when this simulation's traffic agrees on some dims (e.g.
-hidden size) but spreads a long tail of values over the others (e.g.
-sequence length), one variant compiled with only the stable dims bound
-(``nimble.specialize`` with a partial binding; the rest stay ``Any``)
-covers the whole family — ``partial_min_shapes`` distinct exact shapes
-minimum, so families that exact specialization already covers are left
-alone. The compiled executable carries an entry **shape guard** over
-its bound dims: the server checks it per batch member and transparently
-*deopts* mismatches to the dynamic tier (counted, never wrong), and the
-VM re-checks it at ``run()`` as a hard safety net
+**Guarded partial variants.** With ``specialize_partial``, when this
+simulation's traffic agrees on some dims (e.g. hidden size) but spreads
+a long tail of values over the others (e.g. sequence length), one
+variant compiled with only the stable dims bound (the rest stay ``Any``)
+covers the whole family — ``specialize_partial_min_shapes`` distinct
+exact shapes minimum, so families that exact specialization already
+covers are left alone. The compiled executable carries an entry **shape
+guard** over its bound dims: the server checks it per batch member and
+transparently *deopts* mismatches to the dynamic tier (counted, never
+wrong), and the VM re-checks it at ``run()`` as a hard safety net
 (:class:`repro.errors.ShapeGuardError`). Partial variants are
 member-wise only — the batch rewrite needs every dim static — and flow
-through the same scoring, eviction, store, and replay machinery as
-exact ones (their keys mark unbound positions with ``None``).
+through the same scoring, eviction, store, and replay machinery as exact
+ones (their keys mark unbound positions with ``None``).
 
 Compiled artifacts are memoised across simulations, but hit counts,
 scores, lane state, pending queues, and ready times reset per replay, so
-repeated simulations of one trace are bit-identical. Replay identity
-holds with a store attached too: the set of warm-restorable keys is
-frozen when the manager is constructed (artifacts the manager itself
-persists mid-simulation never join it), so every replay sees the same
-store state no matter what earlier replays wrote.
+repeated simulations of one trace are bit-identical.
 
 **The per-shape lifecycle** (state machine; states are per simulation,
 see also :meth:`observe`):
 
 - *cold* — hits accumulate, decayed score tracks heat.
-- *armed* — hits reached ``threshold`` but no cache slot yet (cache
+- *armed* — hits reached the threshold but no cache slot yet (cache
   full, nothing evictable). Stays armed; every later hit retries, so a
   freed slot is always picked up and no hot shape starves.
 - *triggered* — slot acquired; one pending compile (or store restore)
@@ -148,9 +138,21 @@ from repro.ir.module import IRModule
 from repro.ir.printer import module_fingerprint
 from repro.passes import bound_entry_shapes
 from repro.serve.batcher import ShapeBucketer
+from repro.serve.config import ServeConfig
 from repro.serve.profile import ShapeProfile, profile_store_key
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, FleetStoreView
 from repro.vm.executable import Executable, artifact_key
+
+# A challenger takes a resident shape's cache slot only when its decayed
+# score is more than this many times the victim's: comparable heat keeps
+# the incumbent, so a mix of continuously-hot shapes does not thrash the
+# cache and throw away compile investment.
+EVICTION_MARGIN = 2.0
+# Every Nth actual serving compile, starting with the first, is
+# statically verified (repro.analysis) in place of the compiler's
+# per-compile gate, which the hot compile lane should not pay on every
+# variant. Store loads and the startup dynamic build always verify.
+VERIFY_SAMPLE = 4
 
 ExactKey = Tuple[int, ...]
 # A *partial* key binds only the stable dims: None marks positions left
@@ -175,11 +177,10 @@ class SpecializationEvent:
     a store restore: the lane deserialized a persisted artifact instead
     of compiling, and ``compile_us`` is the modeled deserialize charge.
 
-    ``prefix_us`` (staged mode only) is the part of ``compile_us``
-    attributable to the once-per-simulation shape-independent prefix,
-    folded into the first fresh compile; ``compile_us`` stays the
-    *total* lane charge, so ``sum(e.compile_us)`` always equals total
-    lane busy time regardless of mode."""
+    ``prefix_us`` is the part of ``compile_us`` attributable to the
+    once-per-simulation shape-independent prefix, folded into the first
+    fresh compile; ``compile_us`` stays the *total* lane charge, so
+    ``sum(e.compile_us)`` always equals total lane busy time."""
 
     key: ExactKey
     trigger_us: float
@@ -229,35 +230,21 @@ class _PendingCompile:
 class SpecializationManager:
     """Decides when a shape is hot and owns the specialized executables.
 
-    ``threshold`` is the number of observed requests with one exact shape
-    before a static executable is compiled for it. ``max_executables``
-    caps the *resident* cache; with ``eviction`` enabled (the default)
-    the coldest resident entry — by hit score decayed on the
-    ``decay_half_life_us`` virtual-clock half-life, ties broken LRU —
-    yields its slot to a challenger more than ``eviction_margin`` times
-    hotter, while ``eviction=False`` reproduces the
-    stop-specializing-beyond-the-cap behaviour.
-    ``compile_lanes`` sizes the compile-worker pool. ``compile_us``
-    overrides the modeled compile cost; by default it is derived from the
-    calibration constants and the number of kernels in the specialized
-    executable.
+    Policy comes from the server's :class:`ServeConfig`
+    (``specialize_*``, ``batch_cap``, ``device_streams``, ``entry``),
+    which has already range-checked it; the module docstring describes
+    what each knob steers.
 
-    ``store`` attaches a persistent :class:`~repro.store.ArtifactStore`:
-    compiled variants are filed under their content hash, and a trigger
-    whose artifact already exists (from a previous process, or persisted
-    earlier in this simulation and then evicted) is *restored* on a lane
-    at ``restore_us`` (default: the ``RESTORE_*_US`` calibration) instead
-    of paying the compile charge. Store blobs that fail validation are
-    skipped and counted (``store_rejects``) — the shape falls back to a
-    fresh compile, exactly as if the store had missed.
-
-    ``staged=True`` switches to the staged compile pipeline: variants
-    compile through a shared shape-independent prefix
-    (``nimble.compile_prefix``), the prefix is charged once per
-    simulation (folded into the first fresh compile's lane time), and
-    each variant pays only the suffix share of the compile model — see
-    the module docstring. Off by default: monolithic charges stay
-    exactly as before.
+    ``store`` attaches a persistent :class:`~repro.store.ArtifactStore`
+    and ``store_view`` the model of its contents that every restore
+    decision goes through — the server's private one, or the fleet's
+    shared one, in which case ``replica_id`` tells this manager's writes
+    from its siblings'. Compiled variants are filed under their content
+    hash, and a trigger whose artifact the view says exists is *restored*
+    on a lane at the deserialize charge instead of paying the compile
+    charge. Store blobs that fail validation are skipped and counted
+    (``store_rejects``) — the shape falls back to a fresh compile,
+    exactly as if the store had missed.
     """
 
     def __init__(
@@ -266,125 +253,41 @@ class SpecializationManager:
         platform: Platform,
         bucketer: ShapeBucketer,
         kernel_cache: KernelCache,
-        threshold: int = 8,
-        max_executables: int = 4,
-        compile_us: Optional[float] = None,
-        entry: str = "main",
-        compile_lanes: int = 1,
-        eviction: bool = True,
-        decay_half_life_us: float = 100_000.0,
-        eviction_margin: float = 2.0,
-        batch_cap: int = 1,
+        config: ServeConfig,
         store: Optional[ArtifactStore] = None,
-        restore_us: Optional[float] = None,
-        staged: bool = False,
-        device_streams: int = 1,
-        verify_sample: int = 4,
-        predictive: bool = False,
-        predictive_top_k: Optional[int] = None,
-        partial: bool = False,
-        partial_min_shapes: int = 3,
+        store_view: Optional[FleetStoreView] = None,
         replica_id: int = 0,
-        store_view=None,
     ) -> None:
-        if threshold < 1:
-            raise ValueError(f"specialization threshold must be >= 1, got {threshold}")
-        if compile_lanes < 1:
-            raise ValueError(f"compile_lanes must be >= 1, got {compile_lanes}")
-        if decay_half_life_us <= 0:
-            raise ValueError(
-                f"decay_half_life_us must be > 0, got {decay_half_life_us}"
-            )
-        if eviction_margin < 1.0:
-            raise ValueError(
-                f"eviction_margin must be >= 1.0, got {eviction_margin}"
-            )
-        if batch_cap < 1:
-            raise ValueError(f"batch_cap must be >= 1, got {batch_cap}")
-        if verify_sample < 0:
-            raise ValueError(
-                f"verify_sample must be >= 0, got {verify_sample}"
-            )
-        if partial_min_shapes < 2:
-            raise ValueError(
-                f"partial_min_shapes must be >= 2 (a family of one exact "
-                f"shape is just exact specialization), got {partial_min_shapes}"
-            )
-        if predictive_top_k is not None and predictive_top_k < 1:
-            raise ValueError(
-                f"predictive_top_k must be >= 1, got {predictive_top_k}"
-            )
         self.mod = mod
         self.platform = platform
         self.bucketer = bucketer
         self.kernel_cache = kernel_cache
-        self.threshold = threshold
-        self.max_executables = max_executables
-        self.compile_us = compile_us
-        self.entry = entry
-        self.compile_lanes = compile_lanes
-        self.eviction = eviction
-        self.decay_half_life_us = decay_half_life_us
-        self.eviction_margin = eviction_margin
+        self.config = config
         # Batch granularity: with batch_cap > 1 every hot trigger
         # compiles *two* variants — the member-wise static build and a
         # batch-specialized build that runs batch_cap same-shape members
         # as one call (when the shape admits the rewrite). Full buckets
         # route to the batched variant; ragged tails fall back to the
         # member variant (or dynamic).
-        self.batch_cap = batch_cap
+        self.batch_cap = config.batch_cap
         self.store = store
-        self.restore_us = restore_us
-        # Fleet mode (repro.fleet): this manager is one replica of a
-        # fleet sharing a single artifact store. ``store_view`` is the
-        # fleet's :class:`~repro.fleet.FleetStoreView` — the shared,
-        # replay-resettable model of the store's contents. With a view
-        # attached, a sibling replica's fresh compile becomes restorable
-        # here the moment it is persisted (the ``origin`` query), and a
-        # GC prune makes the corresponding blob un-restorable again (the
-        # ``present`` gate on every restore source). Without a view
-        # (``None``, the default) behaviour is exactly single-server.
-        self.replica_id = replica_id
         self._store_view = store_view
+        self.replica_id = replica_id
         # Multi-stream scheduling: every specialized variant compiles
-        # with this stream count, and it is a store-key component (v5+),
-        # so single- and multi-stream builds of one shape never alias in
+        # with this stream count, and it is a store-key component, so
+        # single- and multi-stream builds of one shape never alias in
         # the artifact store. Clamped to the hardware once, here — the
         # clamped value is what the compiler would stamp anyway, and
         # using it for keys too keeps key and artifact in agreement.
-        self.device_streams = platform.effective_streams(device_streams)
-        # Sampled static verification (repro.analysis): the compiler's
-        # own verify gate is disabled for serving compiles (the hot
-        # compile lane should not pay it on every variant) and instead
-        # every ``verify_sample``-th *actual* compile — starting with
-        # the first — is verified here. 0 disables sampling entirely.
-        # Verification failing on a sampled compile is a compiler bug
-        # and raises; store blobs failing verification are instead
-        # rejected-and-counted (``verify_rejects``) like corrupt blobs.
-        self.verify_sample = verify_sample
+        self.device_streams = platform.effective_streams(config.device_streams)
         # Actual-work counter (cumulative, like ``_executables``):
         # replays reuse memoised executables, so only real compiles
         # advance it.
         self.verified_compiles = 0
-        # Staged specialization: compile through the shape-independent
-        # prefix + shape-binding suffix, and split the modeled charge —
-        # the prefix is paid once per simulation (folded into the first
-        # fresh compile's lane time), every variant pays only the
-        # suffix. Opt-in: the default keeps the monolithic charge model
-        # (and its exact totals) unchanged.
-        self.staged = staged
         # The module component of every store key. Computed once — it
         # fingerprints the *dynamic* source module, which all of this
         # manager's shape variants share.
         self._fingerprint = module_fingerprint(mod)
-        # Replay identity with a store: the warm-restorable key set is
-        # FROZEN at construction. Artifacts this manager persists
-        # mid-simulation never join it, so a replay of the same trace
-        # makes exactly the same compile-vs-restore decisions as the
-        # first run did, no matter what the first run wrote to disk.
-        self._store_keys_at_init = (
-            frozenset(store.keys()) if store is not None else frozenset()
-        )
         # Keys whose blob failed validation once: re-attempting would
         # re-read a file this process may since have overwritten with a
         # good artifact, so the rejection is memoised (and replayed —
@@ -395,63 +298,42 @@ class SpecializationManager:
         # so replays re-count verify_rejects at the same trigger.
         self._verify_rejected_keys: Set[str] = set()
         self._store_key_memo: Dict[VariantKey, str] = {}
-        # Staged-mode prefix state (cross-simulation, like _executables):
-        # the prefix itself is a pure function of (module, platform), so
-        # it is materialized once and reused by every replay. Whether it
-        # was restorable from the store is frozen at construction —
-        # a prefix this manager persists mid-run must not turn later
-        # replays warm (same rule as _store_keys_at_init).
+        # The shape-independent prefix (cross-simulation, like
+        # _executables): a pure function of (module, platform), so it is
+        # materialized once and reused by every replay.
         self._prefix: Optional[nimble.SpecializationPrefix] = None
-        self._prefix_key = (
-            nimble.prefix_store_key(self._fingerprint, platform.name)
-            if staged
-            else None
-        )
-        self._prefix_in_store_at_init = (
-            staged
-            and store is not None
-            and store.contains_prefix(self._prefix_key)
-        )
+        self._prefix_key = nimble.prefix_store_key(self._fingerprint, platform.name)
         self._prefix_restored = False
         self._prefix_rejected = False
-        # Profile-guided predictive specialization: with ``predictive``
-        # on and a store attached, the previous process's shape profile
-        # (``.nmblprof``) is loaded ONCE here and frozen — the snapshot
-        # this manager writes at each simulation end never feeds back
-        # into its own replays (same frozen-at-construction rule as
-        # _store_keys_at_init), so every reset() pre-arms the same top-K
-        # and replays stay bit-identical. A blob that fails validation
-        # is memoised as rejected and re-counted per reset.
-        self.predictive = predictive
-        self.predictive_top_k = predictive_top_k
-        self.partial = partial
-        self.partial_min_shapes = partial_min_shapes
+        # Profile-guided predictive specialization: the previous
+        # process's shape profile (``.nmblprof``) is loaded ONCE here
+        # and frozen — the snapshot this manager writes at each
+        # simulation end never feeds back into its own replays, so every
+        # reset() pre-arms the same shapes and replays stay
+        # bit-identical. A blob that fails validation is memoised as
+        # rejected and re-counted per reset.
         self._profile_key = profile_store_key(self._fingerprint, platform.name)
         self._profile_at_init: Optional[ShapeProfile] = None
         self._profile_rejected = False
-        if predictive and store is not None and store.contains_profile(
-            self._profile_key
+        if (
+            config.specialize_predictive
+            and store is not None
+            and store_view.at_init("profile", self._profile_key)
         ):
-            found = store.get_profile(
+            self._profile_at_init = store.get_profile(
                 self._profile_key, expected_signature=self._fingerprint
             )
-            if found is None:
-                self._profile_rejected = True
-            else:
-                self._profile_at_init = found
-        # The historical top-K to pre-arm, hottest first. Partial keys
-        # recorded by a partial-enabled predecessor are skipped unless
-        # this manager can compile them too.
-        top_k = (
-            predictive_top_k if predictive_top_k is not None else max_executables
-        )
+            self._profile_rejected = self._profile_at_init is None
+        # The historical shapes to pre-arm, hottest first — as many as
+        # the cache holds. Partial keys recorded by a partial-enabled
+        # predecessor are skipped unless this manager can compile them.
         self._profile_top_keys: Tuple[PartialKey, ...] = ()
         if self._profile_at_init is not None:
             self._profile_top_keys = tuple(
                 key
                 for key in self._profile_at_init.top_keys()
-                if key and (partial or None not in key)
-            )[:top_k]
+                if key and (config.specialize_partial or None not in key)
+            )[: config.specialize_max_executables]
         # Compiled artifacts are memoised across simulations (compilation
         # is a pure function of module + shape + batch + platform, so
         # reusing them keeps replays bit-identical while skipping
@@ -483,15 +365,11 @@ class SpecializationManager:
         self._resident: Set[ExactKey] = set()
         self._triggered: Set[ExactKey] = set()
         self._pending: List[_PendingCompile] = []
-        self._lane_free_us: List[float] = [0.0] * self.compile_lanes
-        self.lane_busy_us: List[float] = [0.0] * self.compile_lanes
+        lanes = self.config.specialize_compile_lanes
+        self._lane_free_us: List[float] = [0.0] * lanes
+        self.lane_busy_us: List[float] = [0.0] * lanes
         self.events: List[SpecializationEvent] = []
         self.evictions: List[EvictionEvent] = []
-        # Variants whose binary this simulation has persisted to the
-        # store: an eviction no longer destroys them, so a re-trigger
-        # restores at deserialize cost. Per-simulation (and only ever
-        # populated with a store attached) so replays stay independent.
-        self._persisted: Set[VariantKey] = set()
         # Store blobs this simulation refused (corrupt / stale /
         # mismatched). The count replays deterministically: a key
         # rejected in an earlier simulation re-counts at the same
@@ -501,17 +379,17 @@ class SpecializationManager:
         # The subset of store_rejects that were static-verification
         # failures (replayed from _verify_rejected_keys, same rule).
         self.verify_rejects: int = 0
-        # Fleet mode: variants restored from a *sibling replica's* fresh
-        # compile this simulation (the cross-replica store-warm count a
-        # FleetReport surfaces). Always 0 without a store view.
+        # Variants restored from a *sibling replica's* fresh compile
+        # this simulation (the cross-replica store-warm count a
+        # FleetReport surfaces). Always 0 for a standalone server.
         self.fleet_restores: int = 0
         # Fresh compiles this simulation, for the deterministic
-        # verify_sample cadence (memo hits do not advance it).
+        # VERIFY_SAMPLE cadence (memo hits do not advance it).
         self._compile_seq: int = 0
-        # Staged mode: has this simulation paid the once-per-module
-        # prefix charge yet? Reset per replay — the model assumes a
-        # restart re-stages the pipeline, exactly like it assumes
-        # eviction dropped a binary.
+        # Has this simulation paid the once-per-module prefix charge
+        # yet? Reset per replay — the model assumes a restart re-stages
+        # the pipeline, exactly like it assumes eviction dropped a
+        # binary.
         self._prefix_charged = False
         # Partial specialization: per-position value sets and the exact
         # keys seen this simulation (family detection), plus the partial
@@ -521,7 +399,7 @@ class SpecializationManager:
         self._exact_seen: Set[ExactKey] = set()
         self._partials: Set[PartialKey] = set()
         # Predictive pre-arm: before the first request of every
-        # simulation, trigger the frozen historical top-K at virtual
+        # simulation, trigger the frozen historical hot set at virtual
         # time 0 — a restarted server compiles (or store-restores) its
         # hot set while the trace is still cold. Scores are seeded from
         # the profile (decaying from t=0) so pre-armed entries carry
@@ -536,7 +414,7 @@ class SpecializationManager:
             # see the same reject total without re-reading the file.
             self.store_rejects += 1
         for key in self._profile_top_keys:
-            if len(self._resident) >= self.max_executables:
+            if len(self._resident) >= self.config.specialize_max_executables:
                 break
             self._score[key] = float(self._profile_at_init.scores.get(key, 0.0))
             self._score_at[key] = 0.0
@@ -593,15 +471,13 @@ class SpecializationManager:
     @property
     def prefix_us_spent(self) -> float:
         """Lane time charged for the shape-independent prefix this
-        simulation (0 in monolithic mode, and in staged simulations
-        that never compiled fresh)."""
+        simulation (0 when it never compiled fresh)."""
         return sum(e.prefix_us for e in self.events)
 
     @property
     def suffix_us_spent(self) -> float:
-        """Lane time charged for per-variant compilation work: in
-        staged mode the shape-binding suffixes, in monolithic mode the
-        full compiles. Excludes store restores."""
+        """Lane time charged for per-variant compilation work (the
+        shape-binding suffixes). Excludes store restores."""
         return sum(
             e.compile_us - e.prefix_us for e in self.events if not e.restored
         )
@@ -629,7 +505,7 @@ class SpecializationManager:
         if raw is None:
             return 0.0
         age = max(0.0, now_us - self._score_at[key])
-        return raw * 0.5 ** (age / self.decay_half_life_us)
+        return raw * 0.5 ** (age / self.config.specialize_decay_half_life_us)
 
     @staticmethod
     def _sort_key(key: PartialKey) -> Tuple[Tuple[bool, int], ...]:
@@ -684,10 +560,13 @@ class SpecializationManager:
         for job in self._pending:
             if job.key == key:
                 job.hit_times_us.append(now_us)
-        if self.partial and None not in key:
+        if self.config.specialize_partial and None not in key:
             self._note_partial(key, now_us)
         self._pump(now_us)
-        if key not in self._triggered and self._hits[key] >= self.threshold:
+        if (
+            key not in self._triggered
+            and self._hits[key] >= self.config.specialize_threshold
+        ):
             self._try_trigger(key, now_us)
             self._pump(now_us)
 
@@ -726,9 +605,10 @@ class SpecializationManager:
 
         A position is *stable* when every exact key this simulation has
         seen agrees on its value (e.g. hidden size), and the family is
-        worth a variant when it spans at least ``partial_min_shapes``
-        distinct exact shapes (otherwise exact specialization already
-        covers it) with ``threshold`` total hits. The synthesized key
+        worth a variant when it spans at least
+        ``specialize_partial_min_shapes`` distinct exact shapes (otherwise
+        exact specialization already covers it) with
+        ``specialize_threshold`` total hits. The synthesized key
         binds the stable positions and leaves the rest None; it then
         competes for a cache slot through the ordinary trigger/eviction
         machinery, seeded with its family's pooled decayed score."""
@@ -758,9 +638,9 @@ class SpecializationManager:
         if pkey in self._triggered:
             return
         family = [k for k in self._exact_seen if self._matches(k, pkey)]
-        if len(family) < self.partial_min_shapes:
+        if len(family) < self.config.specialize_partial_min_shapes:
             return
-        if sum(self._hits[k] for k in family) < self.threshold:
+        if sum(self._hits[k] for k in family) < self.config.specialize_threshold:
             return
         # Seed the variant's eviction heat from its family: it arrives
         # exactly as hot as the traffic it will absorb, so it neither
@@ -811,7 +691,7 @@ class SpecializationManager:
         """Every store entry a live snapshot of this replica still needs:
         the fleet GC's refcount guard. Covers every variant with a ready
         time (resident *or* still compiling toward one), every pending
-        job, the staged prefix, and the profile key — pruning any of
+        job, the prefix, and the profile key — pruning any of
         these out from under a live replica would turn a modeled restore
         into a disk miss."""
         if self.store is None:
@@ -821,8 +701,7 @@ class SpecializationManager:
             refs.add(("exe", self._store_key_for(key, batch)))
         for job in self._pending:
             refs.add(("exe", self._store_key_for(job.key, job.batch)))
-        if self.staged and self._prefix_key is not None:
-            refs.add(("prefix", self._prefix_key))
+        refs.add(("prefix", self._prefix_key))
         refs.add(("profile", self._profile_key))
         return refs
 
@@ -885,7 +764,9 @@ class SpecializationManager:
         and preempt genuinely hotter long-pending jobs (newest-first in
         disguise); with it, young jobs compete on hits over a common
         window until they age past the half-life."""
-        elapsed = max(self.decay_half_life_us, at_us - job.trigger_us)
+        elapsed = max(
+            self.config.specialize_decay_half_life_us, at_us - job.trigger_us
+        )
         rate = (job.hits_by(at_us) + 1) / elapsed
         # Variants of one shape tie on rate and trigger; the member-wise
         # build (batch 1) compiles first — it serves ragged tails too, so
@@ -945,9 +826,7 @@ class SpecializationManager:
         than the challenger and not in flight) or leave the shape armed
         to retry. One slot covers every variant of the shape — the
         member-wise and batched builds live and die together."""
-        if len(self._resident) >= self.max_executables:
-            if not self.eviction:
-                return
+        if len(self._resident) >= self.config.specialize_max_executables:
             victim = self._coldest_evictable(key, now_us)
             if victim is None:
                 return
@@ -976,10 +855,7 @@ class SpecializationManager:
         broken by least-recently-hit then key. A shape whose compile is
         still in flight (pending, or bound but not ready) is never
         evicted, and the challenger must be strictly hotter than
-        ``eviction_margin`` times the victim's decayed score — comparable
-        heat keeps the incumbent, so a mix of continuously-hot shapes
-        does not thrash the cache and throw away compile investment (the
-        margin at 1.0 degrades to plain strictly-colder)."""
+        ``EVICTION_MARGIN`` times the victim's decayed score."""
         candidates = [
             k
             for k in self._resident
@@ -1003,7 +879,7 @@ class SpecializationManager:
                 self._sort_key(k),
             ),
         )
-        if self.score(challenger, now_us) <= self.eviction_margin * self.score(
+        if self.score(challenger, now_us) <= EVICTION_MARGIN * self.score(
             victim, now_us
         ):
             return None
@@ -1034,16 +910,12 @@ class SpecializationManager:
         variant: VariantKey = (key, batch)
         skey = self._store_key_memo.get(variant)
         if skey is None:
-            # None positions (partial keys) bind nothing: the marker
-            # keeps an Any there, and bound_entry_shapes emits the same
-            # None dim the compiled executable will carry — so partial
-            # variants content-address exactly like exact ones.
-            binding = {
-                tok: v
-                for tok, v in zip(self.bucketer.tokens, key)
-                if v is not None
-            }
-            shapes = bound_entry_shapes(self.mod[self.entry], binding)
+            # bound_entry_shapes emits the same None dim for an unbound
+            # position that the compiled executable will carry, so
+            # partial variants content-address exactly like exact ones.
+            shapes = bound_entry_shapes(
+                self.mod[self.config.entry], self._binding(key)
+            )
             skey = artifact_key(
                 self._fingerprint,
                 self.platform.name,
@@ -1054,26 +926,38 @@ class SpecializationManager:
             self._store_key_memo[variant] = skey
         return skey
 
-    def _restore_cost_of(self, exe: Executable) -> float:
-        if self.restore_us is not None:
-            return float(self.restore_us)
+    def _binding(self, key: ExactKey) -> Dict[object, int]:
+        """``Any`` token -> bound extent. Partial keys bind only their
+        non-None positions; the unbound dims stay Any and the compiled
+        variant carries an entry guard."""
+        return {t: v for t, v in zip(self.bucketer.tokens, key) if v is not None}
+
+    def _restore_cost(self, kernels: int) -> float:
+        """The modeled charge of deserializing a blob with *kernels*
+        kernels to re-materialize."""
+        if self.config.specialize_restore_us is not None:
+            return float(self.config.specialize_restore_us)
         return (
             calibration.RESTORE_BASE_US[self.platform.name]
-            + calibration.RESTORE_PER_KERNEL_US[self.platform.name]
-            * len(exe.kernels)
+            + calibration.RESTORE_PER_KERNEL_US[self.platform.name] * kernels
         )
 
     def _obtain_prefix(self) -> None:
-        """Materialize the shape-independent prefix (staged mode). Like
+        """Materialize the shape-independent prefix. Like
         ``_executables`` this memo is cross-simulation — the prefix is a
         pure function of (module, platform). The store is consulted only
-        when the prefix blob existed at construction (replay identity);
-        a blob that fails validation is memoised as rejected (never
+        when the prefix blob was in the view's initial inventory (a
+        prefix persisted mid-run must not turn later replays warm); a
+        blob that fails validation is memoised as rejected (never
         re-read) and the prefix is rebuilt from source — and re-persisted,
         healing the bad blob for the next process."""
         if self._prefix is not None:
             return
-        if self._prefix_in_store_at_init and not self._prefix_rejected:
+        if (
+            self.store is not None
+            and self._store_view.at_init("prefix", self._prefix_key)
+            and not self._prefix_rejected
+        ):
             found = self.store.get_prefix(
                 self._prefix_key, expected_signature=self._fingerprint
             )
@@ -1086,7 +970,7 @@ class SpecializationManager:
             self.mod,
             self.platform,
             source_signature=self._fingerprint,
-            entry=self.entry,
+            entry=self.config.entry,
         )
         self._prefix = prefix
         if self.store is not None:
@@ -1096,20 +980,21 @@ class SpecializationManager:
         """The once-per-simulation lane charge for staging the prefix.
 
         A store-restored prefix pays only the base deserialize charge
-        (``restore_us`` override, else ``RESTORE_BASE_US`` — an IR blob
-        has no kernels to re-materialize). A fresh build pays the
-        prefix-side split of the compile model: ``compile_us ×
-        SPECIALIZE_PREFIX_FRACTION`` under an override, else the
-        ``SPECIALIZE_PREFIX_*_US`` calibration sized by *kernels* (the
-        first-compiled variant's kernel count — the prefix walks the
-        whole module, and any variant's count is the same module-size
-        proxy the monolithic model uses)."""
+        (``specialize_restore_us`` override, else ``RESTORE_BASE_US`` —
+        an IR blob has no kernels to re-materialize). A fresh build pays
+        the prefix-side split of the compile model:
+        ``specialize_compile_us × SPECIALIZE_PREFIX_FRACTION`` under an
+        override, else the ``SPECIALIZE_PREFIX_*_US`` calibration sized
+        by *kernels* (the first-compiled variant's kernel count — the
+        prefix walks the whole module, and any variant's count is a
+        proxy for its size)."""
         if self._prefix_restored:
-            if self.restore_us is not None:
-                return float(self.restore_us)
-            return calibration.RESTORE_BASE_US[self.platform.name]
-        if self.compile_us is not None:
-            return float(self.compile_us) * calibration.SPECIALIZE_PREFIX_FRACTION
+            return self._restore_cost(0)
+        if self.config.specialize_compile_us is not None:
+            return (
+                float(self.config.specialize_compile_us)
+                * calibration.SPECIALIZE_PREFIX_FRACTION
+            )
         return (
             calibration.SPECIALIZE_PREFIX_BASE_US[self.platform.name]
             + calibration.SPECIALIZE_PREFIX_PER_KERNEL_US[self.platform.name]
@@ -1153,87 +1038,61 @@ class SpecializationManager:
         """Decide how a triggered variant gets its executable: returns
         ``(lane charge, restored, prefix component)``, or ``None`` when
         the variant does not exist (the batched rewrite refused this
-        shape). In staged mode the first fresh compile of a simulation
-        additionally carries the once-per-module prefix charge (the
-        prefix component; included in the lane charge).
+        shape). The first fresh compile of a simulation additionally
+        carries the once-per-module prefix charge (the prefix component;
+        included in the lane charge).
 
-        Restore sources, in order:
+        With a store, the view says where the blob came from; restore
+        sources, in order:
 
-        1. *Persisted this simulation* — the variant compiled earlier in
-           this sim, was written to the store, and then lost its cache
-           slot: the binary survived eviction, so the re-trigger pays
-           the deserialize charge, not a recompile. In fleet mode the
-           shared view must still agree the blob exists — a GC prune in
-           between sends the shape back to a fresh compile.
-        2. *Sibling compile (fleet mode)* — another replica of this
-           fleet compiled and persisted the variant earlier in this
-           simulation (the view's ``origin`` query): restore at the
+        1. *Persisted by this manager, this simulation* — the variant
+           compiled here earlier, was written to the store, and then
+           lost its cache slot: the binary survived eviction, so the
+           re-trigger pays the deserialize charge, not a recompile. It
+           comes back from the memo: nothing is read, so no reject can
+           apply. (A GC prune in between clears the view's record and
+           sends the shape back to a fresh compile.)
+        2. *Sibling compile* — another replica of this fleet persisted
+           the variant earlier in this simulation: restore at the
            deserialize charge and count a ``fleet_restores`` store-warm
            hit. One replica's compile warms the whole fleet.
-        3. *Warm start* — the key existed in the store when this manager
-           was constructed (a previous process compiled it): load,
-           validate, install. Validation failures are counted in
-           ``store_rejects`` and fall through to a fresh compile; the
-           rejection is memoised so replays re-count it at the same
-           trigger instead of re-reading a file this process may since
-           have overwritten.
-        4. *Fresh compile* — full compile charge; with a store attached
+        3. *Warm start* — the blob was in the store when the view was
+           taken (a previous process compiled it) and has not been
+           pruned: load, validate, install. Validation failures are
+           counted in ``store_rejects`` and fall through to a fresh
+           compile; the rejection is memoised so replays re-count it at
+           the same trigger instead of re-reading a file this process
+           may since have overwritten.
+        4. *Fresh compile* — the compile charge; with a store attached
            the artifact is persisted immediately, arming sources 1/2.
         """
         variant: VariantKey = (key, batch)
-        view = self._store_view
-        if variant in self._persisted:
-            skey = self._store_key_for(key, batch)
-            if view is None or view.present("exe", skey):
-                if view is not None:
-                    view.record_use("exe", skey, now_us)
-                return (
-                    self._restore_cost_of(self._executables[variant]),
-                    True,
-                    0.0,
-                )
-            # The fleet GC pruned the blob we persisted: the binary is
-            # gone, so this re-trigger compiles fresh and re-persists.
-            self._persisted.discard(variant)
+        view = self._store_view  # set exactly when there is a store
         if self.store is not None:
             skey = self._store_key_for(key, batch)
-            from_sibling = False
-            if view is not None:
-                origin = view.origin("exe", skey)
-                if origin is not None:
-                    restorable = True
-                    from_sibling = origin != self.replica_id
-                else:
-                    restorable = skey in self._store_keys_at_init and view.present(
-                        "exe", skey
-                    )
-            else:
-                restorable = skey in self._store_keys_at_init
-            if restorable:
+            writer = view.origin("exe", skey)
+            if writer == self.replica_id:
+                view.record_use("exe", skey, now_us)
+                restored = self._executables[variant]
+                return self._restore_cost(len(restored.kernels)), True, 0.0
+            if view.present("exe", skey):
                 exe = self._attempt_store_restore(skey, variant)
                 if exe is not None:
-                    if view is not None:
-                        view.record_use("exe", skey, now_us)
-                    if from_sibling:
+                    view.record_use("exe", skey, now_us)
+                    if writer is not None:
                         self.fleet_restores += 1
-                    return self._restore_cost_of(exe), True, 0.0
+                    return self._restore_cost(len(exe.kernels)), True, 0.0
         if not self._ensure_compiled(key, batch):
             return None
         if self.store is not None:
             skey = self.store.put(self._executables[variant])
-            self._persisted.add(variant)
-            if view is not None:
-                view.record_put("exe", skey, now_us, self.replica_id)
-                if self.staged and self._prefix_key is not None:
-                    # _ensure_compiled materialized (and persisted) the
-                    # shared prefix as a side effect of the first fresh
-                    # staged compile — mirror it into the view so the GC
-                    # inventory knows the .nmblp blob exists.
-                    view.record_put(
-                        "prefix", self._prefix_key, now_us, self.replica_id
-                    )
+            view.record_put("exe", skey, now_us, self.replica_id)
+            # _ensure_compiled materialized (and persisted) the shared
+            # prefix on the way — mirror it into the view so the GC
+            # inventory knows the .nmblp blob exists.
+            view.record_put("prefix", self._prefix_key, now_us, self.replica_id)
         prefix_us = 0.0
-        if self.staged and not self._prefix_charged:
+        if not self._prefix_charged:
             # First fresh compile of this simulation: fold the
             # once-per-module prefix charge into its lane time. (A
             # rejected prefix blob re-counts here each replay, at the
@@ -1257,18 +1116,12 @@ class SpecializationManager:
             return True
         if batch > 1 and key in self._unbatchable:
             return False
-        # Partial keys bind only their non-None positions; the unbound
-        # dims stay Any and the compiled variant carries an entry guard.
-        binding = {
-            tok: v for tok, v in zip(self.bucketer.tokens, key) if v is not None
-        }
-        if self.staged:
-            self._obtain_prefix()
+        self._obtain_prefix()
         try:
             exe, _ = nimble.specialize(
                 self.mod,
                 self.platform,
-                binding=binding,
+                binding=self._binding(key),
                 options=nimble.CompilerOptions(
                     device_streams=self.device_streams,
                     # The compiler's per-compile verify gate is replaced
@@ -1276,10 +1129,10 @@ class SpecializationManager:
                     verify=False,
                 ),
                 kernel_cache=self.kernel_cache,
-                entry=self.entry,
+                entry=self.config.entry,
                 batch=batch,
                 source_signature=self._fingerprint,
-                prefix=self._prefix if self.staged else None,
+                prefix=self._prefix,
             )
         except NimbleError:
             # Member-wise compiles must succeed — those errors propagate.
@@ -1292,11 +1145,9 @@ class SpecializationManager:
             self._unbatchable.add(key)
             return False
         self._compile_seq += 1
-        if self.verify_sample > 0 and (
-            (self._compile_seq - 1) % self.verify_sample == 0
-        ):
+        if (self._compile_seq - 1) % VERIFY_SAMPLE == 0:
             # Deterministic cadence: the first fresh compile of every
-            # simulation and every verify_sample-th after it. A failure
+            # simulation and every VERIFY_SAMPLE-th after it. A failure
             # here is a compiler bug — raise, never serve the variant.
             from repro.analysis import assert_verified
 
@@ -1305,22 +1156,16 @@ class SpecializationManager:
             )
             self.verified_compiles += 1
         self._executables[variant] = exe
-        if self.compile_us is not None:
-            cost = float(self.compile_us)
-            if self.staged:
-                # The override names the *monolithic* per-variant cost;
-                # staged variants pay only the suffix share of it.
-                cost *= 1.0 - calibration.SPECIALIZE_PREFIX_FRACTION
-        elif self.staged:
-            cost = (
-                calibration.SPECIALIZE_SUFFIX_BASE_US[self.platform.name]
-                + calibration.SPECIALIZE_SUFFIX_PER_KERNEL_US[self.platform.name]
-                * len(exe.kernels)
+        if self.config.specialize_compile_us is not None:
+            # The override names the cost of one variant compiled from
+            # scratch; each variant pays only the suffix share of it.
+            cost = float(self.config.specialize_compile_us) * (
+                1.0 - calibration.SPECIALIZE_PREFIX_FRACTION
             )
         else:
             cost = (
-                calibration.SPECIALIZE_BASE_US[self.platform.name]
-                + calibration.SPECIALIZE_PER_KERNEL_US[self.platform.name]
+                calibration.SPECIALIZE_SUFFIX_BASE_US[self.platform.name]
+                + calibration.SPECIALIZE_SUFFIX_PER_KERNEL_US[self.platform.name]
                 * len(exe.kernels)
             )
         self._compile_cost[variant] = cost

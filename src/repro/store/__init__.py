@@ -19,11 +19,14 @@ signature at load time.
 
 :class:`StoreGC` compacts a long-lived store: age/LRU pruning of blobs
 no live replica references (``repro.fleet`` supplies the reference and
-in-flight-restore sets), deciding from the fleet's store *model* so the
-decisions replay bit-identically (see ``docs/fleet.md``).
+in-flight-restore sets), deciding from the store *model*
+(:class:`FleetStoreView` — the same one every server's restore
+decisions go through) so the decisions replay bit-identically (see
+``docs/fleet.md``).
 """
 
 from repro.store.artifacts import STORE_FORMAT, ArtifactStore
 from repro.store.gc import GCReport, StoreGC
+from repro.store.view import FleetStoreView
 
-__all__ = ["ArtifactStore", "STORE_FORMAT", "GCReport", "StoreGC"]
+__all__ = ["ArtifactStore", "STORE_FORMAT", "FleetStoreView", "GCReport", "StoreGC"]

@@ -206,9 +206,6 @@ class ArtifactStore:
             for p in self.artifacts_dir.glob(f"*{_PREFIX_SUFFIX}")
         )
 
-    def contains_prefix(self, key: str) -> bool:
-        return self._prefix_path(key).exists()
-
     def put_prefix(self, prefix) -> str:
         """File a :class:`repro.nimble.SpecializationPrefix` under its
         store key; returns the key. Atomic and idempotent, like
@@ -263,9 +260,6 @@ class ArtifactStore:
             p.name[: -len(_PROFILE_SUFFIX)]
             for p in self.artifacts_dir.glob(f"*{_PROFILE_SUFFIX}")
         )
-
-    def contains_profile(self, key: str) -> bool:
-        return self._profile_path(key).exists()
 
     def put_profile(self, profile) -> str:
         """File a :class:`repro.serve.profile.ShapeProfile` under its
@@ -349,7 +343,7 @@ class ArtifactStore:
             return 0
 
     # ------------------------------------------------------------------- blobs
-    # Kind names shared with repro.fleet.FleetStoreView and StoreGC:
+    # Kind names shared with repro.store.FleetStoreView and StoreGC:
     # "exe" (.nmbl), "prefix" (.nmblp), "profile" (.nmblprof).
     def blob_path(self, kind: str, key: str) -> Path:
         """The on-disk path of a blob by (kind, key) — the addressing the

@@ -21,7 +21,7 @@ Determinism is the design constraint that shapes everything else: GC
 decisions feed replay-identity assertions (``docs/fleet.md``), but the
 *disk* contents at a given virtual time differ between replays — a
 second ``simulate()`` starts with whatever the first one wrote. So the
-collector decides from the :class:`repro.fleet.FleetStoreView` **model**
+collector decides from the :class:`repro.store.FleetStoreView` **model**
 (frozen initial inventory + this simulation's recorded puts/uses/prunes)
 and only then mirrors each prune to disk with a best-effort unlink. The
 examined/pruned/kept counts in a :class:`GCReport` are therefore pure
@@ -35,11 +35,10 @@ deleted: an unrecognized file is evidence, not garbage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from repro.store.artifacts import ArtifactStore
-
-StoreEntry = Tuple[str, str]  # (kind, key), kinds "exe"/"prefix"/"profile"
+from repro.store.view import FleetStoreView, StoreEntry
 
 
 @dataclass
@@ -91,7 +90,7 @@ class StoreGC:
     def __init__(
         self,
         store: ArtifactStore,
-        view,
+        view: FleetStoreView,
         max_age_us: Optional[float] = None,
         max_blobs: Optional[int] = None,
     ) -> None:

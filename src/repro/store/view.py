@@ -1,23 +1,24 @@
-"""The fleet's shared, replay-resettable model of the artifact store.
+"""The replay-resettable model of one artifact store's contents.
 
-A fleet of replicas writes to ONE on-disk :class:`~repro.store.ArtifactStore`,
-and three different consumers need to agree on what that store holds *as
-of a virtual timestamp*:
+Every server — a standalone one privately, the replicas of a fleet
+through one shared instance — decides what it can *restore* from this
+model, never from the directory: the disk at a given virtual time
+differs between replays (a second ``simulate()`` starts with whatever
+the first one wrote), the model does not. Three consumers agree on
+what the store holds *as of a virtual timestamp*:
 
-- a sibling replica deciding whether a triggered shape can be **restored**
-  (some other replica compiled and persisted it earlier this simulation)
-  instead of compiled fresh;
+- a specialization manager deciding whether a triggered shape can be
+  **restored** — because a previous process left it behind, because it
+  persisted the variant itself earlier this simulation and then evicted
+  it, or because a sibling replica did — instead of compiled fresh;
 - the **garbage collector**, whose age/LRU decisions must replay
   bit-identically — so they are made against this model's inventory and
-  usage times, never against raw ``mtime``s or whatever a previous replay
-  left on disk;
-- the replicas' own re-trigger paths, which must notice when GC pruned a
+  usage times, never against raw ``mtime``s;
+- the managers' re-trigger paths, which must notice when GC pruned a
   blob they persisted (the binary is gone: recompile and re-persist, do
   not "restore" from a memory the model says was reclaimed).
 
-The view is the fleet-level analogue of the single-server
-``_store_keys_at_init`` freeze (``serve/specialization.py``): the
-initial inventory is snapshotted **once, at fleet construction**, and
+The initial inventory is snapshotted **once, at construction**, and
 everything else — writes, restores, prunes — is per-simulation state
 that :meth:`reset` clears. Replaying a trace therefore rebuilds the
 identical sequence of store decisions no matter what earlier replays
@@ -32,18 +33,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.store import ArtifactStore
+from repro.store.artifacts import ArtifactStore
 
 # One store entry: ("exe", key) -> artifacts/<key>.nmbl, and so on.
 StoreEntry = Tuple[str, str]
 
-KINDS = ("exe", "prefix", "profile")
-
 
 class FleetStoreView:
-    """Virtual-time bookkeeping of one shared artifact store.
+    """Virtual-time bookkeeping of one artifact store.
 
-    All mutation happens through ``record_*`` calls made by the replicas
+    All mutation happens through ``record_*`` calls made by the servers
     (on put/restore) and the router (on GC prune); queries are pure
     reads. Nothing here touches the disk — the view is the *model*, the
     :class:`~repro.store.ArtifactStore` is the mechanism.
@@ -51,8 +50,8 @@ class FleetStoreView:
 
     def __init__(self, store: ArtifactStore) -> None:
         # The frozen initial inventory: what a previous process (or
-        # fleet) left behind. Snapshotted once so every simulation of
-        # this fleet starts from the same baseline.
+        # fleet) left behind. Snapshotted once so every simulation
+        # starts from the same baseline.
         self._init_entries = frozenset(
             [("exe", k) for k in store.keys()]
             + [("prefix", k) for k in store.prefix_keys()]
@@ -106,6 +105,13 @@ class FleetStoreView:
         if entry in self._written:
             return True
         return entry in self._init_entries and entry not in self._pruned
+
+    def at_init(self, kind: str, key: str) -> bool:
+        """Was this blob part of the frozen initial inventory? For what
+        a manager decides once, at construction — restore the staged
+        prefix or rebuild it, pre-arm from a shape profile or serve
+        cold — which may not depend on what siblings wrote since."""
+        return (kind, key) in self._init_entries
 
     def origin(self, kind: str, key: str) -> Optional[int]:
         """The replica that wrote this blob *during this simulation*, or

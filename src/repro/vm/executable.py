@@ -5,23 +5,20 @@ Bytecode and constants serialize to a compact custom binary format
 (magic + sections, varint-encoded instructions); kernels — which in the
 real system are machine code — serialize as a pickled section carrying
 their fused-function IR and schedules, from which they are re-materialized
-at load time. ``save``/``load`` round-trip is exercised by property tests
-and by checked-in golden blobs (``tests/golden/executable_v{2,3}.bin``);
-the byte-level format and its version history are specified in
-``docs/serialization.md``.
+at load time. ``save``/``load`` round-trip is exercised by property
+tests; the byte-level format is specified in ``docs/serialization.md``.
 
-v4 blobs additionally carry the artifact-store metadata: the source
-module's :func:`repro.ir.printer.module_fingerprint` and a content hash
-over (fingerprint, platform, shape binding, batch marker, serialization
-version) — the key the on-disk :class:`repro.store.ArtifactStore` files
-the blob under, verified again at load time.
-
-v5 blobs carry the static multi-stream schedule (``repro.vm.schedule``):
-each ``InvokePacked`` encodes its AOT-assigned stream, the two scheduling
-opcodes (``StreamEvent``/``StreamWait``) serialize, and a trailing
-section records ``device_streams`` and the run-time event-table size.
-The stream count joins the artifact key for v5+ only, so v2–v4 blobs
-keep their original keys and still verify.
+Blobs carry the specialization markers (shape binding, batch), the
+artifact-store metadata — the source module's
+:func:`repro.ir.printer.module_fingerprint` and a content hash over
+(fingerprint, platform, shape binding, batch marker, serialization
+version, stream count), the key the on-disk
+:class:`repro.store.ArtifactStore` files the blob under, verified again
+at load time — and the static multi-stream schedule
+(``repro.vm.schedule``): each ``InvokePacked`` encodes its AOT-assigned
+stream, the two scheduling opcodes (``StreamEvent``/``StreamWait``)
+serialize, and a trailing section records ``device_streams`` and the
+run-time event-table size.
 """
 
 from __future__ import annotations
@@ -42,17 +39,11 @@ from repro.tensor.ndarray import NDArray
 from repro.vm import instruction as ins
 
 MAGIC = b"NMBL"
-# v2 appended the specialization-marker section (tiered compilation);
-# v3 appended the batch-granularity marker (batch-specialized tier);
-# v4 appended the store-metadata section (source-module fingerprint +
-# content hash) for the persistent artifact store;
-# v5 appended the stream-schedule section (device_streams + event-table
-# size) and gave InvokePacked an inline stream operand.
 VERSION = 5
-# Oldest version the loader still accepts. v1 blobs predate the
-# specialization marker and cannot express what the serving tiers need;
-# they are rejected as stale.
-MIN_VERSION = 2
+# Oldest version the loader still accepts: only the one it writes. The
+# version is a component of every artifact key, so older blobs are never
+# looked up; one met anyway is rejected as stale, not migrated.
+MIN_VERSION = VERSION
 
 
 def artifact_key(
@@ -60,7 +51,6 @@ def artifact_key(
     platform_name: str,
     specialized_shapes: Optional[tuple],
     specialized_batch: Optional[int],
-    version: Optional[int] = None,
     device_streams: Optional[int] = None,
 ) -> str:
     """The content hash a compiled artifact is stored and validated under.
@@ -72,31 +62,21 @@ def artifact_key(
     the keying instead of needing a migration. ``specialized_batch`` is
     normalized (None and 1 both mean member-wise) so callers cannot
     create aliasing keys for the same artifact; ``device_streams`` is
-    normalized the same way (None and 1 both mean single-stream) and
-    joins the key only for v5+ blobs, which is what keeps every v2–v4
-    key — and therefore every already-stored artifact — valid.
+    normalized the same way (None and 1 both mean single-stream).
     """
     batch = int(specialized_batch or 0)
     if batch == 1:
         batch = 0
-    if version is None:
-        version = VERSION
-    streams = int(device_streams or 1)
-    if version >= 5:
-        payload = repr(
-            (
-                source_signature or "",
-                platform_name,
-                specialized_shapes,
-                batch,
-                version,
-                streams,
-            )
+    payload = repr(
+        (
+            source_signature or "",
+            platform_name,
+            specialized_shapes,
+            batch,
+            VERSION,
+            int(device_streams or 1),
         )
-    else:
-        payload = repr(
-            (source_signature or "", platform_name, specialized_shapes, batch, version)
-        )
+    )
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -184,7 +164,7 @@ class Executable:
     # from (``module_fingerprint`` of the dynamic module, before any
     # specialization pass) — the module-identity component of the
     # artifact-store key. None for executables built outside the public
-    # API (hand-assembled tests, pre-v4 blobs).
+    # API (hand-assembled tests).
     source_signature: Optional[str] = None
     # Static multi-stream schedule (repro.vm.schedule): how many device
     # streams the bytecode was scheduled onto (1 = unscheduled — the
@@ -197,21 +177,18 @@ class Executable:
     def is_specialized(self) -> bool:
         return self.specialized_shapes is not None
 
-    def content_hash(self, version: Optional[int] = None) -> str:
+    def content_hash(self) -> str:
         """The artifact-store key for this executable: a stable hash of
         (source-module fingerprint, platform, shape binding, batch
-        marker, serialization version, and — for v5+ — stream count).
-        Recomputed and verified at v4+ load time — against the *blob's
-        own* version, so a valid v4 blob still verifies under a future
-        loader — so a blob whose identity metadata was tampered with, or
-        that was filed under the wrong key, is rejected instead of
-        silently served."""
+        marker, serialization version, stream count). Recomputed and
+        verified at load time, so a blob whose identity metadata was
+        tampered with, or that was filed under the wrong key, is
+        rejected instead of silently served."""
         return artifact_key(
             self.source_signature,
             self.platform_name,
             self.specialized_shapes,
             self.specialized_batch,
-            version,
             self.device_streams,
         )
 
@@ -251,12 +228,9 @@ class Executable:
         if self.specialized_batch is not None and self.specialized_batch > 1:
             return None
         if len(inputs) != len(self.specialized_shapes):
-            # The marker is a per-entry-param summary; when its arity
-            # disagrees with the call's (legacy golden blobs stamp a
-            # marker onto zero-param entries), it does not describe
-            # these inputs param-wise — fail open like any other shape
-            # the guard cannot introspect. The VM's own num_params
-            # check already rejects genuinely wrong-arity calls.
+            # The marker does not describe these inputs param-wise:
+            # fail open like any other shape the guard cannot introspect.
+            # The VM's own num_params check rejects wrong-arity calls.
             return None
         for i, (marker, value) in enumerate(zip(self.specialized_shapes, inputs)):
             msg = _guard_check(marker, value, f"param {i}")
@@ -282,19 +256,24 @@ class Executable:
         out.write(struct.pack("<H", VERSION))
         _write_bytes(out, self.platform_name.encode())
         _write_bytes(out, self._serialize_bytecode())
-        _write_bytes(out, self._serialize_constants())
+        # The weights are nearly all of a blob: they bypass `out` and are
+        # copied once, from the arrays into the blob `join` allocates.
+        constants = self._constant_chunks()
+        _write_varint(out, sum(map(len, constants)))
+        split = out.tell()
         _write_bytes(out, pickle.dumps(self.kernels))
         _write_bytes(out, self.entry.encode())
         _write_bytes(out, pickle.dumps(self.specialized_shapes))
         _write_varint(out, self.specialized_batch or 0)
-        # v4 store-metadata section: fingerprint, then the content hash
-        # computed over everything identity-bearing above it.
+        # Store metadata: fingerprint, then the content hash computed
+        # over everything identity-bearing above it.
         _write_bytes(out, (self.source_signature or "").encode())
         _write_bytes(out, self.content_hash().encode())
-        # v5 stream-schedule section.
+        # Stream schedule.
         _write_varint(out, self.device_streams)
         _write_varint(out, self.num_events)
-        return out.getvalue()
+        framing = out.getvalue()
+        return b"".join([framing[:split], *constants, framing[split:]])
 
     @staticmethod
     def load(
@@ -302,10 +281,8 @@ class Executable:
     ) -> "Executable":
         """Deserialize a ``save()`` blob.
 
-        Versions back to ``MIN_VERSION`` load (v2 predates the batch
-        marker, v3 the store metadata — missing sections default);
-        anything older or newer is rejected as stale rather than
-        misread. v4 blobs re-verify their embedded content hash, and
+        Any version but the current one is rejected as stale rather
+        than misread. The embedded content hash is re-verified, and
         ``expected_signature`` (the artifact store passes the fingerprint
         of the module it is restoring for) rejects a blob compiled from a
         *different* module that happens to be filed at the right path.
@@ -313,30 +290,24 @@ class Executable:
         buf = io.BytesIO(blob)
         if buf.read(4) != MAGIC:
             raise SerializationError("bad magic: not a Nimble executable")
-        (version,) = struct.unpack("<H", buf.read(2))
+        version = int.from_bytes(buf.read(2), "little")
         if not MIN_VERSION <= version <= VERSION:
             raise SerializationError(
                 f"unsupported executable version {version} "
-                f"(supported: {MIN_VERSION}..{VERSION})"
+                f"(this build reads version {VERSION})"
             )
         try:
             platform_name = _read_bytes(buf).decode()
-            functions, func_index = _deserialize_bytecode(_read_bytes(buf), version)
-            constants = _deserialize_constants(_read_bytes(buf))
+            functions, func_index = _deserialize_bytecode(_read_bytes(buf))
+            constants = _deserialize_constants(buf, memoryview(blob))
             kernels = pickle.loads(_read_bytes(buf))
             entry = _read_bytes(buf).decode()
             specialized_shapes = pickle.loads(_read_bytes(buf))
-            # v2 artifacts predate the batched tier: member-wise by
-            # definition.
-            specialized_batch = _read_varint(buf) if version >= 3 else 0
-            source_signature = None
-            stored_hash = None
-            if version >= 4:
-                source_signature = _read_bytes(buf).decode() or None
-                stored_hash = _read_bytes(buf).decode()
-            # Pre-v5 blobs predate the static scheduler: single-stream.
-            device_streams = _read_varint(buf) if version >= 5 else 1
-            num_events = _read_varint(buf) if version >= 5 else 0
+            specialized_batch = _read_varint(buf)
+            source_signature = _read_bytes(buf).decode() or None
+            stored_hash = _read_bytes(buf).decode()
+            device_streams = _read_varint(buf)
+            num_events = _read_varint(buf)
         except SerializationError:
             raise
         except Exception as err:
@@ -353,7 +324,7 @@ class Executable:
             specialized_shapes, specialized_batch or None, source_signature,
             device_streams, num_events,
         )
-        if stored_hash is not None and stored_hash != exe.content_hash(version):
+        if stored_hash != exe.content_hash():
             raise SerializationError(
                 "content hash mismatch: blob metadata does not hash to its "
                 "recorded artifact key (corrupt or tampered artifact)"
@@ -381,7 +352,10 @@ class Executable:
                 _encode_instruction(out, instr)
         return out.getvalue()
 
-    def _serialize_constants(self) -> bytes:
+    def _constant_chunks(self) -> List[Union[bytes, memoryview]]:
+        """The constants section in pieces: framing as ``bytes``, each
+        array's data as a view of the array, not a copy."""
+        chunks: List[Union[bytes, memoryview]] = []
         out = io.BytesIO()
         _write_varint(out, len(self.constants))
         for const in self.constants:
@@ -390,8 +364,11 @@ class Executable:
             _write_varint(out, arr.ndim)
             for d in arr.shape:
                 _write_varint(out, d)
-            _write_bytes(out, arr.tobytes())
-        return out.getvalue()
+            _write_varint(out, arr.nbytes)
+            data = np.ascontiguousarray(arr).reshape(-1).view(np.uint8).data
+            chunks += [out.getvalue(), data]
+            out = io.BytesIO()
+        return chunks + [out.getvalue()]
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +533,7 @@ def _encode_instruction(out: io.BytesIO, instr: ins.Instruction) -> None:
         raise SerializationError(f"cannot encode {type(instr).__name__}")
 
 
-def _decode_instruction(buf: io.BytesIO, version: int = VERSION) -> ins.Instruction:
+def _decode_instruction(buf: io.BytesIO) -> ins.Instruction:
     opcode = ins.Opcode(buf.read(1)[0])
     rv = lambda: _read_varint(buf)
     if opcode == ins.Opcode.MOVE:
@@ -576,10 +553,8 @@ def _decode_instruction(buf: io.BytesIO, version: int = VERSION) -> ins.Instruct
         args = tuple(rv() for _ in range(arity))
         device = _read_device(buf)
         kind = _read_bytes(buf).decode()
-        # Pre-v5 bytecode has no stream operand: everything is stream 0.
-        stream = rv() if version >= 5 else 0
         return ins.InvokePacked(
-            packed_index, arity, output_size, args, device, kind, stream
+            packed_index, arity, output_size, args, device, kind, rv()
         )
     if opcode == ins.Opcode.ALLOC_STORAGE:
         return ins.AllocStorage(rv(), rv(), _read_device(buf), rv())
@@ -628,9 +603,7 @@ def _decode_instruction(buf: io.BytesIO, version: int = VERSION) -> ins.Instruct
     raise SerializationError(f"cannot decode opcode {opcode}")
 
 
-def _deserialize_bytecode(
-    blob: bytes, version: int = VERSION
-) -> Tuple[List[VMFunction], Dict[str, int]]:
+def _deserialize_bytecode(blob: bytes) -> Tuple[List[VMFunction], Dict[str, int]]:
     buf = io.BytesIO(blob)
     functions: List[VMFunction] = []
     index: Dict[str, int] = {}
@@ -639,20 +612,31 @@ def _deserialize_bytecode(
         num_params = _read_varint(buf)
         register_count = _read_varint(buf)
         count = _read_varint(buf)
-        instructions = [_decode_instruction(buf, version) for _ in range(count)]
+        instructions = [_decode_instruction(buf) for _ in range(count)]
         index[name] = len(functions)
         functions.append(VMFunction(name, num_params, instructions, register_count))
     return functions, index
 
 
-def _deserialize_constants(blob: bytes) -> List[NDArray]:
-    buf = io.BytesIO(blob)
+def _deserialize_constants(buf: io.BytesIO, blob: memoryview) -> List[NDArray]:
+    """Read the constants section at *buf*'s position. Array data is
+    taken through *blob*, a view of the bytes *buf* reads, so the only
+    copy made of a weight is the array that owns it."""
+    end = _read_varint(buf)
+    end += buf.tell()
     out: List[NDArray] = []
     for _ in range(_read_varint(buf)):
         dtype = _read_bytes(buf).decode()
         ndim = _read_varint(buf)
         shape = tuple(_read_varint(buf) for _ in range(ndim))
-        raw = _read_bytes(buf)
+        length = _read_varint(buf)
+        start = buf.tell()
+        if not 0 <= length <= end - start:
+            raise SerializationError("truncated section")
+        raw = blob[start : start + length]
         arr = np.frombuffer(raw, dtype=to_numpy_dtype(dtype)).reshape(shape).copy()
+        buf.seek(start + length)
         out.append(NDArray(arr))
+    if buf.tell() != end:
+        raise SerializationError("constants section overruns its length")
     return out

@@ -61,7 +61,7 @@ def _once(family, platform):
     # Compare the bytecode + constant sections: kernels pickle ``Any``
     # identity tokens, which are process-global counters and thus differ
     # between two builds without changing semantics.
-    sections = exe._serialize_bytecode() + exe._serialize_constants()
+    sections = exe._serialize_bytecode() + b"".join(exe._constant_chunks())
     return _flatten(out), ctx.elapsed_us, sections
 
 

@@ -82,3 +82,29 @@ def test_docs_cover_the_pipeline_stages():
         "src/repro/store",
     ):
         assert stage in text, f"architecture.md does not mention {stage}"
+
+
+@pytest.mark.parametrize(
+    "page, config",
+    [("docs/serving.md", "ServeConfig"), ("docs/fleet.md", "FleetConfig")],
+)
+def test_knob_tables_list_exactly_the_config_fields(page, config):
+    """A page's `| knob | default | effect |` tables are the config's
+    reference: a field without a row is undocumented, a row without a
+    field documents a knob that no longer exists."""
+    import dataclasses
+
+    import repro.fleet
+    import repro.serve
+
+    cls = getattr(repro.serve, config, None) or getattr(repro.fleet, config)
+    fields = {f.name for f in dataclasses.fields(cls)}
+    rows, in_knob_table = [], False
+    for line in (REPO / page).read_text().splitlines():
+        if not line.startswith("|"):
+            in_knob_table = False
+        elif line.startswith("| knob |"):
+            in_knob_table = True
+        elif in_knob_table and not line.startswith("| ---"):
+            rows.append(line.split("|")[1].strip().strip("`"))
+    assert sorted(rows) == sorted(fields)

@@ -288,6 +288,73 @@ class TestFleetRouting:
         assert fleet.rejected == 0
         _assert_drained(router)
 
+    def test_an_empty_shared_kernel_cache_is_kept_and_filled(self):
+        """An empty KernelCache is falsy (it has __len__): the router
+        must keep the caller's instance, not swap in a private one."""
+        cache = KernelCache()
+        router = FleetRouter(
+            _mlp(), intel_cpu(), ServeConfig(**_FAST), kernel_cache=cache
+        )
+        assert router.kernel_cache is cache
+        assert all(r.kernel_cache is cache for r in router.replicas)
+        assert len(cache) > 0
+
+    def test_store_backed_one_replica_fleet_replays_the_single_server(
+        self, tmp_path
+    ):
+        """Over an artifact store the two must still agree — cold, then
+        restarted warm, then replayed — on every tier, finish time and
+        compile/restore/eviction count. The one-slot cache makes the
+        9-row shape lose its slot and come back, so "persisted by me,
+        then evicted" restores alongside warm-start restores."""
+        trace, at = [], 0.0
+        for rows, count in ((9, 10), (25, 14), (9, 10), (41, 10)):
+            for _ in range(count):
+                rid = len(trace)
+                trace.append(
+                    Request(rid=rid, arrival_us=at, payload=_payload(rows, seed=rid))
+                )
+                at += 400.0
+        knobs = dict(
+            _FAST,
+            specialize_max_executables=1,
+            specialize_decay_half_life_us=1000.0,
+        )
+
+        def facts(report):
+            return (
+                [(r.rid, r.tier, r.finish_us) for r in report.responses],
+                report.specialize_restored,
+                report.specialize_fresh_compiles,
+                report.specialize_evictions,
+                report.specialize_compile_us,
+                report.store_rejects,
+            )
+
+        for phase in ("cold", "warm"):
+            single = InferenceServer(
+                _mlp(),
+                intel_cpu(),
+                ServeConfig(artifact_dir=str(tmp_path / "single"), **knobs),
+            )
+            router = FleetRouter(
+                _mlp(),
+                intel_cpu(),
+                ServeConfig(artifact_dir=str(tmp_path / "fleet"), **knobs),
+                FleetConfig(num_replicas=1),
+            )
+            alone = single.simulate(trace)
+            fleet = router.simulate(trace).replica_reports[0]
+            assert facts(alone) == facts(fleet), phase
+            assert facts(single.simulate(trace)) == facts(alone), phase
+            assert alone.specialize_evictions >= 1
+            assert alone.specialize_restored >= 1
+            if phase == "cold":
+                assert alone.specialize_fresh_compiles >= 1
+            else:
+                assert alone.specialize_fresh_compiles == 0
+            _assert_drained(router)
+
     def test_affinity_sticks_to_the_specializing_replica(self):
         """Once a replica owns a shape (compiling or ready), affinity
         keeps routing that shape to it even when a sibling is idle —

@@ -1,17 +1,8 @@
-"""Golden-blob serialization tests: checked-in v2, v3, and v4
-executables must keep loading as the format evolves (the backward-compat
-contract specified in docs/serialization.md), and the current writer
-must emit the documented v5 layout.
-
-The golden blobs were written by the historical serializers (v2: PR 2's
-specialization marker; v3: PR 4's batch marker; v4: PR 5's
-store-metadata section) and hold a minimal runnable program —
-``main()`` returning a 2x3 float32 constant — with no pickled kernel
-classes, so they stay loadable no matter how the kernel objects
-evolve."""
+"""Serialization format tests: the current writer must emit the
+documented v5 layout (docs/serialization.md), and the loader must
+reject every other version as stale instead of misreading it."""
 
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,95 +18,8 @@ from repro.vm.executable import (
     VMFunction,
     artifact_key,
 )
-from repro.vm.interpreter import VirtualMachine
-
-GOLDEN = Path(__file__).parent / "golden"
 
 EXPECTED_CONST = np.arange(6, dtype=np.float32).reshape(2, 3)
-
-
-def _load_golden(name: str) -> Executable:
-    return Executable.load((GOLDEN / name).read_bytes())
-
-
-class TestGoldenBlobs:
-    def test_v2_blob_loads_and_runs(self):
-        exe = _load_golden("executable_v2.bin")
-        assert exe.platform_name == "intel"
-        assert exe.specialized_shapes == ((4, 8),)
-        # v2 predates the batch marker: member-wise by definition.
-        assert exe.specialized_batch is None
-        # v2/v3 predate the store-metadata section.
-        assert exe.source_signature is None
-        assert exe.functions[0].instructions == [
-            ins.LoadConst(0, 0), ins.Ret(0),
-        ]
-        out = VirtualMachine(exe).run()
-        assert np.array_equal(out.numpy(), EXPECTED_CONST)
-
-    def test_v3_blob_loads_and_runs(self):
-        exe = _load_golden("executable_v3.bin")
-        assert exe.specialized_shapes == ((4, 8),)
-        assert exe.specialized_batch == 2
-        assert exe.source_signature is None
-        out = VirtualMachine(exe).run()
-        assert np.array_equal(out.numpy(), EXPECTED_CONST)
-
-    def test_v4_blob_loads_and_runs(self):
-        exe = _load_golden("executable_v4.bin")
-        assert exe.specialized_shapes == ((4, 8),)
-        assert exe.specialized_batch == 2
-        # v4 carries the store metadata (and its hash verified on load)…
-        assert exe.source_signature == "golden-v4-fingerprint"
-        # …but predates the static scheduler: single-stream, no events.
-        assert exe.device_streams == 1
-        assert exe.num_events == 0
-        out = VirtualMachine(exe).run()
-        assert np.array_equal(out.numpy(), EXPECTED_CONST)
-
-    def test_v4_blob_keeps_its_v4_artifact_key(self):
-        """The stream count joins the key only for v5+; a v4 blob's
-        embedded hash must keep verifying under the v5 loader, which is
-        exactly what ``content_hash(version=4)`` computes."""
-        exe = _load_golden("executable_v4.bin")
-        assert exe.content_hash(4) == artifact_key(
-            exe.source_signature, "intel", ((4, 8),), 2, version=4
-        )
-        # Tampering with the batch marker must break the embedded hash.
-        blob = bytearray((GOLDEN / "executable_v4.bin").read_bytes())
-        idx = blob.rindex(bytes([2 << 1]))  # the batch varint (zigzag 2)
-        blob[idx] = 3 << 1
-        with pytest.raises(SerializationError, match="content hash"):
-            Executable.load(bytes(blob))
-
-    def test_golden_blobs_declare_their_versions(self):
-        versions = (
-            ("executable_v2.bin", 2),
-            ("executable_v3.bin", 3),
-            ("executable_v4.bin", 4),
-        )
-        for name, version in versions:
-            blob = (GOLDEN / name).read_bytes()
-            assert blob[:4] == MAGIC
-            assert struct.unpack("<H", blob[4:6]) == (version,)
-
-    def test_resave_upgrades_to_current_version(self):
-        """Loading an old blob and saving it re-emits the current
-        format — including the content hash, which the re-load
-        verifies."""
-        exe = _load_golden("executable_v2.bin")
-        blob = exe.save()
-        assert struct.unpack("<H", blob[4:6]) == (VERSION,)
-        again = Executable.load(blob)
-        assert again.specialized_shapes == exe.specialized_shapes
-        assert again.content_hash() == exe.content_hash()
-
-    def test_stale_and_future_versions_rejected(self):
-        blob = bytearray((GOLDEN / "executable_v3.bin").read_bytes())
-        for bad in (MIN_VERSION - 1, VERSION + 1):
-            blob[4:6] = struct.pack("<H", bad)
-            with pytest.raises(SerializationError, match="version"):
-                Executable.load(bytes(blob))
 
 
 def _scheduled_exe() -> Executable:
@@ -145,6 +49,19 @@ def _scheduled_exe() -> Executable:
     )
 
 
+class TestGoldenBlobs:
+    def test_stale_and_future_versions_rejected(self):
+        """v2–v4 blobs once loaded; the version is part of every
+        artifact key, so none is ever looked up, and one met anyway —
+        here a v5 body under an older header — is refused."""
+        assert MIN_VERSION == VERSION
+        blob = bytearray(_scheduled_exe().save())
+        for bad in (2, 3, 4, VERSION + 1):
+            blob[4:6] = struct.pack("<H", bad)
+            with pytest.raises(SerializationError, match="version"):
+                Executable.load(bytes(blob))
+
+
 class TestV5Schedule:
     def test_current_writer_emits_v5(self):
         blob = _scheduled_exe().save()
@@ -167,18 +84,14 @@ class TestV5Schedule:
             specialized_shapes=None,
             specialized_batch=None,
         )
-        # v5 keys: stream count is identity — different counts, different
+        # Stream count is identity — different counts, different
         # artifacts (their bytecode genuinely differs).
-        one = artifact_key(**base, version=5, device_streams=1)
-        four = artifact_key(**base, version=5, device_streams=4)
+        one = artifact_key(**base, device_streams=1)
+        four = artifact_key(**base, device_streams=4)
         assert one != four
         # None and 1 both mean single-stream: no aliasing keys.
-        assert artifact_key(**base, version=5, device_streams=None) == one
-        # v4 keys predate the scheduler: the stream count must NOT
-        # perturb them, or every already-stored artifact would orphan.
-        assert artifact_key(**base, version=4, device_streams=4) == artifact_key(
-            **base, version=4, device_streams=1
-        )
+        assert artifact_key(**base, device_streams=None) == one
+        assert artifact_key(**base) == one
 
     def test_scheduled_executable_key_differs_from_unscheduled(self):
         exe = _scheduled_exe()

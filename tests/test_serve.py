@@ -215,6 +215,21 @@ class TestServeConfig:
         assert config.max_delay_us == 50.0
         assert config.max_batch_size == 1  # untouched serial default
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("num_workers", 0),
+            ("specialize_threshold", 0),
+            ("specialize_compile_lanes", 0),
+            ("specialize_decay_half_life_us", 0.0),
+            ("specialize_partial_min_shapes", 1),
+        ],
+    )
+    def test_bad_values_are_rejected_at_construction(self, field, bad):
+        """Not when a server later builds its manager from the config."""
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(specialize=True, specialize_batch=True, **{field: bad})
+
 
 class TestInferenceServer:
     def test_deadline_bounds_queueing_delay(self):

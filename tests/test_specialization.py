@@ -26,7 +26,7 @@ from repro.models.tree_lstm import (
 from repro.ops import api
 from repro.passes import BatchSpecializeError, SpecializeBatch, SpecializeShapes
 from repro.runtime.context import ExecutionContext
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, FleetStoreView
 from repro.models import build_gram_module
 from repro.serve import (
     Batch,
@@ -285,14 +285,41 @@ def _lstm_server(threshold=3, compile_us=1000.0, **overrides):
     return InferenceServer(mod, intel_cpu(), config), weights
 
 
-def _mlp_manager(threshold=2, kernel_cache=None, **kwargs):
-    mod = _dyn_mlp_module()
-    typed = infer_types(mod)
-    bucketer = ShapeBucketer(typed["main"], granularity=8)
-    return SpecializationManager(
-        mod, intel_cpu(), bucketer, kernel_cache or KernelCache(),
-        threshold=threshold, compile_us=100.0, **kwargs,
+def _manager_for(
+    mod, threshold, compile_us=100.0, kernel_cache=None, store=None,
+    batch_cap=None, **knobs,
+):
+    """A manager over *mod*, built the way a server builds it: from a
+    ServeConfig (*knobs* are its ``specialize_*`` fields, prefix dropped)
+    and, with a store, a view of it taken first."""
+    config = ServeConfig(
+        specialize=True,
+        specialize_threshold=threshold,
+        specialize_compile_us=compile_us,
+        specialize_batch=batch_cap is not None,
+        specialize_batch_cap=batch_cap,
+        **{f"specialize_{name}": value for name, value in knobs.items()},
     )
+    return SpecializationManager(
+        mod,
+        intel_cpu(),
+        ShapeBucketer(infer_types(mod)["main"], granularity=8),
+        KernelCache() if kernel_cache is None else kernel_cache,
+        config,
+        store=store,
+        store_view=FleetStoreView(store) if store is not None else None,
+    )
+
+
+def _replay(mgr):
+    """Start the next simulation as a server's begin() does: the store
+    model forgets what the last one wrote, then the manager resets."""
+    mgr._store_view.reset()
+    mgr.reset()
+
+
+def _mlp_manager(threshold=2, **kwargs):
+    return _manager_for(_dyn_mlp_module(), threshold, **kwargs)
 
 
 class TestSpecializationManager:
@@ -317,13 +344,14 @@ class TestSpecializationManager:
         mgr = self._manager(threshold=1)
         mgr.observe((8,), 0.0)
         mgr.observe((16,), 0.0)
-        # The lane is busy until 100, so the second compile waits in the
-        # pending queue; draining the pool binds it when the lane frees.
+        # The lane is busy until 100 (prefix 60 + suffix 40), so the
+        # second compile (suffix only) waits in the pending queue;
+        # draining the pool binds it when the lane frees.
         assert [e.ready_us for e in mgr.events] == [100.0]
         mgr.drain()
-        assert [e.ready_us for e in mgr.events] == [100.0, 200.0]
+        assert [e.ready_us for e in mgr.events] == [100.0, 140.0]
         assert [e.queue_us for e in mgr.events] == [0.0, 100.0]
-        assert mgr.lane_busy_us == [200.0]
+        assert mgr.lane_busy_us == [140.0]
 
     def test_pending_compile_binds_at_lane_free_event(self):
         """A compile left pending by a busy lane starts at the lane-free
@@ -364,12 +392,7 @@ class TestSpecializationManager:
     def test_static_model_never_specializes(self):
         x = Var("x", TensorType((4, 8), "float32"))
         mod = IRModule.from_expr(Function([x], api.relu(x)))
-        typed = infer_types(mod)
-        bucketer = ShapeBucketer(typed["main"], granularity=8)
-        mgr = SpecializationManager(
-            mod, intel_cpu(), bucketer, KernelCache(), threshold=1,
-            compile_us=1.0,
-        )
+        mgr = _manager_for(mod, threshold=1, compile_us=1.0)
         mgr.observe((), 0.0)
         assert mgr.num_executables == 0
 
@@ -380,10 +403,10 @@ class TestCompilePool:
         mgr.observe((8,), 0.0)
         mgr.observe((16,), 0.0)
         assert [(e.lane, e.start_us, e.ready_us) for e in mgr.events] == [
-            (0, 0.0, 100.0),
-            (1, 0.0, 100.0),
+            (0, 0.0, 100.0),  # carries the once-per-simulation prefix
+            (1, 0.0, 40.0),
         ]
-        assert mgr.lane_busy_us == [100.0, 100.0]
+        assert mgr.lane_busy_us == [100.0, 40.0]
 
     def test_pending_queue_prioritizes_hotter_traffic(self):
         """The free lane picks the pending compile with the highest hit
@@ -419,7 +442,7 @@ class TestCompilePool:
             mgr.observe((v,), float(t))
         mgr.drain()
         assert mgr.compile_us_spent == pytest.approx(sum(mgr.lane_busy_us))
-        assert mgr.compile_us_spent == pytest.approx(400.0)
+        assert mgr.compile_us_spent == pytest.approx(220.0)  # 100 + 3 x 40
 
 
 class TestRearmAndEviction:
@@ -471,7 +494,7 @@ class TestRearmAndEviction:
         assert [e.key for e in mgr.evictions] == [(8,), (16,)]
         assert [e.key for e in mgr.events] == [(8,), (16,), (8,)]
         assert mgr.num_executables == 2  # artifacts memoised, not re-built
-        assert mgr.compile_us_spent == pytest.approx(300.0)  # 3 charges
+        assert mgr.compile_us_spent == pytest.approx(180.0)  # 100 + 40 + 40
 
     def test_inflight_compile_is_never_evicted(self):
         mgr = _mlp_manager(
@@ -485,18 +508,20 @@ class TestRearmAndEviction:
         assert [e.key for e in mgr.evictions] == [(8,)]
 
     def test_eviction_requires_strictly_colder_victim(self):
-        """Equal heat keeps the incumbent — a challenger only displaces a
-        resident whose decayed score it strictly beats (margin 1.0: the
-        bare policy, no thrash protection). Hitting both shapes at the
-        same instants makes their decayed scores exactly equal."""
-        mgr = _mlp_manager(threshold=1, max_executables=1, eviction_margin=1.0)
+        """At exactly the 2x eviction margin the incumbent stays: a
+        challenger must be strictly more than twice as hot. The
+        half-life is long enough that nothing decays, so scores are
+        plain hit counts."""
+        mgr = _mlp_manager(
+            threshold=1, max_executables=1, decay_half_life_us=1e30
+        )
         mgr.observe((8,), 0.0)     # A triggers, resident, ready at 100
-        mgr.observe((16,), 0.0)    # B armed; A in flight anyway
-        mgr.observe((8,), 100.0)   # A: 2 same-instant-pattern hits
-        mgr.observe((16,), 100.0)  # B: exactly A's score — incumbent kept
+        mgr.observe((8,), 0.0)     # A: score 2
+        for _ in range(4):
+            mgr.observe((16,), 100.0)  # B climbs to 4 == 2 x A: kept
         assert mgr.evictions == []
         assert mgr.num_resident == 1
-        mgr.observe((16,), 100.0)  # third hit: strictly hotter now
+        mgr.observe((16,), 100.0)  # 5 > 2 x 2: strictly past the margin
         assert [e.key for e in mgr.evictions] == [(8,)]
 
     def test_margin_blocks_comparable_heat_thrash(self):
@@ -513,18 +538,6 @@ class TestRearmAndEviction:
         assert mgr.is_hot((8,), 107.0)
         mgr.observe((16,), 108.0)  # score ~6 > 2 x 3: past the margin
         assert [e.key for e in mgr.evictions] == [(8,)]
-
-    def test_eviction_off_restores_hard_cap(self):
-        mgr = _mlp_manager(
-            threshold=1, max_executables=1, eviction=False,
-            decay_half_life_us=1.0,
-        )
-        mgr.observe((8,), 0.0)
-        mgr.observe((16,), 1000.0)  # would evict; hard cap blocks instead
-        mgr.observe((16,), 2000.0)
-        assert mgr.evictions == []
-        assert mgr.num_resident == 1
-        assert not mgr.is_hot((16,), 1e9)
 
 
 class TestPoolProperties:
@@ -614,7 +627,7 @@ class TestCompilePoolServing:
 
     _weights = LSTMWeights.create(8, 16, seed=0)
 
-    def _server(self, lanes, eviction=True):
+    def _server(self, lanes):
         mod = build_lstm_module(self._weights)
         config = ServeConfig(
             max_batch_size=4,
@@ -623,9 +636,9 @@ class TestCompilePoolServing:
             specialize=True,
             specialize_threshold=2,
             specialize_max_executables=4,
-            specialize_compile_us=6000.0,
+            # 6000 us per variant (the suffix share), +9000 us once.
+            specialize_compile_us=15_000.0,
             specialize_compile_lanes=lanes,
-            specialize_eviction=eviction,
             specialize_decay_half_life_us=3_000.0,
         )
         return InferenceServer(
@@ -647,29 +660,27 @@ class TestCompilePoolServing:
         )
 
     def test_starved_hot_shape_specializes_after_eviction(self):
-        """Regression for the starved-shape trace: shapes the hard cap
-        blocks forever get specialized once eviction frees a slot."""
-        requests = self._trace()
-        capped = self._server(1, eviction=False)
-        evicting = self._server(1)
-        capped.simulate(requests)
-        report = evicting.simulate(requests)
+        """Regression for the starved-shape trace: once the four slots
+        are taken, a shape that goes hot later — which a hard cap would
+        block forever — gets specialized when eviction frees a slot."""
+        server = self._server(1)
+        report = server.simulate(self._trace())
         assert report.specialize_evictions > 0
-        compiled_capped = {e.key for e in capped.specializer.events}
-        compiled_evicting = {e.key for e in evicting.specializer.events}
-        starved = compiled_evicting - compiled_capped
-        assert starved, "eviction should specialize shapes the cap starves"
+        in_trigger_order = sorted(
+            server.specializer.events, key=lambda e: e.trigger_us
+        )
+        compiled = list(dict.fromkeys(e.key for e in in_trigger_order))
+        starved = compiled[4:]
+        assert starved, "eviction should specialize shapes past the cap"
         # Each recovered shape triggered at/after the eviction that could
         # have freed its slot — they were blocked until then.
-        first_eviction = evicting.specializer.evictions[0].evicted_us
+        first_eviction = server.specializer.evictions[0].evicted_us
         for key in starved:
             trigger = min(
-                e.trigger_us
-                for e in evicting.specializer.events
-                if e.key == key
+                e.trigger_us for e in in_trigger_order if e.key == key
             )
             assert trigger >= first_eviction
-        assert evicting.specializer.num_resident <= 4
+        assert server.specializer.num_resident <= 4
 
     def test_second_lane_strictly_cuts_queue_wait(self):
         requests = self._trace()
@@ -1058,8 +1069,8 @@ class TestBatchedManagerVariants:
         mgr.drain()
         assert [(e.key, e.batch) for e in mgr.events] == [((16,), 1), ((16,), 4)]
         # Member variant binds the lane first (it also serves ragged
-        # tails); both charged separately.
-        assert mgr.compile_us_spent == pytest.approx(200.0)
+        # tails); both charged separately (prefix once).
+        assert mgr.compile_us_spent == pytest.approx(140.0)
         assert mgr.num_executables == 1   # one shape...
         assert mgr.num_variants == 2      # ...two artifacts
         ready = mgr.events[-1].ready_us
@@ -1104,12 +1115,7 @@ class TestBatchedManagerVariants:
     def test_unbatchable_module_falls_back_member_wise(self):
         x = Var("x", TensorType((Any(), 8), "float32"))
         mod = IRModule.from_expr(Function([x], api.expand_dims(api.relu(x), 0)))
-        typed = infer_types(mod)
-        bucketer = ShapeBucketer(typed["main"], granularity=8)
-        mgr = SpecializationManager(
-            mod, intel_cpu(), bucketer, KernelCache(), threshold=1,
-            compile_us=100.0, batch_cap=4,
-        )
+        mgr = _manager_for(mod, threshold=1, batch_cap=4)
         mgr.observe((16,), 0.0)
         mgr.drain()
         assert [(e.key, e.batch) for e in mgr.events] == [((16,), 1)]
@@ -1338,12 +1344,7 @@ class TestBatchRewriteSafety:
         x = Var("x", TensorType((Any(), 8), "float32"))
         c = const(np.ones((4, 8), np.float32))
         mod = IRModule.from_expr(Function([x], api.add(x, c)))
-        typed = infer_types(mod)
-        bucketer = ShapeBucketer(typed["main"], granularity=8)
-        mgr = SpecializationManager(
-            mod, intel_cpu(), bucketer, KernelCache(), threshold=1,
-            compile_us=100.0, batch_cap=2,
-        )
+        mgr = _manager_for(mod, threshold=1, batch_cap=2)
         # (1,): member-legal broadcast-up, no stacked equivalent.
         mgr.observe((1,), 0.0)
         mgr.drain()
@@ -1359,11 +1360,10 @@ class TestBatchRewriteSafety:
         assert not mgr.is_batched_hot((1,), 1e9)
 
     def test_serveconfig_rejects_zero_batch_cap(self):
-        config = ServeConfig(
-            specialize=True, specialize_batch=True, specialize_batch_cap=0
-        )
         with pytest.raises(ValueError, match="specialize_batch_cap"):
-            config.batch_cap
+            ServeConfig(
+                specialize=True, specialize_batch=True, specialize_batch_cap=0
+            )
 
     @pytest.mark.parametrize("index", [-1, -3, 0, 2])
     def test_axis0_take_wraps_negative_indices_per_member(self, index):
@@ -1622,7 +1622,7 @@ class TestStagedManager:
 
     def test_prefix_charged_once_then_suffix_only(self):
         nimble.clear_prefix_cache()
-        mgr = self._manager(staged=True)  # compile_us=100 override
+        mgr = self._manager()  # compile_us=100 override
         mgr.observe((16,), 0.0)
         mgr.observe((16,), 10.0)
         mgr.observe((24,), 20.0)
@@ -1642,20 +1642,9 @@ class TestStagedManager:
         # Lane-busy invariant holds with the split.
         assert sum(mgr.lane_busy_us) == pytest.approx(mgr.compile_us_spent)
 
-    def test_monolithic_default_is_unchanged(self):
-        mgr = self._manager(staged=False)
-        mgr.observe((16,), 0.0)
-        mgr.observe((16,), 10.0)
-        mgr.drain()
-        (event,) = mgr.events
-        assert event.prefix_us == 0.0
-        assert event.compile_us == pytest.approx(100.0)
-        assert mgr.prefix_us_spent == 0.0
-        assert mgr.suffix_us_spent == pytest.approx(100.0)
-
     def test_staged_replay_is_bit_identical(self):
         nimble.clear_prefix_cache()
-        mgr = self._manager(staged=True)
+        mgr = self._manager()
 
         def run():
             mgr.reset()
@@ -1674,41 +1663,12 @@ class TestStagedManager:
         # only once per simulation.
         assert sum(1 for e in mgr.events if e.prefix_us > 0) == 1
 
-    def test_calibration_split_sums_to_monolithic(self):
-        """Without a compile_us override, prefix + suffix constants must
-        reproduce the monolithic charge exactly — a single-variant
-        staged sim costs the same as a monolithic one."""
-        from repro.hardware import calibration
-
-        nimble.clear_prefix_cache()
-        mono = _mlp_manager(threshold=2)
-        mono.compile_us = None
-        mono.observe((16,), 0.0)
-        mono.observe((16,), 10.0)
-        mono.drain()
-        staged = _mlp_manager(threshold=2, staged=True)
-        staged.compile_us = None
-        staged.observe((16,), 0.0)
-        staged.observe((16,), 10.0)
-        staged.drain()
-        assert staged.compile_us_spent == pytest.approx(mono.compile_us_spent)
-        assert staged.prefix_us_spent > 0
-        for name in ("intel", "nvidia", "arm"):
-            assert (
-                calibration.SPECIALIZE_PREFIX_BASE_US[name]
-                + calibration.SPECIALIZE_SUFFIX_BASE_US[name]
-            ) == pytest.approx(calibration.SPECIALIZE_BASE_US[name])
-            assert (
-                calibration.SPECIALIZE_PREFIX_PER_KERNEL_US[name]
-                + calibration.SPECIALIZE_SUFFIX_PER_KERNEL_US[name]
-            ) == pytest.approx(calibration.SPECIALIZE_PER_KERNEL_US[name])
-
     def test_warm_restart_restores_prefix_from_store(self, tmp_path):
         nimble.clear_prefix_cache()
         store = ArtifactStore(tmp_path)
         cache = KernelCache()
         first = _mlp_manager(
-            threshold=2, kernel_cache=cache, staged=True, store=store,
+            threshold=2, kernel_cache=cache, store=store,
             restore_us=5.0,
         )
         first.observe((16,), 0.0)
@@ -1721,7 +1681,7 @@ class TestStagedManager:
         # fresh but pays only the prefix *restore* charge.
         nimble.clear_prefix_cache()
         second = _mlp_manager(
-            threshold=2, kernel_cache=cache, staged=True, store=store,
+            threshold=2, kernel_cache=cache, store=store,
             restore_us=5.0,
         )
         second.observe((16,), 0.0)
@@ -1744,7 +1704,7 @@ class TestStagedManager:
         store = ArtifactStore(tmp_path)
         cache = KernelCache()
         first = _mlp_manager(
-            threshold=2, kernel_cache=cache, staged=True, store=store
+            threshold=2, kernel_cache=cache, store=store
         )
         first.observe((16,), 0.0)
         first.observe((16,), 10.0)
@@ -1754,11 +1714,11 @@ class TestStagedManager:
         path.write_bytes(path.read_bytes()[:-9])
         nimble.clear_prefix_cache()
         second = _mlp_manager(
-            threshold=2, kernel_cache=cache, staged=True, store=store
+            threshold=2, kernel_cache=cache, store=store
         )
 
         def run():
-            second.reset()
+            _replay(second)
             second.observe((24,), 0.0)
             second.observe((24,), 10.0)
             second.drain()
@@ -1848,12 +1808,12 @@ class TestPredictivePreArm:
         store.put_profile(first.profile_snapshot())
         return first
 
-    def _warm(self, store, **kwargs):
+    def _warm(self, store, max_executables=4, **kwargs):
         """A restarted (fresh-process) manager over the same store. Its
         threshold is high, so predictive pre-arming is the only way
         anything can trigger."""
         return _mlp_manager(
-            threshold=100, store=store, max_executables=4,
+            threshold=100, store=store, max_executables=max_executables,
             predictive=True, **kwargs,
         )
 
@@ -1901,10 +1861,11 @@ class TestPredictivePreArm:
             assert warm._last_hit_us[key] == 0.0
 
     def test_top_k_caps_the_pre_armed_set(self, tmp_path):
+        """K is the cache size: pre-arming more could only evict."""
         store = ArtifactStore(tmp_path)
         first = self._first_run(store)
         profile = store.get_profile(first.profile_snapshot().store_key())
-        warm = self._warm(store, predictive_top_k=1)
+        warm = self._warm(store, max_executables=1)
         assert warm.predictive_compiles == 1
         assert {e.key for e in warm.events} == set(profile.top_keys(1))
 
@@ -1924,7 +1885,7 @@ class TestPredictivePreArm:
             )
 
         one = snapshot()
-        warm.reset()
+        _replay(warm)
         assert snapshot() == one
 
     def test_profile_is_frozen_at_construction(self, tmp_path):
@@ -1935,7 +1896,7 @@ class TestPredictivePreArm:
         warm = self._warm(store)  # no profile on disk yet
         assert warm.predictive_compiles == 0
         self._first_run(store)    # profile lands *after* construction
-        warm.reset()
+        _replay(warm)
         assert warm.predictive_compiles == 0
         assert warm.events == []
 
@@ -1950,7 +1911,7 @@ class TestPredictivePreArm:
         assert warm.store_rejects == 1
         # Memoised reject: replays re-count without re-reading the
         # (possibly since-healed) file — accounting is bit-identical.
-        warm.reset()
+        _replay(warm)
         assert warm.store_rejects == 1
 
     def test_non_predictive_manager_ignores_the_profile(self, tmp_path):
@@ -1967,13 +1928,7 @@ class TestPredictivePreArm:
 
 
 def _gram_manager(threshold=4, **kwargs):
-    mod = build_gram_module()
-    typed = infer_types(mod)
-    bucketer = ShapeBucketer(typed["main"], granularity=8)
-    return SpecializationManager(
-        mod, intel_cpu(), bucketer, KernelCache(),
-        threshold=threshold, compile_us=100.0, **kwargs,
-    )
+    return _manager_for(build_gram_module(), threshold, **kwargs)
 
 
 class TestPartialSynthesis:

@@ -111,6 +111,57 @@ class TestSerialization:
         assert loaded.functions[0].instructions == exe.functions[0].instructions
         assert np.array_equal(loaded.constants[0].numpy(), exe.constants[0].numpy())
 
+    def _exe_with_constants(self, *arrays):
+        return Executable(
+            platform_name="intel",
+            functions=[VMFunction("main", 0, [], 1)],
+            func_index={"main": 0},
+            constants=[array(a) for a in arrays],
+            kernels=[],
+        )
+
+    def test_constants_of_every_layout_roundtrip(self):
+        """``save`` writes array data through views and ``load`` reads it
+        through a view of the blob: scalars, empty arrays, transposed
+        (non-contiguous) data and every dtype width must survive, and
+        what comes back must own its memory."""
+        arrays = [
+            np.float32(2.5).reshape(()),
+            np.zeros((0, 4), dtype=np.float32),
+            np.arange(12, dtype=np.float32).reshape(3, 4).T,
+            np.arange(10, dtype=np.int64)[::2],
+            np.array([True, False, True]),
+        ]
+        blob = self._exe_with_constants(*arrays).save()
+        loaded = Executable.load(blob)
+        for want, const in zip(arrays, loaded.constants):
+            got = const.numpy()
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert got.flags.writeable and got.base is None
+        # The format did not move: bytes in, same bytes out.
+        assert loaded.save() == blob
+
+    def test_every_truncation_is_a_serialization_error(self):
+        blob = self._exe_with_constants(
+            np.arange(6, dtype=np.float32).reshape(2, 3), np.arange(3, dtype=np.int64)
+        ).save()
+        for cut in range(len(blob)):
+            with pytest.raises(SerializationError):
+                Executable.load(blob[:cut])
+
+    def test_constant_that_overruns_its_section_rejected(self):
+        """A length inside the constants section that points past the
+        section's end must not read the sections behind it."""
+        data = np.arange(6, dtype=np.float32)
+        blob = bytearray(self._exe_with_constants(data).save())
+        at = blob.index(data.tobytes()) - 1
+        assert blob[at] == data.nbytes << 1  # the zigzag varint of 24
+        for lie in (data.nbytes + 4, data.nbytes - 4):
+            blob[at] = lie << 1
+            with pytest.raises(SerializationError):
+                Executable.load(bytes(blob))
+
     def test_bad_magic_rejected(self):
         with pytest.raises(SerializationError):
             Executable.load(b"XXXX" + b"\x00" * 16)
