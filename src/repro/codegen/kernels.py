@@ -115,9 +115,18 @@ def is_symbolic_prim(func: Function) -> bool:
     return ret is not None and has_any_dim(ret)
 
 
-@dataclass
+# Distinct input-shape keys one KernelSet keeps a price for. Pricing is
+# pure, so the memo is simply cleared when it fills: a serving process
+# that keeps seeing new shapes stays bounded and re-prices on demand.
+INVOKE_COST_MEMO_CAP = 1024
+
+
+@dataclass(frozen=True)
 class KernelInvocation:
-    """Outcome of one dispatch: modeled duration + which impl ran."""
+    """Outcome of one dispatch: modeled duration + which impl ran.
+
+    Frozen: one instance is handed to every caller that prices the same
+    (kernel, shapes)."""
 
     duration_us: float
     impl: str
@@ -184,8 +193,37 @@ class KernelSet:
         self.calls += 1
         return run_prim_func(self.prim, inputs)
 
+    def __getstate__(self) -> dict:
+        # KernelSets are pickled into every executable and into the
+        # kernel-cache blob; the pricing memo is per-process working
+        # state and must not change a byte of either. It is re-created
+        # lazily by invoke_cost (no __setstate__: the default one keeps
+        # pickle's interning of attribute names).
+        state = self.__dict__.copy()
+        state.pop("_cost_memo", None)
+        return state
+
     def invoke_cost(self, in_shapes: Sequence[Shape]) -> KernelInvocation:
-        """Model the latency of one invocation at concrete shapes."""
+        """Model the latency of one invocation at concrete shapes.
+
+        The price is a pure function of (this kernel, input shapes), so
+        it is computed once per distinct key and shared — through
+        ``KernelCache`` — by every VM, worker and replica that holds
+        this KernelSet."""
+        key = tuple(map(tuple, in_shapes))
+        try:
+            memo = self._cost_memo
+        except AttributeError:
+            memo = self._cost_memo = {}
+        inv = memo.get(key)
+        if inv is None:
+            if len(memo) >= INVOKE_COST_MEMO_CAP:
+                memo.clear()
+            inv = memo[key] = self._price(key)
+        self.last_invocation = inv
+        return inv
+
+    def _price(self, in_shapes: Tuple[Shape, ...]) -> KernelInvocation:
         try:
             workload = compute_workload(self.prim, in_shapes)
         except Exception:
@@ -221,11 +259,9 @@ class KernelSet:
             lib = library_cost_us(self.spec, workload)
             if lib is not None and lib < best:
                 best, impl = lib, self.spec.library.name  # type: ignore[union-attr]
-        inv = KernelInvocation(
+        return KernelInvocation(
             duration_us=best, impl=impl, residues_per_kernel=rpk, flops=workload.flops
         )
-        self.last_invocation = inv
-        return inv
 
 
 class ShapeFuncKernel:

@@ -8,6 +8,7 @@ output buffers, so views stay cheap.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -48,9 +49,9 @@ class NDArray:
     ) -> "NDArray":
         np_dtype = to_numpy_dtype(dtype)
         shape = tuple(int(d) for d in shape)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np_dtype.itemsize if shape else np_dtype.itemsize
-        if not shape:
-            nbytes = np_dtype.itemsize
+        # Python ints: a rank-0 shape is one element (the empty product
+        # is 1), and no size wraps around before the view checks it.
+        nbytes = math.prod(shape) * np_dtype.itemsize
         view = storage.view(offset, nbytes, np_dtype, shape)
         return NDArray(view, storage.device, storage, offset)
 

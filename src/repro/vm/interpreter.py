@@ -36,6 +36,32 @@ from repro.vm.objects import (
 from repro.vm.profiler import VMProfile
 
 
+_Op = ins.Opcode
+
+
+def _by_opcode(table: dict) -> list:
+    """*table* as a list indexed by opcode value (``None`` where it has
+    no entry): the dispatch loop pays one list index per lookup."""
+    dense = [None] * (max(_Op) + 1)
+    for opcode, value in table.items():
+        dense[opcode] = value
+    return dense
+
+
+# Opcode value -> name, built once: ``VMProfile.instruction_counts`` is
+# keyed by name, and the enum's ``.name`` is a Python-level descriptor
+# call per instruction.
+_OPCODE_NAMES = _by_opcode({op: op.name for op in _Op})
+
+
+def _set(regs: List[RegisterValue], dst: Optional[int], value: RegisterValue) -> None:
+    if dst is None:
+        release_value(value)
+        return
+    release_value(regs[dst])
+    regs[dst] = value
+
+
 class _Frame:
     __slots__ = ("func", "registers", "pc", "caller_dst")
 
@@ -158,148 +184,92 @@ class VirtualMachine:
             raise
 
     def _run_frames(self, stack: List[_Frame]) -> RegisterValue:
+        """The hot loop: one pass of the outer loop per frame activation,
+        one pass of the inner loop per instruction.
+
+        Everything an instruction needs is a local; a straight-line
+        opcode costs one lookup in ``_HANDLERS`` and one call, and only
+        the six opcodes that change ``pc`` or the frame stack are decided
+        here. The per-instruction charge is applied one instruction at a
+        time, in order: float addition does not reassociate, and the
+        virtual clock is the oracle that nothing but speed changed.
+        """
         final: RegisterValue = None
-        clock = self.ctx.clock
+        functions = self.exe.functions
+        instr_us = self._instr_us
+        host_advance = self.ctx.clock.host_advance
+        profile = self.profile
+        counts = profile.instruction_counts
+        names = _OPCODE_NAMES
+        handlers = self._HANDLERS
+        RET, INVOKE, INVOKE_CLOSURE = _Op.RET, _Op.INVOKE, _Op.INVOKE_CLOSURE
+        IF, GOTO, FATAL = _Op.IF, _Op.GOTO, _Op.FATAL
         while stack:
             frame = stack[-1]
-            if frame.pc >= len(frame.func.instructions):
-                raise VMError(f"fell off the end of {frame.func.name}")
-            instr = frame.func.instructions[frame.pc]
-            opcode = instr.opcode
-            self.profile.record_instruction(opcode.name, self._instr_us)
-            clock.host_advance(self._instr_us)
+            instructions = frame.func.instructions
+            end = len(instructions)
             regs = frame.registers
-
-            if opcode == ins.Opcode.MOVE:
-                self._set(regs, instr.dst, retain_value(regs[instr.src]))
-            elif opcode == ins.Opcode.RET:
-                result = regs[instr.result]
-                if isinstance(result, VMObject):
-                    result.retain()
-                self._release_frame(frame)
-                stack.pop()
-                if stack:
-                    caller = stack[-1]
-                    self._set(caller.registers, frame.caller_dst, result)
-                else:
-                    final = result
-                continue
-            elif opcode == ins.Opcode.INVOKE:
-                callee = self.exe.functions[instr.func_index]
-                new_frame = _Frame(callee, caller_dst=instr.dst)
-                for i, arg in enumerate(instr.args):
-                    new_frame.registers[i] = retain_value(regs[arg])
-                frame.pc += 1
-                stack.append(new_frame)
-                continue
-            elif opcode == ins.Opcode.INVOKE_CLOSURE:
-                closure = regs[instr.closure]
-                if not isinstance(closure, ClosureObj):
-                    raise VMError("InvokeClosure on a non-closure object")
-                callee = self.exe.functions[closure.func_index]
-                new_frame = _Frame(callee, caller_dst=instr.dst)
-                pos = 0
-                for arg in instr.args:
-                    new_frame.registers[pos] = retain_value(regs[arg])
-                    pos += 1
-                for captured in closure.captured:
-                    new_frame.registers[pos] = retain_value(captured)
-                    pos += 1
-                frame.pc += 1
-                stack.append(new_frame)
-                continue
-            elif opcode == ins.Opcode.INVOKE_PACKED:
-                self._invoke_packed(instr, regs)
-            elif opcode == ins.Opcode.ALLOC_STORAGE:
-                nbytes = self._read_scalar(regs[instr.allocation_size])
-                storage = self.ctx.allocator.alloc(nbytes, instr.alignment, instr.device)
-                self.profile.alloc_time_us = self.ctx.allocator.stats.alloc_time_us
-                self._set(regs, instr.dst, StorageObj(storage, on_free=self.ctx.allocator.free))
-            elif opcode == ins.Opcode.ALLOC_TENSOR:
-                self._alloc_tensor(regs, instr.storage, instr.offset, instr.shape, instr.dtype, instr.dst)
-            elif opcode == ins.Opcode.ALLOC_TENSOR_REG:
-                shape_obj = as_tensor(regs[instr.shape_register], "AllocTensorReg shape")
-                shape = tuple(int(d) for d in shape_obj.data)
-                self._alloc_tensor(regs, instr.storage, instr.offset, shape, instr.dtype, instr.dst)
-            elif opcode == ins.Opcode.ALLOC_ADT:
-                fields = [regs[r] for r in instr.fields]
-                self._set(regs, instr.dst, ADTObj(instr.tag, fields))
-            elif opcode == ins.Opcode.ALLOC_CLOSURE:
-                captured = [regs[r] for r in instr.captured]
-                self._set(regs, instr.dst, ClosureObj(instr.func_index, captured))
-            elif opcode == ins.Opcode.GET_FIELD:
-                obj = regs[instr.obj]
-                if not isinstance(obj, ADTObj):
-                    raise VMError("GetField on a non-ADT object")
-                if not 0 <= instr.field_index < len(obj.fields):
-                    raise VMError(
-                        f"GetField index {instr.field_index} out of range "
-                        f"({len(obj.fields)} fields)"
-                    )
-                self._set(regs, instr.dst, retain_value(obj.fields[instr.field_index]))
-            elif opcode == ins.Opcode.GET_TAG:
-                obj = regs[instr.obj]
-                if not isinstance(obj, ADTObj):
-                    raise VMError("GetTag on a non-ADT object")
-                self._set(regs, instr.dst, obj.tag)
-            elif opcode == ins.Opcode.IF:
-                test = self._read_scalar(regs[instr.test])
-                target = self._read_scalar(regs[instr.target])
-                frame.pc += instr.true_offset if test == target else instr.false_offset
-                continue
-            elif opcode == ins.Opcode.GOTO:
-                frame.pc += instr.pc_offset
-                continue
-            elif opcode == ins.Opcode.LOAD_CONST:
-                arr = self.exe.constants[instr.const_index]
-                self._set(regs, instr.dst, TensorObj(arr))
-            elif opcode == ins.Opcode.LOAD_CONSTI:
-                self._set(regs, instr.dst, instr.value)
-            elif opcode == ins.Opcode.DEVICE_COPY:
-                self._device_copy(instr, regs)
-            elif opcode == ins.Opcode.SHAPE_OF:
-                tensor = as_tensor(regs[instr.tensor], "ShapeOf")
-                shape = np.asarray(tensor.shape, dtype=np.int64)
-                self._set(regs, instr.dst, TensorObj(NDArray(shape, self.ctx.platform.host)))
-            elif opcode == ins.Opcode.RESHAPE_TENSOR:
-                tensor = as_tensor(regs[instr.tensor], "ReshapeTensor data")
-                shape_obj = as_tensor(regs[instr.newshape], "ReshapeTensor shape")
-                newshape = tuple(int(d) for d in shape_obj.data)
-                reshaped = TensorObj(tensor.array.reshape(newshape), tensor.storage_obj)
-                self._set(regs, instr.dst, reshaped)
-            elif opcode == ins.Opcode.FATAL:
-                raise VMError(f"VM fatal: {instr.message}")
-            elif opcode == ins.Opcode.STREAM_EVENT:
-                stream = (instr.stream + self._stream_offset) % self._num_streams
-                self._events[instr.event_index] = clock.record_event(
-                    instr.device, stream, self._event_record_us
-                )
-                self.profile.record_sync_event()
-            elif opcode == ins.Opcode.STREAM_WAIT:
-                ts = self._events.get(instr.event_index)
-                if ts is not None:
-                    stream = (instr.stream + self._stream_offset) % self._num_streams
-                    stall = clock.wait_event(
-                        instr.device,
-                        stream,
-                        ts,
-                        self._wait_event_us,
-                        self._event_sync_us,
-                    )
-                    self.profile.record_sync_wait(stall)
-            else:  # pragma: no cover - exhaustive
-                raise VMError(f"unknown opcode {opcode}")
-            frame.pc += 1
+            pc = frame.pc
+            while True:
+                if pc >= end:
+                    raise VMError(f"fell off the end of {frame.func.name}")
+                instr = instructions[pc]
+                opcode = instr.opcode
+                counts[names[opcode]] += 1
+                profile.dispatch_time_us += instr_us
+                host_advance(instr_us)
+                handler = handlers[opcode]
+                if handler is not None:
+                    handler(self, instr, regs)
+                    pc += 1
+                elif opcode is IF:
+                    test = self._read_scalar(regs[instr.test])
+                    target = self._read_scalar(regs[instr.target])
+                    pc += instr.true_offset if test == target else instr.false_offset
+                elif opcode is GOTO:
+                    pc += instr.pc_offset
+                elif opcode is RET:
+                    result = regs[instr.result]
+                    if isinstance(result, VMObject):
+                        result.retain()
+                    self._release_frame(frame)
+                    stack.pop()
+                    if stack:
+                        _set(stack[-1].registers, frame.caller_dst, result)
+                    else:
+                        final = result
+                    break
+                elif opcode is INVOKE:
+                    new_frame = _Frame(functions[instr.func_index], caller_dst=instr.dst)
+                    callee_regs = new_frame.registers
+                    for i, arg in enumerate(instr.args):
+                        callee_regs[i] = retain_value(regs[arg])
+                    frame.pc = pc + 1
+                    stack.append(new_frame)
+                    break
+                elif opcode is INVOKE_CLOSURE:
+                    closure = regs[instr.closure]
+                    if not isinstance(closure, ClosureObj):
+                        raise VMError("InvokeClosure on a non-closure object")
+                    new_frame = _Frame(functions[closure.func_index], caller_dst=instr.dst)
+                    callee_regs = new_frame.registers
+                    pos = 0
+                    for arg in instr.args:
+                        callee_regs[pos] = retain_value(regs[arg])
+                        pos += 1
+                    for captured in closure.captured:
+                        callee_regs[pos] = retain_value(captured)
+                        pos += 1
+                    frame.pc = pc + 1
+                    stack.append(new_frame)
+                    break
+                elif opcode is FATAL:
+                    raise VMError(f"VM fatal: {instr.message}")
+                else:  # pragma: no cover - _HANDLERS + these six are exhaustive
+                    raise VMError(f"unknown opcode {opcode}")
         return final
 
     # --------------------------------------------------------------- helpers
-    def _set(self, regs: List[RegisterValue], dst: Optional[int], value: RegisterValue) -> None:
-        if dst is None:
-            release_value(value)
-            return
-        release_value(regs[dst])
-        regs[dst] = value
-
     def _release_frame(self, frame: _Frame) -> None:
         for value in frame.registers:
             release_value(value)
@@ -332,13 +302,100 @@ class VirtualMachine:
             self.ctx.clock.sync(value.device)
         return scalar_of(value)
 
-    def _alloc_tensor(self, regs, storage_reg: int, offset_reg: int, shape, dtype: str, dst: int) -> None:
-        storage_obj = regs[storage_reg]
+    # ------------------------------------------- straight-line opcode handlers
+    # Plain functions called as ``handler(vm, instr, regs)`` through the
+    # class-level ``_HANDLERS`` table below. They are looked up on the
+    # class, never bound per VM: a Worker builds a VM per specialized
+    # variant, and a table of bound methods would tie each VM (and its
+    # executable) into a reference cycle only the cyclic GC can free.
+    def _op_move(self, instr: ins.Move, regs) -> None:
+        _set(regs, instr.dst, retain_value(regs[instr.src]))
+
+    def _op_alloc_storage(self, instr: ins.AllocStorage, regs) -> None:
+        nbytes = self._read_scalar(regs[instr.allocation_size])
+        # Looked up per call, like kernel.invoke_cost/run below: tracers
+        # patch these class attributes after the VM exists.
+        allocator = self.ctx.allocator
+        stats = allocator.stats
+        before = stats.alloc_time_us
+        storage = allocator.alloc(nbytes, instr.alignment, instr.device)
+        # This alloc's own charge: contexts (and so allocators) are shared
+        # by the VMs of a Worker's tiers, each with a profile of its own.
+        self.profile.alloc_time_us += stats.alloc_time_us - before
+        _set(regs, instr.dst, StorageObj(storage, on_free=allocator.free))
+
+    def _op_alloc_tensor(self, instr: ins.AllocTensor, regs) -> None:
+        self._alloc_tensor(instr, regs, instr.shape)
+
+    def _op_alloc_tensor_reg(self, instr: ins.AllocTensorReg, regs) -> None:
+        shape_obj = as_tensor(regs[instr.shape_register], "AllocTensorReg shape")
+        self._alloc_tensor(instr, regs, tuple(int(d) for d in shape_obj.data))
+
+    def _op_alloc_adt(self, instr: ins.AllocADT, regs) -> None:
+        _set(regs, instr.dst, ADTObj(instr.tag, [regs[r] for r in instr.fields]))
+
+    def _op_alloc_closure(self, instr: ins.AllocClosure, regs) -> None:
+        captured = [regs[r] for r in instr.captured]
+        _set(regs, instr.dst, ClosureObj(instr.func_index, captured))
+
+    def _op_get_field(self, instr: ins.GetField, regs) -> None:
+        obj = regs[instr.obj]
+        if not isinstance(obj, ADTObj):
+            raise VMError("GetField on a non-ADT object")
+        if not 0 <= instr.field_index < len(obj.fields):
+            raise VMError(
+                f"GetField index {instr.field_index} out of range "
+                f"({len(obj.fields)} fields)"
+            )
+        _set(regs, instr.dst, retain_value(obj.fields[instr.field_index]))
+
+    def _op_get_tag(self, instr: ins.GetTag, regs) -> None:
+        obj = regs[instr.obj]
+        if not isinstance(obj, ADTObj):
+            raise VMError("GetTag on a non-ADT object")
+        _set(regs, instr.dst, obj.tag)
+
+    def _op_load_const(self, instr: ins.LoadConst, regs) -> None:
+        _set(regs, instr.dst, TensorObj(self.exe.constants[instr.const_index]))
+
+    def _op_load_consti(self, instr: ins.LoadConsti, regs) -> None:
+        _set(regs, instr.dst, instr.value)
+
+    def _op_shape_of(self, instr: ins.ShapeOf, regs) -> None:
+        tensor = as_tensor(regs[instr.tensor], "ShapeOf")
+        shape = np.asarray(tensor.shape, dtype=np.int64)
+        _set(regs, instr.dst, TensorObj(NDArray(shape, self.ctx.platform.host)))
+
+    def _op_reshape_tensor(self, instr: ins.ReshapeTensor, regs) -> None:
+        tensor = as_tensor(regs[instr.tensor], "ReshapeTensor data")
+        shape_obj = as_tensor(regs[instr.newshape], "ReshapeTensor shape")
+        newshape = tuple(int(d) for d in shape_obj.data)
+        _set(regs, instr.dst, TensorObj(tensor.array.reshape(newshape), tensor.storage_obj))
+
+    def _op_stream_event(self, instr: ins.StreamEvent, regs) -> None:
+        stream = (instr.stream + self._stream_offset) % self._num_streams
+        self._events[instr.event_index] = self.ctx.clock.record_event(
+            instr.device, stream, self._event_record_us
+        )
+        self.profile.record_sync_event()
+
+    def _op_stream_wait(self, instr: ins.StreamWait, regs) -> None:
+        ts = self._events.get(instr.event_index)
+        if ts is not None:
+            stream = (instr.stream + self._stream_offset) % self._num_streams
+            stall = self.ctx.clock.wait_event(
+                instr.device, stream, ts, self._wait_event_us, self._event_sync_us
+            )
+            self.profile.record_sync_wait(stall)
+
+    def _alloc_tensor(self, instr, regs, shape) -> None:
+        """AllocTensor / AllocTensorReg: a view of *shape* into a storage."""
+        storage_obj = regs[instr.storage]
         if not isinstance(storage_obj, StorageObj):
             raise VMError("AllocTensor on a non-storage object")
-        offset = self._read_scalar(regs[offset_reg])
-        array = NDArray.from_storage(storage_obj.storage, offset, shape, dtype)
-        self._set(regs, dst, TensorObj(array, storage_obj))
+        offset = self._read_scalar(regs[instr.offset])
+        array = NDArray.from_storage(storage_obj.storage, offset, shape, instr.dtype)
+        _set(regs, instr.dst, TensorObj(array, storage_obj))
 
     def _device_copy(self, instr: ins.DeviceCopy, regs) -> None:
         tensor = as_tensor(regs[instr.src], "DeviceCopy")
@@ -357,7 +414,7 @@ class VirtualMachine:
         clock.host_advance(cost)
         self.profile.copy_time_us += cost
         copied = TensorObj(tensor.array.to_device(instr.dst_device))
-        self._set(regs, instr.dst, copied)
+        _set(regs, instr.dst, copied)
 
     def _invoke_packed(self, instr: ins.InvokePacked, regs) -> None:
         kernel = self.exe.kernels[instr.packed_index]
@@ -427,3 +484,25 @@ class VirtualMachine:
                     f"{out.data.shape}"
                 )
             np.copyto(out.data, result)
+
+    # Every opcode has an entry here or is one of the six control-flow
+    # opcodes `_run_frames` decides inline (tests/test_vm.py checks the
+    # partition, so a new opcode cannot be silently unknown).
+    _HANDLERS = _by_opcode({
+        _Op.MOVE: _op_move,
+        _Op.INVOKE_PACKED: _invoke_packed,
+        _Op.ALLOC_STORAGE: _op_alloc_storage,
+        _Op.ALLOC_TENSOR: _op_alloc_tensor,
+        _Op.ALLOC_TENSOR_REG: _op_alloc_tensor_reg,
+        _Op.ALLOC_ADT: _op_alloc_adt,
+        _Op.ALLOC_CLOSURE: _op_alloc_closure,
+        _Op.GET_FIELD: _op_get_field,
+        _Op.GET_TAG: _op_get_tag,
+        _Op.LOAD_CONST: _op_load_const,
+        _Op.LOAD_CONSTI: _op_load_consti,
+        _Op.DEVICE_COPY: _device_copy,
+        _Op.SHAPE_OF: _op_shape_of,
+        _Op.RESHAPE_TENSOR: _op_reshape_tensor,
+        _Op.STREAM_EVENT: _op_stream_event,
+        _Op.STREAM_WAIT: _op_stream_wait,
+    })

@@ -18,6 +18,10 @@ from typing import Dict
 @dataclass
 class VMProfile:
     runs: int = 0
+    # Opcode name -> executions, and the dispatch charge they add up to:
+    # both are written directly by the interpreter's inner loop
+    # (`VirtualMachine._run_frames`), once per instruction, so a run
+    # that raises has still counted the instruction it raised in.
     instruction_counts: Counter = field(default_factory=Counter)
     kernel_time_us: float = 0.0
     kernel_invocations: int = 0
@@ -46,10 +50,6 @@ class VMProfile:
 
     def record_run(self) -> None:
         self.runs += 1
-
-    def record_instruction(self, opcode_name: str, dispatch_us: float) -> None:
-        self.instruction_counts[opcode_name] += 1
-        self.dispatch_time_us += dispatch_us
 
     def record_kernel(
         self, duration_us: float, impl: str, name: str = "?", stream: int = 0

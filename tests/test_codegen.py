@@ -1,6 +1,9 @@
 """Symbolic codegen (§4.5): workload analysis, cost model, schedules,
 residue dispatch, auto-tuning."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from repro.codegen import (
     run_prim_func,
     search_space,
 )
-from repro.codegen.kernels import canonical_mnk, is_symbolic_prim
+from repro.codegen.kernels import INVOKE_COST_MEMO_CAP, canonical_mnk, is_symbolic_prim
 from repro.codegen.tuner import AutoTuner, instantiate_shapes
 from repro.core.typing import infer_types
 from repro.hardware import arm_cpu, intel_cpu, nvidia_gpu
@@ -128,6 +131,95 @@ class TestCostModel:
         k8 = KernelSet(prim, plat, plat.compute_spec, num_dispatch_kernels=8)
         k1 = KernelSet(prim, plat, plat.compute_spec, num_dispatch_kernels=1)
         assert k8.code_size_bytes > k1.code_size_bytes
+
+
+def _unique_prim():
+    """Data-dependent: ``compute_workload`` cannot size its output from
+    shapes, so ``invoke_cost`` prices it through the ``except`` fallback."""
+    x = Var("x", TensorType((Any(),), "float32"))
+    return Function([x], api.unique(x), TensorType((Any(),), "float32"), {"primitive": True})
+
+
+class TestInvokeCostMemo:
+    """``KernelSet.invoke_cost`` prices each distinct input-shape key once
+    per KernelSet; a memo hit must be indistinguishable from pricing."""
+
+    @staticmethod
+    def _factory(kind, allow_library=True):
+        """(make a fresh KernelSet of one prim, rows -> its in_shapes)."""
+        plat = intel_cpu()
+        if kind == "unique":
+            prim = _unique_prim()
+            return (lambda: KernelSet(prim, plat, plat.compute_spec,
+                                      allow_library=allow_library),
+                    lambda rows: [(rows,)])
+        prim, _ = _dense_prim(64, 32, symbolic=(kind == "symbolic"))
+        return (lambda: KernelSet(prim, plat, plat.compute_spec,
+                                  allow_library=allow_library),
+                lambda rows: [(rows, 32)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["symbolic", "static", "unique"]),
+        allow_library=st.booleans(),
+        rows=st.lists(st.integers(1, 600), min_size=1, max_size=10),
+    )
+    def test_memoised_kernel_prices_like_a_fresh_one(self, kind, allow_library, rows):
+        make, shapes = self._factory(kind, allow_library)
+        memoised = make()
+        for m in rows + rows:  # first calls, then repeats
+            want = make().invoke_cost(shapes(m))
+            got = memoised.invoke_cost(shapes(m))
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
+            assert memoised.last_invocation is got
+
+    def test_data_dependent_prim_takes_the_fallback(self):
+        make, shapes = self._factory("unique")
+        with pytest.raises(Exception, match="data-dependent"):
+            compute_workload(make().prim, shapes(7))
+        assert make().invoke_cost(shapes(7)).flops == 4.0 * 7
+
+    def test_repeat_is_a_hit_whatever_sequence_type_names_the_shapes(self):
+        make, _ = self._factory("symbolic")
+        k = make()
+        first = k.invoke_cost([(7, 32)])
+        assert k.invoke_cost([(7, 32)]) is first
+        assert k.invoke_cost(([7, 32],)) is first
+        assert k.invoke_cost([(np.int64(7), 32)]) is first
+        assert k.invoke_cost([(8, 32)]) is not first
+
+    def test_memo_never_travels_in_a_pickle(self):
+        make, shapes = self._factory("symbolic")
+        k = make()
+        k.invoke_cost(shapes(1))
+        after_one = pickle.dumps(k)
+        for m in range(1, 501):
+            k.invoke_cost(shapes(m))
+        k.invoke_cost(shapes(1))  # the same last_invocation as above
+        after_many = pickle.dumps(k)
+        assert len(after_many) == len(after_one)
+        assert after_many == after_one
+        restored = pickle.loads(after_many)
+        assert "_cost_memo" not in vars(restored)
+        for m in (1, 37, 500, 501):
+            assert restored.invoke_cost(shapes(m)) == make().invoke_cost(shapes(m))
+
+    def test_memo_is_capped(self):
+        make, shapes = self._factory("static")
+        cap = INVOKE_COST_MEMO_CAP
+        k = make()
+        for m in range(1, cap + 40):
+            k.invoke_cost(shapes(m))
+            assert len(k._cost_memo) <= cap
+        # Overflow drops prices, never changes them.
+        for m in (1, cap, cap + 39):
+            assert k.invoke_cost(shapes(m)) == make().invoke_cost(shapes(m))
+
+    def test_invocation_is_immutable(self):
+        make, shapes = self._factory("static")
+        inv = make().invoke_cost(shapes(4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inv.duration_us = 0.0
 
 
 class TestSchedule:

@@ -140,3 +140,16 @@ class TestStorage:
         assert t.shape == (4, 4)
         assert t.storage is s
         assert t.offset == 64
+
+    def test_from_storage_scalar_takes_one_element(self):
+        s = Storage(64, 64, cpu())
+        t = NDArray.from_storage(s, 8, (), "float32")
+        assert t.shape == () and t.nbytes == 4
+
+    def test_from_storage_rejects_what_does_not_fit(self):
+        s = Storage(256, 64, cpu())
+        with pytest.raises(VMError, match="does not fit"):
+            NDArray.from_storage(s, 0, (9, 8), "float32")
+        # A size no int64 holds is still just a tensor that does not fit.
+        with pytest.raises(VMError, match="does not fit"):
+            NDArray.from_storage(s, 0, (2**40, 2**40), "float32")

@@ -485,6 +485,202 @@ class TestLeakRegression:
             worker.reset()
 
 
+def _paper_model_cases():
+    """(name, module, platform, device_streams, inputs): the paper's three
+    models at toy sizes; BERT also on the GPU, unscheduled and on four
+    streams, so STREAM_EVENT / STREAM_WAIT run too."""
+    from repro.data import Tree, embedding_table
+    from repro.models.bert import BertConfig, BertWeights, build_bert_module
+    from repro.models.lstm import LSTMWeights, build_lstm_module
+    from repro.models.tree_lstm import TreeLSTMWeights, build_tree_lstm_module, tree_to_adt
+
+    rng = np.random.RandomState(0)
+
+    def sentence(length, width):
+        return rng.randn(length, width).astype(np.float32)
+
+    lstm = build_lstm_module(
+        LSTMWeights.create(input_size=12, hidden_size=16, num_layers=1, seed=0))
+    tree = build_tree_lstm_module(TreeLSTMWeights.create(input_size=12, hidden_size=8, seed=0))
+    bert = build_bert_module(
+        BertWeights.create(BertConfig(hidden=24, num_heads=3, num_layers=1, ffn=48), seed=0))
+    embeddings = embedding_table(vocab_size=32, dim=12, seed=0)
+    big = Tree.node(
+        Tree.node(Tree.leaf(1), Tree.leaf(2)),
+        Tree.node(Tree.leaf(3), Tree.node(Tree.leaf(4), Tree.leaf(5))),
+    )
+    small = Tree.node(Tree.leaf(7), Tree.leaf(8))
+    yield "lstm", lstm, intel_cpu(), 1, [sentence(5, 12), sentence(9, 12)]
+    yield "tree_lstm", tree, intel_cpu(), 1, [
+        tree_to_adt(big, embeddings), tree_to_adt(small, embeddings)]
+    yield "bert", bert, intel_cpu(), 1, [sentence(6, 24), sentence(11, 24)]
+    yield "bert@gpu1", bert, nvidia_gpu(), 1, [sentence(6, 24), sentence(11, 24)]
+    yield "bert@gpu4", bert, nvidia_gpu(), 4, [sentence(6, 24), sentence(11, 24)]
+
+
+# What the cases above read on the commit before the dispatch table
+# (the 22-arm ``if opcode == ...`` chain): instruction_counts,
+# dispatch_time_us, and the run_with_latency of each input. Exact floats:
+# the table must charge the clock one instruction at a time, in order.
+_PARENT_COMMIT_READINGS = {
+    "lstm": (
+        {"ALLOC_ADT": 16, "ALLOC_STORAGE": 102, "ALLOC_TENSOR": 144, "GET_FIELD": 58,
+         "GOTO": 14, "IF": 16, "INVOKE": 16, "INVOKE_PACKED": 102, "LOAD_CONST": 294,
+         "LOAD_CONSTI": 34, "MOVE": 146, "RET": 18, "SHAPE_OF": 2},
+        76.95999999999871, [216.1656248369128, 241.17419894466212]),
+    "tree_lstm": (
+        {"ALLOC_ADT": 24, "ALLOC_STORAGE": 60, "ALLOC_TENSOR": 77, "GET_FIELD": 75,
+         "GET_TAG": 12, "GOTO": 12, "IF": 17, "INVOKE": 12, "INVOKE_PACKED": 53,
+         "LOAD_CONST": 171, "LOAD_CONSTI": 159, "MOVE": 70, "RET": 14},
+        60.479999999999066, [170.3454651608168, 39.036863005394764]),
+    "bert": (
+        {"ALLOC_STORAGE": 34, "ALLOC_TENSOR": 60, "ALLOC_TENSOR_REG": 30,
+         "INVOKE_PACKED": 90, "LOAD_CONST": 162, "LOAD_CONSTI": 206, "MOVE": 86,
+         "RET": 2, "SHAPE_OF": 72},
+        59.35999999999909, [192.96651378873148, 165.91852322800727]),
+    "bert@gpu1": (
+        {"ALLOC_STORAGE": 34, "ALLOC_TENSOR": 60, "ALLOC_TENSOR_REG": 30,
+         "INVOKE_PACKED": 90, "LOAD_CONST": 162, "LOAD_CONSTI": 206, "MOVE": 86,
+         "RET": 2, "SHAPE_OF": 72},
+        59.35999999999909, [188.23328455325552, 163.28420025162612]),
+    "bert@gpu4": (
+        {"ALLOC_STORAGE": 34, "ALLOC_TENSOR": 60, "ALLOC_TENSOR_REG": 30,
+         "INVOKE_PACKED": 90, "LOAD_CONST": 162, "LOAD_CONSTI": 206, "MOVE": 86,
+         "RET": 2, "SHAPE_OF": 72, "STREAM_EVENT": 4, "STREAM_WAIT": 4},
+        59.999999999999076, [192.55328455325576, 167.6042002516255]),
+}
+
+
+class TestDispatchTable:
+    """`_run_frames` looks straight-line opcodes up in a class-level table
+    and decides the six control-flow opcodes inline."""
+
+    def test_every_opcode_is_in_the_table_or_inline_never_both(self):
+        """A 23rd opcode must be put on one side: it cannot be silently
+        unknown, and a table entry cannot shadow an inline arm."""
+        inline = {
+            ins.Opcode.RET, ins.Opcode.INVOKE, ins.Opcode.INVOKE_CLOSURE,
+            ins.Opcode.IF, ins.Opcode.GOTO, ins.Opcode.FATAL,
+        }
+        handlers = VirtualMachine._HANDLERS
+        assert len(handlers) == len(ins.Opcode)
+        assert {op for op in ins.Opcode if handlers[op] is None} == inline
+        assert len([h for h in handlers if h is not None]) == 16
+
+    def test_table_holds_plain_functions_not_bound_methods(self):
+        """A per-VM table of bound methods would put every VM in a
+        reference cycle; the table is shared and called as f(vm, ...)."""
+        import types
+
+        x = Var("x", TensorType((2,)))
+        exe, _ = nimble.build(IRModule.from_expr(Function([x], api.tanh(x))), intel_cpu())
+        assert "_HANDLERS" not in vars(VirtualMachine(exe))
+        assert all(isinstance(h, types.FunctionType)
+                   for h in VirtualMachine._HANDLERS if h is not None)
+
+    def test_class_patches_made_after_warm_up_are_observed(self, monkeypatch):
+        """bench/trace.py wraps these class attributes after the VMs
+        exist: the interpreter must look them up at call time."""
+        from repro.codegen.kernels import KernelSet
+        from repro.runtime.allocator import PoolingAllocator
+
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        w = const(np.zeros((8, 8), np.float32))
+        mod = IRModule.from_expr(Function([x], api.relu(api.dense(x, w))))
+        exe, _ = nimble.build(mod, intel_cpu())
+        vm = VirtualMachine(exe, ExecutionContext(intel_cpu()))
+        data = np.zeros((5, 8), np.float32)
+        vm.run(data)  # built and warmed before anything is patched
+        seen = {"invoke_cost": 0, "alloc": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(KernelSet, "invoke_cost",
+                            counting("invoke_cost", KernelSet.invoke_cost))
+        monkeypatch.setattr(PoolingAllocator, "alloc",
+                            counting("alloc", PoolingAllocator.alloc))
+        # Straight-line bytecode: every instruction runs once per run.
+        instructions = [i for f in exe.functions for i in f.instructions]
+        priced = [i for i in instructions
+                  if i.opcode == ins.Opcode.INVOKE_PACKED and i.kind != "shape_func"]
+        allocs = [i for i in instructions if i.opcode == ins.Opcode.ALLOC_STORAGE]
+        vm.run(data)
+        assert seen["invoke_cost"] == len(priced) > 0
+        assert seen["alloc"] == len(allocs) > 0
+
+    def test_error_in_nested_frame_drains_and_counts_the_faulting_instruction(self):
+        mod = IRModule()
+        gtv = mod.get_global_type_var("NestedOpt")
+        data = TypeData(gtv, [], [("A", []), ("B", [])])
+        mod.add_type_data(data)
+        pick = mod.get_global_var("pick")
+        t = Var("t", TypeCall(gtv, []))
+        x = Var("x", TensorType((16,)))
+        sb = ScopeBuilder()
+        a = sb.let("a", api.tanh(x))  # the callee holds a buffer when it dies
+        m = sb.let("m", Match(t, [Clause(PatternConstructor(data.constructor("A"), []), a)]))
+        mod[pick] = Function([t, x], sb.get(m), TensorType((16,)))
+        main_t = Var("t", TypeCall(gtv, []))
+        main_x = Var("x", TensorType((16,)))
+        mod["main"] = Function(
+            [main_t, main_x], Call(pick, [main_t, api.exp(main_x)]), TensorType((16,)))
+        exe, _ = nimble.build(mod, intel_cpu())
+        ctx = ExecutionContext(intel_cpu())
+        vm = VirtualMachine(exe, ctx)
+        with pytest.raises(VMError, match="no matching clause"):
+            vm.run(ADTObj(1, []), np.zeros(16, np.float32))
+        counts = vm.profile.instruction_counts
+        assert counts["INVOKE"] == 1 and counts["RET"] == 0  # died inside the callee
+        assert counts["FATAL"] == 1
+        assert vm.profile.dispatch_time_us == pytest.approx(
+            sum(counts.values()) * intel_cpu().vm_instruction_us)
+        assert ctx.allocator.live_bytes == 0
+        assert ctx.allocator.stats.frees == ctx.allocator.stats.total_allocs
+        good = vm.run(ADTObj(0, []), np.ones(16, np.float32))
+        assert np.allclose(good.numpy(), np.tanh(np.exp(np.ones(16, np.float32))))
+        assert ctx.allocator.live_bytes == 0
+
+    @pytest.mark.parametrize("case", _paper_model_cases(), ids=lambda case: case[0])
+    def test_models_read_what_the_parent_commit_read(self, case):
+        name, mod, platform, streams, inputs = case
+        exe, _ = nimble.build(
+            mod, platform, options=nimble.CompilerOptions(device_streams=streams))
+        ctx = ExecutionContext(platform)
+        vm = VirtualMachine(exe, ctx)
+        latencies = [vm.run_with_latency(x)[1] for x in inputs]
+        counts, dispatch_us, want_latencies = _PARENT_COMMIT_READINGS[name]
+        assert dict(vm.profile.instruction_counts) == counts
+        assert vm.profile.dispatch_time_us == dispatch_us
+        assert latencies == want_latencies
+        assert ctx.allocator.live_bytes == 0
+
+
+class TestProfileAllocTime:
+    def test_two_vms_on_one_context_split_the_allocator_total(self):
+        """Regression: each ALLOC_STORAGE used to *assign* the context's
+        running total to the running VM's profile, so profiles sharing an
+        allocator (a Worker's tiers) each held the sum over all of them."""
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        w = const(np.zeros((8, 8), np.float32))
+        dense = IRModule.from_expr(Function([x], api.relu(api.dense(x, w))))
+        y = Var("y", TensorType((Any(), 8), "float32"))
+        chain = IRModule.from_expr(Function([y], api.tanh(api.exp(api.dense(y, w)))))
+        ctx = ExecutionContext(intel_cpu())
+        a = VirtualMachine(nimble.build(dense, intel_cpu())[0], ctx)
+        b = VirtualMachine(nimble.build(chain, intel_cpu())[0], ctx)
+        for rows in (3, 9, 3, 17):
+            a.run(np.zeros((rows, 8), np.float32))
+            b.run(np.zeros((rows + 1, 8), np.float32))
+        total = ctx.allocator.stats.alloc_time_us
+        assert a.profile.alloc_time_us > 0 and b.profile.alloc_time_us > 0
+        assert a.profile.alloc_time_us + b.profile.alloc_time_us == total
+        assert a.profile.alloc_time_us != b.profile.alloc_time_us
+
+
 class TestProfileResetMergeSymmetry:
     """merge/reset walk the dataclass fields, so every field — present
     and future — must survive the symmetry: populate, merge == manual
