@@ -26,7 +26,7 @@ from repro.codegen.cost_model import library_cost_us, tuned_cost_us
 from repro.codegen.schedule import Schedule, default_schedule
 from repro.codegen.workload import GEMM_OPS, Workload, compute_workload, run_prim_func
 from repro.core.memory.prim_info import PrimFuncInfo, analyze_prim_func, run_fused_shape_func
-from repro.errors import CompilerError
+from repro.errors import CompilerError, SerializationError
 from repro.hardware import calibration
 from repro.hardware.platforms import Platform
 from repro.hardware.specs import DeviceSpec
@@ -159,8 +159,6 @@ class KernelSet:
             else (self.schedule.tile if self.symbolic else 1)
         )
         self.allow_library = allow_library
-        self.calls = 0
-        self.last_invocation: Optional[KernelInvocation] = None
         self._info: Optional[PrimFuncInfo] = None
 
     @property
@@ -190,7 +188,6 @@ class KernelSet:
 
     # -- execution ------------------------------------------------------------------
     def run(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        self.calls += 1
         return run_prim_func(self.prim, inputs)
 
     def __getstate__(self) -> dict:
@@ -220,7 +217,6 @@ class KernelSet:
             if len(memo) >= INVOKE_COST_MEMO_CAP:
                 memo.clear()
             inv = memo[key] = self._price(key)
-        self.last_invocation = inv
         return inv
 
     def _price(self, in_shapes: Tuple[Shape, ...]) -> KernelInvocation:
@@ -290,9 +286,10 @@ class ShapeFuncKernel:
         return base
 
 
-# Version tag of the kernel-cache export format. Entries are pickled
-# (like the executable's kernel section); bumping this invalidates every
-# persisted cache file instead of risking a misread.
+# Version of the kernel-cache payload; the store stamps it on the
+# envelope of ``kernels.kc``. Entries are pickled (like the executable's
+# kernel section); bumping this invalidates every persisted cache file
+# instead of risking a misread.
 KERNEL_CACHE_FORMAT = 1
 
 
@@ -301,10 +298,10 @@ class KernelCache:
 
     The cache also persists: :meth:`export_entries` serializes every
     compiled kernel and shape function (tuned schedules included) to one
-    blob, and :meth:`import_entries` merges such a blob into a live
-    cache — the artifact store uses the pair so a restarted server's
-    *dynamic* build starts with the previous process's tuning work, not
-    just its specialized executables."""
+    payload, and :meth:`import_entries` merges such a payload into a
+    live cache — the artifact store uses the pair so a restarted
+    server's *dynamic* build starts with the previous process's tuning
+    work, not just its specialized executables."""
 
     def __init__(self) -> None:
         self._kernels: Dict[tuple, KernelSet] = {}
@@ -312,32 +309,22 @@ class KernelCache:
 
     # ------------------------------------------------------------ persistence
     def export_entries(self) -> bytes:
-        """Serialize the cache for the artifact store. Runtime counters
-        (``calls``, ``last_invocation``) travel along but are
-        meaningless across processes; identity lives in the keys
-        (structural hash + shape signature + platform)."""
-        return pickle.dumps(
-            (KERNEL_CACHE_FORMAT, self._kernels, self._shape_funcs)
-        )
+        """Serialize the cache for the artifact store. Identity lives in
+        the keys (structural hash + shape signature + platform)."""
+        return pickle.dumps((self._kernels, self._shape_funcs))
 
-    def import_entries(self, blob: bytes) -> int:
-        """Merge an :meth:`export_entries` blob into this cache; returns
-        how many entries were added. Existing entries always win — a
-        live KernelSet may already be referenced by compiled executables,
-        and replacing it under them would fork the profile accounting."""
-        from repro.errors import SerializationError
-
+    def import_entries(self, payload: bytes) -> int:
+        """Merge an :meth:`export_entries` payload into this cache;
+        returns how many entries were added. Existing entries always
+        win — a live KernelSet may already be referenced by compiled
+        executables, and replacing it under them would fork the profile
+        accounting."""
         try:
-            fmt, kernels, shape_funcs = pickle.loads(blob)
+            kernels, shape_funcs = pickle.loads(payload)
         except Exception as err:
             raise SerializationError(
                 f"kernel-cache blob does not deserialize: {err}"
             ) from err
-        if fmt != KERNEL_CACHE_FORMAT:
-            raise SerializationError(
-                f"kernel-cache format {fmt} is not the supported "
-                f"{KERNEL_CACHE_FORMAT}"
-            )
         added = 0
         for key, kernel in kernels.items():
             if key not in self._kernels:

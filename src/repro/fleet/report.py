@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.harness.reporting import format_table, percentile
+from repro.utils.reporting import format_table, percentile
 from repro.serve.report import ServeReport
 from repro.serve.request import Response
 from repro.store.gc import GCReport

@@ -17,7 +17,7 @@ from repro.harness.experiments import (
     table4_overhead,
     tuning_ablation,
 )
-from repro.harness.reporting import format_table, percentile
+from repro.utils.reporting import format_table, percentile
 
 __all__ = [
     "table1_lstm",

@@ -26,6 +26,7 @@ from repro.codegen.tuner import SymbolicTuner
 from repro.codegen.workload import compute_workload
 from repro.core.memory import MemoryPlanReport
 from repro.data import embedding_table, mrpc_like_lengths, sst_like_trees
+from repro.fleet import FleetConfig, FleetRouter, TenantSpec
 from repro.hardware import Platform, platform_by_name
 from repro.models.bert import BertConfig, BertWeights, build_bert_module, build_bert_static_module
 from repro.models.lstm import LSTMWeights, build_lstm_module
@@ -38,6 +39,15 @@ from repro.models.vision import (
 )
 from repro.runtime.context import ExecutionContext
 from repro.runtime.graph_runtime import GraphRuntime
+from repro.serve import (
+    InferenceServer,
+    ServeConfig,
+    bert_traffic,
+    long_tailed_traffic,
+    lstm_traffic,
+    multi_tenant_traffic,
+)
+from repro.utils.reporting import percentile
 from repro.vm.compiler import CompilerOptions
 from repro.vm.interpreter import VirtualMachine
 
@@ -393,7 +403,6 @@ def serving_study(
     batched simulation re-run from scratch must reproduce identical
     numbers).
     """
-    from repro.serve import InferenceServer, ServeConfig, bert_traffic, lstm_traffic
 
     platform = platform_by_name(platform_name)
     if model == "lstm":
@@ -491,7 +500,6 @@ def specialization_study(
        ``specialize=True``: specialized hit rate, per-tier latency, and a
        replay-determinism flag.
     """
-    from repro.serve import InferenceServer, ServeConfig, lstm_traffic
 
     platform = platform_by_name(platform_name)
 
@@ -596,7 +604,6 @@ def compile_pool_study(
     replay-determinism flag. The summary reports how much a wider pool
     cuts queue wait on identical traces.
     """
-    from repro.serve import InferenceServer, ServeConfig, long_tailed_traffic
 
     platform = platform_by_name(platform_name)
     weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
@@ -711,7 +718,6 @@ def batch_specialization_study(
        batched tier (one VM call per bucket, zero shape functions) and
        replays must stay bit-identical.
     """
-    from repro.serve import InferenceServer, ServeConfig, long_tailed_traffic
 
     platform = platform_by_name(platform_name)
 
@@ -883,7 +889,6 @@ def restart_study(
     """
     import tempfile
 
-    from repro.serve import InferenceServer, ServeConfig, long_tailed_traffic
 
     platform = platform_by_name(platform_name)
     weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
@@ -1049,7 +1054,6 @@ def predictive_study(
     import tempfile
 
     from repro.models import build_gram_module
-    from repro.serve import InferenceServer, ServeConfig, long_tailed_traffic
 
     platform = platform_by_name(platform_name)
     mod = build_gram_module()
@@ -1240,9 +1244,6 @@ def fleet_study(
     import shutil
     import tempfile
 
-    from repro.fleet import FleetConfig, FleetRouter, TenantSpec
-    from repro.harness.reporting import percentile
-    from repro.serve import InferenceServer, ServeConfig, multi_tenant_traffic
 
     platform = platform_by_name(platform_name)
     weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)

@@ -38,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import pickle
-import struct
 import sys
 import time
 from dataclasses import dataclass, field
@@ -193,11 +192,11 @@ def build(
 # Staged specialization: the shape-independent prefix
 # ---------------------------------------------------------------------------
 
-# Serialization version of prefix blobs. Bumping it changes every prefix
-# store key (the version is a key component), so stale blobs are never
-# even looked up — the same structural-staleness scheme executables use.
+# Serialization version of prefix payloads (the store stamps it on their
+# envelope). Bumping it changes every prefix store key (the version is a
+# key component), so stale blobs are never even looked up — the same
+# structural-staleness scheme executables use.
 PREFIX_VERSION = 1
-_PREFIX_MAGIC = b"NMBP"
 
 
 def prefix_store_key(source_signature: str, platform_name: str) -> str:
@@ -236,12 +235,12 @@ class SpecializationPrefix:
     pre-fusion module — so fusion runs in the per-variant suffix, after
     binding, where it sees static extents.
 
-    ``save``/``load`` round-trip the prefix through the artifact store
-    (magic + version + content digest + pickled module); loads are
-    paranoid like executable loads — truncation, version skew, digest
-    mismatch, and fingerprint mismatch all raise
-    :class:`SerializationError`, which store callers turn into a counted
-    skip, never a wrong compile."""
+    ``save``/``load`` are the payload the artifact store seals in its
+    envelope (``repro.store.envelope`` owns magic, version and digest):
+    the pickled module plus its identity. ``load`` checks what only the
+    payload can say — that it holds a module, built from the expected
+    source — and raises :class:`SerializationError`, which the store
+    turns into a counted skip, never a wrong compile."""
 
     module: IRModule
     source_signature: str
@@ -254,46 +253,18 @@ class SpecializationPrefix:
 
     def save(self) -> bytes:
         with _deep_recursion():
-            payload = pickle.dumps(
+            return pickle.dumps(
                 (self.source_signature, self.platform_name, self.entry, self.module),
                 protocol=4,
             )
-        digest = hashlib.sha256(payload).digest()
-        return (
-            _PREFIX_MAGIC
-            + struct.pack("<I", PREFIX_VERSION)
-            + digest
-            + payload
-        )
 
     @staticmethod
     def load(
-        blob: bytes, expected_signature: Optional[str] = None
+        payload: bytes, expected_signature: Optional[str] = None
     ) -> "SpecializationPrefix":
-        header = len(_PREFIX_MAGIC) + 4 + 32
-        if len(blob) < header:
-            raise SerializationError(
-                f"prefix blob truncated: {len(blob)} bytes"
-            )
-        if blob[: len(_PREFIX_MAGIC)] != _PREFIX_MAGIC:
-            raise SerializationError("prefix blob has a bad magic number")
-        (version,) = struct.unpack(
-            "<I", blob[len(_PREFIX_MAGIC): len(_PREFIX_MAGIC) + 4]
-        )
-        if version != PREFIX_VERSION:
-            raise SerializationError(
-                f"prefix blob is version {version}, this build reads "
-                f"version {PREFIX_VERSION}"
-            )
-        digest = blob[len(_PREFIX_MAGIC) + 4: header]
-        payload = blob[header:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise SerializationError("prefix blob content digest mismatch")
         try:
             with _deep_recursion():
                 signature, platform_name, entry, module = pickle.loads(payload)
-        except SerializationError:
-            raise
         except Exception as err:  # corrupt pickles raise all sorts
             raise SerializationError(
                 f"prefix blob failed to deserialize: {err}"

@@ -4,10 +4,10 @@ A :class:`ShapeProfile` is the end-of-simulation snapshot of one
 module's shape traffic: the exact-key hit histogram and the decayed
 specialization scores the :class:`~repro.serve.specialization.SpecializationManager`
 accumulated, all anchored to one common timestamp. Saved into the
-artifact store as a versioned ``.nmblprof`` blob (same magic + version +
-content-digest + pickled-payload layout, and the same paranoid
-reject-and-count load discipline, as ``.nmbl`` executables and
-``.nmblp`` prefixes), it lets a *restarted* server pre-arm its
+artifact store as a versioned ``.nmblprof`` blob (``save``/``load`` are
+the pickled payload; the store seals it in the same envelope, and reads
+it under the same reject-and-count discipline, as ``.nmbl`` executables
+and ``.nmblp`` prefixes), it lets a *restarted* server pre-arm its
 historical top-K shapes before the first request lands — the Cinder
 ``profile_data`` JIT flow applied to shape specialization.
 
@@ -23,16 +23,15 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.errors import SerializationError
 
-# Serialization version of profile blobs. A component of the store key,
-# so bumping it makes stale blobs unreachable rather than misread.
+# Serialization version of profile payloads (the store stamps it on
+# their envelope). A component of the store key, so bumping it makes
+# stale blobs unreachable rather than misread.
 PROFILE_VERSION = 1
-_PROFILE_MAGIC = b"NMPF"
 
 # An exact key is all ints; a partial key has None at unbound positions.
 ProfileKey = Tuple[Optional[int], ...]
@@ -81,7 +80,7 @@ class ShapeProfile:
         return tuple(ordered if k is None else ordered[:k])
 
     def save(self) -> bytes:
-        payload = pickle.dumps(
+        return pickle.dumps(
             (
                 self.source_signature,
                 self.platform_name,
@@ -90,35 +89,11 @@ class ShapeProfile:
             ),
             protocol=4,
         )
-        digest = hashlib.sha256(payload).digest()
-        return (
-            _PROFILE_MAGIC
-            + struct.pack("<I", PROFILE_VERSION)
-            + digest
-            + payload
-        )
 
     @staticmethod
     def load(
-        blob: bytes, expected_signature: Optional[str] = None
+        payload: bytes, expected_signature: Optional[str] = None
     ) -> "ShapeProfile":
-        header = len(_PROFILE_MAGIC) + 4 + 32
-        if len(blob) < header:
-            raise SerializationError(f"profile blob truncated: {len(blob)} bytes")
-        if blob[: len(_PROFILE_MAGIC)] != _PROFILE_MAGIC:
-            raise SerializationError("profile blob has a bad magic number")
-        (version,) = struct.unpack(
-            "<I", blob[len(_PROFILE_MAGIC): len(_PROFILE_MAGIC) + 4]
-        )
-        if version != PROFILE_VERSION:
-            raise SerializationError(
-                f"profile blob is version {version}, this build reads "
-                f"version {PROFILE_VERSION}"
-            )
-        digest = blob[len(_PROFILE_MAGIC) + 4: header]
-        payload = blob[header:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise SerializationError("profile blob content digest mismatch")
         try:
             signature, platform_name, hits, scores = pickle.loads(payload)
         except Exception as err:  # corrupt pickles raise all sorts

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.reporting import format_table, percentile
+from repro.utils.reporting import format_table, percentile
 from repro.serve.request import Response
 from repro.vm.profiler import VMProfile
 
@@ -419,15 +419,13 @@ def build_report(
     workers,
     specializer=None,
     extra_store_rejects: int = 0,
-    extra_verify_rejects: int = 0,
     device_streams: int = 1,
 ) -> ServeReport:
     """Assemble a ServeReport from responses + the worker pool (and the
     specialization manager, when tiering is enabled).
     ``extra_store_rejects`` folds in store rejects the manager never
     sees — the server's startup kernel-cache load — so the report's
-    counter covers the whole store surface; ``extra_verify_rejects``
-    does the same for the verification-failure subset."""
+    counter covers the whole store surface."""
     profile_dynamic = VMProfile()
     profile_specialized = VMProfile()
     profile_batched = VMProfile()
@@ -493,8 +491,7 @@ def build_report(
         + extra_store_rejects,
         verify_rejects=(
             specializer.verify_rejects if specializer is not None else 0
-        )
-        + extra_verify_rejects,
+        ),
         specialize_prefix_us=(
             specializer.prefix_us_spent if specializer is not None else 0.0
         ),

@@ -137,7 +137,7 @@ class InferenceServer:
             KernelCache() if kernel_cache is None else kernel_cache
         )
         self.store = None
-        self._startup_store_rejects = self._startup_verify_rejects = 0
+        self._startup_store_rejects = 0
         self.store_view = store_view
         self._owns_view = False
         if self.config.artifact_dir is not None:
@@ -151,9 +151,9 @@ class InferenceServer:
             # executables. A rejected kernels.kc is recorded now and
             # folded into every report's store_rejects — it must be as
             # visible as a rejected executable blob.
+            rejects = self.store.rejects
             self.store.load_kernel_cache(self.kernel_cache)
-            self._startup_store_rejects = self.store.rejects
-            self._startup_verify_rejects = self.store.verify_rejects
+            self._startup_store_rejects = self.store.rejects - rejects
         self.mod = mod
         self.exe, self.build_report = nimble.build(
             mod,
@@ -279,7 +279,6 @@ class InferenceServer:
             self.workers,
             self.specializer,
             extra_store_rejects=self._startup_store_rejects,
-            extra_verify_rejects=self._startup_verify_rejects,
             device_streams=self.exe.device_streams,
         )
 

@@ -153,6 +153,8 @@ EVICTION_MARGIN = 2.0
 # per-compile gate, which the hot compile lane should not pay on every
 # variant. Store loads and the startup dynamic build always verify.
 VERIFY_SAMPLE = 4
+# The store's read entry point for each blob kind, by name.
+_STORE_GETTERS = {"exe": "get", "prefix": "get_prefix", "profile": "get_profile"}
 
 ExactKey = Tuple[int, ...]
 # A *partial* key binds only the stable dims: None marks positions left
@@ -288,15 +290,12 @@ class SpecializationManager:
         # fingerprints the *dynamic* source module, which all of this
         # manager's shape variants share.
         self._fingerprint = module_fingerprint(mod)
-        # Keys whose blob failed validation once: re-attempting would
-        # re-read a file this process may since have overwritten with a
-        # good artifact, so the rejection is memoised (and replayed —
-        # see _plan_artifact) to keep every simulation identical.
-        self._rejected_keys: Set[str] = set()
-        # The subset of _rejected_keys that failed *static verification*
-        # (deserialized fine, unsound contents) — memoised the same way
-        # so replays re-count verify_rejects at the same trigger.
-        self._verify_rejected_keys: Set[str] = set()
+        # Store blobs that failed validation once (see _from_store), by
+        # the (kind, key) pair the store view and the GC use. The value
+        # says whether the blob deserialized fine but failed *static
+        # verification* — a writer bug, not volume rot — so replays
+        # re-count verify_rejects at the same trigger too.
+        self._rejected: Dict[Tuple[str, str], bool] = {}
         self._store_key_memo: Dict[VariantKey, str] = {}
         # The shape-independent prefix (cross-simulation, like
         # _executables): a pure function of (module, platform), so it is
@@ -304,7 +303,6 @@ class SpecializationManager:
         self._prefix: Optional[nimble.SpecializationPrefix] = None
         self._prefix_key = nimble.prefix_store_key(self._fingerprint, platform.name)
         self._prefix_restored = False
-        self._prefix_rejected = False
         # Profile-guided predictive specialization: the previous
         # process's shape profile (``.nmblprof``) is loaded ONCE here
         # and frozen — the snapshot this manager writes at each
@@ -314,16 +312,12 @@ class SpecializationManager:
         # rejected and re-counted per reset.
         self._profile_key = profile_store_key(self._fingerprint, platform.name)
         self._profile_at_init: Optional[ShapeProfile] = None
-        self._profile_rejected = False
         if (
             config.specialize_predictive
             and store is not None
             and store_view.at_init("profile", self._profile_key)
         ):
-            self._profile_at_init = store.get_profile(
-                self._profile_key, expected_signature=self._fingerprint
-            )
-            self._profile_rejected = self._profile_at_init is None
+            self._profile_at_init = self._from_store("profile", self._profile_key)
         # The historical shapes to pre-arm, hottest first — as many as
         # the cache holds. Partial keys recorded by a partial-enabled
         # predecessor are skipped unless this manager can compile them.
@@ -377,7 +371,7 @@ class SpecializationManager:
         # file.
         self.store_rejects: int = 0
         # The subset of store_rejects that were static-verification
-        # failures (replayed from _verify_rejected_keys, same rule).
+        # failures (replayed from the same memo, same rule).
         self.verify_rejects: int = 0
         # Variants restored from a *sibling replica's* fresh compile
         # this simulation (the cross-replica store-warm count a
@@ -409,9 +403,9 @@ class SpecializationManager:
         # _triggered so they never double-trigger.
         self.predictive_keys: Set[PartialKey] = set()
         self.predictive_hits: int = 0
-        if self._profile_rejected:
-            # Re-counted every reset, like _rejected_keys: replays must
-            # see the same reject total without re-reading the file.
+        if ("profile", self._profile_key) in self._rejected:
+            # Re-counted every reset: replays must see the same reject
+            # total without re-reading the file.
             self.store_rejects += 1
         for key in self._profile_top_keys:
             if len(self._resident) >= self.config.specialize_max_executables:
@@ -953,19 +947,13 @@ class SpecializationManager:
         healing the bad blob for the next process."""
         if self._prefix is not None:
             return
-        if (
-            self.store is not None
-            and self._store_view.at_init("prefix", self._prefix_key)
-            and not self._prefix_rejected
+        if self.store is not None and self._store_view.at_init(
+            "prefix", self._prefix_key
         ):
-            found = self.store.get_prefix(
-                self._prefix_key, expected_signature=self._fingerprint
-            )
-            if found is not None:
-                self._prefix = found
+            self._prefix = self._from_store("prefix", self._prefix_key)
+            if self._prefix is not None:
                 self._prefix_restored = True
                 return
-            self._prefix_rejected = True
         prefix, _ = nimble.compile_prefix(
             self.mod,
             self.platform,
@@ -1001,33 +989,42 @@ class SpecializationManager:
             * kernels
         )
 
+    def _from_store(self, kind: str, key: str):
+        """Read one blob the store view lists, under the replay-stable
+        reject discipline: a ``(kind, key)`` that failed validation once
+        is memoised and never read again — this process may since have
+        overwritten the file with a good blob, and a replay that loaded
+        it would differ from the first simulation. ``None`` means
+        rejected, now or earlier; the caller counts it, because each
+        kind re-counts at its own point in a simulation (profile: every
+        reset; prefix and executables: see _plan_artifact)."""
+        entry = (kind, key)
+        if entry in self._rejected:
+            return None
+        verify_rejects = self.store.verify_rejects
+        get = getattr(self.store, _STORE_GETTERS[kind])
+        found = get(key, expected_signature=self._fingerprint)
+        if found is None:
+            self._rejected[entry] = self.store.verify_rejects > verify_rejects
+        return found
+
     def _attempt_store_restore(
         self, skey: str, variant: VariantKey
     ) -> Optional[Executable]:
-        """Load a store blob under the replay-stable reject discipline:
-        a key rejected once is memoised and re-counted on every later
-        consultation (and every replay) without re-reading the — possibly
-        since-overwritten — file; verification failures are additionally
-        split into ``verify_rejects``. A previously memoised executable
-        restores without touching the disk at all."""
-        if skey in self._rejected_keys:
-            self.store_rejects += 1
-            if skey in self._verify_rejected_keys:
-                self.verify_rejects += 1
-            return None
-        exe = self._executables.get(variant)
+        """Restore a variant the view lists: a previously memoised
+        executable comes back without touching the disk at all, anything
+        else through :meth:`_from_store`. A reject — fresh or memoised —
+        is counted at every consultation (and so by every replay);
+        verification failures are additionally split into
+        ``verify_rejects``."""
+        entry = ("exe", skey)
+        exe = None if entry in self._rejected else self._executables.get(variant)
         if exe is None:
-            verify_rejects_before = self.store.verify_rejects
-            exe = self.store.get(skey, expected_signature=self._fingerprint)
-            if exe is None and self.store.verify_rejects > verify_rejects_before:
-                # Deserialized cleanly but failed static verification:
-                # memoised like any reject so replays re-count it, but
-                # also split out — it means a writer bug, not volume rot.
-                self._verify_rejected_keys.add(skey)
-                self.verify_rejects += 1
+            exe = self._from_store("exe", skey)
         if exe is None:
-            self._rejected_keys.add(skey)
             self.store_rejects += 1
+            if self._rejected[entry]:
+                self.verify_rejects += 1
             return None
         self._executables[variant] = exe
         return exe
@@ -1097,9 +1094,9 @@ class SpecializationManager:
             # once-per-module prefix charge into its lane time. (A
             # rejected prefix blob re-counts here each replay, at the
             # same trigger, without re-reading the file — same
-            # determinism rule as _rejected_keys above.)
+            # determinism rule as for executables above.)
             self._prefix_charged = True
-            if self._prefix_rejected:
+            if ("prefix", self._prefix_key) in self._rejected:
                 self.store_rejects += 1
             prefix_us = self._prefix_lane_charge(
                 len(self._executables[variant].kernels)

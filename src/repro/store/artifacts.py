@@ -5,10 +5,14 @@ Directory layout (specified in ``docs/serialization.md``)::
 
     <artifact_dir>/
         STORE_FORMAT            # one line: the store-format version
-        artifacts/<key>.nmbl     # Executable.save() blobs, content-addressed
-        artifacts/<key>.nmblp    # SpecializationPrefix.save() blobs
-        artifacts/<key>.nmblprof # ShapeProfile.save() blobs (shape traffic)
-        kernels.kc               # KernelCache.export_entries() blob
+        artifacts/<key>.nmbl     # Executable.save() payloads, content-addressed
+        artifacts/<key>.nmblp    # SpecializationPrefix.save() payloads
+        artifacts/<key>.nmblprof # ShapeProfile.save() payloads (shape traffic)
+        kernels.kc               # KernelCache.export_entries() payload
+
+Every one of those files is a payload inside the one envelope of
+:mod:`repro.store.envelope` (magic, version, sha256 of the payload),
+sealed and opened here and nowhere else.
 
 ``<key>`` is :func:`repro.vm.executable.artifact_key` — a sha256 over
 (source-module fingerprint, platform, shape binding, batch marker,
@@ -20,11 +24,12 @@ platforms side by side.
 
 Writes are atomic (temp file + ``os.replace``), so a killed server
 never leaves a half-written artifact where a restarted one will look.
-Reads are *paranoid*: a blob that is truncated, version-bumped,
-hash-mismatched, or compiled from a different module is skipped, its
-rejection recorded in :attr:`ArtifactStore.rejects`, and the caller
-falls back to compiling — the store can lose data, but it must never
-serve wrong code.
+Reads are *paranoid* and all take one path (:meth:`ArtifactStore._read`):
+a blob that is truncated, version-bumped, digest-mismatched, filed
+under the wrong key, or compiled from a different module is skipped,
+its rejection recorded in :attr:`ArtifactStore.reject_log`, and the
+caller falls back to compiling — the store can lose data, but it must
+never serve wrong code.
 
 Concurrent readers (a fleet of replicas over one volume — see
 ``docs/fleet.md``) need no locking because of those two properties
@@ -43,20 +48,59 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.codegen.kernels import KernelCache
+from repro.codegen.kernels import KERNEL_CACHE_FORMAT, KernelCache
 from repro.errors import SerializationError
+from repro.store import envelope
+from repro.vm import executable
 from repro.vm.executable import Executable
 
-# Version of the directory layout itself (not of the blobs inside it —
-# executables carry their own serialization version). A store written
-# under a different format is refused at open, before any blob is read.
-STORE_FORMAT = 1
+# Version of the directory layout and of the file framing (not of the
+# payloads inside the envelopes — each kind carries its own version). A
+# store written under a different format is refused at open, before any
+# blob is read. 2: every file is an envelope.
+STORE_FORMAT = 2
 
-_ARTIFACT_SUFFIX = ".nmbl"
-_PREFIX_SUFFIX = ".nmblp"
-_PROFILE_SUFFIX = ".nmblprof"
+
+# Payload version, payload decoder and key-of-decoded-object of each
+# kind, resolved at call time: repro.nimble and repro.serve.profile sit
+# above the store in the import order, so the table cannot name their
+# classes at import.
+def _exe():
+    return executable.VERSION, Executable.load, Executable.content_hash
+
+
+def _prefix():
+    from repro.nimble import PREFIX_VERSION, SpecializationPrefix
+
+    return PREFIX_VERSION, SpecializationPrefix.load, SpecializationPrefix.store_key
+
+
+def _profile():
+    from repro.serve.profile import PROFILE_VERSION, ShapeProfile
+
+    return PROFILE_VERSION, ShapeProfile.load, ShapeProfile.store_key
+
+
+def _kernels():
+    return KERNEL_CACHE_FORMAT, KernelCache.import_entries, None
+
+
+# kind -> (file under the store root, noun in reject reasons, envelope
+# magic, resolver above). The three keyed kinds are the names
+# FleetStoreView and StoreGC address blobs by; "kernels" is the one
+# unkeyed file (entries for every platform live in it — the cache keys
+# already carry the platform name).
+_KINDS = {
+    "exe": ("artifacts/{key}.nmbl", "artifact", b"NMBE", _exe),
+    "prefix": ("artifacts/{key}.nmblp", "prefix", b"NMBP", _prefix),
+    "profile": ("artifacts/{key}.nmblprof", "profile", b"NMPF", _profile),
+    "kernels": ("kernels.kc", "kernel-cache", b"NMKC", _kernels),
+}
+_KIND_OF_SUFFIX = {
+    Path(file).suffix: kind for kind, (file, *_) in _KINDS.items() if "{key}" in file
+}
 
 
 class ArtifactStore:
@@ -97,46 +141,43 @@ class ArtifactStore:
         # must be *visible* — silent fallback would mask a corrupted
         # volume until someone wonders why restarts stopped being warm.
         self.reject_log: List[Tuple[str, str]] = []
-        # The subset of rejects that deserialized fine but failed static
-        # verification — tracked separately because they mean a *writer*
+        # How many of those rejects deserialized fine but failed static
+        # verification — counted separately because they mean a *writer*
         # bug (or post-write tampering), not volume rot.
-        self.verify_reject_log: List[Tuple[str, str]] = []
+        self.verify_rejects = 0
 
     # ------------------------------------------------------------------ stats
     @property
     def rejects(self) -> int:
-        """How many artifact loads this process refused (corrupt,
-        truncated, stale-version, signature-mismatched, or
-        verification-failed blobs)."""
+        """How many loads this process refused (corrupt, truncated,
+        stale-version, signature-mismatched, or verification-failed
+        blobs)."""
         return len(self.reject_log)
 
-    @property
-    def verify_rejects(self) -> int:
-        """How many rejects were static-verification failures."""
-        return len(self.verify_reject_log)
+    def inventory(self) -> List[Tuple[str, str]]:
+        """Every well-formed ``(kind, key)`` blob name currently under
+        ``artifacts/``, sorted (deterministic iteration for
+        replay-stable consumers)."""
+        entries = map(self._entry, self.artifacts_dir.iterdir())
+        return sorted(entry for entry in entries if entry is not None)
 
-    def keys(self) -> List[str]:
-        """Every artifact key currently on disk, sorted (deterministic
-        iteration for replay-stable consumers)."""
-        return sorted(
-            p.name[: -len(_ARTIFACT_SUFFIX)]
-            for p in self.artifacts_dir.glob(f"*{_ARTIFACT_SUFFIX}")
-        )
+    def keys(self, kind: str = "exe") -> List[str]:
+        """Every key of *kind* currently on disk, sorted."""
+        return [key for found, key in self.inventory() if found == kind]
 
     def contains(self, key: str) -> bool:
-        return self._artifact_path(key).exists()
+        return self.blob_path("exe", key).exists()
 
-    def __len__(self) -> int:
-        return len(self.keys())
+    # ----------------------------------------------------------- entry points
+    #
+    # One short entry point per (kind, direction), none calling another:
+    # bench/trace.py times each by name as one span.
 
-    # ------------------------------------------------------------- executables
     def put(self, exe: Executable) -> str:
         """File *exe* under its content hash; returns the key. Writing
         is atomic and idempotent — re-putting an identical artifact
         rewrites the same bytes at the same path."""
-        key = exe.content_hash()
-        self._atomic_write(self._artifact_path(key), exe.save())
-        return key
+        return self._write("exe", exe.content_hash(), exe.save())
 
     def get(
         self, key: str, expected_signature: Optional[str] = None
@@ -144,217 +185,61 @@ class ArtifactStore:
         """Load the artifact filed under *key*, or ``None``.
 
         ``None`` covers both a plain miss and every flavor of bad blob —
-        truncated file, stale serialization version, content-hash
-        mismatch, or (when *expected_signature* is given) an artifact
-        compiled from a different module. Bad blobs are recorded in
-        :attr:`reject_log`; they are never raised to the caller, whose
-        correct response is always the same: compile fresh.
+        truncated file, stale version, digest or content-hash mismatch,
+        failed static verification, or (when *expected_signature* is
+        given) an artifact compiled from a different module. Bad blobs
+        are recorded in :attr:`reject_log`; they are never raised to the
+        caller, whose correct response is always the same: compile
+        fresh.
         """
-        path = self._artifact_path(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None  # plain miss: nothing was ever stored here
-        except OSError as err:
-            # The file exists but cannot be read (permissions, I/O error
-            # on a degraded volume): that is a failed load, not a miss —
-            # it must show up in the reject log, or a broken volume
-            # would silently stop restarts being warm.
-            self.reject_log.append((key, f"unreadable artifact: {err}"))
-            return None
-        try:
-            exe = Executable.load(blob, expected_signature=expected_signature)
-        except SerializationError as err:
-            self.reject_log.append((key, str(err)))
-            return None
-        # The blob deserialized, but is it the artifact this key names?
-        # A file renamed/copied to the wrong path would otherwise serve
-        # a different (module, platform, shape, batch) variant.
-        if exe.content_hash() != key:
-            self.reject_log.append(
-                (key, f"artifact hashes to {exe.content_hash()}, filed as {key}")
-            )
-            return None
-        if self.verify:
-            # The blob is authentic, but is the bytecode sound? A buggy
-            # writer (or a hand-edited blob with a recomputed hash) can
-            # produce a well-formed *container* around racy or
-            # ill-formed *contents*; verification is the last gate
-            # before anything executes it.
-            from repro.analysis import verify_executable
-
-            errors = [
-                f
-                for f in verify_executable(exe)
-                if f.severity == "error"
-            ]
-            if errors:
-                reason = (
-                    f"failed static verification "
-                    f"({len(errors)} finding(s)): {errors[0]}"
-                )
-                self.reject_log.append((key, reason))
-                self.verify_reject_log.append((key, reason))
-                return None
-        return exe
-
-    # ----------------------------------------------------------------- prefixes
-    def prefix_keys(self) -> List[str]:
-        """Every specialization-prefix key currently on disk, sorted."""
-        return sorted(
-            p.name[: -len(_PREFIX_SUFFIX)]
-            for p in self.artifacts_dir.glob(f"*{_PREFIX_SUFFIX}")
-        )
+        return self._read("exe", key, expected_signature=expected_signature)
 
     def put_prefix(self, prefix) -> str:
         """File a :class:`repro.nimble.SpecializationPrefix` under its
         store key; returns the key. Atomic and idempotent, like
         :meth:`put`."""
-        key = prefix.store_key()
-        self._atomic_write(self._prefix_path(key), prefix.save())
-        return key
+        return self._write("prefix", prefix.store_key(), prefix.save())
 
     def get_prefix(self, key: str, expected_signature: Optional[str] = None):
-        """Load the specialization prefix filed under *key*, or ``None``.
-
-        Same contract as :meth:`get`: a plain miss returns ``None``
-        silently; every flavor of bad blob (truncated, stale version,
-        digest mismatch, wrong source module, key/path mismatch) also
-        returns ``None`` but lands in :attr:`reject_log`. The caller's
-        fallback is always the same: rebuild the prefix from source.
-        """
-        # Imported lazily: repro.nimble imports this module at top level,
-        # so the reverse import must wait until call time.
-        from repro.nimble import SpecializationPrefix, prefix_store_key
-
-        path = self._prefix_path(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None  # plain miss: nothing was ever stored here
-        except OSError as err:
-            self.reject_log.append((key, f"unreadable prefix: {err}"))
-            return None
-        try:
-            prefix = SpecializationPrefix.load(
-                blob, expected_signature=expected_signature
-            )
-        except SerializationError as err:
-            self.reject_log.append((key, str(err)))
-            return None
-        # The blob deserialized, but is it the prefix this key names? A
-        # file renamed to the wrong path would otherwise hand back a
-        # prefix for a different (module, platform).
-        recomputed = prefix_store_key(prefix.source_signature, prefix.platform_name)
-        if recomputed != key:
-            self.reject_log.append(
-                (key, f"prefix keys to {recomputed}, filed as {key}")
-            )
-            return None
-        return prefix
-
-    # ----------------------------------------------------------------- profiles
-    def profile_keys(self) -> List[str]:
-        """Every shape-profile key currently on disk, sorted."""
-        return sorted(
-            p.name[: -len(_PROFILE_SUFFIX)]
-            for p in self.artifacts_dir.glob(f"*{_PROFILE_SUFFIX}")
-        )
+        """Load the specialization prefix filed under *key*, or
+        ``None`` — same contract as :meth:`get`; the caller's fallback
+        is to rebuild the prefix from source."""
+        return self._read("prefix", key, expected_signature=expected_signature)
 
     def put_profile(self, profile) -> str:
         """File a :class:`repro.serve.profile.ShapeProfile` under its
         store key; returns the key. Atomic and idempotent, like
         :meth:`put`. One profile per (module, platform, format) — a
         later simulation's snapshot overwrites the earlier one."""
-        key = profile.store_key()
-        self._atomic_write(self._profile_path(key), profile.save())
-        return key
+        return self._write("profile", profile.store_key(), profile.save())
 
     def get_profile(self, key: str, expected_signature: Optional[str] = None):
-        """Load the shape profile filed under *key*, or ``None``.
+        """Load the shape profile filed under *key*, or ``None`` — same
+        contract as :meth:`get`; the caller's fallback is to serve cold,
+        profile-less."""
+        return self._read("profile", key, expected_signature=expected_signature)
 
-        Same contract as :meth:`get`: a plain miss returns ``None``
-        silently; every flavor of bad blob (truncated, stale version,
-        digest mismatch, wrong source module, key/path mismatch) also
-        returns ``None`` but lands in :attr:`reject_log`. The caller's
-        fallback is always the same: serve cold, profile-less.
-        """
-        # Imported lazily for symmetry with get_prefix (and to keep the
-        # store importable without pulling in the serving layer).
-        from repro.serve.profile import ShapeProfile, profile_store_key
-
-        path = self._profile_path(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None  # plain miss: nothing was ever stored here
-        except OSError as err:
-            self.reject_log.append((key, f"unreadable profile: {err}"))
-            return None
-        try:
-            profile = ShapeProfile.load(
-                blob, expected_signature=expected_signature
-            )
-        except SerializationError as err:
-            self.reject_log.append((key, str(err)))
-            return None
-        # The blob deserialized, but is it the profile this key names? A
-        # file renamed to the wrong path would otherwise pre-arm shapes
-        # recorded for a different (module, platform).
-        recomputed = profile_store_key(
-            profile.source_signature, profile.platform_name
-        )
-        if recomputed != key:
-            self.reject_log.append(
-                (key, f"profile keys to {recomputed}, filed as {key}")
-            )
-            return None
-        return profile
-
-    # ------------------------------------------------------------ kernel cache
     @property
     def kernel_cache_path(self) -> Path:
-        return self.root / "kernels.kc"
+        return self.blob_path("kernels", None)
 
     def save_kernel_cache(self, cache: KernelCache) -> None:
-        """Persist the kernel cache (entries for every platform live in
-        one blob — the cache keys already carry the platform name)."""
-        self._atomic_write(self.kernel_cache_path, cache.export_entries())
+        """Persist the kernel cache."""
+        self._write("kernels", None, cache.export_entries())
 
     def load_kernel_cache(self, cache: KernelCache) -> int:
         """Merge the persisted kernel cache into *cache*; returns how
         many entries were added (0 on a missing or rejected blob — the
         caller's build simply compiles its kernels fresh)."""
-        try:
-            blob = self.kernel_cache_path.read_bytes()
-        except FileNotFoundError:
-            return 0  # no cache was ever persisted: a plain miss
-        except OSError as err:
-            # Existing but unreadable: a failed load, visible like any
-            # rejected executable blob.
-            self.reject_log.append(
-                ("kernels.kc", f"unreadable kernel cache: {err}")
-            )
-            return 0
-        try:
-            return cache.import_entries(blob)
-        except SerializationError as err:
-            self.reject_log.append(("kernels.kc", str(err)))
-            return 0
+        return self._read("kernels", None, cache) or 0
 
     # ------------------------------------------------------------------- blobs
-    # Kind names shared with repro.store.FleetStoreView and StoreGC:
-    # "exe" (.nmbl), "prefix" (.nmblp), "profile" (.nmblprof).
-    def blob_path(self, kind: str, key: str) -> Path:
+    def blob_path(self, kind: str, key: Optional[str]) -> Path:
         """The on-disk path of a blob by (kind, key) — the addressing the
         GC and the fleet's store view use."""
-        if kind == "exe":
-            return self._artifact_path(key)
-        if kind == "prefix":
-            return self._prefix_path(key)
-        if kind == "profile":
-            return self._profile_path(key)
-        raise ValueError(f"unknown blob kind {kind!r}")
+        if kind not in _KINDS:
+            raise ValueError(f"unknown blob kind {kind!r}")
+        return self.root / _KINDS[kind][0].format(key=key)
 
     def remove(self, kind: str, key: str) -> bool:
         """Unlink one blob; returns whether a file was actually removed.
@@ -376,35 +261,92 @@ class ArtifactStore:
         one thing a collector must never do. In-flight atomic-write
         temporaries (``.tmp-*``) are not counted; they are a healthy
         store's transient state, not rot."""
-        bad: List[str] = []
-        for p in self.artifacts_dir.iterdir():
-            if not p.is_file() or p.name.startswith(".tmp-"):
-                continue
-            for suffix in (_PROFILE_SUFFIX, _PREFIX_SUFFIX, _ARTIFACT_SUFFIX):
-                if p.name.endswith(suffix):
-                    if len(p.name) > len(suffix):
-                        break
-                    bad.append(p.name)  # a bare suffix with no key
-                    break
-            else:
-                bad.append(p.name)
-        return sorted(bad)
+        return sorted(
+            p.name
+            for p in self.artifacts_dir.iterdir()
+            if p.is_file()
+            and not p.name.startswith(".tmp-")
+            and self._entry(p) is None
+        )
 
     # -------------------------------------------------------------- internals
-    def _artifact_path(self, key: str) -> Path:
-        return self.artifacts_dir / f"{key}{_ARTIFACT_SUFFIX}"
+    @staticmethod
+    def _entry(path: Path) -> Optional[Tuple[str, str]]:
+        """The (kind, key) a file under ``artifacts/`` is named for, or
+        ``None`` for a name no kind writes (a bare suffix with no key
+        has no suffix at all, by ``Path`` rules)."""
+        kind = _KIND_OF_SUFFIX.get(path.suffix)
+        return None if kind is None else (kind, path.stem)
 
-    def _prefix_path(self, key: str) -> Path:
-        return self.artifacts_dir / f"{key}{_PREFIX_SUFFIX}"
+    def _read(self, kind: str, key: Optional[str], *into, **checks):
+        """The one read path: file → envelope → payload decoder → key
+        check → (executables) static verification. A file that is not
+        there is a silent miss; every other way of not getting a sound
+        object back is one :attr:`reject_log` entry and ``None`` — the
+        caller's response is always the same, rebuild from source.
+        *into* and *checks* go to the decoder, before and after the
+        payload (the cache to merge into; ``expected_signature``)."""
+        _, what, magic, resolve = _KINDS[kind]
+        path = self.blob_path(kind, key)
+        try:
+            try:
+                blob = path.read_bytes()
+            except FileNotFoundError:
+                return None  # plain miss: nothing was ever stored here
+            except OSError as err:
+                # The file exists but cannot be read (permissions, I/O
+                # error on a degraded volume): that is a failed load,
+                # not a miss — it must show up in the reject log, or a
+                # broken volume would silently stop restarts being warm.
+                raise SerializationError(f"unreadable {what}: {err}") from err
+            version, decode, key_of = resolve()
+            # Nothing interprets a byte before the envelope has checked
+            # magic, version and digest; the decoder gets a view, not a
+            # second copy of what can be a 69 MB executable.
+            found = decode(*into, envelope.open(blob, magic, version, what), **checks)
+            # The payload decoded, but is it the blob this key names? A
+            # file renamed/copied to the wrong path would otherwise
+            # serve a different (module, platform, shape, batch).
+            if key_of is not None and key_of(found) != key:
+                raise SerializationError(
+                    f"{what} keys to {key_of(found)}, filed as {key}"
+                )
+            if kind == "exe" and self.verify:
+                # The blob is authentic, but is the bytecode sound? A
+                # buggy writer (or a hand-edited, re-sealed blob) can
+                # produce a well-formed *container* around racy or
+                # ill-formed *contents*; verification is the last gate
+                # before anything executes it.
+                from repro.analysis import verify_executable
 
-    def _profile_path(self, key: str) -> Path:
-        return self.artifacts_dir / f"{key}{_PROFILE_SUFFIX}"
+                errors = [
+                    f for f in verify_executable(found) if f.severity == "error"
+                ]
+                if errors:
+                    self.verify_rejects += 1
+                    raise SerializationError(
+                        f"failed static verification "
+                        f"({len(errors)} finding(s)): {errors[0]}"
+                    )
+        except SerializationError as err:
+            self.reject_log.append((key or path.name, str(err)))
+            return None
+        return found
 
-    def _atomic_write(self, path: Path, data: bytes) -> None:
+    def _write(self, kind: str, key: Optional[str], payload: bytes) -> Optional[str]:
+        """The one write path: seal *payload* in its kind's envelope and
+        replace the file atomically; returns *key*."""
+        _, _, magic, resolve = _KINDS[kind]
+        seal = envelope.seal(magic, resolve()[0], payload)
+        self._atomic_write(self.blob_path(kind, key), seal, payload)
+        return key
+
+    def _atomic_write(self, path: Path, *chunks: bytes) -> None:
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as out:
-                out.write(data)
+                for chunk in chunks:
+                    out.write(chunk)
             os.replace(tmp, str(path))
         except BaseException:
             try:

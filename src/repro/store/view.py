@@ -52,11 +52,7 @@ class FleetStoreView:
         # The frozen initial inventory: what a previous process (or
         # fleet) left behind. Snapshotted once so every simulation
         # starts from the same baseline.
-        self._init_entries = frozenset(
-            [("exe", k) for k in store.keys()]
-            + [("prefix", k) for k in store.prefix_keys()]
-            + [("profile", k) for k in store.profile_keys()]
-        )
+        self._init_entries = frozenset(store.inventory())
         self.reset()
 
     # ----------------------------------------------------------------- replay

@@ -1,12 +1,17 @@
 """The serving layer: shape bucketing, deadline batching, worker-pool
 scheduling, report statistics, determinism, and leak-freedom."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.serve
 from repro.core.typing import infer_types
 from repro.errors import VMError
-from repro.harness.reporting import percentile
 from repro.hardware import intel_cpu, nvidia_gpu
 from repro.ir import Any, Function, IRModule, TensorType, TupleGetItem, Var, const
 from repro.models.lstm import LSTMWeights, build_lstm_module, lstm_reference
@@ -22,6 +27,26 @@ from repro.serve import (
     poisson_arrivals,
 )
 from repro.serve.report import ServeReport
+from repro.utils.reporting import percentile
+
+
+def test_serving_does_not_import_the_experiment_harness():
+    """`import repro.serve` / `repro.fleet` in a fresh interpreter must
+    not execute the experiment harness (1.6k lines of study scaffolding)
+    or the baselines it compares against."""
+    probe = (
+        "import sys, repro.serve, repro.fleet; "
+        "print([m for m in sys.modules "
+        "if m.startswith(('repro.harness', 'repro.baselines'))])"
+    )
+    src = str(Path(repro.serve.__file__).resolve().parents[2])
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _dyn_mlp_module(dim=8, seed=0):

@@ -1489,7 +1489,7 @@ class TestStagedCompile:
         store = ArtifactStore(tmp_path)
         _, origin = nimble.compile_prefix(mod, intel_cpu(), store=store)
         assert origin == "built"
-        assert store.prefix_keys()  # persisted on build
+        assert store.keys("prefix")  # persisted on build
         _, origin = nimble.compile_prefix(mod, intel_cpu(), store=store)
         assert origin == "memory"
         nimble.clear_prefix_cache()  # "restart" the process
@@ -1521,7 +1521,7 @@ class TestStagedCompile:
         with pytest.raises(Boom):
             nimble.compile_prefix(mod, intel_cpu(), store=store)
         monkeypatch.undo()
-        assert store.prefix_keys() == []  # nothing half-written
+        assert store.keys("prefix") == []  # nothing half-written
         # The in-process cache must also be empty: the retry rebuilds.
         prefix, origin = nimble.compile_prefix(mod, intel_cpu(), store=store)
         assert origin == "built"
@@ -1537,8 +1537,8 @@ class TestStagedCompile:
         mod = self._lstm()
         store = ArtifactStore(tmp_path)
         prefix, _ = nimble.compile_prefix(mod, intel_cpu(), store=store)
-        (key,) = store.prefix_keys()
-        path = store._prefix_path(key)
+        (key,) = store.keys("prefix")
+        path = store.blob_path("prefix", key)
         path.write_bytes(path.read_bytes()[:-7])
         nimble.clear_prefix_cache()
         rebuilt, origin = nimble.compile_prefix(mod, intel_cpu(), store=store)
@@ -1675,7 +1675,7 @@ class TestStagedManager:
         first.observe((16,), 10.0)
         first.drain()
         assert first.prefix_us_spent == pytest.approx(60.0)
-        assert store.prefix_keys()  # prefix persisted alongside artifacts
+        assert store.keys("prefix")  # prefix persisted alongside artifacts
         # "Restart": a new manager over the same store. The old shape
         # restores wholesale (no prefix needed); a NEW shape compiles
         # fresh but pays only the prefix *restore* charge.
@@ -1709,8 +1709,8 @@ class TestStagedManager:
         first.observe((16,), 0.0)
         first.observe((16,), 10.0)
         first.drain()
-        (pkey,) = store.prefix_keys()
-        path = store._prefix_path(pkey)
+        (pkey,) = store.keys("prefix")
+        path = store.blob_path("prefix", pkey)
         path.write_bytes(path.read_bytes()[:-9])
         nimble.clear_prefix_cache()
         second = _mlp_manager(
@@ -1904,7 +1904,7 @@ class TestPredictivePreArm:
         store = ArtifactStore(tmp_path)
         first = self._first_run(store)
         key = first.profile_snapshot().store_key()
-        path = store._profile_path(key)
+        path = store.blob_path("profile", key)
         path.write_bytes(path.read_bytes()[:12])
         warm = self._warm(store)
         assert warm.predictive_compiles == 0

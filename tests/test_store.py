@@ -3,7 +3,9 @@ executable persistence, kernel-cache export/import, corruption handling
 (skip-and-count, never crash, never silently load), the serving layer's
 restore path, and the public nimble.save_artifacts/load_artifacts API."""
 
+import functools
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.nimble as nimble
-from repro.codegen.kernels import KERNEL_CACHE_FORMAT, KernelCache
+from repro.codegen.kernels import KernelCache
 from repro.errors import SerializationError
 from repro.hardware import intel_cpu
 from repro.ir import Any, Function, IRModule, TensorType, Var, const
@@ -25,8 +27,8 @@ from repro.serve import (
     long_tailed_traffic,
     profile_store_key,
 )
-from repro.serve.profile import PROFILE_VERSION
-from repro.store import STORE_FORMAT, ArtifactStore
+from repro.store import STORE_FORMAT, ArtifactStore, envelope
+from repro.vm import executable
 from repro.vm.executable import Executable, artifact_key
 
 
@@ -134,21 +136,20 @@ class TestArtifactStore:
         assert store.get("0" * 64) is None
         assert store.rejects == 0
 
-    def test_truncated_artifact_skipped_and_counted(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        key = store.put(_specialized(_dyn_mlp_module()))
-        path = store._artifact_path(key)
-        path.write_bytes(path.read_bytes()[: 40])
-        assert store.get(key) is None
-        assert store.rejects == 1 and store.reject_log[0][0] == key
-
     def test_version_bumped_artifact_skipped_and_counted(self, tmp_path):
+        """A stale executable inside a sound envelope: the payload's own
+        v5 version check (``Executable.load``) is the one that fires,
+        and the store counts it like any other reject."""
         store = ArtifactStore(tmp_path)
         key = store.put(_specialized(_dyn_mlp_module()))
-        path = store._artifact_path(key)
-        blob = bytearray(path.read_bytes())
-        blob[4:6] = struct.pack("<H", 99)
-        path.write_bytes(bytes(blob))
+        path = store.blob_path("exe", key)
+        payload = bytearray(envelope.open(
+            path.read_bytes(), b"NMBE", executable.VERSION, "artifact"
+        ))
+        payload[4:6] = struct.pack("<H", 99)
+        path.write_bytes(
+            envelope.seal(b"NMBE", executable.VERSION, payload) + payload
+        )
         assert store.get(key) is None
         assert store.rejects == 1
         assert "version" in store.reject_log[0][1]
@@ -159,8 +160,8 @@ class TestArtifactStore:
         store = ArtifactStore(tmp_path)
         key = store.put(_specialized(_dyn_mlp_module()))
         wrong = "f" * 64
-        store._artifact_path(wrong).write_bytes(
-            store._artifact_path(key).read_bytes()
+        store.blob_path("exe", wrong).write_bytes(
+            store.blob_path("exe", key).read_bytes()
         )
         assert store.get(wrong) is None
         assert store.rejects == 1
@@ -216,12 +217,6 @@ class TestKernelCachePersistence:
     def test_bad_blob_rejected(self, tmp_path):
         with pytest.raises(SerializationError):
             KernelCache().import_entries(b"not a cache")
-        import pickle
-
-        with pytest.raises(SerializationError, match="format"):
-            KernelCache().import_entries(
-                pickle.dumps((KERNEL_CACHE_FORMAT + 1, {}, {}))
-            )
         store = ArtifactStore(tmp_path)
         store.kernel_cache_path.write_bytes(b"garbage")
         assert store.load_kernel_cache(KernelCache()) == 0
@@ -253,7 +248,7 @@ class TestNimbleArtifactAPI:
             tmp_path, [_specialized(mod, rows=r) for r in (4, 9)]
         )
         store = ArtifactStore(tmp_path)
-        path = store._artifact_path(sorted(keys)[0])
+        path = store.blob_path("exe", sorted(keys)[0])
         path.write_bytes(path.read_bytes()[:25])
         loaded = nimble.load_artifacts(tmp_path)
         assert set(loaded) == {sorted(keys)[1]}
@@ -353,7 +348,7 @@ class TestServeRestore:
         mod, requests, config = _serve_setup(tmp_path)
         cold = InferenceServer(mod, intel_cpu(), config).simulate(requests)
         store = ArtifactStore(config.artifact_dir)
-        victim = store._artifact_path(store.keys()[0])
+        victim = store.blob_path("exe", store.keys()[0])
         victim.write_bytes(victim.read_bytes()[: 50])
         warm_server = InferenceServer(mod, intel_cpu(), config)
         warm = warm_server.simulate(requests)
@@ -374,9 +369,9 @@ class TestServeRestore:
         InferenceServer(mod, intel_cpu(), config).simulate(requests)
         store = ArtifactStore(config.artifact_dir)
         for key in store.keys():
-            path = store._artifact_path(key)
+            path = store.blob_path("exe", key)
             blob = bytearray(path.read_bytes())
-            blob[4:6] = struct.pack("<H", 99)
+            blob[4:8] = struct.pack("<I", 99)
             path.write_bytes(bytes(blob))
         warm = InferenceServer(mod, intel_cpu(), config).simulate(requests)
         assert warm.store_rejects > 0
@@ -426,7 +421,7 @@ class TestPrefixStore:
         store = ArtifactStore(tmp_path)
         key = store.put_prefix(prefix)
         assert key == prefix.store_key()
-        assert store.prefix_keys() == [key]
+        assert store.keys("prefix") == [key]
         loaded = store.get_prefix(
             key, expected_signature=module_fingerprint(mod)
         )
@@ -449,21 +444,13 @@ class TestPrefixStore:
         store.put_prefix(self._prefix(mod))
         store.put(_specialized(mod))
         assert len(store.keys()) == 1
-        assert len(store.prefix_keys()) == 1
-        assert set(store.keys()).isdisjoint(store.prefix_keys())
+        assert len(store.keys("prefix")) == 1
+        assert set(store.keys()).isdisjoint(store.keys("prefix"))
 
     def test_prefix_miss_is_silent(self, tmp_path):
         store = ArtifactStore(tmp_path)
         assert store.get_prefix("0" * 64) is None
         assert store.rejects == 0
-
-    def test_truncated_prefix_skipped_and_counted(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        key = store.put_prefix(self._prefix(_dyn_mlp_module()))
-        path = store._prefix_path(key)
-        path.write_bytes(path.read_bytes()[:30])
-        assert store.get_prefix(key) is None
-        assert store.rejects == 1 and store.reject_log[0][0] == key
 
     def test_signature_mismatch_skipped(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -475,7 +462,7 @@ class TestPrefixStore:
         store = ArtifactStore(tmp_path)
         key = store.put_prefix(self._prefix(_dyn_mlp_module()))
         wrong = "0" * len(key)
-        store._prefix_path(key).rename(store._prefix_path(wrong))
+        store.blob_path("prefix", key).rename(store.blob_path("prefix", wrong))
         assert store.get_prefix(wrong) is None
         assert store.rejects == 1
 
@@ -499,7 +486,7 @@ class TestProfileStore:
         profile = self._profile()
         key = store.put_profile(profile)
         assert key == profile_store_key("a" * 64, "intel")
-        assert store.profile_keys() == [key]
+        assert store.keys("profile") == [key]
         back = store.get_profile(key, expected_signature="a" * 64)
         assert back is not None
         assert back.hits == profile.hits
@@ -516,48 +503,20 @@ class TestProfileStore:
 
     def test_profile_blobs_never_alias_other_suffixes(self, tmp_path):
         """.nmblprof files must stay invisible to keys() and
-        prefix_keys() — a *.nmblp glob that also matched .nmblprof would
+        keys("prefix") — a .nmblp match that also took .nmblprof would
         feed profile bytes into the executable restore path."""
         mod = _dyn_mlp_module()
         store = ArtifactStore(tmp_path)
         store.put(_specialized(mod))
         store.put_profile(self._profile())
         assert len(store.keys()) == 1
-        assert store.prefix_keys() == []
-        assert len(store.profile_keys()) == 1
+        assert store.keys("prefix") == []
+        assert len(store.keys("profile")) == 1
 
     def test_miss_is_silent(self, tmp_path):
         store = ArtifactStore(tmp_path)
         assert store.get_profile("0" * 64) is None
         assert store.rejects == 0
-
-    def test_truncated_profile_skipped_and_counted(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        key = store.put_profile(self._profile())
-        path = store._profile_path(key)
-        path.write_bytes(path.read_bytes()[:10])
-        assert store.get_profile(key) is None
-        assert store.rejects == 1 and store.reject_log[0][0] == key
-
-    def test_tampered_payload_skipped_and_counted(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        key = store.put_profile(self._profile())
-        path = store._profile_path(key)
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        assert store.get_profile(key) is None
-        assert store.rejects == 1
-
-    def test_version_bumped_profile_skipped_and_counted(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        key = store.put_profile(self._profile())
-        path = store._profile_path(key)
-        blob = bytearray(path.read_bytes())
-        blob[4:8] = struct.pack("<I", PROFILE_VERSION + 1)
-        path.write_bytes(bytes(blob))
-        assert store.get_profile(key) is None
-        assert store.rejects == 1
 
     def test_signature_mismatch_skipped(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -571,7 +530,9 @@ class TestProfileStore:
         store = ArtifactStore(tmp_path)
         key = store.put_profile(self._profile())
         wrong = "0" * len(key)
-        store._profile_path(key).rename(store._profile_path(wrong))
+        store.blob_path("profile", key).rename(
+            store.blob_path("profile", wrong)
+        )
         assert store.get_profile(wrong) is None
         assert store.rejects == 1
 
@@ -597,7 +558,102 @@ class TestProfileStore:
         assert store.put_profile(second) == key
         back = store.get_profile(key)
         assert back.hits == {(7, 16): 3}
-        assert store.profile_keys() == [key]
+        assert store.keys("profile") == [key]
+
+
+# ---------------------------------------------------------------------------
+# One envelope, one read path: damage to any file has one outcome
+# ---------------------------------------------------------------------------
+
+# The store's kind names, and the test ids (the kernel cache goes by its
+# file name there).
+_BLOB_KINDS = ("exe", "prefix", "profile", "kernels")
+_KIND_IDS = ("exe", "prefix", "profile", "kernels.kc")
+
+
+@functools.lru_cache(maxsize=None)
+def _pristine(kind):
+    """One real blob of *kind*, written through a store: ``(key, bytes)``
+    (the kernel cache is the store's one unkeyed file: key ``None``)."""
+    with tempfile.TemporaryDirectory() as root:
+        store = ArtifactStore(root)
+        mod = _dyn_mlp_module()
+        key = None
+        if kind == "exe":
+            key = store.put(_specialized(mod))
+        elif kind == "prefix":
+            key = store.put_prefix(nimble.build_prefix(mod, intel_cpu()))
+        elif kind == "profile":
+            key = store.put_profile(TestProfileStore()._profile())
+        else:
+            cache = KernelCache()
+            _specialized(mod, cache=cache)
+            store.save_kernel_cache(cache)
+        return key, store.blob_path(kind, key).read_bytes()
+
+
+def _read_back(store, kind, key):
+    """Through the public entry point; ``None`` is its miss/reject value."""
+    if kind == "exe":
+        return store.get(key)
+    if kind == "prefix":
+        return store.get_prefix(key)
+    if kind == "profile":
+        return store.get_profile(key)
+    return store.load_kernel_cache(KernelCache()) or None
+
+
+class TestStoreCorruption:
+    """Every file in the store is one envelope read on one path, so for
+    every kind a flipped byte, a truncation or a stale version has the
+    same single outcome: the public read returns its miss value and the
+    store logs exactly one reject — never an exception, never an object.
+    (An executable used to hash only its identity, so a flip inside a
+    weight loaded; ``kernels.kc`` had no digest at all.)"""
+
+    @pytest.mark.parametrize("kind", _BLOB_KINDS, ids=_KIND_IDS)
+    def test_undamaged_blob_reads_back(self, tmp_path, kind):
+        key, blob = _pristine(kind)
+        store = ArtifactStore(tmp_path)
+        store.blob_path(kind, key).write_bytes(blob)
+        assert _read_back(store, kind, key) is not None
+        assert store.rejects == 0
+
+    @pytest.mark.parametrize(
+        ("kind", "damage"),
+        [
+            pytest.param(kind, damage, id=f"{kind_id}-{damage}")
+            for kind, kind_id in zip(_BLOB_KINDS, _KIND_IDS)
+            for damage in ("flip", "truncate", "version")
+        ],
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_damaged_blob_is_one_counted_reject(
+        self, tmp_path_factory, kind, damage, data
+    ):
+        key, blob = _pristine(kind)
+        blob = bytearray(blob)
+        if damage == "flip":
+            at = data.draw(st.integers(0, len(blob) - 1))
+            blob[at] ^= data.draw(st.integers(1, 255))
+            # The header field the byte sits in names the reject.
+            word = "magic" if at < 4 else "version" if at < 8 else "digest"
+        elif damage == "truncate":
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+            word = "truncated"
+        else:
+            (written,) = struct.unpack_from("<I", blob, 4)
+            stale = data.draw(
+                st.integers(0, 2**32 - 1).filter(lambda v: v != written)
+            )
+            struct.pack_into("<I", blob, 4, stale)
+            word = "version"
+        store = ArtifactStore(tmp_path_factory.mktemp("damaged"))
+        store.blob_path(kind, key).write_bytes(bytes(blob))
+        assert _read_back(store, kind, key) is None
+        assert [name for name, _ in store.reject_log] == [key or "kernels.kc"]
+        assert word in store.reject_log[0][1]
 
 
 # ---------------------------------------------------------------------------
