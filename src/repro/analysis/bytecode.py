@@ -24,7 +24,7 @@ The analysis is a forward dataflow fixpoint over two register facts:
 and *definitely not a storage block* (meet = intersection). Both are
 bitmasks over the register file, so the transfer functions are integer
 ops and the whole pass costs a small fraction of a compile
-(``benchmarks/bench_verify.py`` asserts <5%).
+(``benchmarks/bench_verify.py`` asserts <15%).
 """
 
 from __future__ import annotations

@@ -10,16 +10,19 @@ closure, an ADT constructor, a non-operator call, or used inside an
 ``if``/``match`` branch is treated as escaping (never killed, never
 reused). Straight-line compute chains — where all the memory traffic of a
 BERT/LSTM cell lives — are fully analyzable.
+
+The per-group facts (members, interval, escapes) are folded into one table
+when the analysis is built, so a query is a ``find`` plus a lookup and the
+whole analysis is linear in the length of the scope.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple as PyTuple
+from typing import Dict, List, NamedTuple, Set, Tuple as PyTuple
 
 from repro.ir.analysis import iter_nodes
 from repro.ir.expr import (
     Call,
-    Constant,
     Expr,
     Function,
     If,
@@ -34,6 +37,13 @@ from repro.utils.union_find import UnionFind
 
 # Ops whose result aliases their first argument's buffer.
 _VIEW_OPS = {"vm.slice_upper_bound", "vm.reshape_tensor"}
+
+
+class _Group(NamedTuple):
+    members: List[Var]  # in registration order
+    start: int
+    end: int
+    escapes: bool
 
 
 class AliasLiveness:
@@ -53,26 +63,41 @@ class AliasLiveness:
         self.last_use: Dict[Var, int] = {}
         self.escaping: Set[Var] = set()
         self._analyze()
+        self._index_groups()
 
     # -- construction ------------------------------------------------------------
     def _analyze(self) -> None:
         n = len(self.bindings)
         for i, (var, value) in enumerate(self.bindings):
             self.aliases.add(var)
-            for used in self._direct_uses(value):
-                self.last_use[used] = i
+            self._record_uses(i, value)
             self._record_aliases(var, value)
-            self._record_escapes(value)
         # Tail use.
         if isinstance(self.tail, Var):
             self.last_use[self.tail] = n
             self.escaping.add(self.tail)
 
-    @staticmethod
-    def _direct_uses(value: Expr):
-        for node in iter_nodes(value):
-            if isinstance(node, Var):
-                yield node
+    def _record_uses(self, i: int, value: Expr) -> None:
+        """One walk of binding *i*'s value: every variable in it is used
+        at *i*, and those in an escaping position are marked."""
+        if isinstance(value, Call):
+            # Closure / global / constructor call: arguments escape
+            # (captured in an ADT, a closure environment, or owned by
+            # the callee's frame).
+            captures = not isinstance(value.op, Op) or (
+                value.op.name == "vm.alloc_closure"
+            )
+            parts = [(value.op, False)] + [(arg, captures) for arg in value.args]
+        else:
+            # Conservative: anything an alternate-control-flow value or a
+            # closure body touches may alias its result.
+            parts = [(value, isinstance(value, (If, Match, Function)))]
+        for part, escapes in parts:
+            for node in iter_nodes(part):
+                if isinstance(node, Var):
+                    self.last_use[node] = i
+                    if escapes:
+                        self.escaping.add(node)
 
     def _record_aliases(self, var: Var, value: Expr) -> None:
         if isinstance(value, Var):
@@ -92,53 +117,55 @@ class AliasLiveness:
                 # A tensor aliases the storage it is carved from.
                 self.aliases.union(var, value.args[0])
 
-    def _record_escapes(self, value: Expr) -> None:
-        if isinstance(value, (If, Match)):
-            # Conservative: anything an alternate-control-flow value touches
-            # may alias its result.
-            for node in iter_nodes(value):
-                if isinstance(node, Var):
-                    self.escaping.add(node)
-        elif isinstance(value, Function):
-            for node in iter_nodes(value.body):
-                if isinstance(node, Var):
-                    self.escaping.add(node)
-        elif isinstance(value, Call):
-            captures = not isinstance(value.op, Op) or (
-                value.op.name == "vm.alloc_closure"
+    def _index_groups(self) -> None:
+        """Fold the facts of each alias group into one row per representative."""
+        self._groups: Dict[Var, _Group] = {
+            rep: _Group(
+                members,
+                min(self.index_of.get(m, 0) for m in members),
+                max(
+                    max(self.last_use.get(m, -1), self.index_of.get(m, -1))
+                    for m in members
+                ),
+                # An escaping use, or a variable not bound in this scope
+                # (a parameter or outer binding) — never reclaim.
+                any(m in self.escaping or m not in self.index_of for m in members),
             )
-            if captures:
-                # Closure / global / constructor call: arguments escape
-                # (captured in an ADT, a closure environment, or owned by
-                # the callee's frame).
-                for arg in value.args:
-                    for node in iter_nodes(arg):
-                        if isinstance(node, Var):
-                            self.escaping.add(node)
+            for rep, members in self.aliases.classes().items()
+        }
+
+    def rebind_as_moves(self, moves: Dict[int, Var]) -> None:
+        """Turn binding *i* into ``let var = target`` for every ``i: target``.
+
+        The values replaced must use no variable (coalescing replaces
+        static ``alloc_storage`` calls, whose one operand is a constant);
+        the facts are then exactly those a fresh analysis of the rewritten
+        chain would hold.
+        """
+        for i, target in moves.items():
+            var = self.bindings[i][0]
+            self.bindings[i] = (var, target)
+            self.aliases.union(var, target)
+            self.last_use[target] = max(self.last_use.get(target, -1), i)
+        self._index_groups()
 
     # -- queries --------------------------------------------------------------------
+    # None of them changes the analysis. A variable in no alias group (one
+    # the scope never bound or aliased) escapes, has no members and lives
+    # from 0 to its last use: (0, -1), the empty interval, if it has none.
+    def _group(self, var: Var) -> _Group:
+        if var not in self.aliases:  # `find` would register it
+            return _Group([], 0, self.last_use.get(var, -1), True)
+        return self._groups[self.aliases.find(var)]
+
     def group_interval(self, var: Var) -> PyTuple[int, int]:
         """[def, last_use] over the variable's alias group."""
-        rep = self.aliases.find(var)
-        members = [
-            m for m in self.aliases.keys() if self.aliases.find(m) == rep
-        ]
-        start = min(self.index_of.get(m, 0) for m in members)
-        end = max(
-            max(self.last_use.get(m, -1), self.index_of.get(m, -1)) for m in members
-        )
-        return start, end
+        group = self._group(var)
+        return group.start, group.end
 
     def group_escapes(self, var: Var) -> bool:
-        rep = self.aliases.find(var)
-        for m in list(self.aliases.keys()):
-            if self.aliases.find(m) == rep:
-                if m in self.escaping or m not in self.index_of:
-                    # Escaping use, or a variable not bound in this scope
-                    # (a parameter or outer binding) — never reclaim.
-                    return True
-        return False
+        return self._group(var).escapes
 
     def group_members(self, var: Var) -> List[Var]:
-        rep = self.aliases.find(var)
-        return [m for m in self.aliases.keys() if self.aliases.find(m) == rep]
+        """The alias group, in the order its variables were first seen."""
+        return self._group(var).members

@@ -30,7 +30,7 @@ carrying the actual shape, and the result is sliced with
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple as PyTuple
+from typing import Dict, List, Tuple as PyTuple
 
 import numpy as np
 
@@ -38,14 +38,12 @@ from repro.errors import CompilerError
 from repro.ir.expr import (
     Call,
     Clause,
-    Constant,
     Expr,
     Function,
     If,
     Let,
     Match,
     Tuple,
-    TupleGetItem,
     Var,
     const,
 )

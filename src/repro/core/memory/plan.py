@@ -19,10 +19,9 @@ benchmarks (allocation counts and peak footprint, before vs. after).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, insort
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple as PyTuple
-
-import numpy as np
 
 from repro.ir.expr import (
     Call,
@@ -33,13 +32,10 @@ from repro.ir.expr import (
     If,
     Let,
     Match,
-    Tuple,
-    TupleGetItem,
     Var,
 )
 from repro.ir.module import IRModule
 from repro.ir.op import Op
-from repro.ir.types import TupleType
 from repro.core.memory.liveness import AliasLiveness
 from repro.passes.pass_manager import Pass
 from repro.utils.naming import NameSupply
@@ -97,10 +93,11 @@ class _Planner:
     def plan_scope(self, scope: Expr) -> Expr:
         if not isinstance(scope, Let):
             return scope
-        # First recurse into nested scopes, then plan this chain.
-        rewritten = self._rewrite_nested(scope)
-        coalesced = self._coalesce(rewritten)
-        return self._insert_kills(coalesced)
+        # First recurse into nested scopes, then plan this chain: one
+        # liveness serves both phases.
+        live = AliasLiveness(self._rewrite_nested(scope))
+        self._coalesce(live)
+        return self._insert_kills(live)
 
     # -- nested scopes ---------------------------------------------------------
     def _rewrite_nested(self, scope: Expr) -> Expr:
@@ -132,104 +129,72 @@ class _Planner:
         return out
 
     # -- storage coalescing ------------------------------------------------------
-    def _coalesce(self, scope: Expr) -> Expr:
-        live = AliasLiveness(scope)
-        bindings = live.bindings
-        n = len(bindings)
-
-        # Release schedule for reusable static storages. Escaping groups
-        # may *take* a dead storage from the pool (the donor is never used
-        # again) but are never released back into it.
-        intervals: Dict[Var, PyTuple[int, int]] = {}
-        escaping: set = set()
-        for var, value in bindings:
+    def _coalesce(self, live: AliasLiveness) -> None:
+        """Rebind each static ``alloc_storage`` that can reuse a dead
+        storage as a move of it, in place on *live*."""
+        # Storages whose life ended, keyed by the binding they free at.
+        releases: Dict[int, List[PyTuple[Var, int, object]]] = {}
+        # Dead storages per device (stamped by DevicePlace), each list
+        # sorted by (size, pooling order): best fit is the first entry
+        # that is large enough, the earliest-pooled among equal sizes.
+        pools: Dict[object, List[PyTuple[int, int, Var]]] = {}
+        pooled = 0
+        moves: Dict[int, Var] = {}
+        allocs = 0
+        for i, (var, value) in enumerate(live.bindings):
+            for dead, dead_size, dead_device in releases.pop(i, ()):
+                pooled += 1
+                insort(pools.setdefault(dead_device, []), (dead_size, pooled, dead))
+            if _is_alloc_storage(value):
+                allocs += 1
             size = _static_alloc_size(value)
             if size is None:
                 continue
             self.report.static_bytes_before += size
-            if live.group_escapes(var):
-                escaping.add(var)
-                continue
-            intervals[var] = live.group_interval(var)
-
-        releases: Dict[int, List[PyTuple[Var, int, object]]] = {}
-        pool: List[PyTuple[Var, int, object]] = []  # (storage var, size, device)
-        replacement: Dict[Var, Var] = {}
-        reused_bytes = 0
-
-        new_bindings: List[PyTuple[Var, Expr]] = []
-        for i, (var, value) in enumerate(bindings):
-            for entry in releases.pop(i, ()):  # storages whose life ended
-                pool.append(entry)
-            size = _static_alloc_size(value)
-            if size is not None and (var in intervals or var in escaping):
-                end = intervals[var][1] if var in intervals else None
-                device = value.attrs.get("device")  # stamped by DevicePlace
-                # Best fit: smallest pooled storage on the *same device*
-                # that is large enough.
-                best = None
-                for k, (cand, cand_size, cand_dev) in enumerate(pool):
-                    if cand_size >= size and cand_dev == device and (
-                        best is None or cand_size < pool[best][1]
-                    ):
-                        best = k
-                if best is not None:
-                    cand, cand_size, cand_dev = pool.pop(best)
-                    replacement[var] = cand
-                    reused_bytes += size
-                    if end is not None:
-                        # The reused region frees again when this tensor dies.
-                        releases.setdefault(end + 1, []).append((cand, cand_size, cand_dev))
-                    new_bindings.append((var, cand))  # alias, not a fresh alloc
-                    continue
-                if end is not None:
-                    releases.setdefault(end + 1, []).append((var, size, device))
+            device = value.attrs.get("device")
+            pool = pools.get(device, ())
+            best = bisect_left(pool, (size,))
+            if best < len(pool):
+                size, _, storage = pool.pop(best)
+                moves[i] = storage  # alias, not a fresh alloc
+            else:
+                storage = var
                 self.report.static_bytes_after += size
-            new_bindings.append((var, value))
-
-        for var, value in new_bindings:
-            if _is_alloc_storage(value):
-                self.report.allocs_after += 1
-        for var, value in bindings:
-            if _is_alloc_storage(value):
-                self.report.allocs_before += 1
-
-        out: Expr = live.tail
-        for var, value in reversed(new_bindings):
-            out = Let(var, value, out)
-        return out
+            # Escaping groups may *take* a dead storage from the pool (the
+            # donor is never used again) but are never released back into
+            # it; any other region frees (again) when this tensor dies.
+            if not live.group_escapes(var):
+                end = live.group_interval(var)[1]
+                releases.setdefault(end + 1, []).append((storage, size, device))
+        self.report.allocs_before += allocs
+        self.report.allocs_after += allocs - len(moves)
+        live.rebind_as_moves(moves)
 
     # -- kill insertion ----------------------------------------------------------------
-    def _insert_kills(self, scope: Expr) -> Expr:
-        if not isinstance(scope, Let):
-            return scope
-        live = AliasLiveness(scope)
-        bindings = live.bindings
-
+    def _insert_kills(self, live: AliasLiveness) -> Expr:
         # One kill per alias group that owns storage and does not escape,
         # placed after the group's last use.
         kills_at: Dict[int, List[Var]] = {}
         killed_groups: Set[Var] = set()
-        for var, value in bindings:
+        storages: Set[Var] = set()  # bound to an alloc_storage, directly or by moves
+        for var, value in live.bindings:
             if not _is_alloc_storage(value) and not (
-                isinstance(value, Var) and _storage_alias(value, bindings)
+                isinstance(value, Var) and value in storages
             ):
                 continue
+            storages.add(var)
             rep = live.aliases.find(var)
-            if rep in killed_groups:
+            if rep in killed_groups or live.group_escapes(var):
                 continue
-            if live.group_escapes(var):
-                continue
-            start, end = live.group_interval(var)
             killed_groups.add(rep)
             # Kill every in-scope member of the alias group: the VM's
             # registers are reference counted, so the storage is only
             # reclaimed when the last register referencing it is clobbered.
             members = [m for m in live.group_members(var) if m in live.index_of]
-            kills_at.setdefault(end, []).extend(members)
+            kills_at.setdefault(live.group_interval(var)[1], []).extend(members)
 
         new_bindings: List[PyTuple[Var, Expr]] = []
-        for i, (var, value) in enumerate(bindings):
+        for i, (var, value) in enumerate(live.bindings):
             new_bindings.append((var, value))
             for victim in kills_at.get(i, ()):
                 unit = Var(self.names.fresh("k"))
@@ -242,17 +207,6 @@ class _Planner:
         for var, value in reversed(new_bindings):
             out = Let(var, value, out)
         return out
-
-
-def _storage_alias(value: Var, bindings: List[PyTuple[Var, Expr]]) -> bool:
-    """Is this move-binding ultimately a storage alias?"""
-    targets = {var: val for var, val in bindings}
-    seen = set()
-    node: Expr = value
-    while isinstance(node, Var) and node in targets and id(node) not in seen:
-        seen.add(id(node))
-        node = targets[node]
-    return _is_alloc_storage(node) if isinstance(node, Expr) else False
 
 
 class MemoryPlan(Pass):

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.codegen.kernels import KernelCache, KernelSet
-from repro.core.memory.liveness import AliasLiveness
 from repro.core.typing import InferType
 from repro.errors import CompilerError
 from repro.hardware.platforms import Platform, intel_cpu
@@ -29,7 +28,6 @@ from repro.ir.expr import (
     If,
     Let,
     Match,
-    Tuple as IRTuple,
     TupleGetItem,
     Var,
 )

@@ -89,7 +89,7 @@ class CompilerOptions:
         self.specialized_batch = specialized_batch
         # Run the static verifiers (repro.analysis) on the finished
         # executable and raise VerificationError on any error finding.
-        # Default on: verification costs <5% of a compile
+        # Default on: verification costs <15% of a compile
         # (benchmarks/bench_verify.py) and turns scheduler/memory-plan
         # bugs into compile-time failures instead of wrong answers.
         self.verify = verify

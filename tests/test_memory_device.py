@@ -1,5 +1,9 @@
 """Manifest allocation, memory planning (§4.3), device placement (§4.4)."""
 
+import hashlib
+import itertools
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,16 +18,23 @@ from repro.ir import (
     Any,
     Call,
     Function,
+    If,
     IRModule,
     Let,
     Op,
     TensorType,
+    Tuple,
+    TupleGetItem,
     Var,
+    const,
     iter_nodes,
+    pretty_module,
 )
+from repro.ir import types as ir_types
 from repro.ops import api
 from repro.passes import DeadCodeElimination, FuseOps, Sequential, ToANF
 from repro.tensor.device import cpu, gpu
+from repro.utils.union_find import UnionFind
 
 
 def _lower(func, plan=True, platform=None):
@@ -269,6 +280,123 @@ class TestPlannerProperty:
         assert np.allclose(outputs[0], outputs[1], atol=1e-5)
 
 
+# The three queries as they were before the group table: each scans every
+# union-find key. Kept here as the reference the indexed ones are compared
+# against (and, unlike them, they register a variable they are asked about).
+def _scan_interval(live, var):
+    rep = live.aliases.find(var)
+    members = [m for m in live.aliases.keys() if live.aliases.find(m) == rep]
+    start = min(live.index_of.get(m, 0) for m in members)
+    end = max(max(live.last_use.get(m, -1), live.index_of.get(m, -1)) for m in members)
+    return start, end
+
+
+def _scan_escapes(live, var):
+    rep = live.aliases.find(var)
+    return any(
+        m in live.escaping or m not in live.index_of
+        for m in list(live.aliases.keys()) if live.aliases.find(m) == rep
+    )
+
+
+def _scan_members(live, var):
+    rep = live.aliases.find(var)
+    return [m for m in live.aliases.keys() if live.aliases.find(m) == rep]
+
+
+def _assert_same_answers(live, universe):
+    registered = len(live.aliases)
+    for var in universe:
+        if var in live.aliases:
+            assert live.group_interval(var) == _scan_interval(live, var)
+            assert live.group_escapes(var) == _scan_escapes(live, var)
+            assert live.group_members(var) == _scan_members(live, var)
+        else:
+            # The scan would register `var` and answer for the group {var}.
+            assert live.group_escapes(var) is True
+            assert live.group_interval(var) == (0, live.last_use.get(var, -1))
+            assert live.group_members(var) == []
+    assert len(live.aliases) == registered
+
+
+def _chain(bindings, tail):
+    out = tail
+    for var, value in reversed(bindings):
+        out = Let(var, value, out)
+    return out
+
+
+def _static_alloc(nbytes, device=None):
+    attrs = {"alignment": 64, "static": True}
+    if device is not None:
+        attrs["device"] = device
+    return Call(Op.get("memory.alloc_storage"), [const(np.int64(nbytes), dtype="int64")], attrs)
+
+
+def _is_static_alloc(value):
+    return isinstance(value, Call) and getattr(value.op, "name", None) == "memory.alloc_storage"
+
+
+def _tensor_from(storage):
+    return Call(Op.get("memory.alloc_tensor"), [storage, const(np.int64(0), dtype="int64")], {})
+
+
+_SCOPE_KINDS = [
+    "alloc", "tensor", "move", "tuple", "proj", "slice", "reshape", "op",
+    "closure", "lambda", "call", "if", "const",
+]
+
+
+@st.composite
+def _scopes(draw):
+    """A random scope over every construct the liveness distinguishes:
+    (bindings, tail, every variable worth asking about)."""
+    free = [Var(f"p{i}") for i in range(3)]
+    callee = Var("callee")
+    stranger = Var("stranger")  # appears nowhere in the scope
+    known = list(free)
+    bindings = []
+
+    def pick():
+        return known[draw(st.integers(min_value=0, max_value=len(known) - 1))]
+
+    for i in range(draw(st.integers(min_value=1, max_value=14))):
+        kind = draw(st.sampled_from(_SCOPE_KINDS))
+        if kind == "alloc":
+            value = _static_alloc(64)
+        elif kind == "tensor":
+            value = _tensor_from(pick())
+        elif kind == "move":
+            value = pick()
+        elif kind == "tuple":
+            value = Tuple([pick(), pick()])
+        elif kind == "proj":
+            value = TupleGetItem(pick(), 0)
+        elif kind == "slice":
+            value = Call(Op.get("vm.slice_upper_bound"), [pick(), pick()], {})
+        elif kind == "reshape":
+            value = Call(Op.get("vm.reshape_tensor"), [pick(), pick()], {})
+        elif kind == "op":
+            value = api.add(pick(), pick())
+        elif kind == "closure":
+            value = Call(Op.get("vm.alloc_closure"), [pick(), pick()], {})
+        elif kind == "lambda":
+            param = Var("q")
+            value = Function([param], api.add(param, pick()))
+        elif kind == "call":
+            value = Call(callee, [pick()], {})
+        elif kind == "if":
+            inner = Var("t")
+            value = If(pick(), Let(inner, api.tanh(pick()), inner), pick())
+        else:
+            value = const(np.float32(i))
+        var = Var(f"v{i}")
+        bindings.append((var, value))
+        known.append(var)
+    tail = pick() if draw(st.booleans()) else Tuple([pick(), pick()])
+    return bindings, tail, known + [callee, stranger]
+
+
 class TestAliasLiveness:
     def test_move_aliases_share_group(self):
         x = Var("x", TensorType((2,)))
@@ -292,6 +420,48 @@ class TestAliasLiveness:
         live = AliasLiveness(chain)
         assert not live.group_escapes(a)
         assert live.group_interval(a) == (0, 1)
+
+    def test_queries_leave_the_analysis_unchanged(self):
+        """A query on a variable the scope never bound or aliased answers
+        "escapes", no members and [0, its last use] — the empty interval
+        for one never seen at all — and registers nothing."""
+        x = Var("x", TensorType((2,)))
+        stranger = Var("stranger")
+        a, b = Var("a"), Var("b")
+        live = AliasLiveness(Let(a, api.tanh(x), Let(b, api.exp(a), b)))
+        registered = len(live.aliases)
+        for var, interval in ((x, (0, 0)), (stranger, (0, -1))):
+            assert live.group_escapes(var) is True
+            assert live.group_interval(var) == interval
+            assert live.group_members(var) == []
+        assert len(live.aliases) == registered
+        assert x not in live.aliases and stranger not in live.aliases
+
+    @given(scope=_scopes(), data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_group_table_answers_what_the_full_scans_answered(self, scope, data):
+        bindings, tail, universe = scope
+        live = AliasLiveness(_chain(bindings, tail))
+        _assert_same_answers(live, universe)
+
+        # Coalescing's rewrite: some static allocations become moves of an
+        # earlier storage. The one liveness, updated in place, must hold
+        # what a fresh analysis of the rewritten chain holds.
+        storages = [i for i, (_, v) in enumerate(bindings) if _is_static_alloc(v)]
+        moves = {}
+        for i in storages[1:]:
+            if data.draw(st.booleans()):
+                earlier = [k for k in storages if k < i]
+                moves[i] = bindings[data.draw(st.sampled_from(earlier))][0]
+        live.rebind_as_moves(moves)
+        rewritten = [(var, moves.get(i, value)) for i, (var, value) in enumerate(bindings)]
+        assert live.bindings == rewritten
+        fresh = AliasLiveness(_chain(rewritten, tail))
+        _assert_same_answers(live, universe)
+        for var in universe:
+            assert live.group_interval(var) == fresh.group_interval(var)
+            assert live.group_escapes(var) == fresh.group_escapes(var)
+            assert live.group_members(var) == fresh.group_members(var)
 
 
 class TestDevicePlacement:
@@ -343,3 +513,188 @@ class TestDevicePlacement:
         mod = self._lower_gpu(func)
         invokes = _op_calls(mod.main, "vm.invoke_mut")
         assert all(c.attrs["device"].is_cpu for c in invokes)
+
+
+def _planned_models():
+    """(name, compile): the paper's three models at toy sizes, the BERT
+    also on four GPU streams, and two static LSTM variants."""
+    import repro.nimble as nimble
+    from repro.models.bert import BertConfig, BertWeights, build_bert_module
+    from repro.models.lstm import LSTMWeights, build_lstm_module
+    from repro.models.tree_lstm import TreeLSTMWeights, build_tree_lstm_module
+
+    def lstm():
+        return build_lstm_module(
+            LSTMWeights.create(input_size=12, hidden_size=16, num_layers=1, seed=0))
+
+    def tree():
+        return build_tree_lstm_module(
+            TreeLSTMWeights.create(input_size=12, hidden_size=8, seed=0))
+
+    def bert():
+        return build_bert_module(BertWeights.create(
+            BertConfig(hidden=24, num_heads=3, num_layers=3, ffn=48), seed=0))
+
+    streams4 = nimble.CompilerOptions(device_streams=4)
+    yield "lstm", lambda: nimble.build(lstm(), intel_cpu())
+    yield "tree_lstm", lambda: nimble.build(tree(), intel_cpu())
+    yield "bert3", lambda: nimble.build(bert(), intel_cpu())
+    yield "bert3@gpu4", lambda: nimble.build(bert(), nvidia_gpu(), options=streams4)
+    yield "lstm[len=7]", lambda: nimble.specialize(lstm(), intel_cpu(), shapes=[(7, 12)])
+    yield "lstm[len=7]x4", lambda: nimble.specialize(
+        lstm(), intel_cpu(), shapes=[(7, 12)], batch=4)
+
+
+# What the cases above read on the commit before the group table, the
+# shared liveness and the ordered pool: sha256 of `pretty_module` of the
+# planned module, the MemoryPlanReport, sha256 of `Executable.save()`.
+_PARENT_COMMIT_PLANS = {
+    "lstm": (
+        "c3b90ca724a51e713e79f71711a866864dce7ae72b5de9f5e4832c3c0206a2d3",
+        {"allocs_before": 11, "allocs_after": 8, "static_bytes_before": 960,
+         "static_bytes_after": 768, "kills_inserted": 0},
+        "793077fd980346ca1077191cc4d276abfc5dd71e4dee6de0564fec8b61604cf3"),
+    "tree_lstm": (
+        "4f14b9ae764e6c3121025ef0c76198d1b00124ba91ef2f6ca2b591ec2a7bd043",
+        {"allocs_before": 13, "allocs_after": 10, "static_bytes_before": 960,
+         "static_bytes_after": 768, "kills_inserted": 23},
+        "0627e286744ccf9b045712162189f76fd82efac84b56c448f2d9d64cc582bba5"),
+    "bert3": (
+        "66f14c334957cc100a91a8394f67ade142de2da206ee72702050a3bcdf86ee69",
+        {"allocs_before": 135, "allocs_after": 47, "static_bytes_before": 5760,
+         "static_bytes_after": 128, "kills_inserted": 312},
+        "7599b87f1c232bed507cc457a9a9e7e7fd3d80c4cf6eedeec7b48273c458738e"),
+    "bert3@gpu4": (
+        "f5d6996218b33d11b0ef5b7e2c8d0ebfe37d8edd07945d4dd48c02fa5b9a727f",
+        {"allocs_before": 135, "allocs_after": 47, "static_bytes_before": 5760,
+         "static_bytes_after": 128, "kills_inserted": 312},
+        "3f4442acc0c5e70a0e7e4a5fe429b7e9eb688b0a8047c28efdb2f0b313ea7ed1"),
+    "lstm[len=7]": (
+        "7b32e754ca7a5d1aad8d53282565f7c814902b45385b3dfd93f0f118cde6618b",
+        {"allocs_before": 11, "allocs_after": 8, "static_bytes_before": 960,
+         "static_bytes_after": 768, "kills_inserted": 0},
+        "bb06229423bb455ac0263729f259f5c0672abe2e925b141766b39f40bed88f4f"),
+    "lstm[len=7]x4": (
+        "068d6e8876dd3d919b038605226228be49673fa8c3deddec644e9a45830ca5ad",
+        {"allocs_before": 12, "allocs_after": 9, "static_bytes_before": 3456,
+         "static_bytes_after": 2880, "kills_inserted": 0},
+        "23b962dd1e91315bbef51186cca9e58dc75c4f23bcdb0e1340e487464821dfeb"),
+}
+
+
+class TestLinearPlanner:
+    """The planner is linear in the length of the scope and plans exactly
+    what the quadratic one planned."""
+
+    @pytest.mark.parametrize("case", _planned_models(), ids=lambda case: case[0])
+    def test_models_plan_what_the_parent_commit_planned(self, case, monkeypatch):
+        name, compile_ = case
+        # Saved kernels carry `Any` identity tokens, a process-global
+        # counter: number them as a fresh process would.
+        monkeypatch.setattr(ir_types, "_any_tokens", itertools.count())
+        planned = []
+        real_run = MemoryPlan.run
+
+        def recording_run(self, mod):
+            planned.append(real_run(self, mod))
+            return planned[-1]
+
+        monkeypatch.setattr(MemoryPlan, "run", recording_run)
+        exe, report = compile_()
+        (module,) = planned
+        assert (
+            hashlib.sha256(pretty_module(module).encode()).hexdigest(),
+            asdict(report.memory),
+            hashlib.sha256(exe.save()).hexdigest(),
+        ) == _PARENT_COMMIT_PLANS[name]
+
+    @staticmethod
+    def _plan(bindings, tail):
+        """Planned bindings of a hand-written scope, kills dropped."""
+        mod = MemoryPlan().run(IRModule.from_expr(Function([], _chain(bindings, tail))))
+        out = {}
+        node = mod.main.body
+        while isinstance(node, Let):
+            out[node.var] = node.value
+            node = node.body
+        return out
+
+    @staticmethod
+    def _scope(sizes_devices, dying_order, requests):
+        """Storages of the given (size, device), each carrying one tensor;
+        the tensors die in *dying_order*; then one allocation per request,
+        all alive at the tail."""
+        storages = [Var(f"s{i}") for i in range(len(sizes_devices))]
+        tensors = [Var(f"t{i}") for i in range(len(sizes_devices))]
+        bindings = []
+        for s, t, (size, device) in zip(storages, tensors, sizes_devices):
+            bindings += [(s, _static_alloc(size, device)), (t, _tensor_from(s))]
+        bindings += [(Var("u"), api.tanh(tensors[i])) for i in dying_order]
+        asked, results = [], []
+        for size, device in requests:
+            asked.append(Var("r"))
+            results.append(Var("rt"))
+            bindings += [(asked[-1], _static_alloc(size, device)),
+                         (results[-1], _tensor_from(asked[-1]))]
+        return bindings, Tuple(results), storages, asked
+
+    def test_equal_sizes_the_earlier_released_storage_is_taken(self):
+        bindings, tail, (s0, s1), (r0, r1) = self._scope(
+            [(64, cpu(0)), (64, cpu(0))], dying_order=[1, 0],
+            requests=[(64, cpu(0)), (64, cpu(0))])
+        planned = self._plan(bindings, tail)
+        assert planned[r0] is s1  # bound second, released first
+        assert planned[r1] is s0
+
+    def test_a_storage_on_another_device_is_never_taken(self):
+        bindings, tail, (s0,), (r0, r1) = self._scope(
+            [(256, gpu(0))], dying_order=[0],
+            requests=[(64, cpu(0)), (64, gpu(0))])
+        planned = self._plan(bindings, tail)
+        assert _is_static_alloc(planned[r0])
+        assert planned[r1] is s0
+
+    def test_smallest_sufficient_storage_wins_over_an_earlier_larger_one(self):
+        bindings, tail, (big, small), (r0, r1, r2) = self._scope(
+            [(256, cpu(0)), (128, cpu(0))], dying_order=[0, 1],
+            requests=[(100, cpu(0)), (300, cpu(0)), (200, cpu(0))])
+        planned = self._plan(bindings, tail)
+        assert planned[r0] is small
+        assert _is_static_alloc(planned[r1])  # nothing pooled is large enough
+        assert planned[r2] is big
+
+    def test_work_doubles_when_depth_doubles(self, monkeypatch):
+        """No stopwatch: union-find lookups inside `MemoryPlan.run` for a
+        12-layer BERT are at most 2.2x those for a 6-layer one (the
+        full-scan queries made it 3.98x)."""
+        import repro.nimble as nimble
+        from repro.models.bert import BertConfig, BertWeights, build_bert_module
+
+        finds = [0]
+        planning = []
+        real_find, real_run = UnionFind.find, MemoryPlan.run
+
+        def counting_find(self, key):
+            finds[0] += bool(planning)
+            return real_find(self, key)
+
+        def flagged_run(self, mod):
+            planning.append(True)
+            try:
+                return real_run(self, mod)
+            finally:
+                planning.pop()
+
+        monkeypatch.setattr(UnionFind, "find", counting_find)
+        monkeypatch.setattr(MemoryPlan, "run", flagged_run)
+
+        def work(layers):
+            finds[0] = 0
+            nimble.build(build_bert_module(BertWeights.create(
+                BertConfig(hidden=32, num_heads=4, num_layers=layers, ffn=64), seed=0)),
+                intel_cpu())
+            return finds[0]
+
+        six, twelve = work(6), work(12)
+        assert six > 0
+        assert twelve <= 2.2 * six
