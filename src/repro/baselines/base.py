@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.codegen.workload import Workload, _GEMM_OPS
+from repro.codegen.workload import GEMM_OPS, Workload
 from repro.codegen.cost_model import custom_library_cost_us, library_cost_us, tuned_cost_us
 from repro.codegen.schedule import Schedule
 from repro.errors import NimbleError
@@ -76,7 +76,7 @@ class OpExecutor:
             flops=flops,
             bytes_moved=float(bytes_moved),
             working_set=float(bytes_moved),
-            is_gemm=op_name in _GEMM_OPS,
+            is_gemm=op_name in GEMM_OPS,
             out_shapes=tuple(tuple(s) for s in out_shapes),
         )
         spec = self.platform.compute_spec

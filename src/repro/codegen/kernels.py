@@ -24,21 +24,19 @@ import numpy as np
 
 from repro.codegen.cost_model import library_cost_us, tuned_cost_us
 from repro.codegen.schedule import Schedule, default_schedule
-from repro.codegen.workload import GEMM_OPS, Workload, compute_workload, run_prim_func
+from repro.codegen.workload import GEMM_OPS, KernelProgram, Workload, compute_workload
 from repro.core.memory.prim_info import PrimFuncInfo, analyze_prim_func, run_fused_shape_func
-from repro.errors import CompilerError, SerializationError
+from repro.errors import SerializationError
 from repro.hardware import calibration
 from repro.hardware.platforms import Platform
 from repro.hardware.specs import DeviceSpec
 from repro.ir.analysis import structural_hash
-from repro.ir.expr import Call, Expr, Function, Let, Var
+from repro.ir.expr import Call, Constant, Expr, Function, Let, Var
 from repro.ir.op import Op
-from repro.ir.types import TensorType, has_any_dim, type_hash
+from repro.ir.types import has_any_dim, type_hash
 from repro.ops.shape_funcs import prod
 
 Shape = Tuple[int, ...]
-
-_GEMM_OPS = GEMM_OPS
 
 
 def _prim_calls(func: Function) -> List[Call]:
@@ -55,8 +53,6 @@ def _prim_calls(func: Function) -> List[Call]:
 
 def canonical_mnk(func: Function, in_shapes: Sequence[Shape], out_shape: Shape) -> Tuple[int, int, int]:
     """(rows, cols, reduction) the schedule's loop nest maps to."""
-    from repro.ir.expr import Constant
-
     param_index = {p: i for i, p in enumerate(func.params)}
 
     def arg_shape(arg: Expr, fallback: Shape) -> Shape:
@@ -67,7 +63,7 @@ def canonical_mnk(func: Function, in_shapes: Sequence[Shape], out_shape: Shape) 
         return fallback
 
     for call in _prim_calls(func):
-        if isinstance(call.op, Op) and call.op.name in _GEMM_OPS:
+        if isinstance(call.op, Op) and call.op.name in GEMM_OPS:
             if call.op.name in ("nn.dense", "nn.batch_dense"):
                 d_shape = arg_shape(call.args[0], out_shape)
                 w_shape = arg_shape(call.args[1], (1, 1))
@@ -188,16 +184,23 @@ class KernelSet:
 
     # -- execution ------------------------------------------------------------------
     def run(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        return run_prim_func(self.prim, inputs)
+        """Launch: lowered on first use and kept, like the pricing memo."""
+        try:
+            program = self._program
+        except AttributeError:
+            program = self._program = KernelProgram(self.prim)
+        return program.run(inputs)
 
     def __getstate__(self) -> dict:
         # KernelSets are pickled into every executable and into the
-        # kernel-cache blob; the pricing memo is per-process working
-        # state and must not change a byte of either. It is re-created
-        # lazily by invoke_cost (no __setstate__: the default one keeps
-        # pickle's interning of attribute names).
+        # kernel-cache blob; the pricing memo and the lowered program
+        # are per-process working state and must not change a byte of
+        # either. They are re-created lazily by invoke_cost / run (no
+        # __setstate__: the default one keeps pickle's interning of
+        # attribute names).
         state = self.__dict__.copy()
         state.pop("_cost_memo", None)
+        state.pop("_program", None)
         return state
 
     def invoke_cost(self, in_shapes: Sequence[Shape]) -> KernelInvocation:

@@ -10,7 +10,7 @@ moved (that is precisely why fusion wins).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from repro.errors import CompilerError
 from repro.ir.expr import Call, Constant, Expr, Function, Let, Tuple as IRTuple, TupleGetItem, Var
 from repro.ir.op import Op
 from repro.ops import get_op_def
-from repro.ops.registry import OpPattern
 from repro.ops.shape_funcs import prod
 from repro.tensor.dtype import dtype_bytes
 
@@ -30,7 +29,6 @@ Shape = Tuple[int, ...]
 GEMM_OPS = frozenset(
     {"nn.dense", "nn.batch_dense", "nn.batch_matmul", "nn.conv2d"}
 )
-_GEMM_OPS = GEMM_OPS
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,7 @@ def compute_workload(func: Function, in_shapes: Sequence[Shape]) -> Workload:
         outs = op_def.shape_func(arg_shapes, None, call.attrs)
         env.env[var] = outs[0] if len(outs) == 1 else tuple(outs)
         flops += op_def.flops(arg_shapes, outs, call.attrs)
-        if call.op.name in _GEMM_OPS:
+        if call.op.name in GEMM_OPS:
             is_gemm = True
 
     # Bytes: external params in + final outputs out; constants embedded in
@@ -156,39 +154,84 @@ def compute_workload(func: Function, in_shapes: Sequence[Shape]) -> Workload:
     )
 
 
+def _pack(fields, _attrs):
+    return tuple(fields)
+
+
+def _project(operands, index):
+    return operands[0][index]
+
+
+class KernelProgram:
+    """A primitive body lowered once to a straight-line program.
+
+    Values live in a slot list: parameters take slots ``0..n-1``, every
+    ``Constant`` sits in the slot *template* by reference (an in-place
+    write to its array is seen by the next run), and each step ``(fn,
+    attrs, argument slots, destination slot)`` computes one slot from
+    earlier ones — ``fn`` is an operator's ``compute`` or the tuple pack
+    / projection above. No recursion, ``Var`` hashing or registry lookup.
+    """
+
+    __slots__ = ("num_params", "template", "steps", "result")
+
+    def __init__(self, func: Function) -> None:
+        self.num_params = len(func.params)
+        self.template: list = [None] * self.num_params
+        self.steps: List[tuple] = []
+        slots: Dict[Var, int] = {p: i for i, p in enumerate(func.params)}
+
+        def lower(expr: Expr) -> int:
+            """The slot holding *expr*. Operands are lowered first, so
+            nested (hand-built, non-ANF) calls run in post-order."""
+            if isinstance(expr, Var):
+                if expr not in slots:
+                    raise CompilerError(f"kernel lowering: unbound variable {expr.name_hint!r}")
+                return slots[expr]
+            if isinstance(expr, Constant):
+                self.template.append(expr.data)
+                return len(self.template) - 1
+            if isinstance(expr, IRTuple):
+                fn, attrs, operands = _pack, None, expr.fields
+            elif isinstance(expr, TupleGetItem):
+                fn, attrs, operands = _project, expr.index, (expr.tuple_value,)
+            elif isinstance(expr, Call) and isinstance(expr.op, Op):
+                fn, attrs, operands = get_op_def(expr.op.name).compute, expr.attrs, expr.args
+            else:
+                raise CompilerError(f"kernel lowering: cannot evaluate {type(expr).__name__}")
+            arg_slots = tuple(lower(a) for a in operands)
+            self.template.append(None)
+            self.steps.append((fn, attrs, arg_slots, len(self.template) - 1))
+            return len(self.template) - 1
+
+        node: Expr = func.body
+        while isinstance(node, Let):
+            slots[node.var] = lower(node.value)
+            node = node.body
+        self.result = lower(node)
+
+    def run(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
+        if len(inputs) != self.num_params:
+            raise CompilerError(
+                f"kernel arity mismatch: {self.num_params} params, {len(inputs)} inputs"
+            )
+        env = self.template.copy()
+        env[: self.num_params] = inputs
+        read = env.__getitem__
+        for fn, attrs, arg_slots, dst in self.steps:
+            env[dst] = fn(list(map(read, arg_slots)), attrs)
+        result = env[self.result]
+        if isinstance(result, tuple):
+            return [np.asarray(r) for r in result]
+        return [np.asarray(result)]
+
+
 def run_prim_func(func: Function, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Execute a primitive function body on NumPy arrays.
+    """Execute a primitive function body on NumPy arrays: lower, then run.
 
     This is the numerical ground truth for every kernel variant — symbolic,
     residue-specialized and library implementations all compute the same
-    values; only their *cost* differs.
+    values; only their *cost* differs. ``KernelSet.run`` keeps the lowered
+    program; this one-shot form lowers per call.
     """
-    if len(func.params) != len(inputs):
-        raise CompilerError(
-            f"kernel arity mismatch: {len(func.params)} params, {len(inputs)} inputs"
-        )
-    env: Dict[Var, object] = dict(zip(func.params, inputs))
-
-    def eval_expr(expr: Expr):
-        if isinstance(expr, Var):
-            return env[expr]
-        if isinstance(expr, Constant):
-            return expr.data
-        if isinstance(expr, IRTuple):
-            return tuple(eval_expr(f) for f in expr.fields)
-        if isinstance(expr, TupleGetItem):
-            return eval_expr(expr.tuple_value)[expr.index]
-        if isinstance(expr, Call) and isinstance(expr.op, Op):
-            op_def = get_op_def(expr.op.name)
-            args = [eval_expr(a) for a in expr.args]
-            return op_def.compute(args, expr.attrs)
-        raise CompilerError(f"kernel executor: cannot evaluate {type(expr).__name__}")
-
-    node: Expr = func.body
-    while isinstance(node, Let):
-        env[node.var] = eval_expr(node.value)
-        node = node.body
-    result = eval_expr(node)
-    if isinstance(result, tuple):
-        return [np.asarray(r) for r in result]
-    return [np.asarray(result)]
+    return KernelProgram(func).run(inputs)

@@ -10,7 +10,7 @@ an order of magnitude cheaper than a fresh allocation.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.hardware import calibration

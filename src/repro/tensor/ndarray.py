@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import NimbleError, VMError
+from repro.errors import VMError
 from repro.tensor.device import Device, cpu
 from repro.tensor.dtype import from_numpy_dtype, to_numpy_dtype
 from repro.tensor.storage import Storage
@@ -44,14 +44,20 @@ class NDArray:
 
     # -- construction -------------------------------------------------
     @staticmethod
-    def from_storage(
-        storage: Storage, offset: int, shape: Sequence[int], dtype: str
-    ) -> "NDArray":
+    def layout(shape: Sequence[int], dtype: str) -> tuple:
+        """(NumPy dtype, shape tuple, byte count) of a tensor: the part of
+        `from_storage` the VM does once per static ``AllocTensor``."""
         np_dtype = to_numpy_dtype(dtype)
         shape = tuple(int(d) for d in shape)
         # Python ints: a rank-0 shape is one element (the empty product
         # is 1), and no size wraps around before the view checks it.
-        nbytes = math.prod(shape) * np_dtype.itemsize
+        return np_dtype, shape, math.prod(shape) * np_dtype.itemsize
+
+    @staticmethod
+    def from_storage(
+        storage: Storage, offset: int, shape: Sequence[int], dtype: str
+    ) -> "NDArray":
+        np_dtype, shape, nbytes = NDArray.layout(shape, dtype)
         view = storage.view(offset, nbytes, np_dtype, shape)
         return NDArray(view, storage.device, storage, offset)
 

@@ -10,7 +10,6 @@ tensors onto one allocation (§4.3).
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 import numpy as np
 

@@ -9,15 +9,14 @@ tensors plus deterministic latency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import ShapeGuardError, VMError
 from repro.hardware import calibration
-from repro.hardware.platforms import Platform, platform_by_name
+from repro.hardware.platforms import platform_by_name
 from repro.runtime.context import ExecutionContext
-from repro.tensor.device import Device
 from repro.tensor.ndarray import NDArray
 from repro.vm import instruction as ins
 from repro.vm.executable import Executable, VMFunction
@@ -58,15 +57,20 @@ def _set(regs: List[RegisterValue], dst: Optional[int], value: RegisterValue) ->
     if dst is None:
         release_value(value)
         return
-    release_value(regs[dst])
+    old = regs[dst]
+    if old is not None:
+        release_value(old)
     regs[dst] = value
 
 
 class _Frame:
-    __slots__ = ("func", "registers", "pc", "caller_dst")
+    __slots__ = ("func", "opcodes", "operands", "registers", "pc", "caller_dst")
 
-    def __init__(self, func: VMFunction, caller_dst: Optional[int]) -> None:
+    def __init__(self, func: VMFunction, opcodes: List[int], operands: list,
+                 caller_dst: Optional[int]) -> None:
         self.func = func
+        self.opcodes = opcodes
+        self.operands = operands
         self.registers: List[RegisterValue] = [None] * func.register_count
         self.pc = 0
         self.caller_dst = caller_dst
@@ -95,6 +99,12 @@ class VirtualMachine:
         self._event_record_us = calibration.STREAM_EVENT_RECORD_US[name]
         self._wait_event_us = calibration.STREAM_WAIT_EVENT_US[name]
         self._event_sync_us = calibration.STREAM_EVENT_SYNC_US[name]
+        # Decode-once state, found by position and never referring back to
+        # this VM: per function index, (the function decoded, its opcodes,
+        # its operands), filled in `_activate`; and one TensorObj per
+        # constant, shared by every load (no storage_obj: nothing to retain).
+        self._decoded: List[Optional[tuple]] = [None] * len(executable.functions)
+        self._constants = [TensorObj(c) for c in executable.constants]
 
     # ------------------------------------------------------------------ public
     def run(
@@ -127,11 +137,9 @@ class VirtualMachine:
             index = self.exe.func_index[name]
         except KeyError:
             raise VMError(f"executable has no function {name!r}") from None
-        func = self.exe.functions[index]
-        if len(inputs) != func.num_params:
-            raise VMError(
-                f"{name} expects {func.num_params} inputs, got {len(inputs)}"
-            )
+        num_params = self.exe.functions[index].num_params
+        if len(inputs) != num_params:
+            raise VMError(f"{name} expects {num_params} inputs, got {len(inputs)}")
         if name == self.exe.entry:
             mismatch = self.exe.guard_mismatch(inputs)
             if mismatch is not None:
@@ -139,14 +147,14 @@ class VirtualMachine:
                     f"{name}: {mismatch}; the serving layer should have "
                     f"deopted this call to the dynamic tier"
                 )
-        frame = _Frame(func, caller_dst=None)
+        frame = self._activate(index, caller_dst=None)
         for i, value in enumerate(inputs):
             frame.registers[i] = self._wrap_input(value)
         self._stream_offset = stream_offset % self._num_streams
         self._events.clear()
         self._running = True
         try:
-            result = self._dispatch_loop(frame)
+            result = self._run_frames([frame])
         finally:
             self._running = False
         self.profile.record_run()
@@ -171,113 +179,132 @@ class VirtualMachine:
         return result, self.ctx.clock.elapsed_us - start
 
     # ------------------------------------------------------------ dispatch loop
-    def _dispatch_loop(self, root: _Frame) -> RegisterValue:
-        stack: List[_Frame] = [root]
-        try:
-            return self._run_frames(stack)
-        except BaseException:
-            # An error mid-dispatch must not leak buffers: drop every live
-            # frame so their registers' refcounts drain and pooled storage
-            # returns to the allocator.
-            while stack:
-                self._release_frame(stack.pop())
-            raise
+    def _activate(self, index: int, caller_dst: Optional[int]) -> _Frame:
+        """A fresh frame of function *index*, decoded on first use (and
+        again, should the executable's function have been swapped)."""
+        func = self.exe.functions[index]
+        decoded = self._decoded[index]
+        if decoded is None or decoded[0] is not func:
+            opcodes, operands = [], []
+            for instr in func.instructions:
+                decoder = self._DECODERS[instr.opcode]
+                opcodes.append(int(instr.opcode))
+                operands.append(instr if decoder is None else decoder(self, instr))
+            decoded = self._decoded[index] = (func, opcodes, operands)
+        return _Frame(func, decoded[1], decoded[2], caller_dst)
 
     def _run_frames(self, stack: List[_Frame]) -> RegisterValue:
         """The hot loop: one pass of the outer loop per frame activation,
         one pass of the inner loop per instruction.
 
-        Everything an instruction needs is a local; a straight-line
-        opcode costs one lookup in ``_HANDLERS`` and one call, and only
-        the six opcodes that change ``pc`` or the frame stack are decided
-        here. The per-instruction charge is applied one instruction at a
-        time, in order: float addition does not reassociate, and the
-        virtual clock is the oracle that nothing but speed changed.
+        Everything an instruction needs is a local or was decoded in
+        `_activate`; a straight-line opcode costs one lookup in
+        ``_HANDLERS`` and one call, and only the six opcodes that change
+        ``pc`` or the frame stack are decided here. The per-instruction
+        charge is applied one at a time, in order: float addition does
+        not reassociate, and the virtual clock is the oracle that nothing
+        but speed changed. Counts and the dispatch charge reach the
+        profile in the ``finally``: a run that raises has still counted
+        the instruction it raised in.
         """
         final: RegisterValue = None
-        functions = self.exe.functions
         instr_us = self._instr_us
-        host_advance = self.ctx.clock.host_advance
+        clock = self.ctx.clock
         profile = self.profile
-        counts = profile.instruction_counts
-        names = _OPCODE_NAMES
+        dispatch_us = profile.dispatch_time_us
+        tally = [0] * len(_OPCODE_NAMES)
         handlers = self._HANDLERS
-        RET, INVOKE, INVOKE_CLOSURE = _Op.RET, _Op.INVOKE, _Op.INVOKE_CLOSURE
-        IF, GOTO, FATAL = _Op.IF, _Op.GOTO, _Op.FATAL
-        while stack:
-            frame = stack[-1]
-            instructions = frame.func.instructions
-            end = len(instructions)
-            regs = frame.registers
-            pc = frame.pc
-            while True:
-                if pc >= end:
-                    raise VMError(f"fell off the end of {frame.func.name}")
-                instr = instructions[pc]
-                opcode = instr.opcode
-                counts[names[opcode]] += 1
-                profile.dispatch_time_us += instr_us
-                host_advance(instr_us)
-                handler = handlers[opcode]
-                if handler is not None:
-                    handler(self, instr, regs)
-                    pc += 1
-                elif opcode is IF:
-                    test = self._read_scalar(regs[instr.test])
-                    target = self._read_scalar(regs[instr.target])
-                    pc += instr.true_offset if test == target else instr.false_offset
-                elif opcode is GOTO:
-                    pc += instr.pc_offset
-                elif opcode is RET:
-                    result = regs[instr.result]
-                    if isinstance(result, VMObject):
-                        result.retain()
-                    self._release_frame(frame)
-                    stack.pop()
-                    if stack:
-                        _set(stack[-1].registers, frame.caller_dst, result)
-                    else:
-                        final = result
-                    break
-                elif opcode is INVOKE:
-                    new_frame = _Frame(functions[instr.func_index], caller_dst=instr.dst)
-                    callee_regs = new_frame.registers
-                    for i, arg in enumerate(instr.args):
-                        callee_regs[i] = retain_value(regs[arg])
-                    frame.pc = pc + 1
-                    stack.append(new_frame)
-                    break
-                elif opcode is INVOKE_CLOSURE:
-                    closure = regs[instr.closure]
-                    if not isinstance(closure, ClosureObj):
-                        raise VMError("InvokeClosure on a non-closure object")
-                    new_frame = _Frame(functions[closure.func_index], caller_dst=instr.dst)
-                    callee_regs = new_frame.registers
-                    pos = 0
-                    for arg in instr.args:
-                        callee_regs[pos] = retain_value(regs[arg])
-                        pos += 1
-                    for captured in closure.captured:
-                        callee_regs[pos] = retain_value(captured)
-                        pos += 1
-                    frame.pc = pc + 1
-                    stack.append(new_frame)
-                    break
-                elif opcode is FATAL:
-                    raise VMError(f"VM fatal: {instr.message}")
-                else:  # pragma: no cover - _HANDLERS + these six are exhaustive
-                    raise VMError(f"unknown opcode {opcode}")
+        RET, INVOKE, INVOKE_CLOSURE = int(_Op.RET), int(_Op.INVOKE), int(_Op.INVOKE_CLOSURE)
+        IF, GOTO, FATAL = int(_Op.IF), int(_Op.GOTO), int(_Op.FATAL)
+        try:
+            while stack:
+                frame = stack[-1]
+                opcodes = frame.opcodes
+                operands = frame.operands
+                end = len(opcodes)
+                regs = frame.registers
+                pc = frame.pc
+                while True:
+                    if pc >= end:
+                        raise VMError(f"fell off the end of {frame.func.name}")
+                    opcode = opcodes[pc]
+                    tally[opcode] += 1
+                    dispatch_us += instr_us
+                    clock.host_us += instr_us  # clock.host_advance, without the call
+                    handler = handlers[opcode]
+                    if handler is not None:
+                        handler(self, operands[pc], regs)
+                        pc += 1
+                    elif opcode == IF:
+                        instr = operands[pc]
+                        test = self._read_scalar(regs[instr.test])
+                        target = self._read_scalar(regs[instr.target])
+                        pc += instr.true_offset if test == target else instr.false_offset
+                    elif opcode == GOTO:
+                        pc += operands[pc].pc_offset
+                    elif opcode == RET:
+                        result = regs[operands[pc].result]
+                        if isinstance(result, VMObject):
+                            result.retain()
+                        self._release_frame(frame)
+                        stack.pop()
+                        if stack:
+                            _set(stack[-1].registers, frame.caller_dst, result)
+                        else:
+                            final = result
+                        break
+                    elif opcode == INVOKE:
+                        instr = operands[pc]
+                        new_frame = self._activate(instr.func_index, instr.dst)
+                        callee_regs = new_frame.registers
+                        for i, arg in enumerate(instr.args):
+                            callee_regs[i] = retain_value(regs[arg])
+                        frame.pc = pc + 1
+                        stack.append(new_frame)
+                        break
+                    elif opcode == INVOKE_CLOSURE:
+                        instr = operands[pc]
+                        closure = regs[instr.closure]
+                        if not isinstance(closure, ClosureObj):
+                            raise VMError("InvokeClosure on a non-closure object")
+                        new_frame = self._activate(closure.func_index, instr.dst)
+                        callee_regs = new_frame.registers
+                        pos = 0
+                        for arg in instr.args:
+                            callee_regs[pos] = retain_value(regs[arg])
+                            pos += 1
+                        for captured in closure.captured:
+                            callee_regs[pos] = retain_value(captured)
+                            pos += 1
+                        frame.pc = pc + 1
+                        stack.append(new_frame)
+                        break
+                    elif opcode == FATAL:
+                        raise VMError(f"VM fatal: {operands[pc].message}")
+                    else:  # pragma: no cover - _HANDLERS + these six are exhaustive
+                        raise VMError(f"unknown opcode {opcode}")
+        except BaseException:
+            # An error mid-dispatch must not leak buffers: drop every live
+            # frame so refcounts drain and pooled storage returns.
+            while stack:
+                self._release_frame(stack.pop())
+            raise
+        finally:
+            profile.dispatch_time_us = dispatch_us
+            counts = profile.instruction_counts
+            for opcode, executed in enumerate(tally):
+                if executed:
+                    counts[_OPCODE_NAMES[opcode]] += executed
         return final
 
     # --------------------------------------------------------------- helpers
     def _release_frame(self, frame: _Frame) -> None:
         for value in frame.registers:
-            release_value(value)
+            if isinstance(value, VMObject):  # release_value, without the call
+                value.release()
 
     def _wrap_input(self, value) -> RegisterValue:
-        if isinstance(value, TensorObj):
-            return value
-        if isinstance(value, ADTObj):
+        if isinstance(value, (TensorObj, ADTObj)):
             return value
         if isinstance(value, NDArray):
             return TensorObj(value)
@@ -292,29 +319,34 @@ class VirtualMachine:
             return NDArray(value.data.copy(), value.device)
         if isinstance(value, ADTObj):
             return tuple(self._unwrap(f) for f in value.fields)
-        if isinstance(value, int):
-            return value
         return value
 
     def _read_scalar(self, value: RegisterValue) -> int:
-        if isinstance(value, TensorObj) and value.device.is_gpu:
+        if type(value) is int:
+            return value
+        if isinstance(value, TensorObj) and value.array.device.is_gpu:
             # Host reads of device values synchronize the queue.
-            self.ctx.clock.sync(value.device)
+            self.ctx.clock.sync(value.array.device)
         return scalar_of(value)
 
     # ------------------------------------------- straight-line opcode handlers
-    # Plain functions called as ``handler(vm, instr, regs)`` through the
+    # Plain functions called as ``handler(vm, operand, regs)`` through the
     # class-level ``_HANDLERS`` table below. They are looked up on the
     # class, never bound per VM: a Worker builds a VM per specialized
     # variant, and a table of bound methods would tie each VM (and its
     # executable) into a reference cycle only the cyclic GC can free.
+    #
+    # *operand* is the instruction, or what the ``_decode_*`` above the
+    # handler made of its immutable fields in `_activate`. NOT decoded,
+    # because they change under a live VM: ``self.exe.kernels[i]`` (a
+    # kernel can be swapped between runs), ``self.profile`` (a Worker
+    # reassigns it), ``self.ctx.numerics``, and the class attributes
+    # tracers patch (kernel ``invoke_cost`` / ``run``, allocator ``alloc``).
     def _op_move(self, instr: ins.Move, regs) -> None:
         _set(regs, instr.dst, retain_value(regs[instr.src]))
 
     def _op_alloc_storage(self, instr: ins.AllocStorage, regs) -> None:
         nbytes = self._read_scalar(regs[instr.allocation_size])
-        # Looked up per call, like kernel.invoke_cost/run below: tracers
-        # patch these class attributes after the VM exists.
         allocator = self.ctx.allocator
         stats = allocator.stats
         before = stats.alloc_time_us
@@ -324,12 +356,25 @@ class VirtualMachine:
         self.profile.alloc_time_us += stats.alloc_time_us - before
         _set(regs, instr.dst, StorageObj(storage, on_free=allocator.free))
 
-    def _op_alloc_tensor(self, instr: ins.AllocTensor, regs) -> None:
-        self._alloc_tensor(instr, regs, instr.shape)
+    def _decode_alloc_tensor(self, instr: ins.AllocTensor) -> tuple:
+        return (instr.storage, instr.offset, instr.dst) + NDArray.layout(instr.shape, instr.dtype)
+
+    def _op_alloc_tensor(self, op: tuple, regs) -> None:
+        """AllocTensor / AllocTensorReg: a view with a layout into a storage."""
+        storage_reg, offset_reg, dst, np_dtype, shape, nbytes = op
+        storage_obj = regs[storage_reg]
+        if not isinstance(storage_obj, StorageObj):
+            raise VMError("AllocTensor on a non-storage object")
+        offset = self._read_scalar(regs[offset_reg])
+        storage = storage_obj.storage
+        view = storage.view(offset, nbytes, np_dtype, shape)
+        array = NDArray(view, storage.device, storage, offset)
+        _set(regs, dst, TensorObj(array, storage_obj))
 
     def _op_alloc_tensor_reg(self, instr: ins.AllocTensorReg, regs) -> None:
         shape_obj = as_tensor(regs[instr.shape_register], "AllocTensorReg shape")
-        self._alloc_tensor(instr, regs, tuple(int(d) for d in shape_obj.data))
+        layout = NDArray.layout(shape_obj.data, instr.dtype)
+        self._op_alloc_tensor((instr.storage, instr.offset, instr.dst) + layout, regs)
 
     def _op_alloc_adt(self, instr: ins.AllocADT, regs) -> None:
         _set(regs, instr.dst, ADTObj(instr.tag, [regs[r] for r in instr.fields]))
@@ -355,8 +400,11 @@ class VirtualMachine:
             raise VMError("GetTag on a non-ADT object")
         _set(regs, instr.dst, obj.tag)
 
-    def _op_load_const(self, instr: ins.LoadConst, regs) -> None:
-        _set(regs, instr.dst, TensorObj(self.exe.constants[instr.const_index]))
+    def _decode_load_const(self, instr: ins.LoadConst) -> tuple:
+        return self._constants[instr.const_index], instr.dst
+
+    def _op_load_const(self, op: tuple, regs) -> None:
+        _set(regs, op[1], op[0])
 
     def _op_load_consti(self, instr: ins.LoadConsti, regs) -> None:
         _set(regs, instr.dst, instr.value)
@@ -388,71 +436,83 @@ class VirtualMachine:
             )
             self.profile.record_sync_wait(stall)
 
-    def _alloc_tensor(self, instr, regs, shape) -> None:
-        """AllocTensor / AllocTensorReg: a view of *shape* into a storage."""
-        storage_obj = regs[instr.storage]
-        if not isinstance(storage_obj, StorageObj):
-            raise VMError("AllocTensor on a non-storage object")
-        offset = self._read_scalar(regs[instr.offset])
-        array = NDArray.from_storage(storage_obj.storage, offset, shape, instr.dtype)
-        _set(regs, instr.dst, TensorObj(array, storage_obj))
-
-    def _device_copy(self, instr: ins.DeviceCopy, regs) -> None:
-        tensor = as_tensor(regs[instr.src], "DeviceCopy")
-        clock = self.ctx.clock
-        spec = None
-        if instr.src_device.is_gpu or instr.dst_device.is_gpu:
-            gpu_dev = instr.src_device if instr.src_device.is_gpu else instr.dst_device
-            spec = self.ctx.platform.spec_of(gpu_dev)
-        if instr.src_device.is_gpu:
-            clock.sync(instr.src_device)
-        if spec is not None:
-            cost = spec.copy_latency_us + tensor.array.nbytes / (spec.copy_bw_gbps * 1e3)
+    def _decode_device_copy(self, instr: ins.DeviceCopy) -> tuple:
+        """A copy costs ``latency_us + nbytes / bytes_per_us``: over the
+        link of whichever end is a GPU, else through host DRAM (where
+        adding a latency of 0.0 leaves the quotient bit-equal)."""
+        src_device, platform = instr.src_device, self.ctx.platform
+        if src_device.is_gpu or instr.dst_device.is_gpu:
+            spec = platform.spec_of(src_device if src_device.is_gpu else instr.dst_device)
+            latency_us, bytes_per_us = spec.copy_latency_us, spec.copy_bw_gbps * 1e3
         else:
-            host = self.ctx.platform.host_spec
-            cost = tensor.array.nbytes / (host.dram_bw_gbps * 1e3)
+            latency_us, bytes_per_us = 0.0, platform.host_spec.dram_bw_gbps * 1e3
+        sync_device = src_device if src_device.is_gpu else None
+        return instr.src, instr.dst, instr.dst_device, sync_device, latency_us, bytes_per_us
+
+    def _device_copy(self, op: tuple, regs) -> None:
+        src, dst, dst_device, sync_device, latency_us, bytes_per_us = op
+        tensor = as_tensor(regs[src], "DeviceCopy")
+        clock = self.ctx.clock
+        if sync_device is not None:
+            clock.sync(sync_device)
+        cost = latency_us + tensor.array.nbytes / bytes_per_us
         clock.host_advance(cost)
         self.profile.copy_time_us += cost
-        copied = TensorObj(tensor.array.to_device(instr.dst_device))
-        _set(regs, instr.dst, copied)
+        _set(regs, dst, TensorObj(tensor.array.to_device(dst_device)))
 
-    def _invoke_packed(self, instr: ins.InvokePacked, regs) -> None:
-        kernel = self.exe.kernels[instr.packed_index]
+    def _decode_invoke_packed(self, instr: ins.InvokePacked) -> tuple:
         num_inputs = instr.arity - instr.output_size
-        in_objs = [as_tensor(regs[r], "kernel input") for r in instr.args[:num_inputs]]
-        out_objs = [as_tensor(regs[r], "kernel output") for r in instr.args[num_inputs:]]
+        device, kind = instr.device, instr.kind
+        # launch_us None: a synchronous device, the kernel runs on the host.
+        launch_us = self.ctx.platform.spec_of(device).host_launch_us if device.is_gpu else None
+        return (
+            instr.packed_index, instr.args[:num_inputs], instr.args[num_inputs:],
+            kind == "shape_func", kind == "host_scalar", kind == "compute",
+            device, launch_us, instr.stream,
+        )
+
+    def _invoke_packed(self, op: tuple, regs) -> None:
+        (packed_index, in_regs, out_regs, is_shape_func, is_host_scalar, is_compute,
+         device, launch_us, stream) = op
+        kernel = self.exe.kernels[packed_index]
+        inputs = []
+        for r in in_regs:
+            obj = regs[r]
+            if not isinstance(obj, TensorObj):
+                as_tensor(obj, "kernel input")
+            inputs.append(obj.array.data)
+        outputs = []
+        for r in out_regs:
+            obj = regs[r]
+            if not isinstance(obj, TensorObj):
+                as_tensor(obj, "kernel output")
+            outputs.append(obj.array.data)
         clock = self.ctx.clock
 
-        if instr.kind == "shape_func":
-            info = kernel.info
-            if info.mode.value == "data_dependent":
-                in_shapes = [t.shape for t in in_objs]
-                in_values = [t.data for t in in_objs]
+        if is_shape_func:
+            if kernel.info.mode.value == "data_dependent":
+                in_shapes = [data.shape for data in inputs]
+                in_values = inputs
             else:
                 # Inputs are shape vectors produced by ShapeOf.
-                in_shapes = [tuple(int(d) for d in t.data) for t in in_objs]
+                in_shapes = [tuple(map(int, data)) for data in inputs]
                 in_values = None
             cost = kernel.cost_us(in_values)
             clock.host_advance(cost)
             self.profile.record_shape_func(cost)
             results = kernel.run(in_shapes, in_values)
-            for out, result in zip(out_objs, results):
-                np.copyto(out.data, result)
+            for out, result in zip(outputs, results):
+                np.copyto(out, result)
             return
 
-        in_shapes = [t.shape for t in in_objs]
-        invocation = kernel.invoke_cost(in_shapes)
-        device = instr.device
-        spec = self.ctx.platform.spec_of(device)
-        stream = 0
-        if device.is_gpu:
-            stream = (instr.stream + self._stream_offset) % self._num_streams
-            clock.launch_async(
-                device, invocation.duration_us, spec.host_launch_us, stream
-            )
-        else:
+        invocation = kernel.invoke_cost([data.shape for data in inputs])
+        if launch_us is None:
+            stream = 0
             clock.run_sync(invocation.duration_us)
-        if instr.kind == "host_scalar":
+        else:
+            stream = (stream + self._stream_offset) % self._num_streams
+            clock.launch_async(device, invocation.duration_us, launch_us, stream)
+        if is_host_scalar:
             self.profile.host_scalar_time_us += invocation.duration_us
         else:
             self.profile.record_kernel(
@@ -464,26 +524,26 @@ class VirtualMachine:
         # NumPy execution — output buffers already have the right shapes
         # (allocated through shape functions) and latency was modeled above.
         if (
-            self.ctx.numerics == "lite"
-            and instr.kind == "compute"
+            is_compute
+            and self.ctx.numerics == "lite"
             and invocation.flops > 1e4
             and not kernel.info.is_dynamic
         ):
             return
 
-        results = kernel.run([t.data for t in in_objs])
-        if len(results) != len(out_objs):
+        results = kernel.run(inputs)
+        if len(results) != len(outputs):
             raise VMError(
                 f"kernel {getattr(kernel, 'name', '?')} produced {len(results)} "
-                f"outputs for {len(out_objs)} buffers"
+                f"outputs for {len(outputs)} buffers"
             )
-        for out, result in zip(out_objs, results):
-            if out.data.shape != result.shape:
+        for out, result in zip(outputs, results):
+            if out.shape != result.shape:
                 raise VMError(
                     f"kernel output shape {result.shape} does not fit buffer "
-                    f"{out.data.shape}"
+                    f"{out.shape}"
                 )
-            np.copyto(out.data, result)
+            np.copyto(out, result)
 
     # Every opcode has an entry here or is one of the six control-flow
     # opcodes `_run_frames` decides inline (tests/test_vm.py checks the
@@ -505,4 +565,13 @@ class VirtualMachine:
         _Op.RESHAPE_TENSOR: _op_reshape_tensor,
         _Op.STREAM_EVENT: _op_stream_event,
         _Op.STREAM_WAIT: _op_stream_wait,
+    })
+
+    # Opcode -> ``decode(vm, instr)``; every other opcode's operand is
+    # the instruction itself.
+    _DECODERS = _by_opcode({
+        _Op.INVOKE_PACKED: _decode_invoke_packed,
+        _Op.ALLOC_TENSOR: _decode_alloc_tensor,
+        _Op.LOAD_CONST: _decode_load_const,
+        _Op.DEVICE_COPY: _decode_device_copy,
     })

@@ -10,7 +10,7 @@ refcount drops and the pooling allocator can recycle the buffer.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,9 +100,6 @@ class TensorObj(VMObject):
         if self.storage_obj is not None:
             self.storage_obj.release()
 
-    def scalar(self):
-        return self.array.item()
-
     def __repr__(self) -> str:
         return f"TensorObj(shape={self.shape}, dtype={self.dtype}, device={self.device})"
 
@@ -191,8 +188,8 @@ def as_tensor(value: RegisterValue, what: str = "operand") -> TensorObj:
 
 def scalar_of(value: RegisterValue) -> int:
     """Coerce a register value to a Python scalar for If comparisons."""
+    if isinstance(value, TensorObj):  # first: planned sizes and offsets are these
+        return int(value.array.item())
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, TensorObj):
-        return int(value.scalar())
     raise VMError(f"cannot read a scalar from {type(value).__name__}")

@@ -19,10 +19,15 @@ from repro.codegen import (
 )
 from repro.codegen.kernels import INVOKE_COST_MEMO_CAP, canonical_mnk, is_symbolic_prim
 from repro.codegen.tuner import AutoTuner, instantiate_shapes
+from repro.codegen.workload import KernelProgram
 from repro.core.typing import infer_types
+from repro.errors import CompilerError
 from repro.hardware import arm_cpu, intel_cpu, nvidia_gpu
-from repro.ir import Any, Constant, Function, IRModule, TensorType, Var, const
-from repro.ops import api
+from repro.ir import (
+    Any, Call, Constant, Function, IRModule, Let, TensorType, Tuple, TupleGetItem, Var, const,
+)
+from repro.ir.op import Op
+from repro.ops import api, get_op_def
 from repro.tensor.ndarray import array as make_array
 
 
@@ -65,6 +70,25 @@ class TestWorkload:
         (out,) = run_prim_func(prim, [x])
         assert np.allclose(out, np.maximum(x @ w.T, 0), atol=1e-5)
 
+    def test_malformed_body_fails_at_lowering_with_a_named_error(self):
+        """An unbound variable used to be a bare KeyError from the middle
+        of a launch; a wrong input count keeps its message."""
+        x = Var("x", TensorType((4,), "float32"))
+        stray = Var("stray", TensorType((4,), "float32"))
+        prim = Function([x], api.add(api.tanh(x), stray), TensorType((4,), "float32"),
+                        {"primitive": True})
+        data = np.ones(4, np.float32)
+        with pytest.raises(CompilerError, match="unbound variable 'stray'"):
+            run_prim_func(prim, [data])
+        kernel = KernelSet(prim, intel_cpu(), intel_cpu().compute_spec)
+        with pytest.raises(CompilerError, match="unbound variable 'stray'"):
+            kernel.run([data])
+        with pytest.raises(CompilerError, match="cannot evaluate Call"):  # not of an operator
+            run_prim_func(Function([x], Call(prim, [x])), [data])
+        good, _ = _dense_prim(16, 8)
+        with pytest.raises(CompilerError, match="kernel arity mismatch: 1 params, 2 inputs"):
+            run_prim_func(good, [data, data])
+
     def test_canonical_mnk_with_constant_weight(self):
         prim, _ = _dense_prim(16, 8)
         wl = compute_workload(prim, [(4, 8)])
@@ -75,6 +99,175 @@ class TestWorkload:
         sta, _ = _dense_prim(symbolic=False)
         assert is_symbolic_prim(sym)
         assert not is_symbolic_prim(sta)
+
+
+def _reference_run(func, inputs):
+    """The recursive tree-walk `run_prim_func` was before primitives were
+    lowered, kept here — and only here — as the reference."""
+    env = dict(zip(func.params, inputs))
+
+    def eval_expr(expr):
+        if isinstance(expr, Var):
+            return env[expr]
+        if isinstance(expr, Constant):
+            return expr.data
+        if isinstance(expr, Tuple):
+            return tuple(eval_expr(f) for f in expr.fields)
+        if isinstance(expr, TupleGetItem):
+            return eval_expr(expr.tuple_value)[expr.index]
+        assert isinstance(expr, Call) and isinstance(expr.op, Op)
+        return get_op_def(expr.op.name).compute([eval_expr(a) for a in expr.args], expr.attrs)
+
+    node = func.body
+    while isinstance(node, Let):
+        env[node.var] = eval_expr(node.value)
+        node = node.body
+    result = eval_expr(node)
+    return [np.asarray(r) for r in (result if isinstance(result, tuple) else (result,))]
+
+
+def _bitwise_equal(got, want):
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+def _model_executables():
+    """(name, executable, one input): the dynamic and the
+    length-specialized LSTM, the TreeLSTM, a 2-layer BERT both ways."""
+    import repro.nimble as nimble
+    from repro.data import Tree, embedding_table
+    from repro.models.bert import BertConfig, BertWeights, build_bert_module
+    from repro.models.lstm import LSTMWeights, build_lstm_module
+    from repro.models.tree_lstm import TreeLSTMWeights, build_tree_lstm_module, tree_to_adt
+
+    rng = np.random.RandomState(3)
+    lstm = build_lstm_module(LSTMWeights.create(input_size=12, hidden_size=16, num_layers=2, seed=0))
+    bert = build_bert_module(
+        BertWeights.create(BertConfig(hidden=24, num_heads=3, num_layers=2, ffn=48), seed=0))
+    tree = build_tree_lstm_module(TreeLSTMWeights.create(input_size=12, hidden_size=8, seed=0))
+    sentence = rng.randn(7, 12).astype(np.float32)
+    tokens = rng.randn(7, 24).astype(np.float32)
+    shape = Tree.node(Tree.node(Tree.leaf(1), Tree.leaf(2)), Tree.leaf(3))
+    yield "lstm", nimble.build(lstm, intel_cpu())[0], sentence
+    yield "lstm@7", nimble.specialize(lstm, intel_cpu(), shapes=[(7, 12)])[0], sentence
+    yield "tree_lstm", nimble.build(tree, intel_cpu())[0], tree_to_adt(
+        shape, embedding_table(vocab_size=8, dim=12, seed=0))
+    yield "bert", nimble.build(bert, intel_cpu())[0], tokens
+    yield "bert@7", nimble.specialize(bert, intel_cpu(), shapes=[(7, 24)])[0], tokens
+
+
+def _hand_built_bodies():
+    """Bodies the compiler's ANF never produces, each (func, inputs)."""
+    rng = np.random.RandomState(5)
+    f32 = lambda *shape: rng.randn(*shape).astype(np.float32)
+    ty = TensorType((4, 6), "float32")
+    x, y = Var("x", ty), Var("y", ty)
+    weight = Constant(make_array(f32(6, 6)))
+    yield "nested call", Function(
+        [x, y], api.multiply(api.tanh(api.add(x, y)), api.sigmoid(y))), [f32(4, 6), f32(4, 6)]
+    yield "tuple operand", Function(
+        [x, y], api.concatenate([x, api.tanh(y), x], axis=1)), [f32(4, 6), f32(4, 6)]
+    parts = Var("parts")
+    yield "projection of a multi-output op", Function([x], Let(
+        parts, api.split(x, 3, axis=1),
+        api.concatenate([TupleGetItem(parts, 2), TupleGetItem(parts, 0)], axis=1),
+    )), [f32(4, 6)]
+    yield "embedded constant", Function(
+        [x], api.relu(api.dense(x, weight))), [f32(4, 6)]
+    h = Var("h")
+    yield "tuple result", Function([x, y], Let(
+        h, api.add(x, y), Tuple([api.tanh(h), h, TupleGetItem(api.split(y, 2, axis=0), 1)]),
+    )), [f32(4, 6), f32(4, 6)]
+
+
+class TestKernelProgram:
+    """A primitive body is lowered once to a flat program, and that
+    program is the only evaluator: bitwise the recursive one's results."""
+
+    @pytest.mark.parametrize("case", _model_executables(), ids=lambda case: case[0])
+    def test_every_kernel_of_the_models_matches_the_recursive_evaluator(self, case, monkeypatch):
+        from repro.runtime.context import ExecutionContext
+        from repro.vm.interpreter import VirtualMachine
+
+        _, exe, model_input = case
+        launches = {}  # KernelSet -> the inputs of its first launch
+        real_run = KernelSet.run
+
+        def recording_run(kernel, inputs):
+            launches.setdefault(kernel, [np.array(a) for a in inputs])
+            return real_run(kernel, inputs)
+
+        monkeypatch.setattr(KernelSet, "run", recording_run)
+        VirtualMachine(exe, ExecutionContext(intel_cpu())).run(model_input)
+        kernel_sets = [k for k in exe.kernels if isinstance(k, KernelSet)]
+        assert set(launches) == set(kernel_sets) and kernel_sets
+        rng = np.random.RandomState(11)
+        for kernel, seen in launches.items():
+            # Fresh random values of the launched shapes; integer
+            # operands (indices, loop counters) keep the values they had.
+            inputs = [rng.standard_normal(a.shape).astype(a.dtype) if a.dtype.kind == "f" else a
+                      for a in seen]
+            want = _reference_run(kernel.prim, inputs)
+            assert _bitwise_equal(real_run(kernel, inputs), want), kernel.name
+            assert _bitwise_equal(run_prim_func(kernel.prim, inputs), want), kernel.name
+
+    @pytest.mark.parametrize("case", _hand_built_bodies(), ids=lambda case: case[0])
+    def test_hand_built_bodies_match_the_recursive_evaluator(self, case):
+        _, func, inputs = case
+        want = _reference_run(func, inputs)
+        program = KernelProgram(func)
+        assert _bitwise_equal(program.run(inputs), want)
+        assert _bitwise_equal(program.run(inputs), want)  # a program is reusable
+        assert _bitwise_equal(run_prim_func(func, inputs), want)
+
+    def test_a_constant_is_held_by_reference(self):
+        prim, w = _dense_prim(16, 8)
+        plat = intel_cpu()
+        kernel = KernelSet(prim, plat, plat.compute_spec)
+        x = np.random.RandomState(2).randn(4, 8).astype(np.float32)
+        (before,) = kernel.run([x])
+        constant = prim.body.args[1]
+        constant.data[...] = 2.0 * w  # in place, after the program was lowered
+        (after,) = kernel.run([x])
+        assert np.array_equal(after, _reference_run(prim, [x])[0])
+        assert not np.array_equal(after, before)
+
+    def test_a_launch_is_one_compute_call_per_op_and_no_recursion(self, monkeypatch):
+        import sys
+
+        import repro.codegen.workload as workload
+
+        calls = {"nn.dense": 0, "nn.relu": 0}
+        for name in calls:
+            op_def = get_op_def(name)
+
+            def counted(args, attrs, name=name, real=op_def.compute):
+                calls[name] += 1
+                return real(args, attrs)
+
+            monkeypatch.setattr(op_def, "compute", counted)
+        prim, _ = _dense_prim(16, 8, with_relu=True)
+        plat = intel_cpu()
+        kernel = KernelSet(prim, plat, plat.compute_spec)
+        x = np.ones((4, 8), np.float32)
+        kernel.run([x])  # lowers
+        calls.update(dict.fromkeys(calls, 0))
+        evaluator_calls = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == workload.__file__:
+                evaluator_calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            kernel.run([x])
+        finally:
+            sys.setprofile(None)
+        assert calls == {"nn.dense": 1, "nn.relu": 1}
+        assert evaluator_calls == ["run"]  # the loop, entered once: nothing recursive
+        assert not hasattr(workload, "eval_expr")
 
 
 class TestCostModel:
@@ -203,6 +396,27 @@ class TestInvokeCostMemo:
         assert "_cost_memo" not in vars(restored)
         for m in (1, 37, 500, 501):
             assert restored.invoke_cost(shapes(m)) == make().invoke_cost(shapes(m))
+        # Neither does the lowered program: a kernel that has run pickles
+        # to the bytes of one that has not, alone and inside an executable.
+        k.run([np.ones((3, 32), np.float32)])
+        assert "_program" in vars(k)
+        assert pickle.dumps(k) == after_one
+        assert "_program" not in vars(pickle.loads(pickle.dumps(k)))
+
+    def test_running_an_executable_does_not_change_what_it_saves(self):
+        import repro.nimble as nimble
+        from repro.vm.interpreter import VirtualMachine
+
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        w = const(np.ones((8, 8), np.float32))
+        exe, _ = nimble.build(
+            IRModule.from_expr(Function([x], api.relu(api.dense(x, w)))), intel_cpu())
+        for k in exe.kernels:
+            getattr(k, "name", None)  # a cached_property that does travel: settle it first
+        before = exe.save()
+        VirtualMachine(exe).run(np.ones((5, 8), np.float32))
+        assert any("_program" in vars(k) for k in exe.kernels)
+        assert exe.save() == before
 
     def test_memo_is_capped(self):
         make, shapes = self._factory("static")

@@ -510,12 +510,15 @@ def _paper_model_cases():
         Tree.node(Tree.leaf(3), Tree.node(Tree.leaf(4), Tree.leaf(5))),
     )
     small = Tree.node(Tree.leaf(7), Tree.leaf(8))
-    yield "lstm", lstm, intel_cpu(), 1, [sentence(5, 12), sentence(9, 12)]
+    lstm_inputs = [sentence(5, 12), sentence(9, 12)]
+    yield "lstm", lstm, intel_cpu(), 1, lstm_inputs
     yield "tree_lstm", tree, intel_cpu(), 1, [
         tree_to_adt(big, embeddings), tree_to_adt(small, embeddings)]
     yield "bert", bert, intel_cpu(), 1, [sentence(6, 24), sentence(11, 24)]
     yield "bert@gpu1", bert, nvidia_gpu(), 1, [sentence(6, 24), sentence(11, 24)]
     yield "bert@gpu4", bert, nvidia_gpu(), 4, [sentence(6, 24), sentence(11, 24)]
+    # The loop's scalars cross to the host and back: DEVICE_COPY runs.
+    yield "lstm@gpu1", lstm, nvidia_gpu(), 1, lstm_inputs
 
 
 # What the cases above read on the commit before the dispatch table
@@ -548,7 +551,33 @@ _PARENT_COMMIT_READINGS = {
          "INVOKE_PACKED": 90, "LOAD_CONST": 162, "LOAD_CONSTI": 206, "MOVE": 86,
          "RET": 2, "SHAPE_OF": 72, "STREAM_EVENT": 4, "STREAM_WAIT": 4},
         59.999999999999076, [192.55328455325576, 167.6042002516255]),
+    "lstm@gpu1": (
+        {"ALLOC_ADT": 16, "ALLOC_STORAGE": 116, "ALLOC_TENSOR": 144, "DEVICE_COPY": 46,
+         "GET_FIELD": 58, "GOTO": 14, "IF": 16, "INVOKE": 16, "INVOKE_PACKED": 102,
+         "LOAD_CONST": 308, "LOAD_CONSTI": 258, "MOVE": 132, "RET": 18, "SHAPE_OF": 2},
+        99.67999999999823, [371.7244627045075, 591.99651393676]),
 }
+
+# The same runs' kernel_time_us, alloc_time_us, copy_time_us and the
+# allocator's (fresh_allocs, pooled_allocs, frees, peak_bytes), read on
+# the commit before operands were decoded once per VM: a shared constant
+# object, a decoded layout or a decoded copy cost must not move a charge.
+_PARENT_COMMIT_CHARGES = {
+    "lstm": (111.1298237815784, 269.25, 0.0, (65, 37, 102, 6464)),
+    "tree_lstm": (85.15232816620765, 63.75, 0.0, (13, 47, 60, 1152)),
+    "bert": (71.27051624111658, 57.25, 0.0, (13, 21, 34, 8320)),
+    "bert@gpu1": (245.6695736348043, 70.25, 0.0, (13, 21, 34, 8320)),
+    "bert@gpu4": (245.6695736348043, 70.25, 0.0, (13, 21, 34, 8320)),
+    "lstm@gpu1": (567.4013377287765, 228.5, 276.06133333333304, (42, 74, 116, 4352)),
+}
+
+
+def _dense_relu_module():
+    """relu(dense(x, w)) over a dynamic row count: shape functions,
+    planned allocations and one fused compute kernel, straight-line."""
+    x = Var("x", TensorType((Any(), 8), "float32"))
+    w = const(np.zeros((8, 8), np.float32))
+    return IRModule.from_expr(Function([x], api.relu(api.dense(x, w))))
 
 
 class TestDispatchTable:
@@ -581,17 +610,16 @@ class TestDispatchTable:
     def test_class_patches_made_after_warm_up_are_observed(self, monkeypatch):
         """bench/trace.py wraps these class attributes after the VMs
         exist: the interpreter must look them up at call time."""
-        from repro.codegen.kernels import KernelSet
+        from repro.codegen.kernels import KernelSet, ShapeFuncKernel
         from repro.runtime.allocator import PoolingAllocator
 
-        x = Var("x", TensorType((Any(), 8), "float32"))
-        w = const(np.zeros((8, 8), np.float32))
-        mod = IRModule.from_expr(Function([x], api.relu(api.dense(x, w))))
-        exe, _ = nimble.build(mod, intel_cpu())
+        exe, _ = nimble.build(_dense_relu_module(), intel_cpu())
         vm = VirtualMachine(exe, ExecutionContext(intel_cpu()))
         data = np.zeros((5, 8), np.float32)
-        vm.run(data)  # built and warmed before anything is patched
-        seen = {"invoke_cost": 0, "alloc": 0}
+        vm.run(data)  # built, decoded and warmed before anything is patched
+        patched = [(KernelSet, "invoke_cost"), (KernelSet, "run"), (ShapeFuncKernel, "run"),
+                   (PoolingAllocator, "alloc"), (PoolingAllocator, "free")]
+        seen = dict.fromkeys(patched, 0)
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -599,18 +627,110 @@ class TestDispatchTable:
                 return real(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(KernelSet, "invoke_cost",
-                            counting("invoke_cost", KernelSet.invoke_cost))
-        monkeypatch.setattr(PoolingAllocator, "alloc",
-                            counting("alloc", PoolingAllocator.alloc))
+        for owner, attr in patched:
+            monkeypatch.setattr(owner, attr, counting((owner, attr), getattr(owner, attr)))
         # Straight-line bytecode: every instruction runs once per run.
         instructions = [i for f in exe.functions for i in f.instructions]
-        priced = [i for i in instructions
-                  if i.opcode == ins.Opcode.INVOKE_PACKED and i.kind != "shape_func"]
+        packed = [i for i in instructions if i.opcode == ins.Opcode.INVOKE_PACKED]
+        shape_funcs = [i for i in packed if i.kind == "shape_func"]
+        priced = len(packed) - len(shape_funcs)
         allocs = [i for i in instructions if i.opcode == ins.Opcode.ALLOC_STORAGE]
         vm.run(data)
-        assert seen["invoke_cost"] == len(priced) > 0
-        assert seen["alloc"] == len(allocs) > 0
+        assert seen[KernelSet, "invoke_cost"] == seen[KernelSet, "run"] == priced > 0
+        assert seen[ShapeFuncKernel, "run"] == len(shape_funcs) > 0
+        assert seen[PoolingAllocator, "alloc"] == seen[PoolingAllocator, "free"] == len(allocs) > 0
+
+    def test_a_profile_assigned_after_warm_up_gets_the_next_run(self):
+        """`Worker._specialized_vm` reassigns `vm.profile` after
+        construction: nothing may hold on to the first one."""
+        from repro.vm.profiler import VMProfile
+
+        exe, _ = nimble.build(_dense_relu_module(), intel_cpu())
+        vm = VirtualMachine(exe, ExecutionContext(intel_cpu()))
+        data = np.zeros((5, 8), np.float32)
+        vm.run(data)
+        first, before = vm.profile, vars(vm.profile).copy()
+        before["instruction_counts"] = dict(first.instruction_counts)
+        vm.profile = VMProfile()
+        vm.run(data)
+        assert dict(vm.profile.instruction_counts) == before["instruction_counts"]
+        for field in ("runs", "dispatch_time_us", "kernel_time_us", "kernel_invocations",
+                      "shape_func_time_us", "alloc_time_us"):
+            assert getattr(vm.profile, field) > 0
+            assert getattr(first, field) == before[field]
+        assert dict(first.instruction_counts) == before["instruction_counts"]
+
+    def test_a_function_swapped_after_warm_up_is_decoded_again(self):
+        x = Var("x", TensorType((4,)))
+        exe, _ = nimble.build(IRModule.from_expr(Function([x], api.tanh(x))), intel_cpu())
+        vm = VirtualMachine(exe, ExecutionContext(intel_cpu()))
+        vm.run(np.zeros(4, np.float32))
+        func = exe.functions[0]
+        exe.functions[0] = VMFunction(
+            func.name, func.num_params, [ins.Fatal("swapped in")], func.register_count)
+        with pytest.raises(VMError, match="swapped in"):
+            vm.run(np.zeros(4, np.float32))
+
+    def test_a_warmed_vm_is_freed_by_reference_counting_alone(self):
+        """The decode state refers to instructions, constants and plain
+        data, never back to the VM: no cycle for the cyclic GC to find."""
+        import gc
+        import weakref
+
+        exe, _ = nimble.build(_dense_relu_module(), intel_cpu())
+        gc.collect()
+        gc.disable()
+        try:
+            vm = VirtualMachine(exe, ExecutionContext(intel_cpu()))
+            vm.run(np.zeros((5, 8), np.float32))
+            assert any(decoded is not None for decoded in vm._decoded)
+            gone = weakref.ref(vm)
+            del vm
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_bad_kernel_operands_raise_the_same_errors_and_drain(self):
+        exe, _ = nimble.build(_dense_relu_module(), intel_cpu())
+        ctx = ExecutionContext(intel_cpu())
+        vm = VirtualMachine(exe, ctx)
+        data = np.zeros((5, 8), np.float32)
+        vm.run(data)
+        with pytest.raises(VMError, match="ShapeOf: expected a tensor object, got ADTObj"):
+            vm.run(ADTObj(0, []))
+        assert ctx.allocator.live_bytes == 0
+
+        x = Var("x", TensorType((4,)))
+        static, _ = nimble.build(IRModule.from_expr(Function([x], api.tanh(x))), intel_cpu())
+        static_vm = VirtualMachine(static, ctx)
+        with pytest.raises(VMError, match="kernel input: expected a tensor object, got ADTObj"):
+            static_vm.run(ADTObj(0, []))
+        assert ctx.allocator.live_bytes == 0
+
+        class Misshapen:
+            """A kernel whose result is one row short of its buffer."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def run(self, inputs):
+                return [out[1:] for out in self.inner.run(inputs)]
+
+        index = next(i.packed_index for i in exe.functions[0].instructions
+                     if i.opcode == ins.Opcode.INVOKE_PACKED and i.kind == "compute")
+        original = exe.kernels[index]
+        exe.kernels[index] = Misshapen(original)
+        with pytest.raises(VMError, match=r"kernel output shape \(4, 8\) does not fit "
+                                          r"buffer \(5, 8\)"):
+            vm.run(data)
+        assert ctx.allocator.live_bytes == 0
+        assert ctx.allocator.stats.frees == ctx.allocator.stats.total_allocs
+        exe.kernels[index] = original
+        assert vm.run(data).numpy().shape == (5, 8)
+        assert ctx.allocator.live_bytes == 0
 
     def test_error_in_nested_frame_drains_and_counts_the_faulting_instruction(self):
         mod = IRModule()
@@ -657,6 +777,50 @@ class TestDispatchTable:
         assert vm.profile.dispatch_time_us == dispatch_us
         assert latencies == want_latencies
         assert ctx.allocator.live_bytes == 0
+        stats = ctx.allocator.stats
+        assert (
+            vm.profile.kernel_time_us, vm.profile.alloc_time_us, vm.profile.copy_time_us,
+            (stats.fresh_allocs, stats.pooled_allocs, stats.frees, stats.peak_bytes),
+        ) == _PARENT_COMMIT_CHARGES[name]
+
+
+class TestHostPathCost:
+    """The host's share of a launch, counted instead of timed."""
+
+    def test_python_calls_per_vm_instruction(self):
+        """Python-level calls under src/repro per executed instruction,
+        one warmed run of the LSTM 64->128 at length 16 (full numerics):
+        17.1 before kernels were lowered and operands decoded once, 8.0
+        after. CI's "Size trajectory" step prints the number."""
+        import os
+        import sys
+
+        from repro.models.lstm import LSTMWeights, build_lstm_module
+
+        mod = build_lstm_module(
+            LSTMWeights.create(input_size=64, hidden_size=128, num_layers=1, seed=0))
+        exe, _ = nimble.build(mod, intel_cpu())
+        vm = VirtualMachine(exe, ExecutionContext(intel_cpu()))
+        x = np.random.RandomState(0).randn(16, 64).astype(np.float32)
+        vm.run(x)
+        vm.profile.reset()
+        root = os.path.dirname(os.path.abspath(nimble.__file__)) + os.sep
+        calls = 0
+
+        def profiler(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename.startswith(root):
+                calls += 1
+
+        sys.setprofile(profiler)
+        try:
+            vm.run(x)
+        finally:
+            sys.setprofile(None)
+        instructions = sum(vm.profile.instruction_counts.values())
+        print(f"python calls per VM instruction: {calls / instructions:.2f} "
+              f"({calls} calls, {instructions} instructions)")
+        assert calls / instructions <= 9.0
 
 
 class TestProfileAllocTime:
