@@ -201,7 +201,7 @@ def module_fingerprint(mod) -> str:
         def visit_constant(self, const: Constant) -> None:
             arr = np.ascontiguousarray(const.data)
             digest.update(str(arr.dtype).encode())
-            digest.update(arr.tobytes())
+            digest.update(arr)  # the array's own buffer: no tobytes() copy of a weight
 
     hasher = _ConstantHasher()
     for func in mod.functions.values():

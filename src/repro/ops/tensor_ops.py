@@ -47,7 +47,7 @@ def _unary(name: str, fn: Callable[[np.ndarray], np.ndarray], flop_per_elem: flo
 def _binary(name: str, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
     def compute(inputs, attrs):
         a, b = inputs
-        return fn(a, b).astype(np.result_type(a.dtype), copy=False)
+        return fn(a, b).astype(a.dtype, copy=False)
 
     register_op(
         OpDef(

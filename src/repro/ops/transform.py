@@ -203,8 +203,20 @@ def _split_compute(inputs, attrs):
     x = inputs[0]
     axis = attrs.get("axis", 0)
     sections = attrs["indices_or_sections"]
-    parts = np.split(x, sections, axis=axis)
-    return tuple(np.ascontiguousarray(p) for p in parts)
+    if not isinstance(sections, int) or sections <= 0:
+        return tuple(np.ascontiguousarray(p) for p in np.split(x, sections, axis=axis))
+    # Equal sections are sliced directly: np.split goes through
+    # array_split, a Python loop with two swapaxes per part.
+    size = x.shape[axis]
+    if size % sections:
+        raise ValueError("array split does not result in an equal division")
+    step = size // sections
+    index = [slice(None)] * x.ndim
+    parts = []
+    for part in range(sections):
+        index[axis] = slice(part * step, (part + 1) * step)
+        parts.append(np.ascontiguousarray(x[tuple(index)]))
+    return tuple(parts)
 
 
 def _split_shape_func(in_shapes, in_values, attrs):

@@ -44,10 +44,7 @@ class AllocStats:
 
 def _size_class(nbytes: int) -> int:
     """Round up to the next power of two (min 64 B) for pool bucketing."""
-    size = 64
-    while size < nbytes:
-        size <<= 1
-    return size
+    return max(64, 1 << (nbytes - 1).bit_length())
 
 
 class PoolingAllocator:
@@ -58,6 +55,8 @@ class PoolingAllocator:
         self.pooling = pooling
         self.stats = AllocStats()
         self._live_bytes = 0
+        self._pooled_us = calibration.ALLOC_POOLED_US[platform.name]
+        self._fresh_us = calibration.ALLOC_FRESH_US[platform.name]
         self._pools: Dict[Device, Dict[int, List[Storage]]] = defaultdict(
             lambda: defaultdict(list)
         )
@@ -73,18 +72,23 @@ class PoolingAllocator:
     def alloc(self, nbytes: int, alignment: int, device: Device) -> Storage:
         size = _size_class(max(1, int(nbytes)))
         pool = self._pools[device][size]
+        stats = self.stats
         if self.pooling and pool:
             storage = pool.pop()
             storage.freed = False
-            self.stats.pooled_allocs += 1
-            self._charge(calibration.ALLOC_POOLED_US[self.platform.name])
+            stats.pooled_allocs += 1
+            us = self._pooled_us
         else:
             storage = Storage(size, alignment, device)
-            self.stats.fresh_allocs += 1
-            self.stats.bytes_allocated += size
-            self._charge(calibration.ALLOC_FRESH_US[self.platform.name])
-        self._live_bytes += size
-        self.stats.peak_bytes = max(self.stats.peak_bytes, self._live_bytes)
+            stats.fresh_allocs += 1
+            stats.bytes_allocated += size
+            us = self._fresh_us
+        stats.alloc_time_us += us
+        if self.clock is not None:
+            self.clock.host_us += us  # clock.host_advance, without the call
+        live = self._live_bytes = self._live_bytes + size
+        if live > stats.peak_bytes:
+            stats.peak_bytes = live
         return storage
 
     def free(self, storage: Storage) -> None:
@@ -117,8 +121,3 @@ class PoolingAllocator:
                 f"allocator still holds {self._live_bytes} live bytes at "
                 f"release; a buffer leaked past the VM's refcounting"
             )
-
-    def _charge(self, us: float) -> None:
-        self.stats.alloc_time_us += us
-        if self.clock is not None:
-            self.clock.host_advance(us)

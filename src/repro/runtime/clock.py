@@ -106,14 +106,12 @@ class VirtualClock:
     # -- synchronisation ----------------------------------------------------------
     def device_ready(self, device: Device) -> float:
         """The device-wide frontier: when ALL its streams will be idle."""
-        return max(
-            (
-                ready
-                for (dev, _stream), ready in self.stream_ready_us.items()
-                if dev == device
-            ),
-            default=0.0,
-        )
+        frontier = 0.0
+        for (dev, _stream), ready in self.stream_ready_us.items():
+            # Identity first: a dataclass's == is a Python-level call.
+            if (dev is device or dev == device) and ready > frontier:
+                frontier = ready
+        return frontier
 
     def sync(self, device: Device) -> None:
         """Host waits for every stream of the device to drain (e.g. before

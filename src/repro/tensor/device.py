@@ -20,12 +20,19 @@ class DeviceKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Device:
     """A (kind, index) pair, e.g. ``cpu(0)`` or ``gpu(0)``."""
 
     kind: DeviceKind
     index: int = 0
+
+    def __hash__(self) -> int:
+        # Devices key the clock's frontiers and the allocator's pools on
+        # every launch and allocation. The generated hash builds a tuple
+        # and calls the Python-level ``Enum.__hash__``; this is one call,
+        # and with two kinds no two distinct devices collide.
+        return 2 * self.index + (self.kind is DeviceKind.GPU)
 
     def __str__(self) -> str:
         return f"{self.kind.value}({self.index})"

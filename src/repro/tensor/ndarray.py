@@ -102,7 +102,7 @@ class NDArray:
     # -- device movement ------------------------------------------------
     def to_device(self, device: Device) -> "NDArray":
         """Copy to another device (the cost is charged by the caller)."""
-        if device == self.device:
+        if device is self.device or device == self.device:
             return self
         return NDArray(self.data.copy(), device)
 

@@ -23,14 +23,14 @@ from repro.vm.executable import Executable, VMFunction
 from repro.vm.objects import (
     ADTObj,
     ClosureObj,
+    IntConstObj,
     RegisterValue,
     StorageObj,
     TensorObj,
     VMObject,
     as_tensor,
-    release_value,
+    constant_obj,
     retain_value,
-    scalar_of,
 )
 from repro.vm.profiler import VMProfile
 
@@ -53,13 +53,13 @@ def _by_opcode(table: dict) -> list:
 _OPCODE_NAMES = _by_opcode({op: op.name for op in _Op})
 
 
-def _set(regs: List[RegisterValue], dst: Optional[int], value: RegisterValue) -> None:
-    if dst is None:
-        release_value(value)
-        return
+def _set(regs: List[RegisterValue], dst: int, value: RegisterValue) -> None:
+    """Write a register, releasing what it held. The handlers that
+    dominate a run write this out instead of calling (and test the old
+    value for ``None``, what it almost always is, before its type)."""
     old = regs[dst]
-    if old is not None:
-        release_value(old)
+    if isinstance(old, VMObject):
+        old.release()
     regs[dst] = value
 
 
@@ -103,8 +103,9 @@ class VirtualMachine:
         # this VM: per function index, (the function decoded, its opcodes,
         # its operands), filled in `_activate`; and one TensorObj per
         # constant, shared by every load (no storage_obj: nothing to retain).
+        # A host integer scalar is read here, once per VM (`constant_obj`).
         self._decoded: List[Optional[tuple]] = [None] * len(executable.functions)
-        self._constants = [TensorObj(c) for c in executable.constants]
+        self._constants = [constant_obj(c) for c in executable.constants]
 
     # ------------------------------------------------------------------ public
     def run(
@@ -163,7 +164,8 @@ class VirtualMachine:
         unwrapped = self._unwrap(result)
         # The unwrap copied the data out; drop the VM's last reference so
         # the result buffer returns to the allocator pool.
-        release_value(result)
+        if isinstance(result, VMObject):
+            result.release()
         return unwrapped
 
     def run_with_latency(self, *inputs, entry: Optional[str] = None):
@@ -300,7 +302,7 @@ class VirtualMachine:
     # --------------------------------------------------------------- helpers
     def _release_frame(self, frame: _Frame) -> None:
         for value in frame.registers:
-            if isinstance(value, VMObject):  # release_value, without the call
+            if isinstance(value, VMObject):
                 value.release()
 
     def _wrap_input(self, value) -> RegisterValue:
@@ -322,12 +324,23 @@ class VirtualMachine:
         return value
 
     def _read_scalar(self, value: RegisterValue) -> int:
-        if type(value) is int:
+        """A register as a Python scalar: an alloc size, an offset, an
+        ``If`` operand. Planned sizes and offsets are `IntConstObj`s or
+        immediates; only a kernel-produced scalar reads its array."""
+        kind = type(value)
+        if kind is IntConstObj:
+            return value.value
+        if kind is int:
             return value
-        if isinstance(value, TensorObj) and value.array.device.is_gpu:
-            # Host reads of device values synchronize the queue.
-            self.ctx.clock.sync(value.array.device)
-        return scalar_of(value)
+        if isinstance(value, TensorObj):
+            array = value.array
+            if array.device.is_gpu:
+                # Host reads of device values synchronize the queue.
+                self.ctx.clock.sync(array.device)
+            return int(array.item())
+        if isinstance(value, (int, np.integer)):
+            return int(value)
+        raise VMError(f"cannot read a scalar from {type(value).__name__}")
 
     # ------------------------------------------- straight-line opcode handlers
     # Plain functions called as ``handler(vm, operand, regs)`` through the
@@ -343,10 +356,20 @@ class VirtualMachine:
     # reassigns it), ``self.ctx.numerics``, and the class attributes
     # tracers patch (kernel ``invoke_cost`` / ``run``, allocator ``alloc``).
     def _op_move(self, instr: ins.Move, regs) -> None:
-        _set(regs, instr.dst, retain_value(regs[instr.src]))
+        value = regs[instr.src]
+        if isinstance(value, VMObject):
+            value.retain()
+        old = regs[instr.dst]
+        if old is not None and isinstance(old, VMObject):
+            old.release()
+        regs[instr.dst] = value
 
     def _op_alloc_storage(self, instr: ins.AllocStorage, regs) -> None:
-        nbytes = self._read_scalar(regs[instr.allocation_size])
+        nbytes = regs[instr.allocation_size]
+        if type(nbytes) is IntConstObj:  # a planned size: read when the VM was built
+            nbytes = nbytes.value
+        elif type(nbytes) is not int:
+            nbytes = self._read_scalar(nbytes)
         allocator = self.ctx.allocator
         stats = allocator.stats
         before = stats.alloc_time_us
@@ -354,7 +377,10 @@ class VirtualMachine:
         # This alloc's own charge: contexts (and so allocators) are shared
         # by the VMs of a Worker's tiers, each with a profile of its own.
         self.profile.alloc_time_us += stats.alloc_time_us - before
-        _set(regs, instr.dst, StorageObj(storage, on_free=allocator.free))
+        old = regs[instr.dst]
+        if old is not None and isinstance(old, VMObject):
+            old.release()
+        regs[instr.dst] = StorageObj(storage, allocator.free)
 
     def _decode_alloc_tensor(self, instr: ins.AllocTensor) -> tuple:
         return (instr.storage, instr.offset, instr.dst) + NDArray.layout(instr.shape, instr.dtype)
@@ -365,11 +391,18 @@ class VirtualMachine:
         storage_obj = regs[storage_reg]
         if not isinstance(storage_obj, StorageObj):
             raise VMError("AllocTensor on a non-storage object")
-        offset = self._read_scalar(regs[offset_reg])
+        offset = regs[offset_reg]
+        if type(offset) is IntConstObj:
+            offset = offset.value
+        elif type(offset) is not int:
+            offset = self._read_scalar(offset)
         storage = storage_obj.storage
         view = storage.view(offset, nbytes, np_dtype, shape)
-        array = NDArray(view, storage.device, storage, offset)
-        _set(regs, dst, TensorObj(array, storage_obj))
+        tensor = TensorObj(NDArray(view, storage.device, storage, offset), storage_obj)
+        old = regs[dst]
+        if old is not None and isinstance(old, VMObject):
+            old.release()
+        regs[dst] = tensor
 
     def _op_alloc_tensor_reg(self, instr: ins.AllocTensorReg, regs) -> None:
         shape_obj = as_tensor(regs[instr.shape_register], "AllocTensorReg shape")
@@ -392,7 +425,13 @@ class VirtualMachine:
                 f"GetField index {instr.field_index} out of range "
                 f"({len(obj.fields)} fields)"
             )
-        _set(regs, instr.dst, retain_value(obj.fields[instr.field_index]))
+        value = obj.fields[instr.field_index]
+        if isinstance(value, VMObject):
+            value.retain()
+        old = regs[instr.dst]
+        if old is not None and isinstance(old, VMObject):
+            old.release()
+        regs[instr.dst] = value
 
     def _op_get_tag(self, instr: ins.GetTag, regs) -> None:
         obj = regs[instr.obj]
@@ -403,11 +442,16 @@ class VirtualMachine:
     def _decode_load_const(self, instr: ins.LoadConst) -> tuple:
         return self._constants[instr.const_index], instr.dst
 
-    def _op_load_const(self, op: tuple, regs) -> None:
-        _set(regs, op[1], op[0])
+    def _decode_load_consti(self, instr: ins.LoadConsti) -> tuple:
+        return instr.value, instr.dst
 
-    def _op_load_consti(self, instr: ins.LoadConsti, regs) -> None:
-        _set(regs, instr.dst, instr.value)
+    def _op_load(self, op: tuple, regs) -> None:
+        """LoadConst / LoadConsti: the decoded value into its register."""
+        value, dst = op
+        old = regs[dst]
+        if old is not None and isinstance(old, VMObject):
+            old.release()
+        regs[dst] = value
 
     def _op_shape_of(self, instr: ins.ShapeOf, regs) -> None:
         tensor = as_tensor(regs[instr.tensor], "ShapeOf")
@@ -558,8 +602,8 @@ class VirtualMachine:
         _Op.ALLOC_CLOSURE: _op_alloc_closure,
         _Op.GET_FIELD: _op_get_field,
         _Op.GET_TAG: _op_get_tag,
-        _Op.LOAD_CONST: _op_load_const,
-        _Op.LOAD_CONSTI: _op_load_consti,
+        _Op.LOAD_CONST: _op_load,
+        _Op.LOAD_CONSTI: _op_load,
         _Op.DEVICE_COPY: _device_copy,
         _Op.SHAPE_OF: _op_shape_of,
         _Op.RESHAPE_TENSOR: _op_reshape_tensor,
@@ -573,5 +617,6 @@ class VirtualMachine:
         _Op.INVOKE_PACKED: _decode_invoke_packed,
         _Op.ALLOC_TENSOR: _decode_alloc_tensor,
         _Op.LOAD_CONST: _decode_load_const,
+        _Op.LOAD_CONSTI: _decode_load_consti,
         _Op.DEVICE_COPY: _decode_device_copy,
     })

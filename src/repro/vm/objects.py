@@ -70,7 +70,7 @@ class TensorObj(VMObject):
         self.array = array
         self.storage_obj = storage_obj
         if storage_obj is not None:
-            storage_obj.retain()
+            storage_obj.rc += 1
 
     @property
     def data(self) -> np.ndarray:
@@ -91,17 +91,46 @@ class TensorObj(VMObject):
     def retain(self) -> "TensorObj":
         # One storage ref per register slot holding this tensor: the
         # construction-time retain covers the first slot, each Move adds
-        # one, each clobber releases one — balanced.
-        if self.storage_obj is not None:
-            self.storage_obj.retain()
+        # one, each clobber releases one — balanced. The count is
+        # adjusted here, not through StorageObj.retain / release: a
+        # released tensor is one call, and frees exactly as they do.
+        storage_obj = self.storage_obj
+        if storage_obj is not None:
+            storage_obj.rc += 1
         return self
 
     def release(self) -> None:
-        if self.storage_obj is not None:
-            self.storage_obj.release()
+        storage_obj = self.storage_obj
+        if storage_obj is not None:
+            storage_obj.rc -= 1
+            if storage_obj.rc == 0 and storage_obj.on_free is not None:
+                storage_obj.on_free(storage_obj.storage)
 
     def __repr__(self) -> str:
         return f"TensorObj(shape={self.shape}, dtype={self.dtype}, device={self.device})"
+
+
+class IntConstObj(TensorObj):
+    """A constant-pool tensor that is a host integer scalar — every
+    planned size and offset — carrying its Python ``int`` as well, read
+    from the array once when the VM is built. Still a tensor: the same
+    constant can be a kernel's input."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, array: NDArray) -> None:
+        super().__init__(array)
+        self.value = int(array.item())
+
+
+def constant_obj(array: NDArray) -> TensorObj:
+    """The register object of one constant-pool entry. Only a rank-0,
+    integer-dtype tensor that is not on a GPU (reading one of those
+    synchronises the device) is read ahead of the run."""
+    data = array.data
+    if data.ndim == 0 and data.dtype.kind in "iu" and not array.device.is_gpu:
+        return IntConstObj(array)
+    return TensorObj(array)
 
 
 class ADTObj(VMObject):
@@ -175,21 +204,7 @@ def retain_value(value: RegisterValue) -> RegisterValue:
     return value
 
 
-def release_value(value: RegisterValue) -> None:
-    if isinstance(value, VMObject):
-        value.release()
-
-
 def as_tensor(value: RegisterValue, what: str = "operand") -> TensorObj:
     if not isinstance(value, TensorObj):
         raise VMError(f"{what}: expected a tensor object, got {type(value).__name__}")
     return value
-
-
-def scalar_of(value: RegisterValue) -> int:
-    """Coerce a register value to a Python scalar for If comparisons."""
-    if isinstance(value, TensorObj):  # first: planned sizes and offsets are these
-        return int(value.array.item())
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    raise VMError(f"cannot read a scalar from {type(value).__name__}")

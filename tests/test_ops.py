@@ -56,6 +56,15 @@ class TestElementwise:
         expect = fn(x) if name not in ("log", "sqrt") else (np.log(x) if name == "log" else np.sqrt(x))
         assert np.allclose(run_op(name, [x]), expect, atol=1e-5)
 
+    @pytest.mark.parametrize("left,right", [
+        ("float32", "float64"), ("float64", "float32"), ("int64", "int32"), ("int32", "float32")])
+    def test_binary_result_has_the_first_operands_dtype(self, left, right):
+        a = np.arange(1, 7).reshape(2, 3).astype(left)
+        b = np.arange(2, 5).astype(right)
+        out = run_op("multiply", [a, b])
+        assert out.dtype == a.dtype and out.shape == (2, 3)
+        assert np.array_equal(out, (a * b).astype(left))
+
     def test_sigmoid(self):
         x = RNG.randn(8).astype(np.float32)
         assert np.allclose(run_op("sigmoid", [x]), 1 / (1 + np.exp(-x)), atol=1e-6)
@@ -169,6 +178,36 @@ class TestTransforms:
         assert len(parts) == 3 and parts[0].shape == (2, 2)
         assert num_outputs_of("split", {"indices_or_sections": 3}) == 3
         assert num_outputs_of("split", {"indices_or_sections": (2, 5)}) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_split_is_np_split(self, data):
+        """Equal sections are sliced directly, not through np.split ->
+        array_split; index lists still are. Either way the parts are what
+        np.split gives — contiguous, byte-equal — and an uneven division
+        is the same ValueError."""
+        shape = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+        x = np.arange(int(np.prod(shape)), dtype=np.float32).reshape(shape)
+        if data.draw(st.booleans()):
+            x = x.T  # a strided input: parts need a real copy
+        axis = data.draw(st.integers(-x.ndim, x.ndim - 1))
+        sections = data.draw(st.one_of(
+            st.integers(1, 6),
+            st.lists(st.integers(0, 6), max_size=3).map(lambda cuts: tuple(sorted(cuts))),
+        ))
+        attrs = {"indices_or_sections": sections, "axis": axis}
+        try:
+            want = np.split(x, sections, axis=axis)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                run_op("split", [x], attrs)
+            return
+        got = run_op("split", [x], attrs)
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for part, ref in zip(got, want):
+            assert part.shape == ref.shape and part.dtype == ref.dtype
+            assert part.flags.c_contiguous
+            assert part.tobytes() == ref.tobytes()
 
     def test_take_embedding_style(self):
         table = RNG.randn(10, 4).astype(np.float32)

@@ -102,6 +102,26 @@ class TestArtifactKey:
         assert base != module_fingerprint(_dyn_mlp_module(seed=1))
         assert base != module_fingerprint(_dyn_mlp_module(dim=16))
 
+    def test_fingerprint_is_the_one_the_copying_hasher_gave(self):
+        """`module_fingerprint` feeds sha256 each constant's own buffer
+        instead of a `tobytes()` copy. The literal was read on the commit
+        that still copied: every store key written before stays valid."""
+        from repro.ir.expr import Constant
+        from repro.tensor.ndarray import NDArray
+
+        rng = np.random.RandomState(18)
+        x = Var("x", TensorType((4, 3), "float32"))
+        strided = Constant(NDArray(rng.randn(3, 4).astype(np.float32).T))
+        scalar = const(np.array(3, dtype=np.int64))
+        empty = const(np.zeros((0, 3), np.float32))
+        assert not strided.data.flags.c_contiguous
+        assert scalar.data.ndim == 0 and empty.data.size == 0
+        body = api.concatenate(
+            [api.multiply(api.add(x, strided), api.cast(scalar, "float32")), empty], axis=0)
+        mod = IRModule.from_expr(Function([x], body))
+        assert module_fingerprint(mod) == (
+            "06837fbfc832d25313f2b49885be85539a1ac04f88be7e1f57a1ad7376c41764")
+
     def test_retrained_weights_miss_the_store(self, tmp_path):
         store = ArtifactStore(tmp_path)
         store.put(_specialized(_dyn_mlp_module(seed=0)))

@@ -58,6 +58,30 @@ class TestDevice:
         assert len({cpu(0), cpu(0), gpu(0)}) == 2
         assert str(gpu(2)) == "gpu(2)"
 
+    def test_equal_devices_hash_equal_and_find_each_other(self):
+        """`Device.__hash__` is written by hand (the clock and the
+        allocator key tables by device): devices built separately, and
+        one that went through pickle the way a kernel's does, must agree
+        with `__eq__`."""
+        import pickle
+
+        makers = [lambda: cpu(0), lambda: gpu(0), lambda: gpu(1)]
+        table = {make(): position for position, make in enumerate(makers)}
+        assert len(table) == 3
+        for position, make in enumerate(makers):
+            for device in (make(), pickle.loads(pickle.dumps(make()))):
+                assert device is not make()
+                assert device == make() and hash(device) == hash(make())
+                assert table[device] == position
+            assert [make() == other() for other in makers].count(True) == 1
+
+    def test_devices_claim_no_order(self):
+        """`order=True` generated a `<` that raised on the enum field;
+        nothing orders devices, so the dataclass no longer says it can."""
+        with pytest.raises(TypeError):
+            sorted([gpu(0), cpu(0)])
+        assert "__lt__" not in vars(Device)
+
 
 class TestNDArray:
     def test_array_scalar_preserves_rank0(self):
