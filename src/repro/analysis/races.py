@@ -22,9 +22,10 @@ Happens-before model (matching the interpreter's stream semantics):
   knowledge — waiting on a never-recorded event is the interpreter's
   documented no-op, so the model learns nothing from it (which is
   exactly how a reordered event betrays itself: its waits stop teaching);
-* ``DeviceCopy`` synchronizes the device: everything issued so far is
-  retired for every stream (the global ``floor``) — mirroring the
-  barrier that lets ``build_dependency_graph`` drop old edges.
+* a ``DeviceCopy`` from a GPU synchronizes the device: everything issued
+  so far is retired for every stream (the global ``floor``) — mirroring
+  the barrier that lets ``build_dependency_graph`` drop old edges. A copy
+  from the host synchronizes nothing.
 
 Cross-function obligations (the fence/join contract of
 ``docs/scheduling.md``): a scheduled **non-entry** function runs under a
@@ -82,7 +83,7 @@ def _check_function(
     node_at = {n.pos: n for n in nodes}
     # issued[s]: kernels issued on stream s so far (1-based seq numbers).
     # know[s][t]: newest seq on stream t that stream s is ordered after.
-    # floor[t]: seqs on t retired for *everyone* (DeviceCopy sync).
+    # floor[t]: seqs on t retired for *everyone* (device->host copy sync).
     issued: Dict[int, int] = defaultdict(int)
     know: Dict[int, Dict[int, int]] = defaultdict(dict)
     floor: Dict[int, int] = {}
@@ -112,7 +113,7 @@ def _check_function(
             for t, seq in snap.items():
                 if k.get(t, 0) < seq:
                     k[t] = seq
-        elif isinstance(instr, ins.DeviceCopy):
+        elif isinstance(instr, ins.DeviceCopy) and instr.src_device.is_gpu:
             for t, seq in issued.items():
                 if floor.get(t, 0) < seq:
                     floor[t] = seq

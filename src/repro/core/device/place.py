@@ -15,25 +15,32 @@ device tokens:
   of the tensors they back (via alias unification);
 * ``device.device_copy`` breaks domains (and is what this pass inserts);
 * move/tuple/projection/view bindings unify with their sources;
-* ``if`` conditions are host-read (the interpreter branches on them).
+* ``if`` conditions are host-read (the interpreter branches on them);
+* a direct call ``@f(...)`` unifies each tensor argument with ``f``'s
+  parameter and its bound variable with ``f``'s result. Only functions
+  with no direct caller (entry points, lifted closures) and closure
+  literals have their parameters pinned to the compute device.
 
-Where unification finds a variable required on two different devices, the
-pass inserts a ``device_copy`` at the conflicting use — "assigning each IR
-node in a way that minimizes the number of cross-device copies".
+One table holds the whole module (function-local ``Var``s are distinct
+objects) and is solved in execution order from the entry points, so a
+value's producer fixes its domain before any consumer, across branches
+and calls: loop scalars a host kernel produces stay on the host. Where a
+variable is then required on the other device, the pass inserts a
+``device_copy`` at the conflicting use — "assigning each IR node in a way
+that minimizes the number of cross-device copies".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple as PyTuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple, Union
 
-from repro.errors import DeviceError
 from repro.ir.expr import (
     Call,
     Clause,
-    Constant,
     Expr,
     Function,
+    GlobalVar,
     If,
     Let,
     Match,
@@ -52,9 +59,14 @@ from repro.utils.union_find import UnionFind
 
 @dataclass
 class PlacementReport:
-    copies_inserted: int = 0
+    host_to_device: int = 0
+    device_to_host: int = 0
     host_kernels: int = 0
     device_kernels: int = 0
+
+    @property
+    def copies_inserted(self) -> int:
+        return self.host_to_device + self.device_to_host
 
 
 def _is_scalar_kernel(call: Call) -> bool:
@@ -73,15 +85,38 @@ def _is_scalar_kernel(call: Call) -> bool:
     return True
 
 
+def _is_tensor(var: Var) -> bool:
+    return isinstance(var.checked_type or var.type_annotation, TensorType)
+
+
+def _nested_scopes(value: Expr) -> Sequence[Expr]:
+    if isinstance(value, If):
+        return (value.true_branch, value.false_branch)
+    if isinstance(value, Match):
+        return [clause.rhs for clause in value.clauses]
+    if isinstance(value, Function) and not value.is_primitive:
+        return (value.body,)
+    return ()
+
+
+def _direct_callees(scope: Optional[Expr]) -> Iterator[GlobalVar]:
+    """The callees of every direct call ``_Placer.solve`` meets in *scope*:
+    a Let value or the tail, here or in a nested scope (``iter_nodes``
+    would also walk every kernel body and constant)."""
+    while scope is not None:
+        value, scope = (scope.value, scope.body) if isinstance(scope, Let) else (scope, None)
+        if isinstance(value, Call) and isinstance(value.op, GlobalVar):
+            yield value.op
+        for nested in _nested_scopes(value):
+            yield from _direct_callees(nested)
+
+
 class _Domains:
     """Union-find over vars with an optional fixed Device per class."""
 
     def __init__(self) -> None:
         self.uf: UnionFind[Var] = UnionFind()
         self.device: Dict[Var, Optional[Device]] = {}
-
-    def _dev(self, var: Var) -> Optional[Device]:
-        return self.device.get(self.uf.find(var))
 
     def fix(self, var: Var, device: Device) -> bool:
         """Pin *var*'s class to *device*. Returns False on conflict."""
@@ -107,95 +142,102 @@ class _Domains:
         return True
 
     def lookup(self, var: Var) -> Optional[Device]:
-        return self._dev(var)
+        return self.device.get(self.uf.find(var))
 
 
 class _Placer:
-    def __init__(self, host: Device, compute: Device, names: NameSupply, report: PlacementReport) -> None:
+    """One module's placement: ``solve`` fills the one domain table in
+    execution order from the entry points, ``rewrite`` then inserts the
+    copies it found and stamps allocation devices, scope by scope."""
+
+    def __init__(
+        self, host: Device, compute: Device, report: PlacementReport,
+        functions: Dict[GlobalVar, Function],
+    ) -> None:
         self.host = host
         self.compute = compute
-        self.names = names
         self.report = report
+        self.functions = functions
+        self.names = NameSupply()
+        self.domains = _Domains()
+        # Per function whose solve has started (a recursive call finds it
+        # here), the variable its result flows into.
+        self.results: Dict[GlobalVar, Var] = {}
+        # id(binding value) -> the (var, device) uses that lost to an
+        # earlier fix: each reads a device_copy instead.
+        self.copies: Dict[int, List[PyTuple[Var, Device]]] = {}
 
-    # ------------------------------------------------------------------ scopes
-    def place_scope(self, scope: Expr, param_domains: Dict[Var, Device]) -> Expr:
-        bindings: List[PyTuple[Var, Expr]] = []
-        node: Expr = scope
+    # ----------------------------------------------------------------- solving
+    def solve_function(self, gv: GlobalVar, pinned: bool) -> None:
+        func = self.functions[gv]
+        self.results[gv] = Var("ret")
+        if pinned:
+            for p in func.params:
+                if _is_tensor(p):
+                    self.domains.fix(p, self.compute)
+        self.solve(func.body, self.results[gv])
+
+    def solve(self, scope: Expr, result: Var) -> None:
+        """Walk *scope* as it executes: aliases unify, a constraint holds
+        from where it first arises (first fixed wins; a later loser reads a
+        copy at its use), and a branch or a callee is solved where control
+        reaches it — after the producers of what flows in, before the
+        consumers of what flows out into *result*."""
+        node = scope
         while isinstance(node, Let):
-            bindings.append((node.var, node.value))
+            self._solve_binding(node.var, node.value)
             node = node.body
-        tail = node
+        self._solve_binding(result, node)
 
-        domains = _Domains()
-        for var, dev in param_domains.items():
-            domains.fix(var, dev)
+    def _solve_binding(self, var: Var, value: Expr) -> None:
+        domains = self.domains
+        cons: List[PyTuple[Var, Union[Device, Var]]] = []
+        callee = self.functions.get(value.op) if isinstance(value, Call) else None
+        if isinstance(value, Var):
+            domains.union(var, value)
+        elif isinstance(value, Tuple):
+            for fexpr in value.fields:
+                if isinstance(fexpr, Var):
+                    domains.union(var, fexpr)
+        elif isinstance(value, TupleGetItem):
+            if isinstance(value.tuple_value, Var):
+                domains.union(var, value.tuple_value)
+        elif isinstance(value, Call) and isinstance(value.op, Op):
+            cons = self._op_constraints(var, value)
+        elif callee is not None:
+            # An argument's producer decides where the parameter lives; one
+            # already fixed elsewhere is copied here, at the call site.
+            for arg, param in zip(value.args, callee.params):
+                if isinstance(arg, Var) and _is_tensor(param):
+                    cons.append((arg, param))
+        elif isinstance(value, (If, Match)):
+            # The condition/scrutinee is host-read.
+            head = value.cond if isinstance(value, If) else value.data
+            if isinstance(head, Var):
+                cons.append((head, self.host))
 
-        # Pass 1: unify aliases and record fixed constraints per binding.
-        constraints: List[List[PyTuple[Var, Device]]] = []
-        for var, value in bindings:
-            cons: List[PyTuple[Var, Device]] = []
-            if isinstance(value, Var):
-                domains.union(var, value)
-            elif isinstance(value, Tuple):
-                for fexpr in value.fields:
-                    if isinstance(fexpr, Var):
-                        domains.union(var, fexpr)
-            elif isinstance(value, TupleGetItem):
-                if isinstance(value.tuple_value, Var):
-                    domains.union(var, value.tuple_value)
-            elif isinstance(value, Call) and isinstance(value.op, Op):
-                cons = self._op_constraints(var, value, domains)
-            elif isinstance(value, (If, Match)):
-                # Branch results land wherever the consumer wants; the
-                # condition/scrutinee is host-read.
-                head = value.cond if isinstance(value, If) else value.data
-                if isinstance(head, Var):
-                    cons.append((head, self.host))
-            constraints.append(cons)
+        for cvar, want in cons:
+            if isinstance(want, Var):
+                fits, want = domains.union(cvar, want), domains.lookup(want)
+            else:
+                fits = domains.fix(cvar, want)
+            if not fits:
+                self.copies.setdefault(id(value), []).append((cvar, want))
 
-        # Pass 2: solve; conflicting fixed constraints become copies.
-        copies_needed: Dict[int, List[PyTuple[Var, Device]]] = {}
-        for i, cons in enumerate(constraints):
-            for cvar, cdev in cons:
-                if not domains.fix(cvar, cdev):
-                    copies_needed.setdefault(i, []).append((cvar, cdev))
-
-        # Pass 3: rewrite — insert copies, stamp allocation devices,
-        # recurse into nested scopes.
-        out_bindings: List[PyTuple[Var, Expr]] = []
-        copy_cache: Dict[PyTuple[int, Device], Var] = {}
-        for i, (var, value) in enumerate(bindings):
-            subst: Dict[int, Var] = {}
-            for cvar, cdev in copies_needed.get(i, ()):
-                key = (id(cvar), cdev)
-                if key not in copy_cache:
-                    src_dev = domains.lookup(cvar) or self.compute
-                    copy_var = Var(self.names.fresh("dcopy"), cvar.checked_type)
-                    out_bindings.append(
-                        (
-                            copy_var,
-                            Call(
-                                Op.get("device.device_copy"),
-                                [cvar],
-                                {"src_device": src_dev, "dst_device": cdev},
-                            ),
-                        )
-                    )
-                    copy_cache[key] = copy_var
-                    self.report.copies_inserted += 1
-                subst[id(cvar)] = copy_cache[key]
-
-            value = self._substitute(value, subst)
-            value = self._stamp_and_recurse(var, value, domains)
-            out_bindings.append((var, value))
-
-        result: Expr = tail
-        for var, value in reversed(out_bindings):
-            result = Let(var, value, result)
-        return result
+        if isinstance(value, Function) and not value.is_primitive:
+            # A closure's callers are not known statically.
+            for p in value.params:
+                domains.fix(p, self.compute)
+            var = Var("ret")  # the body's value is not the closure
+        for nested in _nested_scopes(value):
+            self.solve(nested, var)
+        if callee is not None:
+            if value.op not in self.results:
+                self.solve_function(value.op, pinned=False)
+            domains.union(var, self.results[value.op])
 
     # ------------------------------------------------------- constraint rules
-    def _op_constraints(self, var: Var, call: Call, domains: _Domains) -> List[PyTuple[Var, Device]]:
+    def _op_constraints(self, var: Var, call: Call) -> List[PyTuple[Var, Device]]:
         name = call.op.name  # type: ignore[union-attr]
         cons: List[PyTuple[Var, Device]] = []
         if name == "vm.shape_of":
@@ -228,13 +270,13 @@ class _Placer:
                         cons.append((item, kernel_dev))
         elif name == "memory.alloc_tensor":
             if isinstance(call.args[0], Var):
-                domains.union(var, call.args[0])
+                self.domains.union(var, call.args[0])
             # Dynamic shape operand is a host-side shape vector.
             if len(call.args) > 2 and isinstance(call.args[2], Var):
                 cons.append((call.args[2], self.host))
         elif name in ("vm.slice_upper_bound", "vm.reshape_tensor"):
             if isinstance(call.args[0], Var):
-                domains.union(var, call.args[0])
+                self.domains.union(var, call.args[0])
             if len(call.args) > 1 and isinstance(call.args[1], Var):
                 cons.append((call.args[1], self.host))
         elif name == "device.device_copy":
@@ -242,6 +284,50 @@ class _Placer:
         return cons
 
     # --------------------------------------------------------------- rewriting
+    def rewrite(self, scope: Expr) -> Expr:
+        """Insert the copies ``solve`` found (one per variable, device and
+        scope), stamp allocation devices, recurse into nested scopes."""
+        out: List[PyTuple[Var, Expr]] = []
+        copy_cache: Dict[PyTuple[int, Device], Var] = {}
+        node = scope
+        while isinstance(node, Let):
+            value = self._rewrite_value(node.var, node.value, out, copy_cache)
+            out.append((node.var, value))
+            node = node.body
+        result = self._rewrite_value(None, node, out, copy_cache)
+        for var, value in reversed(out):
+            result = Let(var, value, result)
+        return result
+
+    def _rewrite_value(self, var: Optional[Var], value: Expr, out: list, copy_cache: dict) -> Expr:
+        subst: Dict[int, Var] = {}
+        for cvar, cdev in self.copies.get(id(value), ()):
+            key = (id(cvar), cdev)
+            if key not in copy_cache:
+                copy_var = Var(self.names.fresh("dcopy"), cvar.checked_type)
+                attrs = {"src_device": self.domains.lookup(cvar), "dst_device": cdev}
+                out.append((copy_var, Call(Op.get("device.device_copy"), [cvar], attrs)))
+                copy_cache[key] = copy_var
+                if cdev == self.host:
+                    self.report.device_to_host += 1
+                else:
+                    self.report.host_to_device += 1
+            subst[id(cvar)] = copy_cache[key]
+        value = self._substitute(value, subst)
+
+        if isinstance(value, Call) and isinstance(value.op, Op):
+            if value.op.name == "memory.alloc_storage":
+                value.attrs["device"] = self.domains.lookup(var) or self.compute
+            return value
+        if isinstance(value, If):
+            return If(value.cond, self.rewrite(value.true_branch), self.rewrite(value.false_branch))
+        if isinstance(value, Match):
+            clauses = [Clause(c.pattern, self.rewrite(c.rhs)) for c in value.clauses]
+            return Match(value.data, clauses, value.complete)
+        if isinstance(value, Function) and not value.is_primitive:
+            return Function(value.params, self.rewrite(value.body), value.ret_type, value.attrs)
+        return value
+
     @staticmethod
     def _substitute(value: Expr, subst: Dict[int, Var]) -> Expr:
         if not subst:
@@ -268,33 +354,6 @@ class _Placer:
             return Match(subst.get(id(value.data), value.data), value.clauses, value.complete)
         return value
 
-    def _stamp_and_recurse(self, var: Var, value: Expr, domains: _Domains) -> Expr:
-        if isinstance(value, Call) and isinstance(value.op, Op):
-            if value.op.name == "memory.alloc_storage":
-                device = domains.lookup(var) or self.compute
-                value.attrs["device"] = device
-            return value
-        if isinstance(value, If):
-            return If(
-                value.cond,
-                self.place_scope(value.true_branch, {}),
-                self.place_scope(value.false_branch, {}),
-            )
-        if isinstance(value, Match):
-            return Match(
-                value.data,
-                [Clause(c.pattern, self.place_scope(c.rhs, {})) for c in value.clauses],
-                value.complete,
-            )
-        if isinstance(value, Function) and not value.is_primitive:
-            return Function(
-                value.params,
-                self.place_scope(value.body, {p: self.compute for p in value.params}),
-                value.ret_type,
-                value.attrs,
-            )
-        return value
-
 
 class DevicePlace(Pass):
     """Module pass: run placement over every non-primitive function."""
@@ -308,19 +367,16 @@ class DevicePlace(Pass):
 
     def run(self, mod: IRModule) -> IRModule:
         out = mod.shallow_copy()
-        names = NameSupply()
-        for gv, func in list(out.functions.items()):
-            if func.is_primitive:
-                continue
-            placer = _Placer(self.host, self.compute, names, self.report)
-            param_domains = {}
-            for p in func.params:
-                if isinstance(p.checked_type or p.type_annotation, TensorType):
-                    param_domains[p] = self.compute
+        functions = {gv: f for gv, f in out.functions.items() if not f.is_primitive}
+        called = {gv for func in functions.values() for gv in _direct_callees(func.body)}
+        placer = _Placer(self.host, self.compute, self.report, functions)
+        # Entry points first; a callee is solved from its first call site
+        # (only one that no entry point reaches is still unsolved after).
+        for gv in sorted(functions, key=called.__contains__):
+            if gv not in placer.results:
+                placer.solve_function(gv, pinned=gv not in called)
+        for gv, func in functions.items():
             out.functions[gv] = Function(
-                func.params,
-                placer.place_scope(func.body, param_domains),
-                func.ret_type,
-                func.attrs,
+                func.params, placer.rewrite(func.body), func.ret_type, func.attrs
             )
         return out

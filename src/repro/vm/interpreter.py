@@ -336,11 +336,18 @@ class VirtualMachine:
             array = value.array
             if array.device.is_gpu:
                 # Host reads of device values synchronize the queue.
-                self.ctx.clock.sync(array.device)
+                self._host_sync(array.device)
             return int(array.item())
         if isinstance(value, (int, np.integer)):
             return int(value)
         raise VMError(f"cannot read a scalar from {type(value).__name__}")
+
+    def _host_sync(self, device) -> None:
+        """The host waits for *device* to drain; the profile keeps the wait."""
+        clock = self.ctx.clock
+        before = clock.host_us
+        clock.sync(device)
+        self.profile.host_sync_wait_us += clock.host_us - before
 
     # ------------------------------------------- straight-line opcode handlers
     # Plain functions called as ``handler(vm, operand, regs)`` through the
@@ -498,7 +505,7 @@ class VirtualMachine:
         tensor = as_tensor(regs[src], "DeviceCopy")
         clock = self.ctx.clock
         if sync_device is not None:
-            clock.sync(sync_device)
+            self._host_sync(sync_device)
         cost = latency_us + tensor.array.nbytes / bytes_per_us
         clock.host_advance(cost)
         self.profile.copy_time_us += cost

@@ -47,6 +47,9 @@ class VMProfile:
     # Modeled stream-stall time actually incurred by waits (an event
     # that already fired stalls nothing, like the real API).
     sync_stall_us: float = 0.0
+    # Host time spent waiting for a GPU to drain before reading from it
+    # (a device->host DeviceCopy, a scalar read of a device value).
+    host_sync_wait_us: float = 0.0
 
     def record_run(self) -> None:
         self.runs += 1

@@ -23,9 +23,9 @@ Soundness rules (docs/scheduling.md):
   ``Move``/``AllocADT``/``GetField``/``ReshapeTensor``), WAR/WAW through
   storage tokens (one per ``AllocStorage`` site — the memory planner
   only coalesces *dead* storages, so token hazards are real).
-* ``DeviceCopy`` is a model barrier: the interpreter syncs the source
-  device before copying, so dependencies on anything older are already
-  satisfied and need no events.
+* A device→host ``DeviceCopy`` is a model barrier: the interpreter syncs
+  a GPU source before copying, so dependencies on anything older are
+  already satisfied and need no events. A host→device copy syncs nothing.
 * A scheduled **non-entry** function is bracketed by an *entry fence*
   (its side streams wait on an event recorded on stream 0, ordering the
   body after whatever the caller had in flight) and an *exit join*
@@ -102,7 +102,7 @@ def build_dependency_graph(func: VMFunction) -> List[KernelNode]:
     last_writer: Dict[int, int] = {}
     readers_since: Dict[int, Set[int]] = defaultdict(set)
     # Kernels with id <= barrier are complete from everyone's point of
-    # view (a DeviceCopy synced the device); deps on them are dropped.
+    # view (a device->host copy synced the device); deps on them are dropped.
     barrier = -1
     nodes: List[KernelNode] = []
 
@@ -142,10 +142,11 @@ def build_dependency_graph(func: VMFunction) -> List[KernelNode]:
         elif isinstance(instr, (ins.LoadConst, ins.LoadConsti, ins.ShapeOf)):
             clear(instr.dst)
         elif isinstance(instr, ins.DeviceCopy):
-            # The interpreter syncs the source device before copying:
+            # The interpreter syncs a GPU source before copying:
             # everything enqueued so far is retired by the time any
-            # later kernel launches.
-            barrier = len(nodes) - 1
+            # later kernel launches. A copy from the host syncs nothing.
+            if instr.src_device.is_gpu:
+                barrier = len(nodes) - 1
             clear(instr.dst)
         elif isinstance(instr, ins.InvokePacked):
             num_inputs = instr.arity - instr.output_size

@@ -350,6 +350,28 @@ class TestRaceDetector:
         ])
         assert _check_function(f, is_entry=True) == []
 
+    def test_host_to_device_copy_is_no_sync(self):
+        # A copy from the host drains nothing: the edge across it needs
+        # the wait the scheduler emits, and dropping that wait is a race.
+        f = func_of([
+            kernel([1, 10]),
+            kernel([2, 11]),                       # independent: stream 1
+            ins.DeviceCopy(3, 12, cpu(0), GPU),
+            kernel([10, 11, 12, 13]),              # stream 0, reads stream 1
+            ins.Ret(13),
+        ])
+        scheduled, _ = schedule_function(f, 2, is_entry=True)
+        assert _check_function(scheduled, is_entry=True) == []
+        instrs = [x for x in scheduled.instructions
+                  if not isinstance(x, ins.StreamWait)]
+        assert len(instrs) == len(scheduled.instructions) - 1
+        mutant = VMFunction(
+            scheduled.name, scheduled.num_params, instrs,
+            scheduled.register_count,
+        )
+        findings = errors_of(_check_function(mutant, is_entry=True))
+        assert any("hazard edge unordered" in x.message for x in findings)
+
     def test_control_flow_with_schedule_is_flagged(self):
         f = func_of([
             ins.Goto(1),

@@ -326,6 +326,15 @@ def _chain(bindings, tail):
     return out
 
 
+def _unchain(scope):
+    """(bindings, tail) of a Let chain: the inverse of `_chain`."""
+    bindings = []
+    while isinstance(scope, Let):
+        bindings.append((scope.var, scope.value))
+        scope = scope.body
+    return bindings, scope
+
+
 def _static_alloc(nbytes, device=None):
     attrs = {"alignment": 64, "static": True}
     if device is not None:
@@ -515,9 +524,297 @@ class TestDevicePlacement:
         assert all(c.attrs["device"].is_cpu for c in invokes)
 
 
+    # -- module-wide domains: hand-built two-function modules on nvidia_gpu --
+
+    SCALAR = TensorType((), "int64")
+
+    @staticmethod
+    def _place(mod, lift=False):
+        """(placed module, PlacementReport) of a whole module on nvidia_gpu."""
+        from repro.passes import LambdaLift
+
+        platform = nvidia_gpu()
+        place = DevicePlace(platform.host, platform.compute)
+        passes = [ToANF()] + ([LambdaLift()] if lift else []) + [FuseOps(), ManifestAlloc(), place]
+        return Sequential(passes).run(infer_types(mod)), place.report
+
+    @staticmethod
+    def _rows(x):
+        """A host-produced scalar: x.shape[0], taken by a host kernel."""
+        return api.take(api.shape_of(x), const(np.int64(0)), axis=None)
+
+    def _caller_and_callee(self, callee_body):
+        """main(x) = @f(x.shape[0], x) over f(s, y) = callee_body(s, y)."""
+        mod = IRModule()
+        f = mod.get_global_var("f")
+        s, y = Var("s", self.SCALAR), Var("y", TensorType((Any(), 8), "float32"))
+        mod[f] = Function([s, y], callee_body(s, y))
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        mod["main"] = Function([x], Call(f, [self._rows(x), x]))
+        return mod, f
+
+    @staticmethod
+    def _copy_devices(func):
+        return [(c.attrs["src_device"], c.attrs["dst_device"])
+                for c in _op_calls(func, "device.device_copy")]
+
+    def test_host_scalar_argument_used_by_host_kernels_needs_no_copy(self):
+        mod, _ = self._caller_and_callee(
+            lambda s, y: Tuple([api.less(s, const(np.int64(3))), api.tanh(y)]))
+        placed, report = self._place(mod)
+        assert (report.host_to_device, report.device_to_host) == (0, 0)
+        assert report.copies_inserted == 0 and report.device_kernels == 1
+        assert not any(_op_calls(f, "device.device_copy") for f in placed.functions.values())
+
+    def test_host_scalar_argument_used_by_a_device_kernel_is_copied_in_the_callee(self):
+        mod, f = self._caller_and_callee(lambda s, y: api.take(y, s, axis=0))
+        placed, report = self._place(mod)
+        assert (report.host_to_device, report.device_to_host) == (1, 0)
+        assert report.copies_inserted == 1
+        assert self._copy_devices(placed[f]) == [(cpu(0), gpu(0))]
+        assert self._copy_devices(placed.main) == []
+        (take,) = _op_calls(placed[f], "vm.invoke_mut")
+        assert take.attrs["device"].is_gpu
+        assert take.args[1].fields[1].name_hint.startswith("dcopy")
+
+    def test_a_tail_position_call_unifies_like_a_bound_one(self):
+        mod, f = self._caller_and_callee(lambda s, y: api.take(y, s, axis=0))
+        lowered = Sequential([ToANF(), FuseOps(), ManifestAlloc()]).run(infer_types(mod))
+        bindings, tail = _unchain(lowered.main.body)
+        bound, call = bindings.pop()
+        assert bound is tail and call.op is f  # let %r = @f(...); %r  ->  @f(...)
+        lowered[lowered.get_global_var("main")] = Function(
+            lowered.main.params, _chain(bindings, call), lowered.main.ret_type)
+        place = DevicePlace(cpu(0), gpu(0))
+        placed = place.run(lowered)
+        assert (place.report.host_to_device, place.report.device_to_host) == (1, 0)
+        assert self._copy_devices(placed[f]) == [(cpu(0), gpu(0))]
+
+    def test_call_sites_on_different_devices_copy_at_the_one_that_disagrees(self):
+        """f's parameter lives where its first producer put it (the host);
+        the second call site passes a device value and gets the copy —
+        before, the mismatched argument was passed silently."""
+        mod = IRModule()
+        f = mod.get_global_var("f")
+        s = Var("s", TensorType((), "float32"))
+        mod[f] = Function([s], api.multiply(s, const(np.float32(2))))
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        on_host = api.cast(self._rows(x), "float32")
+        on_device = api.sum_(x)
+        mod["main"] = Function([x], api.add(Call(f, [on_host]), Call(f, [on_device])))
+        placed, report = self._place(mod)
+        assert (report.host_to_device, report.device_to_host) == (0, 1)
+        assert self._copy_devices(placed[f]) == []
+        assert self._copy_devices(placed.main) == [(gpu(0), cpu(0))]
+        first, second = [value for _, value in _unchain(placed.main.body)[0]
+                         if isinstance(value, Call) and value.op is f]
+        assert not first.args[0].name_hint.startswith("dcopy")
+        assert second.args[0].name_hint.startswith("dcopy")
+
+    def test_a_loop_passes_its_bound_straight_through_on_the_host(self):
+        """loop(i, n, acc): n -> n through the recursive call, i fed by a
+        host kernel: neither scalar ever crosses, acc stays on the device."""
+        mod = IRModule()
+        loop = mod.get_global_var("loop")
+        state = TensorType((4, 8), "float32")
+        i, n, acc = Var("i", self.SCALAR), Var("n", self.SCALAR), Var("acc", state)
+        step = Call(loop, [api.add(i, const(np.int64(1))), n, api.tanh(acc)])
+        mod[loop] = Function([i, n, acc], If(api.less(i, n), step, acc), state)
+        x, y = Var("x", TensorType((Any(), 8), "float32")), Var("y", state)
+        mod["main"] = Function([x, y], Call(loop, [const(np.int64(0)), self._rows(x), y]))
+        placed, report = self._place(mod)
+        assert report.copies_inserted == 0
+        assert (report.host_kernels, report.device_kernels) == (3, 1)
+        (less,) = [value for _, value in _unchain(placed[loop].body)[0]
+                   if isinstance(value, Call) and value.op.name == "vm.invoke_mut"]
+        assert less.attrs["device"].is_cpu
+        assert [v.name_hint for v in less.args[1].fields] == ["i", "n"]
+
+    def test_entry_scalar_parameters_stay_on_the_compute_device(self):
+        i, n = Var("i", self.SCALAR), Var("n", self.SCALAR)
+        _, report = self._place(IRModule.from_expr(Function([i, n], api.less(i, n))))
+        assert (report.host_to_device, report.device_to_host) == (0, 2)
+
+    @pytest.mark.parametrize("lift", [True, False], ids=["lifted", "literal"])
+    def test_a_closures_parameters_stay_pinned(self, lift):
+        """A closure is reached through InvokeClosure: its callers are not
+        known statically, so its parameter is assumed on the compute
+        device even when this caller passes a host scalar."""
+        from repro.ir import ScopeBuilder
+
+        x, z = Var("x", TensorType((Any(), 8), "float32")), Var("z", self.SCALAR)
+        sb = ScopeBuilder()
+        rows = sb.let("n", self._rows(x))
+        closure = sb.let("clo", Function([z], api.add(z, const(np.int64(1))), self.SCALAR))
+        out = sb.let("out", Call(closure, [rows]))
+        placed, report = self._place(IRModule.from_expr(Function([x], sb.get(out))), lift=lift)
+        assert (report.host_to_device, report.device_to_host) == (0, 1)
+        copies = [c for f in placed.functions.values() for c in self._copy_devices(f)]
+        assert copies == [(gpu(0), cpu(0))]
+        assert self._copy_devices(placed.main) == ([] if lift else copies)
+
+    def test_the_lstm_copies_the_step_index_and_nothing_else(self):
+        """§4.4 on the loop: t, n and the condition never leave the host;
+        take(x, t) gets the one real copy (3 device->host before)."""
+        import repro.nimble as nimble
+        from repro.models.bert import BertConfig, BertWeights, build_bert_module
+
+        lstm = TestNoPhantomCopies._lstm()
+        for compile_ in (
+            lambda: nimble.build(lstm, nvidia_gpu()),
+            lambda: nimble.specialize(lstm, nvidia_gpu(), shapes=[(7, 12)]),
+            lambda: nimble.specialize(lstm, nvidia_gpu(), shapes=[(7, 12)], batch=4),
+        ):
+            placement = compile_()[1].placement
+            assert placement.copies_inserted == 1
+            assert (placement.host_to_device, placement.device_to_host) == (1, 0)
+        bert = build_bert_module(BertWeights.create(
+            BertConfig(hidden=24, num_heads=3, num_layers=1, ffn=48), seed=0))
+        assert nimble.build(bert, nvidia_gpu())[1].placement.copies_inserted == 0
+
+
+class TestNoPhantomCopies:
+    """Every DeviceCopy a placed model executes on nvidia_gpu moves a
+    tensor that lives where the instruction says it does. Before
+    placement crossed function boundaries the LSTM loop assumed t and n
+    on the GPU: 3L + 2 copies per length-L run, all GPU->CPU, every one a
+    phantom (`to_device` returned the source) that had already drained
+    the device and paid the link."""
+
+    @pytest.fixture
+    def copies(self, monkeypatch):
+        """(src_device, dst_device, where the source really was) of each
+        DeviceCopy executed, in order."""
+        from repro.vm import instruction as ins
+        from repro.vm.interpreter import VirtualMachine
+
+        seen, instr_of = [], {}
+        opcode = ins.Opcode.DEVICE_COPY
+        handlers, decoders = list(VirtualMachine._HANDLERS), list(VirtualMachine._DECODERS)
+        run, decode = handlers[opcode], decoders[opcode]
+
+        def decoding(vm, instr):
+            operand = decode(vm, instr)
+            instr_of[id(operand)] = instr  # the VM keeps decoded operands alive
+            return operand
+
+        def running(vm, operand, regs):
+            instr = instr_of[id(operand)]
+            seen.append((instr.src_device, instr.dst_device, regs[instr.src].array.device))
+            run(vm, operand, regs)
+
+        handlers[opcode], decoders[opcode] = running, decoding
+        monkeypatch.setattr(VirtualMachine, "_HANDLERS", handlers)
+        monkeypatch.setattr(VirtualMachine, "_DECODERS", decoders)
+        return seen
+
+    @staticmethod
+    def _run(exe, platform, x):
+        from repro.runtime.context import ExecutionContext
+        from repro.vm.interpreter import VirtualMachine
+
+        ctx = ExecutionContext(platform)
+        out = VirtualMachine(exe, ctx).run(x).numpy()
+        assert ctx.allocator.live_bytes == 0
+        return out
+
+    @staticmethod
+    def _lstm(input_size=12, hidden_size=16):
+        from repro.models.lstm import LSTMWeights, build_lstm_module
+
+        return build_lstm_module(LSTMWeights.create(
+            input_size=input_size, hidden_size=hidden_size, num_layers=1, seed=0))
+
+    @pytest.mark.parametrize("streams", [1, 2])
+    def test_every_lstm_tier_copies_the_step_index_once_a_step(self, copies, streams):
+        import repro.nimble as nimble
+
+        mod, length = self._lstm(), 7
+        rng = np.random.RandomState(0)
+        members = [rng.randn(length, 12).astype(np.float32) for _ in range(4)]
+        reference = nimble.build(mod, intel_cpu())[0]
+        want = [self._run(reference, intel_cpu(), x) for x in members]
+        options = nimble.CompilerOptions(device_streams=streams)
+        step = [(cpu(0), gpu(0), cpu(0))] * length  # host -> GPU, found on the host
+
+        dynamic = nimble.build(mod, nvidia_gpu(), options=options)[0]
+        member = nimble.specialize(mod, nvidia_gpu(), shapes=[(length, 12)], options=options)[0]
+        for exe in (dynamic, member):
+            del copies[:]
+            assert np.array_equal(self._run(exe, nvidia_gpu(), members[0]), want[0])
+            assert copies == step
+        batched = nimble.specialize(
+            mod, nvidia_gpu(), shapes=[(length, 12)], options=options, batch=4)[0]
+        del copies[:]
+        stacked = self._run(batched, nvidia_gpu(), np.concatenate(members, axis=0))
+        assert all(np.array_equal(got, w) for got, w in zip(np.split(stacked, 4, axis=0), want))
+        assert copies == step
+
+    def test_copies_per_lstm_step_at_the_serving_size(self, copies):
+        """The number CI's "Size trajectory" step prints: LSTM 64->128 at
+        length 16 on two streams executed 50 copies (3.1 a step), 50 of
+        them phantom, before this test existed."""
+        import repro.nimble as nimble
+
+        length = 16
+        exe = nimble.build(self._lstm(64, 128), nvidia_gpu(),
+                           options=nimble.CompilerOptions(device_streams=2))[0]
+        self._run(exe, nvidia_gpu(), np.random.RandomState(0).randn(length, 64).astype(np.float32))
+        phantom = [c for c in copies if c[2] == c[1]]
+        print(f"DeviceCopy per LSTM step (nvidia, 2 streams, length {length}): "
+              f"{len(copies) / length:.1f} ({len(copies)} executed, {len(phantom)} phantom)")
+        assert len(copies) == length and not phantom
+        assert not any(src.is_gpu for src, _, _ in copies)  # none synchronises
+
+    def test_bert_copies_nothing(self, copies):
+        import repro.nimble as nimble
+        from repro.models.bert import BertConfig, BertWeights, build_bert_module
+
+        mod = build_bert_module(BertWeights.create(
+            BertConfig(hidden=24, num_heads=3, num_layers=1, ffn=48), seed=0))
+        x = np.random.RandomState(0).randn(6, 24).astype(np.float32)
+        want = self._run(nimble.build(mod, intel_cpu())[0], intel_cpu(), x)
+        assert np.array_equal(self._run(nimble.build(mod, nvidia_gpu())[0], nvidia_gpu(), x), want)
+        assert copies == []
+
+    def test_tree_lstm_at_toy_width_copies_no_more_than_it_did(self, copies):
+        """At hidden size 8 `_is_scalar_kernel` sends the tiny gate kernels
+        to the host (at bench width it emits no copy at all), and the
+        inputs are host-resident ADTs (`tree_to_adt` builds them on
+        cpu(0)) that placement assumes on the device — an entry-input
+        contract left open. The bounds are what the commit before
+        module-wide placement executed on these trees: 47 copies, 6
+        phantom (now 43, 3) and 14, 0 (now 13, 0). That commit also wrote
+        h of a Node into a copy of its buffer (the (h, c) tuple had
+        unified a host kernel's output with the device) and returned
+        garbage; solving in execution order lets the producer decide."""
+        import repro.nimble as nimble
+        from repro.data import Tree, embedding_table
+        from repro.models.tree_lstm import (
+            TreeLSTMWeights, build_tree_lstm_module, tree_to_adt)
+
+        mod = build_tree_lstm_module(TreeLSTMWeights.create(input_size=12, hidden_size=8, seed=0))
+        embeddings = embedding_table(vocab_size=32, dim=12, seed=0)
+        big = Tree.node(
+            Tree.node(Tree.leaf(1), Tree.leaf(2)),
+            Tree.node(Tree.leaf(3), Tree.node(Tree.leaf(4), Tree.leaf(5))))
+        small = Tree.node(Tree.leaf(7), Tree.leaf(8))
+        on_cpu, on_gpu = nimble.build(mod, intel_cpu())[0], nimble.build(mod, nvidia_gpu())[0]
+        for tree, most_copies, most_phantom in ((big, 47, 6), (small, 14, 0)):
+            want = self._run(on_cpu, intel_cpu(), tree_to_adt(tree, embeddings))
+            del copies[:]
+            got = self._run(on_gpu, nvidia_gpu(), tree_to_adt(tree, embeddings))
+            assert np.array_equal(got, want)
+            phantom = [c for c in copies if c[2] == c[1]]
+            assert len(copies) <= most_copies and len(phantom) <= most_phantom
+            # A copy that is not a phantom finds its source where it was placed.
+            assert all(c[2] == c[0] for c in copies if c not in phantom)
+
+
 def _planned_models():
     """(name, compile): the paper's three models at toy sizes, the BERT
-    also on four GPU streams, and two static LSTM variants."""
+    also on four GPU streams, two static LSTM variants, and the LSTM loop
+    on two GPU streams."""
     import repro.nimble as nimble
     from repro.models.bert import BertConfig, BertWeights, build_bert_module
     from repro.models.lstm import LSTMWeights, build_lstm_module
@@ -543,11 +840,15 @@ def _planned_models():
     yield "lstm[len=7]", lambda: nimble.specialize(lstm(), intel_cpu(), shapes=[(7, 12)])
     yield "lstm[len=7]x4", lambda: nimble.specialize(
         lstm(), intel_cpu(), shapes=[(7, 12)], batch=4)
+    yield "lstm@gpu2", lambda: nimble.build(
+        lstm(), nvidia_gpu(), options=nimble.CompilerOptions(device_streams=2))
 
 
 # What the cases above read on the commit before the group table, the
 # shared liveness and the ordered pool: sha256 of `pretty_module` of the
 # planned module, the MemoryPlanReport, sha256 of `Executable.save()`.
+# (`lstm@gpu2` was recorded on the commit that made device placement
+# module-wide — the first pin on GPU loop bytecode.)
 _PARENT_COMMIT_PLANS = {
     "lstm": (
         "c3b90ca724a51e713e79f71711a866864dce7ae72b5de9f5e4832c3c0206a2d3",
@@ -579,6 +880,11 @@ _PARENT_COMMIT_PLANS = {
         {"allocs_before": 12, "allocs_after": 9, "static_bytes_before": 3456,
          "static_bytes_after": 2880, "kills_inserted": 0},
         "23b962dd1e91315bbef51186cca9e58dc75c4f23bcdb0e1340e487464821dfeb"),
+    "lstm@gpu2": (
+        "d2ea81b2010a063c1f620b1875724baca192d8307366395a8a729a5e8e4f7c9e",
+        {"allocs_before": 11, "allocs_after": 9, "static_bytes_before": 960,
+         "static_bytes_after": 832, "kills_inserted": 16},
+        "5ef6da9c305a03eb9bcbc5d11ef0fe3ae5b1fb29baef2d1804ae7fdef7cfeb68"),
 }
 
 

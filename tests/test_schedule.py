@@ -99,6 +99,24 @@ class TestDependencyGraph:
         assert nodes[1].deps == frozenset()
         assert nodes[2].deps == frozenset({1})
 
+    def test_host_to_device_copy_is_not_a_barrier(self):
+        """The interpreter syncs only a GPU source: across a copy from
+        the host, a cross-stream edge still needs its event and wait."""
+        f = func_of([
+            kernel([1, 10]),                       # k0: stream 0
+            kernel([2, 11]),                       # k1: independent, stream 1
+            ins.DeviceCopy(3, 12, cpu(0), GPU),    # host -> GPU: no sync
+            kernel([10, 11, 12, 13]),              # k2: stream 0, reads k1
+            ins.Ret(13),
+        ])
+        assert build_dependency_graph(f)[2].deps == frozenset({0, 1})
+        scheduled, summary = schedule_function(f, 2, is_entry=True)
+        assert (summary.num_events, summary.num_waits) == (1, 1)
+        sync = [i for i in scheduled.instructions
+                if isinstance(i, (ins.StreamEvent, ins.StreamWait))]
+        assert [(type(i), i.stream) for i in sync] == [
+            (ins.StreamEvent, 1), (ins.StreamWait, 0)]
+
     def test_aliases_propagate_producers(self):
         f = func_of([
             kernel([1, 10]),               # k0 writes r10
