@@ -11,8 +11,8 @@ LEVELS = ("static", "dispatch/8", "dispatch/4", "dispatch/2", "no dispatch")
 
 
 @pytest.mark.paper
-def test_figure3_dispatch(benchmark):
-    results = benchmark.pedantic(lambda: figure3_dispatch(), rounds=1, iterations=1)
+def test_figure3_dispatch(modeled):
+    results = modeled("figure3_dispatch", figure3_dispatch)
     rows = []
     for dense, row in results.items():
         rows.append([dense] + [row[l] for l in LEVELS] + [PAPER_NO_DISPATCH[dense]])

@@ -45,8 +45,8 @@ ROW_METRICS = (
 
 
 @pytest.mark.paper
-def test_fleet_routing_and_shared_store(benchmark):
-    results = benchmark.pedantic(fleet_study, rounds=1, iterations=1)
+def test_fleet_routing_and_shared_store(modeled):
+    results = modeled("fleet_study", fleet_study)
     summary = results["summary"]
     policies = ("affinity", "random", "least_loaded", "warm", "gc")
     print()

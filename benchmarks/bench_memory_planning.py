@@ -8,8 +8,8 @@ from repro.harness.experiments import memory_footprint_vs_static, memory_plannin
 
 
 @pytest.mark.paper
-def test_memory_planning_bert(benchmark):
-    r = benchmark.pedantic(lambda: memory_planning_study(), rounds=1, iterations=1)
+def test_memory_planning_bert(modeled):
+    r = modeled("memory_planning_study", memory_planning_study)
     print()
     print(
         format_table(
@@ -30,8 +30,8 @@ def test_memory_planning_bert(benchmark):
 
 
 @pytest.mark.paper
-def test_memory_footprint_cv_models(benchmark):
-    r = benchmark.pedantic(lambda: memory_footprint_vs_static(), rounds=1, iterations=1)
+def test_memory_footprint_cv_models(modeled):
+    r = modeled("memory_footprint_vs_static", memory_footprint_vs_static)
     rows = [
         [name, row["static_bytes"] / 1e6, row["nimble_bytes"] / 1e6, row["overhead_pct"]]
         for name, row in r.items()

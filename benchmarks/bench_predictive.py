@@ -43,11 +43,10 @@ ROW_METRICS = (
 
 
 @pytest.mark.paper
-def test_predictive_specialization(benchmark, tmp_path):
-    results = benchmark.pedantic(
+def test_predictive_specialization(modeled, tmp_path):
+    results = modeled(
+        "predictive_study",
         lambda: predictive_study(artifact_dir=str(tmp_path / "store")),
-        rounds=1,
-        iterations=1,
     )
     cold, warm, summary = results["cold"], results["warm"], results["summary"]
     print()

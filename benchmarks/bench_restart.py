@@ -38,11 +38,9 @@ ROW_METRICS = (
 
 
 @pytest.mark.paper
-def test_warm_restart(benchmark, tmp_path):
-    results = benchmark.pedantic(
-        lambda: restart_study(artifact_dir=str(tmp_path / "store")),
-        rounds=1,
-        iterations=1,
+def test_warm_restart(modeled, tmp_path):
+    results = modeled(
+        "restart_study", lambda: restart_study(artifact_dir=str(tmp_path / "store"))
     )
     cold, warm, summary = results["cold"], results["warm"], results["summary"]
     print()

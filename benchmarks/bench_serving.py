@@ -27,7 +27,7 @@ def _rows(name, result):
 
 
 @pytest.mark.paper
-def test_serving_throughput(benchmark):
+def test_serving_throughput(modeled):
     def study():
         lstm = serving_study(
             model="lstm",
@@ -53,7 +53,7 @@ def test_serving_throughput(benchmark):
         )
         return {"lstm": lstm, "bert": bert}
 
-    results = benchmark.pedantic(study, rounds=1, iterations=1)
+    results = modeled("serving_study", study)
     rows = _rows("lstm", results["lstm"]) + _rows("bert", results["bert"])
     print()
     print(

@@ -47,8 +47,8 @@ SERVE_METRICS = (
 
 
 @pytest.mark.paper
-def test_specialization_tiers(benchmark):
-    results = benchmark.pedantic(specialization_study, rounds=1, iterations=1)
+def test_specialization_tiers(modeled):
+    results = modeled("specialization_study", specialization_study)
     tiers, serving = results["tiers"], results["serving"]
     print()
     print(
@@ -97,15 +97,14 @@ POOL_METRICS = (
 
 
 @pytest.mark.paper
-def test_compile_pool_eviction(benchmark):
+def test_compile_pool_eviction(modeled):
     """Lanes × cache size on the long-tailed mix: the small cache evicts,
     a second lane strictly cuts queue wait, replays bit-identical."""
-    results = benchmark.pedantic(
+    results = modeled(
+        "compile_pool_study",
         lambda: compile_pool_study(
             lane_counts=(1, 2), cache_sizes=(2, 4), num_requests=160
         ),
-        rounds=1,
-        iterations=1,
     )
     rows = [
         [key] + [results[key][m] for m in POOL_METRICS]
@@ -153,14 +152,12 @@ BATCH_SERVE_METRICS = (
 
 
 @pytest.mark.paper
-def test_batch_specialization(benchmark):
+def test_batch_specialization(modeled):
     """Batch-granularity kernels: a full hot bucket executes as ONE call
     on the batch-specialized executable — one batched GEMM per
     member-wise GEMM site — and must beat member-pipelined static by
     >= 1.5x on the modeled GPU platform, bit-identically."""
-    results = benchmark.pedantic(
-        batch_specialization_study, rounds=1, iterations=1
-    )
+    results = modeled("batch_specialization_study", batch_specialization_study)
     tiers, serving = results["tiers"], results["serving"]
     print()
     print(

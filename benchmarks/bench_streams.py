@@ -46,11 +46,9 @@ ROW_METRICS = (
 
 
 @pytest.mark.paper
-def test_stream_scheduling(benchmark):
-    results = benchmark.pedantic(
-        lambda: stream_study(stream_counts=STREAM_COUNTS),
-        rounds=1,
-        iterations=1,
+def test_stream_scheduling(modeled):
+    results = modeled(
+        "stream_study", lambda: stream_study(stream_counts=STREAM_COUNTS)
     )
     rows = [results[f"streams={n}"] for n in STREAM_COUNTS]
     summary = results["summary"]

@@ -21,10 +21,8 @@ SYSTEMS = ("nimble", "pytorch", "mxnet", "tensorflow")
 
 
 @pytest.mark.paper
-def test_table1_lstm(benchmark):
-    results = benchmark.pedantic(
-        lambda: table1_lstm(num_sentences=6), rounds=1, iterations=1
-    )
+def test_table1_lstm(modeled):
+    results = modeled("table1_lstm", lambda: table1_lstm(num_sentences=6))
     rows = []
     for layers in (1, 2):
         for platform in ("intel", "nvidia", "arm"):

@@ -11,10 +11,8 @@ PAPER = {
 
 
 @pytest.mark.paper
-def test_table2_tree_lstm(benchmark):
-    results = benchmark.pedantic(
-        lambda: table2_tree_lstm(num_trees=8), rounds=1, iterations=1
-    )
+def test_table2_tree_lstm(modeled):
+    results = modeled("table2_tree_lstm", lambda: table2_tree_lstm(num_trees=8))
     rows = []
     for platform in ("intel", "arm"):
         m = results[platform]

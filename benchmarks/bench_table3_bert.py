@@ -14,10 +14,8 @@ SYSTEMS = ("nimble", "pytorch", "mxnet", "tensorflow")
 
 
 @pytest.mark.paper
-def test_table3_bert(benchmark):
-    results = benchmark.pedantic(
-        lambda: table3_bert(num_sentences=4), rounds=1, iterations=1
-    )
+def test_table3_bert(modeled):
+    results = modeled("table3_bert", lambda: table3_bert(num_sentences=4))
     rows = []
     for platform in ("intel", "nvidia", "arm"):
         m = results[platform]

@@ -12,8 +12,8 @@ PAPER = {
 
 
 @pytest.mark.paper
-def test_table4_overhead(benchmark):
-    results = benchmark.pedantic(lambda: table4_overhead(), rounds=1, iterations=1)
+def test_table4_overhead(modeled):
+    results = modeled("table4_overhead", table4_overhead)
     rows = []
     for platform in ("intel", "arm", "nvidia"):
         m = results[platform]

@@ -8,8 +8,8 @@ from repro.harness.experiments import tuning_ablation
 
 
 @pytest.mark.paper
-def test_tuning_ablation(benchmark):
-    r = benchmark.pedantic(lambda: tuning_ablation(), rounds=1, iterations=1)
+def test_tuning_ablation(modeled):
+    r = modeled("tuning_ablation", tuning_ablation)
     print()
     print(
         format_table(

@@ -12,10 +12,11 @@ cross-replica store-warm restores, and GC activity. Two views matter:
   hit rates, and store counters (the routing/affinity surface).
 
 :meth:`FleetReport.counters` flattens every discrete outcome — reject
-rids, routed counts, affinity hits, fleet restores, GC decisions — into
-one comparable dict. The fleet determinism contract (docs/fleet.md) is
-stated in terms of it: two simulations of the same trace produce equal
-``counters()`` and bitwise-equal response outputs.
+rids, routed counts, affinity hits, fleet restores, GC decisions, and
+every field of every replica's report — into one comparable dict. The
+fleet determinism contract (docs/fleet.md) is stated in terms of it:
+two simulations of the same trace produce equal ``counters()`` and
+bitwise-equal response outputs.
 """
 
 from __future__ import annotations
@@ -179,24 +180,7 @@ class FleetReport:
                 name: (t.admitted, t.rejected, tuple(t.latencies_us))
                 for name, t in sorted(self.tenants.items())
             },
-            "response_rids": tuple(r.rid for r in self.responses),
-            "response_tiers": tuple(r.tier for r in self.responses),
-            "response_finish_us": tuple(r.finish_us for r in self.responses),
-            "replica_specialized_hits": tuple(
-                r.specialized_hits for r in self.replica_reports
-            ),
-            "replica_fresh_compiles": tuple(
-                r.specialize_fresh_compiles for r in self.replica_reports
-            ),
-            "replica_restored": tuple(
-                r.specialize_restored for r in self.replica_reports
-            ),
-            "replica_store_rejects": tuple(
-                r.store_rejects for r in self.replica_reports
-            ),
-            "replica_verify_rejects": tuple(
-                r.verify_rejects for r in self.replica_reports
-            ),
+            "replicas": tuple(r.counters() for r in self.replica_reports),
             "gc": tuple(g.counters() for g in self.gc_reports),
             "chaos": (
                 self.chaos_stalls,

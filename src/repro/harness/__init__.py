@@ -1,10 +1,13 @@
-"""Experiment harness: runs every table/figure of the paper's evaluation."""
+"""Experiment harness: every table/figure of the paper's evaluation and
+the serving-era studies (``experiments``), over one scenario runner
+(``scenario``)."""
 
 from repro.harness.experiments import (
     batch_specialization_study,
     compile_pool_study,
     figure3_dispatch,
     fleet_study,
+    memory_footprint_vs_static,
     memory_planning_study,
     predictive_study,
     restart_study,
@@ -26,6 +29,7 @@ __all__ = [
     "table4_overhead",
     "figure3_dispatch",
     "memory_planning_study",
+    "memory_footprint_vs_static",
     "serving_study",
     "specialization_study",
     "compile_pool_study",

@@ -1,16 +1,25 @@
-"""The evaluation experiments (§6): one function per table/figure.
+"""The evaluation experiments (§6) and the serving-era studies: one
+function per table / figure / study.
 
 Every function returns a plain dict of measured numbers (virtual
 microseconds) keyed the way the paper's tables are laid out, so
-benchmarks and EXPERIMENTS.md generation share one source of truth.
-All experiments run in ``lite`` numerics (identical latency model,
-no heavyweight NumPy) with paper-sized models by default.
+benchmarks and EXPERIMENTS.md generation share one source of truth;
+``benchmarks/BENCH_modeled.json`` holds every one of them, and CI fails
+when one moves. All experiments run in ``lite`` numerics (identical
+latency model, no heavyweight NumPy) unless a study says why not.
+
+A study is written as a declaration: its model and traffic, its sizes
+where they are used (with the reason for a value that needs one), its
+variants, the report fields of a row and its summary. What studies share
+— the run step with its determinism check, the derived measures, the
+scratch store — is :mod:`repro.harness.scenario`. The only parameters a
+study takes are the ones a caller passes.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence
+import zlib
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,13 +30,24 @@ from repro.baselines import (
     GraphFramework,
     HybridFramework,
 )
+from repro.baselines.base import BaselineResult, Framework
 from repro.codegen.kernels import KernelCache, KernelSet
-from repro.codegen.tuner import SymbolicTuner
-from repro.codegen.workload import compute_workload
-from repro.core.memory import MemoryPlanReport
+from repro.codegen.tuner import AutoTuner, SymbolicTuner
 from repro.data import embedding_table, mrpc_like_lengths, sst_like_trees
-from repro.fleet import FleetConfig, FleetRouter, TenantSpec
+from repro.fleet import FleetConfig, TenantSpec
 from repro.hardware import Platform, platform_by_name
+from repro.harness.scenario import (
+    Run,
+    cold_then_warm,
+    first_static_finish_us,
+    outputs_equal,
+    run_scenario,
+    same_simulation,
+    scratch_store,
+    speedup,
+)
+from repro.ir import Any, Constant, Function, IRModule, TensorType, Var
+from repro.models import build_gram_module
 from repro.models.bert import BertConfig, BertWeights, build_bert_module, build_bert_static_module
 from repro.models.lstm import LSTMWeights, build_lstm_module
 from repro.models.tree_lstm import TreeLSTMWeights, build_tree_lstm_module, tree_to_adt
@@ -37,48 +57,99 @@ from repro.models.vision import (
     build_squeezenet_like,
     build_vgg_like,
 )
+from repro.ops import api
 from repro.runtime.context import ExecutionContext
 from repro.runtime.graph_runtime import GraphRuntime
 from repro.serve import (
-    InferenceServer,
     ServeConfig,
     bert_traffic,
     long_tailed_traffic,
     lstm_traffic,
     multi_tenant_traffic,
 )
+from repro.tensor.ndarray import array as make_array
 from repro.utils.reporting import percentile
 from repro.vm.compiler import CompilerOptions
 from repro.vm.interpreter import VirtualMachine
 
 DEFAULT_PLATFORMS = ("intel", "nvidia", "arm")
-
-
-def _embedded_sentences(n: int, dim: int, seed: int = 0) -> List[np.ndarray]:
-    """MRPC-like variable-length sentences as embedding matrices."""
-    rng = np.random.RandomState(seed + 7)
-    return [
-        (rng.randn(length, dim) * 0.1).astype(np.float32)
-        for length in mrpc_like_lengths(n, seed)
-    ]
-
-
-def _nimble_run_all(
-    mod, platform: Platform, inputs: Sequence, numerics: str = "lite",
-    options: Optional[CompilerOptions] = None,
-):
-    """Compile once, run every input; returns (total_us, vm)."""
-    exe, _ = nimble.build(mod, platform, options=options)
-    ctx = ExecutionContext(platform, numerics=numerics)
-    vm = VirtualMachine(exe, ctx)
-    start = ctx.elapsed_us
-    for x in inputs:
-        vm.run(x)
-    return ctx.elapsed_us - start, vm
+# The BERT-class module both tier comparisons run (specialization_study
+# and batch_specialization_study, part 1).
+SMALL_BERT = BertConfig(hidden=64, num_layers=2, num_heads=2, ffn=128)
 
 
 # ---------------------------------------------------------------------------
-# Table 1: LSTM
+# Shared builders
+# ---------------------------------------------------------------------------
+
+
+def _activations(rng: np.random.RandomState, rows: int, cols: int) -> np.ndarray:
+    return (rng.randn(rows, cols) * 0.1).astype(np.float32)
+
+
+def _embedded_sentences(n: int, dim: int) -> List[np.ndarray]:
+    """MRPC-like variable-length sentences as embedding matrices."""
+    rng = np.random.RandomState(7)
+    return [_activations(rng, length, dim) for length in mrpc_like_lengths(n, 0)]
+
+
+def _lstm_module(input_size: int, hidden_size: int, seed: int = 0) -> IRModule:
+    """The one-layer LSTM every serving study serves, at its width."""
+    return build_lstm_module(
+        LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
+    )
+
+
+def _bert_module(config: BertConfig, seed: int = 0) -> IRModule:
+    return build_bert_module(BertWeights.create(config, seed=seed))
+
+
+def _vm(exe, platform: Platform, numerics: str = "lite") -> VirtualMachine:
+    """A VM over a fresh context (``vm.ctx`` holds its clock and allocator)."""
+    return VirtualMachine(exe, ExecutionContext(platform, numerics=numerics))
+
+
+def _nimble_run_all(mod: IRModule, platform: Platform, inputs: Sequence):
+    """Compile once, run every input; returns (total_us, vm)."""
+    exe, _ = nimble.build(mod, platform)
+    vm = _vm(exe, platform)
+    start = vm.ctx.elapsed_us
+    for x in inputs:
+        vm.run(x)
+    return vm.ctx.elapsed_us - start, vm
+
+
+def _per_token_table(
+    platforms: Sequence[str],
+    mod: IRModule,
+    inputs: Sequence,
+    tokens: int,
+    model: str,
+    frameworks: Sequence[type],
+    run_baseline: Callable[[Framework], BaselineResult],
+) -> Dict[str, Dict[str, Optional[float]]]:
+    """The platform loop under Tables 1–3: ``{platform: {system:
+    µs/token}}`` with Nimble compiled once per platform and run over
+    *inputs*, beside each baseline framework's own run of the same data
+    (``None`` where the framework does not support *model*)."""
+    table: Dict[str, Dict[str, Optional[float]]] = {}
+    for pname in platforms:
+        platform = platform_by_name(pname)
+        total_us, _ = _nimble_run_all(mod, platform, inputs)
+        row: Dict[str, Optional[float]] = {"nimble": total_us / tokens}
+        for make in frameworks:
+            framework = make(platform, "lite")
+            row[framework.name] = (
+                run_baseline(framework).us_per_token
+                if framework.supports(model)
+                else None
+            )
+        table[pname] = row
+    return table
+
+
+# ---------------------------------------------------------------------------
+# Tables 1–3: µs/token against the baseline frameworks
 # ---------------------------------------------------------------------------
 
 
@@ -88,41 +159,26 @@ def table1_lstm(
     layer_counts: Sequence[int] = (1, 2),
     input_size: int = 300,
     hidden_size: int = 512,
-    numerics: str = "lite",
-    seed: int = 0,
 ) -> Dict[int, Dict[str, Dict[str, float]]]:
     """µs/token for Nimble / PyTorch / MXNet / TensorFlow, per platform.
 
     Returns ``{num_layers: {platform: {system: us_per_token}}}``.
     """
-    sentences = _embedded_sentences(num_sentences, input_size, seed)
+    sentences = _embedded_sentences(num_sentences, input_size)
     tokens = sum(s.shape[0] for s in sentences)
-    results: Dict[int, Dict[str, Dict[str, float]]] = {}
+    results = {}
     for layers in layer_counts:
-        weights = LSTMWeights.create(input_size, hidden_size, layers, seed=seed)
-        mod = build_lstm_module(weights)
-        results[layers] = {}
-        for pname in platforms:
-            platform = platform_by_name(pname)
-            row: Dict[str, float] = {}
-            total_us, _ = _nimble_run_all(mod, platform, sentences, numerics)
-            row["nimble"] = total_us / tokens
-            row["pytorch"] = (
-                EagerFramework(platform, numerics).run_lstm(sentences, weights).us_per_token
-            )
-            row["mxnet"] = (
-                HybridFramework(platform, numerics).run_lstm(sentences, weights).us_per_token
-            )
-            row["tensorflow"] = (
-                GraphFramework(platform, numerics).run_lstm(sentences, weights).us_per_token
-            )
-            results[layers][pname] = row
+        weights = LSTMWeights.create(input_size, hidden_size, layers, seed=0)
+        results[layers] = _per_token_table(
+            platforms,
+            build_lstm_module(weights),
+            inputs=sentences,
+            tokens=tokens,
+            model="lstm",
+            frameworks=(EagerFramework, HybridFramework, GraphFramework),
+            run_baseline=lambda framework: framework.run_lstm(sentences, weights),
+        )
     return results
-
-
-# ---------------------------------------------------------------------------
-# Table 2: Tree-LSTM
-# ---------------------------------------------------------------------------
 
 
 def table2_tree_lstm(
@@ -130,72 +186,37 @@ def table2_tree_lstm(
     platforms: Sequence[str] = ("intel", "arm"),
     input_size: int = 300,
     hidden_size: int = 150,
-    numerics: str = "lite",
-    seed: int = 0,
 ) -> Dict[str, Dict[str, Optional[float]]]:
-    """µs/token (token = leaf) for Nimble / PyTorch / TF Fold."""
-    trees = sst_like_trees(num_trees, seed=seed)
-    tokens = sum(t.num_leaves() for t in trees)
-    embeddings = embedding_table(dim=input_size, seed=seed)
-    weights = TreeLSTMWeights.create(input_size, hidden_size, seed=seed)
-    mod = build_tree_lstm_module(weights)
-
-    results: Dict[str, Dict[str, Optional[float]]] = {}
-    for pname in platforms:
-        platform = platform_by_name(pname)
-        row: Dict[str, Optional[float]] = {}
-        adts = [tree_to_adt(t, embeddings) for t in trees]
-        total_us, _ = _nimble_run_all(mod, platform, adts, numerics)
-        row["nimble"] = total_us / tokens
-        row["pytorch"] = (
-            EagerFramework(platform, numerics)
-            .run_tree_lstm(trees, embeddings, weights)
-            .us_per_token
-        )
-        fold = FoldFramework(platform, numerics)
-        row["tf_fold"] = (
-            fold.run_tree_lstm(trees, embeddings, weights).us_per_token
-            if fold.supports("tree_lstm")
-            else None
-        )
-        results[pname] = row
-    return results
+    """µs/token (token = leaf) for Nimble / PyTorch / TF Fold; Fold reads
+    ``None`` where it was never built (ARM)."""
+    trees = sst_like_trees(num_trees, seed=0)
+    embeddings = embedding_table(dim=input_size, seed=0)
+    weights = TreeLSTMWeights.create(input_size, hidden_size, seed=0)
+    return _per_token_table(
+        platforms,
+        build_tree_lstm_module(weights),
+        inputs=[tree_to_adt(t, embeddings) for t in trees],
+        tokens=sum(t.num_leaves() for t in trees),
+        model="tree_lstm",
+        frameworks=(EagerFramework, FoldFramework),
+        run_baseline=lambda framework: framework.run_tree_lstm(trees, embeddings, weights),
+    )
 
 
-# ---------------------------------------------------------------------------
-# Table 3: BERT
-# ---------------------------------------------------------------------------
-
-
-def table3_bert(
-    num_sentences: int = 8,
-    platforms: Sequence[str] = DEFAULT_PLATFORMS,
-    config: BertConfig = BertConfig(),
-    numerics: str = "lite",
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
-    """µs/token for Nimble / PyTorch / MXNet / TensorFlow."""
-    weights = BertWeights.create(config, seed=seed)
-    mod = build_bert_module(weights)
-    sentences = _embedded_sentences(num_sentences, config.hidden, seed)
-    tokens = sum(s.shape[0] for s in sentences)
-    results: Dict[str, Dict[str, float]] = {}
-    for pname in platforms:
-        platform = platform_by_name(pname)
-        row: Dict[str, float] = {}
-        total_us, _ = _nimble_run_all(mod, platform, sentences, numerics)
-        row["nimble"] = total_us / tokens
-        row["pytorch"] = (
-            EagerFramework(platform, numerics).run_bert(sentences, weights).us_per_token
-        )
-        row["mxnet"] = (
-            HybridFramework(platform, numerics).run_bert(sentences, weights).us_per_token
-        )
-        row["tensorflow"] = (
-            GraphFramework(platform, numerics).run_bert(sentences, weights).us_per_token
-        )
-        results[pname] = row
-    return results
+def table3_bert(num_sentences: int = 8) -> Dict[str, Dict[str, float]]:
+    """µs/token for Nimble / PyTorch / MXNet / TensorFlow on BERT-base."""
+    config = BertConfig()
+    weights = BertWeights.create(config, seed=0)
+    sentences = _embedded_sentences(num_sentences, config.hidden)
+    return _per_token_table(
+        DEFAULT_PLATFORMS,
+        build_bert_module(weights),
+        inputs=sentences,
+        tokens=sum(s.shape[0] for s in sentences),
+        model="bert",
+        frameworks=(EagerFramework, HybridFramework, GraphFramework),
+        run_baseline=lambda framework: framework.run_bert(sentences, weights),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -207,23 +228,21 @@ def table4_overhead(
     platforms: Sequence[str] = DEFAULT_PLATFORMS,
     config: BertConfig = BertConfig(),
     seq_len: int = 128,
-    numerics: str = "lite",
-    seed: int = 0,
 ) -> Dict[str, Dict[str, float]]:
     """{platform: {tvm_ms, nimble_ms, kernel_ms, others_ms}}."""
-    weights = BertWeights.create(config, seed=seed)
+    weights = BertWeights.create(config, seed=0)
     dyn_mod = build_bert_module(weights)
     static_mod = build_bert_static_module(weights, seq_len)
-    x = (np.random.RandomState(seed).randn(seq_len, config.hidden) * 0.1).astype(np.float32)
+    x = _activations(np.random.RandomState(0), seq_len, config.hidden)
     results: Dict[str, Dict[str, float]] = {}
     for pname in platforms:
         platform = platform_by_name(pname)
         # Static TVM baseline.
-        graph = GraphRuntime(static_mod, platform)
-        ctx = ExecutionContext(platform, numerics=numerics)
-        _, tvm_us = graph.run(x, ctx=ctx)
+        _, tvm_us = GraphRuntime(static_mod, platform).run(
+            x, ctx=ExecutionContext(platform, numerics="lite")
+        )
         # Nimble.
-        total_us, vm = _nimble_run_all(dyn_mod, platform, [x], numerics)
+        total_us, vm = _nimble_run_all(dyn_mod, platform, [x])
         kernel_us = vm.profile.kernel_time_us
         results[pname] = {
             "tvm_ms": tvm_us / 1e3,
@@ -246,60 +265,54 @@ FIG3_DENSES = (
 )
 
 
-def figure3_dispatch(
-    platform_name: str = "arm",
-    dispatch_levels: Sequence[Optional[int]] = (None, 8, 4, 2, 1),
-    rows: Sequence[int] = tuple(range(1, 129)),
-    tile: int = 8,
-) -> Dict[str, Dict[str, float]]:
-    """Relative latency (static = 100%) of symbolic kernels by number of
-    dispatch kernels. ``None`` means static codegen (the baseline)."""
-    from repro.ir import Any, Constant, Function, TensorType, Var
-    from repro.ops import api
-    from repro.tensor.ndarray import array as make_array
+def _dense_weight(n_out: int, k_in: int) -> np.ndarray:
+    return (np.random.RandomState(0).randn(n_out, k_in) * 0.02).astype(np.float32)
 
-    platform = platform_by_name(platform_name)
+
+def _dense_primitive(weight: np.ndarray, rows: Optional[int] = None) -> Function:
+    """The primitive ``dense(x, weight)``; ``rows=None`` leaves the row
+    dimension ``Any`` (symbolic codegen)."""
+    n_out, k_in = weight.shape
+    x = Var("x", TensorType((Any() if rows is None else rows, k_in), "float32"))
+    return Function(
+        [x], api.dense(x, Constant(make_array(weight))),
+        TensorType((Any() if rows is None else rows, n_out), "float32"),
+        {"primitive": True},
+    )
+
+
+def figure3_dispatch(
+    rows: Sequence[int] = tuple(range(1, 129)),
+) -> Dict[str, Dict[str, float]]:
+    """Relative latency (static = 100%) of symbolic kernels on ARM by
+    number of dispatch kernels, 8 down to 1 ("no dispatch")."""
+    platform = platform_by_name("arm")
     spec = platform.compute_spec
     results: Dict[str, Dict[str, float]] = {}
     for name, n_out, k_in in FIG3_DENSES:
-        rng = np.random.RandomState(0)
-        w = (rng.randn(n_out, k_in) * 0.02).astype(np.float32)
+        w = _dense_weight(n_out, k_in)
+        # The schedule the symbolic tuner picks for this dense, at the
+        # figure's tile of 8. The seed is a hash that does not change
+        # from one process to the next (`hash(str)` does).
+        sym_prim = _dense_primitive(w)
+        seed = zlib.crc32(name.encode()) & 0xFFFF
+        schedule = SymbolicTuner(sym_prim, platform, spec, seed=seed).tune(n_trials=96)
+        if schedule.tile != 8:
+            schedule = type(schedule)(8, schedule.vectorize, schedule.unroll, schedule.parallel)
 
-        def make_prim(symbolic: bool) -> Function:
-            m_dim = Any() if symbolic else rows[-1]
-            x = Var("x", TensorType((m_dim, k_in), "float32"))
-            body = api.dense(x, Constant(make_array(w)))
-            return Function(
-                [x], body, TensorType((Any() if symbolic else rows[-1], n_out), "float32"),
-                {"primitive": True},
-            )
-
-        # The schedule the symbolic tuner picks for this dense.
-        sym_prim = make_prim(symbolic=True)
-        tuner = SymbolicTuner(sym_prim, platform, spec, seed=hash(name) & 0xFFFF)
-        schedule = tuner.tune(n_trials=96)
-        if schedule.tile != tile:
-            schedule = type(schedule)(tile, schedule.vectorize, schedule.unroll, schedule.parallel)
-
-        entry: Dict[str, float] = {}
-        static_total = 0.0
-        for m in rows:
-            static_kernel = KernelSet(
-                make_prim(symbolic=False), platform, spec, schedule=schedule,
-                symbolic=False, allow_library=False,
-            )
-            static_total += static_kernel.invoke_cost([(m, k_in)]).duration_us
-        for level in dispatch_levels:
-            if level is None:
-                entry["static"] = 100.0
-                continue
+        def total_us(prim: Function, **codegen) -> float:
             kernel = KernelSet(
-                sym_prim, platform, spec, schedule=schedule,
-                num_dispatch_kernels=level, symbolic=True, allow_library=False,
+                prim, platform, spec, schedule=schedule, allow_library=False, **codegen
             )
-            total = sum(kernel.invoke_cost([(m, k_in)]).duration_us for m in rows)
+            return sum(kernel.invoke_cost([(m, k_in)]).duration_us for m in rows)
+
+        static_total = total_us(_dense_primitive(w, rows[-1]), symbolic=False)
+        entry = {"static": 100.0}
+        for level in (8, 4, 2, 1):
             label = "no dispatch" if level == 1 else f"dispatch/{level}"
-            entry[label] = 100.0 * total / static_total
+            entry[label] = 100.0 * total_us(
+                sym_prim, symbolic=True, num_dispatch_kernels=level
+            ) / static_total
         results[name] = entry
     return results
 
@@ -310,29 +323,21 @@ def figure3_dispatch(
 
 
 def memory_planning_study(
-    platform_name: str = "intel",
-    config: BertConfig = BertConfig(),
-    seq_len: int = 128,
-    numerics: str = "lite",
-    seed: int = 0,
+    config: BertConfig = BertConfig(), seq_len: int = 128
 ) -> Dict[str, float]:
-    """Memory planning effect on BERT: allocation counts and latency with
-    and without the §4.3 pass."""
-    platform = platform_by_name(platform_name)
-    weights = BertWeights.create(config, seed=seed)
-    mod = build_bert_module(weights)
-    x = (np.random.RandomState(seed).randn(seq_len, config.hidden) * 0.1).astype(np.float32)
+    """Memory planning effect on BERT (Intel): allocation counts and
+    latency with and without the §4.3 pass."""
+    platform = platform_by_name("intel")
+    mod = _bert_module(config)
+    x = _activations(np.random.RandomState(0), seq_len, config.hidden)
 
-    def run(plan: bool):
-        exe, report = nimble.build(mod, platform, plan_memory=plan)
-        ctx = ExecutionContext(platform, numerics=numerics)
-        vm = VirtualMachine(exe, ctx)
+    def allocator_stats(plan: bool):
+        exe, _ = nimble.build(mod, platform, plan_memory=plan)
+        vm = _vm(exe, platform)
         vm.run(x)
-        return report, ctx, vm
+        return vm.ctx.allocator.stats
 
-    report_off, ctx_off, _ = run(False)
-    report_on, ctx_on, _ = run(True)
-    stats_off, stats_on = ctx_off.allocator.stats, ctx_on.allocator.stats
+    stats_off, stats_on = allocator_stats(False), allocator_stats(True)
     return {
         "allocs_unplanned": float(stats_off.total_allocs),
         "allocs_planned": float(stats_on.total_allocs),
@@ -344,12 +349,10 @@ def memory_planning_study(
     }
 
 
-def memory_footprint_vs_static(
-    platform_name: str = "intel",
-) -> Dict[str, Dict[str, float]]:
+def memory_footprint_vs_static() -> Dict[str, Dict[str, float]]:
     """Nimble peak memory vs the static planner on the four CV models
     (the paper reports ≤8% extra footprint)."""
-    platform = platform_by_name(platform_name)
+    platform = platform_by_name("intel")
     builders = {
         "resnet": build_resnet_like,
         "mobilenet": build_mobilenet_like,
@@ -359,14 +362,11 @@ def memory_footprint_vs_static(
     out: Dict[str, Dict[str, float]] = {}
     for name, builder in builders.items():
         mod = builder()
-        graph = GraphRuntime(builder(), platform)
-        x = np.zeros((1, 3, 64, 64), np.float32)
-        exe, report = nimble.build(mod, platform)
-        ctx = ExecutionContext(platform, numerics="lite")
-        vm = VirtualMachine(exe, ctx)
-        vm.run(x)
-        nimble_bytes = ctx.allocator.stats.peak_bytes
-        static_bytes = graph.planned_bytes
+        static_bytes = GraphRuntime(builder(), platform).planned_bytes
+        exe, _ = nimble.build(mod, platform)
+        vm = _vm(exe, platform)
+        vm.run(np.zeros((1, 3, 64, 64), np.float32))
+        nimble_bytes = vm.ctx.allocator.stats.peak_bytes
         out[name] = {
             "static_bytes": float(static_bytes),
             "nimble_bytes": float(nimble_bytes),
@@ -389,62 +389,52 @@ def serving_study(
     max_delay_us: float = 4000.0,
     mean_interarrival_us: float = 50.0,
     bucket_granularity: int = 8,
-    input_size: int = 300,
-    hidden_size: int = 512,
     bert_config: Optional[BertConfig] = None,
-    numerics: str = "lite",
     seed: int = 0,
 ) -> Dict[str, Dict[str, float]]:
     """Throughput/latency of the batched server vs one-at-a-time dispatch
-    on the same MRPC-like traffic trace.
+    on the same MRPC-like traffic trace (paper-sized LSTM, or BERT).
 
     Returns ``{"serial": {...}, "batched": {...}, "summary": {...}}`` where
     the summary carries the throughput speedup and a determinism flag (the
-    batched simulation re-run from scratch must reproduce identical
-    numbers).
+    batched server must replay itself, and a second one built from
+    scratch must reproduce it).
     """
-
     platform = platform_by_name(platform_name)
     if model == "lstm":
-        weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-        mod = build_lstm_module(weights)
+        mod = _lstm_module(300, 512, seed)
         requests = lstm_traffic(
-            num_requests, input_size=input_size,
+            num_requests, input_size=300,
             mean_interarrival_us=mean_interarrival_us, seed=seed,
         )
     elif model == "bert":
         config = bert_config or BertConfig()
-        weights = BertWeights.create(config, seed=seed)
-        mod = build_bert_module(weights)
+        mod = _bert_module(config, seed)
         requests = bert_traffic(
             num_requests, hidden=config.hidden,
             mean_interarrival_us=mean_interarrival_us, seed=seed,
         )
     else:
         raise ValueError(f"unknown serving model {model!r}")
-
     batched_config = ServeConfig(
         max_batch_size=max_batch_size,
         max_delay_us=max_delay_us,
         num_workers=num_workers,
         bucket_granularity=bucket_granularity,
-        numerics=numerics,
     )
-
-    def run(config: ServeConfig, kernel_cache: Optional[KernelCache] = None):
-        server = InferenceServer(mod, platform, config, kernel_cache=kernel_cache)
-        return server.simulate(requests)
-
     # Serial and batched share one kernel cache (identical module, compile
     # once); the repeat run builds from scratch so the determinism check
     # covers the whole compile-and-serve path.
     shared_cache = KernelCache()
-    serial = run(
-        ServeConfig.serial(bucket_granularity=bucket_granularity, numerics=numerics),
-        shared_cache,
+    serial = run_scenario(
+        mod, platform, requests,
+        ServeConfig.serial(bucket_granularity=bucket_granularity),
+        kernel_cache=shared_cache,
+    ).report
+    batched, replays = run_scenario(
+        mod, platform, requests, batched_config, kernel_cache=shared_cache
     )
-    batched = run(batched_config, shared_cache)
-    repeat = run(batched_config)
+    repeat = run_scenario(mod, platform, requests, batched_config).report
 
     def row(report) -> Dict[str, float]:
         return {
@@ -457,16 +447,13 @@ def serving_study(
             "span_us": report.span_us,
         }
 
-    deterministic = row(batched) == row(repeat) and (
-        batched.latencies_us == repeat.latencies_us
-    )
     return {
         "serial": row(serial),
         "batched": row(batched),
         "summary": {
             "throughput_speedup": batched.throughput_rps
             / max(1e-12, serial.throughput_rps),
-            "deterministic": float(deterministic),
+            "deterministic": float(replays and same_simulation(batched, repeat)),
         },
     }
 
@@ -476,20 +463,7 @@ def serving_study(
 # ---------------------------------------------------------------------------
 
 
-def specialization_study(
-    platform_name: str = "intel",
-    hot_len: int = 24,
-    bert_config: Optional[BertConfig] = None,
-    num_requests: int = 256,
-    mean_interarrival_us: float = 800.0,
-    num_workers: int = 2,
-    max_batch_size: int = 4,
-    max_delay_us: float = 2000.0,
-    threshold: int = 3,
-    input_size: int = 64,
-    hidden_size: int = 64,
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
+def specialization_study() -> Dict[str, Dict[str, float]]:
     """Two measurements of tiered compilation (DyCL-style static recovery):
 
     1. **Executable tier comparison** — one BERT-class module compiled
@@ -500,27 +474,20 @@ def specialization_study(
        ``specialize=True``: specialized hit rate, per-tier latency, and a
        replay-determinism flag.
     """
-
-    platform = platform_by_name(platform_name)
+    platform = platform_by_name("intel")
 
     # --- 1. dynamic vs specialized executable on the hot shape -------------
-    config = bert_config or BertConfig(hidden=64, num_layers=2, num_heads=2, ffn=128)
-    weights = BertWeights.create(config, seed=seed)
-    mod = build_bert_module(weights)
+    hot_shape = (24, SMALL_BERT.hidden)
+    mod = _bert_module(SMALL_BERT)
     cache = KernelCache()
     dyn_exe, _ = nimble.build(mod, platform, kernel_cache=cache)
-    spec_exe, _ = nimble.specialize(
-        mod, platform, shapes=[(hot_len, config.hidden)], kernel_cache=cache
-    )
-    x = (np.random.RandomState(seed).randn(hot_len, config.hidden) * 0.1).astype(
-        np.float32
-    )
+    spec_exe, _ = nimble.specialize(mod, platform, shapes=[hot_shape], kernel_cache=cache)
+    x = _activations(np.random.RandomState(0), *hot_shape)
 
     def run_exe(exe):
-        ctx = ExecutionContext(platform, numerics="full")
-        vm = VirtualMachine(exe, ctx)
+        vm = _vm(exe, platform, "full")
         out, latency = vm.run_with_latency(x)
-        return out, latency, vm.profile, ctx.allocator.stats
+        return out, latency, vm.profile, vm.ctx.allocator.stats
 
     out_d, lat_d, prof_d, stats_d = run_exe(dyn_exe)
     out_s, lat_s, prof_s, stats_s = run_exe(spec_exe)
@@ -538,26 +505,17 @@ def specialization_study(
     }
 
     # --- 2. serving the LSTM MRPC mix with tiering on ----------------------
-    lstm_weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-    lstm_mod = build_lstm_module(lstm_weights)
-    requests = lstm_traffic(
-        num_requests, input_size=input_size,
-        mean_interarrival_us=mean_interarrival_us, seed=seed,
-    )
-    serve_config = ServeConfig(
-        max_batch_size=max_batch_size,
-        max_delay_us=max_delay_us,
-        num_workers=num_workers,
-        specialize=True,
-        specialize_threshold=threshold,
-    )
-    server = InferenceServer(lstm_mod, platform, serve_config)
-    report = server.simulate(requests)
-    replay = server.simulate(requests)
-    deterministic = (
-        report.latencies_us == replay.latencies_us
-        and report.specialized_hits == replay.specialized_hits
-        and report.specialize_compile_us == replay.specialize_compile_us
+    report, deterministic = run_scenario(
+        _lstm_module(64, 64),
+        platform,
+        lstm_traffic(256, input_size=64, mean_interarrival_us=800.0, seed=0),
+        ServeConfig(
+            max_batch_size=4,
+            max_delay_us=2000.0,
+            num_workers=2,
+            specialize=True,
+            specialize_threshold=3,
+        ),
     )
     serving = {
         "specialized_hits": float(report.specialized_hits),
@@ -579,21 +537,9 @@ def specialization_study(
 
 
 def compile_pool_study(
-    platform_name: str = "intel",
     num_requests: int = 192,
-    mean_interarrival_us: float = 300.0,
     lane_counts: Sequence[int] = (1, 2, 4),
     cache_sizes: Sequence[int] = (2, 4),
-    threshold: int = 3,
-    # 8000 µs per variant (the suffix share), +12000 µs once for the prefix.
-    compile_us: float = 20_000.0,
-    decay_half_life_us: float = 6_000.0,
-    input_size: int = 16,
-    hidden_size: int = 16,
-    max_batch_size: int = 4,
-    max_delay_us: float = 1500.0,
-    num_workers: int = 2,
-    seed: int = 0,
 ) -> Dict[str, Dict[str, float]]:
     """Sweep the specialization compile pool over lanes × cache size on a
     phased long-tailed shape mix (each phase's hot shape goes cold when
@@ -604,41 +550,34 @@ def compile_pool_study(
     replay-determinism flag. The summary reports how much a wider pool
     cuts queue wait on identical traces.
     """
-
-    platform = platform_by_name(platform_name)
-    weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-    mod = build_lstm_module(weights)
+    platform = platform_by_name("intel")
+    mod = _lstm_module(16, 16)
     requests = long_tailed_traffic(
-        num_requests,
-        input_size=input_size,
-        mean_interarrival_us=mean_interarrival_us,
-        seed=seed,
+        num_requests, input_size=16, mean_interarrival_us=300.0, seed=0
     )
     # One kernel cache across the sweep: every server compiles the same
     # module, and the modeled compile cost is charged per trigger anyway.
     shared_cache = KernelCache()
 
     def run(lanes: int, cache: int) -> Dict[str, float]:
-        config = ServeConfig(
-            max_batch_size=max_batch_size,
-            max_delay_us=max_delay_us,
-            num_workers=num_workers,
-            specialize=True,
-            specialize_threshold=threshold,
-            specialize_max_executables=cache,
-            specialize_compile_us=compile_us,
-            specialize_compile_lanes=lanes,
-            specialize_decay_half_life_us=decay_half_life_us,
-        )
-        server = InferenceServer(mod, platform, config, kernel_cache=shared_cache)
-        report = server.simulate(requests)
-        replay = server.simulate(requests)
-        deterministic = (
-            report.latencies_us == replay.latencies_us
-            and report.specialized_hits == replay.specialized_hits
-            and report.specialize_queue_waits_us == replay.specialize_queue_waits_us
-            and report.specialize_lane_busy_us == replay.specialize_lane_busy_us
-            and report.specialize_evictions == replay.specialize_evictions
+        report, deterministic = run_scenario(
+            mod,
+            platform,
+            requests,
+            ServeConfig(
+                max_batch_size=4,
+                max_delay_us=1500.0,
+                num_workers=2,
+                specialize=True,
+                specialize_threshold=3,
+                specialize_max_executables=cache,
+                # 8000 µs per variant (the suffix share), +12000 µs once
+                # for the prefix.
+                specialize_compile_us=20_000.0,
+                specialize_compile_lanes=lanes,
+                specialize_decay_half_life_us=6_000.0,
+            ),
+            kernel_cache=shared_cache,
         )
         row = {
             "specialized_hit_rate": report.specialized_hit_rate,
@@ -656,11 +595,11 @@ def compile_pool_study(
             row[f"lane{i}_util"] = util
         return row
 
-    results: Dict[str, Dict[str, float]] = {}
-    for cache in cache_sizes:
-        for lanes in lane_counts:
-            results[f"lanes={lanes},cache={cache}"] = run(lanes, cache)
-
+    results = {
+        f"lanes={lanes},cache={cache}": run(lanes, cache)
+        for cache in cache_sizes
+        for lanes in lane_counts
+    }
     # Summarize from the lane counts actually swept: the fewest-lane pool
     # vs the widest, both at the largest cache.
     min_lanes, max_lanes = min(lane_counts), max(lane_counts)
@@ -673,11 +612,7 @@ def compile_pool_study(
         "queue_wait_min_lanes_us": narrow["mean_queue_wait_us"],
         "queue_wait_max_lanes_us": wide["mean_queue_wait_us"],
         "deterministic": float(
-            all(
-                row["deterministic"] == 1.0
-                for key, row in results.items()
-                if key != "summary"
-            )
+            all(row["deterministic"] == 1.0 for row in results.values())
         ),
     }
     return results
@@ -688,28 +623,16 @@ def compile_pool_study(
 # ---------------------------------------------------------------------------
 
 
-def batch_specialization_study(
-    platform_name: str = "nvidia",
-    hot_len: int = 24,
-    batch: int = 8,
-    bert_config: Optional[BertConfig] = None,
-    num_requests: int = 72,
-    mean_interarrival_us: float = 150.0,
-    input_size: int = 8,
-    hidden_size: int = 16,
-    threshold: int = 2,
-    compile_us: float = 400.0,
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
+def batch_specialization_study() -> Dict[str, Dict[str, float]]:
     """Three measurements of batch-granularity specialization:
 
     1. **Batched vs member-pipelined executables** — the hot BERT bucket
-       run on the modeled GPU platform: ``batch`` member-wise calls
-       pipelined with one final sync (the member tier's worker loop) vs
-       ONE call on the batch-specialized executable. The batched tier
-       fuses each GEMM site into a single batched launch, so its
-       throughput gain comes from launch-overhead amortization and GEMM
-       saturation at ``batch ×`` the rows.
+       run on the modeled GPU platform: 8 member-wise calls pipelined
+       with one final sync (the member tier's worker loop) vs ONE call
+       on the batch-specialized executable. The batched tier fuses each
+       GEMM site into a single batched launch, so its throughput gain
+       comes from launch-overhead amortization and GEMM saturation at
+       8× the rows.
     2. **Bit identity** — dynamic, member-specialized, and
        batch-specialized outputs compared bitwise per member (full
        numerics, host platform).
@@ -718,81 +641,64 @@ def batch_specialization_study(
        batched tier (one VM call per bucket, zero shape functions) and
        replays must stay bit-identical.
     """
+    gpu, host = platform_by_name("nvidia"), platform_by_name("intel")
+    # One stream of random inputs feeds parts 1 and 2, in that order.
+    rng = np.random.RandomState(0)
 
-    platform = platform_by_name(platform_name)
+    def member_and_batched(mod, platform, shape, batch, cache):
+        """*mod* specialized to *shape* member-wise and at batch granularity."""
+        member, _ = nimble.specialize(mod, platform, shapes=[shape], kernel_cache=cache)
+        batched, _ = nimble.specialize(
+            mod, platform, shapes=[shape], kernel_cache=cache, batch=batch
+        )
+        return member, batched
 
     # --- 1. one batched call vs a member-pipelined bucket ------------------
-    config = bert_config or BertConfig(hidden=64, num_layers=2, num_heads=2, ffn=128)
-    weights = BertWeights.create(config, seed=seed)
-    mod = build_bert_module(weights)
-    cache = KernelCache()
-    member_exe, _ = nimble.specialize(
-        mod, platform, shapes=[(hot_len, config.hidden)], kernel_cache=cache
+    hot_shape = (24, SMALL_BERT.hidden)
+    member_exe, batched_exe = member_and_batched(
+        _bert_module(SMALL_BERT), gpu, hot_shape, 8, KernelCache()
     )
-    batched_exe, _ = nimble.specialize(
-        mod, platform, shapes=[(hot_len, config.hidden)], kernel_cache=cache,
-        batch=batch,
-    )
-    rng = np.random.RandomState(seed)
-    xs = [
-        (rng.randn(hot_len, config.hidden) * 0.1).astype(np.float32)
-        for _ in range(batch)
-    ]
+    xs = [_activations(rng, *hot_shape) for _ in range(8)]
 
-    ctx_m = ExecutionContext(platform, numerics="lite")
-    vm_m = VirtualMachine(member_exe, ctx_m)
-    start = ctx_m.clock.elapsed_us
-    for x in xs:
-        vm_m.run(x, sync=False)
-    ctx_m.clock.sync_all()
-    member_us = ctx_m.clock.elapsed_us - start
+    def pipelined(exe, inputs):
+        """(µs, profile) of *inputs* run back to back, one sync at the end."""
+        vm = _vm(exe, gpu)
+        start = vm.ctx.clock.elapsed_us
+        for x in inputs:
+            vm.run(x, sync=False)
+        vm.ctx.clock.sync_all()
+        return vm.ctx.clock.elapsed_us - start, vm.profile
 
-    ctx_b = ExecutionContext(platform, numerics="lite")
-    vm_b = VirtualMachine(batched_exe, ctx_b)
-    start = ctx_b.clock.elapsed_us
-    vm_b.run(np.concatenate(xs, axis=0), sync=False)
-    ctx_b.clock.sync_all()
-    batched_us = ctx_b.clock.elapsed_us - start
-
+    member_us, member_profile = pipelined(member_exe, xs)
+    batched_us, batched_profile = pipelined(batched_exe, [np.concatenate(xs, axis=0)])
     tiers = {
         "member_pipelined_us": member_us,
         "batched_us": batched_us,
         "throughput_gain": member_us / max(1e-9, batched_us),
         # One batched GEMM per member-wise GEMM site: the batched run
         # launches exactly as many GEMM kernels as ONE member run, while
-        # the pipelined bucket pays `batch` times that.
-        "gemm_launches_member_total": float(vm_m.profile.gemm_invocations()),
-        "gemm_launches_batched": float(vm_b.profile.gemm_invocations()),
-        "batched_runs": float(vm_b.profile.runs),
-        "member_runs": float(vm_m.profile.runs),
+        # the pipelined bucket pays 8 times that.
+        "gemm_launches_member_total": float(member_profile.gemm_invocations()),
+        "gemm_launches_batched": float(batched_profile.gemm_invocations()),
+        "batched_runs": float(batched_profile.runs),
+        "member_runs": float(member_profile.runs),
     }
 
     # --- 2. bit identity across the three tiers ----------------------------
-    host = platform_by_name("intel")
     small = BertConfig(hidden=32, num_layers=1, num_heads=2, ffn=64)
-    small_w = BertWeights.create(small, seed=seed)
-    small_mod = build_bert_module(small_w)
-    small_cache = KernelCache()
+    small_mod, small_cache = _bert_module(small), KernelCache()
     dyn_exe, _ = nimble.build(small_mod, host, kernel_cache=small_cache)
-    mem_exe, _ = nimble.specialize(
-        small_mod, host, shapes=[(11, small.hidden)], kernel_cache=small_cache
+    mem_exe, bat_exe = member_and_batched(
+        small_mod, host, (11, small.hidden), 3, small_cache
     )
-    bat_exe, _ = nimble.specialize(
-        small_mod, host, shapes=[(11, small.hidden)], kernel_cache=small_cache,
-        batch=3,
-    )
-    members = [
-        (rng.randn(11, small.hidden) * 0.1).astype(np.float32) for _ in range(3)
-    ]
+    members = [_activations(rng, 11, small.hidden) for _ in range(3)]
 
-    def run_full(exe, *inputs):
-        vm = VirtualMachine(exe, ExecutionContext(host, numerics="full"))
-        return vm.run(*inputs)
+    def run_full(exe, x):
+        return _vm(exe, host, "full").run(x).numpy()
 
-    outs_dyn = [run_full(dyn_exe, x).numpy() for x in members]
-    outs_mem = [run_full(mem_exe, x).numpy() for x in members]
-    stacked_out = run_full(bat_exe, np.concatenate(members, axis=0)).numpy()
-    outs_bat = np.split(stacked_out, 3, axis=0)
+    outs_dyn = [run_full(dyn_exe, x) for x in members]
+    outs_mem = [run_full(mem_exe, x) for x in members]
+    outs_bat = np.split(run_full(bat_exe, np.concatenate(members, axis=0)), 3, axis=0)
     tiers["bit_identical"] = float(
         all(
             np.array_equal(d, m) and np.array_equal(d, b)
@@ -801,36 +707,28 @@ def batch_specialization_study(
     )
 
     # --- 3. serving the hot-heavy LSTM mix with the batched tier -----------
-    lstm_weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-    lstm_mod = build_lstm_module(lstm_weights)
-    requests = long_tailed_traffic(
-        num_requests,
-        input_size=input_size,
-        mean_interarrival_us=mean_interarrival_us,
-        hot_lengths=(7,),
-        hot_fraction=0.8,
-        tail_min=3,
-        tail_max=16,
-        seed=seed,
-    )
-    serve_config = ServeConfig(
-        max_batch_size=4,
-        max_delay_us=2000.0,
-        num_workers=2,
-        specialize=True,
-        specialize_threshold=threshold,
-        specialize_compile_us=compile_us,
-        specialize_batch=True,
-    )
-    server = InferenceServer(lstm_mod, platform_by_name("intel"), serve_config)
-    report = server.simulate(requests)
-    replay = server.simulate(requests)
-    deterministic = (
-        report.latencies_us == replay.latencies_us
-        and [r.tier for r in report.responses]
-        == [r.tier for r in replay.responses]
-        and report.batched_hits == replay.batched_hits
-        and report.specialize_compile_us == replay.specialize_compile_us
+    report, deterministic = run_scenario(
+        _lstm_module(8, 16),
+        host,
+        long_tailed_traffic(
+            72,
+            input_size=8,
+            mean_interarrival_us=150.0,
+            hot_lengths=(7,),
+            hot_fraction=0.8,
+            tail_min=3,
+            tail_max=16,
+            seed=0,
+        ),
+        ServeConfig(
+            max_batch_size=4,
+            max_delay_us=2000.0,
+            num_workers=2,
+            specialize=True,
+            specialize_threshold=2,
+            specialize_compile_us=400.0,
+            specialize_batch=True,
+        ),
     )
     serving = {
         "batched_hits": float(report.batched_hits),
@@ -850,24 +748,7 @@ def batch_specialization_study(
 # ---------------------------------------------------------------------------
 
 
-def restart_study(
-    platform_name: str = "intel",
-    num_requests: int = 220,
-    mean_interarrival_us: float = 400.0,
-    hot_lengths: Sequence[int] = (7, 12, 19),
-    hot_fraction: float = 0.85,
-    threshold: int = 5,
-    max_executables: int = 8,
-    compile_lanes: int = 2,
-    compile_us: float = 8000.0,
-    input_size: int = 16,
-    hidden_size: int = 16,
-    max_batch_size: int = 4,
-    max_delay_us: float = 1500.0,
-    num_workers: int = 2,
-    artifact_dir: Optional[str] = None,
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
+def restart_study(artifact_dir: Optional[str] = None) -> Dict[str, Dict[str, float]]:
     """Cold vs warm server start against one persistent artifact store.
 
     Simulates the deployment story the store exists for: a server runs a
@@ -887,75 +768,37 @@ def restart_study(
     < 0.12), the time-to-first-specialized-hit speedup, a bit-identity
     flag, and per-run replay-determinism flags.
     """
-    import tempfile
-
-
-    platform = platform_by_name(platform_name)
-    weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-    mod = build_lstm_module(weights)
+    platform = platform_by_name("intel")
+    mod = _lstm_module(16, 16)
     requests = long_tailed_traffic(
-        num_requests,
-        input_size=input_size,
-        mean_interarrival_us=mean_interarrival_us,
-        hot_lengths=tuple(hot_lengths),
-        hot_fraction=hot_fraction,
-        seed=seed,
+        220,
+        input_size=16,
+        mean_interarrival_us=400.0,
+        hot_lengths=(7, 12, 19),
+        hot_fraction=0.85,
+        seed=0,
     )
-    owns_dir = artifact_dir is None
-    if owns_dir:
-        artifact_dir = tempfile.mkdtemp(prefix="nimble-restart-study-")
     config = ServeConfig(
-        max_batch_size=max_batch_size,
-        max_delay_us=max_delay_us,
-        num_workers=num_workers,
+        max_batch_size=4,
+        max_delay_us=1500.0,
+        num_workers=2,
         specialize=True,
-        specialize_threshold=threshold,
-        specialize_max_executables=max_executables,
-        specialize_compile_lanes=compile_lanes,
+        specialize_threshold=5,
+        specialize_max_executables=8,
+        specialize_compile_lanes=2,
         # An explicit modeled compile cost, sized so the *cold* run
         # reaches its specialized steady state within each traffic
         # phase — the study then measures warm restart against a
         # non-degenerate baseline (the calibrated default outlasts a
         # whole phase at this trace length, leaving cold at 0 hits).
-        # The restore charge keeps its calibrated default, so the
-        # warm/cold ratio stays an honest model output.
-        specialize_compile_us=compile_us,
-        artifact_dir=artifact_dir,
+        # The restore charge is the calibration's, so the warm/cold
+        # ratio stays an honest model output.
+        specialize_compile_us=8000.0,
     )
+    cold, warm = cold_then_warm(mod, platform, requests, config, artifact_dir)
 
-    def first_specialized_hit_us(report) -> float:
-        hits = [r.finish_us for r in report.responses if r.tier != "dynamic"]
-        return min(hits) if hits else math.inf
-
-    def run_fresh_server():
-        """A brand-new server: new kernel cache, new VMs, new manager —
-        everything a process restart loses. Only the artifact_dir
-        persists between calls."""
-        server = InferenceServer(mod, platform, config)
-        report = server.simulate(requests)
-        replay = server.simulate(requests)
-        deterministic = (
-            report.latencies_us == replay.latencies_us
-            and [r.tier for r in report.responses]
-            == [r.tier for r in replay.responses]
-            and report.specialize_compile_us == replay.specialize_compile_us
-            and report.specialize_restored == replay.specialize_restored
-            and report.store_rejects == replay.store_rejects
-        )
-        return report, deterministic
-
-    try:
-        cold, cold_deterministic = run_fresh_server()
-        warm, warm_deterministic = run_fresh_server()
-    finally:
-        if owns_dir:
-            # The study made its own scratch store; repeated harness
-            # runs must not accumulate blob directories in /tmp.
-            import shutil
-
-            shutil.rmtree(artifact_dir, ignore_errors=True)
-
-    def row(report, deterministic) -> Dict[str, float]:
+    def row(run: Run) -> Dict[str, float]:
+        report = run.report
         return {
             "specialized_hits": float(report.specialized_hits),
             "specialized_hit_rate": report.specialized_hit_rate,
@@ -964,41 +807,26 @@ def restart_study(
             "restored": float(report.specialize_restored),
             "restore_us": report.specialize_restore_us,
             "store_rejects": float(report.store_rejects),
-            "first_specialized_hit_us": first_specialized_hit_us(report),
+            "first_specialized_hit_us": first_static_finish_us(report),
             "p50_us": report.p50_us,
             "p99_us": report.p99_us,
-            "deterministic": float(deterministic),
+            "deterministic": float(run.deterministic),
         }
 
-    bit_identical = len(cold.responses) == len(warm.responses) and all(
-        a.rid == b.rid
-        and np.array_equal(
-            np.asarray(a.output.numpy()), np.asarray(b.output.numpy())
-        )
-        for a, b in zip(cold.responses, warm.responses)
-    )
-    charge_ratio = warm.specialize_compile_us / max(
-        1e-9, cold.specialize_compile_us
-    )
-    cold_first = first_specialized_hit_us(cold)
-    warm_first = first_specialized_hit_us(warm)
-    # inf/inf (neither run ever hit a static tier — degenerate config)
-    # would be NaN; report "no change" instead of poisoning downstream
-    # arithmetic.
-    first_hit_speedup = (
-        1.0 if cold_first == warm_first else cold_first / warm_first
-    )
     return {
-        "cold": row(cold, cold_deterministic),
-        "warm": row(warm, warm_deterministic),
+        "cold": row(cold),
+        "warm": row(warm),
         "summary": {
-            "warm_cold_charge_ratio": charge_ratio,
-            "first_hit_speedup": first_hit_speedup,
-            "hit_rate_recovered": float(
-                warm.specialized_hit_rate >= cold.specialized_hit_rate
+            "warm_cold_charge_ratio": warm.report.specialize_compile_us
+            / max(1e-9, cold.report.specialize_compile_us),
+            "first_hit_speedup": speedup(
+                first_static_finish_us(cold.report), first_static_finish_us(warm.report)
             ),
-            "bit_identical": float(bit_identical),
-            "deterministic": float(cold_deterministic and warm_deterministic),
+            "hit_rate_recovered": float(
+                warm.report.specialized_hit_rate >= cold.report.specialized_hit_rate
+            ),
+            "bit_identical": float(outputs_equal(cold.report, warm.report)),
+            "deterministic": float(cold.deterministic and warm.deterministic),
         },
     }
 
@@ -1008,24 +836,7 @@ def restart_study(
 # ---------------------------------------------------------------------------
 
 
-def predictive_study(
-    platform_name: str = "intel",
-    num_requests: int = 200,
-    mean_interarrival_us: float = 400.0,
-    hot_lengths: Sequence[int] = (9, 25, 41),
-    hot_fraction: float = 0.7,
-    threshold: int = 6,
-    max_executables: int = 4,
-    compile_lanes: int = 2,
-    compile_us: float = 8000.0,
-    input_size: int = 16,
-    max_batch_size: int = 4,
-    max_delay_us: float = 1000.0,
-    num_workers: int = 2,
-    partial_min_shapes: int = 3,
-    artifact_dir: Optional[str] = None,
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
+def predictive_study(artifact_dir: Optional[str] = None) -> Dict[str, Dict[str, float]]:
     """Profile-guided predictive specialization + guarded partial shapes
     on a long-tailed traffic mix.
 
@@ -1051,40 +862,29 @@ def predictive_study(
     counters, a cold/warm bitwise-identity flag, and per-run
     replay-determinism flags.
     """
-    import tempfile
-
-    from repro.models import build_gram_module
-
-    platform = platform_by_name(platform_name)
-    mod = build_gram_module()
     requests = long_tailed_traffic(
-        num_requests,
-        input_size=input_size,
-        mean_interarrival_us=mean_interarrival_us,
-        hot_lengths=tuple(hot_lengths),
-        hot_fraction=hot_fraction,
-        seed=seed,
+        200,
+        input_size=16,
+        mean_interarrival_us=400.0,
+        hot_lengths=(9, 25, 41),
+        hot_fraction=0.7,
+        seed=0,
     )
-    owns_dir = artifact_dir is None
-    if owns_dir:
-        artifact_dir = tempfile.mkdtemp(prefix="nimble-predictive-study-")
     config = ServeConfig(
-        max_batch_size=max_batch_size,
-        max_delay_us=max_delay_us,
-        num_workers=num_workers,
+        max_batch_size=4,
+        max_delay_us=1000.0,
+        num_workers=2,
         specialize=True,
-        specialize_threshold=threshold,
-        specialize_max_executables=max_executables,
-        specialize_compile_lanes=compile_lanes,
+        specialize_threshold=6,
+        specialize_max_executables=4,
+        specialize_compile_lanes=2,
         # Explicit modeled compile cost, like restart_study: sized so
         # the cold run's reactive warm-up is visible but finishes well
         # inside the trace, giving the warm run a non-degenerate
         # first-hit baseline to beat.
-        specialize_compile_us=compile_us,
-        artifact_dir=artifact_dir,
+        specialize_compile_us=8000.0,
         specialize_predictive=True,
         specialize_partial=True,
-        specialize_partial_min_shapes=partial_min_shapes,
         # The study's headline claim is *bitwise* cross-tier identity
         # (partial ≡ exact ≡ dynamic) across two servers whose tier
         # sequences intentionally differ — "lite" numerics skips large
@@ -1093,44 +893,17 @@ def predictive_study(
         # costs nothing here.
         numerics="full",
     )
+    cold, warm = cold_then_warm(
+        build_gram_module(), platform_by_name("intel"), requests, config, artifact_dir
+    )
     length_of = {r.rid: int(np.asarray(r.payload).shape[0]) for r in requests}
-
-    def first_specialized_hit_us(report) -> float:
-        hits = [r.finish_us for r in report.responses if r.tier != "dynamic"]
-        return min(hits) if hits else math.inf
 
     def partial_shapes_covered(report) -> int:
         """Distinct exact row counts served by the guarded-partial tier."""
-        return len(
-            {length_of[r.rid] for r in report.responses if r.tier == "partial"}
-        )
+        return len({length_of[r.rid] for r in report.responses if r.tier == "partial"})
 
-    def run_fresh_server():
-        server = InferenceServer(mod, platform, config)
-        report = server.simulate(requests)
-        replay = server.simulate(requests)
-        deterministic = (
-            report.latencies_us == replay.latencies_us
-            and [r.tier for r in report.responses]
-            == [r.tier for r in replay.responses]
-            and report.specialize_compile_us == replay.specialize_compile_us
-            and report.predictive_compiles == replay.predictive_compiles
-            and report.predictive_hits == replay.predictive_hits
-            and report.guard_deopts == replay.guard_deopts
-            and report.store_rejects == replay.store_rejects
-        )
-        return report, deterministic
-
-    try:
-        cold, cold_deterministic = run_fresh_server()
-        warm, warm_deterministic = run_fresh_server()
-    finally:
-        if owns_dir:
-            import shutil
-
-            shutil.rmtree(artifact_dir, ignore_errors=True)
-
-    def row(report, deterministic) -> Dict[str, float]:
+    def row(run: Run) -> Dict[str, float]:
+        report = run.report
         return {
             "specialized_hits": float(report.specialized_hits),
             "specialized_hit_rate": report.specialized_hit_rate,
@@ -1141,37 +914,27 @@ def predictive_study(
             "predictive_hits": float(report.predictive_hits),
             "compile_charge_us": report.specialize_compile_us,
             "restored": float(report.specialize_restored),
-            "first_specialized_hit_us": first_specialized_hit_us(report),
+            "first_specialized_hit_us": first_static_finish_us(report),
             "p50_us": report.p50_us,
             "p99_us": report.p99_us,
-            "deterministic": float(deterministic),
+            "deterministic": float(run.deterministic),
         }
 
-    bit_identical = len(cold.responses) == len(warm.responses) and all(
-        a.rid == b.rid
-        and np.array_equal(
-            np.asarray(a.output.numpy()), np.asarray(b.output.numpy())
-        )
-        for a, b in zip(cold.responses, warm.responses)
-    )
-    cold_first = first_specialized_hit_us(cold)
-    warm_first = first_specialized_hit_us(warm)
-    first_hit_speedup = (
-        1.0 if cold_first == warm_first else cold_first / warm_first
-    )
     return {
-        "cold": row(cold, cold_deterministic),
-        "warm": row(warm, warm_deterministic),
+        "cold": row(cold),
+        "warm": row(warm),
         "summary": {
-            "first_hit_speedup": first_hit_speedup,
-            "predictive_compiles": float(warm.predictive_compiles),
-            "predictive_hits": float(warm.predictive_hits),
-            "partial_shapes_covered": float(
-                max(partial_shapes_covered(cold), partial_shapes_covered(warm))
+            "first_hit_speedup": speedup(
+                first_static_finish_us(cold.report), first_static_finish_us(warm.report)
             ),
-            "guard_deopts": float(cold.guard_deopts + warm.guard_deopts),
-            "bit_identical": float(bit_identical),
-            "deterministic": float(cold_deterministic and warm_deterministic),
+            "predictive_compiles": float(warm.report.predictive_compiles),
+            "predictive_hits": float(warm.report.predictive_hits),
+            "partial_shapes_covered": float(
+                max(partial_shapes_covered(cold.report), partial_shapes_covered(warm.report))
+            ),
+            "guard_deopts": float(cold.report.guard_deopts + warm.report.guard_deopts),
+            "bit_identical": float(outputs_equal(cold.report, warm.report)),
+            "deterministic": float(cold.deterministic and warm.deterministic),
         },
     }
 
@@ -1181,30 +944,7 @@ def predictive_study(
 # ---------------------------------------------------------------------------
 
 
-def fleet_study(
-    platform_name: str = "intel",
-    num_requests: int = 200,
-    num_replicas: int = 4,
-    replica_counts: Sequence[int] = (1, 2, 4),
-    mean_interarrival_us: float = 300.0,
-    threshold: int = 4,
-    max_executables: int = 2,
-    compile_lanes: int = 1,
-    compile_us: float = 8000.0,
-    input_size: int = 16,
-    hidden_size: int = 16,
-    max_batch_size: int = 4,
-    max_delay_us: float = 1500.0,
-    num_workers: int = 2,
-    hot_lengths: Sequence[int] = (9, 25, 41, 57),
-    hot_fraction: float = 0.85,
-    bursty_rate_per_s: float = 4000.0,
-    bursty_burst: int = 4,
-    steady_deadline_us: float = 60_000.0,
-    gc_interval_us: float = 20_000.0,
-    gc_max_age_us: float = 30_000.0,
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
+def fleet_study() -> Dict[str, Dict[str, float]]:
     """The fleet layer's three claims, measured on one multi-tenant trace.
 
     1. **Shape-affinity routing concentrates specialization**: against
@@ -1217,23 +957,22 @@ def fleet_study(
        started against the store a previous fleet filled reaches its
        first specialized hit strictly earlier than the cold fleet did
        (``warm_first_hit_speedup``), restoring instead of compiling.
-    3. **Determinism at fleet scale**: for every replica count in
-       *replica_counts* — with store GC enabled — replaying the trace is
-       bit-identical (outputs and every FleetReport counter), and every
-       served request's output is bitwise equal to a single
-       ``InferenceServer`` serving the same trace alone.
+    3. **Determinism at fleet scale**: for 1, 2 and 4 replicas — with
+       store GC enabled — replaying the trace is bit-identical (outputs
+       and every FleetReport counter), and every served request's output
+       is bitwise equal to a single ``InferenceServer`` serving the same
+       trace alone.
 
     The workload is sized so concentration is *structural*, not luck:
     four tenants with four distinct hot shapes, against replicas whose
-    specialized-executable cache holds only ``max_executables`` (< 4)
-    entries. Affinity routing pins each hot shape to one replica, so
-    every replica's cache fits its share; random placement makes every
-    replica juggle all four shapes in a two-slot cache — eviction
-    thrash the shared store cannot restore fast enough. Three tenants
-    are unlimited (one with a deadline class scored in the report);
-    ``bursty`` is token-bucket limited so its bursts trip admission
-    control — ``rejected`` must be > 0 or the admission path went
-    untested.
+    specialized-executable cache holds only two entries. Affinity
+    routing pins each hot shape to one replica, so every replica's cache
+    fits its share; random placement makes every replica juggle all four
+    shapes in a two-slot cache — eviction thrash the shared store cannot
+    restore fast enough. Three tenants are unlimited (one with a
+    deadline class scored in the report); ``bursty`` is token-bucket
+    limited so its bursts trip admission control — ``rejected`` must be
+    > 0 or the admission path went untested.
 
     Returns ``{"affinity": {...}, "random": {...}, "least_loaded":
     {...}, "warm": {...}, "gc": {...}, "summary": {...}}`` — ``warm``
@@ -1241,143 +980,89 @@ def fleet_study(
     runs a *drifted* trace over it (hot set rotated) so the collector
     reclaims the retired shape's blob under the refcount guard.
     """
-    import shutil
-    import tempfile
+    platform = platform_by_name("intel")
+    mod = _lstm_module(16, 16)
+    hot_lengths = (9, 25, 41, 57)
 
-
-    platform = platform_by_name(platform_name)
-    weights = LSTMWeights.create(input_size, hidden_size, num_layers=1, seed=seed)
-    mod = build_lstm_module(weights)
-    requests = multi_tenant_traffic(
-        num_requests,
-        input_size=input_size,
-        mean_interarrival_us=mean_interarrival_us,
-        tenant_mix=(("steady", 2), ("web", 2), ("batch", 2), ("bursty", 1)),
-        hot_lengths=tuple(hot_lengths),
-        hot_fraction=hot_fraction,
-        seed=seed,
-    )
-    tenants = (
-        TenantSpec("steady", deadline_us=steady_deadline_us),
-        TenantSpec("web"),
-        TenantSpec("batch"),
-        TenantSpec(
-            "bursty",
-            deadline_us=steady_deadline_us,
-            rate_per_s=bursty_rate_per_s,
-            burst=bursty_burst,
-        ),
-    )
-
-    def config(artifact_dir: str) -> "ServeConfig":
-        return ServeConfig(
-            max_batch_size=max_batch_size,
-            max_delay_us=max_delay_us,
-            num_workers=num_workers,
-            specialize=True,
-            specialize_threshold=threshold,
-            # The cache is deliberately smaller than the number of hot
-            # shapes in the trace — the pressure that makes placement
-            # policy matter (see the docstring).
-            specialize_max_executables=max_executables,
-            specialize_compile_lanes=compile_lanes,
-            # Explicit modeled compile cost, like restart_study: sized so
-            # cold fleets reach a specialized steady state within this
-            # trace, making hit-rate comparisons non-degenerate.
-            specialize_compile_us=compile_us,
-            artifact_dir=artifact_dir,
+    def traffic(hot: Sequence[int], seed: int):
+        return multi_tenant_traffic(
+            200,
+            input_size=16,
+            mean_interarrival_us=300.0,
+            tenant_mix=(("steady", 2), ("web", 2), ("batch", 2), ("bursty", 1)),
+            hot_lengths=hot,
+            hot_fraction=0.85,
+            seed=seed,
         )
 
-    def first_specialized_hit_us(report) -> float:
-        hits = [r.finish_us for r in report.responses if r.tier != "dynamic"]
-        return min(hits) if hits else math.inf
+    requests = traffic(hot_lengths, 0)
+    tenants = (
+        TenantSpec("steady", deadline_us=60_000.0),
+        TenantSpec("web"),
+        TenantSpec("batch"),
+        TenantSpec("bursty", deadline_us=60_000.0, rate_per_s=4000.0, burst=4),
+    )
+    config = ServeConfig(
+        max_batch_size=4,
+        max_delay_us=1500.0,
+        num_workers=2,
+        specialize=True,
+        specialize_threshold=4,
+        # The cache is deliberately smaller than the number of hot
+        # shapes in the trace — the pressure that makes placement
+        # policy matter (see the docstring).
+        specialize_max_executables=2,
+        specialize_compile_lanes=1,
+        # Explicit modeled compile cost, like restart_study: sized so
+        # cold fleets reach a specialized steady state within this
+        # trace, making hit-rate comparisons non-degenerate.
+        specialize_compile_us=8000.0,
+    )
 
-    def outputs_of(report) -> Dict[int, np.ndarray]:
-        return {
-            r.rid: np.asarray(r.output.numpy()) for r in report.responses
-        }
-
-    def run_fleet(
-        artifact_dir: str, routing: str, replicas: int, trace=None
-    ):
-        """One fresh fleet + a replay; returns (report, deterministic)."""
-        trace = requests if trace is None else trace
-        router = FleetRouter(
+    def fleet(store: str, routing: str = "affinity", replicas: int = 4, trace=requests) -> Run:
+        return run_scenario(
             mod,
             platform,
-            config(artifact_dir),
+            trace,
+            config,
+            artifact_dir=store,
+            tenants=tenants,
             fleet=FleetConfig(
                 num_replicas=replicas,
                 routing=routing,
-                gc_interval_us=gc_interval_us,
-                gc_max_age_us=gc_max_age_us,
+                gc_interval_us=20_000.0,
+                gc_max_age_us=30_000.0,
             ),
-            tenants=tenants,
         )
-        report = router.simulate(trace)
-        replay = router.simulate(trace)
-        first, second = outputs_of(report), outputs_of(replay)
-        deterministic = (
-            report.counters() == replay.counters()
-            and set(first) == set(second)
-            and all(np.array_equal(first[k], second[k]) for k in first)
-        )
-        return report, deterministic
 
-    scratch: List[str] = []
-
-    def fresh_dir() -> str:
-        d = tempfile.mkdtemp(prefix="nimble-fleet-study-")
-        scratch.append(d)
-        return d
-
-    try:
-        affinity_dir = fresh_dir()
-        affinity, affinity_det = run_fleet(affinity_dir, "affinity", num_replicas)
-        random_run, random_det = run_fleet(fresh_dir(), "random", num_replicas)
-        least, least_det = run_fleet(fresh_dir(), "least_loaded", num_replicas)
+    # Every fleet starts over a store of its own, except where it says so.
+    with scratch_store() as root:
+        affinity = fleet(f"{root}/affinity")
+        random_run = fleet(f"{root}/random", "random")
+        least = fleet(f"{root}/least_loaded", "least_loaded")
         # The warm fleet: a NEW router (fresh replicas, fresh kernel
         # cache objects) over the store the affinity fleet filled.
-        warm, warm_det = run_fleet(affinity_dir, "affinity", num_replicas)
+        warm = fleet(f"{root}/affinity")
         # The GC fleet: same populated store, but the traffic's hot set
         # has drifted (the first hot shape retired, a new one arrived).
         # Yesterday's blob for the retired shape is never re-hot —
         # age-pruned at the first collection — while every re-hot blob
         # is restored and then refcount-guarded. This is the
         # steady-state compaction story a long-lived store needs.
-        drifted = multi_tenant_traffic(
-            num_requests,
-            input_size=input_size,
-            mean_interarrival_us=mean_interarrival_us,
-            tenant_mix=(("steady", 2), ("web", 2), ("batch", 2), ("bursty", 1)),
-            hot_lengths=tuple(hot_lengths[1:]) + (hot_lengths[0] + 64,),
-            hot_fraction=hot_fraction,
-            seed=seed + 1,
+        gc_run = fleet(
+            f"{root}/affinity",
+            trace=traffic(hot_lengths[1:] + (hot_lengths[0] + 64,), 1),
         )
-        gc_run, gc_det = run_fleet(
-            affinity_dir, "affinity", num_replicas, trace=drifted
-        )
-        # Replica-count sweep (claim 3), each against its own store.
-        sweep_det = True
-        single = InferenceServer(mod, platform, config(fresh_dir()))
-        single_outputs = outputs_of(single.simulate(requests))
-        single_match = True
-        for count in replica_counts:
-            report, det = run_fleet(fresh_dir(), "affinity", count)
-            sweep_det = sweep_det and det
-            fleet_outputs = outputs_of(report)
-            # Every request the fleet served must compute bitwise the
-            # same result the lone server computed for that rid —
-            # placement, batching, and tier must never change outputs.
-            single_match = single_match and all(
-                np.array_equal(out, single_outputs[rid])
-                for rid, out in fleet_outputs.items()
-            )
-    finally:
-        for d in scratch:
-            shutil.rmtree(d, ignore_errors=True)
+        # Replica-count sweep (claim 3), each against its own store,
+        # beside the lone server every count must agree with.
+        single = run_scenario(
+            mod, platform, requests, config, artifact_dir=f"{root}/single"
+        ).report
+        sweep = [fleet(f"{root}/replicas={n}", replicas=n) for n in (1, 2, 4)]
 
-    def row(report, deterministic: bool) -> Dict[str, float]:
+    def row(run: Run) -> Dict[str, float]:
+        report = run.report
+        latencies = [r.latency_us for r in report.responses]
         return {
             "admitted": float(report.admitted),
             "rejected": float(report.rejected),
@@ -1388,54 +1073,54 @@ def fleet_study(
             "store_rejects": float(report.store_rejects),
             "gc_pruned": float(report.gc_pruned),
             "gc_kept_referenced": float(report.gc_kept_referenced),
-            "first_specialized_hit_us": first_specialized_hit_us(report),
-            "p50_us": report.responses
-            and percentile([r.latency_us for r in report.responses], 50.0)
-            or 0.0,
-            "p99_us": report.responses
-            and percentile([r.latency_us for r in report.responses], 99.0)
-            or 0.0,
+            "first_specialized_hit_us": first_static_finish_us(report),
+            "p50_us": percentile(latencies, 50.0) if latencies else 0.0,
+            "p99_us": percentile(latencies, 99.0) if latencies else 0.0,
             "slo_attainment_steady": report.tenants["steady"].slo_attainment,
             "slo_attainment_bursty": report.tenants["bursty"].slo_attainment,
-            "deterministic": float(deterministic),
+            "deterministic": float(run.deterministic),
         }
 
-    cold_first = first_specialized_hit_us(affinity)
-    warm_first = first_specialized_hit_us(warm)
+    rows = {
+        "affinity": affinity,
+        "random": random_run,
+        "least_loaded": least,
+        "warm": warm,
+        "gc": gc_run,
+    }
+    cold_first = first_static_finish_us(affinity.report)
+    warm_first = first_static_finish_us(warm.report)
     return {
-        "affinity": row(affinity, affinity_det),
-        "random": row(random_run, random_det),
-        "least_loaded": row(least, least_det),
-        "warm": row(warm, warm_det),
-        "gc": row(gc_run, gc_det),
+        **{name: row(run) for name, run in rows.items()},
         "summary": {
             "affinity_random_hit_ratio": (
-                affinity.specialized_hit_rate
-                / max(1e-9, random_run.specialized_hit_rate)
+                affinity.report.specialized_hit_rate
+                / max(1e-9, random_run.report.specialized_hit_rate)
             ),
             "affinity_random_charge_ratio": (
-                affinity.specialize_compile_us
-                / max(1e-9, random_run.specialize_compile_us)
+                affinity.report.specialize_compile_us
+                / max(1e-9, random_run.report.specialize_compile_us)
             ),
-            "warm_first_hit_speedup": (
-                1.0 if cold_first == warm_first else cold_first / warm_first
-            ),
+            "warm_first_hit_speedup": speedup(cold_first, warm_first),
             "warm_earlier": float(warm_first < cold_first),
-            "admission_tripped": float(random_run.rejected > 0
-                                       and affinity.rejected > 0),
-            "replica_sweep_deterministic": float(sweep_det),
-            "single_server_match": float(single_match),
+            "admission_tripped": float(
+                random_run.report.rejected > 0 and affinity.report.rejected > 0
+            ),
+            "replica_sweep_deterministic": float(all(r.deterministic for r in sweep)),
+            # Every request a fleet served must compute bitwise the
+            # result the lone server computed for that rid — placement,
+            # batching, and tier must never change outputs.
+            "single_server_match": float(
+                all(outputs_equal(r.report, single, served_only=True) for r in sweep)
+            ),
             # The drifted-traffic run reclaimed the retired shape's
             # blob while the refcount guard held every live one.
             "gc_exercised": float(
-                gc_run.gc_pruned > 0
-                and gc_run.gc_kept_referenced > 0
-                and gc_run.store_rejects == 0
+                gc_run.report.gc_pruned > 0
+                and gc_run.report.gc_kept_referenced > 0
+                and gc_run.report.store_rejects == 0
             ),
-            "deterministic": float(
-                affinity_det and random_det and least_det and warm_det
-                and gc_det
-            ),
+            "deterministic": float(all(run.deterministic for run in rows.values())),
         },
     }
 
@@ -1445,26 +1130,17 @@ def fleet_study(
 # ---------------------------------------------------------------------------
 
 
-def stream_study(
-    stream_counts: Sequence[int] = (1, 2, 4),
-    platform_name: str = "nvidia",
-    bert_config: Optional[BertConfig] = None,
-    single_seq_len: int = 64,
-    pipeline_lengths: Sequence[int] = (
-        48, 32, 24, 16, 56, 40, 8, 64, 48, 32, 24, 16, 56, 40, 8, 64,
-    ),
-    numerics: str = "lite",
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
+def stream_study(stream_counts: Sequence[int] = (1, 2, 4)) -> Dict[str, Dict[str, float]]:
     """Modeled multi-stream speedup from the AOT kernel schedule.
 
-    Two workloads on BERT, both compiled once per stream count with the
-    static scheduler (``CompilerOptions.device_streams``):
+    Two workloads on BERT-base on the modeled GPU, both compiled once
+    per stream count with the static scheduler
+    (``CompilerOptions.device_streams``):
 
-    * **single** — one inference at ``single_seq_len``: the q/k/v
-      projections and other independent kernels inside each layer spread
-      across streams, bounded by the attention critical path.
-    * **pipeline** — a ragged-tail batch run member-wise with
+    * **single** — one inference at length 64: the q/k/v projections and
+      other independent kernels inside each layer spread across streams,
+      bounded by the attention critical path.
+    * **pipeline** — a ragged-tail batch of 16 run member-wise with
       ``sync=False`` and the stream offset rotated per member (exactly
       what the serving worker does), so successive members' device work
       overlaps on top of the intra-member parallelism.
@@ -1476,37 +1152,34 @@ def stream_study(
     with the summary carrying the best speedups and the identity/
     determinism flags.
     """
-    config = bert_config or BertConfig()
-    weights = BertWeights.create(config, seed=seed)
-    mod = build_bert_module(weights)
-    platform = platform_by_name(platform_name)
-    rng = np.random.RandomState(seed + 11)
-    x_single = (rng.randn(single_seq_len, config.hidden) * 0.1).astype(np.float32)
+    config = BertConfig()
+    mod = _bert_module(config)
+    platform = platform_by_name("nvidia")
+    rng = np.random.RandomState(11)
+    x_single = _activations(rng, 64, config.hidden)
     members = [
-        (rng.randn(length, config.hidden) * 0.1).astype(np.float32)
-        for length in pipeline_lengths
+        _activations(rng, length, config.hidden)
+        for length in (48, 32, 24, 16, 56, 40, 8, 64, 48, 32, 24, 16, 56, 40, 8, 64)
     ]
     kernel_cache = KernelCache()
 
     def run_once(exe):
-        """(single_us, pipeline_us, single_out, pipeline_outs, profile)."""
+        """((single_us, pipeline_us), [single_out, *pipeline_outs], profile)."""
         streams = max(1, exe.device_streams)
-        ctx = ExecutionContext(platform, numerics=numerics)
-        vm = VirtualMachine(exe, ctx)
+        vm = _vm(exe, platform)
         single_out = vm.run(x_single)
-        single_us = ctx.elapsed_us
-        ctx2 = ExecutionContext(platform, numerics=numerics)
-        vm2 = VirtualMachine(exe, ctx2)
-        start = ctx2.elapsed_us
+        single_us = vm.ctx.elapsed_us
+        vm = _vm(exe, platform)
+        start = vm.ctx.elapsed_us
         outs = [
-            vm2.run(m, sync=False, stream_offset=i % streams)
+            vm.run(m, sync=False, stream_offset=i % streams)
             for i, m in enumerate(members)
         ]
-        ctx2.clock.sync_all()
-        return single_us, ctx2.elapsed_us - start, single_out, outs, vm2.profile
+        vm.ctx.clock.sync_all()
+        return (single_us, vm.ctx.elapsed_us - start), [single_out] + outs, vm.profile
 
     results: Dict[str, Dict[str, float]] = {}
-    baseline = None
+    baseline_us = baseline_outs = None
     bit_identical = True
     deterministic = True
     for count in stream_counts:
@@ -1515,29 +1188,21 @@ def stream_study(
             options=CompilerOptions(device_streams=count),
             kernel_cache=kernel_cache,
         )
-        single_us, pipeline_us, single_out, outs, profile = run_once(exe)
-        replay = run_once(exe)
-        deterministic = deterministic and (
-            replay[0] == single_us and replay[1] == pipeline_us
+        (single_us, pipeline_us), outs, profile = run_once(exe)
+        deterministic = deterministic and run_once(exe)[0] == (single_us, pipeline_us)
+        if baseline_us is None:
+            baseline_us, baseline_outs = (single_us, pipeline_us), outs
+        bit_identical = bit_identical and all(
+            np.array_equal(a.numpy(), b.numpy()) for a, b in zip(outs, baseline_outs)
         )
-        if baseline is None:
-            baseline = (single_us, pipeline_us, single_out, outs)
-        else:
-            bit_identical = bit_identical and np.array_equal(
-                single_out.numpy(), baseline[2].numpy()
-            )
-            bit_identical = bit_identical and all(
-                np.array_equal(a.numpy(), b.numpy())
-                for a, b in zip(outs, baseline[3])
-            )
         busy = profile.stream_kernel_us
         total_busy = sum(busy.values())
         results[f"streams={count}"] = {
             "streams": float(exe.device_streams),
             "single_us": single_us,
             "pipeline_us": pipeline_us,
-            "single_speedup": baseline[0] / single_us,
-            "pipeline_speedup": baseline[1] / pipeline_us,
+            "single_speedup": baseline_us[0] / single_us,
+            "pipeline_speedup": baseline_us[1] / pipeline_us,
             "sync_events": float(profile.sync_events),
             "sync_waits": float(profile.sync_waits),
             "sync_stall_us": profile.sync_stall_us,
@@ -1546,11 +1211,9 @@ def stream_study(
                 max(busy.values()) / total_busy if total_busy else 0.0
             ),
         }
-    best_single = max(r["single_speedup"] for r in results.values())
-    best_pipeline = max(r["pipeline_speedup"] for r in results.values())
     results["summary"] = {
-        "best_single_speedup": best_single,
-        "best_pipeline_speedup": best_pipeline,
+        "best_single_speedup": max(r["single_speedup"] for r in results.values()),
+        "best_pipeline_speedup": max(r["pipeline_speedup"] for r in results.values()),
         "bit_identical": float(bit_identical),
         "deterministic": float(deterministic),
     }
@@ -1562,44 +1225,25 @@ def stream_study(
 # ---------------------------------------------------------------------------
 
 
-def tuning_ablation(
-    platform_name: str = "arm",
-    n_out: int = 768,
-    k_in: int = 768,
-    eval_shapes: Sequence[int] = tuple(2**i for i in range(0, 9)),
-) -> Dict[str, float]:
+def tuning_ablation() -> Dict[str, float]:
     """How well the cross-shape-tuned config does vs per-shape oracle tuning
-    and vs naively using the shape-64 winner."""
-    from repro.codegen.tuner import AutoTuner
-    from repro.ir import Any, Constant, Function, TensorType, Var
-    from repro.ops import api
-    from repro.tensor.ndarray import array as make_array
-
-    platform = platform_by_name(platform_name)
+    and vs naively using the shape-64 winner (dense 768×768, ARM, row
+    counts 1, 2, 4 … 256)."""
+    platform = platform_by_name("arm")
     spec = platform.compute_spec
-    rng = np.random.RandomState(0)
-    w = (rng.randn(n_out, k_in) * 0.02).astype(np.float32)
-    x = Var("x", TensorType((Any(), k_in), "float32"))
-    prim = Function(
-        [x], api.dense(x, Constant(make_array(w))),
-        TensorType((Any(), n_out), "float32"), {"primitive": True},
-    )
+    eval_shapes = tuple(2**i for i in range(0, 9))
+    prim = _dense_primitive(_dense_weight(768, 768))
 
     tuner = AutoTuner(prim, platform, spec, seed=3)
-    records = tuner.tune(64, n_trials=96)
-    naive = records[0].schedule  # shape-64 winner, applied everywhere
-
-    sym = SymbolicTuner(prim, platform, spec, seed=3)
-    chosen = sym.tune(n_trials=96)
+    naive = tuner.tune(64, n_trials=96)[0].schedule  # shape-64 winner, applied everywhere
+    chosen = SymbolicTuner(prim, platform, spec, seed=3).tune(n_trials=96)
 
     def total(schedule) -> float:
         return sum(tuner.measure(schedule, m) for m in eval_shapes)
 
     oracle = 0.0
     for m in eval_shapes:
-        per_shape = AutoTuner(prim, platform, spec, seed=3)
-        oracle += per_shape.tune(m, n_trials=96)[0].cost_us
-
+        oracle += AutoTuner(prim, platform, spec, seed=3).tune(m, n_trials=96)[0].cost_us
     return {
         "naive_us": total(naive),
         "symbolic_workflow_us": total(chosen),

@@ -47,11 +47,9 @@ class ServeConfig:
     # executables, the staged prefix, the shape profile and the kernel
     # cache survive the process. At startup the kernel cache warm-loads
     # from it and every hot trigger checks it before compiling — a hit
-    # installs the stored artifact at the modeled deserialize cost
-    # (`specialize_restore_us` overrides the RESTORE_*_US calibration).
-    # None keeps everything in memory.
+    # installs the stored artifact at the modeled deserialize cost (the
+    # RESTORE_*_US calibration). None keeps everything in memory.
     artifact_dir: Optional[str] = None
-    specialize_restore_us: Optional[float] = None
     # Multi-stream scheduling: compile every executable (dynamic and
     # specialized) with this many device streams (repro.vm.schedule).
     # Clamped to the platform at compile time — CPU platforms always run
@@ -68,12 +66,11 @@ class ServeConfig:
     # Guarded partial specialization: when traffic agrees on some dims
     # but spreads a long tail over the others, synthesize one variant
     # binding only the stable dims (the rest stay Any) once it would
-    # cover at least specialize_partial_min_shapes distinct exact
-    # shapes. The variant's entry guard checks the bound dims per batch
-    # member; mismatches transparently deopt to the dynamic tier
+    # cover at least PARTIAL_MIN_SHAPES (3) distinct exact shapes. The
+    # variant's entry guard checks the bound dims per batch member;
+    # mismatches transparently deopt to the dynamic tier
     # (ServeReport.guard_deopts — counted, never wrong).
     specialize_partial: bool = False
-    specialize_partial_min_shapes: int = 3
     # Not a knob — staged charging is the only compile model. The name is
     # still accepted, True only, because the repo benchmark passes it and
     # asserts that no option it passed was dropped (bench/test_smoke.py).
@@ -89,8 +86,6 @@ class ServeConfig:
             ("num_workers", 1),
             ("specialize_threshold", 1),
             ("specialize_compile_lanes", 1),
-            # A family of one exact shape is just exact specialization.
-            ("specialize_partial_min_shapes", 2),
         ):
             if getattr(self, name) < least:
                 raise ValueError(

@@ -10,12 +10,17 @@ eviction counts."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.utils.reporting import format_table, percentile
 from repro.serve.request import Response
 from repro.vm.profiler import VMProfile
+
+
+# The one Response field `ServeReport.counters` leaves out: an array,
+# which replay checks compare bitwise per rid themselves.
+_RESPONSE_NOT_COUNTED = ("output",)
 
 
 @dataclass
@@ -68,6 +73,23 @@ class ServeReport:
     # clamping). 1 means single-stream builds — the stream section of
     # the report collapses to a single row and no sync events exist.
     device_streams: int = 1
+
+    # ------------------------------------------------------------ determinism
+    def counters(self) -> dict:
+        """Every field by name, for replay-equality assertions: each is
+        a fold of the simulation, so two simulations of one trace must
+        agree on all of them (a `VMProfile` compares field by field).
+        Walks the dataclass fields, so a field added later is compared
+        without being listed here. Response *outputs* are not in it —
+        compare those bitwise, per rid."""
+        counted = [
+            f.name for f in fields(Response) if f.name not in _RESPONSE_NOT_COUNTED
+        ]
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["responses"] = tuple(
+            tuple(getattr(r, name) for name in counted) for r in self.responses
+        )
+        return out
 
     # ----------------------------------------------------------------- counts
     @property

@@ -89,7 +89,7 @@ manager writes never feeds back into its own replays.
 simulation's traffic agrees on some dims (e.g. hidden size) but spreads
 a long tail of values over the others (e.g. sequence length), one
 variant compiled with only the stable dims bound (the rest stay ``Any``)
-covers the whole family — ``specialize_partial_min_shapes`` distinct
+covers the whole family — ``PARTIAL_MIN_SHAPES`` distinct
 exact shapes minimum, so families that exact specialization already
 covers are left alone. The compiled executable carries an entry **shape
 guard** over its bound dims: the server checks it per batch member and
@@ -153,6 +153,9 @@ EVICTION_MARGIN = 2.0
 # per-compile gate, which the hot compile lane should not pay on every
 # variant. Store loads and the startup dynamic build always verify.
 VERIFY_SAMPLE = 4
+# Distinct exact shapes a family must span before a guarded partial
+# variant pays: below this, exact specialization already covers it.
+PARTIAL_MIN_SHAPES = 3
 # The store's read entry point for each blob kind, by name.
 _STORE_GETTERS = {"exe": "get", "prefix": "get_prefix", "profile": "get_profile"}
 
@@ -599,9 +602,9 @@ class SpecializationManager:
 
         A position is *stable* when every exact key this simulation has
         seen agrees on its value (e.g. hidden size), and the family is
-        worth a variant when it spans at least
-        ``specialize_partial_min_shapes`` distinct exact shapes (otherwise
-        exact specialization already covers it) with
+        worth a variant when it spans at least ``PARTIAL_MIN_SHAPES``
+        distinct exact shapes (otherwise exact specialization already
+        covers it) with
         ``specialize_threshold`` total hits. The synthesized key
         binds the stable positions and leaves the rest None; it then
         competes for a cache slot through the ordinary trigger/eviction
@@ -632,7 +635,7 @@ class SpecializationManager:
         if pkey in self._triggered:
             return
         family = [k for k in self._exact_seen if self._matches(k, pkey)]
-        if len(family) < self.config.specialize_partial_min_shapes:
+        if len(family) < PARTIAL_MIN_SHAPES:
             return
         if sum(self._hits[k] for k in family) < self.config.specialize_threshold:
             return
@@ -929,8 +932,6 @@ class SpecializationManager:
     def _restore_cost(self, kernels: int) -> float:
         """The modeled charge of deserializing a blob with *kernels*
         kernels to re-materialize."""
-        if self.config.specialize_restore_us is not None:
-            return float(self.config.specialize_restore_us)
         return (
             calibration.RESTORE_BASE_US[self.platform.name]
             + calibration.RESTORE_PER_KERNEL_US[self.platform.name] * kernels
@@ -968,8 +969,8 @@ class SpecializationManager:
         """The once-per-simulation lane charge for staging the prefix.
 
         A store-restored prefix pays only the base deserialize charge
-        (``specialize_restore_us`` override, else ``RESTORE_BASE_US`` —
-        an IR blob has no kernels to re-materialize). A fresh build pays
+        (``RESTORE_BASE_US`` — an IR blob has no kernels to
+        re-materialize). A fresh build pays
         the prefix-side split of the compile model:
         ``specialize_compile_us × SPECIALIZE_PREFIX_FRACTION`` under an
         override, else the ``SPECIALIZE_PREFIX_*_US`` calibration sized

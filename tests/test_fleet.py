@@ -30,7 +30,7 @@ from repro.fleet import (
     TenantSpec,
     TokenBucket,
 )
-from repro.hardware import intel_cpu
+from repro.hardware import calibration, intel_cpu
 from repro.ir import Any, Function, IRModule, TensorType, Var, const
 from repro.ops import api
 from repro.serve import (
@@ -491,10 +491,10 @@ class TestFleetChaos:
         )
         report = _assert_replays(router, trace, chaos=chaos)
         assert report.chaos_corruptions == 1
-        assert report.counters()["replica_store_rejects"] == (1, 0)
+        assert [r.store_rejects for r in report.replica_reports] == [1, 0]
         assert report.total_fleet_restores == 0
         # Both replicas end up compiling fresh; nobody crashed.
-        assert report.counters()["replica_fresh_compiles"] == (1, 1)
+        assert [r.specialize_fresh_compiles for r in report.replica_reports] == [1, 1]
         assert len(report.responses) == len(trace)
         single = InferenceServer(_mlp(), intel_cpu(), ServeConfig(**_FAST)).simulate(
             trace
@@ -512,11 +512,12 @@ class TestFleetChaos:
         assert report.chaos_noops == 1
         assert report.chaos_corruptions == 0
 
-    def test_gc_racing_a_restore_keeps_the_in_flight_blob(self, tmp_path):
+    def test_gc_racing_a_restore_keeps_the_in_flight_blob(self, tmp_path, monkeypatch):
         """An aggressive collector (max_age 0: everything unguarded is
         prunable at every tick) fires mid-restore. The in-flight blob
         must survive every tick and the restore must complete; the cold
         sibling blob is reclaimed."""
+        monkeypatch.setitem(calibration.RESTORE_BASE_US, "intel", 5000.0)
         store_dir = str(tmp_path / "store")
         warm_cfg = ServeConfig(artifact_dir=store_dir, **_FAST)
         # Warm the store with two hot shapes (two exe blobs + a profile).
@@ -531,9 +532,7 @@ class TestFleetChaos:
         router = FleetRouter(
             _mlp(),
             intel_cpu(),
-            ServeConfig(
-                artifact_dir=store_dir, specialize_restore_us=5000.0, **_FAST
-            ),
+            ServeConfig(artifact_dir=store_dir, **_FAST),
             FleetConfig(
                 num_replicas=1,
                 gc_interval_us=1000.0,
@@ -544,7 +543,7 @@ class TestFleetChaos:
         # The slow restore (trigger ~100 µs, ready ~5100 µs) overlaps
         # several 1000 µs GC ticks — the in-flight guard held each time.
         assert sum(g.kept_in_flight for g in report.gc_reports) >= 3
-        assert report.counters()["replica_restored"] == (1,)
+        assert [r.specialize_restored for r in report.replica_reports] == [1]
         assert report.specialized_hits > 0
         # The shape nobody asked for this run was pruned...
         pruned = {entry for g in report.gc_reports for entry in g.pruned}

@@ -201,3 +201,74 @@ class TestHarnessSmoke:
             # Nimble's dynamic allocator should be within a modest factor
             # of the fully-static plan (paper: <= 8% extra).
             assert row["nimble_bytes"] <= row["static_bytes"] * 1.6
+
+
+class TestScenarioRunner:
+    """The machinery every serving study runs on (`repro.harness.scenario`),
+    on a 16-request toy LSTM: the studies themselves take a minute."""
+
+    def _scenario(self):
+        from repro.models.lstm import LSTMWeights, build_lstm_module
+        from repro.serve import ServeConfig, lstm_traffic
+
+        mod = build_lstm_module(LSTMWeights.create(8, 8, num_layers=1, seed=0))
+        trace = lstm_traffic(16, input_size=8, mean_interarrival_us=100.0, seed=0)
+        config = ServeConfig(
+            max_batch_size=4, specialize=True, specialize_threshold=2,
+            specialize_compile_us=200.0,
+        )
+        return mod, intel_cpu(), trace, config
+
+    def test_run_step_replays_over_a_store_it_cleans_up(self, tmp_path):
+        import os
+
+        from repro.harness.scenario import run_scenario, scratch_store
+        from repro.store import ArtifactStore
+
+        with scratch_store() as owned:
+            run = run_scenario(*self._scenario(), artifact_dir=owned)
+            assert ArtifactStore(owned).keys()  # the store was really used
+        assert run.deterministic
+        assert run.report.specialized_hits > 0
+        assert not os.path.exists(owned)
+        # A caller's directory is used and kept.
+        given = str(tmp_path / "store")
+        with scratch_store(given) as store:
+            assert store == given
+            assert run_scenario(*self._scenario(), artifact_dir=store).deterministic
+        assert ArtifactStore(given).keys()
+
+    def test_owned_store_is_removed_on_error(self):
+        import os
+
+        from repro.harness.scenario import scratch_store
+
+        with pytest.raises(RuntimeError):
+            with scratch_store() as owned:
+                assert os.path.isdir(owned)
+                raise RuntimeError("study failed")
+        assert not os.path.exists(owned)
+
+    def test_one_altered_output_is_not_deterministic(self, monkeypatch):
+        """The determinism flag covers outputs, not only counters: a
+        replay that differs in one element of one response reads false."""
+        from repro.harness.scenario import run_scenario
+        from repro.serve import InferenceServer
+        from repro.tensor.ndarray import array
+
+        simulate = InferenceServer.simulate
+        reports = []
+
+        def tampering(server, trace):
+            report = simulate(server, trace)
+            reports.append(report)
+            if len(reports) == 2:  # the replay
+                altered = report.responses[7].output.numpy().copy()
+                altered.flat[0] += 1.0
+                report.responses[7].output = array(altered)
+            return report
+
+        monkeypatch.setattr(InferenceServer, "simulate", tampering)
+        run = run_scenario(*self._scenario())
+        assert reports[0].counters() == reports[1].counters()
+        assert not run.deterministic

@@ -1,6 +1,7 @@
 """The serving layer: shape bucketing, deadline batching, worker-pool
 scheduling, report statistics, determinism, and leak-freedom."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -26,14 +27,15 @@ from repro.serve import (
     lstm_traffic,
     poisson_arrivals,
 )
-from repro.serve.report import ServeReport
+from repro.serve.report import _RESPONSE_NOT_COUNTED, ServeReport
 from repro.utils.reporting import percentile
+from repro.vm.profiler import VMProfile
 
 
 def test_serving_does_not_import_the_experiment_harness():
     """`import repro.serve` / `repro.fleet` in a fresh interpreter must
-    not execute the experiment harness (1.6k lines of study scaffolding)
-    or the baselines it compares against."""
+    not execute the experiment harness (1.4k lines of studies) or the
+    baselines it compares against."""
     probe = (
         "import sys, repro.serve, repro.fleet; "
         "print([m for m in sys.modules "
@@ -247,7 +249,6 @@ class TestServeConfig:
             ("specialize_threshold", 0),
             ("specialize_compile_lanes", 0),
             ("specialize_decay_half_life_us", 0.0),
-            ("specialize_partial_min_shapes", 1),
         ],
     )
     def test_bad_values_are_rejected_at_construction(self, field, bad):
@@ -471,6 +472,48 @@ class TestReportStatistics:
         assert "throughput (req/s)" in text
         assert "Batch-size histogram" in text
         assert "Workers" in text
+
+    def test_counters_cover_every_field(self):
+        """`counters()` is what a replay check compares, so it is
+        complete by construction: it walks the dataclass fields, and a
+        field added later is compared without anyone listing it. The one
+        thing it leaves out — a response's output array, which replay
+        checks compare bitwise — is named in one tuple."""
+        counters = self._report().counters()
+        assert set(counters) == {f.name for f in dataclasses.fields(ServeReport)}
+        assert _RESPONSE_NOT_COUNTED == ("output",)
+        counted = [
+            f.name for f in dataclasses.fields(Response) if f.name != "output"
+        ]
+        first = self._report().responses[0]
+        assert counters["responses"][0] == tuple(getattr(first, n) for n in counted)
+        # A tier profile is compared whole: VMProfile equality is field
+        # by field, so one extra kernel launch is a difference.
+        assert counters["profile_dynamic"] == VMProfile()
+        busier = self._report()
+        busier.profile_dynamic.record_kernel(1.0, "generated")
+        assert busier.counters() != counters
+        assert counters["worker_busy_us"] == [300.0, 200.0]
+
+    def test_counters_agree_across_fresh_servers_and_see_one_microsecond(self):
+        """Two servers built from scratch agree on every counter over
+        one trace; moving a single arrival by 1 µs is visible."""
+        config = ServeConfig(
+            max_batch_size=4, max_delay_us=300.0, specialize=True,
+            specialize_threshold=2, specialize_compile_us=200.0,
+        )
+        trace = _requests([9, 9, 12, 9, 20, 9, 12, 9, 9, 30, 9, 12, 9, 9, 20, 9])
+
+        def counters(requests):
+            server = InferenceServer(_dyn_mlp_module(), intel_cpu(), config)
+            return server.simulate(requests).counters()
+
+        first = counters(trace)
+        assert first["num_specialized_executables"] > 0
+        assert counters(trace) == first
+        moved = list(trace)
+        moved[5] = dataclasses.replace(moved[5], arrival_us=moved[5].arrival_us + 1.0)
+        assert counters(moved) != first
 
     def test_percentile_function(self):
         values = list(range(1, 101))

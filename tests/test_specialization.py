@@ -12,7 +12,7 @@ from repro.codegen.kernels import KernelCache, prim_signature
 from repro.core.typing import collect_shape_bindings, infer_types
 from repro.core.typing.bind import batch_type, bind_any_dims
 from repro.errors import CompilerError, TypeInferenceError
-from repro.hardware import intel_cpu, nvidia_gpu
+from repro.hardware import calibration, intel_cpu, nvidia_gpu
 from repro.ir import Any, Function, IRModule, TensorType, Var, const
 from repro.ir.types import TupleType, has_any_dim
 from repro.ir.printer import module_fingerprint
@@ -1663,14 +1663,12 @@ class TestStagedManager:
         # only once per simulation.
         assert sum(1 for e in mgr.events if e.prefix_us > 0) == 1
 
-    def test_warm_restart_restores_prefix_from_store(self, tmp_path):
+    def test_warm_restart_restores_prefix_from_store(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(calibration.RESTORE_BASE_US, "intel", 5.0)
         nimble.clear_prefix_cache()
         store = ArtifactStore(tmp_path)
         cache = KernelCache()
-        first = _mlp_manager(
-            threshold=2, kernel_cache=cache, store=store,
-            restore_us=5.0,
-        )
+        first = _mlp_manager(threshold=2, kernel_cache=cache, store=store)
         first.observe((16,), 0.0)
         first.observe((16,), 10.0)
         first.drain()
@@ -1680,10 +1678,7 @@ class TestStagedManager:
         # restores wholesale (no prefix needed); a NEW shape compiles
         # fresh but pays only the prefix *restore* charge.
         nimble.clear_prefix_cache()
-        second = _mlp_manager(
-            threshold=2, kernel_cache=cache, store=store,
-            restore_us=5.0,
-        )
+        second = _mlp_manager(threshold=2, kernel_cache=cache, store=store)
         second.observe((16,), 0.0)
         second.observe((16,), 10.0)
         second.observe((24,), 20.0)
@@ -1937,7 +1932,7 @@ class TestPartialSynthesis:
         threshold total hits: the manager binds the stable dim, leaves
         the row dim None, and the variant then covers row counts it has
         NEVER seen."""
-        mgr = _gram_manager(threshold=4, partial=True, partial_min_shapes=3)
+        mgr = _gram_manager(threshold=4, partial=True)
         for t, rows in [(0.0, 9), (10.0, 9), (20.0, 25), (30.0, 41)]:
             mgr.observe((rows, 16), t)
         mgr.drain()
@@ -1952,7 +1947,7 @@ class TestPartialSynthesis:
         ) is None
 
     def test_no_partial_without_a_stable_dim(self):
-        mgr = _gram_manager(threshold=3, partial=True, partial_min_shapes=3)
+        mgr = _gram_manager(threshold=3, partial=True)
         for t, key in [(0.0, (9, 16)), (10.0, (25, 8)), (20.0, (41, 32))]:
             mgr.observe(key, t)
         mgr.drain()
@@ -1963,7 +1958,7 @@ class TestPartialSynthesis:
         """Two exact shapes are not a family — exact specialization
         already covers them; min_shapes=3 holds the variant back until a
         third distinct shape appears."""
-        mgr = _gram_manager(threshold=2, partial=True, partial_min_shapes=3)
+        mgr = _gram_manager(threshold=2, partial=True)
         for t, rows in [(0.0, 9), (10.0, 9), (20.0, 25), (30.0, 25)]:
             mgr.observe((rows, 16), t)
         assert not any(None in e.key for e in mgr.events)
@@ -1983,13 +1978,13 @@ class TestPartialSynthesis:
         stacking is ill-defined: the batched tier must refuse partial
         keys even when batching is on."""
         mgr = _gram_manager(
-            threshold=4, partial=True, partial_min_shapes=3, batch_cap=4,
+            threshold=4, partial=True, batch_cap=4,
         )
         assert mgr.batch_tier_active_for((None, 16)) is False
         assert mgr.batch_tier_active_for((9, 16)) is True
 
     def test_routing_picks_the_widest_cover_deterministically(self):
-        mgr = _gram_manager(threshold=4, partial=True, partial_min_shapes=3)
+        mgr = _gram_manager(threshold=4, partial=True)
         for t, rows in [(0.0, 9), (10.0, 9), (20.0, 25), (30.0, 41)]:
             mgr.observe((rows, 16), t)
         mgr.drain()

@@ -884,9 +884,9 @@ class TestStoreGC:
         # Re-hot: recompiled from scratch, never "restored" from the
         # reclaimed memory...
         counters = report.counters()
-        assert counters["replica_restored"] == (0,)
-        assert counters["replica_fresh_compiles"] == (1,)
-        assert counters["replica_store_rejects"] == (0,)
+        assert [r.specialize_restored for r in report.replica_reports] == [0]
+        assert [r.specialize_fresh_compiles for r in report.replica_reports] == [1]
+        assert [r.store_rejects for r in report.replica_reports] == [0]
         # ...and re-persisted: model and disk both hold the blob again.
         assert router.view.present("exe", exe_key)
         assert router.view.origin("exe", exe_key) == 0
