@@ -20,8 +20,11 @@ does:
   tensor — *warning*: an unused allocation is dead weight the planner
   should have eliminated, not a soundness hole.
 
-Scope: straight-line functions (the only ones the memory planner and
-stream scheduler restructure). Extents are resolved by constant
+Scope: straight-line functions only — the ones the stream scheduler
+restructures. The memory planner also coalesces inside functions with
+control flow (the 16-wide LSTM's loop body: allocs 11 → 8), and those
+this checker skips whole, proving nothing about them. Extents are
+resolved by constant
 propagation over ``LoadConsti``/``LoadConst`` of scalar integers — the
 form the compiler emits for every static allocation site. Dynamic sites
 (``AllocTensorReg``, register-valued offsets that never resolve) make

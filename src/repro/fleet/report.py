@@ -1,8 +1,9 @@
 """Fleet-wide serving statistics: per-tenant and per-replica views.
 
 A :class:`FleetReport` wraps the per-replica
-:class:`~repro.serve.ServeReport` objects a simulation produced and adds
-the router's own bookkeeping — admission decisions, routing outcomes,
+:class:`~repro.serve.ServeReport` objects a simulation produced and the
+simulation's record list (:mod:`repro.serve.events`), from which it
+computes what the router did — admission decisions, routing outcomes,
 cross-replica store-warm restores, and GC activity. Two views matter:
 
 - **per tenant** — latency percentiles, SLO attainment against the
@@ -23,9 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from repro.fleet.chaos import CorruptBlob, ReplicaStall
 from repro.utils.reporting import format_table, percentile
+from repro.serve.events import (
+    Chaos,
+    Collection,
+    Route,
+    Shed,
+    SpecializationEvent,
+)
 from repro.serve.report import ServeReport
 from repro.serve.request import Response
 from repro.store.gc import GCReport
@@ -70,29 +79,17 @@ class FleetReport:
     """Everything one fleet simulation produced."""
 
     replica_reports: List[ServeReport] = field(default_factory=list)
-    tenants: Dict[str, TenantStats] = field(default_factory=dict)
-    # Routing outcomes, indexed by replica id.
-    routed: List[int] = field(default_factory=list)
-    # Admitted requests routed by shape affinity (the target replica was
-    # already serving — or compiling — the exact shape), vs fallback.
-    affinity_hits: int = 0
     # Which routing policy produced this report ("affinity" /
     # "least_loaded" / "random").
     routing: str = "affinity"
-    # Rejected request ids, in arrival order (replay-comparable; the
-    # per-tenant split lives in `tenants`).
-    rejected_rids: Tuple[int, ...] = ()
-    # Cross-replica store warmth, indexed by replica id: variants this
-    # replica restored that a *sibling* compiled and persisted during
-    # this same simulation.
-    fleet_restores: List[int] = field(default_factory=list)
-    # GC activity, one report per collection, in firing order.
-    gc_reports: List[GCReport] = field(default_factory=list)
-    # Chaos accounting: stalls applied, blobs corrupted, and corruption
-    # events that found no blob of their kind to target.
-    chaos_stalls: int = 0
-    chaos_corruptions: int = 0
-    chaos_noops: int = 0
+    # The simulation's record list, shared with every replica report.
+    records: Sequence = ()
+    # Each configured tenant's deadline class (a tenant the router has
+    # no spec for has none: inf).
+    deadlines_us: Dict[str, float] = field(default_factory=dict)
+
+    def _of(self, kind) -> list:
+        return [r for r in self.records if type(r) is kind]
 
     # ----------------------------------------------------------------- volume
     @property
@@ -108,12 +105,48 @@ class FleetReport:
         return sorted(merged, key=lambda r: r.rid)
 
     @property
+    def tenants(self) -> Dict[str, TenantStats]:
+        """Per-tenant outcome, in order of first arrival."""
+        stats: Dict[str, TenantStats] = {}
+        for r in self.records:
+            if type(r) in (Route, Shed):
+                deadline_us = self.deadlines_us.get(r.tenant, math.inf)
+                tenant = stats.setdefault(r.tenant, TenantStats(r.tenant, deadline_us))
+                if type(r) is Route:
+                    tenant.admitted += 1
+                else:
+                    tenant.rejected += 1
+        for response in self.responses:
+            stats[response.tenant].latencies_us.append(response.latency_us)
+        return stats
+
+    @property
     def admitted(self) -> int:
-        return sum(t.admitted for t in self.tenants.values())
+        return len(self._of(Route))
 
     @property
     def rejected(self) -> int:
-        return sum(t.rejected for t in self.tenants.values())
+        return len(self._of(Shed))
+
+    @property
+    def rejected_rids(self) -> Tuple[int, ...]:
+        """Rejected request ids, in arrival order."""
+        return tuple(r.rid for r in self._of(Shed))
+
+    # ---------------------------------------------------------------- routing
+    @property
+    def routed(self) -> List[int]:
+        """Admitted requests placed on each replica, by replica id."""
+        routes = self._of(Route)
+        return [
+            sum(1 for r in routes if r.replica == i) for i in range(self.num_replicas)
+        ]
+
+    @property
+    def affinity_hits(self) -> int:
+        """Admitted requests placed by shape affinity (the replica was
+        already serving — or compiling — the exact shape), vs fallback."""
+        return sum(1 for r in self._of(Route) if r.by_affinity)
 
     @property
     def affinity_rate(self) -> float:
@@ -125,6 +158,15 @@ class FleetReport:
         return self.affinity_hits / self.admitted
 
     # ------------------------------------------------------------------ store
+    @property
+    def fleet_restores(self) -> List[int]:
+        """Cross-replica store warmth, by replica id: variants it
+        restored that a *sibling* compiled earlier in this simulation."""
+        warmed = [e for e in self._of(SpecializationEvent) if e.from_sibling]
+        return [
+            sum(1 for e in warmed if e.replica == i) for i in range(self.num_replicas)
+        ]
+
     @property
     def total_fleet_restores(self) -> int:
         return sum(self.fleet_restores)
@@ -152,6 +194,11 @@ class FleetReport:
 
     # --------------------------------------------------------------------- gc
     @property
+    def gc_reports(self) -> List[GCReport]:
+        """GC activity, one report per collection, in firing order."""
+        return [r.report for r in self._of(Collection)]
+
+    @property
     def gc_pruned(self) -> int:
         return sum(g.pruned_count for g in self.gc_reports)
 
@@ -164,6 +211,25 @@ class FleetReport:
         """Malformed store names at the LAST collection (an inventory
         level, not a cumulative count)."""
         return self.gc_reports[-1].malformed if self.gc_reports else 0
+
+    # ------------------------------------------------------------------ chaos
+    def _applied(self, fault_kind) -> int:
+        return sum(
+            1 for r in self._of(Chaos) if r.applied and isinstance(r.fault, fault_kind)
+        )
+
+    @property
+    def chaos_stalls(self) -> int:
+        return self._applied(ReplicaStall)
+
+    @property
+    def chaos_corruptions(self) -> int:
+        return self._applied(CorruptBlob)
+
+    @property
+    def chaos_noops(self) -> int:
+        """Injected faults that found nothing to act on."""
+        return sum(1 for r in self._of(Chaos) if not r.applied)
 
     # ----------------------------------------------------------- determinism
     def counters(self) -> dict:

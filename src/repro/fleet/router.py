@@ -19,6 +19,10 @@ everything between the trace and the replicas:
   event loop at their timestamps.
 - **store GC** (``repro.store.StoreGC``): periodic collections guarded
   by the union of every replica's referenced and in-flight store keys.
+- **the record list** (``repro.serve.events``): one per simulation,
+  handed to every replica; the router appends what it decides
+  (``Route``, ``Shed``, ``Chaos``, ``Collection``) and the
+  :class:`FleetReport` computes its numbers from the whole list.
 
 The event loop is the single server's
 (:func:`repro.serve.server.run_timeline`) with two more event sources:
@@ -34,18 +38,18 @@ determinism contract (docs/fleet.md).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.codegen.kernels import KernelCache
 from repro.fleet.chaos import CorruptBlob, ReplicaStall
-from repro.fleet.report import FleetReport, TenantStats
+from repro.fleet.report import FleetReport
 from repro.fleet.tenancy import TenantSpec, TokenBucket
 from repro.hardware.platforms import Platform
 from repro.ir.module import IRModule
+from repro.serve.events import Chaos, Collection, Route, Shed
 from repro.serve.request import Request
 from repro.serve.server import (
     EventSource,
@@ -155,42 +159,26 @@ class FleetRouter:
         """Serve the trace to completion across the fleet.
 
         Each call is an independent replay: replicas begin cold, token
-        buckets refill, the store view's per-simulation state clears,
-        and the random-routing stream reseeds. *chaos* events fire at
-        their virtual timestamps (see ``repro.fleet.chaos``)."""
+        buckets refill, the store view's per-simulation state clears, a
+        new record list starts, and the random-routing stream reseeds.
+        *chaos* events fire at their virtual timestamps (see
+        ``repro.fleet.chaos``)."""
         if self.view is not None:
             self.view.reset()
+        self.records: list = []
         for replica in self.replicas:
-            replica.begin()
+            replica.begin(self.records)
         for bucket in self._buckets.values():
             bucket.reset()
         # Reseeded per simulation so the "random" baseline replays the
         # same placement draws.
         self._rs = np.random.RandomState(self.fleet.random_seed)
-        report = FleetReport(
-            routing=self.fleet.routing,
-            routed=[0] * len(self.replicas),
-        )
-        tenants: Dict[str, TenantStats] = {}
-        rejected_rids: List[int] = []
-
-        def tenant_stats(name: str) -> TenantStats:
-            stats = tenants.get(name)
-            if stats is None:
-                spec = self.tenant_specs.get(name)
-                stats = TenantStats(
-                    name=name,
-                    deadline_us=spec.deadline_us if spec else math.inf,
-                )
-                tenants[name] = stats
-            return stats
-
         faults = sorted(chaos, key=lambda e: e.at_us)
         due = iter(faults)
         sources = [
             EventSource(
                 times=(fault.at_us for fault in faults),
-                fire=lambda now: self._apply_chaos(next(due), now, report),
+                fire=lambda now: self._apply_chaos(next(due), now),
                 after_deadlines=False,
                 finite=True,
             )
@@ -202,55 +190,39 @@ class FleetRouter:
                     times=itertools.accumulate(
                         itertools.repeat(self.fleet.gc_interval_us)
                     ),
-                    fire=lambda now: self._run_gc(now, report),
+                    fire=self._run_gc,
                     after_deadlines=True,
                     finite=False,
                 )
             )
-        now = run_timeline(
-            requests,
-            self.replicas,
-            lambda request, now: self._on_arrival(
-                request, now, report, tenant_stats, rejected_rids
-            ),
-            sources,
-        )
-        report.replica_reports = [r.finish(now) for r in self.replicas]
-        report.fleet_restores = [
-            r.specializer.fleet_restores if r.specializer is not None else 0
-            for r in self.replicas
-        ]
+        now = run_timeline(requests, self.replicas, self._on_arrival, sources)
+        replica_reports = [r.finish(now) for r in self.replicas]
         if self._gc is not None:
             # End-of-simulation collection: the fleet's steady-state
             # inventory after every drain and profile snapshot.
-            self._run_gc(now, report)
-        for response in report.responses:
-            tenant_stats(response.tenant).latencies_us.append(
-                response.latency_us
-            )
-        report.tenants = tenants
-        report.rejected_rids = tuple(rejected_rids)
-        return report
+            self._run_gc(now)
+        return FleetReport(
+            replica_reports=replica_reports,
+            routing=self.fleet.routing,
+            records=self.records,
+            deadlines_us={
+                name: spec.deadline_us for name, spec in self.tenant_specs.items()
+            },
+        )
 
     # ---------------------------------------------------------------- arrivals
-    def _on_arrival(
-        self, request: Request, now: float, report: FleetReport,
-        tenant_stats, rejected_rids: List[int],
-    ) -> None:
-        stats = tenant_stats(request.tenant)
+    def _on_arrival(self, request: Request, now: float) -> None:
         bucket = self._buckets.get(request.tenant)
         if bucket is not None and not bucket.admit(now):
             # Over budget: shed at the door. The request never reaches a
             # batcher, so one tenant's burst cannot inflate another
             # tenant's queues.
-            stats.rejected += 1
-            rejected_rids.append(request.rid)
+            self.records.append(Shed(now, request.rid, request.tenant))
             return
         replica, via_affinity = self._route(request, now)
-        stats.admitted += 1
-        report.routed[replica.replica_id] += 1
-        if via_affinity:
-            report.affinity_hits += 1
+        self.records.append(
+            Route(now, replica.replica_id, request.rid, request.tenant, via_affinity)
+        )
         replica.ingest(request, now)
 
     def _route(
@@ -283,7 +255,11 @@ class FleetRouter:
         return min(self.replicas, key=load), False
 
     # ------------------------------------------------------------------- chaos
-    def _apply_chaos(self, event, now: float, report: FleetReport) -> None:
+    def _apply_chaos(self, event, now: float) -> None:
+        self.records.append(Chaos(now, event, self._inject(event)))
+
+    def _inject(self, event) -> bool:
+        """Act on one fault; False when it found nothing to act on."""
         if isinstance(event, ReplicaStall):
             replica = self.replicas[event.replica_id]
             for worker in replica.workers:
@@ -293,18 +269,15 @@ class FleetRouter:
                 worker.ctx.clock.advance_to(
                     max(worker.free_at_us, event.at_us) + event.duration_us
                 )
-            report.chaos_stalls += 1
-            return
+            return True
         if isinstance(event, CorruptBlob):
             if self.store is None or self.view is None:
-                report.chaos_noops += 1
-                return
+                return False
             entries = [
                 e for e in self.view.inventory() if e[0] == event.kind
             ]
             if not entries:
-                report.chaos_noops += 1
-                return
+                return False
             kind, key = entries[event.index % len(entries)]
             # Overwrite on disk only: the model still says the blob is
             # present, so readers go to disk, fail validation, and
@@ -312,17 +285,18 @@ class FleetRouter:
             self.store._atomic_write(
                 self.store.blob_path(kind, key), event.garbage(key)
             )
-            report.chaos_corruptions += 1
-            return
+            return True
         raise TypeError(f"unknown chaos event {type(event).__name__}")
 
     # ---------------------------------------------------------------------- gc
-    def _run_gc(self, now: float, report: FleetReport) -> None:
+    def _run_gc(self, now: float) -> None:
         referenced = set()
         in_flight = set()
         for replica in self.replicas:
             referenced |= replica.referenced_store_keys()
             in_flight |= replica.restoring_store_keys(now)
-        report.gc_reports.append(
-            self._gc.collect(now, referenced=referenced, in_flight=in_flight)
+        self.records.append(
+            Collection(
+                now, self._gc.collect(now, referenced=referenced, in_flight=in_flight)
+            )
         )

@@ -48,8 +48,13 @@ def outputs_equal(report: Report, reference: Report, served_only: bool = False) 
 
 def same_simulation(report: Report, other: Report) -> bool:
     """The one definition of "deterministic": every report field equal
-    (``counters()`` walks them all) and every output bitwise equal."""
-    return report.counters() == other.counters() and outputs_equal(report, other)
+    (``counters()`` walks them all), the two record lists equal, and
+    every output bitwise equal."""
+    return (
+        report.counters() == other.counters()
+        and report.records == other.records
+        and outputs_equal(report, other)
+    )
 
 
 def run_scenario(

@@ -51,15 +51,12 @@ Outputs stay bit-identical across every tier.
 
 from repro.serve.batcher import Batch, Batcher, ShapeBucketer
 from repro.serve.config import ServeConfig
+from repro.serve.events import EvictionEvent, SpecializationEvent
 from repro.serve.profile import ShapeProfile, profile_store_key
 from repro.serve.report import ServeReport
 from repro.serve.request import Request, Response
 from repro.serve.server import InferenceServer
-from repro.serve.specialization import (
-    EvictionEvent,
-    SpecializationEvent,
-    SpecializationManager,
-)
+from repro.serve.specialization import SpecializationManager
 from repro.serve.traffic import (
     bert_traffic,
     long_tailed_traffic,

@@ -5,15 +5,27 @@ specialization — the per-tier split: how many requests the static tier
 served, at what latency, and what the dynamic tier kept paying in
 shape-function time, plus the compile-pool view: per-lane busy time and
 utilization, pending-queue wait percentiles, and executable-cache
-eviction counts."""
+eviction counts.
+
+A report stores only what the simulation cannot be asked again —
+responses, the tier profiles, a few sizes and the record list
+(:mod:`repro.serve.events`). Every count, sum and split is computed
+from those when read."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.utils.reporting import format_table, percentile
+from repro.serve.events import (
+    Dispatch,
+    EvictionEvent,
+    GuardDeopt,
+    SpecializationEvent,
+    StoreReject,
+)
 from repro.serve.request import Response
 from repro.vm.profiler import VMProfile
 
@@ -22,74 +34,78 @@ from repro.vm.profiler import VMProfile
 # which replay checks compare bitwise per rid themselves.
 _RESPONSE_NOT_COUNTED = ("output",)
 
+# What `ServeReport.counters` compares, by report name: the stored
+# fields and every fold of the record list (tests/test_serve.py checks
+# that a public name missing from it is a statistic of these).
+_COUNTED = (
+    "responses", "worker_busy_us", "worker_batches",
+    "profile_dynamic", "profile_specialized", "profile_batched", "profile_partial",
+    "specialize_compile_us", "num_specialized_executables",
+    "num_resident_executables", "specialize_lane_busy_us",
+    "specialize_queue_waits_us", "specialize_evictions", "specialize_pool_span_us",
+    "specialize_restored", "specialize_fresh_compiles", "specialize_restore_us",
+    "store_rejects", "verify_rejects", "specialize_prefix_us", "specialize_suffix_us",
+    "guard_deopts", "predictive_compiles", "predictive_hits", "device_streams",
+)
+
 
 @dataclass
 class ServeReport:
     responses: List[Response] = field(default_factory=list)
-    worker_busy_us: List[float] = field(default_factory=list)
-    worker_batches: List[int] = field(default_factory=list)
+    # The simulation's record list. A fleet's replicas share one, so
+    # every fold below reads only the records of `replica`.
+    records: Sequence = ()
+    replica: int = 0
+    num_workers: int = 0
+    # 0 when tiered specialization is off: there is no compile pool.
+    num_compile_lanes: int = 0
     profile_dynamic: VMProfile = field(default_factory=VMProfile)
     profile_specialized: VMProfile = field(default_factory=VMProfile)
     profile_batched: VMProfile = field(default_factory=VMProfile)
     profile_partial: VMProfile = field(default_factory=VMProfile)
-    specialize_compile_us: float = 0.0
-    # Distinct shapes compiled in *this* simulation / still holding a
-    # cache slot when it ended (the two differ once eviction recycles
-    # slots).
-    num_specialized_executables: int = 0
-    num_resident_executables: int = 0
-    specialize_lane_busy_us: List[float] = field(default_factory=list)
-    specialize_queue_waits_us: List[float] = field(default_factory=list)
-    specialize_evictions: int = 0
-    # First trigger to last compile-ready: the window the pool was active.
-    specialize_pool_span_us: float = 0.0
-    # Artifact-store split: how many variants were restored from disk
-    # vs compiled fresh, the deserialize charge restores cost, and how
-    # many store blobs failed validation and were skipped.
-    specialize_restored: int = 0
-    specialize_fresh_compiles: int = 0
-    specialize_restore_us: float = 0.0
-    store_rejects: int = 0
-    # The subset of store_rejects that deserialized fine but failed
-    # static verification (repro.analysis) — split out because they
-    # indicate a writer bug or tampering, not volume corruption.
-    verify_rejects: int = 0
-    # Split of the fresh-compile part of specialize_compile_us: the
-    # once-per-simulation shape-independent prefix charge vs the
-    # per-variant compile lane time.
-    specialize_prefix_us: float = 0.0
-    specialize_suffix_us: float = 0.0
-    # Guarded partial shapes: batch members routed to a partial variant
-    # whose entry guard rejected them and who therefore transparently
-    # re-ran on the dynamic VM (their response tier reads "dynamic").
-    guard_deopts: int = 0
-    # Profile-guided predictive specialization: variants the manager
-    # pre-armed (compiled or store-restored) at virtual time 0 from the
-    # persisted shape profile, and static-tier requests served off
-    # those pre-armed variants.
-    predictive_compiles: int = 0
-    predictive_hits: int = 0
     # Device streams the executables were scheduled for (after platform
     # clamping). 1 means single-stream builds — the stream section of
     # the report collapses to a single row and no sync events exist.
     device_streams: int = 1
 
+    def _of(self, kind) -> list:
+        """This replica's records of one kind, in list order."""
+        return [
+            r for r in self.records if type(r) is kind and r.replica == self.replica
+        ]
+
     # ------------------------------------------------------------ determinism
     def counters(self) -> dict:
-        """Every field by name, for replay-equality assertions: each is
-        a fold of the simulation, so two simulations of one trace must
-        agree on all of them (a `VMProfile` compares field by field).
-        Walks the dataclass fields, so a field added later is compared
-        without being listed here. Response *outputs* are not in it —
-        compare those bitwise, per rid."""
+        """Every `_COUNTED` name, for replay-equality assertions: each
+        is a fold of the simulation, so two simulations of one trace
+        must agree on all of them (a `VMProfile` compares field by
+        field). Response *outputs* are not in it — compare those
+        bitwise, per rid."""
         counted = [
             f.name for f in fields(Response) if f.name not in _RESPONSE_NOT_COUNTED
         ]
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {name: getattr(self, name) for name in _COUNTED}
         out["responses"] = tuple(
             tuple(getattr(r, name) for name in counted) for r in self.responses
         )
         return out
+
+    # ---------------------------------------------------------------- workers
+    @property
+    def worker_busy_us(self) -> List[float]:
+        dispatches = self._of(Dispatch)
+        return [
+            sum((d.finish_us - d.begin_us for d in dispatches if d.worker == w), 0.0)
+            for w in range(self.num_workers)
+        ]
+
+    @property
+    def worker_batches(self) -> List[int]:
+        dispatches = self._of(Dispatch)
+        return [
+            sum(1 for d in dispatches if d.worker == w)
+            for w in range(self.num_workers)
+        ]
 
     # ----------------------------------------------------------------- counts
     @property
@@ -183,10 +199,115 @@ class ServeReport:
         lats = self.tier_latencies_us(tier)
         return sum(lats) / len(lats) if lats else 0.0
 
+    @property
+    def guard_deopts(self) -> int:
+        """Batch members a partial variant's entry guard rejected, who
+        re-ran on the dynamic VM (their response tier reads "dynamic")."""
+        return len(self._of(GuardDeopt))
+
+    @property
+    def predictive_hits(self) -> int:
+        """Static-tier requests served off a variant pre-armed at time 0
+        (deopted members ran dynamic and do not count)."""
+        prearmed = {rid for d in self._of(Dispatch) if d.prearmed for rid in d.rids}
+        return sum(
+            1 for r in self.responses if r.rid in prearmed and r.tier != "dynamic"
+        )
+
     # ----------------------------------------------------------- compile pool
     @property
-    def num_compile_lanes(self) -> int:
-        return len(self.specialize_lane_busy_us)
+    def _events(self) -> List[SpecializationEvent]:
+        """Every compile or store restore a lane executed, in bind order."""
+        return self._of(SpecializationEvent)
+
+    @property
+    def specialize_compile_us(self) -> float:
+        """Total lane time charged: compiles plus store restores."""
+        return sum(e.compile_us for e in self._events)
+
+    @property
+    def num_specialized_executables(self) -> int:
+        """Distinct shapes compiled or restored in this simulation."""
+        return len({e.key for e in self._events})
+
+    @property
+    def num_resident_executables(self) -> int:
+        """Shapes still holding a cache slot at the end (fewer than were
+        compiled once eviction recycles slots): a shape takes its slot
+        before its first lane binding and gives it up at its eviction."""
+        resident = set()
+        for r in self.records:
+            if type(r) is SpecializationEvent and r.replica == self.replica:
+                resident.add(r.key)
+            elif type(r) is EvictionEvent and r.replica == self.replica:
+                resident.discard(r.key)
+        return len(resident)
+
+    @property
+    def specialize_lane_busy_us(self) -> List[float]:
+        events = self._events
+        return [
+            sum((e.compile_us for e in events if e.lane == lane), 0.0)
+            for lane in range(self.num_compile_lanes)
+        ]
+
+    @property
+    def specialize_queue_waits_us(self) -> List[float]:
+        return [e.queue_us for e in self._events]
+
+    @property
+    def specialize_evictions(self) -> int:
+        return len(self._of(EvictionEvent))
+
+    @property
+    def specialize_pool_span_us(self) -> float:
+        """First trigger to last compile-ready: the window the pool was active."""
+        events = self._events
+        if not events:
+            return 0.0
+        return max(e.ready_us for e in events) - min(e.trigger_us for e in events)
+
+    # The artifact-store split: variants restored from disk vs compiled
+    # fresh, the deserialize charge the restores cost, and the fresh
+    # compiles' charge split into the once-per-simulation
+    # shape-independent prefix and the per-variant suffixes.
+    @property
+    def specialize_restored(self) -> int:
+        return sum(1 for e in self._events if e.restored)
+
+    @property
+    def specialize_fresh_compiles(self) -> int:
+        return sum(1 for e in self._events if not e.restored)
+
+    @property
+    def specialize_restore_us(self) -> float:
+        return sum(e.compile_us for e in self._events if e.restored)
+
+    @property
+    def specialize_prefix_us(self) -> float:
+        return sum(e.prefix_us for e in self._events)
+
+    @property
+    def specialize_suffix_us(self) -> float:
+        return sum(e.compile_us - e.prefix_us for e in self._events if not e.restored)
+
+    @property
+    def predictive_compiles(self) -> int:
+        """Variants pre-armed (compiled or store-restored) at time 0
+        from the persisted shape profile."""
+        return sum(1 for e in self._events if e.predictive)
+
+    @property
+    def store_rejects(self) -> int:
+        """Store blobs that failed validation and were skipped — the
+        startup kernel-cache load included."""
+        return len(self._of(StoreReject))
+
+    @property
+    def verify_rejects(self) -> int:
+        """The store_rejects that deserialized fine but failed static
+        verification: a writer bug or tampering, not volume corruption."""
+        return sum(1 for r in self._of(StoreReject) if r.verify)
 
     @property
     def compile_lane_utilization(self) -> List[float]:
@@ -439,86 +560,24 @@ class ServeReport:
 def build_report(
     responses: Sequence[Response],
     workers,
-    specializer=None,
-    extra_store_rejects: int = 0,
+    records: Sequence,
+    replica: int = 0,
+    num_compile_lanes: int = 0,
     device_streams: int = 1,
 ) -> ServeReport:
-    """Assemble a ServeReport from responses + the worker pool (and the
-    specialization manager, when tiering is enabled).
-    ``extra_store_rejects`` folds in store rejects the manager never
-    sees — the server's startup kernel-cache load — so the report's
-    counter covers the whole store surface."""
-    profile_dynamic = VMProfile()
-    profile_specialized = VMProfile()
-    profile_batched = VMProfile()
-    profile_partial = VMProfile()
-    for worker in workers:
-        profile_dynamic.merge(worker.vm.profile)
-        profile_specialized.merge(worker.specialized_profile)
-        profile_batched.merge(worker.batched_profile)
-        profile_partial.merge(worker.partial_profile)
-    return ServeReport(
+    """Assemble a ServeReport: responses by rid, the workers' tier
+    profiles merged, and the simulation's record list passed through."""
+    report = ServeReport(
         responses=sorted(responses, key=lambda r: r.rid),
-        worker_busy_us=[w.busy_us for w in workers],
-        worker_batches=[w.batches_run for w in workers],
-        profile_dynamic=profile_dynamic,
-        profile_specialized=profile_specialized,
-        profile_batched=profile_batched,
-        profile_partial=profile_partial,
-        guard_deopts=sum(w.deopts for w in workers),
-        predictive_compiles=(
-            specializer.predictive_compiles if specializer is not None else 0
-        ),
-        predictive_hits=(
-            specializer.predictive_hits if specializer is not None else 0
-        ),
-        specialize_compile_us=(
-            specializer.compile_us_spent if specializer is not None else 0.0
-        ),
-        num_specialized_executables=(
-            len({e.key for e in specializer.events})
-            if specializer is not None
-            else 0
-        ),
-        num_resident_executables=(
-            specializer.num_resident if specializer is not None else 0
-        ),
-        specialize_lane_busy_us=(
-            list(specializer.lane_busy_us) if specializer is not None else []
-        ),
-        specialize_queue_waits_us=(
-            specializer.queue_waits_us if specializer is not None else []
-        ),
-        specialize_evictions=(
-            len(specializer.evictions) if specializer is not None else 0
-        ),
-        specialize_pool_span_us=(
-            max(e.ready_us for e in specializer.events)
-            - min(e.trigger_us for e in specializer.events)
-            if specializer is not None and specializer.events
-            else 0.0
-        ),
-        specialize_restored=(
-            specializer.num_restored if specializer is not None else 0
-        ),
-        specialize_fresh_compiles=(
-            specializer.num_fresh_compiles if specializer is not None else 0
-        ),
-        specialize_restore_us=(
-            specializer.restore_us_spent if specializer is not None else 0.0
-        ),
-        store_rejects=(
-            specializer.store_rejects if specializer is not None else 0
-        )
-        + extra_store_rejects,
-        verify_rejects=(
-            specializer.verify_rejects if specializer is not None else 0
-        ),
-        specialize_prefix_us=(
-            specializer.prefix_us_spent if specializer is not None else 0.0
-        ),
-        specialize_suffix_us=(
-            specializer.suffix_us_spent if specializer is not None else 0.0
-        ),
+        records=records,
+        replica=replica,
+        num_workers=len(workers),
+        num_compile_lanes=num_compile_lanes,
         device_streams=max(1, int(device_streams)),
     )
+    for worker in workers:
+        report.profile_dynamic.merge(worker.vm.profile)
+        report.profile_specialized.merge(worker.specialized_profile)
+        report.profile_batched.merge(worker.batched_profile)
+        report.profile_partial.merge(worker.partial_profile)
+    return report

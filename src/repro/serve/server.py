@@ -43,6 +43,7 @@ from repro.hardware.platforms import Platform, intel_cpu
 from repro.ir.module import IRModule
 from repro.serve.batcher import Batch, Batcher, ShapeBucketer
 from repro.serve.config import ServeConfig
+from repro.serve.events import Dispatch, StoreReject
 from repro.serve.report import ServeReport, build_report
 from repro.serve.request import Request, Response
 from repro.serve.specialization import SpecializationManager
@@ -137,7 +138,9 @@ class InferenceServer:
             KernelCache() if kernel_cache is None else kernel_cache
         )
         self.store = None
-        self._startup_store_rejects = 0
+        # What startup did that every simulation of this server is
+        # built on: begin() opens each record list with these.
+        self._startup_records: List[StoreReject] = []
         self.store_view = store_view
         self._owns_view = False
         if self.config.artifact_dir is not None:
@@ -148,12 +151,18 @@ class InferenceServer:
             # Warm the kernel cache before the dynamic build below, so
             # a restarted server reuses the previous process's compiled
             # kernels and tuned schedules, not just its specialized
-            # executables. A rejected kernels.kc is recorded now and
-            # folded into every report's store_rejects — it must be as
-            # visible as a rejected executable blob.
+            # executables. A rejected kernels.kc is in every report's
+            # store_rejects — it must be as visible as a rejected
+            # executable blob.
             rejects = self.store.rejects
             self.store.load_kernel_cache(self.kernel_cache)
-            self._startup_store_rejects = self.store.rejects - rejects
+            if self.store.rejects > rejects:
+                self._startup_records.append(
+                    StoreReject(
+                        0.0, replica_id, "kernels",
+                        self.store.kernel_cache_path.name, False,
+                    )
+                )
         self.mod = mod
         self.exe, self.build_report = nimble.build(
             mod,
@@ -185,6 +194,7 @@ class InferenceServer:
             Worker(
                 i, self.exe, self.platform,
                 numerics=self.config.numerics, entry=self.config.entry,
+                replica_id=replica_id,
             )
             for i in range(self.config.num_workers)
         ]
@@ -196,19 +206,22 @@ class InferenceServer:
     # runs it over this one server; repro.fleet.FleetRouter runs the
     # same loop over N replicas interleaved on one merged timeline.
 
-    def begin(self) -> None:
+    def begin(self, records: Optional[list] = None) -> None:
         """Start an independent replay: workers to cold start, hit
         counters restarted (compiled static executables are kept —
         compilation is deterministic, so replays stay bit-identical
         either way), and a fresh batcher. The store model forgets what
-        the last replay wrote (a fleet's shared one is reset by its
-        router, once for all replicas)."""
+        the last replay wrote, and a new record list starts (a fleet's
+        router resets its shared view once and hands every replica its
+        one list as *records*)."""
         if self._owns_view:
             self.store_view.reset()
+        self.records: list = [] if records is None else records
+        self.records.extend(self._startup_records)
         for worker in self.workers:
-            worker.reset()
+            worker.reset(self.records)
         if self.specializer is not None:
-            self.specializer.reset()
+            self.specializer.reset(self.records)
         self._batcher = Batcher(
             self.bucketer,
             max_batch_size=self.config.max_batch_size,
@@ -228,7 +241,7 @@ class InferenceServer:
             )
         batch = self._batcher.add(request, now_us)
         if batch is not None:
-            self._responses.extend(self._dispatch(batch))
+            self._dispatch(batch, "size")
 
     def next_deadline(self) -> Optional[float]:
         """The earliest bucket-delay deadline, or None with nothing queued."""
@@ -237,7 +250,7 @@ class InferenceServer:
     def flush_due(self, now_us: float) -> None:
         """Dispatch every bucket whose delay deadline has passed."""
         for batch in self._batcher.flush_due(now_us):
-            self._responses.extend(self._dispatch(batch))
+            self._dispatch(batch, "deadline")
 
     @property
     def pending(self) -> int:
@@ -249,7 +262,7 @@ class InferenceServer:
         buckets, run the compile pool to completion, persist the kernel
         cache and shape profile, and build the report."""
         for batch in self._batcher.flush_all(now_us):
-            self._responses.extend(self._dispatch(batch))
+            self._dispatch(batch, "drain")
         if self.specializer is not None:
             # Arrivals are over but the compile pool keeps working: bind
             # every still-pending compile to a lane so queue-wait and
@@ -261,24 +274,18 @@ class InferenceServer:
             # build starts warm too.
             self.store.save_kernel_cache(self.kernel_cache)
             if self.specializer is not None:
-                # Snapshot this simulation's shape traffic (.nmblprof) so
-                # the NEXT process's predictive manager can pre-arm its
-                # hot set. Written unconditionally — recording is cheap
-                # and predictive consumption is opt-in — but never read
-                # back by this manager (frozen at construction), so
-                # replays stay bit-identical.
-                self.store.put_profile(self.specializer.profile_snapshot())
-                self.store_view.record_put(
-                    "profile",
-                    self.specializer._profile_key,
-                    now_us,
-                    self.replica_id,
-                )
+                # The shape profile (.nmblprof) too — never read back by
+                # this manager (frozen at construction), so replays stay
+                # bit-identical.
+                self.specializer.persist_profile(now_us)
         return build_report(
             self._responses,
             self.workers,
-            self.specializer,
-            extra_store_rejects=self._startup_store_rejects,
+            self.records,
+            replica=self.replica_id,
+            num_compile_lanes=(
+                self.config.specialize_compile_lanes if self.config.specialize else 0
+            ),
             device_streams=self.exe.device_streams,
         )
 
@@ -346,7 +353,9 @@ class InferenceServer:
             return self.config.batch_cap
         return self.config.max_batch_size
 
-    def _dispatch(self, batch: Batch) -> List[Response]:
+    def _dispatch(self, batch: Batch, cause: str) -> None:
+        """Run *batch* on the earliest-free worker, on the fastest tier
+        that is ready for it; *cause* is why its bucket flushed."""
         worker = min(self.workers, key=lambda w: (w.free_at_us, w.worker_id))
         start = max(batch.formed_us, worker.free_at_us)
         executable = None
@@ -403,13 +412,18 @@ class InferenceServer:
         responses = worker.run_batch(
             batch, start, executable=executable, tier=tier
         )
-        if (
-            hit_key is not None
-            and hit_key in self.specializer.predictive_keys
-        ):
-            # Static-tier hits served off a predictively pre-armed
-            # variant (deopted members route dynamic and do not count).
-            self.specializer.predictive_hits += sum(
-                1 for r in responses if r.tier != "dynamic"
+        self._responses.extend(responses)
+        self.records.append(
+            Dispatch(
+                replica=self.replica_id,
+                worker=worker.worker_id,
+                begin_us=responses[0].dispatch_us,
+                finish_us=responses[0].finish_us,
+                tier=tier,
+                rids=tuple(r.rid for r in responses),
+                bucket_key=batch.key,
+                cause=cause,
+                prearmed=hit_key is not None
+                and hit_key in self.specializer.predictive_keys,
             )
-        return responses
+        )

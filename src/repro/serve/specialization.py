@@ -73,7 +73,7 @@ orders of magnitude under the compile charge) instead of compiled. The
 view's initial inventory is frozen at construction and everything
 written since is per-simulation state, so every replay sees the same
 store no matter what earlier replays wrote; a blob that fails
-validation is skipped, counted (``store_rejects``) and compiled fresh.
+validation is skipped, recorded (a ``StoreReject``) and compiled fresh.
 
 **Predictive pre-arming.** With ``specialize_predictive`` and a store,
 the previous process's **shape profile** — the ``.nmblprof`` blob the
@@ -115,11 +115,16 @@ see also :meth:`observe`):
   per variant enqueued on the pool. Requests keep routing dynamic.
 - *resident+ready* — a variant's lane finished (``ready_at``): batches
   of exactly this shape route to it.
-- *evicted* — lost the slot to a hotter challenger: ready times drop,
-  ``_triggered`` clears, and the shape **re-arms** (its hit count still
-  sits past the threshold), so its next observation retries the
-  trigger; re-acquiring a slot recharges the compile (or, with a
-  store, the cheaper restore — the binary survived on disk).
+- *evicted* — lost the slot to a hotter challenger: ready times drop
+  and the shape **re-arms** (its hit count still sits past the
+  threshold), so its next observation retries the trigger;
+  re-acquiring a slot recharges the compile (or, with a store, the
+  cheaper restore — the binary survived on disk).
+
+What the pool and the cache did — lane bindings, evictions, store
+rejects — is appended to the simulation's record list
+(:mod:`repro.serve.events`); the report computes every count and sum
+from there.
 """
 
 from __future__ import annotations
@@ -139,6 +144,7 @@ from repro.ir.printer import module_fingerprint
 from repro.passes import bound_entry_shapes
 from repro.serve.batcher import ShapeBucketer
 from repro.serve.config import ServeConfig
+from repro.serve.events import EvictionEvent, SpecializationEvent, StoreReject
 from repro.serve.profile import ShapeProfile, profile_store_key
 from repro.store import ArtifactStore, FleetStoreView
 from repro.vm.executable import Executable, artifact_key
@@ -171,48 +177,6 @@ PartialKey = Tuple[Optional[int], ...]
 VariantKey = Tuple[ExactKey, int]
 
 
-@dataclass(frozen=True)
-class SpecializationEvent:
-    """One compile executed by the pool (per simulation).
-
-    ``trigger_us`` is when the shape crossed the threshold and entered the
-    pending queue, ``start_us`` when a lane picked it up, ``ready_us``
-    when the executable became routable. ``batch`` identifies the variant
-    (1 = member-wise static, >1 = batch-specialized). ``restored`` marks
-    a store restore: the lane deserialized a persisted artifact instead
-    of compiling, and ``compile_us`` is the modeled deserialize charge.
-
-    ``prefix_us`` is the part of ``compile_us`` attributable to the
-    once-per-simulation shape-independent prefix, folded into the first
-    fresh compile; ``compile_us`` stays the *total* lane charge, so
-    ``sum(e.compile_us)`` always equals total lane busy time."""
-
-    key: ExactKey
-    trigger_us: float
-    start_us: float
-    ready_us: float
-    compile_us: float
-    lane: int
-    batch: int = 1
-    restored: bool = False
-    prefix_us: float = 0.0
-
-    @property
-    def queue_us(self) -> float:
-        """Time the compile waited in the pending queue for a free lane."""
-        return self.start_us - self.trigger_us
-
-
-@dataclass(frozen=True)
-class EvictionEvent:
-    """One executable-cache eviction (per simulation)."""
-
-    key: ExactKey
-    evicted_us: float
-    score: float
-    by_key: ExactKey
-
-
 @dataclass
 class _PendingCompile:
     """A triggered compile waiting for a free lane. ``hit_times_us``
@@ -227,6 +191,8 @@ class _PendingCompile:
     batch: int = 1
     restored: bool = False
     prefix_us: float = 0.0
+    from_sibling: bool = False
+    predictive: bool = False
 
     def hits_by(self, at_us: float) -> int:
         return sum(1 for t in self.hit_times_us if t <= at_us)
@@ -247,8 +213,8 @@ class SpecializationManager:
     from its siblings'. Compiled variants are filed under their content
     hash, and a trigger whose artifact the view says exists is *restored*
     on a lane at the deserialize charge instead of paying the compile
-    charge. Store blobs that fail validation are skipped and counted
-    (``store_rejects``) — the shape falls back to a fresh compile,
+    charge. Store blobs that fail validation are skipped and recorded
+    (a ``StoreReject``) — the shape falls back to a fresh compile,
     exactly as if the store had missed.
     """
 
@@ -297,7 +263,7 @@ class SpecializationManager:
         # the (kind, key) pair the store view and the GC use. The value
         # says whether the blob deserialized fine but failed *static
         # verification* — a writer bug, not volume rot — so replays
-        # re-count verify_rejects at the same trigger too.
+        # record the reject with the same flag at the same trigger.
         self._rejected: Dict[Tuple[str, str], bool] = {}
         self._store_key_memo: Dict[VariantKey, str] = {}
         # The shape-independent prefix (cross-simulation, like
@@ -312,7 +278,7 @@ class SpecializationManager:
         # simulation end never feeds back into its own replays, so every
         # reset() pre-arms the same shapes and replays stay
         # bit-identical. A blob that fails validation is memoised as
-        # rejected and re-counted per reset.
+        # rejected and recorded again at every reset.
         self._profile_key = profile_store_key(self._fingerprint, platform.name)
         self._profile_at_init: Optional[ShapeProfile] = None
         if (
@@ -350,36 +316,24 @@ class SpecializationManager:
         self.reset()
 
     # ----------------------------------------------------------------- replay
-    def reset(self) -> None:
+    def reset(self, records: Optional[list] = None) -> None:
         """Per-simulation state: hit counts, decayed scores, the pending
         queue, lane occupancy, residency, and ready times all restart so
-        each replay is independent."""
+        each replay is independent. *records* is the simulation's record
+        list (the server's, or its fleet's); a manager on its own starts
+        a new one."""
+        self.records: list = [] if records is None else records
         self._hits: Counter = Counter()
         self._score: Dict[ExactKey, float] = {}
         self._score_at: Dict[ExactKey, float] = {}
         self._last_hit_us: Dict[ExactKey, float] = {}
         self._ready_at: Dict[VariantKey, float] = {}
+        # The shapes holding a cache slot: in from the trigger (compile
+        # pending, in flight or ready), out at eviction.
         self._resident: Set[ExactKey] = set()
-        self._triggered: Set[ExactKey] = set()
         self._pending: List[_PendingCompile] = []
         lanes = self.config.specialize_compile_lanes
         self._lane_free_us: List[float] = [0.0] * lanes
-        self.lane_busy_us: List[float] = [0.0] * lanes
-        self.events: List[SpecializationEvent] = []
-        self.evictions: List[EvictionEvent] = []
-        # Store blobs this simulation refused (corrupt / stale /
-        # mismatched). The count replays deterministically: a key
-        # rejected in an earlier simulation re-counts at the same
-        # trigger without re-reading the (possibly since-overwritten)
-        # file.
-        self.store_rejects: int = 0
-        # The subset of store_rejects that were static-verification
-        # failures (replayed from the same memo, same rule).
-        self.verify_rejects: int = 0
-        # Variants restored from a *sibling replica's* fresh compile
-        # this simulation (the cross-replica store-warm count a
-        # FleetReport surfaces). Always 0 for a standalone server.
-        self.fleet_restores: int = 0
         # Fresh compiles this simulation, for the deterministic
         # VERIFY_SAMPLE cadence (memo hits do not advance it).
         self._compile_seq: int = 0
@@ -402,21 +356,20 @@ class SpecializationManager:
         # the profile (decaying from t=0) so pre-armed entries carry
         # their historical heat into eviction decisions instead of
         # starting infinitely cold. Hit counts are NOT seeded: observe()
-        # thresholds stay honest, and pre-armed keys are already in
-        # _triggered so they never double-trigger.
+        # thresholds stay honest, and pre-armed keys are already
+        # resident so they never double-trigger.
         self.predictive_keys: Set[PartialKey] = set()
-        self.predictive_hits: int = 0
         if ("profile", self._profile_key) in self._rejected:
-            # Re-counted every reset: replays must see the same reject
-            # total without re-reading the file.
-            self.store_rejects += 1
+            # Recorded at every reset: replays must see the same rejects
+            # without re-reading the file.
+            self._record_reject("profile", self._profile_key, 0.0)
         for key in self._profile_top_keys:
             if len(self._resident) >= self.config.specialize_max_executables:
                 break
             self._score[key] = float(self._profile_at_init.scores.get(key, 0.0))
             self._score_at[key] = 0.0
-            self._try_trigger(key, 0.0)
-            if key in self._triggered:
+            self._try_trigger(key, 0.0, predictive=True)
+            if key in self._resident:
                 self.predictive_keys.add(key)
                 if None in key:
                     self._partials.add(key)
@@ -426,7 +379,6 @@ class SpecializationManager:
             # profile's hottest-first rank — the historical #1 is the
             # first executable ready, not the lexicographically least.
             self._pump(0.0)
-        self.predictive_compiles = len(self._pending) + len(self.events)
 
     # ------------------------------------------------------------------ stats
     @property
@@ -444,45 +396,22 @@ class SpecializationManager:
         """Shapes currently holding an executable-cache slot."""
         return len(self._resident)
 
-    @property
-    def compile_us_spent(self) -> float:
-        """Total modeled lane time charged in this simulation — full
-        compiles plus (with a store) restore charges."""
-        return sum(e.compile_us for e in self.events)
+    def _of(self, kind) -> list:
+        return [
+            r for r in self.records if type(r) is kind and r.replica == self.replica_id
+        ]
 
     @property
-    def num_restored(self) -> int:
-        """Variants installed from the artifact store this simulation."""
-        return sum(1 for e in self.events if e.restored)
+    def events(self) -> List[SpecializationEvent]:
+        """This simulation's lane bindings so far, in bind order (a
+        read-only view of the record list)."""
+        return self._of(SpecializationEvent)
 
     @property
-    def num_fresh_compiles(self) -> int:
-        """Variants compiled from scratch this simulation."""
-        return sum(1 for e in self.events if not e.restored)
-
-    @property
-    def restore_us_spent(self) -> float:
-        """Modeled deserialize time charged for store restores."""
-        return sum(e.compile_us for e in self.events if e.restored)
-
-    @property
-    def prefix_us_spent(self) -> float:
-        """Lane time charged for the shape-independent prefix this
-        simulation (0 when it never compiled fresh)."""
-        return sum(e.prefix_us for e in self.events)
-
-    @property
-    def suffix_us_spent(self) -> float:
-        """Lane time charged for per-variant compilation work (the
-        shape-binding suffixes). Excludes store restores."""
-        return sum(
-            e.compile_us - e.prefix_us for e in self.events if not e.restored
-        )
-
-    @property
-    def queue_waits_us(self) -> List[float]:
-        """Pending-queue wait of every executed compile, in event order."""
-        return [e.queue_us for e in self.events]
+    def evictions(self) -> List[EvictionEvent]:
+        """This simulation's evictions so far (a read-only view of the
+        record list)."""
+        return self._of(EvictionEvent)
 
     def hits(self, key: ExactKey) -> int:
         return self._hits[key]
@@ -561,7 +490,7 @@ class SpecializationManager:
             self._note_partial(key, now_us)
         self._pump(now_us)
         if (
-            key not in self._triggered
+            key not in self._resident
             and self._hits[key] >= self.config.specialize_threshold
         ):
             self._try_trigger(key, now_us)
@@ -632,7 +561,7 @@ class SpecializationManager:
         pkey: PartialKey = tuple(
             v if i in stable else None for i, v in enumerate(key)
         )
-        if pkey in self._triggered:
+        if pkey in self._resident:
             return
         family = [k for k in self._exact_seen if self._matches(k, pkey)]
         if len(family) < PARTIAL_MIN_SHAPES:
@@ -645,7 +574,7 @@ class SpecializationManager:
         self._score[pkey] = sum(self.score(k, now_us) for k in sorted(family))
         self._score_at[pkey] = now_us
         self._try_trigger(pkey, now_us)
-        if pkey in self._triggered:
+        if pkey in self._resident:
             self._partials.add(pkey)
             self._pump(now_us)
 
@@ -680,7 +609,7 @@ class SpecializationManager:
         yet, ``None`` when this replica has no stake in the shape."""
         if self.is_hot_any(key, now_us):
             return "ready"
-        if key in self._triggered:
+        if key in self._resident:
             return "compiling"
         return None
 
@@ -737,6 +666,16 @@ class SpecializationManager:
             scores={k: self.score(k, anchor) for k in self._score},
         )
 
+    def persist_profile(self, now_us: float) -> None:
+        """Write :meth:`profile_snapshot` to the store at simulation
+        end, for the *next* process's predictive manager. Written
+        whether or not this one is predictive — recording is cheap and
+        consuming it is opt-in."""
+        self.store.put_profile(self.profile_snapshot())
+        self._store_view.record_put(
+            "profile", self._profile_key, now_us, self.replica_id
+        )
+
     def drain(self) -> None:
         """Run the pool to completion: bind every still-pending compile to
         a lane as lanes free up. The server calls this when a trace ends
@@ -786,12 +725,12 @@ class SpecializationManager:
             start = max(free_us, job.trigger_us)
             ready = start + job.compile_us
             self._lane_free_us[lane] = ready
-            self.lane_busy_us[lane] += job.compile_us
             self._ready_at[(job.key, job.batch)] = ready
-            self.events.append(
+            self.records.append(
                 SpecializationEvent(
                     job.key, job.trigger_us, start, ready, job.compile_us,
                     lane, job.batch, job.restored, job.prefix_us,
+                    job.from_sibling, job.predictive, self.replica_id,
                 )
             )
 
@@ -817,7 +756,9 @@ class SpecializationManager:
             return (1,)
         return (1, self.batch_cap)
 
-    def _try_trigger(self, key: ExactKey, now_us: float) -> None:
+    def _try_trigger(
+        self, key: ExactKey, now_us: float, predictive: bool = False
+    ) -> None:
         """Acquire a cache slot and enqueue the compile(s)/restore(s);
         on a full cache, evict the coldest resident (if strictly colder
         than the challenger and not in flight) or leave the shape armed
@@ -829,7 +770,6 @@ class SpecializationManager:
                 return
             self._evict(victim, now_us, by=key)
         self._resident.add(key)
-        self._triggered.add(key)
         # Seed the recency tiebreak at trigger time: a predictively
         # pre-armed entry (or a synthesized partial) may acquire its
         # slot without ever having been observed, and the eviction
@@ -840,9 +780,12 @@ class SpecializationManager:
             plan = self._plan_artifact(key, batch, now_us)
             if plan is None:
                 continue  # shape not batchable: member-wise only
-            cost, restored, prefix_us = plan
+            cost, restored, prefix_us, from_sibling = plan
             self._pending.append(
-                _PendingCompile(key, now_us, cost, [], batch, restored, prefix_us)
+                _PendingCompile(
+                    key, now_us, cost, [], batch, restored, prefix_us,
+                    from_sibling, predictive,
+                )
             )
 
     def _coldest_evictable(
@@ -890,11 +833,10 @@ class SpecializationManager:
         # ready-time can survive under any probe ordering.
         for batch in (1, self.batch_cap):
             self._ready_at.pop((key, batch), None)
-        # Re-arm: the evicted shape's hit count still sits past the
-        # threshold, so its next observation retries the trigger.
-        self._triggered.discard(key)
-        self.evictions.append(
-            EvictionEvent(key, now_us, self.score(key, now_us), by)
+        # The shape re-arms by itself: its hit count still sits past
+        # the threshold, so its next observation retries the trigger.
+        self.records.append(
+            EvictionEvent(key, now_us, self.score(key, now_us), by, self.replica_id)
         )
 
     # ---------------------------------------------------------------- compile
@@ -996,9 +938,9 @@ class SpecializationManager:
         is memoised and never read again — this process may since have
         overwritten the file with a good blob, and a replay that loaded
         it would differ from the first simulation. ``None`` means
-        rejected, now or earlier; the caller counts it, because each
-        kind re-counts at its own point in a simulation (profile: every
-        reset; prefix and executables: see _plan_artifact)."""
+        rejected, now or earlier; the caller records it, because each
+        kind is recorded at its own point in a simulation (profile:
+        every reset; prefix and executables: see _plan_artifact)."""
         entry = (kind, key)
         if entry in self._rejected:
             return None
@@ -1009,32 +951,38 @@ class SpecializationManager:
             self._rejected[entry] = self.store.verify_rejects > verify_rejects
         return found
 
+    def _record_reject(self, kind: str, key: str, now_us: float) -> None:
+        """One refused blob into the record list, flagged with whether
+        it was static verification that refused it."""
+        self.records.append(
+            StoreReject(
+                now_us, self.replica_id, kind, key, self._rejected[(kind, key)]
+            )
+        )
+
     def _attempt_store_restore(
-        self, skey: str, variant: VariantKey
+        self, skey: str, variant: VariantKey, now_us: float
     ) -> Optional[Executable]:
         """Restore a variant the view lists: a previously memoised
         executable comes back without touching the disk at all, anything
         else through :meth:`_from_store`. A reject — fresh or memoised —
-        is counted at every consultation (and so by every replay);
-        verification failures are additionally split into
-        ``verify_rejects``."""
+        is recorded at every consultation (and so by every replay)."""
         entry = ("exe", skey)
         exe = None if entry in self._rejected else self._executables.get(variant)
         if exe is None:
             exe = self._from_store("exe", skey)
         if exe is None:
-            self.store_rejects += 1
-            if self._rejected[entry]:
-                self.verify_rejects += 1
+            self._record_reject("exe", skey, now_us)
             return None
         self._executables[variant] = exe
         return exe
 
     def _plan_artifact(
         self, key: ExactKey, batch: int, now_us: float
-    ) -> Optional[Tuple[float, bool, float]]:
+    ) -> Optional[Tuple[float, bool, float, bool]]:
         """Decide how a triggered variant gets its executable: returns
-        ``(lane charge, restored, prefix component)``, or ``None`` when
+        ``(lane charge, restored, prefix component, restored from a
+        sibling's compile)``, or ``None`` when
         the variant does not exist (the batched rewrite refused this
         shape). The first fresh compile of a simulation additionally
         carries the once-per-module prefix charge (the prefix component;
@@ -1052,13 +1000,14 @@ class SpecializationManager:
            sends the shape back to a fresh compile.)
         2. *Sibling compile* — another replica of this fleet persisted
            the variant earlier in this simulation: restore at the
-           deserialize charge and count a ``fleet_restores`` store-warm
-           hit. One replica's compile warms the whole fleet.
+           deserialize charge, flagged ``from_sibling`` (the fleet
+           report's store-warm count). One replica's compile warms the
+           whole fleet.
         3. *Warm start* — the blob was in the store when the view was
            taken (a previous process compiled it) and has not been
            pruned: load, validate, install. Validation failures are
-           counted in ``store_rejects`` and fall through to a fresh
-           compile; the rejection is memoised so replays re-count it at
+           recorded (``StoreReject``) and fall through to a fresh
+           compile; the rejection is memoised so replays record it at
            the same trigger instead of re-reading a file this process
            may since have overwritten.
         4. *Fresh compile* — the compile charge; with a store attached
@@ -1072,14 +1021,15 @@ class SpecializationManager:
             if writer == self.replica_id:
                 view.record_use("exe", skey, now_us)
                 restored = self._executables[variant]
-                return self._restore_cost(len(restored.kernels)), True, 0.0
+                return self._restore_cost(len(restored.kernels)), True, 0.0, False
             if view.present("exe", skey):
-                exe = self._attempt_store_restore(skey, variant)
+                exe = self._attempt_store_restore(skey, variant, now_us)
                 if exe is not None:
                     view.record_use("exe", skey, now_us)
-                    if writer is not None:
-                        self.fleet_restores += 1
-                    return self._restore_cost(len(exe.kernels)), True, 0.0
+                    return (
+                        self._restore_cost(len(exe.kernels)), True, 0.0,
+                        writer is not None,
+                    )
         if not self._ensure_compiled(key, batch):
             return None
         if self.store is not None:
@@ -1093,16 +1043,16 @@ class SpecializationManager:
         if not self._prefix_charged:
             # First fresh compile of this simulation: fold the
             # once-per-module prefix charge into its lane time. (A
-            # rejected prefix blob re-counts here each replay, at the
+            # rejected prefix blob is recorded here each replay, at the
             # same trigger, without re-reading the file — same
             # determinism rule as for executables above.)
             self._prefix_charged = True
             if ("prefix", self._prefix_key) in self._rejected:
-                self.store_rejects += 1
+                self._record_reject("prefix", self._prefix_key, now_us)
             prefix_us = self._prefix_lane_charge(
                 len(self._executables[variant].kernels)
             )
-        return self._compile_cost[variant] + prefix_us, False, prefix_us
+        return self._compile_cost[variant] + prefix_us, False, prefix_us, False
 
     def _ensure_compiled(self, key: ExactKey, batch: int = 1) -> bool:
         """Materialize the (shape, batch) artifact; returns False when

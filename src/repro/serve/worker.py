@@ -41,6 +41,7 @@ from repro.errors import VMError
 from repro.hardware.platforms import Platform
 from repro.runtime.context import ExecutionContext
 from repro.serve.batcher import Batch
+from repro.serve.events import GuardDeopt
 from repro.serve.request import Response
 from repro.tensor.ndarray import NDArray
 from repro.vm.executable import Executable
@@ -56,8 +57,10 @@ class Worker:
         platform: Platform,
         numerics: str = "lite",
         entry: str = "main",
+        replica_id: int = 0,
     ) -> None:
         self.worker_id = worker_id
+        self.replica_id = replica_id
         self.entry = entry
         self.ctx = ExecutionContext(platform, numerics=numerics)
         self.vm = VirtualMachine(executable, self.ctx)
@@ -65,23 +68,21 @@ class Worker:
         self.batched_profile = VMProfile()
         self.partial_profile = VMProfile()
         self._specialized_vms: Dict[tuple, VirtualMachine] = {}
-        self.busy_us = 0.0
-        self.batches_run = 0
-        # Guard deopts: batch members routed to a partial variant whose
-        # entry guard rejected them, transparently re-run on the dynamic
-        # VM instead. Counted so "never wrong" is also "never silent".
-        self.deopts = 0
+        # The simulation's record list (see reset); this worker appends
+        # its guard deopts, so "never wrong" is also "never silent".
+        self.records: list = []
 
     @property
     def free_at_us(self) -> float:
         """When this worker can next start a batch (its clock's frontier)."""
         return self.ctx.clock.elapsed_us
 
-    def reset(self) -> None:
+    def reset(self, records: Optional[list] = None) -> None:
         """Return to the cold-start state so each simulation is an
         independent, reproducible replay: clock to zero, pools drained,
-        counters and profiles cleared. A leak (live bytes at reset) is an
-        error, not something to silently forgive."""
+        profiles cleared, and *records* (the server's list; a worker on
+        its own starts a new one) to append to. A leak (live bytes at
+        reset) is an error, not something to silently forgive."""
         self.ctx.allocator.assert_drained()
         self.ctx.reset_clock()
         self.ctx.allocator.release_all()
@@ -91,9 +92,7 @@ class Worker:
         self.batched_profile.reset()
         self.partial_profile.reset()
         self._specialized_vms.clear()
-        self.busy_us = 0.0
-        self.batches_run = 0
-        self.deopts = 0
+        self.records = [] if records is None else records
 
     def _specialized_vm(self, executable: Executable) -> VirtualMachine:
         """One VM per specialized executable variant, sharing this
@@ -175,9 +174,9 @@ class Worker:
         and guarded member-wise pipelining for ``tier="partial"`` — each
         member's inputs are checked against the variant's entry guard
         first, and a member the guard rejects transparently *deopts*:
-        it runs on the dynamic VM instead (counted in ``deopts``, its
-        response tier reads ``"dynamic"``), never on static code compiled
-        for someone else's dims."""
+        it runs on the dynamic VM instead (recorded as a ``GuardDeopt``,
+        its response tier reads ``"dynamic"``), never on static code
+        compiled for someone else's dims."""
         clock = self.ctx.clock
         clock.advance_to(start_us)
         vm = self.vm if executable is None else self._specialized_vm(executable)
@@ -195,13 +194,18 @@ class Worker:
             for i, req in enumerate(batch.requests):
                 args = self._payload_arrays(req.payload)
                 member_vm = vm
-                if (
-                    tier == "partial"
-                    and executable.guard_mismatch(args) is not None
-                ):
+                mismatch = (
+                    executable.guard_mismatch(args) if tier == "partial" else None
+                )
+                if mismatch is not None:
                     member_vm = self.vm
                     tiers[i] = "dynamic"
-                    self.deopts += 1
+                    self.records.append(
+                        GuardDeopt(
+                            clock.elapsed_us, self.replica_id, self.worker_id,
+                            req.rid, mismatch,
+                        )
+                    )
                 outputs.append(
                     member_vm.run(
                         *args,
@@ -212,8 +216,6 @@ class Worker:
                 )
         clock.sync_all()
         finish = clock.elapsed_us
-        self.busy_us += finish - begin
-        self.batches_run += 1
         return [
             Response(
                 rid=req.rid,

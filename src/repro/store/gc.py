@@ -55,8 +55,9 @@ class GCReport:
     # Unrecognized file names found on disk — counted, never touched.
     malformed: int = 0
     # Model-pruned entries whose disk file did not exist (the disk was
-    # behind the model; the model prune still happened).
-    missing_on_disk: int = 0
+    # behind the model; the model prune still happened). The one field
+    # that depends on the disk, so equality leaves it out.
+    missing_on_disk: int = field(default=0, compare=False)
 
     @property
     def pruned_count(self) -> int:

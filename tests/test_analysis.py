@@ -732,9 +732,15 @@ class TestSystemGates:
         assert server.specializer.verified_compiles == 2
 
     def test_serve_report_counts_verify_rejects(self):
+        from repro.serve.events import SpecializationEvent, StoreReject
         from repro.serve.report import ServeReport
 
-        report = ServeReport(store_rejects=3, verify_rejects=2,
-                             specialize_restored=1,
-                             num_specialized_executables=1)
+        report = ServeReport(records=[
+            StoreReject(0.0, 0, "exe", "a", verify=True),
+            StoreReject(0.0, 0, "exe", "b", verify=True),
+            StoreReject(0.0, 0, "prefix", "c", verify=False),
+            SpecializationEvent((16,), 0.0, 0.0, 5.0, 5.0, lane=0, restored=True),
+        ])
+        assert (report.store_rejects, report.verify_rejects) == (3, 2)
+        assert (report.specialize_restored, report.num_specialized_executables) == (1, 1)
         assert "2 failed verification" in report.format()

@@ -26,6 +26,7 @@ REQUIRED_PAGES = (
     "docs/analysis.md",
     "docs/architecture.md",
     "docs/fleet.md",
+    "docs/records.md",
     "docs/serialization.md",
     "docs/serving.md",
 )

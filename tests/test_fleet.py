@@ -23,6 +23,7 @@ from repro.codegen.kernels import KernelCache
 from repro.fleet import (
     CorruptBlob,
     FleetConfig,
+    FleetReport,
     FleetRouter,
     FleetStoreView,
     ReplicaStall,
@@ -39,6 +40,8 @@ from repro.serve import (
     ServeConfig,
     multi_tenant_traffic,
 )
+from repro.serve.events import Dispatch, Shed
+from repro.serve.report import ServeReport
 from repro.store import ArtifactStore
 
 
@@ -564,6 +567,36 @@ class TestFleetChaos:
 # ---------------------------------------------------------------------------
 
 
+def _fleet_fuzz(test):
+    """Replica count × routing × seed × tenant mix, ten fixed examples."""
+    fuzzed = given(
+        replicas=st.sampled_from([1, 2, 4]),
+        routing=st.sampled_from(["affinity", "least_loaded", "random"]),
+        seed=st.integers(min_value=0, max_value=3),
+        mix=st.sampled_from(
+            [
+                (("steady", 3), ("bursty", 1)),
+                (("a", 1), ("b", 1)),
+                (("solo", 1),),
+            ]
+        ),
+    )(test)
+    return settings(max_examples=10, deadline=None, derandomize=True)(fuzzed)
+
+
+def _fuzz_trace(mix, seed):
+    return multi_tenant_traffic(
+        n=30,
+        input_size=8,
+        mean_interarrival_us=150.0,
+        tenant_mix=mix,
+        burst_every=10,
+        burst_size=3,
+        hot_lengths=(9, 25),
+        seed=seed,
+    )
+
+
 class TestFleetDeterminism:
     def test_replay_identical_across_replica_counts_with_gc(self, tmp_path):
         """The hard invariant: any replica count, admission on, store GC
@@ -608,19 +641,7 @@ class TestFleetDeterminism:
             for rid, out in outs.items():
                 assert np.array_equal(out, reference[rid])
 
-    @given(
-        replicas=st.sampled_from([1, 2, 4]),
-        routing=st.sampled_from(["affinity", "least_loaded", "random"]),
-        seed=st.integers(min_value=0, max_value=3),
-        mix=st.sampled_from(
-            [
-                (("steady", 3), ("bursty", 1)),
-                (("a", 1), ("b", 1)),
-                (("solo", 1),),
-            ]
-        ),
-    )
-    @settings(max_examples=10, deadline=None, derandomize=True)
+    @_fleet_fuzz
     def test_fleet_is_differentially_equal_to_one_server(
         self, replicas, routing, seed, mix
     ):
@@ -628,16 +649,7 @@ class TestFleetDeterminism:
         however the router scatters a trace, every response is bitwise
         the response one standalone server computes, and the fleet's
         counters replay exactly."""
-        trace = multi_tenant_traffic(
-            n=30,
-            input_size=8,
-            mean_interarrival_us=150.0,
-            tenant_mix=mix,
-            burst_every=10,
-            burst_size=3,
-            hot_lengths=(9, 25),
-            seed=seed,
-        )
+        trace = _fuzz_trace(mix, seed)
         router = FleetRouter(
             _mlp(),
             intel_cpu(),
@@ -655,6 +667,203 @@ class TestFleetDeterminism:
         for rid, out in outs.items():
             assert np.array_equal(out, reference[rid])
         assert sum(report.routed) == len(trace)
+        _assert_drained(router)
+
+
+    @_fleet_fuzz
+    def test_the_record_list_accounts_for_the_whole_simulation(
+        self, replicas, routing, seed, mix
+    ):
+        """The same fuzz, read through the record list (the last tenant
+        of the mix is rate-limited, so its bursts are shed): the report
+        is a function of (records, responses, profiles, sizes) and
+        nothing else; every request is refused once or dispatched once;
+        a worker never runs two batches at a time; a replay appends the
+        same records in the same order."""
+        trace = _fuzz_trace(mix, seed)
+        router = FleetRouter(
+            _mlp(),
+            intel_cpu(),
+            ServeConfig(**_FAST),
+            FleetConfig(num_replicas=replicas, routing=routing, random_seed=seed),
+            tenants=(TenantSpec(mix[-1][0], rate_per_s=4000.0, burst=2),),
+            kernel_cache=_SHARED_CACHE,
+        )
+        report = router.simulate(trace)
+        records = list(report.records)
+
+        rebuilt = FleetReport(
+            replica_reports=[
+                ServeReport(
+                    responses=r.responses,
+                    records=records,
+                    replica=r.replica,
+                    num_workers=r.num_workers,
+                    num_compile_lanes=r.num_compile_lanes,
+                    profile_dynamic=r.profile_dynamic,
+                    profile_specialized=r.profile_specialized,
+                    profile_batched=r.profile_batched,
+                    profile_partial=r.profile_partial,
+                    device_streams=r.device_streams,
+                )
+                for r in report.replica_reports
+            ],
+            routing=report.routing,
+            records=records,
+            deadlines_us=report.deadlines_us,
+        )
+        assert rebuilt.counters() == report.counters()
+
+        dispatches = [r for r in records if type(r) is Dispatch]
+        seen = [r.rid for r in records if type(r) is Shed]
+        seen += [rid for d in dispatches for rid in d.rids]
+        assert sorted(seen) == sorted(r.rid for r in trace)
+        assert sum(d.size for d in dispatches) == len(report.responses)
+        assert {d.cause for d in dispatches} <= {"size", "deadline", "drain"}
+        assert all(d.size == _FAST["max_batch_size"] for d in dispatches if d.cause == "size")
+        by_worker = {}
+        for d in dispatches:
+            by_worker.setdefault((d.replica, d.worker), []).append(d)
+        for ran in by_worker.values():
+            assert all(a.finish_us <= b.begin_us for a, b in zip(ran, ran[1:]))
+
+        assert list(router.simulate(trace).records) == records
+
+
+# ---------------------------------------------------------------------------
+# The referee: counters() of a whole fleet simulation, as recorded at the
+# commit before FleetReport became folds over the record list
+# ---------------------------------------------------------------------------
+
+
+def _referee_fleet(artifact_dir):
+    """A restarted 2-replica affinity fleet with one cache slot per
+    replica, over a store a lone server filled: two tenants (one
+    rate-limited, with a burst that trips admission), a stall, a
+    corrupted warm blob, periodic age-based GC."""
+    config = ServeConfig(
+        artifact_dir=artifact_dir,
+        specialize_max_executables=1,
+        specialize_decay_half_life_us=500.0,
+        **_FAST,
+    )
+    trace = []
+    for rows, count in ((9, 6), (25, 6), (41, 6), (9, 8), (25, 6)):
+        for _ in range(count):
+            rid = len(trace)
+            trace.append(
+                Request(
+                    rid=rid,
+                    arrival_us=rid * 250.0,
+                    payload=_payload(rows, seed=rid),
+                    tenant="gold" if rid % 3 else "bulk",
+                )
+            )
+    InferenceServer(_mlp(), intel_cpu(), config).simulate(trace)
+    trace += [
+        Request(
+            rid=100 + i, arrival_us=3000.0 + i, payload=_payload(9, seed=i), tenant="bulk"
+        )
+        for i in range(6)
+    ]
+    router = FleetRouter(
+        _mlp(),
+        intel_cpu(),
+        config,
+        FleetConfig(num_replicas=2, gc_interval_us=2500.0, gc_max_age_us=3000.0),
+        tenants=(
+            TenantSpec("gold", deadline_us=5000.0),
+            TenantSpec("bulk", deadline_us=20000.0, rate_per_s=2000.0, burst=3),
+        ),
+    )
+    chaos = (
+        ReplicaStall(at_us=1500.0, replica_id=0, duration_us=2000.0),
+        CorruptBlob(at_us=100.0, kind="exe", index=0),
+    )
+    return router, trace, chaos
+
+
+class TestRefereeCounters:
+    """Every field of a fleet report and of its replica reports, key
+    for key. The literal was recorded from `pinned(report.counters())`
+    while the router still wrote nine of them into the report as the
+    simulation ran; the folds have to reproduce it bit for bit."""
+
+    RESTARTED_AFFINITY_FLEET = {
+        "routing": "affinity",
+        "routed": (17, 17),
+        "affinity_hits": 23,
+        "rejected_rids": (102, 103, 104, 105),
+        "fleet_restores": (0, 0),
+        "tenants": "sha256:54d8666cef3f54d0",
+        "replicas": (
+            {
+                "responses": "sha256:d15b6411f0dc3337",
+                "worker_busy_us": ("0x1.df04393600ef4p+6",),
+                "worker_batches": (10,),
+                "profile_dynamic": "sha256:5b9cab4d236e16be",
+                "profile_specialized": "sha256:9ed12dfbf4a89f62",
+                "profile_batched": "sha256:c2d0ebbfdae3b84b",
+                "profile_partial": "sha256:c2d0ebbfdae3b84b",
+                "specialize_compile_us": "0x1.4a00000000000p+8",
+                "num_specialized_executables": 1,
+                "num_resident_executables": 1,
+                "specialize_lane_busy_us": ("0x1.4a00000000000p+8",),
+                "specialize_queue_waits_us": ("0x0.0p+0",),
+                "specialize_evictions": 0,
+                "specialize_pool_span_us": "0x1.4a00000000000p+8",
+                "specialize_restored": 1,
+                "specialize_fresh_compiles": 0,
+                "specialize_restore_us": "0x1.4a00000000000p+8",
+                "store_rejects": 0,
+                "verify_rejects": 0,
+                "specialize_prefix_us": "0x0.0p+0",
+                "specialize_suffix_us": 0,
+                "guard_deopts": 0,
+                "predictive_compiles": 0,
+                "predictive_hits": 0,
+                "device_streams": 1,
+            },
+            {
+                "responses": "sha256:a2c56d83d04a7918",
+                "worker_busy_us": ("0x1.7eedc43bc90e4p+7",),
+                "worker_batches": (10,),
+                "profile_dynamic": "sha256:3fe1e400a04daa87",
+                "profile_specialized": "sha256:10ac415b242bf245",
+                "profile_batched": "sha256:c2d0ebbfdae3b84b",
+                "profile_partial": "sha256:c2d0ebbfdae3b84b",
+                "specialize_compile_us": "0x1.16c0000000000p+11",
+                "num_specialized_executables": 2,
+                "num_resident_executables": 1,
+                "specialize_lane_busy_us": ("0x1.16c0000000000p+11",),
+                "specialize_queue_waits_us": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+                "specialize_evictions": 2,
+                "specialize_pool_span_us": "0x1.3d80000000000p+12",
+                "specialize_restored": 1,
+                "specialize_fresh_compiles": 2,
+                "specialize_restore_us": "0x1.4a00000000000p+8",
+                "store_rejects": 1,
+                "verify_rejects": 0,
+                "specialize_prefix_us": "0x1.2c00000000000p+8",
+                "specialize_suffix_us": "0x1.9000000000000p+10",
+                "guard_deopts": 0,
+                "predictive_compiles": 0,
+                "predictive_hits": 0,
+                "device_streams": 1,
+            },
+        ),
+        "gc": "sha256:84e073055a76f81f",
+        "chaos": (1, 1, 0),
+    }
+
+    def test_restarted_affinity_fleet(self, tmp_path, pinned):
+        router, trace, chaos = _referee_fleet(str(tmp_path))
+        report = router.simulate(trace, chaos=chaos)
+        assert report.rejected == 4 and report.gc_pruned == 2
+        assert report.store_rejects == 1 and report.chaos_corruptions == 1
+        assert pinned(report.counters()) == self.RESTARTED_AFFINITY_FLEET
+        replay = router.simulate(trace, chaos=chaos)
+        assert pinned(replay.counters()) == pinned(report.counters())
         _assert_drained(router)
 
 

@@ -27,7 +27,8 @@ from repro.serve import (
     lstm_traffic,
     poisson_arrivals,
 )
-from repro.serve.report import _RESPONSE_NOT_COUNTED, ServeReport
+from repro.serve.events import Dispatch
+from repro.serve.report import _COUNTED, _RESPONSE_NOT_COUNTED, ServeReport
 from repro.utils.reporting import percentile
 from repro.vm.profiler import VMProfile
 
@@ -440,11 +441,16 @@ class TestReportStatistics:
                     )
                 )
                 rid += 1
-        return ServeReport(
-            responses=responses,
-            worker_busy_us=[300.0, 200.0],
-            worker_batches=[2, 1],
-        )
+        # Worker 0 ran two batches (100 + 200 µs busy), worker 1 one.
+        records = [
+            Dispatch(0, worker, begin, finish, "dynamic", rids, (8,), "size", False)
+            for worker, begin, finish, rids in (
+                (0, 10.0, 110.0, (0, 1)),
+                (1, 210.0, 410.0, (2, 3)),
+                (0, 410.0, 610.0, (4,)),
+            )
+        ]
+        return ServeReport(responses=responses, records=records, num_workers=2)
 
     def test_percentiles_and_means(self):
         report = self._report()
@@ -473,14 +479,35 @@ class TestReportStatistics:
         assert "Batch-size histogram" in text
         assert "Workers" in text
 
+    # Public names that are a statistic of counted ones (a ratio, a
+    # percentile, a merge, a selection), not a fold of their own.
+    STATISTICS = {
+        "num_requests", "num_batches", "batch_histogram", "mean_batch_size",
+        "bucket_keys", "specialized_hits", "specialized_hit_rate", "batched_hits",
+        "batched_hit_rate", "partial_hits", "partial_hit_rate",
+        "compile_lane_utilization", "mean_compile_queue_wait_us", "profile",
+        "stream_busy_us", "stream_utilization", "sync_events", "sync_waits",
+        "sync_stall_us", "latencies_us", "span_us", "throughput_rps", "p50_us",
+        "p99_us", "mean_latency_us", "max_latency_us", "worker_utilization",
+    }
+    # What a report is given rather than computes: the list and the sizes.
+    GIVEN = {"records", "replica", "num_workers", "num_compile_lanes"}
+
     def test_counters_cover_every_field(self):
-        """`counters()` is what a replay check compares, so it is
-        complete by construction: it walks the dataclass fields, and a
-        field added later is compared without anyone listing it. The one
-        thing it leaves out — a response's output array, which replay
+        """`counters()` is what a replay check compares, so it must
+        leave nothing out: every stored field and every property of the
+        report is counted, given, or a declared statistic of counted
+        ones — a fold added later fails here until it is placed. The one
+        thing left out of a response — its output array, which replay
         checks compare bitwise — is named in one tuple."""
         counters = self._report().counters()
-        assert set(counters) == {f.name for f in dataclasses.fields(ServeReport)}
+        assert tuple(counters) == _COUNTED
+        public = {f.name for f in dataclasses.fields(ServeReport)} | {
+            name
+            for name, member in vars(ServeReport).items()
+            if isinstance(member, property) and not name.startswith("_")
+        }
+        assert public == set(_COUNTED) | self.GIVEN | self.STATISTICS
         assert _RESPONSE_NOT_COUNTED == ("output",)
         counted = [
             f.name for f in dataclasses.fields(Response) if f.name != "output"
@@ -524,6 +551,226 @@ class TestReportStatistics:
             percentile([], 50)
         with pytest.raises(ValueError):
             percentile([1.0], 101)
+
+
+# ---------------------------------------------------------------------------
+# The referee: counters() of whole simulations, as recorded at the commit
+# before ServeReport became folds over the record list
+# ---------------------------------------------------------------------------
+
+
+def _toy_lstm():
+    return build_lstm_module(LSTMWeights.create(input_size=8, hidden_size=8, seed=0))
+
+
+def _phased_lstm_trace(phases, gap_us=300.0):
+    """`count` arrivals of each `length` in turn, evenly spaced."""
+    trace = []
+    for length, count in phases:
+        for _ in range(count):
+            rid = len(trace)
+            x = (np.random.RandomState(rid).randn(length, 8) * 0.1).astype(np.float32)
+            trace.append(Request(rid=rid, arrival_us=rid * gap_us, payload=x))
+    return trace
+
+
+_REFEREE_KNOBS = dict(
+    max_batch_size=2, max_delay_us=400.0, num_workers=2, specialize=True,
+    specialize_threshold=2, specialize_compile_us=500.0,
+)
+
+
+def _one_slot_server(platform, artifact_dir, device_streams=1):
+    """Batched tier over a store with one cache slot: the 5-row shape
+    loses its slot to the 9-row one and takes it back, so the trace
+    forces two evictions and two same-simulation restores."""
+    config = ServeConfig(
+        **_REFEREE_KNOBS, specialize_batch=True, specialize_max_executables=1,
+        specialize_decay_half_life_us=1000.0, artifact_dir=artifact_dir,
+        device_streams=device_streams,
+    )
+    trace = _phased_lstm_trace(((5, 6), (9, 8), (5, 6)))
+    return InferenceServer(_toy_lstm(), platform, config), trace
+
+
+def _predictive_restart_over_a_damaged_store(artifact_dir):
+    """A cold process fills the store; then the 5-row executable is
+    truncated, the 9-row one is replaced by a mutant that fails static
+    verification, and the prefix and kernel-cache blobs are overwritten
+    with junk — the four store-reject sites. Returns the restarted,
+    predictive server."""
+    from repro.analysis.mutate import OPERATORS
+    from repro.store import ArtifactStore
+
+    config = ServeConfig(
+        **_REFEREE_KNOBS, specialize_max_executables=3,
+        specialize_predictive=True, artifact_dir=artifact_dir,
+    )
+    trace = _phased_lstm_trace(((5, 5), (9, 5), (13, 4), (5, 2)))
+    InferenceServer(_toy_lstm(), intel_cpu(), config).simulate(trace)
+    store = ArtifactStore(artifact_dir)
+    by_length = {store.get(k).specialized_shapes[0][0]: k for k in store.keys()}
+    truncated = store.blob_path("exe", by_length[5])
+    truncated.write_bytes(truncated.read_bytes()[:50])
+    store.put(OPERATORS["undefine_register"](store.get(by_length[9])))
+    (prefix,) = [key for kind, key in store.inventory() if kind == "prefix"]
+    store.blob_path("prefix", prefix).write_bytes(b"junk")
+    store.kernel_cache_path.write_bytes(b"junk")
+    return InferenceServer(_toy_lstm(), intel_cpu(), config), trace
+
+
+class TestRefereeCounters:
+    """Every report field of three whole simulations, key for key. The
+    literals were recorded from `pinned(report.counters())` while each
+    field was still a stored number copied out of the server, the
+    workers and the manager; a fold has to reproduce them bit for bit."""
+
+    ONE_SLOT_CPU = {
+        "responses": "sha256:8aaf443de5b5f462",
+        "worker_busy_us": ("0x1.2b4bcb0039bcbp+10", "0x1.20bf3a6cc10a9p+10"),
+        "worker_batches": (6, 6),
+        "profile_dynamic": "sha256:2d27776a075cb6a2",
+        "profile_specialized": "sha256:e7ef3c47406461db",
+        "profile_batched": "sha256:1a0bb95aa713e100",
+        "profile_partial": "sha256:c2d0ebbfdae3b84b",
+        "specialize_compile_us": "0x1.1440000000000p+11",
+        "num_specialized_executables": 2,
+        "num_resident_executables": 1,
+        "specialize_lane_busy_us": ("0x1.1440000000000p+11",),
+        "specialize_queue_waits_us": (
+            "0x0.0p+0",
+            "0x1.f400000000000p+8",
+            "0x0.0p+0",
+            "0x1.9000000000000p+7",
+            "0x0.0p+0",
+            "0x1.0e00000000000p+9",
+        ),
+        "specialize_evictions": 2,
+        "specialize_pool_span_us": "0x1.8420000000000p+12",
+        "specialize_restored": 2,
+        "specialize_fresh_compiles": 4,
+        "specialize_restore_us": "0x1.1580000000000p+10",
+        "store_rejects": 0,
+        "verify_rejects": 0,
+        "specialize_prefix_us": "0x1.2c00000000000p+8",
+        "specialize_suffix_us": "0x1.9000000000000p+9",
+        "guard_deopts": 0,
+        "predictive_compiles": 0,
+        "predictive_hits": 0,
+        "device_streams": 1,
+    }
+
+    ONE_SLOT_GPU_TWO_STREAMS = {
+        "responses": "sha256:bb2cd68c989fb7f3",
+        "worker_busy_us": ("0x1.3c183fe74a322p+12", "0x1.0d024df2a3122p+12"),
+        "worker_batches": (7, 5),
+        "profile_dynamic": "sha256:d9464ee1fa776125",
+        "profile_specialized": "sha256:26ab2db130e23ab0",
+        "profile_batched": "sha256:4a4ae4f4e2d30877",
+        "profile_partial": "sha256:c2d0ebbfdae3b84b",
+        "specialize_compile_us": "0x1.2b60000000000p+11",
+        "num_specialized_executables": 2,
+        "num_resident_executables": 1,
+        "specialize_lane_busy_us": ("0x1.2b60000000000p+11",),
+        "specialize_queue_waits_us": (
+            "0x0.0p+0",
+            "0x1.f400000000000p+8",
+            "0x0.0p+0",
+            "0x1.9000000000000p+7",
+            "0x0.0p+0",
+            "0x1.3b00000000000p+9",
+        ),
+        "specialize_evictions": 2,
+        "specialize_pool_span_us": "0x1.8fb0000000000p+12",
+        "specialize_restored": 2,
+        "specialize_fresh_compiles": 4,
+        "specialize_restore_us": "0x1.43c0000000000p+10",
+        "store_rejects": 0,
+        "verify_rejects": 0,
+        "specialize_prefix_us": "0x1.2c00000000000p+8",
+        "specialize_suffix_us": "0x1.9000000000000p+9",
+        "guard_deopts": 0,
+        "predictive_compiles": 0,
+        "predictive_hits": 0,
+        "device_streams": 2,
+    }
+
+    PREDICTIVE_RESTART_DAMAGED_STORE = {
+        "responses": "sha256:43bdbb013229da2e",
+        "worker_busy_us": ("0x1.5d63d6375cdcbp+10", "0x1.45617ca9ed6cep+10"),
+        "worker_batches": (5, 4),
+        "profile_dynamic": "sha256:ac57572f51bd7c91",
+        "profile_specialized": "sha256:3f38376a99cc5fdf",
+        "profile_batched": "sha256:c2d0ebbfdae3b84b",
+        "profile_partial": "sha256:c2d0ebbfdae3b84b",
+        "specialize_compile_us": "0x1.3600000000000p+10",
+        "num_specialized_executables": 3,
+        "num_resident_executables": 3,
+        "specialize_lane_busy_us": ("0x1.3600000000000p+10",),
+        "specialize_queue_waits_us": (
+            "0x0.0p+0",
+            "0x1.f400000000000p+8",
+            "0x1.5e00000000000p+9",
+        ),
+        "specialize_evictions": 0,
+        "specialize_pool_span_us": "0x1.3600000000000p+10",
+        "specialize_restored": 1,
+        "specialize_fresh_compiles": 2,
+        "specialize_restore_us": "0x1.0e00000000000p+9",
+        "store_rejects": 4,
+        "verify_rejects": 1,
+        "specialize_prefix_us": "0x1.2c00000000000p+8",
+        "specialize_suffix_us": "0x1.9000000000000p+8",
+        "guard_deopts": 0,
+        "predictive_compiles": 3,
+        "predictive_hits": 14,
+        "device_streams": 1,
+    }
+
+    def test_one_slot_cache_on_cpu(self, tmp_path, pinned):
+        server, trace = _one_slot_server(intel_cpu(), str(tmp_path))
+        report = server.simulate(trace)
+        assert report.specialize_evictions == 2 and report.specialize_restored == 2
+        assert pinned(report.counters()) == self.ONE_SLOT_CPU
+
+    def test_one_slot_cache_on_two_stream_gpu(self, tmp_path, pinned):
+        server, trace = _one_slot_server(nvidia_gpu(), str(tmp_path), device_streams=2)
+        report = server.simulate(trace)
+        assert report.device_streams == 2
+        assert pinned(report.counters()) == self.ONE_SLOT_GPU_TWO_STREAMS
+
+    def test_predictive_restart_over_a_damaged_store(self, tmp_path, pinned):
+        server, trace = _predictive_restart_over_a_damaged_store(str(tmp_path))
+        report = server.simulate(trace)
+        assert (report.store_rejects, report.verify_rejects) == (4, 1)
+        assert report.predictive_compiles == 3 and report.predictive_hits > 0
+        assert pinned(report.counters()) == self.PREDICTIVE_RESTART_DAMAGED_STORE
+        assert pinned(server.simulate(trace).counters()) == pinned(report.counters())
+
+
+def _golden_scenario(artifact_dir):
+    """16 toy-LSTM requests over a store with one cache slot: the 5-row
+    shape goes hot, then the 9-row one evicts it."""
+    config = ServeConfig(
+        **_REFEREE_KNOBS, specialize_max_executables=1,
+        specialize_decay_half_life_us=1000.0, artifact_dir=artifact_dir,
+    )
+    server = InferenceServer(_toy_lstm(), intel_cpu(), config)
+    return server, _phased_lstm_trace(((5, 6), (9, 10)))
+
+
+def test_record_list_matches_golden(tmp_path):
+    """The whole record list of one small simulation, one `repr` per
+    line: the clock is virtual, so the file is exact — any change to
+    what is recorded, when, or in which order shows up as a diff of
+    tests/golden/records_lstm.txt. (CI also runs this under two
+    PYTHONHASHSEED values: a set iterated into a record would differ.)"""
+    server, trace = _golden_scenario(str(tmp_path))
+    report = server.simulate(trace)
+    assert report.specialize_evictions == 1
+    print(f"records per request: {len(report.records) / len(trace):.2f}")
+    golden = Path(__file__).parent / "golden" / "records_lstm.txt"
+    assert [repr(r) for r in report.records] == golden.read_text().splitlines()
 
 
 class TestTraffic:

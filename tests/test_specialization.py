@@ -40,6 +40,8 @@ from repro.serve import (
     long_tailed_traffic,
     lstm_traffic,
 )
+from repro.serve.events import GuardDeopt, StoreReject
+from repro.serve.report import ServeReport
 from repro.vm.executable import Executable
 from repro.vm.interpreter import VirtualMachine
 
@@ -311,6 +313,20 @@ def _manager_for(
     )
 
 
+def _report(mgr):
+    """The manager's simulation so far as the report a server builds
+    from the same record list: what the pool charged is read there."""
+    return ServeReport(
+        records=mgr.records,
+        replica=mgr.replica_id,
+        num_compile_lanes=mgr.config.specialize_compile_lanes,
+    )
+
+
+def _rejects(mgr):
+    return [r for r in mgr.records if type(r) is StoreReject]
+
+
 def _replay(mgr):
     """Start the next simulation as a server's begin() does: the store
     model forgets what the last one wrote, then the manager resets."""
@@ -351,7 +367,7 @@ class TestSpecializationManager:
         mgr.drain()
         assert [e.ready_us for e in mgr.events] == [100.0, 140.0]
         assert [e.queue_us for e in mgr.events] == [0.0, 100.0]
-        assert mgr.lane_busy_us == [140.0]
+        assert _report(mgr).specialize_lane_busy_us == [140.0]
 
     def test_pending_compile_binds_at_lane_free_event(self):
         """A compile left pending by a busy lane starts at the lane-free
@@ -406,7 +422,7 @@ class TestCompilePool:
             (0, 0.0, 100.0),  # carries the once-per-simulation prefix
             (1, 0.0, 40.0),
         ]
-        assert mgr.lane_busy_us == [100.0, 40.0]
+        assert _report(mgr).specialize_lane_busy_us == [100.0, 40.0]
 
     def test_pending_queue_prioritizes_hotter_traffic(self):
         """The free lane picks the pending compile with the highest hit
@@ -441,8 +457,11 @@ class TestCompilePool:
         for t, v in [(0, 8), (3, 16), (6, 24), (9, 32)]:
             mgr.observe((v,), float(t))
         mgr.drain()
-        assert mgr.compile_us_spent == pytest.approx(sum(mgr.lane_busy_us))
-        assert mgr.compile_us_spent == pytest.approx(220.0)  # 100 + 3 x 40
+        report = _report(mgr)
+        assert report.specialize_compile_us == pytest.approx(
+            sum(report.specialize_lane_busy_us)
+        )
+        assert report.specialize_compile_us == pytest.approx(220.0)  # 100 + 3 x 40
 
 
 class TestRearmAndEviction:
@@ -494,7 +513,7 @@ class TestRearmAndEviction:
         assert [e.key for e in mgr.evictions] == [(8,), (16,)]
         assert [e.key for e in mgr.events] == [(8,), (16,), (8,)]
         assert mgr.num_executables == 2  # artifacts memoised, not re-built
-        assert mgr.compile_us_spent == pytest.approx(180.0)  # 100 + 40 + 40
+        assert _report(mgr).specialize_compile_us == pytest.approx(180.0)  # 100 + 40 + 40
 
     def test_inflight_compile_is_never_evicted(self):
         mgr = _mlp_manager(
@@ -607,8 +626,11 @@ class TestPoolProperties:
             ]
             assert not straddling
         # (c) total compile charge equals the sum of per-lane busy time.
-        assert mgr.compile_us_spent == pytest.approx(sum(mgr.lane_busy_us))
-        assert len(mgr.lane_busy_us) == lanes
+        report = _report(mgr)
+        assert report.specialize_compile_us == pytest.approx(
+            sum(report.specialize_lane_busy_us)
+        )
+        assert len(report.specialize_lane_busy_us) == lanes
         # Residency never exceeds the cap.
         assert mgr.num_resident <= 2
 
@@ -1070,7 +1092,7 @@ class TestBatchedManagerVariants:
         assert [(e.key, e.batch) for e in mgr.events] == [((16,), 1), ((16,), 4)]
         # Member variant binds the lane first (it also serves ragged
         # tails); both charged separately (prefix once).
-        assert mgr.compile_us_spent == pytest.approx(140.0)
+        assert _report(mgr).specialize_compile_us == pytest.approx(140.0)
         assert mgr.num_executables == 1   # one shape...
         assert mgr.num_variants == 2      # ...two artifacts
         ready = mgr.events[-1].ready_us
@@ -1636,11 +1658,14 @@ class TestStagedManager:
         assert events[0].compile_us == pytest.approx(100.0)
         assert events[1].prefix_us == 0.0
         assert events[1].compile_us == pytest.approx(40.0)
-        assert mgr.prefix_us_spent == pytest.approx(60.0)
-        assert mgr.suffix_us_spent == pytest.approx(80.0)
-        assert mgr.compile_us_spent == pytest.approx(140.0)
+        report = _report(mgr)
+        assert report.specialize_prefix_us == pytest.approx(60.0)
+        assert report.specialize_suffix_us == pytest.approx(80.0)
+        assert report.specialize_compile_us == pytest.approx(140.0)
         # Lane-busy invariant holds with the split.
-        assert sum(mgr.lane_busy_us) == pytest.approx(mgr.compile_us_spent)
+        assert sum(report.specialize_lane_busy_us) == pytest.approx(
+            report.specialize_compile_us
+        )
 
     def test_staged_replay_is_bit_identical(self):
         nimble.clear_prefix_cache()
@@ -1653,7 +1678,7 @@ class TestStagedManager:
             mgr.drain()
             return (
                 [(e.key, e.compile_us, e.prefix_us, e.lane) for e in mgr.events],
-                mgr.compile_us_spent,
+                _report(mgr).specialize_compile_us,
             )
 
         first = run()
@@ -1672,7 +1697,7 @@ class TestStagedManager:
         first.observe((16,), 0.0)
         first.observe((16,), 10.0)
         first.drain()
-        assert first.prefix_us_spent == pytest.approx(60.0)
+        assert _report(first).specialize_prefix_us == pytest.approx(60.0)
         assert store.keys("prefix")  # prefix persisted alongside artifacts
         # "Restart": a new manager over the same store. The old shape
         # restores wholesale (no prefix needed); a NEW shape compiles
@@ -1717,7 +1742,7 @@ class TestStagedManager:
             second.observe((24,), 0.0)
             second.observe((24,), 10.0)
             second.drain()
-            return second.store_rejects, second.prefix_us_spent
+            return len(_rejects(second)), _report(second).specialize_prefix_us
 
         rejects1, prefix_us1 = run()
         assert rejects1 >= 1  # the bad blob is visible, not silent
@@ -1816,13 +1841,14 @@ class TestPredictivePreArm:
         store = ArtifactStore(tmp_path)
         self._first_run(store)
         warm = self._warm(store)
-        assert warm.predictive_compiles == 3
         assert warm.predictive_keys == {(8,), (16,), (24,)}
         assert all(e.trigger_us == 0.0 for e in warm.events)
         # Restores, not fresh compiles: the artifacts are in the store.
         warm.drain()
-        assert warm.num_fresh_compiles == 0
-        assert warm.num_restored == 3
+        report = _report(warm)
+        assert report.predictive_compiles == 3
+        assert report.specialize_fresh_compiles == 0
+        assert report.specialize_restored == 3
         # Routable without a single observation ever reaching this
         # manager — the whole point of pre-arming.
         ready = max(e.ready_us for e in warm.events)
@@ -1861,7 +1887,7 @@ class TestPredictivePreArm:
         first = self._first_run(store)
         profile = store.get_profile(first.profile_snapshot().store_key())
         warm = self._warm(store, max_executables=1)
-        assert warm.predictive_compiles == 1
+        assert _report(warm).predictive_compiles == 1
         assert {e.key for e in warm.events} == set(profile.top_keys(1))
 
     def test_reset_replays_bit_identically(self, tmp_path):
@@ -1872,11 +1898,11 @@ class TestPredictivePreArm:
         def snapshot():
             warm.drain()
             return (
-                warm.predictive_compiles,
+                _report(warm).predictive_compiles,
                 sorted(warm.predictive_keys),
                 [(e.key, e.lane, e.start_us, e.ready_us, e.restored)
                  for e in warm.events],
-                warm.store_rejects,
+                len(_rejects(warm)),
             )
 
         one = snapshot()
@@ -1889,10 +1915,10 @@ class TestPredictivePreArm:
         see what replay 1 saw."""
         store = ArtifactStore(tmp_path)
         warm = self._warm(store)  # no profile on disk yet
-        assert warm.predictive_compiles == 0
+        assert _report(warm).predictive_compiles == 0
         self._first_run(store)    # profile lands *after* construction
         _replay(warm)
-        assert warm.predictive_compiles == 0
+        assert _report(warm).predictive_compiles == 0
         assert warm.events == []
 
     def test_corrupt_profile_rejected_and_recounted_each_reset(self, tmp_path):
@@ -1902,19 +1928,20 @@ class TestPredictivePreArm:
         path = store.blob_path("profile", key)
         path.write_bytes(path.read_bytes()[:12])
         warm = self._warm(store)
-        assert warm.predictive_compiles == 0
-        assert warm.store_rejects == 1
+        assert _report(warm).predictive_compiles == 0
+        assert [(r.kind, r.key, r.verify) for r in _rejects(warm)] == [
+            ("profile", key, False)
+        ]
         # Memoised reject: replays re-count without re-reading the
         # (possibly since-healed) file — accounting is bit-identical.
         _replay(warm)
-        assert warm.store_rejects == 1
+        assert len(_rejects(warm)) == 1
 
     def test_non_predictive_manager_ignores_the_profile(self, tmp_path):
         store = ArtifactStore(tmp_path)
         self._first_run(store)
         plain = _mlp_manager(threshold=100, store=store, max_executables=4)
-        assert plain.predictive_compiles == 0
-        assert plain.events == []
+        assert plain.records == []
 
 
 # ---------------------------------------------------------------------------
@@ -2025,7 +2052,9 @@ class TestGuardDeopt:
             batch, 0.0, executable=part, tier="partial"
         )
         assert [r.tier for r in responses] == ["partial", "dynamic"]
-        assert worker.deopts == 1
+        (deopt,) = worker.records
+        assert type(deopt) is GuardDeopt and deopt.rid == 1
+        assert "16" in deopt.reason and "8" in deopt.reason
         ref_vm = VirtualMachine(
             dyn, ExecutionContext(platform, numerics="full")
         )
@@ -2058,4 +2087,4 @@ class TestGuardDeopt:
             batch, 0.0, executable=part, tier="partial"
         )
         assert [r.tier for r in responses] == ["partial"] * 3
-        assert worker.deopts == 0
+        assert worker.records == []
