@@ -24,13 +24,18 @@ Scope: straight-line functions only — the ones the stream scheduler
 restructures. The memory planner also coalesces inside functions with
 control flow (the 16-wide LSTM's loop body: allocs 11 → 8), and those
 this checker skips whole, proving nothing about them. Extents are
-resolved by constant
-propagation over ``LoadConsti``/``LoadConst`` of scalar integers — the
-form the compiler emits for every static allocation site. Dynamic sites
-(``AllocTensorReg``, register-valued offsets that never resolve) make
-their token *unverifiable* and are skipped: this checker proves the
-static fragment and stays silent where it cannot prove, so compiled
-dynamic models verify clean.
+resolved by constant propagation over ``LoadConsti``/``LoadConst`` of
+scalar integers — the form the compiler emits for every static
+allocation site. A dynamic site (``AllocTensorReg``) at the constant
+offset 0 is a *whole-storage* tensor of unknown extent: the planner puts
+several of them on one dynamically sized token (a dead storage sized by
+the same size variable is reused), so any two tensors on one token whose
+byte ranges intersect *or are unknown* must have disjoint live ranges.
+Only a register-valued offset that never resolves still makes its token
+*unverifiable* and skipped. The host's own reads count as uses: the size
+scalar of an ``AllocStorage`` and the shape vector of an
+``AllocTensorReg`` are tensors too, and live as long as the last
+allocation that reads them.
 """
 
 from __future__ import annotations
@@ -114,6 +119,7 @@ def check_function_lifetimes(
             clobber(instr.dst)
             consts[instr.dst] = _scalar_int(exe.constants[instr.const_index])
         elif isinstance(instr, ins.AllocStorage):
+            read(instr.allocation_size, pc)
             clobber(instr.dst)
             token = len(storages)
             storages.append(
@@ -122,23 +128,25 @@ def check_function_lifetimes(
             storage_of[instr.dst] = token
         elif isinstance(instr, (ins.AllocTensor, ins.AllocTensorReg)):
             token = storage_of.get(instr.storage)
+            if isinstance(instr, ins.AllocTensorReg):
+                read(instr.shape_register, pc)
             clobber(instr.dst)
             if token is None:
                 continue  # bytecode checker owns "not a storage" findings
             storage = storages[token]
             storage.used = True
-            if isinstance(instr, ins.AllocTensorReg):
-                # Shape arrives in a register: extent is dynamic, the
-                # token leaves the provable fragment.
-                storage.unverifiable = True
-                continue
             offset = consts.get(instr.offset)
             nbytes: Optional[int] = None
-            try:
-                itemsize = np.dtype(instr.dtype).itemsize
-                nbytes = int(np.prod(instr.shape, dtype=np.int64)) * itemsize
-            except TypeError:
-                storage.unverifiable = True
+            if isinstance(instr, ins.AllocTensorReg):
+                # Shape arrives in a register: the extent is unknown, so
+                # only a tensor that starts the storage stays provable.
+                storage.unverifiable |= offset != 0
+            else:
+                try:
+                    itemsize = np.dtype(instr.dtype).itemsize
+                    nbytes = int(np.prod(instr.shape, dtype=np.int64)) * itemsize
+                except TypeError:
+                    storage.unverifiable = True
             if offset is None:
                 storage.unverifiable = True
             uid = len(tensors)
@@ -211,11 +219,9 @@ def check_function_lifetimes(
             for b in group[i + 1:]:
                 if a.offset is None or b.offset is None:
                     continue
-                if a.nbytes is None or b.nbytes is None:
-                    continue
-                if a.offset + a.nbytes <= b.offset:
+                if a.nbytes is not None and a.offset + a.nbytes <= b.offset:
                     continue  # disjoint byte ranges
-                if b.offset + b.nbytes <= a.offset:
+                if b.nbytes is not None and b.offset + b.nbytes <= a.offset:
                     continue
                 fa = a.first_write if a.first_write is not None else a.pc
                 fb = b.first_write if b.first_write is not None else b.pc

@@ -137,10 +137,12 @@ class AliasLiveness:
     def rebind_as_moves(self, moves: Dict[int, Var]) -> None:
         """Turn binding *i* into ``let var = target`` for every ``i: target``.
 
-        The values replaced must use no variable (coalescing replaces
-        static ``alloc_storage`` calls, whose one operand is a constant);
-        the facts are then exactly those a fresh analysis of the rewritten
-        chain would hold.
+        Coalescing replaces ``alloc_storage`` calls. A static one's only
+        operand is a constant, and the facts are then exactly those a
+        fresh analysis of the rewritten chain would hold. A dynamic one
+        names its size variable: that use is *kept* — the size scalar
+        merely lives to the rebound site, which can only delay its kill
+        or the reuse of its storage, never free it early.
         """
         for i, target in moves.items():
             var = self.bindings[i][0]

@@ -2,11 +2,18 @@
 
 Two rewrites over each manifested scope:
 
-1. **Static storage reuse** — an ``alloc_storage`` with a compile-time
-   size whose previous occupant's lifetime has ended is replaced by an
-   alias to the dead storage (best-fit by size). This is what turns N
-   allocations into a small number of regions that tensor allocations
-   multiplex onto, and produces the §6.3 "47 % fewer buffer allocations".
+1. **Storage reuse** — an ``alloc_storage`` whose previous occupant's
+   lifetime has ended is replaced by an alias to the dead storage. A
+   *static* site (compile-time size) takes the best fit by size. A
+   *dynamic* site may only take a dead storage sized by the very same
+   size variable (``ManifestAlloc`` keeps one per symbolic byte size)
+   on the same device, and only when every kernel that touched the dead
+   storage already happens-before the new storage's first writer in the
+   scope's dataflow: reuse then adds no ordering the program did not
+   have, and the stream scheduler keeps its overlap (unrestricted reuse
+   serialises independent kernels through WAR/WAW hazards). This is
+   what turns N allocations into a small number of regions that tensor
+   allocations multiplex onto — the §6.3 "47 % fewer buffer allocations".
 
 2. **Kill insertion** — after the last use of a non-escaping alias group
    that owns storage, a ``memory.kill`` releases the buffer so the VM's
@@ -129,43 +136,90 @@ class _Planner:
         return out
 
     # -- storage coalescing ------------------------------------------------------
+    @staticmethod
+    def _dataflow(live: AliasLiveness) -> PyTuple[Dict[Var, int], Dict[Var, int]]:
+        """Happens-before among the scope's kernels, as bitsets over their
+        program order: per alias group, the kernels its first writer
+        depends on (an ``invoke_mut`` defines its outputs) and the kernels
+        that read or wrote it. One linear walk."""
+        wrote: Dict[Var, int] = {}  # group -> its writers and their ancestors
+        before_first: Dict[Var, int] = {}
+        touched: Dict[Var, int] = {}
+        bit = 1
+        for _, value in live.bindings:
+            if not (isinstance(value, Call) and isinstance(value.op, Op)
+                    and value.op.name == "vm.invoke_mut"):
+                continue
+            ins, outs = (
+                [live.aliases.find(v) for v in group.fields
+                 if isinstance(v, Var) and v in live.aliases]
+                for group in value.args[1:]
+            )
+            ancestors = 0
+            for g in ins:
+                ancestors |= wrote.get(g, 0)
+            for g in outs:
+                before_first.setdefault(g, ancestors)
+                wrote[g] = wrote.get(g, 0) | ancestors | bit
+            for g in ins + outs:
+                touched[g] = touched.get(g, 0) | bit
+            bit <<= 1
+        return before_first, touched
+
     def _coalesce(self, live: AliasLiveness) -> None:
-        """Rebind each static ``alloc_storage`` that can reuse a dead
-        storage as a move of it, in place on *live*."""
+        """Rebind each ``alloc_storage`` that can reuse a dead storage as
+        a move of it, in place on *live*."""
+        before_first, touched = self._dataflow(live)
         # Storages whose life ended, keyed by the binding they free at.
-        releases: Dict[int, List[PyTuple[Var, int, object]]] = {}
-        # Dead storages per device (stamped by DevicePlace), each list
-        # sorted by (size, pooling order): best fit is the first entry
-        # that is large enough, the earliest-pooled among equal sizes.
-        pools: Dict[object, List[PyTuple[int, int, Var]]] = {}
+        releases: Dict[int, List[PyTuple[object, int, Var, int]]] = {}
+        # Dead storages per pool key, each list sorted by (size, pooling
+        # order). A static site's key is its device (stamped by
+        # DevicePlace): best fit is the first entry that is large enough,
+        # the earliest-pooled among equal sizes. A dynamic site's key is
+        # (device, size variable), its entries all size 0 — pooling order —
+        # and carry the kernels that touched the storage.
+        pools: Dict[object, List[PyTuple[int, int, Var, int]]] = {}
         pooled = 0
         moves: Dict[int, Var] = {}
         allocs = 0
         for i, (var, value) in enumerate(live.bindings):
-            for dead, dead_size, dead_device in releases.pop(i, ()):
+            for key, dead_size, dead, dead_touched in releases.pop(i, ()):
                 pooled += 1
-                insort(pools.setdefault(dead_device, []), (dead_size, pooled, dead))
-            if _is_alloc_storage(value):
-                allocs += 1
-            size = _static_alloc_size(value)
-            if size is None:
+                insort(pools.setdefault(key, []), (dead_size, pooled, dead, dead_touched))
+            if not _is_alloc_storage(value):
                 continue
-            self.report.static_bytes_before += size
-            device = value.attrs.get("device")
-            pool = pools.get(device, ())
-            best = bisect_left(pool, (size,))
-            if best < len(pool):
-                size, _, storage = pool.pop(best)
+            allocs += 1
+            size = _static_alloc_size(value)
+            key = value.attrs.get("device")
+            if size is not None:
+                self.report.static_bytes_before += size
+                ordered, after = 0, 0  # any dead storage will do
+            elif isinstance(value.args[0], Var):
+                key, size = (key, value.args[0]), 0
+                group = live.aliases.find(var)
+                ordered, after = before_first.get(group, 0), touched.get(group, 0)
+            else:
+                continue
+            pool = pools.get(key, ())
+            # The first entry, from the best fit on, whose kernels all
+            # happen before this storage's first writer.
+            best = next(
+                (n for n in range(bisect_left(pool, (size,)), len(pool))
+                 if not pool[n][3] & ~ordered),
+                None,
+            )
+            if best is not None:
+                size, _, storage, _ = pool.pop(best)
                 moves[i] = storage  # alias, not a fresh alloc
             else:
                 storage = var
-                self.report.static_bytes_after += size
+                self.report.static_bytes_after += size  # 0 for a dynamic site
             # Escaping groups may *take* a dead storage from the pool (the
             # donor is never used again) but are never released back into
             # it; any other region frees (again) when this tensor dies.
             if not live.group_escapes(var):
                 end = live.group_interval(var)[1]
-                releases.setdefault(end + 1, []).append((storage, size, device))
+                releases.setdefault(end + 1, []).append((key, size, storage, after))
         self.report.allocs_before += allocs
         self.report.allocs_after += allocs - len(moves)
         live.rebind_as_moves(moves)

@@ -2,8 +2,11 @@
 
 Type relations here do most of the ``Any``-propagation work: e.g.
 ``concatenate`` along a dynamic axis emits an ``Any`` output dim, and
-``reshape`` with ``-1`` over a dynamic input stays dynamic. Shape functions
-recompute everything exactly at runtime.
+``reshape`` with ``-1`` over a dynamic input stays dynamic — with the
+input's identity token when the inferred dim provably *is* the input's one
+dynamic dim (``(?a, 256) -> (-1, 4, 64)`` gives ``(?a, 4, 64)``), which is
+what lets ``ManifestAlloc`` see that a whole BERT has one symbolic
+dimension. Shape functions recompute everything exactly at runtime.
 """
 
 from __future__ import annotations
@@ -40,7 +43,12 @@ def _reshape_rel(arg_types, attrs) -> Type:
                     )
                 out.append(known_in // rest)
             else:
-                out.append(Any())
+                # Sub-shaping: with one dynamic input dim and equal static
+                # cofactors on both sides, -1 *is* that dim — keep its token.
+                dynamic = [d for d in data.shape if isinstance(d, Any)]
+                cofactor = prod([d for d in data.shape if not isinstance(d, Any)])
+                same = len(dynamic) == 1 and cofactor != 0 and cofactor == prod(others)
+                out.append(dynamic[0] if same else Any())
         elif dim >= 0:
             out.append(dim)
         else:

@@ -4,8 +4,8 @@ Unit level: every finding class of the bytecode verifier (structural
 operand validity plus the all-paths dataflow), the independent
 vector-clock race model (hazard edges, lost wakeups, the fence/join
 contract, the control-flow soundness rule), the memory-lifetime checker
-(byte-range overlap, the unverifiable dynamic fragment, hygiene
-warnings), and the IR lint (scoping, unique binders, type agreement,
+(byte-range overlap, whole-storage tensors on a dynamic token, the
+unverifiable fragment, hygiene warnings), and the IR lint (scoping, unique binders, type agreement,
 ANF, `verify_each_pass`).
 
 Integration level: freshly compiled models verify with zero error
@@ -509,11 +509,15 @@ class TestLifetimes:
         )
 
     def test_dynamic_token_leaves_the_provable_fragment(self):
-        # An AllocTensorReg on the token makes its extent dynamic: the
-        # checker must stay silent even on an overlap-shaped pattern.
+        # An AllocTensorReg at an offset that never resolves to a
+        # constant makes the token's layout unknown: the checker must stay
+        # silent even on an overlap-shaped pattern. (At the constant
+        # offset 0 it is a whole-storage tensor and stays provable:
+        # TestDynamicTokens.)
         f = func_of(storage_prologue() + [
             ins.ShapeOf(3, 6),   # some shape register (value irrelevant)
-            ins.AllocTensorReg(1, 2, 6, "float32", 7),
+            ins.ShapeOf(3, 8),   # an offset no constant propagation resolves
+            ins.AllocTensorReg(1, 8, 6, "float32", 7),
             ins.AllocTensor(1, 2, (4,), "float32", 3),
             ins.AllocTensor(1, 2, (4,), "float32", 4),
             kernel([3, 4]),
@@ -667,6 +671,81 @@ class TestMutationDetection:
         assert "(mutant)" in str(err.value)
         assert all(isinstance(f, Finding) for f in err.value.findings)
         assert any(f.checker == "bytecode" for f in err.value.findings)
+
+
+# ---------------------------------------------------------------------------
+# Dynamic tokens: the planner puts several whole-storage tensors on one
+# dynamically sized token, and the verifier follows it there
+# ---------------------------------------------------------------------------
+
+
+def dynamic_reuse(first_writer_reads=9):
+    """Storage r1 (size in r0) carries tensor r3, read by k1 and k2, and
+    then — moved to r4 — tensor r5, whose first writer reads r9."""
+    return func_of([
+        ins.ShapeOf(8, 0),
+        ins.AllocStorage(0, 64, GPU, 1),
+        ins.LoadConsti(0, 2),
+        ins.AllocTensorReg(1, 2, 0, "float32", 3),
+        kernel([8, 3]),                       # k0 writes A
+        kernel([3, 10]),                      # k1 reads A
+        kernel([3, 11]),                      # k2 reads A: A dies here
+        ins.Move(1, 4),
+        ins.AllocTensorReg(4, 2, 0, "float32", 5),
+        kernel([first_writer_reads, 5]),      # k3 writes B over A's bytes
+        ins.Ret(5),
+    ], num_params=10)
+
+
+class TestDynamicTokens:
+    def test_disjoint_live_ranges_on_one_dynamic_token_are_clean(self):
+        f = dynamic_reuse()
+        assert check_function_lifetimes(f, exe_of([f])) == []
+
+    def test_two_live_whole_storage_tensors_are_a_finding(self):
+        instrs = list(dynamic_reuse().instructions)
+        instrs.insert(-1, kernel([3, 12]))    # A is read again after B was written
+        f = func_of(instrs, num_params=10)
+        (finding,) = errors_of(check_function_lifetimes(f, exe_of([f])))
+        assert "share storage token 0" in finding.message
+
+    def test_the_shape_vector_and_the_size_scalar_are_read_by_the_allocations(self):
+        """A shape buffer lives to the last `AllocTensorReg` that reads
+        it: carving another tensor over it before that is a finding."""
+        f = func_of(storage_prologue() + [
+            ins.AllocTensor(1, 2, (2,), "int64", 3),     # the shape vector
+            kernel([9, 3], kind="shape_func"),
+            ins.AllocTensor(1, 2, (2,), "int64", 4),     # same bytes
+            kernel([9, 4], kind="shape_func"),           # ... overwritten
+            ins.AllocStorage(0, 64, GPU, 5),
+            ins.AllocTensorReg(5, 2, 3, "float32", 6),   # ... and read after that
+            ins.Ret(6),
+        ], num_params=10)
+        assert errors_of(check_function_lifetimes(f, exe_of([f])))
+
+    def test_alias_storage_reaches_a_dynamic_site_of_bert(self):
+        exe, _ = nimble.build(small_bert(), nvidia_gpu(),
+                              options=CompilerOptions(device_streams=4))
+        before = exe.functions[0].instructions
+        mutant = OPERATORS["alias_storage"](exe)
+        (pc,) = [pc for pc, (a, b) in enumerate(zip(before, mutant.functions[0].instructions))
+                 if a != b]
+        assert any(isinstance(i, ins.AllocTensorReg) and i.storage == before[pc].dst
+                   for i in before)
+        assert errors_of(check_lifetimes(mutant))
+
+    def test_dropping_a_wait_added_for_a_reused_dynamic_storage_is_a_race(self):
+        # k3 shares no data with k1 and k2: only the storage orders them.
+        scheduled, _ = schedule_function(dynamic_reuse(), 2, is_entry=True)
+        assert _check_function(scheduled, is_entry=True) == []
+        instrs = list(scheduled.instructions)
+        k3 = max(i for i, x in enumerate(instrs) if isinstance(x, ins.InvokePacked))
+        assert isinstance(instrs[k3 - 1], ins.StreamWait)
+        del instrs[k3 - 1]
+        mutant = VMFunction(scheduled.name, scheduled.num_params, instrs,
+                            scheduled.register_count)
+        assert any("hazard edge unordered" in x.message
+                   for x in _check_function(mutant, is_entry=True))
 
 
 # ---------------------------------------------------------------------------

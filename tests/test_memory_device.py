@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.nimble as nimble
+from repro.analysis import verify_executable
 from repro.core.device import DevicePlace
 from repro.core.memory import ManifestAlloc, MemoryPlan
 from repro.core.memory.liveness import AliasLiveness
 from repro.core.typing import infer_types
+from repro.errors import ShapeError
 from repro.hardware import intel_cpu, nvidia_gpu
 from repro.ir import (
     Any,
@@ -22,6 +25,7 @@ from repro.ir import (
     IRModule,
     Let,
     Op,
+    ScopeBuilder,
     TensorType,
     Tuple,
     TupleGetItem,
@@ -31,10 +35,17 @@ from repro.ir import (
     pretty_module,
 )
 from repro.ir import types as ir_types
+from repro.models import build_gram_module
+from repro.models.bert import BertConfig, BertWeights, build_bert_module
 from repro.ops import api
+from repro.ops.dynamic import _nms_reference
 from repro.passes import DeadCodeElimination, FuseOps, Sequential, ToANF
+from repro.runtime.context import ExecutionContext
 from repro.tensor.device import cpu, gpu
 from repro.utils.union_find import UnionFind
+from repro.vm import instruction as ins
+from repro.vm.executable import Executable
+from repro.vm.interpreter import VirtualMachine
 
 
 def _lower(func, plan=True, platform=None):
@@ -97,6 +108,247 @@ class TestManifestAlloc:
         main = mod.main
         slices = _op_calls(main, "vm.slice_upper_bound")
         assert len(slices) == 1
+
+
+def _kinds(func):
+    """How many `vm.invoke_mut` of each kind *func* holds, branches included."""
+    kinds = [c.attrs.get("kind", "compute") for c in _op_calls(func, "vm.invoke_mut")]
+    return {k: kinds.count(k) for k in set(kinds)}
+
+
+def _weight(units, width=8):
+    return const(np.full((units, width), 0.1, np.float32))
+
+
+def _toy_bert():
+    return build_bert_module(BertWeights.create(
+        BertConfig(hidden=24, num_heads=3, num_layers=3, ffn=48), seed=0))
+
+
+def _two_layer_mlp():
+    rng = np.random.RandomState(0)
+    w1 = const((rng.randn(16, 8) * 0.1).astype(np.float32))
+    w2 = const((rng.randn(8, 16) * 0.1).astype(np.float32))
+    x = Var("x", TensorType((Any(), 8), "float32"))
+    return IRModule.from_expr(Function([x], api.dense(api.relu(api.dense(x, w1)), w2)))
+
+
+# sha256 over the outputs of the three models at 1, 5 and 9 rows
+# (`RandomState(rows).randn`), read on the commit before shape classes
+# on intel_cpu and on nvidia_gpu with 1, 2 and 4 streams — all equal.
+_PARENT_COMMIT_OUTPUTS = {
+    "bert3": "f937708df00795671669c06b7716090a1a6244469e18dbbf5fffd9c752a86533",
+    "gram": "b6e29c96376fbd4639723052ebcc850e7eab28bbce8bdc5e8b38e4a6ae678a28",
+    "mlp": "cd7c0dd15d877b857cd9379439c6c8152b78b887cb96c980321b5e0558f08b63",
+}
+
+
+def _run(mod, *inputs, platform=None, streams=1):
+    platform = platform or intel_cpu()
+    exe, _ = nimble.build(mod, platform, options=nimble.CompilerOptions(device_streams=streams))
+    assert [f for f in verify_executable(exe) if f.severity == "error"] == []
+    ctx = ExecutionContext(platform)
+    out = VirtualMachine(exe, ctx).run(*inputs)
+    assert ctx.allocator.live_bytes == 0
+    return exe, out
+
+
+class TestShapeClasses:
+    """A symbolic shape is a value computed once: one shape function per
+    shape class (the output type's dims, each `Any` replaced by its
+    token) and scope chain, one `vm.storage_size` per symbolic byte size."""
+
+    def test_distinct_tokens_share_no_class(self):
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        y = Var("y", TensorType((Any(), 8), "float32"))
+        main = _lower(Function([x, y], api.add(x, y)), plan=False).main
+        assert _kinds(main) == {"shape_func": 1, "host_scalar": 1, "compute": 1}
+        assert len(_op_calls(main, "vm.shape_of")) == 2
+        # ... and the shape function still is the runtime check.
+        mod = IRModule.from_expr(Function([x, y], api.add(x, y)))
+        _, out = _run(mod, np.ones((1, 8), np.float32), np.ones((3, 8), np.float32))
+        assert out.numpy().shape == (3, 8)
+        with pytest.raises(ShapeError, match="broadcast"):
+            _run(mod, np.ones((2, 8), np.float32), np.ones((3, 8), np.float32))
+
+    def test_the_class_of_an_argument_needs_one_shape_of_and_no_shape_function(self):
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        y = Var("y", TensorType(x.type_annotation.shape, "float32"))  # same token
+        body = api.dense(api.add(x, y), _weight(8))  # two kernels, both (?a, 8)
+        main = _lower(Function([x, y], body), plan=False).main
+        assert _kinds(main) == {"host_scalar": 1, "compute": 2}
+        assert len(_op_calls(main, "vm.shape_of")) == 1
+        assert len(_op_calls(main, "memory.alloc_storage")) == 3  # one size scalar, two tensors
+
+    def test_an_argument_dim_the_output_lacks_keeps_the_shape_function(self):
+        """dense(x: (?a, ?k), w: (8, 8)) -> (?a, 8): nothing else checks k == 8."""
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        rows = x.type_annotation.shape[0]
+        y = Var("y", TensorType((rows, Any()), "float32"))
+        body = Tuple([api.relu(x), api.dense(y, _weight(8))])
+        main = _lower(Function([x, y], body), plan=False).main
+        assert _kinds(main)["shape_func"] == 1
+        mod = IRModule.from_expr(Function([x, y], body))
+        with pytest.raises(ShapeError, match="dense"):
+            _run(mod, np.ones((2, 8), np.float32), np.ones((2, 7), np.float32))
+
+    def test_concatenate_and_a_new_width_run_one_shape_function_each(self):
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        sb = ScopeBuilder()
+        cat = sb.let("cat", api.concatenate([x, x], axis=0))  # (?c, 8): a fresh dim
+        same = sb.let("same", api.dense(cat, _weight(8)))  # (?c, 8) again
+        wide = sb.let("wide", api.dense(same, _weight(16)))  # (?c, 16): new
+        wide2 = sb.let("wide2", api.dense(same, _weight(16)))  # ... and again
+        func = Function([x], sb.get(Tuple([wide, wide2])))
+        main = _lower(func, plan=False).main
+        assert _kinds(main) == {"shape_func": 2, "host_scalar": 2, "compute": 4}
+        _, out = _run(IRModule.from_expr(func), np.ones((3, 8), np.float32))
+        assert [f.numpy().shape for f in out] == [(6, 16), (6, 16)]
+
+    def test_a_class_made_inside_a_branch_dies_with_it(self):
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        c = Var("c", TensorType((), "bool"))
+
+        def func(before):
+            sb = ScopeBuilder()
+            if before:
+                sb.let("outer", api.dense(x, _weight(16)))
+            picked = sb.let("picked", If(c, api.dense(x, _weight(16)), api.dense(x, _weight(16))))
+            after = sb.let("after", api.dense(x, _weight(16)))
+            return Function([x, c], sb.get(Tuple([picked, after])))
+
+        # Made in each branch, made again after the `if`...
+        assert _kinds(_lower(func(before=False), plan=False).main)["shape_func"] == 3
+        # ... but one made before it serves both branches and what follows.
+        assert _kinds(_lower(func(before=True), plan=False).main)["shape_func"] == 1
+        for before in (False, True):
+            _, out = _run(IRModule.from_expr(func(before)), np.ones((5, 8), np.float32),
+                          np.array(True))
+            assert [f.numpy().shape for f in out] == [(5, 16), (5, 16)]
+
+    def test_data_dependent_and_upper_bound_ops_run_theirs_every_time(self):
+        x = Var("x", TensorType((Any(),), "float32"))
+        twice = Function([x], Tuple([api.nonzero(x), api.nonzero(x)]))
+        # CSE is not in `_lower`: the two calls stay two kernels.
+        assert _kinds(_lower(twice, plan=False).main)["shape_func"] == 2
+        boxes = Var("b", TensorType((Any(), 4), "float32"))
+        scores = Var("s", TensorType((boxes.type_annotation.shape[0],), "float32"))
+        sb = ScopeBuilder()
+        keep = sb.let("keep", api.non_max_suppression(boxes, scores))
+        keep2 = sb.let("keep2", api.non_max_suppression(boxes, scores, iou_threshold=0.9))
+        nms = Function([boxes, scores], sb.get(Tuple([keep, keep2])))
+        # The padded buffer and the sliced result have one type and two
+        # sizes: an upper-bound op shares no `vm.storage_size` either.
+        assert _kinds(_lower(nms, plan=False).main) == {
+            "shape_func": 2, "host_scalar": 4, "compute": 4}
+        rng = np.random.RandomState(0)
+        corners = rng.rand(9, 2).astype(np.float32)
+        b = np.concatenate([corners, corners + 0.5], axis=1)
+        sc = rng.rand(9).astype(np.float32)
+        _, out = _run(IRModule.from_expr(nms), b, sc)
+        for got, iou in zip(out, (0.5, 0.9)):
+            assert got.numpy().tolist() == _nms_reference(b, sc, iou).tolist()
+
+    def test_a_callee_s_token_names_no_value_of_the_caller(self):
+        """`@f`'s return type carries `@f`'s own token at every call site:
+        two results of different lengths must not share a class."""
+        mod = IRModule()
+        f = mod.get_global_var("f")
+        p = Var("p", TensorType((Any(), 8), "float32"))
+        mod[f] = Function([p], api.relu(p))
+        y = Var("y", TensorType((Any(), 8), "float32"))
+        z = Var("z", TensorType((Any(), 8), "float32"))
+        sb = ScopeBuilder()
+        r1, r2 = sb.let("r1", Call(f, [y])), sb.let("r2", Call(f, [z]))
+        d1 = sb.let("d1", api.dense(r1, _weight(8)))
+        d2 = sb.let("d2", api.dense(r2, _weight(8)))
+        mod["main"] = Function([y, z], sb.get(Tuple([d1, d2])))
+        _, out = _run(mod, np.ones((3, 8), np.float32), np.ones((5, 8), np.float32))
+        assert [f.numpy().shape for f in out] == [(3, 8), (5, 8)]
+
+    @pytest.mark.parametrize("model", ["bert3", "gram", "mlp"])
+    def test_outputs_are_the_parent_commit_s_on_every_platform(self, model):
+        make, width = {"bert3": (_toy_bert, 24), "gram": (build_gram_module, 6),
+                       "mlp": (_two_layer_mlp, 8)}[model]
+        for platform, streams in [(intel_cpu(), 1)] + [(nvidia_gpu(), s) for s in (1, 2, 4)]:
+            digest = hashlib.sha256()
+            exe = None
+            for rows in (1, 5, 9):
+                x = np.random.RandomState(rows).randn(rows, width).astype(np.float32)
+                exe, out = _run(make(), x, platform=platform, streams=streams)
+                loaded = VirtualMachine(Executable.load(exe.save()), ExecutionContext(platform))
+                assert loaded.run(x).numpy().tobytes() == out.numpy().tobytes()
+                digest.update(out.numpy().tobytes())
+            assert digest.hexdigest() == _PARENT_COMMIT_OUTPUTS[model]
+            calls = [i for f in exe.functions for i in f.instructions
+                     if i.opcode == ins.Opcode.INVOKE_PACKED]
+            assert sum(i.kind == "shape_func" for i in calls) <= {"bert3": 4, "gram": 1, "mlp": 1}[model]
+
+    def test_bench_size_bert_runs_one_shape_function_per_symbolic_shape(self, capsys):
+        """The 256-wide, 6-layer dynamic BERT of `bench/`, length 20, warm
+        pool. Before shape classes: 90 shape functions, 90 size kernels,
+        216 ShapeOf, 92 AllocStorage, 2,221 instructions, 1,096.5 us on
+        intel_cpu and 871.7 us on nvidia_gpu with four streams. CI's
+        "Size trajectory" step prints the line."""
+        mod = build_bert_module(BertWeights.create(
+            BertConfig(hidden=256, num_heads=4, num_layers=6, ffn=1024), seed=0))
+        x = np.random.RandomState(0).randn(20, 256).astype(np.float32)
+
+        def warmed(platform, streams):
+            exe, _ = nimble.build(
+                mod, platform, options=nimble.CompilerOptions(device_streams=streams))
+            vm = VirtualMachine(exe, ExecutionContext(platform))
+            vm.run(x)
+            vm.profile.reset()
+            return exe, vm, vm.run_with_latency(x)[1]
+
+        exe, vm, cpu_us = warmed(intel_cpu(), 1)
+        counts = vm.profile.instruction_counts
+        packed = [i for i in exe.functions[0].instructions
+                  if i.opcode == ins.Opcode.INVOKE_PACKED]
+        shape_funcs = sum(i.kind == "shape_func" for i in packed)
+        size_kernels = sum(i.kind == "host_scalar" for i in packed)
+        dynamic_allocs = counts["ALLOC_STORAGE"] - counts["ALLOC_TENSOR"]
+        with capsys.disabled():
+            print(f"\ndynamic BERT per inference on intel_cpu: {shape_funcs} shape functions, "
+                  f"{counts['SHAPE_OF']} ShapeOf, {dynamic_allocs} dynamic AllocStorage, "
+                  f"{sum(counts.values())} instructions, {cpu_us:.1f} us")
+        assert shape_funcs <= 6 and size_kernels <= 6
+        assert counts["ALLOC_STORAGE"] <= 20 and sum(counts.values()) <= 900
+        assert vm.profile.kernel_invocations == 90  # the compute kernels: none added, none lost
+        assert cpu_us <= 0.5 * 1096.5
+        assert warmed(nvidia_gpu(), 4)[2] <= 600.0
+
+    def test_rebinding_a_dynamic_alloc_keeps_its_size_use(self):
+        """`rebind_as_moves` on a dynamic `alloc_storage` keeps the use
+        of the size variable: it lives to the rebound site, the
+        conservative direction; `allocs_after` counts the reuse and the
+        static byte totals do not move."""
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        body = x
+        for _ in range(4):
+            body = api.dense(body, _weight(8))
+        plan = MemoryPlan()
+        p = intel_cpu()
+        lowered = Sequential(
+            [ToANF(), FuseOps(), ManifestAlloc(), DevicePlace(p.host, p.compute)]
+        ).run(infer_types(IRModule.from_expr(Function([x], body))))
+        live = AliasLiveness(lowered.main.body)
+        dynamic = [i for i, (_, v) in enumerate(live.bindings)
+                   if isinstance(v, Call) and getattr(v.op, "name", "") == "memory.alloc_storage"
+                   and not v.attrs["static"]]
+        assert len(dynamic) == 4
+        (size,) = {live.bindings[i][1].args[0] for i in dynamic}  # one size variable
+        first, last = dynamic[0], dynamic[-1]
+        before = live.group_interval(size)
+        live.rebind_as_moves({last: live.bindings[first][0]})
+        assert live.bindings[last][1] is live.bindings[first][0]
+        assert live.group_interval(size) == before and before[1] >= last
+        plan.run(lowered)
+        report = plan.report
+        # Tensor k+2 takes tensor k's storage: 1 size scalar + 2 regions.
+        assert (report.allocs_before, report.allocs_after) == (5, 3)
+        assert report.static_bytes_before == report.static_bytes_after == 64
 
 
 class TestMemoryPlan:
@@ -815,8 +1067,6 @@ def _planned_models():
     """(name, compile): the paper's three models at toy sizes, the BERT
     also on four GPU streams, two static LSTM variants, and the LSTM loop
     on two GPU streams."""
-    import repro.nimble as nimble
-    from repro.models.bert import BertConfig, BertWeights, build_bert_module
     from repro.models.lstm import LSTMWeights, build_lstm_module
     from repro.models.tree_lstm import TreeLSTMWeights, build_tree_lstm_module
 
@@ -828,15 +1078,13 @@ def _planned_models():
         return build_tree_lstm_module(
             TreeLSTMWeights.create(input_size=12, hidden_size=8, seed=0))
 
-    def bert():
-        return build_bert_module(BertWeights.create(
-            BertConfig(hidden=24, num_heads=3, num_layers=3, ffn=48), seed=0))
-
+    bert = _toy_bert
     streams4 = nimble.CompilerOptions(device_streams=4)
     yield "lstm", lambda: nimble.build(lstm(), intel_cpu())
     yield "tree_lstm", lambda: nimble.build(tree(), intel_cpu())
     yield "bert3", lambda: nimble.build(bert(), intel_cpu())
     yield "bert3@gpu4", lambda: nimble.build(bert(), nvidia_gpu(), options=streams4)
+    yield "bert3[len=5]", lambda: nimble.specialize(bert(), intel_cpu(), shapes=[(5, 24)])
     yield "lstm[len=7]", lambda: nimble.specialize(lstm(), intel_cpu(), shapes=[(7, 12)])
     yield "lstm[len=7]x4", lambda: nimble.specialize(
         lstm(), intel_cpu(), shapes=[(7, 12)], batch=4)
@@ -848,7 +1096,12 @@ def _planned_models():
 # shared liveness and the ordered pool: sha256 of `pretty_module` of the
 # planned module, the MemoryPlanReport, sha256 of `Executable.save()`.
 # (`lstm@gpu2` was recorded on the commit that made device placement
-# module-wide — the first pin on GPU loop bytecode.)
+# module-wide — the first pin on GPU loop bytecode. `bert3` and
+# `bert3@gpu4` were re-recorded when shape classes and dynamic storage
+# reuse landed — they are the only models here with a dynamically shaped
+# kernel output: allocs 135 -> 47 became 52 -> 17. `bert3[len=5]` was
+# recorded on the commit before that one and must never move with it: a
+# specialized module has no symbolic shape.)
 _PARENT_COMMIT_PLANS = {
     "lstm": (
         "c3b90ca724a51e713e79f71711a866864dce7ae72b5de9f5e4832c3c0206a2d3",
@@ -861,15 +1114,20 @@ _PARENT_COMMIT_PLANS = {
          "static_bytes_after": 768, "kills_inserted": 23},
         "0627e286744ccf9b045712162189f76fd82efac84b56c448f2d9d64cc582bba5"),
     "bert3": (
-        "66f14c334957cc100a91a8394f67ade142de2da206ee72702050a3bcdf86ee69",
-        {"allocs_before": 135, "allocs_after": 47, "static_bytes_before": 5760,
-         "static_bytes_after": 128, "kills_inserted": 312},
-        "7599b87f1c232bed507cc457a9a9e7e7fd3d80c4cf6eedeec7b48273c458738e"),
+        "adf38921b27a72118097498d8a8343efd0faa5a7223355807593d032181210ca",
+        {"allocs_before": 52, "allocs_after": 17, "static_bytes_before": 448,
+         "static_bytes_after": 448, "kills_inserted": 131},
+        "584ff1d7249a472ed439097e3370e36891ba0f202df4e943489856626ecb108f"),
     "bert3@gpu4": (
-        "f5d6996218b33d11b0ef5b7e2c8d0ebfe37d8edd07945d4dd48c02fa5b9a727f",
-        {"allocs_before": 135, "allocs_after": 47, "static_bytes_before": 5760,
-         "static_bytes_after": 128, "kills_inserted": 312},
-        "3f4442acc0c5e70a0e7e4a5fe429b7e9eb688b0a8047c28efdb2f0b313ea7ed1"),
+        "5ad1c634e869475dae4f702de63d735d351b505c907ad7a47e7aa2f08b0c5e2a",
+        {"allocs_before": 52, "allocs_after": 17, "static_bytes_before": 448,
+         "static_bytes_after": 448, "kills_inserted": 131},
+        "6fc432ed7030c3b1da411243224240e353fd515a0b5329a28d7f8de2a0082122"),
+    "bert3[len=5]": (
+        "721bced5394709becd15c21daf94764b48ae3d4848da388dbd2f47b6e638d130",
+        {"allocs_before": 45, "allocs_after": 5, "static_bytes_before": 23232,
+         "static_bytes_after": 3008, "kills_inserted": 96},
+        "07aa9b30462e589d5c5bb6f7bf6401151f1b1e369ce288ae6605f8a452ed16f3"),
     "lstm[len=7]": (
         "7b32e754ca7a5d1aad8d53282565f7c814902b45385b3dfd93f0f118cde6618b",
         {"allocs_before": 11, "allocs_after": 8, "static_bytes_before": 960,

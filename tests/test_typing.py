@@ -3,6 +3,8 @@ sub-shaping, gradual runtime checks."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.typing import (
     any_dim_groups,
@@ -34,7 +36,7 @@ from repro.ir import (
     const,
     scalar_type,
 )
-from repro.ops import api
+from repro.ops import api, get_op_def
 from repro.ops.type_relations import broadcast_dim
 
 
@@ -275,6 +277,46 @@ class TestSubShaping:
         t1 = TensorType((a, 4))
         t2 = TensorType((8, a))
         assert shared_any_dims(t1, t2) == [(0, 1)]
+
+    def test_reshape_keeps_the_token_of_the_one_dynamic_dim(self):
+        """BERT's head split and merge: `-1` is the sequence length."""
+        a = Any()
+        rel = get_op_def("reshape").type_rel
+        split = rel([TensorType((a, 256))], {"newshape": (-1, 4, 64)})
+        assert split.shape[0].token == a.token and split.shape[1:] == (4, 64)
+        merged = rel([TensorType((a, 4, 64))], {"newshape": (-1, 256)})
+        assert merged.shape[0].token == a.token
+        assert rel([TensorType((a, 256))], {"newshape": (-1, 128)}).shape[0].token != a.token
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_kept_reshape_token_names_the_same_runtime_dim(self, data):
+        """Whenever `_reshape_rel` keeps a token the runtime dimension is
+        the input's; two dynamic dims, unequal static cofactors or a zero
+        cofactor draw a fresh `Any`."""
+        small = st.integers(min_value=0, max_value=4)
+        static_in = data.draw(st.lists(small, max_size=3))
+        anys = [Any() for _ in range(data.draw(st.integers(1, 2)))]
+        in_shape = list(static_in)
+        for a in anys:
+            in_shape.insert(data.draw(st.integers(0, len(in_shape))), a)
+        static_out = data.draw(st.one_of(st.permutations(static_in), st.lists(small, max_size=3)))
+        newshape = list(static_out)
+        at = data.draw(st.integers(0, len(newshape)))
+        newshape.insert(at, -1)
+        attrs = {"newshape": tuple(newshape)}
+
+        inferred = get_op_def("reshape").type_rel([TensorType(in_shape)], attrs).shape[at]
+        assert isinstance(inferred, Any)
+        kept = [a for a in anys if a.token == inferred.token]
+        cofactor = int(np.prod(static_in, dtype=np.int64))
+        same = len(anys) == 1 and cofactor != 0 and cofactor == np.prod(static_out, dtype=np.int64)
+        assert bool(kept) == same
+        if kept:
+            values = {a.token: data.draw(st.integers(1, 6)) for a in anys}
+            concrete = tuple(values[d.token] if isinstance(d, Any) else d for d in in_shape)
+            (runtime,) = get_op_def("reshape").shape_func([concrete], None, attrs)
+            assert runtime[at] == values[inferred.token]
 
 
 class TestGradualRuntimeChecks:
