@@ -9,6 +9,11 @@ artifact: a scheduler or memory-planner regression that emits racy or
 ill-formed bytecode turns this step red even if no functional test
 happens to hit the broken path.
 
+A second leg sends the LSTM's dynamic build, two specialized variants
+and the staged prefix through an `ArtifactStore`: the four blobs must
+name exactly one weight chunk, every name must resolve to a file, and
+every executable restored through the store must verify clean too.
+
 Run under pytest (the CI `verify-artifacts` step) or directly
 (`PYTHONPATH=src python benchmarks/verify_artifacts.py`); both exit
 nonzero on any finding.
@@ -79,6 +84,47 @@ def sweep():
     return rows, failures
 
 
+def store_sweep(root):
+    """(blobs, chunk names, failures) of the LSTM's store round trip."""
+    from repro.hardware.platforms import intel_cpu
+    from repro.store import ArtifactStore
+
+    mod = build_lstm_module(LSTMWeights.create(16, 32, 1))
+    prefix = nimble.build_prefix(mod, intel_cpu())
+    store = ArtifactStore(root)
+    keys = [store.put(nimble.build(mod, intel_cpu())[0])]
+    for length in (5, 9):
+        exe, _ = nimble.specialize(mod, intel_cpu(), shapes=[(length, 16)], prefix=prefix)
+        keys.append(store.put(exe))
+    blobs = [("prefix", store.put_prefix(prefix))] + [("exe", key) for key in keys]
+    # Another instance, as a restarted process reads: verify stays on.
+    store = ArtifactStore(root)
+    failures = [
+        f"{kind} {key[:12]} names {name[:12]}, not on disk"
+        for kind, key in blobs
+        for name in store.chunk_refs(kind, key)
+        if name not in store.chunk_names()
+    ]
+    for key in keys:
+        exe = store.get(key)
+        errors = [] if exe is None else [
+            f for f in verify_executable(exe) if f.severity == "error"
+        ]
+        failures.extend(f"restored {key[:12]}: {f}" for f in errors)
+    failures.extend(f"rejected {key[:12]}: {why}" for key, why in store.reject_log)
+    if store.get_prefix(blobs[0][1]) is None:
+        failures.append("prefix did not restore")
+    return blobs, store.chunk_names(), failures
+
+
+@pytest.mark.paper
+def test_store_round_trip_has_one_weight_chunk_and_verifies(tmp_path):
+    blobs, chunks, failures = store_sweep(tmp_path)
+    print(f"\nstore leg: {len(blobs)} blobs name {len(chunks)} chunk(s)")
+    assert not failures, "store failures:\n" + "\n".join(failures)
+    assert len(chunks) == 1
+
+
 @pytest.mark.paper
 def test_all_artifacts_verify_clean():
     rows, failures = sweep()
@@ -97,7 +143,11 @@ def test_all_artifacts_verify_clean():
 
 
 if __name__ == "__main__":
+    import tempfile
+
     test_rows, test_failures = sweep()
+    with tempfile.TemporaryDirectory() as scratch:
+        test_failures += store_sweep(scratch)[2]
     for line in test_failures:
         print(f"FAIL {line}", file=sys.stderr)
     sys.exit(1 if test_failures else 0)

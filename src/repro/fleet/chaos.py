@@ -16,7 +16,9 @@ failure surface:
   is a pure function of the trace (the model's inventory is
   replay-identical; the raw directory listing is not). Readers hit the
   store's paranoid validation and reject-and-count — one replica's
-  corrupted write must never crash a sibling.
+  corrupted write must never crash a sibling. Kind ``"const"`` damages
+  not the *n*-th modeled executable but the first constant chunk it
+  names: every variant of the model that is read afterwards rejects.
 
 Corruption writes a deterministic garbage payload derived from the key,
 so replaying the event byte-identically re-corrupts the blob even if an
@@ -58,7 +60,7 @@ class CorruptBlob:
     def __post_init__(self) -> None:
         if self.at_us < 0:
             raise ValueError("corruption time must be >= 0")
-        if self.kind not in ("exe", "prefix", "profile"):
+        if self.kind not in ("exe", "prefix", "profile", "const"):
             raise ValueError(f"unknown blob kind {self.kind!r}")
         if self.index < 0:
             raise ValueError("index must be >= 0")

@@ -34,6 +34,7 @@ from repro.serve.events import (
     Route,
     Shed,
     SpecializationEvent,
+    records_of,
 )
 from repro.serve.report import ServeReport
 from repro.serve.request import Response
@@ -89,7 +90,7 @@ class FleetReport:
     deadlines_us: Dict[str, float] = field(default_factory=dict)
 
     def _of(self, kind) -> list:
-        return [r for r in self.records if type(r) is kind]
+        return records_of(self.records, kind)
 
     # ----------------------------------------------------------------- volume
     @property

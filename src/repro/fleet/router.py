@@ -273,12 +273,17 @@ class FleetRouter:
         if isinstance(event, CorruptBlob):
             if self.store is None or self.view is None:
                 return False
-            entries = [
-                e for e in self.view.inventory() if e[0] == event.kind
-            ]
+            # A chunk is no entry of the model: the blob that names it is.
+            holder = "exe" if event.kind == "const" else event.kind
+            entries = [e for e in self.view.inventory() if e[0] == holder]
             if not entries:
                 return False
             kind, key = entries[event.index % len(entries)]
+            if event.kind == "const":
+                names = self.store.chunk_refs(kind, key)
+                if not names:
+                    return False
+                kind, key = "const", names[0]
             # Overwrite on disk only: the model still says the blob is
             # present, so readers go to disk, fail validation, and
             # reject-and-count — the failure mode under test.

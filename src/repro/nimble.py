@@ -38,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import pickle
+import struct
 import sys
 import time
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ from repro.passes import (
     ToANF,
 )
 from repro.vm.compiler import CompilerOptions, VMCompiler
-from repro.vm.executable import Executable
+from repro.vm.executable import ChunkReader, Executable
 from repro.vm.interpreter import VirtualMachine  # re-export for convenience
 
 __all__ = [
@@ -196,7 +197,7 @@ def build(
 # envelope). Bumping it changes every prefix store key (the version is a
 # key component), so stale blobs are never even looked up — the same
 # structural-staleness scheme executables use.
-PREFIX_VERSION = 1
+PREFIX_VERSION = 2
 
 
 def prefix_store_key(source_signature: str, platform_name: str) -> str:
@@ -252,19 +253,45 @@ class SpecializationPrefix:
         return prefix_store_key(self.source_signature, self.platform_name)
 
     def save(self) -> bytes:
+        return b"".join(self.save_chunks())
+
+    def save_chunks(self) -> list:
+        """:meth:`save` in the pieces it is joined from: lengths and
+        pickle as ``bytes``, then every array buffer of the module as a
+        ``memoryview`` — raw C-contiguous bytes, so a weight is the same
+        store chunk here as in the executables compiled from it."""
+        buffers = []
+        identity = (self.source_signature, self.platform_name, self.entry, self.module)
         with _deep_recursion():
-            return pickle.dumps(
-                (self.source_signature, self.platform_name, self.entry, self.module),
-                protocol=4,
+            pickled = pickle.dumps(
+                identity, protocol=5, buffer_callback=lambda b: buffers.append(b.raw())
             )
+        sizes = (len(pickled), len(buffers), *(len(b) for b in buffers))
+        return [struct.pack(f"<{len(sizes)}Q", *sizes) + pickled, *buffers]
 
     @staticmethod
     def load(
         payload: bytes, expected_signature: Optional[str] = None
     ) -> "SpecializationPrefix":
+        return SpecializationPrefix.load_chunks([payload], expected_signature)
+
+    @staticmethod
+    def load_chunks(
+        chunks, expected_signature: Optional[str] = None
+    ) -> "SpecializationPrefix":
+        """Deserialize the byte stream *chunks* concatenate to. As in
+        ``Executable.load_chunks`` a buffer that is one array chunk is
+        shared and any other copied (pickle would alias the payload)."""
+        reader = ChunkReader(chunks)
         try:
+            size, count = struct.unpack("<2Q", reader.read(16))
+            lengths = struct.unpack(f"<{count}Q", reader.read(8 * count))
+            pickled = reader.read(size)
+            buffers = [reader.array(n) for n in lengths]
             with _deep_recursion():
-                signature, platform_name, entry, module = pickle.loads(payload)
+                signature, platform_name, entry, module = pickle.loads(
+                    pickled, buffers=buffers
+                )
         except Exception as err:  # corrupt pickles raise all sorts
             raise SerializationError(
                 f"prefix blob failed to deserialize: {err}"

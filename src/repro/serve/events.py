@@ -15,6 +15,13 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 
+def records_of(records, kind, replica: Optional[int] = None) -> list:
+    """The records of one kind, in list order — one replica's, or the
+    whole simulation's when *replica* is None."""
+    found = [r for r in records if type(r) is kind]
+    return found if replica is None else [r for r in found if r.replica == replica]
+
+
 class Dispatch(NamedTuple):
     """One batch executed on a worker, on ``tier`` (a guard-deopted
     member gets a :class:`GuardDeopt` of its own). ``cause`` is why the

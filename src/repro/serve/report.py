@@ -25,6 +25,7 @@ from repro.serve.events import (
     GuardDeopt,
     SpecializationEvent,
     StoreReject,
+    records_of,
 )
 from repro.serve.request import Response
 from repro.vm.profiler import VMProfile
@@ -70,9 +71,7 @@ class ServeReport:
 
     def _of(self, kind) -> list:
         """This replica's records of one kind, in list order."""
-        return [
-            r for r in self.records if type(r) is kind and r.replica == self.replica
-        ]
+        return records_of(self.records, kind, self.replica)
 
     # ------------------------------------------------------------ determinism
     def counters(self) -> dict:

@@ -145,6 +145,7 @@ from repro.passes import bound_entry_shapes
 from repro.serve.batcher import ShapeBucketer
 from repro.serve.config import ServeConfig
 from repro.serve.events import EvictionEvent, SpecializationEvent, StoreReject
+from repro.serve.events import records_of
 from repro.serve.profile import ShapeProfile, profile_store_key
 from repro.store import ArtifactStore, FleetStoreView
 from repro.vm.executable import Executable, artifact_key
@@ -397,9 +398,7 @@ class SpecializationManager:
         return len(self._resident)
 
     def _of(self, kind) -> list:
-        return [
-            r for r in self.records if type(r) is kind and r.replica == self.replica_id
-        ]
+        return records_of(self.records, kind, self.replica_id)
 
     @property
     def events(self) -> List[SpecializationEvent]:

@@ -30,6 +30,13 @@ functions of the trace.
 Malformed file names in the store directory are inventoried
 (skip-and-count, see :meth:`ArtifactStore.malformed_names`) but never
 deleted: an unrecognized file is evidence, not garbage.
+
+Large constants are no blobs of the model but chunk files under
+``constants/`` that blobs name. After its prunes a collection **sweeps**
+them *from the disk*: it unlinks every chunk no blob file still there
+names, so a chunk outlives every blob that needs it whatever the model
+believes. Like ``missing_on_disk`` the count depends on what earlier
+replays left behind, and stays out of the replay surface.
 """
 
 from __future__ import annotations
@@ -58,6 +65,9 @@ class GCReport:
     # behind the model; the model prune still happened). The one field
     # that depends on the disk, so equality leaves it out.
     missing_on_disk: int = field(default=0, compare=False)
+    # Chunk files unlinked because no blob on disk named them — as
+    # disk-dependent as the field above.
+    chunks_swept: int = field(default=0, compare=False)
 
     @property
     def pruned_count(self) -> int:
@@ -167,6 +177,7 @@ class StoreGC:
                     continue
                 self._prune(entry, now_us, report)
                 live.remove(entry)
+        report.chunks_swept = self.store.sweep_chunks()
         return report
 
     def _prune(self, entry: StoreEntry, now_us: float, report: GCReport) -> None:

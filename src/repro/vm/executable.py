@@ -251,13 +251,19 @@ class Executable:
 
     # ------------------------------------------------------------ serialization
     def save(self) -> bytes:
+        return b"".join(self.save_chunks())
+
+    def save_chunks(self) -> List[Union[bytes, memoryview]]:
+        """:meth:`save` in the pieces it is joined from: framing as
+        ``bytes``, each constant's data as a ``memoryview`` of the array
+        — the pieces an :class:`repro.store.ArtifactStore` splits on."""
         out = io.BytesIO()
         out.write(MAGIC)
         out.write(struct.pack("<H", VERSION))
         _write_bytes(out, self.platform_name.encode())
         _write_bytes(out, self._serialize_bytecode())
         # The weights are nearly all of a blob: they bypass `out` and are
-        # copied once, from the arrays into the blob `join` allocates.
+        # copied once, from the arrays into the blob `save` joins.
         constants = self._constant_chunks()
         _write_varint(out, sum(map(len, constants)))
         split = out.tell()
@@ -273,13 +279,21 @@ class Executable:
         _write_varint(out, self.device_streams)
         _write_varint(out, self.num_events)
         framing = out.getvalue()
-        return b"".join([framing[:split], *constants, framing[split:]])
+        return [framing[:split], *constants, framing[split:]]
 
     @staticmethod
     def load(
         blob: bytes, expected_signature: Optional[str] = None
     ) -> "Executable":
-        """Deserialize a ``save()`` blob.
+        """:meth:`load_chunks` of the one piece a ``save()`` blob is."""
+        return Executable.load_chunks([blob], expected_signature)
+
+    @staticmethod
+    def load_chunks(chunks, expected_signature: Optional[str] = None) -> "Executable":
+        """Deserialize the byte stream *chunks* concatenate to — what
+        ``save_chunks()`` returned, cut anywhere. A constant that is
+        one whole array chunk is shared, not copied
+        (:meth:`ChunkReader.array`).
 
         Any version but the current one is rejected as stale rather
         than misread. The embedded content hash is re-verified, and
@@ -287,7 +301,7 @@ class Executable:
         of the module it is restoring for) rejects a blob compiled from a
         *different* module that happens to be filed at the right path.
         """
-        buf = io.BytesIO(blob)
+        buf = ChunkReader(chunks)
         if buf.read(4) != MAGIC:
             raise SerializationError("bad magic: not a Nimble executable")
         version = int.from_bytes(buf.read(2), "little")
@@ -299,7 +313,7 @@ class Executable:
         try:
             platform_name = _read_bytes(buf).decode()
             functions, func_index = _deserialize_bytecode(_read_bytes(buf))
-            constants = _deserialize_constants(buf, memoryview(blob))
+            constants = _deserialize_constants(buf)
             kernels = pickle.loads(_read_bytes(buf))
             entry = _read_bytes(buf).decode()
             specialized_shapes = pickle.loads(_read_bytes(buf))
@@ -374,6 +388,59 @@ class Executable:
 # ---------------------------------------------------------------------------
 # varint / framing helpers
 # ---------------------------------------------------------------------------
+
+
+class ChunkReader:
+    """``read`` and ``tell`` of a ``BytesIO`` over what *chunks* — 1-D
+    byte buffers — concatenate to, without joining them."""
+
+    def __init__(self, chunks) -> None:
+        self._rest = [chunk for chunk in chunks if len(chunk)][::-1]
+        self._pos = 0
+        self._next()
+
+    def _next(self) -> None:
+        """Step into the next chunk (an empty one behind the last)."""
+        self._chunk = self._rest.pop() if self._rest else b""
+        self._view, self._offset = memoryview(self._chunk), 0
+
+    def tell(self) -> int:
+        return self._pos
+
+    def _take(self, n: int) -> memoryview:
+        """Up to *n* bytes, as a view of the chunk the position is in."""
+        if self._offset == len(self._view) and self._rest:
+            self._next()
+        view = self._view[self._offset : self._offset + n]
+        self._offset += len(view)
+        self._pos += len(view)
+        return view
+
+    def read(self, n: int) -> bytes:
+        start, end = self._offset, self._offset + n
+        if end <= len(self._view):  # inside one chunk: nearly every read
+            self._offset, self._pos = end, self._pos + n
+            return bytes(self._view[start:end])
+        out = bytes(self._take(n))
+        while len(out) < n and self._rest:
+            out += self._take(n - len(out))
+        return out
+
+    def array(self, n: int, dtype=np.uint8, shape=-1) -> np.ndarray:
+        """The next *n* bytes as an array aligned as ``np.empty`` aligns
+        one. A chunk that is itself an array and exactly those bytes —
+        the store's shared, read-only copy of a constant — is viewed;
+        anything else is copied: a view at whatever offset the bytes
+        have in their blob sends NumPy down another code path, and a
+        kernel's result differs in the last place from a compiled one's."""
+        raw, chunk = self._take(n), self._chunk
+        if isinstance(chunk, np.ndarray) and len(raw) == n == len(chunk):
+            return chunk.view(dtype).reshape(shape)
+        if len(raw) < n:
+            raw = bytes(raw) + self.read(n - len(raw))
+        if len(raw) != n:
+            raise SerializationError("truncated section")
+        return np.frombuffer(raw, dtype).reshape(shape).copy()
 
 
 def _write_varint(out: io.BytesIO, value: int) -> None:
@@ -618,10 +685,10 @@ def _deserialize_bytecode(blob: bytes) -> Tuple[List[VMFunction], Dict[str, int]
     return functions, index
 
 
-def _deserialize_constants(buf: io.BytesIO, blob: memoryview) -> List[NDArray]:
+def _deserialize_constants(buf: "ChunkReader") -> List[NDArray]:
     """Read the constants section at *buf*'s position. Array data is
-    taken through *blob*, a view of the bytes *buf* reads, so the only
-    copy made of a weight is the array that owns it."""
+    taken with :meth:`ChunkReader.array`, so the only copy made of a
+    weight is the array that owns it."""
     end = _read_varint(buf)
     end += buf.tell()
     out: List[NDArray] = []
@@ -630,13 +697,9 @@ def _deserialize_constants(buf: io.BytesIO, blob: memoryview) -> List[NDArray]:
         ndim = _read_varint(buf)
         shape = tuple(_read_varint(buf) for _ in range(ndim))
         length = _read_varint(buf)
-        start = buf.tell()
-        if not 0 <= length <= end - start:
+        if not 0 <= length <= end - buf.tell():
             raise SerializationError("truncated section")
-        raw = blob[start : start + length]
-        arr = np.frombuffer(raw, dtype=to_numpy_dtype(dtype)).reshape(shape).copy()
-        buf.seek(start + length)
-        out.append(NDArray(arr))
+        out.append(NDArray(buf.array(length, to_numpy_dtype(dtype), shape)))
     if buf.tell() != end:
         raise SerializationError("constants section overruns its length")
     return out

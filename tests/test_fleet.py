@@ -56,13 +56,13 @@ def _payload(rows, dim=8, seed=0):
     return (np.random.RandomState(seed).randn(rows, dim) * 0.1).astype(np.float32)
 
 
-def _hot_trace(n=24, rows=9, gap_us=100.0, start_us=0.0, tenant="default"):
+def _hot_trace(n=24, rows=9, gap_us=100.0, start_us=0.0, tenant="default", dim=8):
     """n arrivals of one exact shape, evenly spaced — the affinity magnet."""
     return [
         Request(
             rid=i,
             arrival_us=start_us + i * gap_us,
-            payload=_payload(rows, seed=i),
+            payload=_payload(rows, dim=dim, seed=i),
             tenant=tenant,
         )
         for i in range(n)
@@ -507,6 +507,53 @@ class TestFleetChaos:
             assert np.array_equal(outs[r.rid], r.output.numpy())
         _assert_drained(router)
 
+    def test_corrupt_chunk_rejected_recompiled_healed_and_replayed(self, tmp_path):
+        """The same rot one level down: the executable's blob is sound,
+        the weight chunk it names is not. The sibling's restore is a
+        counted reject and a fresh compile whose re-put rewrites the
+        chunk; the run — reject counts included — replays exactly, and
+        a faultless fleet over the healed store restores cleanly."""
+        from repro.harness.scenario import same_simulation
+
+        trace = _hot_trace(24, dim=32)
+        fleet = FleetConfig(num_replicas=2, routing="random", random_seed=0)
+        config = ServeConfig(artifact_dir=str(tmp_path), **_FAST)
+        router = FleetRouter(_mlp(32), intel_cpu(), config, fleet)
+        chaos = [CorruptBlob(at_us=250.0, kind="const", index=0)]
+        report = router.simulate(trace, chaos=chaos)
+        assert same_simulation(report, router.simulate(trace, chaos=chaos))
+        assert report.chaos_corruptions == 1
+        assert [r.store_rejects for r in report.replica_reports] == [1, 0]
+        assert [r.specialize_fresh_compiles for r in report.replica_reports] == [1, 1]
+        assert report.total_fleet_restores == 0
+        (name,) = router.store.chunk_names()
+        assert name in router.replicas[0].store.reject_log[0][1]
+        single = InferenceServer(_mlp(32), intel_cpu(), ServeConfig(**_FAST)).simulate(
+            trace
+        )
+        outs = _outputs(report)
+        for r in single.responses:
+            assert np.array_equal(outs[r.rid], r.output.numpy())
+        _assert_drained(router)
+        # The replay's chaos left the chunk bad again, and replica 0 —
+        # its reject memoised, replay-stable — did not read it a second
+        # time, so did not rewrite it. The next process's readers
+        # reject, rebuild and re-put; the one after that starts warm.
+        restarted = FleetRouter(_mlp(32), intel_cpu(), config, fleet).simulate(trace)
+        assert restarted.store_rejects > 0
+        healed = FleetRouter(_mlp(32), intel_cpu(), config, fleet).simulate(trace)
+        assert healed.store_rejects == 0
+        assert sum(r.specialize_restored for r in healed.replica_reports) > 0
+
+    def test_corrupting_a_chunk_nothing_names_is_a_counted_noop(self, tmp_path):
+        """The 8-wide model has no constant large enough to be a chunk."""
+        router = FleetRouter(
+            _mlp(), intel_cpu(), ServeConfig(artifact_dir=str(tmp_path), **_FAST),
+            FleetConfig(num_replicas=1),
+        )
+        chaos = [CorruptBlob(at_us=2000.0, kind="const")]
+        assert router.simulate(_hot_trace(24), chaos=chaos).chaos_noops == 1
+
     def test_corrupting_an_empty_store_is_a_counted_noop(self):
         router = FleetRouter(
             _mlp(), intel_cpu(), ServeConfig(**_FAST), FleetConfig(num_replicas=1)
@@ -559,6 +606,54 @@ class TestFleetChaos:
         }
         assert restored_keys.isdisjoint(pruned)
         assert report.gc_kept_referenced > 0
+        _assert_drained(router)
+
+
+    def test_chunk_sweep_never_strands_a_blob(self, tmp_path, monkeypatch):
+        """The same race on a model with a weight chunk. Every tick
+        prunes what it may and then sweeps constants/ — and never takes
+        the chunk from under the in-flight restore, a surviving blob, or
+        the blob the re-hot shape wrote earlier in the simulation: no
+        read is ever rejected, and whatever is on disk at the end reads
+        back whole in a new process."""
+        monkeypatch.setitem(calibration.RESTORE_BASE_US, "intel", 5000.0)
+        store_dir = str(tmp_path / "store")
+        config = ServeConfig(artifact_dir=store_dir, **_FAST)
+        extra = [
+            Request(
+                rid=100 + i, arrival_us=50.0 + i * 100.0,
+                payload=_payload(25, dim=32, seed=i),
+            )
+            for i in range(12)
+        ]
+        InferenceServer(_mlp(32), intel_cpu(), config).simulate(
+            _hot_trace(12, dim=32) + extra
+        )
+        (name,) = ArtifactStore(store_dir).chunk_names()
+        router = FleetRouter(
+            _mlp(32), intel_cpu(), config,
+            FleetConfig(num_replicas=1, gc_interval_us=1000.0, gc_max_age_us=0.0),
+        )
+        # The 9-row shape restores (slowly) under the collector; the
+        # 25-row one is pruned cold, then comes back and is re-put.
+        late = [
+            Request(
+                rid=200 + i, arrival_us=9000.0 + i * 100.0,
+                payload=_payload(25, dim=32, seed=i),
+            )
+            for i in range(12)
+        ]
+        report = _assert_replays(router, _hot_trace(80, dim=32) + late)
+        assert sum(g.kept_in_flight for g in report.gc_reports) >= 3
+        assert any(kind == "exe" for g in report.gc_reports for kind, _ in g.pruned)
+        assert report.store_rejects == 0
+        assert [r.specialize_restored for r in report.replica_reports] == [1]
+        assert [r.specialize_fresh_compiles for r in report.replica_reports] == [1]
+        fresh = ArtifactStore(store_dir)
+        assert fresh.chunk_names() == [name]
+        assert len(fresh.keys()) >= 1
+        assert all(fresh.get(key) is not None for key in fresh.keys())
+        assert fresh.rejects == 0
         _assert_drained(router)
 
 

@@ -1494,6 +1494,44 @@ class TestStagedCompile:
             _run(mono, x)[0].numpy(), _run(staged, x)[0].numpy()
         )
 
+    @pytest.mark.parametrize("streams", [None, 2], ids=["intel_cpu", "nvidia_gpu_s2"])
+    def test_store_restored_prefix_and_variant_match_fresh_compiles_bitwise(
+        self, fresh_prefix_cache, tmp_path, streams
+    ):
+        """What comes back from a store shares the store's one array of
+        each large constant instead of owning a copy. That array must be
+        aligned as ``np.empty`` aligns: a zero-copy view of the file's
+        bytes (offset 40 behind the envelope) is a correct float32
+        array that NumPy reduces along another code path, and the
+        specialized tier then differs from the dynamic one in the last
+        ulp. So: restored prefix -> specialize, and restored variant,
+        against compiles that never saw a store — bitwise."""
+        from repro.vm.compiler import CompilerOptions
+
+        platform = nvidia_gpu() if streams else intel_cpu()
+        options = CompilerOptions(device_streams=streams) if streams else None
+        mod = build_lstm_module(LSTMWeights.create(32, 32, seed=0))
+        fresh, _ = nimble.specialize(mod, platform, shapes=[(6, 32)], options=options)
+        dynamic, _ = nimble.build(mod, platform, options=options)
+        store = ArtifactStore(tmp_path)
+        store.put_prefix(nimble.compile_prefix(mod, platform)[0])
+        store.put(fresh)
+        store = ArtifactStore(tmp_path)  # a new process: nothing cached
+        prefix = store.get_prefix(nimble.prefix_store_key(module_fingerprint(mod), platform.name))
+        restored = store.get(fresh.content_hash())
+        staged, _ = nimble.specialize(
+            mod, platform, shapes=[(6, 32)], options=options, prefix=prefix
+        )
+        assert store.rejects == 0 and staged.content_hash() == fresh.content_hash()
+        big = [c.numpy() for c in restored.constants + staged.constants if c.nbytes >= 4096]
+        assert len(big) == 2 and np.shares_memory(*big)
+        assert not big[0].flags.writeable and big[0].ctypes.data % 16 == 0
+        x = (np.random.RandomState(3).randn(6, 32) * 0.5).astype(np.float32)
+        want = _run(fresh, x, platform=platform)[0].numpy()
+        assert np.array_equal(_run(dynamic, x, platform=platform)[0].numpy(), want)
+        assert np.array_equal(_run(restored, x, platform=platform)[0].numpy(), want)
+        assert np.array_equal(_run(staged, x, platform=platform)[0].numpy(), want)
+
     def test_prefix_for_wrong_module_or_platform_rejected(
         self, fresh_prefix_cache
     ):

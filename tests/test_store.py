@@ -894,3 +894,358 @@ class TestStoreGC:
         # The whole dance replays bit-identically.
         replay = router.simulate(trace)
         assert replay.counters() == counters
+
+
+# ---------------------------------------------------------------------------
+# Constant chunks: a large weight is one file and one array, not one per blob
+# ---------------------------------------------------------------------------
+
+
+def _lstm_module(width=16):
+    """An LSTM whose one weight matrix — (4 * width, 2 * width) float32,
+    8 KiB at width 16 — is the only constant of CHUNK_MIN_BYTES or more."""
+    from repro.models.lstm import LSTMWeights, build_lstm_module
+
+    return build_lstm_module(LSTMWeights.create(width, width, num_layers=1, seed=0))
+
+
+def _filled(root, mod=None, lengths=(5, 9), width=16):
+    """A store holding the prefix of *mod* and one variant per length:
+    ``(store, mod, prefix key, exe keys)``."""
+    mod = mod or _lstm_module(width)
+    store = ArtifactStore(root)
+    cache = KernelCache()
+    prefix = nimble.build_prefix(mod, intel_cpu())
+    exes = [
+        nimble.specialize(
+            mod, intel_cpu(), shapes=[(n, width)], kernel_cache=cache, prefix=prefix
+        )[0]
+        for n in lengths
+    ]
+    return store, mod, store.put_prefix(prefix), [store.put(exe) for exe in exes]
+
+
+def _weight(obj):
+    """The one large array of an executable or of a prefix's module."""
+    from repro.ir.visitor import ExprVisitor
+
+    arrays = []
+    if isinstance(obj, Executable):
+        arrays = [c.numpy() for c in obj.constants]
+    else:
+        collect = ExprVisitor()
+        collect.visit_constant = lambda node: arrays.append(node.data)
+        for func in obj.module.functions.values():
+            collect.visit(func)
+    (big,) = {id(a): a for a in arrays if a.nbytes >= 4096}.values()
+    return big
+
+
+def _chunk_file(store):
+    (name,) = store.chunk_names()
+    return name, store.blob_path("const", name)
+
+
+def _reseal(path, magic, version, mutate):
+    """Rewrite the segment table of the blob at *path* through *mutate*
+    (a list of ``(length, digest | None)`` in, the same out) and seal it
+    again: a sound envelope around a table that lies."""
+    blob = path.read_bytes()
+    inline = bytes(envelope.open(blob, magic, version, "blob"))
+    segments = []
+    for length, digest in mutate(envelope.table(blob)[0]):
+        if digest is None:
+            segments.append(inline[:length])
+            inline = inline[length:]
+        else:
+            segments.append((length, digest))
+    path.write_bytes(
+        envelope.seal(magic, version, *segments)
+        + b"".join(s for s in segments if not isinstance(s, tuple))
+    )
+
+
+class TestConstantChunks:
+    def test_one_chunk_per_model_named_by_every_blob(self, tmp_path):
+        """Structure: two variants and the prefix name one file under
+        constants/ (the weight; the 256-byte bias stays inline), and what
+        is left per blob is bytecode, kernels and small constants."""
+        store, mod, prefix_key, exe_keys = _filled(tmp_path)
+        name, path = _chunk_file(store)
+        assert path.stat().st_size == envelope.HEADER_SIZE + 8192
+        for kind, key in [("prefix", prefix_key)] + [("exe", k) for k in exe_keys]:
+            assert store.chunk_refs(kind, key) == [name]
+            assert store.blob_path(kind, key).stat().st_size < 16 * 1024
+        assert store.malformed_names() == []
+        # Chunks are no entries of the inventory the view and GC model.
+        assert {kind for kind, _ in store.inventory()} == {"exe", "prefix"}
+
+    def test_executables_outside_a_store_stay_self_contained(self, tmp_path):
+        store, _, _, exe_keys = _filled(tmp_path)
+        restored = store.get(exe_keys[0])
+        blob = restored.save()
+        assert len(blob) > 8192
+        assert Executable.load(blob).save() == blob
+
+    def test_restored_blobs_share_one_aligned_read_only_array(self, tmp_path):
+        """Two variants and the prefix restored through one store hold
+        one copy of the weights. The array is aligned as np.empty aligns
+        (a protocol-5 buffer left aliasing the payload at offset 40 made
+        NumPy take another code path: last-ulp differences between
+        tiers), and read-only: a VM run cannot change it under a
+        sibling."""
+        root = tmp_path / "store"
+        _, mod, prefix_key, exe_keys = _filled(root)
+        store = ArtifactStore(root)
+        prefix = store.get_prefix(prefix_key)
+        first, second = (store.get(key) for key in exe_keys)
+        weights = [_weight(obj) for obj in (prefix, first, second)]
+        for array in weights:
+            assert np.shares_memory(array, weights[0])
+            assert not array.flags.writeable
+            assert array.ctypes.data % 16 == 0
+        # Small constants are private, writable copies, as before.
+        small = [c.numpy() for c in first.constants if c.numpy().nbytes < 4096]
+        assert small and all(a.flags.writeable for a in small)
+        before = weights[0].copy()
+        x = np.random.RandomState(0).randn(5, 16).astype(np.float32)
+        nimble.VirtualMachine(first).run(x)
+        assert np.array_equal(weights[0], before)
+        # Another store instance is another process: its own copy.
+        other = _weight(ArtifactStore(root).get(exe_keys[0]))
+        assert not np.shares_memory(other, weights[0])
+        assert np.array_equal(other, weights[0])
+
+    def test_a_damaged_chunk_is_rejected_then_healed_by_the_re_put(self, tmp_path):
+        """'Written only if absent' must not keep a bad chunk for ever:
+        the reader that rejected it remembers, and its re-put rewrites."""
+        root = tmp_path / "store"
+        store, mod, _, (key, _) = _filled(root)
+        name, path = _chunk_file(store)
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01
+        path.write_bytes(bytes(blob))
+        assert store.get(key, expected_signature=module_fingerprint(mod)) is None
+        assert [k for k, _ in store.reject_log] == [key]
+        assert name in store.reject_log[0][1] and "digest" in store.reject_log[0][1]
+        # The caller's fallback: compile, serve, persist.
+        fresh, _ = nimble.specialize(mod, intel_cpu(), shapes=[(5, 16)])
+        x = np.random.RandomState(1).randn(5, 16).astype(np.float32)
+        want = nimble.VirtualMachine(fresh).run(x).numpy()
+        assert store.put(fresh) == key
+        healed = ArtifactStore(root)
+        restored = healed.get(key, expected_signature=module_fingerprint(mod))
+        assert restored is not None and healed.rejects == 0
+        assert np.array_equal(nimble.VirtualMachine(restored).run(x).numpy(), want)
+
+    def test_an_undamaged_chunk_is_not_rewritten(self, tmp_path):
+        store, mod, _, _ = _filled(tmp_path)
+        _, path = _chunk_file(store)
+        stamp = path.stat().st_mtime_ns
+        store.put(nimble.specialize(mod, intel_cpu(), shapes=[(7, 16)])[0])
+        assert path.stat().st_mtime_ns == stamp and len(store.chunk_names()) == 1
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "altered", "missing", "renamed", "length", "overrun"]
+    )
+    @pytest.mark.parametrize("kind", ["exe", "prefix"])
+    def test_chunk_damage_is_one_counted_reject(self, tmp_path, kind, damage):
+        """The corruption matrix, one level down: whatever is wrong with
+        a chunk, or with what a sealed table says of it, the read is a
+        miss with one reject — never an exception, never an object."""
+        store, mod, prefix_key, exe_keys = _filled(tmp_path)
+        key = exe_keys[0] if kind == "exe" else prefix_key
+        magic, version = (
+            (b"NMBE", executable.VERSION) if kind == "exe"
+            else (b"NMBP", nimble.PREFIX_VERSION)
+        )
+        name, path = _chunk_file(store)
+        blob_path = store.blob_path(kind, key)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-100])
+        elif damage == "altered":
+            raw = bytearray(path.read_bytes())
+            raw[envelope.HEADER_SIZE + 17] ^= 0x40
+            path.write_bytes(bytes(raw))
+        elif damage == "missing":
+            path.unlink()
+        elif damage == "renamed":
+            # A sound chunk file under another digest's name.
+            other = envelope.digest_of(b"\0" * 8192)
+            store.blob_path("const", other.hex()).write_bytes(path.read_bytes())
+            _reseal(blob_path, magic, version, lambda table: [
+                (n, d and other) for n, d in table])
+        elif damage == "length":
+            _reseal(blob_path, magic, version, lambda table: [
+                (n - 4 if d else n, d) for n, d in table])
+        else:
+            # The table promises more inline bytes than the blob holds.
+            blob = blob_path.read_bytes()
+            rest = bytearray(blob[envelope.HEADER_SIZE:])
+            struct.pack_into("<Q", rest, 5, 1 << 40)
+            blob_path.write_bytes(
+                envelope.header(magic, version, envelope.digest_of(rest)) + rest
+            )
+        read = store.get if kind == "exe" else store.get_prefix
+        assert read(key, expected_signature=module_fingerprint(mod)) is None
+        assert [k for k, _ in store.reject_log] == [key]
+        # The sibling that names the same chunk fails the same way, or
+        # (table damage is per blob) reads back whole.
+        sibling = store.get(exe_keys[1])
+        assert (sibling is None) == (damage in ("truncated", "altered", "missing"))
+
+    def test_unknown_names_under_constants_are_counted_never_deleted(self, tmp_path):
+        from repro.fleet import FleetStoreView
+        from repro.store import StoreGC
+
+        store, _, _, _ = _filled(tmp_path)
+        junk = [store.constants_dir / "notes.txt", store.constants_dir / "abc.nmblc"]
+        for path in junk:
+            path.write_bytes(b"not a chunk")
+        (store.constants_dir / ".tmp-9").write_bytes(b"in-flight writer")
+        assert store.malformed_names() == ["constants/abc.nmblc", "constants/notes.txt"]
+        report = StoreGC(store, FleetStoreView(store), max_blobs=0).collect(0.0)
+        assert report.malformed == 2
+        assert all(path.exists() for path in junk)
+
+    def test_a_store_of_the_previous_format_is_refused_at_open(self, tmp_path):
+        """No migration and no second reader: STORE_FORMAT 2 blobs have
+        no segment table."""
+        ArtifactStore(tmp_path)
+        (tmp_path / "STORE_FORMAT").write_text("2\n")
+        with pytest.raises(SerializationError, match="format 2"):
+            ArtifactStore(tmp_path)
+
+    def test_serve_pass_store_has_one_chunk(self, tmp_path):
+        """The golden scenario's shape (16 requests, 5 rows then 9, one
+        cache slot) on an LSTM wide enough to have a chunk. CI's size
+        step greps the printed line."""
+        from repro.serve import Request
+
+        config = ServeConfig(
+            max_batch_size=2, max_delay_us=400.0, num_workers=2, specialize=True,
+            specialize_threshold=2, specialize_compile_us=500.0,
+            specialize_max_executables=1, specialize_decay_half_life_us=1000.0,
+            artifact_dir=str(tmp_path),
+        )
+        trace = [
+            Request(
+                rid=i, arrival_us=i * 300.0,
+                payload=(np.random.RandomState(i).randn(rows, 32) * 0.1).astype(np.float32),
+            )
+            for i, rows in enumerate([5] * 6 + [9] * 10)
+        ]
+        InferenceServer(_lstm_module(32), intel_cpu(), config).simulate(trace)
+        store = ArtifactStore(tmp_path)
+        (name,) = store.chunk_names()
+        blobs = store.inventory()
+        holders = [e for e in blobs if store.chunk_refs(*e)]
+        assert sorted(kind for kind, _ in holders) == ["exe", "exe", "prefix"]
+        assert all(store.chunk_refs(*e) == [name] for e in holders)
+        assert all(store.blob_path(*e).stat().st_size < 16 * 1024 for e in blobs)
+        on_disk = sum(p.stat().st_size for p in tmp_path.rglob("*") if p.is_file())
+        chunk = store.blob_path("const", name).stat().st_size
+        embedded = on_disk - chunk + len(holders) * (chunk - envelope.HEADER_SIZE)
+        print(
+            f"store after 16 requests: {len(blobs)} blobs, 1 chunk, "
+            f"{on_disk} bytes on disk, {embedded} if every blob embedded its chunks"
+        )
+        assert embedded > 2 * on_disk
+
+
+class TestChunkSweep:
+    """`StoreGC.collect` unlinks the chunks no blob file names — decided
+    from the disk, after the model's prunes."""
+
+    def _collect(self, store, **policy):
+        from repro.fleet import FleetStoreView
+        from repro.store import StoreGC
+
+        return StoreGC(store, FleetStoreView(store), **policy).collect(0.0)
+
+    def test_a_chunk_lives_as_long_as_one_blob_names_it(self, tmp_path):
+        store, mod, prefix_key, exe_keys = _filled(tmp_path)
+        name, path = _chunk_file(store)
+        # Every blob is never-used initial inventory: max_blobs=1 keeps
+        # one, and that one still names the chunk.
+        report = self._collect(store, max_blobs=1)
+        assert len(report.pruned) == 2 and report.chunks_swept == 0
+        assert path.exists() and len(store.inventory()) == 1
+        (survivor,) = store.inventory()
+        read = store.get if survivor[0] == "exe" else store.get_prefix
+        assert read(survivor[1]) is not None and store.rejects == 0
+        report = self._collect(store, max_blobs=0)
+        assert report.chunks_swept == 1 and not path.exists()
+        assert "chunks_swept" not in report.counters()
+        # A re-put files the chunk again.
+        store.put(nimble.specialize(mod, intel_cpu(), shapes=[(5, 16)])[0])
+        assert store.chunk_names() == [name]
+
+    def test_an_orphan_goes_and_a_policy_free_collection_still_sweeps(self, tmp_path):
+        store, _, _, _ = _filled(tmp_path)
+        orphan = store._file_chunk(memoryview(bytes(range(256)) * 32))
+        assert len(store.chunk_names()) == 2
+        report = self._collect(store)
+        assert report.pruned == [] and report.chunks_swept == 1
+        assert store.chunk_names() == [_chunk_file(store)[0]]
+        assert orphan[1].hex() not in store.chunk_names()
+
+    def test_a_blob_whose_table_does_not_parse_names_nothing(self, tmp_path):
+        store, _, prefix_key, exe_keys = _filled(tmp_path)
+        for kind, key in [("prefix", prefix_key)] + [("exe", k) for k in exe_keys]:
+            store.blob_path(kind, key).write_bytes(b"NIMBLE-CHAOS" * 3)
+            assert store.chunk_refs(kind, key) == []
+        assert self._collect(store).chunks_swept == 1
+
+
+class TestChunkedRoundTrip:
+    """`save_chunks` / `load_chunks` are `save` / `load` cut in pieces."""
+
+    @given(
+        width=st.sampled_from([8, 32]),
+        rows=st.integers(1, 6),
+        batch=st.sampled_from([1, 2]),
+        cuts=st.lists(st.integers(0, 40_000), max_size=4),
+    )
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_executables(self, width, rows, batch, cuts):
+        mod = _dyn_mlp_module(dim=width)
+        exe = _specialized(mod, rows=rows, dim=width, batch=batch)
+        blob = exe.save()
+        assert b"".join(exe.save_chunks()) == blob
+        whole = Executable.load(blob)
+        edges = sorted({0, len(blob), *(c % len(blob) for c in cuts)})
+        recut = [blob[a:b] for a, b in zip(edges, edges[1:])]
+        x = np.random.RandomState(rows).randn(rows * batch, width).astype(np.float32)
+        want = nimble.VirtualMachine(whole).run(x).numpy()
+        for pieces in (exe.save_chunks(), recut):
+            loaded = Executable.load_chunks(pieces)
+            assert loaded.content_hash() == whole.content_hash()
+            assert loaded.save() == blob
+            assert np.array_equal(nimble.VirtualMachine(loaded).run(x).numpy(), want)
+
+    @given(width=st.sampled_from([8, 32]), cuts=st.lists(st.integers(0, 40_000), max_size=4))
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_prefixes(self, width, cuts):
+        mod = _dyn_mlp_module(dim=width)
+        prefix = nimble.build_prefix(mod, intel_cpu())
+        blob = prefix.save()
+        assert b"".join(prefix.save_chunks()) == blob
+        edges = sorted({0, len(blob), *(c % len(blob) for c in cuts)})
+        recut = [blob[a:b] for a, b in zip(edges, edges[1:])]
+        x = np.random.RandomState(0).randn(3, width).astype(np.float32)
+        outputs = []
+        for loaded in (
+            nimble.SpecializationPrefix.load(blob),
+            nimble.SpecializationPrefix.load_chunks(prefix.save_chunks()),
+            nimble.SpecializationPrefix.load_chunks(recut),
+        ):
+            assert loaded.store_key() == prefix.store_key()
+            exe, _ = nimble.specialize(
+                mod, intel_cpu(), shapes=[(3, width)], prefix=loaded
+            )
+            outputs.append(nimble.VirtualMachine(exe).run(x).numpy())
+            assert all(
+                c.numpy().ctypes.data % 16 == 0 for c in exe.constants
+            )
+        assert all(np.array_equal(out, outputs[0]) for out in outputs)
