@@ -13,7 +13,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.baselines.base import OpExecutor
-from repro.data.trees import Tree
 from repro.models.bert import BertWeights
 from repro.models.lstm import LSTMWeights
 from repro.models.tree_lstm import TreeLSTMWeights
@@ -80,21 +79,6 @@ def tree_lstm_node_ops(
     )
     h = ex.multiply(ex.sigmoid(o), ex.tanh(c))
     return h, c
-
-
-def run_tree_lstm_ops(
-    ex: OpExecutor, tree: Tree, embeddings: np.ndarray, weights: TreeLSTMWeights
-) -> np.ndarray:
-    def recurse(node: Tree) -> Tuple[np.ndarray, np.ndarray]:
-        if node.is_leaf:
-            x = embeddings[node.token_id : node.token_id + 1].astype(np.float32)
-            return tree_lstm_node_ops(ex, weights, x=x)
-        return tree_lstm_node_ops(
-            ex, weights, left=recurse(node.left), right=recurse(node.right)
-        )
-
-    h, _ = recurse(tree)
-    return h
 
 
 def run_bert_ops(ex: OpExecutor, x: np.ndarray, weights: BertWeights) -> np.ndarray:

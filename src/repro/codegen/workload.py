@@ -39,10 +39,6 @@ class Workload:
     is_gemm: bool
     out_shapes: Tuple[Shape, ...]
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        return self.flops / max(1.0, self.bytes_moved)
-
 
 def _walk_calls(func: Function) -> List[Tuple[Var, Call]]:
     """(binder, call) pairs of the primitive body, in evaluation order.

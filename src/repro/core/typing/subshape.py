@@ -53,9 +53,3 @@ def shared_any_dims(a: TensorType, b: TensorType) -> List[Tuple[int, int]]:
             if isinstance(db, Any) and da.token == db.token:
                 out.append((i, j))
     return out
-
-
-def num_symbolic_vars(func: Function) -> int:
-    """How many distinct symbolic dimensions a kernel for *func* needs —
-    the quantity §4.5 cares about (current dynamic models usually need 1)."""
-    return len(any_dim_groups(func))

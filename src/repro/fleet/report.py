@@ -207,12 +207,6 @@ class FleetReport:
     def gc_kept_referenced(self) -> int:
         return sum(g.kept_referenced for g in self.gc_reports)
 
-    @property
-    def gc_malformed(self) -> int:
-        """Malformed store names at the LAST collection (an inventory
-        level, not a cumulative count)."""
-        return self.gc_reports[-1].malformed if self.gc_reports else 0
-
     # ------------------------------------------------------------------ chaos
     def _applied(self, fault_kind) -> int:
         return sum(

@@ -44,6 +44,3 @@ class ScopeBuilder:
         for var, value in reversed(self._bindings):
             result = Let(var, value, result)
         return result
-
-    def fresh_var(self, name_hint: str, type_annotation: Optional[Type] = None) -> Var:
-        return Var(self._names.fresh(name_hint), type_annotation)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import CompilerError
-from repro.ir.types import FuncType, TensorType, Type
+from repro.ir.types import TensorType, Type
 from repro.tensor.ndarray import NDArray, array as make_array
 
 
@@ -155,15 +155,6 @@ class Function(Expr):
     @property
     def is_primitive(self) -> bool:
         return bool(self.attrs.get("primitive"))
-
-    def func_type(self) -> FuncType:
-        arg_types = [p.checked_type or p.type_annotation for p in self.params]
-        ret = self.ret_type
-        if ret is None and self.body.checked_type is not None:
-            ret = self.body.checked_type
-        if any(t is None for t in arg_types) or ret is None:
-            raise CompilerError("function not fully typed; run InferType first")
-        return FuncType(arg_types, ret)
 
 
 class Let(Expr):

@@ -51,10 +51,6 @@ def same_shape_func(in_shapes: Sequence[Shape], in_values, attrs) -> List[Shape]
     return [tuple(in_shapes[0])]
 
 
-def scalar_shape_func(in_shapes, in_values, attrs) -> List[Shape]:
-    return [()]
-
-
 def check_rank(shape: Shape, rank: int, what: str) -> None:
     if len(shape) != rank:
         raise ShapeError(f"{what}: expected rank {rank}, got shape {shape}")

@@ -20,12 +20,6 @@ def expect_tensor(ty: Type, what: str) -> TensorType:
     return ty
 
 
-def expect_rank(ty: TensorType, rank: int, what: str) -> TensorType:
-    if ty.ndim != rank:
-        raise TypeInferenceError(f"{what}: expected rank {rank}, got {ty!r}")
-    return ty
-
-
 def broadcast_dim(a: Dim, b: Dim) -> Dim:
     """The paper's broadcast rules over one dimension pair:
 

@@ -308,9 +308,6 @@ class _BatchRewriter:
     member-independent.
     """
 
-    # Single-arg ops whose output row i depends only on input row i.
-    _UNARY_ROWWISE_NAMES = {"nn.relu", "nn.gelu", "clip", "cast"}
-
     def __init__(
         self,
         batch: int,
@@ -587,14 +584,10 @@ class _BatchRewriter:
                 raise BatchSpecializeError("split along the stacked axis")
             return Call(call.op, args, call.attrs), _flags_of(out_ty, name)
 
-        if has_op(name):
-            op_def = get_op_def(name)
-            rowwise = (
-                op_def.pattern in (OpPattern.ELEMWISE, OpPattern.BROADCAST)
-                or name in self._UNARY_ROWWISE_NAMES
-            )
-            if rowwise:
-                return self._rewrite_elemwise(call, args, flags, member_tys)
+        if has_op(name) and get_op_def(name).pattern in (
+            OpPattern.ELEMWISE, OpPattern.BROADCAST
+        ):
+            return self._rewrite_elemwise(call, args, flags, member_tys)
 
         raise BatchSpecializeError(
             f"batch specialization does not support operator {name!r}"

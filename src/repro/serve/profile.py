@@ -74,7 +74,7 @@ class ShapeProfile:
             key=lambda key: (
                 -self.scores[key],
                 -self.hits.get(key, 0),
-                _sortable(key),
+                key_order(key),
             ),
         )
         return tuple(ordered if k is None else ordered[:k])
@@ -120,8 +120,10 @@ class ShapeProfile:
         )
 
 
-def _sortable(key: ProfileKey) -> Tuple[Tuple[bool, int], ...]:
-    """A total-order proxy for shape keys: mixed None/int tuples are not
-    directly comparable in Python, so map each dim to (is-None, value)
-    — bound dims sort before unbound ones, numerically."""
+def key_order(key: ProfileKey) -> Tuple[Tuple[bool, int], ...]:
+    """A total-order proxy over exact and partial shape keys: mixed
+    None/int tuples are not directly comparable in Python, so map each
+    dim to (is-None, value) — bound dims sort before unbound ones,
+    numerically. Every deterministic tiebreak over shape keys, here and
+    in the specialization manager, goes through this."""
     return tuple((d is None, -1 if d is None else d) for d in key)

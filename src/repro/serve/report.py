@@ -194,10 +194,6 @@ class ServeReport:
         lats = self.tier_latencies_us(tier)
         return percentile(lats, q) if lats else 0.0
 
-    def tier_mean_latency_us(self, tier: str) -> float:
-        lats = self.tier_latencies_us(tier)
-        return sum(lats) / len(lats) if lats else 0.0
-
     @property
     def guard_deopts(self) -> int:
         """Batch members a partial variant's entry guard rejected, who
@@ -575,8 +571,6 @@ def build_report(
         device_streams=max(1, int(device_streams)),
     )
     for worker in workers:
-        report.profile_dynamic.merge(worker.vm.profile)
-        report.profile_specialized.merge(worker.specialized_profile)
-        report.profile_batched.merge(worker.batched_profile)
-        report.profile_partial.merge(worker.partial_profile)
+        for tier, profile in worker.profiles.items():
+            report.tier_profile(tier).merge(profile)
     return report

@@ -17,8 +17,11 @@ cache), and a batch whose members all match a specialized shape exactly
 is routed to the static tier — everything else falls back to the dynamic
 executable, including the hot shape itself while its compile sits in the
 compile-worker pool. Once a shape is hot it also gets its own exact
-bucket, so its batches form shape-uniform.
-:mod:`repro.serve.specialization` describes the lifecycle.
+bucket, so its batches form shape-uniform. The server decides none of
+this itself: the manager's ``bucket_key`` / ``bucket_cap`` are the
+batcher's hooks, and ``SpecializationManager.tier_for`` picks the tier
+of every batch; :mod:`repro.serve.specialization` describes the
+lifecycle.
 
 With ``artifact_dir`` set the server is additionally backed by a
 persistent artifact store: the kernel cache warm-loads before the
@@ -46,7 +49,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.events import Dispatch, StoreReject
 from repro.serve.report import ServeReport, build_report
 from repro.serve.request import Request, Response
-from repro.serve.specialization import SpecializationManager
+from repro.serve.specialization import DYNAMIC_TIER, SpecializationManager
 from repro.serve.worker import Worker
 from repro.store import ArtifactStore, FleetStoreView
 
@@ -226,8 +229,8 @@ class InferenceServer:
             self.bucketer,
             max_batch_size=self.config.max_batch_size,
             max_delay_us=self.config.max_delay_us,
-            key_fn=self._bucket_key if self.specializer is not None else None,
-            cap_fn=self._bucket_cap if self.specializer is not None else None,
+            key_fn=None if self.specializer is None else self.specializer.bucket_key,
+            cap_fn=None if self.specializer is None else self.specializer.bucket_cap,
         )
         self._responses: List[Response] = []
 
@@ -325,90 +328,16 @@ class InferenceServer:
             return set()
         return self.specializer.restoring_store_keys(now_us)
 
-    def _bucket_key(self, payload, now_us: float):
-        """Bucket key under tiered specialization: a hot shape (some
-        static executable — member-wise or batched — ready at *now_us*,
-        the batcher's current virtual time) gets its own exact bucket so
-        its batches form shape-uniform and can route to the static tiers;
-        everything else keeps the bucketer's rounded key. The -1 marker
-        keeps exact buckets disjoint from rounded ones (rounded key
-        components are never negative)."""
-        exact = self.bucketer.exact_key(payload)
-        if self.specializer.is_hot_any(exact, now_us):
-            return (-1,) + exact
-        return self.bucketer.round_key(exact)
-
-    def _bucket_cap(self, key):
-        """Bucket flush size under tiered specialization: exact (hot)
-        buckets align to the batched tier's compiled batch size, so a
-        full bucket is exactly one batched-executable call; rounded
-        buckets keep the configured max. When a shape turns out not to
-        admit the batch rewrite, its hot buckets keep the full batch size
-        — capping them would shrink member-tier batches for nothing."""
-        if (
-            key
-            and key[0] == -1
-            and self.specializer.batch_tier_active_for(tuple(key[1:]))
-        ):
-            return self.config.batch_cap
-        return self.config.max_batch_size
-
     def _dispatch(self, batch: Batch, cause: str) -> None:
-        """Run *batch* on the earliest-free worker, on the fastest tier
-        that is ready for it; *cause* is why its bucket flushed."""
+        """Run *batch* on the earliest-free worker, on the tier the
+        manager picks for it; *cause* is why its bucket flushed."""
         worker = min(self.workers, key=lambda w: (w.free_at_us, w.worker_id))
         start = max(batch.formed_us, worker.free_at_us)
-        executable = None
-        tier = "dynamic"
-        hit_key = None
-        if self.specializer is not None:
-            # The exact static tiers only take exact-shape-uniform batches
-            # whose executable is ready; mixed batches within a (rounded)
-            # bucket and in-flight compiles fall through — first to a
-            # guarded partial variant when one covers the members, else
-            # dynamic. Exact buckets carry the -1 marker and are uniform
-            # by construction; a rounded bucket may still happen to be
-            # uniform (requests enqueued before the shape went hot), so
-            # those are checked member-by-member.
-            exact = None
-            member_keys = None
-            if batch.key and batch.key[0] == -1:
-                exact = tuple(batch.key[1:])
-            else:
-                member_keys = [
-                    self.bucketer.exact_key(r.payload) for r in batch.requests
-                ]
-                if len(set(member_keys)) == 1:
-                    exact = member_keys[0]
-            if exact is not None:
-                # Routing ladder: a *full* bucket takes the batched tier
-                # (one VM call for the whole bucket); ragged tails fall
-                # back to member-wise static, then partial, then dynamic.
-                if len(batch) == self.config.batch_cap > 1:
-                    executable = self.specializer.batched_executable_for(
-                        exact, start
-                    )
-                    if executable is not None:
-                        tier = "batched"
-                if executable is None:
-                    executable = self.specializer.executable_for(exact, start)
-                    if executable is not None:
-                        tier = "specialized"
-                if executable is not None:
-                    hit_key = exact
-            if executable is None:
-                # Guarded partial tier: one variant with only the stable
-                # dims bound can serve members of *different* exact
-                # shapes; the worker guard-checks each member and deopts
-                # mismatches to the dynamic VM (counted, never wrong).
-                if member_keys is None:
-                    member_keys = [exact] * len(batch)
-                found = self.specializer.partial_executable_for(
-                    member_keys, start
-                )
-                if found is not None:
-                    executable, hit_key = found
-                    tier = "partial"
+        tier, executable, prearmed = (
+            DYNAMIC_TIER
+            if self.specializer is None
+            else self.specializer.tier_for(batch, start)
+        )
         responses = worker.run_batch(
             batch, start, executable=executable, tier=tier
         )
@@ -423,7 +352,6 @@ class InferenceServer:
                 rids=tuple(r.rid for r in responses),
                 bucket_key=batch.key,
                 cause=cause,
-                prearmed=hit_key is not None
-                and hit_key in self.specializer.predictive_keys,
+                prearmed=prearmed,
             )
         )

@@ -12,6 +12,14 @@ the hot shape itself while its compile is in flight — falls back to the
 dynamic executable, so correctness never depends on the tier: outputs
 are bit-identical either way.
 
+**Routing.** The manager is the one place that picks a tier:
+:meth:`SpecializationManager.tier_for` answers, for each formed batch,
+batched / specialized / partial / dynamic (fastest ready first), and
+:meth:`~SpecializationManager.bucket_key` /
+:meth:`~SpecializationManager.bucket_cap` — the batcher's hooks — give a
+hot shape its own exact bucket, sized to the batched variant. The
+server only asks; the worker runs the tier it is handed.
+
 **Compiling.** Every variant is built through the staged pipeline: a
 shape-independent *prefix* (normalization, CSE/DCE, lambda lifting,
 dynamic type inference — ``nimble.compile_prefix``) shared by all of a
@@ -114,7 +122,7 @@ see also :meth:`observe`):
 - *triggered* — slot acquired; one pending compile (or store restore)
   per variant enqueued on the pool. Requests keep routing dynamic.
 - *resident+ready* — a variant's lane finished (``ready_at``): batches
-  of exactly this shape route to it.
+  of exactly this shape route to it (:meth:`tier_for`).
 - *evicted* — lost the slot to a hotter challenger: ready times drop
   and the shape **re-arms** (its hit count still sits past the
   threshold), so its next observation retries the trigger;
@@ -142,11 +150,11 @@ from repro.hardware.platforms import Platform
 from repro.ir.module import IRModule
 from repro.ir.printer import module_fingerprint
 from repro.passes import bound_entry_shapes
-from repro.serve.batcher import ShapeBucketer
+from repro.serve.batcher import Batch, ShapeBucketer
 from repro.serve.config import ServeConfig
 from repro.serve.events import EvictionEvent, SpecializationEvent, StoreReject
 from repro.serve.events import records_of
-from repro.serve.profile import ShapeProfile, profile_store_key
+from repro.serve.profile import ShapeProfile, key_order, profile_store_key
 from repro.store import ArtifactStore, FleetStoreView
 from repro.vm.executable import Executable, artifact_key
 
@@ -165,6 +173,12 @@ VERIFY_SAMPLE = 4
 PARTIAL_MIN_SHAPES = 3
 # The store's read entry point for each blob kind, by name.
 _STORE_GETTERS = {"exe": "get", "prefix": "get_prefix", "profile": "get_profile"}
+# The first component of an exact bucket's key (see bucket_key). Rounded
+# key components are never negative, so the two kinds never collide.
+EXACT_BUCKET = -1
+# tier_for's answer when no static variant is ready — and a server's
+# for every batch when it runs no manager at all.
+DYNAMIC_TIER = ("dynamic", None, False)
 
 ExactKey = Tuple[int, ...]
 # A *partial* key binds only the stable dims: None marks positions left
@@ -432,39 +446,14 @@ class SpecializationManager:
         age = max(0.0, now_us - self._score_at[key])
         return raw * 0.5 ** (age / self.config.specialize_decay_half_life_us)
 
-    @staticmethod
-    def _sort_key(key: PartialKey) -> Tuple[Tuple[bool, int], ...]:
-        """A total-order proxy over exact and partial keys: mixed
-        None/int tuples are not directly comparable, so each dim maps to
-        (is-None, value) — bound dims sort before unbound, numerically.
-        Every deterministic tiebreak over keys goes through this."""
-        return tuple((v is None, -1 if v is None else v) for v in key)
-
-    def _variant_ready(self, key: ExactKey, batch: int, now_us: float) -> bool:
+    def _ready(self, key: PartialKey, batch: int, at_us: float) -> bool:
+        """Is the (key, batch) variant routable at *at_us*: resident, and
+        its lane finished? A ready variant always has its executable — a
+        job is queued only once its artifact exists."""
         if key not in self._resident:
             return False
         ready = self._ready_at.get((key, batch))
-        return ready is not None and ready <= now_us
-
-    def is_hot(self, key: ExactKey, now_us: float) -> bool:
-        """Is the member-wise static executable for this exact shape
-        routable at *now_us* (resident, compiled, lane finished)?"""
-        return self._variant_ready(key, 1, now_us)
-
-    def is_hot_any(self, key: ExactKey, now_us: float) -> bool:
-        """Is *any* variant (member-wise or batched) routable at
-        *now_us*? The server gives such shapes their own exact bucket so
-        their batches form shape-uniform."""
-        return any(
-            self._variant_ready(key, b, now_us)
-            for b in self._variant_batches(key)
-        )
-
-    def is_batched_hot(self, key: ExactKey, now_us: float) -> bool:
-        """Is the batch-specialized executable routable at *now_us*?"""
-        return self.batch_cap > 1 and self._variant_ready(
-            key, self.batch_cap, now_us
-        )
+        return ready is not None and ready <= at_us
 
     # ------------------------------------------------------------------- flow
     def observe(self, key: ExactKey, now_us: float) -> None:
@@ -479,12 +468,7 @@ class SpecializationManager:
         immediately on an idle lane."""
         if not key:
             return  # fully static model: there is nothing to specialize
-        self._hits[key] += 1
-        self._bump_score(key, now_us)
-        self._last_hit_us[key] = now_us
-        for job in self._pending:
-            if job.key == key:
-                job.hit_times_us.append(now_us)
+        self._hit(key, now_us)
         if self.config.specialize_partial and None not in key:
             self._note_partial(key, now_us)
         self._pump(now_us)
@@ -495,25 +479,18 @@ class SpecializationManager:
             self._try_trigger(key, now_us)
             self._pump(now_us)
 
-    def executable_for(self, key: ExactKey, at_us: float) -> Optional[Executable]:
-        """The member-wise static executable for a batch whose members all
-        have exact shape *key*, or None when the shape is not specialized
-        (or its compile has not finished by *at_us* — the caller falls
-        back to the dynamic tier)."""
-        if not self.is_hot(key, at_us):
-            return None
-        return self._executables.get((key, 1))
-
-    def batched_executable_for(
-        self, key: ExactKey, at_us: float
-    ) -> Optional[Executable]:
-        """The batch-specialized executable (one call runs ``batch_cap``
-        members of exact shape *key*), or None when that variant is not
-        routable at *at_us*. The caller routes only full buckets here —
-        ragged tails take :meth:`executable_for` or the dynamic tier."""
-        if not self.is_batched_hot(key, at_us):
-            return None
-        return self._executables.get((key, self.batch_cap))
+    def _hit(self, key: PartialKey, now_us: float) -> None:
+        """One hit on *key* at *now_us*: the count the threshold reads,
+        the decayed score eviction reads (folded to now, then +1, and
+        re-anchored), the recency tiebreak, and the hit times a pending
+        compile of *key* ranks by."""
+        self._hits[key] += 1
+        self._score[key] = self.score(key, now_us) + 1.0
+        self._score_at[key] = now_us
+        self._last_hit_us[key] = now_us
+        for job in self._pending:
+            if job.key == key:
+                job.hit_times_us.append(now_us)
 
     @staticmethod
     def _matches(key: ExactKey, pkey: PartialKey) -> bool:
@@ -546,12 +523,7 @@ class SpecializationManager:
         # partial variant too — it is what would serve the request.
         for pkey in self._partials:
             if self._matches(key, pkey):
-                self._hits[pkey] += 1
-                self._bump_score(pkey, now_us)
-                self._last_hit_us[pkey] = now_us
-                for job in self._pending:
-                    if job.key == pkey:
-                        job.hit_times_us.append(now_us)
+                self._hit(pkey, now_us)
         stable = [i for i, vals in enumerate(self._seen_values) if len(vals) == 1]
         if not stable or len(stable) == len(key):
             # Nothing stable to bind, or no tail to cover: exact
@@ -577,28 +549,67 @@ class SpecializationManager:
             self._partials.add(pkey)
             self._pump(now_us)
 
-    def partial_executable_for(
-        self, member_keys: List[ExactKey], at_us: float
-    ):
-        """The ready partial variant covering the most of *member_keys*,
-        as an ``(executable, partial key)`` pair — or None when no
-        partial variant matches any member. Ties break on the None-safe
-        key order, so routing is deterministic. The caller runs matching
-        members through the variant and deopts the rest (the entry guard
-        re-checks every member, so a routing bug fails loud, not wrong)."""
-        best_pkey: Optional[PartialKey] = None
-        best_cover = 0
-        for pkey in sorted(self._partials, key=self._sort_key):
-            if not self._variant_ready(pkey, 1, at_us):
-                continue
-            if (pkey, 1) not in self._executables:
-                continue
-            cover = sum(1 for k in member_keys if self._matches(k, pkey))
-            if cover > best_cover:
-                best_cover, best_pkey = cover, pkey
-        if best_pkey is None:
-            return None
-        return self._executables[(best_pkey, 1)], best_pkey
+    # ---------------------------------------------------------------- routing
+    def tier_for(
+        self, batch: Batch, at_us: float
+    ) -> Tuple[str, Optional[Executable], bool]:
+        """The one tier decision: what runs *batch* starting at *at_us*,
+        as ``(tier, executable, prearmed)`` — the fastest tier ready.
+
+        A batch whose members share one exact shape (every exact bucket,
+        and a rounded one that happens to be uniform: requests queued
+        before the shape went hot) takes the batched variant when it
+        fills the compiled batch size exactly — one VM call for the
+        whole bucket — else the member-wise variant. Otherwise (mixed
+        shapes, or compiles still in flight) the ready partial variant
+        covering the most members wins, ties broken on the None-safe key
+        order; the worker guard-checks every member and deopts the
+        misses to the dynamic VM (counted, never wrong). Otherwise
+        :data:`DYNAMIC_TIER`. *prearmed* says the variant came from the
+        shape profile's time-0 pre-arm."""
+        members = [self.bucketer.exact_key(r.payload) for r in batch.requests]
+        variant = None
+        if len(set(members)) == 1:
+            exact = members[0]
+            if len(batch) == self.batch_cap > 1 and self._ready(
+                exact, self.batch_cap, at_us
+            ):
+                tier, variant = "batched", (exact, self.batch_cap)
+            elif self._ready(exact, 1, at_us):
+                tier, variant = "specialized", (exact, 1)
+        if variant is None:
+            best_cover = 0
+            for pkey in sorted(self._partials, key=key_order):
+                if not self._ready(pkey, 1, at_us):
+                    continue
+                cover = sum(1 for k in members if self._matches(k, pkey))
+                if cover > best_cover:
+                    tier, variant, best_cover = "partial", (pkey, 1), cover
+        if variant is None:
+            return DYNAMIC_TIER
+        return tier, self._executables[variant], variant[0] in self.predictive_keys
+
+    def bucket_key(self, payload, now_us: float) -> Tuple[int, ...]:
+        """The batcher's ``key_fn``: a shape with some variant ready at
+        *now_us* (the batcher's virtual time) gets its own exact bucket,
+        ``(EXACT_BUCKET, *exact)``, so its batches form shape-uniform and
+        can take the static tiers; everything else keeps the bucketer's
+        rounded key."""
+        exact = self.bucketer.exact_key(payload)
+        if any(self._ready(exact, b, now_us) for b in self._variant_batches(exact)):
+            return (EXACT_BUCKET,) + exact
+        return self.bucketer.round_key(exact)
+
+    def bucket_cap(self, key: Tuple[int, ...]) -> int:
+        """The batcher's ``cap_fn``: an exact bucket flushes at the
+        batched tier's compiled batch size, so a full bucket is exactly
+        one batched-executable call; rounded buckets keep the configured
+        max. So do the exact buckets of a shape the probe found
+        unbatchable — capping them would shrink member-tier batches for
+        nothing."""
+        if key and key[0] == EXACT_BUCKET and self._batchable(tuple(key[1:])):
+            return self.batch_cap
+        return self.config.max_batch_size
 
     # ------------------------------------------------------------- fleet hooks
     def specialization_state(self, key: ExactKey, now_us: float) -> Optional[str]:
@@ -606,7 +617,7 @@ class SpecializationManager:
         ``"ready"`` when some variant of *key* is hot right now,
         ``"compiling"`` when the shape has triggered but nothing is ready
         yet, ``None`` when this replica has no stake in the shape."""
-        if self.is_hot_any(key, now_us):
+        if any(self._ready(key, b, now_us) for b in self._variant_batches(key)):
             return "ready"
         if key in self._resident:
             return "compiling"
@@ -683,10 +694,6 @@ class SpecializationManager:
         self._pump(math.inf)
 
     # ------------------------------------------------------------ scheduling
-    def _bump_score(self, key: ExactKey, now_us: float) -> None:
-        self._score[key] = self.score(key, now_us) + 1.0
-        self._score_at[key] = now_us
-
     def _priority(self, job: _PendingCompile, at_us: float):
         """Queue order at virtual time *at_us*: highest hit rate since
         trigger first (the triggering hit counts, plus every hit observed
@@ -706,7 +713,7 @@ class SpecializationManager:
         # Variants of one shape tie on rate and trigger; the member-wise
         # build (batch 1) compiles first — it serves ragged tails too, so
         # it is the more broadly useful artifact.
-        return (-rate, job.trigger_us, self._sort_key(job.key), job.batch)
+        return (-rate, job.trigger_us, key_order(job.key), job.batch)
 
     def _pump(self, now_us: float) -> None:
         """Process every lane-free event up to *now_us*: bind the
@@ -733,25 +740,22 @@ class SpecializationManager:
                 )
             )
 
-    def batch_tier_active_for(self, key: ExactKey) -> bool:
+    def _batchable(self, key: PartialKey) -> bool:
         """Is the batched tier configured and not known-unbatchable for
-        this exact shape? The server aligns a hot bucket's cap to the
-        compiled batch size only while this holds — once the probe rules
-        the shape out, shrinking its member-tier buckets would cost
-        throughput for nothing. Partial keys are member-wise by
-        construction: the batch rewrite needs every dim static."""
+        this shape? Partial keys are member-wise by construction: the
+        batch rewrite needs every dim static."""
         return (
             self.batch_cap > 1
             and None not in key
             and key not in self._unbatchable
         )
 
-    def _variant_batches(self, key: ExactKey) -> Tuple[int, ...]:
+    def _variant_batches(self, key: PartialKey) -> Tuple[int, ...]:
         """Batch sizes compiled for this hot shape: the member-wise
         build, plus the batch-cap build when the shape admits the batch
         rewrite. Stable from the shape's first trigger onward (the
         unbatchable probe settles atomically with the trigger)."""
-        if not self.batch_tier_active_for(key):
+        if not self._batchable(key):
             return (1,)
         return (1, self.batch_cap)
 
@@ -798,11 +802,7 @@ class SpecializationManager:
         candidates = [
             k
             for k in self._resident
-            if all(
-                self._ready_at.get((k, b)) is not None
-                and self._ready_at[(k, b)] <= now_us
-                for b in self._variant_batches(k)
-            )
+            if all(self._ready(k, b, now_us) for b in self._variant_batches(k))
         ]
         if not candidates:
             return None
@@ -815,7 +815,7 @@ class SpecializationManager:
             key=lambda k: (
                 self.score(k, now_us),
                 self._last_hit_us.get(k, 0.0),
-                self._sort_key(k),
+                key_order(k),
             ),
         )
         if self.score(challenger, now_us) <= EVICTION_MARGIN * self.score(

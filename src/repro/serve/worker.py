@@ -13,11 +13,11 @@ granularity), so a member-wise build and a batch-specialized build of the
 same shape, or two batch caps of the same shape, never share a stale VM —
 all sharing this worker's context, so a batch routed to a static tier
 runs on the same clock/allocator and its latency lands in the same
-report. Member-wise specialized VMs pool their profile into
-``specialized_profile``, batch-specialized VMs into
-``batched_profile``, and guarded partial variants into
-``partial_profile`` — the report splits kernel/shape-func time by tier
-from them. The VM cache is dropped on :meth:`reset`, so an executable
+report. The worker does not choose tiers: it runs a batch on the tier
+the server hands it (``SpecializationManager.tier_for`` decided), and
+each VM pools its profile into ``profiles[tier]`` — ``"dynamic"`` is
+the dynamic VM's own — from which the report splits kernel/shape-func
+time by tier. The VM cache is dropped on :meth:`reset`, so an executable
 evicted from the specialization manager's cache is not pinned alive by a
 stale VM across replays.
 
@@ -64,9 +64,12 @@ class Worker:
         self.entry = entry
         self.ctx = ExecutionContext(platform, numerics=numerics)
         self.vm = VirtualMachine(executable, self.ctx)
-        self.specialized_profile = VMProfile()
-        self.batched_profile = VMProfile()
-        self.partial_profile = VMProfile()
+        self.profiles: Dict[str, VMProfile] = {
+            "dynamic": self.vm.profile,
+            "specialized": VMProfile(),
+            "batched": VMProfile(),
+            "partial": VMProfile(),
+        }
         self._specialized_vms: Dict[tuple, VirtualMachine] = {}
         # The simulation's record list (see reset); this worker appends
         # its guard deopts, so "never wrong" is also "never silent".
@@ -87,17 +90,15 @@ class Worker:
         self.ctx.reset_clock()
         self.ctx.allocator.release_all()
         self.ctx.allocator.stats.reset()
-        self.vm.profile.reset()
-        self.specialized_profile.reset()
-        self.batched_profile.reset()
-        self.partial_profile.reset()
+        for profile in self.profiles.values():
+            profile.reset()
         self._specialized_vms.clear()
         self.records = [] if records is None else records
 
-    def _specialized_vm(self, executable: Executable) -> VirtualMachine:
+    def _specialized_vm(self, executable: Executable, tier: str) -> VirtualMachine:
         """One VM per specialized executable variant, sharing this
-        worker's context and pooling their profile by tier (per-tier
-        accounting). Keyed by the (specialization marker, batch
+        worker's context and pooling its profile into ``profiles[tier]``
+        (per-tier accounting). Keyed by the (specialization marker, batch
         granularity) pair — stable across executable-cache eviction,
         unlike id(), and never aliasing across batch-cap changes: a
         member shape (4, I) batched 8× and a member shape (8, I) batched
@@ -107,12 +108,7 @@ class Worker:
         vm = self._specialized_vms.get(key)
         if vm is None or vm.exe is not executable:
             vm = VirtualMachine(executable, self.ctx)
-            if executable.is_batch_specialized:
-                vm.profile = self.batched_profile
-            elif executable.is_partial:
-                vm.profile = self.partial_profile
-            else:
-                vm.profile = self.specialized_profile
+            vm.profile = self.profiles[tier]
             self._specialized_vms[key] = vm
         return vm
 
@@ -168,8 +164,9 @@ class Worker:
     ) -> List[Response]:
         """Execute every request of *batch*, completing them together.
 
-        ``executable`` selects a static tier (a specialized build run on
-        this worker's own context/clock): member-wise pipelining for
+        ``executable`` and ``tier`` are what the manager's ``tier_for``
+        picked; a static executable runs on this worker's own
+        context/clock, with member-wise pipelining for
         ``tier="specialized"``, one stacked call for ``tier="batched"``,
         and guarded member-wise pipelining for ``tier="partial"`` — each
         member's inputs are checked against the variant's entry guard
@@ -179,7 +176,7 @@ class Worker:
         compiled for someone else's dims."""
         clock = self.ctx.clock
         clock.advance_to(start_us)
-        vm = self.vm if executable is None else self._specialized_vm(executable)
+        vm = self.vm if executable is None else self._specialized_vm(executable, tier)
         begin = clock.elapsed_us
         tiers = [tier] * len(batch)
         if tier == "batched":

@@ -482,13 +482,3 @@ class VMCompiler:
             schedule = Schedule()
         self._schedule_cache[key] = schedule
         return schedule
-
-
-def compile_module(
-    mod: IRModule,
-    platform: Platform,
-    options: Optional[CompilerOptions] = None,
-    kernel_cache: Optional[KernelCache] = None,
-) -> Executable:
-    """Convenience wrapper used by the top-level ``nimble.compile``."""
-    return VMCompiler(platform, options, kernel_cache).compile(mod)

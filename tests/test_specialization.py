@@ -42,6 +42,7 @@ from repro.serve import (
 )
 from repro.serve.events import GuardDeopt, StoreReject
 from repro.serve.report import ServeReport
+from repro.serve.specialization import EXACT_BUCKET
 from repro.vm.executable import Executable
 from repro.vm.interpreter import VirtualMachine
 
@@ -323,6 +324,25 @@ def _report(mgr):
     )
 
 
+def _batch(*shapes, key=()):
+    """A formed batch in bucket *key*: one zero payload per shape."""
+    requests = [
+        Request(rid=i, arrival_us=0.0, payload=np.zeros(s, np.float32))
+        for i, s in enumerate(shapes)
+    ]
+    return Batch(key, requests, 0.0)
+
+
+def _tier(mgr, at_us, *shapes):
+    """The tier the manager picks at *at_us* for a batch of *shapes*."""
+    return mgr.tier_for(_batch(*shapes), at_us)[0]
+
+
+def _cap(mgr, shape, at_us):
+    """The flush size of the bucket a *shape* payload joins at *at_us*."""
+    return mgr.bucket_cap(mgr.bucket_key(np.zeros(shape, np.float32), at_us))
+
+
 def _rejects(mgr):
     return [r for r in mgr.records if type(r) is StoreReject]
 
@@ -352,9 +372,9 @@ class TestSpecializationManager:
         assert event.trigger_us == 20.0
         assert event.ready_us == pytest.approx(120.0)
         # Not routable until the compile lane finishes.
-        assert mgr.executable_for((16,), 50.0) is None
-        exe = mgr.executable_for((16,), 120.0)
-        assert exe is not None and exe.specialized_shapes == ((16, 8),)
+        assert _tier(mgr, 50.0, (16, 8)) == "dynamic"
+        tier, exe, _ = mgr.tier_for(_batch((16, 8)), 120.0)
+        assert tier == "specialized" and exe.specialized_shapes == ((16, 8),)
 
     def test_single_lane_serializes_compiles_through_queue(self):
         mgr = self._manager(threshold=1)
@@ -390,7 +410,7 @@ class TestSpecializationManager:
             mgr.observe((v,), 0.0)
         assert mgr.num_executables == 2
         assert mgr.num_resident == 2
-        assert mgr.executable_for((24,), 1e9) is None
+        assert _tier(mgr, 1e9, (24, 8)) == "dynamic"
 
     def test_reset_preserves_compiled_cache_but_restarts_counters(self):
         mgr = self._manager(threshold=2)
@@ -400,10 +420,10 @@ class TestSpecializationManager:
         mgr.reset()
         assert mgr.num_executables == 1
         assert mgr.hits((16,)) == 0
-        assert mgr.executable_for((16,), 1e9) is None  # not hot again yet
+        assert _tier(mgr, 1e9, (16, 8)) == "dynamic"  # not hot again yet
         mgr.observe((16,), 5.0)
         mgr.observe((16,), 6.0)
-        assert mgr.executable_for((16,), 106.0) is not None
+        assert _tier(mgr, 106.0, (16, 8)) == "specialized"
 
     def test_static_model_never_specializes(self):
         x = Var("x", TensorType((4, 8), "float32"))
@@ -476,7 +496,7 @@ class TestRearmAndEviction:
         )
         mgr.observe((8,), 0.0)
         mgr.observe((8,), 10.0)  # A triggers, compile ready at 110
-        assert mgr.is_hot((8,), 110.0)
+        assert _tier(mgr, 110.0, (8, 8)) == "specialized"
         # B crosses the threshold while the cache is full (and A's compile
         # is still in flight): blocked. The old `!= threshold` trigger
         # would have starved B forever from this point on.
@@ -484,7 +504,7 @@ class TestRearmAndEviction:
         mgr.observe((16,), 30.0)
         assert mgr.evictions == []
         assert mgr.num_resident == 1
-        assert not mgr.is_hot((16,), 1e9)
+        assert _tier(mgr, 1e9, (16, 8)) == "dynamic"
         # Five half-lives later A has gone cold; B's next hit — well past
         # the exact threshold — retries, evicts A, and compiles.
         mgr.observe((16,), 5000.0)
@@ -492,8 +512,8 @@ class TestRearmAndEviction:
         assert [e.key for e in mgr.evictions] == [(8,)]
         (compile_b,) = [e for e in mgr.events if e.key == (16,)]
         assert compile_b.trigger_us == 5000.0
-        assert mgr.is_hot((16,), compile_b.ready_us)
-        assert not mgr.is_hot((8,), 1e9)  # evicted: no longer routable
+        assert _tier(mgr, compile_b.ready_us, (16, 8)) == "specialized"
+        assert _tier(mgr, 1e9, (8, 8)) == "dynamic"  # evicted: no longer routable
 
     def test_evicted_shape_rearms_and_recompiles(self):
         """An evicted shape's hit count still sits past the threshold, so
@@ -554,7 +574,7 @@ class TestRearmAndEviction:
         for t in (103.0, 104.0, 105.0, 106.0, 107.0):
             mgr.observe((16,), t)  # B climbs to ~5: hotter, but under 2x
         assert mgr.evictions == []
-        assert mgr.is_hot((8,), 107.0)
+        assert _tier(mgr, 107.0, (8, 8)) == "specialized"
         mgr.observe((16,), 108.0)  # score ~6 > 2 x 3: past the margin
         assert [e.key for e in mgr.evictions] == [(8,)]
 
@@ -975,17 +995,18 @@ class TestWorkerBatchVariantVMs:
             mod, intel_cpu(), shapes=[(8, 8)], kernel_cache=cache, batch=4
         )
         worker = Worker(0, dyn, intel_cpu())
-        vm_a = worker._specialized_vm(a)
-        vm_b = worker._specialized_vm(b)
+        vm_a = worker._specialized_vm(a, "batched")
+        vm_b = worker._specialized_vm(b, "batched")
         assert vm_a is not vm_b
-        assert worker._specialized_vm(a) is vm_a  # stable across lookups
-        # Batched VMs pool into the batched profile, member VMs into the
-        # specialized profile.
+        assert worker._specialized_vm(a, "batched") is vm_a  # stable across lookups
+        # Each VM pools into the profile of the tier it runs for: batched
+        # VMs the batched one, member VMs the specialized one.
         member, _ = nimble.specialize(
             mod, intel_cpu(), shapes=[(4, 8)], kernel_cache=cache
         )
-        assert vm_a.profile is worker.batched_profile
-        assert worker._specialized_vm(member).profile is worker.specialized_profile
+        assert vm_a.profile is worker.profiles["batched"]
+        member_vm = worker._specialized_vm(member, "specialized")
+        assert member_vm.profile is worker.profiles["specialized"]
 
 
 class TestBatcherCaps:
@@ -1096,22 +1117,19 @@ class TestBatchedManagerVariants:
         assert mgr.num_executables == 1   # one shape...
         assert mgr.num_variants == 2      # ...two artifacts
         ready = mgr.events[-1].ready_us
-        assert mgr.is_hot((16,), ready)
-        assert mgr.is_batched_hot((16,), ready)
-        member = mgr.executable_for((16,), ready)
-        batched = mgr.batched_executable_for((16,), ready)
-        assert member is not None and member.specialized_batch is None
-        assert batched is not None and batched.specialized_batch == 4
+        tier, member, _ = mgr.tier_for(_batch((16, 8)), ready)
+        assert tier == "specialized" and member.specialized_batch is None
+        tier, batched, _ = mgr.tier_for(_batch(*[(16, 8)] * 4), ready)
+        assert tier == "batched" and batched.specialized_batch == 4
 
     def test_member_routable_before_batched_lands(self):
         mgr = _mlp_manager(threshold=1, batch_cap=4)
         mgr.observe((16,), 0.0)
         mgr.drain()
         member_ready = mgr.events[0].ready_us
-        assert mgr.is_hot((16,), member_ready)
-        assert not mgr.is_batched_hot((16,), member_ready)
-        assert mgr.batched_executable_for((16,), member_ready) is None
-        assert mgr.executable_for((16,), member_ready) is not None
+        assert _tier(mgr, member_ready, (16, 8)) == "specialized"
+        # A full bucket too: its batched variant is still compiling.
+        assert _tier(mgr, member_ready, *[(16, 8)] * 4) == "specialized"
 
     def test_variants_evict_together_and_rearm(self):
         mgr = _mlp_manager(
@@ -1120,12 +1138,12 @@ class TestBatchedManagerVariants:
         )
         mgr.observe((8,), 0.0)
         mgr.drain()
-        assert mgr.is_batched_hot((8,), 1e5)
+        assert _tier(mgr, 1e5, (8, 8), (8, 8)) == "batched"
         for t in (5000.0, 5010.0, 5020.0):
             mgr.observe((16,), t)  # hotter after A decays: evicts A
         assert [e.key for e in mgr.evictions] == [(8,)]
-        assert not mgr.is_hot((8,), 1e9)
-        assert not mgr.is_batched_hot((8,), 1e9)
+        assert _tier(mgr, 1e9, (8, 8)) == "dynamic"
+        assert _tier(mgr, 1e9, (8, 8), (8, 8)) == "dynamic"
         # Re-arm: A's next hit re-triggers BOTH variants (artifacts are
         # memoised, compile cost recharged per variant).
         mgr.observe((8,), 50_000.0)
@@ -1141,12 +1159,86 @@ class TestBatchedManagerVariants:
         mgr.observe((16,), 0.0)
         mgr.drain()
         assert [(e.key, e.batch) for e in mgr.events] == [((16,), 1)]
-        assert mgr.is_hot((16,), 200.0)
-        assert not mgr.is_batched_hot((16,), 1e9)
+        assert _tier(mgr, 200.0, (16, 8)) == "specialized"
+        assert _tier(mgr, 1e9, *[(16, 8)] * 4) == "specialized"
         # The probe is memoised: the next shape skips the batched attempt.
         mgr.observe((24,), 1000.0)
         mgr.drain()
         assert [(e.key, e.batch) for e in mgr.events][-1] == ((24,), 1)
+
+
+class TestTierFor:
+    """The one routing decision, row by row, on a one-slot manager with
+    the batched tier (cap 2 of max 8) and partial variants on, over
+    ``x + c`` with x (Any, Any) and c (4, 1): (4, n) members stack, (1, n)
+    members broadcast up along the stacked axis and cannot."""
+
+    @staticmethod
+    def _manager(store, threshold=3, **knobs):
+        x = Var("x", TensorType((Any(), Any()), "float32"))
+        c = const(np.ones((4, 1), np.float32))
+        return _manager_for(
+            IRModule.from_expr(Function([x], api.add(x, c))), threshold,
+            store=store, batch_cap=2, max_executables=1, partial=True,
+            decay_half_life_us=1000.0, **knobs,
+        )
+
+    def _check(self, mgr, rows):
+        for what, shapes, key, at_us, tier, prearmed in rows:
+            got, exe, pre = mgr.tier_for(_batch(*shapes, key=key), at_us)
+            assert (got, pre) == (tier, prearmed), what
+            if tier == "dynamic":
+                assert exe is None, what
+            else:
+                # The routed tier and the executable's build agree.
+                assert exe.is_batch_specialized == (tier == "batched"), what
+                assert exe.is_partial == (tier == "partial"), what
+
+    def test_ladder(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        first = self._manager(store, threshold=1)
+        first.observe((4, 16), 0.0)
+        first.drain()
+        store.put_profile(first.profile_snapshot())
+        # A restarted manager pre-arms (4, 16) at t=0 from the profile:
+        # the member variant lands first, the batched one after it.
+        mgr = self._manager(store, predictive=True)
+        mgr.drain()
+        member_ready, batched_ready = [e.ready_us for e in mgr.events]
+        hot = (4, 16)
+        exact = mgr.bucket_key(np.zeros(hot, np.float32), batched_ready)
+        rounded = (8, 16)
+        self._check(mgr, [
+            # (what, member shapes, bucket key, at, tier, prearmed)
+            ("nothing ready", [hot], rounded, 0.0, "dynamic", False),
+            ("full exact bucket, batched variant still compiling",
+             [hot] * 2, exact, member_ready, "specialized", True),
+            ("full exact bucket", [hot] * 2, exact, batched_ready, "batched", True),
+            ("ragged tail", [hot], exact, batched_ready, "specialized", True),
+            ("rounded bucket, one shape",
+             [hot] * 3, rounded, batched_ready, "specialized", True),
+        ])
+        assert _cap(mgr, hot, batched_ready) == 2
+        # Late traffic agrees on 4 rows over three column counts: the
+        # (4, None) partial variant takes the slot of the cold (4, 16).
+        for t, cols in [(50_000.0, 8), (50_001.0, 24), (50_002.0, 32)]:
+            mgr.observe((4, cols), t)
+        mgr.drain()
+        assert [e.key for e in mgr.evictions] == [hot]
+        ready = mgr.events[-1].ready_us
+        self._check(mgr, [
+            ("mixed bucket, partial covers two of three",
+             [(4, 8), (4, 40), (1, 16)], (8, 40), ready, "partial", False),
+            ("no variant covers it", [(1, 16)], (8, 16), ready, "dynamic", False),
+        ])
+        # (1, 16) goes hot in turn; its probe finds it unbatchable, so its
+        # exact bucket keeps the configured max.
+        for t in (200_000.0, 200_001.0, 200_002.0):
+            mgr.observe((1, 16), t)
+        mgr.drain()
+        ready = mgr.events[-1].ready_us
+        assert _tier(mgr, ready, (1, 16), (1, 16)) == "specialized"
+        assert _cap(mgr, (1, 16), ready) == mgr.config.max_batch_size == 8
 
 
 class TestBatchedServing:
@@ -1310,8 +1402,9 @@ class TestBatchRewriteSafety:
         mgr.observe((16,), 0.0)
         mgr.drain()
         assert [(e.key, e.batch) for e in mgr.events] == [((16,), 1)]
-        assert not mgr.batch_tier_active_for((16,))
-        assert mgr.is_hot((16,), 1e9)
+        assert _tier(mgr, 1e9, (16, 8)) == "specialized"
+        # Hot, but its bucket keeps the full size: no batched variant.
+        assert _cap(mgr, (16, 8), 1e9) == mgr.config.max_batch_size
 
     def test_unbatchable_module_keeps_full_member_batches(self):
         """Once the probe rules the module out, hot buckets must keep the
@@ -1336,7 +1429,7 @@ class TestBatchRewriteSafety:
             for i in range(24)
         ]
         report = server.simulate(requests)
-        assert not server.specializer.batch_tier_active_for((7,))
+        assert _cap(server.specializer, (7, 8), 1e9) == 4
         assert report.batched_hits == 0
         hot_sizes = {
             r.batch_size
@@ -1370,16 +1463,16 @@ class TestBatchRewriteSafety:
         # (1,): member-legal broadcast-up, no stacked equivalent.
         mgr.observe((1,), 0.0)
         mgr.drain()
-        assert not mgr.batch_tier_active_for((1,))
+        assert _cap(mgr, (1, 8), 1e9) == mgr.config.max_batch_size
         # (4,): lead matches the constant — batches fine, even after the
         # other shape's probe failed.
         mgr.observe((4,), 1000.0)
         mgr.drain()
-        assert mgr.batch_tier_active_for((4,))
+        assert _cap(mgr, (4, 8), 1e9) == 2
         batched_ready = [e for e in mgr.events if e.batch == 2]
         assert [e.key for e in batched_ready] == [(4,)]
-        assert mgr.is_batched_hot((4,), batched_ready[0].ready_us)
-        assert not mgr.is_batched_hot((1,), 1e9)
+        assert _tier(mgr, batched_ready[0].ready_us, (4, 8), (4, 8)) == "batched"
+        assert _tier(mgr, 1e9, (1, 8), (1, 8)) == "specialized"
 
     def test_serveconfig_rejects_zero_batch_cap(self):
         with pytest.raises(ValueError, match="specialize_batch_cap"):
@@ -1890,7 +1983,8 @@ class TestPredictivePreArm:
         # Routable without a single observation ever reaching this
         # manager — the whole point of pre-arming.
         ready = max(e.ready_us for e in warm.events)
-        assert warm.executable_for((8,), ready) is not None
+        tier, _, prearmed = warm.tier_for(_batch((8, 8)), ready)
+        assert (tier, prearmed) == ("specialized", True)
 
     def test_hottest_profile_key_gets_the_first_lane(self, tmp_path):
         """Lane binding follows profile rank (hottest first), not the
@@ -2002,10 +2096,9 @@ class TestPartialSynthesis:
             mgr.observe((rows, 16), t)
         mgr.drain()
         ready = max(e.ready_us for e in mgr.events)
-        found = mgr.partial_executable_for([(57, 16)], ready)
-        assert found is not None
-        exe, pkey = found
-        assert pkey == (None, 16)
+        tier, exe, _ = mgr.tier_for(_batch((57, 16)), ready)
+        assert tier == "partial"
+        assert exe.specialized_shapes == ((None, 16),)
         assert exe.is_partial
         assert exe.guard_mismatch(
             (np.zeros((57, 16), dtype=np.float32),)
@@ -2016,7 +2109,7 @@ class TestPartialSynthesis:
         for t, key in [(0.0, (9, 16)), (10.0, (25, 8)), (20.0, (41, 32))]:
             mgr.observe(key, t)
         mgr.drain()
-        assert mgr.partial_executable_for([(9, 16)], 1e9) is None
+        assert _tier(mgr, 1e9, (9, 16)) == "dynamic"
         assert all(None not in e.key for e in mgr.events)
 
     def test_family_must_span_min_shapes(self):
@@ -2045,8 +2138,15 @@ class TestPartialSynthesis:
         mgr = _gram_manager(
             threshold=4, partial=True, batch_cap=4,
         )
-        assert mgr.batch_tier_active_for((None, 16)) is False
-        assert mgr.batch_tier_active_for((9, 16)) is True
+        # An exact shape nobody has probed yet keeps the batched cap...
+        assert mgr.bucket_cap((EXACT_BUCKET, 9, 16)) == 4
+        for t, rows in [(0.0, 9), (10.0, 9), (20.0, 25), (30.0, 41)]:
+            mgr.observe((rows, 16), t)
+        mgr.drain()
+        # ...but the family's partial variant compiles member-wise only,
+        # so even a full bucket of one family shape runs it member-wise.
+        assert [(e.key, e.batch) for e in mgr.events] == [((None, 16), 1)]
+        assert _tier(mgr, mgr.events[-1].ready_us, *[(9, 16)] * 4) == "partial"
 
     def test_routing_picks_the_widest_cover_deterministically(self):
         mgr = _gram_manager(threshold=4, partial=True)
@@ -2055,10 +2155,10 @@ class TestPartialSynthesis:
         mgr.drain()
         ready = max(e.ready_us for e in mgr.events)
         # No member matches -> no partial routing.
-        assert mgr.partial_executable_for([(9, 8), (25, 32)], ready) is None
+        assert _tier(mgr, ready, (9, 8), (25, 32)) == "dynamic"
         # Mixed batch: the variant covering more members wins.
-        found = mgr.partial_executable_for([(9, 16), (25, 16), (9, 8)], ready)
-        assert found is not None and found[1] == (None, 16)
+        tier, exe, _ = mgr.tier_for(_batch((9, 16), (25, 16), (9, 8)), ready)
+        assert tier == "partial" and exe.specialized_shapes == ((None, 16),)
 
 
 class TestGuardDeopt:
