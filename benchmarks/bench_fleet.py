@@ -10,8 +10,9 @@ three claims:
 - **affinity concentrates specialization**: more hot shapes than any
   one replica's executable cache can hold, so random placement thrashes
   eviction while affinity pins each tenant's hot shape to one replica —
-  ≥1.5× the fleet-wide specialized hit rate at no extra fresh-compile
-  charge (the shared store already deduplicates compiles);
+  ≥1.5× the fleet-wide specialized hit rate at no extra fresh suffix
+  charge (the shared store already deduplicates compiles; each replica
+  that compiles at all pays the shape-independent prefix once);
 - **one replica's compile warms the whole fleet**: a fresh fleet over
   the populated store restores instead of compiling, and its first
   specialized hit lands strictly earlier than the cold fleet's;
@@ -33,6 +34,7 @@ ROW_METRICS = (
     "affinity_rate",
     "specialized_hit_rate",
     "compile_charge_us",
+    "suffix_charge_us",
     "fleet_restores",
     "store_rejects",
     "gc_pruned",
@@ -59,7 +61,8 @@ def test_fleet_routing_and_shared_store(modeled):
     )
     print(
         f"affinity/random hit ratio {summary['affinity_random_hit_ratio']:.2f}x "
-        f"at charge ratio {summary['affinity_random_charge_ratio']:.3f}, "
+        f"at charge ratio {summary['affinity_random_charge_ratio']:.3f} "
+        f"(suffix {summary['affinity_random_suffix_ratio']:.3f}), "
         f"warm first-hit speedup {summary['warm_first_hit_speedup']:.2f}x, "
         f"sweep_deterministic={bool(summary['replica_sweep_deterministic'])}, "
         f"single_server_match={bool(summary['single_server_match'])}"
@@ -67,10 +70,13 @@ def test_fleet_routing_and_shared_store(modeled):
 
     affinity, random_run = results["affinity"], results["random"]
     # Headline: affinity routing concentrates the specialized tier —
-    # ≥1.5× random placement's hit rate without paying more fresh
-    # compile charge for it.
+    # ≥1.5× random placement's hit rate without compiling any hot shape
+    # more often for it: equal fresh suffix charge. (The whole charge
+    # also counts one prefix per replica that compiles; affinity spreads
+    # the four hot shapes over all four replicas, so it may pay one
+    # prefix more than random placement does.)
     assert summary["affinity_random_hit_ratio"] >= 1.5
-    assert summary["affinity_random_charge_ratio"] <= 1.05
+    assert summary["affinity_random_suffix_ratio"] <= 1.05
     # The shared store warms siblings mid-run: placement-blind routing
     # leans on cross-replica restores (affinity needs none — each shape
     # stays where it compiled, which is the point), and a warm fleet's

@@ -3,19 +3,7 @@
 import pytest
 
 from repro.harness import format_table, table1_lstm
-
-PAPER = {
-    1: {
-        "intel": {"nimble": 47.8, "pytorch": 79.3, "mxnet": 212.9, "tensorflow": 301.4},
-        "nvidia": {"nimble": 93.0, "pytorch": 110.3, "mxnet": 135.7, "tensorflow": 304.7},
-        "arm": {"nimble": 182.2, "pytorch": 1729.5, "mxnet": 3695.9, "tensorflow": 978.3},
-    },
-    2: {
-        "intel": {"nimble": 97.2, "pytorch": 158.1, "mxnet": 401.7, "tensorflow": 687.3},
-        "nvidia": {"nimble": 150.9, "pytorch": 214.6, "mxnet": 223.8, "tensorflow": 406.9},
-        "arm": {"nimble": 686.4, "pytorch": 3378.1, "mxnet": 7768.0, "tensorflow": 2192.8},
-    },
-}
+from repro.harness.paper import TABLE1_LSTM as PAPER
 
 SYSTEMS = ("nimble", "pytorch", "mxnet", "tensorflow")
 

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.harness import format_table, table2_tree_lstm
-
-PAPER = {
-    "intel": {"nimble": 40.3, "pytorch": 701.6, "tf_fold": 209.9},
-    "arm": {"nimble": 86.3, "pytorch": 1717.1, "tf_fold": None},
-}
+from repro.harness.paper import TABLE2_TREE_LSTM as PAPER
 
 
 @pytest.mark.paper

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.harness import format_table, table3_bert
-
-PAPER = {
-    "intel": {"nimble": 307.0, "pytorch": 479.5, "mxnet": 455.8, "tensorflow": 768.7},
-    "nvidia": {"nimble": 95.2, "pytorch": 220.4, "mxnet": 152.9, "tensorflow": 125.2},
-    "arm": {"nimble": 2862.6, "pytorch": 11851.2, "mxnet": 8628.0, "tensorflow": 2995.4},
-}
+from repro.harness.paper import TABLE3_BERT as PAPER
 
 SYSTEMS = ("nimble", "pytorch", "mxnet", "tensorflow")
 

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.harness import format_table, table4_overhead
-
-PAPER = {
-    "intel": {"tvm_ms": 19.38, "nimble_ms": 24.32, "kernel_ms": 21.06, "others_ms": 3.26},
-    "arm": {"tvm_ms": 223.50, "nimble_ms": 237.41, "kernel_ms": 228.59, "others_ms": 8.82},
-    "nvidia": {"tvm_ms": 5.58, "nimble_ms": 5.86, "kernel_ms": 5.60, "others_ms": 0.26},
-}
+from repro.harness.paper import TABLE4_OVERHEAD as PAPER
 
 
 @pytest.mark.paper

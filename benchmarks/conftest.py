@@ -7,7 +7,10 @@ benchmark prints, which mirror the paper's Tables 1–4 / Figure 3 / §6.3.
 Every study result is also a row of ``BENCH_modeled.json``: the virtual
 clock makes each study a pure function, so the checked-in file is the
 trajectory of every modeled number and a session fails when a result
-differs from it. ``--record-modeled`` rewrites the file instead.
+differs from it. ``--record-modeled`` rewrites the file instead. One row
+is derived, not run: ``paper_fidelity`` (``repro.harness.paper``), the
+distance of Tables 1–4 and the §6.3 allocation reduction from the paper,
+recomputed whenever a session runs one of the studies it reads.
 """
 
 import json
@@ -15,6 +18,8 @@ import math
 from pathlib import Path
 
 import pytest
+
+from repro.harness.paper import SOURCES, paper_fidelity
 
 MODELED_PATH = Path(__file__).with_name("BENCH_modeled.json")
 # Another box may link another libm (`math.log2` in the schedule cost
@@ -65,6 +70,9 @@ def _modeled_session(request):
         item.path.name for item in request.session.items
     }
     on_file = json.loads(MODELED_PATH.read_text()) if MODELED_PATH.exists() else {}
+    current = {**on_file, **recorded}
+    if any(name in recorded for name in SOURCES) and all(name in current for name in SOURCES):
+        recorded["paper_fidelity"] = paper_fidelity(current)
     if request.config.getoption("--record-modeled"):
         # A one-file run refreshes its own studies and keeps the rest.
         merged = recorded if whole_directory else {**on_file, **recorded}

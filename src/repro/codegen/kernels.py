@@ -226,6 +226,8 @@ class KernelSet:
         try:
             workload = compute_workload(self.prim, in_shapes)
         except Exception:
+            if not self.info.is_dynamic:
+                raise  # a kernel whose shapes are known is priced exactly
             # Data-dependent kernels (arange/unique/...) cannot predict
             # their output from shapes alone; bound the workload by the
             # inputs (these ops are input-dominated anyway).

@@ -17,6 +17,7 @@ import numpy as np
 from repro.errors import CompilerError
 from repro.ir.expr import Call, Constant, Expr, Function, Let, Tuple as IRTuple, TupleGetItem, Var
 from repro.ir.op import Op
+from repro.ir.types import TupleType
 from repro.ops import get_op_def
 from repro.ops.shape_funcs import prod
 from repro.tensor.dtype import dtype_bytes
@@ -40,41 +41,10 @@ class Workload:
     out_shapes: Tuple[Shape, ...]
 
 
-def _walk_calls(func: Function) -> List[Tuple[Var, Call]]:
-    """(binder, call) pairs of the primitive body, in evaluation order.
-    Nested calls (hand-built, non-ANF primitive bodies) are linearized
-    with synthetic binders; the final expression gets one too."""
-    out: List[Tuple[Var, Call]] = []
-
-    def linearize(expr: Expr) -> Expr:
-        """Bind nested call arguments to synthetic vars, post-order."""
-        if not isinstance(expr, Call):
-            return expr
-        new_args = []
-        for arg in expr.args:
-            if isinstance(arg, Call):
-                inner = linearize(arg)
-                var = Var(f"_t{len(out)}")
-                out.append((var, inner))
-                new_args.append(var)
-            else:
-                new_args.append(arg)
-        if all(n is o for n, o in zip(new_args, expr.args)):
-            return expr
-        return Call(expr.op, new_args, expr.attrs)
-
-    node: Expr = func.body
-    while isinstance(node, Let):
-        if isinstance(node.value, Call):
-            out.append((node.var, linearize(node.value)))
-        node = node.body
-    if isinstance(node, Call):
-        out.append((Var("_ret"), linearize(node)))
-    return out
-
-
 class _ShapeEnv:
-    """Abstract interpretation of a primitive body over shapes."""
+    """Abstract interpretation of a primitive body over shapes: every
+    binding (call, tuple, projection or alias) and the tail, in order,
+    tallying the calls' FLOPs and the bytes of the constants they read."""
 
     def __init__(self, func: Function, in_shapes: Sequence[Shape]) -> None:
         if len(func.params) != len(in_shapes):
@@ -85,10 +55,10 @@ class _ShapeEnv:
         self.env: Dict[Var, object] = {
             p: tuple(int(d) for d in s) for p, s in zip(func.params, in_shapes)
         }
-        self.dtypes: Dict[Var, str] = {}
-        for p in func.params:
-            ty = p.checked_type or p.type_annotation
-            self.dtypes[p] = getattr(ty, "dtype", "float32")
+        self.calls = 0
+        self.flops = 0.0
+        self.const_bytes = 0.0
+        self.is_gemm = False
 
     def eval(self, expr: Expr):
         if isinstance(expr, Var):
@@ -99,53 +69,58 @@ class _ShapeEnv:
             return tuple(self.eval(f) for f in expr.fields)
         if isinstance(expr, TupleGetItem):
             return self.eval(expr.tuple_value)[expr.index]
-        raise CompilerError(f"workload: non-atom argument {type(expr).__name__}")
+        if isinstance(expr, Call):
+            if not isinstance(expr.op, Op):
+                raise CompilerError("primitive bodies contain only operator calls")
+            op_def = get_op_def(expr.op.name)
+            arg_shapes = [self.eval(a) for a in expr.args]
+            outs = op_def.shape_func(arg_shapes, None, expr.attrs)
+            self.calls += 1
+            self.flops += op_def.flops(arg_shapes, outs, expr.attrs)
+            self.const_bytes += sum(a.value.nbytes for a in expr.args if isinstance(a, Constant))
+            self.is_gemm = self.is_gemm or expr.op.name in GEMM_OPS
+            return outs[0] if len(outs) == 1 else tuple(outs)
+        raise CompilerError(f"workload: cannot evaluate {type(expr).__name__}")
+
+
+def _out_dtypes(func: Function, count: int) -> List[str]:
+    ret = func.ret_type
+    fields = ret.fields if isinstance(ret, TupleType) else [ret] * count
+    return [getattr(f, "dtype", "float32") for f in fields]
 
 
 def compute_workload(func: Function, in_shapes: Sequence[Shape]) -> Workload:
     """Analyze one fused kernel at concrete input shapes."""
     env = _ShapeEnv(func, in_shapes)
-    calls = _walk_calls(func)
-    if not calls:
+    node: Expr = func.body
+    while isinstance(node, Let):
+        env.env[node.var] = env.eval(node.value)
+        node = node.body
+    final = env.eval(node)
+    if not env.calls:
         raise CompilerError("workload of a primitive without calls")
 
-    flops = 0.0
-    is_gemm = False
-    for var, call in calls:
-        if not isinstance(call.op, Op):
-            raise CompilerError("primitive bodies contain only operator calls")
-        op_def = get_op_def(call.op.name)
-        arg_shapes = [env.eval(a) for a in call.args]
-        outs = op_def.shape_func(arg_shapes, None, call.attrs)
-        env.env[var] = outs[0] if len(outs) == 1 else tuple(outs)
-        flops += op_def.flops(arg_shapes, outs, call.attrs)
-        if call.op.name in GEMM_OPS:
-            is_gemm = True
-
-    # Bytes: external params in + final outputs out; constants embedded in
+    # Bytes: external params in + every output out; constants embedded in
     # the body count toward both traffic and the working set.
-    bytes_in = 0.0
+    bytes_in = env.const_bytes
     for p, shape in zip(func.params, in_shapes):
-        bytes_in += prod(shape) * dtype_bytes(env.dtypes.get(p, "float32"))
-    for _, call in calls:
-        for arg in call.args:
-            if isinstance(arg, Constant):
-                bytes_in += arg.value.nbytes
+        ty = p.checked_type or p.type_annotation
+        bytes_in += prod(shape) * dtype_bytes(getattr(ty, "dtype", "float32"))
 
-    final = env.env[calls[-1][0]]
     if isinstance(final, tuple) and final and isinstance(final[0], tuple):
         out_shapes = tuple(tuple(s) for s in final)
     else:
         out_shapes = (tuple(final),)
-    ret_ty = func.ret_type
-    out_dtype = getattr(ret_ty, "dtype", "float32")
-    bytes_out = sum(prod(s) * dtype_bytes(out_dtype) for s in out_shapes)
+    bytes_out = sum(
+        prod(s) * dtype_bytes(dtype)
+        for s, dtype in zip(out_shapes, _out_dtypes(func, len(out_shapes)))
+    )
 
     return Workload(
-        flops=flops,
+        flops=env.flops,
         bytes_moved=bytes_in + bytes_out,
         working_set=bytes_in + bytes_out,
-        is_gemm=is_gemm,
+        is_gemm=env.is_gemm,
         out_shapes=out_shapes,
     )
 

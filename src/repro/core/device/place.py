@@ -183,6 +183,14 @@ class _Placer:
         copy at its use), and a branch or a callee is solved where control
         reaches it — after the producers of what flows in, before the
         consumers of what flows out into *result*."""
+        tail = scope
+        while isinstance(tail, Let):
+            tail = tail.body
+        if isinstance(tail, Var):
+            # The scope's value is its tail's from the start: a consumer of
+            # *result* met on the way (a recursive call's projection) then
+            # finds it where an earlier branch's kernel wrote it.
+            self.domains.union(result, tail)
         node = scope
         while isinstance(node, Let):
             self._solve_binding(node.var, node.value)

@@ -57,6 +57,7 @@ from repro.serve.server import (
     ServeConfig,
     run_timeline,
 )
+from repro.serve.specialization import merged_profile
 from repro.store import ArtifactStore, FleetStoreView, StoreGC
 
 ROUTING_POLICIES = ("affinity", "least_loaded", "random")
@@ -196,7 +197,9 @@ class FleetRouter:
                 )
             )
         now = run_timeline(requests, self.replicas, self._on_arrival, sources)
-        replica_reports = [r.finish(now) for r in self.replicas]
+        replica_reports = [r.drain(now) for r in self.replicas]
+        if self.store is not None:
+            self._persist(now)
         if self._gc is not None:
             # End-of-simulation collection: the fleet's steady-state
             # inventory after every drain and profile snapshot.
@@ -292,6 +295,17 @@ class FleetRouter:
             )
             return True
         raise TypeError(f"unknown chaos event {type(event).__name__}")
+
+    # ----------------------------------------------------------------- persist
+    def _persist(self, now: float) -> None:
+        """Write what the replicas share, once per simulation: the one
+        kernel cache, and one shape profile of the whole fleet's traffic
+        (a profile per replica would overwrite the last, and the
+        restart would pre-arm one replica's local traffic)."""
+        self.store.save_kernel_cache(self.kernel_cache)
+        managers = [r.specializer for r in self.replicas if r.specializer is not None]
+        if managers:
+            managers[0].persist_profile(now, merged_profile(managers))
 
     # ---------------------------------------------------------------------- gc
     def _run_gc(self, now: float) -> None:

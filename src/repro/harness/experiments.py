@@ -948,9 +948,10 @@ def fleet_study() -> Dict[str, Dict[str, float]]:
     """The fleet layer's three claims, measured on one multi-tenant trace.
 
     1. **Shape-affinity routing concentrates specialization**: against
-       random placement at the same fleet-wide fresh-compile charge (the
+       random placement at the same fleet-wide fresh suffix charge (the
        shared store means any policy compiles each hot shape about
-       once), affinity routing serves a much larger share of requests
+       once; each replica that compiles pays the prefix once more),
+       affinity routing serves a much larger share of requests
        from the static tiers — the ``affinity_random_hit_ratio``
        headline, asserted ≥ 1.5 in ``benchmarks/bench_fleet.py``.
     2. **One replica's compile warms the whole fleet**: a *fresh* fleet
@@ -1060,6 +1061,11 @@ def fleet_study() -> Dict[str, Dict[str, float]]:
         ).report
         sweep = [fleet(f"{root}/replicas={n}", replicas=n) for n in (1, 2, 4)]
 
+    def suffix_us(report) -> float:
+        """Fresh per-variant compile charge, without the once-per-replica
+        prefix: what compiling each hot shape about once costs."""
+        return sum(r.specialize_suffix_us for r in report.replica_reports)
+
     def row(run: Run) -> Dict[str, float]:
         report = run.report
         latencies = [r.latency_us for r in report.responses]
@@ -1069,6 +1075,7 @@ def fleet_study() -> Dict[str, Dict[str, float]]:
             "affinity_rate": report.affinity_rate,
             "specialized_hit_rate": report.specialized_hit_rate,
             "compile_charge_us": report.specialize_compile_us,
+            "suffix_charge_us": suffix_us(report),
             "fleet_restores": float(report.total_fleet_restores),
             "store_rejects": float(report.store_rejects),
             "gc_pruned": float(report.gc_pruned),
@@ -1100,6 +1107,9 @@ def fleet_study() -> Dict[str, Dict[str, float]]:
             "affinity_random_charge_ratio": (
                 affinity.report.specialize_compile_us
                 / max(1e-9, random_run.report.specialize_compile_us)
+            ),
+            "affinity_random_suffix_ratio": (
+                suffix_us(affinity.report) / max(1e-9, suffix_us(random_run.report))
             ),
             "warm_first_hit_speedup": speedup(cold_first, warm_first),
             "warm_earlier": float(warm_first < cold_first),

@@ -15,9 +15,20 @@ function is data-dependent or upper-bound can never absorb producers —
 its shape function would need access to intermediate values of the fused
 group. Such ops always compile as singleton kernels.
 
+**Multi-output groups.** A group ending in a tuple (``split``) is then
+merged with every group that reads its ``TupleGetItem`` projections, when
+the tuple is read only through projections, no projection reaches the
+chain's tail, every projection's readers are calls ``_can_fuse`` accepts,
+and no binding outside the merged set but between its first and last
+member reads a member (so the group stays acyclic and may materialize at
+its last member). The LSTM cell's ``split`` and both state updates become
+one kernel.
+
 After grouping, every group (including singletons — uniform lowering)
 becomes a ``primitive`` Function called with its external inputs, exactly
-how Relay marks post-fusion kernels; code generation consumes these.
+how Relay marks post-fusion kernels; code generation consumes these. A
+group returns every member read outside it: one value directly, several
+as a ``Tuple`` whose projections re-bind the original variables.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from repro.ir.expr import (
 )
 from repro.ir.module import IRModule
 from repro.ir.op import Op
-from repro.ir.types import Type
+from repro.ir.types import TensorType, TupleType, Type
 from repro.ops import DIALECT_OPS, get_op_def
 from repro.ops.registry import OpPattern
 from repro.passes.pass_manager import Pass
@@ -93,8 +104,6 @@ class _Group:
 class _Fuser:
     def __init__(self) -> None:
         self.names = NameSupply()
-        self.num_groups = 0
-        self.num_fused_ops = 0
 
     # -- recursive scope handling -------------------------------------------
     def fuse_expr(self, expr: Expr) -> Expr:
@@ -131,14 +140,15 @@ class _Fuser:
             node = node.body
         tail = node
 
-        # Exact use counts: chain vars can only be used inside this chain
-        # (values incl. nested scopes) and its tail.
-        uses: Dict[Var, int] = {}
+        # Use sites, once per chain: the indices of the bindings that read
+        # each var, the tail being index len(bindings). Chain vars can only
+        # be used inside this chain (values incl. nested scopes) and its tail.
+        sites: Dict[Var, List[int]] = {}
         scan_roots: List[Expr] = [v for _, v in bindings] + [tail]
-        for root in scan_roots:
+        for i, root in enumerate(scan_roots):
             for sub in iter_nodes(root):
                 if isinstance(sub, Var):
-                    uses[sub] = uses.get(sub, 0) + 1
+                    sites.setdefault(sub, []).append(i)
 
         index_of: Dict[Var, int] = {var: i for i, (var, _) in enumerate(bindings)}
         groups: Dict[int, _Group] = {}
@@ -158,7 +168,7 @@ class _Fuser:
                 j = index_of.get(arg)
                 if j is None or j not in group_of:
                     continue
-                if uses.get(arg, 0) != 1:
+                if len(sites.get(arg, ())) != 1:
                     continue  # producer value needed elsewhere
                 producer_root = group_of[j]
                 producer = groups[producer_root]
@@ -172,30 +182,25 @@ class _Fuser:
                 mine.pattern = max(mine.pattern, producer.pattern)
                 if producer_root != group_of[i]:
                     del groups[producer_root]
-                self.num_fused_ops += 1
+
+        for root in sorted(groups):
+            if root in groups and isinstance(bindings[root][0].checked_type, TupleType):
+                self._merge_tuple_group(root, bindings, sites, groups, group_of)
 
         # Rebuild the chain. A group materializes at its *root* (the
         # highest index in the group); members are dropped from the chain.
-        root_of_group: Dict[int, int] = {}
-        for root_index, group in groups.items():
-            materialize_at = max(group.indices)
-            root_of_group[materialize_at] = root_index
-        member_indices: Set[int] = set()
-        for group in groups.values():
-            member_indices.update(group.indices)
-
+        member_indices: Set[int] = set(group_of)
         new_bindings: List[PyTuple[Var, Expr]] = []
         for i, (var, value) in enumerate(bindings):
-            if i in root_of_group:
-                group = groups[root_of_group[i]]
-                new_bindings.append((var, self._materialize(group, bindings)))
+            if i in groups:
+                new_bindings.extend(self._materialize(groups[i], bindings, sites))
             elif i in member_indices:
                 continue  # fused into a later root
             elif _wrappable_call(value):
                 # OPAQUE (but non-dialect) calls become singleton kernels
                 # too, so every compute lowers uniformly to InvokePacked.
                 fake = _Group(i, get_op_def(value.op.name).pattern)  # type: ignore[union-attr]
-                new_bindings.append((var, self._materialize(fake, bindings)))
+                new_bindings.extend(self._materialize(fake, bindings, sites))
             else:
                 new_bindings.append((var, value))
 
@@ -204,18 +209,67 @@ class _Fuser:
             out = Let(var, value, out)
         return out
 
-    def _materialize(self, group: _Group, bindings: List[PyTuple[Var, Expr]]) -> Call:
-        """Build the primitive function + call for one fused group."""
-        self.num_groups += 1
-        members = [bindings[i] for i in sorted(group.indices)]
+    def _merge_tuple_group(
+        self,
+        root: int,
+        bindings: List[PyTuple[Var, Expr]],
+        sites: Dict[Var, List[int]],
+        groups: Dict[int, _Group],
+        group_of: Dict[int, int],
+    ) -> None:
+        """Merge the tuple-producing group at *root* with every group that
+        reads its projections, when that keeps one acyclic kernel."""
+        producer = groups[root]
+        tuple_var = bindings[root][0]
+        tail_index = len(bindings)
+        members = set(producer.indices)
+        merged = {root}
+        for j in sites.get(tuple_var, ()):
+            if j == tail_index or not isinstance(bindings[j][1], TupleGetItem):
+                return  # the tuple is read other than through a projection
+            members.add(j)
+            for k in sites.get(bindings[j][0], ()):
+                if k == tail_index or k not in group_of:
+                    return  # a projection escapes, or its reader is no kernel
+                if not _can_fuse(producer.pattern, bindings[k][1].op):  # type: ignore[union-attr]
+                    return
+                merged.add(group_of[k])
+        if len(merged) == 1:
+            return
+        for g in merged:
+            members.update(groups[g].indices)
+        last = max(members)
+        for m in members:
+            var = bindings[m][0]
+            outside = [k for k in sites.get(var, ()) if k not in members]
+            if outside and (min(outside) < last or not isinstance(var.checked_type, TensorType)):
+                return  # read between the members, or a non-tensor output
+        group = _Group(last, max(groups[g].pattern for g in merged))
+        group.indices = sorted(members)
+        for g in merged:
+            del groups[g]
+        groups[last] = group
+        for m in members:
+            group_of[m] = last
+
+    def _materialize(
+        self, group: _Group, bindings: List[PyTuple[Var, Expr]], sites: Dict[Var, List[int]]
+    ) -> List[PyTuple[Var, Expr]]:
+        """The chain bindings of one fused group: its primitive function's
+        call, bound to the one output or to a tuple of the outputs (every
+        member read outside the group) that projections re-bind."""
+        members = [bindings[i] for i in group.indices]
         internal: Set[Var] = {var for var, _ in members}
+        inside = set(group.indices)
+
+        def operands(value: Expr) -> List[Expr]:
+            return [value.tuple_value] if isinstance(value, TupleGetItem) else value.args  # type: ignore[union-attr]
 
         # External inputs in first-use order (vars and constants).
         ext_order: List[Expr] = []
         seen: Set[int] = set()
         for _, value in members:
-            assert isinstance(value, Call)
-            for arg in value.args:
+            for arg in operands(value):
                 if isinstance(arg, Var) and arg in internal:
                     continue
                 if id(arg) in seen:
@@ -236,26 +290,46 @@ class _Fuser:
             params.append(param)
             replacement[id(ext)] = param
 
+        # Body: inner let chain over the members, ending at the root value
+        # or at the tuple of the outputs. An output is re-bound in the
+        # chain, so inside the body it binds a fresh var.
+        root_var = members[-1][0]
+        outputs = [
+            var for var, _ in members
+            if any(k not in inside for k in sites.get(var, ()))
+        ]
+        single = not outputs or (len(outputs) == 1 and outputs[0] is root_var)
+        if not single:
+            for var in outputs:
+                replacement[id(var)] = Var(self.names.fresh(var.name_hint), var.checked_type)
+
         def subst(arg: Expr) -> Expr:
-            if isinstance(arg, Var) and arg in internal:
-                return arg
             return replacement.get(id(arg), arg)
 
-        # Body: inner let chain over the members, ending at the root value.
-        root_var, root_value = members[-1]
-        new_values: List[PyTuple[Var, Call]] = []
+        new_values: List[PyTuple[Var, Expr]] = []
         for var, value in members:
-            assert isinstance(value, Call)
-            new_values.append(
-                (var, Call(value.op, [subst(a) for a in value.args], value.attrs))
-            )
-        body: Expr = new_values[-1][1]
-        for var, value in reversed(new_values[:-1]):
+            if isinstance(value, TupleGetItem):
+                new_value: Expr = TupleGetItem(value.tuple_value, value.index)
+            else:
+                assert isinstance(value, Call)
+                new_value = Call(value.op, [subst(a) for a in value.args], value.attrs)
+            new_values.append((subst(var), new_value))
+        if single:
+            body: Expr = new_values.pop()[1]
+            ret_type = root_var.checked_type
+        else:
+            body = Tuple([subst(var) for var in outputs])
+            ret_type = TupleType([var.checked_type for var in outputs])
+        for var, value in reversed(new_values):
             body = Let(var, value, body)
 
-        ret_type = root_var.checked_type
-        prim = Function(params, body, ret_type, {"primitive": True})
-        return Call(prim, list(ext_order))
+        call = Call(Function(params, body, ret_type, {"primitive": True}), list(ext_order))
+        if single:
+            return [(root_var, call)]
+        result = Var(self.names.fresh("fused"), ret_type)
+        return [(result, call)] + [
+            (var, TupleGetItem(result, k)) for k, var in enumerate(outputs)
+        ]
 
 
 class FuseOps(Pass):

@@ -15,7 +15,8 @@ Shape keys are the bucketer's exact keys (tuples of ints), plus partial
 keys (tuples mixing ints and ``None``) when partial specialization is
 on. The profile is keyed in the store by (module fingerprint, platform,
 format version) only — one profile per served module, overwritten at
-each simulation end — so a schema bump orphans old blobs instead of
+each simulation end (a fleet writes one :meth:`ShapeProfile.merge` of
+its replicas') — so a schema bump orphans old blobs instead of
 misreading them.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import SerializationError
 
@@ -78,6 +79,18 @@ class ShapeProfile:
             ),
         )
         return tuple(ordered if k is None else ordered[:k])
+
+    @staticmethod
+    def merge(profiles: Sequence["ShapeProfile"]) -> "ShapeProfile":
+        """The key-wise sum of snapshots of one (module, platform) taken
+        at one anchor, in order — a fleet's one profile."""
+        merged = ShapeProfile(profiles[0].source_signature, profiles[0].platform_name)
+        for profile in profiles:
+            for key, n in profile.hits.items():
+                merged.hits[key] = merged.hits.get(key, 0) + n
+            for key, score in profile.scores.items():
+                merged.scores[key] = merged.scores.get(key, 0.0) + score
+        return merged
 
     def save(self) -> bytes:
         return pickle.dumps(

@@ -101,7 +101,7 @@ def run_timeline(
         if best[0] == math.inf:
             # Arrivals exhausted and no finite deadline will ever fire
             # (max_delay_us=inf means flush-on-size-only): the leftover
-            # partial buckets drain in finish(), at the last event.
+            # partial buckets drain in drain(), at the last event.
             break
         now, rank, k = best
         if rank == 0:
@@ -204,7 +204,7 @@ class InferenceServer:
 
     # ------------------------------------------------------------- simulation
     #
-    # `begin`, `ingest`, `flush_due`, `next_deadline` and `finish` are
+    # `begin`, `ingest`, `flush_due`, `next_deadline` and `drain` are
     # the steps `run_timeline` drives one event at a time. `simulate`
     # runs it over this one server; repro.fleet.FleetRouter runs the
     # same loop over N replicas interleaved on one merged timeline.
@@ -260,10 +260,10 @@ class InferenceServer:
         """Requests currently queued in buckets (not yet dispatched)."""
         return self._batcher.pending
 
-    def finish(self, now_us: float) -> ServeReport:
+    def drain(self, now_us: float) -> ServeReport:
         """Shutdown drain at *now_us*: flush the leftover partial
-        buckets, run the compile pool to completion, persist the kernel
-        cache and shape profile, and build the report."""
+        buckets, run the compile pool to completion, and build the
+        report. Persists nothing — see :meth:`finish`."""
         for batch in self._batcher.flush_all(now_us):
             self._dispatch(batch, "drain")
         if self.specializer is not None:
@@ -271,16 +271,6 @@ class InferenceServer:
             # every still-pending compile to a lane so queue-wait and
             # lane-utilization stats cover the whole triggered set.
             self.specializer.drain()
-        if self.store is not None:
-            # Persist the kernel cache (executables persist at compile
-            # time, inside the manager) so the next process's dynamic
-            # build starts warm too.
-            self.store.save_kernel_cache(self.kernel_cache)
-            if self.specializer is not None:
-                # The shape profile (.nmblprof) too — never read back by
-                # this manager (frozen at construction), so replays stay
-                # bit-identical.
-                self.specializer.persist_profile(now_us)
         return build_report(
             self._responses,
             self.workers,
@@ -291,6 +281,21 @@ class InferenceServer:
             ),
             device_streams=self.exe.device_streams,
         )
+
+    def finish(self, now_us: float) -> ServeReport:
+        """A lone server's end of simulation: :meth:`drain`, then
+        persist the kernel cache (executables persist at compile time,
+        inside the manager) so the next process's dynamic build starts
+        warm too, and the shape profile (.nmblprof) — never read back by
+        this manager (frozen at construction), so replays stay
+        bit-identical. A fleet's router drains its replicas and writes
+        both once, the profile merged (repro.fleet)."""
+        report = self.drain(now_us)
+        if self.store is not None:
+            self.store.save_kernel_cache(self.kernel_cache)
+            if self.specializer is not None:
+                self.specializer.persist_profile(now_us)
+        return report
 
     def simulate(self, requests: Sequence[Request]) -> ServeReport:
         """Serve the trace to completion; returns the aggregate report.

@@ -140,7 +140,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import repro.nimble as nimble
 from repro.codegen.kernels import KernelCache
@@ -660,15 +660,15 @@ class SpecializationManager:
         return keys
 
     # ---------------------------------------------------------------- profiles
-    def profile_snapshot(self) -> ShapeProfile:
+    def profile_snapshot(self, anchor_us: Optional[float] = None) -> ShapeProfile:
         """This simulation's shape traffic as a persistable
         :class:`ShapeProfile`: raw hit counts plus every decayed score
-        brought forward to one common anchor (the latest bump time), so
-        relative hotness survives without absolute clock times. The
-        server snapshots at simulation end; a predictive manager in the
-        *next* process pre-arms from it (never this one — the
-        construction-time freeze, see ``_profile_at_init``)."""
-        anchor = max(self._score_at.values(), default=0.0)
+        brought forward to one common anchor (*anchor_us*, by default the
+        latest bump time), so relative hotness survives without absolute
+        clock times. The server snapshots at simulation end; a predictive
+        manager in the *next* process pre-arms from it (never this one —
+        the construction-time freeze, see ``_profile_at_init``)."""
+        anchor = self._last_bump_us() if anchor_us is None else anchor_us
         return ShapeProfile(
             source_signature=self._fingerprint,
             platform_name=self.platform.name,
@@ -676,12 +676,15 @@ class SpecializationManager:
             scores={k: self.score(k, anchor) for k in self._score},
         )
 
-    def persist_profile(self, now_us: float) -> None:
-        """Write :meth:`profile_snapshot` to the store at simulation
-        end, for the *next* process's predictive manager. Written
-        whether or not this one is predictive — recording is cheap and
-        consuming it is opt-in."""
-        self.store.put_profile(self.profile_snapshot())
+    def _last_bump_us(self) -> float:
+        return max(self._score_at.values(), default=0.0)
+
+    def persist_profile(self, now_us: float, profile: Optional[ShapeProfile] = None) -> None:
+        """Write *profile* (by default :meth:`profile_snapshot`) to the
+        store at simulation end, for the *next* process's predictive
+        manager. Written whether or not this one is predictive —
+        recording is cheap and consuming it is opt-in."""
+        self.store.put_profile(self.profile_snapshot() if profile is None else profile)
         self._store_view.record_put(
             "profile", self._profile_key, now_us, self.replica_id
         )
@@ -1117,3 +1120,12 @@ class SpecializationManager:
             )
         self._compile_cost[variant] = cost
         return True
+
+
+def merged_profile(managers: Sequence[SpecializationManager]) -> ShapeProfile:
+    """One profile for managers that served one trace between them (a
+    fleet's replicas): each snapshot taken at the latest bump of any of
+    them, then hits and scores summed. Decay is linear in the hits, so the
+    scores are those one manager seeing every hit would have recorded."""
+    anchor = max(m._last_bump_us() for m in managers)
+    return ShapeProfile.merge([m.profile_snapshot(anchor) for m in managers])

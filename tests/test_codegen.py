@@ -24,7 +24,8 @@ from repro.core.typing import infer_types
 from repro.errors import CompilerError
 from repro.hardware import arm_cpu, intel_cpu, nvidia_gpu
 from repro.ir import (
-    Any, Call, Constant, Function, IRModule, Let, TensorType, Tuple, TupleGetItem, Var, const,
+    Any, Call, Constant, Function, IRModule, Let, TensorType, Tuple, TupleGetItem, TupleType,
+    Var, const,
 )
 from repro.ir.op import Op
 from repro.ops import api, get_op_def
@@ -88,6 +89,36 @@ class TestWorkload:
         good, _ = _dense_prim(16, 8)
         with pytest.raises(CompilerError, match="kernel arity mismatch: 1 params, 2 inputs"):
             run_prim_func(good, [data, data])
+
+    def test_tuple_returning_primitive_prices_every_output(self):
+        """A multi-output fusion group: projections and a tuple tail are
+        interpreted, and bytes out count both outputs."""
+        x = Var("x", TensorType((2, 8), "float32"))
+        parts, p0, p1, a, b = (Var(n) for n in ("parts", "p0", "p1", "a", "b"))
+        body = Let(parts, api.split(x, 2, axis=1),
+                   Let(p0, TupleGetItem(parts, 0),
+                       Let(a, api.sigmoid(p0),
+                           Let(p1, TupleGetItem(parts, 1),
+                               Let(b, api.tanh(p1), Tuple([a, b]))))))
+        out_ty = TensorType((2, 4), "float32")
+        prim = Function([x], body, TupleType([out_ty, out_ty]), {"primitive": True})
+        wl = compute_workload(prim, [(2, 8)])
+        assert wl.out_shapes == ((2, 4), (2, 4))
+        assert wl.bytes_moved == 2 * 8 * 4 + 2 * (2 * 4 * 4)
+        plain = Function([x], api.split(x, 2, axis=1), TupleType([out_ty, out_ty]),
+                         {"primitive": True})
+        assert wl.bytes_moved == compute_workload(plain, [(2, 8)]).bytes_moved
+        assert wl.flops > compute_workload(plain, [(2, 8)]).flops
+
+    def test_only_a_dynamic_kernel_is_priced_by_a_guess(self):
+        """A workload that fails on a kernel whose shapes are known is a
+        bug and raises; the bounded guess is for data-dependent ones."""
+        prim, _ = _dense_prim(16, 8)
+        kernel = KernelSet(prim, intel_cpu(), intel_cpu().compute_spec)
+        with pytest.raises(CompilerError, match="arity mismatch"):
+            kernel.invoke_cost([(4, 8), (4, 8)])
+        unique = KernelSet(_unique_prim(), intel_cpu(), intel_cpu().compute_spec)
+        assert unique.invoke_cost([(7,)]).flops == 4.0 * 7
 
     def test_canonical_mnk_with_constant_weight(self):
         prim, _ = _dense_prim(16, 8)

@@ -442,6 +442,42 @@ class TestFleetRouting:
 # ---------------------------------------------------------------------------
 
 
+class TestFleetPersistence:
+    def test_one_kernel_cache_write_and_one_merged_profile(self, tmp_path, monkeypatch):
+        """A fleet writes what its replicas share once per simulation:
+        kernels.kc once (one KernelCache — not once per replica), and a
+        profile whose hits are the sum of every replica's snapshot (not
+        the last replica's own traffic)."""
+        from repro.serve.specialization import merged_profile
+
+        writes = []
+        save = ArtifactStore.save_kernel_cache
+        monkeypatch.setattr(ArtifactStore, "save_kernel_cache",
+                            lambda store, cache: writes.append(cache) or save(store, cache))
+        router = FleetRouter(
+            _mlp(), intel_cpu(), ServeConfig(artifact_dir=str(tmp_path), **_FAST),
+            FleetConfig(num_replicas=3, routing="least_loaded"))
+        trace = [
+            Request(rid=i, arrival_us=i * 40.0, payload=_payload(rows, seed=i))
+            for i, rows in enumerate([9, 17, 25, 9, 17, 9] * 4)
+        ]
+        router.simulate(trace)
+        assert writes == [router.kernel_cache]
+        managers = [r.specializer for r in router.replicas]
+        snapshots = [m.profile_snapshot() for m in managers]
+        assert sum(1 for s in snapshots if s.hits) >= 2  # the traffic was spread
+        stored = ArtifactStore(str(tmp_path)).get_profile(snapshots[0].store_key())
+        summed = {}
+        for snapshot in snapshots:
+            for key, n in snapshot.hits.items():
+                summed[key] = summed.get(key, 0) + n
+        assert stored.hits == summed
+        assert sum(summed.values()) == len(trace)
+        assert stored.scores == merged_profile(managers).scores
+        router.simulate(trace)
+        assert len(writes) == 2
+
+
 class TestFleetChaos:
     def test_stall_redirects_traffic_and_replays(self):
         """A stalled replica's backlog steers least-loaded routing to

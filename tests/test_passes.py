@@ -1,5 +1,7 @@
 """Generic passes: ANF, constant folding, DCE, CSE, simplification, fusion."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -301,3 +303,207 @@ class TestFusion:
         prims = self._prim_calls(fused)
         assert len(prims[0].op.params) == 2
         assert any(isinstance(a, Constant) for a in prims[0].args)
+
+
+class TestMultiOutputFusion:
+    """A tuple-producing group (`split`) merges with every group that
+    reads its projections into one kernel returning each member used
+    outside it — or, when one of the four conditions fails, not at all."""
+
+    @staticmethod
+    def _chain_prims(expr):
+        """The primitive calls bound in one let chain, in order."""
+        bindings, _ = _let_chain(expr)
+        return [v for _, v in bindings if isinstance(v, Call) and isinstance(v.op, Function)]
+
+    def test_an_lstm_layer_step_is_three_kernels_and_h_c_one_call(self):
+        from repro.models.lstm import LSTMWeights, build_lstm_module
+
+        mod = build_lstm_module(
+            LSTMWeights.create(input_size=12, hidden_size=16, num_layers=2, seed=0))
+        mod = FuseOps().run(infer_types(ToANF().run(infer_types(mod))))
+        (step,) = [v for _, v in _let_chain(mod["lstm_loop"].body)[0] if isinstance(v, If)]
+        bindings, _ = _let_chain(step.true_branch)
+        prims = self._chain_prims(step.true_branch)
+        # concatenate, dense+bias_add, split+gates+c+h per layer; t + 1.
+        assert len(prims) == 3 * 2 + 1
+        cells = [p for p in prims if "split" in TestFusion._ops_of(p)]
+        assert len(cells) == 2
+        for cell in cells:
+            assert TestFusion._ops_of(cell) == sorted(
+                ["split", "sigmoid", "sigmoid", "sigmoid", "tanh", "tanh",
+                 "multiply", "multiply", "multiply", "add"])
+            (result,) = [var for var, v in bindings if v is cell]
+            projections = [var for var, v in bindings
+                           if isinstance(v, TupleGetItem) and v.tuple_value is result]
+            assert [p.name_hint[0] for p in projections] == ["c", "h"]
+        # The recursive call takes each layer's (h, c) from one kernel call.
+        (recurse,) = [v for _, v in bindings
+                      if isinstance(v, Call) and not isinstance(v.op, (Op, Function))]
+        producer = {var: v.tuple_value for var, v in bindings if isinstance(v, TupleGetItem)}
+        states = recurse.args[3:]
+        assert producer[states[0]] is producer[states[1]]
+        assert producer[states[2]] is producer[states[3]]
+        assert producer[states[0]] is not producer[states[2]]
+
+    def _fused(self, bindings, tail, params):
+        sb = ScopeBuilder()
+        out = {}
+        for name, make in bindings:
+            out[name] = sb.let(name, make(out))
+        body = sb.get(tail(out))
+        return TestFusion()._fuse(Function(params, body))
+
+    def _split_is_alone(self, fused):
+        prims = TestFusion._prim_calls(fused)
+        (split,) = [p for p in prims if "split" in TestFusion._ops_of(p)]
+        assert TestFusion._ops_of(split) == ["split"]
+        return prims
+
+    def test_merged_when_every_condition_holds(self):
+        x = Var("x", TensorType((2, 8)))
+        fused = self._fused(
+            [("parts", lambda v: api.split(x, 2, axis=1)),
+             ("a", lambda v: api.sigmoid(TupleGetItem(v["parts"], 0))),
+             ("b", lambda v: api.tanh(TupleGetItem(v["parts"], 1))),
+             ("out", lambda v: Tuple([v["a"], v["b"]]))],
+            lambda v: v["out"], [x])
+        (prim,) = TestFusion._prim_calls(fused)
+        assert TestFusion._ops_of(prim) == ["sigmoid", "split", "tanh"]
+
+    def test_refused_when_a_non_member_between_the_members_reads_one(self):
+        """`n` sits between `a` and `b`, reads `a`, and is not fused (two
+        readers): merging would need `a` before the kernel ran."""
+        x = Var("x", TensorType((2, 8)))
+        w = Var("w", TensorType((4, 4)))
+        fused = self._fused(
+            [("parts", lambda v: api.split(x, 2, axis=1)),
+             ("a", lambda v: api.sigmoid(TupleGetItem(v["parts"], 0))),
+             ("n", lambda v: api.dense(v["a"], w)),
+             ("b", lambda v: api.add(TupleGetItem(v["parts"], 1), v["n"])),
+             ("out", lambda v: Tuple([v["b"], v["n"]]))],
+            lambda v: v["out"], [x, w])
+        assert len(self._split_is_alone(fused)) == 4
+
+    def test_refused_when_a_projection_escapes_to_the_tail(self):
+        x = Var("x", TensorType((2, 8)))
+        fused = self._fused(
+            [("parts", lambda v: api.split(x, 2, axis=1)),
+             ("a", lambda v: api.sigmoid(TupleGetItem(v["parts"], 0))),
+             ("p1", lambda v: TupleGetItem(v["parts"], 1)),
+             ("out", lambda v: api.add(v["a"], v["p1"]))],
+            lambda v: v["p1"], [x])
+        assert len(self._split_is_alone(fused)) == 2  # split, sigmoid+add
+
+    def test_refused_when_the_tuple_is_read_whole(self):
+        x = Var("x", TensorType((2, 8)))
+        fused = self._fused(
+            [("parts", lambda v: api.split(x, 2, axis=1)),
+             ("a", lambda v: api.sigmoid(TupleGetItem(v["parts"], 0))),
+             ("out", lambda v: Tuple([v["a"], v["parts"]]))],
+            lambda v: v["out"], [x])
+        assert len(self._split_is_alone(fused)) == 2
+
+    def test_refused_when_a_reader_cannot_absorb_the_split(self):
+        """`dense` (OUT_ELEMWISE_FUSABLE) absorbs no producer."""
+        x = Var("x", TensorType((2, 8)))
+        w = Var("w", TensorType((4, 4)))
+        fused = self._fused(
+            [("parts", lambda v: api.split(x, 2, axis=1)),
+             ("a", lambda v: api.sigmoid(TupleGetItem(v["parts"], 0))),
+             ("d", lambda v: api.dense(TupleGetItem(v["parts"], 1), w)),
+             ("out", lambda v: Tuple([v["a"], v["d"]]))],
+            lambda v: v["out"], [x, w])
+        assert len(self._split_is_alone(fused)) == 3
+
+    def test_refused_when_a_reader_has_a_dynamic_shape_function(self):
+        x = Var("x", TensorType((8,)))
+        fused = self._fused(
+            [("parts", lambda v: api.split(x, 2)),
+             ("u", lambda v: api.unique(TupleGetItem(v["parts"], 0))),
+             ("b", lambda v: api.tanh(TupleGetItem(v["parts"], 1))),
+             ("out", lambda v: Tuple([v["u"], v["b"]]))],
+            lambda v: v["out"], [x])
+        assert len(self._split_is_alone(fused)) == 3
+
+
+def _differential_cases():
+    """(model, tier, platform, streams): both paper loops, every tier, on
+    the CPU and on the GPU at one and two streams."""
+    from repro.hardware import intel_cpu, nvidia_gpu
+
+    return itertools.product(
+        ("lstm", "tree_lstm"), ("dynamic", "specialized", "batched"),
+        ((intel_cpu, 1), (nvidia_gpu, 1), (nvidia_gpu, 2)))
+
+
+class TestMultiOutputFusionDifferential:
+    """The whole pipeline with the multi-output merge and with it
+    replaced by a no-op: bitwise-equal outputs, fewer kernels."""
+
+    @staticmethod
+    def _build_and_run(model, tier, platform, streams):
+        import repro.nimble as nimble
+        from repro.data import Tree, embedding_table
+        from repro.models.lstm import LSTMWeights, build_lstm_module
+        from repro.models.tree_lstm import (
+            TreeLSTMWeights, build_tree_lstm_module, tree_to_adt)
+        from repro.runtime.context import ExecutionContext
+        from repro.vm.compiler import CompilerOptions
+        from repro.vm.interpreter import VirtualMachine
+
+        rng = np.random.RandomState(0)
+        options = CompilerOptions(device_streams=streams)
+        if model == "lstm":
+            mod = build_lstm_module(
+                LSTMWeights.create(input_size=12, hidden_size=16, num_layers=2, seed=0))
+            members = [rng.randn(5, 12).astype(np.float32) for _ in range(3)]
+            if tier == "dynamic":
+                exe = nimble.build(mod, platform, options=options)[0]
+                inputs = [rng.randn(3, 12).astype(np.float32)] + members
+            elif tier == "specialized":
+                exe = nimble.specialize(mod, platform, shapes=[(5, 12)], options=options)[0]
+                inputs = members
+            else:
+                exe = nimble.specialize(
+                    mod, platform, shapes=[(5, 12)], options=options, batch=3)[0]
+                inputs = [np.concatenate(members, axis=0)]
+        else:
+            mod = build_tree_lstm_module(
+                TreeLSTMWeights.create(input_size=12, hidden_size=8, seed=0))
+            embeddings = embedding_table(vocab_size=32, dim=12, seed=0)
+            trees = [Tree.node(Tree.node(Tree.leaf(1), Tree.leaf(2)), Tree.leaf(3)),
+                     Tree.node(Tree.leaf(7), Tree.leaf(8))]
+            inputs = [tree_to_adt(t, embeddings) for t in trees]
+            if tier == "dynamic":
+                exe = nimble.build(mod, platform, options=options)[0]
+            else:
+                exe = nimble.specialize(mod, platform, shapes=[None], options=options,
+                                        batch=3 if tier == "batched" else 1)[0]
+        vm = VirtualMachine(exe, ExecutionContext(platform, numerics="full"))
+        return len(exe.kernels), [vm.run(x).numpy().tobytes() for x in inputs]
+
+    @pytest.mark.parametrize(
+        "case", _differential_cases(),
+        ids=lambda c: f"{c[0]}-{c[1]}-{c[2][0].__name__}x{c[2][1]}")
+    def test_merge_changes_kernels_not_outputs(self, case, monkeypatch):
+        from repro.passes.fuse_ops import _Fuser
+        from repro.passes.specialize import BatchSpecializeError
+
+        model, tier, (make_platform, streams) = case
+
+        def build():
+            return self._build_and_run(model, tier, make_platform(), streams)
+
+        try:
+            merged = build()
+        except BatchSpecializeError:
+            merged = None  # a Tree entry cannot be stacked
+        monkeypatch.setattr(_Fuser, "_merge_tuple_group", lambda self, *args: None)
+        if merged is None:
+            with pytest.raises(BatchSpecializeError):  # refused either way
+                build()
+            return
+        unmerged = build()
+        assert merged[0] < unmerged[0]
+        assert merged[1] == unmerged[1]

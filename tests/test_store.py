@@ -314,9 +314,11 @@ class TestServeRestore:
         assert warm.specialize_restored == cold.specialize_fresh_compiles
         # Three variants: cold pays 3 x 2400 (the suffix share of the
         # 6000 us override) + 3600 once for the prefix; warm pays three
-        # 540 us deserializes — 15% of the cold charge.
+        # 480 us deserializes (300 + 30 per kernel, six kernels a blob
+        # since the LSTM cell is one kernel; 540 with eight before) —
+        # 13% of the cold charge.
         assert cold.specialize_compile_us == pytest.approx(10_800.0)
-        assert warm.specialize_compile_us == pytest.approx(1_620.0)
+        assert warm.specialize_compile_us == pytest.approx(1_440.0)
         assert warm.specialized_hit_rate >= cold.specialized_hit_rate
         for a, b in zip(cold.responses, warm.responses):
             assert np.array_equal(a.output.numpy(), b.output.numpy())

@@ -554,18 +554,24 @@ def _paper_model_cases():
 # DEVICE_COPY 46 -> 14, 371.7 / 592.0 -> 242.1 / 361.9 us. The `bert*`
 # rows were re-recorded when a symbolic shape became a value computed
 # once: INVOKE_PACKED 90 -> 44, SHAPE_OF 72 -> 8, 193.0 / 165.9 ->
-# 128.8 / 98.0 us on the CPU; kernel_time_us below did not move.)
+# 128.8 / 98.0 us on the CPU; kernel_time_us below did not move. The
+# `lstm*` and `tree_lstm` rows were re-recorded when fusion learned
+# multi-output groups — one kernel for the cell's split and both state
+# updates: `lstm` INVOKE_PACKED 102 -> 74, ALLOC_STORAGE 102 -> 60,
+# 216.2 / 241.2 -> 140.7 / 161.7 us; `tree_lstm` INVOKE_PACKED 53 -> 29,
+# 170.3 / 39.0 -> 128.2 / 27.6 us; `lstm@gpu1` 242.1 / 361.9 -> 194.1 /
+# 225.5 us with DEVICE_COPY still 14. The charges below moved with them.)
 _PARENT_COMMIT_READINGS = {
     "lstm": (
-        {"ALLOC_ADT": 16, "ALLOC_STORAGE": 102, "ALLOC_TENSOR": 144, "GET_FIELD": 58,
-         "GOTO": 14, "IF": 16, "INVOKE": 16, "INVOKE_PACKED": 102, "LOAD_CONST": 294,
-         "LOAD_CONSTI": 34, "MOVE": 146, "RET": 18, "SHAPE_OF": 2},
-        76.95999999999871, [216.1656248369128, 241.17419894466212]),
+        {"ALLOC_ADT": 16, "ALLOC_STORAGE": 60, "ALLOC_TENSOR": 88, "GET_FIELD": 30,
+         "GOTO": 14, "IF": 16, "INVOKE": 16, "INVOKE_PACKED": 74, "LOAD_CONST": 196,
+         "LOAD_CONSTI": 34, "MOVE": 104, "RET": 18, "SHAPE_OF": 2},
+        53.439999999999216, [140.74966915824103, 161.675478723063]),
     "tree_lstm": (
-        {"ALLOC_ADT": 24, "ALLOC_STORAGE": 60, "ALLOC_TENSOR": 77, "GET_FIELD": 75,
-         "GET_TAG": 12, "GOTO": 12, "IF": 17, "INVOKE": 12, "INVOKE_PACKED": 53,
-         "LOAD_CONST": 171, "LOAD_CONSTI": 159, "MOVE": 70, "RET": 14},
-        60.479999999999066, [170.3454651608168, 39.036863005394764]),
+        {"ALLOC_ADT": 24, "ALLOC_STORAGE": 36, "ALLOC_TENSOR": 41, "GET_FIELD": 63,
+         "GET_TAG": 12, "GOTO": 12, "IF": 17, "INVOKE": 12, "INVOKE_PACKED": 29,
+         "LOAD_CONST": 111, "LOAD_CONSTI": 60, "MOVE": 34, "RET": 14},
+        37.19999999999956, [128.2134563656394, 27.572930058677514]),
     "bert": (
         {"ALLOC_STORAGE": 26, "ALLOC_TENSOR": 14, "ALLOC_TENSOR_REG": 30,
          "INVOKE_PACKED": 44, "LOAD_CONST": 92, "LOAD_CONSTI": 108, "MOVE": 48,
@@ -582,10 +588,10 @@ _PARENT_COMMIT_READINGS = {
          "RET": 2, "SHAPE_OF": 8, "STREAM_EVENT": 4, "STREAM_WAIT": 4},
         30.399999999999704, [165.78456422989913, 128.70310320153638]),
     "lstm@gpu1": (
-        {"ALLOC_ADT": 16, "ALLOC_STORAGE": 116, "ALLOC_TENSOR": 144, "DEVICE_COPY": 14,
-         "GET_FIELD": 58, "GOTO": 14, "IF": 16, "INVOKE": 16, "INVOKE_PACKED": 102,
-         "LOAD_CONST": 308, "LOAD_CONSTI": 258, "MOVE": 132, "RET": 18, "SHAPE_OF": 2},
-        97.11999999999829, [242.1471669806284, 361.8650806034201]),
+        {"ALLOC_ADT": 16, "ALLOC_STORAGE": 74, "ALLOC_TENSOR": 88, "DEVICE_COPY": 14,
+         "GET_FIELD": 30, "GOTO": 14, "IF": 16, "INVOKE": 16, "INVOKE_PACKED": 74,
+         "LOAD_CONST": 210, "LOAD_CONSTI": 76, "MOVE": 90, "RET": 18, "SHAPE_OF": 2},
+        59.0399999999991, [194.08948888888995, 225.52664444444162]),
 }
 
 # The same runs' kernel_time_us, alloc_time_us, copy_time_us and the
@@ -593,12 +599,12 @@ _PARENT_COMMIT_READINGS = {
 # the commit before operands were decoded once per VM: a shared constant
 # object, a decoded layout or a decoded copy cost must not move a charge.
 _PARENT_COMMIT_CHARGES = {
-    "lstm": (111.1298237815784, 269.25, 0.0, (65, 37, 102, 6464)),
-    "tree_lstm": (85.15232816620765, 63.75, 0.0, (13, 47, 60, 1152)),
+    "lstm": (91.4851478813013, 157.5, 0.0, (38, 22, 60, 4736)),
+    "tree_lstm": (68.33638642431598, 50.25, 0.0, (11, 25, 36, 768)),
     "bert": (71.27051624111658, 81.5, 0.0, (20, 6, 26, 14592)),
     "bert@gpu1": (245.6695736348043, 101.5, 0.0, (20, 6, 26, 14592)),
     "bert@gpu4": (245.6695736348043, 101.5, 0.0, (20, 6, 26, 14592)),
-    "lstm@gpu1": (567.4013377287765, 228.5, 84.01866666666668, (42, 74, 116, 4352)),
+    "lstm@gpu1": (355.10245932968024, 203.75, 84.01866666666668, (39, 35, 74, 3136)),
 }
 
 
@@ -982,17 +988,21 @@ class TestDispatchTable:
 
 
 class TestHostPathCost:
-    """The host's share of a launch, counted instead of timed:
-    Python-level calls under src/repro per executed instruction, one
-    warmed run of the LSTM 64->128 at length 16 (full numerics). On
+    """The host's share of an inference, counted instead of timed:
+    Python-level calls under src/repro in one warmed run of the LSTM
+    64->128 at length 16 (full numerics). Per executed instruction on
     intel_cpu / nvidia_gpu with two streams: 7.97 / 7.24 with kernels
     lowered and operands decoded once (17.1 before that on the CPU),
-    4.83 / 4.46 now that planned sizes are ints, registers are written
-    in the handlers and a tensor counts its storage's references
-    itself. CI's "Size trajectory" step prints both."""
+    4.83 / 4.31 once planned sizes were ints, registers were written in
+    the handlers and a tensor counted its storage's references itself.
+    Since the LSTM cell's split and both state updates are one kernel
+    the bound is per inference — 5,150 / 5,838 calls before, 3,726 /
+    4,142 after; per instruction that reads 5.10 / 5.11, because the
+    instructions fusion removed were cheap ones. CI's "Size trajectory"
+    step prints both."""
 
     @staticmethod
-    def _calls_per_instruction(platform, streams):
+    def _calls_per_inference(platform, streams):
         import os
         import sys
 
@@ -1022,16 +1032,15 @@ class TestHostPathCost:
         instructions = sum(vm.profile.instruction_counts.values())
         print(f"python calls per VM instruction ({platform.name}, {streams} stream(s)): "
               f"{calls / instructions:.2f} ({calls} calls, {instructions} instructions)")
-        return calls / instructions
+        return calls
 
-    def test_python_calls_per_vm_instruction(self):
-        assert self._calls_per_instruction(intel_cpu(), 1) <= 5.5
+    def test_python_calls_per_inference(self):
+        assert self._calls_per_inference(intel_cpu(), 1) <= 4_000
 
-    def test_python_calls_per_vm_instruction_on_the_gpu_with_two_streams(self):
+    def test_python_calls_per_inference_on_the_gpu_with_two_streams(self):
         """The path the serving benchmark runs: launch_async and one
-        host->GPU DeviceCopy a step (4.46 with the three syncing copies a
-        step that module-wide placement removed, 4.31 without)."""
-        assert self._calls_per_instruction(nvidia_gpu(), 2) <= 5.0
+        host->GPU DeviceCopy a step."""
+        assert self._calls_per_inference(nvidia_gpu(), 2) <= 4_450
 
 
 class TestProfileAllocTime:
