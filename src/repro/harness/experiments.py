@@ -646,10 +646,15 @@ def batch_specialization_study() -> Dict[str, Dict[str, float]]:
     rng = np.random.RandomState(0)
 
     def member_and_batched(mod, platform, shape, batch, cache):
-        """*mod* specialized to *shape* member-wise and at batch granularity."""
-        member, _ = nimble.specialize(mod, platform, shapes=[shape], kernel_cache=cache)
+        """*mod* specialized to *shape* member-wise and at batch
+        granularity, both from one prefix."""
+        prefix = nimble.build_prefix(mod, platform)
+        member, _ = nimble.specialize(
+            mod, platform, shapes=[shape], kernel_cache=cache, prefix=prefix
+        )
         batched, _ = nimble.specialize(
-            mod, platform, shapes=[shape], kernel_cache=cache, batch=batch
+            mod, platform, shapes=[shape], kernel_cache=cache, batch=batch,
+            prefix=prefix,
         )
         return member, batched
 

@@ -7,30 +7,30 @@
     vm = nimble.VirtualMachine(exe)
     out = vm.run(x)
 
-``build`` runs the full dynamic-compilation pipeline of Figure 2: type
-inference with ``Any`` → constant folding → simplification → ANF → CSE →
-DCE → dynamic-aware fusion → manifest allocation → memory planning →
-device placement → VM bytecode + kernel generation.
+Every compile is one pipeline (Figure 2) in two stages. The *prefix*
+— type inference with ``Any`` → constant folding → simplification →
+ANF → CSE → DCE → lambda lifting — depends only on (module, platform),
+never on which shape gets bound. The *suffix* — dynamic-aware fusion →
+manifest allocation → device placement → memory planning → VM
+bytecode + kernel generation — runs once per executable.
 
-``specialize`` is the static tier of the same pipeline: it binds the
-entry function's ``Any`` dims to concrete values (``SpecializeShapes``)
-and re-runs the identical pass sequence, so shape functions disappear,
-allocations get compile-time sizes, and kernels compile without residue
-dispatch — while sharing the dynamic build's :class:`KernelCache` so
-common (already-static) kernels compile once.
+``build`` runs the prefix and then the suffix with no binding: the
+dynamic executable. ``specialize`` is the static tier of the same
+pipeline: it resumes from a prefix, binds the entry function's ``Any``
+dims to concrete values (``SpecializeShapes``, plus ``SpecializeBatch``
+for a batched variant), finishes type inference and runs the same
+suffix, so shape functions disappear, allocations get compile-time
+sizes, and kernels compile without residue dispatch — while sharing the
+dynamic build's :class:`KernelCache` so common (already-static) kernels
+compile once.
 
-Specialization is *staged*: the shape-independent front of the pipeline
-— type inference over the dynamic module, constant folding,
-simplification, ANF conversion, CSE, DCE, and lambda lifting — depends
-only on (module, platform), never on which shape gets bound, so
-:func:`build_prefix` runs it once and packages the result as a
-:class:`SpecializationPrefix`. ``specialize(prefix=...)`` then runs only
-the *suffix* per variant: substitute the binding, finish residual type
-inference, and re-run fusion, manifest allocation, placement, planning,
-and codegen. Member and batched variants of the same shape share one
-prefix. :func:`compile_prefix` adds the caching: in-process per
-(fingerprint, platform), and persistently in the ``repro.store``
-artifact store, so even a restarted server skips the prefix work.
+:func:`build_prefix` packages the prefix as a
+:class:`SpecializationPrefix`; member and batched variants of the same
+shape share one, and ``specialize(prefix=None)`` builds a fresh one for
+the call. :func:`compile_prefix` caches prefixes in-process per
+(fingerprint, platform); the serving layer also persists them in the
+``repro.store`` artifact store, so a restarted server skips the prefix
+work.
 """
 
 from __future__ import annotations
@@ -101,96 +101,8 @@ class BuildReport:
     typed_module: Optional[IRModule] = None
 
 
-def _lower_and_compile(
-    typed: IRModule,
-    platform: Platform,
-    options: CompilerOptions,
-    plan_memory: bool,
-    kernel_cache: Optional[KernelCache],
-    source_signature: str,
-    passes: List,
-    pre_timings: Dict[str, float],
-) -> Tuple[Executable, BuildReport]:
-    """The shared back half of every compile: run *passes* (then
-    placement and planning) over the already type-checked *typed*, emit
-    VM bytecode + kernels, and stamp the artifact-store identity."""
-    passes = list(passes)
-    # Placement must precede planning: the coalescer may only multiplex
-    # tensors that live on the same device, and output buffers must be
-    # allocated directly on their kernel's device (never copy-patched).
-    device_pass = DevicePlace(platform.host, platform.compute)
-    passes.append(device_pass)
-    memory_pass = MemoryPlan() if plan_memory else None
-    if memory_pass is not None:
-        passes.append(memory_pass)
-
-    pipeline = Sequential(passes)
-    lowered = pipeline.run(typed)
-
-    compiler = VMCompiler(platform, options, kernel_cache)
-    exe = compiler.compile(lowered)
-    # Stamp the artifact-store identity: which module these bytes were
-    # compiled from. `specialize` passes the *dynamic* source module's
-    # fingerprint so all of one model's shape variants share a module
-    # identity in the store key.
-    exe.source_signature = source_signature
-
-    report = BuildReport(
-        pass_timings={**pre_timings, **pipeline.timings},
-        memory=memory_pass.report if memory_pass is not None else None,
-        placement=device_pass.report,
-        num_kernels=len(exe.kernels),
-        num_instructions=exe.num_instructions,
-        bytecode_bytes=exe.bytecode_size_bytes(),
-        kernel_code_bytes=exe.kernel_code_size_bytes(),
-        typed_module=typed,
-    )
-    return exe, report
-
-
-def build(
-    mod: IRModule,
-    platform: Optional[Platform] = None,
-    options: Optional[CompilerOptions] = None,
-    plan_memory: bool = True,
-    kernel_cache: Optional[KernelCache] = None,
-    source_signature: Optional[str] = None,
-) -> Tuple[Executable, BuildReport]:
-    """Compile a module for *platform*. ``plan_memory=False`` disables the
-    §4.3 coalescing/kill pass (the memory-planning ablation).
-    ``source_signature`` overrides the artifact-store identity stamped on
-    the executable (fingerprinting hashes every constant's bytes, so
-    callers that already hold the right fingerprint — ``specialize``, the
-    serving manager — pass it instead of paying the hash again)."""
-    platform = platform or intel_cpu()
-    options = options or CompilerOptions()
-
-    infer_start = time.perf_counter()
-    typed = InferType()(mod)
-    infer_time = time.perf_counter() - infer_start
-
-    passes = [
-        FoldConstant(),
-        SimplifyExpressions(),
-        ToANF(),
-        CommonSubexprElimination(),
-        DeadCodeElimination(),
-        LambdaLift(),
-        FuseOps(),
-        ManifestAlloc(),
-    ]
-    signature = (
-        source_signature if source_signature is not None
-        else module_fingerprint(mod)
-    )
-    return _lower_and_compile(
-        typed, platform, options, plan_memory, kernel_cache, signature,
-        passes, {"InferType": infer_time},
-    )
-
-
 # ---------------------------------------------------------------------------
-# Staged specialization: the shape-independent prefix
+# The prefix: shape-independent, run once per (module, platform)
 # ---------------------------------------------------------------------------
 
 # Serialization version of prefix payloads (the store stamps it on their
@@ -313,21 +225,11 @@ class SpecializationPrefix:
         )
 
 
-def build_prefix(
-    mod: IRModule,
-    platform: Optional[Platform] = None,
-    source_signature: Optional[str] = None,
-    entry: str = "main",
-) -> SpecializationPrefix:
-    """Run the shape-independent prefix of the specialization pipeline
-    over the *dynamic* module: inference with ``Any`` dims, then every
-    normalization pass whose output a shape binding cannot change.
-    The result feeds ``specialize(prefix=...)`` for each variant."""
-    platform = platform or intel_cpu()
-    signature = (
-        source_signature if source_signature is not None
-        else module_fingerprint(mod)
-    )
+def _run_prefix(mod: IRModule) -> Tuple[IRModule, IRModule, Dict[str, float]]:
+    """The shape-independent prefix every compile starts with: inference
+    with ``Any`` dims, then every normalization pass whose output a
+    shape binding cannot change. Returns the typed source module, the
+    normalized module and the pass timings."""
     infer_start = time.perf_counter()
     typed = InferType()(mod)
     infer_time = time.perf_counter() - infer_start
@@ -342,6 +244,24 @@ def build_prefix(
         ]
     )
     normalized = pipeline.run(typed)
+    return typed, normalized, {"InferType": infer_time, **pipeline.timings}
+
+
+def build_prefix(
+    mod: IRModule,
+    platform: Optional[Platform] = None,
+    source_signature: Optional[str] = None,
+    entry: str = "main",
+) -> SpecializationPrefix:
+    """Run the prefix over the *dynamic* module and package it for
+    ``specialize(prefix=...)``: every variant of the module, member-wise
+    and batched, resumes from it."""
+    platform = platform or intel_cpu()
+    signature = (
+        source_signature if source_signature is not None
+        else module_fingerprint(mod)
+    )
+    _, normalized, timings = _run_prefix(mod)
     if entry not in normalized:
         raise CompilerError(f"module has no entry function {entry!r}")
     return SpecializationPrefix(
@@ -349,14 +269,14 @@ def build_prefix(
         source_signature=signature,
         platform_name=platform.name,
         entry=entry,
-        pass_timings={"InferType": infer_time, **pipeline.timings},
+        pass_timings=timings,
     )
 
 
 # The in-process prefix cache, keyed (module fingerprint, platform name).
 # Entries are inserted only after a prefix builds *completely* — an
 # exception mid-construction leaves no partial entry to poison later
-# callers (see compile_prefix).
+# callers.
 _PREFIX_CACHE: Dict[Tuple[str, str], SpecializationPrefix] = {}
 
 
@@ -370,47 +290,114 @@ def compile_prefix(
     platform: Optional[Platform] = None,
     source_signature: Optional[str] = None,
     entry: str = "main",
-    store=None,
     use_cache: bool = True,
 ) -> Tuple[SpecializationPrefix, str]:
-    """Obtain the specialization prefix for (mod, platform), cheapest
-    source first; returns ``(prefix, origin)`` with origin one of
-    ``"memory"`` (in-process cache), ``"store"`` (validated artifact-
-    store blob), or ``"built"`` (computed now).
-
-    Cache-poisoning safety: the in-process cache and the store are
-    written strictly *after* a complete, successful build — a pass that
-    raises mid-prefix leaves both untouched, so the next call rebuilds
-    from scratch instead of reusing a partial result. Store blobs that
-    fail validation are skipped (the store counts the reject in its
-    ``reject_log``) and the prefix is rebuilt — never trusted."""
+    """:func:`build_prefix` behind the in-process cache; returns
+    ``(prefix, origin)`` with origin ``"memory"`` (cached) or
+    ``"built"`` (computed now). Persisting prefixes across processes is
+    the serving layer's job (``SpecializationManager`` reads and writes
+    them through its artifact store)."""
     platform = platform or intel_cpu()
     signature = (
         source_signature if source_signature is not None
         else module_fingerprint(mod)
     )
     key = (signature, platform.name)
-    if use_cache:
-        found = _PREFIX_CACHE.get(key)
-        if found is not None:
-            return found, "memory"
-    if store is not None:
-        found = store.get_prefix(
-            prefix_store_key(signature, platform.name),
-            expected_signature=signature,
-        )
-        if found is not None:
-            if use_cache:
-                _PREFIX_CACHE[key] = found
-            return found, "store"
-    prefix = build_prefix(
-        mod, platform, source_signature=signature, entry=entry
-    )
+    if use_cache and key in _PREFIX_CACHE:
+        return _PREFIX_CACHE[key], "memory"
+    prefix = build_prefix(mod, platform, source_signature=signature, entry=entry)
     if use_cache:
         _PREFIX_CACHE[key] = prefix
-    if store is not None:
-        store.put_prefix(prefix)
     return prefix, "built"
+
+
+# ---------------------------------------------------------------------------
+# The suffix: everything that depends on the binding
+# ---------------------------------------------------------------------------
+
+
+def _summed(*timings: Dict[str, float]) -> Dict[str, float]:
+    out: Dict[str, float] = {}
+    for part in timings:
+        for name, seconds in part.items():
+            out[name] = out.get(name, 0.0) + seconds
+    return out
+
+
+def _compile_suffix(
+    module: IRModule,
+    platform: Platform,
+    options: Optional[CompilerOptions],
+    plan_memory: bool,
+    kernel_cache: Optional[KernelCache],
+    source_signature: str,
+    timings: Dict[str, float],
+    specialized_shapes: Optional[tuple] = None,
+    specialized_batch: Optional[int] = None,
+) -> Tuple[Executable, BuildReport]:
+    """The one suffix of every compile, over a typed, normalized module:
+    fusion, manifest allocation, placement and planning, then VM
+    bytecode + kernels, stamped with the artifact-store identity and
+    what the executable was specialized to (``None`` for a dynamic
+    build)."""
+    passes: List = []
+    if specialized_batch is not None:
+        # The batch rewrite emits nested calls (lifted reshapes,
+        # offset-index chains), so a batched module re-normalizes before
+        # fusion; a bare shape binding keeps the prefix's strict ANF.
+        passes += [ToANF(), CommonSubexprElimination(), DeadCodeElimination()]
+    # Placement must precede planning: the coalescer may only multiplex
+    # tensors that live on the same device, and output buffers must be
+    # allocated directly on their kernel's device (never copy-patched).
+    device_pass = DevicePlace(platform.host, platform.compute)
+    passes += [FuseOps(), ManifestAlloc(), device_pass]
+    memory_pass = MemoryPlan() if plan_memory else None
+    if memory_pass is not None:
+        passes.append(memory_pass)
+
+    pipeline = Sequential(passes)
+    lowered = pipeline.run(module)
+
+    compiler = VMCompiler(platform, options, kernel_cache)
+    exe = compiler.compile(lowered, specialized_shapes, specialized_batch)
+    # Which module these bytes were compiled from: always the *dynamic*
+    # source, so all of one model's shape variants share a module
+    # identity in the store key.
+    exe.source_signature = source_signature
+
+    report = BuildReport(
+        pass_timings=_summed(timings, pipeline.timings),
+        memory=memory_pass.report if memory_pass is not None else None,
+        placement=device_pass.report,
+        num_kernels=len(exe.kernels),
+        num_instructions=exe.num_instructions,
+        bytecode_bytes=exe.bytecode_size_bytes(),
+        kernel_code_bytes=exe.kernel_code_size_bytes(),
+        typed_module=module,
+    )
+    return exe, report
+
+
+def build(
+    mod: IRModule,
+    platform: Optional[Platform] = None,
+    options: Optional[CompilerOptions] = None,
+    plan_memory: bool = True,
+    kernel_cache: Optional[KernelCache] = None,
+) -> Tuple[Executable, BuildReport]:
+    """Compile a module for *platform*: the prefix, then the suffix with
+    no binding. ``plan_memory=False`` disables the §4.3 coalescing/kill
+    pass (the memory-planning ablation)."""
+    platform = platform or intel_cpu()
+    typed, normalized, timings = _run_prefix(mod)
+    exe, report = _compile_suffix(
+        normalized, platform, options, plan_memory, kernel_cache,
+        module_fingerprint(mod), timings,
+    )
+    # The serving layer's shape bucketer reads the entry's `Any` tokens
+    # off the typed *source* module.
+    report.typed_module = typed
+    return exe, report
 
 
 def specialize(
@@ -449,14 +436,14 @@ def specialize(
     :class:`repro.passes.BatchSpecializeError` on modules that cannot be
     batch-rewritten (e.g. ADT entries).
 
-    With ``prefix`` (a :class:`SpecializationPrefix` for this module and
-    platform), only the shape-binding *suffix* runs: the binding is
-    substituted into the already normalized prefix module, residual type
-    inference finishes the staticization, and just fusion, manifest
-    allocation, placement, planning, and codegen execute per variant.
-    Outputs are bit-identical to the monolithic path and the executable
-    carries the same artifact key (``tests/test_differential.py`` fuzzes
-    both claims); only the per-variant compile work shrinks.
+    Every variant resumes from a :class:`SpecializationPrefix` for this
+    module and platform: ``prefix`` if given (member and batched
+    variants share one), else one built for this call alone. The
+    binding is substituted into the normalized prefix module, residual
+    type inference finishes the staticization, and the suffix ``build``
+    ends with runs. A shared prefix and a per-call one give the same
+    artifact key and bitwise-identical outputs
+    (``tests/test_differential.py`` fuzzes both claims).
     """
     platform = platform or intel_cpu()
     # The store key's module component must be the *dynamic* source
@@ -467,54 +454,10 @@ def specialize(
     # already holds it.
     if source_signature is None:
         source_signature = module_fingerprint(mod)
-    if prefix is not None:
-        return _specialize_from_prefix(
-            mod, prefix, platform, shapes, binding, options, plan_memory,
-            kernel_cache, entry, batch, source_signature,
-        )
-    spec_pass = SpecializeShapes(shapes=shapes, binding=binding, entry=entry)
-    specialized = spec_pass(mod)
-    if batch > 1:
-        specialized = SpecializeBatch(batch, entry=entry)(specialized)
-    opts = _variant_options(options, spec_pass.bound_shapes, batch)
-    return build(
-        specialized, platform, opts, plan_memory=plan_memory,
-        kernel_cache=kernel_cache, source_signature=source_signature,
-    )
-
-
-def _variant_options(
-    base: Optional[CompilerOptions], bound_shapes, batch: int
-) -> CompilerOptions:
-    base = base or CompilerOptions()
-    return CompilerOptions(
-        tune=base.tune,
-        num_dispatch_kernels=base.num_dispatch_kernels,
-        allow_library=base.allow_library,
-        schedule=base.schedule,
-        tuning_trials=base.tuning_trials,
-        specialized_shapes=bound_shapes,
-        specialized_batch=batch if batch > 1 else None,
-        device_streams=base.device_streams,
-        verify=base.verify,
-    )
-
-
-def _specialize_from_prefix(
-    mod: IRModule,
-    prefix: SpecializationPrefix,
-    platform: Platform,
-    shapes,
-    binding,
-    options: Optional[CompilerOptions],
-    plan_memory: bool,
-    kernel_cache: Optional[KernelCache],
-    entry: str,
-    batch: int,
-    source_signature: str,
-) -> Tuple[Executable, BuildReport]:
-    """The shape-binding suffix: everything ``specialize`` must redo per
-    variant once the shape-independent prefix exists."""
+    timings: Dict[str, float] = {}
+    if prefix is None:
+        prefix = build_prefix(mod, platform, source_signature, entry)
+        timings = prefix.pass_timings
     if prefix.source_signature != source_signature:
         raise CompilerError(
             f"specialization prefix was built from module "
@@ -542,26 +485,12 @@ def _specialize_from_prefix(
     infer_start = time.perf_counter()
     typed = InferType()(specialized)
     infer_time = time.perf_counter() - infer_start
-    # The prefix module is already in strict ANF and the shape
-    # substitution preserves that structure, so the member-wise suffix
-    # goes straight to fusion. The batch rewrite, however, emits nested
-    # calls (lifted reshapes, offset-index chains), so its suffix
-    # re-normalizes first — exactly what the monolithic path's full
-    # pipeline did after SpecializeBatch.
-    passes: List = []
-    if batch > 1:
-        passes += [
-            ToANF(),
-            CommonSubexprElimination(),
-            DeadCodeElimination(),
-        ]
-    passes += [FuseOps(), ManifestAlloc()]
-    opts = _variant_options(options, spec_pass.bound_shapes, batch)
-    return _lower_and_compile(
-        typed, platform, opts, plan_memory, kernel_cache, source_signature,
-        passes, {"InferType": infer_time},
+    return _compile_suffix(
+        typed, platform, options, plan_memory, kernel_cache, source_signature,
+        _summed(timings, {"InferType": infer_time}),
+        specialized_shapes=spec_pass.bound_shapes,
+        specialized_batch=batch if batch > 1 else None,
     )
-
 
 # ---------------------------------------------------------------------------
 # Artifact persistence (the on-disk store, `repro.store`)

@@ -63,8 +63,6 @@ class CompilerOptions:
         allow_library: bool = True,
         schedule: Optional[Schedule] = None,
         tuning_trials: int = 96,
-        specialized_shapes: Optional[tuple] = None,
-        specialized_batch: Optional[int] = None,
         device_streams: int = 1,
         verify: bool = True,
     ) -> None:
@@ -78,15 +76,6 @@ class CompilerOptions:
         # compile time; 1 (or any CPU platform) means the scheduling pass
         # never runs and the bytecode is exactly the single-lane build.
         self.device_streams = device_streams
-        # Set by ``nimble.specialize``: the entry shapes this build was
-        # statically specialized to (stamped onto the Executable so the
-        # serving tier and serialized artifacts can identify it), plus the
-        # batch granularity when the build stacks that many members per
-        # call. ``specialized_shapes`` stays in *member* terms — the batch
-        # is a separate marker so (member shape, batch) variants never
-        # alias.
-        self.specialized_shapes = specialized_shapes
-        self.specialized_batch = specialized_batch
         # Run the static verifiers (repro.analysis) on the finished
         # executable and raise VerificationError on any error finding.
         # Default on: verification costs <15% of a compile
@@ -137,7 +126,17 @@ class VMCompiler:
         self._schedule_cache: Dict[tuple, Schedule] = {}
 
     # ------------------------------------------------------------------ driver
-    def compile(self, mod: IRModule) -> Executable:
+    def compile(
+        self,
+        mod: IRModule,
+        specialized_shapes: Optional[tuple] = None,
+        specialized_batch: Optional[int] = None,
+    ) -> Executable:
+        """Emit *mod*'s executable. ``nimble.specialize`` passes what it
+        bound: the entry shapes, in *member* terms, and the batch when
+        one call stacks that many members — a separate marker, so
+        (member shape, batch) variants never alias. They are stamped
+        before verification, which reads them."""
         names = [gv.name_hint for gv, f in mod.functions.items() if not f.is_primitive]
         func_index = {name: i for i, name in enumerate(names)}
         functions: List[VMFunction] = []
@@ -151,8 +150,8 @@ class VMCompiler:
             func_index=func_index,
             constants=self._constants,
             kernels=self._kernels,
-            specialized_shapes=self.options.specialized_shapes,
-            specialized_batch=self.options.specialized_batch,
+            specialized_shapes=specialized_shapes,
+            specialized_batch=specialized_batch,
         )
         # AOT multi-stream scheduling pass: a bytecode-to-bytecode rewrite
         # over the finished executable. The requested stream count is

@@ -13,12 +13,12 @@ Executables are memoised per (model, shape, batch) across examples and
 share one KernelCache per model, so the fuzz budget is spent running
 tensors, not recompiling the same module.
 
-The staged property extends the matrix: for every sampled binding, the
-prefix+suffix compile (``nimble.specialize(prefix=...)``, member and
-batched variants sharing one ``build_prefix`` result) must produce the
-same ``Executable`` artifact key AND bitwise-identical outputs as the
-monolithic compile — staging is an implementation detail, never an
-observable one.
+The staged property extends the matrix: for every sampled binding, a
+shared prefix (``nimble.specialize(prefix=...)``, member and batched
+variants sharing one ``build_prefix`` result) must produce the same
+``Executable`` artifact key AND bitwise-identical outputs as a per-call
+prefix (``prefix=None``) — sharing is an implementation detail, never
+an observable one.
 """
 
 import numpy as np
@@ -189,7 +189,7 @@ def _differential_case(model: str, length: int, batch: int, seed: int):
 
 
 def _staged_case(model: str, length: int, batch: int, seed: int):
-    """Staged (prefix+suffix) vs monolithic: identical artifact keys and
+    """Per-call prefix vs shared prefix: identical artifact keys and
     bitwise-identical outputs, member and batched variants."""
     cache = _cache(model)
     rng = np.random.RandomState(seed)

@@ -2,6 +2,8 @@
 nimble.specialize API, kernel-cache tier separation, serialization, the
 serving-layer SpecializationManager, and tier routing."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro.core.typing import collect_shape_bindings, infer_types
 from repro.core.typing.bind import batch_type, bind_any_dims
 from repro.errors import CompilerError, TypeInferenceError
 from repro.hardware import calibration, intel_cpu, nvidia_gpu
+import repro.ir.types as ir_types
 from repro.ir import Any, Function, IRModule, TensorType, Var, const
 from repro.ir.types import TupleType, has_any_dim
 from repro.ir.printer import module_fingerprint
@@ -1520,7 +1523,7 @@ def fresh_prefix_cache():
 
 class TestStagedCompile:
     """nimble.build_prefix / compile_prefix / specialize(prefix=...):
-    staged compiles must be indistinguishable from monolithic ones —
+    a shared prefix must be indistinguishable from a per-call one —
     same artifact key, bitwise-identical outputs."""
 
     def _lstm(self):
@@ -1636,27 +1639,23 @@ class TestStagedCompile:
         with pytest.raises(CompilerError, match="platform"):
             nimble.specialize(mod, nvidia_gpu(), shapes=[(5, 8)], prefix=prefix)
 
-    def test_compile_prefix_origin_ladder(self, fresh_prefix_cache, tmp_path):
-        """built -> memory (same process) -> store (fresh process sim)."""
+    def test_compile_prefix_origin_ladder(self, fresh_prefix_cache):
+        """built -> memory (same process) -> built (cache bypassed)."""
         mod = self._lstm()
-        store = ArtifactStore(tmp_path)
-        _, origin = nimble.compile_prefix(mod, intel_cpu(), store=store)
+        first, origin = nimble.compile_prefix(mod, intel_cpu())
         assert origin == "built"
-        assert store.keys("prefix")  # persisted on build
-        _, origin = nimble.compile_prefix(mod, intel_cpu(), store=store)
-        assert origin == "memory"
-        nimble.clear_prefix_cache()  # "restart" the process
-        _, origin = nimble.compile_prefix(mod, intel_cpu(), store=store)
-        assert origin == "store"
+        again, origin = nimble.compile_prefix(mod, intel_cpu())
+        assert origin == "memory" and again is first
+        fresh, origin = nimble.compile_prefix(mod, intel_cpu(), use_cache=False)
+        assert origin == "built" and fresh is not first
 
     def test_failed_prefix_build_poisons_no_cache(
-        self, fresh_prefix_cache, tmp_path, monkeypatch
+        self, fresh_prefix_cache, monkeypatch
     ):
         """Satellite: an exception mid-prefix-construction must leave
-        both the in-process cache and the store untouched — the next
-        call rebuilds from scratch instead of reusing a partial result."""
+        the in-process cache untouched — the next call rebuilds from
+        scratch instead of reusing a partial result."""
         mod = self._lstm()
-        store = ArtifactStore(tmp_path)
 
         class Boom(RuntimeError):
             pass
@@ -1672,11 +1671,10 @@ class TestStagedCompile:
 
         monkeypatch.setattr(nimble, "LambdaLift", ExplodingLift)
         with pytest.raises(Boom):
-            nimble.compile_prefix(mod, intel_cpu(), store=store)
+            nimble.compile_prefix(mod, intel_cpu())
         monkeypatch.undo()
-        assert store.keys("prefix") == []  # nothing half-written
-        # The in-process cache must also be empty: the retry rebuilds.
-        prefix, origin = nimble.compile_prefix(mod, intel_cpu(), store=store)
+        # The in-process cache must be empty: the retry rebuilds.
+        prefix, origin = nimble.compile_prefix(mod, intel_cpu())
         assert origin == "built"
         # And the rebuilt prefix actually works.
         staged, _ = nimble.specialize(
@@ -1684,20 +1682,36 @@ class TestStagedCompile:
         )
         assert staged.specialized_shapes == ((4, 8),)
 
-    def test_corrupt_stored_prefix_rejected_and_rebuilt(
-        self, fresh_prefix_cache, tmp_path
-    ):
-        mod = self._lstm()
-        store = ArtifactStore(tmp_path)
-        prefix, _ = nimble.compile_prefix(mod, intel_cpu(), store=store)
-        (key,) = store.keys("prefix")
-        path = store.blob_path("prefix", key)
-        path.write_bytes(path.read_bytes()[:-7])
-        nimble.clear_prefix_cache()
-        rebuilt, origin = nimble.compile_prefix(mod, intel_cpu(), store=store)
-        assert origin == "built"
-        assert store.rejects >= 1
-        assert rebuilt.store_key() == prefix.store_key()
+
+class TestOnePipeline:
+    """Every specialization resumes from a prefix: a per-call one
+    (``prefix=None``) and a shared one are the same compile, byte for
+    byte, and nothing but ``specialize`` labels an executable static."""
+
+    @pytest.mark.parametrize("batch", [1, 4], ids=["member", "batch4"])
+    def test_per_call_and_shared_prefix_save_the_same_bytes(self, batch, monkeypatch):
+        def saved(shared):
+            # Saved kernels carry `Any` identity tokens, a process-global
+            # counter: number both compiles as a fresh process would.
+            monkeypatch.setattr(ir_types, "_any_tokens", itertools.count())
+            mod = build_lstm_module(LSTMWeights.create(12, 16, seed=0))
+            prefix = nimble.build_prefix(mod, intel_cpu()) if shared else None
+            exe, _ = nimble.specialize(
+                mod, intel_cpu(), shapes=[(7, 12)], batch=batch, prefix=prefix
+            )
+            return exe.save()
+
+        assert saved(shared=False) == saved(shared=True)
+
+    def test_specialization_markers_are_not_options(self):
+        from repro.vm.compiler import CompilerOptions
+
+        with pytest.raises(TypeError):
+            CompilerOptions(specialized_shapes=((8, 8),))
+        with pytest.raises(TypeError):
+            CompilerOptions(specialized_batch=4)
+        exe, _ = nimble.build(_dyn_mlp_module(), intel_cpu())
+        assert exe.specialized_shapes is None and exe.specialized_batch is None
 
 
 class TestSpecializeShapesReuse:
