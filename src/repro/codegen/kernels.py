@@ -25,30 +25,23 @@ import numpy as np
 from repro.codegen.cost_model import library_cost_us, tuned_cost_us
 from repro.codegen.schedule import Schedule, default_schedule
 from repro.codegen.workload import GEMM_OPS, KernelProgram, Workload, compute_workload
-from repro.core.memory.prim_info import PrimFuncInfo, analyze_prim_func, run_fused_shape_func
+from repro.core.memory.prim_info import (
+    PrimFuncInfo,
+    analyze_prim_func,
+    prim_calls,
+    run_fused_shape_func,
+)
 from repro.errors import SerializationError
 from repro.hardware import calibration
 from repro.hardware.platforms import Platform
 from repro.hardware.specs import DeviceSpec
 from repro.ir.analysis import structural_hash
-from repro.ir.expr import Call, Constant, Expr, Function, Let, Var
+from repro.ir.expr import Constant, Expr, Function, Var
 from repro.ir.op import Op
 from repro.ir.types import has_any_dim, type_hash
 from repro.ops.shape_funcs import prod
 
 Shape = Tuple[int, ...]
-
-
-def _prim_calls(func: Function) -> List[Call]:
-    calls: List[Call] = []
-    node: Expr = func.body
-    while isinstance(node, Let):
-        if isinstance(node.value, Call):
-            calls.append(node.value)
-        node = node.body
-    if isinstance(node, Call):
-        calls.append(node)
-    return calls
 
 
 def canonical_mnk(func: Function, in_shapes: Sequence[Shape], out_shape: Shape) -> Tuple[int, int, int]:
@@ -62,7 +55,7 @@ def canonical_mnk(func: Function, in_shapes: Sequence[Shape], out_shape: Shape) 
             return tuple(arg.value.shape)
         return fallback
 
-    for call in _prim_calls(func):
+    for call in prim_calls(func):
         if isinstance(call.op, Op) and call.op.name in GEMM_OPS:
             if call.op.name in ("nn.dense", "nn.batch_dense"):
                 d_shape = arg_shape(call.args[0], out_shape)
@@ -170,7 +163,7 @@ class KernelSet:
         # the interpreter's hottest path — and the Let-chain walk plus
         # string join must not be repaid per dispatch.
         ops = "+".join(
-            c.op.name for c in _prim_calls(self.prim) if isinstance(c.op, Op)
+            c.op.name for c in prim_calls(self.prim) if isinstance(c.op, Op)
         )
         return f"fused_{ops}"
 
@@ -341,11 +334,15 @@ class KernelCache:
                 added += 1
         return added
 
-    def kernel(self, prim: Function, platform: Platform, spec: DeviceSpec, **kwargs) -> KernelSet:
+    def kernel(self, prim: Function, platform: Platform, spec: DeviceSpec) -> KernelSet:
+        """The default-built kernel of *prim*: the key names everything
+        that builds it, so a hit is always the kernel a miss would
+        build. Ablation variants are constructed as KernelSets directly
+        and never enter the cache."""
         key = (structural_hash(prim), prim_signature(prim), platform.name)
         found = self._kernels.get(key)
         if found is None:
-            found = KernelSet(prim, platform, spec, **kwargs)
+            found = KernelSet(prim, platform, spec)
             self._kernels[key] = found
         return found
 

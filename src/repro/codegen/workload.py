@@ -14,6 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.memory.prim_info import interpret_shapes
 from repro.errors import CompilerError
 from repro.ir.expr import Call, Constant, Expr, Function, Let, Tuple as IRTuple, TupleGetItem, Var
 from repro.ir.op import Op
@@ -41,46 +42,22 @@ class Workload:
     out_shapes: Tuple[Shape, ...]
 
 
-class _ShapeEnv:
-    """Abstract interpretation of a primitive body over shapes: every
-    binding (call, tuple, projection or alias) and the tail, in order,
-    tallying the calls' FLOPs and the bytes of the constants they read."""
+class _Tally:
+    """What the workload reads off each operator call of the shape
+    interpretation: its FLOPs, the bytes of the constants it reads, and
+    whether any call is a GEMM."""
 
-    def __init__(self, func: Function, in_shapes: Sequence[Shape]) -> None:
-        if len(func.params) != len(in_shapes):
-            raise CompilerError(
-                f"workload: arity mismatch ({len(func.params)} params, "
-                f"{len(in_shapes)} shapes)"
-            )
-        self.env: Dict[Var, object] = {
-            p: tuple(int(d) for d in s) for p, s in zip(func.params, in_shapes)
-        }
+    def __init__(self) -> None:
         self.calls = 0
         self.flops = 0.0
         self.const_bytes = 0.0
         self.is_gemm = False
 
-    def eval(self, expr: Expr):
-        if isinstance(expr, Var):
-            return self.env[expr]
-        if isinstance(expr, Constant):
-            return tuple(expr.value.shape)
-        if isinstance(expr, IRTuple):
-            return tuple(self.eval(f) for f in expr.fields)
-        if isinstance(expr, TupleGetItem):
-            return self.eval(expr.tuple_value)[expr.index]
-        if isinstance(expr, Call):
-            if not isinstance(expr.op, Op):
-                raise CompilerError("primitive bodies contain only operator calls")
-            op_def = get_op_def(expr.op.name)
-            arg_shapes = [self.eval(a) for a in expr.args]
-            outs = op_def.shape_func(arg_shapes, None, expr.attrs)
-            self.calls += 1
-            self.flops += op_def.flops(arg_shapes, outs, expr.attrs)
-            self.const_bytes += sum(a.value.nbytes for a in expr.args if isinstance(a, Constant))
-            self.is_gemm = self.is_gemm or expr.op.name in GEMM_OPS
-            return outs[0] if len(outs) == 1 else tuple(outs)
-        raise CompilerError(f"workload: cannot evaluate {type(expr).__name__}")
+    def __call__(self, call: Call, op_def, arg_shapes, outs) -> None:
+        self.calls += 1
+        self.flops += op_def.flops(arg_shapes, outs, call.attrs)
+        self.const_bytes += sum(a.value.nbytes for a in call.args if isinstance(a, Constant))
+        self.is_gemm = self.is_gemm or call.op.name in GEMM_OPS
 
 
 def _out_dtypes(func: Function, count: int) -> List[str]:
@@ -90,37 +67,30 @@ def _out_dtypes(func: Function, count: int) -> List[str]:
 
 
 def compute_workload(func: Function, in_shapes: Sequence[Shape]) -> Workload:
-    """Analyze one fused kernel at concrete input shapes."""
-    env = _ShapeEnv(func, in_shapes)
-    node: Expr = func.body
-    while isinstance(node, Let):
-        env.env[node.var] = env.eval(node.value)
-        node = node.body
-    final = env.eval(node)
-    if not env.calls:
+    """Analyze one fused kernel at concrete input shapes: the body's
+    shape interpretation, tallying each call on the way."""
+    tally = _Tally()
+    out_shapes = tuple(interpret_shapes(func, in_shapes, tally))
+    if not tally.calls:
         raise CompilerError("workload of a primitive without calls")
 
     # Bytes: external params in + every output out; constants embedded in
     # the body count toward both traffic and the working set.
-    bytes_in = env.const_bytes
+    bytes_in = tally.const_bytes
     for p, shape in zip(func.params, in_shapes):
         ty = p.checked_type or p.type_annotation
         bytes_in += prod(shape) * dtype_bytes(getattr(ty, "dtype", "float32"))
 
-    if isinstance(final, tuple) and final and isinstance(final[0], tuple):
-        out_shapes = tuple(tuple(s) for s in final)
-    else:
-        out_shapes = (tuple(final),)
     bytes_out = sum(
         prod(s) * dtype_bytes(dtype)
         for s, dtype in zip(out_shapes, _out_dtypes(func, len(out_shapes)))
     )
 
     return Workload(
-        flops=env.flops,
+        flops=tally.flops,
         bytes_moved=bytes_in + bytes_out,
         working_set=bytes_in + bytes_out,
-        is_gemm=env.is_gemm,
+        is_gemm=tally.is_gemm,
         out_shapes=out_shapes,
     )
 

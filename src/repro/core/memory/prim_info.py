@@ -5,13 +5,15 @@ shape function is the *composition* of the member shape functions, which
 we obtain by abstractly interpreting the body over shapes — or (b) a
 singleton dynamic op (data-dependent / upper-bound), guaranteed by the
 fusion policy of §4.2. This module classifies a primitive function and
-provides its composed shape function.
+provides its composed shape function through :func:`interpret_shapes`,
+the one interpreter of a primitive body over shapes — the kernel
+workload analysis (``repro.codegen.workload``) runs the same one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,10 +38,36 @@ class PrimFuncInfo:
     out_ranks: List[int]
     num_outputs: int
     returns_shape: bool
+    # The body's calls in evaluation order (see prim_calls). Derived from
+    # ``func``, so it stays out of the pickled state — a stored kernel
+    # keeps its bytes — and is re-derived on load.
+    calls: List[Call] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def is_dynamic(self) -> bool:
         return self.mode is not ShapeFuncMode.DATA_INDEPENDENT
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["calls"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, calls=prim_calls(state["func"]))
+
+
+def prim_calls(func: Function) -> List[Call]:
+    """The calls of a primitive body in evaluation order: every
+    Let-bound call, then the tail if it is one."""
+    calls: List[Call] = []
+    node: Expr = func.body
+    while isinstance(node, Let):
+        if isinstance(node.value, Call):
+            calls.append(node.value)
+        node = node.body
+    if isinstance(node, Call):
+        calls.append(node)
+    return calls
 
 
 def _out_tensor_types(func: Function) -> List[TensorType]:
@@ -48,10 +76,10 @@ def _out_tensor_types(func: Function) -> List[TensorType]:
         return [ret]
     if isinstance(ret, TupleType):
         out = []
-        for field in ret.fields:
-            if not isinstance(field, TensorType):
-                raise CompilerError(f"primitive function returns non-tensor field {field!r}")
-            out.append(field)
+        for ty in ret.fields:
+            if not isinstance(ty, TensorType):
+                raise CompilerError(f"primitive function returns non-tensor field {ty!r}")
+            out.append(ty)
         return out
     raise CompilerError(f"primitive function with unsupported return type {ret!r}")
 
@@ -59,18 +87,8 @@ def _out_tensor_types(func: Function) -> List[TensorType]:
 def analyze_prim_func(func: Function) -> PrimFuncInfo:
     if not func.is_primitive:
         raise CompilerError("analyze_prim_func expects a primitive function")
-    ops: List[str] = []
-    node: Expr = func.body
-    calls: List[Call] = []
-    while isinstance(node, Let):
-        if isinstance(node.value, Call):
-            calls.append(node.value)
-        node = node.body
-    if isinstance(node, Call):
-        calls.append(node)
-    for call in calls:
-        if isinstance(call.op, Op):
-            ops.append(call.op.name)
+    calls = prim_calls(func)
+    ops = [call.op.name for call in calls if isinstance(call.op, Op)]
     if not ops:
         raise CompilerError("primitive function without operator calls")
 
@@ -92,6 +110,7 @@ def analyze_prim_func(func: Function) -> PrimFuncInfo:
             out_ranks=out_ranks,
             num_outputs=len(out_types),
             returns_shape=anchor.returns_shape,
+            calls=calls,
         )
     return PrimFuncInfo(
         func=func,
@@ -101,34 +120,29 @@ def analyze_prim_func(func: Function) -> PrimFuncInfo:
         out_ranks=out_ranks,
         num_outputs=len(out_types),
         returns_shape=False,
+        calls=calls,
     )
 
 
-def run_fused_shape_func(
-    info: PrimFuncInfo,
-    in_shapes: Sequence[Shape],
-    in_values: Optional[Sequence[Optional[np.ndarray]]] = None,
+def interpret_shapes(
+    func: Function, in_shapes: Sequence[Shape], on_call: Optional[Callable] = None
 ) -> List[Shape]:
-    """Execute the (composed) shape function of a primitive function.
+    """Abstractly interpret a primitive body over shapes: every binding
+    (call, tuple, projection or alias) and the tail, in order, threading
+    each member op's shape function — the "connect the shape functions
+    of basic operators" composition of §4.2. Returns the output shapes.
 
-    For data-independent groups this abstractly interprets the body over
-    shapes, threading each member op's shape function — the "connect the
-    shape functions of basic operators" composition of §4.2. For dynamic
-    singletons it calls the anchor op's shape function directly (with
-    values for the data-dependent mode).
-    """
-    func = info.func
-    if info.anchor is not None:
-        return info.anchor.shape_func(list(in_shapes), list(in_values or []), _anchor_attrs(func))
-
-    env: Dict[Var, object] = {}
+    ``on_call(call, op_def, arg_shapes, out_shapes)``, if given, sees
+    every operator call as it is interpreted: the kernel workload
+    analysis tallies FLOPs there, the VM's shape functions pass none."""
     if len(func.params) != len(in_shapes):
         raise CompilerError(
-            f"shape function arity mismatch: {len(func.params)} params, "
-            f"{len(in_shapes)} shapes"
+            f"shape interpretation: arity mismatch ({len(func.params)} params, "
+            f"{len(in_shapes)} shapes)"
         )
-    for param, shape in zip(func.params, in_shapes):
-        env[param] = tuple(int(d) for d in shape)
+    env: Dict[Var, object] = {
+        p: tuple(int(d) for d in s) for p, s in zip(func.params, in_shapes)
+    }
 
     def eval_shape(expr: Expr):
         if isinstance(expr, Var):
@@ -145,8 +159,10 @@ def run_fused_shape_func(
                 raise CompilerError(f"op {expr.op.name} has no shape function")
             shapes = [eval_shape(a) for a in expr.args]
             outs = op_def.shape_func(shapes, None, expr.attrs)
+            if on_call is not None:
+                on_call(expr, op_def, shapes, outs)
             return outs[0] if len(outs) == 1 else tuple(outs)
-        raise CompilerError(f"cannot interpret {type(expr).__name__} in shape function")
+        raise CompilerError(f"cannot interpret {type(expr).__name__} over shapes")
 
     node: Expr = func.body
     while isinstance(node, Let):
@@ -158,17 +174,19 @@ def run_fused_shape_func(
     return [tuple(result)]
 
 
-def _anchor_attrs(func: Function) -> dict:
-    """Attrs of the single op call in a dynamic singleton."""
-    node: Expr = func.body
-    while isinstance(node, Let):
-        node = node.body
-    if isinstance(node, Call):
-        return node.attrs
-    # body may be `let v = call; v`
-    node = func.body
-    while isinstance(node, Let):
-        if isinstance(node.value, Call):
-            return node.value.attrs
-        node = node.body
-    raise CompilerError("dynamic primitive without a call body")
+def run_fused_shape_func(
+    info: PrimFuncInfo,
+    in_shapes: Sequence[Shape],
+    in_values: Optional[Sequence[Optional[np.ndarray]]] = None,
+) -> List[Shape]:
+    """Execute the (composed) shape function of a primitive function.
+
+    Data-independent groups are interpreted over shapes
+    (:func:`interpret_shapes`). Dynamic singletons call the anchor op's
+    shape function directly (with values for the data-dependent mode).
+    """
+    if info.anchor is not None:
+        return info.anchor.shape_func(
+            list(in_shapes), list(in_values or []), info.calls[0].attrs
+        )
+    return interpret_shapes(info.func, in_shapes)

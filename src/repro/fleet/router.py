@@ -74,12 +74,10 @@ class FleetConfig:
     random_seed: int = 0
     # Store GC: fire a collection every gc_interval_us of virtual time
     # (None = only the end-of-simulation collection), pruning blobs
-    # older than gc_max_age_us and/or beyond the gc_max_blobs LRU
-    # budget. GC runs only when the serve config has an artifact_dir
-    # and at least one pruning policy is set.
+    # older than gc_max_age_us. GC runs only when the serve config has
+    # an artifact_dir and gc_max_age_us is set.
     gc_interval_us: Optional[float] = None
     gc_max_age_us: Optional[float] = None
-    gc_max_blobs: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.num_replicas < 1:
@@ -126,16 +124,8 @@ class FleetRouter:
         if self.config.artifact_dir is not None:
             self.store = ArtifactStore(self.config.artifact_dir)
             self.view = FleetStoreView(self.store)
-            if (
-                self.fleet.gc_max_age_us is not None
-                or self.fleet.gc_max_blobs is not None
-            ):
-                self._gc = StoreGC(
-                    self.store,
-                    self.view,
-                    max_age_us=self.fleet.gc_max_age_us,
-                    max_blobs=self.fleet.gc_max_blobs,
-                )
+            if self.fleet.gc_max_age_us is not None:
+                self._gc = StoreGC(self.store, self.view, self.fleet.gc_max_age_us)
         self.replicas = [
             InferenceServer(
                 mod,

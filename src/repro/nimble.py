@@ -328,10 +328,10 @@ def _compile_suffix(
     module: IRModule,
     platform: Platform,
     options: Optional[CompilerOptions],
-    plan_memory: bool,
     kernel_cache: Optional[KernelCache],
     source_signature: str,
     timings: Dict[str, float],
+    plan_memory: bool = True,
     specialized_shapes: Optional[tuple] = None,
     specialized_batch: Optional[int] = None,
 ) -> Tuple[Executable, BuildReport]:
@@ -391,8 +391,8 @@ def build(
     platform = platform or intel_cpu()
     typed, normalized, timings = _run_prefix(mod)
     exe, report = _compile_suffix(
-        normalized, platform, options, plan_memory, kernel_cache,
-        module_fingerprint(mod), timings,
+        normalized, platform, options, kernel_cache,
+        module_fingerprint(mod), timings, plan_memory=plan_memory,
     )
     # The serving layer's shape bucketer reads the entry's `Any` tokens
     # off the typed *source* module.
@@ -406,7 +406,6 @@ def specialize(
     shapes=None,
     binding=None,
     options: Optional[CompilerOptions] = None,
-    plan_memory: bool = True,
     kernel_cache: Optional[KernelCache] = None,
     entry: str = "main",
     batch: int = 1,
@@ -486,7 +485,7 @@ def specialize(
     typed = InferType()(specialized)
     infer_time = time.perf_counter() - infer_start
     return _compile_suffix(
-        typed, platform, options, plan_memory, kernel_cache, source_signature,
+        typed, platform, options, kernel_cache, source_signature,
         _summed(timings, {"InferType": infer_time}),
         specialized_shapes=spec_pass.bound_shapes,
         specialized_batch=batch if batch > 1 else None,

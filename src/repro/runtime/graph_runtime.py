@@ -124,12 +124,11 @@ class GraphRuntime:
                 vid = self._new_value(var.checked_type)
                 self._value_of[var] = vid
                 input_ids = [self._input_id(a) for a in value.args]
-                spec = self.platform.compute_spec
+                # Static inputs (_validate_static) make every fused group
+                # static, so its default kernel has no symbolic-index
+                # overhead.
                 kernel = self.cache.kernel(
-                    value.op,
-                    self.platform,
-                    spec,
-                    symbolic=False,  # static codegen: no symbolic overhead
+                    value.op, self.platform, self.platform.compute_spec
                 )
                 self.nodes.append(
                     _Node(kernel, input_ids, vid, self.platform.compute)

@@ -27,10 +27,10 @@ remaining knobs each add a tier or a source of artifacts, not a second
 way of doing the same thing:
 
 - ``specialize_batch`` — hot shapes additionally compile at batch
-  granularity (``nimble.specialize(batch=cap)``), hot buckets cap at the
-  compiled batch size, and a *full* bucket executes as one stacked VM
-  call — one batched GEMM per layer instead of per member — while ragged
-  tails fall back member-wise, then dynamic.
+  granularity (``nimble.specialize(batch=max_batch_size)``), and a
+  *full* bucket executes as one stacked VM call — one batched GEMM per
+  layer instead of per member — while ragged tails fall back
+  member-wise, then dynamic.
 - ``artifact_dir`` — specialized executables, the prefix and the kernel
   cache persist to an on-disk :class:`~repro.store.ArtifactStore`, and a
   restarted server *restores* its hot-shape artifacts at a modeled

@@ -136,12 +136,6 @@ class Batcher:
     keying policy — the serving layer's specialization tier gives hot
     exact shapes their own buckets once their static executable is ready
     — never depends on hidden state smuggled through the caller.
-
-    ``cap_fn(key)`` overrides the flush size per bucket (defaulting to
-    ``max_batch_size``, and never exceeding it): the batch-specialized
-    tier aligns a hot shape's bucket cap to its compiled batch size, so a
-    full bucket is exactly one batched-executable call and a bucket can
-    never outgrow the kernel compiled for it.
     """
 
     def __init__(
@@ -150,7 +144,6 @@ class Batcher:
         max_batch_size: int = 8,
         max_delay_us: float = 2000.0,
         key_fn=None,
-        cap_fn=None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -162,32 +155,18 @@ class Batcher:
         if key_fn is None:
             key_fn = lambda payload, now_us: bucketer.key(payload)  # noqa: E731
         self.key_fn = key_fn
-        self.cap_fn = cap_fn
         self._queues: Dict[Tuple[int, ...], List] = {}
 
     @property
     def pending(self) -> int:
         return sum(len(q) for q in self._queues.values())
 
-    def bucket_cap(self, key: Tuple[int, ...]) -> int:
-        """Flush size for *key*'s bucket, clamped to ``max_batch_size``."""
-        if self.cap_fn is None:
-            return self.max_batch_size
-        cap = int(self.cap_fn(key))
-        if cap < 1:
-            raise ValueError(f"bucket cap for {key} must be >= 1, got {cap}")
-        return min(cap, self.max_batch_size)
-
     def add(self, request, now_us: float) -> Optional[Batch]:
         """Enqueue; returns a full batch if this arrival filled its bucket."""
         key = self.key_fn(request.payload, now_us)
         queue = self._queues.setdefault(key, [])
         queue.append(request)
-        cap = self.bucket_cap(key)
-        assert len(queue) <= cap, (
-            f"bucket {key} grew to {len(queue)} past its cap {cap}"
-        )
-        if len(queue) >= cap:
+        if len(queue) >= self.max_batch_size:
             del self._queues[key]
             return Batch(key, queue, now_us)
         return None

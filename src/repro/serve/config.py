@@ -17,7 +17,6 @@ class ServeConfig:
     num_workers: int = 2
     bucket_granularity: int = 8
     numerics: str = "lite"
-    entry: str = "main"
     # Tiered specialization: compile a static executable for a shape once
     # `specialize_threshold` requests with exactly that shape have been
     # observed. Compiles run on a pool of `specialize_compile_lanes`
@@ -36,13 +35,11 @@ class ServeConfig:
     specialize_compile_lanes: int = 1
     specialize_decay_half_life_us: float = 100_000.0
     # Batch-granularity specialization: every hot shape additionally gets
-    # an executable compiled at (batch cap × exact shape), and a *full*
-    # exact bucket runs as one VM call on it (one batched GEMM per
-    # member-wise GEMM site). Ragged tails fall back member-wise. The cap
-    # defaults to max_batch_size and hot buckets are capped to it, so a
-    # bucket can never outgrow the kernel compiled for it.
+    # an executable compiled at (max_batch_size × exact shape), and a
+    # *full* exact bucket runs as one VM call on it (one batched GEMM per
+    # member-wise GEMM site). Ragged tails fall back member-wise. No
+    # bucket outgrows max_batch_size, so none outgrows that kernel.
     specialize_batch: bool = False
-    specialize_batch_cap: Optional[int] = None
     # Persistent artifact store: a directory where specialized
     # executables, the staged prefix, the shape profile and the kernel
     # cache survive the process. At startup the kernel cache warm-loads
@@ -96,24 +93,18 @@ class ServeConfig:
                 "specialize_decay_half_life_us must be > 0, "
                 f"got {self.specialize_decay_half_life_us}"
             )
-        if self.specialize_batch_cap is not None and self.specialize_batch_cap < 1:
-            raise ValueError(
-                f"specialize_batch_cap must be >= 1, got {self.specialize_batch_cap}"
-            )
 
     @property
     def batch_cap(self) -> int:
         """The compiled batch size of the batched tier (1 = tier off)."""
         if not (self.specialize and self.specialize_batch):
             return 1
-        if self.specialize_batch_cap is None:
-            return self.max_batch_size
-        return min(self.specialize_batch_cap, self.max_batch_size)
+        return self.max_batch_size
 
     @staticmethod
     def serial(**overrides) -> "ServeConfig":
         """One-request-at-a-time dispatch: the unbatched baseline. Other
-        knobs (numerics, entry, ...) pass through so a serial baseline runs
+        knobs (numerics, specialization, ...) pass through so a serial baseline runs
         under the same conditions as the batched server it is compared to.
         Overrides win — including for the serial defaults themselves."""
         params = dict(max_batch_size=1, max_delay_us=0.0, num_workers=1)

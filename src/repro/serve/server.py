@@ -18,9 +18,8 @@ is routed to the static tier — everything else falls back to the dynamic
 executable, including the hot shape itself while its compile sits in the
 compile-worker pool. Once a shape is hot it also gets its own exact
 bucket, so its batches form shape-uniform. The server decides none of
-this itself: the manager's ``bucket_key`` / ``bucket_cap`` are the
-batcher's hooks, and ``SpecializationManager.tier_for`` picks the tier
-of every batch; :mod:`repro.serve.specialization` describes the
+this itself: the manager's ``bucket_key`` is the batcher's hook, and
+``SpecializationManager.tier_for`` picks the tier of every batch; :mod:`repro.serve.specialization` describes the
 lifecycle.
 
 With ``artifact_dir`` set the server is additionally backed by a
@@ -176,10 +175,10 @@ class InferenceServer:
             kernel_cache=self.kernel_cache,
         )
         typed = self.build_report.typed_module
-        if self.config.entry not in typed:
-            raise VMError(f"module has no entry function {self.config.entry!r}")
+        if "main" not in typed:
+            raise VMError("module has no entry function 'main'")
         self.bucketer = ShapeBucketer(
-            typed[self.config.entry], granularity=self.config.bucket_granularity
+            typed["main"], granularity=self.config.bucket_granularity
         )
         self.specializer: Optional[SpecializationManager] = None
         if self.config.specialize:
@@ -196,8 +195,7 @@ class InferenceServer:
         self.workers = [
             Worker(
                 i, self.exe, self.platform,
-                numerics=self.config.numerics, entry=self.config.entry,
-                replica_id=replica_id,
+                numerics=self.config.numerics, replica_id=replica_id,
             )
             for i in range(self.config.num_workers)
         ]
@@ -230,7 +228,6 @@ class InferenceServer:
             max_batch_size=self.config.max_batch_size,
             max_delay_us=self.config.max_delay_us,
             key_fn=None if self.specializer is None else self.specializer.bucket_key,
-            cap_fn=None if self.specializer is None else self.specializer.bucket_cap,
         )
         self._responses: List[Response] = []
 

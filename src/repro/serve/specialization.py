@@ -15,10 +15,10 @@ are bit-identical either way.
 **Routing.** The manager is the one place that picks a tier:
 :meth:`SpecializationManager.tier_for` answers, for each formed batch,
 batched / specialized / partial / dynamic (fastest ready first), and
-:meth:`~SpecializationManager.bucket_key` /
-:meth:`~SpecializationManager.bucket_cap` — the batcher's hooks — give a
-hot shape its own exact bucket, sized to the batched variant. The
-server only asks; the worker runs the tier it is handed.
+:meth:`~SpecializationManager.bucket_key` — the batcher's hook — gives a
+hot shape its own exact bucket, which fills at ``max_batch_size``: the
+batch the batched variant is compiled for. The server only asks; the
+worker runs the tier it is handed.
 
 **Compiling.** Every variant is built through the staged pipeline: a
 shape-independent *prefix* (normalization, CSE/DCE, lambda lifting,
@@ -217,9 +217,9 @@ class SpecializationManager:
     """Decides when a shape is hot and owns the specialized executables.
 
     Policy comes from the server's :class:`ServeConfig`
-    (``specialize_*``, ``batch_cap``, ``device_streams``, ``entry``),
-    which has already range-checked it; the module docstring describes
-    what each knob steers.
+    (``specialize_*``, ``batch_cap``, ``device_streams``), which has
+    already range-checked it; the module docstring describes what each
+    knob steers. The variants specialize the module's ``main``.
 
     ``store`` attaches a persistent :class:`~repro.store.ArtifactStore`
     and ``store_view`` the model of its contents that every restore
@@ -600,17 +600,6 @@ class SpecializationManager:
             return (EXACT_BUCKET,) + exact
         return self.bucketer.round_key(exact)
 
-    def bucket_cap(self, key: Tuple[int, ...]) -> int:
-        """The batcher's ``cap_fn``: an exact bucket flushes at the
-        batched tier's compiled batch size, so a full bucket is exactly
-        one batched-executable call; rounded buckets keep the configured
-        max. So do the exact buckets of a shape the probe found
-        unbatchable — capping them would shrink member-tier batches for
-        nothing."""
-        if key and key[0] == EXACT_BUCKET and self._batchable(tuple(key[1:])):
-            return self.batch_cap
-        return self.config.max_batch_size
-
     # ------------------------------------------------------------- fleet hooks
     def specialization_state(self, key: ExactKey, now_us: float) -> Optional[str]:
         """Affinity-routing signal for :class:`repro.fleet.FleetRouter`:
@@ -854,9 +843,7 @@ class SpecializationManager:
             # bound_entry_shapes emits the same None dim for an unbound
             # position that the compiled executable will carry, so
             # partial variants content-address exactly like exact ones.
-            shapes = bound_entry_shapes(
-                self.mod[self.config.entry], self._binding(key)
-            )
+            shapes = bound_entry_shapes(self.mod["main"], self._binding(key))
             skey = artifact_key(
                 self._fingerprint,
                 self.platform.name,
@@ -900,10 +887,7 @@ class SpecializationManager:
                 self._prefix_restored = True
                 return
         prefix, _ = nimble.compile_prefix(
-            self.mod,
-            self.platform,
-            source_signature=self._fingerprint,
-            entry=self.config.entry,
+            self.mod, self.platform, source_signature=self._fingerprint
         )
         self._prefix = prefix
         if self.store is not None:
@@ -1079,7 +1063,6 @@ class SpecializationManager:
                     verify=False,
                 ),
                 kernel_cache=self.kernel_cache,
-                entry=self.config.entry,
                 batch=batch,
                 source_signature=self._fingerprint,
                 prefix=self._prefix,

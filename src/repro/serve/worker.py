@@ -56,12 +56,10 @@ class Worker:
         executable: Executable,
         platform: Platform,
         numerics: str = "lite",
-        entry: str = "main",
         replica_id: int = 0,
     ) -> None:
         self.worker_id = worker_id
         self.replica_id = replica_id
-        self.entry = entry
         self.ctx = ExecutionContext(platform, numerics=numerics)
         self.vm = VirtualMachine(executable, self.ctx)
         self.profiles: Dict[str, VMProfile] = {
@@ -140,7 +138,7 @@ class Worker:
             np.concatenate([self._as_numpy(m[i]) for m in members], axis=0)
             for i in range(arity)
         )
-        out = vm.run(*stacked, entry=self.entry, sync=False)
+        out = vm.run(*stacked, sync=False)
         return self._split_output(out, cap)
 
     def _split_output(self, output, cap: int) -> List:
@@ -206,7 +204,6 @@ class Worker:
                 outputs.append(
                     member_vm.run(
                         *args,
-                        entry=self.entry,
                         sync=False,
                         stream_offset=i % max(1, member_vm.exe.device_streams),
                     )

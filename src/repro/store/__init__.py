@@ -17,7 +17,7 @@ caller falls back to compiling — never crashed on and never silently
 loaded: every artifact re-verifies its embedded content hash and source
 signature at load time.
 
-:class:`StoreGC` compacts a long-lived store: age/LRU pruning of blobs
+:class:`StoreGC` compacts a long-lived store: age pruning of blobs
 no live replica references (``repro.fleet`` supplies the reference and
 in-flight-restore sets), deciding from the store *model*
 (:class:`FleetStoreView` — the same one every server's restore

@@ -1,11 +1,10 @@
-"""Store compaction: age/LRU pruning of unreferenced blobs.
+"""Store compaction: age pruning of unreferenced blobs.
 
 A long-lived artifact store accretes: every hot shape ever compiled
 leaves a ``.nmbl``, every staged module a ``.nmblp``, every simulation
-end a ``.nmblprof``. :class:`StoreGC` reclaims the cold tail under two
-policies — **age** (a blob untouched for ``max_age_us`` of virtual time)
-and **LRU budget** (keep at most ``max_blobs``, evicting
-least-recently-used first) — with two absolute guards:
+end a ``.nmblprof``. :class:`StoreGC` reclaims the cold tail — every
+blob untouched for more than ``max_age_us`` of virtual time — with two
+absolute guards:
 
 - **refcount**: a blob any live replica snapshot still references
   (resident or in-flight variants, the staged prefix, the shape
@@ -42,7 +41,7 @@ replays left behind, and stays out of the replay surface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.store.artifacts import ArtifactStore
 from repro.store.view import FleetStoreView, StoreEntry
@@ -87,32 +86,24 @@ class GCReport:
 
 
 class StoreGC:
-    """Age/LRU collector over one :class:`ArtifactStore`, deciding from
-    a fleet store view (model) and mirroring prunes to disk.
+    """Age collector over one :class:`ArtifactStore`, deciding from a
+    fleet store view (model) and mirroring prunes to disk.
 
     ``max_age_us`` prunes entries whose last modeled use is more than
     that far behind ``now_us`` — including never-used initial inventory,
-    which has no use anchor and counts as infinitely old. ``max_blobs``
-    then prunes least-recently-used survivors until the model holds at
-    most that many entries. Either policy may be ``None`` (disabled);
-    with both ``None`` the collector only inventories malformed names.
+    which has no use anchor and counts as infinitely old. With
+    ``max_age_us=inf`` nothing is pruned: the collector only inventories
+    malformed names and sweeps chunks.
     """
 
     def __init__(
-        self,
-        store: ArtifactStore,
-        view: FleetStoreView,
-        max_age_us: Optional[float] = None,
-        max_blobs: Optional[int] = None,
+        self, store: ArtifactStore, view: FleetStoreView, max_age_us: float
     ) -> None:
-        if max_age_us is not None and max_age_us < 0:
+        if max_age_us < 0:
             raise ValueError(f"max_age_us must be >= 0, got {max_age_us}")
-        if max_blobs is not None and max_blobs < 0:
-            raise ValueError(f"max_blobs must be >= 0, got {max_blobs}")
         self.store = store
         self.view = view
         self.max_age_us = max_age_us
-        self.max_blobs = max_blobs
 
     def collect(
         self,
@@ -134,49 +125,17 @@ class StoreGC:
         )
         inventory = self.view.inventory()
         report.examined = len(inventory)
-        protected = set(referenced) | set(in_flight)
-
-        def guard(entry: StoreEntry) -> bool:
-            """True when *entry* must be kept; counts the reason."""
-            if entry in in_flight:
-                report.kept_in_flight += 1
-                return True
-            if entry in referenced:
-                report.kept_referenced += 1
-                return True
-            return False
-
-        def age_of(entry: StoreEntry) -> float:
-            last = self.view.last_use_us(entry[0], entry[1])
-            return float("inf") if last is None else now_us - last
-
-        live: List[StoreEntry] = []
         for entry in inventory:
-            if self.max_age_us is not None and age_of(entry) > self.max_age_us:
-                if not guard(entry):
-                    self._prune(entry, now_us, report)
-                    continue
-            else:
+            last = self.view.last_use_us(*entry)
+            age = float("inf") if last is None else now_us - last
+            if age <= self.max_age_us:
                 report.kept_fresh += 1
-            live.append(entry)
-        if self.max_blobs is not None and len(live) > self.max_blobs:
-            # LRU order: never-used (ageless) entries first, then oldest
-            # last use; key ties broken by the entry itself so the order
-            # is total and replay-stable.
-            by_lru = sorted(
-                live, key=lambda e: (-age_of(e), e)
-            )
-            for entry in by_lru:
-                if len(live) <= self.max_blobs:
-                    break
-                if entry in protected:
-                    # guard() already counted referenced/in-flight keeps
-                    # during the age pass only when the age policy fired;
-                    # here the budget policy is the one firing.
-                    guard(entry)
-                    continue
+            elif entry in in_flight:
+                report.kept_in_flight += 1
+            elif entry in referenced:
+                report.kept_referenced += 1
+            else:
                 self._prune(entry, now_us, report)
-                live.remove(entry)
         report.chunks_swept = self.store.sweep_chunks()
         return report
 

@@ -11,7 +11,7 @@ what the store holds *as of a virtual timestamp*:
   **restored** — because a previous process left it behind, because it
   persisted the variant itself earlier this simulation and then evicted
   it, or because a sibling replica did — instead of compiled fresh;
-- the **garbage collector**, whose age/LRU decisions must replay
+- the **garbage collector**, whose age decisions must replay
   bit-identically — so they are made against this model's inventory and
   usage times, never against raw ``mtime``s;
 - the managers' re-trigger paths, which must notice when GC pruned a
@@ -65,7 +65,7 @@ class FleetStoreView:
         # the entry; `present` compares the two timestamps' order via
         # state updates, not arithmetic, so re-put after prune wins).
         self._pruned: Dict[StoreEntry, float] = {}
-        # entry -> last time any replica read or wrote it (LRU input).
+        # entry -> last time any replica read or wrote it (GC age input).
         self._last_use: Dict[StoreEntry, float] = {}
 
     # -------------------------------------------------------------- mutation
@@ -79,7 +79,7 @@ class FleetStoreView:
         self._last_use[entry] = now_us
 
     def record_use(self, kind: str, key: str, now_us: float) -> None:
-        """A replica restored/read a blob at *now_us* (LRU freshness)."""
+        """A replica restored/read a blob at *now_us* (GC freshness)."""
         entry = (kind, key)
         prev = self._last_use.get(entry)
         if prev is None or now_us > prev:
@@ -120,8 +120,8 @@ class FleetStoreView:
 
     def last_use_us(self, kind: str, key: str) -> Optional[float]:
         """Latest modeled read/write of the blob this simulation, or
-        None — initial blobs nobody touched have no age anchor and sort
-        as the oldest possible LRU candidates."""
+        None — initial blobs nobody touched have no age anchor and count
+        as infinitely old."""
         return self._last_use.get((kind, key))
 
     def inventory(self) -> List[StoreEntry]:

@@ -22,8 +22,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple as PyTuple
 
 from repro.codegen.kernels import KernelCache
-from repro.codegen.schedule import Schedule
-from repro.codegen.tuner import AutoTuner, SymbolicTuner
 from repro.errors import CompilerError
 from repro.hardware.platforms import Platform
 from repro.ir.analysis import structural_hash
@@ -54,23 +52,14 @@ from repro.vm.objects import ADTObj
 
 
 class CompilerOptions:
-    """Knobs for ablations (Figure 3 and the microbenchmarks)."""
+    """What a compile may vary: the stream count and the verify gate.
 
-    def __init__(
-        self,
-        tune: bool = False,
-        num_dispatch_kernels: Optional[int] = None,
-        allow_library: bool = True,
-        schedule: Optional[Schedule] = None,
-        tuning_trials: int = 96,
-        device_streams: int = 1,
-        verify: bool = True,
-    ) -> None:
-        self.tune = tune
-        self.num_dispatch_kernels = num_dispatch_kernels
-        self.allow_library = allow_library
-        self.schedule = schedule
-        self.tuning_trials = tuning_trials
+    The codegen ablations (Figure 3's dispatch count, library selection,
+    schedules) are arguments of :class:`repro.codegen.KernelSet`, which
+    the studies construct directly; a compile always builds the default
+    kernel for each fused group."""
+
+    def __init__(self, device_streams: int = 1, verify: bool = True) -> None:
         # How many device streams to schedule kernels onto ahead of time
         # (repro.vm.schedule). Clamped to the platform's stream count at
         # compile time; 1 (or any CPU platform) means the scheduling pass
@@ -123,7 +112,6 @@ class VMCompiler:
         self._const_index: Dict[int, int] = {}
         self._kernels: list = []
         self._packed_index: Dict[tuple, int] = {}
-        self._schedule_cache: Dict[tuple, Schedule] = {}
 
     # ------------------------------------------------------------------ driver
     def compile(
@@ -444,40 +432,10 @@ class VMCompiler:
         if kind == "shape_func":
             kernel = self.kernel_cache.shape_func(prim, self.platform)
         else:
-            spec = self.platform.spec_of(device)
-            schedule = self.options.schedule
-            if schedule is None and self.options.tune:
-                schedule = self._tuned_schedule(prim, spec)
             kernel = self.kernel_cache.kernel(
-                prim,
-                self.platform,
-                spec,
-                schedule=schedule,
-                num_dispatch_kernels=self.options.num_dispatch_kernels,
-                allow_library=self.options.allow_library,
+                prim, self.platform, self.platform.spec_of(device)
             )
         index = len(self._kernels)
         self._kernels.append(kernel)
         self._packed_index[key] = index
         return index
-
-    def _tuned_schedule(self, prim: Function, spec) -> Schedule:
-        from repro.codegen.kernels import is_symbolic_prim, prim_signature
-
-        key = (structural_hash(prim), prim_signature(prim))
-        cached = self._schedule_cache.get(key)
-        if cached is not None:
-            return cached
-        seed = key[0] & 0xFFFF
-        try:
-            if is_symbolic_prim(prim):
-                tuner = SymbolicTuner(prim, self.platform, spec, seed=seed)
-                schedule = tuner.tune(n_trials=self.options.tuning_trials)
-            else:
-                tuner = AutoTuner(prim, self.platform, spec, seed=seed, symbolic=False)
-                records = tuner.tune(m=0, n_trials=self.options.tuning_trials)
-                schedule = records[0].schedule
-        except Exception:
-            schedule = Schedule()
-        self._schedule_cache[key] = schedule
-        return schedule

@@ -555,3 +555,63 @@ class TestTuner:
                 tuner.tune(64)
         finally:
             tuner_mod.search_space = original
+
+
+class TestStaticKernels:
+    def test_graph_runtime_kernels_are_all_static(self):
+        """GraphRuntime takes each fused group's default kernel: its
+        inputs are static, so the kernel is too — no symbolic-index
+        overhead and one dispatch variant — on static BERT and the four
+        CV models of the §6.3 footprint study."""
+        from repro.models.bert import BertConfig, BertWeights, build_bert_static_module
+        from repro.models.vision import (
+            build_mobilenet_like,
+            build_resnet_like,
+            build_squeezenet_like,
+            build_vgg_like,
+        )
+        from repro.runtime.graph_runtime import GraphRuntime
+
+        bert = BertWeights.create(BertConfig(hidden=16, num_heads=2, num_layers=2, ffn=32))
+        modules = [build_bert_static_module(bert, 6)] + [
+            build() for build in (
+                build_resnet_like, build_mobilenet_like, build_vgg_like, build_squeezenet_like)
+        ]
+        for mod in modules:
+            nodes = GraphRuntime(mod, intel_cpu()).nodes
+            assert nodes
+            assert all(n.kernel.symbolic is False for n in nodes)
+            assert all(n.kernel.num_dispatch_kernels == 1 for n in nodes)
+
+
+class TestShapeInterpretation:
+    """One interpreter of a primitive body over shapes
+    (``prim_info.interpret_shapes``) serves the VM's shape functions and
+    the kernel workload; only the workload tallies work."""
+
+    def test_shape_functions_and_workload_agree_and_only_the_workload_counts(
+        self, monkeypatch
+    ):
+        from repro.core.memory.prim_info import analyze_prim_func, run_fused_shape_func
+
+        prim, _ = _dense_prim(16, 8, with_relu=True)
+        info = analyze_prim_func(prim)
+        for name in info.ops:
+            def refuse(*args):
+                raise AssertionError("a shape function priced work")
+
+            monkeypatch.setattr(get_op_def(name), "flops", refuse)
+        assert run_fused_shape_func(info, [(5, 8)]) == [(5, 16)]
+        monkeypatch.undo()
+        assert compute_workload(prim, [(5, 8)]).out_shapes == ((5, 16),)
+
+    def test_calls_travel_with_the_info_but_not_in_its_pickle(self):
+        from repro.core.memory.prim_info import analyze_prim_func
+
+        prim, _ = _dense_prim(16, 8, with_relu=True)
+        info = analyze_prim_func(prim)
+        assert [c.op.name for c in info.calls] == info.ops == ["nn.relu"]
+        # Stored kernels keep their bytes: the calls are derived state.
+        assert pickle.dumps(info) == pickle.dumps(dataclasses.replace(info, calls=[]))
+        restored = pickle.loads(pickle.dumps(info))
+        assert [c.op.name for c in restored.calls] == info.ops

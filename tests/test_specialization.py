@@ -33,7 +33,6 @@ from repro.store import ArtifactStore, FleetStoreView
 from repro.models import build_gram_module
 from repro.serve import (
     Batch,
-    Batcher,
     InferenceServer,
     Request,
     ServeConfig,
@@ -296,14 +295,15 @@ def _manager_for(
     batch_cap=None, **knobs,
 ):
     """A manager over *mod*, built the way a server builds it: from a
-    ServeConfig (*knobs* are its ``specialize_*`` fields, prefix dropped)
+    ServeConfig (*knobs* are its ``specialize_*`` fields, prefix dropped;
+    *batch_cap* turns the batched tier on at that ``max_batch_size``)
     and, with a store, a view of it taken first."""
     config = ServeConfig(
+        max_batch_size=8 if batch_cap is None else batch_cap,
         specialize=True,
         specialize_threshold=threshold,
         specialize_compile_us=compile_us,
         specialize_batch=batch_cap is not None,
-        specialize_batch_cap=batch_cap,
         **{f"specialize_{name}": value for name, value in knobs.items()},
     )
     return SpecializationManager(
@@ -339,11 +339,6 @@ def _batch(*shapes, key=()):
 def _tier(mgr, at_us, *shapes):
     """The tier the manager picks at *at_us* for a batch of *shapes*."""
     return mgr.tier_for(_batch(*shapes), at_us)[0]
-
-
-def _cap(mgr, shape, at_us):
-    """The flush size of the bucket a *shape* payload joins at *at_us*."""
-    return mgr.bucket_cap(mgr.bucket_key(np.zeros(shape, np.float32), at_us))
 
 
 def _rejects(mgr):
@@ -1013,41 +1008,6 @@ class TestWorkerBatchVariantVMs:
 
 
 class TestBatcherCaps:
-    @staticmethod
-    def _batcher(cap_fn, max_batch_size=8):
-        x = Var("x", TensorType((Any(), 8), "float32"))
-        typed = infer_types(IRModule.from_expr(Function([x], api.relu(x))))
-        bucketer = ShapeBucketer(typed["main"], granularity=8)
-        return Batcher(
-            bucketer, max_batch_size=max_batch_size, max_delay_us=1e6,
-            cap_fn=cap_fn,
-        )
-
-    @staticmethod
-    def _request(rid, rows):
-        return Request(
-            rid=rid, arrival_us=float(rid),
-            payload=np.zeros((rows, 8), np.float32),
-        )
-
-    def test_bucket_flushes_at_its_cap(self):
-        batcher = self._batcher(cap_fn=lambda key: 3)
-        batches = [
-            batcher.add(self._request(i, 5), float(i)) for i in range(7)
-        ]
-        formed = [b for b in batches if b is not None]
-        assert [len(b) for b in formed] == [3, 3]
-        assert batcher.pending == 1
-
-    def test_cap_clamps_to_max_batch_size(self):
-        batcher = self._batcher(cap_fn=lambda key: 99, max_batch_size=2)
-        assert batcher.bucket_cap((8,)) == 2
-
-    def test_nonpositive_cap_rejected(self):
-        batcher = self._batcher(cap_fn=lambda key: 0)
-        with pytest.raises(ValueError, match="cap"):
-            batcher.add(self._request(0, 5), 0.0)
-
     def test_server_never_forms_hot_bucket_past_the_compiled_cap(self):
         """End to end: with the batched tier on, every exact (hot) bucket
         flushes at exactly the compiled batch size or smaller — a bucket
@@ -1055,10 +1015,9 @@ class TestBatcherCaps:
         weights = LSTMWeights.create(8, 16, seed=0)
         mod = build_lstm_module(weights)
         config = ServeConfig(
-            max_batch_size=8, max_delay_us=3000.0, num_workers=2,
+            max_batch_size=3, max_delay_us=3000.0, num_workers=2,
             specialize=True, specialize_threshold=2,
             specialize_compile_us=300.0, specialize_batch=True,
-            specialize_batch_cap=3,
         )
         server = InferenceServer(mod, intel_cpu(), config)
         requests = long_tailed_traffic(
@@ -1172,7 +1131,7 @@ class TestBatchedManagerVariants:
 
 class TestTierFor:
     """The one routing decision, row by row, on a one-slot manager with
-    the batched tier (cap 2 of max 8) and partial variants on, over
+    the batched tier (max batch 2) and partial variants on, over
     ``x + c`` with x (Any, Any) and c (4, 1): (4, n) members stack, (1, n)
     members broadcast up along the stacked axis and cannot."""
 
@@ -1210,6 +1169,7 @@ class TestTierFor:
         member_ready, batched_ready = [e.ready_us for e in mgr.events]
         hot = (4, 16)
         exact = mgr.bucket_key(np.zeros(hot, np.float32), batched_ready)
+        assert exact == (EXACT_BUCKET, *hot)
         rounded = (8, 16)
         self._check(mgr, [
             # (what, member shapes, bucket key, at, tier, prearmed)
@@ -1218,10 +1178,9 @@ class TestTierFor:
              [hot] * 2, exact, member_ready, "specialized", True),
             ("full exact bucket", [hot] * 2, exact, batched_ready, "batched", True),
             ("ragged tail", [hot], exact, batched_ready, "specialized", True),
-            ("rounded bucket, one shape",
-             [hot] * 3, rounded, batched_ready, "specialized", True),
+            ("full rounded bucket, one shape",
+             [hot] * 2, rounded, batched_ready, "batched", True),
         ])
-        assert _cap(mgr, hot, batched_ready) == 2
         # Late traffic agrees on 4 rows over three column counts: the
         # (4, None) partial variant takes the slot of the cold (4, 16).
         for t, cols in [(50_000.0, 8), (50_001.0, 24), (50_002.0, 32)]:
@@ -1234,14 +1193,14 @@ class TestTierFor:
              [(4, 8), (4, 40), (1, 16)], (8, 40), ready, "partial", False),
             ("no variant covers it", [(1, 16)], (8, 16), ready, "dynamic", False),
         ])
-        # (1, 16) goes hot in turn; its probe finds it unbatchable, so its
-        # exact bucket keeps the configured max.
+        # (1, 16) goes hot in turn; its probe finds it unbatchable, so it
+        # compiles member-wise only and a full bucket of it runs there.
         for t in (200_000.0, 200_001.0, 200_002.0):
             mgr.observe((1, 16), t)
         mgr.drain()
         ready = mgr.events[-1].ready_us
+        assert [e.batch for e in mgr.events if e.key == (1, 16)] == [1]
         assert _tier(mgr, ready, (1, 16), (1, 16)) == "specialized"
-        assert _cap(mgr, (1, 16), ready) == mgr.config.max_batch_size == 8
 
 
 class TestBatchedServing:
@@ -1406,21 +1365,18 @@ class TestBatchRewriteSafety:
         mgr.drain()
         assert [(e.key, e.batch) for e in mgr.events] == [((16,), 1)]
         assert _tier(mgr, 1e9, (16, 8)) == "specialized"
-        # Hot, but its bucket keeps the full size: no batched variant.
-        assert _cap(mgr, (16, 8), 1e9) == mgr.config.max_batch_size
+        # Hot, but no batched variant: a full bucket runs member-wise.
+        assert _tier(mgr, 1e9, *[(16, 8)] * 4) == "specialized"
 
     def test_unbatchable_module_keeps_full_member_batches(self):
-        """Once the probe rules the module out, hot buckets must keep the
-        configured max batch size — capping them at the (unreachable)
-        compiled batch size would shrink member-tier batches for
-        nothing."""
+        """Once the probe rules the module out, hot buckets still fill
+        to the configured max batch size and run member-wise."""
         x = Var("x", TensorType((Any(), 8), "float32"))
         mod = IRModule.from_expr(Function([x], api.expand_dims(api.relu(x), 0)))
         config = ServeConfig(
             max_batch_size=4, max_delay_us=5000.0, num_workers=1,
             specialize=True, specialize_threshold=2,
             specialize_compile_us=100.0, specialize_batch=True,
-            specialize_batch_cap=2,
         )
         server = InferenceServer(mod, intel_cpu(), config)
         rng = np.random.RandomState(0)
@@ -1432,7 +1388,6 @@ class TestBatchRewriteSafety:
             for i in range(24)
         ]
         report = server.simulate(requests)
-        assert _cap(server.specializer, (7, 8), 1e9) == 4
         assert report.batched_hits == 0
         hot_sizes = {
             r.batch_size
@@ -1466,22 +1421,15 @@ class TestBatchRewriteSafety:
         # (1,): member-legal broadcast-up, no stacked equivalent.
         mgr.observe((1,), 0.0)
         mgr.drain()
-        assert _cap(mgr, (1, 8), 1e9) == mgr.config.max_batch_size
+        assert [e.batch for e in mgr.events] == [1]
         # (4,): lead matches the constant — batches fine, even after the
         # other shape's probe failed.
         mgr.observe((4,), 1000.0)
         mgr.drain()
-        assert _cap(mgr, (4, 8), 1e9) == 2
         batched_ready = [e for e in mgr.events if e.batch == 2]
         assert [e.key for e in batched_ready] == [(4,)]
         assert _tier(mgr, batched_ready[0].ready_us, (4, 8), (4, 8)) == "batched"
         assert _tier(mgr, 1e9, (1, 8), (1, 8)) == "specialized"
-
-    def test_serveconfig_rejects_zero_batch_cap(self):
-        with pytest.raises(ValueError, match="specialize_batch_cap"):
-            ServeConfig(
-                specialize=True, specialize_batch=True, specialize_batch_cap=0
-            )
 
     @pytest.mark.parametrize("index", [-1, -3, 0, 2])
     def test_axis0_take_wraps_negative_indices_per_member(self, index):
@@ -2152,8 +2100,8 @@ class TestPartialSynthesis:
         mgr = _gram_manager(
             threshold=4, partial=True, batch_cap=4,
         )
-        # An exact shape nobody has probed yet keeps the batched cap...
-        assert mgr.bucket_cap((EXACT_BUCKET, 9, 16)) == 4
+        # An exact shape nobody has probed yet would compile both ways...
+        assert mgr._variant_batches((9, 16)) == (1, 4)
         for t, rows in [(0.0, 9), (10.0, 9), (20.0, 25), (30.0, 41)]:
             mgr.observe((rows, 16), t)
         mgr.drain()

@@ -4,6 +4,7 @@ executable persistence, kernel-cache export/import, corruption handling
 restore path, and the public nimble.save_artifacts/load_artifacts API."""
 
 import functools
+import math
 import struct
 import tempfile
 
@@ -679,14 +680,14 @@ class TestStoreCorruption:
 
 
 # ---------------------------------------------------------------------------
-# Store GC: age/LRU pruning with refcount and in-flight guards
+# Store GC: age pruning with refcount and in-flight guards
 # ---------------------------------------------------------------------------
 
 
 class TestStoreGC:
     """Property coverage of `repro.store.StoreGC`: the collector never
-    touches a referenced or in-flight blob, respects both pruning
-    policies, inventories (never deletes) malformed names, and a
+    touches a referenced or in-flight blob, respects the age policy,
+    inventories (never deletes) malformed names, and a
     pruned-then-re-hot shape recompiles and re-persists cleanly."""
 
     _UNIVERSE = [
@@ -710,22 +711,21 @@ class TestStoreGC:
         store, view, StoreGC = self._model(tmp_path)
         with pytest.raises(ValueError, match="max_age_us"):
             StoreGC(store, view, max_age_us=-1.0)
-        with pytest.raises(ValueError, match="max_blobs"):
-            StoreGC(store, view, max_blobs=-1)
+        with pytest.raises(TypeError, match="max_age_us"):
+            StoreGC(store, view)  # the policy is required
 
     @given(
         referenced=st.sets(st.sampled_from(range(8)), max_size=8),
         in_flight=st.sets(st.sampled_from(range(8)), max_size=8),
-        max_age_us=st.sampled_from([None, 0.0, 250.0]),
-        max_blobs=st.sampled_from([None, 0, 3]),
+        max_age_us=st.sampled_from([0.0, 250.0, math.inf]),
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_guards_and_policies_hold_for_any_protection_set(
-        self, tmp_path_factory, referenced, in_flight, max_age_us, max_blobs
+        self, tmp_path_factory, referenced, in_flight, max_age_us
     ):
         store_dir = tmp_path_factory.mktemp("gc")
         store, view, StoreGC = self._model(store_dir)
-        gc = StoreGC(store, view, max_age_us=max_age_us, max_blobs=max_blobs)
+        gc = StoreGC(store, view, max_age_us=max_age_us)
         referenced = {self._UNIVERSE[i] for i in referenced}
         in_flight = {self._UNIVERSE[i] for i in in_flight}
         protected = referenced | in_flight
@@ -738,14 +738,13 @@ class TestStoreGC:
             assert view.present(kind, key)
         live = set(view.inventory())
         assert live == set(self._UNIVERSE) - pruned
-        if max_age_us is None and max_blobs is None:
-            assert not pruned  # no policy, no pruning
-        if max_age_us is not None:
-            # Every unprotected survivor is inside the age window.
-            for entry in live - protected:
-                assert 1000.0 - view.last_use_us(*entry) <= max_age_us
-        if max_blobs is not None and len(live) > max_blobs:
-            # Over budget only when the guards forced it.
+        if max_age_us == math.inf:
+            assert not pruned  # nothing is older than forever
+        # Every unprotected survivor is inside the age window: at 0 none
+        # is, so only the guards keep anything.
+        for entry in live - protected:
+            assert 1000.0 - view.last_use_us(*entry) <= max_age_us
+        if max_age_us == 0.0:
             assert live <= protected
 
     def test_age_policy_spares_recent_blobs(self, tmp_path):
@@ -757,17 +756,9 @@ class TestStoreGC:
         assert report.kept_fresh == 2
         assert view.inventory() == sorted(self._UNIVERSE[6:])
 
-    def test_lru_budget_prunes_coldest_first(self, tmp_path):
-        store, view, StoreGC = self._model(tmp_path)
-        gc = StoreGC(store, view, max_blobs=2)
-        report = gc.collect(1000.0)
-        # The two most recently used entries (t=600, t=700) survive.
-        assert set(view.inventory()) == set(self._UNIVERSE[6:])
-        assert len(report.pruned) == 6
-
     def test_in_flight_guard_is_independent_of_references(self, tmp_path):
         store, view, StoreGC = self._model(tmp_path)
-        gc = StoreGC(store, view, max_blobs=0)
+        gc = StoreGC(store, view, max_age_us=0.0)
         hot = self._UNIVERSE[3]
         report = gc.collect(1000.0, in_flight={hot})
         assert report.kept_in_flight == 1
@@ -814,7 +805,7 @@ class TestStoreGC:
         )
         view = FleetStoreView(store)
         assert store.malformed_names() == ["README.rogue", "deadbeef.nmblx"]
-        report = StoreGC(store, view, max_blobs=0).collect(1000.0)
+        report = StoreGC(store, view, max_age_us=0.0).collect(1000.0)
         assert report.malformed == 2
         for path in junk:
             assert path.exists()  # evidence, not garbage
@@ -823,7 +814,7 @@ class TestStoreGC:
         """`missing_on_disk` depends on what earlier replays left on
         disk, so it must stay out of the replay-equality surface."""
         store, view, StoreGC = self._model(tmp_path)
-        report = StoreGC(store, view, max_blobs=0).collect(1000.0)
+        report = StoreGC(store, view, max_age_us=0.0).collect(1000.0)
         assert report.missing_on_disk == len(self._UNIVERSE)  # fake keys
         assert "missing_on_disk" not in report.counters()
         assert report.counters()["pruned"] == tuple(report.pruned)
@@ -1106,7 +1097,7 @@ class TestConstantChunks:
             path.write_bytes(b"not a chunk")
         (store.constants_dir / ".tmp-9").write_bytes(b"in-flight writer")
         assert store.malformed_names() == ["constants/abc.nmblc", "constants/notes.txt"]
-        report = StoreGC(store, FleetStoreView(store), max_blobs=0).collect(0.0)
+        report = StoreGC(store, FleetStoreView(store), max_age_us=0.0).collect(0.0)
         assert report.malformed == 2
         assert all(path.exists() for path in junk)
 
@@ -1159,24 +1150,28 @@ class TestChunkSweep:
     """`StoreGC.collect` unlinks the chunks no blob file names — decided
     from the disk, after the model's prunes."""
 
-    def _collect(self, store, **policy):
+    def _collect(self, store, max_age_us=math.inf, used=()):
+        """One collection at t=0 over a fresh view of *store*, in which
+        the entries *used* were read at t=0 and everything else is
+        never-used (infinitely old) initial inventory."""
         from repro.fleet import FleetStoreView
         from repro.store import StoreGC
 
-        return StoreGC(store, FleetStoreView(store), **policy).collect(0.0)
+        view = FleetStoreView(store)
+        for kind, key in used:
+            view.record_use(kind, key, 0.0)
+        return StoreGC(store, view, max_age_us).collect(0.0)
 
     def test_a_chunk_lives_as_long_as_one_blob_names_it(self, tmp_path):
         store, mod, prefix_key, exe_keys = _filled(tmp_path)
         name, path = _chunk_file(store)
-        # Every blob is never-used initial inventory: max_blobs=1 keeps
-        # one, and that one still names the chunk.
-        report = self._collect(store, max_blobs=1)
+        # Every blob but one just-used executable is never-used initial
+        # inventory: age 0 keeps that one, and it still names the chunk.
+        report = self._collect(store, max_age_us=0.0, used=[("exe", exe_keys[1])])
         assert len(report.pruned) == 2 and report.chunks_swept == 0
-        assert path.exists() and len(store.inventory()) == 1
-        (survivor,) = store.inventory()
-        read = store.get if survivor[0] == "exe" else store.get_prefix
-        assert read(survivor[1]) is not None and store.rejects == 0
-        report = self._collect(store, max_blobs=0)
+        assert path.exists() and store.inventory() == [("exe", exe_keys[1])]
+        assert store.get(exe_keys[1]) is not None and store.rejects == 0
+        report = self._collect(store, max_age_us=0.0)
         assert report.chunks_swept == 1 and not path.exists()
         assert "chunks_swept" not in report.counters()
         # A re-put files the chunk again.

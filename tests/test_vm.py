@@ -1302,3 +1302,33 @@ class TestProfileResetMergeSymmetry:
         a.reset()
         a.merge(b)
         assert a == b
+
+
+class TestCompilerOptions:
+    """A compile varies two things: the stream count and the verify gate.
+    The codegen ablations (Figure 3, library selection, schedules) are
+    ``KernelSet`` arguments the studies set directly; on the options they
+    were a second route, and a wrong one — the shared kernel cache is
+    keyed without them, so a warm cache handed back default kernels."""
+
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [("tune", True), ("schedule", None), ("num_dispatch_kernels", 1),
+         ("allow_library", False), ("tuning_trials", 8)],
+    )
+    def test_removed_codegen_knobs_are_refused(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            nimble.CompilerOptions(**{name: value})
+
+    def test_the_kernel_cache_builds_only_what_its_key_names(self):
+        from repro.codegen.kernels import KernelCache, KernelSet
+
+        exe, _ = nimble.build(_dense_relu_module(), intel_cpu())
+        prim = next(k.prim for k in exe.kernels if isinstance(k, KernelSet))
+        cache = KernelCache()
+        with pytest.raises(TypeError):
+            cache.kernel(prim, intel_cpu(), intel_cpu().compute_spec, allow_library=False)
+        kernel = cache.kernel(prim, intel_cpu(), intel_cpu().compute_spec)
+        default = KernelSet(prim, intel_cpu(), intel_cpu().compute_spec)
+        for knob in ("schedule", "symbolic", "num_dispatch_kernels", "allow_library"):
+            assert getattr(kernel, knob) == getattr(default, knob), knob
