@@ -38,8 +38,8 @@ def main():
     exe, report = nimble.build(mod, platform)
     print(f"compiled: {report.num_kernels} kernels, "
           f"{report.num_instructions} VM instructions, "
-          f"{report.bytecode_bytes} B bytecode, "
-          f"{report.kernel_code_bytes} B kernel code")
+          f"{exe.bytecode_size_bytes()} B bytecode, "
+          f"{exe.kernel_code_size_bytes()} B kernel code")
     if report.memory:
         print(f"memory planning: {report.memory.allocs_before} -> "
               f"{report.memory.allocs_after} storage allocations "

@@ -35,7 +35,7 @@ from repro.errors import SerializationError
 from repro.hardware import calibration
 from repro.hardware.platforms import Platform
 from repro.hardware.specs import DeviceSpec
-from repro.ir.analysis import structural_hash
+from repro.ir.analysis import structural_equal, structural_hash
 from repro.ir.expr import Constant, Expr, Function, Var
 from repro.ir.op import Op
 from repro.ir.types import has_any_dim, type_hash
@@ -291,6 +291,13 @@ class ShapeFuncKernel:
 KERNEL_CACHE_FORMAT = 1
 
 
+def prim_key(prim: Function, *rest) -> tuple:
+    """The cache key of a primitive: structural hash + shape signature,
+    then whatever else tells two compiles of it apart. A hash, so a hit
+    is only a candidate until ``structural_equal`` confirms it."""
+    return (structural_hash(prim), prim_signature(prim), *rest)
+
+
 class KernelCache:
     """Structural-hash cache: identical fused groups compile once.
 
@@ -307,16 +314,18 @@ class KernelCache:
 
     # ------------------------------------------------------------ persistence
     def export_entries(self) -> bytes:
-        """Serialize the cache for the artifact store. Identity lives in
-        the keys (structural hash + shape signature + platform)."""
+        """Serialize the cache for the artifact store. Every entry
+        carries its prim and platform, which is all its key is made of."""
         return pickle.dumps((self._kernels, self._shape_funcs))
 
     def import_entries(self, payload: bytes) -> int:
         """Merge an :meth:`export_entries` payload into this cache;
-        returns how many entries were added. Existing entries always
-        win — a live KernelSet may already be referenced by compiled
-        executables, and replacing it under them would fork the profile
-        accounting."""
+        returns how many entries were added. Keys are re-derived from
+        each entry's prim: they are built from Python ``hash()`` values,
+        which another process (another ``PYTHONHASHSEED``) computes
+        differently. Existing entries always win — a live KernelSet may
+        already be referenced by compiled executables, and replacing it
+        under them would fork the profile accounting."""
         try:
             kernels, shape_funcs = pickle.loads(payload)
         except Exception as err:
@@ -324,34 +333,35 @@ class KernelCache:
                 f"kernel-cache blob does not deserialize: {err}"
             ) from err
         added = 0
-        for key, kernel in kernels.items():
-            if key not in self._kernels:
-                self._kernels[key] = kernel
-                added += 1
-        for key, shape_func in shape_funcs.items():
-            if key not in self._shape_funcs:
-                self._shape_funcs[key] = shape_func
-                added += 1
+        for table, entries in ((self._kernels, kernels), (self._shape_funcs, shape_funcs)):
+            for entry in entries.values():
+                key = prim_key(entry.prim, entry.platform.name)
+                if key not in table:
+                    table[key] = entry
+                    added += 1
         return added
 
     def kernel(self, prim: Function, platform: Platform, spec: DeviceSpec) -> KernelSet:
         """The default-built kernel of *prim*: the key names everything
-        that builds it, so a hit is always the kernel a miss would
-        build. Ablation variants are constructed as KernelSets directly
-        and never enter the cache."""
-        key = (structural_hash(prim), prim_signature(prim), platform.name)
+        that builds it, so a confirmed hit is always the kernel a miss
+        would build. On a hash collision *prim* gets a kernel of its own,
+        which is not cached. Ablation variants are constructed as
+        KernelSets directly and never enter the cache."""
+        key = prim_key(prim, platform.name)
         found = self._kernels.get(key)
         if found is None:
-            found = KernelSet(prim, platform, spec)
-            self._kernels[key] = found
+            found = self._kernels[key] = KernelSet(prim, platform, spec)
+        elif not structural_equal(found.prim, prim):
+            return KernelSet(prim, platform, spec)
         return found
 
     def shape_func(self, prim: Function, platform: Platform) -> ShapeFuncKernel:
-        key = (structural_hash(prim), prim_signature(prim), platform.name)
+        key = prim_key(prim, platform.name)
         found = self._shape_funcs.get(key)
         if found is None:
-            found = ShapeFuncKernel(prim, platform)
-            self._shape_funcs[key] = found
+            found = self._shape_funcs[key] = ShapeFuncKernel(prim, platform)
+        elif not structural_equal(found.prim, prim):
+            return ShapeFuncKernel(prim, platform)
         return found
 
     def __len__(self) -> int:

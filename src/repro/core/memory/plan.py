@@ -265,6 +265,7 @@ class _Planner:
 
 class MemoryPlan(Pass):
     name = "MemoryPlan"
+    reads_types = False
 
     def __init__(self) -> None:
         self.report = MemoryPlanReport()

@@ -150,7 +150,7 @@ def count_nodes(expr: Expr) -> int:
 def structural_equal(a: Expr, b: Expr) -> bool:
     """Alpha-equivalence of two expressions; free variables must be the
     identical objects, bound variables are matched positionally."""
-    return _structural_equal(a, b, {})
+    return a is b or _structural_equal(a, b, {})
 
 
 def _attrs_equal(x: dict, y: dict) -> bool:
@@ -182,6 +182,10 @@ def _structural_equal(a: Expr, b: Expr, env: Dict[Var, Var]) -> bool:
     if isinstance(a, Op):
         return a.name == b.name
     if isinstance(a, Constant):
+        # Passes share weights by reference: the same array is equal
+        # without reading a byte of it.
+        if a.value is b.value or a.data is b.data:
+            return True
         return (
             a.value.dtype == b.value.dtype
             and a.value.shape == b.value.shape
@@ -246,7 +250,9 @@ def structural_hash(expr: Expr) -> int:
     """A hash consistent with :func:`structural_equal` (alpha-insensitive).
 
     Intended for hashing *values* in ANF (calls over vars/constants); deep
-    let-chains are folded iteratively.
+    let-chains are folded iteratively. A constant contributes its dtype,
+    shape and :func:`constant_sample`, so a hash is a bucket, not an
+    identity: callers confirm a hit with :func:`structural_equal`.
     """
     return _structural_hash(expr, {})
 
@@ -266,7 +272,7 @@ def _structural_hash(expr: Expr, env: Dict[Var, int]) -> int:
     elif isinstance(expr, Op):
         parts.append(expr.name)
     elif isinstance(expr, Constant):
-        parts.append((expr.value.dtype, expr.value.shape, expr.data.tobytes()))
+        parts.append((expr.value.dtype, expr.value.shape, constant_sample(expr.data)))
     elif isinstance(expr, Call):
         parts.append(_structural_hash(expr.op, env))
         parts.extend(_structural_hash(a, env) for a in expr.args)
@@ -294,6 +300,23 @@ def _structural_hash(expr: Expr, env: Dict[Var, int]) -> int:
                 inner[v] = len(inner)
             parts.append(_structural_hash(clause.rhs, inner))
     return hash(tuple(parts))
+
+
+# Elements of a constant that reach its structural hash.
+CONSTANT_HASH_SAMPLE = 64
+
+
+def constant_sample(data: np.ndarray) -> bytes:
+    """What a constant contributes to :func:`structural_hash`: all of an
+    array of at most ``CONSTANT_HASH_SAMPLE`` elements, else every
+    ⌈n / 64⌉-th element plus the last. Hashing a weight costs O(1) of
+    its size; equal arrays give equal samples, and every caller
+    confirms a hash hit with :func:`structural_equal`."""
+    n = data.size
+    if n <= CONSTANT_HASH_SAMPLE:
+        return bytes(data.data)
+    flat = data.flat  # strided picks: no copy of the whole array
+    return bytes(flat[::-(-n // CONSTANT_HASH_SAMPLE)].data) + bytes(flat[n - 1:].data)
 
 
 def _hashable_attr(value):

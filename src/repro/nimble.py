@@ -93,8 +93,6 @@ class BuildReport:
     placement: Optional[PlacementReport] = None
     num_kernels: int = 0
     num_instructions: int = 0
-    bytecode_bytes: int = 0
-    kernel_code_bytes: int = 0
     # The module right after type inference: callers that need checked
     # types (e.g. the serving layer's shape bucketer) reuse this instead
     # of re-running inference.
@@ -244,7 +242,7 @@ def _run_prefix(mod: IRModule) -> Tuple[IRModule, IRModule, Dict[str, float]]:
         ]
     )
     normalized = pipeline.run(typed)
-    return typed, normalized, {"InferType": infer_time, **pipeline.timings}
+    return typed, normalized, _summed({"InferType": infer_time}, pipeline.timings)
 
 
 def build_prefix(
@@ -371,8 +369,6 @@ def _compile_suffix(
         placement=device_pass.report,
         num_kernels=len(exe.kernels),
         num_instructions=exe.num_instructions,
-        bytecode_bytes=exe.bytecode_size_bytes(),
-        kernel_code_bytes=exe.kernel_code_size_bytes(),
         typed_module=module,
     )
     return exe, report

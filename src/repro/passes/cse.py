@@ -79,6 +79,7 @@ class _CSE(ExprMutator):
 
 class CommonSubexprElimination(Pass):
     name = "CommonSubexprElimination"
+    reads_types = False
 
     def run(self, mod: IRModule) -> IRModule:
         out = mod.shallow_copy()

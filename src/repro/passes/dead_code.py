@@ -82,6 +82,7 @@ def eliminate_dead_code(func: Function) -> Function:
 
 class DeadCodeElimination(Pass):
     name = "DeadCodeElimination"
+    reads_types = False
 
     def run(self, mod: IRModule) -> IRModule:
         out = mod.shallow_copy()

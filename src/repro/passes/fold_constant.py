@@ -56,6 +56,7 @@ class _Folder(ExprMutator):
 
 class FoldConstant(Pass):
     name = "FoldConstant"
+    reads_types = False
 
     def run(self, mod: IRModule) -> IRModule:
         out = mod.shallow_copy()

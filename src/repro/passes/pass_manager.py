@@ -1,9 +1,17 @@
 """Pass infrastructure.
 
 A pass is a callable ``IRModule -> IRModule`` with a ``name``. The
-:class:`Sequential` combinator runs a pipeline, optionally re-running type
-inference between passes (most passes rely on ``checked_type``) and
-recording per-pass timing for the compile-time report.
+:class:`Sequential` combinator runs a pipeline, keeps the module typed
+and records per-pass timing for the compile-time report.
+
+Types are inferred where a pass reads them. A pass declares
+``reads_types`` (default ``True``: it reads ``checked_type``); no pass
+has to keep types up to date. ``Sequential`` assumes its input is typed
+and re-infers *before* a pass that reads types if any pass has run
+since the last inference, and once at the end, so its output is fully
+typed and type-checked. With ``verify_each_pass`` it also infers before
+every lint. Inference it runs is billed to ``"InferType"`` in
+``timings``, never to a neighbouring pass.
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ class Pass:
     """Base class; subclasses implement ``run(mod)``."""
 
     name = "Pass"
+    # Does ``run`` read ``checked_type``? A pass that does not may be
+    # handed a module whose types are stale or missing.
+    reads_types = True
 
     def run(self, mod: IRModule) -> IRModule:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -54,7 +65,7 @@ def function_pass(name: str, skip_primitive: bool = True):
 
 
 class Sequential(Pass):
-    """Run passes in order; optionally interleave type inference."""
+    """Run passes in order, inferring types where they are read."""
 
     name = "Sequential"
 
@@ -74,18 +85,33 @@ class Sequential(Pass):
         self.timings: Dict[str, float] = {}
 
     def run(self, mod: IRModule) -> IRModule:
-        from repro.core.typing import infer_types
-
+        stale = False  # has a pass run since types were last inferred?
         for p in self.passes:
             name = getattr(p, "name", getattr(p, "__name__", repr(p)))
+            if stale and getattr(p, "reads_types", True):
+                mod, stale = self._infer(mod), False
             start = time.perf_counter()
             mod = p(mod)
-            if self.reinfer_types:
-                mod = infer_types(mod)
-            self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
+            self._bill(name, start)
+            stale = self.reinfer_types
             if self.verify_each_pass:
+                if stale:
+                    mod, stale = self._infer(mod), False
                 self._verify(mod, name)
+        if stale:
+            mod = self._infer(mod)
         return mod
+
+    def _infer(self, mod: IRModule) -> IRModule:
+        from repro.core.typing import infer_types
+
+        start = time.perf_counter()
+        mod = infer_types(mod)
+        self._bill("InferType", start)
+        return mod
+
+    def _bill(self, name: str, start: float) -> None:
+        self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
 
     def _verify(self, mod: IRModule, pass_name: str) -> None:
         from repro.analysis.lint import lint_module

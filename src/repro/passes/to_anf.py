@@ -203,6 +203,7 @@ def to_anf(expr: Expr) -> Expr:
 
 class ToANF(Pass):
     name = "ToANF"
+    reads_types = False
 
     def run(self, mod: IRModule) -> IRModule:
         out = mod.shallow_copy()

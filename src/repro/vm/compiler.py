@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple as PyTuple
 
-from repro.codegen.kernels import KernelCache
+from repro.codegen.kernels import KernelCache, prim_key
 from repro.errors import CompilerError
 from repro.hardware.platforms import Platform
-from repro.ir.analysis import structural_hash
+from repro.ir.analysis import structural_equal
 from repro.ir.expr import (
     Call,
     Constant,
@@ -111,7 +111,7 @@ class VMCompiler:
         self._constants: List[NDArray] = []
         self._const_index: Dict[int, int] = {}
         self._kernels: list = []
-        self._packed_index: Dict[tuple, int] = {}
+        self._packed_index: Dict[tuple, List[int]] = {}
 
     # ------------------------------------------------------------------ driver
     def compile(
@@ -421,14 +421,14 @@ class VMCompiler:
         return found
 
     def packed_index(self, prim: Function, kind: str, device) -> int:
-        from repro.codegen.kernels import prim_signature
-
         # The signature component keeps shape-specialized prims apart from
-        # structurally identical symbolic ones (see prim_signature).
-        key = (structural_hash(prim), prim_signature(prim), kind)
-        found = self._packed_index.get(key)
-        if found is not None:
-            return found
+        # structurally identical symbolic ones (see prim_signature). A key
+        # is a hash: every index filed under it is a candidate, and the
+        # one whose prim is structurally equal is the hit.
+        bucket = self._packed_index.setdefault(prim_key(prim, kind), [])
+        for index in bucket:
+            if structural_equal(self._kernels[index].prim, prim):
+                return index
         if kind == "shape_func":
             kernel = self.kernel_cache.shape_func(prim, self.platform)
         else:
@@ -437,5 +437,5 @@ class VMCompiler:
             )
         index = len(self._kernels)
         self._kernels.append(kernel)
-        self._packed_index[key] = index
+        bucket.append(index)
         return index

@@ -615,3 +615,92 @@ class TestShapeInterpretation:
         assert pickle.dumps(info) == pickle.dumps(dataclasses.replace(info, calls=[]))
         restored = pickle.loads(pickle.dumps(info))
         assert [c.op.name for c in restored.calls] == info.ops
+
+
+class TestCacheHitsAreConfirmed:
+    """A structural hash files a prim in a bucket; it does not name it.
+    ``KernelCache`` and ``VMCompiler.packed_index`` confirm every hit with
+    ``structural_equal``, and ``kernels.kc`` keys are re-derived from each
+    kernel's prim when the file is read."""
+
+    @staticmethod
+    def _module(family):
+        from repro.models.bert import BertConfig, BertWeights, build_bert_module
+        from repro.models.lstm import LSTMWeights, build_lstm_module
+        from repro.models.tree_lstm import TreeLSTMWeights, build_tree_lstm_module
+
+        if family == "lstm":
+            return build_lstm_module(
+                LSTMWeights.create(input_size=12, hidden_size=16, num_layers=2, seed=0))
+        if family == "tree_lstm":
+            return build_tree_lstm_module(
+                TreeLSTMWeights.create(input_size=12, hidden_size=8, seed=0))
+        return build_bert_module(
+            BertWeights.create(BertConfig(hidden=24, num_heads=3, num_layers=2, ffn=24), seed=0))
+
+    @classmethod
+    def _build_and_run(cls, family):
+        """(kernel count, output bytes) of a fresh dynamic build."""
+        import repro.nimble as nimble
+        from repro.data import Tree, embedding_table
+        from repro.models.tree_lstm import tree_to_adt
+        from repro.runtime.context import ExecutionContext
+        from repro.vm.interpreter import VirtualMachine
+
+        exe = nimble.build(cls._module(family), intel_cpu())[0]
+        rng = np.random.RandomState(0)
+        if family == "tree_lstm":
+            x = tree_to_adt(Tree.node(Tree.node(Tree.leaf(1), Tree.leaf(2)), Tree.leaf(3)),
+                            embedding_table(vocab_size=8, dim=12, seed=0))
+        else:
+            x = rng.randn(6, 12 if family == "lstm" else 24).astype(np.float32)
+        out = VirtualMachine(exe, ExecutionContext(intel_cpu(), numerics="full")).run(x)
+        return len(exe.kernels), out.numpy().tobytes()
+
+    @pytest.mark.parametrize("family", ["lstm", "tree_lstm", "bert"])
+    def test_every_prim_hashing_alike_still_gets_its_own_kernel(self, family, monkeypatch):
+        """With every hash equal, only the shape signature and the
+        confirmation keep kernels apart. This BERT's FFN is as wide as
+        its hidden layer, so `dense+bias_add` and `dense+bias_add+gelu`
+        share a signature: an unconfirmed hit runs the wrong kernel."""
+        from repro.codegen import kernels
+        from repro.passes import cse
+
+        want = self._build_and_run(family)
+        for module in (cse, kernels):  # kernels.prim_key keys the VM compiler too
+            monkeypatch.setattr(module, "structural_hash", lambda expr: 0)
+        assert self._build_and_run(family) == want
+
+    def test_a_colliding_prim_gets_a_kernel_that_is_not_cached(self, monkeypatch):
+        from repro.codegen import KernelCache, kernels
+
+        monkeypatch.setattr(kernels, "structural_hash", lambda expr: 0)
+        platform = intel_cpu()
+        spec = platform.spec_of(platform.compute)
+        first, _ = _dense_prim()
+        other, _ = _dense_prim(with_relu=True)  # same signature, other body
+        cache = KernelCache()
+        kept = cache.kernel(first, platform, spec)
+        a, b = cache.kernel(other, platform, spec), cache.kernel(other, platform, spec)
+        assert a.prim is other and a is not kept and a is not b
+        assert cache.kernel(first, platform, spec) is kept
+        assert len(cache) == 1
+
+    def test_an_imported_kernel_is_found_whatever_its_key_was(self):
+        """The keys of a ``kernels.kc`` written by another process are
+        Python hashes under another ``PYTHONHASHSEED``: scrambled here."""
+        import repro.nimble as nimble
+        from repro.codegen import KernelCache
+
+        cache = KernelCache()
+        nimble.build(self._module("lstm"), intel_cpu(), kernel_cache=cache)
+        tables = pickle.loads(cache.export_entries())
+        scrambled = pickle.dumps(tuple(
+            {("another process", i): entry for i, entry in enumerate(table.values())}
+            for table in tables))
+        warm = KernelCache()
+        assert warm.import_entries(scrambled) == sum(map(len, tables))
+        imported = {id(entry) for entry in [*warm._kernels.values(), *warm._shape_funcs.values()]}
+        exe = nimble.build(self._module("lstm"), intel_cpu(), kernel_cache=warm)[0]
+        assert all(id(kernel) in imported for kernel in exe.kernels)
+        assert len(warm) == len(tables[0])

@@ -178,6 +178,25 @@ class TestCSE:
         reshapes = [v for _, v in bindings if isinstance(v, Call)]
         assert len(reshapes) == 2
 
+    def test_weights_hash_by_sample_and_merge_only_when_equal(self):
+        """A constant hashes a bounded sample of its elements, so two
+        weights differing off the sample share a hash; CSE's
+        ``structural_equal`` still keeps them apart, and merges a copy."""
+        from repro.ir import structural_hash
+
+        w = np.zeros(1000, np.float32)  # sampled every 16th element
+        off_sample = w.copy()
+        off_sample[1] = 1.0
+        assert structural_hash(const(w)) == structural_hash(const(off_sample))
+
+        x = Var("x", TensorType((1000,)))
+        sb = ScopeBuilder()
+        adds = [sb.let(f"a{i}", api.add(x, const(v))) for i, v in
+                enumerate((w, off_sample, w.copy()))]
+        mod = IRModule.from_expr(Function([x], sb.get(sb.let("o", Tuple(adds)))))
+        bindings, _ = _let_chain(CommonSubexprElimination().run(mod).main.body)
+        assert sum(isinstance(v, Call) for _, v in bindings) == 2
+
 
 class TestSimplify:
     def _simplify(self, expr, params):
@@ -507,3 +526,214 @@ class TestMultiOutputFusionDifferential:
         unmerged = build()
         assert merged[0] < unmerged[0]
         assert merged[1] == unmerged[1]
+
+
+# ---------------------------------------------------------------------------
+# Types are inferred where a pass reads them
+# ---------------------------------------------------------------------------
+
+
+def _small_module(family):
+    """A fresh module of one paper model: inference mutates the nodes it
+    types, so two compiles that are compared never share a module."""
+    from repro.models.bert import BertConfig, BertWeights, build_bert_module
+    from repro.models.lstm import LSTMWeights, build_lstm_module
+    from repro.models.tree_lstm import TreeLSTMWeights, build_tree_lstm_module
+
+    if family == "lstm":
+        return build_lstm_module(
+            LSTMWeights.create(input_size=12, hidden_size=16, num_layers=2, seed=0))
+    if family == "tree_lstm":
+        return build_tree_lstm_module(
+            TreeLSTMWeights.create(input_size=12, hidden_size=8, seed=0))
+    return build_bert_module(
+        BertWeights.create(BertConfig(hidden=24, num_heads=3, num_layers=2, ffn=48), seed=0))
+
+
+def _pipeline(platform):
+    """Every pass of a dynamic build, in order, as fresh instances."""
+    from repro.core.device import DevicePlace
+    from repro.core.memory import ManifestAlloc, MemoryPlan
+    from repro.passes import LambdaLift
+
+    return [FoldConstant(), SimplifyExpressions(), ToANF(), CommonSubexprElimination(),
+            DeadCodeElimination(), LambdaLift(), FuseOps(), ManifestAlloc(),
+            DevicePlace(platform.host, platform.compute), MemoryPlan()]
+
+
+def _type_blind_passes():
+    """Every Pass class that declares it never reads ``checked_type``."""
+    from repro.passes import Pass
+
+    classes, todo = [], [Pass]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            classes.append(sub)
+            todo.append(sub)
+    return {cls for cls in classes if not cls.reads_types}
+
+
+def _wipe_types(mod):
+    from repro.ir import Constructor, GlobalVar
+    from repro.ir.analysis import bound_vars
+
+    for gv, func in mod.functions.items():
+        gv.checked_type = None
+        for node in itertools.chain(iter_nodes(func), bound_vars(func)):
+            if not isinstance(node, (Op, Constructor, GlobalVar)):
+                node.checked_type = None
+
+
+class TestLazyInference:
+    TYPE_BLIND = ("FoldConstant", "ToANF", "CommonSubexprElimination",
+                  "DeadCodeElimination", "MemoryPlan")
+
+    def test_the_declared_passes_are_the_tested_ones(self):
+        import repro.nimble  # noqa: F401  (imports every pass)
+
+        assert {cls.__name__ for cls in _type_blind_passes()} == set(self.TYPE_BLIND)
+
+    @pytest.mark.parametrize("family", ["lstm", "tree_lstm", "bert"])
+    @pytest.mark.parametrize("name", TYPE_BLIND)
+    def test_a_type_blind_pass_ignores_types(self, name, family):
+        """The declaration is honest: the pass gives a structurally equal
+        module when every ``checked_type`` of its input is wiped."""
+        from repro.hardware import intel_cpu
+        from repro.ir import structural_equal
+        from repro.passes import Sequential
+
+        passes = _pipeline(intel_cpu())
+        at = [type(p).__name__ for p in passes].index(name)
+        typed = Sequential(passes[:at]).run(infer_types(_small_module(family)))
+        want = passes[at](typed)
+        _wipe_types(typed)
+        got = type(passes[at])()(typed)
+        assert list(got.functions) == list(want.functions)
+        for gv, func in want.functions.items():
+            assert structural_equal(got.functions[gv], func), gv.name_hint
+
+    @pytest.mark.parametrize("verify, want", [
+        (False, ["blind", "blind2", "infer", "reader", "blind3", "infer"]),
+        (True, ["blind", "infer", "blind2", "infer", "reader", "infer", "blind3", "infer"]),
+    ], ids=["plain", "verify_each_pass"])
+    def test_sequential_infers_before_a_reader_and_once_at_the_end(
+            self, verify, want, monkeypatch):
+        import repro.core.typing as typing
+        from repro.passes import Pass, Sequential
+
+        events = []
+
+        def infer(mod):
+            events.append("infer")
+            return mod
+
+        def make(name, reads):
+            cls = type(name, (Pass,), {"name": name, "reads_types": reads,
+                                       "run": lambda self, mod: events.append(name) or mod})
+            return cls()
+
+        monkeypatch.setattr(typing, "infer_types", infer)
+        x = Var("x", TensorType((2,)))
+        pipeline = Sequential([make("blind", False), make("blind2", False),
+                               make("reader", True), make("blind3", False)],
+                              verify_each_pass=verify)
+        pipeline.run(infer_types(IRModule.from_expr(Function([x], x))))
+        assert events == want
+        assert set(pipeline.timings) == {"blind", "blind2", "reader", "blind3", "InferType"}
+
+    @staticmethod
+    def _canonical_save(exe):
+        """``exe.save()`` with ``Any`` tokens numbered by first use: tokens
+        come from a process-wide counter, so two compiles in one process
+        differ in them and in nothing else."""
+        numbering = {}
+
+        def reduce(self, protocol):
+            return (Any, (numbering.setdefault(self.token, len(numbering)),))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Any, "__reduce_ex__", reduce, raising=False)
+            return exe.save()
+
+    @classmethod
+    def _compile(cls, family, tier, platform, streams):
+        import repro.nimble as nimble
+        from repro.passes import BatchSpecializeError
+
+        mod = _small_module(family)
+        options = nimble.CompilerOptions(device_streams=streams)
+        shapes = {"lstm": [(5, 12)], "tree_lstm": [None], "bert": [(5, 24)]}[family]
+        try:
+            if tier == "dynamic":
+                exe = nimble.build(mod, platform, options=options)[0]
+            else:
+                exe = nimble.specialize(mod, platform, shapes=shapes, options=options,
+                                        batch=4 if tier == "batch4" else 1)[0]
+        except BatchSpecializeError:
+            return None  # a Tree entry cannot be stacked
+        return cls._canonical_save(exe)
+
+    @pytest.mark.parametrize(
+        "make_platform, streams", [("intel_cpu", 1), ("nvidia_gpu", 2)],
+        ids=["intel_cpu", "nvidia_gpu-2"])
+    @pytest.mark.parametrize("tier", ["dynamic", "specialized", "batch4"])
+    @pytest.mark.parametrize("family", ["lstm", "tree_lstm", "bert"])
+    def test_lazy_inference_saves_the_eager_bytes(
+            self, family, tier, make_platform, streams, monkeypatch):
+        """Inferring only where a pass reads types compiles byte for byte
+        what inferring after every pass compiles."""
+        import repro.hardware as hardware
+
+        platform = getattr(hardware, make_platform)()
+        lazy = self._compile(family, tier, platform, streams)
+        for cls in _type_blind_passes():
+            monkeypatch.setattr(cls, "reads_types", True)
+        eager = self._compile(family, tier, platform, streams)
+        assert lazy == eager
+
+
+class TestCompileWork:
+    def test_compile_work_per_bench_size_build(self, monkeypatch, capsys):
+        """Type inferences and constant bytes ``structural_hash`` reads per
+        ``build`` of the bench-size LSTM (2 layers, 300 -> 512) and BERT
+        (256 wide, 6 layers). Before lazy inference and sampled constant
+        hashing: 11 inferences each, and 15,065,104 / 18,954,264 bytes.
+        CI's "Size trajectory" step prints the line."""
+        import repro.nimble as nimble
+        from repro.core.typing import infer
+        from repro.ir import analysis
+        from repro.models.bert import BertConfig, BertWeights, build_bert_module
+        from repro.models.lstm import LSTMWeights, build_lstm_module
+
+        work = {"inferences": 0, "hashed": 0}
+        real_run, real_sample = infer._Inferencer.run, analysis.constant_sample
+
+        def counted_run(self):
+            work["inferences"] += 1
+            return real_run(self)
+
+        def counted_sample(data):
+            sample = real_sample(data)
+            work["hashed"] += len(sample)
+            return sample
+
+        monkeypatch.setattr(infer._Inferencer, "run", counted_run)
+        monkeypatch.setattr(analysis, "constant_sample", counted_sample)
+        models = {
+            "LSTM": build_lstm_module(LSTMWeights.create(
+                input_size=300, hidden_size=512, num_layers=2, seed=0)),
+            "BERT": build_bert_module(BertWeights.create(
+                BertConfig(hidden=256, num_heads=4, num_layers=6, ffn=1024), seed=0)),
+        }
+        seen = []
+        for name, mod in models.items():
+            work.update(inferences=0, hashed=0)
+            nimble.build(mod)
+            seen.append((name, dict(work)))
+        with capsys.disabled():
+            print("\ncompile work per bench-size build: " + "; ".join(
+                f"{name} {w['inferences']} type inferences, {w['hashed']:,} constant bytes hashed"
+                for name, w in seen))
+        for name, w in seen:
+            assert w["inferences"] <= 7, name
+            assert w["hashed"] <= 64 * 1024, name
