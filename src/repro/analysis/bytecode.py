@@ -6,8 +6,9 @@ Proves, without executing anything:
 * every register is defined on **all** control-flow paths before it is
   read (parameters arrive pre-defined in registers ``0..num_params-1``);
 * operands are structurally valid per opcode (register indices inside
-  the declared register file, ``arity``/``output_size`` agree with the
-  argument list, ADT/closure field counts agree);
+  the declared register file, every count field — ``arity``,
+  ``num_fields``, ``num_captured`` — agrees with the tuple it counts,
+  ``output_size`` fits inside ``arity``);
 * constant-pool, function-table, and kernel-table indices are in
   bounds, and ``Invoke`` passes the callee's declared parameter count;
 * a tensor is only ever allocated out of a register that can actually
@@ -37,46 +38,6 @@ from repro.vm.executable import Executable, VMFunction
 
 # Instructions that terminate a path: control never falls through them.
 _TERMINAL = (ins.Ret, ins.Fatal)
-
-
-# ``(reads, writes)`` register extractors, dispatched on exact type
-# (instructions are final dataclasses): one dict lookup instead of an
-# isinstance chain, on the hottest path of the whole verifier.
-#
-# ``InvokePacked`` *reads* its output registers too: the calling
-# convention requires them to hold pre-allocated tensors the kernel
-# writes into, so an undefined output register is as fatal as an
-# undefined input.
-_OPERAND_FNS = {
-    ins.Move: lambda i: ((i.src,), (i.dst,)),
-    ins.Ret: lambda i: ((i.result,), ()),
-    ins.Invoke: lambda i: (tuple(i.args), (i.dst,)),
-    ins.InvokeClosure: lambda i: ((i.closure,) + tuple(i.args), (i.dst,)),
-    ins.InvokePacked: lambda i: (tuple(i.args), ()),
-    ins.AllocStorage: lambda i: ((i.allocation_size,), (i.dst,)),
-    ins.AllocTensor: lambda i: ((i.storage, i.offset), (i.dst,)),
-    ins.AllocTensorReg: lambda i: (
-        (i.storage, i.offset, i.shape_register), (i.dst,)
-    ),
-    ins.AllocADT: lambda i: (tuple(i.fields), (i.dst,)),
-    ins.AllocClosure: lambda i: (tuple(i.captured), (i.dst,)),
-    ins.GetField: lambda i: ((i.obj,), (i.dst,)),
-    ins.GetTag: lambda i: ((i.obj,), (i.dst,)),
-    ins.If: lambda i: ((i.test, i.target), ()),
-    ins.LoadConst: lambda i: ((), (i.dst,)),
-    ins.LoadConsti: lambda i: ((), (i.dst,)),
-    ins.DeviceCopy: lambda i: ((i.src,), (i.dst,)),
-    ins.ShapeOf: lambda i: ((i.tensor,), (i.dst,)),
-    ins.ReshapeTensor: lambda i: ((i.tensor, i.newshape), (i.dst,)),
-}
-
-_NO_OPERANDS = ((), ())
-
-
-def _operands(instr: ins.Instruction) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """``(reads, writes)`` register tuples for one instruction."""
-    fn = _OPERAND_FNS.get(type(instr))
-    return fn(instr) if fn is not None else _NO_OPERANDS
 
 
 # Opcodes whose destination certainly does NOT hold a storage block.
@@ -128,10 +89,14 @@ def _structural_findings(
             if not 0 <= reg < func.register_count:
                 bad(pc, f"register r{reg} outside the register file "
                         f"(register_count={func.register_count})")
+        for name, _, count in ins.layout(type(instr)):
+            if count is None:
+                continue
+            claimed, actual = getattr(instr, count), len(getattr(instr, name))
+            if claimed != actual:
+                bad(pc, f"{count} {claimed} disagrees with {actual} "
+                        f"register(s) in {name}")
         if isinstance(instr, ins.InvokePacked):
-            if len(instr.args) != instr.arity:
-                bad(pc, f"arity {instr.arity} disagrees with "
-                        f"{len(instr.args)} argument register(s)")
             if not 0 <= instr.output_size <= instr.arity:
                 bad(pc, f"output_size {instr.output_size} outside "
                         f"[0, arity={instr.arity}]")
@@ -154,12 +119,6 @@ def _structural_findings(
             if not 0 <= instr.const_index < len(exe.constants):
                 bad(pc, f"const_index {instr.const_index} outside the "
                         f"constant pool ({len(exe.constants)})")
-        elif isinstance(instr, ins.AllocADT):
-            if instr.num_fields != len(instr.fields):
-                bad(pc, f"num_fields {instr.num_fields} disagrees with "
-                        f"{len(instr.fields)} field register(s)")
-        elif isinstance(instr, ins.AllocClosure):
-            pass  # func_index handled above
         elif isinstance(instr, (ins.StreamEvent, ins.StreamWait)):
             if not 0 <= instr.event_index < max(1, exe.num_events):
                 bad(pc, f"event_index {instr.event_index} outside the "
@@ -167,11 +126,6 @@ def _structural_findings(
             if not 0 <= instr.stream < max(1, exe.device_streams):
                 bad(pc, f"stream {instr.stream} outside the declared "
                         f"schedule (device_streams={exe.device_streams})")
-        if isinstance(instr, ins.AllocClosure) and instr.num_captured != len(
-            instr.captured
-        ):
-            bad(pc, f"num_captured {instr.num_captured} disagrees with "
-                    f"{len(instr.captured)} captured register(s)")
         # Explicit jumps only: plain fall-through past the last
         # instruction is the dataflow pass's "falls off the end" finding,
         # not a bad jump target.
@@ -185,7 +139,7 @@ def _structural_findings(
 
 def check_function(func: VMFunction, exe: Executable) -> List[Finding]:
     """Verify one function; returns the (possibly empty) finding list."""
-    ops = [_operands(i) for i in func.instructions]
+    ops = [ins.operands(i) for i in func.instructions]
     findings = _structural_findings(func, exe, ops)
     if findings:
         # Operand bounds are broken: the dataflow below would index off

@@ -195,8 +195,7 @@ def check_function_lifetimes(
                 t.last_use = n  # alive past the frame
             break
         else:
-            _, writes = _instr_writes(instr)
-            for r in writes:
+            for r in ins.operands(instr)[1]:
                 clobber(r)
 
     by_token: Dict[int, List[_Tensor]] = {}
@@ -246,13 +245,6 @@ def check_function_lifetimes(
                 )
             )
     return findings
-
-
-def _instr_writes(instr: ins.Instruction):
-    """(reads, writes) for instructions the walk above has no special
-    case for — only the write set is consulted, to clobber stale facts."""
-    dst = getattr(instr, "dst", None)
-    return (), (() if dst is None else (dst,))
 
 
 def check_lifetimes(exe: Executable) -> List[Finding]:

@@ -153,7 +153,7 @@ def alias_storage(exe: Executable) -> Optional[Executable]:
                     continue
                 # a_dst must still hold storage A at B's position.
                 clobbered = any(
-                    a_dst in _writes(instrs[k])
+                    a_dst in ins.operands(instrs[k])[1]
                     for k in range(apos + 1, bpos + 1)
                 )
                 if clobbered:
@@ -189,11 +189,6 @@ def undefine_register(exe: Executable) -> Optional[Executable]:
                 )
                 return mutant
     return None
-
-
-def _writes(instr: ins.Instruction):
-    dst = getattr(instr, "dst", None)
-    return () if dst is None else (dst,)
 
 
 #: Every operator, keyed by corruption-class name; ``None`` results mean

@@ -147,25 +147,17 @@ def _summarize_shape(ty: Optional[Type]):
     return None
 
 
-def _static_param_shapes(func: Function):
-    """Per-param shape summary after binding: a tuple of dims (with None
-    for still-dynamic dims) for tensor params, nested tuples for tuple
-    params, None for ADT/function params."""
-    return tuple(_summarize_shape(p.type_annotation) for p in func.params)
-
-
 def bound_entry_shapes(func: Function, binding: Binding):
-    """The ``specialized_shapes`` marker :class:`SpecializeShapes` would
-    stamp for *binding*, computed without running the pass.
+    """The ``specialized_shapes`` marker for *binding*: per entry param,
+    a tuple of dims (None for a dim left dynamic) for a tensor, nested
+    tuples for a tuple, None for an ADT or function.
 
     The artifact store keys executables by (module, platform, shape
     binding, batch); the serving layer must derive that key *before*
     deciding whether to compile at all — a store hit replaces the whole
     compile — so this substitutes the binding into the entry's parameter
-    annotations only. It is kept in this module, next to
-    ``_static_param_shapes``, precisely so the two can never drift: a
-    key computed here must match the marker the compiled executable
-    carries."""
+    annotations only. :class:`SpecializeShapes` stamps its marker with
+    this same function, so the key and the marker cannot drift."""
     return tuple(
         _summarize_shape(
             bind_any_dims(p.type_annotation, binding)
@@ -239,7 +231,7 @@ class SpecializeShapes(Pass):
             new_func = rewriter.visit(func)
             assert isinstance(new_func, Function)
             out[gv_map[gv]] = new_func
-        self.bound_shapes = _static_param_shapes(out[self.entry])
+        self.bound_shapes = bound_entry_shapes(entry_fn, binding)
         return out
 
 
@@ -745,16 +737,11 @@ class SpecializeBatch(Pass):
             raise CompilerError(f"batch must be >= 1, got {batch}")
         self.batch = batch
         self.entry = entry
-        self.batched_shapes = None
 
     def run(self, mod: IRModule) -> IRModule:
         from repro.core.typing import infer_types
         from repro.errors import TypeInferenceError
 
-        # Same stale-state hazard as SpecializeShapes.bound_shapes: a
-        # reused instance that raises mid-run (batch rewrites refuse
-        # plenty of modules) must not keep the previous run's result.
-        self.batched_shapes = None
         if self.entry not in mod:
             raise CompilerError(f"module has no entry function {self.entry!r}")
         if self.batch == 1:
@@ -851,5 +838,4 @@ class SpecializeBatch(Pass):
             out[gv_map[gv]] = Function(
                 stacked_params[gv], body, stacked_rets[gv], func.attrs
             )
-        self.batched_shapes = _static_param_shapes(out[self.entry])
         return out

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.codegen.kernels import KernelCache, KernelSet
-from repro.core.typing import InferType
 from repro.errors import CompilerError
 from repro.hardware.platforms import Platform, intel_cpu
 from repro.ir.expr import (
@@ -33,15 +32,8 @@ from repro.ir.expr import (
 )
 from repro.ir.module import IRModule
 from repro.ir.types import TensorType, has_any_dim
-from repro.passes import (
-    CommonSubexprElimination,
-    DeadCodeElimination,
-    FoldConstant,
-    FuseOps,
-    Sequential,
-    SimplifyExpressions,
-    ToANF,
-)
+from repro.nimble import _run_prefix
+from repro.passes import FuseOps, Sequential
 from repro.runtime.context import ExecutionContext
 from repro.tensor.dtype import dtype_bytes
 
@@ -71,18 +63,10 @@ class GraphRuntime:
         # Explicit None check: an empty KernelCache is falsy (__len__), and
         # `or` would silently swap a shared cache for a private one.
         self.cache = KernelCache() if kernel_cache is None else kernel_cache
-        pipeline = Sequential(
-            [
-                InferType(),
-                FoldConstant(),
-                SimplifyExpressions(),
-                ToANF(),
-                CommonSubexprElimination(),
-                DeadCodeElimination(),
-                FuseOps(),
-            ]
-        )
-        lowered = pipeline.run(mod)
+        # Nimble's compile prefix, then fusion: the static graph is
+        # normalized exactly as the VM's input is.
+        _, normalized, _ = _run_prefix(mod)
+        lowered = Sequential([FuseOps()]).run(normalized)
         self.func = lowered.main
         self._validate_static(self.func)
         self._build(self.func)

@@ -489,185 +489,63 @@ def _write_device(out: io.BytesIO, device: Device) -> None:
     _write_varint(out, device.index)
 
 
+_KIND_OF_BYTE = {b"\x00": DeviceKind.CPU, b"\x01": DeviceKind.GPU}
+
+
 def _read_device(buf: io.BytesIO) -> Device:
-    kind = DeviceKind.CPU if buf.read(1)[0] == 0 else DeviceKind.GPU
-    return Device(kind, _read_varint(buf))
+    byte = buf.read(1)
+    if byte not in _KIND_OF_BYTE:
+        raise SerializationError(
+            f"unknown device kind byte {byte.hex() or '(missing)'}"
+        )
+    return Device(_KIND_OF_BYTE[byte], _read_varint(buf))
 
 
 # ---------------------------------------------------------------------------
-# instruction encoding
+# instruction encoding: each class's fields in declaration order
+# (``instruction.layout``)
 # ---------------------------------------------------------------------------
 
 
 def _encode_instruction(out: io.BytesIO, instr: ins.Instruction) -> None:
-    out.write(bytes((int(instr.opcode),)))
-    if isinstance(instr, ins.Move):
-        _write_varint(out, instr.src)
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.Ret):
-        _write_varint(out, instr.result)
-    elif isinstance(instr, ins.Invoke):
-        _write_varint(out, instr.func_index)
-        _write_varint(out, len(instr.args))
-        for a in instr.args:
-            _write_varint(out, a)
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.InvokeClosure):
-        _write_varint(out, instr.closure)
-        _write_varint(out, len(instr.args))
-        for a in instr.args:
-            _write_varint(out, a)
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.InvokePacked):
-        _write_varint(out, instr.packed_index)
-        _write_varint(out, instr.arity)
-        _write_varint(out, instr.output_size)
-        for a in instr.args:
-            _write_varint(out, a)
-        _write_device(out, instr.device)
-        _write_bytes(out, instr.kind.encode())
-        _write_varint(out, instr.stream)
-    elif isinstance(instr, ins.AllocStorage):
-        _write_varint(out, instr.allocation_size)
-        _write_varint(out, instr.alignment)
-        _write_device(out, instr.device)
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.AllocTensor):
-        _write_varint(out, instr.storage)
-        _write_varint(out, instr.offset)
-        _write_varint(out, len(instr.shape))
-        for d in instr.shape:
-            _write_varint(out, d)
-        _write_bytes(out, instr.dtype.encode())
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.AllocTensorReg):
-        _write_varint(out, instr.storage)
-        _write_varint(out, instr.offset)
-        _write_varint(out, instr.shape_register)
-        _write_bytes(out, instr.dtype.encode())
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.AllocADT):
-        _write_varint(out, instr.tag)
-        _write_varint(out, instr.num_fields)
-        for f in instr.fields:
-            _write_varint(out, f)
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.AllocClosure):
-        _write_varint(out, instr.func_index)
-        _write_varint(out, instr.num_captured)
-        for c in instr.captured:
-            _write_varint(out, c)
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.GetField):
-        _write_varint(out, instr.obj)
-        _write_varint(out, instr.field_index)
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.GetTag):
-        _write_varint(out, instr.obj)
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.If):
-        _write_varint(out, instr.test)
-        _write_varint(out, instr.target)
-        _write_varint(out, instr.true_offset)
-        _write_varint(out, instr.false_offset)
-    elif isinstance(instr, ins.Goto):
-        _write_varint(out, instr.pc_offset)
-    elif isinstance(instr, ins.LoadConst):
-        _write_varint(out, instr.const_index)
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.LoadConsti):
-        _write_varint(out, instr.value)
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.DeviceCopy):
-        _write_varint(out, instr.src)
-        _write_varint(out, instr.dst)
-        _write_device(out, instr.src_device)
-        _write_device(out, instr.dst_device)
-    elif isinstance(instr, ins.ShapeOf):
-        _write_varint(out, instr.tensor)
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.ReshapeTensor):
-        _write_varint(out, instr.tensor)
-        _write_varint(out, instr.newshape)
-        _write_varint(out, instr.dst)
-    elif isinstance(instr, ins.Fatal):
-        _write_bytes(out, instr.message.encode())
-    elif isinstance(instr, (ins.StreamEvent, ins.StreamWait)):
-        _write_varint(out, instr.event_index)
-        _write_device(out, instr.device)
-        _write_varint(out, instr.stream)
-    else:
-        raise SerializationError(f"cannot encode {type(instr).__name__}")
+    out.write(bytes((instr.opcode,)))
+    for name, kind, count in ins.layout(type(instr)):
+        value = getattr(instr, name)
+        if kind is int:
+            _write_varint(out, value)
+        elif kind is str:
+            _write_bytes(out, value.encode())
+        elif kind is Device:
+            _write_device(out, value)
+        else:  # a tuple of ints
+            if count is None:
+                _write_varint(out, len(value))
+            for item in value:
+                _write_varint(out, item)
+
+
+_CLASS_OF = {bytes((cls.opcode,)): cls for cls in ins.Instruction.__subclasses__()}
 
 
 def _decode_instruction(buf: io.BytesIO) -> ins.Instruction:
-    opcode = ins.Opcode(buf.read(1)[0])
-    rv = lambda: _read_varint(buf)
-    if opcode == ins.Opcode.MOVE:
-        return ins.Move(rv(), rv())
-    if opcode == ins.Opcode.RET:
-        return ins.Ret(rv())
-    if opcode == ins.Opcode.INVOKE:
-        func_index = rv()
-        args = tuple(rv() for _ in range(rv()))
-        return ins.Invoke(func_index, args, rv())
-    if opcode == ins.Opcode.INVOKE_CLOSURE:
-        closure = rv()
-        args = tuple(rv() for _ in range(rv()))
-        return ins.InvokeClosure(closure, args, rv())
-    if opcode == ins.Opcode.INVOKE_PACKED:
-        packed_index, arity, output_size = rv(), rv(), rv()
-        args = tuple(rv() for _ in range(arity))
-        device = _read_device(buf)
-        kind = _read_bytes(buf).decode()
-        return ins.InvokePacked(
-            packed_index, arity, output_size, args, device, kind, rv()
+    opcode = buf.read(1)
+    cls = _CLASS_OF.get(opcode)
+    if cls is None:
+        raise SerializationError(
+            f"unknown opcode byte {opcode.hex() or '(missing)'}"
         )
-    if opcode == ins.Opcode.ALLOC_STORAGE:
-        return ins.AllocStorage(rv(), rv(), _read_device(buf), rv())
-    if opcode == ins.Opcode.ALLOC_TENSOR:
-        storage, offset = rv(), rv()
-        shape = tuple(rv() for _ in range(rv()))
-        dtype = _read_bytes(buf).decode()
-        return ins.AllocTensor(storage, offset, shape, dtype, rv())
-    if opcode == ins.Opcode.ALLOC_TENSOR_REG:
-        storage, offset, shape_register = rv(), rv(), rv()
-        dtype = _read_bytes(buf).decode()
-        return ins.AllocTensorReg(storage, offset, shape_register, dtype, rv())
-    if opcode == ins.Opcode.ALLOC_ADT:
-        tag, num_fields = rv(), rv()
-        fields = tuple(rv() for _ in range(num_fields))
-        return ins.AllocADT(tag, num_fields, fields, rv())
-    if opcode == ins.Opcode.ALLOC_CLOSURE:
-        func_index, num_captured = rv(), rv()
-        captured = tuple(rv() for _ in range(num_captured))
-        return ins.AllocClosure(func_index, num_captured, captured, rv())
-    if opcode == ins.Opcode.GET_FIELD:
-        return ins.GetField(rv(), rv(), rv())
-    if opcode == ins.Opcode.GET_TAG:
-        return ins.GetTag(rv(), rv())
-    if opcode == ins.Opcode.IF:
-        return ins.If(rv(), rv(), rv(), rv())
-    if opcode == ins.Opcode.GOTO:
-        return ins.Goto(rv())
-    if opcode == ins.Opcode.LOAD_CONST:
-        return ins.LoadConst(rv(), rv())
-    if opcode == ins.Opcode.LOAD_CONSTI:
-        return ins.LoadConsti(rv(), rv())
-    if opcode == ins.Opcode.DEVICE_COPY:
-        src, dst = rv(), rv()
-        return ins.DeviceCopy(src, dst, _read_device(buf), _read_device(buf))
-    if opcode == ins.Opcode.SHAPE_OF:
-        return ins.ShapeOf(rv(), rv())
-    if opcode == ins.Opcode.RESHAPE_TENSOR:
-        return ins.ReshapeTensor(rv(), rv(), rv())
-    if opcode == ins.Opcode.FATAL:
-        return ins.Fatal(_read_bytes(buf).decode())
-    if opcode == ins.Opcode.STREAM_EVENT:
-        return ins.StreamEvent(rv(), _read_device(buf), rv())
-    if opcode == ins.Opcode.STREAM_WAIT:
-        return ins.StreamWait(rv(), _read_device(buf), rv())
-    raise SerializationError(f"cannot decode opcode {opcode}")
+    values = {}
+    for name, kind, count in ins.layout(cls):
+        if kind is int:
+            values[name] = _read_varint(buf)
+        elif kind is str:
+            values[name] = _read_bytes(buf).decode()
+        elif kind is Device:
+            values[name] = _read_device(buf)
+        else:
+            n = _read_varint(buf) if count is None else values[count]
+            values[name] = tuple(_read_varint(buf) for _ in range(n))
+    return cls(**values)
 
 
 def _deserialize_bytecode(blob: bytes) -> Tuple[List[VMFunction], Dict[str, int]]:

@@ -7,15 +7,34 @@ expression on tensors (allocation, kernel invocation, control flow), so
 the dispatch loop executes very few instructions relative to kernel work
 (§5.1). Registers are virtual and unbounded; instructions are variable
 length (shape operands are inline).
+
+Each class's field declarations are the one description of its
+operands: the bytecode codec (``repro.vm.executable``) writes the fields
+in declaration order as :func:`layout` lists them, and the analyses read
+registers through :func:`operands`. A field made with :func:`reg` or
+:func:`regs` is a register; ``dst`` is the write, every other register
+a read.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Tuple
+import typing
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.tensor.device import Device
+
+
+def reg():
+    """A register operand."""
+    return field(metadata={"reg": True})
+
+
+def regs(count: Optional[str] = None):
+    """A tuple of register operands; *count* names the field that
+    already holds its length (the codec then writes no length prefix)."""
+    return field(metadata={"reg": True, "count": count})
 
 
 class Opcode(enum.IntEnum):
@@ -52,8 +71,8 @@ class Instruction:
 class Move(Instruction):
     """Moves data from one register to another (refcounted, cheap)."""
 
-    src: int
-    dst: int
+    src: int = reg()
+    dst: int = reg()
     opcode = Opcode.MOVE
 
 
@@ -61,7 +80,7 @@ class Move(Instruction):
 class Ret(Instruction):
     """Returns the object in `result` to the caller's register."""
 
-    result: int
+    result: int = reg()
     opcode = Opcode.RET
 
 
@@ -70,8 +89,8 @@ class Invoke(Instruction):
     """Invokes a global VM function."""
 
     func_index: int
-    args: Tuple[int, ...]
-    dst: int
+    args: Tuple[int, ...] = regs()
+    dst: int = reg()
     opcode = Opcode.INVOKE
 
 
@@ -79,9 +98,9 @@ class Invoke(Instruction):
 class InvokeClosure(Instruction):
     """Invokes a closure (captured registers are appended to the args)."""
 
-    closure: int
-    args: Tuple[int, ...]
-    dst: int
+    closure: int = reg()
+    args: Tuple[int, ...] = regs()
+    dst: int = reg()
     opcode = Opcode.INVOKE_CLOSURE
 
 
@@ -98,7 +117,9 @@ class InvokePacked(Instruction):
     packed_index: int
     arity: int
     output_size: int
-    args: Tuple[int, ...]
+    # All reads, outputs too: an output register must already hold the
+    # pre-allocated tensor the kernel writes into.
+    args: Tuple[int, ...] = regs(count="arity")
     device: Device
     kind: str = "compute"
     # Device stream this kernel is enqueued on — assigned ahead of time
@@ -112,10 +133,10 @@ class InvokePacked(Instruction):
 class AllocStorage(Instruction):
     """Allocates a storage block on a device; size read from a register."""
 
-    allocation_size: int  # register holding an int64 scalar
+    allocation_size: int = reg()  # holds an int64 scalar
     alignment: int
     device: Device
-    dst: int
+    dst: int = reg()
     opcode = Opcode.ALLOC_STORAGE
 
 
@@ -123,11 +144,11 @@ class AllocStorage(Instruction):
 class AllocTensor(Instruction):
     """Allocates a tensor with a static shape from a storage block."""
 
-    storage: int
-    offset: int  # register holding an int64 scalar
+    storage: int = reg()
+    offset: int = reg()  # holds an int64 scalar
     shape: Tuple[int, ...]
     dtype: str
-    dst: int
+    dst: int = reg()
     opcode = Opcode.ALLOC_TENSOR
 
 
@@ -135,11 +156,11 @@ class AllocTensor(Instruction):
 class AllocTensorReg(Instruction):
     """Allocates a tensor whose shape is read from a register at runtime."""
 
-    storage: int
-    offset: int
-    shape_register: int
+    storage: int = reg()
+    offset: int = reg()
+    shape_register: int = reg()
     dtype: str
-    dst: int
+    dst: int = reg()
     opcode = Opcode.ALLOC_TENSOR_REG
 
 
@@ -149,8 +170,8 @@ class AllocADT(Instruction):
 
     tag: int
     num_fields: int
-    fields: Tuple[int, ...]
-    dst: int
+    fields: Tuple[int, ...] = regs(count="num_fields")
+    dst: int = reg()
     opcode = Opcode.ALLOC_ADT
 
 
@@ -160,8 +181,8 @@ class AllocClosure(Instruction):
 
     func_index: int
     num_captured: int
-    captured: Tuple[int, ...]
-    dst: int
+    captured: Tuple[int, ...] = regs(count="num_captured")
+    dst: int = reg()
     opcode = Opcode.ALLOC_CLOSURE
 
 
@@ -169,9 +190,9 @@ class AllocClosure(Instruction):
 class GetField(Instruction):
     """Gets the value at an index from an ADT/tuple object."""
 
-    obj: int
+    obj: int = reg()
     field_index: int
-    dst: int
+    dst: int = reg()
     opcode = Opcode.GET_FIELD
 
 
@@ -179,8 +200,8 @@ class GetField(Instruction):
 class GetTag(Instruction):
     """Gets the constructor tag of an ADT object."""
 
-    obj: int
-    dst: int
+    obj: int = reg()
+    dst: int = reg()
     opcode = Opcode.GET_TAG
 
 
@@ -188,8 +209,8 @@ class GetTag(Instruction):
 class If(Instruction):
     """Jumps to true/false offset depending on `test == target`."""
 
-    test: int
-    target: int
+    test: int = reg()
+    target: int = reg()
     true_offset: int
     false_offset: int
     opcode = Opcode.IF
@@ -208,7 +229,7 @@ class LoadConst(Instruction):
     """Loads a constant from the executable's constant pool."""
 
     const_index: int
-    dst: int
+    dst: int = reg()
     opcode = Opcode.LOAD_CONST
 
 
@@ -217,7 +238,7 @@ class LoadConsti(Instruction):
     """Loads an immediate integer."""
 
     value: int
-    dst: int
+    dst: int = reg()
     opcode = Opcode.LOAD_CONSTI
 
 
@@ -225,8 +246,8 @@ class LoadConsti(Instruction):
 class DeviceCopy(Instruction):
     """Copies a tensor between devices."""
 
-    src: int
-    dst: int
+    src: int = reg()
+    dst: int = reg()
     src_device: Device
     dst_device: Device
     opcode = Opcode.DEVICE_COPY
@@ -236,8 +257,8 @@ class DeviceCopy(Instruction):
 class ShapeOf(Instruction):
     """Retrieves the shape of a tensor as an int64 vector."""
 
-    tensor: int
-    dst: int
+    tensor: int = reg()
+    dst: int = reg()
     opcode = Opcode.SHAPE_OF
 
 
@@ -245,9 +266,9 @@ class ShapeOf(Instruction):
 class ReshapeTensor(Instruction):
     """Assigns a new shape to a tensor without altering its data."""
 
-    tensor: int
-    newshape: int  # register holding the shape vector
-    dst: int
+    tensor: int = reg()
+    newshape: int = reg()  # holds the shape vector
+    dst: int = reg()
     opcode = Opcode.RESHAPE_TENSOR
 
 
@@ -284,3 +305,52 @@ class StreamWait(Instruction):
     device: Device
     stream: int
     opcode = Opcode.STREAM_WAIT
+
+
+class Operand(NamedTuple):
+    """One field of an instruction, in encoding order."""
+
+    name: str
+    type: type  # int, str, Device or tuple (of ints)
+    count: Optional[str]  # the field holding a tuple's length, if any
+
+
+def _layout(cls) -> Tuple[Operand, ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        Operand(f.name, typing.get_origin(hints[f.name]) or hints[f.name],
+                f.metadata.get("count"))
+        for f in fields(cls)
+    )
+
+
+def _operand_getter(cls) -> Callable:
+    """``instr -> (reads, writes)`` for *cls*: the scalar register reads
+    in field order, then each register tuple, and ``dst``. Compiled from
+    the fields to the lambda one would write by hand, because the
+    verifier calls it once per instruction."""
+    registers = [f for f in fields(cls) if f.metadata.get("reg")]
+    # A "count" key, even None, marks a regs() tuple.
+    one =[f"i.{f.name}, " for f in registers
+           if f.name != "dst" and "count" not in f.metadata]
+    many = [f"tuple(i.{f.name})" for f in registers if "count" in f.metadata]
+    reads = " + ".join(([f"({''.join(one)})"] if one else []) + many) or "()"
+    writes = "(i.dst,)" if any(f.name == "dst" for f in registers) else "()"
+    return eval(f"lambda i: ({reads}, {writes})")
+
+
+_LAYOUTS: Dict[type, Tuple[Operand, ...]] = {
+    cls: _layout(cls) for cls in Instruction.__subclasses__()
+}
+_OPERANDS: Dict[type, Callable] = {cls: _operand_getter(cls) for cls in _LAYOUTS}
+
+
+def layout(cls) -> Tuple[Operand, ...]:
+    """The fields of instruction class *cls*, in encoding order."""
+    return _LAYOUTS[cls]
+
+
+def operands(instr: Instruction) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(reads, writes)``: the registers *instr* reads and the one it
+    writes (``dst``), if any."""
+    return _OPERANDS[type(instr)](instr)

@@ -112,6 +112,40 @@ def scheduled_bert():
 
 
 class TestBytecodeStructural:
+    def test_operands_of_every_opcode(self):
+        """``(reads, writes)`` of one sample per instruction class, as
+        the verifier's hand-written table had them: a register field
+        marked with the wrong role, or a plain field marked a register,
+        changes a row. ``InvokePacked`` reads its outputs too."""
+        from test_vm import _sample_instructions
+
+        expected = [
+            ((1,), (2,)),           # Move
+            ((3,), ()),             # Ret
+            ((1, 2), (3,)),         # Invoke
+            ((4, 5), (6,)),         # InvokeClosure
+            ((0, 1, 2), ()),        # InvokePacked
+            ((1,), (2,)),           # AllocStorage
+            ((1, 2), (5,)),         # AllocTensor: the shape is no register
+            ((1, 2, 3), (4,)),      # AllocTensorReg
+            ((1, 2), (3,)),         # AllocADT
+            ((3, 4), (5,)),         # AllocClosure
+            ((1,), (2,)),           # GetField
+            ((1,), (2,)),           # GetTag
+            ((1, 2), ()),           # If
+            ((), ()),               # Goto
+            ((), (1,)),             # LoadConst
+            ((), (1,)),             # LoadConsti
+            ((1,), (2,)),           # DeviceCopy
+            ((1,), (2,)),           # ShapeOf
+            ((1, 2), (3,)),         # ReshapeTensor
+            ((), ()),               # Fatal
+            ((0, 1, 2), ()),        # InvokePacked on a stream
+            ((), ()),               # StreamEvent
+            ((), ()),               # StreamWait
+        ]
+        assert [ins.operands(i) for i in _sample_instructions()] == expected
+
     def test_clean_minimal_function(self):
         exe = exe_of(
             [func_of([ins.LoadConst(0, 0), ins.Ret(0)])],

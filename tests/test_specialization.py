@@ -1674,15 +1674,6 @@ class TestSpecializeShapesReuse:
             p(IRModule())  # no main: raises after reset, before rebinding
         assert p.bound_shapes is None
 
-    def test_batch_run_clears_stale_batched_shapes(self):
-        p = SpecializeBatch(batch=2)
-        mod = SpecializeShapes(shapes=[(4, 8)])(_dyn_mlp_module())
-        p(infer_types(mod))
-        assert p.batched_shapes is not None
-        with pytest.raises(CompilerError, match="no entry"):
-            p(IRModule())
-        assert p.batched_shapes is None
-
 
 class TestTupleEntryKeyAgreement:
     """Satellite: bound_entry_shapes (the store-key path, computed

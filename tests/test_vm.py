@@ -97,6 +97,39 @@ class TestSerialization:
             buf.seek(0)
             assert _decode_instruction(buf) == instr
 
+    def test_instruction_bytes_are_pinned(self):
+        """The wire bytes of every opcode, written by the layout loop,
+        are the ones the per-opcode encoder wrote — and the samples
+        cover every instruction class, so a new opcode cannot skip the
+        round trip above."""
+        import hashlib
+        import io
+
+        samples = _sample_instructions()
+        assert {type(i) for i in samples} == set(ins.Instruction.__subclasses__())
+        buf = io.BytesIO()
+        for instr in samples:
+            _encode_instruction(buf, instr)
+        blob = buf.getvalue()
+        assert len(blob) == 147
+        assert hashlib.sha256(blob).hexdigest() == (
+            "593084022600513964adf1111546b4f5814b29695c73a7359c46783fb1f6eefe"
+        )
+
+    @pytest.mark.parametrize(
+        "blob, named",
+        [
+            (bytes((99,)), "opcode byte 63"),
+            # AllocStorage(1, 64, <kind byte 2>, 2): neither CPU nor GPU.
+            (bytes((5, 2, 0x80, 1, 2, 0, 4)), "device kind byte 02"),
+        ],
+    )
+    def test_decoder_rejects_bytes_it_cannot_mean(self, blob, named):
+        import io
+
+        with pytest.raises(SerializationError, match=named):
+            _decode_instruction(io.BytesIO(blob))
+
     def test_executable_roundtrip(self):
         exe = Executable(
             platform_name="intel",
