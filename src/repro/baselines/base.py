@@ -22,7 +22,7 @@ from repro.errors import NimbleError
 from repro.hardware.platforms import Platform
 from repro.ops import get_op_def
 from repro.ops.shape_funcs import prod
-from repro.runtime.context import ExecutionContext
+from repro.runtime.context import LITE_SKIP_FLOPS, ExecutionContext
 from repro.tensor.dtype import dtype_bytes
 
 
@@ -102,7 +102,7 @@ class OpExecutor:
             clock.run_sync(duration)
 
         # Lite numerics: skip the heavy NumPy work (shape-correct zeros).
-        if self.ctx.numerics == "lite" and flops > 1e4 and not op_def.is_dynamic_shape_func:
+        if self.ctx.numerics == "lite" and flops > LITE_SKIP_FLOPS and not op_def.is_dynamic_shape_func:
             outs = [np.zeros(s, dtype=np.asarray(inputs[0]).dtype if inputs else np.float32) for s in out_shapes]
             return outs[0] if len(outs) == 1 else tuple(outs)
         return op_def.compute([np.asarray(i) for i in inputs], attrs)

@@ -34,6 +34,15 @@ VM_INSTRUCTION_US = {
     "arm": 0.30,
 }
 
+# Per-launch host cost of replaying a launch tape (`repro.vm.tape`), the
+# static baseline of Table 4: cheaper than a VM dispatch — it is an array
+# walk, not an instruction decode.
+TAPE_NODE_US = {
+    "intel": 0.05,
+    "nvidia": 0.05,
+    "arm": 0.25,
+}
+
 # Host-side cost of one fresh buffer allocation vs. a pooled reuse.
 ALLOC_FRESH_US = {
     "intel": 4.0,

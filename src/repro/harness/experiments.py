@@ -48,7 +48,7 @@ from repro.harness.scenario import (
 )
 from repro.ir import Any, Constant, Function, IRModule, TensorType, Var
 from repro.models import build_gram_module
-from repro.models.bert import BertConfig, BertWeights, build_bert_module, build_bert_static_module
+from repro.models.bert import BertConfig, BertWeights, build_bert_module
 from repro.models.lstm import LSTMWeights, build_lstm_module
 from repro.models.tree_lstm import TreeLSTMWeights, build_tree_lstm_module, tree_to_adt
 from repro.models.vision import (
@@ -59,7 +59,6 @@ from repro.models.vision import (
 )
 from repro.ops import api
 from repro.runtime.context import ExecutionContext
-from repro.runtime.graph_runtime import GraphRuntime
 from repro.serve import (
     ServeConfig,
     bert_traffic,
@@ -71,6 +70,7 @@ from repro.tensor.ndarray import array as make_array
 from repro.utils.reporting import percentile
 from repro.vm.compiler import CompilerOptions
 from repro.vm.interpreter import VirtualMachine
+from repro.vm.tape import LaunchTape
 
 DEFAULT_PLATFORMS = ("intel", "nvidia", "arm")
 # The BERT-class module both tier comparisons run (specialization_study
@@ -229,18 +229,19 @@ def table4_overhead(
     config: BertConfig = BertConfig(),
     seq_len: int = 128,
 ) -> Dict[str, Dict[str, float]]:
-    """{platform: {tvm_ms, nimble_ms, kernel_ms, others_ms}}."""
+    """{platform: {tvm_ms, nimble_ms, kernel_ms, others_ms}}. The static
+    "TVM" side is the executable specialized to ``seq_len``, replayed as a
+    launch tape: the same kernels with no dispatch, shape function or
+    allocation around them."""
     weights = BertWeights.create(config, seed=0)
     dyn_mod = build_bert_module(weights)
-    static_mod = build_bert_static_module(weights, seq_len)
     x = _activations(np.random.RandomState(0), seq_len, config.hidden)
     results: Dict[str, Dict[str, float]] = {}
     for pname in platforms:
         platform = platform_by_name(pname)
-        # Static TVM baseline.
-        _, tvm_us = GraphRuntime(static_mod, platform).run(
-            x, ctx=ExecutionContext(platform, numerics="lite")
-        )
+        static_exe, _ = nimble.specialize(dyn_mod, platform, shapes=[(seq_len, config.hidden)])
+        tape = LaunchTape(static_exe, x, ctx=ExecutionContext(platform, numerics="lite"))
+        _, tvm_us = tape.replay()
         # Nimble.
         total_us, vm = _nimble_run_all(dyn_mod, platform, [x])
         kernel_us = vm.profile.kernel_time_us
@@ -350,8 +351,9 @@ def memory_planning_study(
 
 
 def memory_footprint_vs_static() -> Dict[str, Dict[str, float]]:
-    """Nimble peak memory vs the static planner on the four CV models
-    (the paper reports ≤8% extra footprint)."""
+    """Nimble peak memory vs the static plan on the four CV models (the
+    paper reports ≤8% extra footprint). The static footprint is the one
+    the memory planner gives the build: its planned static bytes."""
     platform = platform_by_name("intel")
     builders = {
         "resnet": build_resnet_like,
@@ -361,9 +363,8 @@ def memory_footprint_vs_static() -> Dict[str, Dict[str, float]]:
     }
     out: Dict[str, Dict[str, float]] = {}
     for name, builder in builders.items():
-        mod = builder()
-        static_bytes = GraphRuntime(builder(), platform).planned_bytes
-        exe, _ = nimble.build(mod, platform)
+        exe, report = nimble.build(builder(), platform)
+        static_bytes = report.memory.static_bytes_after
         vm = _vm(exe, platform)
         vm.run(np.zeros((1, 3, 64, 64), np.float32))
         nimble_bytes = vm.ctx.allocator.stats.peak_bytes

@@ -149,36 +149,6 @@ def build_bert_module(weights: BertWeights) -> IRModule:
     return mod
 
 
-def build_bert_static_module(weights: BertWeights, seq_len: int) -> IRModule:
-    """The same encoder with a *static* sequence length — what TVM's static
-    pipeline compiles for the Table 4 comparison."""
-    cfg = weights.config
-    C = lambda a: Constant(make_array(a))
-    x_in = Var("x", TensorType((seq_len, cfg.hidden), "float32"))
-    sb = ScopeBuilder()
-    x = x_in
-    for li, lw in enumerate(weights.layers):
-        attn = _attention(sb, x, lw, cfg, f"_l{li}")
-        res1 = sb.let(f"res1_l{li}", api.add(x, attn))
-        ln1 = sb.let(
-            f"ln1_l{li}",
-            api.layer_norm(res1, C(lw.ln1_g), C(lw.ln1_b), epsilon=cfg.layer_norm_eps),
-        )
-        ff1 = sb.let(
-            f"ff1_l{li}",
-            api.gelu(api.bias_add(api.dense(ln1, C(lw.w1)), C(lw.b1))),
-        )
-        ff2 = sb.let(f"ff2_l{li}", api.bias_add(api.dense(ff1, C(lw.w2)), C(lw.b2)))
-        res2 = sb.let(f"res2_l{li}", api.add(ln1, ff2))
-        x = sb.let(
-            f"ln2_l{li}",
-            api.layer_norm(res2, C(lw.ln2_g), C(lw.ln2_b), epsilon=cfg.layer_norm_eps),
-        )
-    mod = IRModule()
-    mod["main"] = Function([x_in], sb.get(x), TensorType((seq_len, cfg.hidden), "float32"))
-    return mod
-
-
 # ---------------------------------------------------------------------------
 # NumPy reference
 # ---------------------------------------------------------------------------

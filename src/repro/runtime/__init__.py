@@ -1,4 +1,4 @@
-"""Runtime substrate: virtual clock, tracking allocator, static graph runtime."""
+"""Runtime substrate: virtual clock, tracking allocator, execution context."""
 
 from repro.runtime.clock import VirtualClock
 from repro.runtime.allocator import AllocStats, PoolingAllocator

@@ -1,18 +1,22 @@
 """Execution context: platform + clock + allocator bundle.
 
-Every executor in this reproduction — the Nimble VM, the static graph
-runtime, and all baseline frameworks — runs against an ExecutionContext so
-that latency accounting and allocation behavior are directly comparable.
+Every executor in this reproduction — the Nimble VM, the launch tape it
+replays for Table 4's static baseline, and all baseline frameworks — runs
+against an ExecutionContext so that latency accounting and allocation
+behavior are directly comparable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.hardware.platforms import Platform, intel_cpu
 from repro.runtime.allocator import PoolingAllocator
 from repro.runtime.clock import VirtualClock
+
+# Under lite numerics, a compute kernel (or a baseline's operator) above
+# this many FLOPs skips its NumPy work.
+LITE_SKIP_FLOPS = 1e4
 
 
 class ExecutionContext:
@@ -20,11 +24,11 @@ class ExecutionContext:
 
     * ``"full"`` — every kernel computes real values (tests assert numerical
       equality across executors);
-    * ``"lite"`` — large data-independent kernels skip their NumPy compute
-      (buffers keep their contents); shapes, control flow, scalar kernels,
-      shape functions, allocation and all latency modeling stay exact.
-      Benchmarks use this to run paper-sized models (BERT-base) quickly —
-      virtual latency is identical in both modes.
+    * ``"lite"`` — data-independent kernels above ``LITE_SKIP_FLOPS`` skip
+      their NumPy compute (buffers keep their contents); shapes, control
+      flow, scalar kernels, shape functions, allocation and all latency
+      modeling stay exact. Benchmarks use this to run paper-sized models
+      (BERT-base) quickly — virtual latency is identical in both modes.
     """
 
     def __init__(

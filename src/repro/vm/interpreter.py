@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import ShapeGuardError, VMError
 from repro.hardware import calibration
 from repro.hardware.platforms import platform_by_name
-from repro.runtime.context import ExecutionContext
+from repro.runtime.context import LITE_SKIP_FLOPS, ExecutionContext
 from repro.tensor.ndarray import NDArray
 from repro.vm import instruction as ins
 from repro.vm.executable import Executable, VMFunction
@@ -577,7 +577,7 @@ class VirtualMachine:
         if (
             is_compute
             and self.ctx.numerics == "lite"
-            and invocation.flops > 1e4
+            and invocation.flops > LITE_SKIP_FLOPS
             and not kernel.info.is_dynamic
         ):
             return

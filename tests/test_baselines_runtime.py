@@ -1,21 +1,29 @@
-"""Baseline frameworks, the static graph runtime, clock, allocator."""
+"""Baseline frameworks, the launch tape, clock, allocator."""
 
 import numpy as np
 import pytest
 
+import repro.nimble as nimble
 from repro.baselines import EagerFramework, FoldFramework, GraphFramework, HybridFramework
 from repro.baselines.base import OpExecutor
 from repro.baselines.graph_framework import Graph, GraphExecutor
 from repro.data import embedding_table, sst_like_trees
-from repro.errors import CompilerError
-from repro.hardware import arm_cpu, intel_cpu, nvidia_gpu
-from repro.models.bert import BertConfig, BertWeights, bert_reference
-from repro.models.lstm import LSTMWeights, lstm_reference
+from repro.errors import VMError
+from repro.hardware import arm_cpu, intel_cpu, nvidia_gpu, platform_by_name
+from repro.models.bert import BertConfig, BertWeights, build_bert_module
+from repro.models.lstm import LSTMWeights, build_lstm_module, lstm_reference
 from repro.models.tree_lstm import TreeLSTMWeights, tree_lstm_reference
+from repro.models.vision import (
+    build_mobilenet_like,
+    build_resnet_like,
+    build_squeezenet_like,
+    build_vgg_like,
+)
 from repro.runtime.clock import VirtualClock
 from repro.runtime.context import ExecutionContext
-from repro.runtime.graph_runtime import GraphRuntime
 from repro.tensor.device import gpu
+from repro.vm.interpreter import VirtualMachine
+from repro.vm.tape import LaunchTape
 
 
 class TestVirtualClock:
@@ -171,31 +179,72 @@ class TestAllocator:
         assert ctx.allocator.stats.frees == 1
 
 
-class TestGraphRuntime:
-    def test_static_bert_matches_reference(self):
-        from repro.models.bert import build_bert_static_module
+def _small_bert() -> BertWeights:
+    return BertWeights.create(BertConfig(hidden=64, num_layers=2, num_heads=2, ffn=128), seed=0)
 
-        cfg = BertConfig(hidden=16, num_layers=1, num_heads=2, ffn=32)
-        w = BertWeights.create(cfg)
-        rt = GraphRuntime(build_bert_static_module(w, 6), intel_cpu())
-        x = np.random.RandomState(1).randn(6, 16).astype(np.float32)
-        out, latency = rt.run(x)
-        assert np.allclose(out, bert_reference(x, w), atol=1e-4)
-        assert latency > 0
 
-    def test_rejects_dynamic_models(self):
-        from repro.models.bert import build_bert_module
+class TestLaunchTape:
+    """The launch tape (`repro.vm.tape`), Table 4's static baseline,
+    against the interpreter it records from: the same launches, so the
+    same outputs bit for bit and the same kernel charge."""
 
-        cfg = BertConfig(hidden=16, num_layers=1, num_heads=2, ffn=32)
-        w = BertWeights.create(cfg)
-        with pytest.raises(CompilerError):
-            GraphRuntime(build_bert_module(w), intel_cpu())
+    @staticmethod
+    def _replay_both(exe, x):
+        """(VM latency, tape latency, launches) of one full-numerics run
+        each, after checking outputs and Σ kernel charge are equal."""
+        vm = VirtualMachine(exe)
+        expected, vm_us = vm.run_with_latency(x)
+        tape = LaunchTape(exe, x)
+        out, tape_us = tape.replay()
+        assert out.numpy().dtype == expected.numpy().dtype
+        assert out.numpy().tobytes() == expected.numpy().tobytes()
+        assert tape.kernel_time_us == vm.profile.kernel_time_us
+        return vm_us, tape_us, len(tape.launches)
 
-    def test_static_planning_reuses_buffers(self):
-        from repro.models.vision import build_vgg_like
+    @pytest.mark.parametrize("platform", [intel_cpu, nvidia_gpu, arm_cpu])
+    def test_specialized_bert_replays_the_interpreter(self, platform):
+        """On `intel_cpu` it prints what the VM pays around the same
+        kernels — dispatch and allocation of a static executable — which
+        CI's "Size trajectory" step shows."""
+        exe, _ = nimble.specialize(build_bert_module(_small_bert()), platform(), shapes=[(6, 64)])
+        x = np.random.RandomState(1).randn(6, 64).astype(np.float32)
+        vm_us, tape_us, launches = self._replay_both(exe, x)
+        assert tape_us < vm_us
+        if platform is intel_cpu:
+            print(f"specialized BERT VM minus its tape (intel_cpu): {vm_us - tape_us:.2f} us "
+                  f"over {launches} launches")
 
-        rt = GraphRuntime(build_vgg_like(image=32), intel_cpu())
-        assert rt.planned_bytes < rt.total_tensor_bytes
+    @pytest.mark.parametrize(
+        "builder", [build_resnet_like, build_mobilenet_like, build_vgg_like, build_squeezenet_like])
+    def test_cv_models_replay_the_interpreter(self, builder):
+        exe, _ = nimble.build(builder(image=32), intel_cpu())
+        self._replay_both(exe, np.random.RandomState(0).randn(1, 3, 32, 32).astype(np.float32))
+
+    @pytest.mark.parametrize("case, opcode", [
+        ("dynamic bert", "ShapeOf"),
+        ("lstm", "Invoke"),
+        ("bert on two gpu streams", "StreamEvent"),
+    ])
+    def test_refuses_what_is_not_one_static_launch_sequence(self, case, opcode):
+        bert = build_bert_module(_small_bert())
+        exe = {
+            "dynamic bert": lambda: nimble.build(bert, intel_cpu()),
+            "lstm": lambda: nimble.build(build_lstm_module(LSTMWeights.create(8, 4, 1)), intel_cpu()),
+            "bert on two gpu streams": lambda: nimble.specialize(
+                bert, nvidia_gpu(), shapes=[(6, 64)],
+                options=nimble.CompilerOptions(device_streams=2)),
+        }[case]()[0]
+        ctx = ExecutionContext(platform_by_name(exe.platform_name))
+        with pytest.raises(VMError, match=rf"cannot record .*\b{opcode}\b"):
+            LaunchTape(exe, np.zeros((6, 64), np.float32), ctx=ctx)
+        assert ctx.elapsed_us == 0.0  # refused before any launch
+
+    def test_tape_latency_is_pinned(self):
+        """Node charge plus kernel charge of the 30 launches of small
+        BERT at length 6 on `intel_cpu`."""
+        exe, _ = nimble.specialize(build_bert_module(_small_bert()), intel_cpu(), shapes=[(6, 64)])
+        _, tape_us = LaunchTape(exe, np.zeros((6, 64), np.float32)).replay()
+        assert tape_us == 79.04403440257668
 
 
 class TestEagerFramework:

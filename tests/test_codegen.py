@@ -558,30 +558,29 @@ class TestTuner:
 
 
 class TestStaticKernels:
-    def test_graph_runtime_kernels_are_all_static(self):
-        """GraphRuntime takes each fused group's default kernel: its
-        inputs are static, so the kernel is too — no symbolic-index
-        overhead and one dispatch variant — on static BERT and the four
+    def test_static_executables_have_only_static_kernels(self):
+        """A fused group with static inputs compiles to a static kernel —
+        no symbolic-index overhead and one dispatch variant — on BERT
+        specialized to one length (Table 4's static side) and the four
         CV models of the §6.3 footprint study."""
-        from repro.models.bert import BertConfig, BertWeights, build_bert_static_module
+        import repro.nimble as nimble
+        from repro.models.bert import BertConfig, BertWeights, build_bert_module
         from repro.models.vision import (
             build_mobilenet_like,
             build_resnet_like,
             build_squeezenet_like,
             build_vgg_like,
         )
-        from repro.runtime.graph_runtime import GraphRuntime
 
         bert = BertWeights.create(BertConfig(hidden=16, num_heads=2, num_layers=2, ffn=32))
-        modules = [build_bert_static_module(bert, 6)] + [
-            build() for build in (
+        exes = [nimble.specialize(build_bert_module(bert), intel_cpu(), shapes=[(6, 16)])[0]] + [
+            nimble.build(build(), intel_cpu())[0] for build in (
                 build_resnet_like, build_mobilenet_like, build_vgg_like, build_squeezenet_like)
         ]
-        for mod in modules:
-            nodes = GraphRuntime(mod, intel_cpu()).nodes
-            assert nodes
-            assert all(n.kernel.symbolic is False for n in nodes)
-            assert all(n.kernel.num_dispatch_kernels == 1 for n in nodes)
+        for exe in exes:
+            assert exe.kernels
+            assert all(k.symbolic is False for k in exe.kernels)
+            assert all(k.num_dispatch_kernels == 1 for k in exe.kernels)
 
 
 class TestShapeInterpretation:

@@ -6,7 +6,7 @@ import pytest
 import repro.nimble as nimble
 from repro.data import embedding_table, sst_like_trees
 from repro.hardware import intel_cpu, nvidia_gpu
-from repro.models.bert import BertConfig, BertWeights, bert_reference, build_bert_module, build_bert_static_module
+from repro.models.bert import BertConfig, BertWeights, bert_reference, build_bert_module
 from repro.models.lstm import LSTMWeights, build_lstm_module, lstm_reference
 from repro.models.tree_lstm import (
     TreeLSTMWeights,
@@ -97,10 +97,10 @@ class TestBERT:
         w = BertWeights.create(cfg)
         x = np.random.RandomState(9).randn(8, 16).astype(np.float32)
         dyn_exe, _ = nimble.build(build_bert_module(w), intel_cpu())
-        sta_exe, _ = nimble.build(build_bert_static_module(w, 8), intel_cpu())
+        sta_exe, _ = nimble.specialize(build_bert_module(w), intel_cpu(), shapes=[(8, 16)])
         a = VirtualMachine(dyn_exe).run(x).numpy()
         b = VirtualMachine(sta_exe).run(x).numpy()
-        assert np.allclose(a, b, atol=1e-5)
+        assert np.array_equal(a, b)
 
 
 class TestVisionModels:
