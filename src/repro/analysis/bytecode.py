@@ -8,7 +8,8 @@ Proves, without executing anything:
 * operands are structurally valid per opcode (register indices inside
   the declared register file, every count field — ``arity``,
   ``num_fields``, ``num_captured`` — agrees with the tuple it counts,
-  ``output_size`` fits inside ``arity``);
+  ``output_size`` fits inside ``arity``, a static ``AllocTensor`` shape
+  has no negative dimension);
 * constant-pool, function-table, and kernel-table indices are in
   bounds, and ``Invoke`` passes the callee's declared parameter count;
 * a tensor is only ever allocated out of a register that can actually
@@ -115,6 +116,9 @@ def _structural_findings(
                 if len(instr.args) != want:
                     bad(pc, f"@{exe.functions[instr.func_index].name} takes "
                             f"{want} parameter(s), called with {len(instr.args)}")
+        elif isinstance(instr, ins.AllocTensor):
+            if min(instr.shape, default=0) < 0:
+                bad(pc, f"shape {instr.shape} has a negative dimension")
         elif isinstance(instr, ins.LoadConst):
             if not 0 <= instr.const_index < len(exe.constants):
                 bad(pc, f"const_index {instr.const_index} outside the "

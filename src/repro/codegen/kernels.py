@@ -177,7 +177,7 @@ class KernelSet:
 
     # -- execution ------------------------------------------------------------------
     def run(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Launch: lowered on first use and kept, like the pricing memo."""
+        """Launch: compiled on first use and kept, like the pricing memo."""
         try:
             program = self._program
         except AttributeError:
@@ -202,12 +202,17 @@ class KernelSet:
         The price is a pure function of (this kernel, input shapes), so
         it is computed once per distinct key and shared — through
         ``KernelCache`` — by every VM, worker and replica that holds
-        this KernelSet."""
-        key = tuple(map(tuple, in_shapes))
+        this KernelSet. A tuple of shape tuples, what the VM passes, is
+        its own key."""
         try:
             memo = self._cost_memo
         except AttributeError:
             memo = self._cost_memo = {}
+        try:
+            return memo[in_shapes]
+        except (KeyError, TypeError):  # a new key, or shapes given as lists
+            pass
+        key = tuple(map(tuple, in_shapes))
         inv = memo.get(key)
         if inv is None:
             if len(memo) >= INVOKE_COST_MEMO_CAP:

@@ -9,6 +9,9 @@ moved (that is precisely why fusion wins).
 
 from __future__ import annotations
 
+import itertools
+import linecache
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -95,76 +98,85 @@ def compute_workload(func: Function, in_shapes: Sequence[Shape]) -> Workload:
     )
 
 
-def _pack(fields, _attrs):
-    return tuple(fields)
-
-
-def _project(operands, index):
-    return operands[0][index]
-
-
 class KernelProgram:
-    """A primitive body lowered once to a straight-line program.
+    """A primitive body compiled once to one Python function.
 
-    Values live in a slot list: parameters take slots ``0..n-1``, every
-    ``Constant`` sits in the slot *template* by reference (an in-place
-    write to its array is seen by the next run), and each step ``(fn,
-    attrs, argument slots, destination slot)`` computes one slot from
-    earlier ones — ``fn`` is an operator's ``compute`` or the tuple pack
-    / projection above. No recursion, ``Var`` hashing or registry lookup.
+    ``source`` is its text. The parameters unpack into locals ``p0..``;
+    each operator call is one line ``vK = op_<name>([operands], aK)``
+    calling that operator's ``compute``; an IR ``Tuple`` / ``TupleGetItem``
+    is an inline tuple display / subscript; a ``Constant`` is a global
+    ``cK`` bound to its array by reference, so an in-place write to it is
+    seen by the next run. Operands are emitted before their user, so
+    nested (hand-built, non-ANF) calls run in post-order. ``run(inputs)``
+    is the compiled function itself: no step loop, recursion, ``Var``
+    hashing or registry lookup per launch. The text is compiled under a
+    file name inside this module's, registered with ``linecache``, so a
+    traceback through a kernel prints the generated line.
     """
 
-    __slots__ = ("num_params", "template", "steps", "result")
+    __slots__ = ("source", "run")
 
     def __init__(self, func: Function) -> None:
-        self.num_params = len(func.params)
-        self.template: list = [None] * self.num_params
-        self.steps: List[tuple] = []
-        slots: Dict[Var, int] = {p: i for i, p in enumerate(func.params)}
+        n = len(func.params)
+        names: Dict[Var, str] = {p: f"p{i}" for i, p in enumerate(func.params)}
+        bound: dict = {"asarray": np.asarray, "CompilerError": CompilerError}
+        tuples: Dict[str, List[str]] = {}  # the fields of each tuple display
+        constants = itertools.count()
+        lines: List[str] = []
+        ops: List[str] = []
 
-        def lower(expr: Expr) -> int:
-            """The slot holding *expr*. Operands are lowered first, so
-            nested (hand-built, non-ANF) calls run in post-order."""
+        def lower(expr: Expr) -> str:
+            """The name holding *expr*'s value, its operands emitted first."""
             if isinstance(expr, Var):
-                if expr not in slots:
+                if expr not in names:
                     raise CompilerError(f"kernel lowering: unbound variable {expr.name_hint!r}")
-                return slots[expr]
+                return names[expr]
             if isinstance(expr, Constant):
-                self.template.append(expr.data)
-                return len(self.template) - 1
+                const = f"c{next(constants)}"
+                bound[const] = expr.data
+                return const
             if isinstance(expr, IRTuple):
-                fn, attrs, operands = _pack, None, expr.fields
+                fields = [lower(f) for f in expr.fields]
+                value = f"({', '.join(fields)}{',' if len(fields) == 1 else ''})"
+                tuples[f"v{len(lines)}"] = fields
             elif isinstance(expr, TupleGetItem):
-                fn, attrs, operands = _project, expr.index, (expr.tuple_value,)
+                value = f"{lower(expr.tuple_value)}[{int(expr.index)}]"
             elif isinstance(expr, Call) and isinstance(expr.op, Op):
-                fn, attrs, operands = get_op_def(expr.op.name).compute, expr.attrs, expr.args
+                args = ", ".join([lower(a) for a in expr.args])
+                ops.append(expr.op.name)
+                fn = "op_" + expr.op.name.replace(".", "_")
+                bound[fn] = get_op_def(expr.op.name).compute
+                bound[f"a{len(lines)}"] = expr.attrs
+                value = f"{fn}([{args}], a{len(lines)})"
             else:
                 raise CompilerError(f"kernel lowering: cannot evaluate {type(expr).__name__}")
-            arg_slots = tuple(lower(a) for a in operands)
-            self.template.append(None)
-            self.steps.append((fn, attrs, arg_slots, len(self.template) - 1))
-            return len(self.template) - 1
+            dst = f"v{len(lines)}"
+            lines.append(f"    {dst} = {value}")
+            return dst
 
         node: Expr = func.body
         while isinstance(node, Let):
-            slots[node.var] = lower(node.value)
+            names[node.var] = lower(node.value)
             node = node.body
-        self.result = lower(node)
-
-    def run(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        if len(inputs) != self.num_params:
-            raise CompilerError(
-                f"kernel arity mismatch: {self.num_params} params, {len(inputs)} inputs"
-            )
-        env = self.template.copy()
-        env[: self.num_params] = inputs
-        read = env.__getitem__
-        for fn, attrs, arg_slots, dst in self.steps:
-            env[dst] = fn(list(map(read, arg_slots)), attrs)
-        result = env[self.result]
-        if isinstance(result, tuple):
-            return [np.asarray(r) for r in result]
-        return [np.asarray(result)]
+        result = lower(node)
+        if result in tuples:
+            if lines[-1].startswith(f"    {result} = "):
+                lines.pop()  # the display itself: nothing after it reads it
+            lines.append(f"    return [{', '.join(f'asarray({f})' for f in tuples[result])}]")
+        else:
+            lines.append(f"    return [asarray(r) for r in {result}] "
+                         f"if isinstance({result}, tuple) else [asarray({result})]")
+        lines[:0] = [
+            "def kernel(inputs):",
+            f"    if len(inputs) != {n}:",
+            f'        raise CompilerError(f"kernel arity mismatch: {n} params, '
+            '{len(inputs)} inputs")',
+        ] + ([f"    {''.join(f'p{i}, ' for i in range(n))}= inputs"] if n else [])
+        self.source = "\n".join(lines) + "\n"
+        filename = f"{__file__}<fused_{'+'.join(ops)}:{zlib.crc32(self.source.encode()):08x}>"
+        exec(compile(self.source, filename, "exec"), bound)
+        linecache.cache[filename] = (len(self.source), None, self.source.splitlines(True), filename)
+        self.run = bound["kernel"]
 
 
 def run_prim_func(func: Function, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:

@@ -18,16 +18,23 @@ from repro.tensor.device import Device
 
 _storage_ids = itertools.count()
 
+# Views a storage keeps. A pooled storage serves every request of its
+# size class, so it is cleared when full: a server that keeps meeting new
+# shapes stays bounded and simply slices again.
+VIEW_CACHE_CAP = 8
+
 
 class Storage:
     """A contiguous byte buffer on a device.
 
     Backed by a NumPy ``uint8`` array; tensor views alias into it so that
     coalesced allocations genuinely share memory (tests rely on aliasing to
-    verify the planner's non-overlap invariant).
+    verify the planner's non-overlap invariant). The view made for each
+    layout is kept (at most ``VIEW_CACHE_CAP`` of them), so a pooled
+    storage that serves one layout again hands back the same array.
     """
 
-    __slots__ = ("id", "size", "alignment", "device", "buffer", "freed")
+    __slots__ = ("id", "size", "alignment", "device", "buffer", "freed", "views")
 
     def __init__(self, size: int, alignment: int, device: Device) -> None:
         if size < 0:
@@ -40,18 +47,27 @@ class Storage:
         self.device = device
         self.buffer = np.zeros(self.size, dtype=np.uint8)
         self.freed = False
+        self.views: dict = {}
 
     def view(self, offset: int, nbytes: int, np_dtype: np.dtype, shape: tuple) -> np.ndarray:
         """Return an ndarray view of ``[offset, offset + nbytes)`` with *shape*."""
         if self.freed:
             raise VMError(f"use-after-free of storage #{self.id}")
-        if offset < 0 or offset + nbytes > self.size:
-            raise VMError(
-                f"tensor [{offset}, {offset + nbytes}) does not fit in "
-                f"storage #{self.id} of {self.size} bytes"
-            )
-        flat = self.buffer[offset : offset + nbytes].view(np_dtype)
-        return flat.reshape(shape)
+        key = (offset, nbytes, np_dtype, shape)
+        view = self.views.get(key)
+        if view is None:
+            if nbytes < 0 or min(shape, default=0) < 0:
+                raise VMError(f"tensor of shape {shape} ({nbytes} bytes) has a negative extent")
+            if offset < 0 or offset + nbytes > self.size:
+                raise VMError(
+                    f"tensor [{offset}, {offset + nbytes}) does not fit in "
+                    f"storage #{self.id} of {self.size} bytes"
+                )
+            if len(self.views) >= VIEW_CACHE_CAP:
+                self.views.clear()
+            flat = self.buffer[offset : offset + nbytes].view(np_dtype)
+            view = self.views[key] = flat.reshape(shape)
+        return view
 
     def free(self) -> None:
         self.freed = True

@@ -526,12 +526,14 @@ class VirtualMachine:
         (packed_index, in_regs, out_regs, is_shape_func, is_host_scalar, is_compute,
          device, launch_us, stream) = op
         kernel = self.exe.kernels[packed_index]
-        inputs = []
+        inputs, shapes = [], []
         for r in in_regs:
             obj = regs[r]
             if not isinstance(obj, TensorObj):
                 as_tensor(obj, "kernel input")
-            inputs.append(obj.array.data)
+            data = obj.array.data
+            inputs.append(data)
+            shapes.append(data.shape)
         outputs = []
         for r in out_regs:
             obj = regs[r]
@@ -542,7 +544,7 @@ class VirtualMachine:
 
         if is_shape_func:
             if kernel.info.mode.value == "data_dependent":
-                in_shapes = [data.shape for data in inputs]
+                in_shapes = shapes
                 in_values = inputs
             else:
                 # Inputs are shape vectors produced by ShapeOf.
@@ -556,7 +558,7 @@ class VirtualMachine:
                 np.copyto(out, result)
             return
 
-        invocation = kernel.invoke_cost([data.shape for data in inputs])
+        invocation = kernel.invoke_cost(tuple(shapes))
         if launch_us is None:
             stream = 0
             clock.run_sync(invocation.duration_us)

@@ -93,7 +93,7 @@ class LaunchTape:
         lite = self.ctx.numerics == "lite"
         for kernel, inputs, outputs, device, launch_us, stream in self.launches:
             clock.host_advance(node_us)
-            invocation = kernel.invoke_cost([data.shape for data in inputs])
+            invocation = kernel.invoke_cost(tuple([data.shape for data in inputs]))
             if launch_us is None:
                 clock.run_sync(invocation.duration_us)
             else:

@@ -229,6 +229,20 @@ class TestBytecodeStructural:
         assert any("num_fields 3 disagrees" in m for m in msgs)
         assert any("num_captured 2 disagrees" in m for m in msgs)
 
+    def test_static_tensor_with_a_negative_dimension(self):
+        """It used to verify clean, survive save / load and run as (3, 4)
+        out of 64 bytes: NumPy reads -1 as "infer"."""
+        f = func_of([
+            ins.LoadConsti(64, 0),
+            ins.AllocStorage(0, 64, GPU, 1),
+            ins.LoadConsti(0, 2),
+            ins.AllocTensor(1, 2, (-1, 4), "float32", 3),
+            ins.Ret(3),
+        ])
+        exe = Executable.load(exe_of([f]).save())
+        (finding,) = check_bytecode(exe)
+        assert (finding.pc, finding.message) == (3, "shape (-1, 4) has a negative dimension")
+
     def test_entry_missing_from_function_table(self):
         exe = exe_of([func_of([ins.Ret(0)], name="helper", num_params=1)])
         findings = check_bytecode(exe)

@@ -214,7 +214,7 @@ def _hand_built_bodies():
 
 
 class TestKernelProgram:
-    """A primitive body is lowered once to a flat program, and that
+    """A primitive body is compiled once to a generated function, and that
     program is the only evaluator: bitwise the recursive one's results."""
 
     @pytest.mark.parametrize("case", _model_executables(), ids=lambda case: case[0])
@@ -288,8 +288,8 @@ class TestKernelProgram:
         evaluator_calls = []
 
         def profiler(frame, event, arg):
-            if event == "call" and frame.f_code.co_filename == workload.__file__:
-                evaluator_calls.append(frame.f_code.co_name)
+            if event == "call" and frame.f_code.co_filename.startswith(workload.__file__):
+                evaluator_calls.append((frame.f_code.co_filename, frame.f_code.co_name))
 
         sys.setprofile(profiler)
         try:
@@ -297,8 +297,45 @@ class TestKernelProgram:
         finally:
             sys.setprofile(None)
         assert calls == {"nn.dense": 1, "nn.relu": 1}
-        assert evaluator_calls == ["run"]  # the loop, entered once: nothing recursive
+        # The generated function, entered once: no step loop, nothing recursive.
+        ((filename, name),) = evaluator_calls
+        assert name == "kernel"
+        assert filename.startswith(f"{workload.__file__}<fused_nn.dense+nn.relu:")
+        assert kernel._program.source.splitlines()[4:] == [
+            "    v0 = op_nn_dense([p0, c0], a0)",
+            "    v1 = op_nn_relu([v0], a1)",
+            "    return [asarray(r) for r in v1] if isinstance(v1, tuple) else [asarray(v1)]",
+        ]
         assert not hasattr(workload, "eval_expr")
+
+    def test_a_traceback_through_a_kernel_prints_the_generated_line(self):
+        import traceback
+
+        prim, _ = _dense_prim(16, 8, with_relu=True)
+        plat = intel_cpu()
+        kernel = KernelSet(prim, plat, plat.compute_spec)
+        with pytest.raises(ValueError) as info:
+            kernel.run([np.ones((4, 3), np.float32)])  # 3 columns against a 16x8 weight
+        text = "".join(traceback.format_exception(info.value))
+        assert "v0 = op_nn_dense([p0, c0], a0)" in text
+        assert "workload.py<fused_nn.dense+nn.relu:" in text
+
+    def test_the_lstm_cell_kernel_source_matches_golden(self):
+        """The toy LSTM's fused cell, generated: a set or dict order
+        leaking into code generation moves it (CI runs this under two
+        hash seeds)."""
+        from pathlib import Path
+
+        import repro.nimble as nimble
+        from repro.models.lstm import LSTMWeights, build_lstm_module
+
+        mod = build_lstm_module(
+            LSTMWeights.create(input_size=12, hidden_size=16, num_layers=2, seed=0))
+        exe, _ = nimble.build(mod, intel_cpu())
+        (cell,) = {k.name: k for k in exe.kernels
+                   if isinstance(k, KernelSet) and k.name.startswith("fused_split")}.values()
+        golden = Path(__file__).parent / "golden" / "lstm_cell_kernel.txt"
+        assert KernelProgram(cell.prim).source == golden.read_text()
 
 
 class TestCostModel:

@@ -510,6 +510,57 @@ class TestLeakRegression:
         assert np.allclose(good.numpy(), np.tanh(np.ones(16, np.float32)))
         assert ctx.allocator.live_bytes == 0
 
+    def test_a_negative_extent_is_an_error_not_a_reshaped_view(self):
+        """NumPy's reshape reads a negative dim as "infer": over 64 bytes,
+        [-1, 4] used to come back as a (3, 4) tensor."""
+        host = intel_cpu().host
+        for alloc in (ins.AllocTensorReg(1, 2, 3, "float32", 4),
+                      ins.AllocTensor(1, 2, (-1, 4), "float32", 4)):
+            exe = _assembled(intel_cpu(), [
+                ins.LoadConsti(64, 0),
+                ins.AllocStorage(0, 64, host, 1),
+                ins.LoadConsti(0, 2),
+                ins.LoadConst(0, 3),
+                alloc,
+                ins.Ret(4),
+            ], 5, [array(np.array([-1, 4], np.int64))])
+            ctx = ExecutionContext(intel_cpu())
+            with pytest.raises(VMError, match="negative extent"):
+                VirtualMachine(exe, ctx).run()
+            assert ctx.allocator.live_bytes == 0
+
+    def test_a_storage_keeps_the_view_of_each_layout(self):
+        from repro.runtime.allocator import PoolingAllocator
+
+        allocator = PoolingAllocator(intel_cpu())
+        host = intel_cpu().host
+        f32 = np.dtype(np.float32)
+        storage = allocator.alloc(64, 64, host)
+        view = storage.view(0, 64, f32, (4, 4))
+        assert storage.view(0, 64, f32, (4, 4)) is view
+        for layout in ((0, 64, f32, (16,)), (16, 16, f32, (4,)),
+                       (0, 64, np.dtype(np.int32), (4, 4))):
+            other = storage.view(*layout)
+            assert other is not view and other.shape == layout[3]
+        allocator.free(storage)
+        with pytest.raises(VMError, match="use-after-free"):
+            storage.view(0, 64, f32, (4, 4))
+        assert allocator.alloc(64, 64, host) is storage  # served from the pool
+        assert storage.view(0, 64, f32, (4, 4)) is view
+
+    def test_a_storage_keeps_at_most_the_cap_of_views(self):
+        """A pooled storage serves every layout of its size class: past
+        the cap it starts over instead of growing with each new shape."""
+        from repro.tensor.storage import VIEW_CACHE_CAP, Storage
+
+        storage = Storage(4 * (VIEW_CACHE_CAP + 5), 64, intel_cpu().host)
+        f32 = np.dtype(np.float32)
+        for n in range(1, VIEW_CACHE_CAP + 6):
+            view = storage.view(0, 4 * n, f32, (n,))
+            assert view.shape == (n,)
+            assert 1 <= len(storage.views) <= VIEW_CACHE_CAP
+        assert storage.view(0, 4 * n, f32, (n,)) is view
+
     def test_release_all_keeps_leaks_visible(self):
         """Regression: release_all used to zero live_bytes unconditionally,
         forgiving leaked (never-freed) buffers and defeating the
@@ -1031,8 +1082,10 @@ class TestHostPathCost:
     Since the LSTM cell's split and both state updates are one kernel
     the bound is per inference — 5,150 / 5,838 calls before, 3,726 /
     4,142 after; per instruction that reads 5.10 / 5.11, because the
-    instructions fusion removed were cheap ones. CI's "Size trajectory"
-    step prints both."""
+    instructions fusion removed were cheap ones. With kernels run as
+    generated functions: 3,548 / 3,964 (4.86 / 4.89), the generated
+    kernel frames counted. The bounds are those counts plus at most 2%.
+    CI's "Size trajectory" step prints both."""
 
     @staticmethod
     def _calls_per_inference(platform, streams):
@@ -1068,12 +1121,12 @@ class TestHostPathCost:
         return calls
 
     def test_python_calls_per_inference(self):
-        assert self._calls_per_inference(intel_cpu(), 1) <= 4_000
+        assert self._calls_per_inference(intel_cpu(), 1) <= 3_600
 
     def test_python_calls_per_inference_on_the_gpu_with_two_streams(self):
         """The path the serving benchmark runs: launch_async and one
         host->GPU DeviceCopy a step."""
-        assert self._calls_per_inference(nvidia_gpu(), 2) <= 4_450
+        assert self._calls_per_inference(nvidia_gpu(), 2) <= 4_040
 
 
 class TestProfileAllocTime:
