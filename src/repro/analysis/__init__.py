@@ -4,7 +4,7 @@ Four independent checkers prove an executable well-formed without running
 it (docs/analysis.md has the catalog):
 
 * :mod:`repro.analysis.bytecode` — abstract interpretation: registers
-  defined on all paths, operand/arity/bounds validity, storage
+  defined on all paths, operand/bounds validity, kernel kinds, storage
   alloc-before-use, jump targets, stream/event bounds;
 * :mod:`repro.analysis.races` — independent vector-clock happens-before
   over the serialized ``StreamEvent``/``StreamWait`` schedule, checking

@@ -6,12 +6,13 @@ Proves, without executing anything:
 * every register is defined on **all** control-flow paths before it is
   read (parameters arrive pre-defined in registers ``0..num_params-1``);
 * operands are structurally valid per opcode (register indices inside
-  the declared register file, every count field — ``arity``,
-  ``num_fields``, ``num_captured`` — agrees with the tuple it counts,
-  ``output_size`` fits inside ``arity``, a static ``AllocTensor`` shape
-  has no negative dimension);
+  the declared register file, a static ``AllocTensor`` shape has no
+  negative dimension);
 * constant-pool, function-table, and kernel-table indices are in
   bounds, and ``Invoke`` passes the callee's declared parameter count;
+* an ``InvokePacked`` names a known kernel kind, and calls a shape
+  function exactly when its kind says ``shape_func`` (the interpreter
+  prices and runs the two differently);
 * a tensor is only ever allocated out of a register that can actually
   hold a storage block (``AllocStorage`` result, possibly moved) —
   never one that provably holds something else;
@@ -33,12 +34,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.codegen.kernels import ShapeFuncKernel
 from repro.errors import Finding
 from repro.vm import instruction as ins
 from repro.vm.executable import Executable, VMFunction
 
 # Instructions that terminate a path: control never falls through them.
 _TERMINAL = (ins.Ret, ins.Fatal)
+
+# The kinds the interpreter dispatches an InvokePacked on.
+_KERNEL_KINDS = ("compute", "shape_func", "host_scalar")
 
 
 # Opcodes whose destination certainly does NOT hold a storage block.
@@ -90,20 +95,18 @@ def _structural_findings(
             if not 0 <= reg < func.register_count:
                 bad(pc, f"register r{reg} outside the register file "
                         f"(register_count={func.register_count})")
-        for name, _, count in ins.layout(type(instr)):
-            if count is None:
-                continue
-            claimed, actual = getattr(instr, count), len(getattr(instr, name))
-            if claimed != actual:
-                bad(pc, f"{count} {claimed} disagrees with {actual} "
-                        f"register(s) in {name}")
         if isinstance(instr, ins.InvokePacked):
-            if not 0 <= instr.output_size <= instr.arity:
-                bad(pc, f"output_size {instr.output_size} outside "
-                        f"[0, arity={instr.arity}]")
             if not 0 <= instr.packed_index < len(exe.kernels):
                 bad(pc, f"packed_index {instr.packed_index} outside the "
                         f"kernel table ({len(exe.kernels)})")
+            elif instr.kind not in _KERNEL_KINDS:
+                bad(pc, f"unknown kernel kind {instr.kind!r}")
+            elif (instr.kind == "shape_func") != isinstance(
+                exe.kernels[instr.packed_index], ShapeFuncKernel
+            ):
+                kernel = type(exe.kernels[instr.packed_index]).__name__
+                bad(pc, f"{instr.kind} invocation of kernel "
+                        f"{instr.packed_index}, a {kernel}")
             if not 0 <= instr.stream < max(1, exe.device_streams):
                 bad(pc, f"stream {instr.stream} outside the declared "
                         f"schedule (device_streams={exe.device_streams})")

@@ -88,14 +88,13 @@ def check_function_lifetimes(
     findings: List[Finding] = []
     consts: Dict[int, Optional[int]] = {}
     storages: List[_Storage] = []
-    storage_of: Dict[int, int] = {}  # register -> token
+    storage_of: Dict[int, Optional[int]] = {}  # register -> token
     tensors: List[_Tensor] = []
     held: Dict[int, FrozenSet[int]] = {}  # register -> tensor uids
 
-    def clobber(reg: int) -> None:
-        consts.pop(reg, None)
-        storage_of.pop(reg, None)
-        held.pop(reg, None)
+    def define(reg: int, const=None, token=None, uids=frozenset()) -> None:
+        """*reg* now holds *const*, storage *token*, tensors *uids*."""
+        consts[reg], storage_of[reg], held[reg] = const, token, uids
 
     def read(reg: int, pc: int) -> None:
         for uid in held.get(reg, ()):  # a data read of every aliased tensor
@@ -113,24 +112,21 @@ def check_function_lifetimes(
     n = len(func.instructions)
     for pc, instr in enumerate(func.instructions):
         if isinstance(instr, ins.LoadConsti):
-            clobber(instr.dst)
-            consts[instr.dst] = int(instr.value)
+            define(instr.dst, const=int(instr.value))
         elif isinstance(instr, ins.LoadConst):
-            clobber(instr.dst)
-            consts[instr.dst] = _scalar_int(exe.constants[instr.const_index])
+            define(instr.dst, const=_scalar_int(exe.constants[instr.const_index]))
         elif isinstance(instr, ins.AllocStorage):
             read(instr.allocation_size, pc)
-            clobber(instr.dst)
             token = len(storages)
             storages.append(
                 _Storage(token, pc, consts.get(instr.allocation_size))
             )
-            storage_of[instr.dst] = token
+            define(instr.dst, token=token)
         elif isinstance(instr, (ins.AllocTensor, ins.AllocTensorReg)):
             token = storage_of.get(instr.storage)
             if isinstance(instr, ins.AllocTensorReg):
                 read(instr.shape_register, pc)
-            clobber(instr.dst)
+            define(instr.dst)
             if token is None:
                 continue  # bytecode checker owns "not a storage" findings
             storage = storages[token]
@@ -152,42 +148,14 @@ def check_function_lifetimes(
             uid = len(tensors)
             tensors.append(_Tensor(uid, token, pc, offset, nbytes))
             held[instr.dst] = frozenset((uid,))
-        elif isinstance(instr, ins.Move):
-            src_consts = consts.get(instr.src)
-            src_tok = storage_of.get(instr.src)
-            src_held = held.get(instr.src)
-            clobber(instr.dst)
-            if src_consts is not None:
-                consts[instr.dst] = src_consts
-            if src_tok is not None:
-                storage_of[instr.dst] = src_tok
-            if src_held is not None:
-                held[instr.dst] = src_held
-        elif isinstance(instr, ins.ReshapeTensor):
-            src_held = held.get(instr.tensor)
-            clobber(instr.dst)
-            if src_held is not None:
-                held[instr.dst] = src_held  # same bytes, new metadata
-        elif isinstance(instr, ins.AllocADT):
-            merged: FrozenSet[int] = frozenset()
-            for f in instr.fields:
-                merged |= held.get(f, frozenset())
-            clobber(instr.dst)
-            held[instr.dst] = merged
-        elif isinstance(instr, ins.GetField):
-            src_held = held.get(instr.obj)
-            clobber(instr.dst)
-            if src_held is not None:
-                held[instr.dst] = src_held  # conservative: whole ADT
         elif isinstance(instr, ins.InvokePacked):
-            num_inputs = instr.arity - instr.output_size
-            for r in instr.args[:num_inputs]:
+            for r in instr.inputs:
                 read(r, pc)
-            for r in instr.args[num_inputs:]:
+            for r in instr.outputs:
                 write(r, pc)
         elif isinstance(instr, ins.DeviceCopy):
             read(instr.src, pc)
-            clobber(instr.dst)  # fresh buffer on the destination device
+            define(instr.dst)  # fresh buffer on the destination device
         elif isinstance(instr, ins.Ret):
             for uid in held.get(instr.result, ()):
                 t = tensors[uid]
@@ -195,8 +163,16 @@ def check_function_lifetimes(
                 t.last_use = n  # alive past the frame
             break
         else:
-            for r in ins.operands(instr)[1]:
-                clobber(r)
+            # dst holds the tensors of every register it aliases; a
+            # constant or a storage token follows a Move only.
+            merged: FrozenSet[int] = frozenset()
+            for r in ins.aliases(instr):
+                merged |= held.get(r, frozenset())
+            if isinstance(instr, ins.Move):
+                define(instr.dst, consts.get(instr.src), storage_of.get(instr.src), merged)
+            else:
+                for dst in ins.operands(instr)[1]:
+                    define(dst, uids=merged)
 
     by_token: Dict[int, List[_Tensor]] = {}
     for t in tensors:

@@ -176,16 +176,18 @@ def undefine_register(exe: Executable) -> Optional[Executable]:
     """Point a kernel operand at a fresh register nothing ever writes."""
     for fi, func in enumerate(exe.functions):
         for pos, instr in enumerate(func.instructions):
-            if isinstance(instr, ins.InvokePacked) and instr.args:
+            if isinstance(instr, ins.InvokePacked) and (instr.inputs or instr.outputs):
                 mutant = _clone(exe)
                 f = mutant.functions[fi]
                 fresh = f.register_count
                 mutant.functions[fi] = VMFunction(
                     f.name, f.num_params, f.instructions, f.register_count + 1
                 )
-                args = (fresh,) + tuple(instr.args[1:])
+                # The first operand: the first input, or the first output.
+                name = "inputs" if instr.inputs else "outputs"
+                regs = (fresh,) + getattr(instr, name)[1:]
                 mutant.functions[fi].instructions[pos] = dc_replace(
-                    instr, args=args
+                    instr, **{name: regs}
                 )
                 return mutant
     return None

@@ -31,15 +31,15 @@ from repro.utils.naming import NameSupply
 
 
 def _alloc_closure_rel(arg_types, attrs) -> Type:
-    """Result: the un-captured prefix of the lifted function's type."""
+    """Result: the un-captured prefix of the lifted function's type; every
+    argument after the function is a captured value."""
     fty = arg_types[0]
     if not isinstance(fty, FuncType):
         raise TypeInferenceError("alloc_closure expects a function first argument")
-    num_captured = attrs.get("num_captured", 0)
-    arity = len(fty.arg_types) - num_captured
-    if arity < 0:
+    num_params = len(fty.arg_types) - (len(arg_types) - 1)
+    if num_params < 0:
         raise TypeInferenceError("alloc_closure captured more params than exist")
-    return FuncType(fty.arg_types[:arity], fty.ret_type)
+    return FuncType(fty.arg_types[:num_params], fty.ret_type)
 
 
 register_op(
@@ -90,11 +90,7 @@ class _Lifter(ExprMutator):
             lifted_inner.ret_type,
             lifted_inner.attrs,
         )
-        return Call(
-            Op.get("vm.alloc_closure"),
-            [gv] + list(captured),
-            {"num_captured": len(captured)},
-        )
+        return Call(Op.get("vm.alloc_closure"), [gv] + list(captured))
 
 
 def _substitute_vars(expr: Expr, mapping: Dict[Var, Var]) -> Expr:

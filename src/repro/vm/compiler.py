@@ -197,7 +197,7 @@ class VMCompiler:
         if isinstance(value, IRTuple):
             fields = tuple(self.compile_atom(f, ctx) for f in value.fields)
             dst = ctx.new_reg()
-            ctx.emit(ins.AllocADT(ADTObj.TUPLE_TAG, len(fields), fields, dst))
+            ctx.emit(ins.AllocADT(ADTObj.TUPLE_TAG, fields, dst))
             return dst
         if isinstance(value, TupleGetItem):
             obj = self.compile_atom(value.tuple_value, ctx)
@@ -224,7 +224,7 @@ class VMCompiler:
         if isinstance(op, Constructor):
             fields = tuple(self.compile_atom(a, ctx) for a in call.args)
             dst = ctx.new_reg()
-            ctx.emit(ins.AllocADT(op.tag, len(fields), fields, dst))
+            ctx.emit(ins.AllocADT(op.tag, fields, dst))
             return dst
         if isinstance(op, GlobalVar):
             args = tuple(self.compile_atom(a, ctx) for a in call.args)
@@ -305,7 +305,7 @@ class VMCompiler:
                 index = self._func_index[gv.name_hint]
             except KeyError:
                 raise CompilerError(f"closure over unknown function @{gv.name_hint}") from None
-            ctx.emit(ins.AllocClosure(index, len(captured), captured, dst))
+            ctx.emit(ins.AllocClosure(index, captured, dst))
             return dst
         if name == "vm.reshape_tensor":
             tensor = self.compile_atom(call.args[0], ctx)
@@ -324,16 +324,7 @@ class VMCompiler:
         in_regs = tuple(self.compile_atom(a, ctx) for a in inputs.fields)
         out_regs = tuple(self.compile_atom(a, ctx) for a in outputs.fields)
         index = self.packed_index(prim, kind, device)
-        ctx.emit(
-            ins.InvokePacked(
-                index,
-                arity=len(in_regs) + len(out_regs),
-                output_size=len(out_regs),
-                args=in_regs + out_regs,
-                device=device,
-                kind=kind,
-            )
-        )
+        ctx.emit(ins.InvokePacked(index, in_regs, out_regs, device, kind))
         return ctx.unit_reg()
 
     # ------------------------------------------------------------------- control

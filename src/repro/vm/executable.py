@@ -39,7 +39,7 @@ from repro.tensor.ndarray import NDArray
 from repro.vm import instruction as ins
 
 MAGIC = b"NMBL"
-VERSION = 5
+VERSION = 6
 # Oldest version the loader still accepts: only the one it writes. The
 # version is a component of every artifact key, so older blobs are never
 # looked up; one met anyway is rejected as stale, not migrated.
@@ -509,7 +509,7 @@ def _read_device(buf: io.BytesIO) -> Device:
 
 def _encode_instruction(out: io.BytesIO, instr: ins.Instruction) -> None:
     out.write(bytes((instr.opcode,)))
-    for name, kind, count in ins.layout(type(instr)):
+    for name, kind in ins.layout(type(instr)):
         value = getattr(instr, name)
         if kind is int:
             _write_varint(out, value)
@@ -517,9 +517,8 @@ def _encode_instruction(out: io.BytesIO, instr: ins.Instruction) -> None:
             _write_bytes(out, value.encode())
         elif kind is Device:
             _write_device(out, value)
-        else:  # a tuple of ints
-            if count is None:
-                _write_varint(out, len(value))
+        else:  # a tuple of ints, length-prefixed
+            _write_varint(out, len(value))
             for item in value:
                 _write_varint(out, item)
 
@@ -535,7 +534,7 @@ def _decode_instruction(buf: io.BytesIO) -> ins.Instruction:
             f"unknown opcode byte {opcode.hex() or '(missing)'}"
         )
     values = {}
-    for name, kind, count in ins.layout(cls):
+    for name, kind in ins.layout(cls):
         if kind is int:
             values[name] = _read_varint(buf)
         elif kind is str:
@@ -543,7 +542,7 @@ def _decode_instruction(buf: io.BytesIO) -> ins.Instruction:
         elif kind is Device:
             values[name] = _read_device(buf)
         else:
-            n = _read_varint(buf) if count is None else values[count]
+            n = _read_varint(buf)
             values[name] = tuple(_read_varint(buf) for _ in range(n))
     return cls(**values)
 

@@ -11,9 +11,11 @@ length (shape operands are inline).
 Each class's field declarations are the one description of its
 operands: the bytecode codec (``repro.vm.executable``) writes the fields
 in declaration order as :func:`layout` lists them, and the analyses read
-registers through :func:`operands`. A field made with :func:`reg` or
-:func:`regs` is a register; ``dst`` is the write, every other register
-a read.
+registers through :func:`operands` and :func:`aliases`. A field made
+with :func:`reg` or :func:`regs` is a register; ``dst`` is the write,
+every other register a read. A register field declared ``alias=True``
+names what ``dst`` then holds, or holds a part of: the scheduler's RAW
+edges and the lifetime checker's tensors follow it.
 """
 
 from __future__ import annotations
@@ -21,20 +23,20 @@ from __future__ import annotations
 import enum
 import typing
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from repro.tensor.device import Device
 
 
-def reg():
-    """A register operand."""
-    return field(metadata={"reg": True})
+def reg(alias: bool = False):
+    """A register operand; *alias*: ``dst`` then holds what it holds."""
+    return field(metadata={"reg": True, "alias": alias})
 
 
-def regs(count: Optional[str] = None):
-    """A tuple of register operands; *count* names the field that
-    already holds its length (the codec then writes no length prefix)."""
-    return field(metadata={"reg": True, "count": count})
+def regs(alias: bool = False):
+    """A tuple of register operands, written length-prefixed; *alias*:
+    ``dst`` then holds what each of them holds."""
+    return field(metadata={"reg": True, "alias": alias, "many": True})
 
 
 class Opcode(enum.IntEnum):
@@ -71,7 +73,7 @@ class Instruction:
 class Move(Instruction):
     """Moves data from one register to another (refcounted, cheap)."""
 
-    src: int = reg()
+    src: int = reg(alias=True)
     dst: int = reg()
     opcode = Opcode.MOVE
 
@@ -108,18 +110,17 @@ class InvokeClosure(Instruction):
 class InvokePacked(Instruction):
     """Invokes an optimized operator kernel (or compiled shape function).
 
-    ``args`` holds input registers followed by output registers (in-out
-    calling convention of ``invoke_mut``); ``kind`` distinguishes compute
-    kernels from shape functions / host scalar kernels for placement and
-    profiling (Table 4's kernel-vs-others split).
+    ``outputs`` are written in place (in-out calling convention of
+    ``invoke_mut``); ``kind`` distinguishes compute kernels from shape
+    functions / host scalar kernels for placement and profiling (Table
+    4's kernel-vs-others split).
     """
 
     packed_index: int
-    arity: int
-    output_size: int
-    # All reads, outputs too: an output register must already hold the
-    # pre-allocated tensor the kernel writes into.
-    args: Tuple[int, ...] = regs(count="arity")
+    inputs: Tuple[int, ...] = regs()
+    # Reads too: an output register must already hold the pre-allocated
+    # tensor the kernel writes into.
+    outputs: Tuple[int, ...] = regs()
     device: Device
     kind: str = "compute"
     # Device stream this kernel is enqueued on — assigned ahead of time
@@ -144,7 +145,7 @@ class AllocStorage(Instruction):
 class AllocTensor(Instruction):
     """Allocates a tensor with a static shape from a storage block."""
 
-    storage: int = reg()
+    storage: int = reg(alias=True)
     offset: int = reg()  # holds an int64 scalar
     shape: Tuple[int, ...]
     dtype: str
@@ -156,7 +157,7 @@ class AllocTensor(Instruction):
 class AllocTensorReg(Instruction):
     """Allocates a tensor whose shape is read from a register at runtime."""
 
-    storage: int = reg()
+    storage: int = reg(alias=True)
     offset: int = reg()
     shape_register: int = reg()
     dtype: str
@@ -169,8 +170,7 @@ class AllocADT(Instruction):
     """Allocates an algebraic data type object (tuples use tag 0)."""
 
     tag: int
-    num_fields: int
-    fields: Tuple[int, ...] = regs(count="num_fields")
+    fields: Tuple[int, ...] = regs(alias=True)
     dst: int = reg()
     opcode = Opcode.ALLOC_ADT
 
@@ -180,8 +180,7 @@ class AllocClosure(Instruction):
     """Allocates a closure over a lowered VM function."""
 
     func_index: int
-    num_captured: int
-    captured: Tuple[int, ...] = regs(count="num_captured")
+    captured: Tuple[int, ...] = regs(alias=True)
     dst: int = reg()
     opcode = Opcode.ALLOC_CLOSURE
 
@@ -190,7 +189,7 @@ class AllocClosure(Instruction):
 class GetField(Instruction):
     """Gets the value at an index from an ADT/tuple object."""
 
-    obj: int = reg()
+    obj: int = reg(alias=True)  # conservative: the field is the whole object
     field_index: int
     dst: int = reg()
     opcode = Opcode.GET_FIELD
@@ -266,7 +265,7 @@ class ShapeOf(Instruction):
 class ReshapeTensor(Instruction):
     """Assigns a new shape to a tensor without altering its data."""
 
-    tensor: int = reg()
+    tensor: int = reg(alias=True)  # same bytes, new metadata
     newshape: int = reg()  # holds the shape vector
     dst: int = reg()
     opcode = Opcode.RESHAPE_TENSOR
@@ -312,37 +311,39 @@ class Operand(NamedTuple):
 
     name: str
     type: type  # int, str, Device or tuple (of ints)
-    count: Optional[str]  # the field holding a tuple's length, if any
 
 
 def _layout(cls) -> Tuple[Operand, ...]:
     hints = typing.get_type_hints(cls)
     return tuple(
-        Operand(f.name, typing.get_origin(hints[f.name]) or hints[f.name],
-                f.metadata.get("count"))
+        Operand(f.name, typing.get_origin(hints[f.name]) or hints[f.name])
         for f in fields(cls)
     )
 
 
-def _operand_getter(cls) -> Callable:
-    """``instr -> (reads, writes)`` for *cls*: the scalar register reads
-    in field order, then each register tuple, and ``dst``. Compiled from
-    the fields to the lambda one would write by hand, because the
-    verifier calls it once per instruction."""
+def _joined(registers) -> str:
+    """The expression of one tuple holding *registers*: the scalars in
+    field order, then each register tuple."""
+    one = [f"i.{f.name}, " for f in registers if "many" not in f.metadata]
+    many = [f"tuple(i.{f.name})" for f in registers if "many" in f.metadata]
+    return " + ".join(([f"({''.join(one)})"] if one else []) + many) or "()"
+
+
+def _getters(cls) -> Tuple[Callable, Callable]:
+    """:func:`operands` and :func:`aliases` of *cls*, compiled from the
+    fields to the lambdas one would write by hand, because the verifier
+    and the scheduler call them once per instruction."""
     registers = [f for f in fields(cls) if f.metadata.get("reg")]
-    # A "count" key, even None, marks a regs() tuple.
-    one =[f"i.{f.name}, " for f in registers
-           if f.name != "dst" and "count" not in f.metadata]
-    many = [f"tuple(i.{f.name})" for f in registers if "count" in f.metadata]
-    reads = " + ".join(([f"({''.join(one)})"] if one else []) + many) or "()"
+    reads = _joined([f for f in registers if f.name != "dst"])
     writes = "(i.dst,)" if any(f.name == "dst" for f in registers) else "()"
-    return eval(f"lambda i: ({reads}, {writes})")
+    aliased = _joined([f for f in registers if f.metadata["alias"]])
+    return eval(f"lambda i: ({reads}, {writes})"), eval(f"lambda i: {aliased}")
 
 
 _LAYOUTS: Dict[type, Tuple[Operand, ...]] = {
     cls: _layout(cls) for cls in Instruction.__subclasses__()
 }
-_OPERANDS: Dict[type, Callable] = {cls: _operand_getter(cls) for cls in _LAYOUTS}
+_GETTERS: Dict[type, Tuple[Callable, Callable]] = {cls: _getters(cls) for cls in _LAYOUTS}
 
 
 def layout(cls) -> Tuple[Operand, ...]:
@@ -353,4 +354,10 @@ def layout(cls) -> Tuple[Operand, ...]:
 def operands(instr: Instruction) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """``(reads, writes)``: the registers *instr* reads and the one it
     writes (``dst``), if any."""
-    return _OPERANDS[type(instr)](instr)
+    return _GETTERS[type(instr)][0](instr)
+
+
+def aliases(instr: Instruction) -> Tuple[int, ...]:
+    """The registers whose contents ``dst`` holds, or holds a part of,
+    once *instr* has run; ``()`` when ``dst`` is fresh or absent."""
+    return _GETTERS[type(instr)][1](instr)

@@ -512,12 +512,11 @@ class VirtualMachine:
         _set(regs, dst, TensorObj(tensor.array.to_device(dst_device)))
 
     def _decode_invoke_packed(self, instr: ins.InvokePacked) -> tuple:
-        num_inputs = instr.arity - instr.output_size
         device, kind = instr.device, instr.kind
         # launch_us None: a synchronous device, the kernel runs on the host.
         launch_us = self.ctx.platform.spec_of(device).host_launch_us if device.is_gpu else None
         return (
-            instr.packed_index, instr.args[:num_inputs], instr.args[num_inputs:],
+            instr.packed_index, instr.inputs, instr.outputs,
             kind == "shape_func", kind == "host_scalar", kind == "compute",
             device, launch_us, instr.stream,
         )

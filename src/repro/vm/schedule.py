@@ -19,8 +19,8 @@ Soundness rules (docs/scheduling.md):
 * Only device (GPU) compute kernels are stream-assigned. Shape
   functions, host-scalar kernels and CPU compute run synchronously on
   the host and need no ordering edges.
-* Dependencies: RAW through register producer sets (propagated through
-  ``Move``/``AllocADT``/``GetField``/``ReshapeTensor``), WAR/WAW through
+* Dependencies: RAW through register producer sets (propagated from
+  every register ``dst`` aliases, ``instruction.aliases``), WAR/WAW through
   storage tokens (one per ``AllocStorage`` site — the memory planner
   only coalesces *dead* storages, so token hazards are real).
 * A device→host ``DeviceCopy`` is a model barrier: the interpreter syncs
@@ -94,7 +94,8 @@ def build_dependency_graph(func: VMFunction) -> List[KernelNode]:
 
     Tracks, per register, the set of kernel nodes whose results flow
     into it (RAW) and the set of storage tokens its value aliases
-    (WAR/WAW); alias-introducing instructions propagate both.
+    (WAR/WAW); an instruction's :func:`~repro.vm.instruction.aliases`
+    propagate both.
     """
     producers: Dict[int, FrozenSet[int]] = defaultdict(frozenset)
     tokens: Dict[int, FrozenSet[int]] = defaultdict(frozenset)
@@ -106,67 +107,23 @@ def build_dependency_graph(func: VMFunction) -> List[KernelNode]:
     barrier = -1
     nodes: List[KernelNode] = []
 
-    def clear(dst: int) -> None:
-        producers[dst] = frozenset()
-        tokens[dst] = frozenset()
-
     for pos, instr in enumerate(func.instructions):
-        if isinstance(instr, ins.AllocStorage):
-            tok = next_token
-            next_token += 1
-            producers[instr.dst] = frozenset()
-            tokens[instr.dst] = frozenset((tok,))
-        elif isinstance(instr, (ins.AllocTensor, ins.AllocTensorReg)):
-            producers[instr.dst] = producers[instr.storage]
-            tokens[instr.dst] = tokens[instr.storage]
-        elif isinstance(instr, ins.Move):
-            producers[instr.dst] = producers[instr.src]
-            tokens[instr.dst] = tokens[instr.src]
-        elif isinstance(instr, ins.AllocADT):
-            prod: FrozenSet[int] = frozenset()
-            toks: FrozenSet[int] = frozenset()
-            for f in instr.fields:
-                prod |= producers[f]
-                toks |= tokens[f]
-            producers[instr.dst] = prod
-            tokens[instr.dst] = toks
-        elif isinstance(instr, ins.GetField):
-            # Conservative: a field carries the whole ADT's provenance.
-            producers[instr.dst] = producers[instr.obj]
-            tokens[instr.dst] = tokens[instr.obj]
-        elif isinstance(instr, ins.ReshapeTensor):
-            producers[instr.dst] = producers[instr.tensor]
-            tokens[instr.dst] = tokens[instr.tensor]
-        elif isinstance(instr, ins.GetTag):
-            clear(instr.dst)
-        elif isinstance(instr, (ins.LoadConst, ins.LoadConsti, ins.ShapeOf)):
-            clear(instr.dst)
-        elif isinstance(instr, ins.DeviceCopy):
-            # The interpreter syncs a GPU source before copying:
-            # everything enqueued so far is retired by the time any
-            # later kernel launches. A copy from the host syncs nothing.
-            if instr.src_device.is_gpu:
-                barrier = len(nodes) - 1
-            clear(instr.dst)
-        elif isinstance(instr, ins.InvokePacked):
-            num_inputs = instr.arity - instr.output_size
-            in_regs = instr.args[:num_inputs]
-            out_regs = instr.args[num_inputs:]
+        if isinstance(instr, ins.InvokePacked):
             if instr.kind == "compute" and instr.device.is_gpu:
                 nid = len(nodes)
                 deps: Set[int] = set()
-                for r in in_regs:
+                for r in instr.inputs:
                     deps |= producers[r]
-                for r in out_regs:
+                for r in instr.outputs:
                     for tok in tokens[r]:
                         w = last_writer.get(tok)
                         if w is not None:
                             deps.add(w)  # WAW
                         deps |= readers_since[tok]  # WAR
-                for r in in_regs:
+                for r in instr.inputs:
                     for tok in tokens[r]:
                         readers_since[tok].add(nid)
-                for r in out_regs:
+                for r in instr.outputs:
                     producers[r] = frozenset((nid,))
                     for tok in tokens[r]:
                         last_writer[tok] = nid
@@ -183,8 +140,27 @@ def build_dependency_graph(func: VMFunction) -> List[KernelNode]:
                 # Host-side kernel (shape func / host scalar / CPU
                 # compute): runs synchronously, writes host memory —
                 # no device ordering edges in or out.
-                for r in out_regs:
+                for r in instr.outputs:
                     producers[r] = frozenset()
+            continue
+        # dst carries the producers and tokens of every register it
+        # aliases; anything else it holds is fresh.
+        prod: FrozenSet[int] = frozenset()
+        toks: FrozenSet[int] = frozenset()
+        for r in ins.aliases(instr):
+            prod |= producers[r]
+            toks |= tokens[r]
+        if isinstance(instr, ins.AllocStorage):
+            toks = frozenset((next_token,))
+            next_token += 1
+        elif isinstance(instr, ins.DeviceCopy) and instr.src_device.is_gpu:
+            # The interpreter syncs a GPU source before copying:
+            # everything enqueued so far is retired by the time any
+            # later kernel launches. A copy from the host syncs nothing.
+            barrier = len(nodes) - 1
+        for dst in ins.operands(instr)[1]:
+            producers[dst] = prod
+            tokens[dst] = toks
     return nodes
 
 

@@ -987,7 +987,7 @@ class TestRefereeCounters:
                 "device_streams": 1,
             },
         ),
-        "gc": "sha256:84e073055a76f81f",
+        "gc": "sha256:bebbd107cd0ddf21",
         "chaos": (1, 1, 0),
     }
 

@@ -1112,49 +1112,78 @@ def _planned_models():
 # 11 -> 8 became 7 -> 5 and `tree_lstm` 13 -> 10 became 7 -> 6.
 # `lstm[len=7]x4` re-pinned its two hashes, not its plan, when every
 # specialization resumed from a prefix: ANF now runs before the batch
-# rewrite, so the cell's temporaries are named `%t0_1`, not `%t5`.)
+# rewrite, so the cell's temporaries are named `%t0_1`, not `%t5`.
+# Every `save()` hash was re-pinned at executable format v6, which writes
+# an `InvokePacked`'s inputs and outputs as two length-prefixed tuples
+# where v5 wrote `arity`, `output_size` and one tuple, and whose version
+# every embedded artifact key folds in: `_SAVED_LENGTHS` holds the
+# lengths those bytes kept.)
 _PARENT_COMMIT_PLANS = {
     "lstm": (
         "785463360bf6e8d677131b66127cfa31f670f044f2e03a6cf9ffbdfcfc1b27c4",
         {"allocs_before": 7, "allocs_after": 5, "static_bytes_before": 704,
          "static_bytes_after": 576, "kills_inserted": 0},
-        "4450f55116721763ceffc53c307242bb4ba8ff67281c90becab2bc841d2043a6"),
+        "09b008ed1054d7cdd3c517e3226a6852014a3d94a51449608ca755be6075d2f6"),
     "tree_lstm": (
         "2a23724fc63774e7c23cc7057f1b0c6ad4727a1ed3bc546f403c0b286e75d08c",
         {"allocs_before": 7, "allocs_after": 6, "static_bytes_before": 576,
          "static_bytes_after": 512, "kills_inserted": 6},
-        "0f517ea51f369e185625458919a48ead73634f5df5a6dc4be3e41a2f3aca2b1b"),
+        "13df5d1cbff7076efc955179bbd8dc7c0a537ba9cdca318af0c416facb57717c"),
     "bert3": (
         "adf38921b27a72118097498d8a8343efd0faa5a7223355807593d032181210ca",
         {"allocs_before": 52, "allocs_after": 17, "static_bytes_before": 448,
          "static_bytes_after": 448, "kills_inserted": 131},
-        "584ff1d7249a472ed439097e3370e36891ba0f202df4e943489856626ecb108f"),
+        "704babcd638888485c79063811027e7fc38dece30eeee546a926b128cc7a03bc"),
     "bert3@gpu4": (
         "5ad1c634e869475dae4f702de63d735d351b505c907ad7a47e7aa2f08b0c5e2a",
         {"allocs_before": 52, "allocs_after": 17, "static_bytes_before": 448,
          "static_bytes_after": 448, "kills_inserted": 131},
-        "6fc432ed7030c3b1da411243224240e353fd515a0b5329a28d7f8de2a0082122"),
+        "4c16f0eeef366216599396d620374df65c624393479daf705610dcb7591a249e"),
     "bert3[len=5]": (
         "721bced5394709becd15c21daf94764b48ae3d4848da388dbd2f47b6e638d130",
         {"allocs_before": 45, "allocs_after": 5, "static_bytes_before": 23232,
          "static_bytes_after": 3008, "kills_inserted": 96},
-        "07aa9b30462e589d5c5bb6f7bf6401151f1b1e369ce288ae6605f8a452ed16f3"),
+        "0333057090a9d5adda12bcaf1ddeb12edf3d33f7c0034ae572a8febd067855e3"),
     "lstm[len=7]": (
         "eeca15d5b228b473a3fc1d48b3dd878c394b36a9e06e640fe500c53c49da235b",
         {"allocs_before": 7, "allocs_after": 5, "static_bytes_before": 704,
          "static_bytes_after": 576, "kills_inserted": 0},
-        "a201ef6d03b23a0682d781c916382de0c2130209e75637a78123e7fdaa7fc15c"),
+        "319851b7d7a934291a326bcef574e6930fc9af75b740fbb2c595b076085a5ff4"),
     "lstm[len=7]x4": (
         "f966e35add3e8c6abf7a0c50f753bbfcc9ac3a020638887afc3950474e66becd",
         {"allocs_before": 8, "allocs_after": 6, "static_bytes_before": 2432,
          "static_bytes_after": 2112, "kills_inserted": 0},
-        "d1ba36c29df8a1c2f6991240a9cd3fa5171462763ad428cc5d3684a5c255df81"),
+        "898ee9f9905c049832feedce8d0bed0d992c6fc004dd35ebbb9683bfe0222150"),
     "lstm@gpu2": (
         "73952837b109b9d3b550a3ab6183fcdc912a28ebe121a395f561e63626fb4fd7",
         {"allocs_before": 7, "allocs_after": 6, "static_bytes_before": 704,
          "static_bytes_after": 640, "kills_inserted": 3},
-        "c1a8078e56799c37d281eb0c96bcdbabec067d6a9cb73cf7ded8fc55f9d5a511"),
+        "3f81702c1a186e8792fddf2f0f2105583602ce90f1a2b4d8756e85521f384222"),
 }
+
+
+# `len(Executable.save())` and `bytecode_size_bytes()` of the cases above
+# at executable format v5, which wrote a tuple's length in a count field
+# (`arity`, `num_fields`, `num_captured`) where v6 length-prefixes it.
+_SAVED_LENGTHS = {
+    "lstm": (13688, 407),
+    "tree_lstm": (10088, 498),
+    "bert3": (71112, 3368),
+    "bert3@gpu4": (71566, 3553),
+    "bert3[len=5]": (69370, 2921),
+    "lstm[len=7]": (13673, 407),
+    "lstm[len=7]x4": (15016, 467),
+    "lstm@gpu2": (13984, 430),
+}
+
+
+class TestSavedLengths:
+    @pytest.mark.parametrize("case", _planned_models(), ids=lambda case: case[0])
+    def test_saved_bytes_are_as_long_as_at_v5(self, case, monkeypatch):
+        name, compile_ = case
+        monkeypatch.setattr(ir_types, "_any_tokens", itertools.count())
+        exe, _ = compile_()
+        assert (len(exe.save()), exe.bytecode_size_bytes()) == _SAVED_LENGTHS[name]
 
 
 class TestLinearPlanner:

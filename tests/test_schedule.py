@@ -39,9 +39,8 @@ GPU = gpu(0)
 
 def kernel(args, num_outputs=1, device=GPU, kind="compute"):
     """A synthetic InvokePacked: last ``num_outputs`` args are outputs."""
-    return ins.InvokePacked(
-        0, len(args), num_outputs, tuple(args), device, kind
-    )
+    split = len(args) - num_outputs
+    return ins.InvokePacked(0, tuple(args[:split]), tuple(args[split:]), device, kind)
 
 
 def func_of(instructions, name="main", num_params=0):
@@ -122,7 +121,7 @@ class TestDependencyGraph:
             kernel([1, 10]),               # k0 writes r10
             ins.Move(10, 11),
             ins.ReshapeTensor(11, 2, 12),
-            ins.AllocADT(-1, 1, (12,), 13),
+            ins.AllocADT(-1, (12,), 13),
             ins.GetField(13, 0, 14),
             kernel([14, 20]),              # k1 reads through the aliases
             ins.Ret(20),
@@ -148,7 +147,7 @@ class TestDependencyGraph:
             ins.Goto(1),
             ins.Invoke(0, (1,), 2),
             ins.InvokeClosure(1, (2,), 3),
-            ins.AllocClosure(0, 0, (), 1),
+            ins.AllocClosure(0, (), 1),
         ):
             assert not is_straight_line(func_of([bad, ins.Ret(1)]))
 
@@ -584,7 +583,7 @@ class TestScheduleVerifiesUnderRaceModel:
         # test_transitive_coverage_elides_waits above).
         def on_stream(args, stream):
             return ins.InvokePacked(
-                0, len(args), 1, tuple(args), GPU, "compute", stream
+                0, tuple(args[:-1]), tuple(args[-1:]), GPU, "compute", stream
             )
 
         scheduled = func_of([

@@ -1,5 +1,5 @@
 """Serialization format tests: the current writer must emit the
-documented v5 layout (docs/serialization.md), and the loader must
+documented v6 layout (docs/serialization.md), and the loader must
 reject every other version as stale instead of misreading it."""
 
 import struct
@@ -31,7 +31,7 @@ def _scheduled_exe() -> Executable:
     dev = gpu(0)
     instrs = [
         ins.LoadConst(0, 0),
-        ins.InvokePacked(0, 2, 1, (0, 1), dev, "compute", stream=2),
+        ins.InvokePacked(0, (0,), (1,), dev, "compute", stream=2),
         ins.StreamEvent(0, dev, 2),
         ins.StreamWait(0, dev, 0),
         ins.Ret(1),
@@ -51,12 +51,13 @@ def _scheduled_exe() -> Executable:
 
 class TestGoldenBlobs:
     def test_stale_and_future_versions_rejected(self):
-        """v2–v4 blobs once loaded; the version is part of every
+        """v2–v5 blobs once loaded; the version is part of every
         artifact key, so none is ever looked up, and one met anyway —
-        here a v5 body under an older header — is refused."""
-        assert MIN_VERSION == VERSION
+        here a v6 body under an older header — is refused. (v5 wrote
+        the count fields v6 dropped: its tuples would be misread.)"""
+        assert MIN_VERSION == VERSION == 6
         blob = bytearray(_scheduled_exe().save())
-        for bad in (2, 3, 4, VERSION + 1):
+        for bad in (2, 3, 4, 5, VERSION + 1):
             blob[4:6] = struct.pack("<H", bad)
             with pytest.raises(SerializationError, match="version"):
                 Executable.load(bytes(blob))

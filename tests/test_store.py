@@ -3,6 +3,7 @@ executable persistence, kernel-cache export/import, corruption handling
 (skip-and-count, never crash, never silently load), the serving layer's
 restore path, and the public nimble.save_artifacts/load_artifacts API."""
 
+import dataclasses
 import functools
 import math
 import struct
@@ -30,7 +31,8 @@ from repro.serve import (
 )
 from repro.store import STORE_FORMAT, ArtifactStore, envelope
 from repro.vm import executable
-from repro.vm.executable import Executable, artifact_key
+from repro.vm.executable import Executable, VMFunction, artifact_key
+from repro.vm.instruction import InvokePacked
 
 
 def _dyn_mlp_module(dim=8, seed=0):
@@ -208,6 +210,28 @@ class TestArtifactStore:
         blob[7] ^= 0xFF
         with pytest.raises(SerializationError):
             Executable.load(bytes(blob))
+
+    def test_resealed_blob_with_a_flipped_kernel_kind_rejected(self, tmp_path):
+        """A compute kernel relabelled a shape function decodes, keys and
+        seals clean under its artifact's key: verification is the gate
+        that refuses it (the VM would run a kernel set as a shape
+        function)."""
+        exe = _specialized(_dyn_mlp_module())
+        store = ArtifactStore(tmp_path)
+        key = store.put(exe)
+        assert store.get(key) is not None and store.verify_rejects == 0
+        func = exe.functions[exe.func_index[exe.entry]]
+        instrs = list(func.instructions)
+        pc = next(pc for pc, i in enumerate(instrs) if isinstance(i, InvokePacked))
+        instrs[pc] = dataclasses.replace(instrs[pc], kind="shape_func")
+        flipped = dataclasses.replace(exe, functions=[
+            VMFunction(f.name, f.num_params, instrs, f.register_count) if f is func else f
+            for f in exe.functions
+        ])
+        assert store.put(flipped) == key
+        assert store.get(key) is None
+        assert (store.rejects, store.verify_rejects) == (1, 1)
+        assert "shape_func invocation of kernel" in store.reject_log[0][1]
 
 
 # ---------------------------------------------------------------------------

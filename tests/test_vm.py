@@ -58,6 +58,39 @@ class TestISA:
         ):
             assert expected in names
 
+    def test_what_each_destination_aliases(self):
+        """``aliases()`` of one sample per instruction class: the
+        registers whose contents ``dst`` then holds, which the scheduler
+        and the lifetime checker follow. A new opcode must take a row."""
+        samples = _sample_instructions()
+        assert {type(i) for i in samples} == set(ins.Instruction.__subclasses__())
+        expected = [
+            (1,),       # Move
+            (),         # Ret
+            (),         # Invoke: a callee's result is fresh here
+            (),         # InvokeClosure
+            (),         # InvokePacked: writes its outputs in place, no dst
+            (),         # AllocStorage
+            (1,),       # AllocTensor: a view of its storage
+            (1,),       # AllocTensorReg
+            (1, 2),     # AllocADT: holds its fields
+            (3, 4),     # AllocClosure: holds what it captured
+            (1,),       # GetField: the whole object, conservatively
+            (),         # GetTag
+            (),         # If
+            (),         # Goto
+            (),         # LoadConst
+            (),         # LoadConsti
+            (),         # DeviceCopy: a fresh buffer on the other device
+            (),         # ShapeOf
+            (1,),       # ReshapeTensor: the same bytes
+            (),         # Fatal
+            (),         # InvokePacked on a stream
+            (),         # StreamEvent
+            (),         # StreamWait
+        ]
+        assert [ins.aliases(i) for i in samples] == expected
+
 
 def _sample_instructions():
     return [
@@ -65,12 +98,12 @@ def _sample_instructions():
         ins.Ret(3),
         ins.Invoke(0, (1, 2), 3),
         ins.InvokeClosure(4, (5,), 6),
-        ins.InvokePacked(2, 3, 1, (0, 1, 2), cpu(0), "compute"),
+        ins.InvokePacked(2, (0, 1), (2,), cpu(0), "compute"),
         ins.AllocStorage(1, 64, gpu(0), 2),
         ins.AllocTensor(1, 2, (3, 4), "float32", 5),
         ins.AllocTensorReg(1, 2, 3, "int64", 4),
-        ins.AllocADT(-1, 2, (1, 2), 3),
-        ins.AllocClosure(1, 2, (3, 4), 5),
+        ins.AllocADT(-1, (1, 2), 3),
+        ins.AllocClosure(1, (3, 4), 5),
         ins.GetField(1, 0, 2),
         ins.GetTag(1, 2),
         ins.If(1, 2, 1, -5),
@@ -81,7 +114,7 @@ def _sample_instructions():
         ins.ShapeOf(1, 2),
         ins.ReshapeTensor(1, 2, 3),
         ins.Fatal("boom"),
-        ins.InvokePacked(2, 3, 1, (0, 1, 2), gpu(0), "compute", stream=3),
+        ins.InvokePacked(2, (0, 1), (2,), gpu(0), "compute", stream=3),
         ins.StreamEvent(7, gpu(0), 2),
         ins.StreamWait(7, gpu(0), 0),
     ]
@@ -98,10 +131,11 @@ class TestSerialization:
             assert _decode_instruction(buf) == instr
 
     def test_instruction_bytes_are_pinned(self):
-        """The wire bytes of every opcode, written by the layout loop,
-        are the ones the per-opcode encoder wrote — and the samples
-        cover every instruction class, so a new opcode cannot skip the
-        round trip above."""
+        """The wire bytes of every opcode, written by the layout loop —
+        and the samples cover every instruction class, so a new opcode
+        cannot skip the round trip above. (Re-pinned at format v6: an
+        `InvokePacked` writes its inputs' and outputs' lengths where v5
+        wrote `arity` and `output_size`, so the length did not move.)"""
         import hashlib
         import io
 
@@ -113,7 +147,7 @@ class TestSerialization:
         blob = buf.getvalue()
         assert len(blob) == 147
         assert hashlib.sha256(blob).hexdigest() == (
-            "593084022600513964adf1111546b4f5814b29695c73a7359c46783fb1f6eefe"
+            "1df0feff0efa85f50fe5898d07d472c1d52020ce1ea0d87781deaf1a3007e3bd"
         )
 
     @pytest.mark.parametrize(
@@ -770,7 +804,7 @@ class TestConstantScalars:
             ins.AllocStorage(1, 64, host, 2),   # ... and the size of its output
             ins.LoadConsti(0, 3),
             ins.AllocTensor(2, 3, (), "int64", 4),
-            ins.InvokePacked(packed.packed_index, 3, 1, (0, 1, 4), host),
+            ins.InvokePacked(packed.packed_index, (0, 1), (4,), host),
             ins.Ret(4),
         ]
         ctx = ExecutionContext(intel_cpu())
@@ -850,7 +884,7 @@ class TestConstantScalars:
                 ins.LoadConsti(8, 1), ins.AllocStorage(1, 64, host, 2),
                 ins.LoadConsti(0, 3), ins.AllocTensor(2, 3, (), "int64", 4),
                 ins.LoadConst(0, 5),
-                ins.InvokePacked(packed.packed_index, 3, 1, (0, 5, 4), host),
+                ins.InvokePacked(packed.packed_index, (0, 5), (4,), host),
             ] + tail(4, 6), [array(np.array(200, np.int64))], (np.array(size - 200, np.int64),)),
         }
         asked = {}
@@ -1167,7 +1201,7 @@ class TestHostSyncWait:
         program = [
             ins.LoadConsti(4096 * 4, 1), ins.AllocStorage(1, 64, device, 2),
             ins.LoadConsti(0, 3), ins.AllocTensor(2, 3, (4096,), "float32", 4),
-            ins.InvokePacked(packed.packed_index, 2, 1, (0, 4), device),
+            ins.InvokePacked(packed.packed_index, (0,), (4,), device),
             ins.DeviceCopy(4, 5, device, host),
             ins.Ret(5),
         ]
