@@ -736,12 +736,13 @@ def batch_specialization_study() -> Dict[str, Dict[str, float]]:
             specialize_batch=True,
         ),
     )
+    batched = report.tier_profile("batched")
     serving = {
         "batched_hits": float(report.batched_hits),
         "batched_hit_rate": report.batched_hit_rate,
         "specialized_hit_rate": report.specialized_hit_rate,
-        "batched_batches": float(report.profile_batched.runs),
-        "batched_shape_func_us": report.profile_batched.shape_func_time_us,
+        "batched_batches": float(batched.runs),
+        "batched_shape_func_us": batched.shape_func_time_us,
         "p50_us_dynamic": report.tier_latency_percentile_us("dynamic", 50.0),
         "p50_us_batched": report.tier_latency_percentile_us("batched", 50.0),
         "deterministic": float(deterministic),

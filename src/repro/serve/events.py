@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Tuple
 
+from repro.vm.profiler import VMProfile
+
 
 def records_of(records, kind, replica: Optional[int] = None) -> list:
     """The records of one kind, in list order — one replica's, or the
@@ -42,6 +44,22 @@ class Dispatch(NamedTuple):
     @property
     def size(self) -> int:
         return len(self.rids)
+
+
+class VMRun(NamedTuple):
+    """One VM call on a worker and what it charged: one per member on
+    the dynamic, specialized and partial tiers (a guard-deopted member's
+    reads ``"dynamic"``), one per stacked call on the batched tier,
+    whose ``rids`` are the bucket's. ``charges`` is the profile the VM
+    tallied that call, and only that call, into: the worker hands the
+    VM a fresh one before each call."""
+
+    at_us: float
+    replica: int
+    worker: int
+    tier: str
+    rids: Tuple[int, ...]
+    charges: VMProfile
 
 
 class GuardDeopt(NamedTuple):

@@ -1,5 +1,5 @@
 """Aggregated serving statistics: latency percentiles, throughput, batch
-shapes, per-worker utilization, the merged VM profile of every worker
+shapes, per-worker utilization, the summed charges of every VM call
 (the Table 4 kernel-vs-others breakdown, fleet-wide), and — with tiered
 specialization — the per-tier split: how many requests the static tier
 served, at what latency, and what the dynamic tier kept paying in
@@ -8,15 +8,14 @@ utilization, pending-queue wait percentiles, and executable-cache
 eviction counts.
 
 A report stores only what the simulation cannot be asked again —
-responses, the tier profiles, a few sizes and the record list
-(:mod:`repro.serve.events`). Every count, sum and split is computed
-from those when read."""
+responses, a few sizes and the record list (:mod:`repro.serve.events`).
+Every count, sum, split and profile is computed from those when read."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.utils.reporting import format_table, percentile
 from repro.serve.events import (
@@ -25,6 +24,7 @@ from repro.serve.events import (
     GuardDeopt,
     SpecializationEvent,
     StoreReject,
+    VMRun,
     records_of,
 )
 from repro.serve.request import Response
@@ -35,12 +35,15 @@ from repro.vm.profiler import VMProfile
 # which replay checks compare bitwise per rid themselves.
 _RESPONSE_NOT_COUNTED = ("output",)
 
+# The tiers a batch can run on, in the order reports list them.
+_TIERS = ("dynamic", "specialized", "batched", "partial")
+
 # What `ServeReport.counters` compares, by report name: the stored
 # fields and every fold of the record list (tests/test_serve.py checks
-# that a public name missing from it is a statistic of these).
+# that a public name missing from it is a statistic of these), and then
+# each tier's profile as `profile_<tier>`.
 _COUNTED = (
     "responses", "worker_busy_us", "worker_batches",
-    "profile_dynamic", "profile_specialized", "profile_batched", "profile_partial",
     "specialize_compile_us", "num_specialized_executables",
     "num_resident_executables", "specialize_lane_busy_us",
     "specialize_queue_waits_us", "specialize_evictions", "specialize_pool_span_us",
@@ -60,10 +63,6 @@ class ServeReport:
     num_workers: int = 0
     # 0 when tiered specialization is off: there is no compile pool.
     num_compile_lanes: int = 0
-    profile_dynamic: VMProfile = field(default_factory=VMProfile)
-    profile_specialized: VMProfile = field(default_factory=VMProfile)
-    profile_batched: VMProfile = field(default_factory=VMProfile)
-    profile_partial: VMProfile = field(default_factory=VMProfile)
     # Device streams the executables were scheduled for (after platform
     # clamping). 1 means single-stream builds — the stream section of
     # the report collapses to a single row and no sync events exist.
@@ -75,11 +74,11 @@ class ServeReport:
 
     # ------------------------------------------------------------ determinism
     def counters(self) -> dict:
-        """Every `_COUNTED` name, for replay-equality assertions: each
-        is a fold of the simulation, so two simulations of one trace
-        must agree on all of them (a `VMProfile` compares field by
-        field). Response *outputs* are not in it — compare those
-        bitwise, per rid."""
+        """Every `_COUNTED` name and each tier's profile, for
+        replay-equality assertions: each is a fold of the simulation, so
+        two simulations of one trace must agree on all of them (a
+        `VMProfile` compares field by field). Response *outputs* are not
+        in it — compare those bitwise, per rid."""
         counted = [
             f.name for f in fields(Response) if f.name not in _RESPONSE_NOT_COUNTED
         ]
@@ -87,6 +86,8 @@ class ServeReport:
         out["responses"] = tuple(
             tuple(getattr(r, name) for name in counted) for r in self.responses
         )
+        for tier in _TIERS:
+            out[f"profile_{tier}"] = self.tier_profile(tier)
         return out
 
     # ---------------------------------------------------------------- workers
@@ -180,12 +181,8 @@ class ServeReport:
         return self.partial_hits / len(self.responses)
 
     def tier_profile(self, tier: str) -> VMProfile:
-        return {
-            "dynamic": self.profile_dynamic,
-            "specialized": self.profile_specialized,
-            "batched": self.profile_batched,
-            "partial": self.profile_partial,
-        }[tier]
+        """What this replica's VM calls on *tier* charged."""
+        return self._charges(tier)
 
     def tier_latencies_us(self, tier: str) -> List[float]:
         return [r.latency_us for r in self.responses if r.tier == tier]
@@ -327,45 +324,32 @@ class ServeReport:
         return percentile(waits, q) if waits else 0.0
 
     # ---------------------------------------------------------------- profile
+    def _charges(self, tier: Optional[str] = None) -> VMProfile:
+        """The charges of this replica's `VMRun`s — on *tier*, or on
+        every tier — summed in list order."""
+        total = VMProfile()
+        for run in self._of(VMRun):
+            if tier is None or run.tier == tier:
+                total.merge(run.charges)
+        return total
+
     @property
     def profile(self) -> VMProfile:
-        """All tiers merged (what the pre-tiering report exposed)."""
-        merged = VMProfile()
-        merged.merge(self.profile_dynamic)
-        merged.merge(self.profile_specialized)
-        merged.merge(self.profile_batched)
-        merged.merge(self.profile_partial)
-        return merged
+        """What every VM call of this replica charged, all tiers."""
+        return self._charges()
 
     # ---------------------------------------------------------------- streams
     @property
     def stream_busy_us(self) -> Dict[int, float]:
         """Fleet-wide device-kernel time per stream, all tiers merged."""
-        merged = self.profile
-        return {s: merged.stream_kernel_us[s] for s in sorted(merged.stream_kernel_us)}
+        return _stream_busy_us(self.profile)
 
     @property
     def stream_utilization(self) -> Dict[int, float]:
         """Each stream's share of total device-kernel time (sums to 1
         when any kernel ran). A perfectly balanced N-stream schedule
         shows 1/N per stream."""
-        busy = self.stream_busy_us
-        total = sum(busy.values())
-        if total <= 0:
-            return {s: 0.0 for s in busy}
-        return {s: b / total for s, b in busy.items()}
-
-    @property
-    def sync_events(self) -> int:
-        return self.profile.sync_events
-
-    @property
-    def sync_waits(self) -> int:
-        return self.profile.sync_waits
-
-    @property
-    def sync_stall_us(self) -> float:
-        return self.profile.sync_stall_us
+        return _shares(self.stream_busy_us)
 
     # ----------------------------------------------------------------- timing
     @property
@@ -419,6 +403,7 @@ class ServeReport:
 
     # -------------------------------------------------------------- rendering
     def format(self, title: str = "Serving report") -> str:
+        profile = self.profile
         rows = [
             ["requests", float(self.num_requests)],
             ["batches", float(self.num_batches)],
@@ -428,7 +413,7 @@ class ServeReport:
             ["latency p50 (µs)", self.p50_us],
             ["latency p99 (µs)", self.p99_us],
             ["latency max (µs)", self.max_latency_us],
-            ["kernel time (µs)", self.profile.kernel_time_us],
+            ["kernel time (µs)", profile.kernel_time_us],
         ]
         main = format_table(title, rows, ["metric", "value"])
         sections = [main]
@@ -512,22 +497,23 @@ class ServeReport:
                     )
                 )
         if self.device_streams > 1:
-            merged = self.profile
+            busy_us = _stream_busy_us(profile)
+            shares = _shares(busy_us)
             stream_rows = [
                 [
                     s,
                     busy,
-                    float(merged.stream_kernel_invocations[s]),
-                    100.0 * self.stream_utilization[s],
+                    float(profile.stream_kernel_invocations[s]),
+                    100.0 * shares[s],
                 ]
-                for s, busy in self.stream_busy_us.items()
+                for s, busy in busy_us.items()
             ]
             sections.append(
                 format_table(
                     f"Streams ({self.device_streams}) — "
-                    f"{self.sync_events} event(s), "
-                    f"{self.sync_waits} wait(s), "
-                    f"stall {self.sync_stall_us:.0f} µs",
+                    f"{profile.sync_events} event(s), "
+                    f"{profile.sync_waits} wait(s), "
+                    f"stall {profile.sync_stall_us:.0f} µs",
                     stream_rows,
                     ["stream", "busy µs", "kernels", "share %"],
                 )
@@ -552,25 +538,12 @@ class ServeReport:
         return "\n\n".join(sections)
 
 
-def build_report(
-    responses: Sequence[Response],
-    workers,
-    records: Sequence,
-    replica: int = 0,
-    num_compile_lanes: int = 0,
-    device_streams: int = 1,
-) -> ServeReport:
-    """Assemble a ServeReport: responses by rid, the workers' tier
-    profiles merged, and the simulation's record list passed through."""
-    report = ServeReport(
-        responses=sorted(responses, key=lambda r: r.rid),
-        records=records,
-        replica=replica,
-        num_workers=len(workers),
-        num_compile_lanes=num_compile_lanes,
-        device_streams=max(1, int(device_streams)),
-    )
-    for worker in workers:
-        for tier, profile in worker.profiles.items():
-            report.tier_profile(tier).merge(profile)
-    return report
+def _stream_busy_us(profile: VMProfile) -> Dict[int, float]:
+    return {s: profile.stream_kernel_us[s] for s in sorted(profile.stream_kernel_us)}
+
+
+def _shares(busy: Dict[int, float]) -> Dict[int, float]:
+    total = sum(busy.values())
+    if total <= 0:
+        return {s: 0.0 for s in busy}
+    return {s: b / total for s, b in busy.items()}

@@ -46,7 +46,7 @@ from repro.ir.module import IRModule
 from repro.serve.batcher import Batch, Batcher, ShapeBucketer
 from repro.serve.config import ServeConfig
 from repro.serve.events import Dispatch, StoreReject
-from repro.serve.report import ServeReport, build_report
+from repro.serve.report import ServeReport
 from repro.serve.request import Request, Response
 from repro.serve.specialization import DYNAMIC_TIER, SpecializationManager
 from repro.serve.worker import Worker
@@ -268,15 +268,15 @@ class InferenceServer:
             # every still-pending compile to a lane so queue-wait and
             # lane-utilization stats cover the whole triggered set.
             self.specializer.drain()
-        return build_report(
-            self._responses,
-            self.workers,
-            self.records,
+        return ServeReport(
+            responses=sorted(self._responses, key=lambda r: r.rid),
+            records=self.records,
             replica=self.replica_id,
+            num_workers=len(self.workers),
             num_compile_lanes=(
                 self.config.specialize_compile_lanes if self.config.specialize else 0
             ),
-            device_streams=self.exe.device_streams,
+            device_streams=max(1, self.exe.device_streams),
         )
 
     def finish(self, now_us: float) -> ServeReport:

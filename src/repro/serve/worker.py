@@ -14,12 +14,13 @@ same shape, or two batch caps of the same shape, never share a stale VM —
 all sharing this worker's context, so a batch routed to a static tier
 runs on the same clock/allocator and its latency lands in the same
 report. The worker does not choose tiers: it runs a batch on the tier
-the server hands it (``SpecializationManager.tier_for`` decided), and
-each VM pools its profile into ``profiles[tier]`` — ``"dynamic"`` is
-the dynamic VM's own — from which the report splits kernel/shape-func
-time by tier. The VM cache is dropped on :meth:`reset`, so an executable
-evicted from the specialization manager's cache is not pinned alive by a
-stale VM across replays.
+the server hands it (``SpecializationManager.tier_for`` decided). Every
+VM call gets a fresh :class:`VMProfile` to tally into, and the worker
+appends it to the record list as a :class:`~repro.serve.events.VMRun`
+with the call's tier and rids; the report's per-tier kernel/shape-func
+split is a fold over those. The VM cache is dropped on :meth:`reset`,
+so an executable evicted from the specialization manager's cache is not
+pinned alive by a stale VM across replays.
 
 Batch members run back-to-back with ``sync=False`` and one device
 synchronization at the end, so on GPU-class platforms the host-side
@@ -41,7 +42,7 @@ from repro.errors import VMError
 from repro.hardware.platforms import Platform
 from repro.runtime.context import ExecutionContext
 from repro.serve.batcher import Batch
-from repro.serve.events import GuardDeopt
+from repro.serve.events import GuardDeopt, VMRun
 from repro.serve.request import Response
 from repro.tensor.ndarray import NDArray
 from repro.vm.executable import Executable
@@ -62,15 +63,10 @@ class Worker:
         self.replica_id = replica_id
         self.ctx = ExecutionContext(platform, numerics=numerics)
         self.vm = VirtualMachine(executable, self.ctx)
-        self.profiles: Dict[str, VMProfile] = {
-            "dynamic": self.vm.profile,
-            "specialized": VMProfile(),
-            "batched": VMProfile(),
-            "partial": VMProfile(),
-        }
         self._specialized_vms: Dict[tuple, VirtualMachine] = {}
         # The simulation's record list (see reset); this worker appends
-        # its guard deopts, so "never wrong" is also "never silent".
+        # every VM call it makes and its guard deopts, so "never wrong"
+        # is also "never silent".
         self.records: list = []
 
     @property
@@ -81,22 +77,19 @@ class Worker:
     def reset(self, records: Optional[list] = None) -> None:
         """Return to the cold-start state so each simulation is an
         independent, reproducible replay: clock to zero, pools drained,
-        profiles cleared, and *records* (the server's list; a worker on
-        its own starts a new one) to append to. A leak (live bytes at
-        reset) is an error, not something to silently forgive."""
+        and *records* (the server's list; a worker on its own starts a
+        new one) to append to. A leak (live bytes at reset) is an error,
+        not something to silently forgive."""
         self.ctx.allocator.assert_drained()
         self.ctx.reset_clock()
         self.ctx.allocator.release_all()
         self.ctx.allocator.stats.reset()
-        for profile in self.profiles.values():
-            profile.reset()
         self._specialized_vms.clear()
         self.records = [] if records is None else records
 
-    def _specialized_vm(self, executable: Executable, tier: str) -> VirtualMachine:
+    def _specialized_vm(self, executable: Executable) -> VirtualMachine:
         """One VM per specialized executable variant, sharing this
-        worker's context and pooling its profile into ``profiles[tier]``
-        (per-tier accounting). Keyed by the (specialization marker, batch
+        worker's context. Keyed by the (specialization marker, batch
         granularity) pair — stable across executable-cache eviction,
         unlike id(), and never aliasing across batch-cap changes: a
         member shape (4, I) batched 8× and a member shape (8, I) batched
@@ -106,9 +99,21 @@ class Worker:
         vm = self._specialized_vms.get(key)
         if vm is None or vm.exe is not executable:
             vm = VirtualMachine(executable, self.ctx)
-            vm.profile = self.profiles[tier]
             self._specialized_vms[key] = vm
         return vm
+
+    def _call(
+        self, vm: VirtualMachine, tier: str, rids: tuple, args: tuple, stream_offset=0
+    ):
+        """Run *vm* once, tallying into a fresh profile, and record the
+        call with what it charged."""
+        at_us = self.ctx.clock.elapsed_us
+        charges = vm.profile = VMProfile()
+        output = vm.run(*args, sync=False, stream_offset=stream_offset)
+        self.records.append(
+            VMRun(at_us, self.replica_id, self.worker_id, tier, rids, charges)
+        )
+        return output
 
     @staticmethod
     def _payload_arrays(payload) -> tuple:
@@ -138,7 +143,8 @@ class Worker:
             np.concatenate([self._as_numpy(m[i]) for m in members], axis=0)
             for i in range(arity)
         )
-        out = vm.run(*stacked, sync=False)
+        rids = tuple(r.rid for r in batch.requests)
+        out = self._call(vm, "batched", rids, stacked)
         return self._split_output(out, cap)
 
     def _split_output(self, output, cap: int) -> List:
@@ -174,7 +180,7 @@ class Worker:
         compiled for someone else's dims."""
         clock = self.ctx.clock
         clock.advance_to(start_us)
-        vm = self.vm if executable is None else self._specialized_vm(executable, tier)
+        vm = self.vm if executable is None else self._specialized_vm(executable)
         begin = clock.elapsed_us
         tiers = [tier] * len(batch)
         if tier == "batched":
@@ -202,9 +208,8 @@ class Worker:
                         )
                     )
                 outputs.append(
-                    member_vm.run(
-                        *args,
-                        sync=False,
+                    self._call(
+                        member_vm, tiers[i], (req.rid,), args,
                         stream_offset=i % max(1, member_vm.exe.device_streams),
                     )
                 )

@@ -27,7 +27,7 @@ from repro.serve import (
     lstm_traffic,
     poisson_arrivals,
 )
-from repro.serve.events import Dispatch
+from repro.serve.events import Dispatch, VMRun
 from repro.serve.report import _COUNTED, _RESPONSE_NOT_COUNTED, ServeReport
 from repro.utils.reporting import percentile
 from repro.vm.profiler import VMProfile
@@ -410,8 +410,13 @@ class TestInferenceServer:
         report = server.simulate(_requests([8] * 6, gap_us=1.0))
         assert report.profile.runs == 6
         assert report.profile.kernel_invocations >= 6
-        per_worker = sum(w.vm.profile.runs for w in server.workers)
-        assert per_worker == report.profile.runs
+        runs = [r for r in report.records if type(r) is VMRun]
+        per_worker = [sum(1 for r in runs if r.worker == w) for w in range(2)]
+        assert per_worker == [
+            sum(d.size for d in report.records if type(d) is Dispatch and d.worker == w)
+            for w in range(2)
+        ]
+        assert sum(per_worker) == report.profile.runs
 
     def test_vm_run_is_not_reentrant(self):
         server = InferenceServer(_dyn_mlp_module(), intel_cpu(), ServeConfig())
@@ -486,9 +491,9 @@ class TestReportStatistics:
         "bucket_keys", "specialized_hits", "specialized_hit_rate", "batched_hits",
         "batched_hit_rate", "partial_hits", "partial_hit_rate",
         "compile_lane_utilization", "mean_compile_queue_wait_us", "profile",
-        "stream_busy_us", "stream_utilization", "sync_events", "sync_waits",
-        "sync_stall_us", "latencies_us", "span_us", "throughput_rps", "p50_us",
-        "p99_us", "mean_latency_us", "max_latency_us", "worker_utilization",
+        "stream_busy_us", "stream_utilization", "latencies_us", "span_us",
+        "throughput_rps", "p50_us", "p99_us", "mean_latency_us", "max_latency_us",
+        "worker_utilization",
     }
     # What a report is given rather than computes: the list and the sizes.
     GIVEN = {"records", "replica", "num_workers", "num_compile_lanes"}
@@ -501,7 +506,9 @@ class TestReportStatistics:
         thing left out of a response — its output array, which replay
         checks compare bitwise — is named in one tuple."""
         counters = self._report().counters()
-        assert tuple(counters) == _COUNTED
+        assert tuple(counters) == _COUNTED + tuple(
+            f"profile_{tier}" for tier in ("dynamic", "specialized", "batched", "partial")
+        )
         public = {f.name for f in dataclasses.fields(ServeReport)} | {
             name
             for name, member in vars(ServeReport).items()
@@ -518,7 +525,9 @@ class TestReportStatistics:
         # by field, so one extra kernel launch is a difference.
         assert counters["profile_dynamic"] == VMProfile()
         busier = self._report()
-        busier.profile_dynamic.record_kernel(1.0, "generated")
+        charges = VMProfile()
+        charges.record_kernel(1.0, "generated")
+        busier.records.append(VMRun(10.0, 0, 0, "dynamic", (0,), charges))
         assert busier.counters() != counters
         assert counters["worker_busy_us"] == [300.0, 200.0]
 
@@ -628,14 +637,17 @@ class TestRefereeCounters:
     state updates became one kernel: modeled times, the suffix compile
     and restore charges (fewer kernels a blob) and, on the two-stream
     GPU, the worker split of the batches (7 / 5 -> 6 / 6) moved; every
-    other count held."""
+    other count held. The `profile_*` digests were re-recorded again
+    when the tier profiles became folds over `VMRun` records: each run
+    now sums its own charges before the fold adds them, which moves the
+    last bits of some float fields; every count held."""
 
     ONE_SLOT_CPU = {
         "responses": "sha256:5b37b7d033f57aaf",
         "worker_busy_us": ("0x1.af1977723fb9dp+9", "0x1.a1a94c0dddc12p+9"),
         "worker_batches": (6, 6),
-        "profile_dynamic": "sha256:94845f1204a1422f",
-        "profile_specialized": "sha256:0e02b6c051cd23c6",
+        "profile_dynamic": "sha256:87b48676b539389e",
+        "profile_specialized": "sha256:ce4d8ea533d5cd8e",
         "profile_batched": "sha256:ada3fa32b18cc11c",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.0540000000000p+11",
@@ -669,8 +681,8 @@ class TestRefereeCounters:
         "responses": "sha256:48b3126b70cf2605",
         "worker_busy_us": ("0x1.89e79b7883fc8p+10", "0x1.675c5bab49346p+10"),
         "worker_batches": (6, 6),
-        "profile_dynamic": "sha256:da6b5a562a6168a7",
-        "profile_specialized": "sha256:ab2065c6905449be",
+        "profile_dynamic": "sha256:e33d15c7d39e7a77",
+        "profile_specialized": "sha256:4e7b9a8db2442491",
         "profile_batched": "sha256:c524c9f180aba7ac",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.19e0000000000p+11",
@@ -704,8 +716,8 @@ class TestRefereeCounters:
         "responses": "sha256:388944b8618d8018",
         "worker_busy_us": ("0x1.ed7705819f921p+9", "0x1.c8f0fcbe27342p+9"),
         "worker_batches": (5, 4),
-        "profile_dynamic": "sha256:5a0b10fc2d4d3fe7",
-        "profile_specialized": "sha256:1d2ec23e837a438b",
+        "profile_dynamic": "sha256:7c19a9641bbe64f6",
+        "profile_specialized": "sha256:b1b5fe99a8d941db",
         "profile_batched": "sha256:c2d0ebbfdae3b84b",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.2700000000000p+10",
@@ -732,22 +744,25 @@ class TestRefereeCounters:
         "device_streams": 1,
     }
 
-    def test_one_slot_cache_on_cpu(self, tmp_path, pinned):
+    def test_one_slot_cache_on_cpu(self, tmp_path, pinned, vm_run_law):
         server, trace = _one_slot_server(intel_cpu(), str(tmp_path))
         report = server.simulate(trace)
         assert report.specialize_evictions == 2 and report.specialize_restored == 2
+        assert vm_run_law(report) == []
         assert pinned(report.counters()) == self.ONE_SLOT_CPU
 
-    def test_one_slot_cache_on_two_stream_gpu(self, tmp_path, pinned):
+    def test_one_slot_cache_on_two_stream_gpu(self, tmp_path, pinned, vm_run_law):
         server, trace = _one_slot_server(nvidia_gpu(), str(tmp_path), device_streams=2)
         report = server.simulate(trace)
         assert report.device_streams == 2
+        assert vm_run_law(report) == []
         assert pinned(report.counters()) == self.ONE_SLOT_GPU_TWO_STREAMS
 
-    def test_predictive_restart_over_a_damaged_store(self, tmp_path, pinned):
+    def test_predictive_restart_over_a_damaged_store(self, tmp_path, pinned, vm_run_law):
         server, trace = _predictive_restart_over_a_damaged_store(str(tmp_path))
         report = server.simulate(trace)
         assert (report.store_rejects, report.verify_rejects) == (4, 1)
+        assert vm_run_law(report) == []
         assert report.predictive_compiles == 3 and report.predictive_hits > 0
         assert pinned(report.counters()) == self.PREDICTIVE_RESTART_DAMAGED_STORE
         assert pinned(server.simulate(trace).counters()) == pinned(report.counters())
@@ -762,6 +777,34 @@ def _golden_scenario(artifact_dir):
     )
     server = InferenceServer(_toy_lstm(), intel_cpu(), config)
     return server, _phased_lstm_trace(((5, 6), (9, 10)))
+
+
+def test_the_vm_run_law_finds_each_broken_list(tmp_path, vm_run_law):
+    """Each clause of the `VMRun` law can fail: a run dropped,
+    duplicated, relabelled, cut out of its bucket, or counting two runs
+    is a finding on a list that otherwise holds."""
+    server, trace = _one_slot_server(intel_cpu(), str(tmp_path))
+    report = server.simulate(trace)
+    assert vm_run_law(report) == []
+    records = list(report.records)
+    runs = [i for i, r in enumerate(records) if type(r) is VMRun]
+    member = next(i for i in runs if records[i].tier != "batched")
+    stacked = next(i for i in runs if records[i].tier == "batched")
+    twice = VMProfile(runs=2)
+
+    def broken(i, *replacement):
+        return dataclasses.replace(
+            report, records=records[:i] + list(replacement) + records[i + 1:]
+        )
+
+    for mutant in (
+        broken(member),
+        broken(member, records[member], records[member]),
+        broken(member, records[member]._replace(tier="partial")),
+        broken(stacked, records[stacked]._replace(rids=records[stacked].rids[:1])),
+        broken(member, records[member]._replace(charges=twice)),
+    ):
+        assert vm_run_law(mutant) != []
 
 
 def test_record_list_matches_golden(tmp_path):

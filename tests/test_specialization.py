@@ -42,7 +42,7 @@ from repro.serve import (
     long_tailed_traffic,
     lstm_traffic,
 )
-from repro.serve.events import GuardDeopt, StoreReject
+from repro.serve.events import GuardDeopt, StoreReject, VMRun
 from repro.serve.report import ServeReport
 from repro.serve.specialization import EXACT_BUCKET
 from repro.vm.executable import Executable
@@ -819,9 +819,10 @@ class TestTieredServing:
         requests = lstm_traffic(64, input_size=8, mean_interarrival_us=200.0, seed=0)
         report = server.simulate(requests)
         assert report.specialized_hits > 0
-        assert report.profile_specialized.shape_func_time_us == 0.0
-        assert report.profile_specialized.runs == report.specialized_hits
-        assert report.profile_dynamic.runs == (
+        specialized = report.tier_profile("specialized")
+        assert specialized.shape_func_time_us == 0.0
+        assert specialized.runs == report.specialized_hits
+        assert report.tier_profile("dynamic").runs == (
             report.num_requests - report.specialized_hits
         )
 
@@ -993,18 +994,30 @@ class TestWorkerBatchVariantVMs:
             mod, intel_cpu(), shapes=[(8, 8)], kernel_cache=cache, batch=4
         )
         worker = Worker(0, dyn, intel_cpu())
-        vm_a = worker._specialized_vm(a, "batched")
-        vm_b = worker._specialized_vm(b, "batched")
+        vm_a = worker._specialized_vm(a)
+        vm_b = worker._specialized_vm(b)
         assert vm_a is not vm_b
-        assert worker._specialized_vm(a, "batched") is vm_a  # stable across lookups
-        # Each VM pools into the profile of the tier it runs for: batched
-        # VMs the batched one, member VMs the specialized one.
+        assert worker._specialized_vm(a) is vm_a  # stable across lookups
+        # Each call is recorded under the tier it ran for: a stacked
+        # bucket as one batched run carrying the bucket's rids, a
+        # member-wise batch as one specialized run per member.
         member, _ = nimble.specialize(
             mod, intel_cpu(), shapes=[(4, 8)], kernel_cache=cache
         )
-        assert vm_a.profile is worker.profiles["batched"]
-        member_vm = worker._specialized_vm(member, "specialized")
-        assert member_vm.profile is worker.profiles["specialized"]
+        rng = np.random.RandomState(0)
+        requests = [
+            Request(rid=i, arrival_us=0.0, payload=rng.randn(4, 8).astype(np.float32))
+            for i in range(8)
+        ]
+        worker.run_batch(Batch((4, 8), requests, 0.0), 0.0, executable=a, tier="batched")
+        worker.run_batch(
+            Batch((4, 8), requests[:2], 0.0), 0.0, executable=member, tier="specialized"
+        )
+        assert [(r.tier, r.rids) for r in worker.records if type(r) is VMRun] == [
+            ("batched", tuple(range(8))),
+            ("specialized", (0,)),
+            ("specialized", (1,)),
+        ]
 
 
 class TestBatcherCaps:
@@ -1215,16 +1228,17 @@ class TestBatchedServing:
             for r in report.responses
             if r.tier == "batched"
         }
-        assert report.profile_batched.runs == len(batched_batches)
+        batched = report.tier_profile("batched")
+        assert batched.runs == len(batched_batches)
         assert all(
             r.batch_size == server.config.batch_cap
             for r in report.responses
             if r.tier == "batched"
         )
         # Static tiers pay zero shape functions; the dynamic tier pays.
-        assert report.profile_batched.shape_func_time_us == 0.0
-        assert report.profile_specialized.shape_func_time_us == 0.0
-        assert report.profile_batched.gemm_invocations() > 0
+        assert batched.shape_func_time_us == 0.0
+        assert report.tier_profile("specialized").shape_func_time_us == 0.0
+        assert batched.gemm_invocations() > 0
         tiers = {r.tier for r in report.responses}
         assert "batched" in tiers and "dynamic" in tiers
         text = report.format("batched")
@@ -2143,8 +2157,10 @@ class TestGuardDeopt:
             batch, 0.0, executable=part, tier="partial"
         )
         assert [r.tier for r in responses] == ["partial", "dynamic"]
-        (deopt,) = worker.records
-        assert type(deopt) is GuardDeopt and deopt.rid == 1
+        (deopt,) = [r for r in worker.records if type(r) is GuardDeopt]
+        assert deopt.rid == 1
+        runs = [(r.tier, r.rids) for r in worker.records if type(r) is VMRun]
+        assert runs == [("partial", (0,)), ("dynamic", (1,))]
         assert "16" in deopt.reason and "8" in deopt.reason
         ref_vm = VirtualMachine(
             dyn, ExecutionContext(platform, numerics="full")
@@ -2178,4 +2194,4 @@ class TestGuardDeopt:
             batch, 0.0, executable=part, tier="partial"
         )
         assert [r.tier for r in responses] == ["partial"] * 3
-        assert worker.records == []
+        assert not any(type(r) is GuardDeopt for r in worker.records)
