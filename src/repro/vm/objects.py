@@ -135,32 +135,50 @@ def constant_obj(array: NDArray) -> TensorObj:
 
 class ADTObj(VMObject):
     """An algebraic data type object: constructor tag + fields.
-    Tuples are represented with ``tag == TUPLE_TAG``."""
+    Tuples are represented with ``tag == TUPLE_TAG``.
+
+    An ADT counts the references to itself (``rc``: one per register or
+    field holding it) and holds one reference to each of its fields,
+    dropped when its own count reaches zero. Retaining a nested ADT is
+    one addition, not a walk of everything below it, and a storage
+    under it is freed at the same release, in the same order, as when
+    every reference re-counted every field: when the last path to it
+    goes."""
 
     TUPLE_TAG = -1
 
-    __slots__ = ("tag", "fields")
+    __slots__ = ("tag", "fields", "rc")
 
     def __init__(self, tag: int, fields: Sequence[VMObject]) -> None:
         self.tag = tag
         self.fields = list(fields)
+        self.rc = 1
+        # A tensor field, the usual one, is adjusted here as
+        # `TensorObj.retain` would, without the call; ints are values.
         for f in self.fields:
-            if isinstance(f, VMObject):
+            if f.__class__ is TensorObj:
+                storage_obj = f.storage_obj
+                if storage_obj is not None:
+                    storage_obj.rc += 1
+            elif isinstance(f, VMObject):
                 f.retain()
-            # Storage objects retained via their own rc; ints are values.
 
     def retain(self) -> "ADTObj":
-        # ADTs are shared by reference; their fields were retained at
-        # construction. Retaining the ADT re-retains fields so nested
-        # release stays balanced.
-        for f in self.fields:
-            if isinstance(f, VMObject):
-                f.retain()
+        self.rc += 1
         return self
 
     def release(self) -> None:
+        self.rc -= 1
+        if self.rc:
+            return
         for f in self.fields:
-            if isinstance(f, VMObject):
+            if f.__class__ is TensorObj:
+                storage_obj = f.storage_obj
+                if storage_obj is not None:
+                    storage_obj.rc -= 1
+                    if storage_obj.rc == 0 and storage_obj.on_free is not None:
+                        storage_obj.on_free(storage_obj.storage)
+            elif isinstance(f, VMObject):
                 f.release()
 
     def __repr__(self) -> str:
@@ -196,12 +214,6 @@ class ClosureObj(VMObject):
 
 
 RegisterValue = Union[VMObject, int, None]
-
-
-def retain_value(value: RegisterValue) -> RegisterValue:
-    if isinstance(value, VMObject):
-        return value.retain()
-    return value
 
 
 def as_tensor(value: RegisterValue, what: str = "operand") -> TensorObj:

@@ -19,9 +19,10 @@ from typing import Dict
 class VMProfile:
     runs: int = 0
     # Opcode name -> executions, and the dispatch charge they add up to:
-    # both are written directly by the interpreter's inner loop
-    # (`VirtualMachine._run_frames`), once per instruction, so a run
-    # that raises has still counted the instruction it raised in.
+    # both are folded in by the VM's trampoline once per run
+    # (`VirtualMachine._count`), from the generated blocks' hit counts
+    # and their per-instruction charges, so a run that raises has still
+    # counted the instruction it raised in.
     instruction_counts: Counter = field(default_factory=Counter)
     kernel_time_us: float = 0.0
     kernel_invocations: int = 0

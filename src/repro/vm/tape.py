@@ -6,8 +6,9 @@ storage is allocated once, when the tape is recorded, and a replay walks
 the launches with a fixed per-node charge — no instruction decode, no
 shape function, no allocation. It is the "tvm" column of Table 4: the
 same kernels the VM runs for a specialized executable, without the VM
-around them. The recording walk fills registers with the interpreter's
-own opcode handlers, so no opcode's meaning is written twice here.
+around them. The recording runs the VM's own generated code under a
+second policy (`VirtualMachine.record`), so no opcode's meaning is
+written twice here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.runtime.context import LITE_SKIP_FLOPS, ExecutionContext
 from repro.vm.executable import Executable
 from repro.vm.instruction import Opcode
 from repro.vm.interpreter import VirtualMachine
-from repro.vm.objects import as_tensor
 
 # What a straight-line function with its shapes bound executes. Anything
 # else — control flow, calls, ShapeOf, AllocTensorReg, DeviceCopy, stream
@@ -59,26 +59,8 @@ class LaunchTape:
                 f"executable built for {exe.platform_name!r} cannot replay on "
                 f"{self.ctx.platform.name!r}"
             )
-        frame = vm._activate(exe.func_index[exe.entry], caller_dst=None)
-        regs = frame.registers
-        for i, value in enumerate(inputs):
-            regs[i] = vm._wrap_input(value)
         self.launches = []
-        handlers = VirtualMachine._HANDLERS
-        for opcode, operand in zip(frame.opcodes, frame.operands):
-            if opcode == Opcode.RET:
-                self._result = regs[operand.result]
-                break
-            if opcode == Opcode.INVOKE_PACKED:
-                packed_index, in_regs, out_regs, _, _, _, device, launch_us, stream = operand
-                self.launches.append((
-                    exe.kernels[packed_index],
-                    [as_tensor(regs[r], "kernel input").array.data for r in in_regs],
-                    [as_tensor(regs[r], "kernel output").array.data for r in out_regs],
-                    device, launch_us, stream,
-                ))
-            else:
-                handlers[opcode](vm, operand, regs)
+        self._result = vm.record(*inputs, launches=self.launches)
         self._unwrap = vm._unwrap
         # Σ invoke_cost over every replay: the interpreter's kernel_time_us.
         self.kernel_time_us = 0.0

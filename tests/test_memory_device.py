@@ -936,28 +936,26 @@ class TestNoPhantomCopies:
     @pytest.fixture
     def copies(self, monkeypatch):
         """(src_device, dst_device, where the source really was) of each
-        DeviceCopy executed, in order."""
+        DeviceCopy executed, in order: the generator emits a call to a
+        recorder ahead of each copy, into a cache of its own."""
+        from collections import OrderedDict
+
+        from repro.vm import generator
         from repro.vm import instruction as ins
-        from repro.vm.interpreter import VirtualMachine
 
-        seen, instr_of = [], {}
+        seen = []
         opcode = ins.Opcode.DEVICE_COPY
-        handlers, decoders = list(VirtualMachine._HANDLERS), list(VirtualMachine._DECODERS)
-        run, decode = handlers[opcode], decoders[opcode]
+        emit = generator._EMIT[opcode]
 
-        def decoding(vm, instr):
-            operand = decode(vm, instr)
-            instr_of[id(operand)] = instr  # the VM keeps decoded operands alive
-            return operand
+        def emitting(block, pc, instr):
+            def record(value):
+                seen.append((instr.src_device, instr.dst_device, value.array.device))
 
-        def running(vm, operand, regs):
-            instr = instr_of[id(operand)]
-            seen.append((instr.src_device, instr.dst_device, regs[instr.src].array.device))
-            run(vm, operand, regs)
+            block.out(f"{block.const('SEEN', record)}(R[{instr.src}])")
+            emit(block, pc, instr)
 
-        handlers[opcode], decoders[opcode] = running, decoding
-        monkeypatch.setattr(VirtualMachine, "_HANDLERS", handlers)
-        monkeypatch.setattr(VirtualMachine, "_DECODERS", decoders)
+        monkeypatch.setitem(generator._EMIT, opcode, emitting)
+        monkeypatch.setattr(generator, "_CACHE", OrderedDict())
         return seen
 
     @staticmethod
