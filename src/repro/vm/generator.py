@@ -67,7 +67,13 @@ _Op = ins.Opcode
 BLOCK_LIMIT = 128
 
 # Generated functions kept by content, least recently used dropped first.
-CACHE_SIZE = 128
+# The bound comes from the working sets measured on the benchmark's
+# workloads: at most 6 distinct functions (vm_single); serve_tiered and
+# fleet_restart rebuild VMs every pass over 2 (16 and 46 lookups a pass,
+# all hits). 32 also holds one served model with its dynamic executable
+# and four specialized variants, each run and recorded (at most 20 for
+# the LSTM). An entry holds about 0.5 MB at BERT size.
+CACHE_SIZE = 32
 
 # Instructions after which control leaves the block.
 _TERMINATORS = frozenset({_Op.IF, _Op.GOTO, _Op.RET, _Op.INVOKE, _Op.INVOKE_CLOSURE, _Op.FATAL})
@@ -257,9 +263,8 @@ class _Shape:
 class _Block:
     """Writes one block's source. Each opcode's meaning is the one method
     named after it. ``kinds`` is what each register may hold at the
-    instruction being written; ``values`` the int (or `IntConstObj`
-    value) a register is known to hold, and ``fields`` the kinds of the
-    fields of an ADT made in this block."""
+    instruction being written, and ``values`` the int (or `IntConstObj`
+    value) a register is known to hold."""
 
     def __init__(self, func: VMFunction, shape: _Shape, b: int, const_values: dict,
                  record: bool) -> None:
@@ -278,7 +283,6 @@ class _Block:
         self.profile = False
         self.kinds = list(shape.kinds_in[b]) if b < len(shape.blocks) else []
         self.values: Dict[int, int] = {}
-        self.fields: Dict[int, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------ small pieces
     def out(self, line: str) -> None:
@@ -335,8 +339,6 @@ class _Block:
             self.out(f"if not isinstance({name}, TensorObj): as_tensor({name}, {what!r})")
             if data:
                 self.out(f"{name} = {name}{read}")
-            kind = self.kinds[r]  # it passed: a tensor, of the kinds it could be
-            self.kinds[r] = _VIEW if kind & _ANY or not kind & _TENSORS else kind & _TENSORS
         else:
             self.out(f"{name} = R[{r}]{read}")
         return name
@@ -382,7 +384,7 @@ class _Block:
             self.out(line)
 
     def write(self, dst: int, expr: str, kind: int, value: Optional[int] = None,
-              fields: Optional[Tuple[int, ...]] = None, load: bool = False) -> None:
+              load: bool = False) -> None:
         """``R[dst] = expr``, the old value released after *expr* is made
         (a *load* makes nothing)."""
         if self.kinds[dst] & _COUNTED and expr != "v" and not load:
@@ -392,11 +394,8 @@ class _Block:
         self.out(f"R[{dst}] = {expr}")
         self.kinds[dst] = kind
         self.values.pop(dst, None)
-        self.fields.pop(dst, None)
         if value is not None:
             self.values[dst] = value
-        if fields is not None:
-            self.fields[dst] = fields
 
     def leave(self, statement: str) -> None:
         """Leave the block: count it, then *statement* (a return)."""
@@ -420,7 +419,7 @@ class _Block:
         kind = self.kinds[i.src]
         self.out(f"v = R[{i.src}]")
         self.retain("v", kind)
-        self.write(i.dst, "v", kind, self.values.get(i.src), self.fields.get(i.src))
+        self.write(i.dst, "v", kind, self.values.get(i.src))
 
     def load_const(self, pc: int, i: ins.LoadConst) -> None:
         self.write(i.dst, f"{self.use('K')}[{i.const_index}]", _CONST,
@@ -446,7 +445,6 @@ class _Block:
         if self.kinds[i.storage] != _STORAGE:
             self.out("if not isinstance(so, StorageObj): "
                      "raise VMError('AllocTensor on a non-storage object')")
-            self.kinds[i.storage] = _STORAGE
         offset = self.size(i.offset, "off")
         self.out("s = so.storage")
         self.write(i.dst, f"TensorObj(NDArray(s.view({offset}, {layout}), s.device, s, "
@@ -463,8 +461,7 @@ class _Block:
 
     def alloc_adt(self, pc: int, i: ins.AllocADT) -> None:
         fields = ", ".join(f"R[{r}]" for r in i.fields)
-        self.write(i.dst, f"ADTObj({i.tag!r}, [{fields}])", _ADT,
-                   fields=tuple(self.kinds[r] for r in i.fields))
+        self.write(i.dst, f"ADTObj({i.tag!r}, [{fields}])", _ADT)
 
     def alloc_closure(self, pc: int, i: ins.AllocClosure) -> None:
         captured = ", ".join(f"R[{r}]" for r in i.captured)
@@ -472,27 +469,19 @@ class _Block:
 
     def get_field(self, pc: int, i: ins.GetField) -> None:
         self.out(f"a = R[{i.obj}]")
-        fields = self.fields.get(i.obj)
-        if fields is not None and 0 <= i.field_index < len(fields):
-            kind = fields[i.field_index]
-        else:
-            kind = _ANY
-            if self.kinds[i.obj] != _ADT:
-                self.out("if not isinstance(a, ADTObj): "
-                         "raise VMError('GetField on a non-ADT object')")
-                self.kinds[i.obj] = _ADT
-            self.out(f"if not 0 <= {i.field_index} < len(a.fields): raise VMError("
-                     f"f'GetField index {i.field_index} out of range "
-                     "({len(a.fields)} fields)')")
+        if self.kinds[i.obj] != _ADT:
+            self.out("if not isinstance(a, ADTObj): raise VMError('GetField on a non-ADT object')")
+        self.out(f"if not 0 <= {i.field_index} < len(a.fields): raise VMError("
+                 f"f'GetField index {i.field_index} out of range "
+                 "({len(a.fields)} fields)')")
         self.out(f"v = a.fields[{i.field_index}]")
-        self.retain("v", kind)
-        self.write(i.dst, "v", kind)
+        self.retain("v", _ANY)
+        self.write(i.dst, "v", _ANY)
 
     def get_tag(self, pc: int, i: ins.GetTag) -> None:
         self.out(f"a = R[{i.obj}]")
         if self.kinds[i.obj] != _ADT:
             self.out("if not isinstance(a, ADTObj): raise VMError('GetTag on a non-ADT object')")
-            self.kinds[i.obj] = _ADT
         self.write(i.dst, "a.tag", _INT)
 
     def shape_of(self, pc: int, i: ins.ShapeOf) -> None:

@@ -1256,8 +1256,10 @@ class TestHostPathCost:
     generated functions: 3,548 / 3,964 (4.86 / 4.89), the generated
     kernel frames counted. With the VM's functions run as generated
     blocks instead of a dispatch loop over a handler table: 1,855 /
-    2,239 (2.54 / 2.76), the block frames counted. The bounds are those
-    counts plus at most 2%. CI's "Size trajectory" step prints both."""
+    2,239 (2.54 / 2.76), the block frames counted; 1,887 / 2,271 (2.58
+    / 2.80) once a field read no longer took its kind from an ADT made
+    in the same block. The bounds are the first pair plus 2%. CI's
+    "Size trajectory" step prints both."""
 
     @staticmethod
     def _calls_per_inference(platform, streams):
