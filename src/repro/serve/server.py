@@ -19,7 +19,7 @@ executable, including the hot shape itself while its compile sits in the
 compile-worker pool. Once a shape is hot it also gets its own exact
 bucket, so its batches form shape-uniform. The server decides none of
 this itself: the manager's ``bucket_key`` is the batcher's hook, and
-``SpecializationManager.tier_for`` picks the tier of every batch; :mod:`repro.serve.specialization` describes the
+``SpecializationManager.tier_for`` picks the tier of every batch; :mod:`repro.serve.policy` describes the
 lifecycle.
 
 With ``artifact_dir`` set the server is additionally backed by a

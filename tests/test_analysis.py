@@ -862,10 +862,10 @@ class TestSystemGates:
     def test_serve_config_samples_verification(self):
         """Serving compiles skip the compiler's gate and are verified on
         a fixed cadence instead: the first, then every fourth."""
-        from repro.serve import specialization
+        from repro.serve import planner
         from repro.serve.server import InferenceServer, ServeConfig
 
-        assert specialization.VERIFY_SAMPLE == 4
+        assert planner.VERIFY_SAMPLE == 4
         server = InferenceServer(
             small_lstm(),
             intel_cpu(),
@@ -877,8 +877,8 @@ class TestSystemGates:
         )
         for i, length in enumerate((3, 4, 5, 6, 7)):
             server.specializer.observe((length,), float(i))
-        assert server.specializer.num_variants == 5
-        assert server.specializer.verified_compiles == 2
+        assert server.specializer.planner.num_variants == 5
+        assert server.specializer.planner.verified_compiles == 2
 
     def test_serve_report_counts_verify_rejects(self):
         from repro.serve.events import SpecializationEvent, StoreReject

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.nimble as nimble
@@ -43,6 +43,8 @@ from repro.serve import (
     lstm_traffic,
 )
 from repro.serve.events import GuardDeopt, StoreReject, VMRun
+from repro.serve.policy import EVICTION_MARGIN, ShapePolicy
+from repro.serve.profile import key_order
 from repro.serve.report import ServeReport
 from repro.serve.specialization import EXACT_BUCKET
 from repro.vm.executable import Executable
@@ -321,7 +323,7 @@ def _report(mgr):
     """The manager's simulation so far as the report a server builds
     from the same record list: what the pool charged is read there."""
     return ServeReport(
-        records=mgr.records,
+        records=mgr.pool.records,
         replica=mgr.replica_id,
         num_compile_lanes=mgr.config.specialize_compile_lanes,
     )
@@ -342,13 +344,13 @@ def _tier(mgr, at_us, *shapes):
 
 
 def _rejects(mgr):
-    return [r for r in mgr.records if type(r) is StoreReject]
+    return [r for r in mgr.pool.records if type(r) is StoreReject]
 
 
 def _replay(mgr):
     """Start the next simulation as a server's begin() does: the store
     model forgets what the last one wrote, then the manager resets."""
-    mgr._store_view.reset()
+    mgr.planner.store_view.reset()
     mgr.reset()
 
 
@@ -363,10 +365,10 @@ class TestSpecializationManager:
     def test_threshold_triggers_compile_on_background_lane(self):
         mgr = self._manager(threshold=2)
         mgr.observe((16,), 10.0)
-        assert mgr.num_executables == 0
+        assert mgr.planner.num_executables == 0
         mgr.observe((16,), 20.0)
-        assert mgr.num_executables == 1
-        (event,) = mgr.events
+        assert mgr.planner.num_executables == 1
+        (event,) = mgr.pool.events
         assert event.trigger_us == 20.0
         assert event.ready_us == pytest.approx(120.0)
         # Not routable until the compile lane finishes.
@@ -381,10 +383,10 @@ class TestSpecializationManager:
         # The lane is busy until 100 (prefix 60 + suffix 40), so the
         # second compile (suffix only) waits in the pending queue;
         # draining the pool binds it when the lane frees.
-        assert [e.ready_us for e in mgr.events] == [100.0]
+        assert [e.ready_us for e in mgr.pool.events] == [100.0]
         mgr.drain()
-        assert [e.ready_us for e in mgr.events] == [100.0, 140.0]
-        assert [e.queue_us for e in mgr.events] == [0.0, 100.0]
+        assert [e.ready_us for e in mgr.pool.events] == [100.0, 140.0]
+        assert [e.queue_us for e in mgr.pool.events] == [0.0, 100.0]
         assert _report(mgr).specialize_lane_busy_us == [140.0]
 
     def test_pending_compile_binds_at_lane_free_event(self):
@@ -395,7 +397,7 @@ class TestSpecializationManager:
         mgr.observe((8,), 0.0)
         mgr.observe((16,), 10.0)
         mgr.observe((8,), 500.0)  # any arrival pumps: lane freed at 100
-        assert [(e.key, e.start_us) for e in mgr.events] == [
+        assert [(e.key, e.start_us) for e in mgr.pool.events] == [
             ((8,), 0.0),
             ((16,), 100.0),
         ]
@@ -406,18 +408,18 @@ class TestSpecializationManager:
         mgr = self._manager(threshold=1, max_executables=2)
         for v in (8, 16, 24):
             mgr.observe((v,), 0.0)
-        assert mgr.num_executables == 2
-        assert mgr.num_resident == 2
+        assert mgr.planner.num_executables == 2
+        assert len(mgr.policy.resident) == 2
         assert _tier(mgr, 1e9, (24, 8)) == "dynamic"
 
     def test_reset_preserves_compiled_cache_but_restarts_counters(self):
         mgr = self._manager(threshold=2)
         mgr.observe((16,), 0.0)
         mgr.observe((16,), 1.0)
-        assert mgr.num_executables == 1
+        assert mgr.planner.num_executables == 1
         mgr.reset()
-        assert mgr.num_executables == 1
-        assert mgr.hits((16,)) == 0
+        assert mgr.planner.num_executables == 1
+        assert mgr.policy.hits[(16,)] == 0
         assert _tier(mgr, 1e9, (16, 8)) == "dynamic"  # not hot again yet
         mgr.observe((16,), 5.0)
         mgr.observe((16,), 6.0)
@@ -428,7 +430,7 @@ class TestSpecializationManager:
         mod = IRModule.from_expr(Function([x], api.relu(x)))
         mgr = _manager_for(mod, threshold=1, compile_us=1.0)
         mgr.observe((), 0.0)
-        assert mgr.num_executables == 0
+        assert mgr.planner.num_executables == 0
 
 
 class TestCompilePool:
@@ -436,7 +438,7 @@ class TestCompilePool:
         mgr = _mlp_manager(threshold=1, compile_lanes=2)
         mgr.observe((8,), 0.0)
         mgr.observe((16,), 0.0)
-        assert [(e.lane, e.start_us, e.ready_us) for e in mgr.events] == [
+        assert [(e.lane, e.start_us, e.ready_us) for e in mgr.pool.events] == [
             (0, 0.0, 100.0),  # carries the once-per-simulation prefix
             (1, 0.0, 40.0),
         ]
@@ -452,7 +454,7 @@ class TestCompilePool:
         mgr.observe((24,), 30.0)
         mgr.observe((24,), 40.0)  # ...but much hotter since its trigger
         mgr.drain()
-        assert [e.key for e in mgr.events] == [(8,), (24,), (16,)]
+        assert [e.key for e in mgr.pool.events] == [(8,), (24,), (16,)]
 
     def test_lane_assignment_is_deterministic(self):
         """Equal-priority pending compiles and simultaneously-free lanes
@@ -464,7 +466,7 @@ class TestCompilePool:
             for t, v in [(0, 8), (0, 16), (5, 24), (5, 32), (9, 40)]:
                 mgr.observe((v,), float(t))
             mgr.drain()
-            return [(e.key, e.lane, e.start_us, e.ready_us) for e in mgr.events]
+            return [(e.key, e.lane, e.start_us, e.ready_us) for e in mgr.pool.events]
 
         first = run()
         assert run() == first
@@ -500,15 +502,15 @@ class TestRearmAndEviction:
         # would have starved B forever from this point on.
         mgr.observe((16,), 20.0)
         mgr.observe((16,), 30.0)
-        assert mgr.evictions == []
-        assert mgr.num_resident == 1
+        assert mgr.pool.evictions == []
+        assert len(mgr.policy.resident) == 1
         assert _tier(mgr, 1e9, (16, 8)) == "dynamic"
         # Five half-lives later A has gone cold; B's next hit — well past
         # the exact threshold — retries, evicts A, and compiles.
         mgr.observe((16,), 5000.0)
-        assert mgr.hits((16,)) == 3  # the trigger fired on hit 3, not 2
-        assert [e.key for e in mgr.evictions] == [(8,)]
-        (compile_b,) = [e for e in mgr.events if e.key == (16,)]
+        assert mgr.policy.hits[(16,)] == 3  # the trigger fired on hit 3, not 2
+        assert [e.key for e in mgr.pool.evictions] == [(8,)]
+        (compile_b,) = [e for e in mgr.pool.events if e.key == (16,)]
         assert compile_b.trigger_us == 5000.0
         assert _tier(mgr, compile_b.ready_us, (16, 8)) == "specialized"
         assert _tier(mgr, 1e9, (8, 8)) == "dynamic"  # evicted: no longer routable
@@ -526,11 +528,11 @@ class TestRearmAndEviction:
         mgr.observe((16,), 30.0)
         mgr.observe((16,), 5000.0)  # evicts A (as above)
         mgr.observe((8,), 5200.0)   # A warm again, but within the margin
-        assert [e.key for e in mgr.evictions] == [(8,)]
+        assert [e.key for e in mgr.pool.evictions] == [(8,)]
         mgr.observe((8,), 5210.0)   # past 2x B's decayed score: evicts B
-        assert [e.key for e in mgr.evictions] == [(8,), (16,)]
-        assert [e.key for e in mgr.events] == [(8,), (16,), (8,)]
-        assert mgr.num_executables == 2  # artifacts memoised, not re-built
+        assert [e.key for e in mgr.pool.evictions] == [(8,), (16,)]
+        assert [e.key for e in mgr.pool.events] == [(8,), (16,), (8,)]
+        assert mgr.planner.num_executables == 2  # artifacts memoised, not re-built
         assert _report(mgr).specialize_compile_us == pytest.approx(180.0)  # 100 + 40 + 40
 
     def test_inflight_compile_is_never_evicted(self):
@@ -539,10 +541,10 @@ class TestRearmAndEviction:
         )
         mgr.observe((8,), 0.0)    # in flight until 100
         mgr.observe((16,), 50.0)  # hotter, but the victim is in flight
-        assert mgr.evictions == []
-        assert mgr.num_resident == 1
+        assert mgr.pool.evictions == []
+        assert len(mgr.policy.resident) == 1
         mgr.observe((16,), 200.0)  # A landed and went cold: evictable now
-        assert [e.key for e in mgr.evictions] == [(8,)]
+        assert [e.key for e in mgr.pool.evictions] == [(8,)]
 
     def test_eviction_requires_strictly_colder_victim(self):
         """At exactly the 2x eviction margin the incumbent stays: a
@@ -556,10 +558,10 @@ class TestRearmAndEviction:
         mgr.observe((8,), 0.0)     # A: score 2
         for _ in range(4):
             mgr.observe((16,), 100.0)  # B climbs to 4 == 2 x A: kept
-        assert mgr.evictions == []
-        assert mgr.num_resident == 1
+        assert mgr.pool.evictions == []
+        assert len(mgr.policy.resident) == 1
         mgr.observe((16,), 100.0)  # 5 > 2 x 2: strictly past the margin
-        assert [e.key for e in mgr.evictions] == [(8,)]
+        assert [e.key for e in mgr.pool.evictions] == [(8,)]
 
     def test_margin_blocks_comparable_heat_thrash(self):
         """The default eviction margin (2x) keeps an incumbent whose heat
@@ -571,10 +573,10 @@ class TestRearmAndEviction:
             mgr.observe((8,), t)  # A: score ~3, compile lands at 100
         for t in (103.0, 104.0, 105.0, 106.0, 107.0):
             mgr.observe((16,), t)  # B climbs to ~5: hotter, but under 2x
-        assert mgr.evictions == []
+        assert mgr.pool.evictions == []
         assert _tier(mgr, 107.0, (8, 8)) == "specialized"
         mgr.observe((16,), 108.0)  # score ~6 > 2 x 3: past the margin
-        assert [e.key for e in mgr.evictions] == [(8,)]
+        assert [e.key for e in mgr.pool.evictions] == [(8,)]
 
 
 class TestPoolProperties:
@@ -610,8 +612,8 @@ class TestPoolProperties:
             mgr.observe(((idx + 1) * 8,), now)
         mgr.drain()
         return (
-            [(e.key, e.lane, e.trigger_us, e.start_us, e.ready_us) for e in mgr.events],
-            [(e.key, e.evicted_us, e.by_key) for e in mgr.evictions],
+            [(e.key, e.lane, e.trigger_us, e.start_us, e.ready_us) for e in mgr.pool.events],
+            [(e.key, e.evicted_us, e.by_key) for e in mgr.pool.evictions],
         )
 
     @given(
@@ -650,7 +652,7 @@ class TestPoolProperties:
         )
         assert len(report.specialize_lane_busy_us) == lanes
         # Residency never exceeds the cap.
-        assert mgr.num_resident <= 2
+        assert len(mgr.policy.resident) <= 2
 
 
 # One kernel cache shared by every server in the compile-pool serving
@@ -707,20 +709,20 @@ class TestCompilePoolServing:
         report = server.simulate(self._trace())
         assert report.specialize_evictions > 0
         in_trigger_order = sorted(
-            server.specializer.events, key=lambda e: e.trigger_us
+            server.specializer.pool.events, key=lambda e: e.trigger_us
         )
         compiled = list(dict.fromkeys(e.key for e in in_trigger_order))
         starved = compiled[4:]
         assert starved, "eviction should specialize shapes past the cap"
         # Each recovered shape triggered at/after the eviction that could
         # have freed its slot — they were blocked until then.
-        first_eviction = server.specializer.evictions[0].evicted_us
+        first_eviction = server.specializer.pool.evictions[0].evicted_us
         for key in starved:
             trigger = min(
                 e.trigger_us for e in in_trigger_order if e.key == key
             )
             assert trigger >= first_eviction
-        assert server.specializer.num_resident <= 4
+        assert len(server.specializer.policy.resident) <= 4
 
     def test_second_lane_strictly_cuts_queue_wait(self):
         requests = self._trace()
@@ -1085,13 +1087,13 @@ class TestBatchedManagerVariants:
         mgr = _mlp_manager(threshold=1, batch_cap=4)
         mgr.observe((16,), 0.0)
         mgr.drain()
-        assert [(e.key, e.batch) for e in mgr.events] == [((16,), 1), ((16,), 4)]
+        assert [(e.key, e.batch) for e in mgr.pool.events] == [((16,), 1), ((16,), 4)]
         # Member variant binds the lane first (it also serves ragged
         # tails); both charged separately (prefix once).
         assert _report(mgr).specialize_compile_us == pytest.approx(140.0)
-        assert mgr.num_executables == 1   # one shape...
-        assert mgr.num_variants == 2      # ...two artifacts
-        ready = mgr.events[-1].ready_us
+        assert mgr.planner.num_executables == 1   # one shape...
+        assert mgr.planner.num_variants == 2      # ...two artifacts
+        ready = mgr.pool.events[-1].ready_us
         tier, member, _ = mgr.tier_for(_batch((16, 8)), ready)
         assert tier == "specialized" and member.specialized_batch is None
         tier, batched, _ = mgr.tier_for(_batch(*[(16, 8)] * 4), ready)
@@ -1101,7 +1103,7 @@ class TestBatchedManagerVariants:
         mgr = _mlp_manager(threshold=1, batch_cap=4)
         mgr.observe((16,), 0.0)
         mgr.drain()
-        member_ready = mgr.events[0].ready_us
+        member_ready = mgr.pool.events[0].ready_us
         assert _tier(mgr, member_ready, (16, 8)) == "specialized"
         # A full bucket too: its batched variant is still compiling.
         assert _tier(mgr, member_ready, *[(16, 8)] * 4) == "specialized"
@@ -1116,16 +1118,16 @@ class TestBatchedManagerVariants:
         assert _tier(mgr, 1e5, (8, 8), (8, 8)) == "batched"
         for t in (5000.0, 5010.0, 5020.0):
             mgr.observe((16,), t)  # hotter after A decays: evicts A
-        assert [e.key for e in mgr.evictions] == [(8,)]
+        assert [e.key for e in mgr.pool.evictions] == [(8,)]
         assert _tier(mgr, 1e9, (8, 8)) == "dynamic"
         assert _tier(mgr, 1e9, (8, 8), (8, 8)) == "dynamic"
         # Re-arm: A's next hit re-triggers BOTH variants (artifacts are
         # memoised, compile cost recharged per variant).
         mgr.observe((8,), 50_000.0)
         mgr.drain()
-        a_events = [(e.key, e.batch) for e in mgr.events if e.key == (8,)]
+        a_events = [(e.key, e.batch) for e in mgr.pool.events if e.key == (8,)]
         assert a_events == [((8,), 1), ((8,), 2), ((8,), 1), ((8,), 2)]
-        assert mgr.num_variants == 4  # two shapes x two variants, memoised
+        assert mgr.planner.num_variants == 4  # two shapes x two variants, memoised
 
     def test_unbatchable_module_falls_back_member_wise(self):
         x = Var("x", TensorType((Any(), 8), "float32"))
@@ -1133,13 +1135,13 @@ class TestBatchedManagerVariants:
         mgr = _manager_for(mod, threshold=1, batch_cap=4)
         mgr.observe((16,), 0.0)
         mgr.drain()
-        assert [(e.key, e.batch) for e in mgr.events] == [((16,), 1)]
+        assert [(e.key, e.batch) for e in mgr.pool.events] == [((16,), 1)]
         assert _tier(mgr, 200.0, (16, 8)) == "specialized"
         assert _tier(mgr, 1e9, *[(16, 8)] * 4) == "specialized"
         # The probe is memoised: the next shape skips the batched attempt.
         mgr.observe((24,), 1000.0)
         mgr.drain()
-        assert [(e.key, e.batch) for e in mgr.events][-1] == ((24,), 1)
+        assert [(e.key, e.batch) for e in mgr.pool.events][-1] == ((24,), 1)
 
 
 class TestTierFor:
@@ -1179,7 +1181,7 @@ class TestTierFor:
         # the member variant lands first, the batched one after it.
         mgr = self._manager(store, predictive=True)
         mgr.drain()
-        member_ready, batched_ready = [e.ready_us for e in mgr.events]
+        member_ready, batched_ready = [e.ready_us for e in mgr.pool.events]
         hot = (4, 16)
         exact = mgr.bucket_key(np.zeros(hot, np.float32), batched_ready)
         assert exact == (EXACT_BUCKET, *hot)
@@ -1199,8 +1201,8 @@ class TestTierFor:
         for t, cols in [(50_000.0, 8), (50_001.0, 24), (50_002.0, 32)]:
             mgr.observe((4, cols), t)
         mgr.drain()
-        assert [e.key for e in mgr.evictions] == [hot]
-        ready = mgr.events[-1].ready_us
+        assert [e.key for e in mgr.pool.evictions] == [hot]
+        ready = mgr.pool.events[-1].ready_us
         self._check(mgr, [
             ("mixed bucket, partial covers two of three",
              [(4, 8), (4, 40), (1, 16)], (8, 40), ready, "partial", False),
@@ -1211,8 +1213,8 @@ class TestTierFor:
         for t in (200_000.0, 200_001.0, 200_002.0):
             mgr.observe((1, 16), t)
         mgr.drain()
-        ready = mgr.events[-1].ready_us
-        assert [e.batch for e in mgr.events if e.key == (1, 16)] == [1]
+        ready = mgr.pool.events[-1].ready_us
+        assert [e.batch for e in mgr.pool.events if e.key == (1, 16)] == [1]
         assert _tier(mgr, ready, (1, 16), (1, 16)) == "specialized"
 
 
@@ -1284,7 +1286,7 @@ class TestBatchedServing:
         b = server.simulate(requests)
         assert a.batched_hits == b.batched_hits > 0
         assert a.specialize_evictions == b.specialize_evictions > 0
-        assert any(e.batch > 1 for e in server.specializer.events)
+        assert any(e.batch > 1 for e in server.specializer.pool.events)
         assert a.latencies_us == b.latencies_us
         assert [r.tier for r in a.responses] == [r.tier for r in b.responses]
         assert [
@@ -1306,8 +1308,61 @@ class TestBatchedServing:
         )
         report = server.simulate(_hot_heavy_trace())
         assert report.batched_hits == 0
-        assert all(e.batch == 1 for e in server.specializer.events)
+        assert all(e.batch == 1 for e in server.specializer.pool.events)
         assert report.specialized_hit_rate > 0
+
+
+class TestHistoryDoesNotLeak:
+    """A server that simulated one trace and then another reports
+    exactly what a fresh server simulating only the second one reports:
+    nothing per-simulation survives ``reset()``. Long-tailed traces over
+    a two-slot cache with two lanes and the batched and partial tiers
+    on: the LSTM (one ``Any`` dim) evicts and fills batched buckets, the
+    Gram map (two) also synthesizes a partial variant."""
+
+    _kernels = {}
+
+    @staticmethod
+    def _trace(model, hot, seed):
+        return long_tailed_traffic(
+            200, input_size=8 if model == "lstm" else 16,
+            mean_interarrival_us=150.0, hot_lengths=hot, hot_fraction=0.6,
+            tail_min=3, tail_max=16, seed=seed,
+        )
+
+    def _server(self, model):
+        if model == "lstm":
+            mod = build_lstm_module(LSTMWeights.create(8, 16, seed=0))
+        else:
+            mod = build_gram_module()
+        return InferenceServer(
+            mod, intel_cpu(),
+            ServeConfig(
+                max_batch_size=4, max_delay_us=1500.0, num_workers=2,
+                specialize=True, specialize_threshold=2,
+                specialize_max_executables=2, specialize_compile_us=500.0,
+                specialize_compile_lanes=2,
+                specialize_decay_half_life_us=3_000.0,
+                specialize_batch=True, specialize_partial=True,
+            ),
+            kernel_cache=self._kernels.setdefault(model, KernelCache()),
+        )
+
+    @pytest.mark.parametrize("model", ["lstm", "gram"])
+    def test_second_trace_equals_a_fresh_server(self, model):
+        from repro.harness.scenario import same_simulation
+
+        first = self._trace(model, (7, 11, 15), seed=1)
+        second = self._trace(model, (5, 9, 13), seed=2)
+        used = self._server(model)
+        used.simulate(first)
+        after = used.simulate(second)
+        assert same_simulation(after, self._server(model).simulate(second))
+        assert after.specialize_evictions > 0
+        if model == "lstm":
+            assert after.batched_hits > 0
+        else:
+            assert after.partial_hits > 0
 
 
 class TestBatchRewriteSafety:
@@ -1377,7 +1432,7 @@ class TestBatchRewriteSafety:
         monkeypatch.setattr(nimble, "specialize", broken_batched)
         mgr.observe((16,), 0.0)
         mgr.drain()
-        assert [(e.key, e.batch) for e in mgr.events] == [((16,), 1)]
+        assert [(e.key, e.batch) for e in mgr.pool.events] == [((16,), 1)]
         assert _tier(mgr, 1e9, (16, 8)) == "specialized"
         # Hot, but no batched variant: a full bucket runs member-wise.
         assert _tier(mgr, 1e9, *[(16, 8)] * 4) == "specialized"
@@ -1435,12 +1490,12 @@ class TestBatchRewriteSafety:
         # (1,): member-legal broadcast-up, no stacked equivalent.
         mgr.observe((1,), 0.0)
         mgr.drain()
-        assert [e.batch for e in mgr.events] == [1]
+        assert [e.batch for e in mgr.pool.events] == [1]
         # (4,): lead matches the constant — batches fine, even after the
         # other shape's probe failed.
         mgr.observe((4,), 1000.0)
         mgr.drain()
-        batched_ready = [e for e in mgr.events if e.batch == 2]
+        batched_ready = [e for e in mgr.pool.events if e.batch == 2]
         assert [e.key for e in batched_ready] == [(4,)]
         assert _tier(mgr, batched_ready[0].ready_us, (4, 8), (4, 8)) == "batched"
         assert _tier(mgr, 1e9, (1, 8), (1, 8)) == "specialized"
@@ -1748,7 +1803,7 @@ class TestStagedManager:
         mgr.observe((24,), 20.0)
         mgr.observe((24,), 30.0)
         mgr.drain()
-        events = mgr.events
+        events = mgr.pool.events
         assert len(events) == 2
         # First fresh compile carries prefix (60%) + suffix (40%) of the
         # 100 µs override; the second pays the suffix share only.
@@ -1775,7 +1830,7 @@ class TestStagedManager:
                 mgr.observe(key, float(t * 10))
             mgr.drain()
             return (
-                [(e.key, e.compile_us, e.prefix_us, e.lane) for e in mgr.events],
+                [(e.key, e.compile_us, e.prefix_us, e.lane) for e in mgr.pool.events],
                 _report(mgr).specialize_compile_us,
             )
 
@@ -1784,7 +1839,7 @@ class TestStagedManager:
         assert first == second
         # The prefix recharges each simulation (the model restarts), but
         # only once per simulation.
-        assert sum(1 for e in mgr.events if e.prefix_us > 0) == 1
+        assert sum(1 for e in mgr.pool.events if e.prefix_us > 0) == 1
 
     def test_warm_restart_restores_prefix_from_store(self, tmp_path, monkeypatch):
         monkeypatch.setitem(calibration.RESTORE_BASE_US, "intel", 5.0)
@@ -1807,8 +1862,8 @@ class TestStagedManager:
         second.observe((24,), 20.0)
         second.observe((24,), 30.0)
         second.drain()
-        restored = [e for e in second.events if e.restored]
-        fresh = [e for e in second.events if not e.restored]
+        restored = [e for e in second.pool.events if e.restored]
+        fresh = [e for e in second.pool.events if not e.restored]
         assert [e.key for e in restored] == [(16,)]
         assert [e.key for e in fresh] == [(24,)]
         assert restored[0].prefix_us == 0.0
@@ -1861,53 +1916,137 @@ class TestStagedManager:
 HALF_LIFE_US = 100_000.0  # the manager's decay_half_life_us default
 
 
+def _policy(threshold=100, **knobs):
+    """A bare shape policy: no module, no kernel cache, no compiles."""
+    return ShapePolicy(
+        ServeConfig(
+            specialize=True,
+            specialize_threshold=threshold,
+            **{f"specialize_{name}": value for name, value in knobs.items()},
+        )
+    )
+
+
 class TestScoreDecayPinned:
     """Hand-computed half-life arithmetic. 0.5**1 and 0.5**2 are exact
     in binary floating point, so these assert equality, not approx: any
     drift in how decay is anchored or compounded is a real change."""
 
     def test_decay_anchors_at_last_bump_and_folds_on_observe(self):
-        mgr = _mlp_manager(threshold=100)  # never triggers: pure scoring
+        policy = _policy()
         key = (16,)
-        mgr.observe(key, 0.0)
-        assert mgr.score(key, 0.0) == 1.0
+        policy.observe(key, 0.0)
+        assert policy.score(key, 0.0) == 1.0
         # A *reading* one half-life later halves; it does not re-anchor.
-        assert mgr.score(key, HALF_LIFE_US) == 0.5
-        assert mgr.score(key, HALF_LIFE_US) == 0.5
+        assert policy.score(key, HALF_LIFE_US) == 0.5
+        assert policy.score(key, HALF_LIFE_US) == 0.5
         # A *bump* folds the decayed value and adds one: 1*0.5 + 1.
-        mgr.observe(key, HALF_LIFE_US)
-        assert mgr.score(key, HALF_LIFE_US) == 1.5
-        assert mgr.score(key, 2 * HALF_LIFE_US) == 0.75
+        policy.observe(key, HALF_LIFE_US)
+        assert policy.score(key, HALF_LIFE_US) == 1.5
+        assert policy.score(key, 2 * HALF_LIFE_US) == 0.75
 
     def test_same_microsecond_reobserves_add_exactly_one_each(self):
         """Regression: decay anchored at the last *hit* (instead of the
         last bump) double-counts same-timestamp hits; anchoring at the
         bump makes N same-microsecond observes worth exactly +N."""
-        mgr = _mlp_manager(threshold=100)
+        policy = _policy()
         key = (16,)
-        mgr.observe(key, 0.0)
-        mgr.observe(key, HALF_LIFE_US)        # 1.5
-        assert mgr.score(key, 2 * HALF_LIFE_US) == 0.75
-        mgr.observe(key, 2 * HALF_LIFE_US)    # 0.75 + 1
-        assert mgr.score(key, 2 * HALF_LIFE_US) == 1.75
-        mgr.observe(key, 2 * HALF_LIFE_US)    # 1.75 + 1
-        assert mgr.score(key, 2 * HALF_LIFE_US) == 2.75
+        policy.observe(key, 0.0)
+        policy.observe(key, HALF_LIFE_US)        # 1.5
+        assert policy.score(key, 2 * HALF_LIFE_US) == 0.75
+        policy.observe(key, 2 * HALF_LIFE_US)    # 0.75 + 1
+        assert policy.score(key, 2 * HALF_LIFE_US) == 1.75
+        policy.observe(key, 2 * HALF_LIFE_US)    # 1.75 + 1
+        assert policy.score(key, 2 * HALF_LIFE_US) == 2.75
 
     def test_reading_before_the_anchor_clamps_instead_of_inflating(self):
         """Regression: a negative age (reading at a timestamp before the
         anchor — same-microsecond queries, or the t=0 eviction scan over
         predictively seeded scores) must clamp to the raw value, never
         inflate it through a negative exponent."""
-        mgr = _mlp_manager(threshold=100)
+        policy = _policy()
         key = (16,)
-        mgr.observe(key, 2 * HALF_LIFE_US)
-        assert mgr.score(key, 0.0) == 1.0          # NOT 1.0 * 0.5**-2 == 4.0
-        assert mgr.score(key, HALF_LIFE_US) == 1.0
-        assert mgr.score(key, 3 * HALF_LIFE_US) == 0.5
+        policy.observe(key, 2 * HALF_LIFE_US)
+        assert policy.score(key, 0.0) == 1.0          # NOT 1.0 * 0.5**-2 == 4.0
+        assert policy.score(key, HALF_LIFE_US) == 1.0
+        assert policy.score(key, 3 * HALF_LIFE_US) == 0.5
 
     def test_unseen_key_scores_zero(self):
-        mgr = _mlp_manager(threshold=100)
-        assert mgr.score((64,), 123.0) == 0.0
+        assert _policy().score((64,), 123.0) == 0.0
+
+
+class TestShapePolicy:
+    """The policy alone, driven the way the manager drives it: every
+    observation of an armed shape asks for a slot. A shape counts as in
+    flight from its admission until its compile lands ``compile_us``
+    later — the pool's part, modeled here by a dict."""
+
+    @given(
+        trace=st.lists(
+            st.tuples(
+                st.integers(0, 4), st.one_of(st.just(0.0), st.floats(0.0, 300.0))
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        capacity=st.integers(1, 3),
+        compile_us=st.sampled_from([0.0, 50.0, 400.0]),
+        # 1e30: nothing decays, so scores are hit counts and tie often.
+        half_life_us=st.sampled_from([200.0, 1e30]),
+    )
+    # Two residents tied on score, one challenger past the margin: the
+    # victim is the least recently hit, then the least in key order.
+    @example([(0, 1.0), (0, 1.0), (1, 1.0), (1, 1.0)] + [(2, 1.0)] * 5, 2, 0.0, 1e30)
+    @example([(0, 1.0), (1, 0.0), (0, 0.0), (1, 0.0)] + [(2, 1.0)] * 5, 2, 0.0, 1e30)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_eviction_choice_and_rearm(self, trace, capacity, compile_us, half_life_us):
+        policy = _policy(
+            threshold=2, max_executables=capacity, decay_half_life_us=half_life_us
+        )
+        lands_at = {}
+        now = 0.0
+        blocked = set()
+        for idx, gap in trace:
+            now += gap
+            key = ((idx + 1) * 8,)
+            hit, partial = policy.observe(key, now)
+            assert hit == [key] and partial is None  # partial is off
+            # An armed shape retries on every later hit.
+            assert (key in blocked) <= policy.armed(key)
+            if not policy.armed(key):
+                continue
+            in_flight = lambda k: lands_at[k] > now
+            resident = set(policy.resident)
+            evictable = [k for k in resident if not in_flight(k)]
+            admitted, victim = policy.admit(key, now, in_flight)
+            if len(resident) < capacity:
+                assert (admitted, victim) == (True, None)
+            elif victim is not None:
+                # Never in flight; minimal (score, last hit, key order).
+                assert victim in evictable and not in_flight(victim)
+                order = lambda k: (
+                    policy.score(k, now), policy.last_hit_us[k], key_order(k)
+                )
+                assert order(victim) == min(order(k) for k in evictable)
+                assert policy.score(key, now) > EVICTION_MARGIN * policy.score(
+                    victim, now
+                )
+                assert policy.resident == resident - {victim} | {key}
+                assert policy.armed(victim)  # re-arms by itself
+            else:
+                # Refused: nothing evictable, or the coldest is within
+                # the margin. The cache is untouched and the shape armed.
+                assert not admitted and policy.resident == resident
+                assert not evictable or policy.score(
+                    key, now
+                ) <= EVICTION_MARGIN * min(policy.score(k, now) for k in evictable)
+                assert policy.armed(key)
+            if admitted:
+                lands_at[key] = now + compile_us
+                blocked.discard(key)
+            else:
+                blocked.add(key)
+            assert len(policy.resident) <= capacity
 
 
 # ---------------------------------------------------------------------------
@@ -1939,8 +2078,8 @@ class TestPredictivePreArm:
         store = ArtifactStore(tmp_path)
         self._first_run(store)
         warm = self._warm(store)
-        assert warm.predictive_keys == {(8,), (16,), (24,)}
-        assert all(e.trigger_us == 0.0 for e in warm.events)
+        assert warm.policy.prearmed == {(8,), (16,), (24,)}
+        assert all(e.trigger_us == 0.0 for e in warm.pool.events)
         # Restores, not fresh compiles: the artifacts are in the store.
         warm.drain()
         report = _report(warm)
@@ -1949,7 +2088,7 @@ class TestPredictivePreArm:
         assert report.specialize_restored == 3
         # Routable without a single observation ever reaching this
         # manager — the whole point of pre-arming.
-        ready = max(e.ready_us for e in warm.events)
+        ready = max(e.ready_us for e in warm.pool.events)
         tier, _, prearmed = warm.tier_for(_batch((8, 8)), ready)
         assert (tier, prearmed) == ("specialized", True)
 
@@ -1964,7 +2103,7 @@ class TestPredictivePreArm:
             first.profile_snapshot().store_key()
         )
         warm = self._warm(store)
-        armed_order = [e.key for e in warm.events]
+        armed_order = [e.key for e in warm.pool.events]
         assert armed_order == list(profile.top_keys(len(armed_order)))
 
     def test_pre_armed_entries_carry_a_last_hit_time(self, tmp_path):
@@ -1976,9 +2115,9 @@ class TestPredictivePreArm:
         store = ArtifactStore(tmp_path)
         self._first_run(store)
         warm = self._warm(store)
-        assert warm.predictive_keys  # non-degenerate
-        for key in warm.predictive_keys:
-            assert warm._last_hit_us[key] == 0.0
+        assert warm.policy.prearmed  # non-degenerate
+        for key in warm.policy.prearmed:
+            assert warm.policy.last_hit_us[key] == 0.0
 
     def test_top_k_caps_the_pre_armed_set(self, tmp_path):
         """K is the cache size: pre-arming more could only evict."""
@@ -1987,7 +2126,7 @@ class TestPredictivePreArm:
         profile = store.get_profile(first.profile_snapshot().store_key())
         warm = self._warm(store, max_executables=1)
         assert _report(warm).predictive_compiles == 1
-        assert {e.key for e in warm.events} == set(profile.top_keys(1))
+        assert {e.key for e in warm.pool.events} == set(profile.top_keys(1))
 
     def test_reset_replays_bit_identically(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -1998,9 +2137,9 @@ class TestPredictivePreArm:
             warm.drain()
             return (
                 _report(warm).predictive_compiles,
-                sorted(warm.predictive_keys),
+                sorted(warm.policy.prearmed),
                 [(e.key, e.lane, e.start_us, e.ready_us, e.restored)
-                 for e in warm.events],
+                 for e in warm.pool.events],
                 len(_rejects(warm)),
             )
 
@@ -2018,7 +2157,7 @@ class TestPredictivePreArm:
         self._first_run(store)    # profile lands *after* construction
         _replay(warm)
         assert _report(warm).predictive_compiles == 0
-        assert warm.events == []
+        assert warm.pool.events == []
 
     def test_corrupt_profile_rejected_and_recounted_each_reset(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -2040,7 +2179,7 @@ class TestPredictivePreArm:
         store = ArtifactStore(tmp_path)
         self._first_run(store)
         plain = _mlp_manager(threshold=100, store=store, max_executables=4)
-        assert plain.records == []
+        assert plain.pool.records == []
 
 
 # ---------------------------------------------------------------------------
@@ -2062,7 +2201,7 @@ class TestPartialSynthesis:
         for t, rows in [(0.0, 9), (10.0, 9), (20.0, 25), (30.0, 41)]:
             mgr.observe((rows, 16), t)
         mgr.drain()
-        ready = max(e.ready_us for e in mgr.events)
+        ready = max(e.ready_us for e in mgr.pool.events)
         tier, exe, _ = mgr.tier_for(_batch((57, 16)), ready)
         assert tier == "partial"
         assert exe.specialized_shapes == ((None, 16),)
@@ -2077,7 +2216,7 @@ class TestPartialSynthesis:
             mgr.observe(key, t)
         mgr.drain()
         assert _tier(mgr, 1e9, (9, 16)) == "dynamic"
-        assert all(None not in e.key for e in mgr.events)
+        assert all(None not in e.key for e in mgr.pool.events)
 
     def test_family_must_span_min_shapes(self):
         """Two exact shapes are not a family — exact specialization
@@ -2086,17 +2225,17 @@ class TestPartialSynthesis:
         mgr = _gram_manager(threshold=2, partial=True)
         for t, rows in [(0.0, 9), (10.0, 9), (20.0, 25), (30.0, 25)]:
             mgr.observe((rows, 16), t)
-        assert not any(None in e.key for e in mgr.events)
+        assert not any(None in e.key for e in mgr.pool.events)
         mgr.observe((41, 16), 40.0)
         mgr.drain()
-        assert any(e.key == (None, 16) for e in mgr.events)
+        assert any(e.key == (None, 16) for e in mgr.pool.events)
 
     def test_partial_off_by_default(self):
         mgr = _gram_manager(threshold=2)
         for t, rows in [(0.0, 9), (5.0, 25), (10.0, 41), (15.0, 9)]:
             mgr.observe((rows, 16), t)
         mgr.drain()
-        assert all(None not in e.key for e in mgr.events)
+        assert all(None not in e.key for e in mgr.pool.events)
 
     def test_partial_variant_never_enters_the_batched_tier(self):
         """A partial variant's members differ in shape, so axis-0
@@ -2106,21 +2245,21 @@ class TestPartialSynthesis:
             threshold=4, partial=True, batch_cap=4,
         )
         # An exact shape nobody has probed yet would compile both ways...
-        assert mgr._variant_batches((9, 16)) == (1, 4)
+        assert mgr.planner.variant_batches((9, 16)) == (1, 4)
         for t, rows in [(0.0, 9), (10.0, 9), (20.0, 25), (30.0, 41)]:
             mgr.observe((rows, 16), t)
         mgr.drain()
         # ...but the family's partial variant compiles member-wise only,
         # so even a full bucket of one family shape runs it member-wise.
-        assert [(e.key, e.batch) for e in mgr.events] == [((None, 16), 1)]
-        assert _tier(mgr, mgr.events[-1].ready_us, *[(9, 16)] * 4) == "partial"
+        assert [(e.key, e.batch) for e in mgr.pool.events] == [((None, 16), 1)]
+        assert _tier(mgr, mgr.pool.events[-1].ready_us, *[(9, 16)] * 4) == "partial"
 
     def test_routing_picks_the_widest_cover_deterministically(self):
         mgr = _gram_manager(threshold=4, partial=True)
         for t, rows in [(0.0, 9), (10.0, 9), (20.0, 25), (30.0, 41)]:
             mgr.observe((rows, 16), t)
         mgr.drain()
-        ready = max(e.ready_us for e in mgr.events)
+        ready = max(e.ready_us for e in mgr.pool.events)
         # No member matches -> no partial routing.
         assert _tier(mgr, ready, (9, 8), (25, 32)) == "dynamic"
         # Mixed batch: the variant covering more members wins.
