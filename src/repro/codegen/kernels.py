@@ -176,13 +176,18 @@ class KernelSet:
         return per_variant * variants
 
     # -- execution ------------------------------------------------------------------
-    def run(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Launch: compiled on first use and kept, like the pricing memo."""
+    def run(
+        self, inputs: Sequence[np.ndarray], outputs: Optional[Sequence[np.ndarray]] = None
+    ) -> Optional[List[np.ndarray]]:
+        """Launch: the results as a list, or — given *outputs*, the VM's
+        calling convention — written into those buffers after their
+        count and shapes are checked (`KernelProgram`). Compiled on first
+        use and kept, like the pricing memo."""
         try:
             program = self._program
         except AttributeError:
             program = self._program = KernelProgram(self.prim)
-        return program.run(inputs)
+        return program.run(inputs, outputs)
 
     def __getstate__(self) -> dict:
         # KernelSets are pickled into every executable and into the

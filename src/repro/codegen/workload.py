@@ -13,12 +13,12 @@ import itertools
 import linecache
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.memory.prim_info import interpret_shapes
-from repro.errors import CompilerError
+from repro.errors import CompilerError, VMError
 from repro.ir.expr import Call, Constant, Expr, Function, Let, Tuple as IRTuple, TupleGetItem, Var
 from repro.ir.op import Op
 from repro.ir.types import TupleType
@@ -107,11 +107,18 @@ class KernelProgram:
     is an inline tuple display / subscript; a ``Constant`` is a global
     ``cK`` bound to its array by reference, so an in-place write to it is
     seen by the next run. Operands are emitted before their user, so
-    nested (hand-built, non-ANF) calls run in post-order. ``run(inputs)``
-    is the compiled function itself: no step loop, recursion, ``Var``
-    hashing or registry lookup per launch. The text is compiled under a
-    file name inside this module's, registered with ``linecache``, so a
-    traceback through a kernel prints the generated line.
+    nested (hand-built, non-ANF) calls run in post-order.
+
+    ``run(inputs, outputs=None)`` is the compiled function itself: no
+    step loop, recursion, ``Var`` hashing or registry lookup per launch.
+    Without *outputs* it returns the list of results. With them — the
+    VM's calling convention, destination passing — it checks their
+    count and each one's shape against the results and writes each
+    result into its buffer, raising `VMError` on a mismatch (the kernel
+    named by its ops, as `KernelSet.name` is). The text is compiled
+    under a file name inside this module's, registered with
+    ``linecache``, so a traceback through a kernel prints the generated
+    line.
     """
 
     __slots__ = ("source", "run")
@@ -119,7 +126,9 @@ class KernelProgram:
     def __init__(self, func: Function) -> None:
         n = len(func.params)
         names: Dict[Var, str] = {p: f"p{i}" for i, p in enumerate(func.params)}
-        bound: dict = {"asarray": np.asarray, "CompilerError": CompilerError}
+        bound: dict = {"asarray": np.asarray, "copyto": np.copyto, "CompilerError": CompilerError,
+                       "output_count_error": output_count_error, "misfit_error": misfit_error,
+                       "write_outputs": write_outputs}
         tuples: Dict[str, List[str]] = {}  # the fields of each tuple display
         constants = itertools.count()
         lines: List[str] = []
@@ -159,24 +168,59 @@ class KernelProgram:
             names[node.var] = lower(node.value)
             node = node.body
         result = lower(node)
-        if result in tuples:
-            if lines[-1].startswith(f"    {result} = "):
-                lines.pop()  # the display itself: nothing after it reads it
-            lines.append(f"    return [{', '.join(f'asarray({f})' for f in tuples[result])}]")
-        else:
-            lines.append(f"    return [asarray(r) for r in {result}] "
-                         f"if isinstance({result}, tuple) else [asarray({result})]")
+        name = bound["NAME"] = f"fused_{'+'.join(ops)}"
+        fields = tuples.get(result)
+        if fields is None:  # one value, unless its op made it a tuple
+            lines.append(f"    if isinstance({result}, tuple): "
+                         f"return write_outputs(NAME, {result}, outputs)")
+            fields = [result]
+        elif lines[-1].startswith(f"    {result} = "):
+            lines.pop()  # the display itself: nothing after it reads it
+        m = len(fields)
+        lines += [
+            "    if outputs is None:",
+            f"        return [{', '.join(f'asarray({f})' for f in fields)}]",
+            f"    if len(outputs) != {m}: raise output_count_error(NAME, {m}, len(outputs))",
+            f"    ({''.join(f'o{i}, ' for i in range(m))}) = outputs",
+        ]
+        for i, f in enumerate(fields):
+            lines += [f"    z = asarray({f})",
+                      f"    if o{i}.shape != z.shape: raise misfit_error(z, o{i})",
+                      f"    copyto(o{i}, z)"]
         lines[:0] = [
-            "def kernel(inputs):",
+            "def kernel(inputs, outputs=None):",
             f"    if len(inputs) != {n}:",
             f'        raise CompilerError(f"kernel arity mismatch: {n} params, '
             '{len(inputs)} inputs")',
         ] + ([f"    {''.join(f'p{i}, ' for i in range(n))}= inputs"] if n else [])
         self.source = "\n".join(lines) + "\n"
-        filename = f"{__file__}<fused_{'+'.join(ops)}:{zlib.crc32(self.source.encode()):08x}>"
+        filename = f"{__file__}<{name}:{zlib.crc32(self.source.encode()):08x}>"
         exec(compile(self.source, filename, "exec"), bound)
         linecache.cache[filename] = (len(self.source), None, self.source.splitlines(True), filename)
         self.run = bound["kernel"]
+
+
+def write_outputs(name: str, result: tuple, outputs: Optional[Sequence[np.ndarray]]):
+    """A kernel whose last op returned a tuple: its results as a list,
+    or written into *outputs*, each after its count and shape are
+    checked."""
+    results = [np.asarray(r) for r in result]
+    if outputs is None:
+        return results
+    if len(results) != len(outputs):
+        raise output_count_error(name, len(results), len(outputs))
+    for out, z in zip(outputs, results):
+        if out.shape != z.shape:
+            raise misfit_error(z, out)
+        np.copyto(out, z)
+
+
+def output_count_error(name: str, produced: int, buffers: int) -> VMError:
+    return VMError(f"kernel {name} produced {produced} outputs for {buffers} buffers")
+
+
+def misfit_error(result: np.ndarray, out: np.ndarray) -> VMError:
+    return VMError(f"kernel output shape {result.shape} does not fit buffer {out.shape}")
 
 
 def run_prim_func(func: Function, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.hardware import calibration
 from repro.hardware.platforms import Platform
@@ -47,6 +47,24 @@ def _size_class(nbytes: int) -> int:
     return max(64, 1 << (nbytes - 1).bit_length())
 
 
+class FreeList(list):
+    """The freed storage of one size class on one device, last freed last."""
+
+    __slots__ = ("size",)
+
+    def __init__(self, size: int) -> None:
+        super().__init__()
+        self.size = size
+
+
+class _SizeClasses(dict):
+    """Size class -> its `FreeList`, made on first use."""
+
+    def __missing__(self, size: int) -> FreeList:
+        found = self[size] = FreeList(size)
+        return found
+
+
 class PoolingAllocator:
     def __init__(self, platform: Platform, clock: Optional[VirtualClock] = None,
                  pooling: bool = True) -> None:
@@ -57,9 +75,9 @@ class PoolingAllocator:
         self._live_bytes = 0
         self._pooled_us = calibration.ALLOC_POOLED_US[platform.name]
         self._fresh_us = calibration.ALLOC_FRESH_US[platform.name]
-        self._pools: Dict[Device, Dict[int, List[Storage]]] = defaultdict(
-            lambda: defaultdict(list)
-        )
+        # Device -> size class -> free list. A list, once made, lives as
+        # long as the allocator: callers may hold on to one (`free_list`).
+        self._pools: Dict[Device, Dict[int, FreeList]] = defaultdict(_SizeClasses)
 
     @property
     def live_bytes(self) -> int:
@@ -69,9 +87,21 @@ class PoolingAllocator:
         return self._live_bytes
 
     # -- allocation -----------------------------------------------------------
-    def alloc(self, nbytes: int, alignment: int, device: Device) -> Storage:
-        size = _size_class(max(1, int(nbytes)))
-        pool = self._pools[device][size]
+    def free_list(self, nbytes: int, device: Device) -> FreeList:
+        """The free list an allocation of *nbytes* on *device* draws
+        from. It is never replaced (`release_all` empties it in place),
+        so a caller that allocates one size again and again looks it up
+        once and passes it to `alloc`."""
+        return self._pools[device][_size_class(max(1, int(nbytes)))]
+
+    def alloc(self, nbytes: int, alignment: int, device: Device,
+              pool: Optional[FreeList] = None) -> Storage:
+        """A storage of *nbytes*' size class on *device*: a freed one of
+        that class if pooling, else a fresh one. *pool* is
+        ``free_list(nbytes, device)``, if the caller holds it."""
+        if pool is None:
+            pool = self.free_list(nbytes, device)
+        size = pool.size
         stats = self.stats
         if self.pooling and pool:
             storage = pool.pop()
@@ -94,7 +124,7 @@ class PoolingAllocator:
     def free(self, storage: Storage) -> None:
         if storage.freed:
             return
-        storage.free()
+        storage.freed = True  # Storage.free, without the call
         self.stats.frees += 1
         self._live_bytes -= storage.size
         if self.pooling:
@@ -109,8 +139,13 @@ class PoolingAllocator:
         ``Worker.reset`` and the VM leak tests rely on). A leak must stay
         visible; callers that expect a drained allocator should check
         :attr:`live_bytes` (or call :meth:`assert_drained`).
+
+        Each free list is emptied in place, so one a caller holds
+        (`free_list`) keeps serving it.
         """
-        self._pools.clear()
+        for size_classes in self._pools.values():
+            for pool in size_classes.values():
+                pool.clear()
 
     def assert_drained(self) -> None:
         """Raise if any buffer is still live (a leak escaped the VM's

@@ -145,17 +145,6 @@ def shape_func(kernel, inputs, outputs, C, P) -> None:
         np.copyto(out, result)
 
 
-def output_count_error(kernel, results, buffers: int) -> VMError:
-    return VMError(
-        f"kernel {getattr(kernel, 'name', '?')} produced {len(results)} "
-        f"outputs for {buffers} buffers"
-    )
-
-
-def misfit_error(result, out) -> VMError:
-    return VMError(f"kernel output shape {result.shape} does not fit buffer {out.shape}")
-
-
 def copy_terms(platform, src_device, dst_device) -> Tuple[float, float]:
     """A copy costs ``latency_us + nbytes / bytes_per_us``: over the link
     of whichever end is a GPU, else through host DRAM (where adding a
@@ -176,17 +165,16 @@ _GLOBALS = {
     "VMError": VMError, "VMObject": VMObject, "TensorObj": TensorObj,
     "StorageObj": StorageObj, "IntConstObj": IntConstObj, "ADTObj": ADTObj,
     "ClosureObj": ClosureObj, "NDArray": NDArray, "as_tensor": as_tensor,
-    "asarray": np.asarray, "int64": np.int64, "copyto": np.copyto,
+    "asarray": np.asarray, "int64": np.int64,
     "LITE_SKIP_FLOPS": LITE_SKIP_FLOPS, "read_scalar": read_scalar,
     "host_sync": host_sync, "shape_func": shape_func, "reshaped": reshaped,
-    "output_count_error": output_count_error, "misfit_error": misfit_error,
     "copy_terms": copy_terms,
 }
 
 # How a block's ``make(vm, H)`` reads each per-VM name it binds.
 _BINDINGS = {
     "C": "vm.ctx.clock", "A": "vm.ctx.allocator", "KN": "vm.exe.kernels",
-    "K": "vm._constants", "S": "vm._state", "I": "vm._instr_us",
+    "K": "vm._constants", "S": "vm._state", "I": "vm._instr_us", "LG": "vm._state.launches",
     "EV": "vm._events", "NS": "vm._num_streams", "PF": "vm.ctx.platform",
     "HOST": "vm.ctx.platform.host", "ERU": "vm._event_record_us",
     "WEU": "vm._wait_event_us", "ESU": "vm._event_sync_us",
@@ -431,11 +419,15 @@ class _Block:
     def alloc_storage(self, pc: int, i: ins.AllocStorage) -> None:
         nbytes = self.size(i.allocation_size, "n")
         A, P = self.use("A"), self.P()
+        device = self.const("D", i.device)
+        # A planned size draws from one free list, looked up when bound.
+        pool = (", " + self.bind("F", f"{A}.free_list({nbytes}, {device})")
+                if i.allocation_size in self.values else "")
         # This alloc's own charge: contexts (and so allocators) are shared
         # by the VMs of a Worker's tiers, each with a profile of its own.
         self.out(f"w = {A}.stats")
         self.out("u = w.alloc_time_us")
-        self.out(f"s = {A}.alloc({nbytes}, {i.alignment!r}, {self.const('D', i.device)})")
+        self.out(f"s = {A}.alloc({nbytes}, {i.alignment!r}, {device}{pool})")
         self.out(f"{P}.alloc_time_us += w.alloc_time_us - u")
         self.write(i.dst, f"StorageObj(s, {A}.free)", _STORAGE)
 
@@ -537,9 +529,9 @@ class _Block:
             self.out(f"{self.use('S')}.tape.append((k, [{inputs}], [{outputs}], {device}, "
                      f"{launch_us}, {i.stream!r}))")
             return
-        C, P = self.use("C"), self.P()
+        C = self.use("C")
         if i.kind == "shape_func":
-            self.out(f"shape_func(k, [{inputs}], [{outputs}], {C}, {P})")
+            self.out(f"shape_func(k, [{inputs}], [{outputs}], {C}, {self.P()})")
             return
         shapes = ", ".join(f"{x}.shape" for x in xs) + ("," if len(xs) == 1 else "")
         self.out(f"c = k.invoke_cost(({shapes}))")
@@ -551,10 +543,9 @@ class _Block:
             self.out(f"s = {self.stream(i.stream)}")
             self.out(f"{C}.launch_async({device}, c.duration_us, {launch_us}, s)")
         if i.kind == "host_scalar":
-            self.out(f"{P}.host_scalar_time_us += c.duration_us")
-        else:
-            self.out(f"{P}.record_kernel(c.duration_us, c.impl, getattr(k, 'name', '?'), "
-                     f"{stream})")
+            self.out(f"{self.P()}.host_scalar_time_us += c.duration_us")
+        else:  # folded into the profile when the run ends (`VMProfile.record_launches`)
+            self.out(f"{self.use('LG')}.append((c, k, {stream}))")
         if i.kind == "compute":
             # Lite numerics: large, data-independent compute kernels skip
             # the NumPy execution — output buffers already have the right
@@ -562,12 +553,7 @@ class _Block:
             self.out(f"if not ({self.use('S')}.lite and c.flops > LITE_SKIP_FLOPS "
                      "and not k.info.is_dynamic):")
             self.indent += "    "
-        self.out(f"r = k.run([{inputs}])")
-        self.out(f"if len(r) != {len(ys)}: raise output_count_error(k, r, {len(ys)})")
-        for n, y in enumerate(ys):
-            self.out(f"z = r[{n}]")
-            self.out(f"if {y}.shape != z.shape: raise misfit_error(z, {y})")
-            self.out(f"copyto({y}, z)")
+        self.out(f"k.run([{inputs}], [{outputs}])")
         self.indent = "        "
 
     def if_(self, pc: int, i: ins.If) -> None:

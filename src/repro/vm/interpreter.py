@@ -42,16 +42,19 @@ _OPCODE_NAMES = [op.name for op in sorted(ins.Opcode)]
 
 class _RunState:
     """What generated blocks read per run (``S``): the profile charged,
-    the numerics, the stream rotation, the dispatch total, and the launch
-    list a recording appends to."""
+    the numerics, the stream rotation, the dispatch total, the run's
+    launch log, and the launch list a recording appends to."""
 
-    __slots__ = ("profile", "lite", "offset", "d", "tape")
+    __slots__ = ("profile", "lite", "offset", "d", "launches", "tape")
 
     def __init__(self) -> None:
         self.profile: Optional[VMProfile] = None
         self.lite = False
         self.offset = 0
         self.d = 0.0
+        # (invocation, kernel, stream) per kernel launch, in order;
+        # blocks bind this one list, so it is only ever emptied.
+        self.launches: list = []
         self.tape: Optional[list] = None
 
 
@@ -277,10 +280,16 @@ class VirtualMachine:
 
     def _count(self, partial: List[int]) -> None:
         """Fold the run's block hits, and the instructions of a block that
-        raised, into the profile. The dispatch charge was added one
-        instruction at a time (float addition does not reassociate); a
-        partial block's instructions are added here, in the same way."""
+        raised, into the profile, and its launch log (every launch priced
+        before the run ended, a raising one too) into the kernel fields.
+        The dispatch charge was added one instruction at a time (float
+        addition does not reassociate); a partial block's instructions
+        are added here, in the same way."""
         state = self._state
+        launches = state.launches
+        if launches:
+            state.profile.record_launches(launches)
+            launches.clear()
         tally = [0] * len(_OPCODE_NAMES)
         for opcode in partial:
             tally[opcode] += 1

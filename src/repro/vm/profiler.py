@@ -10,9 +10,12 @@ end-to-end overhead they contribute is ``elapsed - kernel_busy``, which
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Dict
+from operator import attrgetter, itemgetter
+
+_invocation, _kernel, _stream = itemgetter(0), itemgetter(1), itemgetter(2)
+_impl = attrgetter("impl")
 
 
 @dataclass
@@ -55,15 +58,29 @@ class VMProfile:
     def record_run(self) -> None:
         self.runs += 1
 
-    def record_kernel(
-        self, duration_us: float, impl: str, name: str = "?", stream: int = 0
-    ) -> None:
-        self.kernel_time_us += duration_us
-        self.kernel_invocations += 1
-        self.impl_counts[impl] += 1
-        self.kernel_counts[name] += 1
-        self.stream_kernel_us[stream] += duration_us
-        self.stream_kernel_invocations[stream] += 1
+    def record_launches(self, launches) -> None:
+        """Fold a run's launch log — ``(invocation, kernel, stream)`` per
+        kernel launch, in launch order — into the kernel fields.
+
+        Each duration is added to its two totals one launch at a time,
+        in that order, so every float is bit-equal to charging each
+        launch as it happened; counts are tallied in C, and a key new to
+        a counter still enters it at its first launch."""
+        total = self.kernel_time_us
+        stream_us = dict(self.stream_kernel_us)
+        running = stream_us.get
+        for invocation, _, stream in launches:
+            duration = invocation.duration_us
+            total += duration
+            stream_us[stream] = running(stream, 0) + duration
+        self.kernel_time_us = total
+        dict.update(self.stream_kernel_us, stream_us)
+        self.kernel_invocations += len(launches)
+        self.impl_counts.update(map(_impl, map(_invocation, launches)))
+        self.stream_kernel_invocations.update(map(_stream, launches))
+        names = self.kernel_counts
+        for kernel, launched in Counter(map(_kernel, launches)).items():
+            names[getattr(kernel, "name", "?")] += launched
 
     def record_sync_event(self) -> None:
         self.sync_events += 1

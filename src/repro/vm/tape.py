@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.errors import VMError
 from repro.hardware import calibration
 from repro.runtime.context import LITE_SKIP_FLOPS, ExecutionContext
@@ -83,7 +81,6 @@ class LaunchTape:
             self.kernel_time_us += invocation.duration_us
             if lite and invocation.flops > LITE_SKIP_FLOPS and not kernel.info.is_dynamic:
                 continue
-            for out, result in zip(outputs, kernel.run(inputs)):
-                np.copyto(out, result)
+            kernel.run(inputs, outputs)
         clock.sync_all()
         return self._unwrap(self._result), clock.elapsed_us - start

@@ -239,6 +239,31 @@ class TestLaunchTape:
             LaunchTape(exe, np.zeros((6, 64), np.float32), ctx=ctx)
         assert ctx.elapsed_us == 0.0  # refused before any launch
 
+    def test_a_kernel_with_more_results_than_buffers_fails_the_replay_too(self):
+        """Regression: the replay zipped a kernel's buffers with its
+        results, so a second result was dropped and a misshapen first one
+        broadcast into its buffer. Both launch paths now hand the kernel
+        its buffers (`KernelSet.run(inputs, outputs)`), and it checks."""
+        from repro.codegen.kernels import KernelSet
+        from repro.ir import Function, Tuple
+        from repro.ops import api
+
+        platform = intel_cpu()
+        exe, _ = nimble.specialize(build_bert_module(_small_bert()), platform, shapes=[(6, 64)])
+        index, dense = next((i, k) for i, k in enumerate(exe.kernels)
+                            if getattr(k, "name", "") == "fused_nn.dense+nn.bias_add")
+        bias = dense.prim.params[-1]  # (64,): broadcasts into the (6, 64) buffer
+        exe.kernels[index] = KernelSet(
+            Function(dense.prim.params, Tuple([api.tanh(bias), api.tanh(bias)])),
+            platform, platform.compute_spec)
+        x = np.random.RandomState(1).randn(6, 64).astype(np.float32)
+        message = r"kernel fused_tanh\+tanh produced 2 outputs for 1 buffers"
+        with pytest.raises(VMError, match=message):
+            VirtualMachine(exe).run(x)
+        tape = LaunchTape(exe, x)
+        with pytest.raises(VMError, match=message):
+            tape.replay()
+
     def test_tape_latency_is_pinned(self):
         """Node charge plus kernel charge of the 30 launches of small
         BERT at length 6 on `intel_cpu`."""

@@ -226,9 +226,9 @@ class TestKernelProgram:
         launches = {}  # KernelSet -> the inputs of its first launch
         real_run = KernelSet.run
 
-        def recording_run(kernel, inputs):
+        def recording_run(kernel, inputs, outputs=None):
             launches.setdefault(kernel, [np.array(a) for a in inputs])
-            return real_run(kernel, inputs)
+            return real_run(kernel, inputs, outputs)
 
         monkeypatch.setattr(KernelSet, "run", recording_run)
         VirtualMachine(exe, ExecutionContext(intel_cpu())).run(model_input)
@@ -304,7 +304,14 @@ class TestKernelProgram:
         assert kernel._program.source.splitlines()[4:] == [
             "    v0 = op_nn_dense([p0, c0], a0)",
             "    v1 = op_nn_relu([v0], a1)",
-            "    return [asarray(r) for r in v1] if isinstance(v1, tuple) else [asarray(v1)]",
+            "    if isinstance(v1, tuple): return write_outputs(NAME, v1, outputs)",
+            "    if outputs is None:",
+            "        return [asarray(v1)]",
+            "    if len(outputs) != 1: raise output_count_error(NAME, 1, len(outputs))",
+            "    (o0, ) = outputs",
+            "    z = asarray(v1)",
+            "    if o0.shape != z.shape: raise misfit_error(z, o0)",
+            "    copyto(o0, z)",
         ]
         assert not hasattr(workload, "eval_expr")
 

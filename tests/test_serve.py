@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro.serve
+from repro.codegen.kernels import KernelInvocation
 from repro.core.typing import infer_types
 from repro.errors import VMError
 from repro.hardware import intel_cpu, nvidia_gpu
@@ -526,7 +527,7 @@ class TestReportStatistics:
         assert counters["profile_dynamic"] == VMProfile()
         busier = self._report()
         charges = VMProfile()
-        charges.record_kernel(1.0, "generated")
+        charges.record_launches([(KernelInvocation(1.0, "generated", 1), None, 0)])
         busier.records.append(VMRun(10.0, 0, 0, "dynamic", (0,), charges))
         assert busier.counters() != counters
         assert counters["worker_busy_us"] == [300.0, 200.0]
