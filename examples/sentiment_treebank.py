@@ -49,10 +49,11 @@ def main():
         total_tokens += tree.num_leaves()
 
     nimble_us = ctx.elapsed_us / total_tokens
-    eager = EagerFramework(platform).run_tree_lstm(trees, embeddings, weights)
+    eager = EagerFramework(platform).run(mod, [tree_to_adt(t, embeddings) for t in trees])
+    eager_us = eager.total_us / total_tokens
     print(f"\nNimble : {nimble_us:8.1f} us/token")
-    print(f"PyTorch-style eager: {eager.us_per_token:8.1f} us/token "
-          f"({eager.us_per_token / nimble_us:.1f}x slower — Python recursion "
+    print(f"PyTorch-style eager: {eager_us:8.1f} us/token "
+          f"({eager_us / nimble_us:.1f}x slower — Python recursion "
           f"builds the graph per node)")
 
 

@@ -1,7 +1,9 @@
 """Baseline deep-learning frameworks (§6.1's comparison systems).
 
 Each baseline reproduces the *mechanism* the paper identifies as its
-overhead source, executing the same numerics on the same hardware model:
+overhead source, executing the same numerics on the same hardware model.
+Eager, hybrid and TensorFlow's BERT run the model's own IR module through
+:mod:`repro.evaluator`; only the cost of each construct is theirs:
 
 * :class:`EagerFramework` (PyTorch-style, define-by-run): per-operator
   Python dispatch, no fusion, vendor-library kernels; dynamic data

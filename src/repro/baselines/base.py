@@ -11,33 +11,31 @@ says they differ (dispatch, fusion, control-flow machinery).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.baselines import overhead
 from repro.codegen.workload import GEMM_OPS, Workload
 from repro.codegen.cost_model import custom_library_cost_us, library_cost_us, tuned_cost_us
 from repro.codegen.schedule import Schedule
-from repro.errors import NimbleError
+from repro.evaluator import evaluate
 from repro.hardware.platforms import Platform
+from repro.ir import Expr, IRModule
 from repro.ops import get_op_def
 from repro.ops.shape_funcs import prod
 from repro.runtime.context import LITE_SKIP_FLOPS, ExecutionContext
-from repro.tensor.dtype import dtype_bytes
 
 
 @dataclass
 class BaselineResult:
-    """Latency summary over a workload set."""
+    """One framework's run over a workload set: modeled µs in total, and
+    each input's output."""
 
     framework: str
     platform: str
     total_us: float
-    total_tokens: int
-
-    @property
-    def us_per_token(self) -> float:
-        return self.total_us / max(1, self.total_tokens)
+    outputs: list
 
 
 class OpExecutor:
@@ -107,15 +105,12 @@ class OpExecutor:
             return outs[0] if len(outs) == 1 else tuple(outs)
         return op_def.compute([np.asarray(i) for i in inputs], attrs)
 
-    # -- convenience wrappers used by the model programs --------------------------
+    # -- wrappers for the batched Tree-LSTM cell (fold.py) --------------------
     def dense(self, x, w):
         return self.call("nn.dense", [x, w])
 
     def bias_add(self, x, b):
         return self.call("nn.bias_add", [x, b])
-
-    def concat(self, tensors, axis=0):
-        return self.call("concatenate", list(tensors), {"axis": axis})
 
     def split(self, x, sections, axis=0):
         return self.call("split", [x], {"indices_or_sections": sections, "axis": axis})
@@ -132,37 +127,56 @@ class OpExecutor:
     def multiply(self, a, b):
         return self.call("multiply", [a, b])
 
-    def softmax(self, x, axis=-1):
-        return self.call("nn.softmax", [x], {"axis": axis})
-
-    def layer_norm(self, x, g, b, eps=1e-12):
-        return self.call("nn.layer_norm", [x, g, b], {"axis": -1, "epsilon": eps})
-
-    def gelu(self, x):
-        return self.call("nn.gelu", [x])
-
-    def reshape(self, x, shape):
-        return self.call("reshape", [x], {"newshape": tuple(shape)})
-
-    def transpose(self, x, axes):
-        return self.call("transpose", [x], {"axes": tuple(axes)})
-
-    def batch_matmul(self, a, b):
-        return self.call("nn.batch_matmul", [a, b])
-
 
 class Framework:
-    """Base class: every framework reports which workloads it supports,
-    mirroring the availability matrix of §6.2."""
+    """Base class: a framework runs the model's own IR module through the
+    evaluator (:mod:`repro.evaluator`) and pays, as class data from
+    :mod:`repro.baselines.overhead` (µs by platform), ``op_us`` per
+    framework op, ``session_us`` per input, and ``construct_us[kind]``
+    per IR construct the evaluator reports: each ``Match``, and each
+    ``If`` that takes its body. ``models`` is the availability matrix of
+    §6.2."""
 
     name = "framework"
+    models: Sequence[str] = ()
+    op_us: Dict[str, float] = {}
+    session_us: Optional[Dict[str, float]] = None
+    construct_us: Dict[type, Dict[str, float]] = {}
 
     def __init__(self, platform: Platform, numerics: str = "full") -> None:
         self.platform = platform
         self.numerics = numerics
 
-    def supports(self, model: str) -> bool:  # pragma: no cover - overridden
-        return True
+    def supports(self, model: str) -> bool:
+        return model in self.models
 
     def make_context(self) -> ExecutionContext:
         return ExecutionContext(self.platform, numerics=self.numerics)
+
+    def _executor(self, ctx: ExecutionContext) -> OpExecutor:
+        pname = self.platform.name
+        return OpExecutor(
+            self.platform,
+            ctx,
+            self.op_us[pname],
+            library=overhead.FRAMEWORK_LIBRARY.get((self.name, pname)),
+        )
+
+    def run(self, mod: IRModule, inputs: Sequence) -> BaselineResult:
+        """Run ``mod``'s ``main`` on each input: every op call but a host
+        scalar is one framework op (see :mod:`repro.evaluator`)."""
+        ctx = self.make_context()
+        ex = self._executor(ctx)
+        pname = self.platform.name
+
+        def charge(expr: Expr) -> None:
+            us = self.construct_us.get(type(expr))
+            if us is not None:
+                ctx.clock.host_advance(us[pname])
+
+        outputs = []
+        for x in inputs:
+            if self.session_us is not None:
+                ctx.clock.host_advance(self.session_us[pname])
+            outputs.append(evaluate(mod, x, call=ex.call, charge=charge))
+        return BaselineResult(self.name, pname, ctx.elapsed_us, outputs)

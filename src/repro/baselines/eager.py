@@ -2,88 +2,22 @@
 
 Every operator is dispatched from host Python as it executes: flexible,
 but "eagerly executing each computation in isolation ... substantially
-limits optimization, i.e. no operator fusion" (§2.1). Dynamic data
-structures are traversed in Python, which is why Tree-LSTM is so
-expensive here (Table 2): each tree node pays Python recursion + tensor
-bookkeeping on top of its tiny kernels.
+limits optimization, i.e. no operator fusion" (§2.1). It runs the
+model's IR module through the evaluator, one framework op per op call.
+Dynamic data structures are traversed in Python, which is why Tree-LSTM
+is so expensive here (Table 2): each ``Match`` on a tree node pays
+Python recursion + tensor bookkeeping on top of its tiny kernels.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-import numpy as np
-
 from repro.baselines import overhead
-from repro.baselines.base import BaselineResult, Framework, OpExecutor
-from repro.baselines.model_programs import (
-    run_bert_ops,
-    run_lstm_ops,
-    tree_lstm_node_ops,
-)
-from repro.data.trees import Tree
-from repro.models.bert import BertWeights
-from repro.models.lstm import LSTMWeights
-from repro.models.tree_lstm import TreeLSTMWeights
+from repro.baselines.base import Framework
+from repro.ir import Match
 
 
 class EagerFramework(Framework):
     name = "pytorch"
-
-    def supports(self, model: str) -> bool:
-        return model in ("lstm", "tree_lstm", "bert")
-
-    def _executor(self, ctx) -> OpExecutor:
-        return OpExecutor(
-            self.platform,
-            ctx,
-            overhead.EAGER_OP_US[self.platform.name],
-            library=overhead.FRAMEWORK_LIBRARY.get(
-                (self.name, self.platform.name)
-            ),
-        )
-
-    # ------------------------------------------------------------------- LSTM
-    def run_lstm(self, sentences: List[np.ndarray], weights: LSTMWeights) -> BaselineResult:
-        ctx = self.make_context()
-        ex = self._executor(ctx)
-        tokens = 0
-        for sent in sentences:
-            run_lstm_ops(ex, sent, weights)
-            tokens += sent.shape[0]
-        return BaselineResult(self.name, self.platform.name, ctx.elapsed_us, tokens)
-
-    # --------------------------------------------------------------- Tree-LSTM
-    def run_tree_lstm(
-        self, trees: List[Tree], embeddings: np.ndarray, weights: TreeLSTMWeights
-    ) -> BaselineResult:
-        ctx = self.make_context()
-        ex = self._executor(ctx)
-        node_us = overhead.EAGER_TREE_NODE_US[self.platform.name]
-        tokens = 0
-
-        def recurse(node: Tree) -> Tuple[np.ndarray, np.ndarray]:
-            # Python-level structure handling: recursion, attribute access,
-            # per-node tensor creation — the dominant Tree-LSTM cost here.
-            ctx.clock.host_advance(node_us)
-            if node.is_leaf:
-                x = embeddings[node.token_id : node.token_id + 1].astype(np.float32)
-                return tree_lstm_node_ops(ex, weights, x=x)
-            return tree_lstm_node_ops(
-                ex, weights, left=recurse(node.left), right=recurse(node.right)
-            )
-
-        for tree in trees:
-            recurse(tree)
-            tokens += tree.num_leaves()
-        return BaselineResult(self.name, self.platform.name, ctx.elapsed_us, tokens)
-
-    # -------------------------------------------------------------------- BERT
-    def run_bert(self, inputs: List[np.ndarray], weights: BertWeights) -> BaselineResult:
-        ctx = self.make_context()
-        ex = self._executor(ctx)
-        tokens = 0
-        for x in inputs:
-            run_bert_ops(ex, x, weights)
-            tokens += x.shape[0]
-        return BaselineResult(self.name, self.platform.name, ctx.elapsed_us, tokens)
+    models = ("lstm", "tree_lstm", "bert")
+    op_us = overhead.EAGER_OP_US
+    construct_us = {Match: overhead.EAGER_TREE_NODE_US}

@@ -23,6 +23,7 @@ from repro.models.tree_lstm import TreeLSTMWeights
 
 class FoldFramework(Framework):
     name = "tf_fold"
+    op_us = overhead.GRAPH_NODE_US
 
     def supports(self, model: str) -> bool:
         if self.platform.name == "arm":
@@ -33,18 +34,16 @@ class FoldFramework(Framework):
         self, trees: List[Tree], embeddings: np.ndarray, weights: TreeLSTMWeights
     ) -> BaselineResult:
         ctx = self.make_context()
-        ex = OpExecutor(
-            self.platform, ctx, overhead.GRAPH_NODE_US[self.platform.name]
-        )
+        ex = self._executor(ctx)
         compile_us = overhead.FOLD_COMPILE_PER_INPUT_US[self.platform.name]
         level_us = overhead.FOLD_LEVEL_US[self.platform.name]
-        tokens = 0
+        outputs = []
         for tree in trees:
             # Per-input structural analysis + graph construction + handoff.
             ctx.clock.host_advance(compile_us)
-            self._run_batched(ex, tree, embeddings, weights, level_us)
-            tokens += tree.num_leaves()
-        return BaselineResult(self.name, self.platform.name, ctx.elapsed_us, tokens)
+            h, _ = self._run_batched(ex, tree, embeddings, weights, level_us)
+            outputs.append(h)
+        return BaselineResult(self.name, self.platform.name, ctx.elapsed_us, outputs)
 
     def _run_batched(
         self,

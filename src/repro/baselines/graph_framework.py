@@ -8,20 +8,21 @@ implements a miniature executor for such graphs — plain op nodes run
 through the shared :class:`OpExecutor`; a ``WhileLoop`` node executes its
 condition and body subgraphs per iteration and charges the per-primitive
 scheduling cost for the loop-variable plumbing, which is exactly the
-overhead the paper blames for TF's LSTM latency (Table 1).
+overhead the paper blames for TF's LSTM latency (Table 1). BERT has no
+control flow: it runs the model's IR module through the evaluator with
+per-node scheduling and a session charge per input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.baselines import overhead
 from repro.baselines.base import BaselineResult, Framework, OpExecutor
 from repro.errors import NimbleError
-from repro.models.bert import BertWeights
 from repro.models.lstm import LSTMWeights
 
 
@@ -159,19 +160,9 @@ class GraphExecutor:
 
 class GraphFramework(Framework):
     name = "tensorflow"
-
-    def supports(self, model: str) -> bool:
-        return model in ("lstm", "bert")
-
-    def _executor(self, ctx) -> OpExecutor:
-        return OpExecutor(
-            self.platform,
-            ctx,
-            overhead.GRAPH_NODE_US[self.platform.name],
-            library=overhead.FRAMEWORK_LIBRARY.get(
-                (self.name, self.platform.name)
-            ),
-        )
+    models = ("lstm", "bert")
+    op_us = overhead.GRAPH_NODE_US
+    session_us = overhead.SESSION_RUN_US
 
     # --------------------------------------------------------------- LSTM graph
     @staticmethod
@@ -231,29 +222,12 @@ class GraphFramework(Framework):
 
     def run_lstm(self, sentences: List[np.ndarray], weights: LSTMWeights) -> BaselineResult:
         ctx = self.make_context()
-        ex = self._executor(ctx)
-        executor = GraphExecutor(ex, self.platform.name)
+        executor = GraphExecutor(self._executor(ctx), self.platform.name)
         graph = self.build_lstm_graph(weights)
-        session_us = overhead.SESSION_RUN_US[self.platform.name]
-        tokens = 0
+        session_us = self.session_us[self.platform.name]
+        outputs = []
         for sent in sentences:
             ctx.clock.host_advance(session_us)
-            executor.run(graph, [np.asarray(sent.shape[0], dtype=np.int64), sent])
-            tokens += sent.shape[0]
-        return BaselineResult(self.name, self.platform.name, ctx.elapsed_us, tokens)
-
-    # ---------------------------------------------------------------------- BERT
-    def run_bert(self, inputs: List[np.ndarray], weights: BertWeights) -> BaselineResult:
-        from repro.baselines.model_programs import run_bert_ops
-
-        ctx = self.make_context()
-        ex = self._executor(ctx)
-        session_us = overhead.SESSION_RUN_US[self.platform.name]
-        tokens = 0
-        for x in inputs:
-            # Static graph, dynamic-shape placeholders: per-node scheduling
-            # (cheap) but library kernels and no compiler fusion.
-            ctx.clock.host_advance(session_us)
-            run_bert_ops(ex, x, weights)
-            tokens += x.shape[0]
-        return BaselineResult(self.name, self.platform.name, ctx.elapsed_us, tokens)
+            (out,) = executor.run(graph, [np.asarray(sent.shape[0], dtype=np.int64), sent])
+            outputs.append(out)
+        return BaselineResult(self.name, self.platform.name, ctx.elapsed_us, outputs)

@@ -1,69 +1,25 @@
 """MXNet-style hybrid symbolic framework.
 
 A define-then-run engine with explicit loop operators (``foreach`` /
-``while_loop``, §2.1): per-op engine dispatch plus per-iteration loop
-scheduling. Cannot express per-input data structures, so Tree-LSTM is
-unsupported — matching the paper's availability matrix. ARM performance
-suffers from weak BLAS coverage (the library profile), which is where
-Nimble's 20.3× Table 1 speedup comes from.
+``while_loop``, §2.1). It runs the model's IR module through the
+evaluator with per-op engine dispatch, a session charge per input, and
+one ``foreach`` iteration's scheduling per ``If`` that takes its body.
+Cannot express per-input data structures, so Tree-LSTM is unsupported —
+matching the paper's availability matrix. ARM performance suffers from
+weak BLAS coverage (the library profile), which is where Nimble's 20.3×
+Table 1 speedup comes from.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
-
 from repro.baselines import overhead
-from repro.baselines.base import BaselineResult, Framework, OpExecutor
-from repro.baselines.model_programs import lstm_step_ops, run_bert_ops
-from repro.models.bert import BertWeights
-from repro.models.lstm import LSTMWeights
+from repro.baselines.base import Framework
+from repro.ir import If
 
 
 class HybridFramework(Framework):
     name = "mxnet"
-
-    def supports(self, model: str) -> bool:
-        return model in ("lstm", "bert")
-
-    def _executor(self, ctx) -> OpExecutor:
-        return OpExecutor(
-            self.platform,
-            ctx,
-            overhead.HYBRID_OP_US[self.platform.name],
-            library=overhead.FRAMEWORK_LIBRARY.get(
-                (self.name, self.platform.name)
-            ),
-        )
-
-    def run_lstm(self, sentences: List[np.ndarray], weights: LSTMWeights) -> BaselineResult:
-        ctx = self.make_context()
-        ex = self._executor(ctx)
-        iter_us = overhead.HYBRID_LOOP_ITER_US[self.platform.name]
-        session_us = overhead.SESSION_RUN_US[self.platform.name]
-        tokens = 0
-        hidden = weights.hidden_size
-        for sent in sentences:
-            ctx.clock.host_advance(session_us)
-            states = [
-                (np.zeros((1, hidden), np.float32), np.zeros((1, hidden), np.float32))
-                for _ in weights.layers
-            ]
-            for t in range(sent.shape[0]):
-                # foreach-operator iteration: dependency-engine scheduling.
-                ctx.clock.host_advance(iter_us)
-                _, states = lstm_step_ops(ex, sent[t : t + 1], states, weights)
-            tokens += sent.shape[0]
-        return BaselineResult(self.name, self.platform.name, ctx.elapsed_us, tokens)
-
-    def run_bert(self, inputs: List[np.ndarray], weights: BertWeights) -> BaselineResult:
-        ctx = self.make_context()
-        ex = self._executor(ctx)
-        session_us = overhead.SESSION_RUN_US[self.platform.name]
-        tokens = 0
-        for x in inputs:
-            ctx.clock.host_advance(session_us)
-            run_bert_ops(ex, x, weights)
-            tokens += x.shape[0]
-        return BaselineResult(self.name, self.platform.name, ctx.elapsed_us, tokens)
+    models = ("lstm", "bert")
+    op_us = overhead.HYBRID_OP_US
+    session_us = overhead.SESSION_RUN_US
+    construct_us = {If: overhead.HYBRID_LOOP_ITER_US}

@@ -5,10 +5,14 @@ a1.4xlarge's slow cores executing the frameworks' host-side C++/Python:
 the same dispatcher that costs 2–4 µs on a 3.4 GHz Skylake costs an order
 of magnitude more on a 2.3 GHz A72 with a fraction of the IPC.
 
-Derivation anchors (Table 1, 1-layer LSTM, µs/token; ~11 ops/token):
+Derivation anchors (Table 1, 1-layer LSTM, µs/token). A token there is
+15 framework ops (13 per LSTM cell, plus the ``take`` + ``reshape`` of
+x[t]) and a sentence 2 more (its zero states); the per-op constants
+were fit to a count of ~11 ops/token and are not re-fit to 15:
 
 * PyTorch Intel 79.3 vs Nimble 47.8 → ≈31 µs of eager overhead/token →
-  ≈2.8 µs/op dispatch (matches public torch dispatcher microbenchmarks);
+  ≈2.8 µs/op dispatch at ~11 ops (matches public torch dispatcher
+  microbenchmarks);
   ARM 1729.5 → ≈90 µs/op plus the slower un-fused kernel stream.
 * MXNet's engine enqueues ops through a dependency scheduler: ≈2× the
   eager dispatch on Intel, and its ARM BLAS coverage is poor.

@@ -51,6 +51,7 @@ from repro.ir.expr import (
 from repro.ir.module import IRModule
 from repro.ir.op import Op
 from repro.ir.types import TensorType
+from repro.ops.shape_funcs import HOST_SCALAR_MAX_ELEMENTS
 from repro.passes.pass_manager import Pass
 from repro.tensor.device import Device
 from repro.utils.naming import NameSupply
@@ -80,7 +81,7 @@ def _is_scalar_kernel(call: Call) -> bool:
             ty = item.checked_type
             if isinstance(ty, TensorType) and ty.ndim > 0:
                 n = ty.num_elements()
-                if n is None or n > 8:
+                if n is None or n > HOST_SCALAR_MAX_ELEMENTS:
                     return False
     return True
 

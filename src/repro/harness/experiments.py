@@ -126,12 +126,14 @@ def _per_token_table(
     tokens: int,
     model: str,
     frameworks: Sequence[type],
-    run_baseline: Callable[[Framework], BaselineResult],
+    own_programs: Optional[Dict[type, Callable[[Framework], BaselineResult]]] = None,
 ) -> Dict[str, Dict[str, Optional[float]]]:
     """The platform loop under Tables 1–3: ``{platform: {system:
     µs/token}}`` with Nimble compiled once per platform and run over
-    *inputs*, beside each baseline framework's own run of the same data
-    (``None`` where the framework does not support *model*)."""
+    *inputs*, beside each baseline framework running the same *mod* on
+    the same *inputs* — or, where *own_programs* names its class, its own
+    program (TensorFlow's while-loop graph, Fold's batched trees); ``None``
+    where the framework does not support *model*."""
     table: Dict[str, Dict[str, Optional[float]]] = {}
     for pname in platforms:
         platform = platform_by_name(pname)
@@ -139,11 +141,12 @@ def _per_token_table(
         row: Dict[str, Optional[float]] = {"nimble": total_us / tokens}
         for make in frameworks:
             framework = make(platform, "lite")
-            row[framework.name] = (
-                run_baseline(framework).us_per_token
-                if framework.supports(model)
-                else None
-            )
+            if not framework.supports(model):
+                row[framework.name] = None
+                continue
+            own = (own_programs or {}).get(make)
+            result = own(framework) if own else framework.run(mod, inputs)
+            row[framework.name] = result.total_us / tokens
         table[pname] = row
     return table
 
@@ -176,7 +179,9 @@ def table1_lstm(
             tokens=tokens,
             model="lstm",
             frameworks=(EagerFramework, HybridFramework, GraphFramework),
-            run_baseline=lambda framework: framework.run_lstm(sentences, weights),
+            own_programs={
+                GraphFramework: lambda framework: framework.run_lstm(sentences, weights)
+            },
         )
     return results
 
@@ -199,7 +204,9 @@ def table2_tree_lstm(
         tokens=sum(t.num_leaves() for t in trees),
         model="tree_lstm",
         frameworks=(EagerFramework, FoldFramework),
-        run_baseline=lambda framework: framework.run_tree_lstm(trees, embeddings, weights),
+        own_programs={
+            FoldFramework: lambda framework: framework.run_tree_lstm(trees, embeddings, weights)
+        },
     )
 
 
@@ -215,7 +222,6 @@ def table3_bert(num_sentences: int = 8) -> Dict[str, Dict[str, float]]:
         tokens=sum(s.shape[0] for s in sentences),
         model="bert",
         frameworks=(EagerFramework, HybridFramework, GraphFramework),
-        run_baseline=lambda framework: framework.run_bert(sentences, weights),
     )
 
 

@@ -157,7 +157,7 @@ def build_lstm_module(weights: LSTMWeights) -> IRModule:
 
 
 # ---------------------------------------------------------------------------
-# NumPy reference (shared weights; also the op stream baselines execute)
+# NumPy reference (shared weights; the baselines run the module above)
 # ---------------------------------------------------------------------------
 
 

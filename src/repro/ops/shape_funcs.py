@@ -16,6 +16,12 @@ from repro.errors import ShapeError
 
 Shape = Tuple[int, ...]
 
+# A tensor of at most this many elements (rank 0, or a tiny vector such
+# as a shape) is "CPU friendly" (§2.2): loop counters, conditions, index
+# arithmetic. Placement keeps a kernel over only such tensors on the
+# host, and the IR evaluator computes such a call as host work.
+HOST_SCALAR_MAX_ELEMENTS = 8
+
 
 def prod(shape: Sequence[int]) -> int:
     n = 1

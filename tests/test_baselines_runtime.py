@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 import repro.nimble as nimble
-from repro.baselines import EagerFramework, FoldFramework, GraphFramework, HybridFramework
+from repro.baselines import EagerFramework, FoldFramework, GraphFramework, HybridFramework, overhead
 from repro.baselines.base import OpExecutor
 from repro.baselines.graph_framework import Graph, GraphExecutor
 from repro.data import embedding_table, sst_like_trees
 from repro.errors import VMError
+from repro.evaluator import evaluate
 from repro.hardware import arm_cpu, intel_cpu, nvidia_gpu, platform_by_name
-from repro.models.bert import BertConfig, BertWeights, build_bert_module
+from repro.models.bert import BertConfig, BertWeights, bert_reference, build_bert_module
 from repro.models.lstm import LSTMWeights, build_lstm_module, lstm_reference
-from repro.models.tree_lstm import TreeLSTMWeights, tree_lstm_reference
+from repro.models.tree_lstm import (
+    TreeLSTMWeights,
+    build_tree_lstm_module,
+    tree_lstm_reference,
+    tree_to_adt,
+)
 from repro.models.vision import (
     build_mobilenet_like,
     build_resnet_like,
@@ -273,23 +279,69 @@ class TestLaunchTape:
 
 
 class TestEagerFramework:
-    def test_lstm_numerics_and_tokens(self):
-        w = LSTMWeights.create(8, 4, 1)
+    def test_lstm_matches_reference(self):
+        """Full numerics: the eager executor's output is the model's. The
+        widths keep every tensor op above the host-scalar size, so each
+        one goes through the executor."""
+        w = LSTMWeights.create(12, 10, 1)
         fw = EagerFramework(intel_cpu())
-        sents = [np.random.RandomState(i).randn(3 + i, 8).astype(np.float32) for i in range(2)]
-        result = fw.run_lstm(sents, w)
-        assert result.total_tokens == 3 + 4
+        sents = [np.random.RandomState(i).randn(3 + i, 12).astype(np.float32) for i in range(2)]
+        result = fw.run(build_lstm_module(w), sents)
         assert result.total_us > 0
+        for sent, out in zip(sents, result.outputs):
+            assert np.allclose(out, lstm_reference(sent, w), atol=1e-5)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_lstm_charging_rule(self, layers):
+        """13·L + 2 framework ops per token (the L cells, and the `take` +
+        `reshape` of x[t]) plus 2·L `zeros` per sentence. `vm.shape_of`
+        and the counter arithmetic (`less`, `add`, `take` of the shape)
+        are host scalars: computed, never charged."""
+        w = LSTMWeights.create(12, 10, layers)
+        mod = build_lstm_module(w)
+        fw = EagerFramework(intel_cpu())
+        ex = fw._executor(fw.make_context())
+        charged = []
+
+        def call(op_name, inputs, attrs):
+            charged.append(op_name)
+            return ex.call(op_name, inputs, attrs)
+
+        lengths = (3, 5)
+        for n in lengths:
+            x = np.random.RandomState(n).randn(n, 12).astype(np.float32)
+            assert np.allclose(evaluate(mod, x, call=call), lstm_reference(x, w), atol=1e-5)
+        tokens = sum(lengths)
+        assert ex.ops_executed == len(charged)
+        assert ex.ops_executed == (13 * layers + 2) * tokens + 2 * layers * len(lengths)
+        assert "less" not in charged and "vm.shape_of" not in charged
+        assert charged.count("add") == layers * tokens  # each cell's c' = f·c + i·g
+        assert charged.count("take") == tokens  # x[t], never the shape's
 
     def test_tree_lstm_supported(self):
         assert EagerFramework(intel_cpu()).supports("tree_lstm")
 
-    def test_bert_runs(self):
+    def test_bert_matches_reference(self):
         cfg = BertConfig(hidden=16, num_layers=1, num_heads=2, ffn=32)
         w = BertWeights.create(cfg)
-        fw = EagerFramework(intel_cpu())
-        r = fw.run_bert([np.zeros((4, 16), np.float32)], w)
-        assert r.total_tokens == 4
+        x = np.random.RandomState(0).randn(4, 16).astype(np.float32)
+        (out,) = EagerFramework(intel_cpu()).run(build_bert_module(w), [x]).outputs
+        assert np.allclose(out, bert_reference(x, w), atol=1e-4)
+
+
+class TestHybridFramework:
+    def test_loop_iterations_charged(self):
+        """One `foreach` iteration per `If` that takes its body: a
+        sentence of n tokens pays n of them; the loop exit is free."""
+
+        class NoLoopCharge(HybridFramework):
+            construct_us = {}
+
+        mod = build_lstm_module(LSTMWeights.create(12, 10, 1))
+        x = np.zeros((5, 12), np.float32)
+        with_loop = HybridFramework(intel_cpu()).run(mod, [x]).total_us
+        without = NoLoopCharge(intel_cpu()).run(mod, [x]).total_us
+        assert with_loop - without == pytest.approx(5 * overhead.HYBRID_LOOP_ITER_US["intel"])
 
 
 class TestFrameworkSupportMatrix:
@@ -329,7 +381,7 @@ class TestGraphFrameworkExecutor:
         fw_eager = EagerFramework(intel_cpu())
         sent = [np.zeros((20, 8), np.float32)]
         graph_us = fw_graph.run_lstm(sent, w).total_us
-        eager_us = fw_eager.run_lstm(sent, w).total_us
+        eager_us = fw_eager.run(build_lstm_module(w), sent).total_us
         # TF's per-iteration control primitives dominate its LSTM cost.
         assert graph_us > eager_us
 
@@ -352,6 +404,8 @@ class TestFoldFramework:
         w = TreeLSTMWeights.create(10, 5)
         emb = embedding_table(vocab_size=30, dim=10)
         trees = sst_like_trees(3, vocab_size=30, seed=6)
-        fold_us = FoldFramework(intel_cpu()).run_tree_lstm(trees, emb, w).us_per_token
-        eager_us = EagerFramework(intel_cpu()).run_tree_lstm(trees, emb, w).us_per_token
+        fold_us = FoldFramework(intel_cpu()).run_tree_lstm(trees, emb, w).total_us
+        eager_us = EagerFramework(intel_cpu()).run(
+            build_tree_lstm_module(w), [tree_to_adt(t, emb) for t in trees]
+        ).total_us
         assert fold_us < eager_us  # batching wins despite per-input compile

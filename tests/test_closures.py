@@ -5,6 +5,7 @@ import pytest
 
 import repro.nimble as nimble
 from repro.core.typing import infer_types
+from repro.evaluator import evaluate
 from repro.hardware import intel_cpu
 from repro.ir import (
     Call,
@@ -61,6 +62,12 @@ class TestLambdaLift:
         assert out.numpy().tolist() == [11, 22, 33, 44]
         assert vm.profile.instruction_counts["ALLOC_CLOSURE"] == 1
         assert vm.profile.instruction_counts["INVOKE_CLOSURE"] == 1
+
+    def test_closure_evaluates_uncompiled(self):
+        """The evaluator, the oracle for the lifted and compiled forms,
+        applies the literal with its captured ``x``."""
+        out = evaluate(_adder_module(), np.float32([1, 2, 3, 4]), np.float32([10, 20, 30, 40]))
+        assert out.tolist() == [11, 22, 33, 44]
 
     def test_closure_called_twice(self):
         ty = TensorType((2,), "float32")

@@ -5,6 +5,7 @@ import pytest
 
 import repro.nimble as nimble
 from repro.data import embedding_table, sst_like_trees
+from repro.evaluator import evaluate
 from repro.hardware import intel_cpu, nvidia_gpu
 from repro.models.bert import BertConfig, BertWeights, bert_reference, build_bert_module
 from repro.models.lstm import LSTMWeights, build_lstm_module, lstm_reference
@@ -23,15 +24,28 @@ from repro.models.vision import (
 from repro.vm.interpreter import VirtualMachine
 
 
+def _compiled(mod):
+    vm = VirtualMachine(nimble.build(mod, intel_cpu())[0])
+    return lambda *args: vm.run(*args).numpy()
+
+
+def _evaluated(mod):
+    """The independent oracle: the un-lowered module, op by op."""
+    return lambda *args: evaluate(mod, *args)
+
+
+# Each reference test runs the module compiled and through the evaluator.
+RUNNERS = pytest.mark.parametrize("runner", [_compiled, _evaluated], ids=["vm", "evaluator"])
+
+
 class TestLSTM:
+    @RUNNERS
     @pytest.mark.parametrize("layers", [1, 2])
-    def test_matches_reference(self, layers):
+    def test_matches_reference(self, layers, runner):
         w = LSTMWeights.create(input_size=12, hidden_size=6, num_layers=layers, seed=layers)
-        exe, _ = nimble.build(build_lstm_module(w), intel_cpu())
-        vm = VirtualMachine(exe)
+        run = runner(build_lstm_module(w))
         x = np.random.RandomState(0).randn(7, 12).astype(np.float32)
-        out = vm.run(x)
-        assert np.allclose(out.numpy(), lstm_reference(x, w), atol=1e-5)
+        assert np.allclose(run(x), lstm_reference(x, w), atol=1e-5)
 
     def test_variable_lengths_same_executable(self):
         """The whole point: one compiled artifact serves every length."""
@@ -51,15 +65,14 @@ class TestLSTM:
 
 
 class TestTreeLSTM:
-    def test_matches_reference_on_random_trees(self):
+    @RUNNERS
+    def test_matches_reference_on_random_trees(self, runner):
         w = TreeLSTMWeights.create(input_size=10, hidden_size=5, seed=1)
-        exe, _ = nimble.build(build_tree_lstm_module(w), intel_cpu())
-        vm = VirtualMachine(exe)
+        run = runner(build_tree_lstm_module(w))
         emb = embedding_table(vocab_size=40, dim=10, seed=2)
         for tree in sst_like_trees(3, vocab_size=40, seed=3):
-            out = vm.run(tree_to_adt(tree, emb))
             ref_h, _ = tree_lstm_reference(tree, emb, w)
-            assert np.allclose(out.numpy(), ref_h, atol=1e-5)
+            assert np.allclose(run(tree_to_adt(tree, emb)), ref_h, atol=1e-5)
 
     def test_single_leaf_tree(self):
         from repro.data.trees import Tree
@@ -75,13 +88,13 @@ class TestTreeLSTM:
 
 
 class TestBERT:
-    def test_matches_reference(self):
+    @RUNNERS
+    def test_matches_reference(self, runner):
         cfg = BertConfig(hidden=24, num_layers=2, num_heads=3, ffn=48)
         w = BertWeights.create(cfg, seed=4)
-        exe, _ = nimble.build(build_bert_module(w), intel_cpu())
-        vm = VirtualMachine(exe)
+        run = runner(build_bert_module(w))
         x = np.random.RandomState(5).randn(6, 24).astype(np.float32)
-        assert np.allclose(vm.run(x).numpy(), bert_reference(x, w), atol=1e-4)
+        assert np.allclose(run(x), bert_reference(x, w), atol=1e-4)
 
     def test_variable_sequence_lengths(self):
         cfg = BertConfig(hidden=16, num_layers=1, num_heads=2, ffn=32)
