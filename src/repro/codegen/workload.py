@@ -21,10 +21,10 @@ from repro.core.memory.prim_info import interpret_shapes
 from repro.errors import CompilerError, VMError
 from repro.ir.expr import Call, Constant, Expr, Function, Let, Tuple as IRTuple, TupleGetItem, Var
 from repro.ir.op import Op
-from repro.ir.types import TupleType
+from repro.ir.types import TensorType, TupleType
 from repro.ops import get_op_def
-from repro.ops.shape_funcs import prod
-from repro.tensor.dtype import dtype_bytes
+from repro.ops.shape_funcs import normalize_axis, prod
+from repro.tensor.dtype import dtype_bytes, to_numpy_dtype
 
 Shape = Tuple[int, ...]
 
@@ -102,12 +102,29 @@ class KernelProgram:
     """A primitive body compiled once to one Python function.
 
     ``source`` is its text. The parameters unpack into locals ``p0..``;
-    each operator call is one line ``vK = op_<name>([operands], aK)``
-    calling that operator's ``compute``; an IR ``Tuple`` / ``TupleGetItem``
-    is an inline tuple display / subscript; a ``Constant`` is a global
-    ``cK`` bound to its array by reference, so an in-place write to it is
-    seen by the next run. Operands are emitted before their user, so
-    nested (hand-built, non-ANF) calls run in post-order.
+    each operator call is one line. Where the lowering can prove the
+    op's NumPy function alone gives what ``compute`` gives, the line calls
+    that function directly:
+
+    * an elementwise op (``OpDef.ufunc``) is ``vK = ew_<name>(a, b)``;
+    * ``nn.dense`` is ``matmul(d, w.T)``, ``nn.bias_add`` on the last
+      axis is ``ew_add(d, b)`` and ``take`` with ``int64`` indices is
+      ``take(d, i, axis=K)`` without the index copy;
+    * ``split`` into equal sections of a static dim is one view per
+      section, and a projection of it (of any tuple display) is that
+      field's name.
+
+    Proving it is decided once, here: a direct line drops ``compute``'s
+    ``.astype``, so it is emitted only where the function, called on
+    zero-size operands of the checked dtypes (a constant's own), returns
+    the dtype ``compute`` returns and the type checker declared. Any
+    other op — and any call whose types are unknown, as in a hand-built
+    body — is ``vK = op_<name>([operands], aK)`` calling ``compute``.
+    An IR ``Tuple`` / ``TupleGetItem`` is an inline tuple display /
+    subscript; a ``Constant`` is a global ``cK`` bound to its array by
+    reference, so an in-place write to it is seen by the next run.
+    Operands are emitted before their user, so nested (hand-built,
+    non-ANF) calls run in post-order.
 
     ``run(inputs, outputs=None)`` is the compiled function itself: no
     step loop, recursion, ``Var`` hashing or registry lookup per launch.
@@ -115,8 +132,13 @@ class KernelProgram:
     VM's calling convention, destination passing — it checks their
     count and each one's shape against the results and writes each
     result into its buffer, raising `VMError` on a mismatch (the kernel
-    named by its ops, as `KernelSet.name` is). The text is compiled
-    under a file name inside this module's, registered with
+    named by its ops, as `KernelSet.name` is). An output whose last op
+    is an elementwise direct line is written by that op itself
+    (``out=oI``), guarded by one operand already having the buffer's
+    shape: NumPy then rejects any result that does not fit, where a
+    smaller one would otherwise broadcast into the buffer; failing the
+    guard, the result is fresh and the checked copy runs. The text is
+    compiled under a file name inside this module's, registered with
     ``linecache``, so a traceback through a kernel prints the generated
     line.
     """
@@ -128,11 +150,25 @@ class KernelProgram:
         names: Dict[Var, str] = {p: f"p{i}" for i, p in enumerate(func.params)}
         bound: dict = {"asarray": np.asarray, "copyto": np.copyto, "CompilerError": CompilerError,
                        "output_count_error": output_count_error, "misfit_error": misfit_error,
-                       "write_outputs": write_outputs}
+                       "write_outputs": write_outputs, "NO_BUFFER": NO_BUFFER,
+                       "matmul": np.matmul, "take": np.take}
         tuples: Dict[str, List[str]] = {}  # the fields of each tuple display
+        # An elementwise direct line: its line index, call text and the
+        # operand whose shape guards a write into an output buffer.
+        writable: Dict[str, Tuple[int, str, str]] = {}
         constants = itertools.count()
         lines: List[str] = []
         ops: List[str] = []
+
+        def emit(value: str) -> str:
+            dst = f"v{len(lines)}"
+            lines.append(f"    {dst} = {value}")
+            return dst
+
+        def display(fields: List[str]) -> str:
+            dst = emit(f"({', '.join(fields)}{',' if len(fields) == 1 else ''})")
+            tuples[dst] = fields
+            return dst
 
         def lower(expr: Expr) -> str:
             """The name holding *expr*'s value, its operands emitted first."""
@@ -146,21 +182,31 @@ class KernelProgram:
                 return const
             if isinstance(expr, IRTuple):
                 fields = [lower(f) for f in expr.fields]
-                value = f"({', '.join(fields)}{',' if len(fields) == 1 else ''})"
-                tuples[f"v{len(lines)}"] = fields
-            elif isinstance(expr, TupleGetItem):
-                value = f"{lower(expr.tuple_value)}[{int(expr.index)}]"
-            elif isinstance(expr, Call) and isinstance(expr.op, Op):
-                args = ", ".join([lower(a) for a in expr.args])
-                ops.append(expr.op.name)
-                fn = "op_" + expr.op.name.replace(".", "_")
-                bound[fn] = get_op_def(expr.op.name).compute
-                bound[f"a{len(lines)}"] = expr.attrs
-                value = f"{fn}([{args}], a{len(lines)})"
-            else:
+                return display(fields)
+            if isinstance(expr, TupleGetItem):
+                value = lower(expr.tuple_value)
+                if value in tuples:
+                    return tuples[value][expr.index]
+                return emit(f"{value}[{int(expr.index)}]")
+            if not (isinstance(expr, Call) and isinstance(expr.op, Op)):
                 raise CompilerError(f"kernel lowering: cannot evaluate {type(expr).__name__}")
-            dst = f"v{len(lines)}"
-            lines.append(f"    {dst} = {value}")
+            args = [lower(a) for a in expr.args]
+            name = expr.op.name
+            ops.append(name)
+            views = _split_views(expr, args[0]) if name == "split" else None
+            if views is not None:
+                return display([emit(v) for v in views])
+            direct = _direct_call(expr, args)
+            if direct is None:
+                fn = "op_" + name.replace(".", "_")
+                bound[fn] = get_op_def(name).compute
+                bound[f"a{len(lines)}"] = expr.attrs
+                return emit(f"{fn}([{', '.join(args)}], a{len(lines)})")
+            text, binds, guard = direct
+            bound.update(binds)
+            dst = emit(text)
+            if guard is not None:
+                writable[dst] = (len(lines) - 1, text[:-1], args[guard])
             return dst
 
         node: Expr = func.body
@@ -170,23 +216,40 @@ class KernelProgram:
         result = lower(node)
         name = bound["NAME"] = f"fused_{'+'.join(ops)}"
         fields = tuples.get(result)
-        if fields is None:  # one value, unless its op made it a tuple
+        if fields is None and result not in writable:  # one value, unless its op made it a tuple
             lines.append(f"    if isinstance({result}, tuple): "
                          f"return write_outputs(NAME, {result}, outputs)")
+        if fields is None:
             fields = [result]
         elif lines[-1].startswith(f"    {result} = "):
             lines.pop()  # the display itself: nothing after it reads it
         m = len(fields)
-        lines += [
-            "    if outputs is None:",
-            f"        return [{', '.join(f'asarray({f})' for f in fields)}]",
-            f"    if len(outputs) != {m}: raise output_count_error(NAME, {m}, len(outputs))",
-            f"    ({''.join(f'o{i}, ' for i in range(m))}) = outputs",
-        ]
+        buffers = "".join(f"o{i}, " for i in range(m))
+        written: Dict[str, int] = {}  # a field its own op writes -> that buffer
         for i, f in enumerate(fields):
-            lines += [f"    z = asarray({f})",
-                      f"    if o{i}.shape != z.shape: raise misfit_error(z, o{i})",
-                      f"    copyto(o{i}, z)"]
+            if f in writable and f not in written:
+                at, call, guard = writable[f]
+                lines[at] = f"    {f} = {call}, out=o{i} if {guard}.shape == o{i}.shape else None)"
+                written[f] = i
+        if written:  # the buffers are unpacked before the ops that write them
+            lines[:0] = [
+                f"    if outputs is None: {buffers}= {'NO_BUFFER, ' * m}".rstrip(),
+                f"    elif len(outputs) != {m}: raise output_count_error(NAME, {m}, len(outputs))",
+                f"    else: {buffers}= outputs",
+            ]
+        lines += ["    if outputs is None:",
+                  f"        return [{', '.join(f'asarray({f})' for f in fields)}]"]
+        if not written:
+            lines += [f"    if len(outputs) != {m}: raise output_count_error(NAME, {m}, len(outputs))",
+                      f"    ({buffers}) = outputs"]
+        for i, f in enumerate(fields):
+            indent = "    "
+            if written.get(f) == i:
+                lines.append(f"    if {f} is not o{i}:")
+                indent = "        "
+            lines += [f"{indent}z = asarray({f})",
+                      f"{indent}if o{i}.shape != z.shape: raise misfit_error(z, o{i})",
+                      f"{indent}copyto(o{i}, z)"]
         lines[:0] = [
             "def kernel(inputs, outputs=None):",
             f"    if len(inputs) != {n}:",
@@ -198,6 +261,97 @@ class KernelProgram:
         exec(compile(self.source, filename, "exec"), bound)
         linecache.cache[filename] = (len(self.source), None, self.source.splitlines(True), filename)
         self.run = bound["kernel"]
+
+
+class _NoBuffer:
+    """The output buffers of a kernel run without any: no result's shape
+    matches one, so every op that could write a buffer returns a fresh
+    result."""
+
+    __slots__ = ()
+    shape = None
+
+
+NO_BUFFER = _NoBuffer()
+
+
+def _operand_probe(arg: Expr) -> Optional[np.ndarray]:
+    """An empty array of *arg*'s dtype and rank — a constant's own, else
+    its checked type's; of rank 0, one zero — or None when that type is
+    unknown."""
+    if isinstance(arg, Constant):
+        data = arg.data
+        return np.zeros((0,) * data.ndim, data.dtype)
+    ty = arg.checked_type
+    if not isinstance(ty, TensorType):
+        return None
+    return np.zeros((0,) * ty.ndim, to_numpy_dtype(ty.dtype))
+
+
+def _keeps_dtype(call: Call, fn) -> bool:
+    """Does *fn* return the dtype the op's ``compute`` returns, and the
+    type checker declared, on zero-size operands of the call's dtypes?
+    Only then is the ``.astype`` a direct line drops a no-op."""
+    declared = call.checked_type
+    probes = [_operand_probe(a) for a in call.args]
+    if not isinstance(declared, TensorType) or any(p is None for p in probes):
+        return False
+    try:
+        with np.errstate(all="ignore"):  # a 0-d probe holds one zero
+            got = np.asarray(fn(*probes)).dtype
+            want = np.asarray(get_op_def(call.op.name).compute(probes, call.attrs)).dtype
+    except (TypeError, ValueError):  # the op rejects these dtypes: compute raises at run time
+        return False
+    return got == want == to_numpy_dtype(declared.dtype)
+
+
+def _dense(d, w):
+    return np.matmul(d, w.T)
+
+
+def _direct_call(call: Call, args: List[str]) -> Optional[Tuple[str, dict, Optional[int]]]:
+    """*call* on the operands named *args* as a direct NumPy call, or None
+    for ``compute``: its text, the globals it binds, and — for an
+    elementwise call, whose line may write an output buffer — the operand
+    whose shape guards that write (the first of the result's rank)."""
+    name, attrs = call.op.name, call.attrs
+    fn = get_op_def(name).ufunc
+    if name == "nn.bias_add":
+        data = call.args[0].checked_type
+        if isinstance(data, TensorType) and attrs.get("axis", -1) in (-1, data.ndim - 1):
+            name, fn = "add", get_op_def("add").ufunc
+    if fn is not None:
+        if not _keeps_dtype(call, fn):
+            return None
+        ew = "ew_" + name.replace(".", "_")
+        ndim = call.checked_type.ndim
+        guard = next((i for i, a in enumerate(call.args) if _operand_probe(a).ndim == ndim), None)
+        return f"{ew}({', '.join(args)})", {ew: fn}, guard
+    if name == "nn.dense" and _keeps_dtype(call, _dense):
+        return f"matmul({args[0]}, {args[1]}.T)", {}, None
+    if name == "take":
+        indices = _operand_probe(call.args[1])
+        if indices is not None and indices.dtype == np.int64:
+            axis = attrs.get("axis")
+            where = "" if axis is None else f", axis={int(axis)}"
+            return f"take({args[0]}, {args[1]}{where})", {}, None
+    return None
+
+
+def _split_views(call: Call, data: str) -> Optional[List[str]]:
+    """``split`` into equal sections of a static dim as one basic-slice
+    view of *data* per section, or None when the sections are indices or
+    the dim is dynamic."""
+    sections = call.attrs["indices_or_sections"]
+    ty = call.args[0].checked_type
+    if not isinstance(sections, int) or sections <= 0 or not isinstance(ty, TensorType):
+        return None
+    axis = normalize_axis(call.attrs.get("axis", 0), ty.ndim)
+    dim = ty.shape[axis]
+    if not isinstance(dim, int) or dim % sections:
+        return None
+    step, lead = dim // sections, ":, " * axis
+    return [f"{data}[{lead}{i * step}:{(i + 1) * step}]" for i in range(sections)]
 
 
 def write_outputs(name: str, result: tuple, outputs: Optional[Sequence[np.ndarray]]):

@@ -8,7 +8,9 @@ attributes, plus what Nimble adds):
 * **shape function** — runtime: concrete input shapes (and, for
   data-dependent ops, input *values*) → concrete output shapes (§4.2), in
   one of three modes (data-independent / data-dependent / upper-bound);
-* **compute** — the NumPy kernel body used by every executor;
+* **compute** — the NumPy kernel body used by every executor; an
+  elementwise op also keeps its **ufunc**, the function its compute is
+  built from, which kernel code generation calls directly;
 * **fusion pattern** — how the fusion pass may combine this op (§4.2's
   fusion policy additionally forbids fusing *into* ops whose shape
   functions are data-dependent or upper-bound);
@@ -78,6 +80,9 @@ class OpDef:
     # Upper-bound ops return (data..., actual_shape) from compute; the
     # runtime slices outputs down to the actual shape (§4.2).
     returns_shape: bool = False
+    # Elementwise ops: the NumPy function ``compute`` is built from, with a
+    # ufunc's calling convention (operands positional, an ``out=`` buffer).
+    ufunc: Optional[Callable[..., object]] = None
 
     @property
     def is_dynamic_shape_func(self) -> bool:

@@ -3,7 +3,10 @@
 These are the ELEMWISE/BROADCAST fusion-pattern ops that the fusion pass
 folds into preceding compute-heavy kernels. All computes are vectorized
 NumPy; outputs are cast back to the declared dtype so fused groups stay
-dtype-stable.
+dtype-stable. The ops registered by ``_unary``, ``_binary`` and
+``_comparison`` keep their function on the ``OpDef`` (``ufunc``), the one
+description of their math: ``compute`` is built from it, and kernel code
+generation calls it directly where that cast is a no-op.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from repro.ops.shape_funcs import broadcast_shape_func, same_shape_func
 from repro.ops.type_relations import broadcast_rel, expect_tensor, identity_rel
 
 
-def _unary(name: str, fn: Callable[[np.ndarray], np.ndarray], flop_per_elem: float = 1.0) -> None:
+def _unary(name: str, fn: Callable[..., np.ndarray], flop_per_elem: float = 1.0) -> None:
     def compute(inputs, attrs):
         x = inputs[0]
         return fn(x).astype(x.dtype, copy=False)
@@ -40,11 +43,12 @@ def _unary(name: str, fn: Callable[[np.ndarray], np.ndarray], flop_per_elem: flo
             shape_func_mode=ShapeFuncMode.DATA_INDEPENDENT,
             pattern=OpPattern.ELEMWISE,
             flops=flops,
+            ufunc=fn,
         )
     )
 
 
-def _binary(name: str, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
+def _binary(name: str, fn: Callable[..., np.ndarray]) -> None:
     def compute(inputs, attrs):
         a, b = inputs
         return fn(a, b).astype(a.dtype, copy=False)
@@ -57,11 +61,12 @@ def _binary(name: str, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> No
             shape_func=broadcast_shape_func,
             shape_func_mode=ShapeFuncMode.DATA_INDEPENDENT,
             pattern=OpPattern.BROADCAST,
+            ufunc=fn,
         )
     )
 
 
-def _comparison(name: str, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
+def _comparison(name: str, fn: Callable[..., np.ndarray]) -> None:
     def rel(arg_types: Sequence[Type], attrs: dict) -> Type:
         base = broadcast_rel(arg_types, attrs)
         return TensorType(base.shape, "bool")
@@ -77,8 +82,30 @@ def _comparison(name: str, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -
             shape_func=broadcast_shape_func,
             shape_func_mode=ShapeFuncMode.DATA_INDEPENDENT,
             pattern=OpPattern.BROADCAST,
+            ufunc=fn,
         )
     )
+
+
+# Elementwise ops that are not one ufunc: the same ufuncs, in the same
+# order and dtype, as a ufunc-like function (only the last writes *out*).
+def rsqrt(x, out=None):
+    return np.divide(1.0, np.sqrt(x), out=out)
+
+
+def sigmoid(x, out=None):
+    return np.divide(1.0, np.add(1.0, np.exp(np.negative(x))), out=out)
+
+
+def relu(x, out=None):
+    return np.maximum(x, 0, out=out)
+
+
+def copy(x, out=None):
+    if out is None:
+        return x.copy()
+    np.copyto(out, x)
+    return out
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -95,12 +122,12 @@ _unary("negative", np.negative)
 _unary("exp", np.exp, flop_per_elem=4.0)
 _unary("log", np.log, flop_per_elem=4.0)
 _unary("sqrt", np.sqrt, flop_per_elem=2.0)
-_unary("rsqrt", lambda x: 1.0 / np.sqrt(x), flop_per_elem=3.0)
+_unary("rsqrt", rsqrt, flop_per_elem=3.0)
 _unary("tanh", np.tanh, flop_per_elem=6.0)
-_unary("sigmoid", lambda x: 1.0 / (1.0 + np.exp(-x)), flop_per_elem=6.0)
+_unary("sigmoid", sigmoid, flop_per_elem=6.0)
 _unary("erf", _scipy_erf, flop_per_elem=8.0)
 _unary("abs", np.abs)
-_unary("copy", lambda x: x.copy(), flop_per_elem=0.0)
+_unary("copy", copy, flop_per_elem=0.0)
 
 # -- comparisons ------------------------------------------------------------
 _comparison("equal", np.equal)
@@ -188,7 +215,7 @@ register_op(
 
 
 # -- relu/clip (kept here with the other cheap elementwise ops) ---------------
-_unary("nn.relu", lambda x: np.maximum(x, 0))
+_unary("nn.relu", relu)
 
 
 def _clip_compute(inputs, attrs):

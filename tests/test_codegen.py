@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.codegen import (
     KernelSet,
@@ -21,14 +22,14 @@ from repro.codegen.kernels import INVOKE_COST_MEMO_CAP, canonical_mnk, is_symbol
 from repro.codegen.tuner import AutoTuner, instantiate_shapes
 from repro.codegen.workload import KernelProgram
 from repro.core.typing import infer_types
-from repro.errors import CompilerError
+from repro.errors import CompilerError, VMError
 from repro.hardware import arm_cpu, intel_cpu, nvidia_gpu
 from repro.ir import (
     Any, Call, Constant, Function, IRModule, Let, TensorType, Tuple, TupleGetItem, TupleType,
     Var, const,
 )
 from repro.ir.op import Op
-from repro.ops import api, get_op_def
+from repro.ops import OpPattern, api, get_op_def
 from repro.tensor.ndarray import array as make_array
 
 
@@ -164,6 +165,15 @@ def _bitwise_equal(got, want):
     )
 
 
+def _typed_prim(body, *param_types) -> Function:
+    """A primitive of *body* over parameters of *param_types*, its checked
+    types filled in as the compiler's would be."""
+    params = [Var(f"x{i}", ty) for i, ty in enumerate(param_types)]
+    func = Function(params, body(*params), None, {"primitive": True})
+    infer_types(IRModule.from_expr(func))
+    return func
+
+
 def _model_executables():
     """(name, executable, one input): the dynamic and the
     length-specialized LSTM, the TreeLSTM, a 2-layer BERT both ways."""
@@ -265,54 +275,60 @@ class TestKernelProgram:
         assert np.array_equal(after, _reference_run(prim, [x])[0])
         assert not np.array_equal(after, before)
 
-    def test_a_launch_is_one_compute_call_per_op_and_no_recursion(self, monkeypatch):
+    def test_a_launch_is_one_numpy_call_per_op_and_no_recursion(self):
+        """A typed dense + bias_add + tanh + multiply body is four direct
+        NumPy calls: no ``compute`` wrapper and no Python frame per op —
+        the generated function is entered once — and the last op writes
+        the output buffer itself, so nothing is copied into it."""
+        import os
         import sys
 
         import repro.codegen.workload as workload
 
-        calls = {"nn.dense": 0, "nn.relu": 0}
-        for name in calls:
-            op_def = get_op_def(name)
-
-            def counted(args, attrs, name=name, real=op_def.compute):
-                calls[name] += 1
-                return real(args, attrs)
-
-            monkeypatch.setattr(op_def, "compute", counted)
-        prim, _ = _dense_prim(16, 8, with_relu=True)
+        rng = np.random.RandomState(0)
+        w = Constant(make_array((rng.randn(16, 8) * 0.1).astype(np.float32)))
+        b = Constant(make_array(rng.randn(16).astype(np.float32)))
+        h = Var("h")
+        prim = _typed_prim(
+            lambda x: Let(h, api.tanh(api.bias_add(api.dense(x, w), b)), api.multiply(h, h)),
+            TensorType((Any(), 8), "float32"))
         plat = intel_cpu()
         kernel = KernelSet(prim, plat, plat.compute_spec)
         x = np.ones((4, 8), np.float32)
-        kernel.run([x])  # lowers
-        calls.update(dict.fromkeys(calls, 0))
-        evaluator_calls = []
+        out = np.empty((4, 16), np.float32)
+        kernel.run([x], [out])  # lowers
+        assert kernel._program.source.splitlines()[4:11] == [
+            "    if outputs is None: o0, = NO_BUFFER,",
+            "    elif len(outputs) != 1: raise output_count_error(NAME, 1, len(outputs))",
+            "    else: o0, = outputs",
+            "    v0 = matmul(p0, c0.T)",
+            "    v1 = ew_add(v0, c1)",
+            "    v2 = ew_tanh(v1)",
+            "    v3 = ew_multiply(v2, v2, out=o0 if v2.shape == o0.shape else None)",
+        ]
+        scope = kernel._program.run.__globals__
+        assert not [name for name in scope if name.startswith("op_")]
+        package = os.path.dirname(os.path.dirname(workload.__file__)) + os.sep
+        frames = []
 
         def profiler(frame, event, arg):
-            if event == "call" and frame.f_code.co_filename.startswith(workload.__file__):
-                evaluator_calls.append((frame.f_code.co_filename, frame.f_code.co_name))
-
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                frames.append((frame.f_code.co_filename, frame.f_code.co_name))
         sys.setprofile(profiler)
         try:
-            kernel.run([x])
+            kernel.run([x], [out])
         finally:
             sys.setprofile(None)
-        assert calls == {"nn.dense": 1, "nn.relu": 1}
-        # The generated function, entered once: no step loop, nothing recursive.
-        ((filename, name),) = evaluator_calls
-        assert name == "kernel"
-        assert filename.startswith(f"{workload.__file__}<fused_nn.dense+nn.relu:")
-        assert kernel._program.source.splitlines()[4:] == [
-            "    v0 = op_nn_dense([p0, c0], a0)",
-            "    v1 = op_nn_relu([v0], a1)",
-            "    if isinstance(v1, tuple): return write_outputs(NAME, v1, outputs)",
-            "    if outputs is None:",
-            "        return [asarray(v1)]",
-            "    if len(outputs) != 1: raise output_count_error(NAME, 1, len(outputs))",
-            "    (o0, ) = outputs",
-            "    z = asarray(v1)",
-            "    if o0.shape != z.shape: raise misfit_error(z, o0)",
-            "    copyto(o0, z)",
-        ]
+        # KernelSet.run, then the generated function, entered once.
+        (_, launch), (filename, name) = frames
+        assert (launch, name) == ("run", "kernel")
+        assert filename.startswith(f"{workload.__file__}<fused_nn.dense+nn.bias_add+tanh+multiply:")
+        calls = []
+        for fn in ("matmul", "ew_add", "ew_tanh", "ew_multiply", "copyto", "asarray"):
+            scope[fn] = lambda *a, fn=fn, real=scope[fn], **kw: calls.append(fn) or real(*a, **kw)
+        kernel.run([x], [out])
+        assert calls == ["matmul", "ew_add", "ew_tanh", "ew_multiply"]
+        assert np.array_equal(out, _reference_run(prim, [x])[0])
         assert not hasattr(workload, "eval_expr")
 
     def test_a_traceback_through_a_kernel_prints_the_generated_line(self):
@@ -343,6 +359,179 @@ class TestKernelProgram:
                    if isinstance(k, KernelSet) and k.name.startswith("fused_split")}.values()
         golden = Path(__file__).parent / "golden" / "lstm_cell_kernel.txt"
         assert KernelProgram(cell.prim).source == golden.read_text()
+
+
+def _binary_kernel(op, shape, dtype):
+    """One typed elementwise call over two parameters of *shape*."""
+    prim = _typed_prim(op, TensorType(shape, dtype), TensorType(shape, dtype))
+    return KernelSet(prim, intel_cpu(), intel_cpu().compute_spec)
+
+
+class TestOutputBufferWrite:
+    """An output's last elementwise op writes the VM's buffer itself, only
+    when one operand already has the buffer's shape: a ufunc handed a
+    larger buffer would broadcast a smaller result into it silently."""
+
+    def test_a_buffer_larger_than_the_result_is_a_misfit_not_a_broadcast(self):
+        kernel = _binary_kernel(api.add, (Any(), 128), "float32")
+        x = np.ones((1, 128), np.float32)
+        kernel.run([x, x])
+        assert ", out=o0 if p0.shape == o0.shape else None)" in kernel._program.source
+        out = np.zeros((4, 128), np.float32)
+        with pytest.raises(VMError, match=r"kernel output shape \(1, 128\) does not fit buffer \(4, 128\)"):
+            kernel.run([x, x], [out])
+        assert not out.any()
+
+    @pytest.mark.parametrize("op, dtype", [(api.add, "int64"), (api.less, "int64"),
+                                           (api.add, "float32")])
+    def test_a_scalar_kernel_checks_its_buffer_too(self, op, dtype):
+        kernel = _binary_kernel(op, (), dtype)
+        a, b = np.array(2, dtype), np.array(3, dtype)
+        (want,) = _reference_run(kernel.prim, [a, b])
+        for shape in ((1,), (4,)):
+            with pytest.raises(VMError, match=rf"kernel output shape \(\) does not fit buffer \({shape[0]},\)"):
+                kernel.run([a, b], [np.zeros(shape, want.dtype)])
+        out = np.zeros((), want.dtype)
+        assert kernel.run([a, b], [out]) is None
+        assert _bitwise_equal([out], [want])
+
+    def test_a_buffer_count_mismatch_is_named(self):
+        kernel = _binary_kernel(api.multiply, (Any(), 4), "float32")
+        x = np.ones((2, 4), np.float32)
+        with pytest.raises(VMError, match="kernel fused_multiply produced 1 outputs for 2 buffers"):
+            kernel.run([x, x], [np.zeros((2, 4), np.float32)] * 2)
+        with pytest.raises(VMError, match="produced 1 outputs for 0 buffers"):
+            kernel.run([x, x], [])
+
+    def test_an_operand_of_the_buffer_shape_writes_it_and_numpy_rejects_the_rest(self):
+        kernel = _binary_kernel(api.subtract, (Any(), 8), "float32")
+        rng = np.random.RandomState(1)
+        wide, row = rng.randn(4, 8).astype(np.float32), rng.randn(1, 8).astype(np.float32)
+        for a, b in ((wide, row), (row, wide)):  # the guard reads the first operand only
+            out = np.zeros((4, 8), np.float32)
+            kernel.run([a, b], [out])
+            assert _bitwise_equal([out], _reference_run(kernel.prim, [a, b]))
+        with pytest.raises(ValueError, match="non-broadcastable output operand"):
+            kernel.run([row, wide], [np.zeros((1, 8), np.float32)])
+
+    def test_a_field_repeated_in_the_result_is_written_once_and_copied_once(self):
+        h = Var("h")
+        ty = TensorType((2, 3), "float32")
+        prim = _typed_prim(lambda x: Let(h, api.exp(x), Tuple([h, h])), ty)
+        program = KernelProgram(prim)
+        x = np.random.RandomState(2).randn(2, 3).astype(np.float32)
+        outs = [np.zeros((2, 3), np.float32), np.zeros((2, 3), np.float32)]
+        program.run([x], outs)
+        assert _bitwise_equal(outs, _reference_run(prim, [x]))
+        assert program.source.count("out=o") == 1
+
+
+def _direct_ops():
+    from repro.ops import all_op_names
+
+    return [name for name in all_op_names() if get_op_def(name).ufunc is not None]
+
+
+_ELEMENTS = {
+    "float32": st.floats(-30, 30, width=32),
+    "int64": st.integers(-9, 9),
+    "bool": st.booleans(),
+}
+
+
+class TestDirectCalls:
+    """An elementwise op's ``ufunc`` is the one description of its math:
+    called directly — fresh or into a buffer — it is bitwise its
+    ``compute`` wherever it keeps the dtype, and the lowering sends every
+    other case through ``compute``."""
+
+    @given(name=st.sampled_from(_direct_ops()), dtype=st.sampled_from(sorted(_ELEMENTS)),
+           shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3,
+                                                     max_side=3),
+           data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_the_direct_call_is_bitwise_compute(self, name, dtype, shapes, data):
+        op_def = get_op_def(name)
+        arity = 1 if op_def.pattern == OpPattern.ELEMWISE else 2
+        inputs = [data.draw(hnp.arrays(dtype, shape, elements=_ELEMENTS[dtype]))
+                  for shape in shapes.input_shapes[:arity]]
+        with np.errstate(all="ignore"):
+            try:
+                want = np.asarray(op_def.compute(inputs, {}))
+            except (TypeError, ValueError) as error:
+                with pytest.raises(type(error)):
+                    op_def.ufunc(*inputs)
+                return
+            got = np.asarray(op_def.ufunc(*inputs))
+            if got.dtype != want.dtype:  # dtype-unstable: lowered through compute (below)
+                return
+            assert _bitwise_equal([got], [want])
+            out = np.full(want.shape, 7, want.dtype)
+            assert op_def.ufunc(*inputs, out=out) is out
+            assert _bitwise_equal([out], [want])
+
+    @given(name=st.sampled_from(_direct_ops()), dtype=st.sampled_from(sorted(_ELEMENTS)),
+           shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=2,
+                                                     max_side=3),
+           data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_a_lowered_call_is_bitwise_compute_fresh_and_into_a_buffer(self, name, dtype,
+                                                                        shapes, data):
+        op_def = get_op_def(name)
+        arity = 1 if op_def.pattern == OpPattern.ELEMWISE else 2
+        shapes = shapes.input_shapes[:arity]
+        inputs = [data.draw(hnp.arrays(dtype, shape, elements=_ELEMENTS[dtype])) for shape in shapes]
+        program = KernelProgram(_typed_prim(lambda *xs: Call(Op.get(name), xs),
+                                            *(TensorType(s, dtype) for s in shapes)))
+        with np.errstate(all="ignore"):
+            try:
+                want = [np.asarray(op_def.compute(inputs, {}))]
+            except (TypeError, ValueError) as error:
+                with pytest.raises(type(error)):
+                    program.run(inputs)
+                return
+            assert _bitwise_equal(program.run(inputs), want)
+            out = np.full(want[0].shape, 7, want[0].dtype)
+            program.run(inputs, [out])
+            direct = np.asarray(op_def.ufunc(*[np.zeros((0,) * len(s), dtype) for s in shapes]))
+        assert _bitwise_equal([out], want)
+        assert (f"op_{name.replace('.', '_')}(" in program.source) == (direct.dtype != want[0].dtype)
+
+    @pytest.mark.parametrize("case", ["int64 divide", "float64 constant"])
+    def test_a_dtype_unstable_call_lowers_through_compute(self, case):
+        """The ufunc alone would return float64 where the op declares
+        int64 / float32; ``compute`` casts back, so the lowering keeps it."""
+        from repro.evaluator import evaluate
+
+        rng = np.random.RandomState(4)
+        if case == "int64 divide":
+            func = _typed_prim(api.divide, *[TensorType((Any(), 4), "int64")] * 2)
+            inputs = [rng.randint(-50, 50, (3, 4)), rng.randint(1, 9, (3, 4))]
+            line = "v0 = op_divide([p0, p1], a0)"
+        else:  # the checked type says float32, as the constant's own type would not
+            x = Var("x", TensorType((Any(), 4), "float32"))
+            call = api.add(x, Constant(make_array(np.float64(1 / 3), "float64")))
+            call.checked_type = TensorType((Any(), 4), "float32")
+            func = Function([x], call)
+            inputs = [rng.randn(3, 4).astype(np.float32)]
+            line = "v0 = op_add([p0, c0], a0)"
+        program = KernelProgram(func)
+        assert f"    {line}" in program.source.splitlines()
+        want = evaluate(IRModule.from_expr(func), *inputs)
+        assert _bitwise_equal(program.run(inputs), [want])
+        out = np.zeros(want.shape, want.dtype)
+        program.run(inputs, [out])
+        assert _bitwise_equal([out], [want])
+
+    def test_the_lstm_lowers_dense_bias_add_take_and_split_to_direct_calls(self):
+        (_, exe, _), *_ = _model_executables()
+        sources = "".join(KernelProgram(k.prim).source for k in exe.kernels
+                          if isinstance(k, KernelSet))
+        for line in ("= matmul(p0, p1.T)", "= ew_add(v0, p2, out=o0 if v0.shape == o0.shape",
+                     "= take(p0, p1, axis=0)", "= p0[:, 0:16]", "= p0[:, 48:64]"):
+            assert line in sources
+        assert "op_split(" not in sources and "op_take(" not in sources
+        assert "op_nn_dense(" not in sources and "op_nn_bias_add(" not in sources
 
 
 class TestCostModel:

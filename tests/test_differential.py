@@ -526,6 +526,54 @@ class TestPartialDifferential:
                 vm.run(bad)
 
 
+def _family(name):
+    """(module, input width) of each model family above."""
+    if name == "gram":
+        return _gram_tiers().mod, GRAM_COLS[0]
+    return _cache(name).mod, _cache(name).input_dim
+
+
+class TestKernelBuffers:
+    """A kernel writes an output's last op straight into its buffer while
+    later ops of the same launch may still read their inputs. That is
+    sound only if no output buffer shares memory with an input of its
+    launch — checked on every launch of the three families, dynamic,
+    specialized (the launch tape) and batched, on intel_cpu and on two
+    GPU streams."""
+
+    @pytest.mark.parametrize("platform, streams", [(intel_cpu, 1), (nvidia_gpu, 2)],
+                             ids=["intel", "nvidia@2"])
+    @pytest.mark.parametrize("family", ["lstm", "bert", "gram"])
+    def test_no_output_buffer_shares_memory_with_an_input(self, family, platform, streams,
+                                                          monkeypatch):
+        from repro.codegen.kernels import KernelSet
+
+        mod, width = _family(family)
+        launches = []
+        real_run = KernelSet.run
+
+        def checked_run(kernel, inputs, outputs=None):
+            for out in outputs:
+                assert not any(np.shares_memory(out, x) for x in inputs), kernel.name
+            launches.append(kernel.name)
+            return real_run(kernel, inputs, outputs)
+
+        monkeypatch.setattr(KernelSet, "run", checked_run)
+        options = CompilerOptions(device_streams=streams)
+        rng = np.random.RandomState(0)
+        members = [(rng.randn(5, width) * 0.2).astype(np.float32) for _ in range(2)]
+        runs = [(nimble.build(mod, platform(), options=options), members[0]),
+                (nimble.specialize(mod, platform(), shapes=[(5, width)], options=options),
+                 members[1])]
+        if family != "gram":
+            runs.append((nimble.specialize(mod, platform(), shapes=[(5, width)],
+                                           options=options, batch=2),
+                         np.concatenate(members, axis=0)))
+        for (exe, _), x in runs:
+            _run_drained(VirtualMachine(exe, ExecutionContext(platform(), numerics="full")), x)
+        assert len(set(launches)) > 1
+
+
 if __name__ == "__main__":
     import sys
 

@@ -1260,7 +1260,10 @@ class TestHostPathCost:
     / 2.80) once a field read no longer took its kind from an ADT made
     in the same block; 1,608 / 1,944 (2.20 / 2.40) once kernels wrote
     their output buffers, launches were logged and folded into the
-    profile once per run, and a planned AllocStorage held its free list.
+    profile once per run, and a planned AllocStorage held its free list;
+    1,366 / 1,702 (1.87 / 2.10) once kernels called NumPy directly —
+    elementwise ops their ufuncs, split views, each output's last op
+    writing its buffer — without a compute frame per op.
     The bounds are that pair plus 2%. CI's "Size trajectory" step prints
     both."""
 
@@ -1298,12 +1301,12 @@ class TestHostPathCost:
         return calls
 
     def test_python_calls_per_inference(self):
-        assert self._calls_per_inference(intel_cpu(), 1) <= 1_640
+        assert self._calls_per_inference(intel_cpu(), 1) <= 1_393
 
     def test_python_calls_per_inference_on_the_gpu_with_two_streams(self):
         """The path the serving benchmark runs: launch_async and one
         host->GPU DeviceCopy a step."""
-        assert self._calls_per_inference(nvidia_gpu(), 2) <= 1_983
+        assert self._calls_per_inference(nvidia_gpu(), 2) <= 1_736
 
 
 def _fold_law_cases():
