@@ -2,19 +2,22 @@
 
 Each baseline reproduces the *mechanism* the paper identifies as its
 overhead source, executing the same numerics on the same hardware model.
-Eager, hybrid and TensorFlow's BERT run the model's own IR module through
-:mod:`repro.evaluator`; only the cost of each construct is theirs:
+Every one runs the model's own IR module through :mod:`repro.evaluator`
+— no baseline holds a copy of a model; only the cost of each construct
+is theirs, as class data from :mod:`repro.baselines.overhead`:
 
 * :class:`EagerFramework` (PyTorch-style, define-by-run): per-operator
   Python dispatch, no fusion, vendor-library kernels; dynamic data
-  structures traversed in host Python;
-* :class:`GraphFramework` (TensorFlow-style, define-then-run): a dataflow
-  graph executor with Switch/Merge/Enter/Exit/NextIteration control-flow
-  primitives and per-node scheduling cost;
+  structures traversed in host Python (a charge per ``Match``);
+* :class:`GraphFramework` (TensorFlow-style, define-then-run): per-op
+  graph scheduling, and Switch/Merge/Enter/Exit/NextIteration/LoopCond
+  control-flow primitives per loop variable on each ``If`` of the
+  model's recursive loop;
 * :class:`HybridFramework` (MXNet-style): symbolic graph with a `foreach`
   loop operator, engine dispatch per op;
 * :class:`FoldFramework` (TensorFlow Fold): dynamic batching by tree
-  depth, paying per-input graph construction/compilation.
+  height — the tree function's clause evaluated once per level on
+  stacked rows — paying per-input graph construction/compilation.
 """
 
 from repro.baselines.base import BaselineResult, OpExecutor

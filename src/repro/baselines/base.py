@@ -11,7 +11,7 @@ says they differ (dispatch, fusion, control-flow machinery).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from repro.codegen.cost_model import custom_library_cost_us, library_cost_us, tu
 from repro.codegen.schedule import Schedule
 from repro.evaluator import evaluate
 from repro.hardware.platforms import Platform
-from repro.ir import Expr, IRModule
+from repro.ir import Expr, If, IRModule, Let
 from repro.ops import get_op_def
 from repro.ops.shape_funcs import prod
 from repro.runtime.context import LITE_SKIP_FLOPS, ExecutionContext
@@ -105,28 +105,6 @@ class OpExecutor:
             return outs[0] if len(outs) == 1 else tuple(outs)
         return op_def.compute([np.asarray(i) for i in inputs], attrs)
 
-    # -- wrappers for the batched Tree-LSTM cell (fold.py) --------------------
-    def dense(self, x, w):
-        return self.call("nn.dense", [x, w])
-
-    def bias_add(self, x, b):
-        return self.call("nn.bias_add", [x, b])
-
-    def split(self, x, sections, axis=0):
-        return self.call("split", [x], {"indices_or_sections": sections, "axis": axis})
-
-    def sigmoid(self, x):
-        return self.call("sigmoid", [x])
-
-    def tanh(self, x):
-        return self.call("tanh", [x])
-
-    def add(self, a, b):
-        return self.call("add", [a, b])
-
-    def multiply(self, a, b):
-        return self.call("multiply", [a, b])
-
 
 class Framework:
     """Base class: a framework runs the model's own IR module through the
@@ -134,14 +112,18 @@ class Framework:
     :mod:`repro.baselines.overhead` (µs by platform), ``op_us`` per
     framework op, ``session_us`` per input, and ``construct_us[kind]``
     per IR construct the evaluator reports: each ``Match``, and each
-    ``If`` that takes its body. ``models`` is the availability matrix of
-    §6.2."""
+    ``If`` — ``a·V + 1`` times when it takes its body and ``b·V`` times
+    when it does not, with ``(a, b) = loop_variable_primitives`` and
+    ``V`` the arity of the function the ``If`` guards. The default
+    ``(0, 0)`` is one charge per loop iteration. ``models`` is the
+    availability matrix of §6.2."""
 
     name = "framework"
     models: Sequence[str] = ()
     op_us: Dict[str, float] = {}
     session_us: Optional[Dict[str, float]] = None
     construct_us: Dict[type, Dict[str, float]] = {}
+    loop_variable_primitives: Tuple[int, int] = (0, 0)
 
     def __init__(self, platform: Platform, numerics: str = "full") -> None:
         self.platform = platform
@@ -168,15 +150,38 @@ class Framework:
         ctx = self.make_context()
         ex = self._executor(ctx)
         pname = self.platform.name
+        per_variable, at_exit = self.loop_variable_primitives
+        arity = _guard_arity(mod)
 
-        def charge(expr: Expr) -> None:
+        def charge(expr: Expr, taken: bool) -> None:
             us = self.construct_us.get(type(expr))
-            if us is not None:
-                ctx.clock.host_advance(us[pname])
+            if us is None:
+                return
+            variables = arity.get(expr, 0)
+            count = per_variable * variables + 1 if taken else at_exit * variables
+            if count:
+                ctx.clock.host_advance(count * us[pname])
 
         outputs = []
         for x in inputs:
             if self.session_us is not None:
                 ctx.clock.host_advance(self.session_us[pname])
-            outputs.append(evaluate(mod, x, call=ex.call, charge=charge))
+            outputs.append(self._evaluate(mod, x, ex, charge))
         return BaselineResult(self.name, pname, ctx.elapsed_us, outputs)
+
+    def _evaluate(self, mod: IRModule, x, ex: OpExecutor, charge) -> object:
+        """One input's output."""
+        return evaluate(mod, x, call=ex.call, charge=charge)
+
+
+def _guard_arity(mod: IRModule) -> Dict[If, int]:
+    """Each function's guard — the ``If`` its chain of lets ends in — to
+    that function's arity."""
+    arity = {}
+    for func in mod.functions.values():
+        body = func.body
+        while isinstance(body, Let):
+            body = body.body
+        if isinstance(body, If):
+            arity[body] = len(func.params)
+    return arity

@@ -5,94 +5,85 @@ together (here: tree nodes at the same height), and emits a batched graph
 for the underlying engine. Batching amortizes per-op overhead beautifully
 — but the analysis/graph construction re-runs **per input**, which is why
 the paper measures Fold 5.2× slower than Nimble on Intel despite being
-3.3× faster than eager PyTorch (Table 2). Fold did not build on ARM in
-the paper; `supports` reflects that.
+3.3× faster than eager PyTorch (Table 2).
+
+Here the batched graph is the model's own tree function: per level, its
+``Match`` clause for that level's constructor is evaluated once on the
+row-stacked fields of the level's nodes. The paper reports Fold on Intel
+only, so its cost tables — and ``supports`` — name only that platform.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.baselines import overhead
-from repro.baselines.base import BaselineResult, Framework, OpExecutor
-from repro.data.trees import Tree
-from repro.models.tree_lstm import TreeLSTMWeights
+from repro.baselines.base import Framework, OpExecutor
+from repro.evaluator import ADT, evaluate
+from repro.ir import IRModule, Match
 
 
 class FoldFramework(Framework):
     name = "tf_fold"
+    models = ("tree_lstm",)
     op_us = overhead.GRAPH_NODE_US
+    session_us = overhead.FOLD_COMPILE_PER_INPUT_US
+    level_us = overhead.FOLD_LEVEL_US
 
     def supports(self, model: str) -> bool:
-        if self.platform.name == "arm":
-            return False  # "TensorFlow Fold was not built successfully on ARM"
-        return model == "tree_lstm"
+        pname = self.platform.name
+        return super().supports(model) and pname in self.session_us and pname in self.level_us
 
-    def run_tree_lstm(
-        self, trees: List[Tree], embeddings: np.ndarray, weights: TreeLSTMWeights
-    ) -> BaselineResult:
-        ctx = self.make_context()
-        ex = self._executor(ctx)
-        compile_us = overhead.FOLD_COMPILE_PER_INPUT_US[self.platform.name]
-        level_us = overhead.FOLD_LEVEL_US[self.platform.name]
-        outputs = []
-        for tree in trees:
-            # Per-input structural analysis + graph construction + handoff.
-            ctx.clock.host_advance(compile_us)
-            h, _ = self._run_batched(ex, tree, embeddings, weights, level_us)
-            outputs.append(h)
-        return BaselineResult(self.name, self.platform.name, ctx.elapsed_us, outputs)
+    def _evaluate(self, mod: IRModule, tree, ex: OpExecutor, charge) -> object:
+        """Dynamic batching: one evaluation of the tree function per level
+        of *tree* (a ``tree_to_adt`` value). A call of the tree function
+        on a child, and ``main``'s call on the root, read the rows a lower
+        level computed."""
+        by_level = mod.shallow_copy()
+        by_level["main"] = next(f for f in mod.functions.values() if isinstance(f.body, Match))
+        states = {}
 
-    def _run_batched(
-        self,
-        ex: OpExecutor,
-        tree: Tree,
-        embeddings: np.ndarray,
-        weights: TreeLSTMWeights,
-        level_us: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Dynamic batching: one batched cell evaluation per tree level."""
-        levels = tree.nodes_by_depth()
-        states: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        clock = ex.ctx.clock
+        def rows(_, args):
+            (nodes,) = args
+            return tuple(map(np.concatenate, zip(*(states[id(n)] for n in nodes))))
 
-        # Level 0: all leaves in one batch.
-        leaves = levels[0]
-        clock.host_advance(level_us)
-        x = np.concatenate(
-            [embeddings[n.token_id : n.token_id + 1] for n in leaves], axis=0
-        ).astype(np.float32)
-        pre = ex.bias_add(ex.dense(x, weights.w_leaf), weights.b_leaf)
-        i, o, u = ex.split(pre, 3, axis=1)
-        c = ex.multiply(ex.sigmoid(i), ex.tanh(u))
-        h = ex.multiply(ex.sigmoid(o), ex.tanh(c))
-        for row, node in enumerate(leaves):
-            states[id(node)] = (h[row : row + 1], c[row : row + 1])
-
-        # Internal levels: batch every node whose children are ready.
-        for level in levels[1:]:
-            if not level:
-                continue
-            clock.host_advance(level_us)
-            hl = np.concatenate([states[id(n.left)][0] for n in level], axis=0)
-            cl = np.concatenate([states[id(n.left)][1] for n in level], axis=0)
-            hr = np.concatenate([states[id(n.right)][0] for n in level], axis=0)
-            cr = np.concatenate([states[id(n.right)][1] for n in level], axis=0)
-            hsum = ex.add(hl, hr)
-            pre = ex.bias_add(ex.dense(hsum, weights.u_iou), weights.b_iou)
-            i, o, u = ex.split(pre, 3, axis=1)
-            fl = ex.sigmoid(ex.bias_add(ex.dense(hl, weights.u_f), weights.b_f))
-            fr = ex.sigmoid(ex.bias_add(ex.dense(hr, weights.u_f), weights.b_f))
-            c = ex.add(
-                ex.multiply(ex.sigmoid(i), ex.tanh(u)),
-                ex.add(ex.multiply(fl, cl), ex.multiply(fr, cr)),
-            )
-            h = ex.multiply(ex.sigmoid(o), ex.tanh(c))
+        for level in _levels(tree):
+            ex.ctx.clock.host_advance(self.level_us[self.platform.name])
+            value = evaluate(by_level, _stack(level), call=ex.call, answer=rows)
             for row, node in enumerate(level):
-                states[id(node)] = (
-                    np.asarray(h)[row : row + 1],
-                    np.asarray(c)[row : row + 1],
-                )
-        return states[id(tree)]
+                states[id(node)] = tuple(v[row : row + 1] for v in value)
+        return evaluate(mod, tree, call=ex.call, answer=lambda _, args: states[id(tree)])
+
+
+class _Rows(tuple):
+    """Subtrees whose states a lower level computed, one row each."""
+
+
+def _levels(tree) -> List[list]:
+    """*tree*'s nodes grouped by height above the leaves, each level in
+    post-order (as ``Tree.nodes_by_depth`` groups a dataset tree)."""
+    levels: List[list] = []
+
+    def height(node) -> int:
+        subtrees = [f for f in node.fields if hasattr(f, "fields")]
+        h = 1 + max(map(height, subtrees)) if subtrees else 0
+        while len(levels) <= h:
+            levels.append([])
+        levels[h].append(node)
+        return h
+
+    height(tree)
+    return levels
+
+
+def _stack(level: list) -> ADT:
+    """The level as one value of its constructor: each tensor field the
+    nodes' tensors stacked by row, each subtree field their subtrees."""
+    (tag,) = {node.tag for node in level}
+    fields = [
+        _Rows(column) if hasattr(column[0], "fields") else np.concatenate([f.data for f in column])
+        for column in zip(*(node.fields for node in level))
+    ]
+    return ADT(tag, fields)

@@ -16,10 +16,10 @@ were fit to a count of ~11 ops/token and are not re-fit to 15:
   ARM 1729.5 → ≈90 µs/op plus the slower un-fused kernel stream.
 * MXNet's engine enqueues ops through a dependency scheduler: ≈2× the
   eager dispatch on Intel, and its ARM BLAS coverage is poor.
-* TensorFlow's graph executor is cheap per plain node but its dynamic
-  control flow (Switch/Merge/Enter/NextIteration per loop iteration)
-  costs ≈10 µs/primitive on Intel (Yu et al., EuroSys'18 report tens of
-  µs per iteration), ≈40 on ARM.
+* TensorFlow's graph executor is cheap per op (one scheduled node
+  each) but its dynamic control flow (Switch/Merge/Enter/NextIteration
+  per loop iteration) costs ≈10 µs/primitive on Intel (Yu et al.,
+  EuroSys'18 report tens of µs per iteration), ≈40 on ARM.
 * PyTorch Tree-LSTM: Python recursion builds an autograd graph per node;
   Table 2 (701.6 µs/token ≈ 13.3 ms per 19-leaf tree over ≈37 nodes)
   implies ≈300 µs of Python per tree node on Intel.
@@ -76,10 +76,12 @@ HYBRID_LOOP_ITER_US = {"intel": 12.0, "nvidia": 10.0, "arm": 60.0}
 # PyTorch: Python-level recursion + tensor bookkeeping per tree node.
 EAGER_TREE_NODE_US = {"intel": 300.0, "nvidia": 300.0, "arm": 380.0}
 
-# TF Fold: per-input analysis + graph construction + compilation.
-FOLD_COMPILE_PER_INPUT_US = {"intel": 3600.0, "arm": 12000.0}
+# TF Fold: per-input analysis + graph construction + compilation. The
+# paper reports Fold on Intel only (it was not built on ARM), so these
+# name only that platform, and FoldFramework.supports reads them.
+FOLD_COMPILE_PER_INPUT_US = {"intel": 3600.0}
 # Fold's batched execution: per-depth-level scheduling cost.
-FOLD_LEVEL_US = {"intel": 25.0, "arm": 95.0}
+FOLD_LEVEL_US = {"intel": 25.0}
 
 # Session / engine fixed cost per inference call.
 SESSION_RUN_US = {"intel": 20.0, "nvidia": 25.0, "arm": 70.0}

@@ -50,6 +50,7 @@ from repro.ops.registry import OpDef
 from repro.ops.shape_funcs import HOST_SCALAR_MAX_ELEMENTS, prod
 
 OpCall = Callable[[str, Sequence[np.ndarray], dict], object]
+Answer = Callable[[GlobalVar, list], object]
 
 
 class ADT:
@@ -81,21 +82,25 @@ def evaluate(
     mod: IRModule,
     *args,
     call: OpCall = compute,
-    charge: Optional[Callable[[Expr], None]] = None,
+    charge: Optional[Callable[[Expr, bool], None]] = None,
+    answer: Optional[Answer] = None,
 ):
     """Run ``mod``'s ``main`` on *args* and return its value.
 
-    ``charge``, if given, is told of each ``Match`` evaluated and of each
-    ``If`` that takes its true branch (one loop iteration, where that
-    branch recurses)."""
+    ``charge(expr, taken)``, if given, is told of each ``Match`` evaluated
+    (``taken`` is true) and of each ``If``, ``taken`` saying whether it
+    takes its true branch (one loop iteration, where that branch
+    recurses). ``answer(gv, args)``, if given, is asked first about each
+    call of a global function: it returns the call's value, or ``None``
+    to have the call evaluated."""
     main = mod.main
     env = dict(zip(main.params, map(_read, args)))
-    return _Evaluator(mod, call, charge).eval(main.body, env)
+    return _Evaluator(mod, call, charge, answer).eval(main.body, env)
 
 
 def _read(value):
-    """One argument in evaluator form."""
-    if isinstance(value, np.ndarray):
+    """One argument in evaluator form; an array or an ADT already is."""
+    if isinstance(value, (np.ndarray, ADT)):
         return value
     if hasattr(value, "fields"):  # an ADTObj
         return ADT(value.tag, [_read(f) for f in value.fields])
@@ -125,10 +130,11 @@ def _bind(pattern: Pattern, value, env: Dict[Var, object]) -> bool:
 
 
 class _Evaluator:
-    def __init__(self, mod: IRModule, call: OpCall, charge) -> None:
+    def __init__(self, mod: IRModule, call: OpCall, charge, answer: Optional[Answer]) -> None:
         self.mod = mod
         self.call = call
         self.charge = charge
+        self.answer = answer
 
     def eval(self, expr: Expr, env: Dict[Var, object]):
         # Tail positions (a let body, a branch, a clause, a function
@@ -139,15 +145,13 @@ class _Evaluator:
                 env[expr.var] = self.eval(expr.value, env)
                 expr = expr.body
             elif isinstance(expr, If):
-                if self.eval(expr.cond, env):
-                    if self.charge is not None:
-                        self.charge(expr)
-                    expr = expr.true_branch
-                else:
-                    expr = expr.false_branch
+                taken = bool(self.eval(expr.cond, env))
+                if self.charge is not None:
+                    self.charge(expr, taken)
+                expr = expr.true_branch if taken else expr.false_branch
             elif isinstance(expr, Match):
                 if self.charge is not None:
-                    self.charge(expr)
+                    self.charge(expr, True)
                 value = self.eval(expr.data, env)
                 for clause in expr.clauses:
                     if _bind(clause.pattern, value, env):
@@ -158,6 +162,9 @@ class _Evaluator:
             elif isinstance(expr, Call) and not isinstance(expr.op, (Op, Constructor)):
                 args = [self.eval(a, env) for a in expr.args]
                 if isinstance(expr.op, GlobalVar):
+                    value = self.answer and self.answer(expr.op, args)
+                    if value is not None:
+                        return value
                     func, env = self.mod[expr.op], {}
                 else:
                     closure = self.eval(expr.op, env)

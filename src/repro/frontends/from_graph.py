@@ -1,8 +1,9 @@
 """Convert a framework-style dataflow graph into a Nimble IR module.
 
-Input: :class:`repro.baselines.graph_framework.Graph` — the define-then-run
-format with ``OpNode``/``ConstNode``/``WhileLoop`` (the latter standing in
-for TensorFlow's Switch/Merge/Enter/Exit/NextIteration machinery).
+Input: a :class:`Graph` — the define-then-run format of TensorFlow-style
+frameworks, with ``OpNode``/``ConstNode``/``WhileLoop`` nodes (the latter
+standing in for TensorFlow's Switch/Merge/Enter/Exit/NextIteration
+machinery).
 
 Output: an :class:`IRModule` whose ``main`` mirrors the graph; each
 ``WhileLoop`` becomes a module-level *recursive function* over the loop
@@ -15,9 +16,11 @@ dynamic dimensions are declared with ``Any``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.graph_framework import ConstNode, Graph, OpNode, WhileLoop
+import numpy as np
+
 from repro.errors import CompilerError
 from repro.ir import (
     Call,
@@ -36,6 +39,78 @@ from repro.ir import (
 )
 from repro.tensor.ndarray import array as make_array
 from repro.utils.naming import NameSupply
+
+
+# --------------------------------------------------------------------------
+# Graph structure
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class OpNode:
+    """A plain kernel node: op name + attrs, inputs by value index."""
+
+    op_name: str
+    input_ids: List[int]
+    attrs: dict = field(default_factory=dict)
+    output_id: int = -1
+
+
+@dataclass
+class ConstNode:
+    value: np.ndarray
+    output_id: int = -1
+
+
+@dataclass
+class WhileLoop:
+    """A TF-style while loop: condition + body sub-graphs over loop vars."""
+
+    loop_var_ids: List[int]  # value ids of the loop variables (inputs)
+    cond: "Graph"
+    body: "Graph"
+    output_ids: List[int] = field(default_factory=list)
+
+
+@dataclass
+class Graph:
+    """A straight-line dataflow graph (loops nest via WhileLoop nodes)."""
+
+    num_inputs: int
+    nodes: List[object] = field(default_factory=list)
+    num_values: int = 0
+    output_ids: List[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.num_values = self.num_inputs
+
+    def new_value(self) -> int:
+        vid = self.num_values
+        self.num_values += 1
+        return vid
+
+    def add_op(self, op_name: str, input_ids: List[int], attrs: Optional[dict] = None) -> int:
+        node = OpNode(op_name, list(input_ids), attrs or {})
+        node.output_id = self.new_value()
+        self.nodes.append(node)
+        return node.output_id
+
+    def add_const(self, value: np.ndarray) -> int:
+        node = ConstNode(np.asarray(value))
+        node.output_id = self.new_value()
+        self.nodes.append(node)
+        return node.output_id
+
+    def add_while(self, loop_var_ids: List[int], cond: "Graph", body: "Graph") -> List[int]:
+        loop = WhileLoop(list(loop_var_ids), cond, body)
+        loop.output_ids = [self.new_value() for _ in loop_var_ids]
+        self.nodes.append(loop)
+        return loop.output_ids
+
+
+# --------------------------------------------------------------------------
+# Conversion
+# --------------------------------------------------------------------------
 
 
 def from_graph(

@@ -19,7 +19,7 @@ study takes are the ones a caller passes.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from repro.baselines import (
     GraphFramework,
     HybridFramework,
 )
-from repro.baselines.base import BaselineResult, Framework
 from repro.codegen.kernels import KernelCache, KernelSet
 from repro.codegen.tuner import AutoTuner, SymbolicTuner
 from repro.data import embedding_table, mrpc_like_lengths, sst_like_trees
@@ -126,14 +125,12 @@ def _per_token_table(
     tokens: int,
     model: str,
     frameworks: Sequence[type],
-    own_programs: Optional[Dict[type, Callable[[Framework], BaselineResult]]] = None,
 ) -> Dict[str, Dict[str, Optional[float]]]:
     """The platform loop under Tables 1–3: ``{platform: {system:
     µs/token}}`` with Nimble compiled once per platform and run over
     *inputs*, beside each baseline framework running the same *mod* on
-    the same *inputs* — or, where *own_programs* names its class, its own
-    program (TensorFlow's while-loop graph, Fold's batched trees); ``None``
-    where the framework does not support *model*."""
+    the same *inputs*; ``None`` where the framework does not support
+    *model* there."""
     table: Dict[str, Dict[str, Optional[float]]] = {}
     for pname in platforms:
         platform = platform_by_name(pname)
@@ -144,9 +141,7 @@ def _per_token_table(
             if not framework.supports(model):
                 row[framework.name] = None
                 continue
-            own = (own_programs or {}).get(make)
-            result = own(framework) if own else framework.run(mod, inputs)
-            row[framework.name] = result.total_us / tokens
+            row[framework.name] = framework.run(mod, inputs).total_us / tokens
         table[pname] = row
     return table
 
@@ -179,9 +174,6 @@ def table1_lstm(
             tokens=tokens,
             model="lstm",
             frameworks=(EagerFramework, HybridFramework, GraphFramework),
-            own_programs={
-                GraphFramework: lambda framework: framework.run_lstm(sentences, weights)
-            },
         )
     return results
 
@@ -204,9 +196,6 @@ def table2_tree_lstm(
         tokens=sum(t.num_leaves() for t in trees),
         model="tree_lstm",
         frameworks=(EagerFramework, FoldFramework),
-        own_programs={
-            FoldFramework: lambda framework: framework.run_tree_lstm(trees, embeddings, weights)
-        },
     )
 
 

@@ -1,13 +1,16 @@
 """Baseline frameworks, the launch tape, clock, allocator."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.baselines
 import repro.nimble as nimble
 from repro.baselines import EagerFramework, FoldFramework, GraphFramework, HybridFramework, overhead
-from repro.baselines.base import OpExecutor
-from repro.baselines.graph_framework import Graph, GraphExecutor
 from repro.data import embedding_table, sst_like_trees
+from repro.data.trees import Tree
 from repro.errors import VMError
 from repro.evaluator import evaluate
 from repro.hardware import arm_cpu, intel_cpu, nvidia_gpu, platform_by_name
@@ -362,50 +365,132 @@ class TestFrameworkSupportMatrix:
     def test_fold_does_not_build_on_arm(self):
         assert not FoldFramework(arm_cpu()).supports("tree_lstm")
 
+    @pytest.mark.parametrize("platform", [intel_cpu, nvidia_gpu, arm_cpu])
+    def test_fold_supports_exactly_where_it_runs(self, platform):
+        """Regression: Fold claimed the GPU, then its run raised
+        `KeyError: 'nvidia'` — its cost tables have no GPU row. `supports`
+        now reads the platforms from those tables."""
+        w = TreeLSTMWeights.create(12, 9)
+        tree = tree_to_adt(Tree.node(Tree.leaf(1), Tree.leaf(2)), embedding_table(30, 12))
+        fold = FoldFramework(platform(), "lite")
+        try:
+            fold.run(build_tree_lstm_module(w), [tree])
+            ran = True
+        except Exception:
+            ran = False
+        assert fold.supports("tree_lstm") == ran
 
-class TestGraphFrameworkExecutor:
-    def test_while_loop_semantics(self):
-        w = LSTMWeights.create(8, 4, 1)
-        fw = GraphFramework(intel_cpu())
-        graph = fw.build_lstm_graph(w)
-        ctx = fw.make_context()
-        ex = fw._executor(ctx)
-        executor = GraphExecutor(ex, "intel")
-        x = np.random.RandomState(0).randn(5, 8).astype(np.float32)
-        (out,) = executor.run(graph, [np.asarray(5, np.int64), x])
-        assert np.allclose(out, lstm_reference(x, w), atol=1e-4)
+
+def test_no_baseline_imports_a_model_or_its_data():
+    """A baseline runs the model's own IR module and holds no copy of a
+    model: nothing under `repro/baselines/` imports `repro.models` or
+    `repro.data`."""
+    banned = ("repro.models", "repro.data")
+    package = Path(repro.baselines.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                parts = ["repro", "baselines"][: 3 - node.level] if node.level else []
+                module = ".".join(parts + ([node.module] if node.module else []))
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}: {name}"
+                for name in names
+                if any(name == b or name.startswith(b + ".") for b in banned)
+            ]
+    assert not found
+
+
+class TestGraphFramework:
+    """TensorFlow runs the model's LSTM module. The recursive loop is its
+    while loop: each `If` that takes its body pays Merge, Switch and
+    NextIteration per loop variable plus one LoopCond, and the `If` that
+    does not pays Enter + Exit per variable. Hidden 10 keeps every cell op
+    above the host-scalar size, so each is charged."""
+
+    def test_lstm_matches_reference(self):
+        w = LSTMWeights.create(12, 10, 2)
+        sents = [np.random.RandomState(i).randn(3 + i, 12).astype(np.float32) for i in range(2)]
+        result = GraphFramework(intel_cpu()).run(build_lstm_module(w), sents)
+        for sent, out in zip(sents, result.outputs):
+            assert np.allclose(out, lstm_reference(sent, w), atol=1e-5)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_loop_control_flow_charged(self, layers):
+        """n iterations of 3V + 1 primitives and one loop exit of 2V, with
+        V = 3 + 2L loop variables: the loop function's t, n, x and each
+        layer's (h, c)."""
+
+        class NoControlFlow(GraphFramework):
+            construct_us = {}
+
+        mod = build_lstm_module(LSTMWeights.create(12, 10, layers))
+        n, v = 5, 3 + 2 * layers
+        x = np.zeros((n, 12), np.float32)
+        with_loop = GraphFramework(intel_cpu()).run(mod, [x]).total_us
+        without = NoControlFlow(intel_cpu()).run(mod, [x]).total_us
+        prim = overhead.CONTROL_PRIMITIVE_US["intel"]
+        assert with_loop - without == pytest.approx(n * (3 * v + 1) * prim + 2 * v * prim)
 
     def test_control_primitives_charged(self):
-        w = LSTMWeights.create(8, 4, 1)
-        fw_graph = GraphFramework(intel_cpu())
-        fw_eager = EagerFramework(intel_cpu())
-        sent = [np.zeros((20, 8), np.float32)]
-        graph_us = fw_graph.run_lstm(sent, w).total_us
-        eager_us = fw_eager.run(build_lstm_module(w), sent).total_us
+        w = LSTMWeights.create(12, 10, 1)
+        sent = [np.zeros((20, 12), np.float32)]
+        graph_us = GraphFramework(intel_cpu()).run(build_lstm_module(w), sent).total_us
+        eager_us = EagerFramework(intel_cpu()).run(build_lstm_module(w), sent).total_us
         # TF's per-iteration control primitives dominate its LSTM cost.
         assert graph_us > eager_us
 
 
 class TestFoldFramework:
+    """Fold evaluates the model's tree function once per tree level, on
+    the stacked rows of that level's nodes. Hidden 9 and embeddings of 12
+    keep every one-row op above the host-scalar size, so each is
+    charged."""
+
+    W = TreeLSTMWeights.create(12, 9, seed=2)
+    EMB = embedding_table(vocab_size=30, dim=12, seed=1)
+    LEAF_OPS = 9  # dense, bias_add, split, 3 gates, multiply, tanh, multiply
+    NODE_OPS = 20  # add, 3 × (dense, bias_add), split, 5 gates, 4 multiply, 2 add, tanh
+
+    def _run(self, trees):
+        """(outputs, framework ops) of one Fold run over *trees*."""
+        executors = []
+
+        class Counting(FoldFramework):
+            def _executor(self, ctx):
+                executors.append(super()._executor(ctx))
+                return executors[-1]
+
+        mod = build_tree_lstm_module(self.W)
+        result = Counting(intel_cpu()).run(mod, [tree_to_adt(t, self.EMB) for t in trees])
+        return result.outputs, executors[0].ops_executed
+
     def test_batched_numerics_match_reference(self):
-        w = TreeLSTMWeights.create(10, 5, seed=2)
-        emb = embedding_table(vocab_size=30, dim=10, seed=1)
         trees = sst_like_trees(2, vocab_size=30, seed=5)
-        fold = FoldFramework(intel_cpu())
-        ctx = fold.make_context()
-        ex = OpExecutor(intel_cpu(), ctx, 1.0)
-        for tree in trees:
-            h, c = fold._run_batched(ex, tree, emb, w, level_us=1.0)
-            ref_h, ref_c = tree_lstm_reference(tree, emb, w)
-            assert np.allclose(h, ref_h, atol=1e-4)
-            assert np.allclose(c, ref_c, atol=1e-4)
+        outputs, _ = self._run(trees)
+        for tree, h in zip(trees, outputs):
+            assert np.allclose(h, tree_lstm_reference(tree, self.EMB, self.W)[0], atol=1e-4)
+
+    @pytest.mark.parametrize("leaves", [1, 4])
+    def test_one_clause_evaluation_per_level(self, leaves):
+        """A single leaf, and a left spine — one internal node per level:
+        one leaf-clause evaluation for all the leaves, then one
+        node-clause evaluation per internal level."""
+        tree = Tree.leaf(1)
+        for token in range(2, leaves + 1):
+            tree = Tree.node(tree, Tree.leaf(token))
+        (h,), ops = self._run([tree])
+        assert np.allclose(h, tree_lstm_reference(tree, self.EMB, self.W)[0], atol=1e-4)
+        assert ops == self.LEAF_OPS + (leaves - 1) * self.NODE_OPS
 
     def test_fold_faster_than_eager_slower_than_nothing(self):
-        w = TreeLSTMWeights.create(10, 5)
-        emb = embedding_table(vocab_size=30, dim=10)
-        trees = sst_like_trees(3, vocab_size=30, seed=6)
-        fold_us = FoldFramework(intel_cpu()).run_tree_lstm(trees, emb, w).total_us
-        eager_us = EagerFramework(intel_cpu()).run(
-            build_tree_lstm_module(w), [tree_to_adt(t, emb) for t in trees]
-        ).total_us
+        mod = build_tree_lstm_module(self.W)
+        trees = [tree_to_adt(t, self.EMB) for t in sst_like_trees(3, vocab_size=30, seed=6)]
+        fold_us = FoldFramework(intel_cpu()).run(mod, trees).total_us
+        eager_us = EagerFramework(intel_cpu()).run(mod, trees).total_us
         assert fold_us < eager_us  # batching wins despite per-input compile

@@ -87,10 +87,11 @@ def test_no_matching_clause_raises():
 def test_tail_recursion_runs_in_constant_stack():
     """5,000 iterations of a recursive loop, each a taken `If`: beyond
     Python's recursion limit, and every counter op a host scalar."""
-    taken = []
-    out = evaluate(_count_module(), np.int64(5000), call=_no_call, charge=taken.append)
+    charged = []
+    out = evaluate(_count_module(), np.int64(5000), call=_no_call,
+                   charge=lambda expr, taken: charged.append((type(expr), taken)))
     assert out.item() == 5000
-    assert len(taken) == 5000 and all(isinstance(e, If) for e in taken)
+    assert charged == [(If, True)] * 5000 + [(If, False)]
 
 
 def test_charge_hook_sees_one_match_per_tree_node():
@@ -99,7 +100,7 @@ def test_charge_hook_sees_one_match_per_tree_node():
     emb = embedding_table(vocab_size=30, dim=10)
     for tree in sst_like_trees(2, vocab_size=30, seed=4):
         matches = []
-        evaluate(mod, tree_to_adt(tree, emb), charge=matches.append)
+        evaluate(mod, tree_to_adt(tree, emb), charge=lambda expr, taken: matches.append(expr))
         assert len(matches) == 2 * tree.num_leaves() - 1  # binary tree
 
 
@@ -111,3 +112,17 @@ def test_building_leaves_the_module_evaluable():
     before = evaluate(mod, x)
     nimble.build(mod, intel_cpu())
     assert np.array_equal(evaluate(mod, x), before)
+
+
+def test_answer_hook_replaces_a_global_call_or_lets_it_run():
+    """`answer(gv, args)` is asked about each call of a global function:
+    a value is the call's result, `None` evaluates it."""
+    mod = _count_module()
+    asked = []
+
+    def answer(gv, args):
+        asked.append((gv.name_hint, [a.item() for a in args]))
+        return np.int64(-1) if args[0] == 2 else None
+
+    assert evaluate(mod, np.int64(5), answer=answer).item() == -1
+    assert asked == [("count", [0, 5]), ("count", [1, 5]), ("count", [2, 5])]
