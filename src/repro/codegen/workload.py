@@ -111,8 +111,7 @@ class KernelProgram:
       axis is ``ew_add(d, b)`` and ``take`` with ``int64`` indices is
       ``take(d, i, axis=K)`` without the index copy;
     * ``split`` into equal sections of a static dim is one view per
-      section, and a projection of it (of any tuple display) is that
-      field's name.
+      section.
 
     Proving it is decided once, here: a direct line drops ``compute``'s
     ``.astype``, so it is emitted only where the function, called on
@@ -120,9 +119,11 @@ class KernelProgram:
     the dtype ``compute`` returns and the type checker declared. Any
     other op — and any call whose types are unknown, as in a hand-built
     body — is ``vK = op_<name>([operands], aK)`` calling ``compute``.
-    An IR ``Tuple`` / ``TupleGetItem`` is an inline tuple display /
-    subscript; a ``Constant`` is a global ``cK`` bound to its array by
-    reference, so an in-place write to it is seen by the next run.
+    An IR ``Tuple`` is a tuple display, emitted only where a use reads
+    the tuple whole; a ``TupleGetItem`` of one (or of a split) is the
+    field's name, of any other value a subscript. A ``Constant`` is a
+    global ``cK`` bound to its array by reference, so an in-place write
+    to it is seen by the next run.
     Operands are emitted before their user, so nested (hand-built,
     non-ANF) calls run in post-order.
 
@@ -152,7 +153,10 @@ class KernelProgram:
                        "output_count_error": output_count_error, "misfit_error": misfit_error,
                        "write_outputs": write_outputs, "NO_BUFFER": NO_BUFFER,
                        "matmul": np.matmul, "take": np.take}
-        tuples: Dict[str, List[str]] = {}  # the fields of each tuple display
+        # A tuple's fields by its key; a key some use reads whole is
+        # emitted as a display there, once (a projection reads a field).
+        tuples: Dict[str, List[str]] = {}
+        shown: Dict[str, str] = {}
         # An elementwise direct line: its line index, call text and the
         # operand whose shape guards a write into an output buffer.
         writable: Dict[str, Tuple[int, str, str]] = {}
@@ -166,9 +170,15 @@ class KernelProgram:
             return dst
 
         def display(fields: List[str]) -> str:
-            dst = emit(f"({', '.join(fields)}{',' if len(fields) == 1 else ''})")
-            tuples[dst] = fields
-            return dst
+            key = f"t{len(tuples)}"
+            tuples[key] = fields
+            return key
+
+        def whole(value: str) -> str:
+            if value in tuples and value not in shown:
+                fields = tuples[value]
+                shown[value] = emit(f"({', '.join(fields)}{',' if len(fields) == 1 else ''})")
+            return shown.get(value, value)
 
         def lower(expr: Expr) -> str:
             """The name holding *expr*'s value, its operands emitted first."""
@@ -181,8 +191,7 @@ class KernelProgram:
                 bound[const] = expr.data
                 return const
             if isinstance(expr, IRTuple):
-                fields = [lower(f) for f in expr.fields]
-                return display(fields)
+                return display([whole(lower(f)) for f in expr.fields])
             if isinstance(expr, TupleGetItem):
                 value = lower(expr.tuple_value)
                 if value in tuples:
@@ -190,7 +199,7 @@ class KernelProgram:
                 return emit(f"{value}[{int(expr.index)}]")
             if not (isinstance(expr, Call) and isinstance(expr.op, Op)):
                 raise CompilerError(f"kernel lowering: cannot evaluate {type(expr).__name__}")
-            args = [lower(a) for a in expr.args]
+            args = [whole(lower(a)) for a in expr.args]
             name = expr.op.name
             ops.append(name)
             views = _split_views(expr, args[0]) if name == "split" else None
@@ -221,8 +230,6 @@ class KernelProgram:
                          f"return write_outputs(NAME, {result}, outputs)")
         if fields is None:
             fields = [result]
-        elif lines[-1].startswith(f"    {result} = "):
-            lines.pop()  # the display itself: nothing after it reads it
         m = len(fields)
         buffers = "".join(f"o{i}, " for i in range(m))
         written: Dict[str, int] = {}  # a field its own op writes -> that buffer

@@ -27,6 +27,12 @@ class CompilerError(NimbleError):
     """A compiler pass was applied to IR it cannot handle."""
 
 
+class BatchSpecializeError(CompilerError):
+    """The module cannot be rewritten at batch granularity (an op without
+    a batch rule, ADT/closure entry, residual dynamism). Callers fall
+    back to the member-wise static tier."""
+
+
 class VMError(NimbleError):
     """The virtual machine hit an invalid instruction or operand."""
 

@@ -18,9 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import CompilerError, TypeInferenceError
+from repro.ir.expr import Constant
 from repro.ir.types import Any, StorageType, TensorType, TupleType, Type
+from repro.ops.batching import BatchCall, static_shape
 from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, register_op
 from repro.ops.type_relations import expect_tensor
+from repro.tensor.ndarray import array as make_array
 
 UNIT = TupleType(())
 
@@ -156,12 +159,19 @@ def _shape_of_compute(inputs, attrs):
     return np.asarray(inputs[0].shape, dtype=np.int64)
 
 
+def _shape_of_batch_rule(c: BatchCall):
+    """Static module: the member shape is a compile-time constant."""
+    shape = static_shape(c.member_tys[0], c.name)
+    return Constant(make_array(np.asarray(shape, dtype=np.int64))), False
+
+
 register_op(
     OpDef(
         name="vm.shape_of",
         type_rel=_shape_of_rel,
         compute=_shape_of_compute,
         pattern=OpPattern.OPAQUE,
+        batch_rule=_shape_of_batch_rule,
     )
 )
 

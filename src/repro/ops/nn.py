@@ -12,8 +12,11 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.errors import ShapeError, TypeInferenceError
+from repro.errors import BatchSpecializeError, ShapeError, TypeInferenceError
+from repro.ir.expr import Call
+from repro.ir.op import Op
 from repro.ir.types import Any, TensorType, TupleType, Type
+from repro.ops.batching import BatchCall, elementwise, row_wise, static_shape
 from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, register_op
 from repro.ops.shape_funcs import check_rank, normalize_axis, prod, same_shape_func
 from repro.ops.type_relations import expect_tensor, unify_dim
@@ -46,6 +49,16 @@ def _dense_flops(in_shapes, out_shapes, attrs):
     return 2.0 * prod(d[:-1]) * w[0] * w[1]
 
 
+def _dense_batch_rule(c: BatchCall):
+    """Stacked rows against shared weights: one ``nn.batch_dense``."""
+    if c.flags[1] is not False:
+        raise BatchSpecializeError("batch_dense: batched weights")
+    rank = len(static_shape(c.member_tys[0], c.name))
+    if rank != 2:
+        raise BatchSpecializeError(f"batch_dense: rank-{rank} dense data")
+    return Call(Op.get("nn.batch_dense"), c.args, {"batch": c.batch}), True
+
+
 register_op(
     OpDef(
         name="nn.dense",
@@ -54,6 +67,7 @@ register_op(
         shape_func=_dense_shape_func,
         pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
         flops=_dense_flops,
+        batch_rule=_dense_batch_rule,
     )
 )
 
@@ -148,6 +162,7 @@ register_op(
         compute=_bias_add_compute,
         shape_func=same_shape_func,
         pattern=OpPattern.BROADCAST,
+        batch_rule=row_wise(shared=(1,)),
     )
 )
 
@@ -189,6 +204,8 @@ register_op(
         shape_func=_batch_matmul_shape_func,
         pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
         flops=_batch_matmul_flops,
+        # Member-wise along axis 0 already: stacking only lengthens it.
+        batch_rule=lambda c: (Call(c.call.op, c.tiled(), c.call.attrs), True),
     )
 )
 
@@ -214,6 +231,7 @@ register_op(
         shape_func=same_shape_func,
         pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
         flops=_softmax_flops,
+        batch_rule=row_wise(lifts=True),
     )
 )
 
@@ -235,6 +253,7 @@ register_op(
         shape_func=same_shape_func,
         pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
         flops=_softmax_flops,
+        batch_rule=row_wise(lifts=True),
     )
 )
 
@@ -267,6 +286,7 @@ register_op(
         shape_func=same_shape_func,
         pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
         flops=lambda i, o, a: 8.0 * prod(i[0]),
+        batch_rule=row_wise(shared=(1, 2)),
     )
 )
 
@@ -287,6 +307,7 @@ register_op(
         shape_func=same_shape_func,
         pattern=OpPattern.ELEMWISE,
         flops=lambda i, o, a: 12.0 * prod(i[0]),
+        batch_rule=elementwise,
     )
 )
 
@@ -480,5 +501,6 @@ register_op(
         compute=_batch_norm_compute,
         shape_func=same_shape_func,
         pattern=OpPattern.BROADCAST,
+        batch_rule=elementwise,
     )
 )

@@ -14,7 +14,9 @@ attributes, plus what Nimble adds):
 * **fusion pattern** — how the fusion pass may combine this op (§4.2's
   fusion policy additionally forbids fusing *into* ops whose shape
   functions are data-dependent or upper-bound);
-* **flops** — work estimate consumed by the hardware cost model.
+* **flops** — work estimate consumed by the hardware cost model;
+* **batch rule** — how ``SpecializeBatch`` runs the op on stacked
+  members (``repro.ops.batching``); an op without one is unbatchable.
 """
 
 from __future__ import annotations
@@ -83,6 +85,9 @@ class OpDef:
     # Elementwise ops: the NumPy function ``compute`` is built from, with a
     # ufunc's calling convention (operands positional, an ``out=`` buffer).
     ufunc: Optional[Callable[..., object]] = None
+    # A ``repro.ops.batching`` rule: the call rewritten for stacked
+    # members. None refuses the batch rewrite.
+    batch_rule: Optional[Callable[..., object]] = None
 
     @property
     def is_dynamic_shape_func(self) -> bool:

@@ -18,6 +18,7 @@ from scipy.special import erf as _scipy_erf
 
 from repro.errors import TypeInferenceError
 from repro.ir.types import TensorType, Type
+from repro.ops.batching import elementwise
 from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, register_op
 from repro.ops.shape_funcs import broadcast_shape_func, same_shape_func
 from repro.ops.type_relations import broadcast_rel, expect_tensor, identity_rel
@@ -44,6 +45,7 @@ def _unary(name: str, fn: Callable[..., np.ndarray], flop_per_elem: float = 1.0)
             pattern=OpPattern.ELEMWISE,
             flops=flops,
             ufunc=fn,
+            batch_rule=elementwise,
         )
     )
 
@@ -62,6 +64,7 @@ def _binary(name: str, fn: Callable[..., np.ndarray]) -> None:
             shape_func_mode=ShapeFuncMode.DATA_INDEPENDENT,
             pattern=OpPattern.BROADCAST,
             ufunc=fn,
+            batch_rule=elementwise,
         )
     )
 
@@ -83,6 +86,7 @@ def _comparison(name: str, fn: Callable[..., np.ndarray]) -> None:
             shape_func_mode=ShapeFuncMode.DATA_INDEPENDENT,
             pattern=OpPattern.BROADCAST,
             ufunc=fn,
+            batch_rule=elementwise,
         )
     )
 
@@ -151,6 +155,7 @@ register_op(
         compute=_logical_not_compute,
         shape_func=same_shape_func,
         pattern=OpPattern.ELEMWISE,
+        batch_rule=elementwise,
     )
 )
 
@@ -177,6 +182,7 @@ register_op(
         compute=_cast_compute,
         shape_func=same_shape_func,
         pattern=OpPattern.ELEMWISE,
+        batch_rule=elementwise,
     )
 )
 
@@ -210,6 +216,7 @@ register_op(
         compute=_where_compute,
         shape_func=_where_shape_func,
         pattern=OpPattern.BROADCAST,
+        batch_rule=elementwise,
     )
 )
 
@@ -229,5 +236,6 @@ register_op(
         compute=_clip_compute,
         shape_func=same_shape_func,
         pattern=OpPattern.ELEMWISE,
+        batch_rule=elementwise,
     )
 )

@@ -15,11 +15,15 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.errors import ShapeError, TypeInferenceError
+from repro.errors import BatchSpecializeError, ShapeError, TypeInferenceError
+from repro.ir.expr import Call, Constant
+from repro.ir.op import Op
 from repro.ir.types import Any, TensorType, TupleType, Type
+from repro.ops.batching import BatchCall, canonical, elementwise, row_wise, static_shape
 from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, register_op
 from repro.ops.shape_funcs import normalize_axis, prod
 from repro.ops.type_relations import expect_tensor, unify_dim
+from repro.tensor.ndarray import array as make_array
 
 
 # -- reshape ------------------------------------------------------------------
@@ -77,6 +81,15 @@ def _reshape_shape_func(in_shapes, in_values, attrs):
     return [tuple(out)]
 
 
+def _reshape_batch_rule(c: BatchCall):
+    """The stacked value's flat layout is the members': reshape it to
+    the canonical stacked form of the member result."""
+    member_out = static_shape(c.out_ty, c.name)
+    if not member_out:
+        raise BatchSpecializeError("reshape to a member scalar")
+    return canonical(c.args[0], member_out, c.batch), True
+
+
 register_op(
     OpDef(
         name="reshape",
@@ -85,6 +98,7 @@ register_op(
         shape_func=_reshape_shape_func,
         pattern=OpPattern.INJECTIVE,
         flops=lambda i, o, a: 0.0,
+        batch_rule=_reshape_batch_rule,
     )
 )
 
@@ -111,6 +125,12 @@ def _transpose_shape_func(in_shapes, in_values, attrs):
     return [tuple(shape[a] for a in axes)]
 
 
+def _transpose_batch_rule(c: BatchCall):
+    """Lifted: the batch axis stays first, the member's axes follow."""
+    axes = c.call.attrs.get("axes") or reversed(range(c.member_tys[0].ndim))
+    return c.lift({"axes": (0,) + tuple(a + 1 for a in axes)}), True
+
+
 register_op(
     OpDef(
         name="transpose",
@@ -118,6 +138,7 @@ register_op(
         compute=_transpose_compute,
         shape_func=_transpose_shape_func,
         pattern=OpPattern.INJECTIVE,
+        batch_rule=_transpose_batch_rule,
     )
 )
 
@@ -172,6 +193,7 @@ register_op(
         compute=_concatenate_compute,
         shape_func=_concatenate_shape_func,
         pattern=OpPattern.INJECTIVE,
+        batch_rule=row_wise(default_axis=0, tile=True),
     )
 )
 
@@ -262,6 +284,7 @@ register_op(
         shape_func=_split_shape_func,
         pattern=OpPattern.INJECTIVE,
         num_outputs=-1,  # depends on attrs; see _split_num_outputs
+        batch_rule=row_wise(default_axis=0),
     )
 )
 
@@ -295,6 +318,50 @@ def _take_shape_func(in_shapes, in_values, attrs):
     return [tuple(data[:axis]) + tuple(indices) + tuple(data[axis + 1 :])]
 
 
+def _take_batch_rule(c: BatchCall):
+    data_f, idx_f = c.flags
+    axis = c.call.attrs.get("axis")
+    if axis is not None:
+        axis = normalize_axis(axis, c.member_tys[0].ndim)
+    if data_f is False and idx_f is not False:
+        # Gather from a shared table with stacked indices (embedding
+        # lookup): member-wise by construction for axis-0/flat gathers.
+        if axis in (None, 0):
+            return Call(c.call.op, c.args, c.call.attrs), True
+        raise BatchSpecializeError("take: stacked indices on an inner axis")
+    if data_f is not True:
+        raise BatchSpecializeError("take: unsupported operand batching")
+    if axis is None:
+        raise BatchSpecializeError("take: flat gather from a batched value")
+    data_shape = static_shape(c.member_tys[0], c.name)
+    if axis != 0:
+        if idx_f is not False:
+            raise BatchSpecializeError("take: batched indices on an inner axis")
+        return Call(c.call.op, c.args, c.call.attrs), True
+    if idx_f is not False or c.member_tys[1].ndim != 0:
+        raise BatchSpecializeError("take: unsupported axis-0 index shape")
+    member_out = static_shape(c.out_ty, c.name)
+    if not member_out:
+        raise BatchSpecializeError("take: member-scalar gather")
+    # Row r of each member is row r + i*member_rows of the stack: gather
+    # every member's row in one kernel with offset indices. A negative
+    # index wraps within the *member* (take's own convention), so it must
+    # be normalized before the offsets are added — raw `i*rows + (-1)`
+    # would wrap within the whole stack and hand member i another
+    # member's row. The normalization folds to a constant for constant
+    # indices.
+    index = c.args[1]
+    lead = np.int64(data_shape[0])
+    zero = Constant(make_array(np.int64(0)))
+    wrapped = Call(Op.get("add"), [index, Constant(make_array(lead))], None)
+    is_negative = Call(Op.get("less"), [index, zero], None)
+    normalized = Call(Op.get("where"), [is_negative, wrapped, index], None)
+    offsets = Constant(make_array(np.arange(c.batch, dtype=np.int64) * lead))
+    indices = Call(Op.get("add"), [offsets, normalized], None)
+    gathered = Call(c.call.op, [c.args[0], indices], {"axis": 0})
+    return canonical(gathered, member_out, c.batch), True
+
+
 register_op(
     OpDef(
         name="take",
@@ -302,6 +369,7 @@ register_op(
         compute=_take_compute,
         shape_func=_take_shape_func,
         pattern=OpPattern.INJECTIVE,
+        batch_rule=_take_batch_rule,
     )
 )
 
@@ -483,6 +551,7 @@ def _register_filled(name: str, fill_value) -> None:
             compute=compute,
             shape_func=lambda s, v, a: [tuple(a["shape"])],
             pattern=OpPattern.ELEMWISE,
+            batch_rule=elementwise,
         )
     )
 

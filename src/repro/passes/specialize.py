@@ -21,12 +21,10 @@ definitions, and constructors — weights are never copied.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.typing.bind import Binding, batch_type, bind_any_dims, collect_shape_bindings
-from repro.errors import CompilerError
+from repro.errors import BatchSpecializeError, CompilerError
 from repro.ir.expr import (
     Call,
     Clause,
@@ -44,6 +42,8 @@ from repro.ir.expr import (
 from repro.ir.module import IRModule
 from repro.ir.op import Op
 from repro.ir.types import Any, TensorType, TupleType, Type, has_any_dim
+from repro.ops.batching import BatchCall, Flags, coerce, flags_of
+from repro.ops.registry import get_op_def
 from repro.passes.pass_manager import Pass
 
 
@@ -240,27 +240,6 @@ class SpecializeShapes(Pass):
 # ---------------------------------------------------------------------------
 
 
-class BatchSpecializeError(CompilerError):
-    """The module cannot be rewritten at batch granularity (unsupported
-    op, ADT/closure entry, residual dynamism). Callers fall back to the
-    member-wise static tier."""
-
-
-# Batchedness of a value: a bool for tensors, a tuple of flags for
-# tuple-typed values. True means the rewritten expression holds the axis-0
-# concatenation of the `batch` member values; False means one shared value
-# (identical for every member).
-Flags = Union[bool, Tuple]
-
-
-def _flags_of(ty: Optional[Type], what: str) -> Flags:
-    if isinstance(ty, TensorType):
-        return ty.ndim >= 1
-    if isinstance(ty, TupleType):
-        return tuple(_flags_of(f, what) for f in ty.fields)
-    raise BatchSpecializeError(f"{what}: cannot batch a value of type {ty!r}")
-
-
 def _shared_flags(ty: Optional[Type]) -> Flags:
     if isinstance(ty, TupleType):
         return tuple(_shared_flags(f) for f in ty.fields)
@@ -280,24 +259,16 @@ def _member_type(expr: Expr, what: str) -> Type:
     return ty
 
 
-def _static_shape(ty: Type, what: str) -> Tuple[int, ...]:
-    if not isinstance(ty, TensorType) or has_any_dim(ty):
-        raise BatchSpecializeError(f"{what}: expected a static tensor, got {ty!r}")
-    return tuple(int(d) for d in ty.shape)
-
-
 class _BatchRewriter:
     """Rebuilds one function at batch granularity.
 
     The invariant: a batched tensor's flat (C-order) layout equals the
-    concatenation of its members' flat layouts, member 0 first. Row-wise
-    ops (dense epilogues, elementwise math, last-axis normalizations)
-    therefore apply directly to the stacked value; GEMMs become one
-    ``nn.batch_dense``; layout ops that would mix members across the
-    leading axis are lifted through an explicit ``(batch, *member)``
-    reshape. Scalars stay shared — every member of a batch-specialized
-    bucket has the same exact shape, so all shape-derived control flow is
-    member-independent.
+    concatenation of its members' flat layouts, member 0 first. An op
+    call whose inputs are all shared runs once, shared; any other is
+    rewritten by its op's ``batch_rule`` (``repro.ops.batching``), and
+    an op without one is refused. Scalars stay shared — every member of
+    a batch-specialized bucket has the same exact shape, so all
+    shape-derived control flow is member-independent.
     """
 
     def __init__(
@@ -310,67 +281,6 @@ class _BatchRewriter:
         self.gv_map = gv_map
         self.signatures = signatures
         self._memo: Dict[int, Tuple[Expr, Flags]] = {}
-
-    # ------------------------------------------------------------- utilities
-    def _promote(self, expr: Expr, member_ty: Type, what: str) -> Expr:
-        """Shared → batched: tile the member value along axis 0."""
-        if not isinstance(member_ty, TensorType) or member_ty.ndim == 0:
-            raise BatchSpecializeError(f"{what}: cannot tile {member_ty!r}")
-        return Call(Op.get("concatenate"), [expr] * self.batch, {"axis": 0})
-
-    def _coerce(self, expr: Expr, have: Flags, want: Flags, member_ty: Type, what: str):
-        if have == want:
-            return expr
-        if want is True and have is False:
-            return self._promote(expr, member_ty, what)
-        if isinstance(want, tuple) and isinstance(member_ty, TupleType):
-            have_t = have if isinstance(have, tuple) else (have,) * len(want)
-            if isinstance(expr, IRTuple):
-                fields = [
-                    self._coerce(f, h, w, t, what)
-                    for f, h, w, t in zip(expr.fields, have_t, want, member_ty.fields)
-                ]
-                return IRTuple(fields)
-        raise BatchSpecializeError(
-            f"{what}: cannot coerce batchedness {have!r} -> {want!r}"
-        )
-
-    @staticmethod
-    def _broadcast_safe(shared_ty: Type, member_ty: Type) -> bool:
-        """May a shared operand broadcast against a *stacked* batched one
-        exactly as it would against each member? Yes when it aligns to
-        trailing dims only, or its leading dim is 1 (a size-1 dim
-        stretches to any extent, so each member row sees the same
-        value)."""
-        if not isinstance(shared_ty, TensorType):
-            return False
-        if not isinstance(member_ty, TensorType):
-            return False
-        if shared_ty.ndim == 0 or shared_ty.ndim < member_ty.ndim:
-            return True
-        if shared_ty.ndim == member_ty.ndim:
-            lead = shared_ty.shape[0]
-            return not isinstance(lead, Any) and int(lead) == 1
-        return False
-
-    def _reshape(self, expr: Expr, newshape: Tuple[int, ...]) -> Expr:
-        return Call(Op.get("reshape"), [expr], {"newshape": tuple(newshape)})
-
-    def _canonical(self, expr: Expr, member_out: Tuple[int, ...]) -> Expr:
-        """Reshape a flat-correct result to the canonical stacked shape
-        ``(batch * member_out[0], *member_out[1:])``."""
-        return self._reshape(
-            expr, (self.batch * member_out[0],) + tuple(member_out[1:])
-        )
-
-    def _lift(self, data: Expr, member_in: Tuple[int, ...], op: Op, attrs: dict,
-              member_out: Tuple[int, ...]) -> Expr:
-        """Apply a member-wise op over an explicit leading batch axis:
-        reshape ``(B·d0, rest)`` → ``(B, d0, rest)``, run the op with its
-        axes shifted past the batch dim, reshape back to canonical form."""
-        unstacked = self._reshape(data, (self.batch,) + tuple(member_in))
-        applied = Call(op, [unstacked], attrs)
-        return self._canonical(applied, member_out)
 
     # --------------------------------------------------------------- visitor
     def visit(self, expr: Expr) -> Tuple[Expr, Flags]:
@@ -423,7 +333,7 @@ class _BatchRewriter:
             false_b, ff = self.visit(expr.false_branch)
             if tf != ff:
                 member = _member_type(expr, "if")
-                false_b = self._coerce(false_b, ff, tf, member, "if branch")
+                false_b = coerce(false_b, ff, tf, member, self.batch, "if branch")
             return If(cond, true_b, false_b), tf
         if isinstance(expr, Call):
             return self._rewrite_call(expr)
@@ -443,10 +353,8 @@ class _BatchRewriter:
             for arg, want in zip(call.args, param_flags):
                 new_arg, have = self.visit(arg)
                 member = _member_type(arg, f"call to @{call.op.name_hint}")
-                new_args.append(
-                    self._coerce(new_arg, have, want, member,
-                                 f"call to @{call.op.name_hint}")
-                )
+                new_args.append(coerce(new_arg, have, want, member, self.batch,
+                                       f"call to @{call.op.name_hint}"))
             return Call(self.gv_map[call.op], new_args, call.attrs), ret_flags
         if not isinstance(call.op, Op):
             raise BatchSpecializeError(
@@ -455,236 +363,22 @@ class _BatchRewriter:
         return self._rewrite_op_call(call)
 
     def _rewrite_op_call(self, call: Call) -> Tuple[Expr, Flags]:
-        from repro.ops.registry import OpPattern, get_op_def, has_op
-        from repro.ops.shape_funcs import normalize_axis
-
         name = call.op.name
-        B = self.batch
         pairs = [self.visit(a) for a in call.args]
         args = [e for e, _ in pairs]
         flags = [f for _, f in pairs]
         out_ty = _member_type(call, name)
-
         if not any(_any_batched(f) for f in flags):
             # Every input shared: the op is member-independent and runs
             # once, shared (zeros/ones, scalar arithmetic, shape reads).
             return Call(call.op, args, call.attrs), _shared_flags(out_ty)
-
-        member_tys = [_member_type(a, name) for a in call.args]
-
-        if name == "vm.shape_of":
-            # Static module: the member shape is a compile-time constant.
-            shape = _static_shape(member_tys[0], name)
-            from repro.tensor.ndarray import array as make_array
-
-            return Constant(make_array(np.asarray(shape, dtype=np.int64))), False
-
-        if name == "nn.dense":
-            if flags[1] is not False:
-                raise BatchSpecializeError("batch_dense: batched weights")
-            data_shape = _static_shape(member_tys[0], name)
-            if len(data_shape) != 2:
-                raise BatchSpecializeError(
-                    f"batch_dense: rank-{len(data_shape)} dense data"
-                )
-            return (
-                Call(Op.get("nn.batch_dense"), [args[0], args[1]], {"batch": B}),
-                True,
-            )
-
-        if name == "nn.batch_matmul":
-            coerced = [
-                self._coerce(a, f, True, t, name)
-                for a, f, t in zip(args, flags, member_tys)
-            ]
-            return Call(call.op, coerced, call.attrs), True
-
-        if name == "nn.bias_add":
-            if flags[1] is not False:
-                raise BatchSpecializeError("bias_add: batched bias")
-            ndim = member_tys[0].ndim
-            axis = normalize_axis(call.attrs.get("axis", -1), ndim)
-            if axis == 0:
-                raise BatchSpecializeError("bias_add along the stacked axis")
-            return Call(call.op, args, call.attrs), True
-
-        if name in ("nn.softmax", "nn.log_softmax"):
-            ndim = member_tys[0].ndim
-            axis = normalize_axis(call.attrs.get("axis", -1), ndim)
-            if ndim >= 2 and axis != 0:
-                return Call(call.op, args, call.attrs), True
-            member_in = _static_shape(member_tys[0], name)
-            member_out = _static_shape(out_ty, name)
-            return (
-                self._lift(args[0], member_in, call.op, {"axis": axis + 1},
-                           member_out),
-                True,
-            )
-
-        if name == "nn.layer_norm":
-            if flags[1] is not False or flags[2] is not False:
-                raise BatchSpecializeError("layer_norm: batched gamma/beta")
-            ndim = member_tys[0].ndim
-            axis = normalize_axis(call.attrs.get("axis", -1), ndim)
-            if axis == 0:
-                raise BatchSpecializeError("layer_norm along the stacked axis")
-            return Call(call.op, args, call.attrs), True
-
-        if name == "reshape":
-            member_out = _static_shape(out_ty, name)
-            if not member_out:
-                raise BatchSpecializeError("reshape to a member scalar")
-            return self._canonical(args[0], member_out), True
-
-        if name == "transpose":
-            member_in = _static_shape(member_tys[0], name)
-            member_out = _static_shape(out_ty, name)
-            axes = call.attrs.get("axes")
-            if axes is None:
-                axes = tuple(reversed(range(len(member_in))))
-            lifted = {"axes": (0,) + tuple(a + 1 for a in axes)}
-            return (
-                self._lift(args[0], member_in, call.op, lifted, member_out),
-                True,
-            )
-
-        if name == "take":
-            return self._rewrite_take(call, args, flags, member_tys, out_ty)
-
-        if name == "concatenate":
-            axis = normalize_axis(
-                call.attrs.get("axis", 0), member_tys[0].ndim
-            )
-            if axis == 0:
-                raise BatchSpecializeError("concatenate along the stacked axis")
-            leads = set()
-            coerced = []
-            for a, f, t in zip(args, flags, member_tys):
-                coerced.append(self._coerce(a, f, True, t, name))
-                leads.add(_static_shape(t, name)[0])
-            if len(leads) != 1:
-                raise BatchSpecializeError(
-                    "concatenate: members with unequal leading dims"
-                )
-            return Call(call.op, coerced, call.attrs), True
-
-        if name == "split":
-            axis = normalize_axis(
-                call.attrs.get("axis", 0), member_tys[0].ndim
-            )
-            if axis == 0:
-                raise BatchSpecializeError("split along the stacked axis")
-            return Call(call.op, args, call.attrs), _flags_of(out_ty, name)
-
-        if has_op(name) and get_op_def(name).pattern in (
-            OpPattern.ELEMWISE, OpPattern.BROADCAST
-        ):
-            return self._rewrite_elemwise(call, args, flags, member_tys)
-
-        raise BatchSpecializeError(
-            f"batch specialization does not support operator {name!r}"
-        )
-
-    def _rewrite_elemwise(self, call, args, flags, member_tys) -> Tuple[Expr, Flags]:
-        """N-ary row-wise op: batched operands must agree on member shape
-        (their stacked row blocks then align member-by-member); shared
-        operands either broadcast safely against the stacked value or are
-        tiled."""
-        name = call.op.name
-        batched_shapes = {
-            _static_shape(t, name)
-            for t, f in zip(member_tys, flags)
-            if f is True and isinstance(t, TensorType) and t.ndim >= 1
-        }
-        if len(batched_shapes) > 1:
+        rule = get_op_def(name).batch_rule
+        if rule is None:
             raise BatchSpecializeError(
-                f"{name}: batched operands with unequal member shapes "
-                f"{sorted(batched_shapes)}"
+                f"batch specialization does not support operator {name!r}"
             )
-        member = next(iter(batched_shapes), None)
-        out_args = []
-        for a, f, t in zip(args, flags, member_tys):
-            shared_ok = f is False and (
-                member is None
-                or self._broadcast_safe(t, TensorType(member, "float32"))
-            )
-            if f is True or shared_ok:
-                out_args.append(a)
-                continue
-            # A shared operand that is not broadcast-safe can only be
-            # tiled when its leading dim equals the batched member's —
-            # i.e. member-wise the op does NOT broadcast along axis 0. A
-            # lead that broadcasts the members *up* (shared (4, H) against
-            # member (1, H)) has no stacked equivalent: tiling would emit
-            # an ill-typed op, so refuse and let callers fall back.
-            shape = (
-                _static_shape(t, name) if isinstance(t, TensorType) else None
-            )
-            if (
-                f is False
-                and shape is not None
-                and member is not None
-                and len(shape) == len(member)
-                and shape[0] == member[0]
-            ):
-                out_args.append(self._coerce(a, f, True, t, name))
-            else:
-                raise BatchSpecializeError(
-                    f"{name}: shared operand of shape {shape} would "
-                    f"broadcast members of shape {member} along the "
-                    f"stacked axis"
-                )
-        return Call(call.op, out_args, call.attrs), True
-
-    def _rewrite_take(self, call, args, flags, member_tys, out_ty) -> Tuple[Expr, Flags]:
-        from repro.ops.shape_funcs import normalize_axis
-        from repro.tensor.ndarray import array as make_array
-
-        data_f, idx_f = flags
-        axis = call.attrs.get("axis")
-        if data_f is False and idx_f is not False:
-            # Gather from a shared table with stacked indices (embedding
-            # lookup): member-wise by construction for axis-0/flat gathers.
-            if axis is None or normalize_axis(axis, member_tys[0].ndim) == 0:
-                return Call(call.op, args, call.attrs), True
-            raise BatchSpecializeError("take: stacked indices on an inner axis")
-        if data_f is not True:
-            raise BatchSpecializeError("take: unsupported operand batching")
-        if axis is None:
-            raise BatchSpecializeError("take: flat gather from a batched value")
-        data_shape = _static_shape(member_tys[0], "take")
-        axis = normalize_axis(axis, len(data_shape))
-        if axis != 0:
-            if idx_f is not False:
-                raise BatchSpecializeError("take: batched indices on an inner axis")
-            return Call(call.op, args, call.attrs), True
-        if idx_f is not False or member_tys[1].ndim != 0:
-            raise BatchSpecializeError("take: unsupported axis-0 index shape")
-        member_out = _static_shape(out_ty, "take")
-        if not member_out:
-            raise BatchSpecializeError("take: member-scalar gather")
-        # Row r of each member is row r + i*member_rows of the stack:
-        # gather every member's row in one kernel with offset indices. A
-        # negative index wraps within the *member* (take's own
-        # convention), so it must be normalized before the offsets are
-        # added — raw `i*rows + (-1)` would wrap within the whole stack
-        # and hand member i another member's row. The normalization folds
-        # to a constant for constant indices.
-        lead = np.int64(data_shape[0])
-        zero = Constant(make_array(np.int64(0)))
-        wrapped = Call(
-            Op.get("add"), [args[1], Constant(make_array(lead))], None
-        )
-        is_negative = Call(Op.get("less"), [args[1], zero], None)
-        normalized = Call(
-            Op.get("where"), [is_negative, wrapped, args[1]], None
-        )
-        offsets = Constant(
-            make_array(np.arange(self.batch, dtype=np.int64) * lead)
-        )
-        indices = Call(Op.get("add"), [offsets, normalized], None)
-        gathered = Call(call.op, [args[0], indices], {"axis": 0})
-        return self._canonical(gathered, member_out), True
+        member_tys = [_member_type(a, name) for a in call.args]
+        return rule(BatchCall(call, args, flags, member_tys, out_ty, self.batch))
 
 
 class SpecializeBatch(Pass):
@@ -713,21 +407,23 @@ class SpecializeBatch(Pass):
        member-wise computation (see ``ops/nn._batch_dense_compute``).
        Bit-identity with the member tiers then holds by construction.
     2. *No cross-member mixing.* Every rewritten op must map member i's
-       rows to member i's rows: row-wise ops apply to the stacked value
-       directly, layout ops that would mix members across the leading
-       axis are lifted over an explicit ``(batch, *member)`` reshape,
-       axis-0 gathers get per-member offset indices (with negative
-       indices normalized *within* the member before offsetting), and
-       scalars stay shared — all members of a batch-specialized bucket
+       rows to member i's rows. How an op does that is its own
+       declaration, ``OpDef.batch_rule`` (``repro.ops.batching``):
+       elementwise and row-wise ops apply to the stacked value directly,
+       ops along the leading axis are lifted over an explicit
+       ``(batch, *member)`` reshape, and ops that change form say how
+       (one ``nn.batch_dense``; axis-0 gathers with per-member offset
+       indices, negative ones normalized *within* the member first).
+       Scalars stay shared — all members of a batch-specialized bucket
        have the same exact shape, so shape-derived control flow is
-       member-independent. Anything that cannot satisfy the rule raises
-       rather than approximates.
+       member-independent.
 
-    Raises :class:`BatchSpecializeError` on modules it cannot batch
-    (ADT/control structures over member-dependent data, unsupported
-    layout ops); the serving layer treats that as "member-wise tiers
-    only". ``tests/test_differential.py`` fuzzes the invariant: all
-    three tiers bitwise-equal over randomized shapes, batches, seeds.
+    Raises :class:`BatchSpecializeError` on modules it cannot batch (an
+    op with no rule or whose rule refuses, ADT/control structures over
+    member-dependent data) — a refusal, never a guess; the serving layer
+    treats it as "member-wise tiers only". ``tests/test_differential.py``
+    fuzzes the invariant: all three tiers bitwise-equal over randomized
+    shapes, batches, seeds.
     """
 
     name = "SpecializeBatch"
@@ -803,7 +499,7 @@ class SpecializeBatch(Pass):
                 what = f"@{gv.name_hint} parameter %{p.name_hint}"
                 if ty is None or has_any_dim(ty):
                     raise BatchSpecializeError(f"{what}: not statically typed")
-                flags.append(_flags_of(ty, what))
+                flags.append(flags_of(ty, what))
                 try:
                     params.append(Var(p.name_hint, batch_type(ty, self.batch, what)))
                 except TypeInferenceError as err:
@@ -821,7 +517,7 @@ class SpecializeBatch(Pass):
                 stacked_rets[gv] = batch_type(ret_ty, self.batch, what)
             except TypeInferenceError as err:
                 raise BatchSpecializeError(str(err)) from None
-            signatures[gv] = (tuple(flags), _flags_of(ret_ty, what))
+            signatures[gv] = (tuple(flags), flags_of(ret_ty, what))
             stacked_params[gv] = params
 
         for gv, func in typed.functions.items():
@@ -832,9 +528,8 @@ class SpecializeBatch(Pass):
             want = signatures[gv][1]
             if body_flags != want:
                 ret_member = func.body.checked_type
-                body = rewriter._coerce(
-                    body, body_flags, want, ret_member, f"@{gv.name_hint} return"
-                )
+                body = coerce(body, body_flags, want, ret_member, self.batch,
+                              f"@{gv.name_hint} return")
             out[gv_map[gv]] = Function(
                 stacked_params[gv], body, stacked_rets[gv], func.attrs
             )

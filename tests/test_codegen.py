@@ -215,6 +215,11 @@ def _hand_built_bodies():
         parts, api.split(x, 3, axis=1),
         api.concatenate([TupleGetItem(parts, 2), TupleGetItem(parts, 0)], axis=1),
     )), [f32(4, 6)]
+    pair = Var("pair")
+    yield "tuple read whole", Function([x, y], Let(
+        pair, Tuple([api.split(x, 2, axis=1), y]),
+        api.add(TupleGetItem(TupleGetItem(pair, 0), 1), TupleGetItem(TupleGetItem(pair, 0), 0)),
+    )), [f32(4, 6), f32(4, 6)]
     yield "embedded constant", Function(
         [x], api.relu(api.dense(x, weight))), [f32(4, 6)]
     h = Var("h")
@@ -262,6 +267,13 @@ class TestKernelProgram:
         assert _bitwise_equal(program.run(inputs), want)
         assert _bitwise_equal(program.run(inputs), want)  # a program is reusable
         assert _bitwise_equal(run_prim_func(func, inputs), want)
+
+    def test_a_tuple_display_is_emitted_only_where_it_is_read_whole(self):
+        """A split's projections read its views; only a use of the tuple
+        itself (here, as a field of another tuple) emits a display."""
+        bodies = {name: func for name, func, _ in _hand_built_bodies()}
+        assert " = (" not in KernelProgram(bodies["projection of a multi-output op"]).source
+        assert " = (v" in KernelProgram(bodies["tuple read whole"]).source
 
     def test_a_constant_is_held_by_reference(self):
         prim, w = _dense_prim(16, 8)

@@ -1394,6 +1394,16 @@ class TestBatchRewriteSafety:
         with pytest.raises(BatchSpecializeError, match="stacked axis"):
             SpecializeBatch(2)(spec)
 
+    def test_broadcast_to_is_refused_by_name(self):
+        """broadcast_to's ``shape`` attr is a member shape: run on the
+        stack it would return one member's extent, an ill-typed module.
+        It declares no batch rule, so the rewrite refuses it instead."""
+        x = Var("x", TensorType((Any(), 3), "float32"))
+        mod = IRModule.from_expr(Function([x], api.relu(api.broadcast_to(x, (4, 3)))))
+        spec = SpecializeShapes(shapes=[(1, 3)])(mod)
+        with pytest.raises(BatchSpecializeError, match="broadcast_to"):
+            SpecializeBatch(2)(spec)
+
     def test_equal_lead_shared_operand_tiles_bit_identically(self):
         """The legitimate tiling case — shared lead == member lead, no
         axis-0 broadcast member-wise — still batches, bit-identically."""
