@@ -46,13 +46,11 @@ class OpExecutor:
         platform: Platform,
         ctx: ExecutionContext,
         op_overhead_us: float,
-        use_library: bool = True,
         library=None,
     ) -> None:
         self.platform = platform
         self.ctx = ctx
         self.op_overhead_us = op_overhead_us
-        self.use_library = use_library
         # The framework's own bundled kernel library on this platform
         # (see overhead.FRAMEWORK_LIBRARY); None = platform default.
         self.library = library
@@ -82,9 +80,7 @@ class OpExecutor:
         clock.host_advance(self.op_overhead_us)
         self.ops_executed += 1
 
-        if not self.use_library:
-            duration = None
-        elif self.library is not None:
+        if self.library is not None:
             duration = custom_library_cost_us(spec, workload, self.library)
         else:
             duration = library_cost_us(spec, workload)

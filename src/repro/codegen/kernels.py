@@ -16,13 +16,12 @@ Table 4 breakdown.
 from __future__ import annotations
 
 import functools
-import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.codegen.cost_model import library_cost_us, tuned_cost_us
+from repro.codegen.cost_model import kernel_cost_us
 from repro.codegen.schedule import Schedule, default_schedule
 from repro.codegen.workload import GEMM_OPS, KernelProgram, Workload, compute_workload
 from repro.core.memory.prim_info import (
@@ -31,10 +30,10 @@ from repro.core.memory.prim_info import (
     prim_calls,
     run_fused_shape_func,
 )
-from repro.errors import SerializationError
 from repro.hardware import calibration
 from repro.hardware.platforms import Platform
 from repro.hardware.specs import DeviceSpec
+from repro.ir import codec
 from repro.ir.analysis import structural_equal, structural_hash
 from repro.ir.expr import Constant, Expr, Function, Var
 from repro.ir.op import Op
@@ -249,7 +248,7 @@ class KernelSet:
             rpk = max(1, tile // max(1, min(self.num_dispatch_kernels, tile)))
         else:
             rpk = 1
-        tuned = tuned_cost_us(
+        best, impl = kernel_cost_us(
             self.spec,
             self.platform.name,
             workload,
@@ -257,12 +256,8 @@ class KernelSet:
             mnk,
             symbolic=self.symbolic,
             residues_per_kernel=rpk,
+            allow_library=self.allow_library,
         )
-        best, impl = tuned, "compiled"
-        if self.allow_library:
-            lib = library_cost_us(self.spec, workload)
-            if lib is not None and lib < best:
-                best, impl = lib, self.spec.library.name  # type: ignore[union-attr]
         return KernelInvocation(
             duration_us=best, impl=impl, residues_per_kernel=rpk, flops=workload.flops
         )
@@ -297,8 +292,8 @@ class ShapeFuncKernel:
 # Version of the kernel-cache payload; the store stamps it on the
 # envelope of ``kernels.kc``. Entries are pickled (like the executable's
 # kernel section); bumping this invalidates every persisted cache file
-# instead of risking a misread.
-KERNEL_CACHE_FORMAT = 1
+# instead of risking a misread. 2: the two entry lists, without keys.
+KERNEL_CACHE_FORMAT = 2
 
 
 def prim_key(prim: Function, *rest) -> tuple:
@@ -324,31 +319,27 @@ class KernelCache:
 
     # ------------------------------------------------------------ persistence
     def export_entries(self) -> bytes:
-        """Serialize the cache for the artifact store. Every entry
-        carries its prim and platform, which is all its key is made of."""
-        return pickle.dumps((self._kernels, self._shape_funcs))
+        """Serialize the cache for the artifact store: the two lists of
+        entries, without keys — Python hashes, other under another
+        ``PYTHONHASHSEED`` — since an entry's prim and platform are all
+        its key is made of."""
+        return codec.dumps((list(self._kernels.values()), list(self._shape_funcs.values())))
 
     def import_entries(self, payload: bytes) -> int:
         """Merge an :meth:`export_entries` payload into this cache;
-        returns how many entries were added. Keys are re-derived from
-        each entry's prim: they are built from Python ``hash()`` values,
-        which another process (another ``PYTHONHASHSEED``) computes
-        differently. Existing entries always win — a live KernelSet may
-        already be referenced by compiled executables, and replacing it
-        under them would fork the profile accounting."""
-        try:
-            kernels, shape_funcs = pickle.loads(payload)
-        except Exception as err:
-            raise SerializationError(
-                f"kernel-cache blob does not deserialize: {err}"
-            ) from err
+        returns how many entries were added, each keyed from its prim.
+        Existing entries always win — a live KernelSet may already be
+        referenced by compiled executables, and replacing it under them
+        would fork the profile accounting."""
         added = 0
-        for table, entries in ((self._kernels, kernels), (self._shape_funcs, shape_funcs)):
-            for entry in entries.values():
-                key = prim_key(entry.prim, entry.platform.name)
-                if key not in table:
-                    table[key] = entry
-                    added += 1
+        with codec.decoding("kernel-cache blob"):
+            kernels, shape_funcs = codec.loads(payload)
+            for table, entries in ((self._kernels, kernels), (self._shape_funcs, shape_funcs)):
+                for entry in entries:
+                    key = prim_key(entry.prim, entry.platform.name)
+                    if key not in table:
+                        table[key] = entry
+                        added += 1
         return added
 
     def kernel(self, prim: Function, platform: Platform, spec: DeviceSpec) -> KernelSet:

@@ -7,7 +7,6 @@ from repro.core.typing.bind import (
     bind_any_dims,
     collect_any_tokens,
     collect_shape_bindings,
-    translate_binding,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "bind_any_dims",
     "collect_any_tokens",
     "collect_shape_bindings",
-    "translate_binding",
 ]

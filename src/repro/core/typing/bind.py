@@ -14,16 +14,16 @@ Helpers living here:
   concrete shape spec, producing the ``{token: value}`` binding (and
   validating rank/static-dim agreement);
 * :func:`bind_any_dims` — apply a binding to a type, recursively;
-* :func:`collect_any_tokens` / :func:`translate_binding` — carry a
-  binding between two structurally identical functions whose ``Any``
-  tokens differ (a staged-compilation prefix restored from the artifact
-  store was pickled in another process, so its token integers come from
-  that process's counter).
+* :func:`collect_any_tokens` — a type's tokens in first-occurrence order.
+
+A binding never leaves the process it was made in: tokens leave by
+position (:mod:`repro.ir.codec`), and a module restored from a payload
+is specialized from ``shapes``, which name dims by position too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.errors import TypeInferenceError
 from repro.ir.types import Any, FuncType, TensorType, TupleType, Type, TypeCall
@@ -118,9 +118,7 @@ def batch_type(ty: Type, batch: int, what: str = "batch specialization") -> Type
 
 def collect_any_tokens(ty: Optional[Type], out: Optional[List[int]] = None) -> List[int]:
     """Every ``Any`` token in *ty*, in first-occurrence (depth-first)
-    order, each token once. The order is structural, so two types that
-    print identically yield positionally corresponding token lists even
-    when the token integers themselves differ."""
+    order, each token once."""
     out = out if out is not None else []
     if isinstance(ty, TensorType):
         for dim in ty.shape:
@@ -140,40 +138,6 @@ def collect_any_tokens(ty: Optional[Type], out: Optional[List[int]] = None) -> L
         for arg in ty.args:
             collect_any_tokens(arg, out)
         return out
-    return out
-
-
-def translate_binding(src_func, dst_func, binding: Binding) -> Binding:
-    """Re-express *binding* (token space of *src_func*'s parameter
-    annotations) in the token space of the structurally identical
-    *dst_func*.
-
-    A staged-compilation prefix restored from the artifact store carries
-    ``Any`` tokens allocated by the process that pickled it; a binding
-    derived from the live dynamic module (the serving bucketer's token
-    list) would silently bind nothing against it. Tokens correspond
-    positionally — both functions' annotations are the same types,
-    printed identically — so the translation is a zip of the two
-    first-occurrence token orders. Rejects structural drift loudly.
-    """
-    src_tokens: List[int] = []
-    dst_tokens: List[int] = []
-    for p in src_func.params:
-        collect_any_tokens(p.type_annotation, src_tokens)
-    for p in dst_func.params:
-        collect_any_tokens(p.type_annotation, dst_tokens)
-    if len(src_tokens) != len(dst_tokens):
-        raise TypeInferenceError(
-            f"binding translation: source entry has {len(src_tokens)} Any "
-            f"token(s) but the target entry has {len(dst_tokens)} — the "
-            f"functions are not structurally identical"
-        )
-    mapping = dict(zip(src_tokens, dst_tokens))
-    out: Binding = {}
-    for token, value in binding.items():
-        mapped = mapping.get(token)
-        if mapped is not None:
-            out[mapped] = value
     return out
 
 

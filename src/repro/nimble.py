@@ -35,11 +35,8 @@ work.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import pickle
 import struct
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,9 +44,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.codegen.kernels import KernelCache
 from repro.core.device import DevicePlace, PlacementReport
 from repro.core.memory import ManifestAlloc, MemoryPlan, MemoryPlanReport
-from repro.core.typing import InferType, translate_binding
+from repro.core.typing import InferType
 from repro.errors import CompilerError, SerializationError
 from repro.hardware.platforms import Platform, intel_cpu
+from repro.ir import codec
 from repro.ir.module import IRModule
 from repro.ir.printer import module_fingerprint
 from repro.passes import (
@@ -118,19 +116,6 @@ def prefix_store_key(source_signature: str, platform_name: str) -> str:
     return hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
 
-@contextlib.contextmanager
-def _deep_recursion(limit: int = 20_000):
-    """Pickling an ANF module recurses once per Let link; a long chain
-    overruns the default interpreter limit long before it troubles
-    memory. Raised temporarily, never lowered."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, limit))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 @dataclass
 class SpecializationPrefix:
     """The shape-independent front of the specialization pipeline, run
@@ -172,10 +157,7 @@ class SpecializationPrefix:
         store chunk here as in the executables compiled from it."""
         buffers = []
         identity = (self.source_signature, self.platform_name, self.entry, self.module)
-        with _deep_recursion():
-            pickled = pickle.dumps(
-                identity, protocol=5, buffer_callback=lambda b: buffers.append(b.raw())
-            )
+        pickled = codec.dumps(identity, buffer_callback=lambda b: buffers.append(b.raw()))
         sizes = (len(pickled), len(buffers), *(len(b) for b in buffers))
         return [struct.pack(f"<{len(sizes)}Q", *sizes) + pickled, *buffers]
 
@@ -192,20 +174,13 @@ class SpecializationPrefix:
         """Deserialize the byte stream *chunks* concatenate to. As in
         ``Executable.load_chunks`` a buffer that is one array chunk is
         shared and any other copied (pickle would alias the payload)."""
-        reader = ChunkReader(chunks)
-        try:
+        with codec.decoding("prefix blob"):
+            reader = ChunkReader(chunks)
             size, count = struct.unpack("<2Q", reader.read(16))
             lengths = struct.unpack(f"<{count}Q", reader.read(8 * count))
             pickled = reader.read(size)
             buffers = [reader.array(n) for n in lengths]
-            with _deep_recursion():
-                signature, platform_name, entry, module = pickle.loads(
-                    pickled, buffers=buffers
-                )
-        except Exception as err:  # corrupt pickles raise all sorts
-            raise SerializationError(
-                f"prefix blob failed to deserialize: {err}"
-            )
+            signature, platform_name, entry, module = codec.loads(pickled, buffers)
         if not isinstance(module, IRModule):
             raise SerializationError(
                 f"prefix blob holds a {type(module).__name__}, not a module"
@@ -400,7 +375,6 @@ def specialize(
     mod: IRModule,
     platform: Optional[Platform] = None,
     shapes=None,
-    binding=None,
     options: Optional[CompilerOptions] = None,
     kernel_cache: Optional[KernelCache] = None,
     entry: str = "main",
@@ -412,8 +386,8 @@ def specialize(
 
     ``shapes`` gives one shape spec per entry parameter (a tuple of ints
     for tensor params, nested tuples for tuple params, ``None`` to leave
-    a param dynamic); alternatively ``binding`` maps ``Any`` identity
-    tokens to values directly. Pass the dynamic build's ``kernel_cache``
+    a param dynamic, ``None`` for a tensor dim to leave that dim
+    dynamic). Pass the dynamic build's ``kernel_cache``
     to share already-compiled static kernels between the tiers. The
     returned executable carries ``specialized_shapes`` describing what it
     was specialized to, and its outputs are bit-identical to the dynamic
@@ -465,14 +439,7 @@ def specialize(
         )
     if entry not in prefix.module or entry not in mod:
         raise CompilerError(f"module has no entry function {entry!r}")
-    if binding:
-        # The binding is expressed in the *source* module's Any-token
-        # space. In-process the prefix shares those token objects, but a
-        # store-restored prefix was pickled under another process's
-        # token counter — translate positionally (entry annotations are
-        # structurally identical) so the substitution lands either way.
-        binding = translate_binding(mod[entry], prefix.module[entry], binding)
-    spec_pass = SpecializeShapes(shapes=shapes, binding=binding, entry=entry)
+    spec_pass = SpecializeShapes(shapes=shapes, entry=entry)
     specialized = spec_pass(prefix.module)
     if batch > 1:
         specialized = SpecializeBatch(batch, entry=entry)(specialized)

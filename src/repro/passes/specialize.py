@@ -171,11 +171,9 @@ def bound_entry_shapes(func: Function, binding: Binding):
 class SpecializeShapes(Pass):
     """Bind the entry function's ``Any`` dims and rewrite the module.
 
-    Construct with either ``shapes`` — one concrete shape spec per entry
+    Construct with ``shapes`` — one concrete shape spec per entry
     parameter (ints for tensor params, nested sequences for tuple params,
-    ``None`` to leave a param dynamic) — or a pre-computed ``binding`` of
-    ``Any`` identity tokens to values (the serving layer's specialization
-    manager derives one from its bucketer). After :meth:`run`,
+    ``None`` to leave a param or a dim dynamic). After :meth:`run`,
     ``bound_shapes`` records the entry parameter shapes the module was
     specialized to.
     """
@@ -185,11 +183,9 @@ class SpecializeShapes(Pass):
     def __init__(
         self,
         shapes: Optional[Sequence] = None,
-        binding: Optional[Binding] = None,
         entry: str = "main",
     ) -> None:
         self.shapes = shapes
-        self.binding = dict(binding) if binding else {}
         self.entry = entry
         self.bound_shapes = None
 
@@ -202,7 +198,7 @@ class SpecializeShapes(Pass):
         if self.entry not in mod:
             raise CompilerError(f"module has no entry function {self.entry!r}")
         entry_fn = mod[self.entry]
-        binding: Binding = dict(self.binding)
+        binding: Binding = {}
         if self.shapes is not None:
             if len(self.shapes) != len(entry_fn.params):
                 raise CompilerError(

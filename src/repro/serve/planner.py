@@ -167,17 +167,15 @@ class ArtifactPlanner:
 
     def store_key(self, key: PartialKey, batch: int) -> str:
         """The artifact-store key of one (shape, batch) variant, derived
-        *without* compiling: ``bound_entry_shapes`` computes the exact
-        ``specialized_shapes`` marker the compiled executable would
-        carry (a None dim for an unbound partial position included), so
+        *without* compiling: :meth:`_shapes` is the exact
+        ``specialized_shapes`` marker the compiled executable carries, so
         the key matches ``Executable.content_hash`` of the artifact a
         previous process filed."""
         variant: VariantKey = (key, batch)
         skey = self._store_key_memo.get(variant)
         if skey is None:
-            shapes = bound_entry_shapes(self.mod["main"], self._binding(key))
             skey = artifact_key(
-                self.fingerprint, self.platform.name, shapes,
+                self.fingerprint, self.platform.name, self._shapes(key),
                 batch if batch > 1 else None, device_streams=self.device_streams,
             )
             self._store_key_memo[variant] = skey
@@ -274,7 +272,7 @@ class ArtifactPlanner:
             exe, _ = nimble.specialize(
                 self.mod,
                 self.platform,
-                binding=self._binding(key),
+                shapes=self._shapes(key),
                 options=nimble.CompilerOptions(
                     device_streams=self.device_streams,
                     # The compiler's per-compile verify gate is replaced
@@ -317,11 +315,16 @@ class ArtifactPlanner:
         return True
 
     # ---------------------------------------------------------------- helpers
-    def _binding(self, key: PartialKey) -> Dict[object, int]:
-        """``Any`` token -> bound extent. Partial keys bind only their
-        non-None positions; the unbound dims stay Any and the compiled
-        variant carries an entry guard."""
-        return {t: v for t, v in zip(self.tokens, key) if v is not None}
+    def _shapes(self, key: PartialKey) -> tuple:
+        """The entry's shapes under *key*: per param, its dims with each
+        keyed token's extent, None where a dim stays dynamic. Partial
+        keys bind only their non-None positions; the unbound dims stay
+        Any and the compiled variant carries an entry guard. These are
+        the ``shapes`` a variant compiles from and the marker it
+        carries: positions, not tokens, so they hold against a prefix
+        restored from another process."""
+        binding = {t: v for t, v in zip(self.tokens, key) if v is not None}
+        return bound_entry_shapes(self.mod["main"], binding)
 
     def _restore_cost(self, kernels: int) -> float:
         """The modeled charge of deserializing a blob with *kernels*

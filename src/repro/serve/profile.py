@@ -23,11 +23,11 @@ misreading them.
 from __future__ import annotations
 
 import hashlib
-import pickle
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import SerializationError
+from repro.ir import codec
 
 # Serialization version of profile payloads (the store stamps it on
 # their envelope). A component of the store key, so bumping it makes
@@ -93,24 +93,16 @@ class ShapeProfile:
         return merged
 
     def save(self) -> bytes:
-        return pickle.dumps(
-            (
-                self.source_signature,
-                self.platform_name,
-                dict(self.hits),
-                dict(self.scores),
-            ),
-            protocol=4,
+        return codec.dumps(
+            (self.source_signature, self.platform_name, dict(self.hits), dict(self.scores))
         )
 
     @staticmethod
     def load(
         payload: bytes, expected_signature: Optional[str] = None
     ) -> "ShapeProfile":
-        try:
-            signature, platform_name, hits, scores = pickle.loads(payload)
-        except Exception as err:  # corrupt pickles raise all sorts
-            raise SerializationError(f"profile blob failed to deserialize: {err}")
+        with codec.decoding("profile blob"):
+            signature, platform_name, hits, scores = codec.loads(payload)
         if not isinstance(hits, dict) or not isinstance(scores, dict):
             raise SerializationError("profile blob payload has the wrong shape")
         for key in list(hits) + list(scores):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import pickle
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -33,6 +32,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import SerializationError, VMError
+from repro.ir import codec
 from repro.tensor.device import Device, DeviceKind
 from repro.tensor.dtype import to_numpy_dtype
 from repro.tensor.ndarray import NDArray
@@ -267,9 +267,9 @@ class Executable:
         constants = self._constant_chunks()
         _write_varint(out, sum(map(len, constants)))
         split = out.tell()
-        _write_bytes(out, pickle.dumps(self.kernels))
+        _write_bytes(out, codec.dumps(self.kernels))
         _write_bytes(out, self.entry.encode())
-        _write_bytes(out, pickle.dumps(self.specialized_shapes))
+        _write_bytes(out, codec.dumps(self.specialized_shapes))
         _write_varint(out, self.specialized_batch or 0)
         # Store metadata: fingerprint, then the content hash computed
         # over everything identity-bearing above it.
@@ -310,29 +310,23 @@ class Executable:
                 f"unsupported executable version {version} "
                 f"(this build reads version {VERSION})"
             )
-        try:
+        # Corruption inside a section surfaces as whatever the decoder
+        # tripped over (unicode, pickle, struct, numpy reshape, ...).
+        # Callers — the artifact store above all — must be able to
+        # treat "bad blob" as ONE exception type: anything else would
+        # turn a corrupt file into a crash.
+        with codec.decoding("executable blob"):
             platform_name = _read_bytes(buf).decode()
             functions, func_index = _deserialize_bytecode(_read_bytes(buf))
             constants = _deserialize_constants(buf)
-            kernels = pickle.loads(_read_bytes(buf))
+            kernels = codec.loads(_read_bytes(buf))
             entry = _read_bytes(buf).decode()
-            specialized_shapes = pickle.loads(_read_bytes(buf))
+            specialized_shapes = codec.loads(_read_bytes(buf))
             specialized_batch = _read_varint(buf)
             source_signature = _read_bytes(buf).decode() or None
             stored_hash = _read_bytes(buf).decode()
             device_streams = _read_varint(buf)
             num_events = _read_varint(buf)
-        except SerializationError:
-            raise
-        except Exception as err:
-            # Corruption inside a section surfaces as whatever the
-            # decoder tripped over (unicode, pickle, struct, numpy
-            # reshape, ...). Callers — the artifact store above all —
-            # must be able to treat "bad blob" as ONE exception type:
-            # anything else would turn a corrupt file into a crash.
-            raise SerializationError(
-                f"corrupt executable blob: {type(err).__name__}: {err}"
-            ) from err
         exe = Executable(
             platform_name, functions, func_index, constants, kernels, entry,
             specialized_shapes, specialized_batch or None, source_signature,

@@ -1,7 +1,6 @@
 """Manifest allocation, memory planning (§4.3), device placement (§4.4)."""
 
 import hashlib
-import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -34,7 +33,6 @@ from repro.ir import (
     iter_nodes,
     pretty_module,
 )
-from repro.ir import types as ir_types
 from repro.models import build_gram_module
 from repro.models.bert import BertConfig, BertWeights, build_bert_module
 from repro.ops import api
@@ -1115,71 +1113,74 @@ def _planned_models():
 # an `InvokePacked`'s inputs and outputs as two length-prefixed tuples
 # where v5 wrote `arity`, `output_size` and one tuple, and whose version
 # every embedded artifact key folds in: `_SAVED_LENGTHS` holds the
-# lengths those bytes kept.)
+# lengths those bytes kept. Every `save()` hash was re-pinned again when
+# payloads stopped carrying `Any` tokens (`repro.ir.codec`): each `Any`
+# is written as a bare `Any()`, and the kernels section is protocol 5.)
 _PARENT_COMMIT_PLANS = {
     "lstm": (
         "785463360bf6e8d677131b66127cfa31f670f044f2e03a6cf9ffbdfcfc1b27c4",
         {"allocs_before": 7, "allocs_after": 5, "static_bytes_before": 704,
          "static_bytes_after": 576, "kills_inserted": 0},
-        "09b008ed1054d7cdd3c517e3226a6852014a3d94a51449608ca755be6075d2f6"),
+        "d3c0c2a96bffd24d1428bf0ba1027a5373b73857f5c4baf917e7227f0ce34d00"),
     "tree_lstm": (
         "2a23724fc63774e7c23cc7057f1b0c6ad4727a1ed3bc546f403c0b286e75d08c",
         {"allocs_before": 7, "allocs_after": 6, "static_bytes_before": 576,
          "static_bytes_after": 512, "kills_inserted": 6},
-        "13df5d1cbff7076efc955179bbd8dc7c0a537ba9cdca318af0c416facb57717c"),
+        "1cf9845efa2402875901d06c8eb07b747fd10ea238d9ac9f28d16c3b51100b4b"),
     "bert3": (
         "adf38921b27a72118097498d8a8343efd0faa5a7223355807593d032181210ca",
         {"allocs_before": 52, "allocs_after": 17, "static_bytes_before": 448,
          "static_bytes_after": 448, "kills_inserted": 131},
-        "704babcd638888485c79063811027e7fc38dece30eeee546a926b128cc7a03bc"),
+        "1e32691f77c2be1ba523ad726ba34114c6f01765bc05c6eb9e5f33fa7c84f772"),
     "bert3@gpu4": (
         "5ad1c634e869475dae4f702de63d735d351b505c907ad7a47e7aa2f08b0c5e2a",
         {"allocs_before": 52, "allocs_after": 17, "static_bytes_before": 448,
          "static_bytes_after": 448, "kills_inserted": 131},
-        "4c16f0eeef366216599396d620374df65c624393479daf705610dcb7591a249e"),
+        "611ce30120880ad67bc130051e49bb224163693d991ca1f723cb732b93058c65"),
     "bert3[len=5]": (
         "721bced5394709becd15c21daf94764b48ae3d4848da388dbd2f47b6e638d130",
         {"allocs_before": 45, "allocs_after": 5, "static_bytes_before": 23232,
          "static_bytes_after": 3008, "kills_inserted": 96},
-        "0333057090a9d5adda12bcaf1ddeb12edf3d33f7c0034ae572a8febd067855e3"),
+        "488f9c4f6ebe42b0ce639c2dfccb13a56fdfb91bfcdd2b0da3189612a9cb61f9"),
     "lstm[len=7]": (
         "eeca15d5b228b473a3fc1d48b3dd878c394b36a9e06e640fe500c53c49da235b",
         {"allocs_before": 7, "allocs_after": 5, "static_bytes_before": 704,
          "static_bytes_after": 576, "kills_inserted": 0},
-        "319851b7d7a934291a326bcef574e6930fc9af75b740fbb2c595b076085a5ff4"),
+        "145270bad6d0016d7fe59ec1c68a158c8c7c33ddde70ab673bd6ddeb565f8427"),
     "lstm[len=7]x4": (
         "f966e35add3e8c6abf7a0c50f753bbfcc9ac3a020638887afc3950474e66becd",
         {"allocs_before": 8, "allocs_after": 6, "static_bytes_before": 2432,
          "static_bytes_after": 2112, "kills_inserted": 0},
-        "898ee9f9905c049832feedce8d0bed0d992c6fc004dd35ebbb9683bfe0222150"),
+        "4e694f8f30b570c37e33d1d8518141bd0ce33bed31433a24e2eba9b218ebacdb"),
     "lstm@gpu2": (
         "73952837b109b9d3b550a3ab6183fcdc912a28ebe121a395f561e63626fb4fd7",
         {"allocs_before": 7, "allocs_after": 6, "static_bytes_before": 704,
          "static_bytes_after": 640, "kills_inserted": 3},
-        "3f81702c1a186e8792fddf2f0f2105583602ce90f1a2b4d8756e85521f384222"),
+        "918d8d5d7b4f42cce429a2dece1363eb0386a506825d61886b986a5b9b350b82"),
 }
 
 
 # `len(Executable.save())` and `bytecode_size_bytes()` of the cases above
 # at executable format v5, which wrote a tuple's length in a count field
 # (`arity`, `num_fields`, `num_captured`) where v6 length-prefixes it.
+# The saved lengths of the dynamic cases fell 17 B each when payloads
+# stopped carrying `Any` tokens; the bytecode lengths did not move.
 _SAVED_LENGTHS = {
-    "lstm": (13688, 407),
+    "lstm": (13671, 407),
     "tree_lstm": (10088, 498),
-    "bert3": (71112, 3368),
-    "bert3@gpu4": (71566, 3553),
+    "bert3": (71095, 3368),
+    "bert3@gpu4": (71549, 3553),
     "bert3[len=5]": (69370, 2921),
     "lstm[len=7]": (13673, 407),
     "lstm[len=7]x4": (15016, 467),
-    "lstm@gpu2": (13984, 430),
+    "lstm@gpu2": (13967, 430),
 }
 
 
 class TestSavedLengths:
     @pytest.mark.parametrize("case", _planned_models(), ids=lambda case: case[0])
-    def test_saved_bytes_are_as_long_as_at_v5(self, case, monkeypatch):
+    def test_saved_bytes_are_as_long_as_at_v5(self, case):
         name, compile_ = case
-        monkeypatch.setattr(ir_types, "_any_tokens", itertools.count())
         exe, _ = compile_()
         assert (len(exe.save()), exe.bytecode_size_bytes()) == _SAVED_LENGTHS[name]
 
@@ -1191,9 +1192,6 @@ class TestLinearPlanner:
     @pytest.mark.parametrize("case", _planned_models(), ids=lambda case: case[0])
     def test_models_plan_what_the_parent_commit_planned(self, case, monkeypatch):
         name, compile_ = case
-        # Saved kernels carry `Any` identity tokens, a process-global
-        # counter: number them as a fresh process would.
-        monkeypatch.setattr(ir_types, "_any_tokens", itertools.count())
         planned = []
         real_run = MemoryPlan.run
 

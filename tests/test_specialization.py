@@ -2,7 +2,6 @@
 nimble.specialize API, kernel-cache tier separation, serialization, the
 serving-layer SpecializationManager, and tier routing."""
 
-import itertools
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from repro.core.typing import collect_shape_bindings, infer_types
 from repro.core.typing.bind import batch_type, bind_any_dims
 from repro.errors import CompilerError, TypeInferenceError
 from repro.hardware import calibration, intel_cpu, nvidia_gpu
-import repro.ir.types as ir_types
 from repro.ir import Any, Function, IRModule, TensorType, Var, const
 from repro.ir.types import TupleType, has_any_dim
 from repro.ir.printer import module_fingerprint
@@ -1716,11 +1714,8 @@ class TestOnePipeline:
     byte, and nothing but ``specialize`` labels an executable static."""
 
     @pytest.mark.parametrize("batch", [1, 4], ids=["member", "batch4"])
-    def test_per_call_and_shared_prefix_save_the_same_bytes(self, batch, monkeypatch):
+    def test_per_call_and_shared_prefix_save_the_same_bytes(self, batch):
         def saved(shared):
-            # Saved kernels carry `Any` identity tokens, a process-global
-            # counter: number both compiles as a fresh process would.
-            monkeypatch.setattr(ir_types, "_any_tokens", itertools.count())
             mod = build_lstm_module(LSTMWeights.create(12, 16, seed=0))
             prefix = nimble.build_prefix(mod, intel_cpu()) if shared else None
             exe, _ = nimble.specialize(

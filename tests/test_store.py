@@ -18,7 +18,7 @@ import repro.nimble as nimble
 from repro.codegen.kernels import KernelCache
 from repro.errors import SerializationError
 from repro.hardware import intel_cpu
-from repro.ir import Any, Function, IRModule, TensorType, Var, const
+from repro.ir import Any, Function, IRModule, TensorType, Var, codec, const
 from repro.ir.printer import module_fingerprint
 from repro.ops import api
 from repro.passes import bound_entry_shapes
@@ -701,6 +701,23 @@ class TestStoreCorruption:
         assert _read_back(store, kind, key) is None
         assert [name for name, _ in store.reject_log] == [key or "kernels.kc"]
         assert word in store.reject_log[0][1]
+
+    @pytest.mark.parametrize(
+        "decode",
+        [
+            lambda p: nimble.SpecializationPrefix.load(struct.pack("<2Q", len(p), 0) + p),
+            ShapeProfile.load,
+            lambda p: KernelCache().import_entries(p),
+        ],
+        ids=["prefix", "profile", "kernels"],
+    )
+    def test_a_sound_pickle_of_the_wrong_shape_is_a_serialization_error(self, decode):
+        """One decode wrapper (``repro.ir.codec.decoding``) covers the
+        unpacking too: a payload holding the wrong thing is a bad blob,
+        never an unpacking or attribute error."""
+        for payload in (codec.dumps((1, 2)), codec.dumps(([1], [2]))):
+            with pytest.raises(SerializationError):
+                decode(payload)
 
 
 # ---------------------------------------------------------------------------
