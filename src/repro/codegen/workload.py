@@ -109,16 +109,29 @@ class KernelProgram:
     * an elementwise op (``OpDef.ufunc``) is ``vK = ew_<name>(a, b)``;
     * ``nn.dense`` is ``matmul(d, w.T)``, ``nn.bias_add`` on the last
       axis is ``ew_add(d, b)`` and ``take`` with ``int64`` indices is
-      ``take(d, i, axis=K)`` without the index copy;
-    * ``split`` into equal sections of a static dim is one view per
-      section.
+      ``d.take(i, axis=K)`` without the index copy;
+    * ``reshape`` is ``d.reshape(newshape)`` and
+      ``concatenate`` is ``concatenate((a, b), axis=K)``: each is exactly
+      what its ``compute`` calls, so neither needs the dtype rule below;
+    * ``split`` into equal sections of a static dim is one basic-slice
+      view per section, emitted where a use first reads it;
+    * **sibling sections share one call:** where one unary elementwise
+      op reads two or more sections of one such split, the first of
+      those calls is one call over the contiguous span of sections from
+      the first it reads to the last, and each call is a basic-slice
+      view of that result — the LSTM cell's three sigmoids are one. A
+      ufunc is elementwise, so a section of the span's result is bitwise
+      the call on that section. A section inside the span that the op
+      does not read (the LSTM's ``g`` under the sigmoid) is computed and
+      dropped; a section the op reads alone keeps its own call.
 
-    Proving it is decided once, here: a direct line drops ``compute``'s
-    ``.astype``, so it is emitted only where the function, called on
-    zero-size operands of the checked dtypes (a constant's own), returns
-    the dtype ``compute`` returns and the type checker declared. Any
-    other op — and any call whose types are unknown, as in a hand-built
-    body — is ``vK = op_<name>([operands], aK)`` calling ``compute``.
+    Proving it is decided once, here: an elementwise or ``nn.dense``
+    line drops ``compute``'s ``.astype``, so it is emitted only where the
+    function, called on zero-size operands of the checked dtypes (a
+    constant's own), returns the dtype ``compute`` returns and the type
+    checker declared. Any other op — and any such call whose types are
+    unknown, as in a hand-built body — is ``vK = op_<name>([operands],
+    aK)`` calling ``compute``.
     An IR ``Tuple`` is a tuple display, emitted only where a use reads
     the tuple whole; a ``TupleGetItem`` of one (or of a split) is the
     field's name, of any other value a subscript. A ``Constant`` is a
@@ -138,10 +151,11 @@ class KernelProgram:
     (``out=oI``), guarded by one operand already having the buffer's
     shape: NumPy then rejects any result that does not fit, where a
     smaller one would otherwise broadcast into the buffer; failing the
-    guard, the result is fresh and the checked copy runs. The text is
-    compiled under a file name inside this module's, registered with
-    ``linecache``, so a traceback through a kernel prints the generated
-    line.
+    guard, the result is fresh and the checked copy runs. A view of a
+    shared call's result is never written so: it takes the checked
+    copy. The text is compiled under a file name inside this module's,
+    registered with ``linecache``, so a traceback through a kernel
+    prints the generated line.
     """
 
     __slots__ = ("source", "run")
@@ -152,11 +166,17 @@ class KernelProgram:
         bound: dict = {"asarray": np.asarray, "copyto": np.copyto, "CompilerError": CompilerError,
                        "output_count_error": output_count_error, "misfit_error": misfit_error,
                        "write_outputs": write_outputs, "NO_BUFFER": NO_BUFFER,
-                       "matmul": np.matmul, "take": np.take}
-        # A tuple's fields by its key; a key some use reads whole is
-        # emitted as a display there, once (a projection reads a field).
+                       "matmul": np.matmul, "concatenate": np.concatenate}
+        # A tuple's fields by its key, and a split's section by its key:
+        # (the split, its index, the split data's name, axis and section
+        # width). A key some use reads is emitted there, once — a tuple
+        # read whole as a display, a section as its view.
         tuples: Dict[str, List[str]] = {}
+        sections: Dict[str, Tuple[Call, int, str, int, int]] = {}
         shown: Dict[str, str] = {}
+        # Sections one unary op reads together, and each span call's name.
+        siblings = _sibling_sections(func)
+        spans: Dict[Tuple[int, str], str] = {}
         # An elementwise direct line: its line index, call text and the
         # operand whose shape guards a write into an output buffer.
         writable: Dict[str, Tuple[int, str, str]] = {}
@@ -175,10 +195,30 @@ class KernelProgram:
             return key
 
         def whole(value: str) -> str:
-            if value in tuples and value not in shown:
-                fields = tuples[value]
-                shown[value] = emit(f"({', '.join(fields)}{',' if len(fields) == 1 else ''})")
+            if value not in shown:
+                if value in tuples:
+                    fields = [whole(f) for f in tuples[value]]
+                    shown[value] = emit(f"({', '.join(fields)}{',' if len(fields) == 1 else ''})")
+                elif value in sections:
+                    _, index, data, axis, width = sections[value]
+                    shown[value] = emit(_view(data, axis, index * width, width))
             return shown.get(value, value)
+
+        def shared(expr: Call, key: str) -> Optional[str]:
+            """*expr* on the section *key* as a view of the call it shares
+            with its sibling sections, or None where it has none."""
+            split, index, data, axis, width = sections[key]
+            group = (id(split), expr.op.name)
+            if index not in siblings.get(group, ()):
+                return None
+            first, last = siblings[group][0], siblings[group][-1]
+            if group not in spans:
+                direct = _direct_call(expr, [_view(data, axis, first * width, (last + 1 - first) * width)])
+                if direct is None:
+                    return None
+                bound.update(direct[1])
+                spans[group] = emit(direct[0])
+            return emit(_view(spans[group], axis, (index - first) * width, width))
 
         def lower(expr: Expr) -> str:
             """The name holding *expr*'s value, its operands emitted first."""
@@ -196,15 +236,23 @@ class KernelProgram:
                 value = lower(expr.tuple_value)
                 if value in tuples:
                     return tuples[value][expr.index]
-                return emit(f"{value}[{int(expr.index)}]")
+                return emit(f"{whole(value)}[{int(expr.index)}]")
             if not (isinstance(expr, Call) and isinstance(expr.op, Op)):
                 raise CompilerError(f"kernel lowering: cannot evaluate {type(expr).__name__}")
-            args = [whole(lower(a)) for a in expr.args]
+            operands = [lower(a) for a in expr.args]
             name = expr.op.name
             ops.append(name)
-            views = _split_views(expr, args[0]) if name == "split" else None
-            if views is not None:
-                return display([emit(v) for v in views])
+            if len(operands) == 1 and operands[0] in sections:
+                view = shared(expr, operands[0])
+                if view is not None:
+                    return view
+            args = [whole(a) for a in operands]
+            cut = _equal_sections(expr) if name == "split" else None
+            if cut is not None:
+                count, axis, width = cut
+                keys = [f"s{len(sections) + i}" for i in range(count)]
+                sections.update((k, (expr, i, args[0], axis, width)) for i, k in enumerate(keys))
+                return display(keys)
             direct = _direct_call(expr, args)
             if direct is None:
                 fn = "op_" + name.replace(".", "_")
@@ -224,12 +272,13 @@ class KernelProgram:
             node = node.body
         result = lower(node)
         name = bound["NAME"] = f"fused_{'+'.join(ops)}"
-        fields = tuples.get(result)
-        if fields is None and result not in writable:  # one value, unless its op made it a tuple
-            lines.append(f"    if isinstance({result}, tuple): "
-                         f"return write_outputs(NAME, {result}, outputs)")
-        if fields is None:
-            fields = [result]
+        if result in tuples:
+            fields = [whole(f) for f in tuples[result]]
+        else:  # one value, unless its op made it a tuple
+            fields = [whole(result)]
+            if fields[0] not in writable:
+                lines.append(f"    if isinstance({fields[0]}, tuple): "
+                             f"return write_outputs(NAME, {fields[0]}, outputs)")
         m = len(fields)
         buffers = "".join(f"o{i}, " for i in range(m))
         written: Dict[str, int] = {}  # a field its own op writes -> that buffer
@@ -341,14 +390,19 @@ def _direct_call(call: Call, args: List[str]) -> Optional[Tuple[str, dict, Optio
         if indices is not None and indices.dtype == np.int64:
             axis = attrs.get("axis")
             where = "" if axis is None else f", axis={int(axis)}"
-            return f"take({args[0]}, {args[1]}{where})", {}, None
+            return f"{args[0]}.take({args[1]}{where})", {}, None
+    if name == "reshape":
+        return f"{args[0]}.reshape({tuple(int(d) for d in attrs['newshape'])})", {}, None
+    if name == "concatenate":
+        tensors = ", ".join(args) + ("," if len(args) == 1 else "")
+        return f"concatenate(({tensors}), axis={int(attrs.get('axis', 0))})", {}, None
     return None
 
 
-def _split_views(call: Call, data: str) -> Optional[List[str]]:
-    """``split`` into equal sections of a static dim as one basic-slice
-    view of *data* per section, or None when the sections are indices or
-    the dim is dynamic."""
+def _equal_sections(call: Call) -> Optional[Tuple[int, int, int]]:
+    """A ``split`` into equal sections of a static dim as (sections, axis,
+    section width), or None when the sections are indices or the dim is
+    dynamic."""
     sections = call.attrs["indices_or_sections"]
     ty = call.args[0].checked_type
     if not isinstance(sections, int) or sections <= 0 or not isinstance(ty, TensorType):
@@ -357,8 +411,54 @@ def _split_views(call: Call, data: str) -> Optional[List[str]]:
     dim = ty.shape[axis]
     if not isinstance(dim, int) or dim % sections:
         return None
-    step, lead = dim // sections, ":, " * axis
-    return [f"{data}[{lead}{i * step}:{(i + 1) * step}]" for i in range(sections)]
+    return sections, axis, dim // sections
+
+
+def _view(data: str, axis: int, start: int, width: int) -> str:
+    """The basic slice of *data* holding *width* entries of *axis* from *start*."""
+    return f"{data}[{':, ' * axis}{start}:{start + width}]"
+
+
+def _sibling_sections(func: Function) -> Dict[Tuple[int, str], Tuple[int, ...]]:
+    """Where one unary elementwise op reads two or more sections of one
+    ``split`` — directly or through let-bound variables — the sections it
+    reads, in order, keyed by (the split's id, the op's name)."""
+    bound: Dict[Var, Expr] = {}
+    calls: List[Call] = []
+    seen = set()
+    stack: List[Expr] = [func.body]
+    while stack:
+        expr = stack.pop()
+        if id(expr) in seen:
+            continue
+        seen.add(id(expr))
+        if isinstance(expr, Let):
+            bound[expr.var] = expr.value
+            stack += (expr.value, expr.body)
+        elif isinstance(expr, Call):
+            calls.append(expr)
+            stack += expr.args
+        elif isinstance(expr, IRTuple):
+            stack += expr.fields
+        elif isinstance(expr, TupleGetItem):
+            stack.append(expr.tuple_value)
+
+    def resolve(expr: Expr) -> Expr:
+        while isinstance(expr, Var) and expr in bound:
+            expr = bound[expr]
+        return expr
+
+    read: Dict[Tuple[int, str], set] = {}
+    for call in calls:
+        if not (isinstance(call.op, Op) and len(call.args) == 1
+                and get_op_def(call.op.name).ufunc is not None):
+            continue
+        section = resolve(call.args[0])
+        if isinstance(section, TupleGetItem):
+            split = resolve(section.tuple_value)
+            if isinstance(split, Call) and isinstance(split.op, Op) and split.op.name == "split":
+                read.setdefault((id(split), call.op.name), set()).add(section.index)
+    return {group: tuple(sorted(indices)) for group, indices in read.items() if len(indices) > 1}
 
 
 def write_outputs(name: str, result: tuple, outputs: Optional[Sequence[np.ndarray]]):

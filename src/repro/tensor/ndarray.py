@@ -1,9 +1,10 @@
 """Device-tagged n-dimensional arrays.
 
-The VM's object model passes tensors by reference with copy-on-write
-semantics (§5.2): register moves bump a reference count instead of copying,
-and mutation through ``invoke_mut`` writes into explicitly allocated
-output buffers, so views stay cheap.
+The VM passes tensors by reference (§5.2): a register move shares the
+array instead of copying it, the VM counts references on the storage a
+tensor was carved from (``StorageObj``), and mutation through
+``invoke_mut`` writes into explicitly allocated output buffers, so views
+stay cheap.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class NDArray:
     the aliasing so tests can check planner invariants.
     """
 
-    __slots__ = ("data", "device", "storage", "offset", "refcount")
+    __slots__ = ("data", "device", "storage", "offset")
 
     def __init__(
         self,
@@ -40,7 +41,6 @@ class NDArray:
         self.device = device
         self.storage = storage
         self.offset = offset
-        self.refcount = 1
 
     # -- construction -------------------------------------------------
     @staticmethod
@@ -83,21 +83,6 @@ class NDArray:
         if self.data.size != 1:
             raise VMError(f"item() on tensor of shape {self.shape}")
         return self.data.reshape(()).item()
-
-    # -- reference counting / copy-on-write ----------------------------
-    def retain(self) -> "NDArray":
-        self.refcount += 1
-        return self
-
-    def release(self) -> None:
-        self.refcount -= 1
-
-    def copy_on_write(self) -> "NDArray":
-        """Return self if uniquely referenced, otherwise a private copy."""
-        if self.refcount <= 1:
-            return self
-        self.release()
-        return NDArray(self.data.copy(), self.device)
 
     # -- device movement ------------------------------------------------
     def to_device(self, device: Device) -> "NDArray":

@@ -540,10 +540,136 @@ class TestDirectCalls:
         sources = "".join(KernelProgram(k.prim).source for k in exe.kernels
                           if isinstance(k, KernelSet))
         for line in ("= matmul(p0, p1.T)", "= ew_add(v0, p2, out=o0 if v0.shape == o0.shape",
-                     "= take(p0, p1, axis=0)", "= p0[:, 0:16]", "= p0[:, 48:64]"):
+                     "= p0.take(p1, axis=0)", "= ew_sigmoid(p0[:, 0:64])", "= v0[:, 48:64]",
+                     "= p0[:, 32:48]", "= v0.reshape((1, 12))", "= concatenate((v1, p2), axis=1)"):
             assert line in sources
         assert "op_split(" not in sources and "op_take(" not in sources
         assert "op_nn_dense(" not in sources and "op_nn_bias_add(" not in sources
+        assert "op_reshape(" not in sources and "op_concatenate(" not in sources
+
+
+def _unary_direct_ops():
+    return [name for name in _direct_ops() if get_op_def(name).pattern == OpPattern.ELEMWISE]
+
+
+class _Counted(np.ndarray):
+    """An array that counts every ufunc call on it or on a result made
+    from it; an ``out=`` buffer of this type stays the result."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Counted.calls += 1
+        out = kwargs.get("out")
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(o) for o in out)
+        result = getattr(ufunc, method)(*(np.asarray(a) if isinstance(a, _Counted) else a
+                                          for a in inputs), **kwargs)
+        return out[0] if out is not None else np.asarray(result).view(_Counted)
+
+
+class TestSiblingSections:
+    """A unary elementwise op reading two or more sections of one split
+    is one call over their span, each section a view of its result: the
+    LSTM cell's three sigmoids are one ``ew_sigmoid``. Sound because a
+    ufunc is elementwise — which these tests check bit for bit, per op
+    and dtype, rather than assume."""
+
+    @staticmethod
+    def _parents(rng, dtype, width, count):
+        """(1, k*w) and (3, k*w) parents and a column slice of a wider
+        array, with values out to +-100, where exp and tanh overflow or
+        saturate."""
+        def draw(rows, cols):
+            x = rng.uniform(-100, 100, (rows, cols)).astype(dtype)
+            x.flat[::5], x.flat[2::5] = 100, -100
+            return x
+
+        yield "one row", draw(1, count * width)
+        yield "three rows", draw(3, count * width)
+        yield "column slice", draw(3, count * width + 5)[:, 2:2 + count * width]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("name", _unary_direct_ops())
+    def test_a_section_of_the_span_call_is_bitwise_the_call_on_the_section(self, name, dtype):
+        fn, count = get_op_def(name).ufunc, 4
+        rng = np.random.RandomState(7)
+        for width in (1, 16, 37, 128):
+            for layout, parent in self._parents(rng, dtype, width, count):
+                for first in range(count):
+                    for last in range(first + 1, count):  # spans of 2..k sections
+                        with np.errstate(all="ignore"):
+                            span = fn(parent[:, first * width:(last + 1) * width])
+                            for i in range(first, last + 1):
+                                got = span[:, (i - first) * width:(i - first + 1) * width]
+                                want = np.asarray(fn(parent[:, i * width:(i + 1) * width]))
+                                assert _bitwise_equal([got], [want]), (layout, width, first, last, i)
+
+    @pytest.mark.parametrize("reads", [(0, 1, 3), (0, 3), (1, 2), (2,)], ids=str)
+    def test_the_lowering_shares_one_call_and_keeps_the_checked_copy(self, reads):
+        """Sections the op reads share one call over their span (an
+        unread one inside it is computed and dropped); a lone section
+        keeps its own. Each read section is a kernel output, a view of
+        the shared result: never an ``out=`` write, always the copy."""
+        width = 5
+        parts = Var("parts")
+        prim = _typed_prim(lambda x: Let(parts, api.split(x, 4, axis=1), Tuple(
+            [api.exp(TupleGetItem(parts, i)) for i in reads] + [api.tanh(TupleGetItem(parts, 2))])),
+            TensorType((Any(), 4 * width), "float32"))
+        program = KernelProgram(prim)
+        source = program.source
+        assert source.count("ew_exp(") == 1
+        if len(reads) > 1:
+            assert f" = ew_exp(p0[:, {reads[0] * width}:{(reads[-1] + 1) * width}])\n" in source
+        else:
+            assert f" = p0[:, {2 * width}:{3 * width}]\n" in source
+        x = np.random.RandomState(3).uniform(-100, 100, (3, 4 * width)).astype(np.float32)
+        with np.errstate(all="ignore"):
+            want = _reference_run(prim, [x])
+            assert _bitwise_equal(program.run([x]), want)
+            outs = [np.full(w.shape, 7, w.dtype) for w in want]
+            assert program.run([x], outs) is None
+        assert _bitwise_equal(outs, want)
+
+    def test_every_lstm_cell_has_one_sigmoid_and_no_kernel_calls_compute(self):
+        import repro.nimble as nimble
+        from repro.models.lstm import LSTMWeights, build_lstm_module
+
+        one_layer = build_lstm_module(
+            LSTMWeights.create(input_size=12, hidden_size=16, num_layers=1, seed=0))
+        exes = [("lstm 1-layer", nimble.build(one_layer, intel_cpu())[0])]
+        exes += [(name, exe) for name, exe, _ in _model_executables() if "lstm" in name]
+        for name, exe in exes:
+            kernels = [k for k in exe.kernels if isinstance(k, KernelSet)]
+            cells = [k for k in kernels if k.name.startswith("fused_split")]
+            assert cells, name
+            for kernel in kernels:
+                source = KernelProgram(kernel.prim).source
+                assert "op_" not in source, (name, kernel.name)
+                if name.startswith("lstm") and kernel in cells:
+                    assert source.count("ew_sigmoid(") == 1, (name, kernel.name)
+
+    def test_ufunc_calls_per_lstm_cell_launch_and_compute_lines_per_model(self):
+        """What CI's "Size trajectory" step prints: the ufunc calls of one
+        launch of the toy LSTM's fused cell (18 while each sigmoid was
+        its own), and the lines calling ``compute`` in the LSTM /
+        TreeLSTM / BERT kernels (3 / 0 / 14 while reshape and
+        concatenate did)."""
+        executables = {name: exe for name, exe, _ in _model_executables()}
+        (cell,) = {k.name: k for k in executables["lstm"].kernels
+                   if isinstance(k, KernelSet) and k.name.startswith("fused_split")}.values()
+        rng = np.random.RandomState(0)
+        gates, state = (rng.randn(1, n).astype(np.float32).view(_Counted) for n in (64, 16))
+        outputs = [np.zeros((1, 16), np.float32).view(_Counted) for _ in range(2)]
+        _Counted.calls = 0
+        KernelProgram(cell.prim).run([gates, state], outputs)
+        calls = _Counted.calls
+        lines = [sum(KernelProgram(k.prim).source.count(" = op_") for k in executables[name].kernels
+                     if isinstance(k, KernelSet)) for name in ("lstm", "tree_lstm", "bert")]
+        print(f"ufunc calls per fused LSTM-cell launch: {calls}; "
+              f"op_ lines in LSTM / TreeLSTM / BERT kernels: {' / '.join(map(str, lines))}")
+        assert calls == 10
+        assert lines == [0, 0, 11]
 
 
 class TestCostModel:

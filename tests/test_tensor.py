@@ -123,14 +123,6 @@ class TestNDArray:
         assert b.device == gpu(0)
         assert a.to_device(cpu(0)) is a
 
-    def test_copy_on_write(self):
-        a = array([1.0, 2.0])
-        a.retain()
-        b = a.copy_on_write()
-        assert b is not a
-        b2 = b.copy_on_write()
-        assert b2 is b  # uniquely referenced
-
 
 class TestStorage:
     def test_view_carves_tensor(self):
