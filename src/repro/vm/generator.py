@@ -8,7 +8,10 @@ straight-line run — and each block becomes one Python function
 the trampoline (`VirtualMachine._execute`) what to do next: an ``int``
 is the next block of the same frame; ``(value,)`` returns *value*
 (retained, the frame's registers released); ``(func_index, args, dst,
-resume)`` calls a function on *args* (not yet retained).
+resume)`` calls a function on *args* (not yet retained); and
+``(func_index, args, None, None)`` is a tail call, an ``Invoke`` whose
+result the frame returns as it is: the args are retained and the
+frame's registers released, and the callee takes the frame's place.
 
 Generation decides once what an interpreter decides per instruction:
 every jump target, each kernel call's launch path, and each register's
@@ -371,6 +374,12 @@ class _Block:
         for line in lines:
             self.out(line)
 
+    def release_frame(self) -> None:
+        """Release every register, in order: what is freed, and when, is
+        what an interpreter releasing the whole frame frees."""
+        for r in range(self.func.register_count):
+            self.release(r, inline=True)
+
     def write(self, dst: int, expr: str, kind: int, value: Optional[int] = None,
               load: bool = False) -> None:
         """``R[dst] = expr``, the old value released after *expr* is made
@@ -578,18 +587,47 @@ class _Block:
             return
         self.out(f"v = R[{i.result}]")
         self.retain("v", self.kinds[i.result])
-        # Every register, in order: what is freed, and when, is what an
-        # interpreter releasing the whole frame frees.
-        for r in range(self.func.register_count):
-            self.release(r, inline=True)
+        self.release_frame()
         self.leave("return (v,)")
 
     def _call(self, pc: int, func_index: str, args: str, dst: int) -> None:
         self.leave(f"return ({func_index}, {args}, {dst!r}, {self.shape.block_at[pc + 1]!r})")
 
+    def _is_tail(self, pc: int, i: ins.Invoke) -> bool:
+        """Whether the call at *pc* returns its result: what follows it
+        reaches a ``Ret`` of that register through nothing but ``Move``s
+        of it and ``Goto``s."""
+        code, result, seen = self.func.instructions, i.dst, set()
+        pc += 1
+        while 0 <= pc < self.shape.n and pc not in seen:
+            seen.add(pc)
+            instr = code[pc]
+            if instr.opcode == _Op.RET:
+                return instr.result == result
+            if instr.opcode == _Op.GOTO:
+                pc = self.shape.jumps[pc][0]
+                continue
+            if instr.opcode != _Op.MOVE or instr.src != result:
+                return False
+            result = instr.dst
+            pc += 1
+        return False
+
     def invoke(self, pc: int, i: ins.Invoke) -> None:
-        args = "".join(f"R[{r}], " for r in i.args)
-        self._call(pc, repr(i.func_index), f"[{args[:-2]}]", i.dst)
+        if self.record or not self._is_tail(pc, i):
+            args = "".join(f"R[{r}], " for r in i.args)
+            self._call(pc, repr(i.func_index), f"[{args[:-2]}]", i.dst)
+            return
+        # A tail call: the args retained, then this frame released as a
+        # ``Ret`` releases it, so its storage is back in the pool before
+        # the callee allocates. The ``Move``s, ``Goto``s and ``Ret`` after
+        # the call never run, so they are never charged.
+        for n, r in enumerate(i.args):
+            self.out(f"a{n} = R[{r}]")
+            self.retain(f"a{n}", self.kinds[r])
+        self.release_frame()
+        args = ", ".join(f"a{n}" for n in range(len(i.args)))
+        self.leave(f"return ({i.func_index!r}, [{args}], None, None)")
 
     def invoke_closure(self, pc: int, i: ins.InvokeClosure) -> None:
         self.out(f"c = R[{i.closure}]")

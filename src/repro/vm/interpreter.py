@@ -226,7 +226,8 @@ class VirtualMachine:
     def _execute(self, program: _Program, registers: List[RegisterValue],
                  count: bool = True) -> RegisterValue:
         """Run *program* from its first block: one call per block, and
-        a frame pushed or popped where a block calls or returns.
+        a frame pushed or popped where a block calls or returns. A tail
+        call pushes nothing: the callee's frame replaces the caller's.
 
         An error anywhere drains every live frame, so refcounts drain and
         pooled storage returns, and a run that raises has still counted
@@ -255,17 +256,21 @@ class VirtualMachine:
                         old.release()
                     registers[dst] = step[0]
                 else:
+                    # *args* is a fresh list, which becomes the callee's
+                    # frame. A tail call (no *dst*) retained it and
+                    # released the caller's frame, whose place it takes.
                     index, args, dst, resume = step
+                    if dst is not None:
+                        stack.append((program, registers, resume, dst))
+                        for value in args:
+                            if isinstance(value, VMObject):
+                                value.retain()
+                    registers = args
                     callee = programs[index]
                     if callee is None or callee.func is not functions[index]:
                         callee = self._program(index)
-                    stack.append((program, registers, resume, dst))
+                    registers += [None] * (callee.register_count - len(args))
                     program, blocks, b = callee, callee.blocks, 0
-                    registers = [None] * callee.register_count
-                    for i, value in enumerate(args):
-                        if isinstance(value, VMObject):
-                            value.retain()
-                        registers[i] = value
         except BaseException as err:
             raised = err.__traceback__.tb_next
             if count and raised is not None and raised.tb_frame.f_code is program.code.codes[b]:

@@ -641,15 +641,17 @@ class TestRefereeCounters:
     other count held. The `profile_*` digests were re-recorded again
     when the tier profiles became folds over `VMRun` records: each run
     now sums its own charges before the fold adds them, which moves the
-    last bits of some float fields; every count held."""
+    last bits of some float fields; every count held. The modeled
+    times and the profiles moved again when a tail call began handing
+    its frame to the callee; every count held."""
 
     ONE_SLOT_CPU = {
-        "responses": "sha256:5b37b7d033f57aaf",
-        "worker_busy_us": ("0x1.af1977723fb9dp+9", "0x1.a1a94c0dddc12p+9"),
+        "responses": "sha256:b921eeec557e403c",
+        "worker_busy_us": ("0x1.69e78bed2107ep+9", "0x1.557241d06d242p+9"),
         "worker_batches": (6, 6),
-        "profile_dynamic": "sha256:87b48676b539389e",
-        "profile_specialized": "sha256:ce4d8ea533d5cd8e",
-        "profile_batched": "sha256:ada3fa32b18cc11c",
+        "profile_dynamic": "sha256:714c1edf2f3d6c67",
+        "profile_specialized": "sha256:17d5f446350c8055",
+        "profile_batched": "sha256:aebb26c05f28ca77",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.0540000000000p+11",
         "num_specialized_executables": 2,
@@ -679,12 +681,12 @@ class TestRefereeCounters:
     }
 
     ONE_SLOT_GPU_TWO_STREAMS = {
-        "responses": "sha256:48b3126b70cf2605",
-        "worker_busy_us": ("0x1.89e79b7883fc8p+10", "0x1.675c5bab49346p+10"),
+        "responses": "sha256:c4e9784bc0ff8f62",
+        "worker_busy_us": ("0x1.6523c46e468cep+10", "0x1.49fe7640dabe5p+10"),
         "worker_batches": (6, 6),
-        "profile_dynamic": "sha256:e33d15c7d39e7a77",
-        "profile_specialized": "sha256:4e7b9a8db2442491",
-        "profile_batched": "sha256:c524c9f180aba7ac",
+        "profile_dynamic": "sha256:e7505b435d15e8b0",
+        "profile_specialized": "sha256:077e5b8ff9c2e96c",
+        "profile_batched": "sha256:670a7f83d6318ac8",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.19e0000000000p+11",
         "num_specialized_executables": 2,
@@ -714,11 +716,11 @@ class TestRefereeCounters:
     }
 
     PREDICTIVE_RESTART_DAMAGED_STORE = {
-        "responses": "sha256:388944b8618d8018",
-        "worker_busy_us": ("0x1.ed7705819f921p+9", "0x1.c8f0fcbe27342p+9"),
+        "responses": "sha256:cf45c667029a2970",
+        "worker_busy_us": ("0x1.8eef576d24b82p+9", "0x1.6b21a09531820p+9"),
         "worker_batches": (5, 4),
-        "profile_dynamic": "sha256:7c19a9641bbe64f6",
-        "profile_specialized": "sha256:b1b5fe99a8d941db",
+        "profile_dynamic": "sha256:737dd1f614fd45c8",
+        "profile_specialized": "sha256:d2618b482048e101",
         "profile_batched": "sha256:c2d0ebbfdae3b84b",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.2700000000000p+10",

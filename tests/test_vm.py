@@ -678,13 +678,19 @@ def _paper_model_cases():
 # updates: `lstm` INVOKE_PACKED 102 -> 74, ALLOC_STORAGE 102 -> 60,
 # 216.2 / 241.2 -> 140.7 / 161.7 us; `tree_lstm` INVOKE_PACKED 53 -> 29,
 # 170.3 / 39.0 -> 128.2 / 27.6 us; `lstm@gpu1` 242.1 / 361.9 -> 194.1 /
-# 225.5 us with DEVICE_COPY still 14. The charges below moved with them.)
+# 225.5 us with DEVICE_COPY still 14. The charges below moved with them.
+# The `lstm*` rows were re-recorded again when a tail call handed its
+# frame to the callee: the loop's Move / Goto / Ret after each step's
+# Invoke no longer run, MOVE 104 -> 90, GOTO 14 -> 0, RET 18 -> 4,
+# 140.7 / 161.7 -> 87.0 / 99.5 us; `lstm@gpu1` MOVE 90 -> 76, 194.1 /
+# 225.5 -> 157.4 / 225.4 us. Their charges moved with them: each step's
+# storage is back in the pool before the next step allocates.)
 _PARENT_COMMIT_READINGS = {
     "lstm": (
         {"ALLOC_ADT": 16, "ALLOC_STORAGE": 60, "ALLOC_TENSOR": 88, "GET_FIELD": 30,
-         "GOTO": 14, "IF": 16, "INVOKE": 16, "INVOKE_PACKED": 74, "LOAD_CONST": 196,
-         "LOAD_CONSTI": 34, "MOVE": 104, "RET": 18, "SHAPE_OF": 2},
-        53.439999999999216, [140.74966915824103, 161.675478723063]),
+         "IF": 16, "INVOKE": 16, "INVOKE_PACKED": 74, "LOAD_CONST": 196,
+         "LOAD_CONSTI": 34, "MOVE": 90, "RET": 4, "SHAPE_OF": 2},
+        50.07999999999929, [87.04966915824042, 99.51547872306341]),
     "tree_lstm": (
         {"ALLOC_ADT": 24, "ALLOC_STORAGE": 36, "ALLOC_TENSOR": 41, "GET_FIELD": 63,
          "GET_TAG": 12, "GOTO": 12, "IF": 17, "INVOKE": 12, "INVOKE_PACKED": 29,
@@ -707,9 +713,9 @@ _PARENT_COMMIT_READINGS = {
         30.399999999999704, [165.78456422989913, 128.70310320153638]),
     "lstm@gpu1": (
         {"ALLOC_ADT": 16, "ALLOC_STORAGE": 74, "ALLOC_TENSOR": 88, "DEVICE_COPY": 14,
-         "GET_FIELD": 30, "GOTO": 14, "IF": 16, "INVOKE": 16, "INVOKE_PACKED": 74,
-         "LOAD_CONST": 210, "LOAD_CONSTI": 76, "MOVE": 90, "RET": 18, "SHAPE_OF": 2},
-        59.0399999999991, [194.08948888888995, 225.52664444444162]),
+         "GET_FIELD": 30, "IF": 16, "INVOKE": 16, "INVOKE_PACKED": 74,
+         "LOAD_CONST": 210, "LOAD_CONSTI": 76, "MOVE": 76, "RET": 4, "SHAPE_OF": 2},
+        55.67999999999917, [157.4172396976297, 225.3872302040012]),
 }
 
 # The same runs' kernel_time_us, alloc_time_us, copy_time_us and the
@@ -717,12 +723,12 @@ _PARENT_COMMIT_READINGS = {
 # the commit before operands were decoded once per VM: a shared constant
 # object, a decoded layout or a decoded copy cost must not move a charge.
 _PARENT_COMMIT_CHARGES = {
-    "lstm": (91.4851478813013, 157.5, 0.0, (38, 22, 60, 4736)),
+    "lstm": (91.4851478813013, 45.0, 0.0, (8, 52, 60, 1024)),
     "tree_lstm": (68.33638642431598, 50.25, 0.0, (11, 25, 36, 768)),
     "bert": (71.27051624111658, 81.5, 0.0, (20, 6, 26, 14592)),
     "bert@gpu1": (245.6695736348043, 101.5, 0.0, (20, 6, 26, 14592)),
     "bert@gpu4": (245.6695736348043, 101.5, 0.0, (20, 6, 26, 14592)),
-    "lstm@gpu1": (355.10245932968024, 203.75, 84.01866666666668, (39, 35, 74, 3136)),
+    "lstm@gpu1": (355.10245932968024, 61.25, 84.01866666666668, (9, 65, 74, 832)),
 }
 
 
@@ -1265,7 +1271,9 @@ class TestHostPathCost:
     elementwise ops their ufuncs, split views, each output's last op
     writing its buffer — without a compute frame per op; 1,302 / 1,638
     (1.78 / 2.02) once the cell's three sigmoids were one call over the
-    sections they read, with reshape, concatenate and take calling NumPy.
+    sections they read, with reshape, concatenate and take calling NumPy;
+    1,190 / 1,526 (1.74 / 2.00) once a tail call handed its frame to the
+    callee, the step's Move / Goto / Ret and its frame push left unrun.
     The bounds are that pair plus 2%. CI's "Size trajectory" step prints
     both."""
 
@@ -1303,12 +1311,182 @@ class TestHostPathCost:
         return calls
 
     def test_python_calls_per_inference(self):
-        assert self._calls_per_inference(intel_cpu(), 1) <= 1_328
+        assert self._calls_per_inference(intel_cpu(), 1) <= 1_213
 
     def test_python_calls_per_inference_on_the_gpu_with_two_streams(self):
         """The path the serving benchmark runs: launch_async and one
         host->GPU DeviceCopy a step."""
-        assert self._calls_per_inference(nvidia_gpu(), 2) <= 1_670
+        assert self._calls_per_inference(nvidia_gpu(), 2) <= 1_556
+
+
+def _tail_lstm(layers, platform, streams, input_size=12, hidden_size=16):
+    from repro.models.lstm import LSTMWeights, build_lstm_module
+
+    mod = build_lstm_module(LSTMWeights.create(
+        input_size=input_size, hidden_size=hidden_size, num_layers=layers, seed=0))
+    exe, _ = nimble.build(mod, platform, options=nimble.CompilerOptions(device_streams=streams))
+    return mod, exe
+
+
+def _sentence(length, width=12):
+    return np.random.RandomState(length).randn(length, width).astype(np.float32)
+
+
+def _cold_run(exe, platform, length, width=12):
+    """One run of *exe* on a fresh VM and allocator: (vm, ctx, output)."""
+    ctx = ExecutionContext(platform)
+    vm = VirtualMachine(exe, ctx)
+    return vm, ctx, vm.run(_sentence(length, width))
+
+
+class TestTailCalls:
+    """An ``Invoke`` whose result its frame returns through nothing but
+    ``Move``s and ``Goto``s is a tail call (`repro.vm.generator`): the
+    caller's frame is released before the callee runs, and the callee's
+    frame takes its place on the trampoline, so the dynamic LSTM's loop
+    — a recursive function, one call a step — runs in one frame's
+    memory at any length. The oracle is the IR evaluator, bit for bit."""
+
+    CASES = [(1, intel_cpu, 1), (2, intel_cpu, 1), (1, nvidia_gpu, 2), (2, nvidia_gpu, 2)]
+    IDS = ["1-layer-intel", "2-layer-intel", "1-layer-nvidia-2", "2-layer-nvidia-2"]
+
+    @pytest.mark.parametrize("layers,make_platform,streams", CASES, ids=IDS)
+    def test_a_cold_runs_memory_does_not_grow_with_length(self, layers, make_platform, streams):
+        platform = make_platform()
+        _, exe = _tail_lstm(layers, platform, streams)
+        seen = {}
+        for length in (4, 64):
+            vm, ctx, _ = _cold_run(exe, platform, length)
+            stats = ctx.allocator.stats
+            assert ctx.allocator.live_bytes == 0 and stats.frees == stats.total_allocs
+            assert vm.profile.instruction_counts["RET"] == 2
+            seen[length] = (stats.peak_bytes, stats.fresh_allocs)
+        assert seen[4] == seen[64]
+
+    @pytest.mark.parametrize("layers,make_platform,streams", CASES, ids=IDS)
+    def test_outputs_are_the_evaluators_bit_for_bit(self, layers, make_platform, streams):
+        from repro.evaluator import evaluate
+
+        platform = make_platform()
+        mod, exe = _tail_lstm(layers, platform, streams)
+        ctx = ExecutionContext(platform)
+        vm = VirtualMachine(exe, ctx)
+        for runs, length in enumerate((1, 3, 40), start=1):
+            x = _sentence(length)
+            got = vm.run(x).numpy()
+            want = np.asarray(evaluate(mod, x))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), length
+            # main's and the last step's: no step returns through its caller.
+            assert vm.profile.instruction_counts["RET"] == 2 * runs
+            assert ctx.allocator.live_bytes == 0
+
+    def test_five_thousand_steps_run_in_one_steps_memory(self):
+        platform = intel_cpu()
+        _, exe = _tail_lstm(1, platform, 1, input_size=16, hidden_size=16)
+        peaks = {}
+        for length in (4, 5_000):
+            vm, ctx, out = _cold_run(exe, platform, length, width=16)
+            assert out.numpy().shape == (1, 16)
+            assert ctx.allocator.live_bytes == 0
+            assert ctx.allocator.stats.frees == ctx.allocator.stats.total_allocs
+            assert vm.profile.instruction_counts["INVOKE"] == length + 1
+            peaks[length] = ctx.allocator.stats.peak_bytes
+        assert peaks[4] == peaks[5_000]
+
+    def test_cold_lstm_peak_and_fresh_allocations(self):
+        """What CI's "Size trajectory" step prints: the bench-size 2-layer
+        LSTM (300 -> 512) on a fresh VM, at two lengths."""
+        platform = intel_cpu()
+        _, exe = _tail_lstm(2, platform, 1, input_size=300, hidden_size=512)
+        seen = []
+        for length in (16, 64):
+            _, ctx, _ = _cold_run(exe, platform, length, width=300)
+            stats = ctx.allocator.stats
+            seen.append((length, stats.peak_bytes, stats.fresh_allocs))
+        print("dynamic LSTM cold run: " + ", ".join(
+            f"L={length} peak {peak:,} B, {fresh} fresh allocations"
+            for length, peak, fresh in seen))
+        assert seen[0][1:] == seen[1][1:]
+
+    def test_the_launch_tape_takes_no_tail_call(self):
+        """``main(x) = f(exp(x))`` is a tail call when run. Recorded
+        (`vm.record`), main's ``Invoke`` stays a plain call and releases
+        nothing, so the buffer exp's launch names stays live: the tape
+        is the one launch of main's own, as before tail calls (a callee
+        runs as in a run, and is not recorded)."""
+        from repro.evaluator import evaluate
+
+        mod = IRModule()
+        f = mod.get_global_var("f")
+        y = Var("y", TensorType((16,)))
+        mod[f] = Function([y], api.tanh(y), TensorType((16,)))
+        x = Var("x", TensorType((16,)))
+        mod["main"] = Function([x], Call(f, [api.exp(x)]), TensorType((16,)))
+        exe, _ = nimble.build(mod, intel_cpu())
+        data = np.linspace(-1, 1, 16, dtype=np.float32)
+
+        ctx = ExecutionContext(intel_cpu())
+        vm = VirtualMachine(exe, ctx)
+        assert vm.run(data).numpy().tobytes() == np.asarray(evaluate(mod, data)).tobytes()
+        counts = vm.profile.instruction_counts
+        assert counts["INVOKE"] == 1 and counts["RET"] == 1  # main's Ret never runs
+        assert ctx.allocator.live_bytes == 0
+
+        recorder = VirtualMachine(exe, ExecutionContext(intel_cpu()))
+        launches = []
+        recorder.record(data, launches=launches)
+        assert [(k.name, [a.shape for a in inputs], [a.shape for a in outputs], device,
+                 launch_us, stream)
+                for k, inputs, outputs, device, launch_us, stream in launches] == [
+            ("fused_exp", [(16,)], [(16,)], intel_cpu().host, None, 0)]
+        allocator = recorder.ctx.allocator
+        assert allocator.stats.frees == 0
+        assert allocator.live_bytes == 2 * 64  # exp's buffer and f's result
+
+    def test_a_fault_in_a_tail_called_frame_drains_and_counts(self):
+        """The cell kernel, which both layers launch, raises on its 5th
+        launch: step 3's first layer, in the frame step 2's tail call
+        handed over. Every storage returns, the run counts the
+        instructions it ran, and the VM runs on."""
+        platform = intel_cpu()
+        _, exe = _tail_lstm(2, platform, 1)
+        loop = exe.functions[exe.func_index["lstm_loop"]]
+        index = next(i.packed_index for i in loop.instructions
+                     if i.opcode == ins.Opcode.INVOKE_PACKED and "split" in exe.kernels[i.packed_index].name)
+
+        class FailsOnFifth:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def run(self, inputs, outputs):
+                self.calls += 1
+                if self.calls == 5:
+                    raise VMError("planted fault")
+                return self.inner.run(inputs, outputs)
+
+        x = _sentence(8)
+        ctx = ExecutionContext(platform)
+        vm = VirtualMachine(exe, ctx)
+        original = exe.kernels[index]
+        exe.kernels[index] = FailsOnFifth(original)
+        try:
+            with pytest.raises(VMError, match="planted fault"):
+                vm.run(x)
+        finally:
+            exe.kernels[index] = original
+        stats = ctx.allocator.stats
+        assert ctx.allocator.live_bytes == 0 and stats.frees == stats.total_allocs
+        counts = vm.profile.instruction_counts
+        assert counts["RET"] == 0 and counts["INVOKE"] == 3  # main's call, two steps'
+        assert vm.profile.dispatch_time_us == pytest.approx(
+            sum(counts.values()) * platform.vm_instruction_us)
+        _, _, fresh = _cold_run(exe, platform, 8)
+        assert vm.run(x).numpy().tobytes() == fresh.numpy().tobytes()
+        assert ctx.allocator.live_bytes == 0
 
 
 def _fold_law_cases():
