@@ -24,7 +24,7 @@ from repro.ir.op import Op
 from repro.ir.types import TensorType, TupleType
 from repro.ops import get_op_def
 from repro.ops.shape_funcs import normalize_axis, prod
-from repro.tensor.dtype import dtype_bytes, to_numpy_dtype
+from repro.tensor.dtype import dtype_bytes
 
 Shape = Tuple[int, ...]
 
@@ -102,17 +102,11 @@ class KernelProgram:
     """A primitive body compiled once to one Python function.
 
     ``source`` is its text. The parameters unpack into locals ``p0..``;
-    each operator call is one line. Where the lowering can prove the
-    op's NumPy function alone gives what ``compute`` gives, the line calls
-    that function directly:
+    each operator call is one line: the op's ``OpDef.lower``, calling
+    NumPy directly (``repro.ops.registry``), or where it has none or it
+    declines, ``vK = op_<name>([operands], aK)`` calling ``compute``.
+    What is not per-op is decided here:
 
-    * an elementwise op (``OpDef.ufunc``) is ``vK = ew_<name>(a, b)``;
-    * ``nn.dense`` is ``matmul(d, w.T)``, ``nn.bias_add`` on the last
-      axis is ``ew_add(d, b)`` and ``take`` with ``int64`` indices is
-      ``d.take(i, axis=K)`` without the index copy;
-    * ``reshape`` is ``d.reshape(newshape)`` and
-      ``concatenate`` is ``concatenate((a, b), axis=K)``: each is exactly
-      what its ``compute`` calls, so neither needs the dtype rule below;
     * ``split`` into equal sections of a static dim is one basic-slice
       view per section, emitted where a use first reads it;
     * **sibling sections share one call:** where one unary elementwise
@@ -125,13 +119,6 @@ class KernelProgram:
       does not read (the LSTM's ``g`` under the sigmoid) is computed and
       dropped; a section the op reads alone keeps its own call.
 
-    Proving it is decided once, here: an elementwise or ``nn.dense``
-    line drops ``compute``'s ``.astype``, so it is emitted only where the
-    function, called on zero-size operands of the checked dtypes (a
-    constant's own), returns the dtype ``compute`` returns and the type
-    checker declared. Any other op — and any such call whose types are
-    unknown, as in a hand-built body — is ``vK = op_<name>([operands],
-    aK)`` calling ``compute``.
     An IR ``Tuple`` is a tuple display, emitted only where a use reads
     the tuple whole; a ``TupleGetItem`` of one (or of a split) is the
     field's name, of any other value a subscript. A ``Constant`` is a
@@ -147,8 +134,8 @@ class KernelProgram:
     count and each one's shape against the results and writes each
     result into its buffer, raising `VMError` on a mismatch (the kernel
     named by its ops, as `KernelSet.name` is). An output whose last op
-    is an elementwise direct line is written by that op itself
-    (``out=oI``), guarded by one operand already having the buffer's
+    is a lowering with a guard operand (an elementwise op's) is written
+    by that op itself (``out=oI``) if that operand has the buffer's
     shape: NumPy then rejects any result that does not fit, where a
     smaller one would otherwise broadcast into the buffer; failing the
     guard, the result is fresh and the checked copy runs. A view of a
@@ -165,8 +152,7 @@ class KernelProgram:
         names: Dict[Var, str] = {p: f"p{i}" for i, p in enumerate(func.params)}
         bound: dict = {"asarray": np.asarray, "copyto": np.copyto, "CompilerError": CompilerError,
                        "output_count_error": output_count_error, "misfit_error": misfit_error,
-                       "write_outputs": write_outputs, "NO_BUFFER": NO_BUFFER,
-                       "matmul": np.matmul, "concatenate": np.concatenate}
+                       "write_outputs": write_outputs, "NO_BUFFER": NO_BUFFER}
         # A tuple's fields by its key, and a split's section by its key:
         # (the split, its index, the split data's name, axis and section
         # width). A key some use reads is emitted there, once — a tuple
@@ -177,8 +163,7 @@ class KernelProgram:
         # Sections one unary op reads together, and each span call's name.
         siblings = _sibling_sections(func)
         spans: Dict[Tuple[int, str], str] = {}
-        # An elementwise direct line: its line index, call text and the
-        # operand whose shape guards a write into an output buffer.
+        # A lowered line with a guard operand, which may write a buffer: (index, text, guard).
         writable: Dict[str, Tuple[int, str, str]] = {}
         constants = itertools.count()
         lines: List[str] = []
@@ -213,7 +198,8 @@ class KernelProgram:
                 return None
             first, last = siblings[group][0], siblings[group][-1]
             if group not in spans:
-                direct = _direct_call(expr, [_view(data, axis, first * width, (last + 1 - first) * width)])
+                direct = get_op_def(expr.op.name).lower(
+                    expr, [_view(data, axis, first * width, (last + 1 - first) * width)])
                 if direct is None:
                     return None
                 bound.update(direct[1])
@@ -253,10 +239,11 @@ class KernelProgram:
                 keys = [f"s{len(sections) + i}" for i in range(count)]
                 sections.update((k, (expr, i, args[0], axis, width)) for i, k in enumerate(keys))
                 return display(keys)
-            direct = _direct_call(expr, args)
+            op_def = get_op_def(name)
+            direct = op_def.lower(expr, args) if op_def.lower else None
             if direct is None:
                 fn = "op_" + name.replace(".", "_")
-                bound[fn] = get_op_def(name).compute
+                bound[fn] = op_def.compute
                 bound[f"a{len(lines)}"] = expr.attrs
                 return emit(f"{fn}([{', '.join(args)}], a{len(lines)})")
             text, binds, guard = direct
@@ -329,74 +316,6 @@ class _NoBuffer:
 
 
 NO_BUFFER = _NoBuffer()
-
-
-def _operand_probe(arg: Expr) -> Optional[np.ndarray]:
-    """An empty array of *arg*'s dtype and rank — a constant's own, else
-    its checked type's; of rank 0, one zero — or None when that type is
-    unknown."""
-    if isinstance(arg, Constant):
-        data = arg.data
-        return np.zeros((0,) * data.ndim, data.dtype)
-    ty = arg.checked_type
-    if not isinstance(ty, TensorType):
-        return None
-    return np.zeros((0,) * ty.ndim, to_numpy_dtype(ty.dtype))
-
-
-def _keeps_dtype(call: Call, fn) -> bool:
-    """Does *fn* return the dtype the op's ``compute`` returns, and the
-    type checker declared, on zero-size operands of the call's dtypes?
-    Only then is the ``.astype`` a direct line drops a no-op."""
-    declared = call.checked_type
-    probes = [_operand_probe(a) for a in call.args]
-    if not isinstance(declared, TensorType) or any(p is None for p in probes):
-        return False
-    try:
-        with np.errstate(all="ignore"):  # a 0-d probe holds one zero
-            got = np.asarray(fn(*probes)).dtype
-            want = np.asarray(get_op_def(call.op.name).compute(probes, call.attrs)).dtype
-    except (TypeError, ValueError):  # the op rejects these dtypes: compute raises at run time
-        return False
-    return got == want == to_numpy_dtype(declared.dtype)
-
-
-def _dense(d, w):
-    return np.matmul(d, w.T)
-
-
-def _direct_call(call: Call, args: List[str]) -> Optional[Tuple[str, dict, Optional[int]]]:
-    """*call* on the operands named *args* as a direct NumPy call, or None
-    for ``compute``: its text, the globals it binds, and — for an
-    elementwise call, whose line may write an output buffer — the operand
-    whose shape guards that write (the first of the result's rank)."""
-    name, attrs = call.op.name, call.attrs
-    fn = get_op_def(name).ufunc
-    if name == "nn.bias_add":
-        data = call.args[0].checked_type
-        if isinstance(data, TensorType) and attrs.get("axis", -1) in (-1, data.ndim - 1):
-            name, fn = "add", get_op_def("add").ufunc
-    if fn is not None:
-        if not _keeps_dtype(call, fn):
-            return None
-        ew = "ew_" + name.replace(".", "_")
-        ndim = call.checked_type.ndim
-        guard = next((i for i, a in enumerate(call.args) if _operand_probe(a).ndim == ndim), None)
-        return f"{ew}({', '.join(args)})", {ew: fn}, guard
-    if name == "nn.dense" and _keeps_dtype(call, _dense):
-        return f"matmul({args[0]}, {args[1]}.T)", {}, None
-    if name == "take":
-        indices = _operand_probe(call.args[1])
-        if indices is not None and indices.dtype == np.int64:
-            axis = attrs.get("axis")
-            where = "" if axis is None else f", axis={int(axis)}"
-            return f"{args[0]}.take({args[1]}{where})", {}, None
-    if name == "reshape":
-        return f"{args[0]}.reshape({tuple(int(d) for d in attrs['newshape'])})", {}, None
-    if name == "concatenate":
-        tensors = ", ".join(args) + ("," if len(args) == 1 else "")
-        return f"concatenate(({tensors}), axis={int(attrs.get('axis', 0))})", {}, None
-    return None
 
 
 def _equal_sections(call: Call) -> Optional[Tuple[int, int, int]]:

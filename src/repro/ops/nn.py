@@ -17,7 +17,7 @@ from repro.ir.expr import Call
 from repro.ir.op import Op
 from repro.ir.types import Any, TensorType, TupleType, Type
 from repro.ops.batching import BatchCall, elementwise, row_wise, static_shape
-from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, register_op
+from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, get_op_def, keeps_dtype, register_op
 from repro.ops.shape_funcs import check_rank, normalize_axis, prod, same_shape_func
 from repro.ops.type_relations import expect_tensor, unify_dim
 
@@ -59,6 +59,12 @@ def _dense_batch_rule(c: BatchCall):
     return Call(Op.get("nn.batch_dense"), c.args, {"batch": c.batch}), True
 
 
+def _dense_lower(call, args):
+    if keeps_dtype(call, lambda d, w: np.matmul(d, w.T)):
+        return f"matmul({args[0]}, {args[1]}.T)", {"matmul": np.matmul}, None
+    return None
+
+
 register_op(
     OpDef(
         name="nn.dense",
@@ -68,6 +74,7 @@ register_op(
         pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
         flops=_dense_flops,
         batch_rule=_dense_batch_rule,
+        lower=_dense_lower,
     )
 )
 
@@ -155,6 +162,14 @@ def _bias_add_compute(inputs, attrs):
     return (data + bias.reshape(shape)).astype(data.dtype, copy=False)
 
 
+def _bias_add_lower(call, args):
+    """On the last axis the bias broadcasts as it stands: ``add``'s line."""
+    data = call.args[0].checked_type
+    if isinstance(data, TensorType) and call.attrs.get("axis", -1) in (-1, data.ndim - 1):
+        return get_op_def("add").lower(call, args)
+    return None
+
+
 register_op(
     OpDef(
         name="nn.bias_add",
@@ -163,6 +178,7 @@ register_op(
         shape_func=same_shape_func,
         pattern=OpPattern.BROADCAST,
         batch_rule=row_wise(shared=(1,)),
+        lower=_bias_add_lower,
     )
 )
 

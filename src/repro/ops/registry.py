@@ -1,6 +1,6 @@
 """The operator registry.
 
-Each operator couples five pieces of semantics (mirroring Relay's op
+Each operator couples these pieces of semantics (mirroring Relay's op
 attributes, plus what Nimble adds):
 
 * **type relation** — compile-time: input types (possibly with ``Any``
@@ -9,8 +9,10 @@ attributes, plus what Nimble adds):
   data-dependent ops, input *values*) → concrete output shapes (§4.2), in
   one of three modes (data-independent / data-dependent / upper-bound);
 * **compute** — the NumPy kernel body used by every executor; an
-  elementwise op also keeps its **ufunc**, the function its compute is
-  built from, which kernel code generation calls directly;
+  elementwise op also keeps its **ufunc**, the function its compute and
+  its lowering are built from;
+* **lowering** — the op's line in a generated kernel, calling NumPy
+  directly (:data:`Lower`); an op without one calls ``compute``;
 * **fusion pattern** — how the fusion pass may combine this op (§4.2's
   fusion policy additionally forbids fusing *into* ops whose shape
   functions are data-dependent or upper-bound);
@@ -28,8 +30,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CompilerError
+from repro.ir.expr import Call, Constant, Expr
 from repro.ir.op import Op
-from repro.ir.types import Type
+from repro.ir.types import TensorType, Type
+from repro.tensor.dtype import to_numpy_dtype
 
 
 class OpPattern(enum.IntEnum):
@@ -56,6 +60,7 @@ TypeRel = Callable[[Sequence[Type], dict], Type]
 Compute = Callable[[Sequence[np.ndarray], dict], object]
 ShapeFunc = Callable[[Sequence[Tuple[int, ...]], Sequence[Optional[np.ndarray]], dict], List[Tuple[int, ...]]]
 FlopsFn = Callable[[Sequence[Tuple[int, ...]], Sequence[Tuple[int, ...]], dict], float]
+Lower = Callable[[Call, List[str]], Optional[Tuple[str, dict, Optional[int]]]]
 
 
 def _default_flops(in_shapes, out_shapes, attrs) -> float:
@@ -88,6 +93,8 @@ class OpDef:
     # A ``repro.ops.batching`` rule: the call rewritten for stacked
     # members. None refuses the batch rewrite.
     batch_rule: Optional[Callable[..., object]] = None
+    # ``lower(call, args)`` -> (text, globals, operand guarding an output write), or None.
+    lower: Optional[Lower] = None
 
     @property
     def is_dynamic_shape_func(self) -> bool:
@@ -122,3 +129,46 @@ def has_op(name: str) -> bool:
 
 def all_op_names() -> List[str]:
     return sorted(_REGISTRY)
+
+
+def operand_probe(arg: Expr) -> Optional[np.ndarray]:
+    """An empty array of *arg*'s dtype and rank (a constant's own, else its
+    checked type's; of rank 0, one zero), or None where that type is unknown."""
+    if isinstance(arg, Constant):
+        return np.zeros((0,) * arg.data.ndim, arg.data.dtype)
+    ty = arg.checked_type
+    if not isinstance(ty, TensorType):
+        return None
+    return np.zeros((0,) * ty.ndim, to_numpy_dtype(ty.dtype))
+
+
+def keeps_dtype(call: Call, fn) -> bool:
+    """The dtype gate of a lowering that drops ``compute``'s ``.astype``: on
+    zero-size operands of the call's dtypes, does *fn* return the dtype
+    ``compute`` returns and the type checker declared? (``compute``'s own call needs none.)"""
+    declared = call.checked_type
+    probes = [operand_probe(a) for a in call.args]
+    if not isinstance(declared, TensorType) or any(p is None for p in probes):
+        return False
+    try:
+        with np.errstate(all="ignore"):  # a 0-d probe holds one zero
+            got = np.asarray(fn(*probes)).dtype
+            want = np.asarray(get_op_def(call.op.name).compute(probes, call.attrs)).dtype
+    except (TypeError, ValueError):  # the op rejects these dtypes: compute raises at run time
+        return False
+    return got == want == to_numpy_dtype(declared.dtype)
+
+
+def ufunc_lowering(name: str, fn) -> Lower:
+    """The lowering of the elementwise op *name* built from *fn*: ``ew_<name>(a, b)``,
+    its output-buffer write guarded by its first operand of the result's rank."""
+    ew = "ew_" + name.replace(".", "_")
+
+    def lower(call: Call, args: List[str]):
+        if not keeps_dtype(call, fn):
+            return None
+        ndim = call.checked_type.ndim
+        guard = next((i for i, a in enumerate(call.args) if operand_probe(a).ndim == ndim), None)
+        return f"{ew}({', '.join(args)})", {ew: fn}, guard
+
+    return lower

@@ -5,8 +5,8 @@ folds into preceding compute-heavy kernels. All computes are vectorized
 NumPy; outputs are cast back to the declared dtype so fused groups stay
 dtype-stable. The ops registered by ``_unary``, ``_binary`` and
 ``_comparison`` keep their function on the ``OpDef`` (``ufunc``), the one
-description of their math: ``compute`` is built from it, and kernel code
-generation calls it directly where that cast is a no-op.
+description of their math: ``compute`` is built from it, and so is their
+lowering, which a kernel calls where that cast is a no-op.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from scipy.special import erf as _scipy_erf
 from repro.errors import TypeInferenceError
 from repro.ir.types import TensorType, Type
 from repro.ops.batching import elementwise
-from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, register_op
+from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, register_op, ufunc_lowering
 from repro.ops.shape_funcs import broadcast_shape_func, same_shape_func
 from repro.ops.type_relations import broadcast_rel, expect_tensor, identity_rel
 
@@ -46,6 +46,7 @@ def _unary(name: str, fn: Callable[..., np.ndarray], flop_per_elem: float = 1.0)
             flops=flops,
             ufunc=fn,
             batch_rule=elementwise,
+            lower=ufunc_lowering(name, fn),
         )
     )
 
@@ -65,6 +66,7 @@ def _binary(name: str, fn: Callable[..., np.ndarray]) -> None:
             pattern=OpPattern.BROADCAST,
             ufunc=fn,
             batch_rule=elementwise,
+            lower=ufunc_lowering(name, fn),
         )
     )
 
@@ -87,6 +89,7 @@ def _comparison(name: str, fn: Callable[..., np.ndarray]) -> None:
             pattern=OpPattern.BROADCAST,
             ufunc=fn,
             batch_rule=elementwise,
+            lower=ufunc_lowering(name, fn),
         )
     )
 

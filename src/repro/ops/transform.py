@@ -20,7 +20,7 @@ from repro.ir.expr import Call, Constant
 from repro.ir.op import Op
 from repro.ir.types import Any, TensorType, TupleType, Type
 from repro.ops.batching import BatchCall, canonical, elementwise, row_wise, static_shape
-from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, register_op
+from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, operand_probe, register_op
 from repro.ops.shape_funcs import normalize_axis, prod
 from repro.ops.type_relations import expect_tensor, unify_dim
 from repro.tensor.ndarray import array as make_array
@@ -81,6 +81,10 @@ def _reshape_shape_func(in_shapes, in_values, attrs):
     return [tuple(out)]
 
 
+def _reshape_lower(call, args):
+    return f"{args[0]}.reshape({tuple(int(d) for d in call.attrs['newshape'])})", {}, None
+
+
 def _reshape_batch_rule(c: BatchCall):
     """The stacked value's flat layout is the members': reshape it to
     the canonical stacked form of the member result."""
@@ -99,6 +103,7 @@ register_op(
         pattern=OpPattern.INJECTIVE,
         flops=lambda i, o, a: 0.0,
         batch_rule=_reshape_batch_rule,
+        lower=_reshape_lower,
     )
 )
 
@@ -174,6 +179,12 @@ def _concatenate_compute(inputs, attrs):
     return np.concatenate(list(inputs), axis=attrs.get("axis", 0))
 
 
+def _concatenate_lower(call, args):
+    tensors = ", ".join(args) + ("," if len(args) == 1 else "")
+    axis = int(call.attrs.get("axis", 0))
+    return f"concatenate(({tensors}), axis={axis})", {"concatenate": np.concatenate}, None
+
+
 def _concatenate_shape_func(in_shapes, in_values, attrs):
     axis = normalize_axis(attrs.get("axis", 0), len(in_shapes[0]))
     out = list(in_shapes[0])
@@ -194,6 +205,7 @@ register_op(
         shape_func=_concatenate_shape_func,
         pattern=OpPattern.INJECTIVE,
         batch_rule=row_wise(default_axis=0, tile=True),
+        lower=_concatenate_lower,
     )
 )
 
@@ -309,6 +321,15 @@ def _take_compute(inputs, attrs):
     return np.take(data, indices.astype(np.int64), axis=axis)
 
 
+def _take_lower(call, args):
+    """``d.take(i, axis=K)`` without ``compute``'s copy of ``int64`` indices."""
+    indices, axis = operand_probe(call.args[1]), call.attrs.get("axis")
+    if indices is None or indices.dtype != np.int64:
+        return None
+    where = "" if axis is None else f", axis={int(axis)}"
+    return f"{args[0]}.take({args[1]}{where})", {}, None
+
+
 def _take_shape_func(in_shapes, in_values, attrs):
     data, indices = in_shapes
     axis = attrs.get("axis")
@@ -370,6 +391,7 @@ register_op(
         shape_func=_take_shape_func,
         pattern=OpPattern.INJECTIVE,
         batch_rule=_take_batch_rule,
+        lower=_take_lower,
     )
 )
 

@@ -438,10 +438,16 @@ class TestOutputBufferWrite:
         assert program.source.count("out=o") == 1
 
 
-def _direct_ops():
+def _ufunc_ops():
     from repro.ops import all_op_names
 
     return [name for name in all_op_names() if get_op_def(name).ufunc is not None]
+
+
+def _lowered_ops():
+    from repro.ops import all_op_names
+
+    return [name for name in all_op_names() if get_op_def(name).lower is not None]
 
 
 _ELEMENTS = {
@@ -450,14 +456,115 @@ _ELEMENTS = {
     "bool": st.booleans(),
 }
 
+_DTYPES = ("float16", "float32", "float64", "int8", "int32", "int64", "uint8", "bool")
+
+
+def _operand(rng, shape, dtype):
+    """Floats out to +-30, integers in -9..9 (0..9 unsigned), booleans."""
+    kind = np.dtype(dtype).kind
+    if kind == "b":
+        return np.asarray(rng.rand(*shape) < 0.5)
+    if kind == "f":
+        return np.asarray(rng.uniform(-30, 30, shape)).astype(dtype)
+    return np.asarray(rng.randint(0 if kind == "u" else -9, 10, shape)).astype(dtype)
+
+
+def _dtype_of_compute(fn, op_def, inputs, attrs):
+    """Does *fn* give the dtype ``compute`` gives, on zero-size operands of
+    the inputs' dtypes and ranks? Where it does not, a lowering that drops
+    ``compute``'s cast must decline."""
+    probes = [np.zeros((0,) * x.ndim, x.dtype) for x in inputs]
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(fn(*probes)).dtype == np.asarray(op_def.compute(probes, attrs)).dtype
+    except (TypeError, ValueError):
+        return False
+
+
+def _lowering_cases(name):
+    """Calls of the op *name* over every dtype, each (inputs, attrs, and
+    whether the kernel line calls NumPy directly rather than ``compute``)."""
+    op_def, rng = get_op_def(name), np.random.RandomState(sum(map(ord, name)))
+    for dtype in _DTYPES:
+        def draw(*shapes, dtype=dtype):
+            return [_operand(rng, shape, dtype) for shape in shapes]
+
+        if op_def.ufunc is not None:
+            if op_def.pattern == OpPattern.ELEMWISE:
+                shapes = [((),), ((3,),), ((2, 3),)]
+            else:  # broadcast, 0-d, and no operand of the result's shape
+                shapes = [((), ()), ((2, 3), (3,)), ((), (2, 3)), ((1, 3), (2, 1))]
+            for shape in shapes:
+                operands = draw(*shape)
+                yield operands, {}, _dtype_of_compute(op_def.ufunc, op_def, operands, {})
+        elif name == "nn.dense":
+            for data in ((4,), (2, 4), (2, 3, 4)):
+                operands = draw(data, (5, 4))
+                yield operands, {}, _dtype_of_compute(lambda d, w: d @ w.T, op_def, operands, {})
+        elif name == "nn.bias_add":
+            for data in ((4,), (3, 4), (2, 3, 4)):
+                for axis in range(-len(data), len(data)):
+                    operands, attrs = draw(data, (data[axis],)), {"axis": axis}
+                    last = axis in (-1, len(data) - 1)
+                    yield operands, attrs, last and _dtype_of_compute(np.add, op_def, operands, attrs)
+        elif name == "take":
+            for index_dtype in ("int64", "int32"):
+                for axis in (None, 0, 1, -1):
+                    size = 12 if axis is None else (3, 4)[axis]
+                    for shape in ((), (2,), (2, 2)):  # every index in range, negatives too
+                        indices = rng.randint(-size, size, shape).astype(index_dtype)
+                        yield [draw((3, 4))[0], indices], {"axis": axis}, index_dtype == "int64"
+                    for index in (size, -size - 1):  # out of range: compute's own error
+                        indices = np.array([1, index], index_dtype)
+                        yield [draw((3, 4))[0], indices], {"axis": axis}, index_dtype == "int64"
+        elif name == "reshape":
+            for data, newshape in (((2, 3, 4), (-1, 4)), ((2, 3, 4), (3, -1, 2)),
+                                   ((2, 3, 4), (-1,)), ((), (1, -1))):
+                yield draw(data), {"newshape": newshape}, True
+        elif name == "concatenate":
+            for shapes, axis in ((((2, 3),), 0), (((2, 3), (1, 3)), 0),
+                                 (((2, 3), (2, 1), (2, 2)), 1), (((2, 3), (2, 2)), -1)):
+                yield draw(*shapes), {"axis": axis}, True
+        else:
+            raise AssertionError(f"{name} declares a lowering but has no cases here")
+
+
+def _outcome(run):
+    """What *run* gives: each result's dtype, shape and bytes, or its
+    error's type and message."""
+    try:
+        return [(r.dtype, r.shape, r.tobytes()) for r in map(np.asarray, run())]
+    except (TypeError, ValueError, IndexError) as error:
+        return type(error), str(error)
+
+
+def _check_lowering(name, inputs, attrs, direct):
+    """The op *name* lowered alone: bitwise ``compute`` (or its error)
+    fresh and into a buffer, and an ``op_`` line exactly where it is not
+    *direct*."""
+    op_def = get_op_def(name)
+    prim = _typed_prim(lambda *xs: Call(Op.get(name), xs, attrs),
+                       *(TensorType(x.shape, x.dtype.name) for x in inputs))
+    program = KernelProgram(prim)
+    case = (name, [(x.shape, x.dtype.name) for x in inputs], attrs)
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: [op_def.compute(inputs, attrs)])
+        assert _outcome(lambda: program.run(inputs)) == want, case
+        if isinstance(want, list):
+            ((dtype, shape, _),) = want
+            out = np.full(shape, 7, dtype)
+            assert _outcome(lambda: program.run(inputs, [out]) or [out]) == want, case
+    assert (f"op_{name.replace('.', '_')}(" in program.source) != direct, (case, program.source)
+
 
 class TestDirectCalls:
-    """An elementwise op's ``ufunc`` is the one description of its math:
-    called directly — fresh or into a buffer — it is bitwise its
-    ``compute`` wherever it keeps the dtype, and the lowering sends every
-    other case through ``compute``."""
+    """Each op's lowering (``OpDef.lower``) calls its NumPy math directly:
+    fresh or into a buffer, it is bitwise its ``compute`` wherever it
+    keeps the dtype, and the lowering sends every other case through
+    ``compute``. An elementwise op's ``ufunc`` is the one description of
+    its math, so it is checked against ``compute`` on its own too."""
 
-    @given(name=st.sampled_from(_direct_ops()), dtype=st.sampled_from(sorted(_ELEMENTS)),
+    @given(name=st.sampled_from(_ufunc_ops()), dtype=st.sampled_from(sorted(_ELEMENTS)),
            shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3,
                                                      max_side=3),
            data=st.data())
@@ -482,32 +589,27 @@ class TestDirectCalls:
             assert op_def.ufunc(*inputs, out=out) is out
             assert _bitwise_equal([out], [want])
 
-    @given(name=st.sampled_from(_direct_ops()), dtype=st.sampled_from(sorted(_ELEMENTS)),
-           shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=2,
-                                                     max_side=3),
-           data=st.data())
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_a_lowered_call_is_bitwise_compute_fresh_and_into_a_buffer(self, name, dtype,
-                                                                        shapes, data):
-        op_def = get_op_def(name)
-        arity = 1 if op_def.pattern == OpPattern.ELEMWISE else 2
-        shapes = shapes.input_shapes[:arity]
-        inputs = [data.draw(hnp.arrays(dtype, shape, elements=_ELEMENTS[dtype])) for shape in shapes]
-        program = KernelProgram(_typed_prim(lambda *xs: Call(Op.get(name), xs),
-                                            *(TensorType(s, dtype) for s in shapes)))
-        with np.errstate(all="ignore"):
-            try:
-                want = [np.asarray(op_def.compute(inputs, {}))]
-            except (TypeError, ValueError) as error:
-                with pytest.raises(type(error)):
-                    program.run(inputs)
-                return
-            assert _bitwise_equal(program.run(inputs), want)
-            out = np.full(want[0].shape, 7, want[0].dtype)
-            program.run(inputs, [out])
-            direct = np.asarray(op_def.ufunc(*[np.zeros((0,) * len(s), dtype) for s in shapes]))
-        assert _bitwise_equal([out], want)
-        assert (f"op_{name.replace('.', '_')}(" in program.source) == (direct.dtype != want[0].dtype)
+    def test_a_lowered_call_is_bitwise_compute_fresh_and_into_a_buffer(self):
+        """Generated from the registry: every op that declares a lowering,
+        over every dtype, broadcast and 0-d operands, each axis."""
+        for name in _lowered_ops():
+            for inputs, attrs, direct in _lowering_cases(name):
+                _check_lowering(name, inputs, attrs, direct)
+
+    @pytest.mark.parametrize("name, mutant", [
+        ("take", lambda call, args: (
+            f"{args[0]}.take({args[1]}, axis={1 if call.attrs['axis'] in (None, 0) else 0})",
+            {}, None)),
+        ("concatenate", lambda call, args: (
+            f"concatenate(({', '.join(args)},), axis={1 if call.attrs['axis'] == 0 else 0})",
+            {"concatenate": np.concatenate}, None)),
+        ("nn.dense", lambda call, args: (
+            f"matmul({args[0]}, {args[1]})", {"matmul": np.matmul}, None)),
+    ], ids=["take_wrong_axis", "concatenate_wrong_axis", "dense_without_T"])
+    def test_a_wrong_lowering_fails_the_registry_test(self, name, mutant, monkeypatch):
+        monkeypatch.setattr(get_op_def(name), "lower", mutant)
+        with pytest.raises(AssertionError):
+            self.test_a_lowered_call_is_bitwise_compute_fresh_and_into_a_buffer()
 
     @pytest.mark.parametrize("case", ["int64 divide", "float64 constant"])
     def test_a_dtype_unstable_call_lowers_through_compute(self, case):
@@ -548,8 +650,8 @@ class TestDirectCalls:
         assert "op_reshape(" not in sources and "op_concatenate(" not in sources
 
 
-def _unary_direct_ops():
-    return [name for name in _direct_ops() if get_op_def(name).pattern == OpPattern.ELEMWISE]
+def _unary_ufunc_ops():
+    return [name for name in _ufunc_ops() if get_op_def(name).pattern == OpPattern.ELEMWISE]
 
 
 class _Counted(np.ndarray):
@@ -590,7 +692,7 @@ class TestSiblingSections:
         yield "column slice", draw(3, count * width + 5)[:, 2:2 + count * width]
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("name", _unary_direct_ops())
+    @pytest.mark.parametrize("name", _unary_ufunc_ops())
     def test_a_section_of_the_span_call_is_bitwise_the_call_on_the_section(self, name, dtype):
         fn, count = get_op_def(name).ufunc, 4
         rng = np.random.RandomState(7)
