@@ -22,25 +22,28 @@ Proves, without executing anything:
 * stream/event operands fit the executable's declared schedule
   (``stream < device_streams``, ``event_index < num_events``).
 
-The analysis is a forward dataflow fixpoint over two register facts:
-*definitely defined* (meet = intersection — must hold on every path)
-and *definitely not a storage block* (meet = intersection). Both are
-bitmasks over the register file, so the transfer functions are integer
-ops and the whole pass costs a small fraction of a compile
-(``benchmarks/bench_verify.py`` asserts <15%).
+The analysis is a forward dataflow fixpoint (`repro.vm.cfg.forward`,
+over the function's basic blocks) of two register facts: *definitely
+defined* (meet = intersection — must hold on every path) and
+*definitely not a storage block* (meet = intersection); each reachable
+block is then replayed once to check every instruction against the
+facts before it. Both facts are bitmasks over the register file, so the
+transfer functions are integer ops and the whole pass costs a small
+fraction of a compile (``benchmarks/bench_verify.py`` asserts <15%).
+The lattice is this module's own, not the VM generator's register
+kinds: the verifier checks what the generator assumes, independently.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import reduce
+from typing import List, Tuple
 
 from repro.codegen.kernels import ShapeFuncKernel
 from repro.errors import Finding
 from repro.vm import instruction as ins
+from repro.vm.cfg import CFG, forward, successors
 from repro.vm.executable import Executable, VMFunction
-
-# Instructions that terminate a path: control never falls through them.
-_TERMINAL = (ins.Ret, ins.Fatal)
 
 # The kinds the interpreter dispatches an InvokePacked on.
 _KERNEL_KINDS = ("compute", "shape_func", "host_scalar")
@@ -61,14 +64,24 @@ _NON_STORAGE_DEFS = (
 )
 
 
-def _successors(pc: int, instr: ins.Instruction, length: int) -> List[int]:
-    if isinstance(instr, _TERMINAL):
-        return []
-    if isinstance(instr, ins.Goto):
-        return [pc + instr.pc_offset]
-    if isinstance(instr, ins.If):
-        return [pc + instr.true_offset, pc + instr.false_offset]
-    return [pc + 1]
+def _effect(instr: ins.Instruction, writes: Tuple[int, ...]) -> Tuple[int, int, int]:
+    """What *instr* does to the facts, as register bitmasks ``(dst, src,
+    known)``: it defines *dst*, which then copies *src*'s verdict (a
+    ``Move``), is *known* not to hold a storage block, or else may hold
+    one — a storage, a call's result, a field — so the check never lies."""
+    if not writes:
+        return 0, 0, 0
+    dst = 1 << writes[0]
+    if isinstance(instr, ins.Move):
+        return dst, 1 << instr.src, 0
+    return dst, 0, dst if isinstance(instr, _NON_STORAGE_DEFS) else 0
+
+
+def _after(facts: Tuple[int, int], effect: Tuple[int, int, int]) -> Tuple[int, int]:
+    """``(defined, nonstorage)`` after an instruction of *effect*."""
+    d, s = facts
+    dst, src, known = effect
+    return d | dst, s & ~dst | known | (dst if s & src else 0)
 
 
 def _structural_findings(
@@ -137,7 +150,7 @@ def _structural_findings(
         # instruction is the dataflow pass's "falls off the end" finding,
         # not a bad jump target.
         if isinstance(instr, (ins.Goto, ins.If)):
-            for target in _successors(pc, instr, n):
+            for target in successors(pc, instr):
                 if not 0 <= target < n:
                     bad(pc, f"jump target {target} outside the function "
                             f"(length {n})")
@@ -159,76 +172,43 @@ def check_function(func: VMFunction, exe: Executable) -> List[Finding]:
         return [Finding("bytecode", func.name, -1,
                         "empty function: execution falls off the end")]
 
-    params_mask = (1 << func.num_params) - 1
-    # defined[pc] / nonstorage[pc]: facts on entry to pc. None marks a
-    # pc the fixpoint has not reached (unreachable so far).
-    defined: List[Optional[int]] = [None] * n
-    nonstorage: List[Optional[int]] = [None] * n
-    defined[0] = params_mask
-    nonstorage[0] = 0
-    work = [0]
-    while work:
-        pc = work.pop()
-        instr = func.instructions[pc]
-        d, s = defined[pc], nonstorage[pc]
-        _, writes = ops[pc]
-        for reg in writes:
-            d |= 1 << reg
-        if isinstance(instr, ins.Move):
-            # dst inherits src's storage-ness verdict.
-            if s & (1 << instr.src):
-                s |= 1 << instr.dst
-            else:
-                s &= ~(1 << instr.dst)
-        elif isinstance(instr, ins.AllocStorage):
-            s &= ~(1 << instr.dst)
-        elif isinstance(instr, _NON_STORAGE_DEFS):
-            s |= 1 << instr.dst
-        elif isinstance(instr, (ins.Invoke, ins.InvokeClosure, ins.GetField)):
-            # Results of calls / field projections: unknown — assume
-            # they *could* be storage so the check below never lies.
-            s &= ~(1 << instr.dst)
-        for target in _successors(pc, instr, n):
-            if not 0 <= target < n:
-                continue  # fall-through off the end: reported below
-            if defined[target] is None:
-                defined[target] = d
-                nonstorage[target] = s
-                work.append(target)
-            else:
-                nd = defined[target] & d
-                ns = nonstorage[target] & s
-                if nd != defined[target] or ns != nonstorage[target]:
-                    defined[target] = nd
-                    nonstorage[target] = ns
-                    work.append(target)
+    effects = [_effect(instr, writes) for instr, (_, writes) in zip(func.instructions, ops)]
 
-    for pc, instr in enumerate(func.instructions):
-        d = defined[pc]
-        if d is None:
-            continue  # unreachable: nothing to prove
-        reads, _ = ops[pc]
-        for reg in reads:
-            if not d & (1 << reg):
+    def transfer(b: int, facts: Tuple[int, int]) -> Tuple[int, int]:
+        start, end = cfg.blocks[b]
+        return reduce(_after, effects[start:end], facts)
+
+    # (defined, nonstorage) on entry to each block; None marks a block
+    # no path reaches, where there is nothing to prove.
+    cfg = CFG(func.instructions)
+    facts_in = forward(cfg, ((1 << func.num_params) - 1, 0), transfer,
+                       lambda a, b: (a[0] & b[0], a[1] & b[1]))
+    for (start, end), facts in zip(cfg.blocks, facts_in):
+        if facts is None:
+            continue
+        for pc in range(start, end):
+            d, s = facts
+            instr = func.instructions[pc]
+            for reg in ops[pc][0]:
+                if not d & (1 << reg):
+                    findings.append(
+                        Finding("bytecode", func.name, pc,
+                                f"register r{reg} read before definition on "
+                                f"some path")
+                    )
+            if isinstance(instr, (ins.AllocTensor, ins.AllocTensorReg)):
+                if d & (1 << instr.storage) and s & (1 << instr.storage):
+                    findings.append(
+                        Finding("bytecode", func.name, pc,
+                                f"register r{instr.storage} provably does not "
+                                f"hold a storage block")
+                    )
+            if pc + 1 == n and n in successors(pc, instr):
                 findings.append(
                     Finding("bytecode", func.name, pc,
-                            f"register r{reg} read before definition on "
-                            f"some path")
+                            "execution falls off the end of the function")
                 )
-        if isinstance(instr, (ins.AllocTensor, ins.AllocTensorReg)):
-            if d & (1 << instr.storage) and nonstorage[pc] & (1 << instr.storage):
-                findings.append(
-                    Finding("bytecode", func.name, pc,
-                            f"register r{instr.storage} provably does not "
-                            f"hold a storage block")
-                )
-        if not isinstance(
-            instr, _TERMINAL + (ins.Goto, ins.If)
-        ) and pc + 1 == n:
-            findings.append(
-                Finding("bytecode", func.name, pc,
-                        "execution falls off the end of the function")
-            )
+            facts = _after(facts, effects[pc])
     return findings
 
 

@@ -47,8 +47,8 @@ import numpy as np
 
 from repro.errors import Finding
 from repro.vm import instruction as ins
+from repro.vm.cfg import is_straight_line
 from repro.vm.executable import Executable, VMFunction
-from repro.vm.schedule import is_straight_line
 
 
 @dataclass

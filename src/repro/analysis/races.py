@@ -46,8 +46,9 @@ from typing import Dict, List, Set
 
 from repro.errors import Finding
 from repro.vm import instruction as ins
+from repro.vm.cfg import is_straight_line
 from repro.vm.executable import Executable, VMFunction
-from repro.vm.schedule import build_dependency_graph, is_straight_line
+from repro.vm.schedule import build_dependency_graph
 
 
 def _check_function(

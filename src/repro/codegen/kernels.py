@@ -307,11 +307,13 @@ class KernelCache:
     """Structural-hash cache: identical fused groups compile once.
 
     The cache also persists: :meth:`export_entries` serializes every
-    compiled kernel and shape function (tuned schedules included) to one
-    payload, and :meth:`import_entries` merges such a payload into a
-    live cache — the artifact store uses the pair so a restarted
-    server's *dynamic* build starts with the previous process's tuning
-    work, not just its specialized executables."""
+    compiled kernel and shape function to one payload, and
+    :meth:`import_entries` merges such a payload into a live cache — the
+    artifact store uses the pair so a restarted server's *dynamic* build
+    finds the previous process's kernels. Every entry is built by
+    :meth:`kernel` or :meth:`shape_func` with the default schedule, so a
+    loaded entry is exactly what a rebuild would make: the payload
+    carries no tuning, only work a restart would redo."""
 
     def __init__(self) -> None:
         self._kernels: Dict[tuple, KernelSet] = {}

@@ -53,10 +53,6 @@ class SerializationError(NimbleError):
     """An executable could not be serialized or deserialized."""
 
 
-class DeviceError(NimbleError):
-    """Device placement was inconsistent or a cross-device op was illegal."""
-
-
 class TuningError(NimbleError):
     """The auto-tuner was configured with an empty or invalid search space."""
 

@@ -158,25 +158,6 @@ def pretty_module(mod) -> str:
     return "\n\n".join(chunks)
 
 
-# ---------------------------------------------------------------------------
-# Signature round-trip: the printed text carries enough structure to rebuild
-# each function's signature, and golden tests hold the two in lockstep.
-# ---------------------------------------------------------------------------
-
-
-def module_signature(mod) -> Dict[str, str]:
-    """``{function_name: "(ty, ...) -> ret"}`` straight from the IR."""
-    out: Dict[str, str] = {}
-    for gv, func in mod.functions.items():
-        params = ", ".join(
-            repr(p.type_annotation) if p.type_annotation is not None else "?ty"
-            for p in func.params
-        )
-        ret = repr(func.ret_type) if func.ret_type is not None else "?ty"
-        out[gv.name_hint] = f"({params}) -> {ret}"
-    return out
-
-
 def module_fingerprint(mod) -> str:
     """A stable cross-process digest of a module's identity, used as the
     module component of the artifact-store key (``vm.executable
@@ -207,63 +188,3 @@ def module_fingerprint(mod) -> str:
     for func in mod.functions.values():
         hasher.visit(func)
     return digest.hexdigest()
-
-
-def _split_top_level(text: str) -> List[str]:
-    """Split on commas not nested inside (), [] or {}."""
-    parts: List[str] = []
-    depth = 0
-    current: List[str] = []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return parts
-
-
-def parse_module_signature(text: str) -> Dict[str, str]:
-    """Recover :func:`module_signature` from :func:`pretty_module` output.
-
-    Parses each ``def @name = fn [attrs] (params) -> ret {`` header:
-    parameter annotations are read back by balancing brackets, so types
-    containing commas (``Tensor[(?, 8), float32]``) survive the trip.
-    """
-    out: Dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line.startswith("def @"):
-            continue
-        name, _, rest = line[len("def @"):].partition(" = fn ")
-        if not rest:
-            continue
-        if rest.startswith("["):
-            rest = rest[rest.index("] ") + 2 :]  # drop the attrs block
-        if not rest.startswith("("):
-            continue
-        depth = 0
-        for i, ch in enumerate(rest):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-        params_text, tail = rest[1:i], rest[i + 1 :]
-        param_types = []
-        for param in _split_top_level(params_text):
-            _, _, annotation = param.partition(": ")
-            param_types.append(annotation if annotation else "?ty")
-        ret = "?ty"
-        if tail.startswith(" -> "):
-            ret = tail[len(" -> ") : tail.rindex(" {")]
-        out[name] = f"({', '.join(param_types)}) -> {ret}"
-    return out

@@ -152,10 +152,11 @@ class InferenceServer:
                 self._owns_view = True
             # Warm the kernel cache before the dynamic build below, so
             # a restarted server reuses the previous process's compiled
-            # kernels and tuned schedules, not just its specialized
-            # executables. A rejected kernels.kc is in every report's
-            # store_rejects — it must be as visible as a rejected
-            # executable blob.
+            # kernels. They are default-schedule builds, the same
+            # kernels a rebuild would make: kernels.kc saves that
+            # rebuild, it carries no tuning. A rejected kernels.kc is in
+            # every report's store_rejects — it must be as visible as a
+            # rejected executable blob.
             rejects = self.store.rejects
             self.store.load_kernel_cache(self.kernel_cache)
             if self.store.rejects > rejects:

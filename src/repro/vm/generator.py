@@ -12,6 +12,8 @@ resume)`` calls a function on *args* (not yet retained); and
 ``(func_index, args, None, None)`` is a tail call, an ``Invoke`` whose
 result the frame returns as it is: the args are retained and the
 frame's registers released, and the callee takes the frame's place.
+The blocks, their successors and the worklist of the dataflow below
+come from `repro.vm.cfg`.
 
 Generation decides once what an interpreter decides per instruction:
 every jump target, each kernel call's launch path, and each register's
@@ -52,6 +54,7 @@ from repro.errors import VMError
 from repro.runtime.context import LITE_SKIP_FLOPS
 from repro.tensor.ndarray import NDArray
 from repro.vm import instruction as ins
+from repro.vm.cfg import CFG, TERMINATORS, forward, successors
 from repro.vm.executable import VMFunction
 from repro.vm.objects import (
     ADTObj,
@@ -77,9 +80,6 @@ BLOCK_LIMIT = 128
 # and four specialized variants, each run and recorded (at most 20 for
 # the LSTM). An entry holds about 0.5 MB at BERT size.
 CACHE_SIZE = 32
-
-# Instructions after which control leaves the block.
-_TERMINATORS = frozenset({_Op.IF, _Op.GOTO, _Op.RET, _Op.INVOKE, _Op.INVOKE_CLOSURE, _Op.FATAL})
 
 # What a register may hold, as bits, at one point of the function:
 # nothing yet (None), a Python int, a tensor whose retain / release do
@@ -185,69 +185,27 @@ _BINDINGS = {
 
 
 # -------------------------------------------------------------- analysis
-class _Shape:
-    """The blocks of one function, and what may be in each register on
-    entry to each block."""
+class _Shape(CFG):
+    """The blocks of one function, cut every `BLOCK_LIMIT` instructions
+    too, and what may be in each register on entry to each block: the
+    union over the paths reaching it (nothing, in a block none reaches)."""
 
     def __init__(self, func: VMFunction) -> None:
         code = func.instructions
-        n = len(code)
-        self.n = n
-        leaders = {0} if n else set()
-        self.jumps: Dict[int, Tuple[int, ...]] = {}
-        for pc, instr in enumerate(code):
-            op = instr.opcode
-            if op == _Op.IF:
-                self.jumps[pc] = (pc + instr.true_offset, pc + instr.false_offset)
-            elif op == _Op.GOTO:
-                self.jumps[pc] = (pc + instr.pc_offset,)
-            leaders.update(t for t in self.jumps.get(pc, ()) if 0 <= t < n)
-            if op in _TERMINATORS and pc + 1 < n:
-                leaders.add(pc + 1)
-        bounds = sorted(leaders) + [n]
-        self.blocks: List[Tuple[int, int]] = []
-        for start, end in zip(bounds, bounds[1:]):
-            for cut in range(start, end, BLOCK_LIMIT):
-                self.blocks.append((cut, min(cut + BLOCK_LIMIT, end)))
-        # A block index past the last is the end: falling off it raises.
-        self.block_at = {start: b for b, (start, _) in enumerate(self.blocks)}
-        self.block_at[n] = len(self.blocks)
-
-        # Forward, to a fixed point: each register's kinds on entry to
-        # each block are the union over the paths reaching it.
+        super().__init__(code, BLOCK_LIMIT)
         registers = func.register_count
-        self.kinds_in: List[List[int]] = [[0] * registers for _ in self.blocks]
-        if self.blocks:
-            self.kinds_in[0] = [_ANY if r < func.num_params else _NONE for r in range(registers)]
-        work = [0] if self.blocks else []
-        while work:
-            b = work.pop()
-            kinds = list(self.kinds_in[b])
+
+        def transfer(b: int, kinds: List[int]) -> List[int]:
+            kinds = list(kinds)
             start, end = self.blocks[b]
             for instr in code[start:end]:
                 for dst in ins.operands(instr)[1]:
                     kinds[dst] = _write_kind(instr, kinds)
-            for s in self._successors(code, b):
-                into = self.kinds_in[s]
-                grown = [a | k for a, k in zip(into, kinds)]
-                if grown != into:
-                    self.kinds_in[s] = grown
-                    work.append(s)
+            return kinds
 
-    def target(self, pc: int) -> Optional[int]:
-        """The block at *pc*, or None outside ``[0, n)``."""
-        return self.block_at[pc] if 0 <= pc < self.n else None
-
-    def _successors(self, code, b: int) -> List[int]:
-        start, end = self.blocks[b]
-        last = code[end - 1].opcode
-        if last in (_Op.RET, _Op.FATAL):
-            return []
-        if last in (_Op.IF, _Op.GOTO):
-            found = [self.target(t) for t in self.jumps[end - 1]]
-            return [s for s in found if s is not None]
-        nxt = self.block_at[end]
-        return [nxt] if nxt < len(self.blocks) else []
+        entry = [_ANY if r < func.num_params else _NONE for r in range(registers)]
+        found = forward(self, entry, transfer, lambda a, b: [x | y for x, y in zip(a, b)])
+        self.kinds_in: List[List[int]] = [k if k is not None else [0] * registers for k in found]
 
 
 # ------------------------------------------------------------ generation
@@ -568,7 +526,7 @@ class _Block:
     def if_(self, pc: int, i: ins.If) -> None:
         self.out(f"a = {self.scalar(i.test)}")
         self.out(f"b = {self.scalar(i.target)}")
-        yes, no = self.shape.jumps[pc]
+        yes, no = successors(pc, i)
         if self.shape.target(yes) is not None and self.shape.target(no) is not None:
             self.leave(f"return {self.shape.target(yes)} if a == b else {self.shape.target(no)}")
             return
@@ -579,7 +537,7 @@ class _Block:
         self.jump(pc, no)
 
     def goto(self, pc: int, i: ins.Goto) -> None:
-        self.jump(pc, self.shape.jumps[pc][0])
+        self.jump(pc, successors(pc, i)[0])
 
     def ret(self, pc: int, i: ins.Ret) -> None:
         if self.record:
@@ -604,13 +562,11 @@ class _Block:
             instr = code[pc]
             if instr.opcode == _Op.RET:
                 return instr.result == result
-            if instr.opcode == _Op.GOTO:
-                pc = self.shape.jumps[pc][0]
-                continue
-            if instr.opcode != _Op.MOVE or instr.src != result:
+            if instr.opcode == _Op.MOVE and instr.src == result:
+                result = instr.dst
+            elif instr.opcode != _Op.GOTO:
                 return False
-            result = instr.dst
-            pc += 1
+            pc = successors(pc, instr)[0]
         return False
 
     def invoke(self, pc: int, i: ins.Invoke) -> None:
@@ -654,7 +610,7 @@ class _Block:
             if not self.record:
                 self.out(f"{self.use('C')}.host_us += {self.use('I')}")
             _EMIT[code[pc].opcode](self, pc, code[pc])
-        if start < end and code[end - 1].opcode not in _TERMINATORS:
+        if start < end and code[end - 1].opcode not in TERMINATORS:
             self.leave(f"return {self.shape.block_at[end]!r}")
         head = [f"# {self.func.name}, block {self.b}: pc {start} to {end - 1}",
                 "def make(vm, H):"]

@@ -55,25 +55,8 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.vm import instruction as ins
+from repro.vm.cfg import is_straight_line
 from repro.vm.executable import Executable, VMFunction
-
-# Any of these makes a function non-straight-line: control flow means a
-# static event schedule could wait on a never-recorded event's *producer
-# side effects*, and calls interleave another function's kernels into the
-# middle of ours. Such functions keep the single-stream model.
-_CONTROL_FLOW = (
-    ins.If,
-    ins.Goto,
-    ins.Invoke,
-    ins.InvokeClosure,
-    ins.AllocClosure,
-)
-
-
-def is_straight_line(func: VMFunction) -> bool:
-    """True if the function has no control flow and no calls — the class
-    of functions the static scheduler is sound for."""
-    return not any(isinstance(i, _CONTROL_FLOW) for i in func.instructions)
 
 
 @dataclass

@@ -71,9 +71,7 @@ class _TierCache:
         """One shape-independent prefix per model — member and batched
         staged variants of every length share it."""
         if self._prefix is None:
-            self._prefix, _ = nimble.compile_prefix(
-                self.mod, self.platform, use_cache=False
-            )
+            self._prefix = nimble.build_prefix(self.mod, self.platform)
         return self._prefix
 
     def dynamic(self) -> VirtualMachine:

@@ -20,7 +20,6 @@ from repro.ir import (
     ScopeBuilder,
     TensorType,
     Tuple,
-    TupleGetItem,
     TupleType,
     TypeData,
     Var,
@@ -325,22 +324,6 @@ class TestPrinterGolden:
             )
             if self_contained:
                 assert structural_equal(func, b[gv.name_hint])
-
-    @pytest.mark.parametrize("family", ["lstm", "tree_lstm", "bert"])
-    def test_signature_reparses_from_text(self, family):
-        from repro.ir import module_signature, parse_module_signature
-
-        mod = self._builders()[family]()
-        parsed = parse_module_signature(self._golden(family))
-        assert parsed == module_signature(mod)
-        assert "main" in parsed
-
-    def test_signature_parser_handles_nested_types(self):
-        from repro.ir import module_signature, parse_module_signature, pretty_module
-
-        x = Var("x", TupleType([TensorType((Any(), 2)), scalar_type("int64")]))
-        mod = IRModule.from_expr(Function([x], TupleGetItem(x, 0), TensorType((Any(), 2))))
-        assert parse_module_signature(pretty_module(mod)) == module_signature(mod)
 
 
 class TestPrinter:

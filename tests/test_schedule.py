@@ -23,13 +23,13 @@ from repro.models.bert import BertConfig, BertWeights, build_bert_module
 from repro.runtime.context import ExecutionContext
 from repro.tensor.device import cpu, gpu
 from repro.vm import instruction as ins
+from repro.vm.cfg import is_straight_line
 from repro.vm.compiler import CompilerOptions
 from repro.vm.executable import VMFunction
 from repro.vm.interpreter import VirtualMachine
 from repro.vm.schedule import (
     assign_streams,
     build_dependency_graph,
-    is_straight_line,
     schedule_executable,
     schedule_function,
 )

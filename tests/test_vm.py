@@ -925,13 +925,14 @@ class TestGeneratedExecutor:
         assert all(callable(emit) for emit in generator._EMIT.values())
 
     def test_blocks_are_cut_at_targets_after_control_flow_and_every_128(self):
-        from repro.vm.generator import BLOCK_LIMIT, _Shape
+        from repro.vm.cfg import CFG
+        from repro.vm.generator import BLOCK_LIMIT
 
         loop = ([ins.LoadConsti(0, 0), ins.LoadConsti(0, 1),
                  ins.If(0, 1, 1, 3), ins.Goto(2)]
                 + [ins.Move(0, 2)] * (BLOCK_LIMIT + 2)
                 + [ins.Ret(2)])
-        shape = _Shape(VMFunction("f", 0, loop, 3))
+        shape = CFG(loop, BLOCK_LIMIT)
         n = len(loop)
         assert shape.blocks == [(0, 3), (3, 4), (4, 5), (5, 5 + BLOCK_LIMIT), (5 + BLOCK_LIMIT, n)]
         assert shape.target(5) == 3 and shape.target(n) is None and shape.target(-1) is None
@@ -951,6 +952,29 @@ class TestGeneratedExecutor:
         loop = exe.functions[exe.func_index["lstm_loop"]]
         golden = Path(__file__).parent / "golden" / "lstm_loop_vm.txt"
         assert function_code(loop, vm._constants).source == golden.read_text()
+
+    def test_the_tree_eval_source_matches_golden(self):
+        """The toy TreeLSTM's recursion, generated: a branchy function
+        (a ``GetTag``, two ``If``, two ``Goto``, two plain ``Invoke`` and a
+        ``Fatal`` on the path no constructor takes), so its blocks, their successors and the register
+        kinds joined where paths meet are all pinned (CI runs this under
+        two hash seeds)."""
+        from collections import Counter
+        from pathlib import Path
+
+        from repro.models.tree_lstm import TreeLSTMWeights, build_tree_lstm_module
+        from repro.vm.generator import function_code
+
+        mod = build_tree_lstm_module(TreeLSTMWeights.create(input_size=12, hidden_size=8, seed=0))
+        exe, _ = nimble.build(mod, intel_cpu())
+        vm = VirtualMachine(exe)
+        tree_eval = exe.functions[exe.func_index["tree_eval"]]
+        ops = Counter(i.opcode for i in tree_eval.instructions)
+        assert len(tree_eval.instructions) == 76
+        assert (ops[ins.Opcode.GET_TAG], ops[ins.Opcode.IF], ops[ins.Opcode.GOTO],
+                ops[ins.Opcode.INVOKE], ops[ins.Opcode.FATAL]) == (1, 2, 2, 2, 1)
+        golden = Path(__file__).parent / "golden" / "tree_eval_vm.txt"
+        assert function_code(tree_eval, vm._constants).source == golden.read_text()
 
     def test_a_vm_over_generated_bytecode_generates_nothing(self, monkeypatch):
         """Workers and fleet restores build VMs every pass: the second VM
