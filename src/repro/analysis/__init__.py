@@ -18,9 +18,9 @@ it (docs/analysis.md has the catalog):
 :func:`verify_executable` is the driver the rest of the system calls: at
 the end of every compile (``CompilerOptions(verify=True)``, the default),
 on every store load (`repro.store` rejects-and-counts a blob that fails
-verification exactly like a corrupt one — it is never executed), sampled
-in serving (``repro.serve.specialization.VERIFY_SAMPLE``), and in CI
-(`benchmarks/verify_artifacts.py`).
+verification exactly like a corrupt one — it is never executed), and in
+CI (`benchmarks/verify_artifacts.py`). Serving compiles go through the
+compiler's gate like any other.
 
 Findings, not exceptions, are the checkers' native output: each checker
 returns a list of :class:`repro.errors.Finding` and

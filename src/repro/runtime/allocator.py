@@ -66,11 +66,9 @@ class _SizeClasses(dict):
 
 
 class PoolingAllocator:
-    def __init__(self, platform: Platform, clock: Optional[VirtualClock] = None,
-                 pooling: bool = True) -> None:
+    def __init__(self, platform: Platform, clock: Optional[VirtualClock] = None) -> None:
         self.platform = platform
         self.clock = clock
-        self.pooling = pooling
         self.stats = AllocStats()
         self._live_bytes = 0
         self._pooled_us = calibration.ALLOC_POOLED_US[platform.name]
@@ -97,13 +95,13 @@ class PoolingAllocator:
     def alloc(self, nbytes: int, alignment: int, device: Device,
               pool: Optional[FreeList] = None) -> Storage:
         """A storage of *nbytes*' size class on *device*: a freed one of
-        that class if pooling, else a fresh one. *pool* is
+        that class if there is one, else a fresh one. *pool* is
         ``free_list(nbytes, device)``, if the caller holds it."""
         if pool is None:
             pool = self.free_list(nbytes, device)
         size = pool.size
         stats = self.stats
-        if self.pooling and pool:
+        if pool:
             storage = pool.pop()
             storage.freed = False
             stats.pooled_allocs += 1
@@ -127,8 +125,7 @@ class PoolingAllocator:
         storage.freed = True  # Storage.free, without the call
         self.stats.frees += 1
         self._live_bytes -= storage.size
-        if self.pooling:
-            self._pools[storage.device][storage.size].append(storage)
+        self._pools[storage.device][storage.size].append(storage)
 
     def release_all(self) -> None:
         """End-of-inference: drop *pooled* (already freed) storage.

@@ -34,7 +34,6 @@ class ExecutionContext:
     def __init__(
         self,
         platform: Optional[Platform] = None,
-        pooling: bool = True,
         numerics: str = "full",
     ) -> None:
         if numerics not in ("full", "lite"):
@@ -42,7 +41,7 @@ class ExecutionContext:
         self.platform = platform or intel_cpu()
         self.numerics = numerics
         self.clock = VirtualClock()
-        self.allocator = PoolingAllocator(self.platform, self.clock, pooling=pooling)
+        self.allocator = PoolingAllocator(self.platform, self.clock)
 
     def reset_clock(self) -> None:
         self.clock.reset()

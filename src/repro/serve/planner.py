@@ -18,11 +18,10 @@ inference, fusion, allocation, codegen —
 way: each variant pays the suffix (``SPECIALIZE_SUFFIX_*_US``, or
 ``specialize_compile_us × (1 − SPECIALIZE_PREFIX_FRACTION)`` under the
 override), and the first fresh compile of a simulation additionally
-carries the prefix (``SpecializationEvent.prefix_us``), once. The
-compiler's own verify gate is off on this path; instead every
-``VERIFY_SAMPLE``-th actual compile of a simulation, starting with the
-first, runs the ``repro.analysis`` checkers, and a failure raises — it
-is a compiler bug.
+carries the prefix (``SpecializationEvent.prefix_us``), once. Every
+compile passes the compiler's own verify gate (``repro.analysis``), and
+a failure raises — it is a compiler bug, never a shape to serve
+member-wise.
 
 With ``batch_cap > 1`` each shape has **two variants**: the member-wise
 build and a batch-specialized build (``nimble.specialize(batch=...)``)
@@ -53,7 +52,7 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 
 import repro.nimble as nimble
 from repro.codegen.kernels import KernelCache
-from repro.errors import NimbleError
+from repro.errors import NimbleError, VerificationError
 from repro.hardware import calibration
 from repro.hardware.platforms import Platform
 from repro.ir.module import IRModule
@@ -66,12 +65,6 @@ from repro.serve.pool import CompilePool, Plan, VariantKey
 from repro.serve.profile import profile_store_key
 from repro.store import ArtifactStore, FleetStoreView
 from repro.vm.executable import Executable, artifact_key
-
-# Every Nth actual serving compile, starting with the first, is
-# statically verified (repro.analysis) in place of the compiler's
-# per-compile gate, which the hot compile lane should not pay on every
-# variant. Store loads and the startup dynamic build always verify.
-VERIFY_SAMPLE = 4
 
 
 class ArtifactPlanner:
@@ -106,8 +99,6 @@ class ArtifactPlanner:
         # A store-key component too, so single- and multi-stream builds
         # never alias; clamped once, as the compiler would stamp it.
         self.device_streams = platform.effective_streams(config.device_streams)
-        # Actual compiles that ran the verifier (memo hits never do).
-        self.verified_compiles = 0
         # The module component of every store key.
         self.fingerprint = module_fingerprint(mod)
         # Store blobs that failed validation once (see _from_store), by
@@ -273,17 +264,14 @@ class ArtifactPlanner:
                 self.mod,
                 self.platform,
                 shapes=self._shapes(key),
-                options=nimble.CompilerOptions(
-                    device_streams=self.device_streams,
-                    # The compiler's per-compile verify gate is replaced
-                    # by the sampled verification below.
-                    verify=False,
-                ),
+                options=nimble.CompilerOptions(device_streams=self.device_streams),
                 kernel_cache=self.kernel_cache,
                 batch=batch,
                 source_signature=self.fingerprint,
                 prefix=self._prefix,
             )
+        except VerificationError:
+            raise  # a compiler bug, never an unbatchable shape
         except NimbleError:
             # Member-wise compiles must succeed; a *batched* compile
             # failing for any reason serves this shape member-wise only.
@@ -292,14 +280,6 @@ class ArtifactPlanner:
             self._unbatchable.add(key)
             return False
         pool.fresh_compiles += 1
-        if (pool.fresh_compiles - 1) % VERIFY_SAMPLE == 0:
-            # A failure here is a compiler bug — raise, never serve it.
-            from repro.analysis import assert_verified
-
-            assert_verified(
-                exe, context=f"(serving compile, shape {key}, batch {batch})"
-            )
-            self.verified_compiles += 1
         self.executables[variant] = exe
         if self.compile_us is not None:
             # The override names the cost of one variant compiled from

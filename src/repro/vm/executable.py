@@ -39,11 +39,10 @@ from repro.tensor.ndarray import NDArray
 from repro.vm import instruction as ins
 
 MAGIC = b"NMBL"
+# The loader accepts only the version it writes. The version is a
+# component of every artifact key, so older blobs are never looked up;
+# one met anyway is rejected as stale, not migrated.
 VERSION = 6
-# Oldest version the loader still accepts: only the one it writes. The
-# version is a component of every artifact key, so older blobs are never
-# looked up; one met anyway is rejected as stale, not migrated.
-MIN_VERSION = VERSION
 
 
 def artifact_key(
@@ -305,7 +304,7 @@ class Executable:
         if buf.read(4) != MAGIC:
             raise SerializationError("bad magic: not a Nimble executable")
         version = int.from_bytes(buf.read(2), "little")
-        if not MIN_VERSION <= version <= VERSION:
+        if version != VERSION:
             raise SerializationError(
                 f"unsupported executable version {version} "
                 f"(this build reads version {VERSION})"

@@ -35,9 +35,9 @@ prefix it ran (`FunctionCode.executed`). Nothing that changes under a
 live VM is baked in: a kernel is ``KN[i]`` at the call, the profile and
 numerics are the run's (``S``), and the methods tracers patch are looked
 up per call. Code is cached by content in a bounded LRU and binds only
-what the VM holds, never the VM. ``record=True`` is the launch tape's
-policy (`repro.vm.tape`): no instruction charge, and each
-``InvokePacked`` appended to ``S.tape`` instead of run.
+what the VM holds, never the VM. The launch tape (`repro.vm.tape`)
+records through this same code: it runs a VM whose kernels keep their
+operands instead of running.
 """
 
 from __future__ import annotations
@@ -77,8 +77,9 @@ BLOCK_LIMIT = 128
 # workloads: at most 6 distinct functions (vm_single); serve_tiered and
 # fleet_restart rebuild VMs every pass over 2 (16 and 46 lookups a pass,
 # all hits). 32 also holds one served model with its dynamic executable
-# and four specialized variants, each run and recorded (at most 20 for
-# the LSTM). An entry holds about 0.5 MB at BERT size.
+# and four specialized variants (at most 10 for the LSTM); a launch tape
+# records through the entries a run uses. An entry holds about 0.5 MB at
+# BERT size.
 CACHE_SIZE = 32
 
 # What a register may hold, as bits, at one point of the function:
@@ -215,13 +216,11 @@ class _Block:
     instruction being written, and ``values`` the int (or `IntConstObj`
     value) a register is known to hold."""
 
-    def __init__(self, func: VMFunction, shape: _Shape, b: int, const_values: dict,
-                 record: bool) -> None:
+    def __init__(self, func: VMFunction, shape: _Shape, b: int, const_values: dict) -> None:
         self.func = func
         self.shape = shape
         self.b = b
         self.const_values = const_values
-        self.record = record
         self.lines: List[str] = []
         self.indent = "        "
         self.binds: Dict[str, str] = {}  # name -> what `make` reads it from
@@ -354,10 +353,9 @@ class _Block:
 
     def leave(self, statement: str) -> None:
         """Leave the block: count it, then *statement* (a return)."""
-        if not self.record:
-            self.out(f"H[{self.b}] += 1")
-            S, I = self.use("S"), self.use("I")
-            self.out(f"{S}.d = {S}.d" + f" + {I}" * self.count)
+        self.out(f"H[{self.b}] += 1")
+        S, I = self.use("S"), self.use("I")
+        self.out(f"{S}.d = {S}.d" + f" + {I}" * self.count)
         self.out(statement)
 
     def jump(self, pc: int, to: int) -> None:
@@ -492,10 +490,6 @@ class _Block:
         if i.device.is_gpu:
             self.use("PF")
             launch_us = self.bind("L", f"PF.spec_of({device}).host_launch_us")
-        if self.record:
-            self.out(f"{self.use('S')}.tape.append((k, [{inputs}], [{outputs}], {device}, "
-                     f"{launch_us}, {i.stream!r}))")
-            return
         C = self.use("C")
         if i.kind == "shape_func":
             self.out(f"shape_func(k, [{inputs}], [{outputs}], {C}, {self.P()})")
@@ -540,9 +534,6 @@ class _Block:
         self.jump(pc, successors(pc, i)[0])
 
     def ret(self, pc: int, i: ins.Ret) -> None:
-        if self.record:
-            self.out(f"return (R[{i.result}],)")
-            return
         self.out(f"v = R[{i.result}]")
         self.retain("v", self.kinds[i.result])
         self.release_frame()
@@ -570,7 +561,7 @@ class _Block:
         return False
 
     def invoke(self, pc: int, i: ins.Invoke) -> None:
-        if self.record or not self._is_tail(pc, i):
+        if not self._is_tail(pc, i):
             args = "".join(f"R[{r}], " for r in i.args)
             self._call(pc, repr(i.func_index), f"[{args[:-2]}]", i.dst)
             return
@@ -607,8 +598,7 @@ class _Block:
         for pc in range(start, end):
             self.count += 1
             self.starts.append(len(self.lines))
-            if not self.record:
-                self.out(f"{self.use('C')}.host_us += {self.use('I')}")
+            self.out(f"{self.use('C')}.host_us += {self.use('I')}")
             _EMIT[code[pc].opcode](self, pc, code[pc])
         if start < end and code[end - 1].opcode not in TERMINATORS:
             self.leave(f"return {self.shape.block_at[end]!r}")
@@ -651,7 +641,7 @@ class FunctionCode:
 
     __slots__ = ("sources", "makes", "codes", "opcodes", "tallies", "starts", "filenames")
 
-    def __init__(self, func: VMFunction, const_values: dict, record: bool) -> None:
+    def __init__(self, func: VMFunction, const_values: dict) -> None:
         shape = _Shape(func)
         self.sources: List[str] = []
         self.makes, self.codes, self.filenames = [], [], []
@@ -659,7 +649,7 @@ class FunctionCode:
         self.tallies: List[List[Tuple[int, int]]] = []
         self.starts: List[List[int]] = []
         for b in range(len(shape.blocks) + 1):
-            block = _Block(func, shape, b, const_values, record)
+            block = _Block(func, shape, b, const_values)
             source = block.source()
             filename = f"{__file__}<vm_{func.name}:{b}:{zlib.crc32(source.encode()):08x}>"
             namespace = dict(_GLOBALS, **block.consts)
@@ -690,7 +680,7 @@ class FunctionCode:
 _CACHE: "OrderedDict[tuple, FunctionCode]" = OrderedDict()
 
 
-def function_code(func: VMFunction, constants: list, record: bool = False) -> FunctionCode:
+def function_code(func: VMFunction, constants: list) -> FunctionCode:
     """*func*'s generated code, from the cache when this process has
     generated the same content before. *constants* are the VM's
     register objects of the executable's constant pool: the value of an
@@ -699,13 +689,13 @@ def function_code(func: VMFunction, constants: list, record: bool = False) -> Fu
     code = func.instructions
     values = {i.const_index: getattr(constants[i.const_index], "value", None)
               for i in code if i.opcode == _Op.LOAD_CONST}
-    key = (record, func.name, func.num_params, func.register_count, tuple(code),
+    key = (func.name, func.num_params, func.register_count, tuple(code),
            tuple(values.items()))
     found = _CACHE.get(key)
     if found is not None:
         _CACHE.move_to_end(key)
         return found
-    found = _CACHE[key] = FunctionCode(func, values, record)
+    found = _CACHE[key] = FunctionCode(func, values)
     if len(_CACHE) > CACHE_SIZE:
         for filename in _CACHE.popitem(last=False)[1].filenames:
             linecache.cache.pop(filename, None)

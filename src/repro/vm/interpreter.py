@@ -42,10 +42,10 @@ _OPCODE_NAMES = [op.name for op in sorted(ins.Opcode)]
 
 class _RunState:
     """What generated blocks read per run (``S``): the profile charged,
-    the numerics, the stream rotation, the dispatch total, the run's
-    launch log, and the launch list a recording appends to."""
+    the numerics, the stream rotation, the dispatch total and the run's
+    launch log."""
 
-    __slots__ = ("profile", "lite", "offset", "d", "launches", "tape")
+    __slots__ = ("profile", "lite", "offset", "d", "launches")
 
     def __init__(self) -> None:
         self.profile: Optional[VMProfile] = None
@@ -55,7 +55,6 @@ class _RunState:
         # (invocation, kernel, stream) per kernel launch, in order;
         # blocks bind this one list, so it is only ever emptied.
         self.launches: list = []
-        self.tape: Optional[list] = None
 
 
 class _Program:
@@ -109,13 +108,7 @@ class VirtualMachine:
         self._state = _RunState()
 
     # ------------------------------------------------------------------ public
-    def run(
-        self,
-        *inputs,
-        entry: Optional[str] = None,
-        sync: bool = True,
-        stream_offset: int = 0,
-    ):
+    def run(self, *inputs, sync: bool = True, stream_offset: int = 0):
         """Invoke the entry function; returns NDArray / nested tuples.
 
         ``sync=False`` skips the final device synchronization: the host
@@ -130,21 +123,52 @@ class VirtualMachine:
         members so independent runs land on different streams and their
         device work overlaps. A no-op on single-stream builds.
         """
+        result = self._run(inputs, sync, stream_offset)
+        unwrapped = self._unwrap(result)
+        # The unwrap copied the data out; drop the VM's last reference so
+        # the result buffer returns to the allocator pool.
+        if isinstance(result, VMObject):
+            result.release()
+        return unwrapped
+
+    def run_with_latency(self, *inputs):
+        """(result, latency_us) for one inference.
+
+        The clock is *not* reset: the latency is the elapsed-µs delta on
+        the context's running clock across this call, so the method is
+        safe to interleave with other work on the same context (earlier
+        time is never re-counted, and device queues keep their state).
+        """
+        start = self.ctx.clock.elapsed_us
+        result = self.run(*inputs)
+        return result, self.ctx.clock.elapsed_us - start
+
+    # ------------------------------------------------------------ trampoline
+    def _run(self, inputs: tuple, sync: bool = True, stream_offset: int = 0) -> RegisterValue:
+        """The run proper: the register the entry function returns, still
+        held (the launch tape keeps it, `run` unwraps and releases it)."""
         if self._running:
             raise VMError(
                 "VirtualMachine.run is not re-entrant; use one VM per worker"
             )
-        index = self._entry(entry, inputs)
-        name = self.exe.functions[index].name
-        if name == self.exe.entry:
-            mismatch = self.exe.guard_mismatch(inputs)
-            if mismatch is not None:
-                raise ShapeGuardError(
-                    f"{name}: {mismatch}; the serving layer should have "
-                    f"deopted this call to the dynamic tier"
-                )
+        name = self.exe.entry
+        try:
+            index = self.exe.func_index[name]
+        except KeyError:
+            raise VMError(f"executable has no function {name!r}") from None
+        num_params = self.exe.functions[index].num_params
+        if len(inputs) != num_params:
+            raise VMError(f"{name} expects {num_params} inputs, got {len(inputs)}")
+        mismatch = self.exe.guard_mismatch(inputs)
+        if mismatch is not None:
+            raise ShapeGuardError(
+                f"{name}: {mismatch}; the serving layer should have "
+                f"deopted this call to the dynamic tier"
+            )
         program = self._program(index)
-        registers = self._frame(program.register_count, inputs)
+        registers: List[RegisterValue] = [None] * program.register_count
+        for i, value in enumerate(inputs):
+            registers[i] = self._wrap_input(value)
         state, profile = self._state, self.profile
         state.profile = profile
         state.lite = self.ctx.numerics == "lite"
@@ -159,59 +183,7 @@ class VirtualMachine:
         profile.record_run()
         if sync:
             self.ctx.clock.sync_all()
-        unwrapped = self._unwrap(result)
-        # The unwrap copied the data out; drop the VM's last reference so
-        # the result buffer returns to the allocator pool.
-        if isinstance(result, VMObject):
-            result.release()
-        return unwrapped
-
-    def run_with_latency(self, *inputs, entry: Optional[str] = None):
-        """(result, latency_us) for one inference.
-
-        The clock is *not* reset: the latency is the elapsed-µs delta on
-        the context's running clock across this call, so the method is
-        safe to interleave with other work on the same context (earlier
-        time is never re-counted, and device queues keep their state).
-        """
-        start = self.ctx.clock.elapsed_us
-        result = self.run(*inputs, entry=entry)
-        return result, self.ctx.clock.elapsed_us - start
-
-    def record(self, *inputs, launches: list) -> RegisterValue:
-        """Run the entry function once under the launch tape's policy
-        (`repro.vm.tape`): no instruction is charged, and each
-        ``InvokePacked`` is appended to *launches* as ``(kernel, input
-        arrays, output arrays, device, launch_us, stream)`` instead of
-        run. Returns the register the function returns; nothing is
-        released, so every array a launch names stays live."""
-        index = self._entry(None, inputs)
-        func = self.exe.functions[index]
-        program = _Program(func, function_code(func, self._constants, record=True), self)
-        self._state.profile = self.profile
-        self._state.tape = launches
-        try:
-            return self._execute(program, self._frame(func.register_count, inputs), count=False)
-        finally:
-            self._state.tape = None
-
-    # ------------------------------------------------------------ trampoline
-    def _entry(self, entry: Optional[str], inputs: tuple) -> int:
-        name = entry or self.exe.entry
-        try:
-            index = self.exe.func_index[name]
-        except KeyError:
-            raise VMError(f"executable has no function {name!r}") from None
-        num_params = self.exe.functions[index].num_params
-        if len(inputs) != num_params:
-            raise VMError(f"{name} expects {num_params} inputs, got {len(inputs)}")
-        return index
-
-    def _frame(self, register_count: int, inputs: tuple) -> List[RegisterValue]:
-        registers: List[RegisterValue] = [None] * register_count
-        for i, value in enumerate(inputs):
-            registers[i] = self._wrap_input(value)
-        return registers
+        return result
 
     def _program(self, index: int) -> _Program:
         """Function *index* bound to this VM, generated (or found in the
@@ -223,8 +195,7 @@ class VirtualMachine:
             program = self._programs[index] = _Program(func, code, self)
         return program
 
-    def _execute(self, program: _Program, registers: List[RegisterValue],
-                 count: bool = True) -> RegisterValue:
+    def _execute(self, program: _Program, registers: List[RegisterValue]) -> RegisterValue:
         """Run *program* from its first block: one call per block, and
         a frame pushed or popped where a block calls or returns. A tail
         call pushes nothing: the callee's frame replaces the caller's.
@@ -273,15 +244,14 @@ class VirtualMachine:
                     program, blocks, b = callee, callee.blocks, 0
         except BaseException as err:
             raised = err.__traceback__.tb_next
-            if count and raised is not None and raised.tb_frame.f_code is program.code.codes[b]:
+            if raised is not None and raised.tb_frame.f_code is program.code.codes[b]:
                 partial = program.code.executed(b, raised.tb_lineno)
             _release_frame(registers)
             while stack:
                 _release_frame(stack.pop()[1])
             raise
         finally:
-            if count:
-                self._count(partial)
+            self._count(partial)
 
     def _count(self, partial: List[int]) -> None:
         """Fold the run's block hits, and the instructions of a block that

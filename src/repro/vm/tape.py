@@ -6,13 +6,14 @@ storage is allocated once, when the tape is recorded, and a replay walks
 the launches with a fixed per-node charge — no instruction decode, no
 shape function, no allocation. It is the "tvm" column of Table 4: the
 same kernels the VM runs for a specialized executable, without the VM
-around them. The recording runs the VM's own generated code under a
-second policy (`VirtualMachine.record`), so no opcode's meaning is
+around them. The recording is an ordinary run of the VM, over kernels
+that keep their operands instead of running, so no opcode's meaning is
 written twice here.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.errors import VMError
@@ -32,6 +33,21 @@ _RECORDABLE = frozenset({
 })
 
 
+class _Recorded:
+    """A kernel whose launches are kept, not run: every attribute is the
+    real kernel's, and `run` appends the operand arrays to *launches*."""
+
+    def __init__(self, kernel, launches: list) -> None:
+        self._kernel = kernel
+        self._launches = launches
+
+    def __getattr__(self, name: str):
+        return getattr(self._kernel, name)
+
+    def run(self, inputs: list, outputs: list) -> None:
+        self._launches.append((self._kernel, inputs, outputs))
+
+
 class LaunchTape:
     """The entry function of *exe*, recorded over *inputs* (bound by
     reference) and replayed on *ctx*'s clock and numerics."""
@@ -46,20 +62,29 @@ class LaunchTape:
                 refused[type(instr).__name__] = None
         if refused:
             raise VMError(f"a launch tape cannot record {', '.join(refused)} in {func.name}")
-        if len(inputs) != func.num_params:
-            raise VMError(f"{func.name} expects {func.num_params} inputs, got {len(inputs)}")
-        # The recording VM's own context owns every storage the tape uses;
-        # nothing of the recording reaches the replay clock.
-        vm = VirtualMachine(exe)
-        self.ctx = ctx or ExecutionContext(vm.ctx.platform)
+        # A private VM, with a full-numerics context of its own, runs the
+        # function once: its context owns every storage the tape uses,
+        # and nothing of the recording reaches the replay clock.
+        recorded = []
+        kernels = [_Recorded(kernel, recorded) for kernel in exe.kernels]
+        vm = VirtualMachine(dataclasses.replace(exe, kernels=kernels))
+        platform = vm.ctx.platform
+        self.ctx = ctx or ExecutionContext(platform)
         if self.ctx.platform.name != exe.platform_name:
             raise VMError(
                 f"executable built for {exe.platform_name!r} cannot replay on "
                 f"{self.ctx.platform.name!r}"
             )
-        self.launches = []
-        self._result = vm.record(*inputs, launches=self.launches)
+        self._result = vm._run(inputs)
         self._unwrap = vm._unwrap
+        # The function is straight-line, so its i-th launch is its i-th
+        # InvokePacked, which says where the launch goes.
+        packed = [i for i in func.instructions if i.opcode == Opcode.INVOKE_PACKED]
+        self.launches = [
+            (kernel, xs, ys, i.device,
+             platform.spec_of(i.device).host_launch_us if i.device.is_gpu else None, i.stream)
+            for (kernel, xs, ys), i in zip(recorded, packed)
+        ]
         # Σ invoke_cost over every replay: the interpreter's kernel_time_us.
         self.kernel_time_us = 0.0
 

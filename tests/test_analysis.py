@@ -37,9 +37,10 @@ from repro.analysis.lifetimes import check_function_lifetimes
 from repro.analysis.races import _check_function
 from repro.errors import Finding, VerificationError
 from repro.hardware.platforms import intel_cpu, nvidia_gpu
-from repro.ir import Constant, Function, Let, TensorType, Tuple, Var
+from repro.ir import Any, Constant, Function, IRModule, Let, TensorType, Tuple, Var
 from repro.models.bert import BertConfig, BertWeights, build_bert_module
 from repro.models.lstm import LSTMWeights, build_lstm_module
+from repro.ops import api
 from repro.passes import (
     CommonSubexprElimination,
     DeadCodeElimination,
@@ -859,26 +860,50 @@ class TestSystemGates:
         assert store.get(key) is not None
         assert store.rejects == 0
 
-    def test_serve_config_samples_verification(self):
-        """Serving compiles skip the compiler's gate and are verified on
-        a fixed cadence instead: the first, then every fourth."""
-        from repro.serve import planner
+    @staticmethod
+    def _gated_server(monkeypatch, mod, mutate_batched=False, **config):
+        """A specializing server whose compiler gate logs each executable
+        it verifies, after the startup build; with *mutate_batched*, a
+        batched build reaches the gate with an undefined register."""
+        import repro.analysis
         from repro.serve.server import InferenceServer, ServeConfig
 
-        assert planner.VERIFY_SAMPLE == 4
+        verified, real = [], repro.analysis.assert_verified
+
+        def gate(exe, context=None):
+            if mutate_batched and exe.is_batch_specialized:
+                exe = OPERATORS["undefine_register"](exe)
+            verified.append(exe)
+            return real(exe, context)
+
+        monkeypatch.setattr(repro.analysis, "assert_verified", gate)
         server = InferenceServer(
-            small_lstm(),
-            intel_cpu(),
-            ServeConfig(
-                specialize=True,
-                specialize_threshold=1,
-                specialize_max_executables=5,
-            ),
-        )
-        for i, length in enumerate((3, 4, 5, 6, 7)):
+            mod, intel_cpu(), ServeConfig(specialize=True, specialize_threshold=1, **config))
+        verified.clear()
+        return server, verified
+
+    def test_every_serving_compile_is_verified(self, monkeypatch):
+        """Serving compiles keep the compiler's own gate: each variant
+        is verified as it is compiled, and a memo hit compiles nothing."""
+        server, verified = self._gated_server(
+            monkeypatch, small_lstm(), specialize_max_executables=5)
+        for i, length in enumerate((3, 4, 5, 6, 7, 3)):
             server.specializer.observe((length,), float(i))
-        assert server.specializer.planner.num_variants == 5
-        assert server.specializer.planner.verified_compiles == 2
+        executables = list(server.specializer.planner.executables.values())
+        assert len(executables) == 5
+        assert [id(exe) for exe in verified] == [id(exe) for exe in executables]
+
+    def test_a_batched_compile_failing_verification_raises(self, monkeypatch):
+        """A batched build the verifier rejects is a compiler bug: it
+        raises, and the shape is not taken for unbatchable."""
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        mod = IRModule.from_expr(Function([x], api.relu(x)))
+        server, verified = self._gated_server(
+            monkeypatch, mod, mutate_batched=True, specialize_batch=True, max_batch_size=2)
+        with pytest.raises(VerificationError, match="verification failed"):
+            server.specializer.observe((16,), 0.0)
+        assert [exe.is_batch_specialized for exe in verified] == [False, True]
+        assert not server.specializer.planner._unbatchable
 
     def test_serve_report_counts_verify_rejects(self):
         from repro.serve.events import SpecializationEvent, StoreReject

@@ -164,14 +164,6 @@ class TestAllocator:
         assert alloc.stats.pooled_allocs == 1
         assert alloc.stats.fresh_allocs == 1
 
-    def test_no_pooling_mode(self):
-        ctx = ExecutionContext(intel_cpu(), pooling=False)
-        s = ctx.allocator.alloc(128, 64, intel_cpu().host)
-        ctx.allocator.free(s)
-        ctx.allocator.alloc(128, 64, intel_cpu().host)
-        assert ctx.allocator.stats.pooled_allocs == 0
-        assert ctx.allocator.stats.fresh_allocs == 2
-
     def test_peak_tracking(self):
         ctx = ExecutionContext(intel_cpu())
         a = ctx.allocator.alloc(1024, 64, intel_cpu().host)
@@ -272,6 +264,49 @@ class TestLaunchTape:
         tape = LaunchTape(exe, x)
         with pytest.raises(VMError, match=message):
             tape.replay()
+
+    def test_recording_generates_no_code_a_run_did_not(self):
+        """The tape records through the run's own generated code: after
+        one run, recording finds every function in the cache."""
+        from repro.vm import generator
+
+        exe, _ = nimble.specialize(build_bert_module(_small_bert()), intel_cpu(), shapes=[(6, 64)])
+        x = np.zeros((6, 64), np.float32)
+        VirtualMachine(exe).run(x)
+        cached = set(generator._CACHE)
+        LaunchTape(exe, x)
+        assert set(generator._CACHE) == cached
+
+    @pytest.mark.parametrize("platform", [intel_cpu, nvidia_gpu])
+    def test_launches_are_the_runs_in_order(self, platform, monkeypatch):
+        """Kernel and stream of every launch, as the VM's launch log
+        holds them when the run ends."""
+        from repro.vm.profiler import VMProfile
+
+        exe, _ = nimble.specialize(build_bert_module(_small_bert()), platform(), shapes=[(6, 64)])
+        assert exe.device_streams == 1
+        x = np.random.RandomState(1).randn(6, 64).astype(np.float32)
+        logged, record_launches = [], VMProfile.record_launches
+
+        def log(profile, launches):
+            logged.extend((kernel, stream) for _, kernel, stream in launches)
+            record_launches(profile, launches)
+
+        monkeypatch.setattr(VMProfile, "record_launches", log)
+        VirtualMachine(exe).run(x)
+        ran = list(logged)
+        tape = LaunchTape(exe, x)
+        assert [(kernel, stream) for kernel, *_, stream in tape.launches] == ran
+        assert len(ran) == 30
+
+    def test_recording_checks_the_entry_guard(self):
+        """Inputs that fail a specialized entry's shape guard are refused
+        as a run refuses them."""
+        from repro.errors import ShapeGuardError
+
+        exe, _ = nimble.specialize(build_bert_module(_small_bert()), intel_cpu(), shapes=[(6, 64)])
+        with pytest.raises(ShapeGuardError):
+            LaunchTape(exe, np.zeros((7, 64), np.float32))
 
     def test_tape_latency_is_pinned(self):
         """Node charge plus kernel charge of the 30 launches of small

@@ -12,7 +12,6 @@ from repro.tensor.device import gpu
 from repro.vm import instruction as ins
 from repro.vm.executable import (
     MAGIC,
-    MIN_VERSION,
     VERSION,
     Executable,
     VMFunction,
@@ -55,7 +54,7 @@ class TestGoldenBlobs:
         artifact key, so none is ever looked up, and one met anyway —
         here a v6 body under an older header — is refused. (v5 wrote
         the count fields v6 dropped: its tuples would be misread.)"""
-        assert MIN_VERSION == VERSION == 6
+        assert VERSION == 6
         blob = bytearray(_scheduled_exe().save())
         for bad in (2, 3, 4, 5, VERSION + 1):
             blob[4:6] = struct.pack("<H", bad)

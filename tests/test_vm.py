@@ -1433,41 +1433,6 @@ class TestTailCalls:
             for length, peak, fresh in seen))
         assert seen[0][1:] == seen[1][1:]
 
-    def test_the_launch_tape_takes_no_tail_call(self):
-        """``main(x) = f(exp(x))`` is a tail call when run. Recorded
-        (`vm.record`), main's ``Invoke`` stays a plain call and releases
-        nothing, so the buffer exp's launch names stays live: the tape
-        is the one launch of main's own, as before tail calls (a callee
-        runs as in a run, and is not recorded)."""
-        from repro.evaluator import evaluate
-
-        mod = IRModule()
-        f = mod.get_global_var("f")
-        y = Var("y", TensorType((16,)))
-        mod[f] = Function([y], api.tanh(y), TensorType((16,)))
-        x = Var("x", TensorType((16,)))
-        mod["main"] = Function([x], Call(f, [api.exp(x)]), TensorType((16,)))
-        exe, _ = nimble.build(mod, intel_cpu())
-        data = np.linspace(-1, 1, 16, dtype=np.float32)
-
-        ctx = ExecutionContext(intel_cpu())
-        vm = VirtualMachine(exe, ctx)
-        assert vm.run(data).numpy().tobytes() == np.asarray(evaluate(mod, data)).tobytes()
-        counts = vm.profile.instruction_counts
-        assert counts["INVOKE"] == 1 and counts["RET"] == 1  # main's Ret never runs
-        assert ctx.allocator.live_bytes == 0
-
-        recorder = VirtualMachine(exe, ExecutionContext(intel_cpu()))
-        launches = []
-        recorder.record(data, launches=launches)
-        assert [(k.name, [a.shape for a in inputs], [a.shape for a in outputs], device,
-                 launch_us, stream)
-                for k, inputs, outputs, device, launch_us, stream in launches] == [
-            ("fused_exp", [(16,)], [(16,)], intel_cpu().host, None, 0)]
-        allocator = recorder.ctx.allocator
-        assert allocator.stats.frees == 0
-        assert allocator.live_bytes == 2 * 64  # exp's buffer and f's result
-
     def test_a_fault_in_a_tail_called_frame_drains_and_counts(self):
         """The cell kernel, which both layers launch, raises on its 5th
         launch: step 3's first layer, in the frame step 2's tail call
@@ -1630,7 +1595,7 @@ class TestBoundFreeLists:
     must not leave a VM that exists holding lists of its own."""
 
     @staticmethod
-    def _second_run(pooling: bool, worker: bool, rebuild: bool):
+    def _second_run(worker: bool, rebuild: bool):
         """Allocator and profile readings of two runs after a reset (the
         second one served from the pool), by the VM that ran before it or
         by one built after it."""
@@ -1642,7 +1607,7 @@ class TestBoundFreeLists:
             owner = Worker(0, exe, platform, numerics="full")
             ctx, vm = owner.ctx, owner.vm
         else:
-            ctx = ExecutionContext(platform, pooling=pooling)
+            ctx = ExecutionContext(platform)
             vm = VirtualMachine(exe, ctx)
         vm.run(inputs[0])  # binds every free list, and fills them
         if worker:
@@ -1660,13 +1625,12 @@ class TestBoundFreeLists:
         return (stats.fresh_allocs, stats.pooled_allocs, stats.frees, stats.peak_bytes,
                 stats.alloc_time_us, vm.profile.alloc_time_us)
 
-    @pytest.mark.parametrize("pooling, worker", [(True, False), (False, False), (True, True)],
-                             ids=["release_all", "no_pooling", "worker_reset"])
-    def test_a_vm_built_before_a_reset_allocates_as_one_built_after(self, pooling, worker):
-        kept = self._second_run(pooling, worker, rebuild=False)
-        assert kept == self._second_run(pooling, worker, rebuild=True)
+    @pytest.mark.parametrize("worker", [False, True], ids=["release_all", "worker_reset"])
+    def test_a_vm_built_before_a_reset_allocates_as_one_built_after(self, worker):
+        kept = self._second_run(worker, rebuild=False)
+        assert kept == self._second_run(worker, rebuild=True)
         fresh, pooled = kept[:2]
-        assert fresh > 0 and (pooled > 0) == pooling
+        assert fresh > 0 and pooled > 0
 
     def test_wrappers_installed_after_a_vm_ran_see_every_launch_and_allocation(self, monkeypatch):
         """bench/trace.py wraps `KernelSet.run`, `PoolingAllocator.alloc`
@@ -1770,7 +1734,7 @@ class TestHostSyncWait:
         assert vm.profile.host_sync_wait_us == 0.0 and vm.profile.copy_time_us > 0
 
 
-def _parent_allocator(platform, clock, pooling):
+def _parent_allocator(platform, clock):
     """`PoolingAllocator` with `alloc` / `free` / `_charge` / `_size_class`
     exactly as they stood before the charge was written out inline, and
     `release_all` as it stood before free lists could be held: the
@@ -1789,7 +1753,7 @@ def _parent_allocator(platform, clock, pooling):
         def alloc(self, nbytes, alignment, device):
             size = size_class(max(1, int(nbytes)))
             pool = self._pools[device][size]
-            if self.pooling and pool:
+            if pool:
                 storage = pool.pop()
                 storage.freed = False
                 self.stats.pooled_allocs += 1
@@ -1809,8 +1773,7 @@ def _parent_allocator(platform, clock, pooling):
             storage.free()
             self.stats.frees += 1
             self._live_bytes -= storage.size
-            if self.pooling:
-                self._pools[storage.device][storage.size].append(storage)
+            self._pools[storage.device][storage.size].append(storage)
 
         def _charge(self, us):
             self.stats.alloc_time_us += us
@@ -1820,13 +1783,12 @@ def _parent_allocator(platform, clock, pooling):
         def release_all(self):
             self._pools.clear()
 
-    return ParentAllocator(platform, clock, pooling)
+    return ParentAllocator(platform, clock)
 
 
 class TestAllocatorAccounting:
     @settings(max_examples=120, deadline=None)
     @given(
-        pooling=st.booleans(),
         clocked=st.booleans(),
         ops=st.lists(st.one_of(
             st.tuples(st.just("alloc"), st.integers(-3, 5000), st.integers(0, 1), st.booleans()),
@@ -1836,14 +1798,13 @@ class TestAllocatorAccounting:
             st.tuples(st.just("release")),
         ), max_size=60),
     )
-    def test_stats_live_bytes_and_clock_match_the_parents_allocator(self, pooling, clocked, ops):
+    def test_stats_live_bytes_and_clock_match_the_parents_allocator(self, clocked, ops):
         """Calibration read once, the charge and the peak written out
         inline, a closed-form size class, free lists a caller holds:
         `AllocStats`, `live_bytes`, the size and device of every block
         and `clock.host_us` stay bit-equal to the allocator that looked
         the tables up and called `_charge` per allocation — across two
-        devices, pooling on and off, double frees, an allocator without
-        a clock, and allocations through a free list bound before a
+        devices, double frees, an allocator without a clock, and allocations through a free list bound before a
         `release_all`."""
         from dataclasses import asdict
 
@@ -1855,8 +1816,8 @@ class TestAllocatorAccounting:
         clocks = [VirtualClock() if clocked else None for _ in range(2)]
         for clock in filter(None, clocks):
             clock.host_advance(0.1)  # not a round number: additions must keep their order
-        new = PoolingAllocator(platform, clocks[0], pooling)
-        old = _parent_allocator(platform, clocks[1], pooling)
+        new = PoolingAllocator(platform, clocks[0])
+        old = _parent_allocator(platform, clocks[1])
         blocks = []
         bound = {}  # (nbytes, device index) -> the free list bound at first use
         for op in ops:
