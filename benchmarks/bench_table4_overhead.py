@@ -27,6 +27,27 @@ def test_table4_overhead(modeled):
             floatfmt="{:.2f}",
         )
     )
+    # `others` part by part, each beside the count that produced it. On
+    # the CPUs the kernels and the parts are the whole inference; on the
+    # GPU the parts are host charges that overlap the kernels, so they
+    # add up to more than `others`, which is elapsed minus device busy.
+    parts = [("dispatch_ms", "instructions"), ("shape_func_ms", "shape_funcs"),
+             ("alloc_ms", "alloc_storages"), ("copy_ms", "copies"), ("sync_ms", None)]
+    print(
+        format_table(
+            "Table 4 — Nimble's others, ms (count)",
+            [[platform, results[platform]["others_ms"]]
+             + [f"{results[platform][ms]:.3f}"
+                + (f" ({results[platform][count]})" if count else "") for ms, count in parts]
+             for platform in ("intel", "arm", "nvidia")],
+            ["platform", "others", "dispatch", "shape funcs", "alloc", "copies", "sync"],
+            floatfmt="{:.3f}",
+        )
+    )
+    for platform in ("intel", "arm"):
+        m = results[platform]
+        assert m["kernel_ms"] + sum(m[ms] for ms, _ in parts) == pytest.approx(
+            m["nimble_ms"], rel=1e-9)
     for platform in ("intel", "arm"):
         m = results[platform]
         overhead = m["nimble_ms"] / m["tvm_ms"] - 1.0

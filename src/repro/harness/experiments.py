@@ -224,10 +224,20 @@ def table4_overhead(
     config: BertConfig = BertConfig(),
     seq_len: int = 128,
 ) -> Dict[str, Dict[str, float]]:
-    """{platform: {tvm_ms, nimble_ms, kernel_ms, others_ms}}. The static
-    "TVM" side is the executable specialized to ``seq_len``, replayed as a
-    launch tape: the same kernels with no dispatch, shape function or
-    allocation around them."""
+    """{platform: {tvm_ms, nimble_ms, kernel_ms, others_ms, and the parts
+    of others_ms}}. The static "TVM" side is the executable specialized
+    to ``seq_len``, replayed as a launch tape: the same kernels with no
+    dispatch, shape function or allocation around them.
+
+    Each part of ``others_ms`` sits beside the count that produced it:
+    ``dispatch_ms`` and ``instructions``; ``shape_func_ms`` and
+    ``shape_funcs`` (shape functions and the host kernels that turn a
+    shape into a byte size); ``alloc_ms`` and ``alloc_storages``;
+    ``copy_ms`` and ``copies``; ``sync_ms``, the host waiting for a
+    device. On a CPU the kernels and the parts add up to ``nimble_ms``.
+    On a GPU they are host charges that overlap the kernels, so they do
+    not add up to ``others_ms``, which is elapsed time minus device busy
+    time."""
     weights = BertWeights.create(config, seed=0)
     dyn_mod = build_bert_module(weights)
     x = _activations(np.random.RandomState(0), seq_len, config.hidden)
@@ -239,12 +249,23 @@ def table4_overhead(
         _, tvm_us = tape.replay()
         # Nimble.
         total_us, vm = _nimble_run_all(dyn_mod, platform, [x])
-        kernel_us = vm.profile.kernel_time_us
+        profile = vm.profile
+        kernel_us = profile.kernel_time_us
+        counts = profile.instruction_counts
         results[pname] = {
             "tvm_ms": tvm_us / 1e3,
             "nimble_ms": total_us / 1e3,
             "kernel_ms": kernel_us / 1e3,
             "others_ms": max(0.0, total_us - kernel_us) / 1e3,
+            "dispatch_ms": profile.dispatch_time_us / 1e3,
+            "instructions": sum(counts.values()),
+            "shape_func_ms": (profile.shape_func_time_us + profile.host_scalar_time_us) / 1e3,
+            "shape_funcs": counts["INVOKE_PACKED"] - profile.kernel_invocations,
+            "alloc_ms": profile.alloc_time_us / 1e3,
+            "alloc_storages": counts["ALLOC_STORAGE"],
+            "copy_ms": profile.copy_time_us / 1e3,
+            "copies": counts["DEVICE_COPY"],
+            "sync_ms": profile.host_sync_wait_us / 1e3,
         }
     return results
 

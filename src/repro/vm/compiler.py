@@ -13,13 +13,36 @@ emits :class:`Executable` bytecode:
   lowers to ``GetTag`` + tag tests + ``GetField`` destructuring;
 * recursion through GlobalVars becomes ``Invoke`` on the function table.
 
-Registers are virtual and single-assignment per binding (the "infinite
-register file" of §5.1), which keeps the compiler a single forward walk.
+Registers are virtual (the "infinite register file" of §5.1) and the
+compiler is a single forward walk, but a register is not one binding's.
+As in the TVM VM compiler Nimble is built on, a walk that emits no
+bookkeeping shares registers where the IR has names for one value:
+
+* ``let y = x`` binds *y* to *x*'s register and emits nothing; only the
+  ``If`` / ``Match`` joins move a value, into the register both arms
+  write;
+* a projection of a tuple built in the function reads the field's
+  register, unless that register was killed since (then ``GetField``
+  reads the tuple, which still holds the field);
+* a rank-0 integer constant (a planned size or offset) is one pool
+  entry per (dtype, value, device) and is loaded once per basic block:
+  the cache of loaded registers is emptied at every block leader, so a
+  load always dominates its uses on every path;
+* ``memory.kill`` is emitted once per register on a path: the set of
+  killed registers is copied into each arm and joined after it.
+
+Sharing is safe because nothing writes a register after its defining
+write but a kill, and the memory planner kills a whole alias group (a
+var and its let-copies, tuples and views) only after the group's last
+use: no register is clobbered while a name for it is still read. A
+last linear pass drops the pure writes nobody reads (the unit value of
+a kill or a kernel call, a tuple whose every projection was forwarded)
+and re-patches the jump offsets around them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple as PyTuple
+from typing import Dict, List, Optional, Set, Tuple as PyTuple
 
 from repro.codegen.kernels import KernelCache, prim_key
 from repro.errors import CompilerError
@@ -79,6 +102,12 @@ class _FnCtx:
         self.env: Dict[Var, int] = {}
         self.reg_count = 0
         self._unit_reg: Optional[int] = None
+        # Registers holding a tuple built in this function: its fields'.
+        self.fields: Dict[int, PyTuple[int, ...]] = {}
+        # Registers killed on the path being compiled.
+        self.killed: Set[int] = set()
+        # Pool index -> the register it was loaded into in this block.
+        self.loaded: Dict[int, int] = {}
 
     def new_reg(self) -> int:
         reg = self.reg_count
@@ -88,11 +117,73 @@ class _FnCtx:
     def emit(self, instr: ins.Instruction) -> None:
         self.instructions.append(instr)
 
+    def leader(self) -> None:
+        """The next instruction starts a basic block: no load before it
+        is known to have run on every path that reaches it."""
+        self.loaded.clear()
+
     def unit_reg(self) -> int:
         if self._unit_reg is None:
             self._unit_reg = self.new_reg()
             self.emit(ins.LoadConsti(0, self._unit_reg))
         return self._unit_reg
+
+
+# Instructions whose only effect is their write: dropped when no
+# instruction reads the register they write.
+_PURE = frozenset({ins.Opcode.MOVE, ins.Opcode.LOAD_CONST, ins.Opcode.LOAD_CONSTI,
+                   ins.Opcode.ALLOC_ADT, ins.Opcode.GET_FIELD})
+
+
+def drop_unread_writes(code: List[ins.Instruction], num_params: int) -> List[ins.Instruction]:
+    """*code* without the writes nobody reads: every write of a register
+    no instruction reads, when each of them is pure, goes — a kill of a
+    never-read tuple with the tuple — and so, in turn, do the writes
+    only a dropped instruction read. ``If`` / ``Goto`` offsets are
+    re-patched to the kept instructions."""
+    reads: Dict[int, int] = {}
+    writers: Dict[int, List[int]] = {}
+    for pc, instr in enumerate(code):
+        used, written = ins.operands(instr)
+        for r in used:
+            reads[r] = reads.get(r, 0) + 1
+        for r in written:
+            writers.setdefault(r, []).append(pc)
+    dead: Set[int] = set()
+    work = [r for r in writers if r >= num_params]
+    while work:
+        r = work.pop()
+        pcs = writers[r]
+        if reads.get(r, 0) or any(code[pc].opcode not in _PURE for pc in pcs):
+            continue
+        dead.update(pcs)
+        for pc in pcs:
+            for used in ins.operands(code[pc])[0]:
+                reads[used] -= 1
+                if not reads[used] and used in writers and used >= num_params:
+                    work.append(used)
+    if not dead:
+        return code
+    # new_pc[pc]: where the first kept instruction at or after pc lands.
+    new_pc = [0] * (len(code) + 1)
+    kept = 0
+    for pc in range(len(code)):
+        new_pc[pc] = kept
+        kept += pc not in dead
+    new_pc[len(code)] = kept
+    out: List[ins.Instruction] = []
+    for pc, instr in enumerate(code):
+        if pc in dead:
+            continue
+        here = new_pc[pc]
+        if isinstance(instr, ins.If):
+            instr = ins.If(instr.test, instr.target,
+                           new_pc[pc + instr.true_offset] - here,
+                           new_pc[pc + instr.false_offset] - here)
+        elif isinstance(instr, ins.Goto):
+            instr = ins.Goto(new_pc[pc + instr.pc_offset] - here)
+        out.append(instr)
+    return out
 
 
 class VMCompiler:
@@ -109,7 +200,8 @@ class VMCompiler:
         # private one — an explicit None check keeps sharing intact.
         self.kernel_cache = KernelCache() if kernel_cache is None else kernel_cache
         self._constants: List[NDArray] = []
-        self._const_index: Dict[int, int] = {}
+        self._const_index: Dict[object, int] = {}
+        self._scalar_indices: Set[int] = set()  # pool entries loaded once per block
         self._kernels: list = []
         self._packed_index: Dict[tuple, List[int]] = {}
 
@@ -164,7 +256,8 @@ class VMCompiler:
             ctx.env[param] = ctx.new_reg()
         result = self.compile_scope(func.body, ctx)
         ctx.emit(ins.Ret(result))
-        return VMFunction(name, len(func.params), ctx.instructions, ctx.reg_count)
+        code = drop_unread_writes(ctx.instructions, len(func.params))
+        return VMFunction(name, len(func.params), code, ctx.reg_count)
 
     # --------------------------------------------------------------------- scopes
     def compile_scope(self, expr: Expr, ctx: _FnCtx) -> int:
@@ -181,26 +274,31 @@ class VMCompiler:
             except KeyError:
                 raise CompilerError(f"unbound variable %{expr.name_hint} at VM compile") from None
         if isinstance(expr, Constant):
-            reg = ctx.new_reg()
-            ctx.emit(ins.LoadConst(self.const_index(expr), reg))
+            index = self.const_index(expr)
+            reg = ctx.loaded.get(index)
+            if reg is None or reg in ctx.killed:
+                reg = ctx.new_reg()
+                ctx.emit(ins.LoadConst(index, reg))
+                if index in self._scalar_indices:
+                    ctx.loaded[index] = reg
             return reg
         raise CompilerError(f"expected an atom, got {type(expr).__name__}")
 
     # --------------------------------------------------------------------- values
     def compile_value(self, var: Var, value: Expr, ctx: _FnCtx) -> int:
-        if isinstance(value, Var):
-            dst = ctx.new_reg()
-            ctx.emit(ins.Move(ctx.env[value], dst))
-            return dst
-        if isinstance(value, Constant):
+        if isinstance(value, (Var, Constant)):
             return self.compile_atom(value, ctx)
         if isinstance(value, IRTuple):
             fields = tuple(self.compile_atom(f, ctx) for f in value.fields)
             dst = ctx.new_reg()
             ctx.emit(ins.AllocADT(ADTObj.TUPLE_TAG, fields, dst))
+            ctx.fields[dst] = fields
             return dst
         if isinstance(value, TupleGetItem):
             obj = self.compile_atom(value.tuple_value, ctx)
+            fields = ctx.fields.get(obj)
+            if fields is not None and fields[value.index] not in ctx.killed:
+                return fields[value.index]
             dst = ctx.new_reg()
             ctx.emit(ins.GetField(obj, value.index, dst))
             return dst
@@ -234,12 +332,14 @@ class VMCompiler:
             except KeyError:
                 raise CompilerError(f"call to unknown function @{op.name_hint}") from None
             ctx.emit(ins.Invoke(index, args, dst))
+            ctx.leader()
             return dst
         if isinstance(op, Var):
             closure = ctx.env[op]
             args = tuple(self.compile_atom(a, ctx) for a in call.args)
             dst = ctx.new_reg()
             ctx.emit(ins.InvokeClosure(closure, args, dst))
+            ctx.leader()
             return dst
         if isinstance(op, Function):
             raise CompilerError(
@@ -277,9 +377,11 @@ class VMCompiler:
             return dst
         if name == "memory.kill":
             victim = call.args[0]
-            if isinstance(victim, Var) and victim in ctx.env:
+            reg = ctx.env.get(victim) if isinstance(victim, Var) else None
+            if reg is not None and reg not in ctx.killed:
                 # Clobber the register: the refcount drop releases storage.
-                ctx.emit(ins.LoadConsti(0, ctx.env[victim]))
+                ctx.emit(ins.LoadConsti(0, reg))
+                ctx.killed.add(reg)
             return ctx.unit_reg()
         if name == "vm.invoke_mut":
             return self.compile_invoke_mut(call, ctx)
@@ -335,16 +437,22 @@ class VMCompiler:
         out = ctx.new_reg()
         if_pos = len(ctx.instructions)
         ctx.emit(ins.If(cond, one, 0, 0))  # offsets patched below
+        before = set(ctx.killed)
+        ctx.leader()
         true_result = self.compile_scope(iff.true_branch, ctx)
         ctx.emit(ins.Move(true_result, out))
         goto_pos = len(ctx.instructions)
         ctx.emit(ins.Goto(0))  # patched
         false_start = len(ctx.instructions)
+        killed, ctx.killed = ctx.killed, before
+        ctx.leader()
         false_result = self.compile_scope(iff.false_branch, ctx)
         ctx.emit(ins.Move(false_result, out))
         end = len(ctx.instructions)
         ctx.instructions[if_pos] = ins.If(cond, one, 1, false_start - if_pos)
         ctx.instructions[goto_pos] = ins.Goto(end - goto_pos)
+        ctx.killed |= killed
+        ctx.leader()
         return out
 
     def compile_match(self, match: Match, ctx: _FnCtx) -> int:
@@ -354,6 +462,8 @@ class VMCompiler:
         out = ctx.new_reg()
         end_gotos: List[int] = []
         pending_if: Optional[int] = None
+        before = set(ctx.killed)
+        killed: Set[int] = set()
         for clause in match.clauses:
             clause_start = len(ctx.instructions)
             if pending_if is not None:
@@ -362,12 +472,15 @@ class VMCompiler:
                     prev.test, prev.target, 1, clause_start - pending_if
                 )
                 pending_if = None
+            ctx.killed = set(before)
+            ctx.leader()
             pattern = clause.pattern
             if isinstance(pattern, PatternConstructor):
                 want = ctx.new_reg()
                 ctx.emit(ins.LoadConsti(pattern.constructor.tag, want))
                 pending_if = len(ctx.instructions)
                 ctx.emit(ins.If(tag, want, 0, 0))
+                ctx.leader()
                 self.bind_pattern_fields(pattern, data, ctx)
             elif isinstance(pattern, PatternVar):
                 ctx.env[pattern.var] = data
@@ -376,6 +489,7 @@ class VMCompiler:
             ctx.emit(ins.Move(result, out))
             end_gotos.append(len(ctx.instructions))
             ctx.emit(ins.Goto(0))
+            killed |= ctx.killed
         tail_start = len(ctx.instructions)
         if pending_if is not None:
             prev = ctx.instructions[pending_if]
@@ -386,6 +500,8 @@ class VMCompiler:
         end = len(ctx.instructions)
         for pos in end_gotos:
             ctx.instructions[pos] = ins.Goto(end - pos)
+        ctx.killed = killed | before
+        ctx.leader()
         return out
 
     def bind_pattern_fields(self, pattern: PatternConstructor, obj_reg: int, ctx: _FnCtx) -> None:
@@ -403,12 +519,19 @@ class VMCompiler:
 
     # ------------------------------------------------------------------ resources
     def const_index(self, const: Constant) -> int:
-        key = id(const.value)
+        """The pool entry of *const*: one per array, and one per (dtype,
+        value, device) for a rank-0 integer — a planned size or offset."""
+        value = const.value
+        data = value.data
+        scalar = data.ndim == 0 and data.dtype.kind in "iu"
+        key = (str(data.dtype), int(data), value.device) if scalar else id(value)
         found = self._const_index.get(key)
         if found is None:
             found = len(self._constants)
-            self._constants.append(const.value)
+            self._constants.append(value)
             self._const_index[key] = found
+            if scalar:
+                self._scalar_indices.add(found)
         return found
 
     def packed_index(self, prim: Function, kind: str, device) -> int:

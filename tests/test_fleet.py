@@ -923,7 +923,9 @@ class TestRefereeCounters:
     its input's symbolic shape, stopped running a shape function:
     worker 0 busy 119.8 -> 86.2 us; every count and routing field stayed.
     The `profile_*` digests moved once more, in the last bits of float
-    fields, when the tier profiles became folds over `VMRun` records.)"""
+    fields, when the tier profiles became folds over `VMRun` records.
+    The same clock fields moved when the compiler stopped emitting
+    bookkeeping instructions; every count and routing field stayed.)"""
 
     RESTARTED_AFFINITY_FLEET = {
         "routing": "affinity",
@@ -931,14 +933,14 @@ class TestRefereeCounters:
         "affinity_hits": 23,
         "rejected_rids": (102, 103, 104, 105),
         "fleet_restores": (0, 0),
-        "tenants": "sha256:f12ef16006b2e52b",
+        "tenants": "sha256:0307af2a85fc9464",
         "replicas": (
             {
-                "responses": "sha256:c75daea7c4c7d4dd",
-                "worker_busy_us": ("0x1.589dd2cf9a8c0p+6",),
+                "responses": "sha256:1a8647f052375647",
+                "worker_busy_us": ("0x1.4c22f187ec804p+6",),
                 "worker_batches": (10,),
-                "profile_dynamic": "sha256:9fc0172eb9f177b5",
-                "profile_specialized": "sha256:7128bea9a5483ea9",
+                "profile_dynamic": "sha256:c3018e083cd3bb88",
+                "profile_specialized": "sha256:9a996eeb19ee5a5f",
                 "profile_batched": "sha256:c2d0ebbfdae3b84b",
                 "profile_partial": "sha256:c2d0ebbfdae3b84b",
                 "specialize_compile_us": "0x1.4a00000000000p+8",
@@ -961,11 +963,11 @@ class TestRefereeCounters:
                 "device_streams": 1,
             },
             {
-                "responses": "sha256:a61cab8b858e66ac",
-                "worker_busy_us": ("0x1.a0899cf273880p+6",),
+                "responses": "sha256:3b6dbf5219882749",
+                "worker_busy_us": ("0x1.912d73fcb1068p+6",),
                 "worker_batches": (10,),
-                "profile_dynamic": "sha256:e5d4896aaac9e9d2",
-                "profile_specialized": "sha256:7b8292385c9456c3",
+                "profile_dynamic": "sha256:c9238d05282bb23b",
+                "profile_specialized": "sha256:32357903f20857e3",
                 "profile_batched": "sha256:c2d0ebbfdae3b84b",
                 "profile_partial": "sha256:c2d0ebbfdae3b84b",
                 "specialize_compile_us": "0x1.16c0000000000p+11",

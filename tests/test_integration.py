@@ -175,6 +175,21 @@ class TestHarnessSmoke:
         assert row["nimble_ms"] >= row["kernel_ms"]
         assert row["others_ms"] >= 0
 
+    @pytest.mark.parametrize("platform", ["intel", "arm"])
+    def test_table4_others_are_the_sum_of_their_parts_on_a_cpu(self, platform):
+        """On a CPU nothing overlaps the kernels: kernel time plus
+        dispatch, shape functions, allocation, copies and sync is the
+        whole inference."""
+        from repro.harness import table4_overhead
+        from repro.models.bert import BertConfig
+
+        cfg = BertConfig(hidden=32, num_layers=1, num_heads=2, ffn=64)
+        row = table4_overhead(platforms=(platform,), config=cfg, seq_len=16)[platform]
+        parts = ("dispatch_ms", "shape_func_ms", "alloc_ms", "copy_ms", "sync_ms")
+        assert row["kernel_ms"] + sum(row[p] for p in parts) == pytest.approx(
+            row["nimble_ms"], rel=1e-9)
+        assert row["instructions"] > row["alloc_storages"] > 0 and row["shape_funcs"] > 0
+
     def test_figure3_monotone(self):
         from repro.harness import figure3_dispatch
 

@@ -1115,48 +1115,52 @@ def _planned_models():
 # every embedded artifact key folds in: `_SAVED_LENGTHS` holds the
 # lengths those bytes kept. Every `save()` hash was re-pinned again when
 # payloads stopped carrying `Any` tokens (`repro.ir.codec`): each `Any`
-# is written as a bare `Any()`, and the kernels section is protocol 5.)
+# is written as a bare `Any()`, and the kernels section is protocol 5.
+# Every `save()` hash was re-pinned once more, its module hash and plan
+# unmoved, when the VM compiler stopped emitting bookkeeping: no `Move`
+# per let-copy, a forwarded tuple field, one pool entry per planned
+# integer constant, one kill per register.)
 _PARENT_COMMIT_PLANS = {
     "lstm": (
         "785463360bf6e8d677131b66127cfa31f670f044f2e03a6cf9ffbdfcfc1b27c4",
         {"allocs_before": 7, "allocs_after": 5, "static_bytes_before": 704,
          "static_bytes_after": 576, "kills_inserted": 0},
-        "d3c0c2a96bffd24d1428bf0ba1027a5373b73857f5c4baf917e7227f0ce34d00"),
+        "30916c119ff08a182ccbc9f32497a87dc0aa05bc92f2311352556e9c7f431a4f"),
     "tree_lstm": (
         "2a23724fc63774e7c23cc7057f1b0c6ad4727a1ed3bc546f403c0b286e75d08c",
         {"allocs_before": 7, "allocs_after": 6, "static_bytes_before": 576,
          "static_bytes_after": 512, "kills_inserted": 6},
-        "1cf9845efa2402875901d06c8eb07b747fd10ea238d9ac9f28d16c3b51100b4b"),
+        "c050c1dde358f10640838d693decf4f37dfb3e1d4c37e754599834353ba050e3"),
     "bert3": (
         "adf38921b27a72118097498d8a8343efd0faa5a7223355807593d032181210ca",
         {"allocs_before": 52, "allocs_after": 17, "static_bytes_before": 448,
          "static_bytes_after": 448, "kills_inserted": 131},
-        "1e32691f77c2be1ba523ad726ba34114c6f01765bc05c6eb9e5f33fa7c84f772"),
+        "1d86fdc0901013bced444462d975a40cd87fe240b3e9897eaaf4985446f13108"),
     "bert3@gpu4": (
         "5ad1c634e869475dae4f702de63d735d351b505c907ad7a47e7aa2f08b0c5e2a",
         {"allocs_before": 52, "allocs_after": 17, "static_bytes_before": 448,
          "static_bytes_after": 448, "kills_inserted": 131},
-        "611ce30120880ad67bc130051e49bb224163693d991ca1f723cb732b93058c65"),
+        "a7ebd87f88546d6f3b2949131162d2bf412dfaace94c2691eed43003d6e25e82"),
     "bert3[len=5]": (
         "721bced5394709becd15c21daf94764b48ae3d4848da388dbd2f47b6e638d130",
         {"allocs_before": 45, "allocs_after": 5, "static_bytes_before": 23232,
          "static_bytes_after": 3008, "kills_inserted": 96},
-        "488f9c4f6ebe42b0ce639c2dfccb13a56fdfb91bfcdd2b0da3189612a9cb61f9"),
+        "6bc6c65cea8ada1077761b25759b5667b9aba9fea245bc4f73fa6ada6c55c6b3"),
     "lstm[len=7]": (
         "eeca15d5b228b473a3fc1d48b3dd878c394b36a9e06e640fe500c53c49da235b",
         {"allocs_before": 7, "allocs_after": 5, "static_bytes_before": 704,
          "static_bytes_after": 576, "kills_inserted": 0},
-        "145270bad6d0016d7fe59ec1c68a158c8c7c33ddde70ab673bd6ddeb565f8427"),
+        "049bf84c6cb252cbc29ef38a873334d37a16a89af50f5f6fcc0660171f309cbb"),
     "lstm[len=7]x4": (
         "f966e35add3e8c6abf7a0c50f753bbfcc9ac3a020638887afc3950474e66becd",
         {"allocs_before": 8, "allocs_after": 6, "static_bytes_before": 2432,
          "static_bytes_after": 2112, "kills_inserted": 0},
-        "4e694f8f30b570c37e33d1d8518141bd0ce33bed31433a24e2eba9b218ebacdb"),
+        "210eec65dda1bd2ff633b191979e8ec91dcba6042a94cfb1d0620802869c3665"),
     "lstm@gpu2": (
         "73952837b109b9d3b550a3ab6183fcdc912a28ebe121a395f561e63626fb4fd7",
         {"allocs_before": 7, "allocs_after": 6, "static_bytes_before": 704,
          "static_bytes_after": 640, "kills_inserted": 3},
-        "918d8d5d7b4f42cce429a2dece1363eb0386a506825d61886b986a5b9b350b82"),
+        "42e7e8d6f2ef5ac99e5ff4788cb6506ecbb7d9c0ef06f66eb1d7e0ebc185c220"),
 }
 
 
@@ -1164,16 +1168,19 @@ _PARENT_COMMIT_PLANS = {
 # at executable format v5, which wrote a tuple's length in a count field
 # (`arity`, `num_fields`, `num_captured`) where v6 length-prefixes it.
 # The saved lengths of the dynamic cases fell 17 B each when payloads
-# stopped carrying `Any` tokens; the bytecode lengths did not move.
+# stopped carrying `Any` tokens; the bytecode lengths did not move. All
+# of them fell when the VM compiler stopped emitting bookkeeping (one
+# pool entry per planned integer constant, fewer instructions): `lstm`
+# (13671, 407) -> (13452, 348), `bert3` (71095, 3368) -> (69150, 2336).
 _SAVED_LENGTHS = {
-    "lstm": (13671, 407),
-    "tree_lstm": (10088, 498),
-    "bert3": (71095, 3368),
-    "bert3@gpu4": (71549, 3553),
-    "bert3[len=5]": (69370, 2921),
-    "lstm[len=7]": (13673, 407),
-    "lstm[len=7]x4": (15016, 467),
-    "lstm@gpu2": (13967, 430),
+    "lstm": (13452, 348),
+    "tree_lstm": (9857, 427),
+    "bert3": (69150, 2336),
+    "bert3@gpu4": (69604, 2521),
+    "bert3[len=5]": (67654, 1958),
+    "lstm[len=7]": (13454, 348),
+    "lstm[len=7]x4": (14756, 399),
+    "lstm@gpu2": (13729, 368),
 }
 
 

@@ -643,15 +643,17 @@ class TestRefereeCounters:
     now sums its own charges before the fold adds them, which moves the
     last bits of some float fields; every count held. The modeled
     times and the profiles moved again when a tail call began handing
-    its frame to the callee; every count held."""
+    its frame to the callee, and once more when the compiler stopped
+    emitting bookkeeping instructions (fewer instructions a run, so
+    less dispatch); every count held."""
 
     ONE_SLOT_CPU = {
-        "responses": "sha256:b921eeec557e403c",
-        "worker_busy_us": ("0x1.69e78bed2107ep+9", "0x1.557241d06d242p+9"),
+        "responses": "sha256:c6deb953b7e7109a",
+        "worker_busy_us": ("0x1.4306443f0caedp+9", "0x1.30f76088bf33cp+9"),
         "worker_batches": (6, 6),
-        "profile_dynamic": "sha256:714c1edf2f3d6c67",
-        "profile_specialized": "sha256:17d5f446350c8055",
-        "profile_batched": "sha256:aebb26c05f28ca77",
+        "profile_dynamic": "sha256:b797e122a55a8a7b",
+        "profile_specialized": "sha256:dc6d7f602ecea131",
+        "profile_batched": "sha256:6c4ed1b20c3c0a0f",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.0540000000000p+11",
         "num_specialized_executables": 2,
@@ -681,12 +683,12 @@ class TestRefereeCounters:
     }
 
     ONE_SLOT_GPU_TWO_STREAMS = {
-        "responses": "sha256:c4e9784bc0ff8f62",
-        "worker_busy_us": ("0x1.6523c46e468cep+10", "0x1.49fe7640dabe5p+10"),
+        "responses": "sha256:292f121c6397a9dd",
+        "worker_busy_us": ("0x1.5d94684550d07p+10", "0x1.41cb430da7932p+10"),
         "worker_batches": (6, 6),
-        "profile_dynamic": "sha256:e7505b435d15e8b0",
-        "profile_specialized": "sha256:077e5b8ff9c2e96c",
-        "profile_batched": "sha256:670a7f83d6318ac8",
+        "profile_dynamic": "sha256:6448e2eeed2d3885",
+        "profile_specialized": "sha256:ad6b67257d21d8c6",
+        "profile_batched": "sha256:dc35e9890c5dbc4e",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.19e0000000000p+11",
         "num_specialized_executables": 2,
@@ -716,11 +718,11 @@ class TestRefereeCounters:
     }
 
     PREDICTIVE_RESTART_DAMAGED_STORE = {
-        "responses": "sha256:cf45c667029a2970",
-        "worker_busy_us": ("0x1.8eef576d24b82p+9", "0x1.6b21a09531820p+9"),
+        "responses": "sha256:c60357b2d3b91b83",
+        "worker_busy_us": ("0x1.635ffb442f1c1p+9", "0x1.43a6bf4d838dcp+9"),
         "worker_batches": (5, 4),
-        "profile_dynamic": "sha256:737dd1f614fd45c8",
-        "profile_specialized": "sha256:d2618b482048e101",
+        "profile_dynamic": "sha256:07c94c1bd5b43e36",
+        "profile_specialized": "sha256:f38d30d6d7f9903a",
         "profile_batched": "sha256:c2d0ebbfdae3b84b",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.2700000000000p+10",
