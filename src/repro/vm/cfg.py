@@ -56,14 +56,13 @@ def is_straight_line(func: VMFunction) -> bool:
 class CFG:
     """The basic blocks of one function's code. Leaders are pc 0, every
     jump target inside the function, and the pc after each of
-    `TERMINATORS`; with *limit*, a straight-line run is also cut every
-    *limit* instructions. ``blocks[b]`` is ``(start, end)``;
+    `TERMINATORS`. ``blocks[b]`` is ``(start, end)``;
     ``block_at[pc]`` the block starting at *pc*, and ``block_at[n]`` is
     ``len(blocks)``, the end, where falling off raises; ``succs[b]`` the
     blocks control may go to from *b*, a target outside the function
     left out."""
 
-    def __init__(self, code: Sequence[ins.Instruction], limit: Optional[int] = None) -> None:
+    def __init__(self, code: Sequence[ins.Instruction]) -> None:
         n = len(code)
         self.n = n
         leaders = {0} if n else set()
@@ -71,10 +70,7 @@ class CFG:
             if instr.opcode in TERMINATORS:
                 leaders.update(t for t in successors(pc, instr) + (pc + 1,) if 0 <= t < n)
         bounds = sorted(leaders) + [n]
-        self.blocks: List[Tuple[int, int]] = []
-        for start, end in zip(bounds, bounds[1:]):
-            step = limit or end - start
-            self.blocks.extend((cut, min(cut + step, end)) for cut in range(start, end, step))
+        self.blocks: List[Tuple[int, int]] = list(zip(bounds, bounds[1:]))
         self.block_at = {start: b for b, (start, _) in enumerate(self.blocks)}
         self.block_at[n] = len(self.blocks)
         self.succs: List[List[int]] = [

@@ -1,17 +1,17 @@
 """The VM's executor, generated: each `VMFunction` compiles once to Python.
 
-A function is cut into basic blocks — at every jump target, after every
-instruction that leaves the block (``If``, ``Goto``, ``Ret``, ``Invoke``,
-``InvokeClosure``, ``Fatal``), and every `BLOCK_LIMIT` instructions of a
-straight-line run — and each block becomes one Python function
-``block(R)`` over the frame's register list ``R``. Its return value tells
-the trampoline (`VirtualMachine._execute`) what to do next: an ``int``
-is the next block of the same frame; ``(value,)`` returns *value*
-(retained, the frame's registers released); ``(func_index, args, dst,
-resume)`` calls a function on *args* (not yet retained); and
-``(func_index, args, None, None)`` is a tail call, an ``Invoke`` whose
-result the frame returns as it is: the args are retained and the
-frame's registers released, and the callee takes the frame's place.
+A function is cut into basic blocks — at every jump target and after
+every instruction that leaves the block (``If``, ``Goto``, ``Ret``,
+``Invoke``, ``InvokeClosure``, ``Fatal``) — and each block becomes one
+Python function ``block(R)`` over the frame's register list ``R``. Its
+return value tells the trampoline (`VirtualMachine._execute`) what to
+do next: an ``int`` is the next block of the same frame; ``(value,)``
+returns *value* (retained, the frame's registers released);
+``(func_index, args, dst, resume)`` calls a function on *args* (not yet
+retained); and ``(func_index, args, None, None)`` is a tail call, an
+``Invoke`` whose result the frame returns as it is: the args are
+retained and the frame's registers released, and the callee takes the
+frame's place.
 The blocks, their successors and the worklist of the dataflow below
 come from `repro.vm.cfg`.
 
@@ -23,8 +23,9 @@ moot, a tensor carved from a storage, a storage, an ADT, anything), so
 a write over a register holding nothing counted releases nothing, a
 ``Move`` adjusts a tensor's, storage's or ADT's count in place and a
 returning frame a tensor's or storage's, and a kernel operand known to
-be a tensor is not tested. Within a block, a planned size or offset a
-``LoadConst`` / ``LoadConsti`` put in a register is a literal.
+be a tensor is not tested. A planned size or offset is a literal: the
+compiler loads it with ``LoadConst`` / ``LoadConsti`` in each basic
+block that reads it, and a generated block is one basic block.
 
 Each instruction charges the clock once, first, in program order
 (``C.host_us += I``), so every virtual number is bit-equal to an
@@ -59,7 +60,6 @@ from repro.vm.executable import VMFunction
 from repro.vm.objects import (
     ADTObj,
     ClosureObj,
-    IntConstObj,
     StorageObj,
     TensorObj,
     VMObject,
@@ -68,18 +68,14 @@ from repro.vm.objects import (
 
 _Op = ins.Opcode
 
-# A straight-line run is split every this many instructions: compiling
-# BERT's 856-instruction main as one function costs 15% more peak memory.
-BLOCK_LIMIT = 128
-
 # Generated functions kept by content, least recently used dropped first.
 # The bound comes from the working sets measured on the benchmark's
 # workloads: at most 6 distinct functions (vm_single); serve_tiered and
 # fleet_restart rebuild VMs every pass over 2 (16 and 46 lookups a pass,
 # all hits). 32 also holds one served model with its dynamic executable
 # and four specialized variants (at most 10 for the LSTM); a launch tape
-# records through the entries a run uses. An entry holds about 0.5 MB at
-# BERT size.
+# records through the entries a run uses. An entry holds about 0.25 MB
+# for the bench-size BERT's main.
 CACHE_SIZE = 32
 
 # What a register may hold, as bits, at one point of the function:
@@ -108,12 +104,10 @@ def _write_kind(instr, kinds: List[int]) -> int:
 # ------------------------------------------------------ run-time helpers
 def read_scalar(value, C, S) -> int:
     """A register as a Python scalar: an alloc size, an offset, an ``If``
-    operand. Planned sizes and offsets are `IntConstObj`s or immediates;
-    only a kernel-produced scalar reads its array."""
-    kind = type(value)
-    if kind is IntConstObj:
-        return value.value
-    if kind is int:
+    operand. Planned sizes and offsets are literals in the code; this
+    reads a kernel-produced scalar, an immediate, or a constant the
+    block did not load."""
+    if value.__class__ is int:
         return value
     if isinstance(value, TensorObj):
         array = value.array
@@ -167,7 +161,7 @@ def reshaped(tensor, shape_obj) -> TensorObj:
 # What generated code reads by name, besides its own constants.
 _GLOBALS = {
     "VMError": VMError, "VMObject": VMObject, "TensorObj": TensorObj,
-    "StorageObj": StorageObj, "IntConstObj": IntConstObj, "ADTObj": ADTObj,
+    "StorageObj": StorageObj, "ADTObj": ADTObj,
     "ClosureObj": ClosureObj, "NDArray": NDArray, "as_tensor": as_tensor,
     "asarray": np.asarray, "int64": np.int64,
     "LITE_SKIP_FLOPS": LITE_SKIP_FLOPS, "read_scalar": read_scalar,
@@ -187,13 +181,13 @@ _BINDINGS = {
 
 # -------------------------------------------------------------- analysis
 class _Shape(CFG):
-    """The blocks of one function, cut every `BLOCK_LIMIT` instructions
-    too, and what may be in each register on entry to each block: the
-    union over the paths reaching it (nothing, in a block none reaches)."""
+    """The basic blocks of one function, and what may be in each register
+    on entry to each block: the union over the paths reaching it
+    (nothing, in a block none reaches)."""
 
     def __init__(self, func: VMFunction) -> None:
         code = func.instructions
-        super().__init__(code, BLOCK_LIMIT)
+        super().__init__(code)
         registers = func.register_count
 
         def transfer(b: int, kinds: List[int]) -> List[int]:
@@ -213,8 +207,8 @@ class _Shape(CFG):
 class _Block:
     """Writes one block's source. Each opcode's meaning is the one method
     named after it. ``kinds`` is what each register may hold at the
-    instruction being written, and ``values`` the int (or `IntConstObj`
-    value) a register is known to hold."""
+    instruction being written, and ``values`` the int a register is known
+    to hold."""
 
     def __init__(self, func: VMFunction, shape: _Shape, b: int, const_values: dict) -> None:
         self.func = func
@@ -272,10 +266,7 @@ class _Block:
         """A planned size or offset: a literal, or read into *name*."""
         if r in self.values:
             return repr(self.values[r])
-        self.out(f"{name} = R[{r}]")
-        self.out(f"if {name}.__class__ is IntConstObj: {name} = {name}.value")
-        self.out(f"elif {name}.__class__ is not int: "
-                 f"{name} = read_scalar({name}, {self.use('C')}, {self.use('S')})")
+        self.out(f"{name} = {self.scalar(r)}")
         return name
 
     def tensor(self, r: int, name: str, what: str, data: bool = False) -> str:
@@ -680,14 +671,23 @@ class FunctionCode:
 _CACHE: "OrderedDict[tuple, FunctionCode]" = OrderedDict()
 
 
-def function_code(func: VMFunction, constants: list) -> FunctionCode:
+def _literal(array: NDArray) -> Optional[int]:
+    """The Python int a constant is in the code: only a rank-0,
+    integer-dtype tensor not on a GPU (reading one of those synchronises
+    the device, a charge the clock keeps)."""
+    data = array.data
+    if data.ndim == 0 and data.dtype.kind in "iu" and not array.device.is_gpu:
+        return int(data)
+    return None
+
+
+def function_code(func: VMFunction, constants: List[NDArray]) -> FunctionCode:
     """*func*'s generated code, from the cache when this process has
-    generated the same content before. *constants* are the VM's
-    register objects of the executable's constant pool: the value of an
-    integer constant is part of the content (it is a literal in the
-    code)."""
+    generated the same content before. *constants* is the executable's
+    constant pool: the value of an integer constant is part of the
+    content (it is a literal in the code)."""
     code = func.instructions
-    values = {i.const_index: getattr(constants[i.const_index], "value", None)
+    values = {i.const_index: _literal(constants[i.const_index])
               for i in code if i.opcode == _Op.LOAD_CONST}
     key = (func.name, func.num_params, func.register_count, tuple(code),
            tuple(values.items()))

@@ -26,13 +26,7 @@ from repro.tensor.ndarray import NDArray
 from repro.vm import instruction as ins
 from repro.vm.executable import Executable, VMFunction
 from repro.vm.generator import FunctionCode, function_code
-from repro.vm.objects import (
-    ADTObj,
-    RegisterValue,
-    TensorObj,
-    VMObject,
-    constant_obj,
-)
+from repro.vm.objects import ADTObj, RegisterValue, TensorObj, VMObject
 from repro.vm.profiler import VMProfile
 
 # Opcode value -> name, built once: ``VMProfile.instruction_counts`` is
@@ -101,10 +95,9 @@ class VirtualMachine:
         # Per function index, its generated blocks bound to this VM, made
         # on first use (and again, should the function have been
         # swapped); and one TensorObj per constant, shared by every load
-        # (no storage_obj: nothing to retain). A host integer scalar is
-        # read here, once per VM (`constant_obj`).
+        # (no storage_obj: nothing to retain).
         self._programs: List[Optional[_Program]] = [None] * len(executable.functions)
-        self._constants = [constant_obj(c) for c in executable.constants]
+        self._constants = [TensorObj(c) for c in executable.constants]
         self._state = _RunState()
 
     # ------------------------------------------------------------------ public
@@ -191,7 +184,7 @@ class VirtualMachine:
         func = self.exe.functions[index]
         program = self._programs[index]
         if program is None or program.func is not func:
-            code = function_code(func, self._constants)
+            code = function_code(func, self.exe.constants)
             program = self._programs[index] = _Program(func, code, self)
         return program
 

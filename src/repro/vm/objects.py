@@ -110,29 +110,6 @@ class TensorObj(VMObject):
         return f"TensorObj(shape={self.shape}, dtype={self.dtype}, device={self.device})"
 
 
-class IntConstObj(TensorObj):
-    """A constant-pool tensor that is a host integer scalar — every
-    planned size and offset — carrying its Python ``int`` as well, read
-    from the array once when the VM is built. Still a tensor: the same
-    constant can be a kernel's input."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, array: NDArray) -> None:
-        super().__init__(array)
-        self.value = int(array.item())
-
-
-def constant_obj(array: NDArray) -> TensorObj:
-    """The register object of one constant-pool entry. Only a rank-0,
-    integer-dtype tensor that is not on a GPU (reading one of those
-    synchronises the device) is read ahead of the run."""
-    data = array.data
-    if data.ndim == 0 and data.dtype.kind in "iu" and not array.device.is_gpu:
-        return IntConstObj(array)
-    return TensorObj(array)
-
-
 class ADTObj(VMObject):
     """An algebraic data type object: constructor tag + fields.
     Tuples are represented with ``tag == TUPLE_TAG``.

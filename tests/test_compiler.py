@@ -10,8 +10,11 @@ clean and run bitwise equal to `repro.evaluator`; the bytecode of the
 paper's three models obeys the laws the walk promises, on the CPU and
 on the GPU at 1, 2 and 4 streams; and every tier of every model, and a
 saved and loaded executable, computes the evaluator's output bit for
-bit.
+bit. The generator's half of the contract is checked too: each planned
+size or offset a block loads is a literal in the block's generated code.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ import repro.nimble as nimble
 from repro.analysis import verify_executable
 from repro.codegen.kernels import KernelCache
 from repro.data import Tree, embedding_table
+from repro.errors import VerificationError
 from repro.evaluator import compute, evaluate
 from repro.hardware import intel_cpu, nvidia_gpu
 from repro.ir import Call, Function, If, IRModule, Let, Op, TensorType, Tuple, TupleGetItem, Var
@@ -32,6 +36,7 @@ from repro.vm import instruction as ins
 from repro.vm.cfg import CFG, forward
 from repro.vm.compiler import drop_unread_writes
 from repro.vm.executable import Executable
+from repro.vm.generator import function_code
 from repro.vm.interpreter import VirtualMachine
 
 _Op = ins.Opcode
@@ -177,6 +182,20 @@ class TestHandWrittenScopes:
             cond = np.array(flag)
             assert np.array_equal(_run(exe, _x(), cond), _evaluated(mod, _x(), cond))
 
+    @pytest.mark.xfail(strict=True, reason="the verifier counts a kill as a definition")
+    def test_a_read_after_a_kill_is_refused_at_build_time(self):
+        """`b = a` shares `a`'s register, so `kill(a)` before `c`'s last
+        read clobbers what `d` reads: the VM raises at run time, and the
+        verifier, which takes the kill's ``LoadConsti 0`` for a
+        definition, passes it."""
+        x = Var("x", X)
+        a, b, c, k, d = (Var(n) for n in ("a", "b", "c", "k", "d"))
+        func = Function([x], _chain([
+            (a, api.tanh(x)), (b, a), (c, api.exp(b)), (k, _kill(a)), (d, api.sigmoid(c)),
+        ], d))
+        with pytest.raises(VerificationError):
+            _build(func)
+
 
 # ------------------------------------------------------------------ laws
 def _moves_outside_a_join(func):
@@ -289,6 +308,99 @@ class TestBytecodeLaws:
         scalars = [(str(c.data.dtype), int(c.data), c.device) for c in exe.constants
                    if c.data.ndim == 0 and c.data.dtype.kind in "iu"]
         assert len(scalars) == len(set(scalars))
+
+
+def _instruction_sources(code):
+    """pc -> the generated lines of each instruction of *code*, a
+    `FunctionCode` (its blocks are the function's, in pc order)."""
+    found = []
+    for source, starts in zip(code.sources, code.starts):
+        lines = source.splitlines()
+        for first, after in zip(starts, starts[1:] + [len(lines) + 1]):
+            found.append("\n".join(lines[first - 1:after - 1]))
+    return found
+
+
+def _planned_reads(func, exe):
+    """``(pc, value, literal)`` for each planned size or offset that a
+    ``LoadConst`` / ``LoadConsti`` wrote earlier in its basic block:
+    whether the generated lines reading it have *value* as a literal."""
+    code, found = func.instructions, []
+    sources = _instruction_sources(function_code(func, exe.constants))
+    reads = {_Op.ALLOC_STORAGE: ("allocation_size", "alloc({!r}, "),
+             _Op.ALLOC_TENSOR: ("offset", "view({!r}, "),
+             _Op.ALLOC_TENSOR_REG: ("offset", "view({!r}, ")}
+    for start, end in CFG(code).blocks:
+        loaded = {}
+        for pc in range(start, end):
+            instr = code[pc]
+            if instr.opcode in reads:
+                field, pattern = reads[instr.opcode]
+                r = getattr(instr, field)
+                if r in loaded:
+                    found.append((pc, loaded[r], pattern.format(loaded[r]) in sources[pc]
+                                  and "read_scalar" not in sources[pc]))
+            for dst in ins.operands(instr)[1]:
+                loaded.pop(dst, None)
+                if instr.opcode == _Op.LOAD_CONSTI:
+                    loaded[dst] = instr.value
+                elif instr.opcode == _Op.LOAD_CONST:
+                    data = exe.constants[instr.const_index].data
+                    if data.ndim == 0 and data.dtype.kind in "iu":
+                        loaded[dst] = int(data)
+    return found
+
+
+class TestLiterals:
+    """The generator's half of "a planned constant is loaded once per
+    basic block": a generated block is one basic block, so every such
+    load reaches the sizes it feeds as a literal."""
+
+    @pytest.mark.parametrize("model,platform,streams", _LAW_CASES,
+                             ids=[f"{m}-{p}-{s}" for m, p, s in _LAW_CASES])
+    def test_a_planned_size_loaded_in_its_block_is_a_literal(self, model, platform, streams):
+        target = intel_cpu() if platform == "intel_cpu" else nvidia_gpu()
+        options, cache = nimble.CompilerOptions(device_streams=streams), KernelCache()
+        mod = _model(model)
+        tiers = {"dynamic": nimble.build(mod, target, options=options, kernel_cache=cache)[0]}
+        if model != "tree_lstm":  # its entry takes an ADT: no shape to specialize to
+            width = 12 if model == "lstm" else 24
+            for tier, shapes, batch in (("exact", (5, width), 1), ("partial", (None, width), 1),
+                                        ("batched", (5, width), 2)):
+                tiers[tier] = nimble.specialize(mod, target, shapes=[shapes], batch=batch,
+                                                options=options, kernel_cache=cache)[0]
+        for tier, exe in tiers.items():
+            reads = [read for func in exe.functions for read in _planned_reads(func, exe)]
+            assert reads, tier
+            assert [read for read in reads if not read[2]] == [], tier
+
+    def test_bench_size_bert_reads_only_what_a_kernel_wrote(self):
+        """Bench-size BERT's ``main``, dynamic and specialized: every
+        scalar its generated code reads at run time is a shape
+        function's or host kernel's output, and the specialized build
+        reads none."""
+        mod = build_bert_module(BertWeights.create(
+            BertConfig(hidden=256, num_heads=4, num_layers=6, ffn=1024), seed=0))
+        counts = []
+        for exe in (nimble.build(mod, intel_cpu())[0],
+                    nimble.specialize(mod, intel_cpu(), shapes=[(20, 256)])[0]):
+            main = exe.functions[exe.func_index["main"]]
+            code, sources = main.instructions, _instruction_sources(
+                function_code(main, exe.constants))
+            reads = 0
+            for start, end in CFG(code).blocks:
+                written = {}  # register -> the opcode that last wrote it, or filled it
+                for pc in range(start, end):
+                    for r in map(int, re.findall(r"read_scalar\(R\[(\d+)\]", sources[pc])):
+                        assert written.get(r) == _Op.INVOKE_PACKED, (pc, r)
+                        reads += 1
+                    instr = code[pc]
+                    for r in ins.operands(instr)[1] + getattr(instr, "outputs", ()):
+                        written[r] = instr.opcode
+            counts.append(reads)
+        print(f"\nrun-time scalar reads in bench-size BERT main, dynamic / specialized: "
+              f"{counts[0]} / {counts[1]}")
+        assert counts == [10, 0]
 
 
 class TestDropUnreadWrites:

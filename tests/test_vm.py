@@ -36,7 +36,7 @@ from repro.tensor import array, cpu, gpu
 from repro.vm import instruction as ins
 from repro.vm.executable import Executable, VMFunction, _decode_instruction, _encode_instruction
 from repro.vm.interpreter import VirtualMachine
-from repro.vm.objects import ADTObj, IntConstObj, StorageObj, TensorObj, constant_obj
+from repro.vm.objects import ADTObj, StorageObj, TensorObj
 
 
 class TestISA:
@@ -778,17 +778,31 @@ def _watch_allocs(ctx):
     return seen
 
 
-class TestConstantScalars:
-    """A rank-0 host integer constant is read once, when the VM is built
-    (`IntConstObj`); everything else still reads its array per use."""
+def _source(exe):
+    from repro.vm.generator import function_code
 
-    def test_which_constants_carry_their_int(self):
-        planned = constant_obj(array(np.array(4096, np.int64)))
-        assert type(planned) is IntConstObj and planned.value == 4096
-        assert type(planned.value) is int
-        assert isinstance(planned, TensorObj) and planned.storage_obj is None
-        assert planned.data.shape == () and planned.dtype == "int64"
-        assert type(constant_obj(array(np.array(7, np.int32)))) is IntConstObj
+    return function_code(exe.functions[0], exe.constants).source
+
+
+class TestConstantScalars:
+    """A rank-0 host integer constant a block loads is a literal in that
+    block's generated code; everything else reads its array per use."""
+
+    @staticmethod
+    def _sized_by(constant, device=None, platform=None):
+        """``LoadConst`` of *constant*, then an ``AllocStorage`` it sizes."""
+        platform = platform or intel_cpu()
+        device = device or platform.host
+        program = [
+            ins.LoadConst(0, 0), ins.AllocStorage(0, 64, device, 1),
+            ins.LoadConsti(0, 2), ins.AllocTensor(1, 2, (1,), "uint8", 3), ins.Ret(3),
+        ]
+        return _assembled(platform, program, 4, [constant])
+
+    def test_which_constants_are_literals(self):
+        for value, dtype in ((4096, np.int64), (7, np.int32)):
+            source = _source(self._sized_by(array(np.array(value, dtype))))
+            assert f"A.alloc({value}, 64, " in source and "read_scalar" not in source
         for other in (
             array(np.array([4096], np.int64)),           # rank 1
             array(np.array(4096.0, np.float32)),         # float
@@ -796,17 +810,26 @@ class TestConstantScalars:
             array(np.array(4096, np.int64), device=gpu(0)),  # reading it synchronises
             array(np.zeros((2, 2), np.float32)),         # a weight
         ):
-            assert type(constant_obj(other)) is TensorObj
+            source = _source(self._sized_by(other))
+            assert "n = read_scalar(R[0], C, S)" in source and "A.alloc(n, 64, " in source
 
-    def test_a_compiled_models_planned_sizes_are_ints(self):
+    def test_a_compiled_models_planned_sizes_are_literals(self):
+        """The one scalar the generated code reads at run time is the
+        row count a host kernel wrote; every planned size and offset is
+        a literal."""
         exe, _ = nimble.build(_dense_relu_module(), intel_cpu())
+        code = exe.functions[0].instructions
+        source = _source(exe)
+        kernel_written = {r for i in code if i.opcode == ins.Opcode.INVOKE_PACKED
+                          for r in i.outputs}
+        sizes = [i.allocation_size for i in code if i.opcode == ins.Opcode.ALLOC_STORAGE]
+        assert source.count("read_scalar(") == 1
+        assert [r for r in sizes if f"read_scalar(R[{r}]" in source] == [
+            r for r in sizes if r in kernel_written] != []
+        assert "A.alloc(64, 64, " in source and "s.view(0, " in source
         vm = VirtualMachine(exe, ExecutionContext(intel_cpu()))
-        kinds = {type(obj) for obj in vm._constants}
-        assert kinds == {IntConstObj, TensorObj}
         for obj, constant in zip(vm._constants, exe.constants):
-            assert obj.array is constant
-            if type(obj) is IntConstObj:
-                assert obj.value == constant.numpy().item()
+            assert type(obj) is TensorObj and obj.array is constant
 
     def test_a_constant_that_is_an_alloc_size_and_a_kernel_input(self):
         exe, packed = _scalar_add_exe(intel_cpu(), addend=200)
@@ -820,14 +843,35 @@ class TestConstantScalars:
             ins.Ret(4),
         ]
         ctx = ExecutionContext(intel_cpu())
-        vm = VirtualMachine(_assembled(
-            intel_cpu(), program, 5, [array(np.array(200, np.int64))], exe.kernels, 1), ctx)
-        assert type(vm._constants[0]) is IntConstObj
+        exe = _assembled(intel_cpu(), program, 5, [array(np.array(200, np.int64))],
+                         exe.kernels, 1)
+        source = _source(exe)
+        assert "A.alloc(200, 64, " in source and "read_scalar" not in source
+        assert "x1 = R[1].array.data" in source  # the kernel reads the tensor
+        vm = VirtualMachine(exe, ctx)
         seen = _watch_allocs(ctx)
         for x in (1, 41):
             assert vm.run(np.array(x, np.int64)).numpy().item() == x + 200
         assert seen == [200, 200]
         assert ctx.allocator.stats.bytes_allocated == 256
+        assert ctx.allocator.live_bytes == 0
+
+    def test_a_constant_loaded_in_another_block_reads_its_array(self):
+        """A load in one block reaches a size in the next through the
+        register: not a literal there, so the size reads the array."""
+        host = intel_cpu().host
+        program = [
+            ins.LoadConst(0, 0), ins.Goto(1),  # the Goto ends the load's block
+            ins.AllocStorage(0, 64, host, 1),
+            ins.LoadConsti(0, 2), ins.AllocTensor(1, 2, (1,), "uint8", 3), ins.Ret(3),
+        ]
+        ctx = ExecutionContext(intel_cpu())
+        exe = _assembled(intel_cpu(), program, 4, [array(np.array(300, np.int64))])
+        assert "n = read_scalar(R[0], C, S)" in _source(exe)
+        vm = VirtualMachine(exe, ctx)
+        seen = _watch_allocs(ctx)
+        vm.run()
+        assert seen == [300] and type(seen[0]) is int
         assert ctx.allocator.live_bytes == 0
 
     @pytest.mark.parametrize("constant,want", [
@@ -836,14 +880,10 @@ class TestConstantScalars:
         (np.array(True), 1),
     ], ids=["rank1", "float", "bool"])
     def test_other_constants_read_their_array_as_before(self, constant, want):
-        host = intel_cpu().host
-        program = [
-            ins.LoadConst(0, 0), ins.AllocStorage(0, 64, host, 1),
-            ins.LoadConsti(0, 2), ins.AllocTensor(1, 2, (1,), "uint8", 3), ins.Ret(3),
-        ]
         ctx = ExecutionContext(intel_cpu())
-        vm = VirtualMachine(_assembled(intel_cpu(), program, 4, [array(constant)]), ctx)
-        assert type(vm._constants[0]) is TensorObj
+        exe = self._sized_by(array(constant))
+        assert "n = read_scalar(R[0], C, S)" in _source(exe)
+        vm = VirtualMachine(exe, ctx)
         seen = _watch_allocs(ctx)
         vm.run()
         assert seen == [want] and type(seen[0]) is int
@@ -852,23 +892,20 @@ class TestConstantScalars:
     def test_a_gpu_tagged_constant_still_synchronises(self):
         platform = nvidia_gpu()
         device = platform.compute
-        program = [
-            ins.LoadConst(0, 0), ins.AllocStorage(0, 64, device, 1),
-            ins.LoadConsti(0, 2), ins.AllocTensor(1, 2, (4,), "float32", 3), ins.Ret(3),
-        ]
-        on_device = array(np.array(512, np.int64), device=device)
+        on_device = self._sized_by(array(np.array(512, np.int64), device=device),
+                                   device, platform)
+        assert "n = read_scalar(R[0], C, S)" in _source(on_device)
         ctx = ExecutionContext(platform)
-        vm = VirtualMachine(_assembled(platform, program, 4, [on_device]), ctx)
-        assert type(vm._constants[0]) is TensorObj
+        vm = VirtualMachine(on_device, ctx)
         synced, real = [], ctx.clock.sync
         ctx.clock.sync = lambda dev: (synced.append(dev), real(dev))[1]
         seen = _watch_allocs(ctx)
         vm.run()
         assert seen == [512] and synced == [device]
-        # The same program over a host constant reads no array and syncs nothing.
-        host_vm = VirtualMachine(
-            _assembled(platform, program, 4, [array(np.array(512, np.int64))]), ctx)
-        host_vm.run()
+        # The same program over a host constant is a literal and syncs nothing.
+        host_exe = self._sized_by(array(np.array(512, np.int64)), device, platform)
+        assert "A.alloc(512, 64, " in _source(host_exe)
+        VirtualMachine(host_exe, ctx).run()
         assert seen == [512, 512] and synced == [device]
 
     def test_alloc_size_from_immediate_constant_and_kernel_output(self):
@@ -930,18 +967,24 @@ class TestGeneratedExecutor:
         assert set(generator._EMIT) == set(ins.Opcode)
         assert all(callable(emit) for emit in generator._EMIT.values())
 
-    def test_blocks_are_cut_at_targets_after_control_flow_and_every_128(self):
+    def test_blocks_are_cut_at_targets_and_after_control_flow_only(self):
+        """A generated block is a basic block: a 300-instruction
+        straight-line run stays one block, and its code one function."""
         from repro.vm.cfg import CFG
-        from repro.vm.generator import BLOCK_LIMIT
+        from repro.vm.generator import function_code
 
         loop = ([ins.LoadConsti(0, 0), ins.LoadConsti(0, 1),
                  ins.If(0, 1, 1, 3), ins.Goto(2)]
-                + [ins.Move(0, 2)] * (BLOCK_LIMIT + 2)
+                + [ins.Move(0, 2)] * 300
                 + [ins.Ret(2)])
-        shape = CFG(loop, BLOCK_LIMIT)
-        n = len(loop)
-        assert shape.blocks == [(0, 3), (3, 4), (4, 5), (5, 5 + BLOCK_LIMIT), (5 + BLOCK_LIMIT, n)]
-        assert shape.target(5) == 3 and shape.target(n) is None and shape.target(-1) is None
+        shape = CFG(loop)
+        assert len(loop) == 305
+        assert shape.blocks == [(0, 3), (3, 4), (4, 5), (5, 305)]
+        assert shape.target(5) == 3 and shape.target(305) is None and shape.target(-1) is None
+        exe = _assembled(intel_cpu(), loop, 3, [])
+        code = function_code(exe.functions[0], exe.constants)
+        assert [len(opcodes) for opcodes in code.opcodes] == [3, 1, 1, 300, 0]
+        assert VirtualMachine(exe).run() == 0
 
     def test_the_lstm_loop_source_matches_golden(self):
         """The toy LSTM's loop, generated: a set or dict order leaking into
@@ -954,10 +997,9 @@ class TestGeneratedExecutor:
         mod = build_lstm_module(
             LSTMWeights.create(input_size=12, hidden_size=16, num_layers=2, seed=0))
         exe, _ = nimble.build(mod, intel_cpu())
-        vm = VirtualMachine(exe)
         loop = exe.functions[exe.func_index["lstm_loop"]]
         golden = Path(__file__).parent / "golden" / "lstm_loop_vm.txt"
-        assert function_code(loop, vm._constants).source == golden.read_text()
+        assert function_code(loop, exe.constants).source == golden.read_text()
 
     def test_the_tree_eval_source_matches_golden(self):
         """The toy TreeLSTM's recursion, generated: a branchy function
@@ -973,14 +1015,13 @@ class TestGeneratedExecutor:
 
         mod = build_tree_lstm_module(TreeLSTMWeights.create(input_size=12, hidden_size=8, seed=0))
         exe, _ = nimble.build(mod, intel_cpu())
-        vm = VirtualMachine(exe)
         tree_eval = exe.functions[exe.func_index["tree_eval"]]
         ops = Counter(i.opcode for i in tree_eval.instructions)
         assert len(tree_eval.instructions) == 56  # 76 before the compiler shared registers
         assert (ops[ins.Opcode.GET_TAG], ops[ins.Opcode.IF], ops[ins.Opcode.GOTO],
                 ops[ins.Opcode.INVOKE], ops[ins.Opcode.FATAL]) == (1, 2, 2, 2, 1)
         golden = Path(__file__).parent / "golden" / "tree_eval_vm.txt"
-        assert function_code(tree_eval, vm._constants).source == golden.read_text()
+        assert function_code(tree_eval, exe.constants).source == golden.read_text()
 
     def test_a_vm_over_generated_bytecode_generates_nothing(self, monkeypatch):
         """Workers and fleet restores build VMs every pass: the second VM
@@ -1054,15 +1095,14 @@ class TestGeneratedExecutor:
             assert counts["INVOKE_PACKED"] == 1 and ctx.allocator.stats.total_allocs > 0
 
     def test_a_run_that_raises_counts_and_charges_up_to_the_instruction(self):
-        """A planted ``Fatal`` at each position of a straight-line function
-        longer than one block: the counts, the dispatch charge and the
-        clock are those of the instructions before it plus its own, added
-        here one at a time without the generator, and the allocator
-        drains."""
+        """A planted ``Fatal`` at each position of a 139-instruction
+        straight-line function, one block: the counts, the dispatch charge
+        and the clock are those of the instructions before it plus its
+        own, added here one at a time without the generator, and the
+        allocator drains."""
         from collections import Counter
 
         from repro.hardware import calibration
-        from repro.vm.generator import BLOCK_LIMIT
 
         platform = intel_cpu()
         host = platform.host
@@ -1074,7 +1114,8 @@ class TestGeneratedExecutor:
             ins.LoadConst(0, 5),
             ins.InvokePacked(packed_index, (0, 5), (4,), host),
             ins.AllocADT(-1, (4, 5), 6), ins.GetField(6, 0, 7),
-        ] + [ins.Move(7, 8)] * (BLOCK_LIMIT + 2) + [ins.Ret(8)]
+        ] + [ins.Move(7, 8)] * 130 + [ins.Ret(8)]
+        assert len(body) == 139
         constants = [array(np.array(200, np.int64))]
         instr_us = platform.vm_instruction_us
         fresh_us = calibration.ALLOC_FRESH_US[platform.name]
