@@ -6,9 +6,13 @@ kernel therefore compiles symbolically (§4.5) — these are exactly the
 three dense shapes Figure 3 dissects: 768→768 (QKV/projection), 768→3072
 and 3072→768 (FFN).
 
-Attention uses ``nn.batch_matmul`` over per-head reshapes. The builder is
-configurable so tests can use a 2-layer / 64-hidden instance while the
-benchmarks build the paper's full BERT-base.
+Attention uses ``nn.batch_matmul`` over per-head reshapes. On CPU builds
+(one device queue) ``CombineParallelDense`` runs Q, K and V as one GEMM
+over their stacked weights, section by section so outputs are bitwise
+those of three, and fusion makes the split and the three head reshapes
+one kernel; on a GPU the three stay separate kernels the stream scheduler
+overlaps. The builder is configurable so tests can use a 2-layer /
+64-hidden instance while the benchmarks build the paper's full BERT-base.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@
 
 Every compile is one pipeline (Figure 2) in two stages. The *prefix*
 — type inference with ``Any`` → constant folding → simplification →
-ANF → CSE → DCE → lambda lifting — depends only on (module, platform),
+ANF → CSE → DCE → (on one-queue platforms) combining parallel dense
+layers → lambda lifting — depends only on (module, platform),
 never on which shape gets bound. The *suffix* — dynamic-aware fusion →
 manifest allocation → device placement → memory planning → VM
 bytecode + kernel generation — runs once per executable.
@@ -51,6 +52,7 @@ from repro.ir import codec
 from repro.ir.module import IRModule
 from repro.ir.printer import module_fingerprint
 from repro.passes import (
+    CombineParallelDense,
     CommonSubexprElimination,
     DeadCodeElimination,
     FoldConstant,
@@ -123,9 +125,10 @@ class SpecializationPrefix:
     variant — member-wise and batched alike.
 
     ``module`` is the dynamic module after type inference, constant
-    folding, simplification, ANF conversion, CSE, DCE, and lambda
-    lifting: everything that does not depend on which ``Any`` tokens get
-    bound. Fusion is deliberately *not* in the prefix — fused primitive
+    folding, simplification, ANF conversion, CSE, DCE, combining
+    parallel dense layers (one-queue platforms) and lambda lifting:
+    everything that does not depend on which ``Any`` tokens get bound.
+    Fusion is deliberately *not* in the prefix — fused primitive
     parameters carry checked-type annotations with fresh ``Any`` tokens
     a later binding could never reach, and the batch rewrite needs a
     pre-fusion module — so fusion runs in the per-variant suffix, after
@@ -198,14 +201,19 @@ class SpecializationPrefix:
         )
 
 
-def _run_prefix(mod: IRModule) -> Tuple[IRModule, IRModule, Dict[str, float]]:
+def _run_prefix(
+    mod: IRModule, platform: Platform
+) -> Tuple[IRModule, IRModule, Dict[str, float]]:
     """The shape-independent prefix every compile starts with: inference
     with ``Any`` dims, then every normalization pass whose output a
-    shape binding cannot change. Returns the typed source module, the
-    normalized module and the pass timings."""
+    shape binding cannot change. Parallel dense layers combine into one
+    GEMM only where the platform has one device queue: with more, the
+    stream scheduler overlaps them instead. Returns the typed source
+    module, the normalized module and the pass timings."""
     infer_start = time.perf_counter()
     typed = InferType()(mod)
     infer_time = time.perf_counter() - infer_start
+    one_queue = [CombineParallelDense()] if platform.max_streams == 1 else []
     pipeline = Sequential(
         [
             FoldConstant(),
@@ -213,6 +221,7 @@ def _run_prefix(mod: IRModule) -> Tuple[IRModule, IRModule, Dict[str, float]]:
             ToANF(),
             CommonSubexprElimination(),
             DeadCodeElimination(),
+            *one_queue,
             LambdaLift(),
         ]
     )
@@ -234,7 +243,7 @@ def build_prefix(
         source_signature if source_signature is not None
         else module_fingerprint(mod)
     )
-    _, normalized, timings = _run_prefix(mod)
+    _, normalized, timings = _run_prefix(mod, platform)
     if entry not in normalized:
         raise CompilerError(f"module has no entry function {entry!r}")
     return SpecializationPrefix(
@@ -360,7 +369,7 @@ def build(
     no binding. ``plan_memory=False`` disables the §4.3 coalescing/kill
     pass (the memory-planning ablation)."""
     platform = platform or intel_cpu()
-    typed, normalized, timings = _run_prefix(mod)
+    typed, normalized, timings = _run_prefix(mod, platform)
     exe, report = _compile_suffix(
         normalized, platform, options, kernel_cache,
         module_fingerprint(mod), timings, plan_memory=plan_memory,

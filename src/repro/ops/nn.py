@@ -29,11 +29,24 @@ def _dense_rel(arg_types: Sequence[Type], attrs: dict) -> Type:
     if data.ndim < 1 or weight.ndim != 2:
         raise TypeInferenceError(f"dense: bad ranks {data!r} @ {weight!r}")
     unify_dim(data.shape[-1], weight.shape[1], "dense reduction axis")
+    cuts = list(attrs.get("sections", ()))
+    rows = weight.shape[0]
+    if cuts and (cuts != sorted(set(cuts)) or cuts[0] <= 0
+                 or (not isinstance(rows, Any) and cuts[-1] >= rows)):
+        raise TypeInferenceError(f"dense: sections {tuple(cuts)} do not cut {rows} weight rows")
     return TensorType(data.shape[:-1] + (weight.shape[0],), data.dtype)
 
 
 def _dense_compute(inputs, attrs):
+    """``data @ weight.T``. With ``sections`` — the weight rows at which
+    ``CombineParallelDense`` stacked separate weights — each stacked
+    weight's columns are their own GEMM, as the separate denses computed
+    them: one GEMM over all the rows can differ from them in the last bits."""
     data, weight = inputs
+    cuts = attrs.get("sections")
+    if cuts:
+        return np.concatenate(
+            [_dense_compute((data, w), {}) for w in np.split(weight, cuts)], axis=-1)
     return (data @ weight.T).astype(data.dtype, copy=False)
 
 
@@ -56,13 +69,20 @@ def _dense_batch_rule(c: BatchCall):
     rank = len(static_shape(c.member_tys[0], c.name))
     if rank != 2:
         raise BatchSpecializeError(f"batch_dense: rank-{rank} dense data")
-    return Call(Op.get("nn.batch_dense"), c.args, {"batch": c.batch}), True
+    return Call(Op.get("nn.batch_dense"), c.args, {**c.call.attrs, "batch": c.batch}), True
 
 
 def _dense_lower(call, args):
-    if keeps_dtype(call, lambda d, w: np.matmul(d, w.T)):
+    if not keeps_dtype(call, lambda d, w: np.matmul(d, w.T)):
+        return None
+    cuts = call.attrs.get("sections")
+    if not cuts:
         return f"matmul({args[0]}, {args[1]}.T)", {"matmul": np.matmul}, None
-    return None
+    d, w = args
+    bounds = zip((0,) + tuple(cuts), tuple(cuts) + ("",))
+    parts = ", ".join(f"matmul({d}, {w}[{a}:{b}].T)" for a, b in bounds)
+    binds = {"matmul": np.matmul, "concatenate": np.concatenate}
+    return f"concatenate(({parts}), axis=-1)", binds, None
 
 
 register_op(

@@ -5,6 +5,7 @@ from repro.passes.to_anf import ToANF, to_anf
 from repro.passes.fold_constant import FoldConstant
 from repro.passes.dead_code import DeadCodeElimination
 from repro.passes.cse import CommonSubexprElimination
+from repro.passes.combine_parallel_dense import CombineParallelDense
 from repro.passes.simplify import SimplifyExpressions
 from repro.passes.fuse_ops import FuseOps
 from repro.passes.lambda_lift import LambdaLift
@@ -27,6 +28,7 @@ __all__ = [
     "FoldConstant",
     "DeadCodeElimination",
     "CommonSubexprElimination",
+    "CombineParallelDense",
     "SimplifyExpressions",
     "FuseOps",
     "LambdaLift",

@@ -18,11 +18,13 @@ group. Such ops always compile as singleton kernels.
 **Multi-output groups.** A group ending in a tuple (``split``) is then
 merged with every group that reads its ``TupleGetItem`` projections, when
 the tuple is read only through projections, no projection reaches the
-chain's tail, every projection's readers are calls ``_can_fuse`` accepts,
-and no binding outside the merged set but between its first and last
-member reads a member (so the group stays acyclic and may materialize at
-its last member). The LSTM cell's ``split`` and both state updates become
-one kernel.
+chain's tail and every projection's readers are calls ``_can_fuse``
+accepts. The merged group materializes at its last member before the
+first binding outside it that reads a member, and every member past that
+point must read only members and what is bound before it (so the group
+stays acyclic). The LSTM cell's ``split`` and both state updates become
+one kernel; so do BERT's Q/K/V ``split`` (``CombineParallelDense``) and
+its three head reshapes, materialized before the scores read two of them.
 
 After grouping, every group (including singletons — uniform lowering)
 becomes a ``primitive`` Function called with its external inputs, exactly
@@ -89,6 +91,11 @@ def _can_fuse(producer_pattern: OpPattern, consumer_op: Op) -> bool:
     if consumer_pattern == OpPattern.COMM_REDUCE:
         return producer_pattern <= OpPattern.INJECTIVE
     return False
+
+
+def _operands(value: Expr) -> List[Expr]:
+    """The operands of a fused member: a call's arguments or a projection's tuple."""
+    return [value.tuple_value] if isinstance(value, TupleGetItem) else value.args  # type: ignore[union-attr]
 
 
 class _Group:
@@ -185,7 +192,7 @@ class _Fuser:
 
         for root in sorted(groups):
             if root in groups and isinstance(bindings[root][0].checked_type, TupleType):
-                self._merge_tuple_group(root, bindings, sites, groups, group_of)
+                self._merge_tuple_group(root, bindings, sites, index_of, groups, group_of)
 
         # Rebuild the chain. A group materializes at its *root* (the
         # highest index in the group); members are dropped from the chain.
@@ -214,6 +221,7 @@ class _Fuser:
         root: int,
         bindings: List[PyTuple[Var, Expr]],
         sites: Dict[Var, List[int]],
+        index_of: Dict[Var, int],
         groups: Dict[int, _Group],
         group_of: Dict[int, int],
     ) -> None:
@@ -238,19 +246,30 @@ class _Fuser:
             return
         for g in merged:
             members.update(groups[g].indices)
-        last = max(members)
+        first_read = tail_index
         for m in members:
             var = bindings[m][0]
             outside = [k for k in sites.get(var, ()) if k not in members]
-            if outside and (min(outside) < last or not isinstance(var.checked_type, TensorType)):
-                return  # read between the members, or a non-tensor output
-        group = _Group(last, max(groups[g].pattern for g in merged))
+            if outside and not isinstance(var.checked_type, TensorType):
+                return  # a non-tensor output
+            first_read = min([first_read, *outside])
+        # The group materializes at its last member before any outside
+        # read; a member past that point must read only what is bound
+        # before it.
+        at = max(m for m in members if m < first_read)
+        for m in members:
+            if m > at and any(
+                    isinstance(a, Var) and a in index_of and index_of[a] not in members
+                    and group_of.get(index_of[a], index_of[a]) > at
+                    for a in _operands(bindings[m][1])):
+                return  # read between the members
+        group = _Group(at, max(groups[g].pattern for g in merged))
         group.indices = sorted(members)
         for g in merged:
             del groups[g]
-        groups[last] = group
+        groups[at] = group
         for m in members:
-            group_of[m] = last
+            group_of[m] = at
 
     def _materialize(
         self, group: _Group, bindings: List[PyTuple[Var, Expr]], sites: Dict[Var, List[int]]
@@ -262,14 +281,11 @@ class _Fuser:
         internal: Set[Var] = {var for var, _ in members}
         inside = set(group.indices)
 
-        def operands(value: Expr) -> List[Expr]:
-            return [value.tuple_value] if isinstance(value, TupleGetItem) else value.args  # type: ignore[union-attr]
-
         # External inputs in first-use order (vars and constants).
         ext_order: List[Expr] = []
         seen: Set[int] = set()
         for _, value in members:
-            for arg in operands(value):
+            for arg in _operands(value):
                 if isinstance(arg, Var) and arg in internal:
                     continue
                 if id(arg) in seen:

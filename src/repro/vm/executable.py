@@ -139,6 +139,10 @@ class VMFunction:
     num_params: int
     instructions: List[ins.Instruction]
     register_count: int
+    # ``repro.vm.generator.function_code``'s cache key for this function
+    # over one constant pool, made on first use: a function's
+    # instructions do not change once it has run.
+    code_key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass

@@ -668,7 +668,22 @@ class FunctionCode:
         return self.opcodes[b][:bisect_right(self.starts[b], line)]
 
 
-_CACHE: "OrderedDict[tuple, FunctionCode]" = OrderedDict()
+_CACHE: "OrderedDict[_Key, FunctionCode]" = OrderedDict()
+
+
+class _Key:
+    """A function's content as a cache key whose hash is computed once."""
+
+    __slots__ = ("content", "values", "hash")
+
+    def __init__(self, content: tuple, values: dict) -> None:
+        self.content, self.values, self.hash = content, values, hash(content)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (self.hash == other.hash and self.content == other.content)
 
 
 def _literal(array: NDArray) -> Optional[int]:
@@ -685,17 +700,22 @@ def function_code(func: VMFunction, constants: List[NDArray]) -> FunctionCode:
     """*func*'s generated code, from the cache when this process has
     generated the same content before. *constants* is the executable's
     constant pool: the value of an integer constant is part of the
-    content (it is a literal in the code)."""
-    code = func.instructions
-    values = {i.const_index: _literal(constants[i.const_index])
-              for i in code if i.opcode == _Op.LOAD_CONST}
-    key = (func.name, func.num_params, func.register_count, tuple(code),
-           tuple(values.items()))
+    content (it is a literal in the code). The key is made once per
+    function and pool and kept on the function, so a second VM binding
+    it does one dict lookup."""
+    if func.code_key is None or func.code_key[0] is not constants:
+        code = func.instructions
+        values = {i.const_index: _literal(constants[i.const_index])
+                  for i in code if i.opcode == _Op.LOAD_CONST}
+        content = (func.name, func.num_params, func.register_count, tuple(code),
+                   tuple(values.items()))
+        func.code_key = (constants, _Key(content, values))
+    key = func.code_key[1]
     found = _CACHE.get(key)
     if found is not None:
         _CACHE.move_to_end(key)
         return found
-    found = _CACHE[key] = FunctionCode(func, values)
+    found = _CACHE[key] = FunctionCode(func, key.values)
     if len(_CACHE) > CACHE_SIZE:
         for filename in _CACHE.popitem(last=False)[1].filenames:
             linecache.cache.pop(filename, None)

@@ -280,7 +280,8 @@ class TestLaunchTape:
     @pytest.mark.parametrize("platform", [intel_cpu, nvidia_gpu])
     def test_launches_are_the_runs_in_order(self, platform, monkeypatch):
         """Kernel and stream of every launch, as the VM's launch log
-        holds them when the run ends."""
+        holds them when the run ends: 30, and 22 on the CPU since Q/K/V
+        run as one GEMM and the head split as one kernel per layer."""
         from repro.vm.profiler import VMProfile
 
         exe, _ = nimble.specialize(build_bert_module(_small_bert()), platform(), shapes=[(6, 64)])
@@ -297,7 +298,7 @@ class TestLaunchTape:
         ran = list(logged)
         tape = LaunchTape(exe, x)
         assert [(kernel, stream) for kernel, *_, stream in tape.launches] == ran
-        assert len(ran) == 30
+        assert len(ran) == (22 if platform is intel_cpu else 30)
 
     def test_recording_checks_the_entry_guard(self):
         """Inputs that fail a specialized entry's shape guard are refused
@@ -309,11 +310,12 @@ class TestLaunchTape:
             LaunchTape(exe, np.zeros((7, 64), np.float32))
 
     def test_tape_latency_is_pinned(self):
-        """Node charge plus kernel charge of the 30 launches of small
-        BERT at length 6 on `intel_cpu`."""
+        """Node charge plus kernel charge of the 22 launches of small
+        BERT at length 6 on `intel_cpu` (30 launches and 79.04 us before
+        Q/K/V became one GEMM and the head split one kernel)."""
         exe, _ = nimble.specialize(build_bert_module(_small_bert()), intel_cpu(), shapes=[(6, 64)])
         _, tape_us = LaunchTape(exe, np.zeros((6, 64), np.float32)).replay()
-        assert tape_us == 79.04403440257668
+        assert tape_us == 58.39481007900463
 
 
 class TestEagerFramework:

@@ -446,6 +446,23 @@ class TestMultiOutputFusion:
         assert len(self._split_is_alone(fused)) == 3
 
 
+    def test_merged_before_an_outside_reader_when_later_members_read_only_members(self):
+        """`n` reads `a` before member `b` is bound, but `b` reads only
+        members: the kernel materializes before `n`."""
+        x = Var("x", TensorType((2, 8)))
+        w = Var("w", TensorType((4, 4)))
+        fused = self._fused(
+            [("parts", lambda v: api.split(x, 2, axis=1)),
+             ("a", lambda v: api.sigmoid(TupleGetItem(v["parts"], 0))),
+             ("t", lambda v: api.tanh(TupleGetItem(v["parts"], 1))),
+             ("n", lambda v: api.dense(v["a"], w)),
+             ("b", lambda v: api.exp(v["t"])),
+             ("out", lambda v: Tuple([v["n"], v["b"]]))],
+            lambda v: v["out"], [x, w])
+        assert [TestFusion._ops_of(p) for p in self._chain_prims(fused.body)] == [
+            ["exp", "sigmoid", "split", "tanh"], ["nn.dense"]]
+
+
 def _differential_cases():
     """(model, tier, platform, streams): both paper loops, every tier, on
     the CPU and on the GPU at one and two streams."""
@@ -529,6 +546,160 @@ class TestMultiOutputFusionDifferential:
 
 
 # ---------------------------------------------------------------------------
+# Parallel dense layers combine into one GEMM on one-queue platforms
+# ---------------------------------------------------------------------------
+
+
+def _branches(x, *weights):
+    """``bias_add(dense(x, Wᵢ), bᵢ)`` per weight, float32 biases, as
+    let-bound (dense, bias_add) pairs ending in their tuple."""
+    sb = ScopeBuilder()
+    outs = []
+    for i, w in enumerate(weights):
+        rows = w.data.shape[0] if isinstance(w, Constant) else 4
+        b = np.arange(rows, dtype="float32")
+        d = sb.let(f"d{i}", api.dense(x, w))
+        outs.append(sb.let(f"o{i}", api.bias_add(d, const(b))))
+    return sb.get(Tuple(outs))
+
+
+def _weight(rows, k=8, dtype="float32", seed=0):
+    return const(np.random.RandomState(seed + rows).randn(rows, k).astype(dtype))
+
+
+class TestCombineParallelDense:
+    """``bias_add(dense(x, Wᵢ), bᵢ)`` on one ``x`` become one dense over the
+    stacked weights, one bias_add and a split; anything else is left as
+    it is."""
+
+    @staticmethod
+    def _combined(func):
+        from repro.passes import CombineParallelDense
+
+        mod = IRModule.from_expr(func)
+        return mod, CombineParallelDense().run(mod)
+
+    @staticmethod
+    def _ops(func):
+        return [v.op.name for _, v in _let_chain(func.body)[0]
+                if isinstance(v, Call) and isinstance(v.op, Op)]
+
+    @pytest.mark.parametrize("rows", [(4, 4, 4), (3, 5)], ids=["equal", "unequal"])
+    def test_branches_on_one_input_become_one_gemm_with_bitwise_outputs(self, rows):
+        from repro.evaluator import evaluate
+
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        func = Function([x], _branches(x, *[_weight(r) for r in rows]))
+        before, after = self._combined(func)
+        assert self._ops(after.main) == ["nn.dense", "nn.bias_add", "split"]
+        (dense,) = [v for _, v in _let_chain(after.main.body)[0] if isinstance(v, Call)
+                    and getattr(v.op, "name", "") == "nn.dense"]
+        assert dense.attrs == {"sections": tuple(np.cumsum(rows[:-1]))}
+        assert dense.args[1].data.shape == (sum(rows), 8)
+        data = np.random.RandomState(1).randn(7, 8).astype(np.float32)
+        want = evaluate(infer_types(before), data)
+        got = evaluate(infer_types(after), data)
+        assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
+
+    @pytest.mark.parametrize("case", [
+        "different_inputs", "non_constant_weight", "dense_read_twice",
+        "mismatched_dtypes", "single_branch", "other_reduction_dim"])
+    def test_left_alone(self, case):
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        y = Var("y", TensorType((Any(), 8), "float32"))
+        params = [x]
+        if case == "different_inputs":
+            sb = ScopeBuilder()
+            a = sb.let("a", api.bias_add(api.dense(x, _weight(4)), const(np.zeros(4, "float32"))))
+            b = sb.let("b", api.bias_add(api.dense(y, _weight(4)), const(np.zeros(4, "float32"))))
+            body, params = sb.get(Tuple([a, b])), [x, y]
+        elif case == "non_constant_weight":
+            w = Var("w", TensorType((4, 8), "float32"))
+            body, params = _branches(x, _weight(4), w), [x, w]
+        elif case == "dense_read_twice":
+            sb = ScopeBuilder()
+            d0 = sb.let("d0", api.dense(x, _weight(4)))
+            a = sb.let("a", api.bias_add(d0, const(np.zeros(4, "float32"))))
+            b = sb.let("b", api.bias_add(api.dense(x, _weight(4, seed=1)),
+                                         const(np.zeros(4, "float32"))))
+            body = sb.get(Tuple([a, b, d0]))
+        elif case == "mismatched_dtypes":  # the float16 weight's bias is float32
+            body = _branches(x, _weight(4), _weight(4, dtype="float16"))
+        elif case == "single_branch":
+            body = _branches(x, _weight(4))
+        else:
+            body = _branches(x, _weight(4), _weight(4, k=6))
+        func = Function(params, to_anf(Function(params, body)).body)
+        before, after = self._combined(func)
+        assert after.main is before.main
+
+    @staticmethod
+    def _bert():
+        from repro.models.bert import BertConfig, BertWeights, build_bert_module
+
+        return build_bert_module(
+            BertWeights.create(BertConfig(hidden=24, num_heads=3, num_layers=2, ffn=48), seed=0))
+
+    @staticmethod
+    def _tiers(mod):
+        """Each tier's executable on `intel_cpu` and its inputs."""
+        import repro.nimble as nimble
+        from repro.hardware import intel_cpu
+
+        rng = np.random.RandomState(0)
+        rows = [rng.randn(n, 24).astype(np.float32) for n in (1, 5, 9)]
+        fives = [rng.randn(5, 24).astype(np.float32) for _ in range(4)]
+        return {
+            "dynamic": (nimble.build(mod, intel_cpu())[0], rows),
+            "exact": (nimble.specialize(mod, intel_cpu(), shapes=[(5, 24)])[0], fives),
+            "partial": (nimble.specialize(mod, intel_cpu(), shapes=[(None, 24)])[0], rows),
+            "batched": (nimble.specialize(mod, intel_cpu(), shapes=[(5, 24)], batch=4)[0],
+                        [np.concatenate(fives)]),
+        }
+
+    def test_bert_on_one_queue_is_bitwise_the_pipeline_without_the_pass(self, monkeypatch):
+        """Every tier builds either way, with fewer kernels combined, and
+        runs to the same bytes."""
+        from repro.passes import CombineParallelDense
+        from repro.vm.interpreter import VirtualMachine
+
+        def outputs(tiers):
+            return {tier: [VirtualMachine(exe).run(x).numpy().tobytes() for x in inputs]
+                    for tier, (exe, inputs) in tiers.items()}
+
+        combined = self._tiers(self._bert())
+        monkeypatch.setattr(CombineParallelDense, "run", lambda self, mod: mod)
+        separate = self._tiers(self._bert())
+        assert outputs(combined) == outputs(separate)
+        for tier in combined:
+            assert len(combined[tier][0].kernels) < len(separate[tier][0].kernels), tier
+
+    @pytest.mark.parametrize("family, make_platform, streams", [
+        ("lstm", "intel_cpu", 1), ("tree_lstm", "intel_cpu", 1),
+        ("lstm", "nvidia_gpu", 2), ("tree_lstm", "nvidia_gpu", 1),
+        ("bert", "nvidia_gpu", 1), ("bert", "nvidia_gpu", 4)])
+    def test_where_nothing_combines_the_executable_is_the_same(
+            self, family, make_platform, streams, monkeypatch):
+        """LSTM and TreeLSTM have no parallel branches and a GPU build
+        does not run the pass: every tier keeps its key and its bytes."""
+        import repro.hardware as hardware
+        from repro.passes import CombineParallelDense
+
+        platform = getattr(hardware, make_platform)()
+
+        def saved():
+            out = {}
+            for tier in ("dynamic", "specialized", "batch4"):
+                exe = TestLazyInference._executable(family, tier, platform, streams)
+                out[tier] = exe and (TestLazyInference._canonical_save(exe), exe.content_hash())
+            return out
+
+        with_pass = saved()
+        monkeypatch.setattr(CombineParallelDense, "run", lambda self, mod: mod)
+        assert saved() == with_pass
+
+
+# ---------------------------------------------------------------------------
 # Types are inferred where a pass reads them
 # ---------------------------------------------------------------------------
 
@@ -554,10 +725,11 @@ def _pipeline(platform):
     """Every pass of a dynamic build, in order, as fresh instances."""
     from repro.core.device import DevicePlace
     from repro.core.memory import ManifestAlloc, MemoryPlan
-    from repro.passes import LambdaLift
+    from repro.passes import CombineParallelDense, LambdaLift
 
+    one_queue = [CombineParallelDense()] if platform.max_streams == 1 else []
     return [FoldConstant(), SimplifyExpressions(), ToANF(), CommonSubexprElimination(),
-            DeadCodeElimination(), LambdaLift(), FuseOps(), ManifestAlloc(),
+            DeadCodeElimination(), *one_queue, LambdaLift(), FuseOps(), ManifestAlloc(),
             DevicePlace(platform.host, platform.compute), MemoryPlan()]
 
 
@@ -586,7 +758,7 @@ def _wipe_types(mod):
 
 class TestLazyInference:
     TYPE_BLIND = ("FoldConstant", "ToANF", "CommonSubexprElimination",
-                  "DeadCodeElimination", "MemoryPlan")
+                  "DeadCodeElimination", "CombineParallelDense", "MemoryPlan")
 
     def test_the_declared_passes_are_the_tested_ones(self):
         import repro.nimble  # noqa: F401  (imports every pass)
@@ -655,8 +827,8 @@ class TestLazyInference:
             patch.setattr(Any, "__reduce_ex__", reduce, raising=False)
             return exe.save()
 
-    @classmethod
-    def _compile(cls, family, tier, platform, streams):
+    @staticmethod
+    def _executable(family, tier, platform, streams):
         import repro.nimble as nimble
         from repro.passes import BatchSpecializeError
 
@@ -665,13 +837,16 @@ class TestLazyInference:
         shapes = {"lstm": [(5, 12)], "tree_lstm": [None], "bert": [(5, 24)]}[family]
         try:
             if tier == "dynamic":
-                exe = nimble.build(mod, platform, options=options)[0]
-            else:
-                exe = nimble.specialize(mod, platform, shapes=shapes, options=options,
-                                        batch=4 if tier == "batch4" else 1)[0]
+                return nimble.build(mod, platform, options=options)[0]
+            return nimble.specialize(mod, platform, shapes=shapes, options=options,
+                                     batch=4 if tier == "batch4" else 1)[0]
         except BatchSpecializeError:
             return None  # a Tree entry cannot be stacked
-        return cls._canonical_save(exe)
+
+    @classmethod
+    def _compile(cls, family, tier, platform, streams):
+        exe = cls._executable(family, tier, platform, streams)
+        return None if exe is None else cls._canonical_save(exe)
 
     @pytest.mark.parametrize(
         "make_platform, streams", [("intel_cpu", 1), ("nvidia_gpu", 2)],
