@@ -56,7 +56,7 @@ def canonical_mnk(func: Function, in_shapes: Sequence[Shape], out_shape: Shape) 
 
     for call in prim_calls(func):
         if isinstance(call.op, Op) and call.op.name in GEMM_OPS:
-            if call.op.name in ("nn.dense", "nn.batch_dense"):
+            if call.op.name == "nn.dense":
                 d_shape = arg_shape(call.args[0], out_shape)
                 w_shape = arg_shape(call.args[1], (1, 1))
                 m = prod(d_shape[:-1]) if len(d_shape) > 1 else 1
@@ -293,7 +293,9 @@ class ShapeFuncKernel:
 # envelope of ``kernels.kc``. Entries are pickled (like the executable's
 # kernel section); bumping this invalidates every persisted cache file
 # instead of risking a misread. 2: the two entry lists, without keys.
-KERNEL_CACHE_FORMAT = 2
+# 3: a batched GEMM is ``nn.dense`` with ``batch``; a format-2 file's
+# batched kernels name an op this build does not register.
+KERNEL_CACHE_FORMAT = 3
 
 
 def prim_key(prim: Function, *rest) -> tuple:

@@ -31,9 +31,7 @@ Shape = Tuple[int, ...]
 # Ops whose cost profile is GEMM-like (compute-bound at scale). The one
 # authoritative set — the kernel cost model and the profiler's GEMM
 # launch counting both import it.
-GEMM_OPS = frozenset(
-    {"nn.dense", "nn.batch_dense", "nn.batch_matmul", "nn.conv2d"}
-)
+GEMM_OPS = frozenset({"nn.dense", "nn.batch_matmul", "nn.conv2d"})
 
 
 @dataclass(frozen=True)

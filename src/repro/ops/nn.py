@@ -23,6 +23,13 @@ from repro.ops.type_relations import expect_tensor, unify_dim
 
 
 # -- dense --------------------------------------------------------------------
+# Two rewrites stack GEMMs into one ``nn.dense`` that is priced as one GEMM
+# and computed in the pieces it was stacked from, each as its own matmul:
+# ``batch`` cuts the data rows into equal parts, one per member
+# ``SpecializeBatch`` stacked, and ``sections`` the weight rows at the
+# offsets where ``CombineParallelDense`` stacked separate weights. BLAS
+# results are not row-stable across the GEMM's size, so one matmul over
+# all the rows could differ from the separate ones in the last bits.
 def _dense_rel(arg_types: Sequence[Type], attrs: dict) -> Type:
     data = expect_tensor(arg_types[0], "dense data")
     weight = expect_tensor(arg_types[1], "dense weight")
@@ -34,25 +41,35 @@ def _dense_rel(arg_types: Sequence[Type], attrs: dict) -> Type:
     if cuts and (cuts != sorted(set(cuts)) or cuts[0] <= 0
                  or (not isinstance(rows, Any) and cuts[-1] >= rows)):
         raise TypeInferenceError(f"dense: sections {tuple(cuts)} do not cut {rows} weight rows")
+    batch = int(attrs.get("batch", 1))
+    if batch < 1 or (batch > 1 and data.ndim != 2):
+        raise TypeInferenceError(f"dense: batch {batch} does not cut {data!r}")
+    stacked = data.shape[0]
+    if not isinstance(stacked, Any) and stacked % batch:
+        raise TypeInferenceError(f"dense: {stacked} stacked rows not divisible by batch {batch}")
     return TensorType(data.shape[:-1] + (weight.shape[0],), data.dtype)
 
 
+def _joined(parts, axis):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
 def _dense_compute(inputs, attrs):
-    """``data @ weight.T``. With ``sections`` — the weight rows at which
-    ``CombineParallelDense`` stacked separate weights — each stacked
-    weight's columns are their own GEMM, as the separate denses computed
-    them: one GEMM over all the rows can differ from them in the last bits."""
+    """``data @ weight.T``, one GEMM per (member, section)."""
     data, weight = inputs
+    batch = int(attrs.get("batch", 1))
+    if data.shape[0] % batch:
+        raise ShapeError(f"dense: {data.shape[0]} stacked rows not divisible by batch {batch}")
+    members = np.split(data, batch) if batch > 1 else [data]
     cuts = attrs.get("sections")
-    if cuts:
-        return np.concatenate(
-            [_dense_compute((data, w), {}) for w in np.split(weight, cuts)], axis=-1)
-    return (data @ weight.T).astype(data.dtype, copy=False)
+    weights = np.split(weight, cuts) if cuts else [weight]
+    return _joined([_joined([(d @ w.T).astype(d.dtype, copy=False) for w in weights], -1)
+                    for d in members], 0)
 
 
 def _dense_shape_func(in_shapes, in_values, attrs):
     d, w = in_shapes
-    if d[-1] != w[1]:
+    if d[-1] != w[1] or d[0] % int(attrs.get("batch", 1)):
         raise ShapeError(f"dense runtime check failed: {d} @ {w}")
     return [tuple(d[:-1]) + (w[0],)]
 
@@ -63,26 +80,39 @@ def _dense_flops(in_shapes, out_shapes, attrs):
 
 
 def _dense_batch_rule(c: BatchCall):
-    """Stacked rows against shared weights: one ``nn.batch_dense``."""
+    """Stacked rows against shared weights: the same dense, cut into
+    ``batch`` members."""
     if c.flags[1] is not False:
-        raise BatchSpecializeError("batch_dense: batched weights")
+        raise BatchSpecializeError("dense: batched weights")
+    if "batch" in c.call.attrs:
+        raise BatchSpecializeError("dense: already cut into batch members")
     rank = len(static_shape(c.member_tys[0], c.name))
     if rank != 2:
-        raise BatchSpecializeError(f"batch_dense: rank-{rank} dense data")
-    return Call(Op.get("nn.batch_dense"), c.args, {**c.call.attrs, "batch": c.batch}), True
+        raise BatchSpecializeError(f"dense: rank-{rank} dense data")
+    return Call(c.call.op, c.args, {**c.call.attrs, "batch": c.batch}), True
 
 
 def _dense_lower(call, args):
+    """``compute``'s matmuls over the slices ``np.split`` views: a
+    member's static rows, a section's weight rows."""
     if not keeps_dtype(call, lambda d, w: np.matmul(d, w.T)):
         return None
-    cuts = call.attrs.get("sections")
-    if not cuts:
-        return f"matmul({args[0]}, {args[1]}.T)", {"matmul": np.matmul}, None
     d, w = args
-    bounds = zip((0,) + tuple(cuts), tuple(cuts) + ("",))
-    parts = ", ".join(f"matmul({d}, {w}[{a}:{b}].T)" for a, b in bounds)
-    binds = {"matmul": np.matmul, "concatenate": np.concatenate}
-    return f"concatenate(({parts}), axis=-1)", binds, None
+    batch, members = int(call.attrs.get("batch", 1)), [d]
+    if batch > 1:
+        stacked = call.checked_type.shape[0]
+        if isinstance(stacked, Any):
+            return None
+        rows = stacked // batch
+        members = [f"{d}[{i * rows}:{(i + 1) * rows}]" for i in range(batch)]
+    cuts = tuple(call.attrs.get("sections") or ())
+    weights = [f"{w}[{a}:{b}]" for a, b in zip((0,) + cuts, cuts + ("",))] if cuts else [w]
+
+    def joined(parts, axis):
+        return parts[0] if len(parts) == 1 else f"concatenate(({', '.join(parts)}), axis={axis})"
+
+    text = joined([joined([f"matmul({m}, {x}.T)" for x in weights], -1) for m in members], 0)
+    return text, {"matmul": np.matmul, "concatenate": np.concatenate}, None
 
 
 register_op(
@@ -95,68 +125,6 @@ register_op(
         flops=_dense_flops,
         batch_rule=_dense_batch_rule,
         lower=_dense_lower,
-    )
-)
-
-
-# -- batch-specialized dense --------------------------------------------------
-def _batch_dense_rel(arg_types: Sequence[Type], attrs: dict) -> Type:
-    data = expect_tensor(arg_types[0], "batch_dense data")
-    weight = expect_tensor(arg_types[1], "batch_dense weight")
-    if data.ndim != 2 or weight.ndim != 2:
-        raise TypeInferenceError(f"batch_dense: bad ranks {data!r} @ {weight!r}")
-    unify_dim(data.shape[-1], weight.shape[1], "batch_dense reduction axis")
-    batch = int(attrs.get("batch", 1))
-    if batch < 1:
-        raise TypeInferenceError(f"batch_dense: batch must be >= 1, got {batch}")
-    rows = data.shape[0]
-    if not isinstance(rows, Any) and rows % batch != 0:
-        raise TypeInferenceError(
-            f"batch_dense: {rows} stacked rows not divisible by batch {batch}"
-        )
-    return TensorType((rows, weight.shape[0]), data.dtype)
-
-
-def _batch_dense_compute(inputs, attrs):
-    """One modeled batched GEMM whose *numerics* run member-by-member.
-
-    The batch-specialized tier must be bit-identical with the member-wise
-    tiers, but BLAS GEMM results are not row-stable across different M
-    (stacking B members into one ``(B·L, K) @ (K, N)`` call perturbs the
-    last bits vs. B separate ``(L, K)`` calls). The simulated hardware
-    therefore *prices* this op as a single batched GEMM (launch overhead,
-    saturation, flops — see the cost model's GEMM handling) while the
-    reference numerics slice the stacked input back into members and run
-    the exact computation the member tier runs."""
-    data, weight = inputs
-    batch = int(attrs.get("batch", 1))
-    if batch <= 1 or data.shape[0] % batch != 0:
-        return _dense_compute((data, weight), attrs)
-    rows = data.shape[0] // batch
-    parts = [
-        _dense_compute(
-            (np.ascontiguousarray(data[i * rows : (i + 1) * rows]), weight), attrs
-        )
-        for i in range(batch)
-    ]
-    return np.concatenate(parts, axis=0)
-
-
-def _batch_dense_shape_func(in_shapes, in_values, attrs):
-    d, w = in_shapes
-    if d[-1] != w[1] or d[0] % int(attrs.get("batch", 1)) != 0:
-        raise ShapeError(f"batch_dense runtime check failed: {d} @ {w}")
-    return [(d[0], w[0])]
-
-
-register_op(
-    OpDef(
-        name="nn.batch_dense",
-        type_rel=_batch_dense_rel,
-        compute=_batch_dense_compute,
-        shape_func=_batch_dense_shape_func,
-        pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
-        flops=_dense_flops,
     )
 )
 

@@ -385,8 +385,9 @@ class SpecializeBatch(Pass):
     (:func:`repro.core.typing.bind.batch_type`): every rank≥1 tensor
     parameter of member shape ``(d0, rest...)`` becomes
     ``(batch·d0, rest...)``, holding the axis-0 concatenation of the
-    members. GEMMs compile to one ``nn.batch_dense`` / stacked
-    ``nn.batch_matmul`` per site — the batched-GEMM amortization.
+    members. GEMMs compile to one ``nn.dense`` cut into ``batch``
+    members or one stacked ``nn.batch_matmul`` per site — the
+    batched-GEMM amortization.
 
     **The bit-identity invariant.** The serving layer routes one request
     stream across three tiers (dynamic / member-specialized /
@@ -396,11 +397,11 @@ class SpecializeBatch(Pass):
 
     1. *Member-sliced reference numerics.* BLAS GEMM is not row-stable
        across M — stacking B members into one ``(B·L, K) @ (K, N)`` call
-       can flip last bits vs. B separate ``(L, K)`` calls — so
-       ``nn.batch_dense`` is **priced** as a single batched launch (that
-       is the whole throughput win) while its reference numerics slice
-       the stacked input back into members and run exactly the
-       member-wise computation (see ``ops/nn._batch_dense_compute``).
+       can flip last bits vs. B separate ``(L, K)`` calls — so a dense
+       with ``batch=B`` is **priced** as a single batched launch (that
+       is the whole throughput win) while its numerics slice the
+       stacked input back into members and run exactly the member-wise
+       computation (see ``ops/nn._dense_compute``).
        Bit-identity with the member tiers then holds by construction.
     2. *No cross-member mixing.* Every rewritten op must map member i's
        rows to member i's rows. How an op does that is its own
@@ -408,7 +409,7 @@ class SpecializeBatch(Pass):
        elementwise and row-wise ops apply to the stacked value directly,
        ops along the leading axis are lifted over an explicit
        ``(batch, *member)`` reshape, and ops that change form say how
-       (one ``nn.batch_dense``; axis-0 gathers with per-member offset
+       (a dense gains ``batch``; axis-0 gathers with per-member offset
        indices, negative ones normalized *within* the member first).
        Scalars stay shared — all members of a batch-specialized bucket
        have the same exact shape, so shape-derived control flow is

@@ -41,8 +41,9 @@ from repro.vm import instruction as ins
 MAGIC = b"NMBL"
 # The loader accepts only the version it writes. The version is a
 # component of every artifact key, so older blobs are never looked up;
-# one met anyway is rejected as stale, not migrated.
-VERSION = 6
+# one met anyway is rejected as stale, not migrated. 7: a batched GEMM
+# is ``nn.dense`` with ``batch``, where 6 named an op no longer registered.
+VERSION = 7
 
 
 def artifact_key(

@@ -36,7 +36,7 @@ class VMProfile:
     copy_time_us: float = 0.0
     dispatch_time_us: float = 0.0
     impl_counts: Counter = field(default_factory=Counter)
-    # Invocations per fused-kernel name ("fused_nn.batch_dense+..."):
+    # Invocations per fused-kernel name ("fused_nn.dense+nn.bias_add+..."):
     # lets callers count GEMM launches per tier — the batched tier's
     # acceptance check is one batched GEMM per member-wise GEMM site.
     kernel_counts: Counter = field(default_factory=Counter)
@@ -89,15 +89,15 @@ class VMProfile:
         self.sync_waits += 1
         self.sync_stall_us += stall_us
 
-    def gemm_invocations(self, ops=None) -> int:
+    def gemm_invocations(self) -> int:
         """Kernel launches whose fused group contains a GEMM-class op
-        (defaults to the cost model's authoritative GEMM_OPS set)."""
-        if ops is None:
-            from repro.codegen.workload import GEMM_OPS as ops
+        (the cost model's authoritative GEMM_OPS set)."""
+        from repro.codegen.workload import GEMM_OPS
+
         return sum(
             count
             for name, count in self.kernel_counts.items()
-            if any(op in name for op in ops)
+            if any(op in name for op in GEMM_OPS)
         )
 
     def record_shape_func(self, duration_us: float) -> None:

@@ -7,6 +7,7 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.errors import BatchSpecializeError
 from repro.evaluator import evaluate
 from repro.ir import Call, Function, IRModule, Op, TensorType, Var, const, pretty_module
 from repro.ops import all_op_names, api, get_op_def
@@ -118,6 +119,9 @@ HAND_WRITTEN = [
     ("nn.bias_add", "axis 1 of 3", lambda x: api.bias_add(x, _table((3,)), axis=1),
      [(2, 3, 4)], None),
     ("nn.dense", "shared weight", lambda x: api.dense(x, _table((5, 6))), [(4, 6)], None),
+    ("nn.dense", "shared weight in sections",
+     lambda x: Call(Op.get("nn.dense"), [x, _table((9, 6))], {"sections": (2, 5)}),
+     [(4, 6)], None),
     ("nn.batch_matmul", "shared rhs tiled",
      lambda x: api.batch_matmul(x, _table((2, 5, 6))), [(2, 4, 6)], None),
     ("nn.batch_matmul", "both batched", lambda x, y: api.batch_matmul(x, y),
@@ -146,6 +150,17 @@ def test_hand_written_case_batches_bitwise(name, case, build, shapes, dtypes):
     assert get_op_def(name).batch_rule is not None
     if "lifted" in case:  # over an explicit (B, *member) axis
         assert f"newshape=({B}, " in pretty_module(batched)
+
+
+def test_a_dense_already_cut_into_members_is_refused():
+    """A second batch rewrite would cut members of members: the rule
+    refuses, where ``batch=3`` over ``batch=2`` would slice rows across
+    the first rewrite's members."""
+    x = Var("x", TensorType((4, 6), F32))
+    mod = IRModule.from_expr(
+        Function([x], Call(Op.get("nn.dense"), [x, _table((5, 6))], {"batch": 2})))
+    with pytest.raises(BatchSpecializeError, match="already cut"):
+        SpecializeBatch(B)(mod)
 
 
 def test_every_rule_carrying_op_is_checked():

@@ -503,6 +503,11 @@ def _lowering_cases(name):
                     operands = draw(data, (rows, 4))
                     yield operands, attrs, _dtype_of_compute(
                         lambda d, w: d @ w.T, op_def, operands, attrs)
+            for batch in (2, 3):  # six stacked rows cut into members
+                for rows, attrs in ((5, {}), (9, {"sections": (2, 5)})):
+                    operands, attrs = draw((6, 4), (rows, 4)), {**attrs, "batch": batch}
+                    yield operands, attrs, _dtype_of_compute(
+                        lambda d, w: d @ w.T, op_def, operands, attrs)
         elif name == "nn.bias_add":
             for data in ((4,), (3, 4), (2, 3, 4)):
                 for axis in range(-len(data), len(data)):
@@ -612,6 +617,18 @@ class TestDirectCalls:
         monkeypatch.setattr(get_op_def(name), "lower", mutant)
         with pytest.raises(AssertionError):
             self.test_a_lowered_call_is_bitwise_compute_fresh_and_into_a_buffer()
+
+    def test_a_dense_with_both_cuts_is_one_matmul_per_member_and_section(self):
+        """``batch`` cuts the data rows, ``sections`` the weight rows: the
+        line slices what ``compute``'s ``np.split`` views."""
+        attrs = {"sections": (2, 5), "batch": 2}
+        prim = _typed_prim(lambda d, w: Call(Op.get("nn.dense"), [d, w], attrs),
+                           TensorType((6, 4), "float32"), TensorType((9, 4), "float32"))
+        member = lambda rows: ", ".join(
+            f"matmul(p0[{rows}], p1[{cut}].T)" for cut in ("0:2", "2:5", "5:"))
+        assert (f"    v0 = concatenate((concatenate(({member('0:3')}), axis=-1), "
+                f"concatenate(({member('3:6')}), axis=-1)), axis=0)"
+                in KernelProgram(prim).source.splitlines())
 
     @pytest.mark.parametrize("case", ["int64 divide", "float64 constant"])
     def test_a_dtype_unstable_call_lowers_through_compute(self, case):
@@ -775,6 +792,28 @@ class TestSiblingSections:
               f"op_ lines in LSTM / TreeLSTM / BERT kernels: {' / '.join(map(str, lines))}")
         assert calls == 10
         assert lines == [0, 0, 12]
+
+    def test_a_batched_dense_lowers_like_any_dense(self):
+        """The batched tier's GEMMs call NumPy: the batch-4 toy LSTM /
+        BERT kernels call ``compute`` in 1 / 10 lines (3 / 14 while the
+        batched GEMM was an op of its own, with no lowering)."""
+        import repro.nimble as nimble
+        from repro.models.bert import BertConfig, BertWeights, build_bert_module
+        from repro.models.lstm import LSTMWeights, build_lstm_module
+
+        lstm = build_lstm_module(
+            LSTMWeights.create(input_size=12, hidden_size=16, num_layers=2, seed=0))
+        bert = build_bert_module(
+            BertWeights.create(BertConfig(hidden=24, num_heads=3, num_layers=2, ffn=48), seed=0))
+        lines = []
+        # An LSTM step's dense reads one row a member, BERT's seven.
+        for mod, width, last in ((lstm, 12, "3:4"), (bert, 24, "21:28")):
+            exe, _ = nimble.specialize(mod, intel_cpu(), shapes=[(7, width)], batch=4)
+            sources = [KernelProgram(k.prim).source for k in exe.kernels if isinstance(k, KernelSet)]
+            assert any(f"matmul(p0[{last}], " in source for source in sources)
+            assert not any("op_nn_dense(" in source for source in sources)
+            lines.append(sum(source.count(" = op_") for source in sources))
+        assert lines == [1, 10]
 
 
 class TestCostModel:

@@ -908,7 +908,8 @@ def _referee_fleet(artifact_dir):
     )
     chaos = (
         ReplicaStall(at_us=1500.0, replica_id=0, duration_us=2000.0),
-        CorruptBlob(at_us=100.0, kind="exe", index=0),
+        # The (25, 8) variant's blob, second of the three in key order.
+        CorruptBlob(at_us=100.0, kind="exe", index=1),
     )
     return router, trace, chaos
 
@@ -925,7 +926,11 @@ class TestRefereeCounters:
     The `profile_*` digests moved once more, in the last bits of float
     fields, when the tier profiles became folds over `VMRun` records.
     The same clock fields moved when the compiler stopped emitting
-    bookkeeping instructions; every count and routing field stayed.)"""
+    bookkeeping instructions; every count and routing field stayed.
+    Executable format v7 moved every store key: the chaos corruption
+    took the index of the same (25, 8) blob in the new key order, and
+    the `gc` digest moved with the pruned key's name alone — the same
+    (41, 8) blob at the same collections.)"""
 
     RESTARTED_AFFINITY_FLEET = {
         "routing": "affinity",
@@ -990,7 +995,7 @@ class TestRefereeCounters:
                 "device_streams": 1,
             },
         ),
-        "gc": "sha256:bebbd107cd0ddf21",
+        "gc": "sha256:c39902a1a0081574",
         "chaos": (1, 1, 0),
     }
 

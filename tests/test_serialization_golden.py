@@ -1,5 +1,5 @@
 """Serialization format tests: the current writer must emit the
-documented v6 layout (docs/serialization.md), and the loader must
+documented v7 layout (docs/serialization.md), and the loader must
 reject every other version as stale instead of misreading it."""
 
 import struct
@@ -50,13 +50,15 @@ def _scheduled_exe() -> Executable:
 
 class TestGoldenBlobs:
     def test_stale_and_future_versions_rejected(self):
-        """v2–v5 blobs once loaded; the version is part of every
+        """v2–v6 blobs once loaded; the version is part of every
         artifact key, so none is ever looked up, and one met anyway —
-        here a v6 body under an older header — is refused. (v5 wrote
-        the count fields v6 dropped: its tuples would be misread.)"""
-        assert VERSION == 6
+        here a v7 body under an older header — is refused. (v5 wrote
+        the count fields v6 dropped: its tuples would be misread; a
+        batched v6 blob names ``nn.batch_dense``, an op v7 does not
+        register, and would load, verify and then fail its first run.)"""
+        assert VERSION == 7
         blob = bytearray(_scheduled_exe().save())
-        for bad in (2, 3, 4, 5, VERSION + 1):
+        for bad in (2, 3, 4, 5, 6, VERSION + 1):
             blob[4:6] = struct.pack("<H", bad)
             with pytest.raises(SerializationError, match="version"):
                 Executable.load(bytes(blob))

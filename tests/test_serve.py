@@ -645,7 +645,11 @@ class TestRefereeCounters:
     times and the profiles moved again when a tail call began handing
     its frame to the callee, and once more when the compiler stopped
     emitting bookkeeping instructions (fewer instructions a run, so
-    less dispatch); every count held."""
+    less dispatch); every count held. The `profile_batched` digests
+    moved when the batched GEMM became `nn.dense` with `batch`: only
+    the `kernel_counts` keys (`fused_nn.batch_dense+...` ->
+    `fused_nn.dense+...`) changed, every field's value held bit for
+    bit."""
 
     ONE_SLOT_CPU = {
         "responses": "sha256:c6deb953b7e7109a",
@@ -653,7 +657,7 @@ class TestRefereeCounters:
         "worker_batches": (6, 6),
         "profile_dynamic": "sha256:b797e122a55a8a7b",
         "profile_specialized": "sha256:dc6d7f602ecea131",
-        "profile_batched": "sha256:6c4ed1b20c3c0a0f",
+        "profile_batched": "sha256:739181f85dffd560",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.0540000000000p+11",
         "num_specialized_executables": 2,
@@ -688,7 +692,7 @@ class TestRefereeCounters:
         "worker_batches": (6, 6),
         "profile_dynamic": "sha256:6448e2eeed2d3885",
         "profile_specialized": "sha256:ad6b67257d21d8c6",
-        "profile_batched": "sha256:dc35e9890c5dbc4e",
+        "profile_batched": "sha256:78cd75ad7b9cb18f",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.19e0000000000p+11",
         "num_specialized_executables": 2,

@@ -908,12 +908,12 @@ class TestSpecializeBatchPass:
     def test_batched_module_matches_golden(self, family):
         """The batch-rewritten module is stable text: static storage
         sizes, no shape functions, stacked entry signature, one
-        nn.batch_dense per member-wise GEMM site."""
+        nn.dense cut into members per member-wise GEMM site."""
         from repro.ir import pretty_module
 
         text = pretty_module(self._batched_module(family)) + "\n"
         assert text == self._golden(family)
-        assert "nn.batch_dense" in text
+        assert text.count("nn.dense(") == text.count(", batch=") > 0
         assert "vm.shape_of" not in text
         assert "?" not in text  # every dim is static
 

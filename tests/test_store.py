@@ -425,6 +425,44 @@ class TestServeRestore:
         assert warm.specialize_restored == 0
         assert warm.specialize_fresh_compiles > 0
 
+    def test_a_store_of_the_previous_formats_is_refused_and_served_cold(
+        self, tmp_path, monkeypatch
+    ):
+        """A store filled at executable ``VERSION`` 6 and
+        ``KERNEL_CACHE_FORMAT`` 2, the formats that named a batched
+        dense ``nn.batch_dense`` (batched blobs among its executables),
+        is never run. Its executables sit under keys this build does not
+        ask for; copied under the ones it does, each is refused before
+        it is decoded, as is ``kernels.kc``, each refusal a counted
+        ``StoreReject``, and the server compiles what a cold one does.
+        (Full numerics: every tier's output is the member-wise one, so
+        each response matches by rid whichever tier served it.)"""
+        from repro.serve.events import StoreReject
+        from repro.store import artifacts
+
+        mod, requests, config = _serve_setup(
+            tmp_path, specialize_batch=True, numerics="full")
+        with monkeypatch.context() as m:
+            m.setattr(executable, "VERSION", 6)
+            m.setattr(artifacts, "KERNEL_CACHE_FORMAT", 2)
+            cold = InferenceServer(mod, intel_cpu(), config).simulate(requests)
+            store = ArtifactStore(config.artifact_dir)
+            stale = {key: store.get(key) for key in store.keys()}
+        assert any(exe.specialized_batch for exe in stale.values())
+        for key, exe in stale.items():  # the key this build asks for
+            assert exe.content_hash() != key
+            store.blob_path("exe", exe.content_hash()).write_bytes(
+                store.blob_path("exe", key).read_bytes())
+        warm = InferenceServer(mod, intel_cpu(), config).simulate(requests)
+        rejects = [r for r in warm.records if isinstance(r, StoreReject)]
+        assert sorted(r.kind for r in rejects) == ["exe"] * len(stale) + ["kernels"]
+        assert warm.store_rejects == len(stale) + 1 and warm.verify_rejects == 0
+        assert warm.specialize_restored == 0
+        assert warm.specialize_fresh_compiles == cold.specialize_fresh_compiles
+        assert "batched" in {r.tier for r in warm.responses}
+        want = {r.rid: r.output.numpy().tobytes() for r in cold.responses}
+        assert {r.rid: r.output.numpy().tobytes() for r in warm.responses} == want
+
     def test_kernel_cache_warm_loads(self, tmp_path):
         mod, requests, config = _serve_setup(tmp_path)
         InferenceServer(mod, intel_cpu(), config).simulate(requests)

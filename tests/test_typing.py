@@ -24,6 +24,7 @@ from repro.ir import (
     If,
     IRModule,
     Match,
+    Op,
     PatternConstructor,
     PatternVar,
     TensorType,
@@ -86,6 +87,33 @@ class TestInference:
         w = Var("w", TensorType((4, 9), "float32"))
         with pytest.raises(TypeInferenceError):
             infer_expr_type(Function([x, w], api.dense(x, w)))
+
+    @staticmethod
+    def _dense_type(data, attrs, weight=(9, 4)):
+        x = Var("x", TensorType(data, "float32"))
+        w = Var("w", TensorType(weight, "float32"))
+        return infer_expr_type(Function([x, w], Call(Op.get("nn.dense"), [x, w], attrs))).ret_type
+
+    @pytest.mark.parametrize("data, attrs", [
+        ((6, 4), {"batch": 0}),
+        ((2, 3, 4), {"batch": 2}),
+        ((4,), {"batch": 2}),
+        ((5, 4), {"batch": 2}),
+        ((6, 4), {"batch": 3, "sections": (5, 2)}),
+        ((6, 4), {"batch": 3, "sections": (0, 5)}),
+        ((6, 4), {"batch": 3, "sections": (2, 9)}),
+        ((Any(), 4), {"batch": 3, "sections": (2, 2)}),
+    ], ids=["batch_0", "rank_3_data", "rank_1_data", "rows_not_divisible",
+            "unsorted_sections", "empty_first_section", "section_past_the_rows",
+            "repeated_section_on_any_rows"])
+    def test_dense_cut_refused(self, data, attrs):
+        with pytest.raises(TypeInferenceError):
+            self._dense_type(data, attrs)
+
+    def test_dense_both_cuts_keep_the_dense_type(self):
+        attrs = {"sections": (2, 5), "batch": 3}
+        assert self._dense_type((6, 4), attrs) == TensorType((6, 9), "float32")
+        assert self._dense_type((Any(), 4), attrs) == TensorType((Any(), 9), "float32")
 
     def test_if_branches_join_to_any(self):
         """Conflicting static dims across branches relax to Any (gradual)."""
@@ -334,3 +362,14 @@ class TestGradualRuntimeChecks:
         sf = get_op_def("nn.dense").shape_func
         with pytest.raises(ShapeError):
             sf([(2, 8), (4, 9)], None, {})
+        with pytest.raises(ShapeError):  # 5 stacked rows, 2 members
+            sf([(5, 8), (4, 8)], None, {"batch": 2})
+
+    def test_dense_compute_refuses_rows_that_batch_does_not_cut(self):
+        """Not one unsliced GEMM: that would be the batched GEMM whose
+        last bits the member-wise tiers do not reproduce."""
+        compute = get_op_def("nn.dense").compute
+        data, weight = np.ones((5, 4), np.float32), np.ones((3, 4), np.float32)
+        with pytest.raises(ShapeError, match="not divisible by batch 2"):
+            compute([data, weight], {"batch": 2})
+        assert compute([data, weight], {"batch": 5}).shape == (5, 3)
