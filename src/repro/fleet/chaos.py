@@ -11,14 +11,16 @@ failure surface:
   batches queueing longer, the router's least-loaded signal steering
   traffic elsewhere — falls out of the existing timing model.
 - :class:`CorruptBlob` — a blob in the shared store is overwritten with
-  garbage (bit rot, a torn device, a hostile writer). The *n*-th entry
-  of the store model's inventory for a kind is targeted, so the choice
-  is a pure function of the trace (the model's inventory is
-  replay-identical; the raw directory listing is not). Readers hit the
-  store's paranoid validation and reject-and-count — one replica's
-  corrupted write must never crash a sibling. Kind ``"const"`` damages
-  not the *n*-th modeled executable but the first constant chunk it
-  names: every variant of the model that is read afterwards rejects.
+  garbage (bit rot, a torn device, a hostile writer). The victim is
+  named by what it is — the executable of one specialized variant, by
+  its shapes — or, unnamed, is the first entry of the store
+  model's inventory for a kind, so the choice is a pure function of the
+  trace (the model's inventory is replay-identical; the raw directory
+  listing is not) and survives a format bump that renames every key.
+  Readers hit the store's paranoid validation and reject-and-count — one
+  replica's corrupted write must never crash a sibling. Kind ``"const"``
+  damages not the executable but the first constant chunk it names:
+  every variant of the model that is read afterwards rejects.
 
 Corruption writes a deterministic garbage payload derived from the key,
 so replaying the event byte-identically re-corrupts the blob even if an
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -48,22 +51,25 @@ class ReplicaStall:
 
 @dataclass(frozen=True)
 class CorruptBlob:
-    """Overwrite the *index*-th (mod population) modeled blob of *kind*
-    with garbage at *at_us*. Fires as a no-op when the model holds no
-    blob of that kind (counted in the fleet report — an injected fault
-    that found nothing to corrupt should be visible, not silent)."""
+    """Overwrite a modeled blob of *kind* with garbage at *at_us*: the
+    executable of the member-wise variant specialized for *shapes* (its
+    ``specialized_shapes``, one shape per entry parameter), or — with no
+    *shapes* — the first blob of *kind* in key order. Fires as a no-op
+    when the model holds no such blob (counted in the fleet report — an
+    injected fault that found nothing to corrupt should be visible, not
+    silent)."""
 
     at_us: float
     kind: str = "exe"
-    index: int = 0
+    shapes: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if self.at_us < 0:
             raise ValueError("corruption time must be >= 0")
         if self.kind not in ("exe", "prefix", "profile", "const"):
             raise ValueError(f"unknown blob kind {self.kind!r}")
-        if self.index < 0:
-            raise ValueError("index must be >= 0")
+        if self.shapes is not None and self.kind not in ("exe", "const"):
+            raise ValueError(f"a {self.kind} blob is not one variant's: it has no shapes")
 
     def garbage(self, key: str) -> bytes:
         """The deterministic payload written over the blob: keyed junk

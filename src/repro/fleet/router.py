@@ -59,6 +59,7 @@ from repro.serve.server import (
 )
 from repro.serve.specialization import merged_profile
 from repro.store import ArtifactStore, FleetStoreView, StoreGC
+from repro.vm.executable import artifact_key
 
 ROUTING_POLICIES = ("affinity", "least_loaded", "random")
 
@@ -269,9 +270,19 @@ class FleetRouter:
             # A chunk is no entry of the model: the blob that names it is.
             holder = "exe" if event.kind == "const" else event.kind
             entries = [e for e in self.view.inventory() if e[0] == holder]
+            if event.shapes is not None:
+                planners = [r.specializer.planner for r in self.replicas
+                            if r.specializer is not None]
+                if not planners:
+                    return False
+                planner = planners[0]
+                named = ("exe", artifact_key(
+                    planner.fingerprint, planner.platform.name, event.shapes, None,
+                    device_streams=planner.device_streams))
+                entries = [e for e in entries if e == named]
             if not entries:
                 return False
-            kind, key = entries[event.index % len(entries)]
+            kind, key = entries[0]
             if event.kind == "const":
                 names = self.store.chunk_refs(kind, key)
                 if not names:

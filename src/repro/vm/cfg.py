@@ -47,6 +47,25 @@ def successors(pc: int, instr: ins.Instruction) -> Tuple[int, ...]:
     return (pc + 1,)
 
 
+def is_tail_call(code: Sequence[ins.Instruction], pc: int) -> bool:
+    """Whether the ``Invoke`` at *pc* is a tail call: what follows it
+    reaches a ``Ret`` of its result through nothing but ``Move``s of it
+    and ``Goto``s, which therefore never run."""
+    result, seen = code[pc].dst, set()
+    pc += 1
+    while 0 <= pc < len(code) and pc not in seen:
+        seen.add(pc)
+        instr = code[pc]
+        if instr.opcode == _Op.RET:
+            return instr.result == result
+        if instr.opcode == _Op.MOVE and instr.src == result:
+            result = instr.dst
+        elif instr.opcode != _Op.GOTO:
+            return False
+        pc = successors(pc, instr)[0]
+    return False
+
+
 def is_straight_line(func: VMFunction) -> bool:
     """True if the function has no control flow and no calls — the class
     of functions the static scheduler is sound for."""

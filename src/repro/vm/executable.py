@@ -176,6 +176,9 @@ class Executable:
     # table the interpreter must provision.
     device_streams: int = 1
     num_events: int = 0
+    # What a VM binding this executable runs (`repro.vm.link.linked`):
+    # derived on first bind, never stored.
+    linked: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_specialized(self) -> bool:
@@ -226,7 +229,9 @@ class Executable:
         mismatched members to the dynamic tier; the VM calls it again in
         ``run()`` as a hard safety net (raising ``ShapeGuardError``).
         Opaque inputs (no ``.shape``) fail open — the guard only checks
-        what it can see."""
+        what it can see. The VM also checks a variant with every entry
+        shape bound, batched ones included, against its whole (stacked)
+        shapes, and fails closed (`repro.vm.link.guard_mismatch`)."""
         if self.specialized_shapes is None:
             return None
         if self.specialized_batch is not None and self.specialized_batch > 1:

@@ -3,7 +3,8 @@
 A function is cut into basic blocks — at every jump target and after
 every instruction that leaves the block (``If``, ``Goto``, ``Ret``,
 ``Invoke``, ``InvokeClosure``, ``Fatal``) — and each block becomes one
-Python function ``block(R)`` over the frame's register list ``R``. Its
+Python function ``block(R)`` over the frame's register list ``R``, or,
+past `PIECE` instructions, several that fall through to one another. Its
 return value tells the trampoline (`VirtualMachine._execute`) what to
 do next: an ``int`` is the next block of the same frame; ``(value,)``
 returns *value* (retained, the frame's registers released);
@@ -25,7 +26,8 @@ a write over a register holding nothing counted releases nothing, a
 returning frame a tensor's or storage's, and a kernel operand known to
 be a tensor is not tested. A planned size or offset is a literal: the
 compiler loads it with ``LoadConst`` / ``LoadConsti`` in each basic
-block that reads it, and a generated block is one basic block.
+block that reads it, and what the dataflow knows carries from one piece
+of a basic block into the next.
 
 Each instruction charges the clock once, first, in program order
 (``C.host_us += I``), so every virtual number is bit-equal to an
@@ -55,7 +57,7 @@ from repro.errors import VMError
 from repro.runtime.context import LITE_SKIP_FLOPS
 from repro.tensor.ndarray import NDArray
 from repro.vm import instruction as ins
-from repro.vm.cfg import CFG, TERMINATORS, forward, successors
+from repro.vm.cfg import CFG, TERMINATORS, forward, is_tail_call, successors
 from repro.vm.executable import VMFunction
 from repro.vm.objects import (
     ADTObj,
@@ -70,13 +72,26 @@ _Op = ins.Opcode
 
 # Generated functions kept by content, least recently used dropped first.
 # The bound comes from the working sets measured on the benchmark's
-# workloads: at most 6 distinct functions (vm_single); serve_tiered and
-# fleet_restart rebuild VMs every pass over 2 (16 and 46 lookups a pass,
-# all hits). 32 also holds one served model with its dynamic executable
-# and four specialized variants (at most 10 for the LSTM); a launch tape
-# records through the entries a run uses. An entry holds about 0.25 MB
-# for the bench-size BERT's main.
+# workloads, linked entries (`repro.vm.link`) included: 7 distinct
+# functions on vm_single, generated in its set-up; serve_tiered rebuilds
+# its VMs every pass over 5 (10 lookups a pass, all hits after the
+# first), fleet_restart over 4 (32 lookups a pass; 6 with its set-up's).
+# 32 also holds one served model with its dynamic executable and four
+# specialized variants (at most 10 for the LSTM); a launch tape records
+# through the entries a run uses. An entry holds about 0.25 MB for the
+# bench-size BERT's main, 0.58 MB for a 648-instruction linked LSTM
+# entry and 0.87 MB for one of 977, near `LINK_BUDGET`.
 CACHE_SIZE = 32
+
+# A basic block longer than this many instructions is generated as
+# pieces, each a block of the trampoline falling through to the next.
+# Python's compiler holds memory in proportion to the function it
+# compiles, and peak RSS keeps it: compiling a linked 670-instruction
+# block (`repro.vm.link`) whole raised RSS by 16.9 MB, in 500-line pieces
+# by 1.6 MB; fleet_restart, which links four, peaks at 64.2 MiB with
+# 32-instruction pieces, 66.2 with 128 and 61.2 linking none. What a
+# register holds and which sizes are literals carry across the cut.
+PIECE = 32
 
 # What a register may hold, as bits, at one point of the function:
 # nothing yet (None), a Python int, a tensor whose retain / release do
@@ -205,15 +220,23 @@ class _Shape(CFG):
 
 # ------------------------------------------------------------ generation
 class _Block:
-    """Writes one block's source. Each opcode's meaning is the one method
-    named after it. ``kinds`` is what each register may hold at the
-    instruction being written, and ``values`` the int a register is known
-    to hold."""
+    """Writes one piece's source: pcs *start* to *end* of basic block
+    *block*, the trampoline's block *b*. Each opcode's meaning is the one
+    method named after it. ``kinds`` is what each register may hold at
+    the instruction being written, and ``values`` the int a register is
+    known to hold: on entry to a basic block, its ``kinds_in`` and
+    nothing; on entry to a later piece of one, what the piece before
+    left (*carried*). ``first[block]`` is the piece a jump to a basic
+    block lands on."""
 
-    def __init__(self, func: VMFunction, shape: _Shape, b: int, const_values: dict) -> None:
+    def __init__(self, func: VMFunction, shape: _Shape, b: int, block: int, start: int,
+                 end: int, const_values: dict, first: List[int],
+                 carried: Optional["_Block"] = None) -> None:
         self.func = func
         self.shape = shape
         self.b = b
+        self.block, self.start, self.end = block, start, end
+        self.first = first
         self.const_values = const_values
         self.lines: List[str] = []
         self.indent = "        "
@@ -223,8 +246,11 @@ class _Block:
         self.starts: List[int] = []  # index in `lines` of each instruction's first
         self.count = 0  # instructions written so far
         self.profile = False
-        self.kinds = list(shape.kinds_in[b]) if b < len(shape.blocks) else []
-        self.values: Dict[int, int] = {}
+        if carried is not None:
+            self.kinds, self.values = list(carried.kinds), dict(carried.values)
+        else:
+            self.kinds = list(shape.kinds_in[block]) if block < len(shape.blocks) else []
+            self.values: Dict[int, int] = {}
 
     # ------------------------------------------------------ small pieces
     def out(self, line: str) -> None:
@@ -349,14 +375,19 @@ class _Block:
         self.out(f"{S}.d = {S}.d" + f" + {I}" * self.count)
         self.out(statement)
 
+    def piece(self, pc: int) -> Optional[int]:
+        """The piece a jump to *pc* lands on; None outside the function."""
+        block = self.shape.target(pc)
+        return None if block is None else self.first[block]
+
     def jump(self, pc: int, to: int) -> None:
         """Leave for pc *to*; a target outside the function raises."""
-        block = self.shape.target(to)
-        if block is None:
+        piece = self.piece(to)
+        if piece is None:
             message = f"{self.func.name}: jump from pc {pc} to {to}, outside [0, {self.shape.n})"
             self.out(f"raise VMError({message!r})")
         else:
-            self.leave(f"return {block}")
+            self.leave(f"return {piece}")
 
     # ----------------------------------------------------------- opcodes
     def move(self, pc: int, i: ins.Move) -> None:
@@ -512,8 +543,8 @@ class _Block:
         self.out(f"a = {self.scalar(i.test)}")
         self.out(f"b = {self.scalar(i.target)}")
         yes, no = successors(pc, i)
-        if self.shape.target(yes) is not None and self.shape.target(no) is not None:
-            self.leave(f"return {self.shape.target(yes)} if a == b else {self.shape.target(no)}")
+        if self.piece(yes) is not None and self.piece(no) is not None:
+            self.leave(f"return {self.piece(yes)} if a == b else {self.piece(no)}")
             return
         self.out("if a == b:")
         self.indent += "    "
@@ -531,28 +562,10 @@ class _Block:
         self.leave("return (v,)")
 
     def _call(self, pc: int, func_index: str, args: str, dst: int) -> None:
-        self.leave(f"return ({func_index}, {args}, {dst!r}, {self.shape.block_at[pc + 1]!r})")
-
-    def _is_tail(self, pc: int, i: ins.Invoke) -> bool:
-        """Whether the call at *pc* returns its result: what follows it
-        reaches a ``Ret`` of that register through nothing but ``Move``s
-        of it and ``Goto``s."""
-        code, result, seen = self.func.instructions, i.dst, set()
-        pc += 1
-        while 0 <= pc < self.shape.n and pc not in seen:
-            seen.add(pc)
-            instr = code[pc]
-            if instr.opcode == _Op.RET:
-                return instr.result == result
-            if instr.opcode == _Op.MOVE and instr.src == result:
-                result = instr.dst
-            elif instr.opcode != _Op.GOTO:
-                return False
-            pc = successors(pc, instr)[0]
-        return False
+        self.leave(f"return ({func_index}, {args}, {dst!r}, {self.piece(pc + 1)!r})")
 
     def invoke(self, pc: int, i: ins.Invoke) -> None:
-        if not self._is_tail(pc, i):
+        if not is_tail_call(self.func.instructions, pc):
             args = "".join(f"R[{r}], " for r in i.args)
             self._call(pc, repr(i.func_index), f"[{args[:-2]}]", i.dst)
             return
@@ -579,20 +592,20 @@ class _Block:
 
     # ------------------------------------------------------------ a block
     def source(self) -> str:
-        """The block's module: ``make(vm, H)`` binding and returning it."""
+        """The piece's module: ``make(vm, H)`` binding and returning it.
+        A piece that does not end its basic block, or a basic block that
+        falls through, continues in the next piece."""
         code = self.func.instructions
-        if self.b == len(self.shape.blocks):
-            start, end = self.shape.n, self.shape.n
+        start, end = self.start, self.end
+        if self.block == len(self.shape.blocks):
             self.out(f"raise VMError({f'fell off the end of {self.func.name}'!r})")
-        else:
-            start, end = self.shape.blocks[self.b]
         for pc in range(start, end):
             self.count += 1
             self.starts.append(len(self.lines))
             self.out(f"{self.use('C')}.host_us += {self.use('I')}")
             _EMIT[code[pc].opcode](self, pc, code[pc])
         if start < end and code[end - 1].opcode not in TERMINATORS:
-            self.leave(f"return {self.shape.block_at[end]!r}")
+            self.leave(f"return {self.b + 1!r}")
         head = [f"# {self.func.name}, block {self.b}: pc {start} to {end - 1}",
                 "def make(vm, H):"]
         head += [f"    {name} = {expr}" for name, expr in self.binds.items()]
@@ -619,7 +632,8 @@ _EMIT = {
 
 class FunctionCode:
     """One function's blocks, generated and compiled: shared by every VM
-    whose function has the same content (see `function_code`).
+    whose function has the same content (see `function_code`). A block is
+    one basic block, or a piece of one longer than `PIECE` instructions.
 
     ``makes[b](vm, hits)`` binds block *b* to a VM; the last block is the
     end of the function, where falling off raises. ``opcodes[b]`` are its
@@ -639,15 +653,24 @@ class FunctionCode:
         self.opcodes: List[List[int]] = []
         self.tallies: List[List[Tuple[int, int]]] = []
         self.starts: List[List[int]] = []
-        for b in range(len(shape.blocks) + 1):
-            block = _Block(func, shape, b, const_values)
+        pieces, first = [], []  # (basic block, start, end); each block's first piece
+        for block, (start, end) in enumerate(shape.blocks):
+            first.append(len(pieces))
+            pieces += [(block, pc, min(pc + PIECE, end)) for pc in range(start, end, PIECE)]
+        first.append(len(pieces))
+        pieces.append((len(shape.blocks), shape.n, shape.n))
+        carried = None
+        for b, (block_index, start, end) in enumerate(pieces):
+            if carried is not None and carried.block != block_index:
+                carried = None
+            block = carried = _Block(func, shape, b, block_index, start, end, const_values,
+                                     first, carried)
             source = block.source()
             filename = f"{__file__}<vm_{func.name}:{b}:{zlib.crc32(source.encode()):08x}>"
             namespace = dict(_GLOBALS, **block.consts)
             exec(compile(source, filename, "exec"), namespace)
             linecache.cache[filename] = (source.__str__,)  # a lazy entry
             make = namespace["make"]
-            start, end = shape.blocks[b] if b < len(shape.blocks) else (shape.n, shape.n)
             opcodes = [int(func.instructions[pc].opcode) for pc in range(start, end)]
             self.sources.append(source)
             self.filenames.append(filename)

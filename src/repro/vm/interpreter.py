@@ -3,9 +3,11 @@ explicit frame stack (recursion depth is bounded by the model, not
 Python), reference-counted registers, and virtual-clock timing.
 
 Each function's bytecode is compiled once to Python functions, one per
-basic block (`repro.vm.generator`); `VirtualMachine._execute` is the
+basic block or piece of one (`repro.vm.generator`); `VirtualMachine._execute` is the
 trampoline that runs them, calls and returns between frames, and counts
-what ran.
+what ran. An executable whose entry shapes are all static runs linked
+(`repro.vm.link`): its bounded recursion unrolled into one straight-line
+entry, each run guarded against the shapes it was folded for.
 
 Execution is *numerically real* (kernels run NumPy) and *temporally
 modeled* (the clock advances by the cost model): every run returns correct
@@ -26,6 +28,7 @@ from repro.tensor.ndarray import NDArray
 from repro.vm import instruction as ins
 from repro.vm.executable import Executable, VMFunction
 from repro.vm.generator import FunctionCode, function_code
+from repro.vm.link import guard_mismatch, linked
 from repro.vm.objects import ADTObj, RegisterValue, TensorObj, VMObject
 from repro.vm.profiler import VMProfile
 
@@ -92,12 +95,15 @@ class VirtualMachine:
         self._event_record_us = calibration.STREAM_EVENT_RECORD_US[name]
         self._wait_event_us = calibration.STREAM_WAIT_EVENT_US[name]
         self._event_sync_us = calibration.STREAM_EVENT_SYNC_US[name]
+        # What runs: the executable, or its linked form (`repro.vm.link`)
+        # with the shapes each run is guarded against.
+        self._code, self._guards = linked(executable)
         # Per function index, its generated blocks bound to this VM, made
         # on first use (and again, should the function have been
         # swapped); and one TensorObj per constant, shared by every load
         # (no storage_obj: nothing to retain).
-        self._programs: List[Optional[_Program]] = [None] * len(executable.functions)
-        self._constants = [TensorObj(c) for c in executable.constants]
+        self._programs: List[Optional[_Program]] = [None] * len(self._code.functions)
+        self._constants = [TensorObj(c) for c in self._code.constants]
         self._state = _RunState()
 
     # ------------------------------------------------------------------ public
@@ -144,15 +150,15 @@ class VirtualMachine:
             raise VMError(
                 "VirtualMachine.run is not re-entrant; use one VM per worker"
             )
-        name = self.exe.entry
+        name = self._code.entry
         try:
-            index = self.exe.func_index[name]
+            index = self._code.func_index[name]
         except KeyError:
             raise VMError(f"executable has no function {name!r}") from None
-        num_params = self.exe.functions[index].num_params
+        num_params = self._code.functions[index].num_params
         if len(inputs) != num_params:
             raise VMError(f"{name} expects {num_params} inputs, got {len(inputs)}")
-        mismatch = self.exe.guard_mismatch(inputs)
+        mismatch = self.exe.guard_mismatch(inputs) or guard_mismatch(self._guards, inputs)
         if mismatch is not None:
             raise ShapeGuardError(
                 f"{name}: {mismatch}; the serving layer should have "
@@ -181,10 +187,10 @@ class VirtualMachine:
     def _program(self, index: int) -> _Program:
         """Function *index* bound to this VM, generated (or found in the
         cache) on first use, and again should the function be swapped."""
-        func = self.exe.functions[index]
+        func = self._code.functions[index]
         program = self._programs[index]
         if program is None or program.func is not func:
-            code = function_code(func, self.exe.constants)
+            code = function_code(func, self._code.constants)
             program = self._programs[index] = _Program(func, code, self)
         return program
 
@@ -201,7 +207,7 @@ class VirtualMachine:
         ``finally``, once per run.
         """
         stack: list = []  # suspended callers: (program, registers, resume block, dst)
-        programs, functions = self._programs, self.exe.functions
+        programs, functions = self._programs, self._code.functions
         blocks = program.blocks
         b = 0
         partial: List[int] = []

@@ -521,7 +521,7 @@ class TestFleetChaos:
 
         # Same trace, same seed, fresh store — but the blob rots between
         # the compiler's put (200 µs) and the sibling's restore (300 µs).
-        chaos = [CorruptBlob(at_us=250.0, kind="exe", index=0)]
+        chaos = [CorruptBlob(at_us=250.0, kind="exe", shapes=((9, 8),))]
         router = FleetRouter(
             _mlp(),
             intel_cpu(),
@@ -555,7 +555,7 @@ class TestFleetChaos:
         fleet = FleetConfig(num_replicas=2, routing="random", random_seed=0)
         config = ServeConfig(artifact_dir=str(tmp_path), **_FAST)
         router = FleetRouter(_mlp(32), intel_cpu(), config, fleet)
-        chaos = [CorruptBlob(at_us=250.0, kind="const", index=0)]
+        chaos = [CorruptBlob(at_us=250.0, kind="const", shapes=((9, 32),))]
         report = router.simulate(trace, chaos=chaos)
         assert same_simulation(report, router.simulate(trace, chaos=chaos))
         assert report.chaos_corruptions == 1
@@ -589,6 +589,22 @@ class TestFleetChaos:
         )
         chaos = [CorruptBlob(at_us=2000.0, kind="const")]
         assert router.simulate(_hot_trace(24), chaos=chaos).chaos_noops == 1
+
+    def test_a_named_variant_is_corrupted_and_one_the_store_lacks_is_a_noop(self, tmp_path):
+        """The victim is the variant the event names, found by its key
+        whatever the format version makes of it."""
+        counts = []
+        for name, shapes in (("hot", ((9, 8),)), ("absent", ((41, 8),))):
+            router = FleetRouter(
+                _mlp(), intel_cpu(), ServeConfig(artifact_dir=str(tmp_path / name), **_FAST),
+                FleetConfig(num_replicas=1),
+            )
+            report = router.simulate(
+                _hot_trace(24), chaos=[CorruptBlob(at_us=2000.0, shapes=shapes)])
+            counts.append((report.chaos_corruptions, report.chaos_noops))
+        assert counts == [(1, 0), (0, 1)]
+        with pytest.raises(ValueError, match="no shapes"):
+            CorruptBlob(at_us=0.0, kind="prefix", shapes=((9, 8),))
 
     def test_corrupting_an_empty_store_is_a_counted_noop(self):
         router = FleetRouter(
@@ -908,8 +924,8 @@ def _referee_fleet(artifact_dir):
     )
     chaos = (
         ReplicaStall(at_us=1500.0, replica_id=0, duration_us=2000.0),
-        # The (25, 8) variant's blob, second of the three in key order.
-        CorruptBlob(at_us=100.0, kind="exe", index=1),
+        # The (25, 8) variant's blob, named, whatever its key.
+        CorruptBlob(at_us=100.0, kind="exe", shapes=((25, 8),)),
     )
     return router, trace, chaos
 
@@ -927,10 +943,10 @@ class TestRefereeCounters:
     fields, when the tier profiles became folds over `VMRun` records.
     The same clock fields moved when the compiler stopped emitting
     bookkeeping instructions; every count and routing field stayed.
-    Executable format v7 moved every store key: the chaos corruption
-    took the index of the same (25, 8) blob in the new key order, and
-    the `gc` digest moved with the pruned key's name alone — the same
-    (41, 8) blob at the same collections.)"""
+    Executable format v7 moved every store key: the `gc` digest moved
+    with the pruned key's name alone — the same (41, 8) blob at the same
+    collections — and the chaos corruption, which then picked its victim
+    by position in key order, names the (25, 8) variant since.)"""
 
     RESTARTED_AFFINITY_FLEET = {
         "routing": "affinity",

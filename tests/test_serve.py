@@ -649,15 +649,20 @@ class TestRefereeCounters:
     moved when the batched GEMM became `nn.dense` with `batch`: only
     the `kernel_counts` keys (`fused_nn.batch_dense+...` ->
     `fused_nn.dense+...`) changed, every field's value held bit for
-    bit."""
+    bit. The modeled times and the profiles moved again when exact and
+    batched variants began running linked (`repro.vm.link`): fewer
+    instructions, launches and allocations a specialized or batched run;
+    the dynamic tier ran the same instructions and launches, and its
+    `alloc_time_us` moved with what the linked runs leave in the pools
+    the worker's tiers share. Every count held."""
 
     ONE_SLOT_CPU = {
-        "responses": "sha256:c6deb953b7e7109a",
-        "worker_busy_us": ("0x1.4306443f0caedp+9", "0x1.30f76088bf33cp+9"),
+        "responses": "sha256:98b2daf456f24825",
+        "worker_busy_us": ("0x1.1f78b1914824dp+9", "0x1.12a23d8c480d0p+9"),
         "worker_batches": (6, 6),
-        "profile_dynamic": "sha256:b797e122a55a8a7b",
-        "profile_specialized": "sha256:dc6d7f602ecea131",
-        "profile_batched": "sha256:739181f85dffd560",
+        "profile_dynamic": "sha256:b9ffa8c076c2895d",
+        "profile_specialized": "sha256:da813b52eb5e3743",
+        "profile_batched": "sha256:f46d2a9fec3499aa",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.0540000000000p+11",
         "num_specialized_executables": 2,
@@ -687,12 +692,12 @@ class TestRefereeCounters:
     }
 
     ONE_SLOT_GPU_TWO_STREAMS = {
-        "responses": "sha256:292f121c6397a9dd",
-        "worker_busy_us": ("0x1.5d94684550d07p+10", "0x1.41cb430da7932p+10"),
+        "responses": "sha256:7c373927e28b66ed",
+        "worker_busy_us": ("0x1.5b4310fbefdf4p+10", "0x1.3fcfe5e1ecd5ep+10"),
         "worker_batches": (6, 6),
-        "profile_dynamic": "sha256:6448e2eeed2d3885",
-        "profile_specialized": "sha256:ad6b67257d21d8c6",
-        "profile_batched": "sha256:78cd75ad7b9cb18f",
+        "profile_dynamic": "sha256:dbd4fba148a7bb0c",
+        "profile_specialized": "sha256:6213f9e818c0e4bc",
+        "profile_batched": "sha256:38240b1881c98e04",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.19e0000000000p+11",
         "num_specialized_executables": 2,
@@ -722,11 +727,11 @@ class TestRefereeCounters:
     }
 
     PREDICTIVE_RESTART_DAMAGED_STORE = {
-        "responses": "sha256:c60357b2d3b91b83",
-        "worker_busy_us": ("0x1.635ffb442f1c1p+9", "0x1.43a6bf4d838dcp+9"),
+        "responses": "sha256:c38edee7c6f5f049",
+        "worker_busy_us": ("0x1.058ff15f56135p+9", "0x1.bc86c8df5dff0p+8"),
         "worker_batches": (5, 4),
         "profile_dynamic": "sha256:07c94c1bd5b43e36",
-        "profile_specialized": "sha256:f38d30d6d7f9903a",
+        "profile_specialized": "sha256:1a87537cce07bf56",
         "profile_batched": "sha256:c2d0ebbfdae3b84b",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.2700000000000p+10",

@@ -971,24 +971,31 @@ class TestGeneratedExecutor:
         assert set(generator._EMIT) == set(ins.Opcode)
         assert all(callable(emit) for emit in generator._EMIT.values())
 
-    def test_blocks_are_cut_at_targets_and_after_control_flow_only(self):
-        """A generated block is a basic block: a 300-instruction
-        straight-line run stays one block, and its code one function."""
+    def test_blocks_are_cut_at_targets_after_control_flow_and_into_pieces(self):
+        """A generated block is a basic block, or a `PIECE`-instruction
+        piece of a longer one: a 300-instruction straight-line run is
+        ten pieces, each falling through to the next, and a planned size
+        loaded before a cut is still a literal after it."""
         from repro.vm.cfg import CFG
-        from repro.vm.generator import function_code
+        from repro.vm.generator import PIECE, function_code
 
+        assert PIECE == 32
         loop = ([ins.LoadConsti(0, 0), ins.LoadConsti(0, 1),
-                 ins.If(0, 1, 1, 3), ins.Goto(2)]
-                + [ins.Move(0, 2)] * 300
-                + [ins.Ret(2)])
+                 ins.If(0, 1, 1, 3), ins.Goto(2), ins.Move(0, 2), ins.LoadConsti(64, 3)]
+                + [ins.Move(0, 2)] * 297
+                + [ins.AllocStorage(3, 64, cpu(), 4), ins.Ret(2)])
         shape = CFG(loop)
         assert len(loop) == 305
         assert shape.blocks == [(0, 3), (3, 4), (4, 5), (5, 305)]
         assert shape.target(5) == 3 and shape.target(305) is None and shape.target(-1) is None
-        exe = _assembled(intel_cpu(), loop, 3, [])
+        exe = _assembled(intel_cpu(), loop, 5, [])
         code = function_code(exe.functions[0], exe.constants)
-        assert [len(opcodes) for opcodes in code.opcodes] == [3, 1, 1, 300, 0]
-        assert VirtualMachine(exe).run() == 0
+        assert [len(opcodes) for opcodes in code.opcodes] == [3, 1, 1] + [32] * 9 + [12, 0]
+        assert all(f"return {b + 1}\n" in code.sources[b] for b in range(3, 12))
+        assert "A.alloc(64, 64," in code.sources[12] and "read_scalar" not in code.source
+        vm = VirtualMachine(exe)
+        assert vm.run() == 0
+        assert sum(vm.profile.instruction_counts.values()) == 3 + 1 + 300
 
     def test_the_lstm_loop_source_matches_golden(self):
         """The toy LSTM's loop, generated: a set or dict order leaking into
