@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.codegen.cost_model import kernel_cost_us
-from repro.codegen.schedule import Schedule, default_schedule
+from repro.codegen.schedule import TUNE_AT, Schedule, best_schedule, default_schedule
 from repro.codegen.workload import GEMM_OPS, KernelProgram, Workload, compute_workload
 from repro.core.memory.prim_info import (
     PrimFuncInfo,
@@ -30,6 +30,7 @@ from repro.core.memory.prim_info import (
     prim_calls,
     run_fused_shape_func,
 )
+from repro.errors import NimbleError, TuningError
 from repro.hardware import calibration
 from repro.hardware.platforms import Platform
 from repro.hardware.specs import DeviceSpec
@@ -37,7 +38,7 @@ from repro.ir import codec
 from repro.ir.analysis import structural_equal, structural_hash
 from repro.ir.expr import Constant, Expr, Function, Var
 from repro.ir.op import Op
-from repro.ir.types import has_any_dim, type_hash
+from repro.ir.types import Any, TensorType, has_any_dim, type_hash
 from repro.ops.shape_funcs import prod
 
 Shape = Tuple[int, ...]
@@ -72,6 +73,36 @@ def canonical_mnk(func: Function, in_shapes: Sequence[Shape], out_shape: Shape) 
     if len(out_shape) >= 2:
         return (prod(out_shape[:-1]), out_shape[-1], 1)
     return (out_shape[0] if out_shape else 1, 1, 1)
+
+
+def instantiate_shapes(prim: Function, m: int) -> List[Shape]:
+    """Concrete input shapes with every ``Any`` dim replaced by *m* (current
+    dynamic models need a single symbolic variable — §4.5)."""
+    shapes: List[Shape] = []
+    for p in prim.params:
+        ty = p.checked_type or p.type_annotation
+        if not isinstance(ty, TensorType):
+            raise TuningError(f"cannot instantiate non-tensor param {p.name_hint}")
+        shapes.append(tuple(m if isinstance(d, Any) else d for d in ty.shape))
+    return shapes
+
+
+def build_schedule(prim: Function, searches: Dict[tuple, Schedule]) -> Schedule:
+    """The schedule a build gives *prim*: :func:`best_schedule` at the
+    canonical (m, n, k) of its shapes, each ``Any`` at ``TUNE_AT`` rows.
+    A kernel whose shapes do not determine its workload (data-dependent
+    outputs, non-tensor params) keeps the default. *searches* holds one
+    search per (m, n, k, symbolic), shared by the kernels of one cache."""
+    try:
+        in_shapes = instantiate_shapes(prim, TUNE_AT)
+        workload = compute_workload(prim, in_shapes)
+    except NimbleError:
+        return default_schedule()
+    key = (*canonical_mnk(prim, in_shapes, workload.out_shapes[0]), is_symbolic_prim(prim))
+    found = searches.get(key)
+    if found is None:
+        found = searches[key] = best_schedule(*key)
+    return found
 
 
 def prim_signature(func: Function) -> Tuple[int, ...]:
@@ -190,14 +221,18 @@ class KernelSet:
 
     def __getstate__(self) -> dict:
         # KernelSets are pickled into every executable and into the
-        # kernel-cache blob; the pricing memo and the lowered program
-        # are per-process working state and must not change a byte of
-        # either. They are re-created lazily by invoke_cost / run (no
-        # __setstate__: the default one keeps pickle's interning of
-        # attribute names).
+        # kernel-cache blob; the pricing memo, the lowered program, the
+        # cached name and the analysis a data-dependent kernel's pricing
+        # makes are per-process working state and must not change a
+        # byte of either: a kernel saves the same bytes whether or not
+        # it has run. They are re-created lazily by invoke_cost / run /
+        # the properties (no __setstate__: the default one keeps
+        # pickle's interning of attribute names).
         state = self.__dict__.copy()
         state.pop("_cost_memo", None)
         state.pop("_program", None)
+        state.pop("name", None)
+        state["_info"] = None
         return state
 
     def invoke_cost(self, in_shapes: Sequence[Shape]) -> KernelInvocation:
@@ -294,8 +329,11 @@ class ShapeFuncKernel:
 # kernel section); bumping this invalidates every persisted cache file
 # instead of risking a misread. 2: the two entry lists, without keys.
 # 3: a batched GEMM is ``nn.dense`` with ``batch``; a format-2 file's
-# batched kernels name an op this build does not register.
-KERNEL_CACHE_FORMAT = 3
+# batched kernels name an op this build does not register. 4: each
+# kernel's schedule is the one its build searched (``build_schedule``);
+# a format-3 file's kernels run the default schedule, which a rebuild
+# no longer makes.
+KERNEL_CACHE_FORMAT = 4
 
 
 def prim_key(prim: Function, *rest) -> tuple:
@@ -313,13 +351,17 @@ class KernelCache:
     :meth:`import_entries` merges such a payload into a live cache — the
     artifact store uses the pair so a restarted server's *dynamic* build
     finds the previous process's kernels. Every entry is built by
-    :meth:`kernel` or :meth:`shape_func` with the default schedule, so a
-    loaded entry is exactly what a rebuild would make: the payload
-    carries no tuning, only work a restart would redo."""
+    :meth:`kernel` or :meth:`shape_func`; a kernel's schedule is the one
+    :func:`build_schedule` picks from its prim alone, so a loaded entry
+    is exactly what a rebuild would make: the payload carries only work
+    a restart would redo. One schedule search serves every kernel of
+    this cache at the same (m, n, k, symbolic); the searches are not
+    exported, so a new cache searches afresh."""
 
     def __init__(self) -> None:
         self._kernels: Dict[tuple, KernelSet] = {}
         self._shape_funcs: Dict[tuple, ShapeFuncKernel] = {}
+        self._searches: Dict[tuple, Schedule] = {}
 
     # ------------------------------------------------------------ persistence
     def export_entries(self) -> bytes:
@@ -347,18 +389,20 @@ class KernelCache:
         return added
 
     def kernel(self, prim: Function, platform: Platform, spec: DeviceSpec) -> KernelSet:
-        """The default-built kernel of *prim*: the key names everything
-        that builds it, so a confirmed hit is always the kernel a miss
-        would build. On a hash collision *prim* gets a kernel of its own,
-        which is not cached. Ablation variants are constructed as
-        KernelSets directly and never enter the cache."""
+        """The built kernel of *prim*: the key names everything that
+        builds it (the schedule is a function of the prim), so a
+        confirmed hit is always the kernel a miss would build. On a hash
+        collision *prim* gets a kernel of its own, which is not cached.
+        Ablation variants are constructed as KernelSets directly and
+        never enter the cache."""
         key = prim_key(prim, platform.name)
         found = self._kernels.get(key)
+        if found is not None and structural_equal(found.prim, prim):
+            return found
+        kernel = KernelSet(prim, platform, spec, schedule=build_schedule(prim, self._searches))
         if found is None:
-            found = self._kernels[key] = KernelSet(prim, platform, spec)
-        elif not structural_equal(found.prim, prim):
-            return KernelSet(prim, platform, spec)
-        return found
+            self._kernels[key] = kernel
+        return kernel
 
     def shape_func(self, prim: Function, platform: Platform) -> ShapeFuncKernel:
         key = prim_key(prim, platform.name)

@@ -10,8 +10,9 @@ which is exactly the structure the symbolic tuning workflow exploits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.hardware import calibration
 from repro.hardware.specs import DeviceSpec
@@ -55,8 +56,6 @@ class Schedule:
         # This is why differently-shaped dense layers tune to different
         # schedules — and hence degrade differently without residue
         # dispatch (Figure 3).
-        import math
-
         footprint = max(1, self.vectorize * self.unroll)
         ideal = 16.0 if n >= 2048 else 8.0
         q *= 1.0 - 0.05 * abs(math.log2(footprint) - math.log2(ideal))
@@ -84,17 +83,63 @@ class Schedule:
         return base * (self.vectorize * self.unroll) / 8.0
 
 
+# The rows a symbolic kernel is tuned at: a "large enough" static
+# stand-in for its symbolic dimension (§4.5).
+TUNE_AT = 64
+
+
 def default_schedule() -> Schedule:
     return Schedule()
 
 
+# The template's full configuration space (240 configs, matching the
+# scale of a small AutoTVM template).
+_SPACE: Tuple[Schedule, ...] = tuple(
+    Schedule(tile, vec, unroll, par)
+    for tile in (1, 2, 4, 8, 16, 32)
+    for vec in (1, 2, 4, 8, 16)
+    for unroll in (1, 2, 4, 8)
+    for par in (True, False)
+)
+
+
 def search_space() -> List[Schedule]:
-    """The template's full configuration space (~200 configs, matching the
-    scale of a small AutoTVM template)."""
-    out: List[Schedule] = []
-    for tile in (1, 2, 4, 8, 16, 32):
-        for vec in (1, 2, 4, 8, 16):
-            for unroll in (1, 2, 4, 8):
-                for par in (True, False):
-                    out.append(Schedule(tile, vec, unroll, par))
-    return out
+    """The template's full configuration space, a fresh list."""
+    return list(_SPACE)
+
+
+# The candidates of :func:`best_schedule`, in its tie-break order: the
+# largest tile first, then the narrowest vector and the smallest unroll.
+# Serial configs are left out: ``quality`` scores one as its parallel
+# twin times 0.55 or 0.95, so none ever ranks first.
+_BY_PREFERENCE: Tuple[Schedule, ...] = tuple(
+    sorted((s for s in _SPACE if s.parallel), key=lambda s: (-s.tile, s.vectorize, s.unroll))
+)
+_AT_DISPATCH_TILE: Tuple[Schedule, ...] = tuple(
+    s for s in _BY_PREFERENCE if s.tile == default_schedule().tile
+)
+
+
+def best_schedule(m: int, n: int, k: int, symbolic: bool) -> Schedule:
+    """The configuration ``quality`` ranks highest on a (m×k)·(k×n) kernel.
+
+    A static kernel searches the whole space at its shape. Ties go to the
+    largest row tile, because the model does not score register reuse;
+    then to the narrowest vector and the smallest unroll, which divide
+    the most column counts and make the least code.
+
+    A symbolic kernel (*m* its rows at ``TUNE_AT``) keeps the dispatch
+    tile of :func:`default_schedule` and its full residue table, and picks
+    only vector width and unroll. Neither factor of ``quality`` depends on
+    *m*, so the pick is no worse than the default at any row count.
+    """
+    if symbolic:
+        candidates = _AT_DISPATCH_TILE
+    elif m >= 1:
+        # A tile longer than the rows never ranks first: tile 1 with the
+        # same vector and unroll leaves no remainder and wastes no lanes.
+        candidates = [s for s in _BY_PREFERENCE if s.tile <= m]
+    else:
+        candidates = _BY_PREFERENCE
+    # ``max`` keeps the first of equals: the preferred one.
+    return max(candidates, key=lambda s: s.quality(m, n, k))

@@ -21,32 +21,18 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.cost_model import tuned_cost_us
-from repro.codegen.kernels import canonical_mnk
-from repro.codegen.schedule import Schedule, search_space
+from repro.codegen.kernels import canonical_mnk, instantiate_shapes
+from repro.codegen.schedule import TUNE_AT, Schedule, search_space
 from repro.codegen.workload import compute_workload
 from repro.errors import TuningError
 from repro.hardware.platforms import Platform
 from repro.hardware.specs import DeviceSpec
 from repro.ir.expr import Function
-from repro.ir.types import Any, TensorType
 
 Shape = Tuple[int, ...]
 
 TOP_K = 100  # the paper found k=100 covers most best-configs across shapes
 CROSS_SHAPES = tuple(2**i for i in range(0, 9))  # 1..256, powers of two
-TUNE_AT = 64  # "large enough" static stand-in for the symbolic dim
-
-
-def instantiate_shapes(prim: Function, m: int) -> List[Shape]:
-    """Concrete input shapes with every ``Any`` dim replaced by *m* (current
-    dynamic models need a single symbolic variable — §4.5)."""
-    shapes: List[Shape] = []
-    for p in prim.params:
-        ty = p.checked_type or p.type_annotation
-        if not isinstance(ty, TensorType):
-            raise TuningError(f"cannot instantiate non-tensor param {p.name_hint}")
-        shapes.append(tuple(m if isinstance(d, Any) else d for d in ty.shape))
-    return shapes
 
 
 @dataclass(order=True)

@@ -43,7 +43,10 @@ MAGIC = b"NMBL"
 # component of every artifact key, so older blobs are never looked up;
 # one met anyway is rejected as stale, not migrated. 7: a batched GEMM
 # is ``nn.dense`` with ``batch``, where 6 named an op no longer registered.
-VERSION = 7
+# 8: each kernel runs the schedule its build searched, where a v7 blob's
+# kernels run the default one; a restored v7 variant would not be what a
+# compile makes.
+VERSION = 8
 
 
 def artifact_key(

@@ -946,7 +946,11 @@ class TestRefereeCounters:
     Executable format v7 moved every store key: the `gc` digest moved
     with the pruned key's name alone — the same (41, 8) blob at the same
     collections — and the chaos corruption, which then picked its victim
-    by position in key order, names the (25, 8) variant since.)"""
+    by position in key order, names the (25, 8) variant since. The clock
+    fields — `tenants`, `responses`, `worker_busy_us`,
+    `profile_specialized` — moved when builds began picking each
+    kernel's schedule, and the `gc` digest with the pruned key's name at
+    executable format v8; every count and routing field stayed.)"""
 
     RESTARTED_AFFINITY_FLEET = {
         "routing": "affinity",
@@ -954,14 +958,14 @@ class TestRefereeCounters:
         "affinity_hits": 23,
         "rejected_rids": (102, 103, 104, 105),
         "fleet_restores": (0, 0),
-        "tenants": "sha256:0307af2a85fc9464",
+        "tenants": "sha256:0173bdd472236ca2",
         "replicas": (
             {
-                "responses": "sha256:1a8647f052375647",
-                "worker_busy_us": ("0x1.4c22f187ec804p+6",),
+                "responses": "sha256:c835582780ee3a12",
+                "worker_busy_us": ("0x1.47f015134a484p+6",),
                 "worker_batches": (10,),
                 "profile_dynamic": "sha256:c3018e083cd3bb88",
-                "profile_specialized": "sha256:9a996eeb19ee5a5f",
+                "profile_specialized": "sha256:625396af18f8cb2a",
                 "profile_batched": "sha256:c2d0ebbfdae3b84b",
                 "profile_partial": "sha256:c2d0ebbfdae3b84b",
                 "specialize_compile_us": "0x1.4a00000000000p+8",
@@ -984,11 +988,11 @@ class TestRefereeCounters:
                 "device_streams": 1,
             },
             {
-                "responses": "sha256:3b6dbf5219882749",
-                "worker_busy_us": ("0x1.912d73fcb1068p+6",),
+                "responses": "sha256:e88a3e8edf6f1e0b",
+                "worker_busy_us": ("0x1.90cf134e240a8p+6",),
                 "worker_batches": (10,),
                 "profile_dynamic": "sha256:c9238d05282bb23b",
-                "profile_specialized": "sha256:32357903f20857e3",
+                "profile_specialized": "sha256:9c54f1f3ac983948",
                 "profile_batched": "sha256:c2d0ebbfdae3b84b",
                 "profile_partial": "sha256:c2d0ebbfdae3b84b",
                 "specialize_compile_us": "0x1.16c0000000000p+11",
@@ -1011,7 +1015,7 @@ class TestRefereeCounters:
                 "device_streams": 1,
             },
         ),
-        "gc": "sha256:c39902a1a0081574",
+        "gc": "sha256:948b2fa004be83c2",
         "chaos": (1, 1, 0),
     }
 

@@ -1129,48 +1129,50 @@ def _planned_models():
 # length 5). `bert3@gpu4` did not move. Every `save()` hash was re-pinned
 # at executable format v7, plans unmoved, and `lstm[len=7]x4`'s module
 # hash with it: its batched GEMM prints as `nn.dense(..., batch=4)`, not
-# `nn.batch_dense`.)
+# `nn.batch_dense`. Every `save()` hash was re-pinned at executable format
+# v8, module hashes and plans unmoved: each kernel carries the schedule
+# its build searched, and kernels of one search share one `Schedule`.)
 _PARENT_COMMIT_PLANS = {
     "lstm": (
         "785463360bf6e8d677131b66127cfa31f670f044f2e03a6cf9ffbdfcfc1b27c4",
         {"allocs_before": 7, "allocs_after": 5, "static_bytes_before": 704,
          "static_bytes_after": 576, "kills_inserted": 0},
-        "ac64d6500c07451b9fa1c5dce4c7aa9eecac26adc4b942f26d95acd75dd8b082"),
+        "4372730762fff905538c66d6c959660c991049351623d6a08c1c3a563bf358f3"),
     "tree_lstm": (
         "2a23724fc63774e7c23cc7057f1b0c6ad4727a1ed3bc546f403c0b286e75d08c",
         {"allocs_before": 7, "allocs_after": 6, "static_bytes_before": 576,
          "static_bytes_after": 512, "kills_inserted": 6},
-        "a7c2b69100897444e18c735bf6c86862196aff6acfb256584322fa2fe51eeb76"),
+        "5bb1ee01ea078749630f92bee8126b2c0224f3e8e03104c5a1bb6fcf850b371f"),
     "bert3": (
         "ba2dfe16959fa4b979bbd45510583ccd559fb7e040e03ec688d05b036a4bc0f1",
         {"allocs_before": 49, "allocs_after": 18, "static_bytes_before": 640,
          "static_bytes_after": 576, "kills_inserted": 68},
-        "b8001252e2a532d45a29dfac099dca16786b5cbb01bcc887d9c65e80c72bdbed"),
+        "0f271b1315b5f4daa1ccffe1c020f0997786a23f0311033338df25168bd472ef"),
     "bert3@gpu4": (
         "5ad1c634e869475dae4f702de63d735d351b505c907ad7a47e7aa2f08b0c5e2a",
         {"allocs_before": 52, "allocs_after": 17, "static_bytes_before": 448,
          "static_bytes_after": 448, "kills_inserted": 131},
-        "5f1c4f0d1f040d3d5939865c12e2505c38c04ba0af569caebefc08903d5f63be"),
+        "55564117272ca815ac635e47a6c37267bd7438491d5304a5bf02a39aa8bab2a5"),
     "bert3[len=5]": (
         "eb55d23d0ddbd0c25c77ac3a127086759a1853d5662e5639f6cf7f24760e00fd",
         {"allocs_before": 39, "allocs_after": 7, "static_bytes_before": 23040,
          "static_bytes_after": 4352, "kills_inserted": 51},
-        "ea04b97e77abed20e79c5e3e3c29967987b9709d177dd32bb2af4bc48d2799c1"),
+        "faf00a36a94014b6737192a19c1111e405a086d770c9f9feb0095dd02030705f"),
     "lstm[len=7]": (
         "eeca15d5b228b473a3fc1d48b3dd878c394b36a9e06e640fe500c53c49da235b",
         {"allocs_before": 7, "allocs_after": 5, "static_bytes_before": 704,
          "static_bytes_after": 576, "kills_inserted": 0},
-        "08537a98cebee22efdd903ee85a4da7e218ff2fd4edf6fb7e37ba26aa9a17247"),
+        "9c703e55159472548fec8b8a114279c51e5ea8a2a9ac6b6aacb59a1a5ae79553"),
     "lstm[len=7]x4": (
         "675821a0114f04b24aa0252203b58ac2ab832fab45bdc511134355a187e9a94c",
         {"allocs_before": 8, "allocs_after": 6, "static_bytes_before": 2432,
          "static_bytes_after": 2112, "kills_inserted": 0},
-        "37b2f3fb0e105ba31512fcd808927a4111c7e7ec2c58bf997c175fb75981219a"),
+        "f864759c089041cbc0c8eaf205d2c4be1001e6fcfea79ceca5904e04aa1cfbe0"),
     "lstm@gpu2": (
         "73952837b109b9d3b550a3ab6183fcdc912a28ebe121a395f561e63626fb4fd7",
         {"allocs_before": 7, "allocs_after": 6, "static_bytes_before": 704,
          "static_bytes_after": 640, "kills_inserted": 3},
-        "83b2bc62214c381baafe1626603f9abe9e4afc48035b77242f7711d813ec7a21"),
+        "29b71575979005e10a3164f14659cafb9c41763454f2d4c263b0008acd64059c"),
 }
 
 
@@ -1186,16 +1188,20 @@ _PARENT_COMMIT_PLANS = {
 # and instructions, a larger fused head-split kernel; `bert3` (69150,
 # 2336) -> (69564, 1991), `bert3[len=5]` (67654, 1958) -> (68073, 1555).
 # `lstm[len=7]x4` fell 6 B, (14756, 399) -> (14750, 399), when its
-# batched GEMM's op name went from `nn.batch_dense` to `nn.dense`.
+# batched GEMM's op name went from `nn.batch_dense` to `nn.dense`. Every
+# saved length fell when builds began searching each kernel's schedule
+# (format v8): the kernels of one (m, n, k) search share one `Schedule`,
+# which the kernels section then pickles once; `lstm` 13452 -> 13386,
+# `bert3` 69564 -> 69333, `lstm[len=7]x4` 14750 -> 14644.
 _SAVED_LENGTHS = {
-    "lstm": (13452, 348),
-    "tree_lstm": (9857, 427),
-    "bert3": (69564, 1991),
-    "bert3@gpu4": (69604, 2521),
-    "bert3[len=5]": (68073, 1555),
-    "lstm[len=7]": (13454, 348),
-    "lstm[len=7]x4": (14750, 399),
-    "lstm@gpu2": (13729, 368),
+    "lstm": (13386, 348),
+    "tree_lstm": (9765, 427),
+    "bert3": (69333, 1991),
+    "bert3@gpu4": (69351, 2521),
+    "bert3[len=5]": (67892, 1555),
+    "lstm[len=7]": (13362, 348),
+    "lstm[len=7]x4": (14644, 399),
+    "lstm@gpu2": (13663, 368),
 }
 
 

@@ -654,15 +654,19 @@ class TestRefereeCounters:
     instructions, launches and allocations a specialized or batched run;
     the dynamic tier ran the same instructions and launches, and its
     `alloc_time_us` moved with what the linked runs leave in the pools
-    the worker's tiers share. Every count held."""
+    the worker's tiers share. Every count held. The responses, worker
+    busy times and the dynamic, specialized and batched profiles moved
+    again when builds began picking each kernel's schedule (a static
+    kernel's tile divides its rows); every count and every
+    specialization charge held."""
 
     ONE_SLOT_CPU = {
-        "responses": "sha256:98b2daf456f24825",
-        "worker_busy_us": ("0x1.1f78b1914824dp+9", "0x1.12a23d8c480d0p+9"),
+        "responses": "sha256:534afb77aeb5ede0",
+        "worker_busy_us": ("0x1.0ae0eb679f962p+9", "0x1.fe31d61f2ba64p+8"),
         "worker_batches": (6, 6),
-        "profile_dynamic": "sha256:b9ffa8c076c2895d",
-        "profile_specialized": "sha256:da813b52eb5e3743",
-        "profile_batched": "sha256:f46d2a9fec3499aa",
+        "profile_dynamic": "sha256:e49235c2412cd393",
+        "profile_specialized": "sha256:d337413b38527baf",
+        "profile_batched": "sha256:7dfaf3ca3a4fb7b5",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.0540000000000p+11",
         "num_specialized_executables": 2,
@@ -692,12 +696,12 @@ class TestRefereeCounters:
     }
 
     ONE_SLOT_GPU_TWO_STREAMS = {
-        "responses": "sha256:7c373927e28b66ed",
-        "worker_busy_us": ("0x1.5b4310fbefdf4p+10", "0x1.3fcfe5e1ecd5ep+10"),
+        "responses": "sha256:e98725133d326cf8",
+        "worker_busy_us": ("0x1.4831180383852p+10", "0x1.2ee07348c2b10p+10"),
         "worker_batches": (6, 6),
-        "profile_dynamic": "sha256:dbd4fba148a7bb0c",
-        "profile_specialized": "sha256:6213f9e818c0e4bc",
-        "profile_batched": "sha256:38240b1881c98e04",
+        "profile_dynamic": "sha256:81bab2759c4f0f08",
+        "profile_specialized": "sha256:0d07c92180ccb6cf",
+        "profile_batched": "sha256:9d290eec52a1cfe0",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.19e0000000000p+11",
         "num_specialized_executables": 2,
@@ -727,11 +731,11 @@ class TestRefereeCounters:
     }
 
     PREDICTIVE_RESTART_DAMAGED_STORE = {
-        "responses": "sha256:c38edee7c6f5f049",
-        "worker_busy_us": ("0x1.058ff15f56135p+9", "0x1.bc86c8df5dff0p+8"),
+        "responses": "sha256:0d1a2634c0bb327f",
+        "worker_busy_us": ("0x1.dd4e38fac7d9cp+8", "0x1.92b1179bd050cp+8"),
         "worker_batches": (5, 4),
-        "profile_dynamic": "sha256:07c94c1bd5b43e36",
-        "profile_specialized": "sha256:1a87537cce07bf56",
+        "profile_dynamic": "sha256:b6a5d8f8fa355e62",
+        "profile_specialized": "sha256:d6a32dcadf128283",
         "profile_batched": "sha256:c2d0ebbfdae3b84b",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.2700000000000p+10",

@@ -428,13 +428,14 @@ class TestServeRestore:
     def test_a_store_of_the_previous_formats_is_refused_and_served_cold(
         self, tmp_path, monkeypatch
     ):
-        """A store filled at executable ``VERSION`` 6 and
-        ``KERNEL_CACHE_FORMAT`` 2, the formats that named a batched
-        dense ``nn.batch_dense`` (batched blobs among its executables),
-        is never run. Its executables sit under keys this build does not
-        ask for; copied under the ones it does, each is refused before
-        it is decoded, as is ``kernels.kc``, each refusal a counted
-        ``StoreReject``, and the server compiles what a cold one does.
+        """A store filled at executable ``VERSION`` 7 and
+        ``KERNEL_CACHE_FORMAT`` 3, the formats whose kernels ran the
+        default schedule where a build now runs the one it searched
+        (batched blobs among its executables), is never run. Its
+        executables sit under keys this build does not ask for; copied
+        under the ones it does, each is refused before it is decoded, as
+        is ``kernels.kc``, each refusal a counted ``StoreReject``, and
+        the server compiles what a cold one does.
         (Full numerics: every tier's output is the member-wise one, so
         each response matches by rid whichever tier served it.)"""
         from repro.serve.events import StoreReject
@@ -443,8 +444,8 @@ class TestServeRestore:
         mod, requests, config = _serve_setup(
             tmp_path, specialize_batch=True, numerics="full")
         with monkeypatch.context() as m:
-            m.setattr(executable, "VERSION", 6)
-            m.setattr(artifacts, "KERNEL_CACHE_FORMAT", 2)
+            m.setattr(executable, "VERSION", 7)
+            m.setattr(artifacts, "KERNEL_CACHE_FORMAT", 3)
             cold = InferenceServer(mod, intel_cpu(), config).simulate(requests)
             store = ArtifactStore(config.artifact_dir)
             stale = {key: store.get(key) for key in store.keys()}
