@@ -71,14 +71,14 @@ def verify_executable(exe) -> List[Finding]:
 
 
 def check_guard(exe) -> List[Finding]:
-    """Check the entry shape-guard contract of specialized executables.
+    """Check that a specialized executable's entry contract is sound.
 
     A *partial* specialization (some dims in ``specialized_shapes`` left
-    ``None``) is only sound member-wise: its entry guard checks each
-    call's bound dims and the serving layer deopts mismatches one member
+    ``None``) is only sound member-wise: each call is checked against its
+    ``entry_contract`` and the serving layer deopts mismatches one member
     at a time. A batch-specialized partial variant would stack members
-    whose unbound dims may disagree into one call, which the guard
-    cannot express — the compiler refuses to build one
+    whose unbound dims may disagree into one call, which no contract
+    can express — the compiler refuses to build one
     (``BatchSpecializeError``), and this checker rejects any blob that
     claims otherwise (a tampered or buggy-writer artifact).
     """
@@ -93,7 +93,7 @@ def check_guard(exe) -> List[Finding]:
                 message=(
                     f"partially specialized executable claims batch "
                     f"{batch}: partial variants are member-wise only "
-                    f"(the entry guard checks one member's bound dims)"
+                    f"(the entry contract holds one member's bound dims)"
                 ),
             )
         ]

@@ -146,7 +146,11 @@ def interpret_shapes(
 
     def eval_shape(expr: Expr):
         if isinstance(expr, Var):
-            return env[expr]
+            try:
+                return env[expr]
+            except KeyError:
+                raise CompilerError(
+                    f"shape interpretation: unbound variable {expr.name_hint!r}") from None
         if isinstance(expr, Constant):
             return tuple(expr.value.shape)
         if isinstance(expr, IRTuple):

@@ -38,13 +38,13 @@ class VMError(NimbleError):
 
 
 class ShapeGuardError(VMError):
-    """A specialized executable's entry shape guard rejected the inputs.
+    """Inputs break a specialized executable's entry contract.
 
-    Member-wise specialized executables (exact or partial) carry the
-    shapes they were compiled for in ``specialized_shapes``; running one
-    on inputs whose bound dims disagree would silently compute with the
-    wrong static extents. The guard turns that into a loud error. The
-    serving layer never sees this raised — it checks the same guard
+    Every specialized executable (exact, batched or partial) has an
+    ``entry_contract`` derived from the shapes it was compiled for, and
+    the VM checks each run against it with ``entry_mismatch``, which
+    fails closed: static code must not compute with someone else's dims.
+    The serving layer never sees this raised — it makes the same check
     first and transparently deopts mismatched batch members to the
     dynamic tier."""
 

@@ -45,7 +45,7 @@ from repro.serve.batcher import Batch
 from repro.serve.events import GuardDeopt, VMRun
 from repro.serve.request import Response
 from repro.tensor.ndarray import NDArray
-from repro.vm.executable import Executable
+from repro.vm.executable import Executable, entry_mismatch
 from repro.vm.interpreter import VirtualMachine
 from repro.vm.profiler import VMProfile
 
@@ -173,7 +173,7 @@ class Worker:
         context/clock, with member-wise pipelining for
         ``tier="specialized"``, one stacked call for ``tier="batched"``,
         and guarded member-wise pipelining for ``tier="partial"`` — each
-        member's inputs are checked against the variant's entry guard
+        member's inputs are checked against the variant's entry contract
         first, and a member the guard rejects transparently *deopts*:
         it runs on the dynamic VM instead (recorded as a ``GuardDeopt``,
         its response tier reads ``"dynamic"``), never on static code
@@ -196,7 +196,8 @@ class Worker:
                 args = self._payload_arrays(req.payload)
                 member_vm = vm
                 mismatch = (
-                    executable.guard_mismatch(args) if tier == "partial" else None
+                    entry_mismatch(executable.entry_contract, args)
+                    if tier == "partial" else None
                 )
                 if mismatch is not None:
                     member_vm = self.vm

@@ -83,57 +83,78 @@ def artifact_key(
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _marker_has_none(marker) -> bool:
-    """True if a specialized-shape marker (int tuple for a tensor param,
-    nested tuple for a tuple param) contains a None dim anywhere."""
-    if marker is None:
-        return True
-    if isinstance(marker, tuple):
-        return any(_marker_has_none(m) for m in marker)
-    return False
+class Fields(tuple):
+    """Contract entries, one per field of a tuple parameter, or, for a
+    whole `Executable.entry_contract`, one per entry parameter."""
 
 
-def _guard_check(marker, value, where: str) -> Optional[str]:
-    """Compare one specialized-shape marker against one runtime input.
-
-    Tensor markers are flat tuples of int (bound — must match) or None
-    (left dynamic — any extent passes); tuple-param markers nest. A
-    fully-None marker means the param was not specialized at all. Inputs
-    the guard cannot introspect fail open rather than blocking dispatch."""
+def _entry(marker, batch: int):
+    """The contract entry for one ``specialized_shapes`` marker: a
+    tensor's dims, the leading one stacked *batch* times; a tuple's
+    `Fields`; or None, which binds nothing. A marker holding a tuple is a
+    tuple's, so one of nothing but None fields reads as a tensor's dims."""
     if marker is None:
         return None
-    if not isinstance(marker, tuple):
+    if any(m.__class__ is tuple for m in marker):
+        return Fields(_entry(m, batch) for m in marker)
+    if batch > 1 and marker and marker[0] is not None:
+        return (marker[0] * batch,) + marker[1:]
+    return marker
+
+
+def binds_all(entry) -> bool:
+    """True if a contract (or one entry of it) leaves nothing open: no
+    dim ``Any``, no parameter or field None."""
+    if entry.__class__ is Fields:
+        return all(map(binds_all, entry))
+    return entry is not None and None not in entry
+
+
+def entry_mismatch(contract: Optional[Fields], inputs) -> Optional[str]:
+    """The first way *inputs* break *contract*, or None if they may run.
+
+    Fails closed: an input whose shape cannot be read is refused (a
+    Python scalar reads as rank 0, as the VM wraps it), and so is a tuple
+    of the wrong field count. A None entry (an ADT or a function) takes
+    anything, and so does a dynamic build's None contract."""
+    if contract is None:
         return None
-    if marker and all(isinstance(m, (tuple, type(None))) for m in marker) and any(
-        isinstance(m, tuple) for m in marker
-    ):
-        # Tuple-typed param: recurse into fields.
+    if len(inputs) != len(contract):
+        return f"guard: {len(inputs)} inputs but the executable takes {len(contract)}"
+    for i, (entry, value) in enumerate(zip(contract, inputs)):
+        msg = _mismatch(entry, value, f"param {i}")
+        if msg is not None:
+            return msg
+    return None
+
+
+def _mismatch(entry, value, where: str) -> Optional[str]:
+    if entry is None:
+        return None
+    if entry.__class__ is Fields:
         fields = getattr(value, "fields", None)
-        if fields is None and isinstance(value, (tuple, list)):
-            fields = value
-        if fields is None or len(fields) != len(marker):
-            return None  # fail open on opaque values
-        for j, (m, v) in enumerate(zip(marker, fields)):
-            msg = _guard_check(m, v, f"{where}.{j}")
+        if not isinstance(fields, (tuple, list)):
+            return f"guard: {where} is not a tuple ({type(value).__name__})"
+        if len(fields) != len(entry):
+            return (f"guard: {where} has {len(fields)} fields but was "
+                    f"specialized for {len(entry)}")
+        for j, (field_entry, field) in enumerate(zip(entry, fields)):
+            msg = _mismatch(field_entry, field, f"{where}.{j}")
             if msg is not None:
                 return msg
         return None
-    shape = getattr(value, "shape", None)
-    if shape is None:
-        return None  # fail open: scalar / opaque input
-    if len(shape) != len(marker):
-        return (
-            f"guard: {where} has rank {len(shape)} but was specialized "
-            f"for rank {len(marker)}"
-        )
-    for d, (bound, actual) in enumerate(zip(marker, shape)):
-        if bound is None:
-            continue
-        if int(actual) != int(bound):
-            return (
-                f"guard: {where} dim {d} is {int(actual)} but was "
-                f"specialized for {int(bound)}"
-            )
+    shape = () if isinstance(value, (int, float)) else getattr(value, "shape", None)
+    if shape == entry:
+        return None
+    if not isinstance(shape, tuple):
+        return f"guard: {where} has no shape to read ({type(value).__name__})"
+    if len(shape) != len(entry):
+        return (f"guard: {where} has rank {len(shape)} but was specialized "
+                f"for rank {len(entry)}")
+    for d, (bound, actual) in enumerate(zip(entry, shape)):
+        if bound is not None and int(actual) != bound:
+            return (f"guard: {where} dim {d} is {int(actual)} but was "
+                    f"specialized for {bound}")
     return None
 
 
@@ -207,48 +228,25 @@ class Executable:
         return self.specialized_batch is not None and self.specialized_batch > 1
 
     @property
+    def entry_contract(self) -> Optional[Fields]:
+        """What a run's inputs must be (`entry_mismatch`), derived from
+        ``specialized_shapes`` and ``specialized_batch``: per entry
+        parameter, a tensor's dims (None for a dim left ``Any``, the
+        leading one stacked on a batched variant), a tuple's `Fields`, or
+        None for an ADT or a function. None for a dynamic build."""
+        if self.specialized_shapes is None:
+            return None
+        batch = self.specialized_batch or 1
+        return Fields(_entry(marker, batch) for marker in self.specialized_shapes)
+
+    @property
     def is_partial(self) -> bool:
-        """True for a *partially* specialized executable: at least one
-        dim inside ``specialized_shapes`` is None (left dynamic) while
-        others are bound. Such a variant covers a family of exact shapes
-        and must be entry-guarded (`guard_mismatch`) before every run."""
-        if self.specialized_shapes is None:
-            return False
-        return any(
-            _marker_has_none(marker)
-            for marker in self.specialized_shapes
-            if marker is not None
-        )
-
-    def guard_mismatch(self, inputs) -> Optional[str]:
-        """Entry shape guard: check *inputs* against the bound dims this
-        executable was specialized for.
-
-        Returns None when every bound dim agrees (or the executable is
-        not member-wise specialized — dynamic and batch-specialized
-        builds have no member-shape contract to check here), otherwise a
-        human-readable description of the first mismatch. The serving
-        layer calls this before dispatch and transparently deopts
-        mismatched members to the dynamic tier; the VM calls it again in
-        ``run()`` as a hard safety net (raising ``ShapeGuardError``).
-        Opaque inputs (no ``.shape``) fail open — the guard only checks
-        what it can see. The VM also checks a variant with every entry
-        shape bound, batched ones included, against its whole (stacked)
-        shapes, and fails closed (`repro.vm.link.guard_mismatch`)."""
-        if self.specialized_shapes is None:
-            return None
-        if self.specialized_batch is not None and self.specialized_batch > 1:
-            return None
-        if len(inputs) != len(self.specialized_shapes):
-            # The marker does not describe these inputs param-wise:
-            # fail open like any other shape the guard cannot introspect.
-            # The VM's own num_params check rejects wrong-arity calls.
-            return None
-        for i, (marker, value) in enumerate(zip(self.specialized_shapes, inputs)):
-            msg = _guard_check(marker, value, f"param {i}")
-            if msg is not None:
-                return msg
-        return None
+        """True for a *partially* specialized executable: a parameter its
+        contract binds leaves a dim open. Such a variant covers a family
+        of exact shapes, and each call is checked against it."""
+        contract = self.entry_contract
+        return contract is not None and any(
+            entry is not None and not binds_all(entry) for entry in contract)
 
     # ------------------------------------------------------------- statistics
     @property

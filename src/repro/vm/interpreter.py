@@ -7,7 +7,8 @@ basic block or piece of one (`repro.vm.generator`); `VirtualMachine._execute` is
 trampoline that runs them, calls and returns between frames, and counts
 what ran. An executable whose entry shapes are all static runs linked
 (`repro.vm.link`): its bounded recursion unrolled into one straight-line
-entry, each run guarded against the shapes it was folded for.
+entry. Each run of a specialized executable is checked against its
+entry contract first (`repro.vm.executable.entry_mismatch`).
 
 Execution is *numerically real* (kernels run NumPy) and *temporally
 modeled* (the clock advances by the cost model): every run returns correct
@@ -26,9 +27,9 @@ from repro.hardware.platforms import platform_by_name
 from repro.runtime.context import ExecutionContext
 from repro.tensor.ndarray import NDArray
 from repro.vm import instruction as ins
-from repro.vm.executable import Executable, VMFunction
+from repro.vm.executable import Executable, VMFunction, entry_mismatch
 from repro.vm.generator import FunctionCode, function_code
-from repro.vm.link import guard_mismatch, linked
+from repro.vm.link import linked
 from repro.vm.objects import ADTObj, RegisterValue, TensorObj, VMObject
 from repro.vm.profiler import VMProfile
 
@@ -95,9 +96,10 @@ class VirtualMachine:
         self._event_record_us = calibration.STREAM_EVENT_RECORD_US[name]
         self._wait_event_us = calibration.STREAM_WAIT_EVENT_US[name]
         self._event_sync_us = calibration.STREAM_EVENT_SYNC_US[name]
-        # What runs: the executable, or its linked form (`repro.vm.link`)
-        # with the shapes each run is guarded against.
-        self._code, self._guards = linked(executable)
+        # What runs: the executable, or its linked form (`repro.vm.link`);
+        # and the entry contract each run is checked against.
+        self._code = linked(executable)
+        self._contract = executable.entry_contract
         # Per function index, its generated blocks bound to this VM, made
         # on first use (and again, should the function have been
         # swapped); and one TensorObj per constant, shared by every load
@@ -158,7 +160,7 @@ class VirtualMachine:
         num_params = self._code.functions[index].num_params
         if len(inputs) != num_params:
             raise VMError(f"{name} expects {num_params} inputs, got {len(inputs)}")
-        mismatch = self.exe.guard_mismatch(inputs) or guard_mismatch(self._guards, inputs)
+        mismatch = entry_mismatch(self._contract, inputs)
         if mismatch is not None:
             raise ShapeGuardError(
                 f"{name}: {mismatch}; the serving layer should have "

@@ -10,8 +10,8 @@ the executable (exact and batched variants; never a partial one, never
 a dynamic build):
 
 * in the entry, a ``ShapeOf`` of a parameter is a constant: each run
-  is guarded against the parameter's static shape (`guard_mismatch`;
-  a static executable that does not link is guarded the same way);
+  is checked against the executable's entry contract first
+  (`repro.vm.executable.entry_mismatch`), linked or not;
 * an ``InvokePacked`` of a CPU kernel whose inputs are all small integer
   constants (the loop's ``take``, ``less`` and ``add`` on rank-0 ints)
   is evaluated here, once, and its result is a constant;
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Union
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from repro.tensor.device import Device
 from repro.tensor.ndarray import NDArray
 from repro.vm import instruction as ins
 from repro.vm.cfg import is_tail_call
-from repro.vm.executable import Executable, VMFunction
+from repro.vm.executable import Executable, Fields, VMFunction, binds_all
 
 _Op = ins.Opcode
 
@@ -78,18 +78,6 @@ _PURE = frozenset({
 # nothing.
 _UNCOUNTED = frozenset({_Op.LOAD_CONST, _Op.LOAD_CONSTI, _Op.GET_TAG, _Op.SHAPE_OF,
                         _Op.DEVICE_COPY})
-
-Guards = Tuple[Tuple[int, Tuple[int, ...]], ...]
-
-
-class Linked(NamedTuple):
-    """What a VM runs for an executable — *exe* itself or its linked
-    form — and the static shape each run's parameters must have (none
-    for a dynamic or partial build)."""
-
-    exe: Executable
-    guards: Guards = ()
-
 
 class _Abort(Exception):
     """The entry cannot be linked; it runs as compiled."""
@@ -122,37 +110,6 @@ def _small(array: NDArray) -> Optional[np.ndarray]:
     data = array.data
     if data.size <= _SMALL and data.dtype.kind in "iub" and not array.device.is_gpu:
         return data
-    return None
-
-
-def static_shapes(exe: Executable) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    """Each entry parameter's shape, if all are bound: the specialized
-    shapes, stacked along axis 0 for a batched variant; else None."""
-    markers = exe.specialized_shapes
-    if markers is None or exe.is_partial:
-        return None
-    batch = exe.specialized_batch or 1
-    shapes = []
-    for marker in markers:
-        if not isinstance(marker, tuple) or not all(type(d) is int for d in marker):
-            return None
-        if batch > 1:
-            if not marker:
-                return None
-            marker = (marker[0] * batch,) + marker[1:]
-        shapes.append(marker)
-    return tuple(shapes)
-
-
-def guard_mismatch(guards: Guards, inputs) -> Optional[str]:
-    """The first parameter whose shape differs from its static one (the
-    one a linked form was folded for); an input without a shape fails
-    too."""
-    for param, shape in guards:
-        actual = getattr(inputs[param], "shape", None)
-        if actual is None or tuple(int(d) for d in actual) != shape:
-            return (f"guard: param {param} has shape {None if actual is None else tuple(actual)} "
-                    f"but the executable is static at {shape}")
     return None
 
 
@@ -194,14 +151,15 @@ class _Frame:
 
 
 class _Linker:
-    def __init__(self, exe: Executable, shapes: Tuple[Tuple[int, ...], ...]) -> None:
+    def __init__(self, exe: Executable, contract: Fields) -> None:
         self.exe = exe
         self.host = platform_by_name(exe.platform_name).host
         entry = exe.functions[exe.func_index[exe.entry]]
         self.entry = entry
         self.code: List[ins.Instruction] = []
         self.registers = entry.register_count
-        self.shapes = dict(enumerate(shapes))  # entry parameter -> static shape
+        # entry parameter -> its static shape (a tensor's)
+        self.shapes = {i: dims for i, dims in enumerate(contract) if dims.__class__ is tuple}
         self.extras: List[NDArray] = []
         self.pool: Dict[tuple, int] = {}  # a small constant's content -> pool index
         for index, constant in enumerate(exe.constants):
@@ -442,14 +400,14 @@ def _drop_dead(code: List[ins.Instruction], num_params: int) -> List[ins.Instruc
             return [instr for pc, instr in enumerate(code) if pc not in dropped]
 
 
-def _entry_to_link(exe: Executable, shapes) -> Optional[int]:
-    """The index of *exe*'s entry if it may link: all of its parameters
-    static and a call in it to inline."""
+def _entry_to_link(exe: Executable, contract: Optional[Fields]) -> Optional[int]:
+    """The index of *exe*'s entry if it may link: its contract binds all
+    of its parameters whole, and there is a call in it to inline."""
     index = exe.func_index.get(exe.entry)
-    if shapes is None or index is None:
+    if not binds_all(contract) or index is None:
         return None
     entry = exe.functions[index]
-    if entry.num_params != len(shapes) or not any(
+    if entry.num_params != len(contract) or not any(
             i.opcode == _Op.INVOKE for i in entry.instructions):
         return None
     return index
@@ -467,11 +425,11 @@ def link(exe: Executable) -> Optional[Executable]:
     """The linked form of *exe*, or None where nothing links: a dynamic
     or partial build, an entry with no call to inline, or a loop that
     does not unroll inside the budget."""
-    shapes = static_shapes(exe)
-    index = _entry_to_link(exe, shapes)
+    contract = exe.entry_contract
+    index = _entry_to_link(exe, contract)
     if index is None:
         return None
-    linker = _Linker(exe, shapes)
+    linker = _Linker(exe, contract)
     try:
         func = linker.run()
     except _Abort:
@@ -486,23 +444,24 @@ CACHE_SIZE = 32
 _CACHE: "OrderedDict[tuple, Optional[tuple]]" = OrderedDict()
 
 
-def _content_key(exe: Executable, shapes) -> tuple:
+def _content_key(exe: Executable, contract: Fields) -> tuple:
     small = tuple((i, array.dtype.str, array.shape, array.tobytes())
                   for i, array in ((i, _small(c)) for i, c in enumerate(exe.constants))
                   if array is not None)
-    return (exe.content_hash(), exe.entry, shapes, small,
+    return (exe.content_hash(), exe.entry, contract, small,
             tuple(getattr(k, "name", type(k).__name__) for k in exe.kernels),
             tuple((f.name, f.num_params, f.register_count, tuple(f.instructions))
                   for f in exe.functions))
 
 
-def _cached_link(exe: Executable, shapes) -> Optional[Executable]:
+def _cached_link(exe: Executable) -> Optional[Executable]:
     """`link(exe)`, from the cache when an executable of the same
     content has linked before."""
-    index = _entry_to_link(exe, shapes)
+    contract = exe.entry_contract
+    index = _entry_to_link(exe, contract)
     if index is None:
         return None
-    key = _content_key(exe, shapes)
+    key = _content_key(exe, contract)
     if key in _CACHE:
         _CACHE.move_to_end(key)
     else:
@@ -522,11 +481,9 @@ def _cached_link(exe: Executable, shapes) -> Optional[Executable]:
     return _with_entry(exe, index, VMFunction(*fields), extras)
 
 
-def linked(exe: Executable) -> Linked:
+def linked(exe: Executable) -> Executable:
     """What a VM binding *exe* runs: its linked form where one exists,
-    else *exe* itself, and its guards. Kept on the executable."""
+    else *exe* itself. Kept on the executable."""
     if exe.linked is None:
-        shapes = static_shapes(exe)
-        exe.linked = Linked(_cached_link(exe, shapes) or exe,
-                            () if shapes is None else tuple(enumerate(shapes)))
+        exe.linked = _cached_link(exe) or exe
     return exe.linked

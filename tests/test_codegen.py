@@ -77,7 +77,8 @@ class TestWorkload:
 
     def test_malformed_body_fails_at_lowering_with_a_named_error(self):
         """An unbound variable used to be a bare KeyError from the middle
-        of a launch; a wrong input count keeps its message."""
+        of a launch or of pricing one; a wrong input count keeps its
+        message."""
         x = Var("x", TensorType((4,), "float32"))
         stray = Var("stray", TensorType((4,), "float32"))
         prim = Function([x], api.add(api.tanh(x), stray), TensorType((4,), "float32"),
@@ -88,6 +89,8 @@ class TestWorkload:
         kernel = KernelSet(prim, intel_cpu(), intel_cpu().compute_spec)
         with pytest.raises(CompilerError, match="unbound variable 'stray'"):
             kernel.run([data])
+        with pytest.raises(CompilerError, match="unbound variable 'stray'"):
+            kernel.invoke_cost([(4,)])
         with pytest.raises(CompilerError, match="cannot evaluate Call"):  # not of an operator
             run_prim_func(Function([x], Call(prim, [x])), [data])
         good, _ = _dense_prim(16, 8)

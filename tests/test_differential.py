@@ -35,6 +35,7 @@ from repro.models.bert import BertConfig, BertWeights, build_bert_module
 from repro.models.lstm import LSTMWeights, build_lstm_module
 from repro.runtime.context import ExecutionContext
 from repro.vm.compiler import CompilerOptions
+from repro.vm.executable import entry_mismatch
 from repro.vm.interpreter import VirtualMachine
 
 MAX_LEN = 8
@@ -500,13 +501,14 @@ class TestPartialDifferential:
         assert exe.is_partial
         ok = np.zeros((5, 16), dtype=np.float32)
         bad = np.zeros((5, 8), dtype=np.float32)
-        assert exe.guard_mismatch((ok,)) is None
-        assert exe.guard_mismatch((bad,)) is not None
-        # The dynamic build guards nothing — every shape is its shape.
-        assert tiers.vm(None).exe.guard_mismatch((bad,)) is None
-        # Opaque inputs (no .shape) fail open: the guard is a routing
-        # aid, the VM's own checks remain the authority on validity.
-        assert exe.guard_mismatch((object(),)) is None
+        contract = exe.entry_contract
+        assert entry_mismatch(contract, (ok,)) is None
+        assert entry_mismatch(contract, (bad,)) is not None
+        # The dynamic build's contract is None: every shape is its shape.
+        assert entry_mismatch(tiers.vm(None).exe.entry_contract, (bad,)) is None
+        # An opaque input (no .shape) is refused: the check fails closed,
+        # since what it cannot read, static code must not run on.
+        assert entry_mismatch(contract, (object(),)) is not None
 
     def test_vm_raises_shape_guard_error_on_mismatched_entry(self):
         """The safety net behind the serving layer's deopt: running a

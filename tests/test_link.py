@@ -71,7 +71,7 @@ def test_linked_equals_rolled_dynamic_and_the_evaluator(lstm, name, platform, st
                                                         batch, length):
     exe = _variant(lstm, platform, length, batch, streams)
     linked = link.linked(exe)
-    assert linked.exe is not exe and is_straight_line(_entry(linked.exe))
+    assert linked is not exe and is_straight_line(_entry(linked))
     members = _members(length, batch)
     stacked = np.concatenate(members, axis=0)
     got, _ = _run(exe, platform, stacked)
@@ -90,7 +90,7 @@ def test_the_budget_edge_links_and_one_step_past_it_stays_rolled(lstm, name, pla
     """A linked entry's length is affine in the trip count; the longest
     one inside `LINK_BUDGET` links, one step more runs as compiled, and
     both compute what the rolled loop and the evaluator do."""
-    sizes = [len(_entry(link.linked(_variant(lstm, platform, n, batch, streams)).exe)
+    sizes = [len(_entry(link.linked(_variant(lstm, platform, n, batch, streams)))
                  .instructions) for n in (3, 4, 5)]
     step = sizes[1] - sizes[0]
     assert sizes[2] - sizes[1] == step > 0
@@ -98,9 +98,9 @@ def test_the_budget_edge_links_and_one_step_past_it_stays_rolled(lstm, name, pla
     for length, links in ((edge, True), (edge + 1, False)):
         exe = _variant(lstm, platform, length, batch, streams)
         linked = link.linked(exe)
-        assert (linked.exe is not exe) == links
+        assert (linked is not exe) == links
         if links:
-            assert len(_entry(linked.exe).instructions) <= link.LINK_BUDGET
+            assert len(_entry(linked).instructions) <= link.LINK_BUDGET
         members = _members(length, batch)
         stacked = np.concatenate(members, axis=0)
         got = _run(exe, platform, stacked)[0]
@@ -126,7 +126,7 @@ def test_what_linking_removes(lstm):
     assert sum(rolled.profile.kernel_counts[k] for k in folded) == 2 * length + 2
     assert dict(linked.profile.kernel_counts) == {
         k: n for k, n in rolled.profile.kernel_counts.items() if k not in folded}
-    loads = [i.const_index for i in _entry(link.linked(exe).exe).instructions
+    loads = [i.const_index for i in _entry(link.linked(exe)).instructions
              if i.opcode == ins.Opcode.LOAD_CONST]
     assert len(loads) == len(set(loads))
     assert sum(after.values()) < sum(before.values()) / 2
@@ -136,7 +136,7 @@ def test_what_linking_removes(lstm):
     exe = _variant(lstm, nvidia_gpu, length)
     _, rolled = _run(_rolled(exe), nvidia_gpu, x)
     _, linked = _run(exe, nvidia_gpu, x)
-    kills = sum(i.opcode == ins.Opcode.LOAD_CONSTI for i in _entry(link.linked(exe).exe).instructions)
+    kills = sum(i.opcode == ins.Opcode.LOAD_CONSTI for i in _entry(link.linked(exe)).instructions)
     assert kills == linked.profile.instruction_counts["LOAD_CONSTI"] == 2 * length
     assert rolled.profile.instruction_counts["LOAD_CONSTI"] == 2 * length + length + 1
 
@@ -168,7 +168,7 @@ def test_memory_stays_constant_in_the_length_and_warm_runs_use_pools(lstm, name,
     cold = set()
     for length in (4, 8, 16):
         exe = _variant(lstm, platform, length, streams=streams)
-        assert link.linked(exe).exe is not exe
+        assert link.linked(exe) is not exe
         ctx = ExecutionContext(platform())
         vm = VirtualMachine(exe, ctx)
         x = _members(length, 1)[0]
@@ -198,7 +198,7 @@ def test_save_load_link_run_is_equal_and_the_executable_does_not_move(lstm):
     loaded = Executable.load(exe.save())
     assert loaded.linked is None
     got, _ = _run(loaded, intel_cpu, x)
-    assert got == want and link.linked(loaded).exe is not loaded
+    assert got == want and link.linked(loaded) is not loaded
 
 
 def test_a_copy_links_by_content_once(lstm, monkeypatch):
@@ -208,11 +208,12 @@ def test_a_copy_links_by_content_once(lstm, monkeypatch):
     first = link.linked(exe)
     calls = []
     monkeypatch.setattr(link, "link", lambda e: calls.append(e))
-    again = link.linked(Executable.load(exe.save()))
+    loaded = Executable.load(exe.save())
+    again = link.linked(loaded)
     assert calls == []
-    assert _entry(again.exe) is not _entry(first.exe)
-    assert _entry(again.exe).instructions is _entry(first.exe).instructions
-    assert again.guards == first.guards
+    assert _entry(again) is not _entry(first)
+    assert _entry(again).instructions is _entry(first).instructions
+    assert loaded.entry_contract == exe.entry_contract == ((5, WIDTH),)
 
 
 def test_the_cache_keeps_no_executable_alive():
@@ -227,7 +228,7 @@ def test_the_cache_keeps_no_executable_alive():
     exe = _variant(mod, intel_cpu, 5)
     _run(exe, intel_cpu, _members(5, 1)[0])
     weights = [weakref.ref(c.data) for c in exe.constants if c.data.ndim == 2]
-    assert weights and link.linked(exe).exe is not exe
+    assert weights and link.linked(exe) is not exe
     del exe, mod
     nimble.clear_prefix_cache()
     gc.collect()
@@ -244,8 +245,8 @@ def test_a_wrong_shape_is_refused_before_anything_runs(lstm, batch, linked, monk
         monkeypatch.setattr(link, "_CACHE", OrderedDict())
     length = 5
     exe = _variant(lstm, intel_cpu, length, batch)
-    assert (link.linked(exe).exe is not exe) == linked
-    assert link.linked(exe).guards == ((0, (length * batch, WIDTH)),)
+    assert (link.linked(exe) is not exe) == linked
+    assert exe.entry_contract == ((length * batch, WIDTH),)
     ctx = ExecutionContext(intel_cpu())
     vm = VirtualMachine(exe, ctx)
     for shape in ((length * batch + 1, WIDTH), (length * batch, WIDTH + 1),
@@ -267,15 +268,14 @@ def test_what_does_not_link():
     bert = build_bert_module(BertWeights.create(
         BertConfig(hidden=24, num_heads=3, num_layers=1, ffn=48), seed=0))
     cpu = intel_cpu()
-    for exe, guards in (
-        (nimble.build(lstm, cpu)[0], ()),
-        (nimble.specialize(lstm, cpu, shapes=[(None, WIDTH)])[0], ()),
-        (nimble.build(tree, cpu)[0], ()),
-        (nimble.specialize(bert, cpu, shapes=[(6, 24)])[0], ((0, (6, 24)),)),
+    for exe, contract in (
+        (nimble.build(lstm, cpu)[0], None),
+        (nimble.specialize(lstm, cpu, shapes=[(None, WIDTH)])[0], ((None, WIDTH),)),
+        (nimble.build(tree, cpu)[0], None),
+        (nimble.specialize(bert, cpu, shapes=[(6, 24)])[0], ((6, 24),)),
     ):
         functions = list(exe.functions)
-        linked = link.linked(exe)
-        assert linked.exe is exe and linked.guards == guards
+        assert link.linked(exe) is exe and exe.entry_contract == contract
         vm = VirtualMachine(exe)
         assert vm._code is exe and all(a is b for a, b in zip(exe.functions, functions))
 
@@ -286,7 +286,7 @@ def test_the_verifier_proves_the_linked_form(lstm, name, platform, streams):
     and the lifetime checker covers every instruction of its entry (it
     skips a function with control flow, which the rolled entry is)."""
     exe = _variant(lstm, platform, 6, streams=streams)
-    linked = link.linked(exe).exe
+    linked = link.linked(exe)
     assert not is_straight_line(_entry(exe)) and is_straight_line(_entry(linked))
     for checker in (check_bytecode, check_races, check_lifetimes):
         assert [f for f in checker(linked) if f.severity == "error"] == []
@@ -296,7 +296,7 @@ def test_the_verifier_proves_the_linked_form(lstm, name, platform, streams):
 def test_every_mutant_of_the_linked_form_is_killed(lstm, name, platform, streams):
     exe = _variant(lstm, platform, 6, streams=streams)
     rolled = {op for op, m in all_mutants(exe).items() if m is not None}
-    mutants = {op: m for op, m in all_mutants(link.linked(exe).exe).items() if m is not None}
+    mutants = {op: m for op, m in all_mutants(link.linked(exe)).items() if m is not None}
     assert rolled == {"undefine_register"}
     assert set(mutants) == {"alias_storage", "undefine_register"}
     for op, mutant in mutants.items():

@@ -45,7 +45,7 @@ from repro.serve.policy import EVICTION_MARGIN, ShapePolicy
 from repro.serve.profile import key_order
 from repro.serve.report import ServeReport
 from repro.serve.specialization import EXACT_BUCKET
-from repro.vm.executable import Executable
+from repro.vm.executable import Executable, entry_mismatch
 from repro.vm.interpreter import VirtualMachine
 
 
@@ -2202,8 +2202,8 @@ class TestPartialSynthesis:
         assert tier == "partial"
         assert exe.specialized_shapes == ((None, 16),)
         assert exe.is_partial
-        assert exe.guard_mismatch(
-            (np.zeros((57, 16), dtype=np.float32),)
+        assert entry_mismatch(
+            exe.entry_contract, (np.zeros((57, 16), dtype=np.float32),)
         ) is None
 
     def test_no_partial_without_a_stable_dim(self):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.nimble as nimble
-from repro.errors import SerializationError, VMError
+from repro.analysis import check_guard
+from repro.errors import SerializationError, ShapeGuardError, VMError
 from repro.hardware import intel_cpu, nvidia_gpu
 from repro.ir import (
     Any,
@@ -24,6 +25,7 @@ from repro.ir import (
     TensorType,
     Tuple,
     TupleGetItem,
+    TupleType,
     TypeCall,
     TypeData,
     Var,
@@ -34,7 +36,13 @@ from repro.ops import api
 from repro.runtime.context import ExecutionContext
 from repro.tensor import array, cpu, gpu
 from repro.vm import instruction as ins
-from repro.vm.executable import Executable, VMFunction, _decode_instruction, _encode_instruction
+from repro.vm.executable import (
+    Executable,
+    VMFunction,
+    _decode_instruction,
+    _encode_instruction,
+    entry_mismatch,
+)
 from repro.vm.interpreter import VirtualMachine
 from repro.vm.objects import ADTObj, StorageObj, TensorObj
 
@@ -2073,3 +2081,93 @@ class TestCompilerOptions:
             built = KernelSet(prim, platform, spec, schedule=build_schedule(prim, {}))
             for knob in ("schedule", "symbolic", "num_dispatch_kernels", "allow_library"):
                 assert getattr(kernel, knob) == getattr(fresh, knob) == getattr(built, knob), knob
+
+
+def _pair(rows_a, rows_b):
+    """A tuple-typed entry argument of two (rows, 4) tensors."""
+    return ADTObj(ADTObj.TUPLE_TAG, [TensorObj(array(np.ones((rows, 4), np.float32)))
+                                     for rows in (rows_a, rows_b)])
+
+
+def _contract(markers, batch=None):
+    return Executable("intel_cpu", [], {}, [], [], specialized_shapes=markers,
+                      specialized_batch=batch).entry_contract
+
+
+# (what, specialized_shapes, specialized_batch, the one input, accepted)
+ENTRY_ROWS = [
+    ("the exact shape", ((4, 8),), None, np.zeros((4, 8)), True),
+    ("rank mismatch", ((4, 8),), None, np.zeros((4, 8, 1)), False),
+    ("static-dim mismatch", ((4, 8),), None, np.zeros((4, 9)), False),
+    ("an Any dim takes one extent", ((None, 8),), None, np.zeros((1, 8)), True),
+    ("an Any dim takes another", ((None, 8),), None, np.zeros((37, 8)), True),
+    ("an Any dim does not free the next", ((None, 8),), None, np.zeros((37, 9)), False),
+    ("tuple: right count", (((2, 4), (3, 4)),), None, _pair(2, 3), True),
+    ("tuple: a Python tuple, which the VM cannot take", (((2, 4), (3, 4)),), None,
+     (np.zeros((2, 4)), np.zeros((3, 4))), False),
+    ("tuple: wrong count", (((2, 4), (3, 4)),), None,
+     ADTObj(ADTObj.TUPLE_TAG, [TensorObj(array(np.ones((2, 4), np.float32)))]), False),
+    ("tuple: wrong inner dim", (((2, 4), (3, 4)),), None, _pair(2, 2), False),
+    ("tuple: a tensor where a tuple goes", (((2, 4), (3, 4)),), None, np.zeros((2, 4)), False),
+    ("stacked batch", ((5, 8),), 2, np.zeros((10, 8)), True),
+    ("stacked batch: one member", ((5, 8),), 2, np.zeros((5, 8)), False),
+    ("stacked batch: a member too many", ((5, 8),), 2, np.zeros((15, 8)), False),
+    ("batched tuple: stacked fields", (((2, 4), (3, 4)),), 3, _pair(6, 9), True),
+    ("batched tuple: member fields", (((2, 4), (3, 4)),), 3, _pair(2, 3), False),
+    ("Python float, rank 0", ((),), None, 3.0, True),
+    ("Python int, rank 0", ((),), None, 7, True),
+    ("NumPy scalar, rank 0", ((),), None, np.float32(1.5), True),
+    ("Python scalar, rank 1", ((1,),), None, 3.0, False),
+    ("opaque object", ((4, 8),), None, object(), False),
+    ("opaque object, Any dims", ((None, None),), None, object(), False),
+    ("an ADT parameter takes anything", (None,), None, object(), True),
+    ("a dynamic build takes anything", None, None, object(), True),
+]
+
+
+class TestEntryContract:
+    """One function decides whether inputs may run an executable:
+    `entry_mismatch` over the contract its specialization derives."""
+
+    @pytest.mark.parametrize("what, markers, batch, value, accepted", ENTRY_ROWS,
+                             ids=[row[0] for row in ENTRY_ROWS])
+    def test_table(self, what, markers, batch, value, accepted):
+        mismatch = entry_mismatch(_contract(markers, batch), (value,))
+        assert (mismatch is None) == accepted, mismatch
+        assert mismatch is None or mismatch.startswith("guard: param 0")
+
+    def test_the_contract_is_derived(self):
+        assert _contract(((None, 8), ((2, 4), (3,)), None, ())) == \
+            ((None, 8), ((2, 4), (3,)), None, ())
+        # Stacked: each leaf's leading dim, never a rank-0 leaf.
+        assert _contract(((5, 8), ((2, 4), ())), 3) == ((15, 8), ((6, 4), ()))
+        assert _contract(None) is None
+        assert not Executable("intel_cpu", [], {}, [], [], specialized_shapes=((4, 8),),
+                              specialized_batch=2).is_partial
+        # A batched partial variant is refused at build and flagged by
+        # `check_guard` on a blob; deriving its contract must not raise.
+        claims = Executable("intel_cpu", [], {}, [], [], specialized_shapes=((None, 8),),
+                            specialized_batch=2)
+        assert claims.entry_contract == ((None, 8),) and claims.is_partial
+        assert [f.checker for f in check_guard(claims)] == ["guard"]
+
+    def test_the_count_of_inputs_is_checked(self):
+        contract = _contract(((4,), (4,)))
+        assert "1 inputs" in entry_mismatch(contract, (np.zeros(4),))
+        assert entry_mismatch(contract, (np.zeros(4), np.zeros(4))) is None
+
+    def test_a_batched_tuple_parameter_is_checked_on_the_vm(self):
+        """`SpecializeBatch` stacks tuple-typed parameters: a run of the
+        member shapes is refused before anything runs."""
+        a = Any()
+        t = Var("t", TupleType([TensorType((a, 4), "float32"), TensorType((a, 4), "float32")]))
+        mod = IRModule.from_expr(
+            Function([t], api.add(TupleGetItem(t, 0), TupleGetItem(t, 1))))
+        exe, _ = nimble.specialize(mod, intel_cpu(), shapes=[((3, 4), (3, 4))], batch=2)
+        assert exe.entry_contract == (((6, 4), (6, 4)),)
+        ctx = ExecutionContext(intel_cpu())
+        vm = VirtualMachine(exe, ctx)
+        with pytest.raises(ShapeGuardError, match=r"param 0\.0 dim 0 is 3"):
+            vm.run(_pair(3, 3))
+        assert vm.profile.runs == 0 and ctx.allocator.stats.total_allocs == 0
+        assert vm.run(_pair(6, 6)).shape == (6, 4)
