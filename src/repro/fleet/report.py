@@ -189,9 +189,10 @@ class FleetReport:
 
     @property
     def specialize_compile_us(self) -> float:
-        """Total fresh-compile lane charge across the fleet — the "equal
-        compile charge" axis routing policies are compared on."""
-        return sum(r.specialize_compile_us for r in self.replica_reports)
+        """Total lane charge across the fleet, compiles plus store
+        restores — the "equal compile charge" axis routing policies are
+        compared on."""
+        return sum((r.specialize_compile_us for r in self.replica_reports), 0.0)
 
     # --------------------------------------------------------------------- gc
     @property

@@ -8,17 +8,18 @@ benchmarks and EXPERIMENTS.md generation share one source of truth;
 when one moves. All experiments run in ``lite`` numerics (identical
 latency model, no heavyweight NumPy) unless a study says why not.
 
-A study is written as a declaration: its model and traffic, its sizes
-where they are used (with the reason for a value that needs one), its
-variants, the report fields of a row and its summary. What studies share
-— the run step with its determinism check, the derived measures, the
-scratch store — is :mod:`repro.harness.scenario`. The only parameters a
-study takes are the ones a caller passes.
-"""
+A serving study is a :class:`~repro.harness.scenario.Study`: its model
+and traffic, its sizes where they are used (with the reason for a value
+that needs one), its named variants and the store each shares, the
+measures of a row and its summary, run by the one driver
+(:func:`~repro.harness.scenario.run_study`). The only parameters a study
+takes are the ones a caller passes."""
 
 from __future__ import annotations
 
 import zlib
+from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -36,13 +37,14 @@ from repro.data import embedding_table, mrpc_like_lengths, sst_like_trees
 from repro.fleet import FleetConfig, TenantSpec
 from repro.hardware import Platform, platform_by_name
 from repro.harness.scenario import (
+    MEASURES,
     Run,
-    cold_then_warm,
+    Study,
+    Variant,
     first_static_finish_us,
     outputs_equal,
-    run_scenario,
+    run_study,
     same_simulation,
-    scratch_store,
     speedup,
 )
 from repro.ir import Any, Constant, Function, IRModule, TensorType, Var
@@ -66,7 +68,6 @@ from repro.serve import (
     multi_tenant_traffic,
 )
 from repro.tensor.ndarray import array as make_array
-from repro.utils.reporting import percentile
 from repro.vm.compiler import CompilerOptions
 from repro.vm.interpreter import VirtualMachine
 from repro.vm.tape import LaunchTape
@@ -397,6 +398,16 @@ def memory_footprint_vs_static() -> Dict[str, Dict[str, float]]:
 # ---------------------------------------------------------------------------
 
 
+def _serving_summary(runs: Dict[str, Run]) -> Dict[str, object]:
+    batched, serial = runs["batched"], runs["serial"]
+    return {
+        "throughput_speedup": batched.report.throughput_rps
+        / max(1e-12, serial.report.throughput_rps),
+        "deterministic": batched.deterministic
+        and same_simulation(batched.report, runs["repeat"].report),
+    }
+
+
 def serving_study(
     model: str = "lstm",
     num_requests: int = 32,
@@ -417,67 +428,78 @@ def serving_study(
     batched server must replay itself, and a second one built from
     scratch must reproduce it).
     """
-    platform = platform_by_name(platform_name)
     if model == "lstm":
-        mod = _lstm_module(300, 512, seed)
-        requests = lstm_traffic(
-            num_requests, input_size=300,
-            mean_interarrival_us=mean_interarrival_us, seed=seed,
-        )
+        module = partial(_lstm_module, 300, 512, seed)
+        trace = partial(lstm_traffic, num_requests, input_size=300)
     elif model == "bert":
         config = bert_config or BertConfig()
-        mod = _bert_module(config, seed)
-        requests = bert_traffic(
-            num_requests, hidden=config.hidden,
-            mean_interarrival_us=mean_interarrival_us, seed=seed,
-        )
+        module = partial(_bert_module, config, seed)
+        trace = partial(bert_traffic, num_requests, hidden=config.hidden)
     else:
         raise ValueError(f"unknown serving model {model!r}")
-    batched_config = ServeConfig(
-        max_batch_size=max_batch_size,
-        max_delay_us=max_delay_us,
-        num_workers=num_workers,
-        bucket_granularity=bucket_granularity,
+    study = Study(
+        module,
+        platform_name,
+        partial(trace, mean_interarrival_us=mean_interarrival_us),
+        ServeConfig(
+            max_batch_size=max_batch_size,
+            max_delay_us=max_delay_us,
+            num_workers=num_workers,
+            bucket_granularity=bucket_granularity,
+        ),
+        variants=(
+            # Serial and batched share one kernel cache (identical
+            # module, compile once); the repeat builds from scratch so
+            # the determinism check covers the whole compile-and-serve
+            # path. Serial is `ServeConfig.serial()`'s three knobs.
+            Variant(
+                "serial",
+                dict(max_batch_size=1, max_delay_us=0.0, num_workers=1),
+                kernel_cache="shared",
+            ),
+            Variant("batched", kernel_cache="shared"),
+            Variant("repeat", reported=False),
+        ),
+        row=(
+            "throughput_rps", "p50_us", "p99_us", "mean_latency_us",
+            "mean_batch_size", "num_batches", "span_us",
+        ),
+        summary=_serving_summary,
     )
-    # Serial and batched share one kernel cache (identical module, compile
-    # once); the repeat run builds from scratch so the determinism check
-    # covers the whole compile-and-serve path.
-    shared_cache = KernelCache()
-    serial = run_scenario(
-        mod, platform, requests,
-        ServeConfig.serial(bucket_granularity=bucket_granularity),
-        kernel_cache=shared_cache,
-    ).report
-    batched, replays = run_scenario(
-        mod, platform, requests, batched_config, kernel_cache=shared_cache
-    )
-    repeat = run_scenario(mod, platform, requests, batched_config).report
-
-    def row(report) -> Dict[str, float]:
-        return {
-            "throughput_rps": report.throughput_rps,
-            "p50_us": report.p50_us,
-            "p99_us": report.p99_us,
-            "mean_latency_us": report.mean_latency_us,
-            "mean_batch_size": report.mean_batch_size,
-            "num_batches": float(report.num_batches),
-            "span_us": report.span_us,
-        }
-
-    return {
-        "serial": row(serial),
-        "batched": row(batched),
-        "summary": {
-            "throughput_speedup": batched.throughput_rps
-            / max(1e-12, serial.throughput_rps),
-            "deterministic": float(replays and same_simulation(batched, repeat)),
-        },
-    }
+    return run_study(study, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # Tiered specialization study: static recompilation of hot shapes
 # ---------------------------------------------------------------------------
+
+# The server every tiering study below starts from: batches of four on
+# two workers, tiered specialization on.
+TIERED = ServeConfig(max_batch_size=4, num_workers=2, specialize=True)
+# ... and the one the three store studies (restart, predictive, fleet)
+# start from. An explicit modeled compile cost, sized so a *cold* run
+# reaches its specialized steady state within each traffic phase — the
+# studies then measure a warm start against a non-degenerate baseline
+# (the calibrated default outlasts a whole phase at these trace lengths,
+# leaving cold at 0 hits). The restore charge is the calibration's, so
+# warm/cold ratios stay honest model outputs.
+STORE_TIERED = replace(
+    TIERED, max_delay_us=1500.0, specialize_compile_lanes=2, specialize_compile_us=8000.0
+)
+
+# Part 2 of specialization_study: the LSTM MRPC mix served with tiering on.
+TIERED_SERVING = Study(
+    partial(_lstm_module, 64, 64),
+    "intel",
+    partial(lstm_traffic, 256, input_size=64, mean_interarrival_us=800.0),
+    replace(TIERED, max_delay_us=2000.0, specialize_threshold=3),
+    variants=(Variant("serving"),),
+    row=(
+        "specialized_hits", "specialized_hit_rate", "num_specialized_executables",
+        "compile_us", "p50_us", "p99_us", "p50_us_dynamic", "p50_us_specialized",
+        "deterministic",
+    ),
+)
 
 
 def specialization_study() -> Dict[str, Dict[str, float]]:
@@ -488,8 +510,8 @@ def specialization_study() -> Dict[str, Dict[str, float]]:
        input: end-to-end latency, shape-function time, allocations, and a
        bit-identity check (the tiers must differ only in overhead).
     2. **Serving with tiering** — the LSTM MRPC mix served with
-       ``specialize=True``: specialized hit rate, per-tier latency, and a
-       replay-determinism flag.
+       ``specialize=True`` (``TIERED_SERVING``): specialized hit rate,
+       per-tier latency, and a replay-determinism flag.
     """
     platform = platform_by_name("intel")
 
@@ -520,32 +542,7 @@ def specialization_study() -> Dict[str, Dict[str, float]]:
         "allocs_specialized": float(stats_s.total_allocs),
         "bit_identical": float(np.array_equal(out_d.numpy(), out_s.numpy())),
     }
-
-    # --- 2. serving the LSTM MRPC mix with tiering on ----------------------
-    report, deterministic = run_scenario(
-        _lstm_module(64, 64),
-        platform,
-        lstm_traffic(256, input_size=64, mean_interarrival_us=800.0, seed=0),
-        ServeConfig(
-            max_batch_size=4,
-            max_delay_us=2000.0,
-            num_workers=2,
-            specialize=True,
-            specialize_threshold=3,
-        ),
-    )
-    serving = {
-        "specialized_hits": float(report.specialized_hits),
-        "specialized_hit_rate": report.specialized_hit_rate,
-        "num_specialized_executables": float(report.num_specialized_executables),
-        "compile_us": report.specialize_compile_us,
-        "p50_us": report.p50_us,
-        "p99_us": report.p99_us,
-        "p50_us_dynamic": report.tier_latency_percentile_us("dynamic", 50.0),
-        "p50_us_specialized": report.tier_latency_percentile_us("specialized", 50.0),
-        "deterministic": float(deterministic),
-    }
-    return {"tiers": tiers, "serving": serving}
+    return {"tiers": tiers, **run_study(TIERED_SERVING)}
 
 
 # ---------------------------------------------------------------------------
@@ -565,79 +562,79 @@ def compile_pool_study(
     Per configuration: specialized hit rate, compile-queue wait
     mean/p99, eviction count, per-lane utilization, and a
     replay-determinism flag. The summary reports how much a wider pool
-    cuts queue wait on identical traces.
+    cuts queue wait on identical traces: the fewest-lane pool vs the
+    widest, both at the largest cache.
     """
-    platform = platform_by_name("intel")
-    mod = _lstm_module(16, 16)
-    requests = long_tailed_traffic(
-        num_requests, input_size=16, mean_interarrival_us=300.0, seed=0
-    )
-    # One kernel cache across the sweep: every server compiles the same
-    # module, and the modeled compile cost is charged per trigger anyway.
-    shared_cache = KernelCache()
-
-    def run(lanes: int, cache: int) -> Dict[str, float]:
-        report, deterministic = run_scenario(
-            mod,
-            platform,
-            requests,
-            ServeConfig(
-                max_batch_size=4,
-                max_delay_us=1500.0,
-                num_workers=2,
-                specialize=True,
-                specialize_threshold=3,
-                specialize_max_executables=cache,
-                # 8000 µs per variant (the suffix share), +12000 µs once
-                # for the prefix.
-                specialize_compile_us=20_000.0,
-                specialize_compile_lanes=lanes,
-                specialize_decay_half_life_us=6_000.0,
-            ),
-            kernel_cache=shared_cache,
-        )
-        row = {
-            "specialized_hit_rate": report.specialized_hit_rate,
-            "specialized_hits": float(report.specialized_hits),
-            "compiles": float(len(report.specialize_queue_waits_us)),
-            "evictions": float(report.specialize_evictions),
-            "compile_us": report.specialize_compile_us,
-            "mean_queue_wait_us": report.mean_compile_queue_wait_us,
-            "p99_queue_wait_us": report.compile_queue_wait_percentile_us(99.0),
-            "p50_us": report.p50_us,
-            "p99_us": report.p99_us,
-            "deterministic": float(deterministic),
-        }
-        for i, util in enumerate(report.compile_lane_utilization):
-            row[f"lane{i}_util"] = util
-        return row
-
-    results = {
-        f"lanes={lanes},cache={cache}": run(lanes, cache)
-        for cache in cache_sizes
-        for lanes in lane_counts
-    }
-    # Summarize from the lane counts actually swept: the fewest-lane pool
-    # vs the widest, both at the largest cache.
-    min_lanes, max_lanes = min(lane_counts), max(lane_counts)
-    big = max(cache_sizes)
-    narrow = results[f"lanes={min_lanes},cache={big}"]
-    wide = results[f"lanes={max_lanes},cache={big}"]
-    results["summary"] = {
-        "min_lanes": float(min_lanes),
-        "max_lanes": float(max_lanes),
-        "queue_wait_min_lanes_us": narrow["mean_queue_wait_us"],
-        "queue_wait_max_lanes_us": wide["mean_queue_wait_us"],
-        "deterministic": float(
-            all(row["deterministic"] == 1.0 for row in results.values())
+    name = "lanes={},cache={}".format
+    narrow = name(min(lane_counts), max(cache_sizes))
+    wide = name(max(lane_counts), max(cache_sizes))
+    study = Study(
+        partial(_lstm_module, 16, 16),
+        "intel",
+        partial(long_tailed_traffic, num_requests, input_size=16, mean_interarrival_us=300.0),
+        replace(
+            TIERED,
+            max_delay_us=1500.0,
+            specialize_threshold=3,
+            # 8000 µs per variant (the suffix share), +12000 µs once for
+            # the prefix.
+            specialize_compile_us=20_000.0,
+            specialize_decay_half_life_us=6_000.0,
         ),
-    }
-    return results
+        # One kernel cache across the sweep: every server compiles the
+        # same module, and the modeled compile cost is charged per
+        # trigger anyway.
+        variants=tuple(
+            Variant(
+                name(lanes, cache),
+                dict(specialize_max_executables=cache, specialize_compile_lanes=lanes),
+                kernel_cache="sweep",
+            )
+            for cache in cache_sizes
+            for lanes in lane_counts
+        ),
+        row=(
+            "specialized_hit_rate", "specialized_hits", "compiles", "evictions",
+            "compile_us", "mean_queue_wait_us", "p99_queue_wait_us", "p50_us",
+            "p99_us", "deterministic", "lane_util",
+        ),
+        summary=lambda runs: {
+            "min_lanes": min(lane_counts),
+            "max_lanes": max(lane_counts),
+            "queue_wait_min_lanes_us": runs[narrow].report.mean_compile_queue_wait_us,
+            "queue_wait_max_lanes_us": runs[wide].report.mean_compile_queue_wait_us,
+            "deterministic": all(run.deterministic for run in runs.values()),
+        },
+    )
+    return run_study(study)
 
 
 # ---------------------------------------------------------------------------
 # Batch-granularity specialization study
 # ---------------------------------------------------------------------------
+
+# Part 3 of batch_specialization_study: a hot-heavy LSTM mix served with
+# the batched tier.
+BATCHED_SERVING = Study(
+    partial(_lstm_module, 8, 16),
+    "intel",
+    partial(
+        long_tailed_traffic, 72, input_size=8, mean_interarrival_us=150.0,
+        hot_lengths=(7,), hot_fraction=0.8, tail_min=3, tail_max=16,
+    ),
+    replace(
+        TIERED,
+        max_delay_us=2000.0,
+        specialize_threshold=2,
+        specialize_compile_us=400.0,
+        specialize_batch=True,
+    ),
+    variants=(Variant("serving"),),
+    row=(
+        "batched_hits", "batched_hit_rate", "specialized_hit_rate", "batched_batches",
+        "batched_shape_func_us", "p50_us_dynamic", "p50_us_batched", "deterministic",
+    ),
+)
 
 
 def batch_specialization_study() -> Dict[str, Dict[str, float]]:
@@ -653,10 +650,10 @@ def batch_specialization_study() -> Dict[str, Dict[str, float]]:
     2. **Bit identity** — dynamic, member-specialized, and
        batch-specialized outputs compared bitwise per member (full
        numerics, host platform).
-    3. **Serving with the batched tier** — a hot-heavy LSTM mix served
-       with ``specialize_batch=True``: full hot buckets must route to the
-       batched tier (one VM call per bucket, zero shape functions) and
-       replays must stay bit-identical.
+    3. **Serving with the batched tier** (``BATCHED_SERVING``) — a
+       hot-heavy LSTM mix served with ``specialize_batch=True``: full hot
+       buckets must route to the batched tier (one VM call per bucket,
+       zero shape functions) and replays must stay bit-identical.
     """
     gpu, host = platform_by_name("nvidia"), platform_by_name("intel")
     # One stream of random inputs feeds parts 1 and 2, in that order.
@@ -727,48 +724,54 @@ def batch_specialization_study() -> Dict[str, Dict[str, float]]:
             for d, m, b in zip(outs_dyn, outs_mem, outs_bat)
         )
     )
+    return {"tiers": tiers, **run_study(BATCHED_SERVING)}
 
-    # --- 3. serving the hot-heavy LSTM mix with the batched tier -----------
-    report, deterministic = run_scenario(
-        _lstm_module(8, 16),
-        host,
-        long_tailed_traffic(
-            72,
-            input_size=8,
-            mean_interarrival_us=150.0,
-            hot_lengths=(7,),
-            hot_fraction=0.8,
-            tail_min=3,
-            tail_max=16,
-            seed=0,
+
+# ---------------------------------------------------------------------------
+# Restart studies: cold vs warm server start over one artifact store
+# ---------------------------------------------------------------------------
+
+# Both restart studies run two brand-new servers, one after the other,
+# over one store: the warm one starts over whatever the cold one left.
+_COLD_WARM = (Variant("cold", store="store"), Variant("warm", store="store"))
+
+
+def _cold_warm_summary(runs: Dict[str, Run]) -> Dict[str, object]:
+    """What both restart studies compare: how much earlier the warm
+    run's first static-tier response landed, bitwise outputs across the
+    two, and both replays."""
+    cold, warm = runs["cold"], runs["warm"]
+    return {
+        "first_hit_speedup": speedup(
+            first_static_finish_us(cold.report), first_static_finish_us(warm.report)
         ),
-        ServeConfig(
-            max_batch_size=4,
-            max_delay_us=2000.0,
-            num_workers=2,
-            specialize=True,
-            specialize_threshold=2,
-            specialize_compile_us=400.0,
-            specialize_batch=True,
-        ),
-    )
-    batched = report.tier_profile("batched")
-    serving = {
-        "batched_hits": float(report.batched_hits),
-        "batched_hit_rate": report.batched_hit_rate,
-        "specialized_hit_rate": report.specialized_hit_rate,
-        "batched_batches": float(batched.runs),
-        "batched_shape_func_us": batched.shape_func_time_us,
-        "p50_us_dynamic": report.tier_latency_percentile_us("dynamic", 50.0),
-        "p50_us_batched": report.tier_latency_percentile_us("batched", 50.0),
-        "deterministic": float(deterministic),
+        "bit_identical": outputs_equal(cold.report, warm.report),
+        "deterministic": cold.deterministic and warm.deterministic,
     }
-    return {"tiers": tiers, "serving": serving}
 
 
-# ---------------------------------------------------------------------------
-# Restart study: persistent artifact store, cold vs warm server start
-# ---------------------------------------------------------------------------
+RESTART = Study(
+    partial(_lstm_module, 16, 16),
+    "intel",
+    partial(
+        long_tailed_traffic, 220, input_size=16, mean_interarrival_us=400.0,
+        hot_lengths=(7, 12, 19), hot_fraction=0.85,
+    ),
+    replace(STORE_TIERED, specialize_threshold=5, specialize_max_executables=8),
+    _COLD_WARM,
+    row=(
+        "specialized_hits", "specialized_hit_rate", "compile_charge_us",
+        "fresh_compiles", "restored", "restore_us", "store_rejects",
+        "first_specialized_hit_us", "p50_us", "p99_us", "deterministic",
+    ),
+    summary=lambda runs: {
+        **_cold_warm_summary(runs),
+        "warm_cold_charge_ratio": runs["warm"].report.specialize_compile_us
+        / max(1e-9, runs["cold"].report.specialize_compile_us),
+        "hit_rate_recovered": runs["warm"].report.specialized_hit_rate
+        >= runs["cold"].report.specialized_hit_rate,
+    },
+)
 
 
 def restart_study(artifact_dir: Optional[str] = None) -> Dict[str, Dict[str, float]]:
@@ -778,7 +781,7 @@ def restart_study(artifact_dir: Optional[str] = None) -> Dict[str, Dict[str, flo
     hot-shape-concentrated traffic mix (paying the full compile charge
     for every hot shape), the process "dies" (the server object is
     dropped), and a **fresh** server is constructed against the same
-    ``artifact_dir`` and serves the identical trace. The warm server
+    store and serves the identical trace. The warm server
     must restore every specialized executable at the modeled deserialize
     cost — compiling nothing — so it reaches (at least) the cold run's
     specialized hit rate for a small fraction of the compile charge, and
@@ -789,90 +792,70 @@ def restart_study(artifact_dir: Optional[str] = None) -> Dict[str, Dict[str, flo
     Returns ``{"cold": {...}, "warm": {...}, "summary": {...}}``; the
     summary includes the warm/cold compile-charge ratio (the headline:
     < 0.12), the time-to-first-specialized-hit speedup, a bit-identity
-    flag, and per-run replay-determinism flags.
+    flag, and per-run replay-determinism flags. The store lives under
+    *artifact_dir* (kept) or a scratch directory (removed).
     """
-    platform = platform_by_name("intel")
-    mod = _lstm_module(16, 16)
-    requests = long_tailed_traffic(
-        220,
-        input_size=16,
-        mean_interarrival_us=400.0,
-        hot_lengths=(7, 12, 19),
-        hot_fraction=0.85,
-        seed=0,
-    )
-    config = ServeConfig(
-        max_batch_size=4,
-        max_delay_us=1500.0,
-        num_workers=2,
-        specialize=True,
-        specialize_threshold=5,
-        specialize_max_executables=8,
-        specialize_compile_lanes=2,
-        # An explicit modeled compile cost, sized so the *cold* run
-        # reaches its specialized steady state within each traffic
-        # phase — the study then measures warm restart against a
-        # non-degenerate baseline (the calibrated default outlasts a
-        # whole phase at this trace length, leaving cold at 0 hits).
-        # The restore charge is the calibration's, so the warm/cold
-        # ratio stays an honest model output.
-        specialize_compile_us=8000.0,
-    )
-    cold, warm = cold_then_warm(mod, platform, requests, config, artifact_dir)
-
-    def row(run: Run) -> Dict[str, float]:
-        report = run.report
-        return {
-            "specialized_hits": float(report.specialized_hits),
-            "specialized_hit_rate": report.specialized_hit_rate,
-            "compile_charge_us": report.specialize_compile_us,
-            "fresh_compiles": float(report.specialize_fresh_compiles),
-            "restored": float(report.specialize_restored),
-            "restore_us": report.specialize_restore_us,
-            "store_rejects": float(report.store_rejects),
-            "first_specialized_hit_us": first_static_finish_us(report),
-            "p50_us": report.p50_us,
-            "p99_us": report.p99_us,
-            "deterministic": float(run.deterministic),
-        }
-
-    return {
-        "cold": row(cold),
-        "warm": row(warm),
-        "summary": {
-            "warm_cold_charge_ratio": warm.report.specialize_compile_us
-            / max(1e-9, cold.report.specialize_compile_us),
-            "first_hit_speedup": speedup(
-                first_static_finish_us(cold.report), first_static_finish_us(warm.report)
-            ),
-            "hit_rate_recovered": float(
-                warm.report.specialized_hit_rate >= cold.report.specialized_hit_rate
-            ),
-            "bit_identical": float(outputs_equal(cold.report, warm.report)),
-            "deterministic": float(cold.deterministic and warm.deterministic),
-        },
-    }
+    return run_study(RESTART, artifact_dir)
 
 
-# ---------------------------------------------------------------------------
-# Predictive + partial specialization study
-# ---------------------------------------------------------------------------
+PREDICTIVE = Study(
+    build_gram_module,
+    "intel",
+    partial(
+        long_tailed_traffic, 200, input_size=16, mean_interarrival_us=400.0,
+        hot_lengths=(9, 25, 41), hot_fraction=0.7,
+    ),
+    replace(
+        STORE_TIERED,
+        max_delay_us=1000.0,
+        specialize_threshold=6,
+        specialize_max_executables=4,
+        # On in both runs: the cold one finds no profile in its empty
+        # store and pre-arms nothing.
+        specialize_predictive=True,
+        specialize_partial=True,
+        # The study's headline claim is *bitwise* cross-tier identity
+        # (partial ≡ exact ≡ dynamic) across two servers whose tier
+        # sequences intentionally differ — "lite" numerics skips large
+        # kernels' compute, so only "full" makes that comparison
+        # meaningful. The gram model is small enough that full compute
+        # costs nothing here.
+        numerics="full",
+    ),
+    _COLD_WARM,
+    row=(
+        "specialized_hits", "specialized_hit_rate", "partial_hits",
+        "partial_shapes_covered", "guard_deopts", "predictive_compiles",
+        "predictive_hits", "compile_charge_us", "restored",
+        "first_specialized_hit_us", "p50_us", "p99_us", "deterministic",
+    ),
+    summary=lambda runs: {
+        **_cold_warm_summary(runs),
+        "predictive_compiles": runs["warm"].report.predictive_compiles,
+        "predictive_hits": runs["warm"].report.predictive_hits,
+        "partial_shapes_covered": max(
+            MEASURES["partial_shapes_covered"](runs[n]) for n in ("cold", "warm")
+        ),
+        "guard_deopts": sum(runs[n].report.guard_deopts for n in ("cold", "warm")),
+    },
+)
 
 
 def predictive_study(artifact_dir: Optional[str] = None) -> Dict[str, Dict[str, float]]:
     """Profile-guided predictive specialization + guarded partial shapes
     on a long-tailed traffic mix.
 
-    Two fresh servers run the identical trace against one artifact
-    store. The **cold** server starts with an empty store: specialization
-    is reactive (threshold hits, then a compile) and the long tail of
-    exact lengths is covered by a synthesized *partial* variant (stable
-    feature dim bound, row dim left ``Any``, entry-guarded). At
-    simulation end it persists its shape profile (``.nmblprof``). The
-    **warm** server is constructed against the now-populated store with
-    ``specialize_predictive=True``: it pre-arms its historical top-K at
-    virtual time 0 — before the first request lands — so its first
-    specialized hit must land at least ~2× earlier than the cold run's.
+    Two fresh servers with one config (``specialize_predictive=True``)
+    run the identical trace against one artifact store. The **cold**
+    server starts with an empty store, so it has no profile to pre-arm
+    from: specialization is reactive (threshold hits, then a compile)
+    and the long tail of exact lengths is covered by a synthesized
+    *partial* variant (stable feature dim bound, row dim left ``Any``,
+    entry-guarded). At simulation end it persists its shape profile
+    (``.nmblprof``). The **warm** server is constructed against the
+    now-populated store: it pre-arms its historical top-K at virtual
+    time 0 — before the first request lands — so its first specialized
+    hit must land at least ~2× earlier than the cold run's.
 
     The model is the weight-free two-``Any``-dim Gram map
     (:func:`repro.models.build_gram_module`): its feature dim is *not*
@@ -885,86 +868,126 @@ def predictive_study(artifact_dir: Optional[str] = None) -> Dict[str, Dict[str, 
     counters, a cold/warm bitwise-identity flag, and per-run
     replay-determinism flags.
     """
-    requests = long_tailed_traffic(
-        200,
-        input_size=16,
-        mean_interarrival_us=400.0,
-        hot_lengths=(9, 25, 41),
-        hot_fraction=0.7,
-        seed=0,
-    )
-    config = ServeConfig(
-        max_batch_size=4,
-        max_delay_us=1000.0,
-        num_workers=2,
-        specialize=True,
-        specialize_threshold=6,
-        specialize_max_executables=4,
-        specialize_compile_lanes=2,
-        # Explicit modeled compile cost, like restart_study: sized so
-        # the cold run's reactive warm-up is visible but finishes well
-        # inside the trace, giving the warm run a non-degenerate
-        # first-hit baseline to beat.
-        specialize_compile_us=8000.0,
-        specialize_predictive=True,
-        specialize_partial=True,
-        # The study's headline claim is *bitwise* cross-tier identity
-        # (partial ≡ exact ≡ dynamic) across two servers whose tier
-        # sequences intentionally differ — "lite" numerics skips large
-        # kernels' compute, so only "full" makes that comparison
-        # meaningful. The gram model is small enough that full compute
-        # costs nothing here.
-        numerics="full",
-    )
-    cold, warm = cold_then_warm(
-        build_gram_module(), platform_by_name("intel"), requests, config, artifact_dir
-    )
-    length_of = {r.rid: int(np.asarray(r.payload).shape[0]) for r in requests}
-
-    def partial_shapes_covered(report) -> int:
-        """Distinct exact row counts served by the guarded-partial tier."""
-        return len({length_of[r.rid] for r in report.responses if r.tier == "partial"})
-
-    def row(run: Run) -> Dict[str, float]:
-        report = run.report
-        return {
-            "specialized_hits": float(report.specialized_hits),
-            "specialized_hit_rate": report.specialized_hit_rate,
-            "partial_hits": float(report.partial_hits),
-            "partial_shapes_covered": float(partial_shapes_covered(report)),
-            "guard_deopts": float(report.guard_deopts),
-            "predictive_compiles": float(report.predictive_compiles),
-            "predictive_hits": float(report.predictive_hits),
-            "compile_charge_us": report.specialize_compile_us,
-            "restored": float(report.specialize_restored),
-            "first_specialized_hit_us": first_static_finish_us(report),
-            "p50_us": report.p50_us,
-            "p99_us": report.p99_us,
-            "deterministic": float(run.deterministic),
-        }
-
-    return {
-        "cold": row(cold),
-        "warm": row(warm),
-        "summary": {
-            "first_hit_speedup": speedup(
-                first_static_finish_us(cold.report), first_static_finish_us(warm.report)
-            ),
-            "predictive_compiles": float(warm.report.predictive_compiles),
-            "predictive_hits": float(warm.report.predictive_hits),
-            "partial_shapes_covered": float(
-                max(partial_shapes_covered(cold.report), partial_shapes_covered(warm.report))
-            ),
-            "guard_deopts": float(cold.report.guard_deopts + warm.report.guard_deopts),
-            "bit_identical": float(outputs_equal(cold.report, warm.report)),
-            "deterministic": float(cold.deterministic and warm.deterministic),
-        },
-    }
+    return run_study(PREDICTIVE, artifact_dir)
 
 
 # ---------------------------------------------------------------------------
 # Fleet study: routed replicas over one shared artifact store
 # ---------------------------------------------------------------------------
+
+_FLEET_HOT = (9, 25, 41, 57)
+_fleet_traffic = partial(
+    multi_tenant_traffic, 200, input_size=16, mean_interarrival_us=300.0,
+    tenant_mix=(("steady", 2), ("web", 2), ("batch", 2), ("bursty", 1)), hot_fraction=0.85,
+)
+_FLEET_TENANTS = (
+    TenantSpec("steady", deadline_us=60_000.0),
+    TenantSpec("web"),
+    TenantSpec("batch"),
+    TenantSpec("bursty", deadline_us=60_000.0, rate_per_s=4000.0, burst=4),
+)
+_FLEET_ROWS = ("affinity", "random", "least_loaded", "warm", "gc")
+_REPLICA_SWEEP = (1, 2, 4)
+
+
+def _fleet(name: str, store: str, routing: str = "affinity", replicas: int = 4, **variant):
+    """A fleet variant: *replicas* replicas routed by *routing*, store GC on."""
+    return Variant(
+        name,
+        store=store,
+        fleet=FleetConfig(
+            num_replicas=replicas,
+            routing=routing,
+            gc_interval_us=20_000.0,
+            gc_max_age_us=30_000.0,
+        ),
+        tenants=_FLEET_TENANTS,
+        **variant,
+    )
+
+
+def _fleet_summary(runs: Dict[str, Run]) -> Dict[str, object]:
+    affinity, random_run, warm, gc = (runs[n].report for n in ("affinity", "random", "warm", "gc"))
+    sweep = [runs[f"replicas={n}"] for n in _REPLICA_SWEEP]
+    suffix_us = MEASURES["suffix_charge_us"]
+    cold_first, warm_first = first_static_finish_us(affinity), first_static_finish_us(warm)
+    return {
+        "affinity_random_hit_ratio": (
+            affinity.specialized_hit_rate / max(1e-9, random_run.specialized_hit_rate)
+        ),
+        "affinity_random_charge_ratio": (
+            affinity.specialize_compile_us / max(1e-9, random_run.specialize_compile_us)
+        ),
+        "affinity_random_suffix_ratio": (
+            suffix_us(runs["affinity"]) / max(1e-9, suffix_us(runs["random"]))
+        ),
+        "warm_first_hit_speedup": speedup(cold_first, warm_first),
+        "warm_earlier": warm_first < cold_first,
+        "admission_tripped": random_run.rejected > 0 and affinity.rejected > 0,
+        "replica_sweep_deterministic": all(r.deterministic for r in sweep),
+        # Every request a fleet served must compute bitwise the result
+        # the lone server computed for that rid — placement, batching,
+        # and tier must never change outputs.
+        "single_server_match": all(
+            outputs_equal(r.report, runs["single"].report, served_only=True) for r in sweep
+        ),
+        # The drifted-traffic run reclaimed the retired shape's blob
+        # while the refcount guard held every live one.
+        "gc_exercised": gc.gc_pruned > 0 and gc.gc_kept_referenced > 0 and gc.store_rejects == 0,
+        "deterministic": all(runs[n].deterministic for n in _FLEET_ROWS),
+    }
+
+
+FLEET = Study(
+    partial(_lstm_module, 16, 16),
+    "intel",
+    partial(_fleet_traffic, hot_lengths=_FLEET_HOT),
+    replace(
+        STORE_TIERED,
+        specialize_threshold=4,
+        # The cache is deliberately smaller than the number of hot
+        # shapes in the trace — the pressure that makes placement
+        # policy matter (see fleet_study).
+        specialize_max_executables=2,
+        specialize_compile_lanes=1,
+    ),
+    # Every fleet starts over a store of its own, except where it says so.
+    variants=(
+        _fleet("affinity", "affinity"),
+        _fleet("random", "random", "random"),
+        _fleet("least_loaded", "least_loaded", "least_loaded"),
+        # The warm fleet: a NEW router (fresh replicas, fresh kernel
+        # cache objects) over the store the affinity fleet filled.
+        _fleet("warm", "affinity"),
+        # The GC fleet: same populated store, but the traffic's hot set
+        # has drifted (the first hot shape retired, a new one arrived).
+        # Yesterday's blob for the retired shape is never re-hot —
+        # age-pruned at the first collection — while every re-hot blob
+        # is restored and then refcount-guarded. This is the
+        # steady-state compaction story a long-lived store needs.
+        _fleet(
+            "gc",
+            "affinity",
+            trace=lambda seed: _fleet_traffic(
+                hot_lengths=_FLEET_HOT[1:] + (_FLEET_HOT[0] + 64,), seed=seed + 1
+            ),
+        ),
+        # Replica-count sweep (claim 3), each against its own store,
+        # beside the lone server every count must agree with.
+        Variant("single", store="single", reported=False),
+        *(
+            _fleet(f"replicas={n}", f"replicas={n}", replicas=n, reported=False)
+            for n in _REPLICA_SWEEP
+        ),
+    ),
+    row=(
+        "admitted", "rejected", "affinity_rate", "specialized_hit_rate",
+        "compile_charge_us", "suffix_charge_us", "fleet_restores", "store_rejects",
+        "gc_pruned", "gc_kept_referenced", "first_specialized_hit_us", "p50_us",
+        "p99_us", "slo_attainment_steady", "slo_attainment_bursty", "deterministic",
+    ),
+    summary=_fleet_summary,
+)
 
 
 def fleet_study() -> Dict[str, Dict[str, float]]:
@@ -1004,158 +1027,7 @@ def fleet_study() -> Dict[str, Dict[str, float]]:
     runs a *drifted* trace over it (hot set rotated) so the collector
     reclaims the retired shape's blob under the refcount guard.
     """
-    platform = platform_by_name("intel")
-    mod = _lstm_module(16, 16)
-    hot_lengths = (9, 25, 41, 57)
-
-    def traffic(hot: Sequence[int], seed: int):
-        return multi_tenant_traffic(
-            200,
-            input_size=16,
-            mean_interarrival_us=300.0,
-            tenant_mix=(("steady", 2), ("web", 2), ("batch", 2), ("bursty", 1)),
-            hot_lengths=hot,
-            hot_fraction=0.85,
-            seed=seed,
-        )
-
-    requests = traffic(hot_lengths, 0)
-    tenants = (
-        TenantSpec("steady", deadline_us=60_000.0),
-        TenantSpec("web"),
-        TenantSpec("batch"),
-        TenantSpec("bursty", deadline_us=60_000.0, rate_per_s=4000.0, burst=4),
-    )
-    config = ServeConfig(
-        max_batch_size=4,
-        max_delay_us=1500.0,
-        num_workers=2,
-        specialize=True,
-        specialize_threshold=4,
-        # The cache is deliberately smaller than the number of hot
-        # shapes in the trace — the pressure that makes placement
-        # policy matter (see the docstring).
-        specialize_max_executables=2,
-        specialize_compile_lanes=1,
-        # Explicit modeled compile cost, like restart_study: sized so
-        # cold fleets reach a specialized steady state within this
-        # trace, making hit-rate comparisons non-degenerate.
-        specialize_compile_us=8000.0,
-    )
-
-    def fleet(store: str, routing: str = "affinity", replicas: int = 4, trace=requests) -> Run:
-        return run_scenario(
-            mod,
-            platform,
-            trace,
-            config,
-            artifact_dir=store,
-            tenants=tenants,
-            fleet=FleetConfig(
-                num_replicas=replicas,
-                routing=routing,
-                gc_interval_us=20_000.0,
-                gc_max_age_us=30_000.0,
-            ),
-        )
-
-    # Every fleet starts over a store of its own, except where it says so.
-    with scratch_store() as root:
-        affinity = fleet(f"{root}/affinity")
-        random_run = fleet(f"{root}/random", "random")
-        least = fleet(f"{root}/least_loaded", "least_loaded")
-        # The warm fleet: a NEW router (fresh replicas, fresh kernel
-        # cache objects) over the store the affinity fleet filled.
-        warm = fleet(f"{root}/affinity")
-        # The GC fleet: same populated store, but the traffic's hot set
-        # has drifted (the first hot shape retired, a new one arrived).
-        # Yesterday's blob for the retired shape is never re-hot —
-        # age-pruned at the first collection — while every re-hot blob
-        # is restored and then refcount-guarded. This is the
-        # steady-state compaction story a long-lived store needs.
-        gc_run = fleet(
-            f"{root}/affinity",
-            trace=traffic(hot_lengths[1:] + (hot_lengths[0] + 64,), 1),
-        )
-        # Replica-count sweep (claim 3), each against its own store,
-        # beside the lone server every count must agree with.
-        single = run_scenario(
-            mod, platform, requests, config, artifact_dir=f"{root}/single"
-        ).report
-        sweep = [fleet(f"{root}/replicas={n}", replicas=n) for n in (1, 2, 4)]
-
-    def suffix_us(report) -> float:
-        """Fresh per-variant compile charge, without the once-per-replica
-        prefix: what compiling each hot shape about once costs."""
-        return sum(r.specialize_suffix_us for r in report.replica_reports)
-
-    def row(run: Run) -> Dict[str, float]:
-        report = run.report
-        latencies = [r.latency_us for r in report.responses]
-        return {
-            "admitted": float(report.admitted),
-            "rejected": float(report.rejected),
-            "affinity_rate": report.affinity_rate,
-            "specialized_hit_rate": report.specialized_hit_rate,
-            "compile_charge_us": report.specialize_compile_us,
-            "suffix_charge_us": suffix_us(report),
-            "fleet_restores": float(report.total_fleet_restores),
-            "store_rejects": float(report.store_rejects),
-            "gc_pruned": float(report.gc_pruned),
-            "gc_kept_referenced": float(report.gc_kept_referenced),
-            "first_specialized_hit_us": first_static_finish_us(report),
-            "p50_us": percentile(latencies, 50.0) if latencies else 0.0,
-            "p99_us": percentile(latencies, 99.0) if latencies else 0.0,
-            "slo_attainment_steady": report.tenants["steady"].slo_attainment,
-            "slo_attainment_bursty": report.tenants["bursty"].slo_attainment,
-            "deterministic": float(run.deterministic),
-        }
-
-    rows = {
-        "affinity": affinity,
-        "random": random_run,
-        "least_loaded": least,
-        "warm": warm,
-        "gc": gc_run,
-    }
-    cold_first = first_static_finish_us(affinity.report)
-    warm_first = first_static_finish_us(warm.report)
-    return {
-        **{name: row(run) for name, run in rows.items()},
-        "summary": {
-            "affinity_random_hit_ratio": (
-                affinity.report.specialized_hit_rate
-                / max(1e-9, random_run.report.specialized_hit_rate)
-            ),
-            "affinity_random_charge_ratio": (
-                affinity.report.specialize_compile_us
-                / max(1e-9, random_run.report.specialize_compile_us)
-            ),
-            "affinity_random_suffix_ratio": (
-                suffix_us(affinity.report) / max(1e-9, suffix_us(random_run.report))
-            ),
-            "warm_first_hit_speedup": speedup(cold_first, warm_first),
-            "warm_earlier": float(warm_first < cold_first),
-            "admission_tripped": float(
-                random_run.report.rejected > 0 and affinity.report.rejected > 0
-            ),
-            "replica_sweep_deterministic": float(all(r.deterministic for r in sweep)),
-            # Every request a fleet served must compute bitwise the
-            # result the lone server computed for that rid — placement,
-            # batching, and tier must never change outputs.
-            "single_server_match": float(
-                all(outputs_equal(r.report, single, served_only=True) for r in sweep)
-            ),
-            # The drifted-traffic run reclaimed the retired shape's
-            # blob while the refcount guard held every live one.
-            "gc_exercised": float(
-                gc_run.report.gc_pruned > 0
-                and gc_run.report.gc_kept_referenced > 0
-                and gc_run.report.store_rejects == 0
-            ),
-            "deterministic": float(all(run.deterministic for run in rows.values())),
-        },
-    }
+    return run_study(FLEET)
 
 
 # ---------------------------------------------------------------------------

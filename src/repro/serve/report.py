@@ -215,7 +215,7 @@ class ServeReport:
     @property
     def specialize_compile_us(self) -> float:
         """Total lane time charged: compiles plus store restores."""
-        return sum(e.compile_us for e in self._events)
+        return sum((e.compile_us for e in self._events), 0.0)
 
     @property
     def num_specialized_executables(self) -> int:
@@ -273,15 +273,17 @@ class ServeReport:
 
     @property
     def specialize_restore_us(self) -> float:
-        return sum(e.compile_us for e in self._events if e.restored)
+        return sum((e.compile_us for e in self._events if e.restored), 0.0)
 
     @property
     def specialize_prefix_us(self) -> float:
-        return sum(e.prefix_us for e in self._events)
+        return sum((e.prefix_us for e in self._events), 0.0)
 
     @property
     def specialize_suffix_us(self) -> float:
-        return sum(e.compile_us - e.prefix_us for e in self._events if not e.restored)
+        return sum(
+            (e.compile_us - e.prefix_us for e in self._events if not e.restored), 0.0
+        )
 
     @property
     def predictive_compiles(self) -> int:

@@ -950,7 +950,9 @@ class TestRefereeCounters:
     fields — `tenants`, `responses`, `worker_busy_us`,
     `profile_specialized` — moved when builds began picking each
     kernel's schedule, and the `gc` digest with the pruned key's name at
-    executable format v8; every count and routing field stayed.)"""
+    executable format v8; every count and routing field stayed. The
+    first replica's `specialize_suffix_us`, an empty fold, reads 0.0
+    instead of the int 0 since every float fold starts at 0.0.)"""
 
     RESTARTED_AFFINITY_FLEET = {
         "routing": "affinity",
@@ -981,7 +983,7 @@ class TestRefereeCounters:
                 "store_rejects": 0,
                 "verify_rejects": 0,
                 "specialize_prefix_us": "0x0.0p+0",
-                "specialize_suffix_us": 0,
+                "specialize_suffix_us": "0x0.0p+0",
                 "guard_deopts": 0,
                 "predictive_compiles": 0,
                 "predictive_hits": 0,

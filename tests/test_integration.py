@@ -234,35 +234,118 @@ class TestScenarioRunner:
         )
         return mod, intel_cpu(), trace, config
 
-    def test_run_step_replays_over_a_store_it_cleans_up(self, tmp_path):
-        import os
+    def _study(self, *variants, summary=None):
+        """The same toy as a declaration, with the store-split row."""
+        from functools import partial
 
-        from repro.harness.scenario import run_scenario, scratch_store
+        from repro.harness.scenario import Study
+        from repro.models.lstm import LSTMWeights, build_lstm_module
+        from repro.serve import lstm_traffic
+
+        *_, config = self._scenario()
+        return Study(
+            partial(build_lstm_module, LSTMWeights.create(8, 8, num_layers=1, seed=0)),
+            "intel",
+            partial(lstm_traffic, 16, input_size=8, mean_interarrival_us=100.0),
+            config,
+            variants,
+            row=("fresh_compiles", "restored", "specialized_hits", "deterministic"),
+            summary=summary,
+        )
+
+    def test_run_step_replays_over_a_store(self, tmp_path):
+        from repro.harness.scenario import run_scenario
         from repro.store import ArtifactStore
 
-        with scratch_store() as owned:
-            run = run_scenario(*self._scenario(), artifact_dir=owned)
-            assert ArtifactStore(owned).keys()  # the store was really used
+        store = str(tmp_path / "store")
+        run = run_scenario(*self._scenario(), artifact_dir=store)
+        assert ArtifactStore(store).keys()  # the store was really used
         assert run.deterministic
         assert run.report.specialized_hits > 0
-        assert not os.path.exists(owned)
-        # A caller's directory is used and kept.
-        given = str(tmp_path / "store")
-        with scratch_store(given) as store:
-            assert store == given
-            assert run_scenario(*self._scenario(), artifact_dir=store).deterministic
-        assert ArtifactStore(given).keys()
 
-    def test_owned_store_is_removed_on_error(self):
+    def test_variants_naming_one_store_share_it_in_order(self):
+        """The second of two variants over one named store restores what
+        the first compiled, and computes bitwise what the first did."""
+        from repro.harness.scenario import Variant, outputs_equal, run_study
+
+        study = self._study(
+            Variant("cold", store="store"),
+            Variant("warm", store="store"),
+            summary=lambda runs: {
+                "bit_identical": outputs_equal(runs["cold"].report, runs["warm"].report)
+            },
+        )
+        result = run_study(study)
+        assert result["cold"]["fresh_compiles"] > 0
+        assert result["warm"]["fresh_compiles"] == 0.0
+        assert result["warm"]["restored"] > 0
+        assert result["summary"] == {"bit_identical": 1.0}
+        # Every measure is cast: rows hold floats only.
+        assert {type(v) for row in result.values() for v in row.values()} == {float}
+
+    def test_in_memory_variants_make_no_directory(self, tmp_path, monkeypatch):
         import os
+        import tempfile
 
-        from repro.harness.scenario import scratch_store
+        from repro.harness.scenario import Variant, run_study
 
-        with pytest.raises(RuntimeError):
-            with scratch_store() as owned:
-                assert os.path.isdir(owned)
-                raise RuntimeError("study failed")
-        assert not os.path.exists(owned)
+        def refuse(*args, **kwargs):
+            raise AssertionError("an in-memory study made a scratch root")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        assert run_study(self._study(Variant("memory")))["memory"]["deterministic"] == 1.0
+        root = tmp_path / "root"
+        root.mkdir()
+        run_study(self._study(Variant("memory"), Variant("disk", store="disk")), str(root))
+        assert os.listdir(root) == ["disk"]
+
+    def test_owned_store_is_removed_on_error(self, tmp_path, monkeypatch):
+        """A run that raises leaves no owned root behind; a caller's
+        directory is kept with what the runs before it wrote."""
+        import os
+        import tempfile
+
+        from repro.harness.scenario import Variant, run_study
+        from repro.store import ArtifactStore
+
+        made = []
+        mkdtemp = tempfile.mkdtemp
+        monkeypatch.setattr(
+            tempfile, "mkdtemp", lambda **kw: made.append(mkdtemp(**kw)) or made[-1]
+        )
+        # The second variant's config is refused when its server is built.
+        study = self._study(
+            Variant("cold", store="store"),
+            Variant("broken", {"num_workers": 0}, store="store"),
+        )
+        with pytest.raises(ValueError, match="num_workers"):
+            run_study(study)
+        assert len(made) == 1 and not os.path.exists(made[0])
+        given = tmp_path / "given"
+        with pytest.raises(ValueError, match="num_workers"):
+            run_study(study, str(given))
+        assert ArtifactStore(str(given / "store")).keys()
+
+    def test_every_serving_study_row_names_a_measure(self, monkeypatch):
+        """A misspelt measure fails here, not after a minute of
+        simulation: each declared serving study (the constants, and what
+        the parameterized studies declare at their defaults) names only
+        measures of the table, and no two of its variants share a name."""
+        from repro.harness import experiments
+        from repro.harness.scenario import MEASURES, Study
+
+        declared = [v for v in vars(experiments).values() if isinstance(v, Study)]
+        monkeypatch.setattr(
+            experiments, "run_study", lambda study, *a, **k: declared.append(study) or {}
+        )
+        experiments.serving_study()
+        experiments.serving_study(model="bert")
+        experiments.compile_pool_study()
+        assert len(declared) == 8
+        for study in declared:
+            assert set(study.row) <= MEASURES.keys()
+            names = [v.name for v in study.variants]
+            assert len(set(names)) == len(names) and "summary" not in names
 
     def test_one_altered_output_is_not_deterministic(self, monkeypatch):
         """The determinism flag covers outputs, not only counters: a

@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -551,6 +552,29 @@ class TestReportStatistics:
         moved = list(trace)
         moved[5] = dataclasses.replace(moved[5], arrival_us=moved[5].arrival_us + 1.0)
         assert counters(moved) != first
+
+    def test_float_folds_read_float_when_nothing_compiled(self):
+        """Every report property annotated ``float`` returns a float on a
+        simulation that compiled nothing: an empty fold starts at 0.0,
+        not at ``sum()``'s int 0 (recorded study values compare types)."""
+        from repro.fleet import FleetConfig, FleetRouter
+
+        config = ServeConfig(max_batch_size=4)
+        trace = _requests([9, 12, 9, 20])
+        reports = (
+            InferenceServer(_dyn_mlp_module(), intel_cpu(), config).simulate(trace),
+            FleetRouter(_dyn_mlp_module(), intel_cpu(), config, FleetConfig()).simulate(trace),
+        )
+        for report in reports:
+            floats = [
+                name
+                for name, member in vars(type(report)).items()
+                if isinstance(member, property)
+                and typing.get_type_hints(member.fget).get("return") is float
+            ]
+            assert "specialize_compile_us" in floats
+            for name in floats:
+                assert type(getattr(report, name)) is float, (type(report).__name__, name)
 
     def test_percentile_function(self):
         values = list(range(1, 101))
