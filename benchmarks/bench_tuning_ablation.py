@@ -1,5 +1,6 @@
-"""§4.5 ablation: the symbolic tuning workflow (tune@64 -> top-k cross-eval
--> best average) vs naive config reuse and a per-shape oracle."""
+"""§4.5 ablation: the schedule a build gives a symbolic dense vs naively
+reusing the static 64-row best at every row count and a per-row-count
+oracle."""
 
 import pytest
 
@@ -15,9 +16,9 @@ def test_tuning_ablation(modeled):
         format_table(
             "§4.5 symbolic tuning ablation — dense 768x768, ARM, shapes 1..256",
             [
-                ["naive (shape-64 winner)", r["naive_us"], r["naive_vs_oracle"]],
-                ["symbolic workflow", r["symbolic_workflow_us"], r["workflow_vs_oracle"]],
-                ["per-shape oracle", r["oracle_us"], 1.0],
+                ["naive (static 64-row best)", r["naive_us"], r["naive_vs_oracle"]],
+                ["the build's schedule", r["symbolic_workflow_us"], r["workflow_vs_oracle"]],
+                ["per-row-count oracle", r["oracle_us"], 1.0],
             ],
             ["strategy", "total µs", "vs oracle"],
             floatfmt="{:.2f}",

@@ -2,15 +2,15 @@
 
 Compiles primitive (fused) functions into :class:`KernelSet`s: NumPy
 executors paired with an analytical cost model, residue-specialized
-symbolic variants with runtime shape dispatch, optional vendor-library
-alternatives, and a template-based auto-tuner extended to symbolic shapes.
+symbolic variants with runtime shape dispatch and optional vendor-library
+alternatives. Each kernel a build makes gets the template config its
+shapes rank highest (``build_schedule``), symbolic kernels included.
 """
 
 from repro.codegen.workload import Workload, compute_workload, run_prim_func
 from repro.codegen.schedule import Schedule, default_schedule, search_space
 from repro.codegen.cost_model import kernel_cost_us, library_cost_us, tuned_cost_us
 from repro.codegen.kernels import KernelCache, KernelSet, ShapeFuncKernel
-from repro.codegen.tuner import AutoTuner, SymbolicTuner, TuningRecord
 
 __all__ = [
     "Workload",
@@ -25,7 +25,4 @@ __all__ = [
     "KernelCache",
     "KernelSet",
     "ShapeFuncKernel",
-    "AutoTuner",
-    "SymbolicTuner",
-    "TuningRecord",
 ]

@@ -30,7 +30,7 @@ from repro.core.memory.prim_info import (
     prim_calls,
     run_fused_shape_func,
 )
-from repro.errors import NimbleError, TuningError
+from repro.errors import CompilerError, NimbleError
 from repro.hardware import calibration
 from repro.hardware.platforms import Platform
 from repro.hardware.specs import DeviceSpec
@@ -82,7 +82,7 @@ def instantiate_shapes(prim: Function, m: int) -> List[Shape]:
     for p in prim.params:
         ty = p.checked_type or p.type_annotation
         if not isinstance(ty, TensorType):
-            raise TuningError(f"cannot instantiate non-tensor param {p.name_hint}")
+            raise CompilerError(f"cannot instantiate non-tensor param {p.name_hint}")
         shapes.append(tuple(m if isinstance(d, Any) else d for d in ty.shape))
     return shapes
 
@@ -164,13 +164,12 @@ class KernelSet:
         schedule: Optional[Schedule] = None,
         num_dispatch_kernels: Optional[int] = None,
         allow_library: bool = True,
-        symbolic: Optional[bool] = None,
     ) -> None:
         self.prim = prim
         self.platform = platform
         self.spec = spec
         self.schedule = schedule or default_schedule()
-        self.symbolic = is_symbolic_prim(prim) if symbolic is None else symbolic
+        self.symbolic = is_symbolic_prim(prim)
         # Full dispatch by default: one kernel per residue class (§4.5).
         self.num_dispatch_kernels = (
             num_dispatch_kernels

@@ -5,7 +5,7 @@ the tiling factor of the (possibly symbolic) row dimension, vector width,
 unroll factor and parallelization. The *quality model* scores how well a
 schedule fits a concrete shape — divisibility of the tiled/vectorized
 dimensions is what makes configurations transfer (or not) across shapes,
-which is exactly the structure the symbolic tuning workflow exploits.
+which is the structure :func:`best_schedule` exploits for a symbolic kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class Schedule:
     def quality(self, m: int, n: int, k: int) -> float:
         """Relative efficiency (0, 1] of this schedule on a (m×k)·(k×n)
         shaped workload. Deterministic, no randomness: the search space has
-        real structure for the tuner to find."""
+        real structure for the search to find."""
         q = 1.0
         # Vector width must divide the columns; penalty scales with waste.
         if n % self.vectorize != 0:

@@ -53,10 +53,6 @@ class SerializationError(NimbleError):
     """An executable could not be serialized or deserialized."""
 
 
-class TuningError(NimbleError):
-    """The auto-tuner was configured with an empty or invalid search space."""
-
-
 @dataclass(frozen=True)
 class Finding:
     """One defect reported by a static checker (``repro.analysis``).

@@ -17,7 +17,6 @@ takes are the ones a caller passes."""
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence
@@ -31,8 +30,10 @@ from repro.baselines import (
     GraphFramework,
     HybridFramework,
 )
-from repro.codegen.kernels import KernelCache, KernelSet
-from repro.codegen.tuner import AutoTuner, SymbolicTuner
+from repro.codegen.cost_model import tuned_cost_us
+from repro.codegen.kernels import KernelCache, KernelSet, build_schedule
+from repro.codegen.schedule import TUNE_AT, best_schedule
+from repro.codegen.workload import compute_workload
 from repro.data import embedding_table, mrpc_like_lengths, sst_like_trees
 from repro.fleet import FleetConfig, TenantSpec
 from repro.hardware import Platform, platform_by_name
@@ -309,14 +310,10 @@ def figure3_dispatch(
     results: Dict[str, Dict[str, float]] = {}
     for name, n_out, k_in in FIG3_DENSES:
         w = _dense_weight(n_out, k_in)
-        # The schedule the symbolic tuner picks for this dense, at the
-        # figure's tile of 8. The seed is a hash that does not change
-        # from one process to the next (`hash(str)` does).
+        # The schedule a build gives this dense (`KernelCache.kernel`),
+        # with its dispatch tile of 8.
         sym_prim = _dense_primitive(w)
-        seed = zlib.crc32(name.encode()) & 0xFFFF
-        schedule = SymbolicTuner(sym_prim, platform, spec, seed=seed).tune(n_trials=96)
-        if schedule.tile != 8:
-            schedule = type(schedule)(8, schedule.vectorize, schedule.unroll, schedule.parallel)
+        schedule = build_schedule(sym_prim, {})
 
         def total_us(prim: Function, **codegen) -> float:
             kernel = KernelSet(
@@ -324,13 +321,11 @@ def figure3_dispatch(
             )
             return sum(kernel.invoke_cost([(m, k_in)]).duration_us for m in rows)
 
-        static_total = total_us(_dense_primitive(w, rows[-1]), symbolic=False)
+        static_total = total_us(_dense_primitive(w, rows[-1]))
         entry = {"static": 100.0}
         for level in (8, 4, 2, 1):
             label = "no dispatch" if level == 1 else f"dispatch/{level}"
-            entry[label] = 100.0 * total_us(
-                sym_prim, symbolic=True, num_dispatch_kernels=level
-            ) / static_total
+            entry[label] = 100.0 * total_us(sym_prim, num_dispatch_kernels=level) / static_total
         results[name] = entry
     return results
 
@@ -1131,28 +1126,33 @@ def stream_study(stream_counts: Sequence[int] = (1, 2, 4)) -> Dict[str, Dict[str
 
 
 def tuning_ablation() -> Dict[str, float]:
-    """How well the cross-shape-tuned config does vs per-shape oracle tuning
-    and vs naively using the shape-64 winner (dense 768×768, ARM, row
-    counts 1, 2, 4 … 256)."""
+    """The schedule a build gives the symbolic 768×768 dense on ARM vs
+    naively reusing the static ``TUNE_AT``-row best at every row count
+    and vs each row count's own static best (the oracle), summed over
+    rows 1, 2, 4 … 256. Each is priced as a symbolic kernel with one
+    residue per kernel."""
     platform = platform_by_name("arm")
-    spec = platform.compute_spec
-    eval_shapes = tuple(2**i for i in range(0, 9))
-    prim = _dense_primitive(_dense_weight(768, 768))
+    n_out = k_in = 768
+    prim = _dense_primitive(_dense_weight(n_out, k_in))
 
-    tuner = AutoTuner(prim, platform, spec, seed=3)
-    naive = tuner.tune(64, n_trials=96)[0].schedule  # shape-64 winner, applied everywhere
-    chosen = SymbolicTuner(prim, platform, spec, seed=3).tune(n_trials=96)
+    def total_us(pick) -> float:
+        return sum(
+            tuned_cost_us(
+                platform.compute_spec, platform.name, compute_workload(prim, [(m, k_in)]),
+                pick(m), (m, n_out, k_in), symbolic=True,
+            )
+            for m in (2**i for i in range(9))
+        )
 
-    def total(schedule) -> float:
-        return sum(tuner.measure(schedule, m) for m in eval_shapes)
-
-    oracle = 0.0
-    for m in eval_shapes:
-        oracle += AutoTuner(prim, platform, spec, seed=3).tune(m, n_trials=96)[0].cost_us
+    naive = best_schedule(TUNE_AT, n_out, k_in, symbolic=False)
+    workflow = build_schedule(prim, {})
+    naive_us = total_us(lambda m: naive)
+    workflow_us = total_us(lambda m: workflow)
+    oracle_us = total_us(lambda m: best_schedule(m, n_out, k_in, symbolic=False))
     return {
-        "naive_us": total(naive),
-        "symbolic_workflow_us": total(chosen),
-        "oracle_us": oracle,
-        "workflow_vs_oracle": total(chosen) / max(1e-9, oracle),
-        "naive_vs_oracle": total(naive) / max(1e-9, oracle),
+        "naive_us": naive_us,
+        "symbolic_workflow_us": workflow_us,
+        "oracle_us": oracle_us,
+        "workflow_vs_oracle": workflow_us / oracle_us,
+        "naive_vs_oracle": naive_us / oracle_us,
     }
