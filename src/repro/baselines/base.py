@@ -23,6 +23,7 @@ from repro.evaluator import evaluate
 from repro.hardware.platforms import Platform
 from repro.ir import Expr, If, IRModule, Let
 from repro.ops import get_op_def
+from repro.ops.registry import array_type, output_shapes
 from repro.ops.shape_funcs import prod
 from repro.runtime.context import LITE_SKIP_FLOPS, ExecutionContext
 
@@ -61,8 +62,9 @@ class OpExecutor:
         """Dispatch one operator: host overhead + library kernel + compute."""
         attrs = attrs or {}
         op_def = get_op_def(op_name)
-        in_shapes = [np.asarray(i).shape for i in inputs]
-        out_shapes = op_def.shape_func(in_shapes, [np.asarray(i) for i in inputs], attrs)
+        arrays = [np.asarray(i) for i in inputs]
+        in_shapes = [x.shape for x in arrays]
+        out_shapes = output_shapes(op_def, [array_type(x) for x in arrays], arrays, attrs)
         flops = op_def.flops(in_shapes, out_shapes, attrs)
         dtype_b = 4
         bytes_moved = sum(prod(s) * dtype_b for s in in_shapes) + sum(
@@ -97,9 +99,9 @@ class OpExecutor:
 
         # Lite numerics: skip the heavy NumPy work (shape-correct zeros).
         if self.ctx.numerics == "lite" and flops > LITE_SKIP_FLOPS and not op_def.is_dynamic_shape_func:
-            outs = [np.zeros(s, dtype=np.asarray(inputs[0]).dtype if inputs else np.float32) for s in out_shapes]
+            outs = [np.zeros(s, dtype=arrays[0].dtype if arrays else np.float32) for s in out_shapes]
             return outs[0] if len(outs) == 1 else tuple(outs)
-        return op_def.compute([np.asarray(i) for i in inputs], attrs)
+        return op_def.compute(arrays, attrs)
 
 
 class Framework:

@@ -1,13 +1,13 @@
 """Analysis of primitive (fused) functions for shape-function purposes.
 
 A fused group is either (a) a composition of data-independent ops — its
-shape function is the *composition* of the member shape functions, which
-we obtain by abstractly interpreting the body over shapes — or (b) a
-singleton dynamic op (data-dependent / upper-bound), guaranteed by the
-fusion policy of §4.2. This module classifies a primitive function and
-provides its composed shape function through :func:`interpret_shapes`,
-the one interpreter of a primitive body over shapes — the kernel
-workload analysis (``repro.codegen.workload``) runs the same one.
+shape function is the members' type relations, run in body order on
+concrete types — or (b) a singleton dynamic op (data-dependent /
+upper-bound), guaranteed by the fusion policy of §4.2, whose own shape
+function runs. This module classifies a primitive function and provides
+its shape function through :func:`interpret_shapes`, the one interpreter
+of a primitive body over concrete types — the kernel workload analysis
+(``repro.codegen.workload``) runs the same one.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.ir.expr import Call, Constant, Expr, Function, Let, Tuple as IRTuple,
 from repro.ir.op import Op
 from repro.ir.types import TensorType, TupleType
 from repro.ops import get_op_def
-from repro.ops.registry import OpDef, ShapeFuncMode
+from repro.ops.registry import OpDef, ShapeFuncMode, array_type, output_shapes, output_types
 
 Shape = Tuple[int, ...]
 
@@ -124,27 +124,33 @@ def analyze_prim_func(func: Function) -> PrimFuncInfo:
     )
 
 
-def interpret_shapes(
-    func: Function, in_shapes: Sequence[Shape], on_call: Optional[Callable] = None
-) -> List[Shape]:
-    """Abstractly interpret a primitive body over shapes: every binding
-    (call, tuple, projection or alias) and the tail, in order, threading
-    each member op's shape function — the "connect the shape functions
-    of basic operators" composition of §4.2. Returns the output shapes.
-
-    ``on_call(call, op_def, arg_shapes, out_shapes)``, if given, sees
-    every operator call as it is interpreted: the kernel workload
-    analysis tallies FLOPs there, the VM's shape functions pass none."""
+def _param_types(func: Function, in_shapes: Sequence[Shape]) -> List[TensorType]:
+    """The concrete types of *func*'s parameters at *in_shapes*: each
+    shape with its parameter's checked dtype."""
     if len(func.params) != len(in_shapes):
         raise CompilerError(
             f"shape interpretation: arity mismatch ({len(func.params)} params, "
             f"{len(in_shapes)} shapes)"
         )
-    env: Dict[Var, object] = {
-        p: tuple(int(d) for d in s) for p, s in zip(func.params, in_shapes)
-    }
+    return [TensorType(tuple(map(int, s)), (p.checked_type or p.type_annotation).dtype)
+            for p, s in zip(func.params, in_shapes)]
 
-    def eval_shape(expr: Expr):
+
+def interpret_shapes(
+    func: Function, in_shapes: Sequence[Shape], on_call: Optional[Callable] = None
+) -> List[Shape]:
+    """Abstractly interpret a primitive body over concrete types: every
+    binding (call, tuple, projection or alias) and the tail, in order,
+    each call typed by :func:`repro.ops.registry.output_types` (its op's
+    type relation, which makes the checks ``Any`` put off). This is the
+    fused group's §4.2 shape function. Returns the output shapes.
+
+    ``on_call(call, op_def, arg_shapes, out_shapes)``, if given, sees
+    every operator call as it is interpreted: the kernel workload
+    analysis tallies FLOPs there, the VM's shape functions pass none."""
+    env: Dict[Var, object] = dict(zip(func.params, _param_types(func, in_shapes)))
+
+    def eval_type(expr: Expr):
         if isinstance(expr, Var):
             try:
                 return env[expr]
@@ -152,30 +158,26 @@ def interpret_shapes(
                 raise CompilerError(
                     f"shape interpretation: unbound variable {expr.name_hint!r}") from None
         if isinstance(expr, Constant):
-            return tuple(expr.value.shape)
+            return array_type(expr.data)
         if isinstance(expr, IRTuple):
-            return tuple(eval_shape(f) for f in expr.fields)
+            return tuple(eval_type(f) for f in expr.fields)
         if isinstance(expr, TupleGetItem):
-            return eval_shape(expr.tuple_value)[expr.index]
+            return eval_type(expr.tuple_value)[expr.index]
         if isinstance(expr, Call) and isinstance(expr.op, Op):
             op_def = get_op_def(expr.op.name)
-            if op_def.shape_func is None:
-                raise CompilerError(f"op {expr.op.name} has no shape function")
-            shapes = [eval_shape(a) for a in expr.args]
-            outs = op_def.shape_func(shapes, None, expr.attrs)
+            types = [eval_type(a) for a in expr.args]
+            outs = output_types(op_def, types, None, expr.attrs)
             if on_call is not None:
-                on_call(expr, op_def, shapes, outs)
+                on_call(expr, op_def, [t.shape for t in types], [t.shape for t in outs])
             return outs[0] if len(outs) == 1 else tuple(outs)
         raise CompilerError(f"cannot interpret {type(expr).__name__} over shapes")
 
     node: Expr = func.body
     while isinstance(node, Let):
-        env[node.var] = eval_shape(node.value)
+        env[node.var] = eval_type(node.value)
         node = node.body
-    result = eval_shape(node)
-    if isinstance(result, tuple) and result and isinstance(result[0], tuple):
-        return [tuple(s) for s in result]
-    return [tuple(result)]
+    result = eval_type(node)
+    return [t.shape for t in result] if isinstance(result, tuple) else [result.shape]
 
 
 def run_fused_shape_func(
@@ -185,12 +187,11 @@ def run_fused_shape_func(
 ) -> List[Shape]:
     """Execute the (composed) shape function of a primitive function.
 
-    Data-independent groups are interpreted over shapes
-    (:func:`interpret_shapes`). Dynamic singletons call the anchor op's
-    shape function directly (with values for the data-dependent mode).
+    Data-independent groups are interpreted over concrete types
+    (:func:`interpret_shapes`). Dynamic singletons run the anchor op's
+    shape function (with values for the data-dependent mode).
     """
     if info.anchor is not None:
-        return info.anchor.shape_func(
-            list(in_shapes), list(in_values or []), info.calls[0].attrs
-        )
+        return output_shapes(info.anchor, _param_types(info.func, in_shapes),
+                             list(in_values or []), info.calls[0].attrs)
     return interpret_shapes(info.func, in_shapes)

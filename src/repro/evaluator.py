@@ -46,7 +46,7 @@ from repro.ir import (
     Var,
 )
 from repro.ops import get_op_def
-from repro.ops.registry import OpDef
+from repro.ops.registry import OpDef, array_type, output_shapes
 from repro.ops.shape_funcs import HOST_SCALAR_MAX_ELEMENTS, prod
 
 OpCall = Callable[[str, Sequence[np.ndarray], dict], object]
@@ -111,9 +111,9 @@ def _read(value):
 def _is_host_scalar(op_def: OpDef, inputs: Sequence[np.ndarray], attrs: dict) -> bool:
     if op_def.name == "vm.shape_of":
         return True
-    if op_def.shape_func is None or any(x.size > HOST_SCALAR_MAX_ELEMENTS for x in inputs):
+    if any(x.size > HOST_SCALAR_MAX_ELEMENTS for x in inputs):
         return False
-    out_shapes = op_def.shape_func([x.shape for x in inputs], inputs, attrs)
+    out_shapes = output_shapes(op_def, [array_type(x) for x in inputs], inputs, attrs)
     return all(prod(s) <= HOST_SCALAR_MAX_ELEMENTS for s in out_shapes)
 
 

@@ -15,7 +15,7 @@ symbolic code generator exploits to emit shape-specialized kernels.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from repro.errors import TypeInferenceError
 from repro.tensor.dtype import is_valid_dtype
@@ -83,17 +83,21 @@ def same_dim(a: Dim, b: Dim) -> bool:
 
 
 def normalize_shape(shape: Iterable[Dim]) -> Tuple[Dim, ...]:
-    out: List[Dim] = []
-    for dim in shape:
-        if isinstance(dim, Any):
-            out.append(dim)
-        elif isinstance(dim, (int,)) and not isinstance(dim, bool):
-            if dim < 0:
-                raise TypeInferenceError(f"negative dimension {dim} in shape")
-            out.append(int(dim))
-        else:
-            raise TypeInferenceError(f"invalid dimension {dim!r} in shape")
-    return tuple(out)
+    out = tuple(shape)
+    for dim in out:  # a shape of plain ints, the common case, is kept as it is
+        if type(dim) is not int or dim < 0:
+            return tuple(map(_normalize_dim, out))
+    return out
+
+
+def _normalize_dim(dim: Dim) -> Dim:
+    if isinstance(dim, Any):
+        return dim
+    if isinstance(dim, int) and not isinstance(dim, bool):
+        if dim < 0:
+            raise TypeInferenceError(f"negative dimension {dim} in shape")
+        return int(dim)
+    raise TypeInferenceError(f"invalid dimension {dim!r} in shape")
 
 
 class TensorType(Type):
@@ -117,10 +121,10 @@ class TensorType(Type):
 
     def num_elements(self) -> Optional[int]:
         """Element count, or None when any dimension is dynamic."""
-        if not self.is_static:
-            return None
         n = 1
         for d in self.shape:
+            if isinstance(d, Any):
+                return None
             n *= d
         return n
 

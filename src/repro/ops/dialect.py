@@ -13,15 +13,13 @@ compiler; they have no standalone computes (the VM interprets them).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import CompilerError, TypeInferenceError
 from repro.ir.expr import Constant
 from repro.ir.types import Any, StorageType, TensorType, TupleType, Type
 from repro.ops.batching import BatchCall, static_shape
-from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, register_op
+from repro.ops.registry import OpDef, OpPattern, register_op
 from repro.ops.type_relations import expect_tensor
 from repro.tensor.ndarray import array as make_array
 
@@ -142,7 +140,6 @@ register_op(
         name="vm.storage_size",
         type_rel=_storage_size_rel,
         compute=_storage_size_compute,
-        shape_func=lambda s, v, a: [()],
         pattern=OpPattern.OPAQUE,
         flops=lambda i, o, a: float(i[0][0]) if i and i[0] else 1.0,
     )

@@ -15,7 +15,7 @@ These are the ops that *force* ``Any`` into the type system:
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -205,18 +205,11 @@ def _topk_compute(inputs, attrs):
     return values, idx.astype(np.int64)
 
 
-def _topk_shape_func(in_shapes, in_values, attrs):
-    shape = list(in_shapes[0])
-    shape[-1] = attrs["k"]
-    return [tuple(shape), tuple(shape)]
-
-
 register_op(
     OpDef(
         name="topk",
         type_rel=_topk_rel,
         compute=_topk_compute,
-        shape_func=_topk_shape_func,
         pattern=OpPattern.OPAQUE,
         num_outputs=2,
         flops=lambda i, o, a: 10.0 * float(np.prod(i[0])) if i[0] else 0.0,

@@ -8,17 +8,17 @@ exist for the CV models of the §6.3 memory-footprint study.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import BatchSpecializeError, ShapeError, TypeInferenceError
 from repro.ir.expr import Call
 from repro.ir.op import Op
-from repro.ir.types import Any, TensorType, TupleType, Type
+from repro.ir.types import Any, TensorType, Type
 from repro.ops.batching import BatchCall, elementwise, row_wise, static_shape
-from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, get_op_def, keeps_dtype, register_op
-from repro.ops.shape_funcs import check_rank, normalize_axis, prod, same_shape_func
+from repro.ops.registry import OpDef, OpPattern, get_op_def, keeps_dtype, register_op
+from repro.ops.shape_funcs import prod
 from repro.ops.type_relations import expect_tensor, unify_dim
 
 
@@ -67,13 +67,6 @@ def _dense_compute(inputs, attrs):
                     for d in members], 0)
 
 
-def _dense_shape_func(in_shapes, in_values, attrs):
-    d, w = in_shapes
-    if d[-1] != w[1] or d[0] % int(attrs.get("batch", 1)):
-        raise ShapeError(f"dense runtime check failed: {d} @ {w}")
-    return [tuple(d[:-1]) + (w[0],)]
-
-
 def _dense_flops(in_shapes, out_shapes, attrs):
     d, w = in_shapes
     return 2.0 * prod(d[:-1]) * w[0] * w[1]
@@ -120,7 +113,6 @@ register_op(
         name="nn.dense",
         type_rel=_dense_rel,
         compute=_dense_compute,
-        shape_func=_dense_shape_func,
         pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
         flops=_dense_flops,
         batch_rule=_dense_batch_rule,
@@ -163,7 +155,6 @@ register_op(
         name="nn.bias_add",
         type_rel=_bias_add_rel,
         compute=_bias_add_compute,
-        shape_func=same_shape_func,
         pattern=OpPattern.BROADCAST,
         batch_rule=row_wise(shared=(1,)),
         lower=_bias_add_lower,
@@ -188,13 +179,6 @@ def _batch_matmul_compute(inputs, attrs):
     return np.matmul(a, b.transpose(0, 2, 1)).astype(a.dtype, copy=False)
 
 
-def _batch_matmul_shape_func(in_shapes, in_values, attrs):
-    a, b = in_shapes
-    if a[0] != b[0] or a[2] != b[2]:
-        raise ShapeError(f"batch_matmul runtime check failed: {a} x {b}")
-    return [(a[0], a[1], b[1])]
-
-
 def _batch_matmul_flops(in_shapes, out_shapes, attrs):
     a, b = in_shapes
     return 2.0 * a[0] * a[1] * b[1] * a[2]
@@ -205,7 +189,6 @@ register_op(
         name="nn.batch_matmul",
         type_rel=_batch_matmul_rel,
         compute=_batch_matmul_compute,
-        shape_func=_batch_matmul_shape_func,
         pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
         flops=_batch_matmul_flops,
         # Member-wise along axis 0 already: stacking only lengthens it.
@@ -232,7 +215,6 @@ register_op(
         name="nn.softmax",
         type_rel=lambda ts, attrs: expect_tensor(ts[0], "softmax"),
         compute=_softmax_compute,
-        shape_func=same_shape_func,
         pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
         flops=_softmax_flops,
         batch_rule=row_wise(lifts=True),
@@ -254,7 +236,6 @@ register_op(
         name="nn.log_softmax",
         type_rel=lambda ts, attrs: expect_tensor(ts[0], "log_softmax"),
         compute=_log_softmax_compute,
-        shape_func=same_shape_func,
         pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
         flops=_softmax_flops,
         batch_rule=row_wise(lifts=True),
@@ -287,7 +268,6 @@ register_op(
         name="nn.layer_norm",
         type_rel=_layer_norm_rel,
         compute=_layer_norm_compute,
-        shape_func=same_shape_func,
         pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
         flops=lambda i, o, a: 8.0 * prod(i[0]),
         batch_rule=row_wise(shared=(1, 2)),
@@ -308,7 +288,6 @@ register_op(
         name="nn.gelu",
         type_rel=lambda ts, attrs: expect_tensor(ts[0], "gelu"),
         compute=_gelu_compute,
-        shape_func=same_shape_func,
         pattern=OpPattern.ELEMWISE,
         flops=lambda i, o, a: 12.0 * prod(i[0]),
         batch_rule=elementwise,
@@ -374,15 +353,6 @@ def _conv2d_compute(inputs, attrs):
     return out
 
 
-def _conv2d_shape_func(in_shapes, in_values, attrs):
-    d, w = in_shapes
-    stride = attrs.get("strides", 1)
-    pad = attrs.get("padding", 0)
-    oh = (d[2] + 2 * pad - w[2]) // stride + 1
-    ow = (d[3] + 2 * pad - w[3]) // stride + 1
-    return [(d[0], w[0], oh, ow)]
-
-
 def _conv2d_flops(in_shapes, out_shapes, attrs):
     d, w = in_shapes
     o = out_shapes[0]
@@ -395,7 +365,6 @@ register_op(
         name="nn.conv2d",
         type_rel=_conv2d_rel,
         compute=_conv2d_compute,
-        shape_func=_conv2d_shape_func,
         pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
         flops=_conv2d_flops,
     )
@@ -433,22 +402,11 @@ def _pool_compute_factory(reduce_fn):
     return compute
 
 
-def _pool_shape_func(in_shapes, in_values, attrs):
-    d = in_shapes[0]
-    k = attrs.get("pool_size", 2)
-    s = attrs.get("strides", k)
-    p = attrs.get("padding", 0)
-    oh = (d[2] + 2 * p - k) // s + 1
-    ow = (d[3] + 2 * p - k) // s + 1
-    return [(d[0], d[1], oh, ow)]
-
-
 register_op(
     OpDef(
         name="nn.max_pool2d",
         type_rel=_pool_rel,
         compute=_pool_compute_factory(np.max),
-        shape_func=_pool_shape_func,
         pattern=OpPattern.INJECTIVE,
     )
 )
@@ -458,7 +416,6 @@ register_op(
         name="nn.avg_pool2d",
         type_rel=_pool_rel,
         compute=_pool_compute_factory(np.mean),
-        shape_func=_pool_shape_func,
         pattern=OpPattern.INJECTIVE,
     )
 )
@@ -476,7 +433,6 @@ register_op(
         compute=lambda inputs, attrs: np.mean(
             inputs[0], axis=(2, 3), keepdims=True
         ).astype(inputs[0].dtype, copy=False),
-        shape_func=lambda s, v, a: [(s[0][0], s[0][1], 1, 1)],
         pattern=OpPattern.COMM_REDUCE,
     )
 )
@@ -503,7 +459,6 @@ register_op(
         name="nn.batch_norm_inference",
         type_rel=_batch_norm_rel,
         compute=_batch_norm_compute,
-        shape_func=same_shape_func,
         pattern=OpPattern.BROADCAST,
         batch_rule=elementwise,
     )

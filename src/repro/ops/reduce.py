@@ -39,20 +39,6 @@ def _reduce_rel_factory(out_dtype: Optional[str] = None):
     return rel
 
 
-def _reduce_shape_func(in_shapes, in_values, attrs):
-    shape = in_shapes[0]
-    axes = _reduce_axes(len(shape), attrs)
-    keepdims = attrs.get("keepdims", False)
-    out = []
-    for i, dim in enumerate(shape):
-        if i in axes:
-            if keepdims:
-                out.append(1)
-        else:
-            out.append(dim)
-    return [tuple(out)]
-
-
 def _register_reduce(name: str, np_fn, out_dtype: Optional[str] = None) -> None:
     def compute(inputs, attrs):
         x = inputs[0]
@@ -68,7 +54,6 @@ def _register_reduce(name: str, np_fn, out_dtype: Optional[str] = None) -> None:
             name=name,
             type_rel=_reduce_rel_factory(out_dtype),
             compute=compute,
-            shape_func=_reduce_shape_func,
             pattern=OpPattern.COMM_REDUCE,
             flops=lambda i, o, a: float(prod(i[0])),
         )
@@ -105,21 +90,11 @@ def _register_arg_reduce(name: str, np_fn) -> None:
             result = np.expand_dims(result, axis=axis)
         return result.astype(np.int64)
 
-    def shape_func(in_shapes, in_values, attrs):
-        shape = list(in_shapes[0])
-        axis = normalize_axis(attrs.get("axis", -1), len(shape))
-        if attrs.get("keepdims", False):
-            shape[axis] = 1
-        else:
-            del shape[axis]
-        return [tuple(shape)]
-
     register_op(
         OpDef(
             name=name,
             type_rel=_arg_reduce_rel,
             compute=compute,
-            shape_func=shape_func,
             pattern=OpPattern.COMM_REDUCE,
             flops=lambda i, o, a: float(prod(i[0])),
         )

@@ -7,7 +7,11 @@ attributes, plus what Nimble adds):
   dims) → output type (§4.1);
 * **shape function** — runtime: concrete input shapes (and, for
   data-dependent ops, input *values*) → concrete output shapes (§4.2), in
-  one of three modes (data-independent / data-dependent / upper-bound);
+  one of three modes (data-independent / data-dependent / upper-bound).
+  A data-independent op has none of its own: its type relation, run on
+  concrete types, is its shape function and makes the checks ``Any`` put
+  off (:func:`output_shapes`). Only an op whose relation says ``Any``
+  where a shape is needed declares a ``shape_func``;
 * **compute** — the NumPy kernel body used by every executor; an
   elementwise op also keeps its **ufunc**, the function its compute and
   its lowering are built from;
@@ -29,10 +33,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CompilerError
+from repro.errors import CompilerError, ShapeError, TypeInferenceError
 from repro.ir.expr import Call, Constant, Expr
 from repro.ir.op import Op
-from repro.ir.types import TensorType, Type
+from repro.ir.types import TensorType, TupleType, Type
 from repro.tensor.dtype import to_numpy_dtype
 
 
@@ -129,6 +133,33 @@ def has_op(name: str) -> bool:
 
 def all_op_names() -> List[str]:
     return sorted(_REGISTRY)
+
+
+def output_types(op_def: OpDef, arg_types: Sequence[TensorType], values, attrs: dict) -> list:
+    """The output types of one call at concrete argument types: the op's
+    type relation, whose failure here is the run-time check ``Any`` put
+    off (a ``ShapeError``, §4.2). An op that declares a ``shape_func``
+    (data-dependent, upper-bound) has it give the shapes, from *values*
+    where it reads them."""
+    try:
+        out = op_def.type_rel(arg_types, attrs)
+    except TypeInferenceError as err:
+        raise ShapeError(f"{op_def.name} runtime check failed: {err}") from err
+    fields = list(out.fields) if isinstance(out, TupleType) else [out]
+    if op_def.shape_func is None:
+        return fields
+    shapes = op_def.shape_func([t.shape for t in arg_types], values, attrs)
+    return [TensorType(s, f.dtype) for s, f in zip(shapes, fields)]
+
+
+def output_shapes(op_def: OpDef, arg_types: Sequence[TensorType], values, attrs: dict) -> list:
+    """The output shapes of one call at concrete argument types (:func:`output_types`)."""
+    return [t.shape for t in output_types(op_def, arg_types, values, attrs)]
+
+
+def array_type(x: np.ndarray) -> TensorType:
+    """The concrete type of an array."""
+    return TensorType(x.shape, x.dtype.name)
 
 
 def operand_probe(arg: Expr) -> Optional[np.ndarray]:

@@ -1,14 +1,16 @@
-"""Shared shape-function helpers (§4.2).
+"""Shape arithmetic shared by type relations, workload analysis and
+placement: element counts, axis normalization, the host-scalar size.
 
-Shape functions run at runtime on concrete shapes. They also perform the
-*deferred* type checks that ``Any`` pushed past compile time (gradual
-typing): e.g. the broadcast shape function raises :class:`ShapeError` when
-an ``Any`` dimension instantiated to neither 1 nor the partner dimension.
+There are no per-op shape functions here. A data-independent op's
+run-time shape function is its type relation at concrete types
+(:func:`repro.ops.registry.output_shapes`), which also makes the checks
+``Any`` put off (§4.2): e.g. ``add`` raises :class:`ShapeError` when an
+``Any`` dimension instantiated to neither 1 nor the partner dimension.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -28,38 +30,6 @@ def prod(shape: Sequence[int]) -> int:
     for d in shape:
         n *= int(d)
     return n
-
-
-def broadcast_shape_func(
-    in_shapes: Sequence[Shape], in_values, attrs
-) -> List[Shape]:
-    """Runtime NumPy-broadcasting; raises ShapeError on violation — this is
-    the runtime check the paper defers when type relations saw ``Any``."""
-    sa, sb = in_shapes[0], in_shapes[1]
-    out: List[int] = []
-    la, lb = len(sa), len(sb)
-    for i in range(max(la, lb)):
-        da = sa[la - 1 - i] if i < la else 1
-        db = sb[lb - 1 - i] if i < lb else 1
-        if da == db or db == 1:
-            out.append(da)
-        elif da == 1:
-            out.append(db)
-        else:
-            raise ShapeError(
-                f"broadcast check failed at runtime: {tuple(sa)} vs {tuple(sb)}"
-            )
-    return [tuple(reversed(out))]
-
-
-def same_shape_func(in_shapes: Sequence[Shape], in_values, attrs) -> List[Shape]:
-    """Output shape equals the first input's shape."""
-    return [tuple(in_shapes[0])]
-
-
-def check_rank(shape: Shape, rank: int, what: str) -> None:
-    if len(shape) != rank:
-        raise ShapeError(f"{what}: expected rank {rank}, got shape {shape}")
 
 
 def normalize_axis(axis: int, ndim: int) -> int:

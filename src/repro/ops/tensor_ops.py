@@ -19,8 +19,7 @@ from scipy.special import erf as _scipy_erf
 from repro.errors import TypeInferenceError
 from repro.ir.types import TensorType, Type
 from repro.ops.batching import elementwise
-from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, register_op, ufunc_lowering
-from repro.ops.shape_funcs import broadcast_shape_func, same_shape_func
+from repro.ops.registry import OpDef, OpPattern, register_op, ufunc_lowering
 from repro.ops.type_relations import broadcast_rel, expect_tensor, identity_rel
 
 
@@ -40,8 +39,6 @@ def _unary(name: str, fn: Callable[..., np.ndarray], flop_per_elem: float = 1.0)
             name=name,
             type_rel=identity_rel,
             compute=compute,
-            shape_func=same_shape_func,
-            shape_func_mode=ShapeFuncMode.DATA_INDEPENDENT,
             pattern=OpPattern.ELEMWISE,
             flops=flops,
             ufunc=fn,
@@ -61,8 +58,6 @@ def _binary(name: str, fn: Callable[..., np.ndarray]) -> None:
             name=name,
             type_rel=broadcast_rel,
             compute=compute,
-            shape_func=broadcast_shape_func,
-            shape_func_mode=ShapeFuncMode.DATA_INDEPENDENT,
             pattern=OpPattern.BROADCAST,
             ufunc=fn,
             batch_rule=elementwise,
@@ -84,8 +79,6 @@ def _comparison(name: str, fn: Callable[..., np.ndarray]) -> None:
             name=name,
             type_rel=rel,
             compute=compute,
-            shape_func=broadcast_shape_func,
-            shape_func_mode=ShapeFuncMode.DATA_INDEPENDENT,
             pattern=OpPattern.BROADCAST,
             ufunc=fn,
             batch_rule=elementwise,
@@ -156,7 +149,6 @@ register_op(
         name="logical_not",
         type_rel=identity_rel,
         compute=_logical_not_compute,
-        shape_func=same_shape_func,
         pattern=OpPattern.ELEMWISE,
         batch_rule=elementwise,
     )
@@ -183,7 +175,6 @@ register_op(
         name="cast",
         type_rel=_cast_rel,
         compute=_cast_compute,
-        shape_func=same_shape_func,
         pattern=OpPattern.ELEMWISE,
         batch_rule=elementwise,
     )
@@ -207,17 +198,11 @@ def _where_compute(inputs, attrs):
     return np.where(cond, lhs, rhs).astype(lhs.dtype, copy=False)
 
 
-def _where_shape_func(in_shapes, in_values, attrs):
-    step = broadcast_shape_func(in_shapes[1:], None, attrs)[0]
-    return broadcast_shape_func([in_shapes[0], step], None, attrs)
-
-
 register_op(
     OpDef(
         name="where",
         type_rel=_where_rel,
         compute=_where_compute,
-        shape_func=_where_shape_func,
         pattern=OpPattern.BROADCAST,
         batch_rule=elementwise,
     )
@@ -237,7 +222,6 @@ register_op(
         name="clip",
         type_rel=identity_rel,
         compute=_clip_compute,
-        shape_func=same_shape_func,
         pattern=OpPattern.ELEMWISE,
         batch_rule=elementwise,
     )

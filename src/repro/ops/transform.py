@@ -6,21 +6,22 @@ Type relations here do most of the ``Any``-propagation work: e.g.
 input's identity token when the inferred dim provably *is* the input's one
 dynamic dim (``(?a, 256) -> (-1, 4, 64)`` gives ``(?a, 4, 64)``), which is
 what lets ``ManifestAlloc`` see that a whole BERT has one symbolic
-dimension. Shape functions recompute everything exactly at runtime.
+dimension. At run time the same relations, given concrete types,
+compute every shape exactly and make the checks ``Any`` put off.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.errors import BatchSpecializeError, ShapeError, TypeInferenceError
+from repro.errors import BatchSpecializeError, TypeInferenceError
 from repro.ir.expr import Call, Constant
 from repro.ir.op import Op
 from repro.ir.types import Any, TensorType, TupleType, Type
 from repro.ops.batching import BatchCall, canonical, elementwise, row_wise, static_shape
-from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, operand_probe, register_op
+from repro.ops.registry import OpDef, OpPattern, operand_probe, register_op
 from repro.ops.shape_funcs import normalize_axis, prod
 from repro.ops.type_relations import expect_tensor, unify_dim
 from repro.tensor.ndarray import array as make_array
@@ -57,28 +58,13 @@ def _reshape_rel(arg_types, attrs) -> Type:
             out.append(dim)
         else:
             raise TypeInferenceError(f"reshape: invalid dim {dim}")
+    if -1 not in newshape and data.num_elements() not in (None, prod(newshape)):
+        raise TypeInferenceError(f"reshape: element count mismatch {data!r} -> {newshape}")
     return TensorType(tuple(out), data.dtype)
 
 
 def _reshape_compute(inputs, attrs):
     return np.reshape(inputs[0], tuple(attrs["newshape"]))
-
-
-def _reshape_shape_func(in_shapes, in_values, attrs):
-    total = prod(in_shapes[0])
-    newshape = list(attrs["newshape"])
-    known = prod([d for d in newshape if d != -1]) if newshape else 1
-    out = []
-    for dim in newshape:
-        if dim == -1:
-            if known == 0 or total % known != 0:
-                raise ShapeError(f"reshape runtime check failed: {in_shapes[0]} -> {newshape}")
-            out.append(total // known)
-        else:
-            out.append(dim)
-    if prod(out) != total:
-        raise ShapeError(f"reshape element count mismatch: {in_shapes[0]} -> {out}")
-    return [tuple(out)]
 
 
 def _reshape_lower(call, args):
@@ -99,7 +85,6 @@ register_op(
         name="reshape",
         type_rel=_reshape_rel,
         compute=_reshape_compute,
-        shape_func=_reshape_shape_func,
         pattern=OpPattern.INJECTIVE,
         flops=lambda i, o, a: 0.0,
         batch_rule=_reshape_batch_rule,
@@ -124,12 +109,6 @@ def _transpose_compute(inputs, attrs):
     return np.ascontiguousarray(np.transpose(inputs[0], axes))
 
 
-def _transpose_shape_func(in_shapes, in_values, attrs):
-    shape = in_shapes[0]
-    axes = attrs.get("axes") or tuple(reversed(range(len(shape))))
-    return [tuple(shape[a] for a in axes)]
-
-
 def _transpose_batch_rule(c: BatchCall):
     """Lifted: the batch axis stays first, the member's axes follow."""
     axes = c.call.attrs.get("axes") or reversed(range(c.member_tys[0].ndim))
@@ -141,7 +120,6 @@ register_op(
         name="transpose",
         type_rel=_transpose_rel,
         compute=_transpose_compute,
-        shape_func=_transpose_shape_func,
         pattern=OpPattern.INJECTIVE,
         batch_rule=_transpose_batch_rule,
     )
@@ -155,6 +133,8 @@ def _concatenate_rel(arg_types, attrs) -> Type:
         raise TypeInferenceError("concatenate of zero tensors")
     ndim = tensors[0].ndim
     dtype = tensors[0].dtype
+    if any(t.ndim != ndim for t in tensors):
+        raise TypeInferenceError(f"concatenate: rank mismatch {tensors!r}")
     axis = normalize_axis(attrs.get("axis", 0), ndim)
     out: List = []
     for i in range(ndim):
@@ -185,24 +165,11 @@ def _concatenate_lower(call, args):
     return f"concatenate(({tensors}), axis={axis})", {"concatenate": np.concatenate}, None
 
 
-def _concatenate_shape_func(in_shapes, in_values, attrs):
-    axis = normalize_axis(attrs.get("axis", 0), len(in_shapes[0]))
-    out = list(in_shapes[0])
-    for shape in in_shapes[1:]:
-        for i, (a, b) in enumerate(zip(out, shape)):
-            if i == axis:
-                out[i] = a + b
-            elif a != b:
-                raise ShapeError(f"concatenate runtime check failed: {in_shapes}")
-    return [tuple(out)]
-
-
 register_op(
     OpDef(
         name="concatenate",
         type_rel=_concatenate_rel,
         compute=_concatenate_compute,
-        shape_func=_concatenate_shape_func,
         pattern=OpPattern.INJECTIVE,
         batch_rule=row_wise(default_axis=0, tile=True),
         lower=_concatenate_lower,
@@ -261,28 +228,6 @@ def _split_compute(inputs, attrs):
     return tuple(parts)
 
 
-def _split_shape_func(in_shapes, in_values, attrs):
-    shape = in_shapes[0]
-    axis = normalize_axis(attrs.get("axis", 0), len(shape))
-    sections = attrs["indices_or_sections"]
-    if isinstance(sections, int):
-        if shape[axis] % sections != 0:
-            raise ShapeError(f"split runtime check failed: {shape[axis]} % {sections}")
-        sizes = [shape[axis] // sections] * sections
-    else:
-        sizes, prev = [], 0
-        for idx in list(sections):
-            sizes.append(idx - prev)
-            prev = idx
-        sizes.append(shape[axis] - prev)
-    out = []
-    for size in sizes:
-        s = list(shape)
-        s[axis] = size
-        out.append(tuple(s))
-    return out
-
-
 def _split_num_outputs(attrs) -> int:
     sections = attrs["indices_or_sections"]
     return sections if isinstance(sections, int) else len(list(sections)) + 1
@@ -293,7 +238,6 @@ register_op(
         name="split",
         type_rel=_split_rel,
         compute=_split_compute,
-        shape_func=_split_shape_func,
         pattern=OpPattern.INJECTIVE,
         num_outputs=-1,  # depends on attrs; see _split_num_outputs
         batch_rule=row_wise(default_axis=0),
@@ -328,15 +272,6 @@ def _take_lower(call, args):
         return None
     where = "" if axis is None else f", axis={int(axis)}"
     return f"{args[0]}.take({args[1]}{where})", {}, None
-
-
-def _take_shape_func(in_shapes, in_values, attrs):
-    data, indices = in_shapes
-    axis = attrs.get("axis")
-    if axis is None:
-        return [tuple(indices)]
-    axis = normalize_axis(axis, len(data))
-    return [tuple(data[:axis]) + tuple(indices) + tuple(data[axis + 1 :])]
 
 
 def _take_batch_rule(c: BatchCall):
@@ -388,7 +323,6 @@ register_op(
         name="take",
         type_rel=_take_rel,
         compute=_take_compute,
-        shape_func=_take_shape_func,
         pattern=OpPattern.INJECTIVE,
         batch_rule=_take_batch_rule,
         lower=_take_lower,
@@ -401,6 +335,8 @@ def _stack_rel(arg_types, attrs) -> Type:
     tensors = [expect_tensor(t, "stack input") for t in arg_types]
     base = tensors[0]
     for t in tensors[1:]:
+        if t.ndim != base.ndim:
+            raise TypeInferenceError(f"stack: rank mismatch {base!r} vs {t!r}")
         for a, b in zip(base.shape, t.shape):
             unify_dim(a, b, "stack dims")
     axis = attrs.get("axis", 0)
@@ -414,11 +350,6 @@ register_op(
         name="stack",
         type_rel=_stack_rel,
         compute=lambda inputs, attrs: np.stack(list(inputs), axis=attrs.get("axis", 0)),
-        shape_func=lambda s, v, a: [
-            tuple(
-                list(s[0][: a.get("axis", 0)]) + [len(s)] + list(s[0][a.get("axis", 0) :])
-            )
-        ],
         pattern=OpPattern.INJECTIVE,
     )
 )
@@ -437,11 +368,6 @@ register_op(
         name="expand_dims",
         type_rel=_expand_dims_rel,
         compute=lambda inputs, attrs: np.expand_dims(inputs[0], attrs.get("axis", 0)),
-        shape_func=lambda s, v, a: [
-            tuple(
-                list(s[0][: a.get("axis", 0)]) + [1] + list(s[0][a.get("axis", 0) :])
-            )
-        ],
         pattern=OpPattern.INJECTIVE,
         flops=lambda i, o, a: 0.0,
     )
@@ -469,23 +395,11 @@ def _squeeze_compute(inputs, attrs):
     return np.squeeze(inputs[0], axis=tuple(axes) if axes is not None else None)
 
 
-def _squeeze_shape_func(in_shapes, in_values, attrs):
-    shape = in_shapes[0]
-    axes = attrs.get("axis")
-    if axes is None:
-        return [tuple(d for d in shape if d != 1)]
-    if not isinstance(axes, (list, tuple)):
-        axes = [axes]
-    axes = {normalize_axis(a, len(shape)) for a in axes}
-    return [tuple(d for i, d in enumerate(shape) if i not in axes)]
-
-
 register_op(
     OpDef(
         name="squeeze",
         type_rel=_squeeze_rel,
         compute=_squeeze_compute,
-        shape_func=_squeeze_shape_func,
         pattern=OpPattern.INJECTIVE,
         flops=lambda i, o, a: 0.0,
     )
@@ -506,9 +420,9 @@ def _strided_slice_rel(arg_types, attrs) -> Type:
         if isinstance(dim, Any):
             shape.append(Any())
             continue
-        b = min(begin[i], dim) if begin[i] >= 0 else begin[i] + dim
-        e = min(end[i], dim) if end[i] >= 0 else end[i] + dim
-        s = strides[i]
+        b = begin[i] if begin[i] >= 0 else begin[i] + dim
+        e = end[i] if end[i] >= 0 else end[i] + dim
+        b, e, s = max(0, min(b, dim)), max(0, min(e, dim)), strides[i]
         shape.append(max(0, (e - b + s - 1) // s))
     return TensorType(tuple(shape), data.dtype)
 
@@ -524,29 +438,11 @@ def _strided_slice_compute(inputs, attrs):
     return np.ascontiguousarray(x[index])
 
 
-def _strided_slice_shape_func(in_shapes, in_values, attrs):
-    shape = in_shapes[0]
-    begin = list(attrs["begin"])
-    end = list(attrs["end"])
-    strides = list(attrs.get("strides") or [1] * len(begin))
-    out = []
-    for i, dim in enumerate(shape):
-        if i >= len(begin):
-            out.append(dim)
-            continue
-        b = begin[i] if begin[i] >= 0 else begin[i] + dim
-        e = end[i] if end[i] >= 0 else end[i] + dim
-        b, e = max(0, min(b, dim)), max(0, min(e, dim))
-        out.append(max(0, (e - b + strides[i] - 1) // strides[i]))
-    return [tuple(out)]
-
-
 register_op(
     OpDef(
         name="strided_slice",
         type_rel=_strided_slice_rel,
         compute=_strided_slice_compute,
-        shape_func=_strided_slice_shape_func,
         pattern=OpPattern.INJECTIVE,
     )
 )
@@ -571,7 +467,6 @@ def _register_filled(name: str, fill_value) -> None:
             name=name,
             type_rel=_filled_rel,
             compute=compute,
-            shape_func=lambda s, v, a: [tuple(a["shape"])],
             pattern=OpPattern.ELEMWISE,
             batch_rule=elementwise,
         )
@@ -586,7 +481,12 @@ _register_filled("full", 0.0)
 # -- broadcast_to --------------------------------------------------------------------
 def _broadcast_to_rel(arg_types, attrs) -> Type:
     data = expect_tensor(arg_types[0], "broadcast_to data")
-    return TensorType(tuple(attrs["shape"]), data.dtype)
+    shape = tuple(attrs["shape"])
+    lead = len(shape) - data.ndim
+    if lead < 0 or any(not isinstance(d, Any) and d not in (1, t)
+                       for d, t in zip(data.shape, shape[lead:])):
+        raise TypeInferenceError(f"broadcast_to: cannot broadcast {data!r} to {shape}")
+    return TensorType(shape, data.dtype)
 
 
 register_op(
@@ -596,7 +496,6 @@ register_op(
         compute=lambda inputs, attrs: np.broadcast_to(
             inputs[0], tuple(attrs["shape"])
         ).copy(),
-        shape_func=lambda s, v, a: [tuple(a["shape"])],
         pattern=OpPattern.BROADCAST,
     )
 )

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ShapeError
+from repro.errors import CompilerError, ShapeError
+from repro.ir import TensorType
 from repro.ops import (
     OpPattern,
     ShapeFuncMode,
@@ -15,6 +16,7 @@ from repro.ops import (
     has_op,
     num_outputs_of,
 )
+from repro.ops.registry import output_shapes
 
 RNG = np.random.RandomState(7)
 
@@ -258,20 +260,18 @@ class TestDynamicOps:
         assert op.shape_func_mode is ShapeFuncMode.DATA_DEPENDENT
         out = run_op("arange", [np.float32(0), np.float32(5), np.float32(1)], {"dtype": "float32"})
         assert out.tolist() == [0, 1, 2, 3, 4]
-        shapes = op.shape_func([(), (), ()], [np.float32(0), np.float32(5), np.float32(1)], {})
-        assert shapes == [(5,)]
+        values = [np.float32(0), np.float32(5), np.float32(1)]
+        assert output_shapes(op, [TensorType((), "float32")] * 3, values, {}) == [(5,)]
 
     def test_arange_shape_func_requires_values(self):
         with pytest.raises(ShapeError):
-            get_op_def("arange").shape_func([(), (), ()], None, {})
+            output_shapes(get_op_def("arange"), [TensorType((), "float32")] * 3, None, {})
 
     def test_unique(self):
         out = run_op("unique", [np.array([3, 1, 3, 2], np.int64)])
         assert out.tolist() == [1, 2, 3]
-        shapes = get_op_def("unique").shape_func(
-            [(4,)], [np.array([3, 1, 3, 2], np.int64)], {}
-        )
-        assert shapes == [(3,)]
+        values = [np.array([3, 1, 3, 2], np.int64)]
+        assert output_shapes(get_op_def("unique"), [TensorType((4,), "int64")], values, {}) == [(3,)]
 
     def test_nonzero(self):
         out = run_op("nonzero", [np.array([0, 1, 0, 2], np.int64)])
@@ -290,7 +290,7 @@ class TestDynamicOps:
         assert actual.tolist() == [2]  # two boxes survive
         assert padded[:2].tolist() == [0, 2]
         # Upper-bound shape function needs only shapes.
-        assert op.shape_func([(3, 4), (3,)], None, {}) == [(3,)]
+        assert output_shapes(op, [TensorType((3, 4)), TensorType((3,))], None, {}) == [(3,)]
 
     def test_topk(self):
         values, idx = run_op("topk", [np.float32([1, 9, 3, 7])], {"k": 2})
@@ -298,60 +298,139 @@ class TestDynamicOps:
         assert idx.tolist() == [1, 3]
 
 
+def _f32(*shapes):
+    return [RNG.randn(*shape).astype(np.float32) for shape in shapes]
+
+
+# Calls of each op whose run-time shape function is its type relation
+# (no own ``shape_func``): (inputs, attrs). A case where the relation
+# refuses the concrete types is one ``compute`` refuses too. An op with
+# a lowering adds the calls ``tests/test_codegen.py`` lowers it on.
+_SHAPE_CASES = {
+    "logical_not": [([RNG.rand(2, 3) < 0.5], {})],
+    "cast": [(_f32((2, 3)), {"dtype": "int32"})],
+    "where": [([RNG.rand(2, 1) < 0.5, *_f32((1, 3), (2, 3))], {}),
+              ([RNG.rand(2, 3) < 0.5, *_f32((3, 3), (2, 3))], {})],
+    "clip": [(_f32((2, 3)), {"a_min": -1.0, "a_max": 1.0})],
+    **{name: [(_f32((2, 3, 4)), {"axis": 1}), (_f32((2, 3, 4)), {"axis": (0, 2), "keepdims": True}),
+              (_f32((2, 3)), {})]
+       for name in ("sum", "mean", "max", "min", "prod")},
+    **{name: [(_f32((2, 3, 4)), {"axis": 1}), (_f32((2, 3)), {"axis": -1, "keepdims": True})]
+       for name in ("argmax", "argmin")},
+    "transpose": [(_f32((2, 3, 4)), {"axes": (1, 2, 0)}), (_f32((2, 3)), {})],
+    "split": [(_f32((4, 6)), {"indices_or_sections": 2, "axis": 1}),
+              (_f32((4, 6)), {"indices_or_sections": (1, 3)}),
+              (_f32((3,)), {"indices_or_sections": 2})],
+    "stack": [(_f32((3, 5), (3, 5)), {"axis": 1}), (_f32((3, 5), (3, 5)), {"axis": -1}),
+              (_f32((3, 5), (3, 4)), {})],
+    "expand_dims": [(_f32((2, 3)), {"axis": 1}), (_f32((2, 3)), {"axis": -1})],
+    "squeeze": [(_f32((2, 1, 3, 1)), {"axis": 1}), (_f32((2, 1, 3, 1)), {}),
+                (_f32((2, 3, 1)), {"axis": 0})],
+    "strided_slice": [(_f32((5, 6)), {"begin": (1, 0), "end": (4, 6)}),
+                      (_f32((5, 6)), {"begin": (-10, 1), "end": (3, 100), "strides": (1, 2)})],
+    **{name: [([], {"shape": (2, 3), "dtype": "float32"})] for name in ("zeros", "ones", "full")},
+    "broadcast_to": [(_f32((1, 3)), {"shape": (2, 3)}), (_f32((3,)), {"shape": (4, 2, 3)}),
+                     (_f32((2, 3)), {"shape": (4, 3)})],
+    "nn.dense": [(_f32((2, 8), (4, 9)), {}), (_f32((5, 8), (4, 8)), {"batch": 2})],
+    "nn.bias_add": [(_f32((2, 3), (4,)), {})],
+    "nn.batch_matmul": [(_f32((2, 3, 4), (2, 5, 4)), {}), (_f32((2, 3, 4), (2, 5, 3)), {})],
+    "nn.softmax": [(_f32((3, 5)), {"axis": -1})],
+    "nn.log_softmax": [(_f32((3, 5)), {"axis": -1})],
+    "nn.layer_norm": [(_f32((2, 4), (4,), (4,)), {}), (_f32((2, 4), (3,), (3,)), {})],
+    "nn.gelu": [(_f32((2, 3)), {})],
+    "nn.conv2d": [(_f32((1, 2, 8, 8), (4, 2, 3, 3)), {"strides": 1, "padding": 1}),
+                  (_f32((1, 4, 6, 6), (4, 2, 3, 3)), {"groups": 2, "strides": 2}),
+                  (_f32((1, 3, 8, 8), (4, 2, 1, 1)), {})],
+    **{name: [(_f32((1, 2, 8, 8)), {"pool_size": 2, "strides": 2}),
+              (_f32((1, 2, 7, 7)), {"pool_size": 3, "strides": 1, "padding": 1})]
+       for name in ("nn.max_pool2d", "nn.avg_pool2d")},
+    "nn.global_avg_pool2d": [(_f32((1, 2, 5, 5)), {})],
+    "nn.batch_norm_inference": [([*_f32((2, 3, 4, 4), (3,), (3,), (3,)), np.ones(3, np.float32)], {})],
+    "topk": [(_f32((2, 5)), {"k": 3})],
+    "reshape": [(_f32((17,)), {"newshape": (1, 16)}), (_f32((6,)), {"newshape": (4, -1)})],
+    "concatenate": [(_f32((2, 3), (2, 4)), {"axis": 0}), (_f32((2, 3), (2, 3, 1)), {"axis": 0})],
+    "add": [(_f32((2, 4), (3, 4)), {})],
+    "vm.storage_size": [([np.array([2, 3], np.int64)], {"dtype": "float32"})],
+    "vm.shape_of": [(_f32((2, 3)), {})],
+    "device.device_copy": [(_f32((2, 3)), {})],
+    "vm.reshape_tensor": [([*_f32((2, 6)), np.array([3, 4], np.int64)], {"newshape": (3, 4)})],
+}
+# Memory and VM constructs the VM interprets: no compute to compare with.
+_VM_INTERPRETED = {"memory.alloc_storage", "memory.alloc_tensor", "memory.kill",
+                   "vm.invoke_mut", "vm.shape_func", "vm.alloc_closure"}
+
+
+def _relation_shaped_ops():
+    import repro.passes  # noqa: F401 -- registers vm.alloc_closure
+
+    return [name for name in all_op_names() if get_op_def(name).shape_func is None]
+
+
+def _shape_cases(name):
+    cases = list(_SHAPE_CASES.get(name, []))
+    if get_op_def(name).lower is not None:
+        from test_codegen import _lowering_cases
+
+        # Only the calls compute runs: the others are its dtype and index
+        # errors, which no shape function sees (the lowering test's).
+        for inputs, attrs, _ in _lowering_cases(name):
+            with np.errstate(all="ignore"):
+                try:
+                    get_op_def(name).compute(inputs, attrs)
+                except (TypeError, ValueError, IndexError):
+                    continue
+            cases.append((inputs, attrs))
+    return cases
+
+
+def _shapes_or_refusal(run):
+    try:
+        with np.errstate(all="ignore"):
+            return [tuple(s) for s in run()]
+    except (ShapeError, TypeError, ValueError, IndexError):
+        return "refused"
+
+
+def _computed_shapes(op_def, inputs, attrs):
+    out = op_def.compute(inputs, attrs)
+    return [np.shape(o) for o in (out if isinstance(out, tuple) else [out])]
+
+
 class TestShapeFunctionExactness:
-    """Property: for data-independent ops, the shape function's prediction
-    must equal the compute's actual output shape — this is the §4.2
-    invariant the allocator relies on."""
+    """§4.2's invariant the allocator relies on, generated from the
+    registry: for every op whose run-time shape function is its type
+    relation at concrete types (``output_shapes``), the shapes it predicts
+    are the shapes ``compute`` returns, or both refuse the call."""
 
-    @given(
-        rows=st.integers(1, 7),
-        cols=st.integers(1, 7),
-        units=st.integers(1, 7),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_dense_shape_func_exact(self, rows, cols, units):
-        op = get_op_def("nn.dense")
-        x = np.zeros((rows, cols), np.float32)
-        w = np.zeros((units, cols), np.float32)
-        predicted = op.shape_func([x.shape, w.shape], None, {})
-        actual = op.compute([x, w], {})
-        assert tuple(predicted[0]) == actual.shape
+    @pytest.mark.parametrize("name", _relation_shaped_ops())
+    def test_output_shapes_are_the_shapes_compute_returns(self, name):
+        op_def = get_op_def(name)
+        if name in _VM_INTERPRETED:
+            with pytest.raises((CompilerError, RuntimeError), match="interpreted by the VM"):
+                op_def.compute([], {})
+            return
+        cases = _shape_cases(name)
+        assert cases, f"{name} has no shape case: add one to _SHAPE_CASES"
+        for inputs, attrs in cases:
+            types = [TensorType(x.shape, x.dtype.name) for x in inputs]
+            predicted = _shapes_or_refusal(lambda: output_shapes(op_def, types, inputs, attrs))
+            actual = _shapes_or_refusal(lambda: _computed_shapes(op_def, inputs, attrs))
+            assert predicted == actual, (name, [x.shape for x in inputs], attrs)
 
-    @given(
-        a=st.integers(1, 5), b=st.integers(1, 5), axis=st.integers(0, 1)
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_concat_shape_func_exact(self, a, b, axis):
-        op = get_op_def("concatenate")
-        base = (3, 4)
-        s1 = list(base)
-        s2 = list(base)
-        s1[axis], s2[axis] = a, b
-        x, y = np.zeros(s1, np.float32), np.zeros(s2, np.float32)
-        predicted = op.shape_func([x.shape, y.shape], None, {"axis": axis})
-        actual = op.compute([x, y], {"axis": axis})
-        assert tuple(predicted[0]) == actual.shape
+    def test_an_op_without_a_case_fails(self, monkeypatch):
+        monkeypatch.delitem(_SHAPE_CASES, "nn.gelu")
+        with pytest.raises(AssertionError, match="no shape case"):
+            self.test_output_shapes_are_the_shapes_compute_returns("nn.gelu")
 
-    @pytest.mark.parametrize(
-        "name,make_inputs,attrs",
-        [
-            ("nn.softmax", lambda: [np.zeros((3, 5), np.float32)], {"axis": -1}),
-            ("transpose", lambda: [np.zeros((2, 3, 4), np.float32)], {"axes": (1, 2, 0)}),
-            ("reshape", lambda: [np.zeros((6,), np.float32)], {"newshape": (2, -1)}),
-            ("sum", lambda: [np.zeros((3, 4), np.float32)], {"axis": 0, "keepdims": False}),
-            ("take", lambda: [np.zeros((5, 2), np.float32), np.zeros((3,), np.int64)], {"axis": 0}),
-            ("nn.max_pool2d", lambda: [np.zeros((1, 2, 8, 8), np.float32)], {"pool_size": 2, "strides": 2, "padding": 0}),
-        ],
-    )
-    def test_shape_func_matches_compute(self, name, make_inputs, attrs):
-        op = get_op_def(name)
-        inputs = make_inputs()
-        predicted = op.shape_func([i.shape for i in inputs], None, attrs)
-        actual = op.compute(inputs, attrs)
-        if isinstance(actual, tuple):
-            assert [tuple(p) for p in predicted] == [a.shape for a in actual]
-        else:
-            assert tuple(predicted[0]) == actual.shape
+    def test_a_relation_that_drifts_from_compute_fails(self, monkeypatch):
+        monkeypatch.setattr(get_op_def("expand_dims"), "type_rel",
+                            lambda ts, attrs: TensorType((1,) + ts[0].shape, ts[0].dtype))
+        with pytest.raises(AssertionError):
+            self.test_output_shapes_are_the_shapes_compute_returns("expand_dims")
+
+    def test_exactly_the_dynamic_ops_declare_their_own_shape_function(self):
+        assert sorted(set(all_op_names()) - set(_relation_shaped_ops())) == [
+            "arange", "nonzero", "unique", "vision.non_max_suppression", "vm.slice_upper_bound"]
 
 
 class TestRegistry:

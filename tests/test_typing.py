@@ -38,6 +38,7 @@ from repro.ir import (
     scalar_type,
 )
 from repro.ops import api, get_op_def
+from repro.ops.registry import output_shapes
 from repro.ops.type_relations import broadcast_dim
 
 
@@ -343,27 +344,65 @@ class TestSubShaping:
         if kept:
             values = {a.token: data.draw(st.integers(1, 6)) for a in anys}
             concrete = tuple(values[d.token] if isinstance(d, Any) else d for d in in_shape)
-            (runtime,) = get_op_def("reshape").shape_func([concrete], None, attrs)
+            (runtime,) = output_shapes(get_op_def("reshape"), [TensorType(concrete)], None, attrs)
             assert runtime[at] == values[inferred.token]
 
 
+def _run_dynamic(body, *params_and_inputs):
+    """Build ``Function(params, body(*params))`` on intel_cpu and run it
+    on the inputs: *params_and_inputs* is (param type, input) pairs."""
+    from repro import nimble
+    from repro.hardware import intel_cpu
+
+    params = [Var(f"x{i}", ty) for i, (ty, _) in enumerate(params_and_inputs)]
+    mod = IRModule.from_expr(Function(params, body(*params)))
+    exe, _ = nimble.build(mod, intel_cpu())
+    return nimble.VirtualMachine(exe).run(*(x for _, x in params_and_inputs))
+
+
 class TestGradualRuntimeChecks:
+    """A data-independent op's run-time shape function is its type
+    relation at concrete types (``output_shapes``), so what static typing
+    let through because of ``Any`` fails at run time exactly where the
+    relation would have refused the concrete types."""
+
     def test_broadcast_shape_func_runtime_failure(self):
         """What static typing allowed (Any vs 3) must fail at runtime when
         Any instantiates to an incompatible value."""
-        from repro.ops.shape_funcs import broadcast_shape_func
-
         with pytest.raises(ShapeError):
-            broadcast_shape_func([(2, 4), (3, 4)], None, {})
+            output_shapes(get_op_def("add"), [TensorType((2, 4)), TensorType((3, 4))], None, {})
 
     def test_dense_shape_func_runtime_failure(self):
-        from repro.ops import get_op_def
-
-        sf = get_op_def("nn.dense").shape_func
+        dense = get_op_def("nn.dense")
         with pytest.raises(ShapeError):
-            sf([(2, 8), (4, 9)], None, {})
+            output_shapes(dense, [TensorType((2, 8)), TensorType((4, 9))], None, {})
         with pytest.raises(ShapeError):  # 5 stacked rows, 2 members
-            sf([(5, 8), (4, 8)], None, {"batch": 2})
+            output_shapes(dense, [TensorType((5, 8)), TensorType((4, 8))], None, {"batch": 2})
+
+    def test_squeeze_of_a_dim_that_is_not_one_fails_its_shape_function(self):
+        with pytest.raises(ShapeError, match="squeeze"):
+            _run_dynamic(lambda x: api.squeeze(x, axis=0),
+                         (TensorType((Any(), Any(), 1)), np.ones((2, 3, 1), np.float32)))
+
+    def test_stack_of_unequal_shapes_fails_its_shape_function(self):
+        with pytest.raises(ShapeError, match="stack"):
+            _run_dynamic(lambda x, y: api.stack([x, y]),
+                         (TensorType((Any(), 5)), np.ones((3, 5), np.float32)),
+                         (TensorType((Any(), Any())), np.ones((3, 4), np.float32)))
+
+    def test_conv2d_channel_mismatch_fails_its_shape_function(self):
+        weight = const(np.ones((4, 2, 1, 1), np.float32))
+        with pytest.raises(ShapeError, match="channel mismatch"):
+            _run_dynamic(lambda x: api.conv2d(x, weight),
+                         (TensorType((Any(), Any(), 8, 8)), np.ones((1, 3, 8, 8), np.float32)))
+
+    def test_a_static_reshape_of_the_wrong_element_count_is_refused(self):
+        x = Var("x", TensorType((17,)))
+        with pytest.raises(TypeInferenceError, match="element count"):
+            infer_types(IRModule.from_expr(Function([x], api.reshape(x, (1, 16)))))
+        with pytest.raises(ShapeError):  # ... and at run time, behind an Any
+            _run_dynamic(lambda x: api.reshape(x, (1, 16)),
+                         (TensorType((Any(),)), np.ones((17,), np.float32)))
 
     def test_dense_compute_refuses_rows_that_batch_does_not_cut(self):
         """Not one unsliced GEMM: that would be the batched GEMM whose
