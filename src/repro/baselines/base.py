@@ -21,7 +21,7 @@ from repro.codegen.cost_model import custom_library_cost_us, library_cost_us, tu
 from repro.codegen.schedule import Schedule
 from repro.evaluator import evaluate
 from repro.hardware.platforms import Platform
-from repro.ir import Expr, If, IRModule, Let
+from repro.ir import Expr, If, IRModule, let_chain
 from repro.ops import get_op_def
 from repro.ops.registry import array_type, output_shapes
 from repro.ops.shape_funcs import prod
@@ -177,9 +177,7 @@ def _guard_arity(mod: IRModule) -> Dict[If, int]:
     that function's arity."""
     arity = {}
     for func in mod.functions.values():
-        body = func.body
-        while isinstance(body, Let):
-            body = body.body
-        if isinstance(body, If):
-            arity[body] = len(func.params)
+        tail = let_chain(func.body)[1]
+        if isinstance(tail, If):
+            arity[tail] = len(func.params)
     return arity

@@ -33,21 +33,10 @@ that minimizes the number of cross-device copies".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple as PyTuple, Union
 
-from repro.ir.expr import (
-    Call,
-    Clause,
-    Expr,
-    Function,
-    GlobalVar,
-    If,
-    Let,
-    Match,
-    Tuple,
-    TupleGetItem,
-    Var,
-)
+from repro.ir.analysis import fold_lets, let_chain, map_nested_scopes, nested_scopes
+from repro.ir.expr import Call, Expr, Function, GlobalVar, If, Match, Tuple, TupleGetItem, Var
 from repro.ir.module import IRModule
 from repro.ir.op import Op
 from repro.ir.types import TensorType
@@ -90,25 +79,15 @@ def _is_tensor(var: Var) -> bool:
     return isinstance(var.checked_type or var.type_annotation, TensorType)
 
 
-def _nested_scopes(value: Expr) -> Sequence[Expr]:
-    if isinstance(value, If):
-        return (value.true_branch, value.false_branch)
-    if isinstance(value, Match):
-        return [clause.rhs for clause in value.clauses]
-    if isinstance(value, Function) and not value.is_primitive:
-        return (value.body,)
-    return ()
-
-
-def _direct_callees(scope: Optional[Expr]) -> Iterator[GlobalVar]:
+def _direct_callees(scope: Expr) -> Iterator[GlobalVar]:
     """The callees of every direct call ``_Placer.solve`` meets in *scope*:
     a Let value or the tail, here or in a nested scope (``iter_nodes``
     would also walk every kernel body and constant)."""
-    while scope is not None:
-        value, scope = (scope.value, scope.body) if isinstance(scope, Let) else (scope, None)
+    bindings, tail = let_chain(scope)
+    for value in [v for _, v in bindings] + [tail]:
         if isinstance(value, Call) and isinstance(value.op, GlobalVar):
             yield value.op
-        for nested in _nested_scopes(value):
+        for nested in nested_scopes(value):
             yield from _direct_callees(nested)
 
 
@@ -184,19 +163,15 @@ class _Placer:
         copy at its use), and a branch or a callee is solved where control
         reaches it — after the producers of what flows in, before the
         consumers of what flows out into *result*."""
-        tail = scope
-        while isinstance(tail, Let):
-            tail = tail.body
+        bindings, tail = let_chain(scope)
         if isinstance(tail, Var):
             # The scope's value is its tail's from the start: a consumer of
             # *result* met on the way (a recursive call's projection) then
             # finds it where an earlier branch's kernel wrote it.
             self.domains.union(result, tail)
-        node = scope
-        while isinstance(node, Let):
-            self._solve_binding(node.var, node.value)
-            node = node.body
-        self._solve_binding(result, node)
+        for var, value in bindings:
+            self._solve_binding(var, value)
+        self._solve_binding(result, tail)
 
     def _solve_binding(self, var: Var, value: Expr) -> None:
         domains = self.domains
@@ -238,7 +213,7 @@ class _Placer:
             for p in value.params:
                 domains.fix(p, self.compute)
             var = Var("ret")  # the body's value is not the closure
-        for nested in _nested_scopes(value):
+        for nested in nested_scopes(value):
             self.solve(nested, var)
         if callee is not None:
             if value.op not in self.results:
@@ -296,17 +271,14 @@ class _Placer:
     def rewrite(self, scope: Expr) -> Expr:
         """Insert the copies ``solve`` found (one per variable, device and
         scope), stamp allocation devices, recurse into nested scopes."""
+        bindings, tail = let_chain(scope)
         out: List[PyTuple[Var, Expr]] = []
         copy_cache: Dict[PyTuple[int, Device], Var] = {}
-        node = scope
-        while isinstance(node, Let):
-            value = self._rewrite_value(node.var, node.value, out, copy_cache)
-            out.append((node.var, value))
-            node = node.body
-        result = self._rewrite_value(None, node, out, copy_cache)
-        for var, value in reversed(out):
-            result = Let(var, value, result)
-        return result
+        for var, value in bindings:
+            value = self._rewrite_value(var, value, out, copy_cache)
+            out.append((var, value))
+        tail = self._rewrite_value(None, tail, out, copy_cache)
+        return fold_lets(out, tail)
 
     def _rewrite_value(self, var: Optional[Var], value: Expr, out: list, copy_cache: dict) -> Expr:
         subst: Dict[int, Var] = {}
@@ -328,14 +300,7 @@ class _Placer:
             if value.op.name == "memory.alloc_storage":
                 value.attrs["device"] = self.domains.lookup(var) or self.compute
             return value
-        if isinstance(value, If):
-            return If(value.cond, self.rewrite(value.true_branch), self.rewrite(value.false_branch))
-        if isinstance(value, Match):
-            clauses = [Clause(c.pattern, self.rewrite(c.rhs)) for c in value.clauses]
-            return Match(value.data, clauses, value.complete)
-        if isinstance(value, Function) and not value.is_primitive:
-            return Function(value.params, self.rewrite(value.body), value.ret_type, value.attrs)
-        return value
+        return map_nested_scopes(value, self.rewrite)
 
     @staticmethod
     def _substitute(value: Expr, subst: Dict[int, Var]) -> Expr:

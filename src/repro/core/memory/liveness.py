@@ -20,18 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Set, Tuple as PyTuple
 
-from repro.ir.analysis import iter_nodes
-from repro.ir.expr import (
-    Call,
-    Expr,
-    Function,
-    If,
-    Let,
-    Match,
-    Tuple,
-    TupleGetItem,
-    Var,
-)
+from repro.ir.analysis import iter_nodes, let_chain
+from repro.ir.expr import Call, Expr, Function, If, Match, Tuple, TupleGetItem, Var
 from repro.ir.op import Op
 from repro.utils.union_find import UnionFind
 
@@ -50,12 +40,7 @@ class AliasLiveness:
     """Liveness + alias + escape facts for one scope chain."""
 
     def __init__(self, scope: Expr) -> None:
-        self.bindings: List[PyTuple[Var, Expr]] = []
-        node: Expr = scope
-        while isinstance(node, Let):
-            self.bindings.append((node.var, node.value))
-            node = node.body
-        self.tail: Expr = node
+        self.bindings, self.tail = let_chain(scope)
         self.index_of: Dict[Var, int] = {
             var: i for i, (var, _) in enumerate(self.bindings)
         }

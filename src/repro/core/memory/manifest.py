@@ -53,19 +53,8 @@ from typing import Dict, List, Optional, Set, Tuple as PyTuple
 import numpy as np
 
 from repro.errors import CompilerError
-from repro.ir.analysis import _pattern_vars, iter_nodes
-from repro.ir.expr import (
-    Call,
-    Clause,
-    Expr,
-    Function,
-    If,
-    Let,
-    Match,
-    Tuple,
-    Var,
-    const,
-)
+from repro.ir.analysis import _pattern_vars, fold_lets, iter_nodes, let_chain, map_nested_scopes
+from repro.ir.expr import Call, Expr, Function, Let, Match, Tuple, Var, const
 from repro.ir.module import IRModule
 from repro.ir.op import Op
 from repro.ir.types import Any, StorageType, TensorType, TupleType, Type
@@ -130,72 +119,27 @@ class _Manifest:
         self._shapes: Dict[tuple, Var] = {}
         self._sizes: Dict[tuple, Var] = {}
 
-    def _nested(self, expr: Expr, inherit: bool = True) -> Expr:
-        """Rewrite a nested scope: what it learns dies with it."""
-        saved = self._shapes, self._sizes
-        self._shapes, self._sizes = (dict(saved[0]), dict(saved[1])) if inherit else ({}, {})
-        try:
-            return self.rewrite_scope(expr)
-        finally:
-            self._shapes, self._sizes = saved
-
     # -- scope driver ---------------------------------------------------------
     def rewrite_scope(self, expr: Expr) -> Expr:
-        bindings: List[PyTuple[Var, Expr]] = []
-        node: Expr = expr
-        while isinstance(node, Let):
-            bindings.append((node.var, node.value))
-            node = node.body
-        tail = node
-
+        bindings, tail = let_chain(expr)
         out: List[PyTuple[Var, Expr]] = []
         for var, value in bindings:
             if isinstance(value, Call) and isinstance(value.op, Function) and value.op.is_primitive:
                 out.extend(self.lower_prim_call(var, value))
-            elif isinstance(value, If):
-                out.append(
-                    (
-                        var,
-                        If(
-                            value.cond,
-                            self._nested(value.true_branch),
-                            self._nested(value.false_branch),
-                        ),
-                    )
-                )
-            elif isinstance(value, Match):
-                out.append(
-                    (
-                        var,
-                        Match(
-                            value.data,
-                            [
-                                Clause(c.pattern, self._nested(c.rhs))
-                                for c in value.clauses
-                            ],
-                            value.complete,
-                        ),
-                    )
-                )
-            elif isinstance(value, Function) and not value.is_primitive:
-                out.append(
-                    (
-                        var,
-                        Function(
-                            value.params,
-                            self._nested(value.body, inherit=False),
-                            value.ret_type,
-                            value.attrs,
-                        ),
-                    )
-                )
             else:
-                out.append((var, value))
+                # What a nested scope learns dies with it; a function
+                # body starts from empty tables.
+                inherit = not isinstance(value, Function)
+                out.append((var, map_nested_scopes(value, lambda s: self._nested(s, inherit))))
+        return fold_lets(out, tail)
 
-        result: Expr = tail
-        for var, value in reversed(out):
-            result = Let(var, value, result)
-        return result
+    def _nested(self, scope: Expr, inherit: bool) -> Expr:
+        saved = self._shapes, self._sizes
+        self._shapes, self._sizes = (dict(saved[0]), dict(saved[1])) if inherit else ({}, {})
+        try:
+            return self.rewrite_scope(scope)
+        finally:
+            self._shapes, self._sizes = saved
 
     # -- kernel-call lowering ----------------------------------------------------
     def lower_prim_call(self, var: Var, call: Call) -> List[PyTuple[Var, Expr]]:

@@ -30,17 +30,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple as PyTuple
 
-from repro.ir.expr import (
-    Call,
-    Clause,
-    Constant,
-    Expr,
-    Function,
-    If,
-    Let,
-    Match,
-    Var,
-)
+from repro.ir.analysis import fold_lets, let_chain, map_nested_scopes
+from repro.ir.expr import Call, Constant, Expr, Function, Var
 from repro.ir.module import IRModule
 from repro.ir.op import Op
 from repro.core.memory.liveness import AliasLiveness
@@ -98,42 +89,13 @@ class _Planner:
         self.report = report
 
     def plan_scope(self, scope: Expr) -> Expr:
-        if not isinstance(scope, Let):
-            return scope
-        # First recurse into nested scopes, then plan this chain: one
-        # liveness serves both phases.
-        live = AliasLiveness(self._rewrite_nested(scope))
+        # First plan the nested scopes, then this chain: one liveness
+        # serves both phases.
+        bindings, tail = let_chain(scope)
+        live = AliasLiveness(fold_lets(
+            [(var, map_nested_scopes(value, self.plan_scope)) for var, value in bindings], tail))
         self._coalesce(live)
         return self._insert_kills(live)
-
-    # -- nested scopes ---------------------------------------------------------
-    def _rewrite_nested(self, scope: Expr) -> Expr:
-        bindings: List[PyTuple[Var, Expr]] = []
-        node: Expr = scope
-        while isinstance(node, Let):
-            value = node.value
-            if isinstance(value, If):
-                value = If(
-                    value.cond,
-                    self.plan_scope(value.true_branch),
-                    self.plan_scope(value.false_branch),
-                )
-            elif isinstance(value, Match):
-                value = Match(
-                    value.data,
-                    [Clause(c.pattern, self.plan_scope(c.rhs)) for c in value.clauses],
-                    value.complete,
-                )
-            elif isinstance(value, Function) and not value.is_primitive:
-                value = Function(
-                    value.params, self.plan_scope(value.body), value.ret_type, value.attrs
-                )
-            bindings.append((node.var, value))
-            node = node.body
-        out = node
-        for var, value in reversed(bindings):
-            out = Let(var, value, out)
-        return out
 
     # -- storage coalescing ------------------------------------------------------
     @staticmethod
@@ -257,10 +219,7 @@ class _Planner:
                 )
                 self.report.kills_inserted += 1
 
-        out: Expr = live.tail
-        for var, value in reversed(new_bindings):
-            out = Let(var, value, out)
-        return out
+        return fold_lets(new_bindings, live.tail)
 
 
 class MemoryPlan(Pass):

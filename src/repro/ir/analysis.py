@@ -1,4 +1,5 @@
-"""IR analyses: variable accounting, traversal orders, structural equality.
+"""IR analyses: variable accounting, traversal orders, the view of an ANF
+scope, structural equality.
 
 The free-variable computation relies on the *unique binder* convention:
 every ``Var`` object is bound at most once (fresh objects are created for
@@ -8,12 +9,13 @@ All walks are iterative — ANF bodies can be thousands of bindings long.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple as PyTuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple as PyTuple
 
 import numpy as np
 
 from repro.ir.expr import (
     Call,
+    Clause,
     Constant,
     Constructor,
     Expr,
@@ -75,6 +77,70 @@ def iter_nodes(expr: Expr) -> Iterable[Expr]:
         seen.add(id(node))
         yield node
         stack.extend(_children(node))
+
+
+# --------------------------------------------------------------------------
+# ANF scopes
+# --------------------------------------------------------------------------
+# A scope is a let chain ending in its tail. A bound value's nested scopes
+# are the arms of an If, the right-hand sides of a Match and the body of a
+# function that is not primitive (a kernel body is not part of the
+# program's control flow). Every rewriting pass sees a scope through these.
+
+Binding = PyTuple[Var, Expr]
+
+
+def let_chain(expr: Expr) -> PyTuple[List[Binding], Expr]:
+    """The ``(var, value)`` bindings of the let chain *expr* heads, in
+    order, and the chain's tail (*expr* itself when it is no Let)."""
+    bindings: List[Binding] = []
+    while isinstance(expr, Let):
+        bindings.append((expr.var, expr.value))
+        expr = expr.body
+    return bindings, expr
+
+
+def fold_lets(bindings: Sequence[Binding], tail: Expr) -> Expr:
+    """The let chain binding *bindings* in order around *tail*."""
+    for var, value in reversed(bindings):
+        tail = Let(var, value, tail)
+    return tail
+
+
+def nested_scopes(value: Expr) -> Sequence[Expr]:
+    """The scopes nested in bound value *value*, in evaluation order."""
+    if isinstance(value, If):
+        return (value.true_branch, value.false_branch)
+    if isinstance(value, Match):
+        return [clause.rhs for clause in value.clauses]
+    if isinstance(value, Function) and not value.is_primitive:
+        return (value.body,)
+    return ()
+
+
+def map_nested_scopes(value: Expr, rewrite: Callable[[Expr], Expr]) -> Expr:
+    """*value* rebuilt with each nested scope replaced by ``rewrite(scope)``;
+    a value with no nested scope is returned as the same object."""
+    if isinstance(value, If):
+        return If(value.cond, rewrite(value.true_branch), rewrite(value.false_branch))
+    if isinstance(value, Match):
+        clauses = [Clause(c.pattern, rewrite(c.rhs)) for c in value.clauses]
+        return Match(value.data, clauses, value.complete)
+    if isinstance(value, Function) and not value.is_primitive:
+        return Function(value.params, rewrite(value.body), value.ret_type, value.attrs)
+    return value
+
+
+def use_sites(bindings: Sequence[Binding], tail: Expr) -> Dict[Var, List[int]]:
+    """Per variable, the indices of the bindings whose value reads it
+    (nested scopes included), once each and in order; a read in *tail*
+    is index ``len(bindings)``."""
+    sites: Dict[Var, List[int]] = {}
+    for i, root in enumerate([value for _, value in bindings] + [tail]):
+        for node in iter_nodes(root):
+            if isinstance(node, Var):
+                sites.setdefault(node, []).append(i)
+    return sites
 
 
 def free_vars(expr: Expr) -> List[Var]:

@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import TypeInferenceError
 
 Shape = Tuple[int, ...]
 
@@ -33,8 +33,10 @@ def prod(shape: Sequence[int]) -> int:
 
 
 def normalize_axis(axis: int, ndim: int) -> int:
+    """*axis* in ``[0, ndim)``; an axis outside the rank fails a type
+    relation (``output_types`` turns that into a ``ShapeError`` at run time)."""
     if axis < 0:
         axis += ndim
     if not 0 <= axis < ndim:
-        raise ShapeError(f"axis {axis} out of range for rank {ndim}")
+        raise TypeInferenceError(f"axis {axis} out of range for rank {ndim}")
     return axis

@@ -186,14 +186,12 @@ def _split_sections(dim, attrs):
         if dim % sections != 0:
             raise TypeInferenceError(f"split: {dim} not divisible by {sections}")
         return [dim // sections] * sections
-    # explicit indices
-    pieces = []
-    prev = 0
-    for idx in list(sections):
-        pieces.append(Any() if isinstance(dim, Any) else idx - prev)
-        prev = idx
-    pieces.append(Any() if isinstance(dim, Any) else dim - prev)
-    return pieces
+    # Explicit indices: the pieces are x[:i0], x[i0:i1], ..., x[ik:], each
+    # bound clamped (and a negative one counted from the end) as NumPy does.
+    bounds = [0, *sections, None]
+    if isinstance(dim, Any):
+        return [Any() for _ in bounds[1:]]
+    return [len(range(*slice(a, b).indices(dim))) for a, b in zip(bounds, bounds[1:])]
 
 
 def _split_rel(arg_types, attrs) -> Type:

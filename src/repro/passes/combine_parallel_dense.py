@@ -32,15 +32,13 @@ from typing import Dict, List, Tuple as PyTuple
 
 import numpy as np
 
-from repro.ir.analysis import iter_nodes
+from repro.ir.analysis import Binding, fold_lets, let_chain, use_sites
 from repro.ir.expr import Call, Constant, Expr, Let, TupleGetItem, Var
 from repro.ir.module import IRModule
 from repro.ir.op import Op
 from repro.ir.visitor import ExprMutator
 from repro.passes.pass_manager import Pass
 from repro.tensor.ndarray import NDArray
-
-Binding = PyTuple[Var, Expr]
 
 
 def _op_call(value: Expr, name: str) -> bool:
@@ -49,29 +47,18 @@ def _op_call(value: Expr, name: str) -> bool:
 
 class _Combiner(ExprMutator):
     def visit_let(self, let: Let) -> Expr:
-        lets: List[Let] = []
-        node: Expr = let
-        while isinstance(node, Let):
-            lets.append(node)
-            node = node.body
-        bindings = [(n.var, self.visit(n.value)) for n in lets]
-        tail = self.visit(node)
+        chain, old_tail = let_chain(let)
+        bindings = [(var, self.visit(value)) for var, value in chain]
+        tail = self.visit(old_tail)
         combined = self._combine(bindings, tail)
-        if combined is bindings and tail is node and all(
-                value is n.value for (_, value), n in zip(bindings, lets)):
+        if combined is bindings and tail is old_tail and all(
+                new is old for (_, new), (_, old) in zip(bindings, chain)):
             return let
-        out = tail
-        for var, value in reversed(combined):
-            out = Let(var, value, out)
-        return out
+        return fold_lets(combined, tail)
 
     def _combine(self, bindings: List[Binding], tail: Expr) -> List[Binding]:
         """The chain with every group of parallel branches rewritten."""
-        readers: Dict[Var, List[int]] = {}
-        for i, root in enumerate([v for _, v in bindings] + [tail]):
-            for sub in iter_nodes(root):
-                if isinstance(sub, Var):
-                    readers.setdefault(sub, []).append(i)
+        readers = use_sites(bindings, tail)
         # (x, reduction dim, dtype) -> the (dense, bias_add) indices of its branches
         groups: Dict[tuple, List[PyTuple[int, int]]] = {}
         for i, (var, value) in enumerate(bindings):

@@ -38,20 +38,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple as PyTuple
 
 from repro.errors import CompilerError
-from repro.ir.analysis import iter_nodes
-from repro.ir.expr import (
-    Call,
-    Clause,
-    Constant,
-    Expr,
-    Function,
-    If,
-    Let,
-    Match,
-    Tuple,
-    TupleGetItem,
-    Var,
-)
+from repro.ir.analysis import fold_lets, let_chain, map_nested_scopes, use_sites
+from repro.ir.expr import Call, Expr, Function, Tuple, TupleGetItem, Var
 from repro.ir.module import IRModule
 from repro.ir.op import Op
 from repro.ir.types import TensorType, TupleType, Type
@@ -112,51 +100,14 @@ class _Fuser:
     def __init__(self) -> None:
         self.names = NameSupply()
 
-    # -- recursive scope handling -------------------------------------------
-    def fuse_expr(self, expr: Expr) -> Expr:
-        if isinstance(expr, Let):
-            return self.fuse_chain(expr)
-        return expr  # atoms (strict ANF scope results)
-
-    def _rewrite_value(self, value: Expr) -> Expr:
-        """Rewrite nested scopes inside a bound value."""
-        if isinstance(value, If):
-            return If(
-                value.cond,
-                self.fuse_expr(value.true_branch),
-                self.fuse_expr(value.false_branch),
-            )
-        if isinstance(value, Match):
-            return Match(
-                value.data,
-                [Clause(c.pattern, self.fuse_expr(c.rhs)) for c in value.clauses],
-                value.complete,
-            )
-        if isinstance(value, Function) and not value.is_primitive:
-            return Function(
-                value.params, self.fuse_expr(value.body), value.ret_type, value.attrs
-            )
-        return value
-
     # -- per-chain fusion ------------------------------------------------------
-    def fuse_chain(self, head: Let) -> Expr:
-        bindings: List[PyTuple[Var, Expr]] = []
-        node: Expr = head
-        while isinstance(node, Let):
-            bindings.append((node.var, self._rewrite_value(node.value)))
-            node = node.body
-        tail = node
-
-        # Use sites, once per chain: the indices of the bindings that read
-        # each var, the tail being index len(bindings). Chain vars can only
-        # be used inside this chain (values incl. nested scopes) and its tail.
-        sites: Dict[Var, List[int]] = {}
-        scan_roots: List[Expr] = [v for _, v in bindings] + [tail]
-        for i, root in enumerate(scan_roots):
-            for sub in iter_nodes(root):
-                if isinstance(sub, Var):
-                    sites.setdefault(sub, []).append(i)
-
+    def fuse_chain(self, scope: Expr) -> Expr:
+        """*scope* with each of its chains, nested ones first, fused."""
+        bindings, tail = let_chain(scope)
+        bindings = [(var, map_nested_scopes(value, self.fuse_chain)) for var, value in bindings]
+        # Use sites, once per chain. Chain vars can only be used inside
+        # this chain (values incl. nested scopes) and its tail.
+        sites = use_sites(bindings, tail)
         index_of: Dict[Var, int] = {var: i for i, (var, _) in enumerate(bindings)}
         groups: Dict[int, _Group] = {}
         group_of: Dict[int, int] = {}
@@ -211,10 +162,7 @@ class _Fuser:
             else:
                 new_bindings.append((var, value))
 
-        out = tail
-        for var, value in reversed(new_bindings):
-            out = Let(var, value, out)
-        return out
+        return fold_lets(new_bindings, tail)
 
     def _merge_tuple_group(
         self,
@@ -336,8 +284,7 @@ class _Fuser:
         else:
             body = Tuple([subst(var) for var in outputs])
             ret_type = TupleType([var.checked_type for var in outputs])
-        for var, value in reversed(new_values):
-            body = Let(var, value, body)
+        body = fold_lets(new_values, body)
 
         call = Call(Function(params, body, ret_type, {"primitive": True}), list(ext_order))
         if single:
@@ -358,6 +305,6 @@ class FuseOps(Pass):
                 continue
             fuser = _Fuser()
             out.functions[gv] = Function(
-                func.params, fuser.fuse_expr(func.body), func.ret_type, func.attrs
+                func.params, fuser.fuse_chain(func.body), func.ret_type, func.attrs
             )
         return out

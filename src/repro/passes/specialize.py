@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.typing.bind import Binding, batch_type, bind_any_dims, collect_shape_bindings
 from repro.errors import BatchSpecializeError, CompilerError
+from repro.ir.analysis import fold_lets, let_chain
 from repro.ir.expr import (
     Call,
     Clause,
@@ -77,19 +78,9 @@ class _Specializer:
             return self.gv_map.get(expr, expr)
         if isinstance(expr, Let):
             # Iterative over the chain (ANF bodies are thousands deep).
-            bindings: List[Tuple[Var, Expr]] = []
-            node: Expr = expr
-            while isinstance(node, Let):
-                var = self.visit(node.var)
-                if not isinstance(var, Var):
-                    raise CompilerError("let binder must remain a Var")
-                bindings.append((var, self.visit(node.value)))
-                node = node.body
-            out = self.visit(node)
-            for var, value in reversed(bindings):
-                out = Let(var, value, out)
-            self._memo[id(expr)] = out
-            return out
+            chain, tail = let_chain(expr)
+            bindings = [(self.visit(var), self.visit(value)) for var, value in chain]
+            return fold_lets(bindings, self.visit(tail))
         if isinstance(expr, Call):
             return Call(
                 self.visit(expr.op), [self.visit(a) for a in expr.args], expr.attrs
@@ -298,18 +289,15 @@ class _BatchRewriter:
                 f"batch specialization: free variable %{expr.name_hint}"
             )
         if isinstance(expr, Let):
-            bindings: List[Tuple[Var, Expr]] = []
-            node: Expr = expr
-            while isinstance(node, Let):
-                value, flags = self.visit(node.value)
-                new_var = Var(node.var.name_hint)
-                self._memo[id(node.var)] = (new_var, flags)
+            chain, tail = let_chain(expr)
+            bindings = []
+            for var, value in chain:
+                value, flags = self.visit(value)
+                new_var = Var(var.name_hint)
+                self._memo[id(var)] = (new_var, flags)
                 bindings.append((new_var, value))
-                node = node.body
-            out, out_flags = self.visit(node)
-            for var, value in reversed(bindings):
-                out = Let(var, value, out)
-            return out, out_flags
+            out, out_flags = self.visit(tail)
+            return fold_lets(bindings, out), out_flags
         if isinstance(expr, IRTuple):
             pairs = [self.visit(f) for f in expr.fields]
             return IRTuple([e for e, _ in pairs]), tuple(f for _, f in pairs)

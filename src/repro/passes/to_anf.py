@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple as PyTuple
 
 from repro.errors import CompilerError
+from repro.ir.analysis import fold_lets
 from repro.ir.expr import (
     Call,
     Clause,
@@ -49,12 +50,6 @@ class _Scope:
         self.bindings: List[PyTuple[Var, Expr]] = []
         self.memo: Dict[int, Expr] = {}
 
-    def wrap(self, result: Expr) -> Expr:
-        out = result
-        for var, value in reversed(self.bindings):
-            out = Let(var, value, out)
-        return out
-
 
 class _ANF:
     def __init__(self, names: Optional[NameSupply] = None) -> None:
@@ -71,7 +66,7 @@ class _ANF:
         # VM compiler all key off this shape.
         scope = _Scope()
         result = self.visit(expr, scope, tail=False)
-        return scope.wrap(result)
+        return fold_lets(scope.bindings, result)
 
     def bind(self, value: Expr, scope: _Scope, key: Optional[int] = None, name: str = "t") -> Var:
         var = Var(self.names.fresh(name))

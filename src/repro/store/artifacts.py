@@ -21,7 +21,7 @@ read back through one store, share one array.
 
 ``<key>`` is :func:`repro.vm.executable.artifact_key` — a sha256 over
 (source-module fingerprint, platform, shape binding, batch marker,
-serialization version). Content addressing makes staleness structural:
+serialization version, device stream count). Content addressing makes staleness structural:
 a serialization-format bump changes every key, so old blobs are never
 looked up; a model or platform change changes the fingerprint
 component, so a store can safely hold artifacts for many modules and

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Set, Tuple as PyTuple
 from repro.codegen.kernels import KernelCache, prim_key
 from repro.errors import CompilerError
 from repro.hardware.platforms import Platform
-from repro.ir.analysis import structural_equal
+from repro.ir.analysis import let_chain, structural_equal
 from repro.ir.expr import (
     Call,
     Constant,
@@ -56,7 +56,6 @@ from repro.ir.expr import (
     Function,
     GlobalVar,
     If as IRIf,
-    Let,
     Match,
     Pattern,
     PatternConstructor,
@@ -129,12 +128,6 @@ class _FnCtx:
         return self._unit_reg
 
 
-# Instructions whose only effect is their write: dropped when no
-# instruction reads the register they write.
-_PURE = frozenset({ins.Opcode.MOVE, ins.Opcode.LOAD_CONST, ins.Opcode.LOAD_CONSTI,
-                   ins.Opcode.ALLOC_ADT, ins.Opcode.GET_FIELD})
-
-
 def drop_unread_writes(code: List[ins.Instruction], num_params: int) -> List[ins.Instruction]:
     """*code* without the writes nobody reads: every write of a register
     no instruction reads, when each of them is pure, goes — a kill of a
@@ -154,7 +147,7 @@ def drop_unread_writes(code: List[ins.Instruction], num_params: int) -> List[ins
     while work:
         r = work.pop()
         pcs = writers[r]
-        if reads.get(r, 0) or any(code[pc].opcode not in _PURE for pc in pcs):
+        if reads.get(r, 0) or any(code[pc].opcode not in ins.PURE for pc in pcs):
             continue
         dead.update(pcs)
         for pc in pcs:
@@ -261,11 +254,10 @@ class VMCompiler:
 
     # --------------------------------------------------------------------- scopes
     def compile_scope(self, expr: Expr, ctx: _FnCtx) -> int:
-        node: Expr = expr
-        while isinstance(node, Let):
-            ctx.env[node.var] = self.compile_value(node.var, node.value, ctx)
-            node = node.body
-        return self.compile_atom(node, ctx)
+        bindings, tail = let_chain(expr)
+        for var, value in bindings:
+            ctx.env[var] = self.compile_value(var, value, ctx)
+        return self.compile_atom(tail, ctx)
 
     def compile_atom(self, expr: Expr, ctx: _FnCtx) -> int:
         if isinstance(expr, Var):

@@ -357,6 +357,15 @@ def operands(instr: Instruction) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return _GETTERS[type(instr)][0](instr)
 
 
+# Opcodes whose only effect is their write: an instruction of one is
+# dropped when nothing reads the register it writes.
+PURE = frozenset({
+    Opcode.LOAD_CONST, Opcode.LOAD_CONSTI, Opcode.ALLOC_STORAGE, Opcode.ALLOC_TENSOR,
+    Opcode.ALLOC_TENSOR_REG, Opcode.ALLOC_ADT, Opcode.MOVE, Opcode.GET_FIELD, Opcode.GET_TAG,
+    Opcode.SHAPE_OF, Opcode.RESHAPE_TENSOR,
+})
+
+
 def aliases(instr: Instruction) -> Tuple[int, ...]:
     """The registers whose contents ``dst`` holds, or holds a part of,
     once *instr* has run; ``()`` when ``dst`` is fresh or absent."""

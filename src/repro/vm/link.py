@@ -67,13 +67,6 @@ LINK_BUDGET = 1024
 # at most this many elements (shape vectors, indices, trip counts).
 _SMALL = 64
 
-# Instructions whose only effect is their write: dropped when nothing
-# reads it.
-_PURE = frozenset({
-    _Op.LOAD_CONST, _Op.LOAD_CONSTI, _Op.ALLOC_STORAGE, _Op.ALLOC_TENSOR,
-    _Op.ALLOC_TENSOR_REG, _Op.ALLOC_ADT, _Op.MOVE, _Op.GET_FIELD, _Op.GET_TAG,
-    _Op.SHAPE_OF, _Op.RESHAPE_TENSOR,
-})
 # Writes whose value holds no reference count: overwriting one releases
 # nothing.
 _UNCOUNTED = frozenset({_Op.LOAD_CONST, _Op.LOAD_CONSTI, _Op.GET_TAG, _Op.SHAPE_OF,
@@ -379,7 +372,7 @@ def _drop_dead(code: List[ins.Instruction], num_params: int) -> List[ins.Instruc
         live: Set[int] = set()
         for pc in range(len(code) - 1, -1, -1):
             reads, writes = ins.operands(code[pc])
-            if code[pc].opcode in _PURE and pc not in kept and live.isdisjoint(writes):
+            if code[pc].opcode in ins.PURE and pc not in kept and live.isdisjoint(writes):
                 dropped.add(pc)
                 continue
             live.difference_update(writes)

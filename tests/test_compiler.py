@@ -26,7 +26,7 @@ from repro.data import Tree, embedding_table
 from repro.errors import VerificationError
 from repro.evaluator import compute, evaluate
 from repro.hardware import intel_cpu, nvidia_gpu
-from repro.ir import Call, Function, If, IRModule, Let, Op, TensorType, Tuple, TupleGetItem, Var
+from repro.ir import Call, Function, If, IRModule, Op, TensorType, Tuple, TupleGetItem, Var, fold_lets
 from repro.models.bert import BertConfig, BertWeights, build_bert_module
 from repro.models.lstm import LSTMWeights, build_lstm_module
 from repro.models.tree_lstm import TreeLSTMWeights, build_tree_lstm_module, tree_to_adt
@@ -40,13 +40,6 @@ from repro.vm.generator import function_code
 from repro.vm.interpreter import VirtualMachine
 
 _Op = ins.Opcode
-
-
-def _chain(bindings, tail):
-    out = tail
-    for var, value in reversed(bindings):
-        out = Let(var, value, out)
-    return out
 
 
 def _kill(var):
@@ -114,7 +107,7 @@ class TestHandWrittenScopes:
     def test_a_tuple_field_killed_before_its_projection_is_read_from_the_tuple(self):
         x = Var("x", X)
         a, b, t, k, y, z = (Var(n) for n in ("a", "b", "t", "k", "y", "z"))
-        func = Function([x], _chain([
+        func = Function([x], fold_lets([
             (a, api.tanh(x)), (b, api.exp(x)), (t, Tuple([a, b])), (k, _kill(a)),
             (y, TupleGetItem(t, 0)), (z, api.add(y, TupleGetItem(t, 1))),
         ], z))
@@ -128,10 +121,10 @@ class TestHandWrittenScopes:
     def test_a_kill_in_both_arms_of_an_if_is_emitted_in_each(self):
         x, c = Var("x", X), Var("c", C)
         a, r, e, s, k1, k2 = (Var(n) for n in ("a", "r", "e", "s", "k1", "k2"))
-        func = Function([x, c], _chain([
+        func = Function([x, c], fold_lets([
             (a, api.tanh(x)),
-            (r, If(c, _chain([(e, api.exp(a)), (k1, _kill(a))], e),
-                   _chain([(s, api.sigmoid(a)), (k2, _kill(a))], s))),
+            (r, If(c, fold_lets([(e, api.exp(a)), (k1, _kill(a))], e),
+                   fold_lets([(s, api.sigmoid(a)), (k2, _kill(a))], s))),
         ], r))
         mod, exe = _build(func)
         main = exe.functions[0]
@@ -149,7 +142,7 @@ class TestHandWrittenScopes:
         group's end clobber the one register once."""
         x = Var("x", X)
         a, b, c, d, k1, k2 = (Var(n) for n in ("a", "b", "c", "d", "k1", "k2"))
-        func = Function([x], _chain([
+        func = Function([x], fold_lets([
             (a, api.tanh(x)), (b, a), (c, api.exp(b)), (d, api.add(c, b)),
             (k1, _kill(a)), (k2, _kill(b)),
         ], d))
@@ -166,9 +159,9 @@ class TestHandWrittenScopes:
         one arm has not run on the other arm's path."""
         x, c = Var("x", X), Var("c", C)
         a, r, e, s, z = (Var(n) for n in ("a", "r", "e", "s", "z"))
-        func = Function([x, c], _chain([
+        func = Function([x, c], fold_lets([
             (a, api.tanh(x)),
-            (r, If(c, _chain([(e, api.exp(a))], e), _chain([(s, api.sigmoid(a))], s))),
+            (r, If(c, fold_lets([(e, api.exp(a))], e), fold_lets([(s, api.sigmoid(a))], s))),
             (z, api.add(r, a)),
         ], z))
         mod, exe = _build(func)
@@ -190,7 +183,7 @@ class TestHandWrittenScopes:
         definition, passes it."""
         x = Var("x", X)
         a, b, c, k, d = (Var(n) for n in ("a", "b", "c", "k", "d"))
-        func = Function([x], _chain([
+        func = Function([x], fold_lets([
             (a, api.tanh(x)), (b, a), (c, api.exp(b)), (k, _kill(a)), (d, api.sigmoid(c)),
         ], d))
         with pytest.raises(VerificationError):
@@ -427,9 +420,15 @@ class TestDropUnreadWrites:
         ]
 
     def test_a_register_with_an_effectful_write_keeps_its_kill(self):
+        code = [ins.LoadConst(0, 1), ins.Invoke(1, (1,), 2), ins.LoadConsti(0, 2), ins.Ret(0)]
+        assert drop_unread_writes(code, num_params=1) == code
+
+    def test_an_unread_allocation_goes_with_its_kill(self):
+        """The compiler and the linker drop one set of pure writes
+        (``ins.PURE``): an allocation nothing reads is one of them."""
         code = [ins.LoadConst(0, 1), ins.AllocStorage(1, 64, intel_cpu().host, 2),
                 ins.LoadConsti(0, 2), ins.Ret(0)]
-        assert drop_unread_writes(code, num_params=1) == code
+        assert drop_unread_writes(code, num_params=1) == [ins.Ret(0)]
 
 
 # ----------------------------------------------------------------- tiers

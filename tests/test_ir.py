@@ -9,6 +9,7 @@ from repro.errors import TypeInferenceError
 from repro.ir import (
     Any,
     Call,
+    Clause,
     Constant,
     Function,
     FuncType,
@@ -16,7 +17,10 @@ from repro.ir import (
     If,
     IRModule,
     Let,
+    Match,
     Op,
+    PatternVar,
+    PatternWildcard,
     ScopeBuilder,
     TensorType,
     Tuple,
@@ -25,14 +29,19 @@ from repro.ir import (
     Var,
     const,
     count_nodes,
+    fold_lets,
     free_vars,
     bound_vars,
+    let_chain,
+    map_nested_scopes,
+    nested_scopes,
     post_dfs_order,
     pretty,
     scalar_type,
     structural_equal,
     structural_hash,
     type_equal,
+    use_sites,
 )
 from repro.ir.types import StorageType, has_any_dim, same_dim
 from repro.ops import api
@@ -213,6 +222,74 @@ class TestAnalysis:
         body = sb.get(cur)
         assert len(free_vars(body)) == 1
         assert count_nodes(body) > 5000
+
+
+class TestScopeView:
+    """The one view of an ANF scope that every rewriting pass walks
+    through: bindings and tail, their fold, nested scopes, use sites."""
+
+    def _chain(self):
+        x = Var("x", TensorType((2,)))
+        sb = ScopeBuilder()
+        a = sb.let("a", api.add(x, x))
+        b = sb.let("b", api.multiply(a, x))
+        return x, a, b, sb.get(b)
+
+    def test_a_chain_splits_into_bindings_and_tail_and_folds_back(self):
+        x, a, b, chain = self._chain()
+        bindings, tail = let_chain(chain)
+        assert [var for var, _ in bindings] == [a, b] and tail is b
+        assert bindings[0][1] is chain.value and bindings[1][1] is chain.body.value
+        assert structural_equal(fold_lets(bindings, tail), chain)
+        assert let_chain(x) == ([], x) and fold_lets([], x) is x
+
+    def test_use_sites_list_each_reader_once_the_tail_last(self):
+        x, a, b, chain = self._chain()
+        sites = use_sites(*let_chain(chain))
+        assert (sites[x], sites[a], sites[b]) == ([0, 1], [1], [2])
+
+    @staticmethod
+    def _nested_values():
+        x, c = Var("x", TensorType((2,))), Var("c", TensorType((), "bool"))
+        v, z = Var("v"), Var("z", TensorType((2,)))
+        return {
+            "if": If(c, api.exp(x), x),
+            "match": Match(x, [Clause(PatternVar(v), api.tanh(v)), Clause(PatternWildcard(), x)],
+                           complete=False),
+            "closure": Function([z], api.add(z, x), TensorType((2,)), {"name": "f"}),
+        }
+
+    @pytest.mark.parametrize("kind", ["if", "match", "closure"])
+    def test_each_nested_scope_is_rewritten(self, kind):
+        value = self._nested_values()[kind]
+        seen = []
+
+        def rewrite(scope):
+            seen.append(scope)
+            return Let(Var("mark"), const(0.0), scope)
+
+        out = map_nested_scopes(value, rewrite)
+        assert type(out) is type(value) and out is not value
+        assert seen == list(nested_scopes(value)) and len(seen) == (1 if kind == "closure" else 2)
+        assert [scope.body for scope in nested_scopes(out)] == seen
+        if kind == "if":
+            assert out.cond is value.cond
+        elif kind == "match":
+            assert out.data is value.data and not out.complete
+            assert [c.pattern for c in out.clauses] == [c.pattern for c in value.clauses]
+        else:
+            assert (out.params, out.ret_type, out.attrs) == (value.params, value.ret_type, value.attrs)
+
+    def test_a_primitive_function_is_left_alone(self):
+        z = Var("z", TensorType((2,)))
+        prim = Function([z], api.exp(z), attrs={"primitive": True})
+        assert nested_scopes(prim) == ()
+        assert map_nested_scopes(prim, lambda scope: pytest.fail("a kernel body is no scope")) is prim
+
+    def test_a_value_without_nested_scopes_comes_back_as_itself(self):
+        x, a, _, chain = self._chain()
+        for value in (chain.value, Tuple([x, a]), x, const(1.0)):
+            assert map_nested_scopes(value, lambda scope: pytest.fail("no scope")) is value
 
 
 class TestStructuralEquality:

@@ -30,7 +30,9 @@ from repro.ir import (
     TupleGetItem,
     Var,
     const,
+    fold_lets,
     iter_nodes,
+    let_chain,
     pretty_module,
 )
 from repro.models import build_gram_module
@@ -106,6 +108,47 @@ class TestManifestAlloc:
         main = mod.main
         slices = _op_calls(main, "vm.slice_upper_bound")
         assert len(slices) == 1
+
+
+def test_every_pass_reaches_a_kernel_in_an_if_in_a_match_in_a_closure():
+    """FuseOps, ManifestAlloc, DevicePlace and MemoryPlan each rewrite the
+    arm of an If inside a Match clause inside a closure literal."""
+    from repro.ir import Clause, Match, PatternConstructor, PatternVar, TypeData
+
+    mod = IRModule()
+    box = mod.get_global_type_var("Box")
+    ty = TensorType((Any(), 8), "float32")
+    adt = TypeData(box, [], [("Full", [ty]), ("Empty", [])])
+    mod.add_type_data(adt)
+    full, empty = adt.constructor("Full"), adt.constructor("Empty")
+    x, y, c, v = Var("x", ty), Var("y", ty), Var("c", TensorType((), "bool")), Var("v")
+    e = api.exp(v)  # read twice: its own kernel, killed after the second
+    arm = If(c, api.add(e, api.tanh(e)), v)
+    sb = ScopeBuilder()
+    boxed = sb.let("boxed", Call(full, [x]))
+    closure = sb.let("clo", Function([y], Match(boxed, [
+        Clause(PatternConstructor(full, [PatternVar(v)]), arm),
+        Clause(PatternConstructor(empty, []), y),
+    ]), ty))
+    mod["main"] = Function([x, c], sb.get(sb.let("out", Call(closure, [x]))))
+    platform = nvidia_gpu()
+    passes = [ToANF(), FuseOps(), ManifestAlloc(),
+              DevicePlace(platform.host, platform.compute), MemoryPlan()]
+    main = Sequential(passes).run(infer_types(mod)).main
+
+    (iff,) = [node for node in iter_nodes(main.body) if isinstance(node, If)]
+    values = [value for _, value in let_chain(iff.true_branch)[0]]
+    ops = [value.op.name for value in values if isinstance(value, Call) and isinstance(value.op, Op)]
+    kernels = [call.args[0] for call in values
+               if isinstance(call, Call) and call.op == Op.get("vm.invoke_mut")
+               and call.attrs["kind"] == "compute"]
+    fused = [sorted(n.op.name for n in iter_nodes(k.body) if isinstance(n, Call)) for k in kernels]
+    assert fused == [["exp"], ["add", "tanh"]]  # FuseOps
+    assert {"vm.shape_of", "memory.alloc_storage", "memory.alloc_tensor"} <= set(ops)  # ManifestAlloc
+    stamped = [value.attrs.get("device") for value in values if isinstance(value, Call)
+               and value.op in (Op.get("memory.alloc_storage"), Op.get("vm.invoke_mut"))]
+    assert gpu(0) in stamped and None not in stamped  # DevicePlace
+    assert "memory.kill" in ops  # MemoryPlan
 
 
 def _kinds(func):
@@ -453,12 +496,7 @@ class TestPlannerProperty:
     def _storage_conflicts(main):
         """Group planned tensors by storage root; return any pair carved
         from one slot whose [def, last-use] intervals overlap."""
-        bindings = []
-        node = main.body
-        while isinstance(node, Let):
-            bindings.append((node.var, node.value))
-            node = node.body
-        tail = node
+        bindings, tail = let_chain(main.body)
 
         def op_name(value):
             if isinstance(value, Call) and isinstance(value.op, Op):
@@ -570,22 +608,6 @@ def _assert_same_answers(live, universe):
             assert live.group_interval(var) == (0, live.last_use.get(var, -1))
             assert live.group_members(var) == []
     assert len(live.aliases) == registered
-
-
-def _chain(bindings, tail):
-    out = tail
-    for var, value in reversed(bindings):
-        out = Let(var, value, out)
-    return out
-
-
-def _unchain(scope):
-    """(bindings, tail) of a Let chain: the inverse of `_chain`."""
-    bindings = []
-    while isinstance(scope, Let):
-        bindings.append((scope.var, scope.value))
-        scope = scope.body
-    return bindings, scope
 
 
 def _static_alloc(nbytes, device=None):
@@ -703,7 +725,7 @@ class TestAliasLiveness:
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_group_table_answers_what_the_full_scans_answered(self, scope, data):
         bindings, tail, universe = scope
-        live = AliasLiveness(_chain(bindings, tail))
+        live = AliasLiveness(fold_lets(bindings, tail))
         _assert_same_answers(live, universe)
 
         # Coalescing's rewrite: some static allocations become moves of an
@@ -718,7 +740,7 @@ class TestAliasLiveness:
         live.rebind_as_moves(moves)
         rewritten = [(var, moves.get(i, value)) for i, (var, value) in enumerate(bindings)]
         assert live.bindings == rewritten
-        fresh = AliasLiveness(_chain(rewritten, tail))
+        fresh = AliasLiveness(fold_lets(rewritten, tail))
         _assert_same_answers(live, universe)
         for var in universe:
             assert live.group_interval(var) == fresh.group_interval(var)
@@ -833,11 +855,11 @@ class TestDevicePlacement:
     def test_a_tail_position_call_unifies_like_a_bound_one(self):
         mod, f = self._caller_and_callee(lambda s, y: api.take(y, s, axis=0))
         lowered = Sequential([ToANF(), FuseOps(), ManifestAlloc()]).run(infer_types(mod))
-        bindings, tail = _unchain(lowered.main.body)
+        bindings, tail = let_chain(lowered.main.body)
         bound, call = bindings.pop()
         assert bound is tail and call.op is f  # let %r = @f(...); %r  ->  @f(...)
         lowered[lowered.get_global_var("main")] = Function(
-            lowered.main.params, _chain(bindings, call), lowered.main.ret_type)
+            lowered.main.params, fold_lets(bindings, call), lowered.main.ret_type)
         place = DevicePlace(cpu(0), gpu(0))
         placed = place.run(lowered)
         assert (place.report.host_to_device, place.report.device_to_host) == (1, 0)
@@ -859,7 +881,7 @@ class TestDevicePlacement:
         assert (report.host_to_device, report.device_to_host) == (0, 1)
         assert self._copy_devices(placed[f]) == []
         assert self._copy_devices(placed.main) == [(gpu(0), cpu(0))]
-        first, second = [value for _, value in _unchain(placed.main.body)[0]
+        first, second = [value for _, value in let_chain(placed.main.body)[0]
                          if isinstance(value, Call) and value.op is f]
         assert not first.args[0].name_hint.startswith("dcopy")
         assert second.args[0].name_hint.startswith("dcopy")
@@ -878,7 +900,7 @@ class TestDevicePlacement:
         placed, report = self._place(mod)
         assert report.copies_inserted == 0
         assert (report.host_kernels, report.device_kernels) == (3, 1)
-        (less,) = [value for _, value in _unchain(placed[loop].body)[0]
+        (less,) = [value for _, value in let_chain(placed[loop].body)[0]
                    if isinstance(value, Call) and value.op.name == "vm.invoke_mut"]
         assert less.attrs["device"].is_cpu
         assert [v.name_hint for v in less.args[1].fields] == ["i", "n"]
@@ -1239,13 +1261,8 @@ class TestLinearPlanner:
     @staticmethod
     def _plan(bindings, tail):
         """Planned bindings of a hand-written scope, kills dropped."""
-        mod = MemoryPlan().run(IRModule.from_expr(Function([], _chain(bindings, tail))))
-        out = {}
-        node = mod.main.body
-        while isinstance(node, Let):
-            out[node.var] = node.value
-            node = node.body
-        return out
+        mod = MemoryPlan().run(IRModule.from_expr(Function([], fold_lets(bindings, tail))))
+        return dict(let_chain(mod.main.body)[0])
 
     @staticmethod
     def _scope(sizes_devices, dying_order, requests):

@@ -320,7 +320,9 @@ _SHAPE_CASES = {
     "transpose": [(_f32((2, 3, 4)), {"axes": (1, 2, 0)}), (_f32((2, 3)), {})],
     "split": [(_f32((4, 6)), {"indices_or_sections": 2, "axis": 1}),
               (_f32((4, 6)), {"indices_or_sections": (1, 3)}),
-              (_f32((3,)), {"indices_or_sections": 2})],
+              (_f32((3,)), {"indices_or_sections": 2}),
+              (_f32((4,)), {"indices_or_sections": (3, 2)}),
+              (_f32((4,)), {"indices_or_sections": (1, 6)})],
     "stack": [(_f32((3, 5), (3, 5)), {"axis": 1}), (_f32((3, 5), (3, 5)), {"axis": -1}),
               (_f32((3, 5), (3, 4)), {})],
     "expand_dims": [(_f32((2, 3)), {"axis": 1}), (_f32((2, 3)), {"axis": -1})],

@@ -13,7 +13,6 @@ from repro.ir import (
     Function,
     If,
     IRModule,
-    Let,
     Op,
     ScopeBuilder,
     TensorType,
@@ -23,6 +22,7 @@ from repro.ir import (
     const,
     free_vars,
     iter_nodes,
+    let_chain,
     scalar_type,
 )
 from repro.ops import api
@@ -38,21 +38,12 @@ from repro.passes import (
 )
 
 
-def _let_chain(expr):
-    out = []
-    node = expr
-    while isinstance(node, Let):
-        out.append((node.var, node.value))
-        node = node.body
-    return out, node
-
-
 class TestToANF:
     def test_nested_calls_flattened(self):
         x = Var("x", TensorType((2,)))
         expr = api.add(api.multiply(x, x), api.tanh(x))
         body = to_anf(Function([x], expr)).body
-        bindings, tail = _let_chain(body)
+        bindings, tail = let_chain(body)
         assert len(bindings) == 3
         assert isinstance(tail, Var)  # strict ANF: atom result
 
@@ -60,16 +51,16 @@ class TestToANF:
         x = Var("x", TensorType((2,)))
         shared = api.multiply(x, x)
         expr = api.add(shared, shared)  # same object twice
-        bindings, _ = _let_chain(to_anf(Function([x], expr)).body)
+        bindings, _ = let_chain(to_anf(Function([x], expr)).body)
         assert len(bindings) == 2  # multiply once + add
 
     def test_if_branches_get_own_scopes(self):
         c = Var("c", scalar_type("bool"))
         x = Var("x", TensorType((2,)))
         expr = If(c, api.add(x, x), api.multiply(x, x))
-        bindings, tail = _let_chain(to_anf(Function([c, x], expr)).body)
+        bindings, tail = let_chain(to_anf(Function([c, x], expr)).body)
         (var, value), = [b for b in bindings if isinstance(b[1], If)]
-        t_bindings, t_tail = _let_chain(value.true_branch)
+        t_bindings, t_tail = let_chain(value.true_branch)
         assert len(t_bindings) == 1 and isinstance(t_tail, Var)
 
     def test_existing_lets_preserved(self):
@@ -77,7 +68,7 @@ class TestToANF:
         sb = ScopeBuilder()
         a = sb.let("a", api.add(x, x))
         body = to_anf(Function([x], sb.get(a))).body
-        bindings, tail = _let_chain(body)
+        bindings, tail = let_chain(body)
         assert bindings[0][0] is a
         assert tail is a
 
@@ -124,7 +115,7 @@ class TestDeadCode:
         live = sb.let("live", api.multiply(x, x))
         mod = IRModule.from_expr(Function([x], sb.get(live)))
         out = DeadCodeElimination().run(mod).main
-        bindings, _ = _let_chain(out.body)
+        bindings, _ = let_chain(out.body)
         assert len(bindings) == 1
 
     def test_cascading_removal(self):
@@ -135,7 +126,7 @@ class TestDeadCode:
         live = sb.let("live", x)
         mod = IRModule.from_expr(Function([x], sb.get(live)))
         out = DeadCodeElimination().run(mod).main
-        bindings, _ = _let_chain(out.body)
+        bindings, _ = let_chain(out.body)
         assert len(bindings) == 1
 
     def test_keeps_effectful_ops(self):
@@ -145,7 +136,7 @@ class TestDeadCode:
         live = sb.let("live", x)
         mod = IRModule.from_expr(Function([x], sb.get(live)))
         out = DeadCodeElimination().run(mod).main
-        bindings, _ = _let_chain(out.body)
+        bindings, _ = let_chain(out.body)
         assert len(bindings) == 2
 
 
@@ -159,7 +150,7 @@ class TestCSE:
         mod = IRModule.from_expr(Function([x], sb.get(out_v)))
         mod = infer_types(mod)
         out = CommonSubexprElimination().run(mod).main
-        bindings, _ = _let_chain(out.body)
+        bindings, _ = let_chain(out.body)
         adds = [v for _, v in bindings if isinstance(v, Call) and v.op == Op.get("add")]
         assert len(adds) == 1
         # The multiply now uses the surviving variable twice.
@@ -174,7 +165,7 @@ class TestCSE:
         out_v = sb.let("o", Tuple([a, b]))
         mod = IRModule.from_expr(Function([x], sb.get(out_v)))
         out = CommonSubexprElimination().run(mod).main
-        bindings, _ = _let_chain(out.body)
+        bindings, _ = let_chain(out.body)
         reshapes = [v for _, v in bindings if isinstance(v, Call)]
         assert len(reshapes) == 2
 
@@ -194,7 +185,7 @@ class TestCSE:
         adds = [sb.let(f"a{i}", api.add(x, const(v))) for i, v in
                 enumerate((w, off_sample, w.copy()))]
         mod = IRModule.from_expr(Function([x], sb.get(sb.let("o", Tuple(adds)))))
-        bindings, _ = _let_chain(CommonSubexprElimination().run(mod).main.body)
+        bindings, _ = let_chain(CommonSubexprElimination().run(mod).main.body)
         assert sum(isinstance(v, Call) for _, v in bindings) == 2
 
 
@@ -310,7 +301,7 @@ class TestFusion:
         x = Var("x", TensorType((4, 8)))
         w = Var("w", TensorType((8, 8)))
         fused = self._fuse(Function([x, w], api.dense(x, w)))
-        bindings, _ = _let_chain(fused.body)
+        bindings, _ = let_chain(fused.body)
         for _, value in bindings:
             if isinstance(value, Call) and isinstance(value.op, Op):
                 assert value.op.name.startswith(("vm.", "memory.", "device."))
@@ -332,7 +323,7 @@ class TestMultiOutputFusion:
     @staticmethod
     def _chain_prims(expr):
         """The primitive calls bound in one let chain, in order."""
-        bindings, _ = _let_chain(expr)
+        bindings, _ = let_chain(expr)
         return [v for _, v in bindings if isinstance(v, Call) and isinstance(v.op, Function)]
 
     def test_an_lstm_layer_step_is_three_kernels_and_h_c_one_call(self):
@@ -341,8 +332,8 @@ class TestMultiOutputFusion:
         mod = build_lstm_module(
             LSTMWeights.create(input_size=12, hidden_size=16, num_layers=2, seed=0))
         mod = FuseOps().run(infer_types(ToANF().run(infer_types(mod))))
-        (step,) = [v for _, v in _let_chain(mod["lstm_loop"].body)[0] if isinstance(v, If)]
-        bindings, _ = _let_chain(step.true_branch)
+        (step,) = [v for _, v in let_chain(mod["lstm_loop"].body)[0] if isinstance(v, If)]
+        bindings, _ = let_chain(step.true_branch)
         prims = self._chain_prims(step.true_branch)
         # concatenate, dense+bias_add, split+gates+c+h per layer; t + 1.
         assert len(prims) == 3 * 2 + 1
@@ -581,7 +572,7 @@ class TestCombineParallelDense:
 
     @staticmethod
     def _ops(func):
-        return [v.op.name for _, v in _let_chain(func.body)[0]
+        return [v.op.name for _, v in let_chain(func.body)[0]
                 if isinstance(v, Call) and isinstance(v.op, Op)]
 
     @pytest.mark.parametrize("rows", [(4, 4, 4), (3, 5)], ids=["equal", "unequal"])
@@ -592,7 +583,7 @@ class TestCombineParallelDense:
         func = Function([x], _branches(x, *[_weight(r) for r in rows]))
         before, after = self._combined(func)
         assert self._ops(after.main) == ["nn.dense", "nn.bias_add", "split"]
-        (dense,) = [v for _, v in _let_chain(after.main.body)[0] if isinstance(v, Call)
+        (dense,) = [v for _, v in let_chain(after.main.body)[0] if isinstance(v, Call)
                     and getattr(v.op, "name", "") == "nn.dense"]
         assert dense.attrs == {"sections": tuple(np.cumsum(rows[:-1]))}
         assert dense.args[1].data.shape == (sum(rows), 8)

@@ -404,6 +404,15 @@ class TestGradualRuntimeChecks:
             _run_dynamic(lambda x: api.reshape(x, (1, 16)),
                          (TensorType((Any(),)), np.ones((17,), np.float32)))
 
+    def test_an_axis_outside_the_rank_is_a_type_error(self):
+        """Type inference refuses it as a type error; only the relation's
+        run at concrete types (``output_shapes``) makes it a ShapeError."""
+        x = Var("x", TensorType((2, 3)))
+        with pytest.raises(TypeInferenceError, match="axis 5 out of range"):
+            infer_types(IRModule.from_expr(Function([x], api.sum_(x, axis=5))))
+        with pytest.raises(ShapeError, match="axis 5 out of range"):
+            output_shapes(get_op_def("sum"), [TensorType((2, 3))], None, {"axis": 5})
+
     def test_dense_compute_refuses_rows_that_batch_does_not_cut(self):
         """Not one unsliced GEMM: that would be the batched GEMM whose
         last bits the member-wise tiers do not reproduce."""
