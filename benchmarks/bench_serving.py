@@ -11,7 +11,7 @@ fresh server and verifies it reproduces identical numbers.
 
 import pytest
 
-from repro.harness import format_table, serving_study
+from repro.harness import format_table, serving_study, tape_serving_study
 from repro.models.bert import BertConfig
 
 SYSTEMS = ("serial", "batched")
@@ -79,6 +79,30 @@ def test_serving_throughput(modeled):
     # queue — the deadline caps queueing delay.
     assert results["lstm"]["batched"]["p99_us"] <= results["lstm"]["serial"]["p99_us"]
 
+
+
+@pytest.mark.paper
+def test_static_hits_replay_their_tape(modeled):
+    """Static-tier hits after a variant's first on a worker replay the
+    variant's launch tape: for every exact and batched variant of small
+    BERT on `intel_cpu`, the median replay serves in less time than the
+    first hit, which the VM serves (and which records the tape)."""
+    row = modeled("tape_serving_study", tape_serving_study)["serving"]
+    first = {k[len("first_hit_us_"):]: v for k, v in row.items() if k.startswith("first_hit_us_")}
+    replay = {k[len("replay_p50_us_"):]: v for k, v in row.items() if k.startswith("replay_p50_us_")}
+    print()
+    print(
+        format_table(
+            "Static hits — first hit (VM) vs median replay (launch tape), virtual µs",
+            [[variant, first[variant], replay.get(variant, float("nan"))] for variant in first],
+            ["variant", "first_hit_us", "replay_p50_us"],
+        )
+    )
+    assert row["deterministic"] == 1.0
+    assert {variant.split("_")[0] for variant in first} == {"specialized", "batched"}
+    assert replay.keys() == first.keys()
+    for variant, first_us in first.items():
+        assert replay[variant] < first_us, variant
 
 if __name__ == "__main__":
     import sys

@@ -19,7 +19,7 @@ device tokens:
 * a direct call ``@f(...)`` unifies each tensor argument with ``f``'s
   parameter and its bound variable with ``f``'s result. Only functions
   with no direct caller (entry points, lifted closures) and closure
-  literals have their parameters pinned to the compute device.
+  literals have their tensor parameters pinned to the compute device.
 
 One table holds the whole module (function-local ``Var``s are distinct
 objects) and is solved in execution order from the entry points, so a
@@ -209,9 +209,11 @@ class _Placer:
                 self.copies.setdefault(id(value), []).append((cvar, want))
 
         if isinstance(value, Function) and not value.is_primitive:
-            # A closure's callers are not known statically.
+            # A closure's callers are not known statically: its tensor
+            # parameters live on the compute device, as a lifted one's do.
             for p in value.params:
-                domains.fix(p, self.compute)
+                if _is_tensor(p):
+                    domains.fix(p, self.compute)
             var = Var("ret")  # the body's value is not the closure
         for nested in nested_scopes(value):
             self.solve(nested, var)

@@ -18,6 +18,7 @@ from repro.harness.experiments import (
     table2_tree_lstm,
     table3_bert,
     table4_overhead,
+    tape_serving_study,
     tuning_ablation,
 )
 from repro.utils.reporting import format_table, percentile
@@ -38,6 +39,7 @@ __all__ = [
     "fleet_study",
     "batch_specialization_study",
     "stream_study",
+    "tape_serving_study",
     "tuning_ablation",
     "format_table",
     "percentile",

@@ -723,6 +723,44 @@ def batch_specialization_study() -> Dict[str, Dict[str, float]]:
 
 
 # ---------------------------------------------------------------------------
+# Launch-tape serving study: static hits without the VM around them
+# ---------------------------------------------------------------------------
+
+# Small BERT on the CPU, two hot lengths, the batched tier on: each exact
+# and batched variant's first hit on a worker runs on the VM and records
+# the variant's launch tape, and every later hit there replays it.
+TAPE_SERVING = Study(
+    partial(_bert_module, SMALL_BERT),
+    "intel",
+    partial(
+        long_tailed_traffic, 96, input_size=SMALL_BERT.hidden, mean_interarrival_us=300.0,
+        hot_lengths=(12, 20), hot_fraction=0.85, tail_min=4, tail_max=32,
+    ),
+    replace(
+        TIERED,
+        max_delay_us=1500.0,
+        specialize_threshold=3,
+        specialize_compile_us=2000.0,
+        specialize_batch=True,
+    ),
+    variants=(Variant("serving"),),
+    row=(
+        "specialized_hits", "batched_hits", "first_hit_service_us",
+        "replay_service_p50_us", "deterministic",
+    ),
+)
+
+
+def tape_serving_study() -> Dict[str, Dict[str, float]]:
+    """Static-tier hits replaying their launch tape (``TAPE_SERVING``):
+    per exact and batched variant of a small BERT served on `intel_cpu`,
+    the service µs of its first hit, which the VM serves and which
+    records the tape, and the median service µs of its replays — the
+    before and after of one run."""
+    return run_study(TAPE_SERVING)
+
+
+# ---------------------------------------------------------------------------
 # Restart studies: cold vs warm server start over one artifact store
 # ---------------------------------------------------------------------------
 

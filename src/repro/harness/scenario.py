@@ -16,8 +16,11 @@ import math
 import os
 import shutil
 import tempfile
+from collections import defaultdict
 from operator import attrgetter
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from repro.fleet import FleetConfig, FleetReport, FleetRouter, TenantSpec
 from repro.hardware import Platform, platform_by_name
 from repro.ir import IRModule
 from repro.serve import InferenceServer, Request, ServeConfig, ServeReport
+from repro.serve.events import Dispatch, VMRun
 from repro.utils.reporting import percentile
 
 Report = Union[ServeReport, FleetReport]
@@ -121,6 +125,58 @@ def _partial_shapes_covered(run: Run) -> int:
     return len({np.shape(q.payload)[0] for q in run.trace if q.rid in partial})
 
 
+def _static_calls(run: Run) -> Dict[str, List[Tuple[float, bool]]]:
+    """Each exact or batched variant's calls, in order, as (service µs,
+    replayed): a call serves from its start to the next call's start on
+    its worker, or to its batch's finish; a replay (`LaunchTape.run`)
+    runs no instruction. A variant is named by its tier and its member
+    shape, e.g. ``batched_12x64``."""
+    shapes = {r.rid: np.shape(r.payload) for r in run.trace}
+    calls: Dict[str, List[Tuple[float, bool]]] = defaultdict(list)
+    open_calls: Dict[tuple, Tuple[Optional[str], float, bool]] = {}
+
+    def close(worker: tuple, end_us: float) -> None:
+        if worker in open_calls:
+            variant, start_us, replayed = open_calls.pop(worker)
+            if variant is not None:
+                calls[variant].append((end_us - start_us, replayed))
+
+    for record in run.report.records:
+        if type(record) is VMRun:
+            worker = (record.replica, record.worker)
+            close(worker, record.at_us)
+            variant = None
+            if record.tier in ("specialized", "batched"):
+                shape = "x".join(map(str, shapes[record.rids[0]]))
+                variant = f"{record.tier}_{shape}"
+            open_calls[worker] = (variant, record.at_us, not record.charges.instruction_counts)
+        elif type(record) is Dispatch:
+            close((record.replica, record.worker), record.finish_us)
+    return calls
+
+
+def _first_hit_service_us(run: Run) -> Dict[str, float]:
+    """Per variant, the service µs of its first call: the VM's."""
+    return {
+        f"first_hit_us_{variant}": next(us for us, replayed in calls if not replayed)
+        for variant, calls in sorted(_static_calls(run).items())
+    }
+
+
+def _replay_service_p50_us(run: Run) -> Dict[str, float]:
+    """Per variant with a replayed call, the median service µs of its
+    replays."""
+    replays = {
+        variant: [us for us, replayed in calls if replayed]
+        for variant, calls in sorted(_static_calls(run).items())
+    }
+    return {
+        f"replay_p50_us_{variant}": percentile(service, 50.0)
+        for variant, service in replays.items()
+        if service
+    }
+
+
 # Every measure a study row may name, and how it is read off a run. A
 # measure that reads a dict (``lane_util``) puts each of its keys in the
 # row; the rest are cast to float.
@@ -171,6 +227,8 @@ MEASURES: Dict[str, Callable[[Run], object]] = {
     "fleet_restores": attrgetter("report.total_fleet_restores"),
     "slo_attainment_steady": lambda run: run.report.tenants["steady"].slo_attainment,
     "slo_attainment_bursty": lambda run: run.report.tenants["bursty"].slo_attainment,
+    "first_hit_service_us": _first_hit_service_us,
+    "replay_service_p50_us": _replay_service_p50_us,
 }
 
 

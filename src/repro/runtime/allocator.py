@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.hardware import calibration
 from repro.hardware.platforms import Platform
@@ -93,15 +93,18 @@ class PoolingAllocator:
         return self._pools[device][_size_class(max(1, int(nbytes)))]
 
     def alloc(self, nbytes: int, alignment: int, device: Device,
-              pool: Optional[FreeList] = None) -> Storage:
+              pool: Optional[FreeList] = None, fresh: bool = False) -> Storage:
         """A storage of *nbytes*' size class on *device*: a freed one of
         that class if there is one, else a fresh one. *pool* is
-        ``free_list(nbytes, device)``, if the caller holds it."""
+        ``free_list(nbytes, device)``, if the caller holds it. *fresh*
+        asks for a new storage whatever the free list holds: an `Arena`
+        keeps what it takes live, so it takes nothing from the pools
+        that serve every run."""
         if pool is None:
             pool = self.free_list(nbytes, device)
         size = pool.size
         stats = self.stats
-        if pool:
+        if pool and not fresh:
             storage = pool.pop()
             storage.freed = False
             stats.pooled_allocs += 1
@@ -153,3 +156,54 @@ class PoolingAllocator:
                 f"allocator still holds {self._live_bytes} live bytes at "
                 f"release; a buffer leaked past the VM's refcounting"
             )
+
+
+class Arena:
+    """Storage held for one owner on a *parent* allocator: what an owner
+    that allocates once and then keeps its buffers live (a launch tape)
+    allocates through. A storage the arena has no freed one of is a
+    fresh one of the parent's (charged on the parent's clock, live
+    there), and one freed here goes back to the arena's own free lists,
+    never the parent's, so every storage it took stays live on the
+    parent until `release` frees them all there at once."""
+
+    def __init__(self, parent: PoolingAllocator) -> None:
+        self.parent = parent
+        # Reuse inside the arena is free: only the parent charges.
+        self.stats = AllocStats()
+        self.held: List[Storage] = []
+        self._pools: Dict[Device, Dict[int, FreeList]] = defaultdict(_SizeClasses)
+
+    @property
+    def held_bytes(self) -> int:
+        """What the arena holds live on its parent."""
+        return sum(storage.size for storage in self.held)
+
+    def free_list(self, nbytes: int, device: Device) -> FreeList:
+        return self._pools[device][_size_class(max(1, int(nbytes)))]
+
+    def alloc(self, nbytes: int, alignment: int, device: Device,
+              pool: Optional[FreeList] = None) -> Storage:
+        if pool is None:
+            pool = self.free_list(nbytes, device)
+        if pool:
+            storage = pool.pop()
+            storage.freed = False
+            return storage
+        storage = self.parent.alloc(pool.size, alignment, device, fresh=True)
+        self.held.append(storage)
+        return storage
+
+    def free(self, storage: Storage) -> None:
+        if not storage.freed:
+            storage.freed = True
+            self._pools[storage.device][storage.size].append(storage)
+
+    def release(self) -> None:
+        """Free every storage the arena took, on its parent."""
+        for storage in self.held:
+            # Freed here at most, which left it live on the parent.
+            storage.freed = False
+            self.parent.free(storage)
+        self.held.clear()
+        self._pools.clear()

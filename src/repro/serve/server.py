@@ -223,7 +223,7 @@ class InferenceServer:
         for worker in self.workers:
             worker.reset(self.records)
         if self.specializer is not None:
-            self.specializer.reset(self.records)
+            self.specializer.reset(self.records, on_evict=self._release_tapes)
         self._batcher = Batcher(
             self.bucketer,
             max_batch_size=self.config.max_batch_size,
@@ -260,10 +260,13 @@ class InferenceServer:
 
     def drain(self, now_us: float) -> ServeReport:
         """Shutdown drain at *now_us*: flush the leftover partial
-        buckets, run the compile pool to completion, and build the
-        report. Persists nothing — see :meth:`finish`."""
+        buckets, run the compile pool to completion, free the workers'
+        launch tapes (so every allocator is drained when a simulation
+        ends), and build the report. Persists nothing — see
+        :meth:`finish`."""
         for batch in self._batcher.flush_all(now_us):
             self._dispatch(batch, "drain")
+        self._release_tapes()
         if self.specializer is not None:
             # Arrivals are over but the compile pool keeps working: bind
             # every still-pending compile to a lane so queue-wait and
@@ -330,6 +333,11 @@ class InferenceServer:
         if self.specializer is None:
             return set()
         return self.specializer.restoring_store_keys(now_us)
+
+    def _release_tapes(self, executables=None) -> None:
+        """Free the workers' launch tapes of *executables* (all, if None)."""
+        for worker in self.workers:
+            worker.release_tapes(executables)
 
     def _dispatch(self, batch: Batch, cause: str) -> None:
         """Run *batch* on the earliest-free worker, on the tier the

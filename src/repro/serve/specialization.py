@@ -34,7 +34,7 @@ batch on a partial variant and deopts mismatches to the dynamic tier.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.codegen.kernels import KernelCache
 from repro.hardware.platforms import Platform
@@ -88,10 +88,16 @@ class SpecializationManager:
         )
         self.reset()
 
-    def reset(self, records: Optional[list] = None) -> None:
+    def reset(
+        self,
+        records: Optional[list] = None,
+        on_evict: Callable[[List[Executable]], None] = lambda executables: None,
+    ) -> None:
         """Start a simulation: a fresh policy and compile pool. *records*
         is the simulation's record list (the server's, or its fleet's); a
-        manager on its own starts a new one.
+        manager on its own starts a new one. *on_evict* is called with
+        the executables of every evicted shape (the server frees its
+        workers' launch tapes of them).
 
         With a shape profile, its frozen hot set (cut to the cache size,
         so every key gets a slot) is triggered at virtual time 0, before
@@ -102,6 +108,7 @@ class SpecializationManager:
         self.pool = CompilePool(
             self.config, [] if records is None else records, self.replica_id
         )
+        self._on_evict = on_evict
         self.planner.replay_profile_reject(self.pool.records)
         for key, score in self.planner.prearm:
             self.policy.prearm(key, score)
@@ -148,6 +155,12 @@ class SpecializationManager:
         )
         if victim is not None:
             self.pool.evict(victim, now_us, self.policy.score(victim, now_us), key)
+            executables = self.planner.executables
+            self._on_evict([
+                executables[(victim, b)]
+                for b in self.planner.variant_batches(victim)
+                if (victim, b) in executables
+            ])
         if not admitted:
             return
         for batch in self.planner.variant_batches(key):

@@ -22,6 +22,18 @@ split is a fold over those. The VM cache is dropped on :meth:`reset`,
 so an executable evicted from the specialization manager's cache is not
 pinned alive by a stale VM across replays.
 
+A hit on the *specialized* or *batched* tier has every input dim bound,
+so after the variant's first hit on this worker it runs without the VM
+around its kernels: that first call runs on the VM and records the
+variant's :class:`~repro.vm.tape.LaunchTape`, and each later call copies
+its payload into the tape and replays it. A variant whose linked entry
+is not one static launch sequence (a ``DeviceCopy``, a stream event, a
+shape function) stays on the VM, and so does a payload the tape cannot
+take (`LaunchTape.mismatch`: a dtype a copy would cast). A tape's
+storages are held live on this worker's allocator until its variant is
+evicted, the simulation ends, or the worker resets
+(:meth:`release_tapes`).
+
 Batch members run back-to-back with ``sync=False`` and one device
 synchronization at the end, so on GPU-class platforms the host-side
 bytecode/shape-function/allocation work of request *i+1* overlaps the
@@ -34,7 +46,7 @@ split back per member.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Optional
 
 import numpy as np
 
@@ -48,6 +60,16 @@ from repro.tensor.ndarray import NDArray
 from repro.vm.executable import Executable, entry_mismatch
 from repro.vm.interpreter import VirtualMachine
 from repro.vm.profiler import VMProfile
+from repro.vm.tape import LaunchTape, refusal
+
+# The tiers whose calls bind every input dim: a launch tape may serve them.
+_TAPED_TIERS = ("specialized", "batched")
+
+
+def _variant(executable: Executable) -> tuple:
+    """What names one specialized variant on a worker (see
+    `Worker._specialized_vm`)."""
+    return (executable.specialized_shapes, executable.specialized_batch)
 
 
 class Worker:
@@ -64,6 +86,9 @@ class Worker:
         self.ctx = ExecutionContext(platform, numerics=numerics)
         self.vm = VirtualMachine(executable, self.ctx)
         self._specialized_vms: Dict[tuple, VirtualMachine] = {}
+        # Per variant hit on a taped tier: its launch tape, or None where
+        # the VM serves it (its linked entry is refused).
+        self._tapes: Dict[tuple, Optional[LaunchTape]] = {}
         # The simulation's record list (see reset); this worker appends
         # every VM call it makes and its guard deopts, so "never wrong"
         # is also "never silent".
@@ -79,7 +104,9 @@ class Worker:
         independent, reproducible replay: clock to zero, pools drained,
         and *records* (the server's list; a worker on its own starts a
         new one) to append to. A leak (live bytes at reset) is an error,
-        not something to silently forgive."""
+        not something to silently forgive (the tapes' storages are
+        released first: they are held, not leaked)."""
+        self.release_tapes()
         self.ctx.allocator.assert_drained()
         self.ctx.reset_clock()
         self.ctx.allocator.release_all()
@@ -95,21 +122,58 @@ class Worker:
         member shape (4, I) batched 8× and a member shape (8, I) batched
         4× stack to the same entry signature, so the marker alone would
         hand one of them a stale VM."""
-        key = (executable.specialized_shapes, executable.specialized_batch)
+        key = _variant(executable)
         vm = self._specialized_vms.get(key)
         if vm is None or vm.exe is not executable:
             vm = VirtualMachine(executable, self.ctx)
             self._specialized_vms[key] = vm
+            self._release_tape(key)
         return vm
+
+    def release_tapes(self, executables: Optional[Collection[Executable]] = None) -> None:
+        """Free the launch tapes of *executables* (every tape, if None)
+        on this worker's allocator: their next hit is a first hit again."""
+        keys = list(self._tapes) if executables is None else [_variant(e) for e in executables]
+        for key in keys:
+            self._release_tape(key)
+
+    def _release_tape(self, key: tuple) -> None:
+        tape = self._tapes.pop(key, None)
+        if tape is not None:
+            tape.release()
+
+    def _record(
+        self, executable: Executable, args: tuple, charges: VMProfile
+    ) -> Optional[LaunchTape]:
+        """The variant's launch tape, recorded over its first hit's
+        *args*: its storages held on this worker's allocator, and their
+        allocation added to that hit's *charges*. None where the tape
+        refuses the variant (`refusal`): the VM keeps serving it."""
+        if refusal(executable, args) is not None:
+            return None
+        stats = self.ctx.allocator.stats
+        before = stats.alloc_time_us
+        tape = LaunchTape(executable, *args, ctx=self.ctx, allocator=self.ctx.allocator)
+        charges.alloc_time_us += stats.alloc_time_us - before
+        return tape
 
     def _call(
         self, vm: VirtualMachine, tier: str, rids: tuple, args: tuple, stream_offset=0
     ):
-        """Run *vm* once, tallying into a fresh profile, and record the
-        call with what it charged."""
+        """Run *vm* once — or, on a taped tier after the variant's first
+        hit here, the variant's launch tape if it takes *args* — tallying
+        into a fresh profile, and record the call with what it charged.
+        A first hit records the tape once *vm* has served it."""
         at_us = self.ctx.clock.elapsed_us
-        charges = vm.profile = VMProfile()
-        output = vm.run(*args, sync=False, stream_offset=stream_offset)
+        charges = VMProfile()
+        key = _variant(vm.exe)
+        taped = tier in _TAPED_TIERS
+        tape = self._tapes.get(key) if taped else None
+        runner = vm if tape is None or tape.mismatch(args) is not None else tape
+        runner.profile = charges
+        output = runner.run(*args, sync=False, stream_offset=stream_offset)
+        if taped and key not in self._tapes:
+            self._tapes[key] = self._record(vm.exe, args, charges)
         self.records.append(
             VMRun(at_us, self.replica_id, self.worker_id, tier, rids, charges)
         )

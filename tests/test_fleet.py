@@ -952,7 +952,10 @@ class TestRefereeCounters:
     kernel's schedule, and the `gc` digest with the pruned key's name at
     executable format v8; every count and routing field stayed. The
     first replica's `specialize_suffix_us`, an empty fold, reads 0.0
-    instead of the int 0 since every float fold starts at 0.0.)"""
+    instead of the int 0 since every float fold starts at 0.0. The same
+    clock fields moved when a static hit after its variant's first
+    began replaying the variant's launch tape; every count and routing
+    field stayed.)"""
 
     RESTARTED_AFFINITY_FLEET = {
         "routing": "affinity",
@@ -960,14 +963,14 @@ class TestRefereeCounters:
         "affinity_hits": 23,
         "rejected_rids": (102, 103, 104, 105),
         "fleet_restores": (0, 0),
-        "tenants": "sha256:0173bdd472236ca2",
+        "tenants": "sha256:4db3d65eddc77f80",
         "replicas": (
             {
-                "responses": "sha256:c835582780ee3a12",
-                "worker_busy_us": ("0x1.47f015134a484p+6",),
+                "responses": "sha256:3053f73d8ea04210",
+                "worker_busy_us": ("0x1.36a1970c435f4p+6",),
                 "worker_batches": (10,),
                 "profile_dynamic": "sha256:c3018e083cd3bb88",
-                "profile_specialized": "sha256:625396af18f8cb2a",
+                "profile_specialized": "sha256:8d24d468a4b3df10",
                 "profile_batched": "sha256:c2d0ebbfdae3b84b",
                 "profile_partial": "sha256:c2d0ebbfdae3b84b",
                 "specialize_compile_us": "0x1.4a00000000000p+8",
@@ -990,11 +993,11 @@ class TestRefereeCounters:
                 "device_streams": 1,
             },
             {
-                "responses": "sha256:e88a3e8edf6f1e0b",
-                "worker_busy_us": ("0x1.90cf134e240a8p+6",),
+                "responses": "sha256:26390f80b8f94c18",
+                "worker_busy_us": ("0x1.9acbd77b69928p+6",),
                 "worker_batches": (10,),
                 "profile_dynamic": "sha256:c9238d05282bb23b",
-                "profile_specialized": "sha256:9c54f1f3ac983948",
+                "profile_specialized": "sha256:5c6657891ac7d8b3",
                 "profile_batched": "sha256:c2d0ebbfdae3b84b",
                 "profile_partial": "sha256:c2d0ebbfdae3b84b",
                 "specialize_compile_us": "0x1.16c0000000000p+11",

@@ -341,7 +341,7 @@ class TestScenarioRunner:
         experiments.serving_study()
         experiments.serving_study(model="bert")
         experiments.compile_pool_study()
-        assert len(declared) == 8
+        assert len(declared) == 9
         for study in declared:
             assert set(study.row) <= MEASURES.keys()
             names = [v.name for v in study.variants]

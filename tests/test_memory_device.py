@@ -28,6 +28,7 @@ from repro.ir import (
     TensorType,
     Tuple,
     TupleGetItem,
+    TypeCall,
     Var,
     const,
     fold_lets,
@@ -927,6 +928,32 @@ class TestDevicePlacement:
         copies = [c for f in placed.functions.values() for c in self._copy_devices(f)]
         assert copies == [(gpu(0), cpu(0))]
         assert self._copy_devices(placed.main) == ([] if lift else copies)
+
+    def test_a_closure_literal_takes_an_adt_parameter(self):
+        """Regression: a closure literal had *every* parameter pinned to
+        the compute device, an ADT one too, and placing its call then
+        asked for a `device_copy` of a `Box`. Only its tensor parameters
+        are pinned, as a lifted closure's are."""
+        from repro.ir import Clause, Match, PatternConstructor, PatternVar, TypeData
+
+        mod = IRModule()
+        ty = TensorType((Any(), 8), "float32")
+        box = mod.get_global_type_var("Box")
+        adt = TypeData(box, [], [("Full", [ty]), ("Empty", [])])
+        mod.add_type_data(adt)
+        full, empty = adt.constructor("Full"), adt.constructor("Empty")
+        x, b, v = Var("x", ty), Var("b", TypeCall(box, [])), Var("v")
+        sb = ScopeBuilder()
+        closure = sb.let("clo", Function([b], Match(b, [
+            Clause(PatternConstructor(full, [PatternVar(v)]), api.exp(v)),
+            Clause(PatternConstructor(empty, []), x),
+        ]), ty))
+        out = sb.let("out", Call(closure, [Call(full, [x])]))
+        mod["main"] = Function([x], sb.get(out))
+        placed, report = self._place(mod, lift=False)
+        assert report.copies_inserted == 0
+        assert report.device_kernels == 1
+        assert not any(_op_calls(f, "device.device_copy") for f in placed.functions.values())
 
     def test_the_lstm_copies_the_step_index_and_nothing_else(self):
         """§4.4 on the loop: t, n and the condition never leave the host;

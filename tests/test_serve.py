@@ -26,11 +26,13 @@ from repro.serve import (
     Response,
     ServeConfig,
     ShapeBucketer,
+    Worker,
     lstm_traffic,
     poisson_arrivals,
 )
 from repro.serve.events import Dispatch, VMRun
 from repro.serve.report import _COUNTED, _RESPONSE_NOT_COUNTED, ServeReport
+from repro.serve.worker import _variant
 from repro.utils.reporting import percentile
 from repro.vm.profiler import VMProfile
 
@@ -682,15 +684,23 @@ class TestRefereeCounters:
     busy times and the dynamic, specialized and batched profiles moved
     again when builds began picking each kernel's schedule (a static
     kernel's tile divides its rows); every count and every
-    specialization charge held."""
+    specialization charge held. On the CPU the responses, worker busy
+    times and the specialized and batched profiles moved again when a
+    static hit after its variant's first began replaying the variant's
+    launch tape: a replay pays node charges and two copies instead of
+    dispatch and allocation, and each first hit pays the fresh
+    allocation of its tape's storages, so the busy times grew on these
+    short traces; the dynamic profiles, every count and every
+    specialization charge held, and the two-stream GPU's variants,
+    which copy between devices, stay on the VM."""
 
     ONE_SLOT_CPU = {
-        "responses": "sha256:534afb77aeb5ede0",
-        "worker_busy_us": ("0x1.0ae0eb679f962p+9", "0x1.fe31d61f2ba64p+8"),
+        "responses": "sha256:14a8d4e6b580274a",
+        "worker_busy_us": ("0x1.23dc03df7c42ap+9", "0x1.1929b00388d00p+9"),
         "worker_batches": (6, 6),
         "profile_dynamic": "sha256:e49235c2412cd393",
-        "profile_specialized": "sha256:d337413b38527baf",
-        "profile_batched": "sha256:7dfaf3ca3a4fb7b5",
+        "profile_specialized": "sha256:1873e42ea4f46dae",
+        "profile_batched": "sha256:b929254123c6b910",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.0540000000000p+11",
         "num_specialized_executables": 2,
@@ -755,11 +765,11 @@ class TestRefereeCounters:
     }
 
     PREDICTIVE_RESTART_DAMAGED_STORE = {
-        "responses": "sha256:0d1a2634c0bb327f",
-        "worker_busy_us": ("0x1.dd4e38fac7d9cp+8", "0x1.92b1179bd050cp+8"),
+        "responses": "sha256:724fe5b0fa5ae3be",
+        "worker_busy_us": ("0x1.ff1255b1d9e0cp+8", "0x1.ae89db5ab59eep+8"),
         "worker_batches": (5, 4),
         "profile_dynamic": "sha256:b6a5d8f8fa355e62",
-        "profile_specialized": "sha256:d6a32dcadf128283",
+        "profile_specialized": "sha256:10a6ae39b4de8f5e",
         "profile_batched": "sha256:c2d0ebbfdae3b84b",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
         "specialize_compile_us": "0x1.2700000000000p+10",
@@ -861,6 +871,34 @@ def test_record_list_matches_golden(tmp_path):
     print(f"records per request: {len(report.records) / len(trace):.2f}")
     golden = Path(__file__).parent / "golden" / "records_lstm.txt"
     assert [repr(r) for r in report.records] == golden.read_text().splitlines()
+
+
+def test_eviction_frees_the_evicted_variants_tapes(tmp_path, monkeypatch):
+    """A launch tape's storages stay live on its worker's allocator while
+    its variant is resident: the eviction of the 5-row shape lowers each
+    worker's live bytes by exactly the arena of its tape of that
+    variant, and the end of the simulation frees the rest, so every
+    allocator is drained after `simulate`."""
+    server, trace = _golden_scenario(str(tmp_path))
+    evicted = []
+    release = Worker.release_tapes
+
+    def spy(worker, executables=None):
+        if executables is not None:
+            tapes = [worker._tapes.get(_variant(e)) for e in executables]
+            held = sum(tape.arena.held_bytes for tape in tapes if tape is not None)
+            live = worker.ctx.allocator.live_bytes
+        release(worker, executables)
+        if executables is not None:
+            evicted.append((live - worker.ctx.allocator.live_bytes, held))
+
+    monkeypatch.setattr(Worker, "release_tapes", spy)
+    report = server.simulate(trace)
+    assert report.specialize_evictions == 1
+    assert len(evicted) == len(server.workers)
+    assert all(freed == held > 0 for freed, held in evicted)
+    for worker in server.workers:
+        worker.ctx.allocator.assert_drained()
 
 
 class TestTraffic:

@@ -12,7 +12,7 @@ import repro.nimble as nimble
 from repro.codegen.kernels import KernelCache, prim_signature
 from repro.core.typing import collect_shape_bindings, infer_types
 from repro.core.typing.bind import batch_type, bind_any_dims
-from repro.errors import CompilerError, TypeInferenceError
+from repro.errors import CompilerError, ShapeGuardError, TypeInferenceError
 from repro.hardware import calibration, intel_cpu, nvidia_gpu
 from repro.ir import Any, Function, IRModule, TensorType, Var, const
 from repro.ir.types import TupleType, has_any_dim
@@ -40,13 +40,15 @@ from repro.serve import (
     long_tailed_traffic,
     lstm_traffic,
 )
-from repro.serve.events import GuardDeopt, StoreReject, VMRun
+from repro.serve.events import GuardDeopt, StoreReject, VMRun, records_of
 from repro.serve.policy import EVICTION_MARGIN, ShapePolicy
 from repro.serve.profile import key_order
 from repro.serve.report import ServeReport
 from repro.serve.specialization import EXACT_BUCKET
 from repro.vm.executable import Executable, entry_mismatch
 from repro.vm.interpreter import VirtualMachine
+from repro.vm.profiler import VMProfile
+from repro.vm.tape import LaunchTape
 
 
 def _dyn_mlp_module(dim=8, seed=0):
@@ -1299,6 +1301,167 @@ class TestBatchedServing:
         assert report.batched_hits == 0
         assert all(e.batch == 1 for e in server.specializer.pool.events)
         assert report.specialized_hit_rate > 0
+
+
+def _replayed(runs) -> list:
+    """Which of *runs* (`VMRun`s) a launch tape served: a replay runs no
+    instruction."""
+    return [not run.charges.instruction_counts for run in runs]
+
+
+class TestTapeServedHits:
+    """After a variant's first hit on a worker, its exact and batched
+    hits replay the variant's launch tape (`repro.serve.worker`,
+    `repro.vm.tape`): the payload copied in, the launches replayed, the
+    outputs copied out. What a replay serves is what the VM serves, bit
+    for bit."""
+
+    @staticmethod
+    def _mlp_worker(platform=intel_cpu, streams=1):
+        """A full-numerics worker on the dynamic MLP, and its (4, 8)
+        variant."""
+        mod, cache = _dyn_mlp_module(), KernelCache()
+        options = nimble.CompilerOptions(device_streams=streams)
+        dyn, _ = nimble.build(mod, platform(), options=options, kernel_cache=cache)
+        exact, _ = nimble.specialize(
+            mod, platform(), shapes=[(4, 8)], options=options, kernel_cache=cache
+        )
+        return Worker(0, dyn, platform(), numerics="full"), exact
+
+    @staticmethod
+    def _requests(n, shape=(4, 8), seed=0, dtype=np.float32):
+        rng = np.random.RandomState(seed)
+        return [
+            Request(rid=i, arrival_us=0.0, payload=rng.randn(*shape).astype(dtype))
+            for i in range(n)
+        ]
+
+    def test_exact_and_batched_replays_equal_the_variant_and_the_dynamic_tier(self):
+        server = _batched_lstm_server(kernel_cache=_BATCH_TEST_KERNELS, numerics="full")
+        trace = _hot_heavy_trace()
+        report = server.simulate(trace)
+        payloads = {r.rid: r.payload for r in trace}
+        served = {r.rid: r.output.numpy() for r in report.responses}
+        executables = server.specializer.planner.executables
+        dynamic = VirtualMachine(server.exe, ExecutionContext(intel_cpu(), "full"))
+        runs = records_of(report.records, VMRun)
+        for tier, batch in (("specialized", 1), ("batched", server.config.batch_cap)):
+            replays = [r for r in runs if r.tier == tier and _replayed([r])[0]]
+            assert replays, f"no {tier} hit was replayed"
+            for run in replays:
+                xs = [payloads[rid] for rid in run.rids]
+                variant = executables[(server.bucketer.exact_key(xs[0]), batch)]
+                stacked = _run(variant, np.concatenate(xs, axis=0))[0].numpy()
+                for rid, x, want in zip(run.rids, xs, np.split(stacked, batch, axis=0)):
+                    assert np.array_equal(served[rid], want)
+                    assert np.array_equal(served[rid], dynamic.run(x).numpy())
+
+    def test_back_to_back_replays_serve_their_own_payloads(self):
+        """The first member runs on the VM and records the tape; the two
+        after it replay with different payloads, so their outputs differ,
+        and each is the VM's: no replay serves a stale input."""
+        worker, exact = self._mlp_worker()
+        requests = self._requests(3)
+        responses = worker.run_batch(
+            Batch((4, 8), requests, 0.0), 0.0, executable=exact, tier="specialized"
+        )
+        assert _replayed(r for r in worker.records if type(r) is VMRun) == [False, True, True]
+        outputs = [r.output.numpy() for r in responses]
+        assert not np.array_equal(outputs[1], outputs[2])
+        for request, output in zip(requests, outputs):
+            assert np.array_equal(output, _run(exact, request.payload)[0].numpy())
+        worker.reset()
+
+    def test_a_float64_payload_never_reaches_the_copy_in(self, monkeypatch):
+        """A copy into the float32 bound input would cast a float64
+        payload: the tape refuses it (`LaunchTape.mismatch`) and the VM
+        serves it, as it serves it on every other tier."""
+        worker, exact = self._mlp_worker()
+        (first,) = self._requests(1)
+        (wide,) = self._requests(1, seed=1, dtype=np.float64)
+        worker.run_batch(Batch((4, 8), [first], 0.0), 0.0, executable=exact, tier="specialized")
+        copied = []
+        run = LaunchTape.run
+
+        def spy(tape, *inputs, **kwargs):
+            copied.extend(np.asarray(x).dtype for x in inputs)
+            return run(tape, *inputs, **kwargs)
+
+        monkeypatch.setattr(LaunchTape, "run", spy)
+        (response,) = worker.run_batch(
+            Batch((4, 8), [wide], 0.0), 0.0, executable=exact, tier="specialized"
+        )
+        assert copied == []
+        assert _replayed(r for r in worker.records if type(r) is VMRun) == [False, False]
+        assert np.array_equal(response.output.numpy(), _run(exact, wide.payload)[0].numpy())
+        tape = LaunchTape(exact, first.payload)
+        with pytest.raises(ShapeGuardError, match="float64"):
+            tape.run(wide.payload)
+        assert np.array_equal(tape.inputs[0], first.payload)
+
+    def test_the_vm_run_law_holds_with_replays(self, vm_run_law):
+        """One `VMRun`, counting one run, per replay as per VM call."""
+        server, _ = _lstm_server(numerics="full")
+        report = server.simulate(
+            lstm_traffic(64, input_size=8, mean_interarrival_us=200.0, seed=0)
+        )
+        runs = [r for r in records_of(report.records, VMRun) if r.tier == "specialized"]
+        assert any(_replayed(runs)) and not all(_replayed(runs))
+        assert all(run.charges.runs == 1 for run in runs)
+        assert vm_run_law(report) == []
+        assert report.tier_profile("specialized").runs == report.specialized_hits
+
+    def test_a_replay_rotates_streams_as_the_vm_does(self):
+        """`stream_offset` moves a replay's launches as it moves a VM
+        run's: the (4, 8) MLP on two GPU streams is one launch sequence
+        with no stream event, so a tape records it."""
+        worker, exact = self._mlp_worker(nvidia_gpu, streams=2)
+        assert exact.device_streams == 2
+        x = self._requests(1)[0].payload
+        tape = LaunchTape(exact, x, ctx=ExecutionContext(nvidia_gpu(), "full"))
+        _, _, vm = _run(exact, x, platform=nvidia_gpu())
+        for offset in (1, 2):
+            vm.profile, tape.profile = VMProfile(), VMProfile()
+            vm.run(x, stream_offset=offset)
+            tape.run(x, stream_offset=offset)
+            assert tape.profile.stream_kernel_invocations == vm.profile.stream_kernel_invocations
+            assert list(tape.profile.stream_kernel_invocations) == [offset % 2]
+
+    @pytest.mark.parametrize("streams", [1, 2])
+    def test_gpu_bert_members_pipeline(self, streams):
+        """An exact BERT variant on `nvidia_gpu`: a batch's members run
+        back to back with no synchronization between them, so three of
+        them take less than three synchronized runs of one. On one
+        stream the tape serves them after the first; on two the
+        variant's stream events keep it on the VM. Either way each output
+        is the VM's and the dynamic tier's."""
+        config = BertConfig(hidden=16, num_layers=1, num_heads=2, ffn=32)
+        mod, cache = build_bert_module(BertWeights.create(config, seed=0)), KernelCache()
+        options = nimble.CompilerOptions(device_streams=streams)
+        dyn, _ = nimble.build(mod, nvidia_gpu(), options=options, kernel_cache=cache)
+        exact, _ = nimble.specialize(
+            mod, nvidia_gpu(), shapes=[(6, 16)], options=options, kernel_cache=cache
+        )
+        worker = Worker(0, dyn, nvidia_gpu(), numerics="full")
+        first, *members = self._requests(4, shape=(6, 16))
+        worker.run_batch(Batch((6, 16), [first], 0.0), 0.0, executable=exact, tier="specialized")
+        start = worker.free_at_us
+        responses = worker.run_batch(
+            Batch((6, 16), members, 0.0), start, executable=exact, tier="specialized"
+        )
+        replayed = _replayed(r for r in worker.records if type(r) is VMRun)
+        assert replayed == [False] + [streams == 1] * 3
+        alone = ExecutionContext(nvidia_gpu(), "full")
+        if streams == 1:
+            runner = LaunchTape(exact, first.payload, ctx=alone)
+        else:
+            runner = VirtualMachine(exact, alone)
+        runner.run(first.payload)
+        assert responses[0].finish_us - start < 3 * alone.elapsed_us
+        for request, response in zip(members, responses):
+            output = response.output.numpy()
+            assert np.array_equal(output, _run(exact, request.payload, platform=nvidia_gpu())[0].numpy())
+            assert np.array_equal(output, _run(dyn, request.payload, platform=nvidia_gpu())[0].numpy())
 
 
 class TestHistoryDoesNotLeak:
