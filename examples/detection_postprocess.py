@@ -3,9 +3,9 @@
 `vision.non_max_suppression` is the paper's example of an *upper-bound*
 shape function (§4.2): computing the exact output size costs as much as
 the op itself, so the compiler allocates the upper bound and slices to the
-actual shape returned by the kernel. This example runs a toy detection
-pipeline — score thresholding via `nonzero` (data-dependent) and NMS
-(upper-bound) — entirely through the compiled VM.
+actual shape returned by the kernel. This example runs NMS over 32
+random candidate boxes entirely through the compiled VM, then runs the
+same executable on re-ordered scores to show a second output length.
 
 Run:  python examples/detection_postprocess.py
 """

@@ -13,6 +13,9 @@ Proves, without executing anything:
 * an ``InvokePacked`` names a known kernel kind, and calls a shape
   function exactly when its kind says ``shape_func`` (the interpreter
   prices and runs the two differently);
+* every operator a launched kernel's primitive calls is registered in
+  this build (a blob an older build wrote may name an operator since
+  removed, which would otherwise fail only at its first launch);
 * a tensor is only ever allocated out of a register that can actually
   hold a storage block (``AllocStorage`` result, possibly moved) —
   never one that provably holds something else;
@@ -40,7 +43,10 @@ from functools import reduce
 from typing import List, Tuple
 
 from repro.codegen.kernels import ShapeFuncKernel
+from repro.core.memory.prim_info import prim_calls
 from repro.errors import Finding
+from repro.ir.op import Op
+from repro.ops import has_op
 from repro.vm import instruction as ins
 from repro.vm.cfg import CFG, forward, successors
 from repro.vm.executable import Executable, VMFunction
@@ -84,6 +90,16 @@ def _after(facts: Tuple[int, int], effect: Tuple[int, int, int]) -> Tuple[int, i
     return d | dst, s & ~dst | known | (dst if s & src else 0)
 
 
+def _unregistered_ops(kernel) -> List[str]:
+    """The operators *kernel*'s primitive calls that no registration
+    of this build defines (none for a table entry without a primitive)."""
+    prim = getattr(kernel, "prim", None)
+    if prim is None:
+        return []
+    return sorted({c.op.name for c in prim_calls(prim)
+                   if isinstance(c.op, Op) and not has_op(c.op.name)})
+
+
 def _structural_findings(
     func: VMFunction, exe: Executable, ops: List[Tuple]
 ) -> List[Finding]:
@@ -120,6 +136,9 @@ def _structural_findings(
                 kernel = type(exe.kernels[instr.packed_index]).__name__
                 bad(pc, f"{instr.kind} invocation of kernel "
                         f"{instr.packed_index}, a {kernel}")
+            elif unknown := _unregistered_ops(exe.kernels[instr.packed_index]):
+                bad(pc, f"kernel {instr.packed_index} calls operator(s) this "
+                        f"build does not register: {', '.join(unknown)}")
             if not 0 <= instr.stream < max(1, exe.device_streams):
                 bad(pc, f"stream {instr.stream} outside the declared "
                         f"schedule (device_streams={exe.device_streams})")

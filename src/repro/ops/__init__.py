@@ -18,7 +18,6 @@ from repro.ops.registry import (
 from repro.ops import tensor_ops  # noqa: F401
 from repro.ops import nn  # noqa: F401
 from repro.ops import transform  # noqa: F401
-from repro.ops import reduce  # noqa: F401
 from repro.ops import dynamic  # noqa: F401
 from repro.ops import dialect  # noqa: F401
 

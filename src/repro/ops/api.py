@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from repro.ir.expr import Call, Constant, Expr, Tuple, TupleGetItem, const
+from repro.ir.expr import Call, Expr
 from repro.ir.op import Op
 
 
@@ -21,48 +21,8 @@ def add(lhs: Expr, rhs: Expr) -> Call:
     return _call("add", [lhs, rhs])
 
 
-def subtract(lhs: Expr, rhs: Expr) -> Call:
-    return _call("subtract", [lhs, rhs])
-
-
 def multiply(lhs: Expr, rhs: Expr) -> Call:
     return _call("multiply", [lhs, rhs])
-
-
-def divide(lhs: Expr, rhs: Expr) -> Call:
-    return _call("divide", [lhs, rhs])
-
-
-def maximum(lhs: Expr, rhs: Expr) -> Call:
-    return _call("maximum", [lhs, rhs])
-
-
-def minimum(lhs: Expr, rhs: Expr) -> Call:
-    return _call("minimum", [lhs, rhs])
-
-
-def power(lhs: Expr, rhs: Expr) -> Call:
-    return _call("power", [lhs, rhs])
-
-
-def negative(x: Expr) -> Call:
-    return _call("negative", [x])
-
-
-def exp(x: Expr) -> Call:
-    return _call("exp", [x])
-
-
-def log(x: Expr) -> Call:
-    return _call("log", [x])
-
-
-def sqrt(x: Expr) -> Call:
-    return _call("sqrt", [x])
-
-
-def rsqrt(x: Expr) -> Call:
-    return _call("rsqrt", [x])
 
 
 def tanh(x: Expr) -> Call:
@@ -73,57 +33,9 @@ def sigmoid(x: Expr) -> Call:
     return _call("sigmoid", [x])
 
 
-def erf(x: Expr) -> Call:
-    return _call("erf", [x])
-
-
-def abs_(x: Expr) -> Call:
-    return _call("abs", [x])
-
-
-def cast(x: Expr, dtype: str) -> Call:
-    return _call("cast", [x], {"dtype": dtype})
-
-
-def clip(x: Expr, a_min: float, a_max: float) -> Call:
-    return _call("clip", [x], {"a_min": a_min, "a_max": a_max})
-
-
 # -- comparisons -----------------------------------------------------------------
-def equal(lhs: Expr, rhs: Expr) -> Call:
-    return _call("equal", [lhs, rhs])
-
-
-def not_equal(lhs: Expr, rhs: Expr) -> Call:
-    return _call("not_equal", [lhs, rhs])
-
-
 def less(lhs: Expr, rhs: Expr) -> Call:
     return _call("less", [lhs, rhs])
-
-
-def less_equal(lhs: Expr, rhs: Expr) -> Call:
-    return _call("less_equal", [lhs, rhs])
-
-
-def greater(lhs: Expr, rhs: Expr) -> Call:
-    return _call("greater", [lhs, rhs])
-
-
-def greater_equal(lhs: Expr, rhs: Expr) -> Call:
-    return _call("greater_equal", [lhs, rhs])
-
-
-def logical_and(lhs: Expr, rhs: Expr) -> Call:
-    return _call("logical_and", [lhs, rhs])
-
-
-def logical_or(lhs: Expr, rhs: Expr) -> Call:
-    return _call("logical_or", [lhs, rhs])
-
-
-def logical_not(x: Expr) -> Call:
-    return _call("logical_not", [x])
 
 
 def where(cond: Expr, lhs: Expr, rhs: Expr) -> Call:
@@ -155,10 +67,6 @@ def softmax(x: Expr, axis: int = -1) -> Call:
     return _call("nn.softmax", [x], {"axis": axis})
 
 
-def log_softmax(x: Expr, axis: int = -1) -> Call:
-    return _call("nn.log_softmax", [x], {"axis": axis})
-
-
 def layer_norm(data: Expr, gamma: Expr, beta: Expr, axis: int = -1, epsilon: float = 1e-5) -> Call:
     return _call("nn.layer_norm", [data, gamma, beta], {"axis": axis, "epsilon": epsilon})
 
@@ -172,14 +80,6 @@ def conv2d(data: Expr, weight: Expr, strides: int = 1, padding: int = 0, groups:
 def max_pool2d(data: Expr, pool_size: int = 2, strides: Optional[int] = None, padding: int = 0) -> Call:
     return _call(
         "nn.max_pool2d",
-        [data],
-        {"pool_size": pool_size, "strides": strides or pool_size, "padding": padding},
-    )
-
-
-def avg_pool2d(data: Expr, pool_size: int = 2, strides: Optional[int] = None, padding: int = 0) -> Call:
-    return _call(
-        "nn.avg_pool2d",
         [data],
         {"pool_size": pool_size, "strides": strides or pool_size, "padding": padding},
     )
@@ -223,67 +123,8 @@ def take(data: Expr, indices: Expr, axis: Optional[int] = None) -> Call:
     return _call("take", [data, indices], {"axis": axis})
 
 
-def stack(tensors: Sequence[Expr], axis: int = 0) -> Call:
-    return _call("stack", list(tensors), {"axis": axis})
-
-
-def expand_dims(data: Expr, axis: int = 0) -> Call:
-    return _call("expand_dims", [data], {"axis": axis})
-
-
-def squeeze(data: Expr, axis=None) -> Call:
-    return _call("squeeze", [data], {"axis": axis})
-
-
-def strided_slice(
-    data: Expr, begin: Sequence[int], end: Sequence[int], strides: Optional[Sequence[int]] = None
-) -> Call:
-    return _call(
-        "strided_slice",
-        [data],
-        {"begin": tuple(begin), "end": tuple(end), "strides": tuple(strides) if strides else None},
-    )
-
-
 def zeros(shape: Sequence[int], dtype: str = "float32") -> Call:
     return _call("zeros", [], {"shape": tuple(shape), "dtype": dtype})
-
-
-def ones(shape: Sequence[int], dtype: str = "float32") -> Call:
-    return _call("ones", [], {"shape": tuple(shape), "dtype": dtype})
-
-
-def full(fill_value: float, shape: Sequence[int], dtype: str = "float32") -> Call:
-    return _call("full", [], {"shape": tuple(shape), "dtype": dtype, "fill_value": fill_value})
-
-
-def broadcast_to(data: Expr, shape: Sequence[int]) -> Call:
-    return _call("broadcast_to", [data], {"shape": tuple(shape)})
-
-
-# -- reductions ---------------------------------------------------------------------------
-def sum_(data: Expr, axis=None, keepdims: bool = False) -> Call:
-    return _call("sum", [data], {"axis": axis, "keepdims": keepdims})
-
-
-def mean(data: Expr, axis=None, keepdims: bool = False) -> Call:
-    return _call("mean", [data], {"axis": axis, "keepdims": keepdims})
-
-
-def max_(data: Expr, axis=None, keepdims: bool = False) -> Call:
-    return _call("max", [data], {"axis": axis, "keepdims": keepdims})
-
-
-def min_(data: Expr, axis=None, keepdims: bool = False) -> Call:
-    return _call("min", [data], {"axis": axis, "keepdims": keepdims})
-
-
-def argmax(data: Expr, axis: int = -1, keepdims: bool = False) -> Call:
-    return _call("argmax", [data], {"axis": axis, "keepdims": keepdims})
-
-
-def argmin(data: Expr, axis: int = -1, keepdims: bool = False) -> Call:
-    return _call("argmin", [data], {"axis": axis, "keepdims": keepdims})
 
 
 # -- dynamic ops -----------------------------------------------------------------------------
@@ -303,10 +144,6 @@ def non_max_suppression(boxes: Expr, scores: Expr, iou_threshold: float = 0.5) -
     return _call(
         "vision.non_max_suppression", [boxes, scores], {"iou_threshold": iou_threshold}
     )
-
-
-def topk(data: Expr, k: int) -> Call:
-    return _call("topk", [data], {"k": k})
 
 
 # -- dialect (used by passes, exposed for tests) -----------------------------------------------

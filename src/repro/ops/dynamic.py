@@ -20,7 +20,7 @@ from typing import List
 import numpy as np
 
 from repro.errors import ShapeError, TypeInferenceError
-from repro.ir.types import Any, TensorType, TupleType, Type
+from repro.ir.types import Any, TensorType, Type
 from repro.ops.registry import OpDef, OpPattern, ShapeFuncMode, register_op
 from repro.ops.type_relations import expect_tensor
 
@@ -180,38 +180,5 @@ register_op(
         pattern=OpPattern.OPAQUE,
         returns_shape=True,
         flops=lambda i, o, a: 8.0 * i[0][0] * i[0][0],
-    )
-)
-
-
-# -- topk (upper-bound-free but dynamic-k variant is data-dependent) ------------
-def _topk_rel(arg_types, attrs) -> Type:
-    data = expect_tensor(arg_types[0], "topk data")
-    k = attrs.get("k")
-    if k is None:
-        raise TypeInferenceError("topk requires static attribute k")
-    shape = list(data.shape)
-    shape[-1] = k
-    return TupleType(
-        [TensorType(tuple(shape), data.dtype), TensorType(tuple(shape), "int64")]
-    )
-
-
-def _topk_compute(inputs, attrs):
-    x = inputs[0]
-    k = attrs["k"]
-    idx = np.argsort(-x, axis=-1)[..., :k]
-    values = np.take_along_axis(x, idx, axis=-1)
-    return values, idx.astype(np.int64)
-
-
-register_op(
-    OpDef(
-        name="topk",
-        type_rel=_topk_rel,
-        compute=_topk_compute,
-        pattern=OpPattern.OPAQUE,
-        num_outputs=2,
-        flops=lambda i, o, a: 10.0 * float(np.prod(i[0])) if i[0] else 0.0,
     )
 )

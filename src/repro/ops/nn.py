@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.errors import BatchSpecializeError, ShapeError, TypeInferenceError
 from repro.ir.expr import Call
-from repro.ir.op import Op
 from repro.ir.types import Any, TensorType, Type
 from repro.ops.batching import BatchCall, elementwise, row_wise, static_shape
 from repro.ops.registry import OpDef, OpPattern, get_op_def, keeps_dtype, register_op
@@ -222,27 +221,6 @@ register_op(
 )
 
 
-def _log_softmax_compute(inputs, attrs):
-    x = inputs[0]
-    axis = attrs.get("axis", -1)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return (shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))).astype(
-        x.dtype, copy=False
-    )
-
-
-register_op(
-    OpDef(
-        name="nn.log_softmax",
-        type_rel=lambda ts, attrs: expect_tensor(ts[0], "log_softmax"),
-        compute=_log_softmax_compute,
-        pattern=OpPattern.OUT_ELEMWISE_FUSABLE,
-        flops=_softmax_flops,
-        batch_rule=row_wise(lifts=True),
-    )
-)
-
-
 # -- layer norm --------------------------------------------------------------
 def _layer_norm_rel(arg_types, attrs) -> Type:
     data = expect_tensor(arg_types[0], "layer_norm data")
@@ -300,7 +278,7 @@ register_op(
 
 # -- conv2d (NCHW, used by the CV models in the memory study) -----------------
 def _conv_out_dim(in_dim, kernel, stride, pad):
-    if isinstance(in_dim, Any):
+    if isinstance(in_dim, Any) or isinstance(kernel, Any):
         return Any()
     return (in_dim + 2 * pad - kernel) // stride + 1
 
@@ -384,38 +362,23 @@ def _pool_rel(arg_types, attrs) -> Type:
     return TensorType((data.shape[0], data.shape[1], oh, ow), data.dtype)
 
 
-def _pool_compute_factory(reduce_fn):
-    def compute(inputs, attrs):
-        x = inputs[0]
-        k = attrs.get("pool_size", 2)
-        s = attrs.get("strides", k)
-        p = attrs.get("padding", 0)
-        if p:
-            pad_value = -np.inf if reduce_fn is np.max else 0.0
-            x = np.pad(
-                x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value
-            )
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        windows = windows[:, :, ::s, ::s]
-        return reduce_fn(windows, axis=(-2, -1)).astype(x.dtype, copy=False)
-
-    return compute
+def _max_pool2d_compute(inputs, attrs):
+    x = inputs[0]
+    k = attrs.get("pool_size", 2)
+    s = attrs.get("strides", k)
+    p = attrs.get("padding", 0)
+    if p:
+        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=-np.inf)
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    windows = windows[:, :, ::s, ::s]
+    return np.max(windows, axis=(-2, -1)).astype(x.dtype, copy=False)
 
 
 register_op(
     OpDef(
         name="nn.max_pool2d",
         type_rel=_pool_rel,
-        compute=_pool_compute_factory(np.max),
-        pattern=OpPattern.INJECTIVE,
-    )
-)
-
-register_op(
-    OpDef(
-        name="nn.avg_pool2d",
-        type_rel=_pool_rel,
-        compute=_pool_compute_factory(np.mean),
+        compute=_max_pool2d_compute,
         pattern=OpPattern.INJECTIVE,
     )
 )

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf as _scipy_erf
 
 from repro.errors import TypeInferenceError
 from repro.ir.types import TensorType, Type
@@ -89,10 +88,6 @@ def _comparison(name: str, fn: Callable[..., np.ndarray]) -> None:
 
 # Elementwise ops that are not one ufunc: the same ufuncs, in the same
 # order and dtype, as a ufunc-like function (only the last writes *out*).
-def rsqrt(x, out=None):
-    return np.divide(1.0, np.sqrt(x), out=out)
-
-
 def sigmoid(x, out=None):
     return np.divide(1.0, np.add(1.0, np.exp(np.negative(x))), out=out)
 
@@ -101,84 +96,16 @@ def relu(x, out=None):
     return np.maximum(x, 0, out=out)
 
 
-def copy(x, out=None):
-    if out is None:
-        return x.copy()
-    np.copyto(out, x)
-    return out
-
-
 # -- arithmetic -------------------------------------------------------------
 _binary("add", np.add)
-_binary("subtract", np.subtract)
 _binary("multiply", np.multiply)
-_binary("divide", np.divide)
-_binary("maximum", np.maximum)
-_binary("minimum", np.minimum)
-_binary("power", np.power)
 
 # -- unary math ------------------------------------------------------------
-_unary("negative", np.negative)
-_unary("exp", np.exp, flop_per_elem=4.0)
-_unary("log", np.log, flop_per_elem=4.0)
-_unary("sqrt", np.sqrt, flop_per_elem=2.0)
-_unary("rsqrt", rsqrt, flop_per_elem=3.0)
 _unary("tanh", np.tanh, flop_per_elem=6.0)
 _unary("sigmoid", sigmoid, flop_per_elem=6.0)
-_unary("erf", _scipy_erf, flop_per_elem=8.0)
-_unary("abs", np.abs)
-_unary("copy", copy, flop_per_elem=0.0)
 
 # -- comparisons ------------------------------------------------------------
-_comparison("equal", np.equal)
-_comparison("not_equal", np.not_equal)
 _comparison("less", np.less)
-_comparison("less_equal", np.less_equal)
-_comparison("greater", np.greater)
-_comparison("greater_equal", np.greater_equal)
-_comparison("logical_and", np.logical_and)
-_comparison("logical_or", np.logical_or)
-
-
-def _logical_not_compute(inputs, attrs):
-    return np.logical_not(inputs[0])
-
-
-register_op(
-    OpDef(
-        name="logical_not",
-        type_rel=identity_rel,
-        compute=_logical_not_compute,
-        pattern=OpPattern.ELEMWISE,
-        batch_rule=elementwise,
-    )
-)
-
-
-# -- cast ---------------------------------------------------------------------
-def _cast_rel(arg_types, attrs) -> Type:
-    src = expect_tensor(arg_types[0], "cast input")
-    dtype = attrs.get("dtype")
-    if dtype is None:
-        raise TypeInferenceError("cast requires a 'dtype' attribute")
-    return TensorType(src.shape, dtype)
-
-
-def _cast_compute(inputs, attrs):
-    from repro.tensor.dtype import to_numpy_dtype
-
-    return inputs[0].astype(to_numpy_dtype(attrs["dtype"]))
-
-
-register_op(
-    OpDef(
-        name="cast",
-        type_rel=_cast_rel,
-        compute=_cast_compute,
-        pattern=OpPattern.ELEMWISE,
-        batch_rule=elementwise,
-    )
-)
 
 
 # -- where (select) ----------------------------------------------------------
@@ -209,20 +136,5 @@ register_op(
 )
 
 
-# -- relu/clip (kept here with the other cheap elementwise ops) ---------------
+# -- relu (kept here with the other cheap elementwise ops) ---------------------
 _unary("nn.relu", relu)
-
-
-def _clip_compute(inputs, attrs):
-    return np.clip(inputs[0], attrs.get("a_min", 0.0), attrs.get("a_max", float("inf")))
-
-
-register_op(
-    OpDef(
-        name="clip",
-        type_rel=identity_rel,
-        compute=_clip_compute,
-        pattern=OpPattern.ELEMWISE,
-        batch_rule=elementwise,
-    )
-)

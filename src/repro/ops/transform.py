@@ -24,6 +24,7 @@ from repro.ops.batching import BatchCall, canonical, elementwise, row_wise, stat
 from repro.ops.registry import OpDef, OpPattern, operand_probe, register_op
 from repro.ops.shape_funcs import normalize_axis, prod
 from repro.ops.type_relations import expect_tensor, unify_dim
+from repro.tensor.dtype import to_numpy_dtype
 from repro.tensor.ndarray import array as make_array
 
 
@@ -328,172 +329,21 @@ register_op(
 )
 
 
-# -- stack / expand_dims / squeeze -----------------------------------------------
-def _stack_rel(arg_types, attrs) -> Type:
-    tensors = [expect_tensor(t, "stack input") for t in arg_types]
-    base = tensors[0]
-    for t in tensors[1:]:
-        if t.ndim != base.ndim:
-            raise TypeInferenceError(f"stack: rank mismatch {base!r} vs {t!r}")
-        for a, b in zip(base.shape, t.shape):
-            unify_dim(a, b, "stack dims")
-    axis = attrs.get("axis", 0)
-    shape = list(base.shape)
-    shape.insert(axis if axis >= 0 else axis + base.ndim + 1, len(tensors))
-    return TensorType(tuple(shape), base.dtype)
-
-
-register_op(
-    OpDef(
-        name="stack",
-        type_rel=_stack_rel,
-        compute=lambda inputs, attrs: np.stack(list(inputs), axis=attrs.get("axis", 0)),
-        pattern=OpPattern.INJECTIVE,
-    )
-)
-
-
-def _expand_dims_rel(arg_types, attrs) -> Type:
-    data = expect_tensor(arg_types[0], "expand_dims data")
-    axis = attrs.get("axis", 0)
-    shape = list(data.shape)
-    shape.insert(axis if axis >= 0 else axis + data.ndim + 1, 1)
-    return TensorType(tuple(shape), data.dtype)
-
-
-register_op(
-    OpDef(
-        name="expand_dims",
-        type_rel=_expand_dims_rel,
-        compute=lambda inputs, attrs: np.expand_dims(inputs[0], attrs.get("axis", 0)),
-        pattern=OpPattern.INJECTIVE,
-        flops=lambda i, o, a: 0.0,
-    )
-)
-
-
-def _squeeze_rel(arg_types, attrs) -> Type:
-    data = expect_tensor(arg_types[0], "squeeze data")
-    axes = attrs.get("axis")
-    if axes is None:
-        shape = tuple(d for d in data.shape if not (isinstance(d, int) and d == 1))
-    else:
-        axes = [normalize_axis(a, data.ndim) for a in (axes if isinstance(axes, (list, tuple)) else [axes])]
-        for a in axes:
-            if isinstance(data.shape[a], int) and data.shape[a] != 1:
-                raise TypeInferenceError(f"squeeze axis {a} has extent {data.shape[a]}")
-        shape = tuple(d for i, d in enumerate(data.shape) if i not in axes)
-    return TensorType(shape, data.dtype)
-
-
-def _squeeze_compute(inputs, attrs):
-    axes = attrs.get("axis")
-    if axes is not None and not isinstance(axes, (list, tuple)):
-        axes = [axes]
-    return np.squeeze(inputs[0], axis=tuple(axes) if axes is not None else None)
-
-
-register_op(
-    OpDef(
-        name="squeeze",
-        type_rel=_squeeze_rel,
-        compute=_squeeze_compute,
-        pattern=OpPattern.INJECTIVE,
-        flops=lambda i, o, a: 0.0,
-    )
-)
-
-
-# -- strided_slice -----------------------------------------------------------------
-def _strided_slice_rel(arg_types, attrs) -> Type:
-    data = expect_tensor(arg_types[0], "strided_slice data")
-    begin = list(attrs["begin"])
-    end = list(attrs["end"])
-    strides = list(attrs.get("strides") or [1] * len(begin))
-    shape: List = []
-    for i, dim in enumerate(data.shape):
-        if i >= len(begin):
-            shape.append(dim)
-            continue
-        if isinstance(dim, Any):
-            shape.append(Any())
-            continue
-        b = begin[i] if begin[i] >= 0 else begin[i] + dim
-        e = end[i] if end[i] >= 0 else end[i] + dim
-        b, e, s = max(0, min(b, dim)), max(0, min(e, dim)), strides[i]
-        shape.append(max(0, (e - b + s - 1) // s))
-    return TensorType(tuple(shape), data.dtype)
-
-
-def _strided_slice_compute(inputs, attrs):
-    x = inputs[0]
-    begin = list(attrs["begin"])
-    end = list(attrs["end"])
-    strides = list(attrs.get("strides") or [1] * len(begin))
-    index = tuple(
-        slice(b, e, s) for b, e, s in zip(begin, end, strides)
-    ) + (Ellipsis,)
-    return np.ascontiguousarray(x[index])
-
-
-register_op(
-    OpDef(
-        name="strided_slice",
-        type_rel=_strided_slice_rel,
-        compute=_strided_slice_compute,
-        pattern=OpPattern.INJECTIVE,
-    )
-)
-
-
 # -- constant creators ------------------------------------------------------------
-def _filled_rel(arg_types, attrs) -> Type:
+def _zeros_rel(arg_types, attrs) -> Type:
     return TensorType(tuple(attrs["shape"]), attrs.get("dtype", "float32"))
 
 
-def _register_filled(name: str, fill_value) -> None:
-    def compute(inputs, attrs):
-        from repro.tensor.dtype import to_numpy_dtype
-
-        value = attrs.get("fill_value", fill_value)
-        return np.full(
-            tuple(attrs["shape"]), value, dtype=to_numpy_dtype(attrs.get("dtype", "float32"))
-        )
-
-    register_op(
-        OpDef(
-            name=name,
-            type_rel=_filled_rel,
-            compute=compute,
-            pattern=OpPattern.ELEMWISE,
-            batch_rule=elementwise,
-        )
-    )
-
-
-_register_filled("zeros", 0.0)
-_register_filled("ones", 1.0)
-_register_filled("full", 0.0)
-
-
-# -- broadcast_to --------------------------------------------------------------------
-def _broadcast_to_rel(arg_types, attrs) -> Type:
-    data = expect_tensor(arg_types[0], "broadcast_to data")
-    shape = tuple(attrs["shape"])
-    lead = len(shape) - data.ndim
-    if lead < 0 or any(not isinstance(d, Any) and d not in (1, t)
-                       for d, t in zip(data.shape, shape[lead:])):
-        raise TypeInferenceError(f"broadcast_to: cannot broadcast {data!r} to {shape}")
-    return TensorType(shape, data.dtype)
+def _zeros_compute(inputs, attrs):
+    return np.zeros(tuple(attrs["shape"]), dtype=to_numpy_dtype(attrs.get("dtype", "float32")))
 
 
 register_op(
     OpDef(
-        name="broadcast_to",
-        type_rel=_broadcast_to_rel,
-        compute=lambda inputs, attrs: np.broadcast_to(
-            inputs[0], tuple(attrs["shape"])
-        ).copy(),
-        pattern=OpPattern.BROADCAST,
+        name="zeros",
+        type_rel=_zeros_rel,
+        compute=_zeros_compute,
+        pattern=OpPattern.ELEMWISE,
+        batch_rule=elementwise,
     )
 )

@@ -1,8 +1,8 @@
 """Algebraic simplification rewrites.
 
 Cheap peephole rules that matter for dynamic models: identity reshapes /
-casts / transposes disappear (dynamic models insert many of these around
-shape plumbing), additions of zero / multiplications by one fold away.
+transposes disappear (dynamic models insert many of these around shape
+plumbing), additions of zero / multiplications by one fold away.
 This is the "enhanced symbolic expression simplification" partner at the
 graph level; the loop-level version lives in the kernel cost model.
 """
@@ -38,18 +38,13 @@ class _Simplifier(ExprMutator):
             return new
         name = new.op.name
 
-        # reshape/cast/transpose that provably do nothing.
+        # reshape/transpose that provably do nothing.
         if name == "reshape":
             src_ty = new.args[0].checked_type
             if isinstance(src_ty, TensorType) and src_ty.is_static:
                 if tuple(new.attrs["newshape"]) == src_ty.shape:
                     self.rewrites += 1
                     return new.args[0]
-        elif name == "cast":
-            src_ty = new.args[0].checked_type
-            if isinstance(src_ty, TensorType) and new.attrs.get("dtype") == src_ty.dtype:
-                self.rewrites += 1
-                return new.args[0]
         elif name == "transpose":
             src_ty = new.args[0].checked_type
             axes = new.attrs.get("axes")
@@ -61,11 +56,11 @@ class _Simplifier(ExprMutator):
                 self.rewrites += 1
                 return new.args[0]
 
-        # x + 0, x - 0, x * 1, x / 1 — when shapes provably match (the
-        # identity must not change the broadcast result type).
-        elif name in ("add", "subtract", "multiply", "divide"):
+        # x + 0, x * 1 — when shapes provably match (the identity must
+        # not change the broadcast result type).
+        elif name in ("add", "multiply"):
             lhs, rhs = new.args
-            neutral = 0.0 if name in ("add", "subtract") else 1.0
+            neutral = 0.0 if name == "add" else 1.0
             if (
                 _is_const_scalar(rhs, neutral)
                 and lhs.checked_type is not None

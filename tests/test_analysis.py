@@ -207,6 +207,22 @@ class TestBytecodeStructural:
         assert (finding.function, finding.pc) == (func.name, pc)
         assert finding.message.startswith(f"{relabel} invocation of kernel ")
 
+    @pytest.mark.parametrize("model, op", [
+        ("bert", "nn.gelu"), ("bert", "nn.softmax"), ("lstm", "sigmoid"), ("lstm", "tanh"),
+    ])
+    def test_a_kernel_calling_an_unregistered_op(self, dynamic_builds, model, op, monkeypatch):
+        """A blob an older build wrote may launch a kernel whose primitive
+        calls an operator this build no longer registers: each such
+        launch is a finding, named by the operator, and nothing else is."""
+        from repro.ops import registry
+
+        exe = dynamic_builds[model]
+        assert check_bytecode(exe) == []
+        monkeypatch.delitem(registry._REGISTRY, op)
+        findings = check_bytecode(exe)
+        assert findings
+        assert all(f.message.endswith(f"does not register: {op}") for f in findings)
+
     def test_invoke_parameter_count_mismatch(self):
         callee = func_of([ins.Ret(0)], name="cell", num_params=2)
         caller = func_of(

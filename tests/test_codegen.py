@@ -422,7 +422,7 @@ class TestOutputBufferWrite:
             kernel.run([x, x], [])
 
     def test_an_operand_of_the_buffer_shape_writes_it_and_numpy_rejects_the_rest(self):
-        kernel = _binary_kernel(api.subtract, (Any(), 8), "float32")
+        kernel = _binary_kernel(api.add, (Any(), 8), "float32")
         rng = np.random.RandomState(1)
         wide, row = rng.randn(4, 8).astype(np.float32), rng.randn(1, 8).astype(np.float32)
         for a, b in ((wide, row), (row, wide)):  # the guard reads the first operand only
@@ -435,7 +435,7 @@ class TestOutputBufferWrite:
     def test_a_field_repeated_in_the_result_is_written_once_and_copied_once(self):
         h = Var("h")
         ty = TensorType((2, 3), "float32")
-        prim = _typed_prim(lambda x: Let(h, api.exp(x), Tuple([h, h])), ty)
+        prim = _typed_prim(lambda x: Let(h, api.tanh(x), Tuple([h, h])), ty)
         program = KernelProgram(prim)
         x = np.random.RandomState(2).randn(2, 3).astype(np.float32)
         outs = [np.zeros((2, 3), np.float32), np.zeros((2, 3), np.float32)]
@@ -636,17 +636,20 @@ class TestDirectCalls:
                 f"concatenate(({member('3:6')}), axis=-1)), axis=0)"
                 in KernelProgram(prim).source.splitlines())
 
-    @pytest.mark.parametrize("case", ["int64 divide", "float64 constant"])
+    @pytest.mark.parametrize("case", ["int64 tanh", "int32 tanh", "int64 sigmoid",
+                                      "float64 constant"])
     def test_a_dtype_unstable_call_lowers_through_compute(self, case):
         """The ufunc alone would return float64 where the op declares
-        int64 / float32; ``compute`` casts back, so the lowering keeps it."""
+        int64 / int32 / float32; ``compute`` casts back, so the lowering
+        keeps it."""
         from repro.evaluator import evaluate
 
         rng = np.random.RandomState(4)
-        if case == "int64 divide":
-            func = _typed_prim(api.divide, *[TensorType((Any(), 4), "int64")] * 2)
-            inputs = [rng.randint(-50, 50, (3, 4)), rng.randint(1, 9, (3, 4))]
-            line = "v0 = op_divide([p0, p1], a0)"
+        if case != "float64 constant":
+            dtype, name = case.split()
+            func = _typed_prim(getattr(api, name), TensorType((Any(), 4), dtype))
+            inputs = [rng.randint(-3, 3, (3, 4)).astype(dtype)]
+            line = f"v0 = op_{name}([p0], a0)"
         else:  # the checked type says float32, as the constant's own type would not
             x = Var("x", TensorType((Any(), 4), "float32"))
             call = api.add(x, Constant(make_array(np.float64(1 / 3), "float64")))
@@ -716,7 +719,7 @@ class TestSiblingSections:
         yield "three rows", draw(3, count * width)
         yield "column slice", draw(3, count * width + 5)[:, 2:2 + count * width]
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("dtype", ["float16", "float32", "float64"])
     @pytest.mark.parametrize("name", _unary_ufunc_ops())
     def test_a_section_of_the_span_call_is_bitwise_the_call_on_the_section(self, name, dtype):
         fn, count = get_op_def(name).ufunc, 4
@@ -741,13 +744,13 @@ class TestSiblingSections:
         width = 5
         parts = Var("parts")
         prim = _typed_prim(lambda x: Let(parts, api.split(x, 4, axis=1), Tuple(
-            [api.exp(TupleGetItem(parts, i)) for i in reads] + [api.tanh(TupleGetItem(parts, 2))])),
+            [api.sigmoid(TupleGetItem(parts, i)) for i in reads] + [api.tanh(TupleGetItem(parts, 2))])),
             TensorType((Any(), 4 * width), "float32"))
         program = KernelProgram(prim)
         source = program.source
-        assert source.count("ew_exp(") == 1
+        assert source.count("ew_sigmoid(") == 1
         if len(reads) > 1:
-            assert f" = ew_exp(p0[:, {reads[0] * width}:{(reads[-1] + 1) * width}])\n" in source
+            assert f" = ew_sigmoid(p0[:, {reads[0] * width}:{(reads[-1] + 1) * width}])\n" in source
         else:
             assert f" = p0[:, {2 * width}:{3 * width}]\n" in source
         x = np.random.RandomState(3).uniform(-100, 100, (3, 4 * width)).astype(np.float32)

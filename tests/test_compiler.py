@@ -108,7 +108,7 @@ class TestHandWrittenScopes:
         x = Var("x", X)
         a, b, t, k, y, z = (Var(n) for n in ("a", "b", "t", "k", "y", "z"))
         func = Function([x], fold_lets([
-            (a, api.tanh(x)), (b, api.exp(x)), (t, Tuple([a, b])), (k, _kill(a)),
+            (a, api.tanh(x)), (b, api.sigmoid(x)), (t, Tuple([a, b])), (k, _kill(a)),
             (y, TupleGetItem(t, 0)), (z, api.add(y, TupleGetItem(t, 1))),
         ], z))
         mod, exe = _build(func)
@@ -123,7 +123,7 @@ class TestHandWrittenScopes:
         a, r, e, s, k1, k2 = (Var(n) for n in ("a", "r", "e", "s", "k1", "k2"))
         func = Function([x, c], fold_lets([
             (a, api.tanh(x)),
-            (r, If(c, fold_lets([(e, api.exp(a)), (k1, _kill(a))], e),
+            (r, If(c, fold_lets([(e, api.tanh(a)), (k1, _kill(a))], e),
                    fold_lets([(s, api.sigmoid(a)), (k2, _kill(a))], s))),
         ], r))
         mod, exe = _build(func)
@@ -143,7 +143,7 @@ class TestHandWrittenScopes:
         x = Var("x", X)
         a, b, c, d, k1, k2 = (Var(n) for n in ("a", "b", "c", "d", "k1", "k2"))
         func = Function([x], fold_lets([
-            (a, api.tanh(x)), (b, a), (c, api.exp(b)), (d, api.add(c, b)),
+            (a, api.tanh(x)), (b, a), (c, api.sigmoid(b)), (d, api.add(c, b)),
             (k1, _kill(a)), (k2, _kill(b)),
         ], d))
         mod, exe = _build(func)
@@ -161,7 +161,7 @@ class TestHandWrittenScopes:
         a, r, e, s, z = (Var(n) for n in ("a", "r", "e", "s", "z"))
         func = Function([x, c], fold_lets([
             (a, api.tanh(x)),
-            (r, If(c, fold_lets([(e, api.exp(a))], e), fold_lets([(s, api.sigmoid(a))], s))),
+            (r, If(c, fold_lets([(e, api.tanh(a))], e), fold_lets([(s, api.sigmoid(a))], s))),
             (z, api.add(r, a)),
         ], z))
         mod, exe = _build(func)
@@ -184,7 +184,7 @@ class TestHandWrittenScopes:
         x = Var("x", X)
         a, b, c, k, d = (Var(n) for n in ("a", "b", "c", "k", "d"))
         func = Function([x], fold_lets([
-            (a, api.tanh(x)), (b, a), (c, api.exp(b)), (k, _kill(a)), (d, api.sigmoid(c)),
+            (a, api.tanh(x)), (b, a), (c, api.tanh(b)), (k, _kill(a)), (d, api.sigmoid(c)),
         ], d))
         with pytest.raises(VerificationError):
             _build(func)

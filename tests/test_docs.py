@@ -76,7 +76,7 @@ def test_docs_cover_the_pipeline_stages():
     at every stage package it claims to describe."""
     text = (REPO / "docs/architecture.md").read_text()
     for stage in (
-        "src/repro/frontends",
+        "src/repro/models",
         "src/repro/passes",
         "src/repro/vm",
         "src/repro/serve",

@@ -200,11 +200,6 @@ class TestSimplify:
         out = self._simplify(api.reshape(x, (2, 3)), [x])
         assert out is x
 
-    def test_identity_cast_removed(self):
-        x = Var("x", TensorType((2,), "float32"))
-        out = self._simplify(api.cast(x, "float32"), [x])
-        assert out is x
-
     def test_add_zero_removed(self):
         x = Var("x", TensorType((2,)))
         out = self._simplify(api.add(x, const(0.0)), [x])
@@ -256,7 +251,7 @@ class TestFusion:
 
     def test_elementwise_chain_fuses(self):
         x = Var("x", TensorType((4,)))
-        func = Function([x], api.tanh(api.sigmoid(api.exp(x))))
+        func = Function([x], api.tanh(api.sigmoid(api.relu(x))))
         prims = self._prim_calls(self._fuse(func))
         assert len(prims) == 1
         assert len(self._ops_of(prims[0])) == 3
@@ -271,13 +266,13 @@ class TestFusion:
 
     def test_multi_use_producer_not_fused(self):
         x = Var("x", TensorType((4,)))
-        shared = api.exp(x)
+        shared = api.sigmoid(x)
         func = Function([x], api.add(api.tanh(shared), shared))
         prims = self._prim_calls(self._fuse(func))
-        # exp has two consumers: it must stay its own kernel.
-        exp_groups = [p for p in prims if "exp" in self._ops_of(p)]
-        assert len(exp_groups) == 1
-        assert self._ops_of(exp_groups[0]) == ["exp"]
+        # sigmoid has two consumers: it must stay its own kernel.
+        sigmoid_groups = [p for p in prims if "sigmoid" in self._ops_of(p)]
+        assert len(sigmoid_groups) == 1
+        assert self._ops_of(sigmoid_groups[0]) == ["sigmoid"]
 
     def test_dynamic_op_never_absorbs_producers(self):
         """The §4.2 fusion policy: data-dependent shape functions cannot
@@ -290,8 +285,8 @@ class TestFusion:
         assert self._ops_of(unique_groups[0]) == ["unique"]
 
     def test_injective_fuses_into_reduce(self):
-        x = Var("x", TensorType((4, 4)))
-        func = Function([x], api.sum_(api.tanh(x), axis=1))
+        x = Var("x", TensorType((1, 2, 4, 4)))
+        func = Function([x], api.global_avg_pool2d(api.tanh(x)))
         prims = self._prim_calls(self._fuse(func))
         assert len(prims) == 1
 
@@ -447,11 +442,11 @@ class TestMultiOutputFusion:
              ("a", lambda v: api.sigmoid(TupleGetItem(v["parts"], 0))),
              ("t", lambda v: api.tanh(TupleGetItem(v["parts"], 1))),
              ("n", lambda v: api.dense(v["a"], w)),
-             ("b", lambda v: api.exp(v["t"])),
+             ("b", lambda v: api.relu(v["t"])),
              ("out", lambda v: Tuple([v["n"], v["b"]]))],
             lambda v: v["out"], [x, w])
         assert [TestFusion._ops_of(p) for p in self._chain_prims(fused.body)] == [
-            ["exp", "sigmoid", "split", "tanh"], ["nn.dense"]]
+            ["nn.relu", "sigmoid", "split", "tanh"], ["nn.dense"]]
 
 
 def _differential_cases():

