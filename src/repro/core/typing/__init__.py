@@ -2,7 +2,7 @@
 
 from repro.core.typing.unify import check_subtype, join_types, unify_types
 from repro.core.typing.infer import InferType, infer_expr_type, infer_types
-from repro.core.typing.subshape import any_dim_groups, shared_any_dims
+from repro.core.typing.subshape import any_dim_groups
 from repro.core.typing.bind import (
     bind_any_dims,
     collect_any_tokens,
@@ -17,7 +17,6 @@ __all__ = [
     "infer_expr_type",
     "infer_types",
     "any_dim_groups",
-    "shared_any_dims",
     "bind_any_dims",
     "collect_any_tokens",
     "collect_shape_bindings",

@@ -41,15 +41,3 @@ def any_dim_groups(func: Function) -> Dict[int, List[Tuple[Expr, Tuple[int, ...]
                 if isinstance(dim, Any):
                     groups[dim.token].append((node, path, i))
     return dict(groups)
-
-
-def shared_any_dims(a: TensorType, b: TensorType) -> List[Tuple[int, int]]:
-    """Pairs of dim indices (i in a, j in b) that are the same runtime value."""
-    out: List[Tuple[int, int]] = []
-    for i, da in enumerate(a.shape):
-        if not isinstance(da, Any):
-            continue
-        for j, db in enumerate(b.shape):
-            if isinstance(db, Any) and da.token == db.token:
-                out.append((i, j))
-    return out

@@ -6,14 +6,13 @@ distributions preserve the experiments' behavior (see DESIGN.md).
 """
 
 from repro.data.trees import Tree
-from repro.data.mrpc import mrpc_like_lengths, mrpc_like_sentences
+from repro.data.mrpc import mrpc_like_lengths
 from repro.data.sst import sst_like_trees
 from repro.data.vocab import embedding_table
 
 __all__ = [
     "Tree",
     "mrpc_like_lengths",
-    "mrpc_like_sentences",
     "sst_like_trees",
     "embedding_table",
 ]

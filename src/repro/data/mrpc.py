@@ -4,12 +4,12 @@ The Microsoft Research Paraphrase Corpus supplies the variable-length
 inputs for the LSTM and BERT rows of Tables 1 and 3. Its sentence-length
 distribution is roughly normal with mean ≈ 21 tokens and a 7–40 range
 (after tokenization); we sample lengths from that distribution with a
-fixed seed and synthesize token ids.
+fixed seed.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -24,14 +24,3 @@ def mrpc_like_lengths(n: int, seed: int = 0) -> List[int]:
     rng = np.random.RandomState(seed)
     raw = rng.normal(MEAN_LENGTH, STD_LENGTH, size=n)
     return [int(x) for x in np.clip(np.round(raw), MIN_LENGTH, MAX_LENGTH)]
-
-
-def mrpc_like_sentences(
-    n: int, vocab_size: int = 8192, seed: int = 0
-) -> List[np.ndarray]:
-    """Token-id sequences (int64) with MRPC-like lengths."""
-    rng = np.random.RandomState(seed + 1)
-    return [
-        rng.randint(0, vocab_size, size=length).astype(np.int64)
-        for length in mrpc_like_lengths(n, seed)
-    ]

@@ -85,7 +85,7 @@ SYMBOLIC_INDEX_OVERHEAD = {
 # compilers with schedules already chosen (no tuning): tens of
 # milliseconds per kernel, slower on ARM hosts. The charge is split the
 # way the staged pipeline splits the work (docs/serving.md): the
-# shape-independent *prefix* (normalization, CSE/DCE, lambda lifting,
+# shape-independent *prefix* (normalization, CSE, lambda lifting,
 # dynamic type inference) runs once per (module, platform); only the
 # *suffix* (shape binding, residual inference, fusion, allocation,
 # codegen) repeats per variant. The split is 60/40: normalization walks

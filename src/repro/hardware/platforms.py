@@ -147,11 +147,6 @@ class Platform:
         single-stream build, not a distinct artifact."""
         return max(1, min(int(requested or 1), self.max_streams))
 
-    @property
-    def heterogeneous(self) -> bool:
-        return self.host != self.compute
-
-
 def intel_cpu() -> Platform:
     host = cpu(0)
     return Platform("intel", host, host, {host: _INTEL})

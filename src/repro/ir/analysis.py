@@ -179,10 +179,6 @@ def bound_vars(expr: Expr) -> List[Var]:
     return out
 
 
-def all_vars(expr: Expr) -> List[Var]:
-    return [n for n in iter_nodes(expr) if isinstance(n, Var)]
-
-
 def post_dfs_order(expr: Expr) -> List[Expr]:
     """Post-order over the dataflow DAG (each unique node once); operands
     precede users. Operator fusion consumes this order."""

@@ -64,10 +64,6 @@ class Any:
 Dim = Union[int, Any]
 
 
-def is_static_dim(dim: Dim) -> bool:
-    return isinstance(dim, int)
-
-
 def is_static_shape(shape: Sequence[Dim]) -> bool:
     """True when every dimension is a concrete integer."""
     return all(isinstance(d, int) for d in shape)

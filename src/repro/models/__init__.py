@@ -8,9 +8,10 @@
 * :mod:`repro.models.gram` — weight-free two-``Any``-dim Gram map, the
   partial-specialization workhorse (both row and column dims dynamic).
 
-Every model provides (a) an IR builder producing a dynamic module for the
-Nimble pipeline and (b) a NumPy eager reference over the *same* weights,
-which doubles as the computation baselines execute op-by-op.
+Every model provides an IR builder producing a module for the Nimble
+pipeline; the three paper models also provide a NumPy eager reference
+over the *same* weights, which doubles as the computation baselines
+execute op-by-op.
 """
 
 from repro.models.lstm import LSTMWeights, build_lstm_module, lstm_reference
@@ -21,7 +22,7 @@ from repro.models.tree_lstm import (
     tree_to_adt,
 )
 from repro.models.bert import BertConfig, BertWeights, build_bert_module, bert_reference
-from repro.models.gram import build_gram_module, gram_reference
+from repro.models.gram import build_gram_module
 from repro.models.vision import (
     build_mobilenet_like,
     build_resnet_like,
@@ -46,5 +47,4 @@ __all__ = [
     "build_vgg_like",
     "build_squeezenet_like",
     "build_gram_module",
-    "gram_reference",
 ]

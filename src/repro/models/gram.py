@@ -20,8 +20,6 @@ processes building it agree on every store key.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ir import Function, IRModule, ScopeBuilder, TensorType, Var
 from repro.ir.types import Any
 from repro.ops import api
@@ -38,13 +36,3 @@ def build_gram_module() -> IRModule:
     mod = IRModule()
     mod["main"] = Function([x], sb.get(y))
     return mod
-
-
-def gram_reference(x: np.ndarray) -> np.ndarray:
-    """NumPy eager reference (float64 accumulation — numerically, not
-    bitwise, comparable to the compiled module; cross-*tier* bitwise
-    equality is asserted compiled-vs-compiled)."""
-    h = np.maximum(x.astype(np.float64), 0.0)
-    g = h @ h.T
-    e = np.exp(g - g.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)

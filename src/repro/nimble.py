@@ -8,12 +8,12 @@
     out = vm.run(x)
 
 Every compile is one pipeline (Figure 2) in two stages. The *prefix*
-— type inference with ``Any`` → constant folding → simplification →
-ANF → CSE → DCE → (on one-queue platforms) combining parallel dense
-layers → lambda lifting — depends only on (module, platform),
-never on which shape gets bound. The *suffix* — dynamic-aware fusion →
-manifest allocation → device placement → memory planning → VM
-bytecode + kernel generation — runs once per executable.
+— type inference with ``Any`` → constant folding → ANF → CSE → (on
+one-queue platforms) combining parallel dense layers → lambda lifting
+— depends only on (module, platform), never on which shape gets bound.
+The *suffix* — dynamic-aware fusion → manifest allocation → device
+placement → memory planning → VM bytecode + kernel generation — runs
+once per executable.
 
 ``build`` runs the prefix and then the suffix with no binding: the
 dynamic executable. ``specialize`` is the static tier of the same
@@ -54,12 +54,10 @@ from repro.ir.printer import module_fingerprint
 from repro.passes import (
     CombineParallelDense,
     CommonSubexprElimination,
-    DeadCodeElimination,
     FoldConstant,
     FuseOps,
     LambdaLift,
     Sequential,
-    SimplifyExpressions,
     SpecializeBatch,
     SpecializeShapes,
     ToANF,
@@ -125,9 +123,9 @@ class SpecializationPrefix:
     variant — member-wise and batched alike.
 
     ``module`` is the dynamic module after type inference, constant
-    folding, simplification, ANF conversion, CSE, DCE, combining
-    parallel dense layers (one-queue platforms) and lambda lifting:
-    everything that does not depend on which ``Any`` tokens get bound.
+    folding, ANF conversion, CSE, combining parallel dense layers
+    (one-queue platforms) and lambda lifting: everything that does not
+    depend on which ``Any`` tokens get bound.
     Fusion is deliberately *not* in the prefix — fused primitive
     parameters carry checked-type annotations with fresh ``Any`` tokens
     a later binding could never reach, and the batch rewrite needs a
@@ -217,10 +215,8 @@ def _run_prefix(
     pipeline = Sequential(
         [
             FoldConstant(),
-            SimplifyExpressions(),
             ToANF(),
             CommonSubexprElimination(),
-            DeadCodeElimination(),
             *one_queue,
             LambdaLift(),
         ]
@@ -327,7 +323,7 @@ def _compile_suffix(
         # The batch rewrite emits nested calls (lifted reshapes,
         # offset-index chains), so a batched module re-normalizes before
         # fusion; a bare shape binding keeps the prefix's strict ANF.
-        passes += [ToANF(), CommonSubexprElimination(), DeadCodeElimination()]
+        passes += [ToANF(), CommonSubexprElimination()]
     # Placement must precede planning: the coalescer may only multiplex
     # tensors that live on the same device, and output buffers must be
     # allocated directly on their kernel's device (never copy-patched).

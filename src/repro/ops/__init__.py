@@ -22,7 +22,6 @@ from repro.ops import dynamic  # noqa: F401
 from repro.ops import dialect  # noqa: F401
 
 from repro.ops.dialect import DIALECT_OPS
-from repro.ops.transform import _split_num_outputs as split_num_outputs
 from repro.ops import api
 
 __all__ = [
@@ -34,14 +33,6 @@ __all__ = [
     "has_op",
     "register_op",
     "DIALECT_OPS",
-    "split_num_outputs",
     "api",
 ]
 
-
-def num_outputs_of(name: str, attrs: dict) -> int:
-    """Number of outputs an op call produces (split is attrs-dependent)."""
-    op_def = get_op_def(name)
-    if op_def.num_outputs == -1:
-        return split_num_outputs(attrs)
-    return op_def.num_outputs

@@ -87,7 +87,6 @@ class OpDef:
     shape_func_mode: ShapeFuncMode = ShapeFuncMode.DATA_INDEPENDENT
     pattern: OpPattern = OpPattern.OPAQUE
     flops: FlopsFn = _default_flops
-    num_outputs: int = 1
     # Upper-bound ops return (data..., actual_shape) from compute; the
     # runtime slices outputs down to the actual shape (§4.2).
     returns_shape: bool = False

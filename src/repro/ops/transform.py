@@ -227,18 +227,12 @@ def _split_compute(inputs, attrs):
     return tuple(parts)
 
 
-def _split_num_outputs(attrs) -> int:
-    sections = attrs["indices_or_sections"]
-    return sections if isinstance(sections, int) else len(list(sections)) + 1
-
-
 register_op(
     OpDef(
         name="split",
         type_rel=_split_rel,
         compute=_split_compute,
         pattern=OpPattern.INJECTIVE,
-        num_outputs=-1,  # depends on attrs; see _split_num_outputs
         batch_rule=row_wise(default_axis=0),
     )
 )

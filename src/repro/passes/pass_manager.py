@@ -17,7 +17,7 @@ every lint. Inference it runs is billed to ``"InferType"`` in
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 from repro.ir.module import IRModule
 
@@ -35,33 +35,6 @@ class Pass:
 
     def __call__(self, mod: IRModule) -> IRModule:
         return self.run(mod)
-
-
-class _FunctionPass(Pass):
-    """Lifts a per-function rewrite to a module pass, skipping primitive
-    (fused) functions, which are opaque kernel bodies."""
-
-    def __init__(self, fn: Callable, name: str, skip_primitive: bool = True) -> None:
-        self._fn = fn
-        self.name = name
-        self._skip_primitive = skip_primitive
-
-    def run(self, mod: IRModule) -> IRModule:
-        out = mod.shallow_copy()
-        for gv, func in list(out.functions.items()):
-            if self._skip_primitive and func.is_primitive:
-                continue
-            out.functions[gv] = self._fn(func, out)
-        return out
-
-
-def function_pass(name: str, skip_primitive: bool = True):
-    """Decorator: ``@function_pass("MyPass")`` over ``fn(func, mod) -> func``."""
-
-    def wrap(fn: Callable) -> _FunctionPass:
-        return _FunctionPass(fn, name, skip_primitive)
-
-    return wrap
 
 
 class Sequential(Pass):

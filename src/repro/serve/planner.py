@@ -10,7 +10,7 @@ work; the *modeled* charge is still paid at every (re-)trigger — in the
 model, eviction dropped the binary.
 
 **Compiling.** Every variant is built through the staged pipeline: a
-shape-independent *prefix* (normalization, CSE/DCE, lambda lifting,
+shape-independent *prefix* (normalization, CSE, lambda lifting,
 dynamic type inference — ``nimble.compile_prefix``) shared by all of a
 module's variants, and a per-variant *suffix* (shape binding, residual
 inference, fusion, allocation, codegen —

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 
 def format_table(
@@ -33,12 +33,6 @@ def format_table(
     for row in rendered:
         lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def speedup(baseline_us: Optional[float], nimble_us: float) -> Optional[float]:
-    if baseline_us is None or nimble_us <= 0:
-        return None
-    return baseline_us / nimble_us
 
 
 def percentile(values: Sequence[float], q: float) -> float:

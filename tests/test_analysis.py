@@ -43,11 +43,9 @@ from repro.models.lstm import LSTMWeights, build_lstm_module
 from repro.ops import api
 from repro.passes import (
     CommonSubexprElimination,
-    DeadCodeElimination,
     FoldConstant,
     Pass,
     Sequential,
-    SimplifyExpressions,
 )
 from repro.store import ArtifactStore
 from repro.tensor.device import cpu, gpu
@@ -680,8 +678,7 @@ class TestLint:
 
         mod = infer_types(small_lstm())
         pipeline = Sequential(
-            [FoldConstant(), SimplifyExpressions(),
-             CommonSubexprElimination(), DeadCodeElimination()],
+            [FoldConstant(), CommonSubexprElimination()],
             verify_each_pass=True,
         )
         out = pipeline.run(mod)

@@ -40,7 +40,7 @@ from repro.models import build_gram_module
 from repro.models.bert import BertConfig, BertWeights, build_bert_module
 from repro.ops import api
 from repro.ops.dynamic import _nms_reference
-from repro.passes import DeadCodeElimination, FuseOps, Sequential, ToANF
+from repro.passes import FuseOps, Sequential, ToANF
 from repro.runtime.context import ExecutionContext
 from repro.tensor.device import cpu, gpu
 from repro.utils.union_find import UnionFind

@@ -1,4 +1,4 @@
-"""Generic passes: ANF, constant folding, DCE, CSE, simplification, fusion."""
+"""Generic passes: ANF, constant folding, CSE, fusion."""
 
 import itertools
 
@@ -29,10 +29,8 @@ from repro.ops import api
 from repro.ops.registry import OpPattern
 from repro.passes import (
     CommonSubexprElimination,
-    DeadCodeElimination,
     FoldConstant,
     FuseOps,
-    SimplifyExpressions,
     ToANF,
     to_anf,
 )
@@ -107,39 +105,6 @@ class TestFoldConstant:
         assert out.data.tolist() == [2.0, 3.0]
 
 
-class TestDeadCode:
-    def test_removes_unused_binding(self):
-        x = Var("x", TensorType((2,)))
-        sb = ScopeBuilder()
-        sb.let("dead", api.add(x, x))
-        live = sb.let("live", api.multiply(x, x))
-        mod = IRModule.from_expr(Function([x], sb.get(live)))
-        out = DeadCodeElimination().run(mod).main
-        bindings, _ = let_chain(out.body)
-        assert len(bindings) == 1
-
-    def test_cascading_removal(self):
-        x = Var("x", TensorType((2,)))
-        sb = ScopeBuilder()
-        a = sb.let("a", api.add(x, x))
-        sb.let("b", api.tanh(a))  # b unused -> then a unused
-        live = sb.let("live", x)
-        mod = IRModule.from_expr(Function([x], sb.get(live)))
-        out = DeadCodeElimination().run(mod).main
-        bindings, _ = let_chain(out.body)
-        assert len(bindings) == 1
-
-    def test_keeps_effectful_ops(self):
-        x = Var("x", TensorType((2,)))
-        sb = ScopeBuilder()
-        sb.let("k", Call(Op.get("memory.kill"), [x]))
-        live = sb.let("live", x)
-        mod = IRModule.from_expr(Function([x], sb.get(live)))
-        out = DeadCodeElimination().run(mod).main
-        bindings, _ = let_chain(out.body)
-        assert len(bindings) == 2
-
-
 class TestCSE:
     def test_duplicate_calls_merged(self):
         x = Var("x", TensorType((2,)))
@@ -187,33 +152,6 @@ class TestCSE:
         mod = IRModule.from_expr(Function([x], sb.get(sb.let("o", Tuple(adds)))))
         bindings, _ = let_chain(CommonSubexprElimination().run(mod).main.body)
         assert sum(isinstance(v, Call) for _, v in bindings) == 2
-
-
-class TestSimplify:
-    def _simplify(self, expr, params):
-        mod = IRModule.from_expr(Function(list(params), expr))
-        mod = infer_types(mod)
-        return SimplifyExpressions().run(mod).main.body
-
-    def test_identity_reshape_removed(self):
-        x = Var("x", TensorType((2, 3)))
-        out = self._simplify(api.reshape(x, (2, 3)), [x])
-        assert out is x
-
-    def test_add_zero_removed(self):
-        x = Var("x", TensorType((2,)))
-        out = self._simplify(api.add(x, const(0.0)), [x])
-        assert out is x
-
-    def test_mul_one_removed(self):
-        x = Var("x", TensorType((2,)))
-        out = self._simplify(api.multiply(x, const(1.0)), [x])
-        assert out is x
-
-    def test_real_reshape_kept(self):
-        x = Var("x", TensorType((2, 3)))
-        out = self._simplify(api.reshape(x, (3, 2)), [x])
-        assert isinstance(out, Call)
 
 
 class TestFusion:
@@ -714,9 +652,9 @@ def _pipeline(platform):
     from repro.passes import CombineParallelDense, LambdaLift
 
     one_queue = [CombineParallelDense()] if platform.max_streams == 1 else []
-    return [FoldConstant(), SimplifyExpressions(), ToANF(), CommonSubexprElimination(),
-            DeadCodeElimination(), *one_queue, LambdaLift(), FuseOps(), ManifestAlloc(),
-            DevicePlace(platform.host, platform.compute), MemoryPlan()]
+    return [FoldConstant(), ToANF(), CommonSubexprElimination(), *one_queue, LambdaLift(),
+            FuseOps(), ManifestAlloc(), DevicePlace(platform.host, platform.compute),
+            MemoryPlan()]
 
 
 def _type_blind_passes():
@@ -744,7 +682,7 @@ def _wipe_types(mod):
 
 class TestLazyInference:
     TYPE_BLIND = ("FoldConstant", "ToANF", "CommonSubexprElimination",
-                  "DeadCodeElimination", "CombineParallelDense", "MemoryPlan")
+                  "CombineParallelDense", "MemoryPlan")
 
     def test_the_declared_passes_are_the_tested_ones(self):
         import repro.nimble  # noqa: F401  (imports every pass)
@@ -858,8 +796,9 @@ class TestCompileWork:
         """Type inferences and constant bytes ``structural_hash`` reads per
         ``build`` of the bench-size LSTM (2 layers, 300 -> 512) and BERT
         (256 wide, 6 layers). Before lazy inference and sampled constant
-        hashing: 11 inferences each, and 15,065,104 / 18,954,264 bytes.
-        CI's "Size trajectory" step prints the line."""
+        hashing: 11 inferences each, and 15,065,104 / 18,954,264 bytes;
+        7 each while the prefix ran ``SimplifyExpressions``, which read
+        types. CI's "Size trajectory" step prints the line."""
         import repro.nimble as nimble
         from repro.core.typing import infer
         from repro.ir import analysis
@@ -896,5 +835,158 @@ class TestCompileWork:
                 f"{name} {w['inferences']} type inferences, {w['hashed']:,} constant bytes hashed"
                 for name, w in seen))
         for name, w in seen:
-            assert w["inferences"] <= 7, name
+            assert w["inferences"] <= 6, name
             assert w["hashed"] <= 64 * 1024, name
+
+
+# ---------------------------------------------------------------------------
+# Every normalization pass rewrites some model
+# ---------------------------------------------------------------------------
+
+
+def _normalizations(compile_):
+    """What *compile_* returns, and the normalizing pipelines it runs as
+    (stage, passes, input module): the prefix's whole pipeline, and the
+    passes a suffix runs before ``FuseOps`` (a batched variant
+    re-normalizes there)."""
+    from repro.passes import Sequential
+
+    runs = []
+    real_run = Sequential.run
+
+    def recording(self, mod):
+        passes = list(itertools.takewhile(lambda p: not isinstance(p, FuseOps), self.passes))
+        if passes:
+            stage = "suffix" if len(passes) < len(self.passes) else "prefix"
+            runs.append((stage, passes, mod))
+        return real_run(self, mod)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Sequential, "run", recording)
+        return compile_(), runs
+
+
+class TestEveryPassIsReached:
+    # A pass no model needs, kept for a named reason.
+    EXEMPT = {
+        "LambdaLift": "no model has a closure literal, and the VM compiler needs "
+                      "lifted closures (tests/test_closures.py)",
+    }
+
+    def test_every_normalization_pass_rewrites_some_model(self):
+        """A normalization pass stays only if the pipeline without it
+        gives some small-size model builder's module a different
+        ``module_fingerprint`` on ``intel_cpu`` or ``nvidia_gpu``: in the
+        prefix, over every builder; in the batched suffix, over LSTM and
+        BERT at batch 2. A pass that rewrites nothing is risk without
+        work, and is deleted rather than kept."""
+        import repro.nimble as nimble
+        from repro.hardware import intel_cpu, nvidia_gpu
+        from repro.ir.printer import module_fingerprint
+        from repro.models import (BertConfig, BertWeights, LSTMWeights, TreeLSTMWeights,
+                                  build_bert_module, build_gram_module, build_lstm_module,
+                                  build_mobilenet_like, build_resnet_like,
+                                  build_squeezenet_like, build_tree_lstm_module,
+                                  build_vgg_like)
+        from repro.passes import Sequential
+
+        def fingerprint(passes, mod):
+            return module_fingerprint(Sequential([type(p)() for p in passes]).run(mod))
+
+        runs = []
+        for platform in (intel_cpu(), nvidia_gpu()):
+            models = [
+                (build_lstm_module(LSTMWeights.create(8, 16, seed=0)), (5, 8)),
+                (build_lstm_module(LSTMWeights.create(8, 16, num_layers=2, seed=0)), (5, 8)),
+                (build_bert_module(BertWeights.create(
+                    BertConfig(hidden=16, num_layers=1, num_heads=2, ffn=32), seed=0)), (5, 16)),
+                (build_tree_lstm_module(TreeLSTMWeights.create(8, 4, seed=0)), None),
+                (build_gram_module(), None),
+                *((build(image=16), None) for build in (
+                    build_resnet_like, build_mobilenet_like, build_vgg_like,
+                    build_squeezenet_like)),
+            ]
+            for mod, member in models:
+                prefix, found = _normalizations(lambda: nimble.build_prefix(mod, platform))
+                runs += found
+                if member is not None:
+                    runs += _normalizations(lambda: nimble.specialize(
+                        mod, platform, shapes=[member], batch=2, prefix=prefix))[1]
+
+        stages = {stage: set() for stage, _, _ in runs}
+        reached = {stage: set() for stage in stages}
+        for stage, passes, mod in runs:
+            stages[stage].update(type(p).__name__ for p in passes)
+            whole = fingerprint(passes, mod)
+            for i, p in enumerate(passes):
+                if fingerprint(passes[:i] + passes[i + 1:], mod) != whole:
+                    reached[stage].add(type(p).__name__)
+        assert set(stages) == {"prefix", "suffix"}
+        assert set(self.EXEMPT) <= stages["prefix"]
+        unreached = {stage: sorted(names - reached[stage] - set(self.EXEMPT))
+                     for stage, names in stages.items()}
+        assert not any(unreached.values()), f"passes that rewrite no model: {unreached}"
+        assert not set(self.EXEMPT) & set().union(*reached.values()), "a stale exemption"
+
+    @pytest.mark.parametrize("make_platform", ["intel_cpu", "nvidia_gpu"])
+    @pytest.mark.parametrize("cascading", [False, True], ids=["independent", "cascading"])
+    def test_a_dead_binding_compiles_verifies_and_runs(self, make_platform, cascading):
+        """No pass drops dead bindings: a module with some still builds,
+        verifies and computes its live output, dynamic and batched,
+        launching the dead kernels too. A cascading one is dead only
+        because the binding that reads it is."""
+        import repro.hardware as hardware
+
+        x = Var("x", TensorType((Any(), 8)))
+        sb = ScopeBuilder()
+        dead = sb.let("dead", api.dense(x, const(np.ones((8, 8), np.float32))))
+        sb.let("dead2", api.tanh(dead if cascading else x))
+        live = sb.let("live", api.relu(x))
+        mod = IRModule.from_expr(Function([x], sb.get(live)))
+        dead_kernels = ({"fused_nn.dense+tanh"} if cascading
+                        else {"fused_nn.dense", "fused_tanh"})
+        for exe, args, vm in _built_and_run(mod, getattr(hardware, make_platform)()):
+            assert dead_kernels <= {k.name for k in exe.kernels}
+            assert np.array_equal(vm.run(args).numpy(), np.maximum(args, 0))
+            assert vm.ctx.allocator.live_bytes == 0
+
+    @pytest.mark.parametrize("make_platform", ["intel_cpu", "nvidia_gpu"])
+    @pytest.mark.parametrize("case", ["identity_reshape", "add_zero", "mul_one", "real_reshape"])
+    def test_an_algebraic_identity_is_computed_as_written(self, case, make_platform):
+        """No pass removes an identity reshape, an add of 0 or a multiply
+        by 1: a module with one still builds, verifies and computes what
+        the evaluator does, dynamic and batched, as a real reshape does."""
+        import repro.hardware as hardware
+        from repro.evaluator import evaluate
+
+        x = Var("x", TensorType((Any(), 8)))
+        body = {
+            "identity_reshape": lambda: api.reshape(x, (-1, 8)),
+            "add_zero": lambda: api.add(x, const(0.0)),
+            "mul_one": lambda: api.multiply(x, const(1.0)),
+            "real_reshape": lambda: api.reshape(x, (-1, 2, 4)),
+        }[case]()
+        mod = IRModule.from_expr(Function([x], api.tanh(body)))
+        for exe, args, vm in _built_and_run(mod, getattr(hardware, make_platform)()):
+            out = vm.run(args).numpy()
+            assert np.array_equal(out, evaluate(mod, args))
+            assert out.size == args.size
+            assert vm.ctx.allocator.live_bytes == 0
+
+
+def _built_and_run(mod, platform):
+    """``(executable, input, VM)`` for *mod*'s dynamic build on a (3, 8)
+    input and its batch-2 variant on two of them, each executable
+    verified."""
+    import repro.nimble as nimble
+    from repro.analysis import verify_executable
+    from repro.vm.interpreter import VirtualMachine
+
+    xs = np.random.RandomState(0).randn(3, 8).astype(np.float32)
+    for exe, args in (
+        (nimble.build(mod, platform)[0], xs),
+        (nimble.specialize(mod, platform, shapes=[(3, 8)], batch=2)[0],
+         np.concatenate([xs, xs])),
+    ):
+        assert verify_executable(exe) == []
+        yield exe, args, VirtualMachine(exe)

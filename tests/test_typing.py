@@ -12,7 +12,6 @@ from repro.core.typing import (
     infer_expr_type,
     infer_types,
     join_types,
-    shared_any_dims,
     unify_types,
 )
 from repro.errors import ShapeError, TypeInferenceError
@@ -300,12 +299,6 @@ class TestSubShaping:
         assert len(groups) == 1
         (members,) = groups.values()
         assert len(members) >= 3  # x, inner tanh, outer tanh
-
-    def test_shared_any_dims(self):
-        a = Any()
-        t1 = TensorType((a, 4))
-        t2 = TensorType((8, a))
-        assert shared_any_dims(t1, t2) == [(0, 1)]
 
     def test_reshape_keeps_the_token_of_the_one_dynamic_dim(self):
         """BERT's head split and merge: `-1` is the sequence length."""
