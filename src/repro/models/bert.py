@@ -9,10 +9,11 @@ and 3072→768 (FFN).
 Attention uses ``nn.batch_matmul`` over per-head reshapes. On CPU builds
 (one device queue) ``CombineParallelDense`` runs Q, K and V as one GEMM
 over their stacked weights, section by section so outputs are bitwise
-those of three, and fusion makes the split and the three head reshapes
-one kernel; on a GPU the three stay separate kernels the stream scheduler
-overlaps. The builder is configurable so tests can use a 2-layer /
-64-hidden instance while the benchmarks build the paper's full BERT-base.
+those of three, and fusion makes that GEMM, its split and the three head
+reshapes one kernel per layer; on a GPU the three stay separate kernels
+the stream scheduler overlaps. The builder is configurable so tests can
+use a 2-layer / 64-hidden instance while the benchmarks build the paper's
+full BERT-base.
 """
 
 from __future__ import annotations

@@ -106,8 +106,16 @@ def _transpose_rel(arg_types, attrs) -> Type:
 
 
 def _transpose_compute(inputs, attrs):
-    axes = attrs.get("axes")
-    return np.ascontiguousarray(np.transpose(inputs[0], axes))
+    # ``asarray(order="C")``, not ``ascontiguousarray``: that one makes a
+    # 0-d result 1-d, where the relation says 0-d.
+    return np.asarray(np.transpose(inputs[0], attrs.get("axes")), order="C")
+
+
+def _transpose_lower(call, args):
+    axes = call.attrs.get("axes")
+    axes = None if axes is None else tuple(int(a) for a in axes)
+    return (f"asarray(transpose({args[0]}, {axes}), order='C')",
+            {"asarray": np.asarray, "transpose": np.transpose}, None)
 
 
 def _transpose_batch_rule(c: BatchCall):
@@ -123,6 +131,7 @@ register_op(
         compute=_transpose_compute,
         pattern=OpPattern.INJECTIVE,
         batch_rule=_transpose_batch_rule,
+        lower=_transpose_lower,
     )
 )
 

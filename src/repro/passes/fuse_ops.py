@@ -10,6 +10,13 @@ their single consumer when the fusion patterns allow it:
 * COMM_REDUCE consumers absorb injective producers;
 * OPAQUE never fuses.
 
+**Sectioned GEMMs** (one rule outside the table): a ``split`` that cuts
+a sectioned ``nn.dense``'s ``bias_add`` on the last axis at the dense's
+own ``sections`` joins the ``bias_add``'s group, which holds the dense
+unless something else reads it. Each section is then one section GEMM's
+output, so the split is the GEMM's epilogue, though an injective op
+absorbs no OUT_ELEMWISE_FUSABLE group otherwise.
+
 **Dynamic policy** (the paper's addition): an operator whose shape
 function is data-dependent or upper-bound can never absorb producers —
 its shape function would need access to intermediate values of the fused
@@ -19,12 +26,14 @@ group. Such ops always compile as singleton kernels.
 merged with every group that reads its ``TupleGetItem`` projections, when
 the tuple is read only through projections, no projection reaches the
 chain's tail and every projection's readers are calls ``_can_fuse``
-accepts. The merged group materializes at its last member before the
+accepts against the tuple op's own pattern (not against a GEMM it
+absorbed). The merged group materializes at its last member before the
 first binding outside it that reads a member, and every member past that
 point must read only members and what is bound before it (so the group
 stays acyclic). The LSTM cell's ``split`` and both state updates become
-one kernel; so do BERT's Q/K/V ``split`` (``CombineParallelDense``) and
-its three head reshapes, materialized before the scores read two of them.
+one kernel; so do BERT's stacked Q/K/V GEMM (``CombineParallelDense``),
+its ``split`` and its three head reshapes, one kernel per layer
+materialized before the scores read two of them.
 
 After grouping, every group (including singletons — uniform lowering)
 becomes a ``primitive`` Function called with its external inputs, exactly
@@ -35,6 +44,7 @@ as a ``Tuple`` whose projections re-bind the original variables.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Set, Tuple as PyTuple
 
 from repro.errors import CompilerError
@@ -42,7 +52,7 @@ from repro.ir.analysis import fold_lets, let_chain, map_nested_scopes, use_sites
 from repro.ir.expr import Call, Expr, Function, Tuple, TupleGetItem, Var
 from repro.ir.module import IRModule
 from repro.ir.op import Op
-from repro.ir.types import TensorType, TupleType, Type
+from repro.ir.types import Any, TensorType, TupleType, Type
 from repro.ops import DIALECT_OPS, get_op_def
 from repro.ops.registry import OpPattern
 from repro.passes.pass_manager import Pass
@@ -79,6 +89,30 @@ def _can_fuse(producer_pattern: OpPattern, consumer_op: Op) -> bool:
     if consumer_pattern == OpPattern.COMM_REDUCE:
         return producer_pattern <= OpPattern.INJECTIVE
     return False
+
+
+def _named(value: Expr, name: str) -> bool:
+    return isinstance(value, Call) and isinstance(value.op, Op) and value.op.name == name
+
+
+def _splits_sectioned_dense(
+    split: Expr, bias_add: Expr, bindings: List[PyTuple[Var, Expr]], index_of: Dict[Var, int]
+) -> bool:
+    """Does *split* cut *bias_add*, a sectioned ``nn.dense``'s bias add,
+    on the last axis at the dense's own ``sections``? Then its sections
+    are the section GEMMs' outputs, and the split is their epilogue."""
+    if not (_named(split, "split") and _named(bias_add, "nn.bias_add")):
+        return False
+    j = index_of.get(bias_add.args[0])  # type: ignore[union-attr, arg-type]
+    dense = bindings[j][1] if j is not None else None
+    if not (_named(dense, "nn.dense") and dense.attrs.get("sections")):  # type: ignore[union-attr]
+        return False
+    # The split's cuts are its sections' running widths on the last axis.
+    # Split on another axis, each section is the dense's full width W,
+    # and no dense's sections cut at W.
+    widths = [field.shape[-1] for field in split.checked_type.fields]  # type: ignore[union-attr]
+    return (not any(isinstance(width, Any) for width in widths)
+            and tuple(itertools.accumulate(widths[:-1])) == tuple(dense.attrs["sections"]))  # type: ignore[union-attr]
 
 
 def _operands(value: Expr) -> List[Expr]:
@@ -130,7 +164,8 @@ class _Fuser:
                     continue  # producer value needed elsewhere
                 producer_root = group_of[j]
                 producer = groups[producer_root]
-                if not _can_fuse(producer.pattern, value.op):  # type: ignore[arg-type]
+                if not (_can_fuse(producer.pattern, value.op)  # type: ignore[arg-type]
+                        or _splits_sectioned_dense(value, bindings[j][1], bindings, index_of)):
                     continue
                 # Merge the producer group into this one.
                 mine = groups[group_of[i]]
@@ -176,7 +211,10 @@ class _Fuser:
         """Merge the tuple-producing group at *root* with every group that
         reads its projections, when that keeps one acyclic kernel."""
         producer = groups[root]
-        tuple_var = bindings[root][0]
+        tuple_var, tuple_value = bindings[root]
+        # The projections' readers fuse with the tuple op, not with what
+        # it absorbed (a sectioned dense's GEMMs).
+        pattern = get_op_def(tuple_value.op.name).pattern  # type: ignore[union-attr]
         tail_index = len(bindings)
         members = set(producer.indices)
         merged = {root}
@@ -187,7 +225,7 @@ class _Fuser:
             for k in sites.get(bindings[j][0], ()):
                 if k == tail_index or k not in group_of:
                     return  # a projection escapes, or its reader is no kernel
-                if not _can_fuse(producer.pattern, bindings[k][1].op):  # type: ignore[union-attr]
+                if not _can_fuse(pattern, bindings[k][1].op):  # type: ignore[union-attr]
                     return
                 merged.add(group_of[k])
         if len(merged) == 1:

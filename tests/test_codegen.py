@@ -534,6 +534,10 @@ def _lowering_cases(name):
             for data, newshape in (((2, 3, 4), (-1, 4)), ((2, 3, 4), (3, -1, 2)),
                                    ((2, 3, 4), (-1,)), ((), (1, -1))):
                 yield draw(data), {"newshape": newshape}, True
+        elif name == "transpose":
+            for data, axes in (((2, 3, 4), (1, 0, 2)), ((2, 3, 4), (0, 2, 1)),
+                               ((2, 3, 4), None), ((2, 3), (1, 0)), ((3,), (0,)), ((), None)):
+                yield draw(data), {"axes": axes}, True
         elif name == "concatenate":
             for shapes, axis in ((((2, 3),), 0), (((2, 3), (1, 3)), 0),
                                  (((2, 3), (2, 1), (2, 2)), 1), (((2, 3), (2, 2)), -1)):
@@ -618,7 +622,9 @@ class TestDirectCalls:
             {"concatenate": np.concatenate}, None)),
         ("nn.dense", lambda call, args: (
             f"matmul({args[0]}, {args[1]})", {"matmul": np.matmul}, None)),
-    ], ids=["take_wrong_axis", "concatenate_wrong_axis", "dense_without_T"])
+        ("transpose", lambda call, args: (
+            f"asarray({args[0]}.T, order='C')", {"asarray": np.asarray}, None)),
+    ], ids=["take_wrong_axis", "concatenate_wrong_axis", "dense_without_T", "transpose_reversed"])
     def test_a_wrong_lowering_fails_the_registry_test(self, name, mutant, monkeypatch):
         monkeypatch.setattr(get_op_def(name), "lower", mutant)
         with pytest.raises(AssertionError):
@@ -785,7 +791,8 @@ class TestSiblingSections:
         its own), and the lines calling ``compute`` in the LSTM /
         TreeLSTM / BERT kernels (3 / 0 / 14 while reshape and
         concatenate did; BERT 11 -> 12 when its head split became one
-        kernel per layer, whose four transposes call ``compute``)."""
+        kernel per layer, whose four transposes called ``compute``, and
+        12 -> 7 when ``transpose`` gained its lowering)."""
         executables = {name: exe for name, exe, _ in _model_executables()}
         (cell,) = {k.name: k for k in executables["lstm"].kernels
                    if isinstance(k, KernelSet) and k.name.startswith("fused_split")}.values()
@@ -800,12 +807,13 @@ class TestSiblingSections:
         print(f"ufunc calls per fused LSTM-cell launch: {calls}; "
               f"op_ lines in LSTM / TreeLSTM / BERT kernels: {' / '.join(map(str, lines))}")
         assert calls == 10
-        assert lines == [0, 0, 12]
+        assert lines == [0, 0, 7]
 
     def test_a_batched_dense_lowers_like_any_dense(self):
         """The batched tier's GEMMs call NumPy: the batch-4 toy LSTM /
-        BERT kernels call ``compute`` in 1 / 10 lines (3 / 14 while the
-        batched GEMM was an op of its own, with no lowering)."""
+        BERT kernels call ``compute`` in 1 / 5 lines (3 / 14 while the
+        batched GEMM was an op of its own, with no lowering; BERT 10 -> 5
+        when ``transpose`` gained its lowering)."""
         import repro.nimble as nimble
         from repro.models.bert import BertConfig, BertWeights, build_bert_module
         from repro.models.lstm import LSTMWeights, build_lstm_module
@@ -822,7 +830,7 @@ class TestSiblingSections:
             assert any(f"matmul(p0[{last}], " in source for source in sources)
             assert not any("op_nn_dense(" in source for source in sources)
             lines.append(sum(source.count(" = op_") for source in sources))
-        assert lines == [1, 10]
+        assert lines == [1, 5]
 
 
 class TestCostModel:

@@ -387,6 +387,89 @@ class TestMultiOutputFusion:
             ["nn.relu", "sigmoid", "split", "tanh"], ["nn.dense"]]
 
 
+class TestSplitJoinsSectionedDense:
+    """A ``split`` that cuts a sectioned dense's ``bias_add`` on the last
+    axis at the dense's own ``sections`` joins that dense's kernel, and
+    its projections' injective readers with it: the GEMM and the head
+    split it feeds are one launch. Any other split stays out."""
+
+    @staticmethod
+    def _kernels(x_shape, dense_attrs, split_at, axis=-1, also_returned=None):
+        """The ops of each kernel of ``split(bias_add(dense(x, W)))`` over
+        12 weight rows, each section transposed; *also_returned* names
+        ``"d"`` or ``"b"`` to give it a second reader, the tail."""
+        x = Var("x", TensorType(x_shape, "float32"))
+        w = const(np.random.RandomState(0).randn(12, 8).astype("float32"))
+        sb = ScopeBuilder()
+        d = sb.let("d", Call(Op.get("nn.dense"), [x, w], dense_attrs))
+        b = sb.let("b", api.bias_add(d, const(np.arange(12, dtype="float32"))))
+        parts = sb.let("parts", api.split(b, split_at, axis=axis))
+        count = split_at if isinstance(split_at, int) else len(split_at) + 1
+        heads = [sb.let(f"h{i}", api.transpose(TupleGetItem(parts, i), (1, 0)))
+                 for i in range(count)]
+        body = sb.get(Tuple(heads + [{"d": d, "b": b}[also_returned]] if also_returned else heads))
+        fused = TestFusion()._fuse(Function([x], body))
+        return [TestFusion._ops_of(p) for p in TestMultiOutputFusion._chain_prims(fused.body)]
+
+    @pytest.mark.parametrize("x_shape, attrs, split_at", [
+        ((Any(), 8), {"sections": (4, 8)}, 3),
+        ((Any(), 8), {"sections": (3,)}, (3,)),
+        ((6, 8), {"sections": (4, 8), "batch": 2}, 3),
+    ], ids=["equal_sections", "index_cuts", "batch_and_sections"])
+    def test_the_split_joins_the_gemm(self, x_shape, attrs, split_at):
+        (kernel,) = self._kernels(x_shape, attrs, split_at)
+        count = split_at if isinstance(split_at, int) else len(split_at) + 1
+        assert kernel == sorted(["nn.bias_add", "nn.dense", "split"] + ["transpose"] * count)
+
+    @pytest.mark.parametrize("x_shape, attrs, split_at, axis, also_returned", [
+        ((Any(), 8), {"sections": (4, 8)}, 2, -1, None),
+        ((12, 8), {"sections": (4, 8)}, 3, 0, None),
+        ((Any(), 8), {}, 3, -1, None),
+        ((Any(), 8), {}, 1, -1, None),
+        ((Any(), 8), {"sections": (4, 8)}, 3, -1, "d"),
+        ((Any(), 8), {"sections": (4, 8)}, 3, -1, "b"),
+    ], ids=["other_cuts", "other_axis", "no_sections", "no_sections_one_part",
+            "dense_read_twice", "bias_add_read_twice"])
+    def test_refused(self, x_shape, attrs, split_at, axis, also_returned):
+        """Each breaks one condition: the split and its readers stay out
+        of the GEMM's kernel. Along axis 0 the 12 rows are cut at (4, 8),
+        the dense's sections, but on the wrong axis."""
+        kernels = self._kernels(x_shape, attrs, split_at, axis, also_returned)
+        (split,) = [ops for ops in kernels if "split" in ops]
+        assert "nn.dense" not in split and "transpose" in split
+
+    def test_fires_on_combine_parallel_dense_output_and_keeps_its_bytes(self):
+        """Three projections of one input, each split into two heads as
+        BERT's are: after ``CombineParallelDense`` the stacked GEMM, the
+        split and all the head reshapes are one kernel, and the build
+        runs to the evaluator's bytes on the uncombined module."""
+        import repro.nimble as nimble
+        from repro.evaluator import evaluate
+        from repro.hardware import intel_cpu
+        from repro.passes import CombineParallelDense
+        from repro.vm.interpreter import VirtualMachine
+
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        sb = ScopeBuilder()
+        heads = []
+        for i in range(3):
+            w, b = _weight(4, seed=i), const(np.arange(4, dtype="float32") + i)
+            proj = sb.let(f"proj{i}", api.bias_add(api.dense(x, w), b))
+            heads.append(sb.let(f"head{i}", api.transpose(api.reshape(proj, (-1, 2, 2)),
+                                                          (1, 0, 2))))
+        mod = IRModule.from_expr(Function([x], sb.get(Tuple(heads))))
+        combined = CombineParallelDense().run(ToANF().run(infer_types(mod)))
+        fused = FuseOps().run(infer_types(combined)).main
+        (kernel,) = [TestFusion._ops_of(p) for p in TestMultiOutputFusion._chain_prims(fused.body)]
+        assert kernel == sorted(["nn.dense", "nn.bias_add", "split"]
+                                + ["reshape", "transpose"] * 3)
+        data = np.random.RandomState(1).randn(5, 8).astype(np.float32)
+        want = evaluate(infer_types(mod), data)
+        got = VirtualMachine(nimble.build(mod, intel_cpu())[0]).run(data)
+        assert [g.numpy().tobytes() for g in got] == [
+            np.asarray(w).tobytes() for w in want]
+
+
 def _differential_cases():
     """(model, tier, platform, streams): both paper loops, every tier, on
     the CPU and on the GPU at one and two streams."""
@@ -399,7 +482,9 @@ def _differential_cases():
 
 class TestMultiOutputFusionDifferential:
     """The whole pipeline with the multi-output merge and with it
-    replaced by a no-op: bitwise-equal outputs, fewer kernels."""
+    replaced by a no-op: bitwise-equal outputs, fewer kernels. The same
+    for CPU BERT with and without its combined Q/K/V GEMM, whose head
+    split fuses into it."""
 
     @staticmethod
     def _build_and_run(model, tier, platform, streams):
@@ -468,6 +553,94 @@ class TestMultiOutputFusionDifferential:
         assert merged[0] < unmerged[0]
         assert merged[1] == unmerged[1]
 
+    @staticmethod
+    def _bert_outputs():
+        """(kernels, head-split kernels, output bytes) of toy CPU BERT per
+        tier: dynamic and partial over three lengths, the exact variant
+        linked and rolled, the batch-4 variant, and the exact and batched
+        variants replayed from their launch tapes."""
+        import dataclasses
+
+        import repro.nimble as nimble
+        from repro.hardware import intel_cpu
+        from repro.models.bert import BertConfig, BertWeights, build_bert_module
+        from repro.vm.interpreter import VirtualMachine
+        from repro.vm.tape import LaunchTape
+
+        mod = build_bert_module(
+            BertWeights.create(BertConfig(hidden=24, num_heads=3, num_layers=2, ffn=48), seed=0))
+        rng = np.random.RandomState(0)
+        rows = [rng.randn(n, 24).astype(np.float32) for n in (1, 5, 9)]
+        fives = [rng.randn(5, 24).astype(np.float32) for _ in range(4)]
+        exact = nimble.specialize(mod, intel_cpu(), shapes=[(5, 24)])[0]
+        tiers = {
+            "dynamic": (nimble.build(mod, intel_cpu())[0], rows),
+            "exact": (exact, fives),
+            "rolled": (dataclasses.replace(exact, specialized_shapes=None,
+                                           specialized_batch=None), fives),
+            "partial": (nimble.specialize(mod, intel_cpu(), shapes=[(None, 24)])[0], rows),
+            "batched": (nimble.specialize(mod, intel_cpu(), shapes=[(5, 24)], batch=4)[0],
+                        [np.concatenate(fives)]),
+        }
+        outputs = {}
+        for tier, (exe, inputs) in tiers.items():
+            heads = [k.name for k in exe.kernels if "split" in getattr(k, "name", "")]
+            outputs[tier] = (len(exe.kernels), heads,
+                             [VirtualMachine(exe).run(x).numpy().tobytes() for x in inputs])
+        for tier in ("exact", "batched"):
+            exe, inputs = tiers[tier]
+            outputs[f"{tier}_tape"] = outputs[tier][:2] + (
+                [LaunchTape(exe, x).replay()[0].numpy().tobytes() for x in inputs],)
+        return outputs
+
+    def test_cpu_bert_is_bitwise_the_pipeline_without_combined_gemms(self, monkeypatch):
+        """With ``CombineParallelDense`` each layer's stacked Q/K/V GEMM,
+        its split and the head reshapes are one kernel; without it each
+        projection is its own kernel. Every tier runs to the same bytes."""
+        from repro.passes import CombineParallelDense
+
+        combined = self._bert_outputs()
+        monkeypatch.setattr(CombineParallelDense, "run", lambda self, mod: mod)
+        separate = self._bert_outputs()
+        for tier in combined:
+            assert combined[tier][2] == separate[tier][2], tier
+            assert combined[tier][0] < separate[tier][0], tier
+            (heads,) = combined[tier][1]
+            assert heads.startswith("fused_nn.dense+nn.bias_add+split+"), tier
+            assert separate[tier][1] == [], tier
+
+    def test_the_gpu_bert_plan_does_not_move(self, monkeypatch):
+        """A GPU build runs no ``CombineParallelDense``, so it has no
+        sectioned dense for a split to join: the `bert3@gpu4` plan and
+        bytes pinned in `tests/test_memory_device.py` hold with the rule
+        and without it."""
+        import hashlib
+        from dataclasses import asdict
+
+        import repro.passes.fuse_ops as fuse_ops
+        from repro.core.memory import MemoryPlan
+        from repro.ir import pretty_module
+        from test_memory_device import _PARENT_COMMIT_PLANS, _planned_models
+
+        (compile_,) = [c for name, c in _planned_models() if name == "bert3@gpu4"]
+        planned, real_run = [], MemoryPlan.run
+
+        def recording_run(self, mod):
+            planned.append(real_run(self, mod))
+            return planned[-1]
+
+        def reading():
+            del planned[:]
+            exe, report = compile_()
+            (module,) = planned
+            return (hashlib.sha256(pretty_module(module).encode()).hexdigest(),
+                    asdict(report.memory), hashlib.sha256(exe.save()).hexdigest())
+
+        monkeypatch.setattr(MemoryPlan, "run", recording_run)
+        assert reading() == _PARENT_COMMIT_PLANS["bert3@gpu4"]
+        monkeypatch.setattr(fuse_ops, "_splits_sectioned_dense", lambda *args: False)
+        assert reading() == _PARENT_COMMIT_PLANS["bert3@gpu4"]
+
 
 # ---------------------------------------------------------------------------
 # Parallel dense layers combine into one GEMM on one-queue platforms
@@ -494,7 +667,8 @@ def _weight(rows, k=8, dtype="float32", seed=0):
 class TestCombineParallelDense:
     """``bias_add(dense(x, Wᵢ), bᵢ)`` on one ``x`` become one dense over the
     stacked weights, one bias_add and a split; anything else is left as
-    it is."""
+    it is. CPU BERT with and without the pass, on every tier, is
+    `TestMultiOutputFusionDifferential`'s."""
 
     @staticmethod
     def _combined(func):
@@ -556,47 +730,6 @@ class TestCombineParallelDense:
         func = Function(params, to_anf(Function(params, body)).body)
         before, after = self._combined(func)
         assert after.main is before.main
-
-    @staticmethod
-    def _bert():
-        from repro.models.bert import BertConfig, BertWeights, build_bert_module
-
-        return build_bert_module(
-            BertWeights.create(BertConfig(hidden=24, num_heads=3, num_layers=2, ffn=48), seed=0))
-
-    @staticmethod
-    def _tiers(mod):
-        """Each tier's executable on `intel_cpu` and its inputs."""
-        import repro.nimble as nimble
-        from repro.hardware import intel_cpu
-
-        rng = np.random.RandomState(0)
-        rows = [rng.randn(n, 24).astype(np.float32) for n in (1, 5, 9)]
-        fives = [rng.randn(5, 24).astype(np.float32) for _ in range(4)]
-        return {
-            "dynamic": (nimble.build(mod, intel_cpu())[0], rows),
-            "exact": (nimble.specialize(mod, intel_cpu(), shapes=[(5, 24)])[0], fives),
-            "partial": (nimble.specialize(mod, intel_cpu(), shapes=[(None, 24)])[0], rows),
-            "batched": (nimble.specialize(mod, intel_cpu(), shapes=[(5, 24)], batch=4)[0],
-                        [np.concatenate(fives)]),
-        }
-
-    def test_bert_on_one_queue_is_bitwise_the_pipeline_without_the_pass(self, monkeypatch):
-        """Every tier builds either way, with fewer kernels combined, and
-        runs to the same bytes."""
-        from repro.passes import CombineParallelDense
-        from repro.vm.interpreter import VirtualMachine
-
-        def outputs(tiers):
-            return {tier: [VirtualMachine(exe).run(x).numpy().tobytes() for x in inputs]
-                    for tier, (exe, inputs) in tiers.items()}
-
-        combined = self._tiers(self._bert())
-        monkeypatch.setattr(CombineParallelDense, "run", lambda self, mod: mod)
-        separate = self._tiers(self._bert())
-        assert outputs(combined) == outputs(separate)
-        for tier in combined:
-            assert len(combined[tier][0].kernels) < len(separate[tier][0].kernels), tier
 
     @pytest.mark.parametrize("family, make_platform, streams", [
         ("lstm", "intel_cpu", 1), ("tree_lstm", "intel_cpu", 1),
