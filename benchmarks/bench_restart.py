@@ -59,12 +59,13 @@ def test_warm_restart(modeled, tmp_path):
     )
     # Headline: the warm restart compiles NOTHING — every specialized
     # executable restores from the store — and its total lane charge
-    # (three 480 µs deserializes: 300 µs + 30 µs for each of a blob's
-    # six kernels) is under 12% of the cold start's compile charge
-    # (three 3200 µs suffixes + one 4800 µs prefix).
+    # (three 450 µs deserializes: 300 µs + 30 µs for each of a blob's
+    # five kernels, six before each LSTM layer's gate GEMM and gate
+    # math became one kernel) is under 12% of the cold start's compile
+    # charge (three 3200 µs suffixes + one 4800 µs prefix).
     assert warm["fresh_compiles"] == 0.0
     assert warm["restored"] > 0
-    assert warm["compile_charge_us"] == pytest.approx(1440.0)
+    assert warm["compile_charge_us"] == pytest.approx(1350.0)
     assert summary["warm_cold_charge_ratio"] < 0.12
     # The warm server reaches its pre-restart specialized steady state:
     # at least the cold run's hit rate, with the first specialized hit

@@ -162,7 +162,10 @@ def interpret_shapes(
         if isinstance(expr, IRTuple):
             return tuple(eval_type(f) for f in expr.fields)
         if isinstance(expr, TupleGetItem):
-            return eval_type(expr.tuple_value)[expr.index]
+            value = eval_type(expr.tuple_value)
+            # A call with one output interprets as that output, even a
+            # one-part split's tuple (`output_types` returns it bare).
+            return value if isinstance(value, TensorType) else value[expr.index]
         if isinstance(expr, Call) and isinstance(expr.op, Op):
             op_def = get_op_def(expr.op.name)
             types = [eval_type(a) for a in expr.args]

@@ -519,7 +519,13 @@ def specialization_study() -> Dict[str, Dict[str, float]]:
     x = _activations(np.random.RandomState(0), *hot_shape)
 
     def run_exe(exe):
+        # Priced on the VM's second run, its profile and allocator stats
+        # reset after the first: a served variant pays its pool's cold
+        # misses once, so a first run's would decide the comparison.
         vm = _vm(exe, platform, "full")
+        vm.run(x)
+        vm.profile.reset()
+        vm.ctx.allocator.stats.reset()
         out, latency = vm.run_with_latency(x)
         return out, latency, vm.profile, vm.ctx.allocator.stats
 

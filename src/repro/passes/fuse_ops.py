@@ -10,12 +10,16 @@ their single consumer when the fusion patterns allow it:
 * COMM_REDUCE consumers absorb injective producers;
 * OPAQUE never fuses.
 
-**Sectioned GEMMs** (one rule outside the table): a ``split`` that cuts
-a sectioned ``nn.dense``'s ``bias_add`` on the last axis at the dense's
-own ``sections`` joins the ``bias_add``'s group, which holds the dense
-unless something else reads it. Each section is then one section GEMM's
-output, so the split is the GEMM's epilogue, though an injective op
-absorbs no OUT_ELEMWISE_FUSABLE group otherwise.
+**A split is its GEMM's epilogue** (one rule outside the table): a
+``split`` that cuts an ``nn.dense``'s ``bias_add`` on the last axis at
+static widths, when nothing else reads that ``bias_add``, joins the
+``bias_add``'s group, which holds the dense unless something else reads
+it. Each part is then a column block of the GEMM's output, so the split
+is its epilogue, though an injective op absorbs no OUT_ELEMWISE_FUSABLE
+group otherwise; where the cuts fall and whether the dense carries
+``sections`` do not matter. It fires on every LSTM cell's and TreeLSTM
+node's gate split and on CPU BERT's stacked Q/K/V GEMM
+(``CombineParallelDense``); GPU BERT has no split to join.
 
 **Dynamic policy** (the paper's addition): an operator whose shape
 function is data-dependent or upper-bound can never absorb producers —
@@ -30,10 +34,11 @@ accepts against the tuple op's own pattern (not against a GEMM it
 absorbed). The merged group materializes at its last member before the
 first binding outside it that reads a member, and every member past that
 point must read only members and what is bound before it (so the group
-stays acyclic). The LSTM cell's ``split`` and both state updates become
-one kernel; so do BERT's stacked Q/K/V GEMM (``CombineParallelDense``),
-its ``split`` and its three head reshapes, one kernel per layer
-materialized before the scores read two of them.
+stays acyclic). An LSTM cell's gate GEMM, its ``split`` and both state
+updates become one kernel per layer step, the ``(1, 4H)`` pre-activation
+a temporary inside it; so do BERT's stacked Q/K/V GEMM, its ``split`` and
+its three head reshapes, one kernel per layer materialized before the
+scores read two of them.
 
 After grouping, every group (including singletons — uniform lowering)
 becomes a ``primitive`` Function called with its external inputs, exactly
@@ -44,7 +49,6 @@ as a ``Tuple`` whose projections re-bind the original variables.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Set, Tuple as PyTuple
 
 from repro.errors import CompilerError
@@ -55,6 +59,7 @@ from repro.ir.op import Op
 from repro.ir.types import Any, TensorType, TupleType, Type
 from repro.ops import DIALECT_OPS, get_op_def
 from repro.ops.registry import OpPattern
+from repro.ops.shape_funcs import normalize_axis
 from repro.passes.pass_manager import Pass
 from repro.utils.naming import NameSupply
 
@@ -95,24 +100,21 @@ def _named(value: Expr, name: str) -> bool:
     return isinstance(value, Call) and isinstance(value.op, Op) and value.op.name == name
 
 
-def _splits_sectioned_dense(
+def _splits_dense(
     split: Expr, bias_add: Expr, bindings: List[PyTuple[Var, Expr]], index_of: Dict[Var, int]
 ) -> bool:
-    """Does *split* cut *bias_add*, a sectioned ``nn.dense``'s bias add,
-    on the last axis at the dense's own ``sections``? Then its sections
-    are the section GEMMs' outputs, and the split is their epilogue."""
+    """Does *split* cut *bias_add*, an ``nn.dense``'s bias add, on the last
+    axis at static widths? Then each part is a column block of the GEMM's
+    output, and the split is the GEMM's epilogue."""
     if not (_named(split, "split") and _named(bias_add, "nn.bias_add")):
         return False
     j = index_of.get(bias_add.args[0])  # type: ignore[union-attr, arg-type]
-    dense = bindings[j][1] if j is not None else None
-    if not (_named(dense, "nn.dense") and dense.attrs.get("sections")):  # type: ignore[union-attr]
+    if j is None or not _named(bindings[j][1], "nn.dense"):
         return False
-    # The split's cuts are its sections' running widths on the last axis.
-    # Split on another axis, each section is the dense's full width W,
-    # and no dense's sections cut at W.
-    widths = [field.shape[-1] for field in split.checked_type.fields]  # type: ignore[union-attr]
-    return (not any(isinstance(width, Any) for width in widths)
-            and tuple(itertools.accumulate(widths[:-1])) == tuple(dense.attrs["sections"]))  # type: ignore[union-attr]
+    fields = split.checked_type.fields  # type: ignore[union-attr]
+    ndim = len(fields[0].shape)
+    return (normalize_axis(split.attrs.get("axis", 0), ndim) == ndim - 1  # type: ignore[union-attr]
+            and not any(isinstance(field.shape[-1], Any) for field in fields))
 
 
 def _operands(value: Expr) -> List[Expr]:
@@ -165,7 +167,7 @@ class _Fuser:
                 producer_root = group_of[j]
                 producer = groups[producer_root]
                 if not (_can_fuse(producer.pattern, value.op)  # type: ignore[arg-type]
-                        or _splits_sectioned_dense(value, bindings[j][1], bindings, index_of)):
+                        or _splits_dense(value, bindings[j][1], bindings, index_of)):
                     continue
                 # Merge the producer group into this one.
                 mine = groups[group_of[i]]

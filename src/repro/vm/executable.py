@@ -3,10 +3,11 @@ kernels + constant pool (§5, Figure 2).
 
 Bytecode and constants serialize to a compact custom binary format
 (magic + sections, varint-encoded instructions); kernels — which in the
-real system are machine code — serialize as a pickled section carrying
-their fused-function IR and schedules, from which they are re-materialized
-at load time. ``save``/``load`` round-trip is exercised by property
-tests; the byte-level format is specified in ``docs/serialization.md``.
+real system are machine code — serialize as a deflated pickled section
+carrying their fused-function IR and schedules, from which they are
+re-materialized at load time. ``save``/``load`` round-trip is exercised
+by property tests; the byte-level format is specified in
+``docs/serialization.md``.
 
 Blobs carry the specialization markers (shape binding, batch), the
 artifact-store metadata — the source module's
@@ -26,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import io
 import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -45,8 +47,9 @@ MAGIC = b"NMBL"
 # is ``nn.dense`` with ``batch``, where 6 named an op no longer registered.
 # 8: each kernel runs the schedule its build searched, where a v7 blob's
 # kernels run the default one; a restored v7 variant would not be what a
-# compile makes.
-VERSION = 8
+# compile makes. 9: the kernels section is deflated (zlib), where v8's is
+# the bare pickle.
+VERSION = 9
 
 
 def artifact_key(
@@ -277,7 +280,9 @@ class Executable:
         constants = self._constant_chunks()
         _write_varint(out, sum(map(len, constants)))
         split = out.tell()
-        _write_bytes(out, codec.dumps(self.kernels))
+        # Kernels of one model repeat the same IR nodes and schedule
+        # fields: the pickle deflates to a fraction of its length.
+        _write_bytes(out, zlib.compress(codec.dumps(self.kernels)))
         _write_bytes(out, self.entry.encode())
         _write_bytes(out, codec.dumps(self.specialized_shapes))
         _write_varint(out, self.specialized_batch or 0)
@@ -329,7 +334,7 @@ class Executable:
             platform_name = _read_bytes(buf).decode()
             functions, func_index = _deserialize_bytecode(_read_bytes(buf))
             constants = _deserialize_constants(buf)
-            kernels = codec.loads(_read_bytes(buf))
+            kernels = codec.loads(zlib.decompress(_read_bytes(buf)))
             entry = _read_bytes(buf).decode()
             specialized_shapes = codec.loads(_read_bytes(buf))
             specialized_batch = _read_varint(buf)

@@ -955,7 +955,9 @@ class TestRefereeCounters:
     instead of the int 0 since every float fold starts at 0.0. The same
     clock fields moved when a static hit after its variant's first
     began replaying the variant's launch tape; every count and routing
-    field stayed.)"""
+    field stayed. Executable format v9, which deflates the kernels
+    section, moved the `gc` digest once more with the pruned key's name;
+    nothing else moved, since `_mlp` has no split.)"""
 
     RESTARTED_AFFINITY_FLEET = {
         "routing": "affinity",
@@ -1020,7 +1022,7 @@ class TestRefereeCounters:
                 "device_streams": 1,
             },
         ),
-        "gc": "sha256:948b2fa004be83c2",
+        "gc": "sha256:b215495c5321fa7b",
         "chaos": (1, 1, 0),
     }
 

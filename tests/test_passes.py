@@ -259,7 +259,7 @@ class TestMultiOutputFusion:
         bindings, _ = let_chain(expr)
         return [v for _, v in bindings if isinstance(v, Call) and isinstance(v.op, Function)]
 
-    def test_an_lstm_layer_step_is_three_kernels_and_h_c_one_call(self):
+    def test_an_lstm_layer_step_is_two_kernels_and_h_c_one_call(self):
         from repro.models.lstm import LSTMWeights, build_lstm_module
 
         mod = build_lstm_module(
@@ -268,14 +268,15 @@ class TestMultiOutputFusion:
         (step,) = [v for _, v in let_chain(mod["lstm_loop"].body)[0] if isinstance(v, If)]
         bindings, _ = let_chain(step.true_branch)
         prims = self._chain_prims(step.true_branch)
-        # concatenate, dense+bias_add, split+gates+c+h per layer; t + 1.
-        assert len(prims) == 3 * 2 + 1
+        # concatenate, dense+bias_add+split+gates+c+h per layer; t + 1
+        # (3 * 2 + 1 while the gate GEMM was a kernel of its own).
+        assert len(prims) == 2 * 2 + 1
         cells = [p for p in prims if "split" in TestFusion._ops_of(p)]
         assert len(cells) == 2
         for cell in cells:
             assert TestFusion._ops_of(cell) == sorted(
-                ["split", "sigmoid", "sigmoid", "sigmoid", "tanh", "tanh",
-                 "multiply", "multiply", "multiply", "add"])
+                ["nn.dense", "nn.bias_add", "split", "sigmoid", "sigmoid", "sigmoid",
+                 "tanh", "tanh", "multiply", "multiply", "multiply", "add"])
             (result,) = [var for var, v in bindings if v is cell]
             projections = [var for var, v in bindings
                            if isinstance(v, TupleGetItem) and v.tuple_value is result]
@@ -387,17 +388,18 @@ class TestMultiOutputFusion:
             ["nn.relu", "sigmoid", "split", "tanh"], ["nn.dense"]]
 
 
-class TestSplitJoinsSectionedDense:
-    """A ``split`` that cuts a sectioned dense's ``bias_add`` on the last
-    axis at the dense's own ``sections`` joins that dense's kernel, and
-    its projections' injective readers with it: the GEMM and the head
-    split it feeds are one launch. Any other split stays out."""
+class TestSplitJoinsItsDense:
+    """A ``split`` that cuts a dense's ``bias_add`` on the last axis at
+    static widths joins that dense's kernel, and its projections'
+    injective readers with it: the GEMM and the split it feeds are one
+    launch, whatever the cuts and whether the dense carries ``sections``.
+    A split on another axis, or of a value read twice, stays out."""
 
     @staticmethod
-    def _kernels(x_shape, dense_attrs, split_at, axis=-1, also_returned=None):
-        """The ops of each kernel of ``split(bias_add(dense(x, W)))`` over
-        12 weight rows, each section transposed; *also_returned* names
-        ``"d"`` or ``"b"`` to give it a second reader, the tail."""
+    def _function(x_shape, dense_attrs, split_at, axis=-1, also_returned=None):
+        """``split(bias_add(dense(x, W)))`` over 12 weight rows, each
+        section transposed; *also_returned* names ``"d"`` or ``"b"`` to
+        give it a second reader, the tail."""
         x = Var("x", TensorType(x_shape, "float32"))
         w = const(np.random.RandomState(0).randn(12, 8).astype("float32"))
         sb = ScopeBuilder()
@@ -408,33 +410,65 @@ class TestSplitJoinsSectionedDense:
         heads = [sb.let(f"h{i}", api.transpose(TupleGetItem(parts, i), (1, 0)))
                  for i in range(count)]
         body = sb.get(Tuple(heads + [{"d": d, "b": b}[also_returned]] if also_returned else heads))
-        fused = TestFusion()._fuse(Function([x], body))
+        return Function([x], body)
+
+    @classmethod
+    def _kernels(cls, *args):
+        """The ops of each kernel of :meth:`_function`, fused."""
+        fused = TestFusion()._fuse(cls._function(*args))
         return [TestFusion._ops_of(p) for p in TestMultiOutputFusion._chain_prims(fused.body)]
 
     @pytest.mark.parametrize("x_shape, attrs, split_at", [
         ((Any(), 8), {"sections": (4, 8)}, 3),
         ((Any(), 8), {"sections": (3,)}, (3,)),
         ((6, 8), {"sections": (4, 8), "batch": 2}, 3),
-    ], ids=["equal_sections", "index_cuts", "batch_and_sections"])
+        ((Any(), 8), {"sections": (4, 8)}, 2),
+        ((Any(), 8), {}, 3),
+        ((Any(), 8), {}, 1),
+        ((Any(), 8), {}, (5, 7)),
+    ], ids=["equal_sections", "index_cuts", "batch_and_sections", "other_cuts",
+            "no_sections", "no_sections_one_part", "no_sections_index_cuts"])
     def test_the_split_joins_the_gemm(self, x_shape, attrs, split_at):
+        import repro.nimble as nimble
+        from repro.evaluator import evaluate
+        from repro.hardware import intel_cpu
+        from repro.vm.interpreter import VirtualMachine
+
         (kernel,) = self._kernels(x_shape, attrs, split_at)
         count = split_at if isinstance(split_at, int) else len(split_at) + 1
         assert kernel == sorted(["nn.bias_add", "nn.dense", "split"] + ["transpose"] * count)
+        mod = IRModule.from_expr(self._function(x_shape, attrs, split_at))
+        data = np.random.RandomState(1).randn(6, 8).astype(np.float32)
+        want = evaluate(infer_types(mod), data)
+        got = VirtualMachine(nimble.build(mod, intel_cpu())[0]).run(data)
+        assert [g.numpy().tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
 
     @pytest.mark.parametrize("x_shape, attrs, split_at, axis, also_returned", [
-        ((Any(), 8), {"sections": (4, 8)}, 2, -1, None),
         ((12, 8), {"sections": (4, 8)}, 3, 0, None),
-        ((Any(), 8), {}, 3, -1, None),
-        ((Any(), 8), {}, 1, -1, None),
+        ((12, 8), {}, 3, 0, None),
         ((Any(), 8), {"sections": (4, 8)}, 3, -1, "d"),
         ((Any(), 8), {"sections": (4, 8)}, 3, -1, "b"),
-    ], ids=["other_cuts", "other_axis", "no_sections", "no_sections_one_part",
-            "dense_read_twice", "bias_add_read_twice"])
+        ((Any(), 8), {}, 3, -1, "b"),
+    ], ids=["other_axis", "other_axis_no_sections", "dense_read_twice",
+            "bias_add_read_twice", "bias_add_read_twice_no_sections"])
     def test_refused(self, x_shape, attrs, split_at, axis, also_returned):
         """Each breaks one condition: the split and its readers stay out
         of the GEMM's kernel. Along axis 0 the 12 rows are cut at (4, 8),
         the dense's sections, but on the wrong axis."""
         kernels = self._kernels(x_shape, attrs, split_at, axis, also_returned)
+        (split,) = [ops for ops in kernels if "split" in ops]
+        assert "nn.dense" not in split and "transpose" in split
+
+    def test_refused_at_dynamic_widths(self):
+        """A weight of unknown row count cuts into parts of unknown width."""
+        x = Var("x", TensorType((Any(), 8), "float32"))
+        w = Var("w", TensorType((Any(), 8), "float32"))
+        bias = Var("bias", TensorType((Any(),), "float32"))
+        sb = ScopeBuilder()
+        parts = sb.let("parts", api.split(api.bias_add(api.dense(x, w), bias), 2, axis=1))
+        heads = [sb.let(f"h{i}", api.transpose(TupleGetItem(parts, i), (1, 0))) for i in range(2)]
+        fused = TestFusion()._fuse(Function([x, w, bias], sb.get(Tuple(heads))))
+        kernels = [TestFusion._ops_of(p) for p in TestMultiOutputFusion._chain_prims(fused.body)]
         (split,) = [ops for ops in kernels if "split" in ops]
         assert "nn.dense" not in split and "transpose" in split
 
@@ -471,23 +505,27 @@ class TestSplitJoinsSectionedDense:
 
 
 def _differential_cases():
-    """(model, tier, platform, streams): both paper loops, every tier, on
-    the CPU and on the GPU at one and two streams."""
+    """(model, tier, platform, streams): both paper loops, the LSTM at one
+    and two layers, every tier (the exact variant linked, as the VM binds
+    it, and rolled), on the CPU and on the GPU at one and two streams."""
     from repro.hardware import intel_cpu, nvidia_gpu
 
     return itertools.product(
-        ("lstm", "tree_lstm"), ("dynamic", "specialized", "batched"),
+        ("lstm1", "lstm", "tree_lstm"), ("dynamic", "specialized", "rolled", "batched"),
         ((intel_cpu, 1), (nvidia_gpu, 1), (nvidia_gpu, 2)))
 
 
 class TestMultiOutputFusionDifferential:
     """The whole pipeline with the multi-output merge and with it
-    replaced by a no-op: bitwise-equal outputs, fewer kernels. The same
-    for CPU BERT with and without its combined Q/K/V GEMM, whose head
-    split fuses into it."""
+    replaced by a no-op, and with a gate split joining its GEMM and
+    without: bitwise-equal outputs, fewer kernels. The same for CPU BERT
+    with and without its combined Q/K/V GEMM, whose head split fuses
+    into it."""
 
     @staticmethod
     def _build_and_run(model, tier, platform, streams):
+        import dataclasses
+
         import repro.nimble as nimble
         from repro.data import Tree, embedding_table
         from repro.models.lstm import LSTMWeights, build_lstm_module
@@ -499,14 +537,14 @@ class TestMultiOutputFusionDifferential:
 
         rng = np.random.RandomState(0)
         options = CompilerOptions(device_streams=streams)
-        if model == "lstm":
-            mod = build_lstm_module(
-                LSTMWeights.create(input_size=12, hidden_size=16, num_layers=2, seed=0))
+        if model.startswith("lstm"):
+            mod = build_lstm_module(LSTMWeights.create(
+                input_size=12, hidden_size=16, num_layers=1 if model == "lstm1" else 2, seed=0))
             members = [rng.randn(5, 12).astype(np.float32) for _ in range(3)]
             if tier == "dynamic":
                 exe = nimble.build(mod, platform, options=options)[0]
                 inputs = [rng.randn(3, 12).astype(np.float32)] + members
-            elif tier == "specialized":
+            elif tier in ("specialized", "rolled"):
                 exe = nimble.specialize(mod, platform, shapes=[(5, 12)], options=options)[0]
                 inputs = members
             else:
@@ -525,14 +563,15 @@ class TestMultiOutputFusionDifferential:
             else:
                 exe = nimble.specialize(mod, platform, shapes=[None], options=options,
                                         batch=3 if tier == "batched" else 1)[0]
+        if tier == "rolled":
+            exe = dataclasses.replace(exe, specialized_shapes=None, specialized_batch=None)
         vm = VirtualMachine(exe, ExecutionContext(platform, numerics="full"))
         return len(exe.kernels), [vm.run(x).numpy().tobytes() for x in inputs]
 
-    @pytest.mark.parametrize(
-        "case", _differential_cases(),
-        ids=lambda c: f"{c[0]}-{c[1]}-{c[2][0].__name__}x{c[2][1]}")
-    def test_merge_changes_kernels_not_outputs(self, case, monkeypatch):
-        from repro.passes.fuse_ops import _Fuser
+    def _fewer_kernels_same_outputs(self, case, switch_off):
+        """Build and run *case*, then again after *switch_off()*: fewer
+        kernels before, the same output bytes. A Tree entry cannot be
+        stacked, so its batched build is refused both times."""
         from repro.passes.specialize import BatchSpecializeError
 
         model, tier, (make_platform, streams) = case
@@ -541,17 +580,35 @@ class TestMultiOutputFusionDifferential:
             return self._build_and_run(model, tier, make_platform(), streams)
 
         try:
-            merged = build()
+            on = build()
         except BatchSpecializeError:
-            merged = None  # a Tree entry cannot be stacked
-        monkeypatch.setattr(_Fuser, "_merge_tuple_group", lambda self, *args: None)
-        if merged is None:
-            with pytest.raises(BatchSpecializeError):  # refused either way
+            on = None
+        switch_off()
+        if on is None:
+            with pytest.raises(BatchSpecializeError):
                 build()
             return
-        unmerged = build()
-        assert merged[0] < unmerged[0]
-        assert merged[1] == unmerged[1]
+        off = build()
+        assert on[0] < off[0]
+        assert on[1] == off[1]
+
+    @pytest.mark.parametrize(
+        "case", _differential_cases(),
+        ids=lambda c: f"{c[0]}-{c[1]}-{c[2][0].__name__}x{c[2][1]}")
+    def test_merge_changes_kernels_not_outputs(self, case, monkeypatch):
+        from repro.passes.fuse_ops import _Fuser
+
+        self._fewer_kernels_same_outputs(case, lambda: monkeypatch.setattr(
+            _Fuser, "_merge_tuple_group", lambda self, *args: None))
+
+    @pytest.mark.parametrize(
+        "case", _differential_cases(),
+        ids=lambda c: f"{c[0]}-{c[1]}-{c[2][0].__name__}x{c[2][1]}")
+    def test_gate_split_joining_its_gemm_changes_kernels_not_outputs(self, case, monkeypatch):
+        import repro.passes.fuse_ops as fuse_ops
+
+        self._fewer_kernels_same_outputs(case, lambda: monkeypatch.setattr(
+            fuse_ops, "_splits_dense", lambda *args: False))
 
     @staticmethod
     def _bert_outputs():
@@ -610,8 +667,8 @@ class TestMultiOutputFusionDifferential:
             assert separate[tier][1] == [], tier
 
     def test_the_gpu_bert_plan_does_not_move(self, monkeypatch):
-        """A GPU build runs no ``CombineParallelDense``, so it has no
-        sectioned dense for a split to join: the `bert3@gpu4` plan and
+        """A GPU build runs no ``CombineParallelDense``, so BERT has no
+        split for the rule to join to a GEMM: the `bert3@gpu4` plan and
         bytes pinned in `tests/test_memory_device.py` hold with the rule
         and without it."""
         import hashlib
@@ -638,7 +695,7 @@ class TestMultiOutputFusionDifferential:
 
         monkeypatch.setattr(MemoryPlan, "run", recording_run)
         assert reading() == _PARENT_COMMIT_PLANS["bert3@gpu4"]
-        monkeypatch.setattr(fuse_ops, "_splits_sectioned_dense", lambda *args: False)
+        monkeypatch.setattr(fuse_ops, "_splits_dense", lambda *args: False)
         assert reading() == _PARENT_COMMIT_PLANS["bert3@gpu4"]
 
 

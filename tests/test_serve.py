@@ -692,33 +692,41 @@ class TestRefereeCounters:
     allocation of its tape's storages, so the busy times grew on these
     short traces; the dynamic profiles, every count and every
     specialization charge held, and the two-stream GPU's variants,
-    which copy between devices, stay on the VM."""
+    which copy between devices, stay on the VM. Everything but the
+    counts moved when a gate split became its GEMM's epilogue: one
+    kernel per LSTM layer step where there were two, so less dispatch,
+    fewer launches a run and fewer kernels a blob to compile or
+    restore. CPU worker busy 583.7 / 562.3 -> 517.2 / 502.6 us, compile
+    2,090 -> 2,030 us, restore 990 -> 930 us; GPU busy 1,312.8 /
+    1,211.5 -> 997.2 / 929.8 us, compile 2,255 -> 2,185 us, restore
+    1,155 -> 1,085 us; predictive restart busy 511.1 / 430.5 -> 442.1 /
+    364.3 us, compile 1,180 -> 1,150 us, restore 480 -> 450 us."""
 
     ONE_SLOT_CPU = {
-        "responses": "sha256:14a8d4e6b580274a",
-        "worker_busy_us": ("0x1.23dc03df7c42ap+9", "0x1.1929b00388d00p+9"),
+        "responses": "sha256:f655a10ab9aadbf1",
+        "worker_busy_us": ("0x1.029dfdaa8a555p+9", "0x1.f697539d2dcb0p+8"),
         "worker_batches": (6, 6),
-        "profile_dynamic": "sha256:e49235c2412cd393",
-        "profile_specialized": "sha256:1873e42ea4f46dae",
-        "profile_batched": "sha256:b929254123c6b910",
+        "profile_dynamic": "sha256:1a83dacf2d162fb9",
+        "profile_specialized": "sha256:396443b14f0e56f3",
+        "profile_batched": "sha256:1976f1310037828a",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
-        "specialize_compile_us": "0x1.0540000000000p+11",
+        "specialize_compile_us": "0x1.fb80000000000p+10",
         "num_specialized_executables": 2,
         "num_resident_executables": 1,
-        "specialize_lane_busy_us": ("0x1.0540000000000p+11",),
+        "specialize_lane_busy_us": ("0x1.fb80000000000p+10",),
         "specialize_queue_waits_us": (
             "0x0.0p+0",
             "0x1.f400000000000p+8",
             "0x0.0p+0",
             "0x1.9000000000000p+7",
             "0x0.0p+0",
-            "0x1.e000000000000p+8",
+            "0x1.c200000000000p+8",
         ),
         "specialize_evictions": 2,
-        "specialize_pool_span_us": "0x1.7ca0000000000p+12",
+        "specialize_pool_span_us": "0x1.78e0000000000p+12",
         "specialize_restored": 2,
         "specialize_fresh_compiles": 4,
-        "specialize_restore_us": "0x1.ef00000000000p+9",
+        "specialize_restore_us": "0x1.d100000000000p+9",
         "store_rejects": 0,
         "verify_rejects": 0,
         "specialize_prefix_us": "0x1.2c00000000000p+8",
@@ -730,30 +738,30 @@ class TestRefereeCounters:
     }
 
     ONE_SLOT_GPU_TWO_STREAMS = {
-        "responses": "sha256:e98725133d326cf8",
-        "worker_busy_us": ("0x1.4831180383852p+10", "0x1.2ee07348c2b10p+10"),
+        "responses": "sha256:48e0bb232a787e29",
+        "worker_busy_us": ("0x1.f298f533adf3ep+9", "0x1.d0e0ba18dd746p+9"),
         "worker_batches": (6, 6),
-        "profile_dynamic": "sha256:81bab2759c4f0f08",
-        "profile_specialized": "sha256:0d07c92180ccb6cf",
-        "profile_batched": "sha256:9d290eec52a1cfe0",
+        "profile_dynamic": "sha256:2f33b003605db01c",
+        "profile_specialized": "sha256:5f7ed03c84207c0b",
+        "profile_batched": "sha256:656b52f5f510725f",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
-        "specialize_compile_us": "0x1.19e0000000000p+11",
+        "specialize_compile_us": "0x1.1120000000000p+11",
         "num_specialized_executables": 2,
         "num_resident_executables": 1,
-        "specialize_lane_busy_us": ("0x1.19e0000000000p+11",),
+        "specialize_lane_busy_us": ("0x1.1120000000000p+11",),
         "specialize_queue_waits_us": (
             "0x0.0p+0",
             "0x1.f400000000000p+8",
             "0x0.0p+0",
             "0x1.9000000000000p+7",
             "0x0.0p+0",
-            "0x1.1800000000000p+9",
+            "0x1.0680000000000p+9",
         ),
         "specialize_evictions": 2,
-        "specialize_pool_span_us": "0x1.86f0000000000p+12",
+        "specialize_pool_span_us": "0x1.8290000000000p+12",
         "specialize_restored": 2,
         "specialize_fresh_compiles": 4,
-        "specialize_restore_us": "0x1.20c0000000000p+10",
+        "specialize_restore_us": "0x1.0f40000000000p+10",
         "store_rejects": 0,
         "verify_rejects": 0,
         "specialize_prefix_us": "0x1.2c00000000000p+8",
@@ -765,27 +773,27 @@ class TestRefereeCounters:
     }
 
     PREDICTIVE_RESTART_DAMAGED_STORE = {
-        "responses": "sha256:724fe5b0fa5ae3be",
-        "worker_busy_us": ("0x1.ff1255b1d9e0cp+8", "0x1.ae89db5ab59eep+8"),
+        "responses": "sha256:fc000a028f5fdde5",
+        "worker_busy_us": ("0x1.ba24e51c0cb1ep+8", "0x1.6c4451d50d034p+8"),
         "worker_batches": (5, 4),
-        "profile_dynamic": "sha256:b6a5d8f8fa355e62",
-        "profile_specialized": "sha256:10a6ae39b4de8f5e",
+        "profile_dynamic": "sha256:3db8f35955fc9f87",
+        "profile_specialized": "sha256:b9fc14e10c5dfc29",
         "profile_batched": "sha256:c2d0ebbfdae3b84b",
         "profile_partial": "sha256:c2d0ebbfdae3b84b",
-        "specialize_compile_us": "0x1.2700000000000p+10",
+        "specialize_compile_us": "0x1.1f80000000000p+10",
         "num_specialized_executables": 3,
         "num_resident_executables": 3,
-        "specialize_lane_busy_us": ("0x1.2700000000000p+10",),
+        "specialize_lane_busy_us": ("0x1.1f80000000000p+10",),
         "specialize_queue_waits_us": (
             "0x0.0p+0",
             "0x1.f400000000000p+8",
             "0x1.5e00000000000p+9",
         ),
         "specialize_evictions": 0,
-        "specialize_pool_span_us": "0x1.2700000000000p+10",
+        "specialize_pool_span_us": "0x1.1f80000000000p+10",
         "specialize_restored": 1,
         "specialize_fresh_compiles": 2,
-        "specialize_restore_us": "0x1.e000000000000p+8",
+        "specialize_restore_us": "0x1.c200000000000p+8",
         "store_rejects": 4,
         "verify_rejects": 1,
         "specialize_prefix_us": "0x1.2c00000000000p+8",

@@ -356,11 +356,12 @@ class TestServeRestore:
         assert warm.specialize_restored == cold.specialize_fresh_compiles
         # Three variants: cold pays 3 x 2400 (the suffix share of the
         # 6000 us override) + 3600 once for the prefix; warm pays three
-        # 480 us deserializes (300 + 30 per kernel, six kernels a blob
-        # since the LSTM cell is one kernel; 540 with eight before) —
-        # 13% of the cold charge.
+        # 450 us deserializes (300 + 30 per kernel, five kernels a blob
+        # since each layer's gate GEMM and gate math are one kernel; 480
+        # with six while the GEMM was its own, 540 with eight before the
+        # LSTM cell was one kernel) — 12.5% of the cold charge.
         assert cold.specialize_compile_us == pytest.approx(10_800.0)
-        assert warm.specialize_compile_us == pytest.approx(1_440.0)
+        assert warm.specialize_compile_us == pytest.approx(1_350.0)
         assert warm.specialized_hit_rate >= cold.specialized_hit_rate
         for a, b in zip(cold.responses, warm.responses):
             assert np.array_equal(a.output.numpy(), b.output.numpy())
@@ -757,6 +758,40 @@ class TestStoreCorruption:
         assert _read_back(store, kind, key) is None
         assert [name for name, _ in store.reject_log] == [key or "kernels.kc"]
         assert word in store.reject_log[0][1]
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "bare_pickle"])
+    def test_a_sealed_blob_whose_kernels_do_not_inflate_is_one_counted_reject(
+        self, tmp_path, monkeypatch, damage
+    ):
+        """The envelope vouches for bytes, not for what they mean: an
+        executable whose deflated kernels section is damaged (a flipped
+        byte, a cut stream, or the bare pickle a v8 writer put there)
+        seals clean under its key, and its load is one counted reject."""
+        import types
+        import zlib
+
+        def damaged(data):
+            stream = bytearray(zlib.compress(data))
+            if damage == "flip":
+                stream[len(stream) // 2] ^= 0xFF
+            elif damage == "truncate":
+                del stream[len(stream) // 2:]
+            else:
+                stream = data
+            return bytes(stream)
+
+        exe = _specialized(_dyn_mlp_module())
+        store = ArtifactStore(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(executable, "zlib",
+                          types.SimpleNamespace(compress=damaged, decompress=zlib.decompress))
+            key = store.put(exe)
+        assert key == exe.content_hash()
+        assert store.get(key) is None
+        assert store.rejects == 1 and store.verify_rejects == 0
+        assert "failed to deserialize: error" in store.reject_log[0][1]
+        store.put(exe)
+        assert store.get(key) is not None and store.rejects == 1
 
     @pytest.mark.parametrize(
         "decode",
